@@ -1,4 +1,4 @@
-"""Shared fixtures for the benchmark harness (one benchmark per paper artefact).
+"""Shared fixtures for the paper-figure harnesses (one per paper artefact).
 
 Everything under benchmarks/ belongs to tier-2: the collection hook below
 stamps the ``bench`` and ``slow`` markers on every item (belt and braces on
@@ -11,78 +11,17 @@ slow'``) keeps them out of a bare ``pytest -x -q``.  Run them explicitly::
 
 from __future__ import annotations
 
-import json
-import os
-import pathlib
-import subprocess
-import tempfile
-
 import pytest
 
 from repro import build_summary
 from repro.workloads.dblp import generate_dblp_document
 from repro.workloads.xmark import generate_xmark_document, xmark_query_patterns
 
-RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench-results"
-
 
 def pytest_collection_modifyitems(items):
     for item in items:
         item.add_marker(pytest.mark.bench)
         item.add_marker(pytest.mark.slow)
-
-
-def _git_sha() -> str | None:
-    """The commit the benchmark ran on (CI env first, then local git)."""
-    sha = os.environ.get("GITHUB_SHA")
-    if sha:
-        return sha
-    try:
-        probe = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=pathlib.Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    return probe.stdout.strip() or None
-
-
-@pytest.fixture(scope="session")
-def bench_writer():
-    """Write one BENCH JSON point to ``bench-results/<filename>``.
-
-    Every point is stamped with ``cpu_count`` and ``git_sha`` so
-    ``tools/compare_bench.py`` can refuse cross-hardware comparisons, and
-    the write is atomic (tempfile in the target directory + ``os.replace``)
-    so a benchmark killed mid-write can never leave a truncated JSON file
-    for the CI artifact upload to ship.
-    """
-
-    def write(filename: str, point: dict) -> pathlib.Path:
-        stamped = dict(point)
-        stamped.setdefault("cpu_count", os.cpu_count() or 1)
-        stamped.setdefault("git_sha", _git_sha())
-        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-        target = RESULTS_DIR / filename
-        handle, tmp_name = tempfile.mkstemp(
-            dir=RESULTS_DIR, prefix=f".{filename}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(handle, "w") as tmp:
-                tmp.write(json.dumps(stamped, indent=2))
-            os.replace(tmp_name, target)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return target
-
-    return write
 
 
 @pytest.fixture(scope="session")

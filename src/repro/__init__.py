@@ -113,7 +113,7 @@ from repro.service import (
 )
 from repro.errors import RequestValidationError, ServiceError
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     # errors

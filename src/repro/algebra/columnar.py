@@ -1,11 +1,9 @@
 """Columnar batches and the shared-extent codec.
 
 The extent store serialises relations into a self-describing byte layout so
-worker processes can map them from shared memory without pickle.  Up to
-PR 5 that layout was row-major (magic ``RXT1``) and every attach decoded the
-*whole* extent back into tuple rows before the first operator ran.  This
-module makes the byte layout genuinely columnar (magic ``RXC1``) and gives
-the executor a column-major in-memory representation to match:
+worker processes can map them from shared memory without pickle.  The byte
+layout is columnar (magic ``RXC1``) and the executor gets a column-major
+in-memory representation to match:
 
 * :func:`encode_columnar` writes schema + row count + a per-column block
   directory, then one contiguous cell block per column.  A reader that only
@@ -20,15 +18,14 @@ the executor a column-major in-memory representation to match:
   :class:`_ColumnSource` per column.  Sources are lazy (payload-backed) or
   gathers over a parent source, so selections, projections and joins emit
   index vectors and never copy a column nobody reads.  Dewey component keys
-  are cached per source and *shared through gathers*, which is where the
-  vectorized executor's single-worker win comes from: a view extent's sort
+  are cached per source and *shared through gathers*: a view extent's sort
   keys are computed once and reused by every query that scans it.
 
 The cell codec itself (tags ``_T_NONE`` .. ``_T_NESTED``) moved here
 verbatim from :mod:`repro.views.extent_store`, which now re-exports the
-public pair :func:`encode_relation` / :func:`decode_relation`; the legacy
-row-major layout is still decoded (nested relation cells keep using it —
-they are small and always materialised whole).
+public pair :func:`encode_relation` / :func:`decode_relation`.  Nested
+relation *cells* are written row-major inside their block — they are small
+and always materialised whole.
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ from repro.xmltree.node import XMLNode
 
 __all__ = [
     "COLUMNAR_MAGIC",
-    "ROW_MAGIC",
     "ColumnBatch",
     "ColumnarPayload",
     "concat_batches",
@@ -58,7 +54,6 @@ __all__ = [
 # --------------------------------------------------------------------------- #
 # cell codec (moved from repro.views.extent_store)
 # --------------------------------------------------------------------------- #
-ROW_MAGIC = b"RXT1"
 COLUMNAR_MAGIC = b"RXC1"
 
 _T_NONE = 0
@@ -697,15 +692,5 @@ def decode_columnar(payload) -> ColumnBatch:
 
 
 def decode_payload(payload) -> Relation:
-    """Decode either codec generation into a fully materialised relation."""
-    view = memoryview(payload)
-    magic = bytes(view[:4])
-    if magic == COLUMNAR_MAGIC:
-        view.release()
-        return ColumnarPayload(payload).batch().to_relation()
-    if magic == ROW_MAGIC:
-        reader = _Reader(view)
-        reader.offset = 4
-        return _read_relation(reader)
-    view.release()
-    raise ExtentStoreError("not a shared extent payload (bad magic)")
+    """Decode a columnar payload into a fully materialised relation."""
+    return ColumnarPayload(payload).batch().to_relation()

@@ -1,37 +1,40 @@
 """Execution of logical plans over materialised views.
 
-The :class:`PlanExecutor` interprets a tree of
+The :class:`PlanExecutor` evaluates a DAG of
 :class:`~repro.algebra.operators.PlanOperator` against a view store (any
 mapping-like object resolving view names to objects exposing ``relation``,
-the view's materialised :class:`~repro.algebra.tuples.Relation`).
+the view's materialised :class:`~repro.algebra.tuples.Relation`, or a
+lazily-decoding ``column_batch``).
+
+There is exactly one executor and every operator has exactly one
+implementation.  Plans evaluate as
+:class:`~repro.algebra.columnar.ColumnBatch` pipelines:
+
+* **kernel operators** — scan, index scan, ``σ``, ``π``, ``⋈=``, the
+  staircase ``⋈≺`` / ``⋈≺≺`` (flat and nested) and the ordered ``∪``-merge
+  — run the batch kernels of :mod:`repro.algebra.kernels` over cached
+  column vectors and Dewey component keys and emit index vectors, so a
+  column nobody reads is never copied;
+* **row-wise operators** — nested projection, unnest, group-by, content
+  navigation and parent-ID derivation — build or take apart nested
+  relations and document nodes cell by cell; they read their child as rows
+  and hand the result back to the batch spine wrapped.
 
 Structural joins compare Dewey identifiers, so they work on any view whose
 ID columns were materialised with the default structural ``fID``
-(Section 1, "Exploiting ID properties").
+(Section 1, "Exploiting ID properties").  They run as a *staircase*
+sort-merge: both inputs are brought into document order on their join
+columns (a no-op for view extents, which are materialised Dewey-sorted, and
+for merge-join outputs, which stay sorted on the descendant column) and
+merged in a single pass with a stack of open ancestors — ``O(l + r +
+output)`` plus whatever sorts are actually needed, which is what
+:class:`~repro.planning.cost.CostModel` charges.  ``⋈=`` merges when both
+inputs arrive annotated sorted on their join columns and hashes otherwise:
+the choice follows that observable input property, never a flag.
 
-Structural joins run as a *staircase* sort-merge: both inputs are brought
-into document order on their join columns (a no-op for view extents, which
-are materialised Dewey-sorted, and for merge-join outputs, which stay
-sorted on the descendant column) and merged in a single pass with a stack
-of open ancestors — the stack-tree algorithm of the structural-join
-literature, done on Dewey prefixes.  The cost is ``O(l + r + output)``
-plus whatever sorts are actually needed, which is what
-:class:`~repro.planning.cost.CostModel` now charges.  The seed's
-``O(l × r)`` nested loop survives behind
-``PlanExecutor(views, structural_join_strategy="nested-loop")`` as the
-debugging oracle the A/B tests compare against.
-
-Since PR 6 the default execution mode is *vectorized*: plans evaluate as
-:class:`~repro.algebra.columnar.ColumnBatch` pipelines, with the hot
-operators (scan, ``σ``, ``π``, ``⋈=``, the staircase ``⋈≺``/``⋈≺≺`` and
-the ordered ``∪``-merge) running as batch kernels from
-:mod:`repro.algebra.kernels` over cached column vectors and Dewey keys.
-Operators without a kernel (nested projections, group-by, unnest, content
-navigation...) transparently fall back to the tuple interpreter on
-materialised children.  The complete tuple-at-a-time interpreter survives
-behind ``PlanExecutor(views, executor="tuple")`` as the oracle the
-vectorized A/B suites assert row-identity against — the same pattern as
-the nested-loop join oracle.
+The reference implementations the identity suites compare against (the
+row-at-a-time interpreter, the ``O(l × r)`` nested-loop joins, the forced
+hash ``⋈=``) live in ``tests/support/oracle_executor.py``, not here.
 """
 
 from __future__ import annotations
@@ -64,36 +67,7 @@ from repro.patterns.pattern import Axis
 from repro.xmltree.ids import DeweyID
 from repro.xmltree.node import XMLNode
 
-__all__ = [
-    "OperatorRunStats",
-    "PlanExecutor",
-    "EXECUTOR_STRATEGIES",
-    "ID_JOIN_STRATEGIES",
-    "STRUCTURAL_JOIN_STRATEGIES",
-]
-
-EXECUTOR_STRATEGIES = ("vectorized", "tuple")
-"""Accepted values for ``PlanExecutor(..., executor=...)``.
-
-``"vectorized"`` (the default) evaluates plans as columnar batch pipelines
-with the kernels of :mod:`repro.algebra.kernels`; ``"tuple"`` keeps the
-complete tuple-at-a-time interpreter — the oracle path.  Results are
-identical, row order included.
-"""
-
-STRUCTURAL_JOIN_STRATEGIES = ("merge", "nested-loop")
-"""Accepted values for ``PlanExecutor(..., structural_join_strategy=...)``."""
-
-ID_JOIN_STRATEGIES = ("merge", "hash")
-"""Accepted values for ``PlanExecutor(..., id_join_strategy=...)``.
-
-``"merge"`` (the default) runs ``⋈=`` as a single-pass merge on Dewey order
-whenever *both* inputs arrive annotated as sorted on their join columns
-(the order annotation the staircase machinery already propagates), falling
-back to the hash join otherwise; ``"hash"`` forces the seed hash join
-unconditionally — the oracle the A/B identity tests compare against.
-Results are identical either way, row order included.
-"""
+__all__ = ["OperatorRunStats", "PlanExecutor"]
 
 
 @dataclass
@@ -127,36 +101,23 @@ class PlanExecutor:
     per operator *object* for its own lifetime, so shared sub-plans are
     evaluated once — which is also what the planner's DAG cost model
     charges.  Operators never mutate their inputs (every operator builds a
-    fresh output relation), so sharing results is safe; create a fresh
-    executor after re-materialising views.
+    fresh output), so sharing results is safe; create a fresh executor
+    after re-materialising views.
 
     Parameters
     ----------
     views:
-        Mapping from view name to an object exposing ``relation``.
-    structural_join_strategy:
-        ``"merge"`` (default) runs ``⋈≺`` / ``⋈≺≺`` as the single-pass
-        staircase sort-merge; ``"nested-loop"`` keeps the seed's ``O(l×r)``
-        pair loop as a debugging / oracle path.  Results are identical.
-    id_join_strategy:
-        ``"merge"`` (default) runs ``⋈=`` as a Dewey merge when both inputs
-        are annotated sorted on their join columns (hash otherwise);
-        ``"hash"`` forces the hash join — the oracle path.  Results are
-        identical, row order included.
+        Mapping from view name to an object exposing ``relation`` (or a
+        lazily-decoding ``column_batch``, as attached shared extents do).
     executor:
-        ``"vectorized"`` (default) evaluates plans as columnar
-        :class:`~repro.algebra.columnar.ColumnBatch` pipelines — kernels
-        produce index vectors, columns materialise lazily, and extent
-        scans reuse cached column vectors and Dewey keys across queries;
-        ``"tuple"`` runs the row-at-a-time interpreter — the oracle path.
-        Results are identical, row order included.
+        Accepts only ``"vectorized"`` — there is one executor.
     profile:
         When True, the executor records an :class:`OperatorRunStats` per
         distinct operator (rows produced, own and inclusive wall time),
         retrievable via :meth:`run_stats` — the measurement side of
-        ``EXPLAIN ANALYZE``.  Under the vectorized executor, lazy column
-        decode is charged to the operator that first touches the column
-        (usually a join or selection), not to the scan that deferred it.
+        ``EXPLAIN ANALYZE``.  Lazy column decode is charged to the operator
+        that first touches the column (usually a join or selection), not to
+        the scan that deferred it.
 
     Example
     -------
@@ -177,85 +138,44 @@ class PlanExecutor:
     def __init__(
         self,
         views: Mapping[str, object],
-        structural_join_strategy: str = "merge",
-        id_join_strategy: str = "merge",
+        # kept for the frozen caller bench/layers.py (executor=db.executor)
         executor: str = "vectorized",
         profile: bool = False,
     ):
-        if structural_join_strategy not in STRUCTURAL_JOIN_STRATEGIES:
+        if executor != "vectorized":
             raise PlanExecutionError(
-                f"unknown structural join strategy {structural_join_strategy!r}; "
-                f"expected one of {STRUCTURAL_JOIN_STRATEGIES}"
-            )
-        if id_join_strategy not in ID_JOIN_STRATEGIES:
-            raise PlanExecutionError(
-                f"unknown id join strategy {id_join_strategy!r}; "
-                f"expected one of {ID_JOIN_STRATEGIES}"
-            )
-        if executor not in EXECUTOR_STRATEGIES:
-            raise PlanExecutionError(
-                f"unknown executor strategy {executor!r}; "
-                f"expected one of {EXECUTOR_STRATEGIES}"
+                f"unknown executor {executor!r}; the only executor is 'vectorized'"
             )
         self._views = views
-        self._merge_joins = structural_join_strategy == "merge"
-        self._merge_id_joins = id_join_strategy == "merge"
-        self.executor = executor
-        self._vectorized = executor == "vectorized"
         self.profile = profile
         # id() -> (operator, result); the operator reference keeps the id alive
-        self._memo: dict[int, tuple[PlanOperator, Relation]] = {}
-        self._batch_memo: dict[int, tuple[PlanOperator, ColumnBatch]] = {}
+        self._memo: dict[int, tuple[PlanOperator, ColumnBatch]] = {}
         self._run_stats: dict[int, OperatorRunStats] = {}
         self._child_seconds: list[float] = []
 
     # ------------------------------------------------------------------ #
     def execute(self, plan: PlanOperator) -> Relation:
         """Evaluate ``plan`` and return its result relation."""
-        if self._vectorized:
-            return self.execute_batch(plan).to_relation()
+        return self.execute_batch(plan).to_relation()
+
+    def execute_batch(self, plan: PlanOperator) -> ColumnBatch:
+        """Evaluate ``plan`` as a columnar batch (what streaming callers use).
+
+        Memoised per operator object (plans are DAGs); under ``profile`` the
+        own/inclusive wall time of every distinct operator is recorded.
+        """
         cached = self._memo.get(id(plan))
         if cached is not None:
             return cached[1]
+        operator = self._OPERATORS.get(type(plan))
+        if operator is None:
+            raise PlanExecutionError(f"unknown plan operator {type(plan).__name__}")
         if not self.profile:
-            result = self._execute(plan)
+            result = operator(self, plan)
         else:
             start = time.perf_counter()
             self._child_seconds.append(0.0)
-            result = self._execute(plan)
-            children = self._child_seconds.pop()
-            elapsed = time.perf_counter() - start
-            if self._child_seconds:
-                self._child_seconds[-1] += elapsed
-            self._run_stats[id(plan)] = OperatorRunStats(
-                operator=plan,
-                rows=len(result.rows),
-                seconds=max(elapsed - children, 0.0),
-                inclusive_seconds=elapsed,
-            )
-        self._memo[id(plan)] = (plan, result)
-        return result
-
-    def execute_batch(self, plan: PlanOperator) -> ColumnBatch:
-        """Evaluate ``plan`` as a columnar batch — the vectorized spine.
-
-        Memoised per operator object like :meth:`execute` (plans are DAGs);
-        profiling uses the same own/inclusive wall-time bookkeeping.  Under
-        ``executor="tuple"`` the tuple interpreter runs and its relation is
-        wrapped (one transpose), so streaming callers work under either
-        strategy.
-        """
-        if not self._vectorized:
-            return ColumnBatch.from_relation(self.execute(plan))
-        cached = self._batch_memo.get(id(plan))
-        if cached is not None:
-            return cached[1]
-        if not self.profile:
-            result = self._execute_batch(plan)
-        else:
-            start = time.perf_counter()
-            self._child_seconds.append(0.0)
-            result = self._execute_batch(plan)
+            result = operator(self, plan)
             children = self._child_seconds.pop()
             elapsed = time.perf_counter() - start
             if self._child_seconds:
@@ -266,7 +186,7 @@ class PlanExecutor:
                 seconds=max(elapsed - children, 0.0),
                 inclusive_seconds=elapsed,
             )
-        self._batch_memo[id(plan)] = (plan, result)
+        self._memo[id(plan)] = (plan, result)
         return result
 
     def run_stats(self, plan: PlanOperator) -> Optional[OperatorRunStats]:
@@ -279,74 +199,33 @@ class PlanExecutor:
         """
         return self._run_stats.get(id(plan))
 
-    def _execute(self, plan: PlanOperator) -> Relation:
-        if isinstance(plan, ViewScan):
-            return self._execute_scan(plan)
-        if isinstance(plan, IndexScan):
-            return self._execute_index_scan(plan)
-        if isinstance(plan, IdEqualityJoin):
-            return self._execute_id_join(plan)
-        if isinstance(plan, StructuralJoin):
-            return self._execute_structural_join(plan)
-        if isinstance(plan, NestedStructuralJoin):
-            return self._execute_nested_structural_join(plan)
-        if isinstance(plan, Projection):
-            return self._execute_projection(plan)
-        if isinstance(plan, NestedProjection):
-            return self._execute_nested_projection(plan)
-        if isinstance(plan, Selection):
-            return self._execute_selection(plan)
-        if isinstance(plan, Unnest):
-            return self._execute_unnest(plan)
-        if isinstance(plan, GroupBy):
-            return self._execute_group_by(plan)
-        if isinstance(plan, ContentNavigation):
-            return self._execute_content_navigation(plan)
-        if isinstance(plan, ParentIdDerivation):
-            return self._execute_parent_derivation(plan)
-        if isinstance(plan, UnionPlan):
-            return self._execute_union(plan)
-        raise PlanExecutionError(f"unknown plan operator {type(plan).__name__}")
-
     # ------------------------------------------------------------------ #
-    # vectorized operators
+    # kernel operators
     # ------------------------------------------------------------------ #
-    def _execute_batch(self, plan: PlanOperator) -> ColumnBatch:
-        if isinstance(plan, ViewScan):
-            return self._scan_batch(plan)
-        if isinstance(plan, IndexScan):
-            return self._index_scan_batch(plan)
-        if isinstance(plan, Selection):
-            return self._selection_batch(plan)
-        if isinstance(plan, Projection):
-            return self._projection_batch(plan)
-        if isinstance(plan, IdEqualityJoin):
-            return self._id_join_batch(plan)
-        if isinstance(plan, StructuralJoin) and self._merge_joins:
-            return self._structural_join_batch(plan)
-        if isinstance(plan, UnionPlan):
-            return self._union_batch(plan)
-        # operators without a kernel (and the nested-loop oracle) run the
-        # tuple interpreter over materialised children — children still
-        # route through execute() and thus the batch memo
-        return ColumnBatch.from_relation(self._execute(plan))
-
-    def _scan_batch(self, plan: ViewScan) -> ColumnBatch:
+    def _base_batch(self, view_name: str) -> ColumnBatch:
         try:
-            view = self._views[plan.view_name]
+            view = self._views[view_name]
         except KeyError as exc:
-            raise PlanExecutionError(f"unknown view {plan.view_name!r}") from exc
+            raise PlanExecutionError(f"unknown view {view_name!r}") from exc
         # attached shared extents expose a lazily-decoding column batch; any
         # other view store goes through .relation (one cached transpose)
         base = getattr(view, "column_batch", None)
         if base is None:
             base = ColumnBatch.from_relation(view.relation)
-        alias = plan.effective_alias
+        return base
+
+    @staticmethod
+    def _qualified(base: ColumnBatch, alias: str) -> ColumnBatch:
         columns = [column.renamed(f"{alias}.{column.name}") for column in base.columns]
         sorted_by = None
         if base.sorted_by is not None:
+            # extents are materialised in document order; the annotation
+            # survives qualification so downstream merges skip their sort
             sorted_by = f"{alias}.{base.sorted_by}"
         return base.with_schema(columns, sorted_by)
+
+    def _scan_batch(self, plan: ViewScan) -> ColumnBatch:
+        return self._qualified(self._base_batch(plan.view_name), plan.effective_alias)
 
     def _index_scan_batch(self, plan: IndexScan) -> ColumnBatch:
         """Scan + pushed σ: probe the column's value index, gather positions.
@@ -359,13 +238,7 @@ class PlanExecutor:
         way.  Probe positions come back ascending, so the Dewey-order
         annotation survives exactly as it does for a filter.
         """
-        try:
-            view = self._views[plan.view_name]
-        except KeyError as exc:
-            raise PlanExecutionError(f"unknown view {plan.view_name!r}") from exc
-        base = getattr(view, "column_batch", None)
-        if base is None:
-            base = ColumnBatch.from_relation(view.relation)
+        base = self._base_batch(plan.view_name)
         source = base.source(base.column_index(plan.base_column))
         from repro.views.indexes import index_for_source
 
@@ -374,12 +247,8 @@ class PlanExecutor:
             keep = index.probe(plan.formula)
         else:
             keep = kernels.selection_indices(source.values(), plan.formula)
-        alias = plan.effective_alias
-        columns = [column.renamed(f"{alias}.{column.name}") for column in base.columns]
-        sorted_by = None
-        if base.sorted_by is not None:
-            sorted_by = f"{alias}.{base.sorted_by}"
-        return base.with_schema(columns, sorted_by).gather(keep, sorted_by=sorted_by)
+        qualified = self._qualified(base, plan.effective_alias)
+        return qualified.gather(keep, sorted_by=qualified.sorted_by)
 
     def _batch_keys(self, batch: ColumnBatch, index: int) -> list:
         """Cached Dewey component keys, error-wrapped like :meth:`_as_dewey`."""
@@ -429,21 +298,28 @@ class PlanExecutor:
         columns = self._concat_schema(left, right)
         left_keys = self._batch_keys(left, left.column_index(plan.left_column))
         right_keys = self._batch_keys(right, right.column_index(plan.right_column))
-        if (
-            self._merge_id_joins
-            and left.sorted_by == plan.left_column
-            and right.sorted_by == plan.right_column
-        ):
+        # one merge pass when both inputs arrive Dewey-sorted on their join
+        # columns, build/probe otherwise — identical pairs, left-row order
+        if left.sorted_by == plan.left_column and right.sorted_by == plan.right_column:
             pairs = kernels.merge_id_join_pairs(left_keys, right_keys)
         else:
             pairs = kernels.hash_id_join_pairs(left_keys, right_keys)
         # probe order is left order
         return joined_batch(left, right, columns, pairs[0], pairs[1], left.sorted_by)
 
-    def _structural_join_batch(self, plan: StructuralJoin) -> ColumnBatch:
+    def _staircase(
+        self, plan: StructuralJoin | NestedStructuralJoin
+    ) -> tuple[ColumnBatch, ColumnBatch, list, list[int], list[int]]:
+        """Both inputs, the ancestor groups, and the matching index pairs.
+
+        The one staircase in production: inputs are brought into document
+        order on their join columns (a no-op when annotated sorted), rows
+        with a ``⊥`` join value are dropped up front, and the sweep emits
+        ``(ancestor row, descendant row)`` index pairs in descendant
+        document order.
+        """
         left = self.execute_batch(plan.left)
         right = self.execute_batch(plan.right)
-        columns = self._concat_schema(left, right)
         left_keys = self._batch_keys(left, left.column_index(plan.left_column))
         right_keys = self._batch_keys(right, right.column_index(plan.right_column))
         ancestors = kernels.group_runs(
@@ -453,8 +329,40 @@ class PlanExecutor:
             right_keys, right.sorted_by == plan.right_column
         )
         left_out, right_out = kernels.staircase_pairs(ancestors, descendants, plan.axis)
+        return left, right, ancestors, left_out, right_out
+
+    def _structural_join_batch(self, plan: StructuralJoin) -> ColumnBatch:
+        left, right, _ancestors, left_out, right_out = self._staircase(plan)
+        columns = self._concat_schema(left, right)
         # output is produced in descendant document order
         return joined_batch(left, right, columns, left_out, right_out, plan.right_column)
+
+    def _nested_structural_join_batch(self, plan: NestedStructuralJoin) -> ColumnBatch:
+        left, right, ancestors, left_out, right_out = self._staircase(plan)
+        left_rows = left.to_relation().rows
+        right_rows = right.to_relation().rows
+        nested_schema = list(right.columns)
+        # per left row, its matching right rows in descendant document order
+        matches: list[list[tuple]] = [[] for _ in left_rows]
+        for left_index, right_index in zip(left_out, right_out):
+            matches[left_index].append(right_rows[right_index])
+        result = Relation(list(left.columns) + [Column(plan.group_column, kind="NESTED")])
+        for _key, left_indices in ancestors:
+            for left_index in left_indices:
+                if matches[left_index] or plan.keep_unmatched:
+                    nested = Relation(nested_schema, rows=matches[left_index])
+                    result.rows.append(left_rows[left_index] + (nested,))
+        if plan.keep_unmatched:
+            # left rows with a ⊥ join value never match anything; they keep
+            # an empty group, after every identified row
+            keys = left.dewey_keys(left.column_index(plan.left_column))
+            for left_index, key in enumerate(keys):
+                if key is None:
+                    result.rows.append(left_rows[left_index] + (Relation(nested_schema),))
+        # output is produced in ancestor document order (the annotation only
+        # speaks about non-null identifiers, so trailing ⊥ rows are fine)
+        result.sorted_by = plan.left_column
+        return ColumnBatch.from_relation(result)
 
     def _union_batch(self, plan: UnionPlan) -> ColumnBatch:
         if not plan.plans:
@@ -472,11 +380,23 @@ class PlanExecutor:
     def _merge_union_batches(
         self, branches: list[ColumnBatch]
     ) -> Optional[ColumnBatch]:
-        """Batch counterpart of :meth:`_merge_union`, same fallback contract.
+        """Ordered k-way union merge, when every branch shares the sort column.
 
-        Sort keys come from the branches' cached Dewey key vectors, so a
-        union over extent scans re-uses the keys the staircase machinery
-        already computed.
+        Union set semantics never needed order, but dropping the
+        ``sorted_by`` annotation forces a re-sort on any staircase join
+        consuming the union.  When every branch arrives Dewey-sorted on the
+        same column *position*, a :func:`heapq.merge` over the branches
+        produces the union already in document order, so the annotation
+        survives.  Duplicate elimination stays exact with bounded memory:
+        duplicate rows carry equal sort identifiers, so they always land
+        inside the same identifier run and a per-run seen-set suffices.
+        Rows with a ``⊥`` sort value (which the annotation says nothing
+        about) are emitted first, deduplicated globally — the same null
+        placement ``sorted_in_dewey_order`` uses.  Sort keys come from the
+        branches' cached Dewey key vectors.  Returns ``None`` when the
+        branches do not share a sort column (or a sort value refuses Dewey
+        coercion): the caller falls back to the order-blind union, results
+        identical.
         """
         first = branches[0]
         if first.sorted_by is None:
@@ -511,55 +431,7 @@ class PlanExecutor:
         return ColumnBatch.from_relation(result)
 
     # ------------------------------------------------------------------ #
-    # leaves
-    # ------------------------------------------------------------------ #
-    def _execute_scan(self, plan: ViewScan) -> Relation:
-        try:
-            view = self._views[plan.view_name]
-        except KeyError as exc:
-            raise PlanExecutionError(f"unknown view {plan.view_name!r}") from exc
-        relation: Relation = view.relation
-        alias = plan.effective_alias
-        qualified = Relation(
-            [column.renamed(f"{alias}.{column.name}") for column in relation.columns]
-        )
-        qualified.rows = list(relation.rows)
-        if relation.sorted_by is not None:
-            # extents are materialised in document order; the annotation
-            # survives qualification so downstream merges skip their sort
-            qualified.sorted_by = f"{alias}.{relation.sorted_by}"
-        return qualified
-
-    def _execute_index_scan(self, plan: IndexScan) -> Relation:
-        """The tuple oracle for :class:`IndexScan`: scan, then filter.
-
-        Deliberately *never* touches an index — it is the literal
-        composition of :meth:`_execute_scan` and :meth:`_execute_selection`,
-        so A/B suites can assert exact row identity between the index path
-        and the semantics it claims to implement.
-        """
-        try:
-            view = self._views[plan.view_name]
-        except KeyError as exc:
-            raise PlanExecutionError(f"unknown view {plan.view_name!r}") from exc
-        relation: Relation = view.relation
-        alias = plan.effective_alias
-        result = Relation(
-            [column.renamed(f"{alias}.{column.name}") for column in relation.columns]
-        )
-        if relation.sorted_by is not None:
-            result.sorted_by = f"{alias}.{relation.sorted_by}"
-        index = relation.column_index(plan.base_column)
-        for row in relation.rows:
-            value = row[index]
-            if isinstance(value, XMLNode):
-                value = value.value
-            if plan.formula.evaluate(value):
-                result.rows.append(row)
-        return result
-
-    # ------------------------------------------------------------------ #
-    # joins
+    # row-wise operators (nested relations and document nodes, cell by cell)
     # ------------------------------------------------------------------ #
     @staticmethod
     def _as_dewey(value) -> Optional[DeweyID]:
@@ -568,250 +440,7 @@ class PlanExecutor:
         except AlgebraError as exc:
             raise PlanExecutionError(str(exc)) from exc
 
-    def _execute_id_join(self, plan: IdEqualityJoin) -> Relation:
-        left = self.execute(plan.left)
-        right = self.execute(plan.right)
-        left_index = left.column_index(plan.left_column)
-        right_index = right.column_index(plan.right_column)
-        result = left.natural_concat(right)
-        if (
-            self._merge_id_joins
-            and left.is_sorted_by(plan.left_column)
-            and right.is_sorted_by(plan.right_column)
-        ):
-            self._merge_id_join(plan, left, right, left_index, right_index, result)
-        else:
-            by_id: dict[str, list[tuple]] = {}
-            for row in right.rows:
-                identifier = self._as_dewey(row[right_index])
-                if identifier is not None:
-                    by_id.setdefault(str(identifier), []).append(row)
-            for left_row in left.rows:
-                identifier = self._as_dewey(left_row[left_index])
-                if identifier is None:
-                    continue
-                for right_row in by_id.get(str(identifier), ()):
-                    result.rows.append(left_row + right_row)
-        result.sorted_by = left.sorted_by  # probe order is left order
-        return result
-
-    def _merge_id_join(
-        self,
-        plan: IdEqualityJoin,
-        left: Relation,
-        right: Relation,
-        left_index: int,
-        right_index: int,
-        result: Relation,
-    ) -> None:
-        """``⋈=`` as a single merge pass over two Dewey-sorted inputs.
-
-        Equal identifiers are adjacent on both sides, so the right side
-        collapses into per-identifier groups and one non-retreating cursor
-        pairs them with the (non-decreasing) left identifiers.  Rows with a
-        ``⊥`` join value can never match and are skipped — exactly what the
-        hash join does — and output rows come out in left-row order, so the
-        two strategies produce *identical* row lists, not just equal sets.
-        """
-        groups: list[tuple[tuple, list[tuple]]] = []
-        for row in right.rows:
-            identifier = self._as_dewey(row[right_index])
-            if identifier is None:
-                continue
-            key = identifier.components
-            if groups and groups[-1][0] == key:
-                groups[-1][1].append(row)
-            else:
-                groups.append((key, [row]))
-        position = 0
-        for left_row in left.rows:
-            identifier = self._as_dewey(left_row[left_index])
-            if identifier is None:
-                continue
-            key = identifier.components
-            while position < len(groups) and groups[position][0] < key:
-                position += 1
-            if position < len(groups) and groups[position][0] == key:
-                for right_row in groups[position][1]:
-                    result.rows.append(left_row + right_row)
-
-    def _structural_match(self, upper, lower, axis: Axis) -> bool:
-        upper_id = self._as_dewey(upper)
-        lower_id = self._as_dewey(lower)
-        if upper_id is None or lower_id is None:
-            return False
-        if axis is Axis.CHILD:
-            return upper_id.is_parent_of(lower_id)
-        return upper_id.is_ancestor_of(lower_id)
-
-    # -------------------------- staircase machinery -------------------- #
-    def _dewey_sorted(
-        self, relation: Relation, column: str
-    ) -> list[tuple[DeweyID, tuple]]:
-        """``(identifier, row)`` pairs in document order, nulls dropped.
-
-        Rows whose join value is ``⊥`` can never satisfy a structural
-        predicate (the nested-loop oracle rejects them row by row); the
-        merge drops them up front.  When the relation is not annotated as
-        sorted on ``column``, the pairs are sorted here — the sort-then-
-        merge fallback the cost model charges for.
-        """
-        index = relation.column_index(column)
-        pairs = []
-        for row in relation.rows:
-            identifier = self._as_dewey(row[index])
-            if identifier is not None:
-                pairs.append((identifier, row))
-        if not relation.is_sorted_by(column):
-            pairs.sort(key=lambda pair: pair[0].components)
-        return pairs
-
-    @staticmethod
-    def _group_by_id(
-        pairs: list[tuple[DeweyID, tuple]]
-    ) -> list[tuple[DeweyID, list[tuple]]]:
-        """Collapse document-ordered pairs into per-identifier row groups."""
-        groups: list[tuple[DeweyID, list[tuple]]] = []
-        for identifier, row in pairs:
-            if groups and groups[-1][0] == identifier:
-                groups[-1][1].append(row)
-            else:
-                groups.append((identifier, [row]))
-        return groups
-
-    def _staircase_sweep(
-        self,
-        ancestors: list[tuple[DeweyID, list[tuple]]],
-        descendants: list[tuple[DeweyID, tuple]],
-        axis: Axis,
-        emit,
-    ) -> None:
-        """One merge pass over both document-ordered inputs.
-
-        ``ancestors`` holds the upper side grouped by identifier,
-        ``descendants`` the lower side row by row.  For every descendant,
-        ``emit(group_index, descendant_row)`` is called once per matching
-        ancestor group.  The stack holds the currently *open* ancestor
-        groups — those whose subtree interval contains the sweep position —
-        as ``(identifier, group_index)``; Dewey order equals document order
-        and subtrees are contiguous intervals, so a group popped because the
-        sweep left its subtree can never match a later descendant.
-        """
-        stack: list[tuple[DeweyID, int]] = []
-        next_group = 0
-        for lower_id, lower_row in descendants:
-            while next_group < len(ancestors) and not (
-                lower_id < ancestors[next_group][0]
-            ):
-                upper_id = ancestors[next_group][0]
-                while stack and not stack[-1][0].is_ancestor_of(upper_id):
-                    stack.pop()
-                stack.append((upper_id, next_group))
-                next_group += 1
-            while stack and not stack[-1][0].is_ancestor_or_self_of(lower_id):
-                stack.pop()
-            if not stack:
-                continue
-            # every open group strictly above an equal top matches; an equal
-            # top itself never does (ancestry is strict)
-            top = len(stack) - (1 if stack[-1][0] == lower_id else 0)
-            if axis is Axis.CHILD:
-                target_depth = lower_id.depth - 1
-                for position in range(top - 1, -1, -1):
-                    upper_id, group_index = stack[position]
-                    if upper_id.depth == target_depth:
-                        emit(group_index, lower_row)
-                        break
-                    if upper_id.depth < target_depth:
-                        break
-            else:
-                for position in range(top):
-                    emit(stack[position][1], lower_row)
-
-    def _execute_structural_join(self, plan: StructuralJoin) -> Relation:
-        left = self.execute(plan.left)
-        right = self.execute(plan.right)
-        left_index = left.column_index(plan.left_column)
-        right_index = right.column_index(plan.right_column)
-        result = left.natural_concat(right)
-        if not self._merge_joins:
-            for left_row in left.rows:
-                for right_row in right.rows:
-                    if self._structural_match(
-                        left_row[left_index], right_row[right_index], plan.axis
-                    ):
-                        result.rows.append(left_row + right_row)
-            return result
-        ancestors = self._group_by_id(self._dewey_sorted(left, plan.left_column))
-        descendants = self._dewey_sorted(right, plan.right_column)
-        rows = result.rows
-
-        def emit(group_index: int, lower_row: tuple) -> None:
-            for upper_row in ancestors[group_index][1]:
-                rows.append(upper_row + lower_row)
-
-        self._staircase_sweep(ancestors, descendants, plan.axis, emit)
-        # output is produced in descendant document order
-        result.sorted_by = plan.right_column
-        return result
-
-    def _execute_nested_structural_join(self, plan: NestedStructuralJoin) -> Relation:
-        left = self.execute(plan.left)
-        right = self.execute(plan.right)
-        left_index = left.column_index(plan.left_column)
-        right_index = right.column_index(plan.right_column)
-        nested_schema = list(right.columns)
-        result = Relation(list(left.columns) + [Column(plan.group_column, kind="NESTED")])
-        if not self._merge_joins:
-            for left_row in left.rows:
-                matches = [
-                    right_row
-                    for right_row in right.rows
-                    if self._structural_match(
-                        left_row[left_index], right_row[right_index], plan.axis
-                    )
-                ]
-                if not matches and not plan.keep_unmatched:
-                    continue
-                nested = Relation(nested_schema, rows=matches)
-                result.rows.append(left_row + (nested,))
-            return result
-        ancestors = self._group_by_id(self._dewey_sorted(left, plan.left_column))
-        descendants = self._dewey_sorted(right, plan.right_column)
-        matches_per_group: list[list[tuple]] = [[] for _ in ancestors]
-
-        def emit(group_index: int, lower_row: tuple) -> None:
-            matches_per_group[group_index].append(lower_row)
-
-        self._staircase_sweep(ancestors, descendants, plan.axis, emit)
-        for (_identifier, upper_rows), matches in zip(ancestors, matches_per_group):
-            if not matches and not plan.keep_unmatched:
-                continue
-            for upper_row in upper_rows:
-                nested = Relation(nested_schema, rows=matches)
-                result.rows.append(upper_row + (nested,))
-        if plan.keep_unmatched:
-            # left rows with a ⊥ join value never match anything; the oracle
-            # keeps them with an empty group, so the merge does too
-            for left_row in left.rows:
-                if self._as_dewey(left_row[left_index]) is None:
-                    result.rows.append(left_row + (Relation(nested_schema),))
-        # output is produced in ancestor document order (the annotation only
-        # speaks about non-null identifiers, so trailing ⊥ rows are fine)
-        result.sorted_by = plan.left_column
-        return result
-
-    # ------------------------------------------------------------------ #
-    # unary operators
-    # ------------------------------------------------------------------ #
-    def _execute_projection(self, plan: Projection) -> Relation:
-        child = self.execute(plan.child)
-        projected = child.project(list(plan.columns))
-        if plan.renames:
-            projected = projected.rename(dict(plan.renames))
-        return projected
-
-    def _execute_nested_projection(self, plan: NestedProjection) -> Relation:
+    def _execute_nested_projection(self, plan: NestedProjection) -> ColumnBatch:
         child = self.execute(plan.child)
         index = child.column_index(plan.nested_column)
         result = Relation(child.columns)
@@ -825,22 +454,9 @@ class PlanExecutor:
                     projected = projected.rename(dict(plan.renames))
                 value = projected
             result.rows.append(row[:index] + (value,) + row[index + 1 :])
-        return result
+        return ColumnBatch.from_relation(result)
 
-    def _execute_selection(self, plan: Selection) -> Relation:
-        child = self.execute(plan.child)
-        index = child.column_index(plan.column)
-        result = Relation(child.columns)
-        result.sorted_by = child.sorted_by  # a subset in order stays in order
-        for row in child.rows:
-            value = row[index]
-            if isinstance(value, XMLNode):
-                value = value.value
-            if plan.formula.evaluate(value):
-                result.rows.append(row)
-        return result
-
-    def _execute_unnest(self, plan: Unnest) -> Relation:
+    def _execute_unnest(self, plan: Unnest) -> ColumnBatch:
         child = self.execute(plan.child)
         index = child.column_index(plan.nested_column)
         nested_columns: Optional[list[Column]] = None
@@ -865,9 +481,9 @@ class PlanExecutor:
                 continue
             for nested_row in nested.rows:
                 result.rows.append(outer + tuple(nested_row))
-        return result
+        return ColumnBatch.from_relation(result)
 
-    def _execute_group_by(self, plan: GroupBy) -> Relation:
+    def _execute_group_by(self, plan: GroupBy) -> ColumnBatch:
         child = self.execute(plan.child)
         key_indexes = [child.column_index(name) for name in plan.key_columns]
         nested_indexes = [child.column_index(name) for name in plan.nested_columns]
@@ -893,9 +509,9 @@ class PlanExecutor:
             key = tuple(_group_key(value) for value in key_values)
             nested = Relation(nested_schema, rows=groups[key]).distinct()
             result.rows.append(tuple(key_values) + (nested,))
-        return result
+        return ColumnBatch.from_relation(result)
 
-    def _execute_content_navigation(self, plan: ContentNavigation) -> Relation:
+    def _execute_content_navigation(self, plan: ContentNavigation) -> ColumnBatch:
         child = self.execute(plan.child)
         index = child.column_index(plan.content_column)
         result = Relation(
@@ -911,7 +527,7 @@ class PlanExecutor:
                 continue
             for node in matches:
                 result.rows.append(row + (self._extract(node, plan.attribute),))
-        return result
+        return ColumnBatch.from_relation(result)
 
     def _navigate(self, content, steps: list[tuple[Axis, str]]) -> list[XMLNode]:
         if not isinstance(content, XMLNode):
@@ -937,7 +553,7 @@ class PlanExecutor:
             return node.value
         return node
 
-    def _execute_parent_derivation(self, plan: ParentIdDerivation) -> Relation:
+    def _execute_parent_derivation(self, plan: ParentIdDerivation) -> ColumnBatch:
         child = self.execute(plan.child)
         index = child.column_index(plan.id_column)
         result = Relation(list(child.columns) + [Column(plan.new_column, kind="ID")])
@@ -948,73 +564,24 @@ class PlanExecutor:
             if identifier is not None and identifier.depth > plan.levels_up:
                 derived = identifier.ancestor(plan.levels_up)
             result.rows.append(row + (derived,))
-        return result
+        return ColumnBatch.from_relation(result)
 
-    def _execute_union(self, plan: UnionPlan) -> Relation:
-        if not plan.plans:
-            raise PlanExecutionError("a union plan needs at least one branch")
-        relations = [self.execute(branch) for branch in plan.plans]
-        merged = self._merge_union(relations)
-        if merged is not None:
-            return merged
-        result = relations[0]
-        for relation in relations[1:]:
-            result = result.union(relation)
-        return result.distinct()
-
-    def _merge_union(self, relations: list[Relation]) -> Optional[Relation]:
-        """Ordered k-way union merge, when every branch shares the sort column.
-
-        Union set semantics never needed order, so ``UnionPlan`` used to drop
-        the ``sorted_by`` annotation unconditionally — forcing a re-sort on
-        any staircase merge join consuming the union.  When every branch
-        arrives Dewey-sorted on the same column *position*, a
-        :func:`heapq.merge` over the branches produces the union already in
-        document order, so the annotation survives.  Duplicate elimination
-        stays exact with bounded memory: duplicate rows carry equal sort
-        identifiers, so they always land inside the same identifier run and
-        a per-run seen-set suffices.  Rows with a ``⊥`` sort value (which
-        the annotation says nothing about) are emitted first, deduplicated
-        globally — the same null placement ``sorted_in_dewey_order`` uses.
-        Returns ``None`` when the branches do not share a sort column (or a
-        sort value refuses Dewey coercion): the caller falls back to the
-        order-blind union, results identical.
-        """
-        first = relations[0]
-        if first.sorted_by is None:
-            return None
-        sort_index = first.column_index(first.sorted_by)
-        arity = first.arity
-        for relation in relations:
-            if (
-                relation.arity != arity
-                or relation.sorted_by is None
-                or relation.column_index(relation.sorted_by) != sort_index
-            ):
-                return None
-        null_rows: list[tuple] = []
-        keyed_streams: list[list[tuple[tuple, tuple]]] = []
-        try:
-            for relation in relations:
-                keyed = []
-                for row in relation.rows:
-                    identifier = as_dewey(row[sort_index])
-                    if identifier is None:
-                        # ⊥, or a node with no assigned identifier — both
-                        # are nulls to sorted_in_dewey_order, so both sort
-                        # ahead of every real identifier here too
-                        null_rows.append(row)
-                    else:
-                        keyed.append((identifier.components, row))
-                keyed_streams.append(keyed)
-        except ReproError:
-            # a mis-annotated branch (non-Dewey sort values, AlgebraError or
-            # a malformed identifier string): fall back, order-blind
-            return None
-        result = Relation(first.columns)
-        result.sorted_by = first.sorted_by
-        result.rows = kernels.ordered_union_rows(null_rows, keyed_streams)
-        return result
+    _OPERATORS = {
+        ViewScan: _scan_batch,
+        IndexScan: _index_scan_batch,
+        Selection: _selection_batch,
+        Projection: _projection_batch,
+        IdEqualityJoin: _id_join_batch,
+        StructuralJoin: _structural_join_batch,
+        NestedStructuralJoin: _nested_structural_join_batch,
+        UnionPlan: _union_batch,
+        NestedProjection: _execute_nested_projection,
+        Unnest: _execute_unnest,
+        GroupBy: _execute_group_by,
+        ContentNavigation: _execute_content_navigation,
+        ParentIdDerivation: _execute_parent_derivation,
+    }
+    """The one dispatch: operator type → its single implementation."""
 
 
 def _group_key(value):

@@ -1,15 +1,14 @@
-"""Batch kernels for the vectorized executor.
+"""Batch kernels for :class:`~repro.algebra.execution.PlanExecutor`.
 
 Pure functions over column value lists and cached Dewey component keys
 (tuples of sibling ordinals — tuple order *is* document order).  Each
-kernel mirrors its tuple-at-a-time counterpart in
-:mod:`repro.algebra.execution` exactly: same output rows, same row order,
-same ⊥ handling.  That parity is the whole contract — the vectorized
-executor must stay row-identical to the ``executor="tuple"`` oracle, so
-every algorithmic subtlety here (stable sorts, first-occurrence dedup, the
-staircase stack discipline, the non-retreating merge cursor) is a verbatim
-translation of the tuple code, just producing index vectors instead of row
-tuples.
+kernel is specified by a row-at-a-time reference implementation in
+``tests/support/oracle_executor.py``: same output rows, same row order,
+same ⊥ handling.  That parity is the whole contract — the identity suites
+assert it on every plan the paper workloads produce — so every algorithmic
+subtlety here (stable sorts, first-occurrence dedup, the staircase stack
+discipline, the non-retreating merge cursor) matches the reference, just
+producing index vectors instead of row tuples.
 
 Join kernels return parallel ``(left_indices, right_indices)`` vectors;
 :func:`repro.algebra.columnar.joined_batch` turns them into lazy gathers,
@@ -38,10 +37,7 @@ __all__ = [
 
 
 def selection_indices(values: Sequence, formula) -> list[int]:
-    """Row indices passing ``formula`` (content references unwrap to values).
-
-    Mirrors ``PlanExecutor._execute_selection`` row by row.
-    """
+    """Row indices passing ``formula`` (content references unwrap to values)."""
     keep = []
     for index, value in enumerate(values):
         if isinstance(value, XMLNode):
@@ -73,11 +69,10 @@ def dewey_ordered(
 ) -> list[tuple[tuple, int]]:
     """``(components, row index)`` pairs in document order, ⊥ dropped.
 
-    The batch counterpart of ``PlanExecutor._dewey_sorted``: rows whose
-    join key is ``None`` can never satisfy a structural or equality
-    predicate and are dropped up front; unannotated inputs are stably
-    sorted on their component tuples (ties keep input row order, exactly
-    like the tuple path's stable sort).
+    Rows whose join key is ``None`` can never satisfy a structural or
+    equality predicate and are dropped up front; unannotated inputs are
+    stably sorted on their component tuples (ties keep input row order) —
+    the sort-then-merge fallback the cost model charges for.
     """
     pairs = [(key, index) for index, key in enumerate(keys) if key is not None]
     if not is_sorted:
@@ -108,11 +103,13 @@ def staircase_pairs(
 ) -> tuple[list[int], list[int]]:
     """The staircase sort-merge sweep on component keys — index-vector form.
 
-    A verbatim translation of ``PlanExecutor._staircase_sweep`` plus its
-    ``emit`` closure: the stack holds open ancestor groups as
-    ``(components, group index)``; every matching (ancestor row, descendant
-    row) pair lands in the two output vectors in exactly the order the
-    tuple sweep appends rows.
+    One merge pass over both document-ordered inputs.  The stack holds the
+    currently *open* ancestor groups — those whose subtree interval
+    contains the sweep position — as ``(components, group index)``; Dewey
+    order equals document order and subtrees are contiguous intervals, so a
+    group popped because the sweep left its subtree can never match a later
+    descendant.  Every matching (ancestor row, descendant row) pair lands
+    in the two output vectors in descendant document order.
     """
     left_out: list[int] = []
     right_out: list[int] = []
@@ -160,10 +157,11 @@ def merge_id_join_pairs(
 ) -> tuple[list[int], list[int]]:
     """``⋈=`` as one merge pass over two Dewey-sorted key columns.
 
-    Mirrors ``PlanExecutor._merge_id_join``: the right side collapses into
-    consecutive per-identifier groups, a non-retreating cursor pairs them
-    with the non-decreasing left keys, ⊥ keys never match, and output pairs
-    come out in left-row order.
+    Equal identifiers are adjacent on both sides, so the right side
+    collapses into consecutive per-identifier groups and a non-retreating
+    cursor pairs them with the non-decreasing left keys; ⊥ keys never
+    match, and output pairs come out in left-row order — the same pair list
+    :func:`hash_id_join_pairs` produces, not just the same set.
     """
     groups: list[tuple[tuple, list[int]]] = []
     for right_index, key in enumerate(right_keys):
@@ -193,10 +191,8 @@ def hash_id_join_pairs(
 ) -> tuple[list[int], list[int]]:
     """``⋈=`` as a build/probe hash join on component keys.
 
-    Mirrors the tuple hash path: build on the right (insertion order per
-    key), probe in left-row order, ⊥ keys never match.  Component tuples
-    key the dict directly — they are in bijection with the ``str(id)``
-    keys the tuple path uses, so match sets are identical.
+    Build on the right (insertion order per key), probe in left-row
+    order, ⊥ keys never match.
     """
     by_id: dict[tuple, list[int]] = {}
     for right_index, key in enumerate(right_keys):
@@ -217,7 +213,7 @@ def ordered_union_rows(
     null_rows: Sequence[tuple],
     keyed_streams: Sequence[Sequence[tuple[tuple, tuple]]],
 ) -> list[tuple]:
-    """The ordered k-way union merge body shared by both executors.
+    """The ordered k-way union merge body.
 
     ``⊥``-keyed rows first (deduplicated globally), then a stable
     :func:`heapq.merge` over the per-branch ``(components, row)`` streams

@@ -4,7 +4,7 @@ The model implements the *cardinality context* protocol declared on
 :class:`~repro.algebra.operators.PlanOperator` (each operator's
 ``estimate_rows`` hook calls back into it for every database-dependent
 number) and adds a per-operator *work* function reflecting what the
-interpreter in :mod:`repro.algebra.execution` actually does:
+executor in :mod:`repro.algebra.execution` actually does:
 
 * scans stream their extent (cost ∝ rows),
 * ``⋈=`` builds a hash table on one side and probes with the other
@@ -15,10 +15,8 @@ interpreter in :mod:`repro.algebra.execution` actually does:
   unsorted input — :func:`plan_sorted_on` mirrors the executor's
   order-propagation rules to decide which inputs those are),
 * unary operators stream their input once,
-* under the default vectorized executor, kernel-backed operators are
-  discounted by :data:`CostModel.vectorized_batch_factor` — the model is
-  keyed per executor strategy, so switching ``Database.executor`` re-plans
-  with matching prices.
+* operators priced as batch kernels (:data:`CostModel._KERNEL_OPERATORS`)
+  are discounted by :data:`CostModel.vectorized_batch_factor`.
 
 Costs are cumulative over the plan *DAG*: a sub-plan shared by two parents
 is charged once, matching the executor's per-object result memo.  Every
@@ -199,14 +197,6 @@ class CostModel:
         The cardinality statistics to read.  ``None`` falls back to a
         statistics-free model (every view extent counts 1 row), which still
         ranks plans by shape — more joins cost more.
-    executor:
-        The execution strategy being priced (one of
-        :data:`~repro.algebra.execution.EXECUTOR_STRATEGIES`).  Under
-        ``"vectorized"`` (the default) the operators that run as batch
-        kernels are discounted by :data:`vectorized_batch_factor`; the
-        relative ranking of kernel-only plans is unchanged, but plans
-        mixing kernel and fallback operators tilt toward the kernels —
-        matching what the interpreter actually pays per row.
     """
 
     minimum_operator_cost = 1.0
@@ -226,12 +216,12 @@ class CostModel:
     structural-join input that does not arrive Dewey-sorted."""
 
     vectorized_batch_factor = 0.5
-    """Per-row work discount of the batch kernels relative to the tuple
-    interpreter.  Applies exactly to the kernel-backed operators — scans,
-    ``σ``, ``π``, ``⋈=``, the staircase ``⋈≺``/``⋈≺≺`` and the ``∪``-merge
-    — everything else falls back to tuple execution and keeps full price.
-    ``NestedStructuralJoin`` has no kernel, so it is deliberately absent
-    from :data:`_KERNEL_OPERATORS`."""
+    """Per-row work discount of the batch kernels relative to row-wise
+    execution.  Applies exactly to :data:`_KERNEL_OPERATORS` — scans,
+    ``σ``, ``π``, ``⋈=``, the flat staircase ``⋈≺``/``⋈≺≺`` and the
+    ``∪``-merge; row-wise operators keep full price, tilting mixed plans
+    toward the kernels.  ``NestedStructuralJoin`` builds one nested
+    relation per output row, so it stays at full price too."""
 
     _KERNEL_OPERATORS = (
         ViewScan,
@@ -243,11 +233,8 @@ class CostModel:
         UnionPlan,
     )
 
-    def __init__(
-        self, statistics: Optional[Statistics] = None, executor: str = "vectorized"
-    ):
+    def __init__(self, statistics: Optional[Statistics] = None):
         self.statistics = statistics
-        self.executor = executor
 
     # ------------------------------------------------------------------ #
     # cardinality-context protocol (called from operator estimate_rows hooks)
@@ -385,9 +372,9 @@ class CostModel:
             # scans and streaming unary operators: one pass over the output
             # (or the input, whichever is larger)
             work = max([output_rows, *child_rows]) if child_rows else output_rows
-        if self.executor == "vectorized" and isinstance(operator, self._KERNEL_OPERATORS):
+        if isinstance(operator, self._KERNEL_OPERATORS):
             work *= self.vectorized_batch_factor
         return max(work, self.minimum_operator_cost)
 
     def __repr__(self) -> str:
-        return f"<CostModel statistics={self.statistics!r} executor={self.executor!r}>"
+        return f"<CostModel statistics={self.statistics!r}>"

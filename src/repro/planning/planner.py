@@ -176,8 +176,7 @@ class Planner:
         if self._cost_model is not None:
             return self._cost_model
         catalog = self.rewriter.catalog
-        executor = getattr(self.rewriter, "executor_strategy", "vectorized")
-        key = (id(catalog), self.rewriter.views.version, executor)
+        key = (id(catalog), self.rewriter.views.version)
         if (
             self._derived_model is not None
             and self._derived_key == key
@@ -185,15 +184,12 @@ class Planner:
         ):
             return self._derived_model
         if catalog is not None:
-            model = CostModel(catalog.statistics(), executor=executor)
+            model = CostModel(catalog.statistics())
         else:
             # catalog-less fallback: the Statistics constructor observes
             # every view itself (annotating throwaway pattern copies for
             # unmaterialised ones), so pricing matches the catalog path
-            model = CostModel(
-                Statistics(self.rewriter.summary, self.rewriter.views),
-                executor=executor,
-            )
+            model = CostModel(Statistics(self.rewriter.summary, self.rewriter.views))
         self._derived_model = model
         self._derived_key = key
         self._derived_catalog = catalog
@@ -249,16 +245,11 @@ class Planner:
         """Execute a planned rewriting over the rewriter's views.
 
         Runs ``planned.plan_operator`` — the pushdown-transformed tree the
-        costs were computed over — under the rewriter's configured executor
-        strategy, so the chosen access paths (index probes vs. scans) are
-        what actually executes."""
+        costs were computed over — so the chosen access paths (index probes
+        vs. scans) are what actually executes."""
         from repro.algebra.execution import PlanExecutor
 
-        executor = PlanExecutor(
-            self.rewriter.views,
-            executor=getattr(self.rewriter, "executor_strategy", "vectorized"),
-        )
-        return executor.execute(planned.plan_operator)
+        return PlanExecutor(self.rewriter.views).execute(planned.plan_operator)
 
     def answer(self, query: TreePattern) -> Relation:
         """Plan and execute in one call (raises when no rewriting exists)."""

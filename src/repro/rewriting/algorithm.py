@@ -77,12 +77,6 @@ class RewritingConfig:
     enable_content_unfolding: bool = True
     enable_virtual_ids: bool = True
 
-    enable_attribute_prefilter: bool = True
-    """Skip aligning candidates that cannot supply some required output
-    attribute on a compatible path (Prop. 3.7).  Alignment would reject
-    them anyway — after running containment tests — so disabling this only
-    slows the search down; results are identical either way."""
-
 
 @dataclass
 class RewritingStatistics:
@@ -285,8 +279,7 @@ class RewritingSearch:
                     break
             if not satisfied:
                 return False
-        if self.config.enable_attribute_prefilter:
-            self._supplier_names = self._attribute_suppliers(initial)
+        self._supplier_names = self._attribute_suppliers(initial)
         return True
 
     def _attribute_suppliers(self, initial: list[RewriteCandidate]) -> list[list[set[str]]]:
@@ -634,7 +627,7 @@ class RewritingSearch:
         pools attributes from several views onto one node, so a full-set
         single-view requirement would wrongly prune such joins.
         """
-        if not self.config.enable_attribute_prefilter or not self._supplier_names:
+        if not self._supplier_names:
             return False
         used = set(candidate.views_used)
         for per_attribute in self._supplier_names:

@@ -30,10 +30,8 @@ codec — sliced into :data:`STREAM_BATCH_ROWS`-row windows, so a worker
 never materialises a second full copy of a large result just to ship it.
 That turns the rewrite-only parallelism of PR 2 into end-to-end parallel
 query answering; ``Database.query_many(..., execute=True)`` is the
-session-level entry point.  Workers run plans under the parent rewriter's
-``executor_strategy`` (vectorized by default — the initializer carries the
-strategy over), directly on the lazily-decoded column batches of the
-attached extents.
+session-level entry point.  Workers run plans directly on the
+lazily-decoded column batches of the attached extents.
 
 Rewriting is pure CPU-bound Python, so processes — not threads — are the
 only way to scale it with cores.  Every worker produces the outcomes the
@@ -166,7 +164,6 @@ def _worker_init(
     decisions_enabled: bool,
     models_enabled: bool,
     manifest: Optional[ExtentManifest] = None,
-    executor: str = "vectorized",
 ) -> None:
     """Process-pool initializer: load the shared catalog snapshot once.
 
@@ -180,9 +177,7 @@ def _worker_init(
     ``manifest`` (present when the pool will also *execute* plans) names the
     shared-memory extent segments; attaching — and above all decoding — is
     deferred to the first execute task, so rewrite-only batches through an
-    execute-capable pool never pay for extents.  ``executor`` carries the
-    parent rewriter's execution strategy: the worker planner keys its cost
-    model on it, so parent and workers choose (and price) the same plans.
+    execute-capable pool never pay for extents.
     """
     global _WORKER_REWRITER, _WORKER_PLANNER, _WORKER_MANIFEST, _WORKER_EXTENTS
     from repro.canonical.model import canonical_model_cache
@@ -194,7 +189,6 @@ def _worker_init(
     canonical_model_cache().enabled = models_enabled
     catalog = ViewCatalog.load(catalog_path)
     _WORKER_REWRITER = Rewriter.from_catalog(catalog, config)
-    _WORKER_REWRITER.executor_strategy = executor
     _WORKER_PLANNER = None
     _WORKER_MANIFEST = manifest
     if _WORKER_EXTENTS is not None:  # pragma: no cover - re-init safety
@@ -271,10 +265,7 @@ def _worker_execute(
             results.append((index, None))
             continue
         planned = _WORKER_PLANNER.rank(outcome)[0]
-        executor = PlanExecutor(
-            _WORKER_EXTENTS, executor=_WORKER_REWRITER.executor_strategy
-        )
-        batch = executor.execute_batch(planned.plan_operator)
+        batch = PlanExecutor(_WORKER_EXTENTS).execute_batch(planned.plan_operator)
         results.append(
             (
                 index,
@@ -403,7 +394,6 @@ class BatchEngine:
         from repro.canonical.model import canonical_model_cache
         from repro.containment.core import containment_cache
 
-        strategy = getattr(self.rewriter, "executor_strategy", "vectorized")
         key = (
             workers,
             self._snapshot_version,
@@ -412,7 +402,6 @@ class BatchEngine:
             containment_cache().enabled,
             canonical_model_cache().enabled,
             (manifest.token, manifest.version) if manifest is not None else None,
-            strategy,
         )
         if self._pool is not None and self._pool_key == key:
             return self._pool
@@ -426,7 +415,6 @@ class BatchEngine:
                 containment_cache().enabled,
                 canonical_model_cache().enabled,
                 manifest,
-                strategy,
             ),
         )
         self._pool_key = key
@@ -490,10 +478,7 @@ class BatchEngine:
                 executions.append(QueryExecution(query, False, None, None, None, ()))
                 continue
             planned = planner.rank(outcome)[0]
-            relation = PlanExecutor(
-                self.rewriter.views,
-                executor=getattr(self.rewriter, "executor_strategy", "vectorized"),
-            ).execute(planned.plan_operator)
+            relation = PlanExecutor(self.rewriter.views).execute(planned.plan_operator)
             executions.append(
                 QueryExecution(
                     query=query,

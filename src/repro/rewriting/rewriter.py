@@ -5,13 +5,12 @@ these days — it owns the summary, the view catalog, the planner and the
 executor, and adds prepared queries, ``EXPLAIN`` and incremental view DDL
 on top of the machinery here.  ``Rewriter`` remains fully supported as the
 rewriting-layer internal (and for code that genuinely only rewrites, never
-executes); only the all-in-one :meth:`Rewriter.answer` shortcut is
-deprecated in favour of ``Database.query``.
+executes); to rewrite, pick the cheapest plan and run it in one call, use
+``Database.query`` or :meth:`repro.planning.Planner.answer`.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.algebra.execution import PlanExecutor
@@ -33,23 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.views.catalog import ViewCatalog
 
 __all__ = ["Rewriter", "RewriteOutcome"]
-
-_answer_deprecation_emitted = False
-
-
-def _warn_answer_deprecated() -> None:
-    """Emit the ``Rewriter.answer`` deprecation exactly once per process."""
-    global _answer_deprecation_emitted
-    if not _answer_deprecation_emitted:
-        _answer_deprecation_emitted = True
-        warnings.warn(
-            "Rewriter.answer() is deprecated as a public entry point; build a "
-            "repro.Database over your document and use db.query(...) / "
-            "db.prepare(...).run() instead (identical results, plus prepared "
-            "queries, EXPLAIN and incremental view DDL)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
 
 
 class RewriteOutcome:
@@ -123,7 +105,7 @@ class Rewriter:
     True
     >>> sorted(outcome.best.views_used)
     ['v']
-    >>> len(rewriter.answer(parse_pattern("site(//item[ID,V])", name="q")))
+    >>> len(rewriter.execute(outcome.best))
     2
     """
 
@@ -140,13 +122,7 @@ class Rewriter:
         self.use_catalog = use_catalog
         self._catalog: Optional["ViewCatalog"] = None
         self._catalog_version: Optional[int] = None
-        self._planner = None  # built lazily by answer(); caches its cost model
         self._batch_engine = None  # built lazily; reuses its catalog snapshot
-        self.executor_strategy = "vectorized"
-        """Which :class:`~repro.algebra.execution.PlanExecutor` strategy
-        :meth:`execute` (and the batch engine's workers) run plans under —
-        ``"vectorized"`` or the ``"tuple"`` oracle.  The planner keys its
-        cost model on this, so changing it re-prices plans to match."""
 
     # ------------------------------------------------------------------ #
     @property
@@ -324,40 +300,4 @@ class Rewriter:
     # ------------------------------------------------------------------ #
     def execute(self, rewriting: Rewriting) -> Relation:
         """Execute a rewriting's plan over the materialised views."""
-        executor = PlanExecutor(self.views, executor=self.executor_strategy)
-        return executor.execute(rewriting.plan)
-
-    def answer(self, query: TreePattern) -> Relation:
-        """Rewrite, pick the cheapest plan, and execute it.
-
-        .. deprecated::
-            ``answer`` predates the session layer; use
-            :class:`repro.Database` (``db.query(...)`` or
-            ``db.prepare(...).run()``) instead — same relation, computed
-            through the same planner, plus prepared-query reuse and
-            ``EXPLAIN``.  A single :class:`DeprecationWarning` is emitted
-            per process; the behaviour itself is unchanged.
-
-        Every rewriting found is lowered to a costed logical plan and the
-        minimum-cost one runs (see :class:`repro.planning.Planner`); the
-        seed behaviour of executing :attr:`RewriteOutcome.best` (the
-        fewest-views structural heuristic, blind to extent sizes) is gone.
-        All alternatives return the same relation — they are S-equivalent
-        — so only the execution cost changes.
-        """
-        _warn_answer_deprecated()
-        outcome = self.rewrite(query)
-        if not outcome.found:
-            raise RewritingError(
-                f"query {query.name!r} has no equivalent rewriting over "
-                f"views {sorted(self.views.names)}"
-            )
-        if self._planner is None:
-            from repro.planning.planner import Planner
-
-            # kept across calls: the planner caches its derived cost model
-            # keyed on (catalog identity, view-set version), so repeated
-            # answers do not rebuild statistics from scratch
-            self._planner = Planner(self)
-        ranked = self._planner.rank(outcome)
-        return self.execute(ranked[0].rewriting)
+        return PlanExecutor(self.views).execute(rewriting.plan)

@@ -44,7 +44,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from repro.algebra.execution import EXECUTOR_STRATEGIES, PlanExecutor
+from repro.algebra.execution import PlanExecutor
 from repro.algebra.tuples import Relation
 from repro.canonical.hashing import pattern_key
 from repro.errors import ChangeLogError, RewritingError, SessionError
@@ -71,18 +71,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "Database",
-    "MAINTENANCE_MODES",
     "PlanCache",
     "PreparedQuery",
     "DATABASE_FORMAT_VERSION",
 ]
-
-MAINTENANCE_MODES = ("incremental", "rebuild")
-"""How a live-document mutation propagates to derived state.
-``"incremental"`` (the default) maintains the summary's counters and every
-eligible extent in place; ``"rebuild"`` recomputes summary and extents
-from scratch after every mutation — the slow oracle the equivalence
-harness compares against."""
 
 DATABASE_FORMAT_VERSION = "database/1"
 """On-disk format tag written by :meth:`Database.save` (distinct from the
@@ -95,10 +87,10 @@ class PlanCache:
 
     A :class:`PreparedQuery` pins one plan per *call site*; unprepared
     callers who send the same query text over and over used to re-run the
-    whole rewriting search and planner per call
-    (``session_scaling.json`` records that gap at roughly four orders of
-    magnitude).  This cache closes most of it: the key is the query's
-    canonical :func:`~repro.canonical.hashing.pattern_key` — so textual
+    whole rewriting search and planner per call (``xmark_cold`` against
+    ``xmark_warm`` in ``bench/``).  This cache closes most of it: the key
+    is the query's canonical
+    :func:`~repro.canonical.hashing.pattern_key` — so textual
     re-parses, renamed patterns and structurally identical queries all hit
     — and the whole cache invalidates when ``views.version`` bumps (a plan
     over dropped views must never run; same counter the catalog and the
@@ -223,11 +215,7 @@ class PreparedQuery:
     # ------------------------------------------------------------------ #
     def run(self) -> Relation:
         """Execute the prepared plan over the database's views."""
-        planned = self.plan
-        executor = PlanExecutor(
-            self._database.views, executor=self._database.executor
-        )
-        return executor.execute(planned.plan_operator)
+        return PlanExecutor(self._database.views).execute(self.plan.plan_operator)
 
     def explain(self, analyze: bool = False) -> ExplainReport:
         """The structured report for the chosen plan.
@@ -240,9 +228,7 @@ class PreparedQuery:
         model = self._database.planner.cost_model
         if not analyze:
             return build_explain_report(choice, model.statistics)
-        executor = PlanExecutor(
-            self._database.views, executor=self._database.executor, profile=True
-        )
+        executor = PlanExecutor(self._database.views, profile=True)
         start = time.perf_counter()
         executor.execute(choice.best.plan_operator)
         elapsed = time.perf_counter() - start
@@ -273,11 +259,6 @@ class Database:
     config:
         Optional :class:`~repro.rewriting.algorithm.RewritingConfig` tuning
         every rewriting search this session runs.
-    executor:
-        Execution strategy for every query this session answers —
-        ``"vectorized"`` (columnar batch kernels, the default) or
-        ``"tuple"`` (the row-at-a-time reference executor).  Switchable
-        later through the :attr:`executor` property.
     use_catalog:
         Disable only for naive-baseline experiments; incremental DDL then
         degrades to the version-counter rebuild.
@@ -306,34 +287,20 @@ class Database:
         config: Optional["RewritingConfig"] = None,
         summary: Optional[Summary] = None,
         use_catalog: bool = True,
-        executor: str = "vectorized",
-        maintenance: str = "incremental",
     ):
         if document is None and summary is None:
             raise SessionError(
                 "a Database needs a document (or at least a summary — "
                 "see Database.from_summary)"
             )
-        if executor not in EXECUTOR_STRATEGIES:
-            raise SessionError(
-                f"unknown executor strategy {executor!r} "
-                f"(expected one of {EXECUTOR_STRATEGIES})"
-            )
-        if maintenance not in MAINTENANCE_MODES:
-            raise SessionError(
-                f"unknown maintenance mode {maintenance!r} "
-                f"(expected one of {MAINTENANCE_MODES})"
-            )
         self._document = document
         self._summary = summary if summary is not None else build_summary(document)
         self._rewriter = Rewriter(
             self._summary, views, config, use_catalog=use_catalog
         )
-        self._rewriter.executor_strategy = executor
         self._planner = Planner(self._rewriter)
         self._plan_cache = PlanCache()
         self._view_serial = 0
-        self.maintenance = maintenance
         self._change_log: Optional[ChangeLog] = None
         self._replaying = False
         self.maintenance_stats = {
@@ -346,8 +313,8 @@ class Database:
         took — the live-document observables: ``delta_applied`` /
         ``rematerialized`` count per-view extent maintenance,
         ``summary_incremental`` / ``summary_rebuilt`` per-mutation summary
-        maintenance.  In ``maintenance="incremental"`` mode the rebuild
-        counters staying at zero *is* the contract under test."""
+        maintenance (the summary is rebuilt only when the session was handed
+        a summary without retained instance counters)."""
 
     # ------------------------------------------------------------------ #
     # construction variants
@@ -386,7 +353,6 @@ class Database:
         database._planner = Planner(rewriter)
         database._plan_cache = PlanCache()
         database._view_serial = 0
-        database.maintenance = "incremental"
         database._change_log = None
         database._replaying = False
         database.maintenance_stats = {
@@ -494,28 +460,9 @@ class Database:
 
     @property
     def executor(self) -> str:
-        """Which executor answers queries: ``"vectorized"`` (columnar batch
-        kernels, the default) or ``"tuple"`` (the row-at-a-time oracle).
-
-        Assigning flips every execution site this session owns — one-shot
-        queries, prepared queries, ``EXPLAIN ANALYZE`` and the batch
-        engine's workers — and flushes the plan cache, because the cost
-        model prices kernel-backed operators differently per strategy.
-        """
-        return getattr(self._rewriter, "executor_strategy", "vectorized")
-
-    @executor.setter
-    def executor(self, strategy: str) -> None:
-        if strategy not in EXECUTOR_STRATEGIES:
-            raise SessionError(
-                f"unknown executor strategy {strategy!r} "
-                f"(expected one of {EXECUTOR_STRATEGIES})"
-            )
-        if strategy == self.executor:
-            return
-        self._rewriter.executor_strategy = strategy
-        # re-price: cached choices were costed under the other strategy
-        self._plan_cache = PlanCache()
+        """The name of the one executor (read-only)."""
+        # kept for the frozen caller bench/layers.py (executor=db.executor)
+        return "vectorized"
 
     @property
     def extent_store(self) -> Optional["ExtentStore"]:
@@ -663,16 +610,14 @@ class Database:
         """Propagate one applied subtree change through every derived layer."""
         document = self._require_document()
         stats = self.maintenance_stats
-        if self.maintenance == "incremental" and getattr(
-            self._summary, "supports_incremental_maintenance", False
-        ):
+        if getattr(self._summary, "supports_incremental_maintenance", False):
             if kind == "insert":
                 delta = self._summary.observe_insert(parent, subtree)
             else:
                 delta = self._summary.observe_delete(parent, subtree)
             stats["summary_incremental"] += 1
         else:
-            # rebuild-oracle mode, or a summary predating counter retention
+            # a summary without retained counters cannot be patched in place
             self._summary = build_summary(document)
             self._rewriter.summary = self._summary
             delta = None
@@ -682,11 +627,7 @@ class Database:
         for view in self.views:
             if not view.is_materialized:
                 continue
-            if self.maintenance == "rebuild":
-                view.materialize(document)
-                status = "rematerialized"
-            else:
-                status = view.apply_delta(document, change)
+            status = view.apply_delta(document, change)
             stats[
                 "delta_applied" if status == "delta" else "rematerialized"
             ] += 1
@@ -751,9 +692,7 @@ class Database:
         self._change_log.append("checkpoint", {"path": str(Path(path))})
 
     @classmethod
-    def recover(
-        cls, log_path: str | Path, maintenance: str = "incremental"
-    ) -> "Database":
+    def recover(cls, log_path: str | Path) -> "Database":
         """Rebuild a live session from its durable change log.
 
         Replays the newest usable checkpoint plus the log tail behind it
@@ -782,7 +721,6 @@ class Database:
                     database = cls.load(snapshot)
                 except SessionError:
                     continue  # unreadable snapshot: fall back further
-                database.maintenance = maintenance
                 start = position + 1
                 break
         if database is None:
@@ -797,7 +735,7 @@ class Database:
                 decode_subtree(first.payload["root"]),
                 name=first.payload.get("name", "doc"),
             )
-            database = cls(document, maintenance=maintenance)
+            database = cls(document)
             start = 1
         database._replay(records[start:])
         # resume durable logging exactly where the recovered history ends
@@ -900,9 +838,7 @@ class Database:
         :meth:`explain_choice` to export the measurements as a structured
         report (the service tier turns them into trace spans).
         """
-        executor = PlanExecutor(
-            self.views, executor=self.executor, profile=profile
-        )
+        executor = PlanExecutor(self.views, profile=profile)
         result = executor.execute(choice.best.plan_operator)
         return result, executor
 
@@ -1025,11 +961,10 @@ class Database:
                 self._plan_cache.store(fingerprints[position], version, choice)
                 for duplicate in pending[fingerprints[position]]:
                     cached[duplicate] = choice
-        results = []
-        for choice in cached:
-            executor = PlanExecutor(self.views, executor=self.executor)
-            results.append(executor.execute(choice.best.plan_operator))
-        return results
+        return [
+            PlanExecutor(self.views).execute(choice.best.plan_operator)
+            for choice in cached
+        ]
 
     # rewriting-layer passthroughs (experiments measure these directly)
     def rewrite(self, query: TreePattern | str) -> "RewriteOutcome":
@@ -1090,7 +1025,6 @@ class Database:
                 ),
             },
             "executor": self.executor,
-            "maintenance_mode": self.maintenance,
             "plan_cache": self._plan_cache.info(),
             "maintenance": dict(self.maintenance_stats),
             "extent_store": {

@@ -122,10 +122,10 @@ def encode_relation(relation: Relation) -> bytes:
 def decode_relation(payload) -> Relation:
     """Decode :func:`encode_relation` output (bytes or a memoryview).
 
-    Accepts both codec generations — the columnar ``RXC1`` layout and the
-    legacy row-major ``RXT1`` one — and materialises the whole relation;
-    use :class:`~repro.algebra.columnar.ColumnarPayload` directly for lazy
-    per-column access.
+    Materialises the whole relation; use
+    :class:`~repro.algebra.columnar.ColumnarPayload` directly for lazy
+    per-column access.  Anything but the columnar ``RXC1`` layout raises
+    :class:`~repro.errors.ExtentStoreError`.
     """
     return decode_payload(payload)
 

@@ -10,6 +10,9 @@ from hypothesis import settings
 from repro import build_summary, parse_parenthesized, parse_pattern
 from repro.summary.index import SummaryIndex
 
+# session-scoped paper workloads shared by the A/B identity suites
+from support.paper_workloads import dblp_workload, xmark_workload  # noqa: F401
+
 # --------------------------------------------------------------------------- #
 # hypothesis profiles
 #

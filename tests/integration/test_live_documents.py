@@ -63,7 +63,7 @@ def _normalize(relation):
 
 def _scripted_session(tmp_path, checkpoint=True):
     """A session with a log, DDL, mutations, a stream, and (maybe) a checkpoint."""
-    db = Database(parse_parenthesized(DOC_TEXT, name="live"), maintenance="incremental")
+    db = Database(parse_parenthesized(DOC_TEXT, name="live"))
     db.attach_log(tmp_path / "doc.log")
     db.create_view(ITEM_QUERY, name="items")
     db.create_view(NAME_QUERY, name="names")
@@ -214,7 +214,7 @@ def test_mutation_supersedes_published_extents(tmp_path):
 @pytest.mark.slow
 def test_fig13_queries_survive_log_replay(tmp_path):
     document = generate_xmark_document(scale=0.1, seed=91, name="xmark-live")
-    live = Database(document, maintenance="incremental")
+    live = Database(document)
     live.attach_log(tmp_path / "xmark.log")
     live.create_view(ITEM_QUERY, name="items")
     live.create_view("site(//keyword[ID,V])", name="keywords")
@@ -242,7 +242,7 @@ def test_fig13_queries_survive_log_replay(tmp_path):
 @pytest.mark.slow
 def test_fig14_queries_survive_log_replay(tmp_path):
     document = generate_dblp_document("2005", scale=0.6, seed=5, name="dblp-live")
-    live = Database(document, maintenance="incremental")
+    live = Database(document)
     live.attach_log(tmp_path / "dblp.log")
     author_query = "dblp(//article[ID](/author[V]))"
     title_query = "dblp(//title[ID,V])"

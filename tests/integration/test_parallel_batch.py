@@ -1,8 +1,8 @@
 """Parallel ``rewrite_many``: plan-identity with the sequential path.
 
 Small workload, two workers — the point is correctness of the sharding,
-catalog snapshot sharing and memo merging, not speed (the scaling numbers
-live in ``benchmarks/test_bench_rewrite_parallel.py``).
+catalog snapshot sharing and memo merging, not speed (the CPU-gated floor
+lives in ``tests/integration/test_speed_floors.py``).
 """
 
 from __future__ import annotations

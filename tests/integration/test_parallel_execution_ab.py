@@ -34,17 +34,14 @@ import random
 
 import pytest
 
-from repro import Database, MaterializedView, build_summary
+from repro import Database, build_summary
 from repro.algebra.tuples import _hashable
 from repro.rewriting.algorithm import RewritingConfig
 from repro.workloads.dblp import generate_dblp_document
-from repro.workloads.synthetic import (
-    SyntheticPatternConfig,
-    generate_random_pattern,
-    generate_random_views,
-    seed_tag_views,
-)
+from repro.workloads.synthetic import SyntheticPatternConfig, generate_random_pattern
 from repro.workloads.xmark import generate_xmark_document, xmark_query_patterns
+
+from support.paper_workloads import materialised_views, query_labels
 
 WORKERS = 2
 
@@ -52,31 +49,6 @@ _PROBE_CONFIG = dict(
     max_rewritings=2, max_plan_size=4, enable_unions=False,
     time_budget_seconds=1.0,
 )
-
-
-def _materialised_views(summary, document, labels, random_view_count=8, seed=3):
-    """Seed tag views (restricted to the workload's labels) + random views."""
-    views = []
-    for index, pattern in enumerate(seed_tag_views(summary)):
-        if pattern.name.removeprefix("seed_") not in labels:
-            continue
-        views.append(
-            MaterializedView(pattern, document, name=f"seed{index}_{pattern.name}")
-        )
-    for index, pattern in enumerate(
-        generate_random_views(summary, count=random_view_count, seed=seed)
-    ):
-        views.append(MaterializedView(pattern, document, name=f"rand{index}"))
-    return views
-
-
-def _query_labels(queries):
-    labels = set()
-    for query in queries:
-        for node in query.root.iter_subtree():
-            if node.label and node.label != "*":
-                labels.add(node.label)
-    return labels
 
 
 def _rewritable(db, queries):
@@ -116,7 +88,7 @@ def xmark_db():
             xmark_query_patterns().items(), key=lambda kv: int(kv[0][1:])
         )
     ]
-    views = _materialised_views(summary, document, _query_labels(queries))
+    views = materialised_views(summary, document, query_labels(queries))
     config = RewritingConfig(**{**_PROBE_CONFIG, "time_budget_seconds": 10.0})
     db = Database(document, views=views, config=config)
     rewritable = _rewritable(db, queries)
@@ -180,8 +152,8 @@ def test_fig14_dblp_parallel_execution_is_row_identical():
         generate_random_pattern(summary, pattern_config, rng=rng, name=f"dblp-q{i}")
         for i in range(6)
     ]
-    views = _materialised_views(
-        summary, document, _query_labels(queries), random_view_count=6, seed=11
+    views = materialised_views(
+        summary, document, query_labels(queries), random_view_count=6, seed=11
     )
     config = RewritingConfig(**{**_PROBE_CONFIG, "time_budget_seconds": 10.0})
     with Database(document, views=views, config=config) as db:

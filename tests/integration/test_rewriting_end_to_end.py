@@ -12,6 +12,7 @@ from repro import (
     parse_pattern,
     xquery_to_pattern,
 )
+from repro.planning.planner import Planner
 from repro.rewriting import RewritingConfig
 
 
@@ -212,13 +213,15 @@ class TestAdvancedRewritings:
         )
         check_rewriting(document, summary, [view], query)
 
-    def test_rewriter_answer_helper(self, auction_db):
+    def test_planner_answer_helper(self, auction_db):
         document, summary = auction_db
         view = MaterializedView(
             parse_pattern("site(//item[ID](/name[V]))", name="v"), document, name="v"
         )
         rewriter = Rewriter(summary, [view])
-        answer = rewriter.answer(parse_pattern("site(//item[ID](/name[V]))", name="q"))
+        answer = Planner(rewriter).answer(
+            parse_pattern("site(//item[ID](/name[V]))", name="q")
+        )
         assert len(answer) == 3  # every item has a name
 
     def test_statistics_are_populated(self, auction_db):

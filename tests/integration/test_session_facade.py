@@ -1,7 +1,7 @@
-"""End-to-end façade behaviour: shim identity, pool persistence, DDL flow.
+"""End-to-end façade behaviour: layer identity, pool persistence, DDL flow.
 
-* the deprecated ``Rewriter.answer`` shim must keep working — one
-  ``DeprecationWarning`` per process, identical relations to the façade;
+* the layer-level ``Planner(rewriter).answer`` and the façade's
+  ``Database.query`` must produce identical relations;
 * ``Database.query_many(workers=2)`` must answer exactly like the
   sequential path, reusing one persistent pool across calls and surviving
   ``close()`` (which only releases the processes);
@@ -10,12 +10,10 @@
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
-import repro.rewriting.rewriter as rewriter_module
 from repro import Database, Rewriter, parse_pattern
+from repro.planning.planner import Planner
 
 ITEM_NAMES = "site(//item[ID](/name[V]))"
 KEYWORDS = "site(//keyword[ID,V])"
@@ -31,26 +29,16 @@ def db(auction_document):
 
 
 # --------------------------------------------------------------------------- #
-# deprecation shim
+# layer-level answer ≡ façade
 # --------------------------------------------------------------------------- #
-def test_rewriter_answer_shim_warns_once_and_matches_facade(
-    db, auction_summary
-):
+def test_planner_answer_matches_facade(db, auction_summary):
     rewriter = Rewriter(auction_summary, list(db.views))
     query = parse_pattern(ITEM_NAMES, name="q")
 
-    rewriter_module._answer_deprecation_emitted = False
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        shim_answer = rewriter.answer(query)
-        rewriter.answer(query)  # second call: no second warning
-    deprecations = [w for w in caught if w.category is DeprecationWarning]
-    assert len(deprecations) == 1, "exactly one DeprecationWarning per process"
-    assert "Database" in str(deprecations[0].message)
-
+    layer_answer = Planner(rewriter).answer(query)
     facade_answer = db.query(ITEM_NAMES, name="q")
-    assert shim_answer.same_contents(facade_answer), (
-        "the shim and the façade must produce identical relations"
+    assert layer_answer.same_contents(facade_answer), (
+        "the planner and the façade must produce identical relations"
     )
 
 

@@ -1,0 +1,368 @@
+"""Relative speed floors: each fast path against the slow path it replaced.
+
+Every test times one production path against its reference on the same
+inputs in the same process, asserts the two agree, and asserts the ratio
+stays above a fixed floor.  They are ``slow``-marked (minutes, not tier-1)
+and write nothing: absolute numbers and trajectories are the business of
+``bench/`` (see ``bench/README.md``); these only keep a structural speed-up
+from silently disappearing.
+
+Run with ``PYTHONPATH=src python -m pytest tests/integration/test_speed_floors.py -m slow``.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import time
+from types import SimpleNamespace
+
+import pytest
+
+from repro import (
+    Database,
+    MaterializedView,
+    XMLNode,
+    build_summary,
+    parse_parenthesized,
+    parse_pattern,
+)
+from repro.algebra.execution import PlanExecutor
+from repro.algebra.operators import StructuralJoin, ViewScan
+from repro.algebra.tuples import Column, Relation, _hashable
+from repro.containment.core import clear_containment_cache, containment_cache_disabled
+from repro.errors import RewritingError
+from repro.patterns.pattern import Axis
+from repro.rewriting.algorithm import RewritingConfig
+from repro.rewriting.rewriter import Rewriter
+from repro.views.delta import SubtreeChange
+from repro.views.indexes import INDEX_STATS
+from repro.workloads.synthetic import batch_rewriting_workload, seed_tag_views
+from repro.workloads.xmark import generate_xmark_document, xmark_query_patterns
+from repro.xmltree.ids import DeweyID
+
+from support.oracle_executor import OracleExecutor
+from support.paper_workloads import build_dblp_workload, build_xmark_workload
+
+pytestmark = pytest.mark.slow
+
+_ALIAS = re.compile(r"[@#]\d+")
+
+
+def _seconds(run) -> float:
+    start = time.perf_counter()
+    run()
+    return time.perf_counter() - start
+
+
+def _median_seconds(run, reps=15) -> float:
+    return sorted(_seconds(run) for _ in range(reps))[reps // 2]
+
+
+def _rows(relation):
+    return [_hashable(row) for row in relation.rows]
+
+
+def _rewriting_fingerprint(outcome):
+    """Alias-insensitive identity of an outcome's rewritings."""
+    return [
+        (tuple(r.views_used), r.is_union, _ALIAS.sub("@N", r.plan.describe()))
+        for r in outcome.rewritings
+    ]
+
+
+# --------------------------------------------------------------------------- #
+# staircase merge vs the O(l × r) nested loop: >= 5x at 10k x 10k
+# --------------------------------------------------------------------------- #
+def _chain_extents(size: int, annotated: bool) -> dict[str, SimpleNamespace]:
+    """``size`` ancestors ``1.i`` and ``size`` descendants ``1.i.1``."""
+    upper = Relation(
+        [Column("ID1", kind="ID")], rows=[(DeweyID((1, i)),) for i in range(1, size + 1)]
+    )
+    lower = Relation(
+        [Column("ID1", kind="ID")], rows=[(DeweyID((1, i, 1)),) for i in range(1, size + 1)]
+    )
+    if annotated:
+        upper.mark_sorted_by("ID1")
+        lower.mark_sorted_by("ID1")
+    # anything exposing ``relation`` is a view store entry
+    return {"upper": SimpleNamespace(relation=upper), "lower": SimpleNamespace(relation=lower)}
+
+
+def test_staircase_join_beats_the_nested_loop():
+    plan = StructuralJoin(
+        left=ViewScan("upper", alias="u"),
+        right=ViewScan("lower", alias="l"),
+        left_column="u.ID1",
+        right_column="l.ID1",
+        axis=Axis.DESCENDANT,
+    )
+    speedups = {}
+    for size in (1_000, 3_000, 10_000):
+        views = _chain_extents(size, annotated=True)
+        results = {}
+        merge_seconds = _seconds(
+            lambda: results.update(merge=PlanExecutor(views).execute(plan))
+        )
+        nested_seconds = _seconds(
+            lambda: results.update(
+                nested=OracleExecutor(
+                    views, structural_join_strategy="nested-loop"
+                ).execute(plan)
+            )
+        )
+        # the sort-then-merge fallback: same rows, annotation stripped
+        fallback = PlanExecutor(_chain_extents(size, annotated=False)).execute(plan)
+        assert results["merge"].same_contents(results["nested"])
+        assert fallback.same_contents(results["nested"])
+        assert len(results["merge"]) == size  # one descendant per ancestor
+        speedups[size] = nested_seconds / merge_seconds
+    assert speedups[10_000] >= 5.0, (
+        f"staircase merge only {speedups[10_000]:.1f}x faster than the nested "
+        f"loop on the 10k x 10k extents"
+    )
+
+
+# --------------------------------------------------------------------------- #
+# index probe vs scan-and-filter: >= 5x ordered, > 1x bitmap
+# --------------------------------------------------------------------------- #
+def test_index_probe_beats_the_full_scan():
+    items, ordered_labels, bitmap_labels = 50_000, 200, 25
+    document = parse_parenthesized(
+        "site("
+        + " ".join(
+            f'item(name="k{i % ordered_labels:03d}" grp="g{i % bitmap_labels}")'
+            for i in range(items)
+        )
+        + ")"
+    )
+    db = Database(document)
+    db.create_view("site(/item(/name[ID,V]))", name="names")
+    db.create_view("site(/item(/grp[ID,V]))", name="groups")
+    INDEX_STATS.reset()
+    speedups, rows = {}, {}
+    for label, query in [
+        ("ordered", 'site(/item(/name[ID,V]{v="k123"}))'),  # OrderedIndex, 0.5 %
+        ("bitmap", 'site(/item(/grp[ID,V]{v="g7"}))'),  # BitmapIndex, 4 %
+    ]:
+        prepared = db.prepare(query)
+        planned = prepared.choice.best
+        scan_plan = planned.rewriting.plan  # untransformed: scan + filter
+        index_plan = planned.plan_operator  # pushdown: IndexScan probe
+        index_result = prepared.run()  # warm: index built, cache hot
+        assert _rows(index_result) == _rows(PlanExecutor(db.views).execute(scan_plan))
+        index_seconds = _median_seconds(lambda: PlanExecutor(db.views).execute(index_plan))
+        scan_seconds = _median_seconds(lambda: PlanExecutor(db.views).execute(scan_plan))
+        speedups[label] = scan_seconds / index_seconds
+        rows[label] = len(index_result)
+    db.close()
+    assert INDEX_STATS.builds == 2, "one index per probed column"
+    assert rows == {"ordered": items // ordered_labels, "bitmap": items // bitmap_labels}
+    assert speedups["ordered"] >= 5.0, f"ordered probe only {speedups['ordered']:.1f}x"
+    assert speedups["bitmap"] > 1.0, f"bitmap probe only {speedups['bitmap']:.2f}x"
+
+
+# --------------------------------------------------------------------------- #
+# delta maintenance vs rematerialization: >= 5x for single-subtree changes
+# --------------------------------------------------------------------------- #
+def test_delta_maintenance_beats_rematerialization():
+    pattern = "site(//item[ID](/name[V]))"  # a delta-eligible chain
+    document = generate_xmark_document(scale=20.0, seed=548, name="xmark-ingest")
+    view = MaterializedView(parse_pattern(pattern, name="items"), document, name="items")
+    parent = document.nodes_on_path("/site/regions/asia")[0]
+    serial = iter(range(1, 1_000_000))
+
+    def subtree():
+        return XMLNode("item", None, [XMLNode("name", f"floor-{next(serial)}")])
+
+    def delta_cycle():
+        node = document.insert_subtree(parent, subtree())
+        insert = SubtreeChange("insert", node.dewey, parent.dewey)
+        assert view.apply_delta(document, insert) == "delta"
+        detached = document.delete_subtree(node)
+        delete = SubtreeChange("delete", detached.dewey, parent.dewey)
+        assert view.apply_delta(document, delete) == "delta"
+
+    def rebuild_cycle():
+        node = document.insert_subtree(parent, subtree())
+        view.materialize(document)
+        document.delete_subtree(node)
+        view.materialize(document)
+
+    node = document.insert_subtree(parent, subtree())
+    assert (
+        view.apply_delta(document, SubtreeChange("insert", node.dewey, parent.dewey))
+        == "delta"
+    )
+    oracle = MaterializedView(parse_pattern(pattern, name="oracle"), document, name="oracle")
+    assert _rows(view.relation) == _rows(oracle.relation)
+    document.delete_subtree(node)
+    view.apply_delta(document, SubtreeChange("delete", node.dewey, parent.dewey))
+
+    speedup = _median_seconds(rebuild_cycle) / _median_seconds(delta_cycle)
+    assert speedup >= 5.0, f"apply_delta only {speedup:.1f}x faster than rematerializing"
+
+
+# --------------------------------------------------------------------------- #
+# catalog + containment memo vs the naive per-query search: >= 3x
+# --------------------------------------------------------------------------- #
+def _scaling_workload(distinct_queries, repeat):
+    summary = build_summary(generate_xmark_document(scale=1.0, seed=548, name="xmark-scaling"))
+    view_patterns, queries = batch_rewriting_workload(
+        summary, view_count=50, distinct_queries=distinct_queries, repeat=repeat
+    )
+    views = [
+        MaterializedView(pattern, name=f"v{index}_{pattern.name}")
+        for index, pattern in enumerate(view_patterns)
+    ]
+    config = RewritingConfig(
+        max_rewritings=1, stop_at_first=True, max_plan_size=4,
+        enable_unions=False, time_budget_seconds=30.0,
+    )
+    return summary, views, queries, config
+
+
+def test_catalog_and_memo_beat_naive_rewriting():
+    summary, views, queries, config = _scaling_workload(distinct_queries=20, repeat=10)
+    naive = Rewriter(summary, views, config, use_catalog=False)
+    clear_containment_cache()
+    with containment_cache_disabled():
+        start = time.perf_counter()
+        naive_outcomes = [naive.rewrite(query) for query in queries]
+        naive_seconds = time.perf_counter() - start
+    fast = Rewriter(summary, views, config, use_catalog=True)
+    clear_containment_cache()
+    start = time.perf_counter()
+    fast_outcomes = fast.rewrite_many(queries)
+    fast_seconds = time.perf_counter() - start
+    assert [_rewriting_fingerprint(o) for o in naive_outcomes] == [
+        _rewriting_fingerprint(o) for o in fast_outcomes
+    ], "catalog + memo path must produce identical rewritings"
+    assert naive_seconds / fast_seconds >= 3.0, (
+        f"catalog + memo only {naive_seconds / fast_seconds:.2f}x faster than naive"
+    )
+
+
+# --------------------------------------------------------------------------- #
+# parallel rewriting: >= 2x at >= 8 logical CPUs, >= 1.3x at >= 4 (SMT-safe)
+# --------------------------------------------------------------------------- #
+def test_parallel_rewriting_beats_one_worker():
+    workers = 4
+    summary, views, queries, config = _scaling_workload(distinct_queries=200, repeat=1)
+    database = Database.from_summary(summary, views=views, config=config)
+    clear_containment_cache()
+    start = time.perf_counter()
+    serial_outcomes = database.rewrite_many(queries, workers=1)
+    serial_seconds = time.perf_counter() - start
+    clear_containment_cache()
+    start = time.perf_counter()
+    parallel_outcomes = database.rewrite_many(queries, workers=workers)
+    parallel_seconds = time.perf_counter() - start
+    database.close()
+    assert [_rewriting_fingerprint(o) for o in serial_outcomes] == [
+        _rewriting_fingerprint(o) for o in parallel_outcomes
+    ], "parallel rewrite_many must produce plan-for-plan identical rewritings"
+    # os.cpu_count() reports logical CPUs: with SMT, `workers` logical CPUs
+    # may be half as many cores, hence the softer floor below 2x workers
+    cores = os.cpu_count() or 1
+    floor = 2.0 if cores >= 2 * workers else 1.3 if cores >= workers else None
+    if floor is None:
+        pytest.skip(f"{cores} logical CPU(s): the floors arm at >= {workers}")
+    assert serial_seconds / parallel_seconds >= floor, (
+        f"{workers}-worker rewrite_many only {serial_seconds / parallel_seconds:.2f}x "
+        f"faster than one worker on {cores} logical CPUs (floor {floor}x)"
+    )
+
+
+# --------------------------------------------------------------------------- #
+# batch kernels vs the tuple interpreter on the paper workloads: >= 1.2x
+# --------------------------------------------------------------------------- #
+def test_batch_kernels_beat_the_tuple_interpreter():
+    config = RewritingConfig(
+        max_rewritings=2, max_plan_size=4, enable_unions=False, time_budget_seconds=30.0
+    )
+    probe = RewritingConfig(
+        max_rewritings=2, max_plan_size=4, enable_unions=False, time_budget_seconds=2.0
+    )
+    seconds = {PlanExecutor: 0.0, OracleExecutor: 0.0}
+    for workload in (build_xmark_workload(scale=30.0), build_dblp_workload(scale=30.0)):
+        db = Database(workload.document, views=workload.views, config=config)
+        rewritable = [
+            outcome.query
+            for outcome in db.rewrite_many(workload.queries, config=probe)
+            if outcome.found
+        ]
+        assert rewritable, "the workload is degenerate"
+        plans = [db.prepare(query).plan.rewriting.plan for query in rewritable]
+        for plan in plans:
+            assert _rows(OracleExecutor(db.views).execute(plan)) == _rows(
+                PlanExecutor(db.views).execute(plan)
+            )
+        # a fresh executor per run keeps the result memo from carrying over;
+        # the column and Dewey-key caches on the view relations do persist —
+        # the steady state a session answering a query stream sees
+        for executor in seconds:
+            seconds[executor] += _seconds(
+                lambda: [executor(db.views).execute(plan) for _ in range(3) for plan in plans]
+            )
+        db.close()
+    speedup = seconds[OracleExecutor] / seconds[PlanExecutor]
+    assert speedup >= 1.2, f"batch kernels only {speedup:.2f}x faster than the tuple oracle"
+
+
+# --------------------------------------------------------------------------- #
+# prepared vs re-planned queries, persistent vs cold worker pool: > 1x
+# --------------------------------------------------------------------------- #
+def test_prepared_queries_and_the_persistent_pool_pay_off():
+    config = RewritingConfig(
+        stop_at_first=True, max_plan_size=4, enable_unions=False, time_budget_seconds=10.0
+    )
+    document = generate_xmark_document(scale=0.4, seed=548, name="xmark-session")
+    database = Database(document, config=config)
+    for index, pattern in enumerate(seed_tag_views(database.summary)):
+        database.create_view(pattern, name=f"seed{index}_{pattern.name}")
+    prepared = []
+    for _, pattern in sorted(xmark_query_patterns().items(), key=lambda kv: int(kv[0][1:])):
+        try:
+            prepared.append((pattern, database.prepare(pattern)))
+        except RewritingError:
+            continue  # not answerable from the seed tag views alone
+        if len(prepared) >= 6:
+            break
+    assert prepared, "no fig13 query is answerable over the seed views"
+
+    clear_containment_cache()
+    start = time.perf_counter()
+    unprepared_rows = [
+        len(database.query(pattern)) for pattern, _ in prepared for _ in range(5)
+    ]
+    unprepared_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    prepared_rows = [len(query.run()) for _, query in prepared for _ in range(5)]
+    prepared_seconds = time.perf_counter() - start
+    assert prepared_rows == unprepared_rows
+    assert unprepared_seconds / prepared_seconds > 1.0
+
+    definitions = [(view.name, view.pattern) for view in database.views]
+    batch = [
+        view.pattern.copy(name=f"batch_q{index}")
+        for index, view in enumerate(database.views)
+        if index % 3 == 0
+    ]
+    start = time.perf_counter()
+    persistent = [
+        [len(r) for r in database.query_many(batch, workers=2)] for _ in range(3)
+    ]
+    persistent_seconds = time.perf_counter() - start
+    database.close()
+    start = time.perf_counter()
+    cold = []
+    for _ in range(3):
+        session = Database(document, config=config)
+        for name, pattern in definitions:
+            session.create_view(pattern.copy(), name=name)
+        cold.append([len(r) for r in session.query_many(batch, workers=2)])
+        session.close()
+    cold_seconds = time.perf_counter() - start
+    assert persistent == cold
+    assert cold_seconds / persistent_seconds > 1.0

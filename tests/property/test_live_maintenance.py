@@ -4,10 +4,11 @@ A :class:`~hypothesis.stateful.RuleBasedStateMachine` drives random
 interleavings of ``insert_subtree`` / ``delete_subtree`` / ``create_view`` /
 ``drop_view`` / ``query`` against *twin* sessions over identical documents:
 
-* the system under test runs with ``maintenance="incremental"`` — summary
-  deltas, extent splices, in-place catalog resyncs;
-* the oracle runs with ``maintenance="rebuild"`` — after every mutation it
-  rebuilds the summary and re-materialises every view from the document.
+* the system under test is a :class:`~repro.Database` — summary deltas,
+  extent splices, in-place catalog resyncs;
+* the oracle is ``support.rebuild_oracle.RebuildOracle`` — after every
+  mutation it rebuilds the summary and re-materialises every view from the
+  document, through public calls only.
 
 After **every** step an invariant asserts the two sessions are
 observationally identical: same serialised document, same summary (also
@@ -37,6 +38,8 @@ from repro import (
 from repro.algebra import Relation
 from repro.views.catalog import ViewCatalog
 from repro.xmltree.ids import DeweyID
+
+from support.rebuild_oracle import RebuildOracle
 
 DOC_TEXT = (
     "site("
@@ -103,12 +106,8 @@ def _summary_snapshot(summary):
 class LiveMaintenanceMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.sut = Database(
-            parse_parenthesized(DOC_TEXT, name="twin"), maintenance="incremental"
-        )
-        self.oracle = Database(
-            parse_parenthesized(DOC_TEXT, name="twin"), maintenance="rebuild"
-        )
+        self.sut = Database(parse_parenthesized(DOC_TEXT, name="twin"))
+        self.oracle = RebuildOracle(parse_parenthesized(DOC_TEXT, name="twin"))
         self.serial = 0
 
     def teardown(self):

@@ -1,0 +1,70 @@
+"""Rebuild-from-scratch twin of a live :class:`repro.Database`.
+
+The live-document suites compare incremental maintenance (summary deltas,
+extent splices, in-place catalog resyncs) against a session that derives
+*nothing* incrementally.  :class:`RebuildOracle` is that session: after
+every mutation it throws its ``Database`` away and builds a new one over
+the mutated document — a fresh :func:`~repro.build_summary`, every view
+re-materialised by ``create_view`` — using public calls only.
+"""
+
+from __future__ import annotations
+
+from repro import Database
+from repro.xmltree.ids import DeweyID
+from repro.xmltree.node import XMLDocument, XMLNode
+
+__all__ = ["RebuildOracle"]
+
+
+class RebuildOracle:
+    """The slice of the ``Database`` surface the twin-session suites drive."""
+
+    def __init__(self, document: XMLDocument):
+        self.document = document
+        self._definitions: dict[str, str] = {}  # view name -> pattern text
+        self._database = Database(document)
+
+    def _rebuild(self) -> None:
+        self._database.close()
+        self._database = Database(self.document)
+        for name, pattern in self._definitions.items():
+            self._database.create_view(pattern, name=name)
+
+    def _node(self, address: XMLNode | str) -> XMLNode:
+        if isinstance(address, str):
+            return self.document.node_by_id(DeweyID.from_string(address))
+        return address
+
+    # ------------------------------------------------------------------ #
+    def insert_subtree(self, parent: XMLNode | str, subtree: XMLNode) -> XMLNode:
+        node = self.document.insert_subtree(self._node(parent), subtree)
+        self._rebuild()
+        return node
+
+    def delete_subtree(self, node: XMLNode | str) -> XMLNode:
+        detached = self.document.delete_subtree(self._node(node))
+        self._rebuild()
+        return detached
+
+    def create_view(self, pattern: str, name: str):
+        self._definitions[name] = pattern
+        return self._database.create_view(pattern, name=name)
+
+    def drop_view(self, name: str) -> None:
+        del self._definitions[name]
+        self._database.drop_view(name)
+
+    def query(self, query: str):
+        return self._database.query(query)
+
+    @property
+    def summary(self):
+        return self._database.summary
+
+    @property
+    def views(self):
+        return self._database.views
+
+    def close(self) -> None:
+        self._database.close()

@@ -174,3 +174,8 @@ class TestLazyPayloadDecode:
     def test_bad_magic_is_rejected(self):
         with pytest.raises(ExtentStoreError, match="bad magic"):
             ColumnarPayload(b"NOPE" + b"\x00" * 16)
+
+    def test_retired_row_major_magic_is_rejected(self):
+        # RXT1 (the pre-columnar row-major layout) is no longer decoded
+        with pytest.raises(ExtentStoreError, match="bad magic"):
+            decode_payload(b"RXT1" + b"\x00" * 16)

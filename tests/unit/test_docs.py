@@ -88,5 +88,6 @@ def test_readme_links_into_the_docs_tree():
     for target in ["docs/api.md", "docs/architecture.md", "docs/cost-model.md",
                    "docs/containment.md", "docs/benchmarks.md",
                    "docs/execution.md", "docs/indexes.md",
-                   "docs/ingestion.md", "docs/service.md"]:
+                   "docs/ingestion.md", "docs/service.md",
+                   "bench/README.md"]:
         assert target in readme, f"README does not link {target}"

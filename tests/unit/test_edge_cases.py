@@ -15,6 +15,7 @@ from repro import (
 )
 from repro.errors import PatternError, ReproError, RewritingError
 from repro.patterns.semantics import evaluate_node_tuples, evaluate_pattern
+from repro.planning.planner import Planner
 from repro.rewriting import RewritingConfig
 from repro.views.store import ViewSet
 
@@ -112,7 +113,9 @@ class TestRewriterConfiguration:
         view = MaterializedView(parse_pattern("site(//item[ID])", name="v"), doc, name="v")
         rewriter = Rewriter(summary, [view])
         with pytest.raises(RewritingError):
-            rewriter.answer(parse_pattern("site(//item[ID](/name[V]))", name="q"))
+            Planner(rewriter).answer(
+                parse_pattern("site(//item[ID](/name[V]))", name="q")
+            )
 
     def test_best_prefers_fewest_views(self, tiny_db):
         doc, summary = tiny_db

@@ -1,23 +1,23 @@
 """``⋈=`` on Dewey order: the merge path against the hash-join oracle.
 
-The ROADMAP item "merge-join order exploitation upstream": when both inputs
-of an :class:`IdEqualityJoin` arrive annotated as Dewey-sorted on their join
-columns, the executor now merges in one pass instead of hashing.  The hash
-join stays available as ``PlanExecutor(..., id_join_strategy="hash")`` — the
-oracle every test here compares against, row order included (the merge is
-engineered to reproduce the hash join's left-row-major output exactly).
+When both inputs of an :class:`IdEqualityJoin` arrive annotated as
+Dewey-sorted on their join columns, the executor merges in one pass instead
+of hashing.  Every test here compares the production executor against the
+reference interpreter (``support.oracle_executor``) under both of its ``⋈=``
+algorithms — the forced hash join and the tuple merge — row order included
+(the merge is engineered to reproduce the hash join's left-row-major output
+exactly).
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro import Database
 from repro.algebra.execution import PlanExecutor
 from repro.algebra.operators import IdEqualityJoin, ViewScan
 from repro.algebra.tuples import Relation
-from repro.errors import PlanExecutionError
 from repro.xmltree.ids import DeweyID
+
+from support.oracle_executor import OracleExecutor
 
 
 class _FakeView:
@@ -36,24 +36,26 @@ def _relation(columns, ids_and_values, sorted_by=None):
     return relation
 
 
+def _assert_matches_both_oracles(views, plan):
+    """Production ≡ hash oracle ≡ tuple-merge oracle, row order included."""
+    result = PlanExecutor(views).execute(plan)
+    for strategy in ("hash", "merge"):
+        oracle = OracleExecutor(views, id_join_strategy=strategy).execute(plan)
+        assert result.rows == oracle.rows, (
+            f"production ⋈= must produce the {strategy} oracle's exact row list"
+        )
+        assert result.column_names == oracle.column_names
+    return result
+
+
 def _run_both(left, right):
-    """Execute L ⋈= R under both strategies; assert identity; return rows."""
+    """Execute L ⋈= R in production and under both oracles; return rows."""
     join = IdEqualityJoin(
         ViewScan("l"), ViewScan("r"), left_column="l.ID", right_column="r.ID"
     )
-    views = {"l": _FakeView(left), "r": _FakeView(right)}
-    merge_rows = PlanExecutor(views, id_join_strategy="merge").execute(join)
-    hash_rows = PlanExecutor(views, id_join_strategy="hash").execute(join)
-    assert merge_rows.rows == hash_rows.rows, (
-        "merge and hash ⋈= must produce identical row lists"
+    return _assert_matches_both_oracles(
+        {"l": _FakeView(left), "r": _FakeView(right)}, join
     )
-    assert merge_rows.column_names == hash_rows.column_names
-    return merge_rows
-
-
-def test_rejects_unknown_strategy():
-    with pytest.raises(PlanExecutionError):
-        PlanExecutor({}, id_join_strategy="bogus")
 
 
 def test_merge_join_basic_identity():
@@ -89,7 +91,7 @@ def test_merge_join_empty_sides():
 
 
 def test_unsorted_inputs_fall_back_to_hash():
-    # deliberately unsorted rows with no annotation: the merge strategy must
+    # deliberately unsorted rows with no annotation: the executor must
     # notice (``sorted_by`` is None) and hash instead — results identical
     left = _relation(["ID", "V"], [("1.3", "c"), ("1.1", "a")], None)
     right = _relation(["ID", "W"], [("1.1", "x"), ("1.3", "y")], "ID")
@@ -126,11 +128,5 @@ def test_ab_identity_on_real_rewritten_plans(auction_document):
     outcome = database.rewrite(query)
     assert outcome.found
     for rewriting in outcome:
-        merge = PlanExecutor(database.views, id_join_strategy="merge").execute(
-            rewriting.plan
-        )
-        hash_ = PlanExecutor(database.views, id_join_strategy="hash").execute(
-            rewriting.plan
-        )
-        assert merge.rows == hash_.rows
+        _assert_matches_both_oracles(database.views, rewriting.plan)
     database.close()

@@ -40,6 +40,7 @@ from repro import (
     parse_pattern,
 )
 from repro.errors import SessionError, XMLError
+from repro.summary.dataguide import Summary
 from repro.views.delta import can_apply_delta
 from repro.views.view import MaterializedView
 
@@ -49,8 +50,8 @@ DOC_TEXT = (
 )
 
 
-def _db(maintenance="incremental"):
-    return Database(parse_parenthesized(DOC_TEXT, name="live"), maintenance=maintenance)
+def _db():
+    return Database(parse_parenthesized(DOC_TEXT, name="live"))
 
 
 # --------------------------------------------------------------------------- #
@@ -241,6 +242,23 @@ class TestSummaryMaintenance:
         fresh = db.summary.node_by_path("/site/regions/asia/widget").number
         assert fresh > number  # append-only numbering: retired numbers stay dead
 
+    def test_summary_without_counters_is_rebuilt_once_then_maintained(self):
+        # a hand-constructed summary retains no instance counters, so it
+        # cannot be patched in place: the first mutation rebuilds it (with
+        # counters), every later one maintains it incrementally
+        document = parse_parenthesized(DOC_TEXT, name="live")
+        bare = Summary(build_summary(document).root)
+        assert not bare.supports_incremental_maintenance
+        db = Database(document, summary=bare)
+        asia = db.document.nodes_on_path("/site/regions/asia")[0]
+        db.insert_subtree(asia, XMLNode("gadget"))
+        db.insert_subtree(asia, XMLNode("widget"))
+        assert db.maintenance_stats["summary_rebuilt"] == 1
+        assert db.maintenance_stats["summary_incremental"] == 1
+        assert _summary_snapshot(db.summary) == _summary_snapshot(
+            build_summary(db.document)
+        )
+
 
 # --------------------------------------------------------------------------- #
 # extent delta maintenance
@@ -266,15 +284,6 @@ class TestExtentDelta:
         db.insert_subtree(asia, XMLNode("item", None, [XMLNode("name", "new")]))
         assert db.maintenance_stats["rematerialized"] == 1
         assert db.maintenance_stats["delta_applied"] == 0
-
-    def test_rebuild_mode_is_the_oracle(self):
-        db = _db(maintenance="rebuild")
-        db.create_view("site(//item[ID](/name[V]))", name="items")
-        asia = db.document.nodes_on_path("/site/regions/asia")[0]
-        db.insert_subtree(asia, XMLNode("item", None, [XMLNode("name", "new")]))
-        assert db.maintenance_stats["delta_applied"] == 0
-        assert db.maintenance_stats["rematerialized"] == 1
-        assert db.maintenance_stats["summary_rebuilt"] == 1
 
     def test_delta_rows_are_identical_to_a_rebuild_including_node_identity(self):
         db = _db()
@@ -313,7 +322,7 @@ class TestExtentDelta:
         # the delta produced a new Relation with no cached column batch, so
         # the probe below rebuilds its index lazily over the patched rows
         probed = db.query(query)
-        rebuilt = Database(db.document, maintenance="rebuild")
+        rebuilt = Database(db.document)  # fresh summary, fresh extents
         rebuilt.create_view("site(//item(/name[ID,V]))", name="names")
         assert probed.same_contents(rebuilt.query(query))
         assert len(probed) == 1

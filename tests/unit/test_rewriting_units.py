@@ -205,19 +205,24 @@ class TestFusion:
 
 
 class TestAttributePrefilter:
-    """Prop. 3.7 pre-filtering: skipped alignments, unchanged results."""
+    """Prop. 3.7 pre-filtering: skipped alignments, unchanged results.
+
+    The pre-filter is always on; the reference is a search whose
+    ``_prefiltered`` never prunes, so every candidate reaches alignment.
+    """
 
     def _rewrite(self, summary, views, query, prefilter):
         from repro.containment.core import clear_containment_cache
         from repro.rewriting.algorithm import RewritingConfig, RewritingSearch
         from repro.views.catalog import ViewCatalog
 
+        class UnfilteredSearch(RewritingSearch):
+            def _prefiltered(self, candidate):
+                return False
+
         clear_containment_cache()
-        config = RewritingConfig(
-            max_rewritings=4, enable_attribute_prefilter=prefilter
-        )
-        search = RewritingSearch(
-            query, summary, views, config,
+        search = (RewritingSearch if prefilter else UnfilteredSearch)(
+            query, summary, views, RewritingConfig(max_rewritings=4),
             catalog=ViewCatalog(summary, views),
         )
         return search.run(), search.statistics

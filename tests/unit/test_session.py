@@ -228,7 +228,7 @@ def test_stats_aggregates_every_layer(db):
     assert snapshot["summary"]["size"] > 0
     assert snapshot["views"] == {"count": 1, "version": 1, "materialized": 1}
     assert snapshot["executor"] == "vectorized"
-    assert snapshot["maintenance_mode"] == "incremental"
+    assert "maintenance_mode" not in snapshot
     assert snapshot["plan_cache"]["hits"] == 0
     assert snapshot["extent_store"] == {"published": False, "publish_count": 0}
     assert set(snapshot["maintenance"]) == {

@@ -1,11 +1,11 @@
 """Dewey-order edge cases of the staircase merge join.
 
-Every test runs the same plan through both executor strategies — the merge
-join and the nested-loop oracle — and asserts identical contents, then pins
-down the specific edge the fixture exercises: duplicate identifiers,
-self-ancestor chains, empty extents, mixed string/DeweyID columns (the
-``_as_dewey`` coercion) and the ``sorted_by`` annotation lifecycle through
-``Select`` / ``Project``.
+Every test runs the same plan through the production executor and the
+nested-loop oracle (``support.oracle_executor``) and asserts identical
+contents, then pins down the specific edge the fixture exercises: duplicate
+identifiers, self-ancestor chains, empty extents, mixed string/DeweyID
+columns (the ``_as_dewey`` coercion) and the ``sorted_by`` annotation
+lifecycle through ``Select`` / ``Project``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from repro.errors import AlgebraError, PlanExecutionError
 from repro.patterns.pattern import Axis
 from repro.patterns.predicates import ValueFormula
 from repro.xmltree.ids import DeweyID
+
+from support.oracle_executor import OracleExecutor
 
 
 class _Extent:
@@ -68,9 +70,9 @@ def _join(views, axis=Axis.DESCENDANT, nested=False):
 
 
 def _both(views, plan):
-    """Execute ``plan`` under merge and under the nested-loop oracle."""
-    merge = PlanExecutor(views, structural_join_strategy="merge").execute(plan)
-    oracle = PlanExecutor(views, structural_join_strategy="nested-loop").execute(plan)
+    """Execute ``plan`` in production and under the nested-loop oracle."""
+    merge = PlanExecutor(views).execute(plan)
+    oracle = OracleExecutor(views, structural_join_strategy="nested-loop").execute(plan)
     assert merge.same_contents(oracle), "merge join disagrees with the oracle"
     return merge, oracle
 

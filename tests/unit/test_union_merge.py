@@ -14,12 +14,30 @@ from functools import reduce
 import pytest
 
 from repro import MaterializedView, parse_parenthesized, parse_pattern
+from repro.algebra.columnar import ColumnBatch
 from repro.algebra.execution import PlanExecutor
 from repro.algebra.operators import Projection, UnionPlan, ViewScan
 from repro.algebra.tuples import Column, Relation, as_dewey
 from repro.errors import PlanExecutionError
 from repro.planning.cost import plan_sorted_on
 from repro.xmltree.ids import DeweyID
+
+from support.oracle_executor import OracleExecutor
+
+
+def _merge_union(relations):
+    """The production ordered merge, checked against the tuple oracle's."""
+    merged = PlanExecutor({})._merge_union_batches(
+        [ColumnBatch.from_relation(relation) for relation in relations]
+    )
+    oracle = OracleExecutor({})._merge_union(relations)
+    if merged is None:
+        assert oracle is None, "production fell back where the oracle merged"
+        return None
+    merged = merged.to_relation()
+    assert merged.rows == oracle.rows
+    assert merged.sorted_by == oracle.sorted_by
+    return merged
 
 
 def _oracle_union(relations):
@@ -83,7 +101,7 @@ def test_merge_union_deduplicates_within_identifier_runs():
     right = Relation([Column("ID", kind="ID"), Column("V")])
     right.extend([(DeweyID((1, 1)), "b"), (DeweyID((1, 2)), "d"), (DeweyID((1, 3)), "c")])
     right.mark_sorted_by("ID")
-    merged = PlanExecutor({})._merge_union([left, right])
+    merged = _merge_union([left, right])
     assert merged is not None
     assert len(merged) == 4  # (1.1,a) (1.1,b) (1.2,d) (1.3,c)
     _assert_dewey_ordered(merged)
@@ -97,7 +115,7 @@ def test_merge_union_places_null_identifiers_first():
     right = Relation([Column("ID", kind="ID")])
     right.extend([(DeweyID((1, 1)),), (None,)])
     right.mark_sorted_by("ID")
-    merged = PlanExecutor({})._merge_union([left, right])
+    merged = _merge_union([left, right])
     assert merged is not None
     assert merged.rows[0] == (None,) and len(merged) == 3
     _assert_dewey_ordered(merged)
@@ -126,7 +144,7 @@ def test_mismatched_sort_positions_fall_back():
     right = Relation([Column("V"), Column("ID", kind="ID")])
     right.extend([("b", DeweyID((1, 2)))])
     right.mark_sorted_by("ID")  # same name, different position
-    assert PlanExecutor({})._merge_union([left, right]) is None
+    assert _merge_union([left, right]) is None
 
 
 def test_identifierless_node_cells_count_as_nulls():
@@ -140,7 +158,7 @@ def test_identifierless_node_cells_count_as_nulls():
     right = Relation([Column("ID", kind="ID")])
     right.extend([(DeweyID((1, 1)),)])
     right.mark_sorted_by("ID")
-    merged = PlanExecutor({})._merge_union([left, right])
+    merged = _merge_union([left, right])
     assert merged is not None and len(merged) == 3
     assert isinstance(merged.rows[0][0], XMLNode)
     _assert_dewey_ordered(merged)
@@ -150,7 +168,7 @@ def test_non_dewey_sort_values_fall_back():
     left = Relation([Column("ID", kind="ID")])
     left.extend([("not-an-identifier",)])
     left.mark_sorted_by("ID")
-    assert PlanExecutor({})._merge_union([left]) is None
+    assert _merge_union([left]) is None
 
 
 def test_empty_union_still_raises():

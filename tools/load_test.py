@@ -12,24 +12,18 @@ Correctness is asserted, not sampled: every response must be 2xx and its
 result payload must be *identical* to the serial
 ``Database.query`` answer for the same query (computed once, before the
 storm, through the same relation codec).  Any error or row mismatch makes
-the exit status non-zero — the bench artifact is only written for runs
-whose answers were right.
-
-The summary JSON goes to ``bench-results/service_latency.json`` (override
-with ``--output``); it carries throughput and p50/p95/p99 latencies but —
-deliberately — no ``*speedup`` field, so the CI bench-delta gate treats it
-as informational rather than a regression-gated ratio.
+the exit status non-zero.  The summary (throughput, p50/p95/p99 latency) is
+printed as one ``BENCH_JSON:`` line; nothing is written to disk — measured
+service numbers come from the ``dblp_service`` workload of ``bench/``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import statistics
 import sys
-import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -47,8 +41,6 @@ from repro.workloads.xmark import (  # noqa: E402
     generate_xmark_document,
     xmark_query_patterns,
 )
-
-DEFAULT_OUTPUT = REPO_ROOT / "bench-results" / "service_latency.json"
 
 
 def build_database(scale: float) -> Database:
@@ -154,26 +146,6 @@ class _ClientPool:
 _CLIENTS = _ClientPool()
 
 
-def write_point(point: dict, output: pathlib.Path) -> None:
-    """Atomic JSON write, mirroring the bench_writer fixture's contract."""
-    output.parent.mkdir(parents=True, exist_ok=True)
-    stamped = dict(point)
-    stamped.setdefault("cpu_count", os.cpu_count() or 1)
-    handle, tmp_name = tempfile.mkstemp(
-        dir=output.parent, prefix=f".{output.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(handle, "w") as tmp:
-            tmp.write(json.dumps(stamped, indent=2))
-        os.replace(tmp_name, output)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
 def probe_remote_queries(url: str) -> tuple[dict[str, str], dict[str, dict]]:
     """Discover answerable fig13 queries on a remote service, serially.
 
@@ -204,9 +176,8 @@ def run(
     scale: float = 0.5,
     threads: int = 4,
     requests: int = 100,
-    output: pathlib.Path | None = None,
 ) -> dict:
-    """The whole measurement; returns the summary point (and writes it).
+    """The whole measurement; returns the summary point.
 
     With ``url=None`` a service is booted in-process over the fig13
     workload and the serial expectations come from the *same* database the
@@ -238,8 +209,6 @@ def run(
         point["mode"] = "self-booted"
         point["scale"] = scale
     point["benchmark"] = "service_latency"
-    if output is not None:
-        write_point(point, output)
     return point
 
 
@@ -253,7 +222,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="XMark document scale for the self-booted mode")
     parser.add_argument("--threads", type=int, default=4)
     parser.add_argument("--requests", type=int, default=100)
-    parser.add_argument("--output", type=pathlib.Path, default=DEFAULT_OUTPUT)
     options = parser.parse_args(argv)
 
     point = run(
@@ -261,7 +229,6 @@ def main(argv: list[str] | None = None) -> int:
         scale=options.scale,
         threads=options.threads,
         requests=options.requests,
-        output=options.output,
     )
     print("BENCH_JSON: " + json.dumps(point))
     if point["errors"] or point["row_mismatches"]:
