@@ -21,7 +21,6 @@ from repro.canonical.hashing import pattern_key, summary_token
 from repro.canonical.model import (
     CanonicalModelCache,
     annotate_paths,
-    associated_paths,
     canonical_model,
     canonical_model_cache,
     clear_canonical_model_cache,
@@ -32,7 +31,6 @@ __all__ = [
     "CanonicalNode",
     "CanonicalTree",
     "annotate_paths",
-    "associated_paths",
     "canonical_model",
     "CanonicalModelCache",
     "canonical_model_cache",

@@ -3,9 +3,9 @@
 For a (possibly decorated / optional) pattern ``p`` and an (enhanced)
 summary ``S``:
 
-* :func:`associated_paths` computes, for every pattern node, the set of
-  summary nodes it can be embedded into (Definition 2.1) with an
-  ``O(|p| * |S|^2)`` dynamic program,
+* :func:`annotate_paths` computes, for every pattern node, the set of
+  summary nodes it can be embedded into (Definition 2.1) by set algebra
+  over the summary's :class:`~repro.summary.index.SummaryIndex`,
 * :func:`canonical_model` enumerates ``modS(p)``:
 
   1. for every subset ``F`` of optional edges (Section 4.3), erase the
@@ -44,14 +44,13 @@ from repro.caching import BoundedLruCache
 from repro.canonical.hashing import pattern_key, summary_token
 from repro.canonical.trees import CanonicalNode, CanonicalTree
 from repro.errors import ContainmentBudgetExceeded
-from repro.patterns.embedding import EmbeddingMode, iter_embeddings
+from repro.patterns.embedding import EmbeddingMode
 from repro.patterns.pattern import Axis, PatternNode, TreePattern
 from repro.patterns.semantics import evaluate_node_tuples
 from repro.summary.dataguide import Summary
 from repro.summary.node import SummaryNode
 
 __all__ = [
-    "associated_paths",
     "annotate_paths",
     "canonical_model",
     "CanonicalModelCache",
@@ -84,6 +83,21 @@ class CanonicalModelCache(BoundedLruCache):
     def __init__(self, maxsize: int = 512, max_trees_cached: int = 256):
         super().__init__(maxsize)
         self.max_trees_cached = max_trees_cached
+        # summary token -> summary number -> shared strong-closure subtree
+        # (see _apply_strong_closure); flushed with the models
+        self._closures: dict[int, dict[int, CanonicalNode]] = {}
+
+    def closures(self, summary: Summary) -> dict[int, CanonicalNode]:
+        """The strong-closure subtrees built so far under ``summary``."""
+        if not self.enabled:
+            return {}
+        if len(self._closures) >= 64:  # tokens of long-gone summaries
+            self._closures.clear()
+        return self._closures.setdefault(summary_token(summary), {})
+
+    def clear(self) -> None:
+        super().clear()
+        self._closures.clear()
 
     def store(self, key: tuple, trees: tuple[CanonicalTree, ...]) -> None:
         """Insert a complete model, unless it overflows the per-entry cap."""
@@ -108,81 +122,48 @@ def clear_canonical_model_cache() -> None:
 # --------------------------------------------------------------------------- #
 # associated paths (Definition 2.1)
 # --------------------------------------------------------------------------- #
-def associated_paths(
-    pattern: TreePattern, summary: Summary
-) -> dict[int, set[SummaryNode]]:
-    """Compute the set of summary nodes associated to every pattern node.
-
-    The result maps ``id(pattern_node)`` to the set of summary nodes ``s``
-    such that some embedding ``e : p → S`` has ``e(n) = s``.  Optional edges
-    are treated as required for the node itself but never prevent the rest of
-    the pattern from embedding (nodes of optional branches without any image
-    simply get an empty path set).  Value predicates are ignored (summary
-    nodes carry no values).
-    """
-    nodes = pattern.nodes()
-    summary_nodes = list(summary.iter_nodes())
-
-    # bottom-up feasibility: can the subtree rooted at pattern node n embed
-    # with n mapped onto summary node s?  Children below optional edges that
-    # cannot embed anywhere do not make their parent infeasible.
-    feasible: dict[int, set[int]] = {}
-    for node in reversed(nodes):
-        images: set[int] = set()
-        for s in summary_nodes:
-            if not node.matches_label(s.label):
-                continue
-            ok = True
-            for child in node.children:
-                candidates = (
-                    s.children if child.axis is Axis.CHILD else list(s.iter_descendants())
-                )
-                child_ok = any(
-                    c.number in feasible.get(id(child), set()) for c in candidates
-                )
-                if not child_ok and not child.optional:
-                    ok = False
-                    break
-            if ok:
-                images.add(s.number)
-        feasible[id(node)] = images
-
-    # top-down restriction to images reachable from the root
-    result: dict[int, set[SummaryNode]] = {id(n): set() for n in nodes}
-    root_summary = summary.root
-    if root_summary.number in feasible[id(pattern.root)]:
-        result[id(pattern.root)].add(root_summary)
-
-    for node in nodes:
-        parent_images = result[id(node)]
-        if not parent_images:
-            continue
-        for child in node.children:
-            child_feasible = feasible[id(child)]
-            allowed: set[SummaryNode] = set()
-            for parent_image in parent_images:
-                candidates = (
-                    parent_image.children
-                    if child.axis is Axis.CHILD
-                    else list(parent_image.iter_descendants())
-                )
-                for candidate in candidates:
-                    if candidate.number in child_feasible:
-                        allowed.add(candidate)
-            result[id(child)] |= allowed
-    return result
-
-
 def annotate_paths(pattern: TreePattern, summary: Summary) -> TreePattern:
     """Annotate every node of ``pattern`` with its associated summary numbers.
 
-    The annotation is stored in :attr:`PatternNode.annotated_paths` and is
-    used by the rewriting algorithm (Propositions 3.4 and 3.7).  The pattern
-    is modified in place and returned for convenience.
+    :attr:`PatternNode.annotated_paths` becomes the set of summary nodes
+    ``s`` such that some embedding ``e : p → S`` has ``e(n) = s``
+    (Definition 2.1); the rewriting algorithm reads it (Propositions 3.4 and
+    3.7).  Optional edges are treated as required for the node itself but
+    never prevent the rest of the pattern from embedding (nodes of optional
+    branches without any image simply get an empty set).  Value predicates
+    are ignored (summary nodes carry no values).  The pattern is modified in
+    place and returned for convenience.
+
+    Both passes are set algebra over ``summary.index`` — nothing walks the
+    summary.  ``tests/support/annotation_oracle.py`` keeps the node-by-node
+    dynamic program this replaced as the reference.
     """
-    paths = associated_paths(pattern, summary)
-    for node in pattern.nodes():
-        node.annotated_paths = frozenset(s.number for s in paths[id(node)])
+    index = summary.index
+    nodes = pattern.nodes()
+
+    # bottom-up feasibility: the images of n under which the subtree rooted
+    # at n embeds.  Children below optional edges constrain nothing.
+    for node in reversed(nodes):
+        images = index.numbers_with_label(node.label)
+        for child in node.children:
+            if child.optional:
+                continue
+            below = child.annotated_paths
+            if child.axis is Axis.CHILD:
+                images = images & {index.parent(number) for number in below}
+            else:
+                images = images & frozenset().union(*map(index.ancestors, below))
+        node.annotated_paths = images
+
+    # top-down restriction to images reachable from the root (pre-order, so
+    # a node's parent is final before the node is visited)
+    root = pattern.root
+    root.annotated_paths = root.annotated_paths & {summary.root.number}
+    for node in nodes[1:]:
+        step = index.children if node.axis is Axis.CHILD else index.descendants
+        node.annotated_paths = node.annotated_paths & frozenset().union(
+            *map(step, node.parent.annotated_paths)
+        )
     return pattern
 
 
@@ -225,18 +206,80 @@ def _build_tree(
     return build(root_pattern_node), node_map
 
 
-def _apply_strong_closure(root: CanonicalNode) -> None:
-    """Add the strong-edge closure of every canonical node (Section 4.1)."""
+def _summary_embeddings(
+    pattern: TreePattern, summary: Summary
+) -> Iterator[dict[PatternNode, SummaryNode]]:
+    """Every embedding of a strict pattern into ``summary``.
 
-    def add_strong_descendants(canonical: CanonicalNode) -> None:
-        present = {child.summary_node.number for child in canonical.children}
-        for summary_child in canonical.summary_node.children:
-            if summary_child.strong and summary_child.number not in present:
-                new_node = canonical.add_child(CanonicalNode(summary_child))
-                add_strong_descendants(new_node)
+    The pattern is annotated here (never trusted to arrive annotated under
+    this summary).  An annotated path is exactly an image that extends to a
+    full embedding, so the images of a child below its parent's image are one
+    set intersection and no branch dead-ends.  Images are taken in number
+    order — the pre-order of a freshly built summary, which is the order a
+    walk of the summary tree would produce them in.
+    """
+    index = summary.index
+    annotate_paths(pattern, summary)
 
+    def embed(node: PatternNode, number: int) -> list[dict[PatternNode, SummaryNode]]:
+        per_child = []
+        for child in node.children:
+            step = index.children if child.axis is Axis.CHILD else index.descendants
+            per_child.append(
+                [
+                    mapping
+                    for image in sorted(child.annotated_paths & step(number))
+                    for mapping in embed(child, image)
+                ]
+            )
+        mappings = []
+        for combination in itertools.product(*per_child):
+            mapping = {node: index.node(number)}
+            for sub_mapping in combination:
+                mapping.update(sub_mapping)
+            mappings.append(mapping)
+        return mappings
+
+    for number in pattern.root.annotated_paths:
+        yield from embed(pattern.root, number)
+
+
+def _closure_subtree(summary_node: SummaryNode) -> CanonicalNode:
+    """A canonical node for ``summary_node`` with all its strong descendants."""
+    node = CanonicalNode(summary_node)
+    for child in summary_node.children:
+        if child.strong:
+            node.add_child(_closure_subtree(child))
+    node.frozen_key = node.structure_key()
+    return node
+
+
+def _apply_strong_closure(root: CanonicalNode, shared: dict[int, CanonicalNode]) -> None:
+    """Add the strong-edge closure of every canonical node (Section 4.1).
+
+    The closure below a summary node depends on the summary alone, so each is
+    built once (``shared``, by summary number: the model cache keeps them per
+    summary token) and hung *by reference* under every tree that needs it.
+    Evaluation results are tuples of node identities, so one tree must never
+    hold a node twice: a closure needed a second time inside the same tree
+    gets nodes of its own.
+    """
+    used: set[int] = set()
     for node in list(root.iter_subtree()):
-        add_strong_descendants(node)
+        present = {child.summary_node.number for child in node.children}
+        for summary_child in node.summary_node.children:
+            number = summary_child.number
+            if not summary_child.strong or number in present:
+                continue
+            if number in used:
+                subtree = _closure_subtree(summary_child)
+            else:
+                used.add(number)
+                subtree = shared.get(number)
+                if subtree is None:
+                    subtree = shared[number] = _closure_subtree(summary_child)
+            # not add_child: a shared subtree has no single parent
+            node.children.append(subtree)
 
 
 def _optional_edge_nodes(pattern: TreePattern) -> list[PatternNode]:
@@ -347,6 +390,7 @@ def _iter_canonical_model_uncached(
     ]
 
     seen: set[tuple] = set()
+    closures = _MODEL_CACHE.closures(summary)
     embeddings_since_check = 0
     for erased_size in range(len(optional_positions) + 1):
         for erased_tops in itertools.combinations(optional_positions, erased_size):
@@ -358,12 +402,10 @@ def _iter_canonical_model_uncached(
             variant_by_position = {
                 position_map[id(node)]: node for node in variant.nodes()
             }
-            for embedding in iter_embeddings(
-                variant, summary.root, EmbeddingMode.SUMMARY
-            ):
-                # a single variant can enumerate up to |S|^|p| embeddings all
-                # filtered without yielding, so the deadline must also be
-                # polled inside this loop (cheaply, every 64 embeddings)
+            for embedding in _summary_embeddings(variant, summary):
+                # a single variant can have up to |S|^|p| embeddings, all of
+                # which may be dropped below without yielding, so the deadline
+                # must also be polled inside this loop (every 64 embeddings)
                 embeddings_since_check += 1
                 if (
                     deadline is not None
@@ -377,7 +419,7 @@ def _iter_canonical_model_uncached(
                         )
                 root, node_map = _build_tree(variant.root, embedding)
                 if use_strong_closure:
-                    _apply_strong_closure(root)
+                    _apply_strong_closure(root, closures)
                 return_nodes = []
                 for position in return_positions:
                     variant_node = variant_by_position.get(position)
@@ -404,14 +446,8 @@ def is_satisfiable(pattern: TreePattern, summary: Summary) -> bool:
     """Satisfiability test: ``p`` is S-satisfiable iff ``modS(p)`` is not empty.
 
     A pattern is satisfiable exactly when its *required core* (the pattern
-    with every optional branch erased) embeds into the summary, so the test
-    does not materialise the model.
+    with every optional branch erased) embeds into the summary — which is
+    when path annotation, where optional branches constrain nothing, leaves
+    the root an image.  The model is not materialised.
     """
-    original_nodes = pattern.nodes()
-    optional_positions = tuple(
-        original_nodes.index(node) for node in _optional_edge_nodes(pattern)
-    )
-    core, _ = _erased_variant(pattern, optional_positions)
-    for _ in iter_embeddings(core, summary.root, EmbeddingMode.SUMMARY):
-        return True
-    return False
+    return bool(annotate_paths(pattern.copy(), summary).root.annotated_paths)

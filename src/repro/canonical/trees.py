@@ -34,7 +34,10 @@ class CanonicalNode:
         is (empty for chain / strong-closure filler nodes).
     """
 
-    __slots__ = ("label", "summary_node", "formula", "children", "parent", "pattern_node_ids", "value")
+    __slots__ = (
+        "label", "summary_node", "formula", "children", "parent",
+        "pattern_node_ids", "value", "frozen_key",
+    )
 
     def __init__(
         self,
@@ -50,6 +53,9 @@ class CanonicalNode:
         # canonical nodes carry no concrete value; the attribute exists so the
         # generic evaluation code can read it safely.
         self.value = None
+        # set on subtrees that are never modified again (shared strong
+        # closures), so de-duplicating a tree does not re-derive their keys
+        self.frozen_key: Optional[tuple] = None
 
     def add_child(self, child: "CanonicalNode") -> "CanonicalNode":
         """Attach ``child`` as the last child and return it."""
@@ -72,7 +78,7 @@ class CanonicalNode:
 
     def structure_key(self) -> tuple:
         """Hashable structural key (summary number, formula, children keys)."""
-        return (
+        return self.frozen_key or (
             self.summary_node.number,
             self.formula.to_text(),
             tuple(child.structure_key() for child in self.children),

@@ -37,18 +37,6 @@ class EmbeddingMode(enum.Enum):
     DECORATED = "decorated"
 
 
-def _iter_descendants(tree_node) -> Iterator:
-    """Strict descendants of any tree flavour (document, summary, canonical)."""
-    if hasattr(tree_node, "iter_descendants"):
-        yield from tree_node.iter_descendants()
-        return
-    stack = list(reversed(tree_node.children))
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(node.children))
-
-
 def _node_matches(pattern_node: PatternNode, tree_node, mode: EmbeddingMode) -> bool:
     if not pattern_node.matches_label(tree_node.label):
         return False
@@ -84,7 +72,7 @@ def _embed(
         if child.axis is Axis.CHILD:
             candidates = list(tree_node.children)
         else:
-            candidates = list(_iter_descendants(tree_node))
+            candidates = list(tree_node.iter_descendants())
         options = []
         for candidate in candidates:
             options.extend(_embed(child, candidate, mode))

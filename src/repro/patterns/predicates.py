@@ -182,8 +182,8 @@ class ValueFormula:
     # ------------------------------------------------------------------ #
     @classmethod
     def true(cls) -> "ValueFormula":
-        """The formula satisfied by every value."""
-        return cls([_Interval(_Bound.neg_inf(), _Bound.pos_inf())])
+        """The formula satisfied by every value (one shared instance)."""
+        return _TRUE
 
     @classmethod
     def false(cls) -> "ValueFormula":
@@ -275,7 +275,7 @@ class ValueFormula:
 
     def is_true(self) -> bool:
         """True iff the formula is satisfied by every value."""
-        return (
+        return self is _TRUE or (
             len(self._intervals) == 1
             and self._intervals[0].low.infinite
             and self._intervals[0].high.infinite
@@ -322,6 +322,10 @@ class ValueFormula:
 
     def implies(self, other: "ValueFormula") -> bool:
         """``self ⇒ other``: every value satisfying self satisfies other."""
+        if self is other or other.is_true() or not self._intervals:
+            return True
+        if self.is_true():
+            return False  # the normal form is canonical: ``other`` has a gap
         return not self.and_(other.negate()).is_satisfiable()
 
     def equivalent(self, other: "ValueFormula") -> bool:
@@ -432,6 +436,9 @@ def _overlaps_or_touches(a: _Interval, b: _Interval) -> bool:
     if hk == lk:
         return a.high.closed or b.low.closed
     return False
+
+
+_TRUE = ValueFormula([_Interval(_Bound.neg_inf(), _Bound.pos_inf())])
 
 
 _TOKEN_RE = re.compile(

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 from repro.algebra.tuples import Column, Relation
 from repro.errors import PatternError
-from repro.patterns.embedding import EmbeddingMode, _iter_descendants, _node_matches
+from repro.patterns.embedding import EmbeddingMode, _node_matches
 from repro.patterns.pattern import Axis, PatternNode, TreePattern
 from repro.xmltree.node import XMLNode
 
@@ -60,11 +60,16 @@ def _eval_nodes(
     ]
     for child in pattern_node.children:
         if child.axis is Axis.CHILD:
-            candidates = list(tree_node.children)
+            candidates = tree_node.children
         else:
-            candidates = list(_iter_descendants(tree_node))
+            candidates = tree_node.iter_descendants()
         sub_results: list[dict[PatternNode, object]] = []
+        # a ``//`` step sees the whole strong closure of a canonical tree:
+        # test the label here rather than pay a call per node
+        label = None if child.label == "*" else child.label
         for candidate in candidates:
+            if label is not None and label != candidate.label:
+                continue
             result = _eval_nodes(child, candidate, mode, tick)
             if result is not None:
                 sub_results.extend(result)
@@ -246,7 +251,7 @@ def _eval_concrete(
         if child.axis is Axis.CHILD:
             candidates = list(tree_node.children)
         else:
-            candidates = list(_iter_descendants(tree_node))
+            candidates = list(tree_node.iter_descendants())
         sub_results: list[dict[str, object]] = []
         for candidate in candidates:
             result = _eval_concrete(child, candidate, schema, id_function, mode)

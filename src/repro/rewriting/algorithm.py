@@ -41,7 +41,6 @@ from repro.rewriting.preprocessing import (
     view_is_useful,
 )
 from repro.summary.dataguide import Summary
-from repro.summary.index import SummaryIndex
 from repro.views.view import MaterializedView
 
 __all__ = ["RewritingConfig", "RewritingStatistics", "Rewriting", "RewritingSearch"]
@@ -93,6 +92,19 @@ class RewritingStatistics:
     alignments_pruned: int = 0
     """Candidates skipped by the Prop. 3.7 attribute pre-filter before any
     containment test ran."""
+    pairs_skipped_by_suppliers: int = 0
+    """Join pairs at the plan-size bound skipped by the same Prop. 3.7 test
+    *before* fusion: their views could never cover the query's attributes
+    and the joined candidate could not have been extended."""
+
+    def search_counters(self) -> dict[str, int]:
+        """The search-space counters ``EXPLAIN`` and ``Database.stats()`` export."""
+        return {
+            "candidates_explored": self.candidates_explored,
+            "joins_attempted": self.joins_attempted,
+            "alignments_pruned": self.alignments_pruned,
+            "pairs_skipped_by_suppliers": self.pairs_skipped_by_suppliers,
+        }
 
     @property
     def pruning_ratio(self) -> float:
@@ -139,7 +151,7 @@ class RewritingSearch:
         self.query = query.copy(name=query.name)
         self.summary = summary
         self.catalog = catalog
-        self.index = catalog.index if catalog is not None else SummaryIndex(summary)
+        self.index = summary.index
         self.views = list(catalog.views) if catalog is not None else list(views)
         self.config = config or RewritingConfig()
         self.statistics = RewritingStatistics()
@@ -149,10 +161,8 @@ class RewritingSearch:
         self._start_time = 0.0
         # per (query return node, required attribute): names of views able
         # to supply that attribute on a compatible path (None until _setup
-        # computes them; per-attribute, NOT per-set — see _prefiltered)
+        # computes them; per-attribute, NOT per-set — see _lacks_supplier)
         self._supplier_names: Optional[list[list[set[str]]]] = None
-        # candidate id -> (candidate, scan identities of its plan)
-        self._scan_id_cache: dict[int, tuple[RewriteCandidate, frozenset[int]]] = {}
 
     # ------------------------------------------------------------------ #
     # public entry point
@@ -254,7 +264,7 @@ class RewritingSearch:
         per-node scan run, stopping at the first satisfying view.
 
         With the Prop. 3.7 pre-filter enabled, the *per-attribute*
-        supplier sets for :meth:`_prefiltered` are computed afterwards.
+        supplier sets for :meth:`_lacks_supplier` are computed afterwards.
         """
         names_in_play = {candidate.views_used[0] for candidate in initial}
         for query_node in self.query.return_nodes():
@@ -340,7 +350,16 @@ class RewritingSearch:
                 for right in initial:
                     if self._done():
                         return
-                    if left.size + right.size > self.config.max_plan_size:
+                    size = left.size + right.size
+                    if size > self.config.max_plan_size:
+                        continue
+                    if size == self.config.max_plan_size and self._lacks_supplier(
+                        left.views_used + right.views_used
+                    ):
+                        # the joined candidate could never be extended, and
+                        # alignment would reject it on its views alone: skip
+                        # the fusions (copies, annotation, signature) too
+                        self.statistics.pairs_skipped_by_suppliers += 1
                         continue
                     for joined in self._join_pair(left, right):
                         self._consider(joined)
@@ -357,20 +376,16 @@ class RewritingSearch:
         self, left: RewriteCandidate, right: RewriteCandidate
     ) -> list[RewriteCandidate]:
         """All join results of two candidates (Algorithm 1, lines 3-5)."""
-        if self._shares_scans(left, right):
-            # joining a candidate with (a candidate containing) itself: the
-            # right side must become a *fresh occurrence* of its view —
-            # otherwise the join plan references one ViewScan object twice
-            # and can never execute (both inputs produce identical column
-            # names).  The pattern side always copies, so only the plan /
-            # column bookkeeping needs the new alias.
+        if right.views_used[0] in left.views_used:
+            # ``left`` already scans this view (left-deep plans: its first
+            # occurrence is the very ViewScan ``right`` holds), so the right
+            # side must become a *fresh occurrence* — otherwise the join plan
+            # references one ViewScan object twice and can never execute
+            # (both inputs produce identical column names).  The pattern side
+            # always copies, so only the plan / column bookkeeping is renamed.
             right = self._fresh_occurrence(right)
         results: list[RewriteCandidate] = []
-        structural_ok = (
-            self.config.enable_structural_joins
-            and self._views_structural(left)
-            and self._views_structural(right)
-        )
+        structural_ok = self.config.enable_structural_joins
         for left_node in left.pattern.nodes():
             if left_node.nesting_depth() > 0:
                 continue
@@ -413,43 +428,6 @@ class RewritingSearch:
                         if fused is not None:
                             results.append(fused)
         return results
-
-    @staticmethod
-    def _views_structural(candidate: RewriteCandidate) -> bool:
-        return True  # structural-scheme filtering happens per view at setup
-
-    @staticmethod
-    def _scan_ids(plan) -> frozenset[int]:
-        """Identities of every ViewScan object reachable in a plan."""
-        found: set[int] = set()
-        stack = [plan]
-        while stack:
-            operator = stack.pop()
-            if isinstance(operator, ViewScan):
-                found.add(id(operator))
-            stack.extend(operator.children())
-        return frozenset(found)
-
-    def _candidate_scan_ids(self, candidate: RewriteCandidate) -> frozenset[int]:
-        """Scan identities of a candidate's plan, cached per candidate.
-
-        Plans are immutable once a candidate exists, and ``_join_pair``
-        asks this question for every pairing in the join loop — without the
-        cache the whole left plan would be re-walked per pair.  The cache
-        holds the candidate itself so its id is never recycled under us.
-        """
-        cached = self._scan_id_cache.get(id(candidate))
-        if cached is None:
-            cached = (candidate, self._scan_ids(candidate.plan))
-            self._scan_id_cache[id(candidate)] = cached
-        return cached[1]
-
-    def _shares_scans(self, left: RewriteCandidate, right: RewriteCandidate) -> bool:
-        left_ids = self._candidate_scan_ids(left)
-        if isinstance(right.plan, ViewScan):
-            # the common case: right always comes from M0 (a bare scan)
-            return id(right.plan) in left_ids
-        return bool(left_ids & self._candidate_scan_ids(right))
 
     @staticmethod
     def _fresh_occurrence(candidate: RewriteCandidate) -> RewriteCandidate:
@@ -598,7 +576,9 @@ class RewritingSearch:
         """Try to align a candidate with the query; record successes."""
         if self._out_of_time():
             return
-        if self._prefiltered(candidate):
+        if self._lacks_supplier(candidate.views_used):
+            # alignment (and its containment tests) is bound to fail
+            self.statistics.alignments_pruned += 1
             return
         try:
             result = align_candidate(candidate, self.query, self.summary)
@@ -615,27 +595,25 @@ class RewritingSearch:
             # the budget ran out mid-test; _done() ends the search next check
             return
 
-    def _prefiltered(self, candidate: RewriteCandidate) -> bool:
-        """Prop. 3.7: can the candidate's views cover every output attribute?
+    def _lacks_supplier(self, views_used: tuple[str, ...]) -> bool:
+        """Prop. 3.7: can these views never cover every output attribute?
 
         Joins never *create* attributes — every column of a candidate
         traces back to some member view's initial candidate — so when, for
-        some required (return node, attribute), none of the candidate's
-        views offers the attribute on a compatible path, alignment is
-        bound to fail; skip it (and its containment tests) outright.  The
-        check is per attribute, not per attribute *set*: equality fusion
+        some required (return node, attribute), none of the views offers
+        the attribute on a compatible path, alignment is bound to fail.
+        The check is per attribute, not per attribute *set*: equality fusion
         pools attributes from several views onto one node, so a full-set
         single-view requirement would wrongly prune such joins.
         """
         if not self._supplier_names:
             return False
-        used = set(candidate.views_used)
-        for per_attribute in self._supplier_names:
-            for names in per_attribute:
-                if not (used & names):
-                    self.statistics.alignments_pruned += 1
-                    return True
-        return False
+        used = set(views_used)
+        return any(
+            used.isdisjoint(names)
+            for per_attribute in self._supplier_names
+            for names in per_attribute
+        )
 
     def _record(
         self, result: AlignmentResult, candidate: RewriteCandidate, is_union: bool

@@ -123,6 +123,10 @@ class Rewriter:
         self._catalog: Optional["ViewCatalog"] = None
         self._catalog_version: Optional[int] = None
         self._batch_engine = None  # built lazily; reuses its catalog snapshot
+        self.search_totals = {"searches": 0, **RewritingStatistics().search_counters()}
+        """Search-space counters summed over every in-process :meth:`rewrite`
+        (``Database.stats()["rewriting"]``; worker-pool batches search in
+        their own processes and are not counted)."""
 
     # ------------------------------------------------------------------ #
     @property
@@ -239,6 +243,9 @@ class Rewriter:
             catalog=self.catalog,
         )
         rewritings = search.run()
+        self.search_totals["searches"] += 1
+        for name, count in search.statistics.search_counters().items():
+            self.search_totals[name] += count
         return RewriteOutcome(query, rewritings, search.statistics)
 
     def rewrite_many(

@@ -999,7 +999,8 @@ class Database:
         """One aggregated observability snapshot of the whole session.
 
         Collects every counter the layers already expose — plan-cache
-        hit/miss/invalidation, live-document :attr:`maintenance_stats`,
+        hit/miss/invalidation, the rewriting searches' summed search-space
+        counters, live-document :attr:`maintenance_stats`,
         shared-extent-store publish counts, value-index build/attach/probe
         counts, worker-pool state — into a single plain dict, so monitoring
         surfaces (above all the service tier's ``/metrics`` endpoint)
@@ -1026,6 +1027,7 @@ class Database:
             },
             "executor": self.executor,
             "plan_cache": self._plan_cache.info(),
+            "rewriting": dict(self._rewriter.search_totals),
             "maintenance": dict(self.maintenance_stats),
             "extent_store": {
                 "published": store is not None,

@@ -146,6 +146,12 @@ class ExplainReport:
     actual_seconds: Optional[float] = None
     """Measured wall time of the whole execution (``analyze`` runs only)."""
 
+    search: dict[str, int] = field(default_factory=dict)
+    """What the rewriting search that found the plan did:
+    ``candidates_explored``, ``joins_attempted``, ``alignments_pruned`` and
+    ``pairs_skipped_by_suppliers`` of its
+    :class:`~repro.rewriting.algorithm.RewritingStatistics`."""
+
     # ------------------------------------------------------------------ #
     @property
     def operator_count(self) -> int:
@@ -181,6 +187,7 @@ class ExplainReport:
             "analyzed": self.analyzed,
             "actual_rows": self.actual_rows,
             "actual_seconds": self.actual_seconds,
+            "search": dict(self.search),
         }
 
     @classmethod
@@ -202,6 +209,7 @@ class ExplainReport:
                 analyzed=data.get("analyzed", False),
                 actual_rows=data.get("actual_rows"),
                 actual_seconds=data.get("actual_seconds"),
+                search=dict(data.get("search", {})),
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed explain report payload: {exc}") from exc
@@ -217,6 +225,10 @@ class ExplainReport:
             f"alternative(s), chosen cost≈{self.chosen_cost:.0f}, "
             f"rows≈{self.estimated_rows:.0f}"
         )
+        if self.search:
+            lines.append(
+                "search: " + ", ".join(f"{k}={v}" for k, v in self.search.items())
+            )
         if self.analyzed:
             lines.append(
                 f"actual: {self.actual_rows} rows in "
@@ -254,6 +266,7 @@ def build_explain_report(
         alternative_costs=choice.alternative_costs,
         analyzed=executor is not None,
         actual_seconds=actual_seconds,
+        search=choice.statistics.search_counters(),
     )
 
     seen: set[int] = set()

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.errors import SummaryError
+from repro.summary.index import SummaryIndex
 from repro.summary.node import SummaryNode
 from repro.xmltree.node import XMLDocument, XMLNode
 
@@ -84,6 +85,28 @@ class Summary:
         # numbers never move (annotated patterns and statistics hold them),
         # retired numbers are never reused
         self._next_number = len(self._by_number) + 1
+
+    @property
+    def index(self) -> SummaryIndex:
+        """The :class:`SummaryIndex` of the current shape (built on first use).
+
+        Path annotation, the view catalog and every rewriting search share
+        this one instance; :meth:`observe_insert` / :meth:`observe_delete`
+        drop it when they add or remove a summary node.
+        """
+        index = self.__dict__.get("_index")
+        if index is None:
+            index = self._index = SummaryIndex(self)
+        return index
+
+    def _retire_derived_state(self, delta: SummaryDelta) -> None:
+        """Retire what was derived from the old structure / edge flags."""
+        if delta.structure_changed:
+            self.__dict__.pop("_index", None)
+        if not delta.preserves_annotations:
+            # containment answers memoised under the old structure/flags no
+            # longer apply; dropping the token retires them wholesale
+            self.__dict__.pop("_containment_token", None)
 
     @property
     def supports_incremental_maintenance(self) -> bool:
@@ -187,10 +210,7 @@ class Summary:
             summary_node.instance_count = self._instance_counts.get(path, 0)
             if self._refresh_edge_flags(summary_node):
                 delta.flags_changed = True
-        if not delta.preserves_annotations:
-            # containment answers memoised under the old structure/flags no
-            # longer apply; dropping the token retires them wholesale
-            self.__dict__.pop("_containment_token", None)
+        self._retire_derived_state(delta)
         return delta
 
     def observe_delete(self, parent: XMLNode, subtree: XMLNode) -> SummaryDelta:
@@ -236,8 +256,7 @@ class Summary:
             summary_node.instance_count = self._instance_counts.get(path, 0)
             if self._refresh_edge_flags(summary_node):
                 delta.flags_changed = True
-        if not delta.preserves_annotations:
-            self.__dict__.pop("_containment_token", None)
+        self._retire_derived_state(delta)
         return delta
 
     # ------------------------------------------------------------------ #

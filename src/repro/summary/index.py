@@ -9,44 +9,44 @@ these questions are O(1) per pair.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Optional
 
-from repro.summary.dataguide import Summary
 from repro.summary.node import SummaryNode
+
+if TYPE_CHECKING:  # pragma: no cover - dataguide imports this module
+    from repro.summary.dataguide import Summary
 
 __all__ = ["SummaryIndex"]
 
+_EMPTY: frozenset[int] = frozenset()
+
 
 class SummaryIndex:
-    """Ancestor / descendant / depth / label index over a summary's node numbers."""
+    """Ancestor / descendant / depth / label index over a summary's node numbers.
 
-    def __init__(self, summary: Summary):
+    An index describes one summary *shape*; :attr:`Summary.index` hands out
+    the shared instance and drops it when a mutation adds or removes a node.
+    """
+
+    def __init__(self, summary: "Summary"):
         self.summary = summary
         self._ancestors: dict[int, frozenset[int]] = {}
         self._parent: dict[int, Optional[int]] = {}
-        self._depth: dict[int, int] = {}
-        self._by_label: dict[str, set[int]] = {}
-        # the transitive descendants map is worst-case quadratic in |S|;
-        # only the ViewCatalog needs it, so it is built on first use rather
-        # than taxing every per-query SummaryIndex of the naive path
-        self._descendants: Optional[dict[int, frozenset[int]]] = None
-        for node in summary.iter_nodes():
+        self._children: dict[int, frozenset[int]] = {}
+        by_label: dict[str, set[int]] = {}
+        below: dict[int, set[int]] = {}
+        for node in summary.iter_nodes():  # pre-order: ancestors come first
             ancestors = frozenset(a.number for a in node.iter_ancestors())
             self._ancestors[node.number] = ancestors
             self._parent[node.number] = node.parent.number if node.parent else None
-            self._depth[node.number] = node.depth
-            self._by_label.setdefault(node.label, set()).add(node.number)
-
-    def _descendants_map(self) -> dict[int, frozenset[int]]:
-        if self._descendants is None:
-            below: dict[int, set[int]] = {number: set() for number in self._ancestors}
-            for number, ancestors in self._ancestors.items():
-                for ancestor in ancestors:
-                    below[ancestor].add(number)
-            self._descendants = {
-                number: frozenset(nodes) for number, nodes in below.items()
-            }
-        return self._descendants
+            self._children[node.number] = frozenset(c.number for c in node.children)
+            by_label.setdefault(node.label, set()).add(node.number)
+            below[node.number] = set()
+            for ancestor in ancestors:
+                below[ancestor].add(node.number)
+        self._descendants = {number: frozenset(ns) for number, ns in below.items()}
+        self._by_label = {label: frozenset(ns) for label, ns in by_label.items()}
+        self._all = frozenset(self._ancestors)
 
     # ------------------------------------------------------------------ #
     def node(self, number: int) -> SummaryNode:
@@ -55,11 +55,15 @@ class SummaryIndex:
 
     def depth(self, number: int) -> int:
         """Depth of the summary node (root has depth 1)."""
-        return self._depth[number]
+        return len(self._ancestors[number]) + 1
 
     def parent(self, number: int) -> Optional[int]:
         """Number of the parent summary node, or None for the root."""
         return self._parent[number]
+
+    def children(self, number: int) -> frozenset[int]:
+        """Numbers of the children of the summary node."""
+        return self._children[number]
 
     def ancestors(self, number: int) -> frozenset[int]:
         """Numbers of all strict ancestors of the summary node."""
@@ -67,7 +71,7 @@ class SummaryIndex:
 
     def descendants(self, number: int) -> frozenset[int]:
         """Numbers of all strict descendants of the summary node."""
-        return self._descendants_map()[number]
+        return self._descendants[number]
 
     def numbers_with_label(self, label: str) -> frozenset[int]:
         """Numbers of all summary nodes carrying ``label`` (empty if none).
@@ -76,8 +80,8 @@ class SummaryIndex:
         pattern-node label to candidate summary nodes without scanning the
         whole summary (``'*'`` matches every node)."""
         if label == "*":
-            return frozenset(self._ancestors)
-        return frozenset(self._by_label.get(label, ()))
+            return self._all
+        return self._by_label.get(label, _EMPTY)
 
     @property
     def labels(self) -> frozenset[str]:
@@ -99,27 +103,28 @@ class SummaryIndex:
     # ------------------------------------------------------------------ #
     # set-level helpers used during rewriting
     # ------------------------------------------------------------------ #
-    def any_equal(self, left: Iterable[int], right: Iterable[int]) -> bool:
+    # (arguments are path *sets* — annotations are frozensets already, so
+    # none of these copies its input)
+    def any_equal(self, left: AbstractSet[int], right: AbstractSet[int]) -> bool:
         """True iff the two path sets intersect."""
-        return bool(set(left) & set(right))
+        return not left.isdisjoint(right)
 
-    def any_parent(self, uppers: Iterable[int], lowers: Iterable[int]) -> bool:
+    def any_parent(self, uppers: AbstractSet[int], lowers: Iterable[int]) -> bool:
         """True iff some upper path is the parent of some lower path."""
-        upper_set = set(uppers)
-        return any(self._parent[low] in upper_set for low in lowers)
+        parent = self._parent
+        return any(parent[low] in uppers for low in lowers)
 
-    def any_ancestor(self, uppers: Iterable[int], lowers: Iterable[int]) -> bool:
+    def any_ancestor(self, uppers: AbstractSet[int], lowers: Iterable[int]) -> bool:
         """True iff some upper path is a strict ancestor of some lower path."""
-        upper_set = set(uppers)
-        return any(upper_set & self._ancestors[low] for low in lowers)
+        ancestors = self._ancestors
+        return any(not uppers.isdisjoint(ancestors[low]) for low in lowers)
 
-    def any_related(self, left: Iterable[int], right: Iterable[int]) -> bool:
+    def any_related(self, left: AbstractSet[int], right: AbstractSet[int]) -> bool:
         """True iff some pair of paths is equal or ancestor/descendant related."""
-        left_set, right_set = set(left), set(right)
-        if left_set & right_set:
-            return True
-        return self.any_ancestor(left_set, right_set) or self.any_ancestor(
-            right_set, left_set
+        return (
+            not left.isdisjoint(right)
+            or self.any_ancestor(left, right)
+            or self.any_ancestor(right, left)
         )
 
     def constant_depth_difference(
@@ -135,7 +140,7 @@ class SummaryIndex:
         upper_set = set(upper_paths)
         for low in lower_paths:
             for up in upper_set & self._ancestors[low]:
-                differences.add(self._depth[low] - self._depth[up])
+                differences.add(len(self._ancestors[low]) - len(self._ancestors[up]))
         if len(differences) == 1:
             return differences.pop()
         return None

@@ -116,9 +116,6 @@ class ViewCatalog:
         The structural summary the views and queries are interpreted under.
     views:
         The available views (any iterable of :class:`MaterializedView`).
-    index:
-        An optional pre-built :class:`SummaryIndex` to share; one is built
-        from ``summary`` when omitted.
 
     Example
     -------
@@ -136,14 +133,8 @@ class ViewCatalog:
     2.0
     """
 
-    def __init__(
-        self,
-        summary: Summary,
-        views: Iterable[MaterializedView],
-        index: Optional[SummaryIndex] = None,
-    ):
+    def __init__(self, summary: Summary, views: Iterable[MaterializedView]):
         self.summary = summary
-        self.index = index or SummaryIndex(summary)
         self.views: list[MaterializedView] = list(views)
         self._entries: list[_ViewEntry] = []
         self._statistics: Optional[Statistics] = None
@@ -156,6 +147,11 @@ class ViewCatalog:
         for view in self.views:
             self._entries.append(self._build_entry(view))
         self._reindex()
+
+    @property
+    def index(self) -> SummaryIndex:
+        """The summary's shared :class:`SummaryIndex`."""
+        return self.summary.index
 
     def __setstate__(self, state):
         # snapshots written before the counter existed (format 1 predates

@@ -24,6 +24,7 @@ from repro import (
     MaterializedView,
     XMLNode,
     build_summary,
+    generate_random_document,
     parse_parenthesized,
     parse_pattern,
 )
@@ -38,9 +39,10 @@ from repro.rewriting.rewriter import Rewriter
 from repro.views.delta import SubtreeChange
 from repro.views.indexes import INDEX_STATS
 from repro.workloads.synthetic import batch_rewriting_workload, seed_tag_views
-from repro.workloads.xmark import generate_xmark_document, xmark_query_patterns
+from repro.workloads.xmark import generate_xmark_document, xmark_query_patterns, xmark_spec
 from repro.xmltree.ids import DeweyID
 
+from support.annotation_oracle import oracle_annotate_paths, oracle_annotations
 from support.oracle_executor import OracleExecutor
 from support.paper_workloads import build_dblp_workload, build_xmark_workload
 
@@ -240,6 +242,65 @@ def test_catalog_and_memo_beat_naive_rewriting():
     ], "catalog + memo path must produce identical rewritings"
     assert naive_seconds / fast_seconds >= 3.0, (
         f"catalog + memo only {naive_seconds / fast_seconds:.2f}x faster than naive"
+    )
+
+
+# --------------------------------------------------------------------------- #
+# summary-indexed path annotation vs the node-by-node oracle: >= 10x alone,
+# >= 3x on a cold search of the benchmark's fig13 query classes
+# --------------------------------------------------------------------------- #
+def test_indexed_annotation_beats_the_oracle_annotator(monkeypatch):
+    from repro.canonical import annotate_paths
+
+    # the benchmark's ``xmark_small`` shape: a ~300-node summary
+    summary = build_summary(
+        generate_random_document(xmark_spec(50, 90, 80), seed=548, name="xmark-annot")
+    )
+    patterns = xmark_query_patterns()
+    for pattern in patterns.values():
+        annotate_paths(pattern, summary)
+        assert [n.annotated_paths for n in pattern.nodes()] == oracle_annotations(
+            pattern, summary
+        ), pattern.name
+    indexed = _median_seconds(
+        lambda: [annotate_paths(p, summary) for p in patterns.values()], reps=5
+    )
+    oracle = _median_seconds(
+        lambda: [oracle_annotate_paths(p, summary) for p in patterns.values()], reps=3
+    )
+    assert oracle / indexed >= 10.0, (
+        f"indexed annotation only {oracle / indexed:.1f}x faster than the oracle"
+    )
+
+    queries = [patterns[name] for name in ("Q1", "Q2", "Q4", "Q5", "Q6", "Q18", "Q19")]
+    labels = {node.label for query in queries for node in query.nodes()}
+    views = [
+        MaterializedView(pattern, name=pattern.name)
+        for pattern in seed_tag_views(summary)
+        if pattern.root.children[0].label in labels
+    ]
+    config = RewritingConfig(
+        max_rewritings=2, max_plan_size=3, enable_unions=False, time_budget_seconds=None
+    )
+    outcomes = {}
+
+    def cold_search(key):
+        clear_containment_cache()
+        rewriter = Rewriter(summary, views, config)
+        outcomes[key] = [rewriter.rewrite(query) for query in queries]
+
+    # best-of, not median: the ratio is ~3.6 and one slow repetition on a
+    # shared box must not read as a lost speed-up
+    fast_seconds = min(_seconds(lambda: cold_search("indexed")) for _ in range(5))
+    for module in ("repro.rewriting.algorithm", "repro.rewriting.fusion", "repro.views.catalog"):
+        monkeypatch.setattr(f"{module}.annotate_paths", oracle_annotate_paths)
+    slow_seconds = min(_seconds(lambda: cold_search("oracle")) for _ in range(3))
+    assert [_rewriting_fingerprint(o) for o in outcomes["indexed"]] == [
+        _rewriting_fingerprint(o) for o in outcomes["oracle"]
+    ], "the annotator must not change what the search finds"
+    assert slow_seconds / fast_seconds >= 3.0, (
+        f"cold search only {slow_seconds / fast_seconds:.2f}x faster than with "
+        f"the oracle annotator"
     )
 
 

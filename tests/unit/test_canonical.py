@@ -2,7 +2,7 @@
 
 from repro import parse_pattern, summary_from_paths
 from repro.canonical import annotate_paths, canonical_model, is_satisfiable
-from repro.canonical.model import associated_paths
+from support.annotation_oracle import associated_paths
 
 
 class TestAssociatedPaths:

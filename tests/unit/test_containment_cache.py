@@ -195,3 +195,47 @@ class TestCacheMechanics:
             assert cache.lookup(("key",)) is None
         assert len(cache) == 0
         assert cache.enabled
+
+
+class TestNoHiddenWarmth:
+    """``clear_containment_cache()`` + ``plan_cache.clear()`` is the whole
+    flush: the benchmark's cold workload is cold only if nothing else — no
+    per-pattern annotation, closure or formula memo — survives them."""
+
+    QUERY = "site(//item[ID](/name[V], //keyword[V]))"
+
+    def _plan(self, db):
+        from repro.canonical import canonical_model_cache
+
+        choice = db.plan_query(self.QUERY)
+        statistics = choice.statistics
+        return {
+            "candidates_explored": statistics.candidates_explored,
+            "joins_attempted": statistics.joins_attempted,
+            "views_after_pruning": statistics.views_after_pruning,
+            "containment_misses": containment_cache().misses,
+            "model_misses": canonical_model_cache().misses,
+        }, containment_cache().hits
+
+    def test_a_flushed_replan_repeats_the_first_plan_exactly(self, auction_document):
+        from repro import Database
+
+        with Database(auction_document) as db:
+            db.create_view("site(//item[ID](/name[V]))", name="names")
+            db.create_view("site(//keyword[ID,V])", name="keywords")
+            db.create_view("site(//item[ID])", name="items")
+            clear_containment_cache()
+            first, _ = self._plan(db)
+            assert first["joins_attempted"] > 0 and first["containment_misses"] > 0
+
+            clear_containment_cache()
+            db.plan_cache.clear()
+            second, hits_when_flushed = self._plan(db)
+            assert second == first
+
+            # the counterpart: without the containment flush the same search
+            # runs (plan cache cleared) but answers from the memo
+            db.plan_cache.clear()
+            third, hits = self._plan(db)
+            assert hits > hits_when_flushed
+            assert third["containment_misses"] == second["containment_misses"]

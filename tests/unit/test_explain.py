@@ -38,6 +38,13 @@ def test_explain_reports_plan_shape_and_estimates(db):
     assert list(report.alternative_costs) == sorted(report.alternative_costs)
     assert report.operators, "the plan tree must be listed"
     assert report.operators[0].depth == 0
+    # the search that found the plan reports what it did, by counter name
+    assert set(report.search) == {
+        "candidates_explored", "joins_attempted",
+        "alignments_pruned", "pairs_skipped_by_suppliers",
+    }
+    assert report.search["joins_attempted"] > 0
+    assert "search: candidates_explored=" in report.to_text()
     for entry in report.operators:
         assert entry.estimated_rows >= 0
         assert entry.cumulative_cost > 0

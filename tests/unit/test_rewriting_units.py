@@ -208,7 +208,8 @@ class TestAttributePrefilter:
     """Prop. 3.7 pre-filtering: skipped alignments, unchanged results.
 
     The pre-filter is always on; the reference is a search whose
-    ``_prefiltered`` never prunes, so every candidate reaches alignment.
+    ``_lacks_supplier`` never fires, so every pair is fused and every
+    candidate reaches alignment.
     """
 
     def _rewrite(self, summary, views, query, prefilter):
@@ -217,7 +218,7 @@ class TestAttributePrefilter:
         from repro.views.catalog import ViewCatalog
 
         class UnfilteredSearch(RewritingSearch):
-            def _prefiltered(self, candidate):
+            def _lacks_supplier(self, views_used):
                 return False
 
         clear_containment_cache()
@@ -274,3 +275,34 @@ class TestAttributePrefilter:
 
         assert with_filter, "the vA ⋈= vB rewriting must survive the pre-filter"
         assert key(with_filter) == key(without)
+
+    def test_pair_skipped_before_fusion_does_not_shadow_a_later_twin(self, store_summary):
+        """A pair skipped for lack of suppliers is never fused, so its
+        pattern's signature is not recorded — a later pair fusing to the
+        *same* signature over different views is considered instead of being
+        dropped as a Prop. 3.5 duplicate.  (Signatures ignore derivable
+        columns: ``v_opaque`` and ``v_dewey`` share a pattern, but only the
+        Dewey view can derive the ``item`` ID the query needs.)  Rewritings
+        can only be gained this way: with the check after fusion, the
+        useless ``v_opaque ⋈= v_name`` shadowed ``v_dewey ⋈= v_name``."""
+        from repro.rewriting.algorithm import RewritingConfig, RewritingSearch
+        from repro.views.view import IdScheme
+
+        shared = "site(//item(/name[ID]))"
+        views = [
+            MaterializedView(
+                parse_pattern(shared, name="v_opaque"), id_scheme=IdScheme.opaque()
+            ),
+            MaterializedView(parse_pattern(shared, name="v_dewey")),
+            MaterializedView(parse_pattern("site(//name[ID,V])", name="v_name")),
+        ]
+        query = parse_pattern("site(//item[ID](/name[V]))")
+        config = RewritingConfig(max_plan_size=2, enable_unions=False)
+        from repro.containment.core import clear_containment_cache
+
+        clear_containment_cache()
+        search = RewritingSearch(query, store_summary, views, config)
+        rewritings = search.run()
+        assert {r.views_used for r in rewritings} == {("v_dewey", "v_name")}
+        assert any("IdEqualityJoin" in r.describe() for r in rewritings)
+        assert search.statistics.pairs_skipped_by_suppliers > 0

@@ -246,6 +246,10 @@ def test_stats_tracks_queries_and_ddl(db):
     snapshot = db.stats()
     assert snapshot["plan_cache"]["hits"] == 1
     assert snapshot["plan_cache"]["misses"] == 1
+    # one search (the miss); its counters are summed under "rewriting"
+    assert snapshot["rewriting"]["searches"] == 1
+    assert {"candidates_explored", "joins_attempted", "alignments_pruned",
+            "pairs_skipped_by_suppliers"} < set(snapshot["rewriting"])
     assert snapshot["views"]["count"] == 2
     assert snapshot["views"]["version"] == 2
 

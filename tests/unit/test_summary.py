@@ -127,6 +127,11 @@ class TestSummaryIndex:
         assert not index.is_parent(a, e)
         assert not index.is_ancestor(e, a)
         assert index.related(a, e)
+        assert index.children(a) == {n.number for n in figure2_summary.root.children}
+        assert index.children(e) == frozenset()
+        # one stored set per label, handed out as-is
+        assert index.numbers_with_label("b") is index.numbers_with_label("b")
+        assert figure2_summary.index is figure2_summary.index
 
     def test_set_helpers(self, figure2_summary):
         index = SummaryIndex(figure2_summary)
