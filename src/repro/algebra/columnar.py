@@ -33,7 +33,7 @@ from __future__ import annotations
 import struct
 from typing import Callable, Optional, Sequence
 
-from repro.algebra.tuples import Column, Relation, as_dewey
+from repro.algebra.tuples import Column, Relation, _hashable, as_dewey
 from repro.errors import ExtentStoreError
 from repro.xmltree.ids import DeweyID
 from repro.xmltree.node import XMLNode
@@ -300,6 +300,11 @@ def _read_relation(reader: _Reader) -> Relation:
 # --------------------------------------------------------------------------- #
 # column sources and batches
 # --------------------------------------------------------------------------- #
+_ID_CELLS = {DeweyID, type(None)}
+# ``_hashable`` maps 1.0 to 1, which a dict key does by itself
+_ATOM_CELLS = {str, int, bool, float, type(None)}
+
+
 class _ColumnSource:
     """One column's values, materialised lazily and cached.
 
@@ -307,12 +312,21 @@ class _ColumnSource:
     the value list on first touch — the extent-payload path) or a *gather*
     over a parent source (``parent`` + ``indices`` — what selection and
     join kernels emit, so a column nobody reads is never copied).  Dewey
-    component keys are cached per source, and a gather reuses its parent's
-    key cache, so renaming, slicing and joining share one key computation
-    per underlying column.
+    component keys and dedup row keys are cached per source, and a gather
+    reuses its parent's key caches, so renaming, slicing and joining share
+    one key computation per underlying column.
     """
 
-    __slots__ = ("_values", "_keys", "_loader", "_parent", "_indices", "index", "index_blob")
+    __slots__ = (
+        "_values",
+        "_keys",
+        "_row_keys",
+        "_loader",
+        "_parent",
+        "_indices",
+        "index",
+        "index_blob",
+    )
 
     def __init__(
         self,
@@ -326,6 +340,7 @@ class _ColumnSource:
         self._parent = parent
         self._indices = indices
         self._keys: Optional[list] = None
+        self._row_keys: Optional[list] = None
         # value-index cache (repro.views.indexes): the built/attached index,
         # or the UNINDEXABLE sentinel, or an encoded blob awaiting its first
         # probe.  Deliberately NOT propagated through gathers — a gather's
@@ -360,6 +375,38 @@ class _ColumnSource:
                     keys.append(None if identifier is None else identifier.components)
             self._keys = keys
         return self._keys
+
+    def row_keys(self) -> list:
+        """Per-row dedup keys, equal exactly where ``_hashable`` cells are — cached.
+
+        No second copy of the column where an existing list already is
+        that key: a column of nothing but ``DeweyID`` / ⊥ answers with its
+        component keys, one of nothing but strings / numbers / ⊥ with its
+        own values.  Anything else (nodes, nested relations, columns mixing
+        identifiers with atoms) is made hashable once per cell.
+        """
+        if self._row_keys is None:
+            parent = self._parent
+            if parent is not None:
+                keys = parent.row_keys()
+                # the parent's keys alias one of its own lists: so do ours
+                if keys is parent._keys:
+                    keys = self.dewey_keys()
+                elif keys is parent._values:
+                    keys = self.values()
+                else:
+                    keys = [keys[i] for i in self._indices]
+            else:
+                values = self.values()
+                kinds = set(map(type, values))
+                if kinds <= _ID_CELLS:
+                    keys = self.dewey_keys()
+                elif kinds <= _ATOM_CELLS:
+                    keys = values
+                else:
+                    keys = [_hashable(value) for value in values]
+            self._row_keys = keys
+        return self._row_keys
 
 
 class ColumnBatch:
@@ -459,6 +506,10 @@ class ColumnBatch:
     def dewey_keys(self, index: int) -> list:
         """Cached Dewey component keys of column ``index`` (None for ⊥)."""
         return self._sources[index].dewey_keys()
+
+    def row_keys(self, index: int) -> list:
+        """Cached dedup keys of column ``index`` (``_hashable``'s equivalence)."""
+        return self._sources[index].row_keys()
 
     # ------------------------------------------------------------------ #
     def with_schema(

@@ -11,10 +11,10 @@ implementation.  Plans evaluate as
 :class:`~repro.algebra.columnar.ColumnBatch` pipelines:
 
 * **kernel operators** — scan, index scan, ``σ``, ``π``, ``⋈=``, the
-  staircase ``⋈≺`` / ``⋈≺≺`` (flat and nested) and the ordered ``∪``-merge
-  — run the batch kernels of :mod:`repro.algebra.kernels` over cached
-  column vectors and Dewey component keys and emit index vectors, so a
-  column nobody reads is never copied;
+  structural joins ``⋈≺`` / ``⋈≺≺`` (flat and nested) and the ordered
+  ``∪``-merge — run the batch kernels of :mod:`repro.algebra.kernels` over
+  cached column vectors, Dewey component keys and dedup row keys and emit
+  index vectors, so a column nobody reads is never copied;
 * **row-wise operators** — nested projection, unnest, group-by, content
   navigation and parent-ID derivation — build or take apart nested
   relations and document nodes cell by cell; they read their child as rows
@@ -22,19 +22,22 @@ implementation.  Plans evaluate as
 
 Structural joins compare Dewey identifiers, so they work on any view whose
 ID columns were materialised with the default structural ``fID``
-(Section 1, "Exploiting ID properties").  They run as a *staircase*
-sort-merge: both inputs are brought into document order on their join
-columns (a no-op for view extents, which are materialised Dewey-sorted, and
-for merge-join outputs, which stay sorted on the descendant column) and
-merged in a single pass with a stack of open ancestors — ``O(l + r +
-output)`` plus whatever sorts are actually needed, which is what
-:class:`~repro.planning.cost.CostModel` charges.  ``⋈=`` merges when both
-inputs arrive annotated sorted on their join columns and hashes otherwise:
-the choice follows that observable input property, never a flag.
+(Section 1, "Exploiting ID properties").  An ancestor's identifier is a
+strict prefix of its descendants', so the one structural-join kernel groups
+the ancestor rows by component key in a dict — no ancestor-side sort, which
+:class:`~repro.planning.cost.CostModel` still (conservatively) charges —
+and walks the descendant rows in document order (a no-op for view extents
+and structural-join outputs, which arrive annotated), looking up one key
+prefix per distinct ancestor depth: ``O(l + r × depths + output)``.  ``π``
+deduplicates on cached row keys, or not at all when the projected sort
+column is strictly increasing.  ``⋈=`` merges when both inputs arrive
+annotated sorted on their join columns and hashes otherwise: every such
+choice follows an observable input property, never a flag.
 
 The reference implementations the identity suites compare against (the
-row-at-a-time interpreter, the ``O(l × r)`` nested-loop joins, the forced
-hash ``⋈=``) live in ``tests/support/oracle_executor.py``, not here.
+row-at-a-time interpreter with its staircase sweep, the ``O(l × r)``
+nested-loop joins, the forced hash ``⋈=``) live in
+``tests/support/oracle_executor.py``, not here.
 """
 
 from __future__ import annotations
@@ -277,11 +280,14 @@ class PlanExecutor:
         child = self.execute_batch(plan.child)
         names = list(plan.columns)
         indexes = [child.column_index(name) for name in names]
+        key_columns = [child.row_keys(index) for index in indexes]
+        sorted_by = child.sorted_by if child.sorted_by in names else None
         keep = kernels.distinct_indices(
-            [child.values(index) for index in indexes], child.row_count
+            key_columns,
+            child.row_count,
+            None if sorted_by is None else key_columns[names.index(sorted_by)],
         )
         columns = [child.columns[index] for index in indexes]
-        sorted_by = child.sorted_by if child.sorted_by in names else None
         if plan.renames:
             mapping = dict(plan.renames)
             columns = [
@@ -307,38 +313,33 @@ class PlanExecutor:
         # probe order is left order
         return joined_batch(left, right, columns, pairs[0], pairs[1], left.sorted_by)
 
-    def _staircase(
+    def _structural_pairs(
         self, plan: StructuralJoin | NestedStructuralJoin
-    ) -> tuple[ColumnBatch, ColumnBatch, list, list[int], list[int]]:
-        """Both inputs, the ancestor groups, and the matching index pairs.
+    ) -> tuple[ColumnBatch, ColumnBatch, list[int], list[int]]:
+        """Both inputs and the matching index pairs.
 
-        The one staircase in production: inputs are brought into document
-        order on their join columns (a no-op when annotated sorted), rows
-        with a ``⊥`` join value are dropped up front, and the sweep emits
-        ``(ancestor row, descendant row)`` index pairs in descendant
-        document order.
+        The one structural join in production: rows with a ``⊥`` join value
+        never match, only the descendant side needs document order (a
+        no-op when annotated sorted), and the kernel emits ``(ancestor
+        row, descendant row)`` index pairs in descendant document order.
         """
         left = self.execute_batch(plan.left)
         right = self.execute_batch(plan.right)
         left_keys = self._batch_keys(left, left.column_index(plan.left_column))
         right_keys = self._batch_keys(right, right.column_index(plan.right_column))
-        ancestors = kernels.group_runs(
-            kernels.dewey_ordered(left_keys, left.sorted_by == plan.left_column)
+        left_out, right_out = kernels.structural_pairs(
+            left_keys, right_keys, plan.axis, right.sorted_by == plan.right_column
         )
-        descendants = kernels.dewey_ordered(
-            right_keys, right.sorted_by == plan.right_column
-        )
-        left_out, right_out = kernels.staircase_pairs(ancestors, descendants, plan.axis)
-        return left, right, ancestors, left_out, right_out
+        return left, right, left_out, right_out
 
     def _structural_join_batch(self, plan: StructuralJoin) -> ColumnBatch:
-        left, right, _ancestors, left_out, right_out = self._staircase(plan)
+        left, right, left_out, right_out = self._structural_pairs(plan)
         columns = self._concat_schema(left, right)
         # output is produced in descendant document order
         return joined_batch(left, right, columns, left_out, right_out, plan.right_column)
 
     def _nested_structural_join_batch(self, plan: NestedStructuralJoin) -> ColumnBatch:
-        left, right, ancestors, left_out, right_out = self._staircase(plan)
+        left, right, left_out, right_out = self._structural_pairs(plan)
         left_rows = left.to_relation().rows
         right_rows = right.to_relation().rows
         nested_schema = list(right.columns)
@@ -347,16 +348,17 @@ class PlanExecutor:
         for left_index, right_index in zip(left_out, right_out):
             matches[left_index].append(right_rows[right_index])
         result = Relation(list(left.columns) + [Column(plan.group_column, kind="NESTED")])
-        for _key, left_indices in ancestors:
-            for left_index in left_indices:
-                if matches[left_index] or plan.keep_unmatched:
-                    nested = Relation(nested_schema, rows=matches[left_index])
-                    result.rows.append(left_rows[left_index] + (nested,))
+        # left rows in document order, ⊥ join values dropped
+        left_keys = left.dewey_keys(left.column_index(plan.left_column))
+        left_sorted = left.sorted_by == plan.left_column
+        for left_index, _key in kernels.dewey_ordered(left_keys, left_sorted):
+            if matches[left_index] or plan.keep_unmatched:
+                nested = Relation(nested_schema, rows=matches[left_index])
+                result.rows.append(left_rows[left_index] + (nested,))
         if plan.keep_unmatched:
             # left rows with a ⊥ join value never match anything; they keep
             # an empty group, after every identified row
-            keys = left.dewey_keys(left.column_index(plan.left_column))
-            for left_index, key in enumerate(keys):
+            for left_index, key in enumerate(left_keys):
                 if key is None:
                     result.rows.append(left_rows[left_index] + (Relation(nested_schema),))
         # output is produced in ancestor document order (the annotation only
@@ -383,7 +385,7 @@ class PlanExecutor:
         """Ordered k-way union merge, when every branch shares the sort column.
 
         Union set semantics never needed order, but dropping the
-        ``sorted_by`` annotation forces a re-sort on any staircase join
+        ``sorted_by`` annotation forces a re-sort on any structural join
         consuming the union.  When every branch arrives Dewey-sorted on the
         same column *position*, a :func:`heapq.merge` over the branches
         produces the union already in document order, so the annotation

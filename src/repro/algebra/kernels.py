@@ -1,14 +1,18 @@
 """Batch kernels for :class:`~repro.algebra.execution.PlanExecutor`.
 
-Pure functions over column value lists and cached Dewey component keys
-(tuples of sibling ordinals — tuple order *is* document order).  Each
-kernel is specified by a row-at-a-time reference implementation in
+Pure functions over column value lists, cached Dewey component keys
+(tuples of sibling ordinals — tuple order *is* document order, a strict
+prefix *is* an ancestor) and cached dedup row keys.  Each kernel is
+specified by a row-at-a-time reference implementation in
 ``tests/support/oracle_executor.py``: same output rows, same row order,
 same ⊥ handling.  That parity is the whole contract — the identity suites
-assert it on every plan the paper workloads produce — so every algorithmic
-subtlety here (stable sorts, first-occurrence dedup, the staircase stack
-discipline, the non-retreating merge cursor) matches the reference, just
-producing index vectors instead of row tuples.
+assert it on every plan the paper workloads produce and
+``tests/property/test_structural_kernel.py`` on drawn inputs — so every
+algorithmic subtlety here (stable sorts, first-occurrence dedup, outermost
+ancestor first, the non-retreating merge cursor) matches the reference,
+just producing index vectors instead of row tuples.  Identity and ancestry
+are decided on the keys alone: nothing here compares component by
+component in Python or turns an identifier into a string.
 
 Join kernels return parallel ``(left_indices, right_indices)`` vectors;
 :func:`repro.algebra.columnar.joined_batch` turns them into lazy gathers,
@@ -18,7 +22,9 @@ so joined columns that no later operator reads are never copied.
 from __future__ import annotations
 
 import heapq
-from typing import Optional, Sequence
+from itertools import islice
+from operator import itemgetter, lt
+from typing import Iterable, Optional, Sequence
 
 from repro.algebra.tuples import _hashable
 from repro.patterns.pattern import Axis
@@ -27,12 +33,11 @@ from repro.xmltree.node import XMLNode
 __all__ = [
     "dewey_ordered",
     "distinct_indices",
-    "group_runs",
     "hash_id_join_pairs",
     "merge_id_join_pairs",
     "ordered_union_rows",
     "selection_indices",
-    "staircase_pairs",
+    "structural_pairs",
 ]
 
 
@@ -47,108 +52,97 @@ def selection_indices(values: Sequence, formula) -> list[int]:
     return keep
 
 
-def distinct_indices(column_values: Sequence[Sequence], row_count: int) -> list[int]:
+def distinct_indices(
+    key_columns: Sequence[Sequence],
+    row_count: int,
+    sorted_keys: Optional[Sequence],
+) -> Sequence[int]:
     """First-occurrence indices of distinct rows (the projection dedup).
 
-    ``column_values`` holds the projected columns; the row key is the same
-    canonical :func:`~repro.algebra.tuples._hashable` tuple
-    ``Relation.project`` builds, so node/ID equivalence matches exactly.
+    ``key_columns`` holds the projected columns' row-key vectors
+    (:meth:`~repro.algebra.columnar._ColumnSource.row_keys`): equal keys
+    exactly where ``Relation.project``'s ``_hashable`` rows are equal.
+    ``sorted_keys`` is the key vector of the ``sorted_by`` column when it
+    is projected (else ``None``): strictly increasing keys prove every row distinct, and
+    the proof is read off the data, so a wrong annotation loses no rows.
     """
-    seen: set = set()
-    keep = []
-    for index in range(row_count):
-        key = tuple(_hashable(values[index]) for values in column_values)
-        if key not in seen:
-            seen.add(key)
-            keep.append(index)
-    return keep
+    if sorted_keys is not None:
+        try:
+            if all(map(lt, sorted_keys, islice(sorted_keys, 1, None))):
+                return range(row_count)
+        except TypeError:
+            pass  # ⊥ or mixed cells do not compare: nothing proven
+    if len(key_columns) == 1:
+        rows = reversed(key_columns[0])
+    else:
+        rows = zip(*map(reversed, key_columns))
+    # filled back to front, so each key is left holding its first index
+    first = dict(zip(rows, reversed(range(row_count))))
+    return sorted(first.values())
 
 
 def dewey_ordered(
     keys: Sequence[Optional[tuple]], is_sorted: bool
-) -> list[tuple[tuple, int]]:
-    """``(components, row index)`` pairs in document order, ⊥ dropped.
+) -> Iterable[tuple[int, tuple]]:
+    """``(row index, components)`` pairs in document order, ⊥ dropped.
 
-    Rows whose join key is ``None`` can never satisfy a structural or
-    equality predicate and are dropped up front; unannotated inputs are
-    stably sorted on their component tuples (ties keep input row order) —
-    the sort-then-merge fallback the cost model charges for.
+    Rows whose join key is ``None`` can never satisfy a structural
+    predicate and are dropped up front; unannotated inputs are stably
+    sorted on their component tuples (ties keep input row order).  An
+    annotated, ⊥-free input is served by ``enumerate`` — no pair list.
     """
-    pairs = [(key, index) for index, key in enumerate(keys) if key is not None]
+    if is_sorted and None not in keys:
+        return enumerate(keys)
+    pairs = [(index, key) for index, key in enumerate(keys) if key is not None]
     if not is_sorted:
-        pairs.sort(key=lambda pair: pair[0])
+        pairs.sort(key=itemgetter(1))
     return pairs
 
 
-def group_runs(pairs: Sequence[tuple[tuple, int]]) -> list[tuple[tuple, list[int]]]:
-    """Collapse document-ordered pairs into per-identifier index groups."""
-    groups: list[tuple[tuple, list[int]]] = []
-    for key, index in pairs:
-        if groups and groups[-1][0] == key:
-            groups[-1][1].append(index)
-        else:
-            groups.append((key, [index]))
-    return groups
-
-
-def _is_strict_prefix(upper: tuple, lower: tuple) -> bool:
-    """Strict Dewey ancestry on raw component tuples."""
-    return len(upper) < len(lower) and lower[: len(upper)] == upper
-
-
-def staircase_pairs(
-    ancestor_groups: Sequence[tuple[tuple, list[int]]],
-    descendants: Sequence[tuple[tuple, int]],
+def structural_pairs(
+    left_keys: Sequence[Optional[tuple]],
+    right_keys: Sequence[Optional[tuple]],
     axis: Axis,
+    right_sorted: bool,
 ) -> tuple[list[int], list[int]]:
-    """The staircase sort-merge sweep on component keys — index-vector form.
+    """``⋈≺`` / ``⋈≺≺`` on component keys: one prefix look-up per ancestor depth.
 
-    One merge pass over both document-ordered inputs.  The stack holds the
-    currently *open* ancestor groups — those whose subtree interval
-    contains the sweep position — as ``(components, group index)``; Dewey
-    order equals document order and subtrees are contiguous intervals, so a
-    group popped because the sweep left its subtree can never match a later
-    descendant.  Every matching (ancestor row, descendant row) pair lands
-    in the two output vectors in descendant document order.
+    An ancestor's key is a strict prefix of its descendants' keys, so the
+    ancestor rows are grouped by key in a dict (row order inside a group,
+    no ancestor-side sort) and every descendant, taken in document order,
+    looks up its own prefixes: ``key[:-1]`` for the child axis, ``key[:cut]``
+    for each distinct ancestor depth ``cut < len(key)``, shallowest first,
+    for the descendant axis.  That is every matching (ancestor row,
+    descendant row) pair in the order a stack of open ancestors emits them
+    — descendant document order, outermost ancestor first — in
+    ``O(|D| × distinct ancestor depths)`` slices and hashes.
     """
+    groups: dict[tuple, list[int]] = {}
+    for index, key in enumerate(left_keys):
+        if key is not None:
+            groups.setdefault(key, []).append(index)
+    find = groups.get
+    cuts = [-1] if axis is Axis.CHILD else sorted(set(map(len, groups)))
     left_out: list[int] = []
     right_out: list[int] = []
-    stack: list[tuple[tuple, int]] = []
-    next_group = 0
-    for lower_key, lower_index in descendants:
-        while next_group < len(ancestor_groups) and not (
-            lower_key < ancestor_groups[next_group][0]
-        ):
-            upper_key = ancestor_groups[next_group][0]
-            while stack and not _is_strict_prefix(stack[-1][0], upper_key):
-                stack.pop()
-            stack.append((upper_key, next_group))
-            next_group += 1
-        while stack and not (
-            stack[-1][0] == lower_key or _is_strict_prefix(stack[-1][0], lower_key)
-        ):
-            stack.pop()
-        if not stack:
-            continue
-        # every open group strictly above an equal top matches; an equal
-        # top itself never does (ancestry is strict)
-        top = len(stack) - (1 if stack[-1][0] == lower_key else 0)
-        if axis is Axis.CHILD:
-            target_depth = len(lower_key) - 1
-            for position in range(top - 1, -1, -1):
-                upper_key, group_index = stack[position]
-                if len(upper_key) == target_depth:
-                    for left_index in ancestor_groups[group_index][1]:
-                        left_out.append(left_index)
-                        right_out.append(lower_index)
-                    break
-                if len(upper_key) < target_depth:
-                    break
-        else:
-            for position in range(top):
-                for left_index in ancestor_groups[stack[position][1]][1]:
+    descendants = dewey_ordered(right_keys, right_sorted)
+    if len(cuts) == 1:
+        # the common case — the parent, or ancestors all at one depth
+        (cut,) = cuts
+        for index, key in descendants:
+            if len(key) > cut:  # a shorter key would look up itself
+                for left_index in find(key[:cut], ()):
                     left_out.append(left_index)
-                    right_out.append(lower_index)
+                    right_out.append(index)
+        return left_out, right_out
+    for index, key in descendants:
+        depth = len(key)
+        for cut in cuts:
+            if cut >= depth:
+                break
+            for left_index in find(key[:cut], ()):
+                left_out.append(left_index)
+                right_out.append(index)
     return left_out, right_out
 
 

@@ -18,9 +18,9 @@ Row order is nevertheless tracked as a *physical* property: a relation may
 carry a ``sorted_by`` annotation naming one ID column whose values appear in
 document order (Dewey order, which for :class:`~repro.xmltree.ids.DeweyID`
 is plain tuple order).  Materialised view extents are produced with this
-guarantee, and the staircase merge join in
-:mod:`repro.algebra.execution` consumes it to join in a single pass instead
-of a nested loop.  The annotation never affects comparisons (``to_set`` /
+guarantee, and the structural and ID-equality joins in
+:mod:`repro.algebra.execution` consume it to join in a single pass without
+sorting first.  The annotation never affects comparisons (``to_set`` /
 ``same_contents`` stay order-blind); it only tells the executor which sorts
 it may skip.
 """
@@ -346,12 +346,12 @@ def _hashable(value):
         # node itself and a column holding its ID compare equal — exactly the
         # equivalence the rewriting relies on
         if value.dewey is not None:
-            return ("<id>", str(value.dewey))
+            return ("<id>", value.dewey.components)
         from repro.xmltree.serializer import to_parenthesized
 
         return ("<node>", to_parenthesized(value))
     if isinstance(value, DeweyID):
-        return ("<id>", str(value))
+        return ("<id>", value.components)
     if isinstance(value, float) and value.is_integer():
         return int(value)
     return value

@@ -12,7 +12,7 @@ Layers, transport-independent core first:
 * :mod:`repro.service.app` — routing and the request pipeline
   (:class:`ServiceApp`), no framework, no socket;
 * :mod:`repro.service.server` — the stdlib threaded HTTP server
-  (:class:`QueryService`), the urllib client (:class:`ServiceClient`)
+  (:class:`QueryService`), the keep-alive client (:class:`ServiceClient`)
   and a dependency-free ASGI adapter.
 """
 

@@ -2,7 +2,10 @@
 
 :class:`QueryService` wraps a :class:`~repro.service.app.ServiceApp` in a
 ``http.server.ThreadingHTTPServer`` — one daemon thread accepts
-connections, one thread per request parses JSON and calls the app.  The
+connections, one thread per connection parses JSON and calls the app.
+Connections are HTTP/1.1 keep-alive: a client that holds on to its
+connection is served by one long-lived thread, with no accept and no
+thread start per request (stopping the service ends the idle ones).  The
 app serializes database access internally, so the threaded transport is
 safe by construction.  No framework, no event loop, no dependency: the
 whole service tier runs on the standard library, as CI (no network) and
@@ -15,8 +18,9 @@ callable convention — so it is importable and unit-testable everywhere;
 only *serving* it needs an external package, probed with
 :func:`asgi_server_available` rather than imported unconditionally.
 
-:class:`ServiceClient` is the matching stdlib (urllib) client used by the
-tests, the quickstart example and the load tester.
+:class:`ServiceClient` is the matching stdlib (``http.client``) client used
+by the tests, the quickstart example and the load tester; it keeps one
+connection alive per calling thread.
 
 >>> from repro import Database, parse_parenthesized
 >>> db = Database(parse_parenthesized('site(item(name="pen"))'))
@@ -31,12 +35,12 @@ tests, the quickstart example and the load tester.
 
 from __future__ import annotations
 
+import http.client
 import importlib.util
 import json
 import socket
 import threading
-import urllib.error
-import urllib.request
+import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
@@ -58,6 +62,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-query-service"
+    # no segment of a reply on a kept-alive connection waits for the client's
+    # delayed ACK of the one before it (40 ms)
+    disable_nagle_algorithm = True
 
     # the ThreadingHTTPServer subclass carries the app
     @property
@@ -82,16 +89,23 @@ class _RequestHandler(BaseHTTPRequestHandler):
             payload = response.body.encode("utf-8")
         else:
             payload = json.dumps(response.body).encode("utf-8")
-        self.send_response(response.status)
-        self.send_header("Content-Type", response.content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        self.send_header("X-Request-ID", response.request_id)
+        headers = {
+            "Server": self.version_string(),
+            "Date": self.date_time_string(),
+            "Content-Type": response.content_type,
+            "Content-Length": str(len(payload)),
+            "X-Request-ID": response.request_id,
+        }
         if response.trace_id:
-            self.send_header("X-Trace-ID", response.trace_id)
-        for name, value in response.headers.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(payload)
+            headers["X-Trace-ID"] = response.trace_id
+        headers.update(response.headers)
+        phrase = self.responses.get(response.status, ("",))[0]
+        head = [f"{self.protocol_version} {response.status} {phrase}"]
+        head += [f"{name}: {value}" for name, value in headers.items()]
+        # the whole reply in one write: a client woken by the headers alone
+        # may or may not sleep again for the body, and on two cores the
+        # service's throughput then fell into one of two modes run by run
+        self.wfile.write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + payload)
 
     def _dispatch(self, method: str) -> None:
         try:
@@ -125,6 +139,34 @@ class _Server(ThreadingHTTPServer):
     def __init__(self, address, app: ServiceApp):
         super().__init__(address, _RequestHandler)
         self.app = app
+        # kept-alive connections outlive their last request
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def end_connections(self) -> None:
+        """End of input on every open connection.
+
+        A thread waiting for the next request on an idle connection sees
+        the end and exits; one in the middle of a request still writes its
+        reply first.
+        """
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # the peer hung up first
 
 
 class QueryService:
@@ -190,6 +232,7 @@ class QueryService:
             return
         self._server.shutdown()
         self._server.server_close()
+        self._server.end_connections()
         if self._thread is not None:
             self._thread.join(timeout=10)
         self._server = None
@@ -215,27 +258,49 @@ class ServiceClient:
     ``/metrics``.  HTTP error statuses are returned, not raised: the
     service's error bodies are part of its contract and callers assert on
     them.
+
+    Each calling thread keeps one connection alive between requests, so a
+    client may be shared.  A request that finds its idle connection ended
+    by the server (stopped, restarted) is sent once more on a new one; a
+    service that is gone raises ``OSError`` as before.
     """
 
     def __init__(self, base_url: str, timeout: float = 30.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        self._url = urllib.parse.urlsplit(self.base_url)
+        self._local = threading.local()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = http.client.HTTPConnection(
+                self._url.hostname, self._url.port, timeout=self.timeout
+            )
+            self._local.connection = connection
+        return connection
 
     def _request(self, method: str, path: str, payload=None):
         body = None if payload is None else json.dumps(payload).encode("utf-8")
-        request = urllib.request.Request(
-            self.base_url + path,
-            data=body,
-            method=method,
-            headers={"Content-Type": "application/json"} if body else {},
-        )
+        headers = {"Content-Type": "application/json"} if body else {}
+        connection = self._connection()
+        reused = connection.sock is not None
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as reply:
-                status, raw = reply.status, reply.read()
-                content_type = reply.headers.get("Content-Type", "")
-        except urllib.error.HTTPError as error:
-            status, raw = error.code, error.read()
-            content_type = error.headers.get("Content-Type", "")
+            try:
+                connection.request(method, self._url.path + path, body, headers)
+                reply = connection.getresponse()
+            except ConnectionError:
+                connection.close()
+                if not reused:
+                    raise
+                # the server ended the idle connection: once more, on a new one
+                connection.request(method, self._url.path + path, body, headers)
+                reply = connection.getresponse()
+            status, raw = reply.status, reply.read()
+        except BaseException:
+            connection.close()  # never reuse a connection in an unknown state
+            raise
+        content_type = reply.headers.get("Content-Type", "")
         if content_type.startswith("application/json"):
             return status, json.loads(raw)
         return status, raw.decode("utf-8")

@@ -111,6 +111,75 @@ def test_service_url_requires_running_server():
 
 
 # --------------------------------------------------------------------------- #
+# kept-alive connections
+# --------------------------------------------------------------------------- #
+def _wait_for_connections(server, count: int) -> None:
+    """Handler threads notice the end of their connection a moment later."""
+    import time
+
+    deadline = time.monotonic() + 5
+    while time.monotonic() < deadline:
+        with server._connections_lock:
+            if len(server._connections) == count:
+                return
+        time.sleep(0.01)
+    raise AssertionError(f"{len(server._connections)} open connections, expected {count}")
+
+
+def test_client_reuses_one_connection_per_thread(service, client):
+    for _ in range(3):
+        assert client.get("/healthz")[0] == 200
+    _wait_for_connections(service._server, 1)
+
+    other = threading.Thread(target=lambda: client.get("/healthz"))
+    other.start()
+    other.join()
+    # the other thread's connection went with its thread-local storage
+    _wait_for_connections(service._server, 1)
+
+
+def test_replies_on_a_kept_alive_connection_do_not_wait_for_a_delayed_ack(client):
+    import statistics
+    import time
+
+    client.post("/query", {"query": ITEM_NAMES})
+    seconds = []
+    for _ in range(9):
+        started = time.perf_counter()
+        client.post("/query", {"query": ITEM_NAMES})
+        seconds.append(time.perf_counter() - started)
+    # a reply held back for the client's delayed ACK takes 40 ms
+    assert statistics.median(seconds) < 0.02
+
+
+def test_stop_ends_idle_connections_and_a_restart_is_picked_up():
+    from repro.service.server import find_free_port
+
+    database = make_database()
+    port = find_free_port()
+    try:
+        first = QueryService(database, port=port).start()
+        client = ServiceClient(first.url)
+        assert client.get("/healthz")[0] == 200
+        server = first._server
+        first.stop()
+        _wait_for_connections(server, 0)
+        with pytest.raises(OSError):
+            client.get("/healthz")
+        with QueryService(database, port=port) as second:
+            client.get("/healthz")  # a connection the next stop() will end
+            server = second._server
+        _wait_for_connections(server, 0)
+        with QueryService(database, port=port):
+            # the idle connection is gone: the request goes out again on a new one
+            status, body = client.post("/query", {"query": ITEM_NAMES})
+            assert status == 200
+            assert body["result"]["row_count"] == 3
+    finally:
+        database.close()
+
+
+# --------------------------------------------------------------------------- #
 # serial interleaved oracle
 # --------------------------------------------------------------------------- #
 def test_mixed_workload_matches_direct_database_oracle(client):

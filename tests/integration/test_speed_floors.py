@@ -29,7 +29,7 @@ from repro import (
     parse_pattern,
 )
 from repro.algebra.execution import PlanExecutor
-from repro.algebra.operators import StructuralJoin, ViewScan
+from repro.algebra.operators import Projection, StructuralJoin, ViewScan
 from repro.algebra.tuples import Column, Relation, _hashable
 from repro.containment.core import clear_containment_cache, containment_cache_disabled
 from repro.errors import RewritingError
@@ -74,7 +74,7 @@ def _rewriting_fingerprint(outcome):
 
 
 # --------------------------------------------------------------------------- #
-# staircase merge vs the O(l × r) nested loop: >= 5x at 10k x 10k
+# prefix-keyed structural join vs the O(l × r) nested loop: >= 5x at 10k x 10k
 # --------------------------------------------------------------------------- #
 def _chain_extents(size: int, annotated: bool) -> dict[str, SimpleNamespace]:
     """``size`` ancestors ``1.i`` and ``size`` descendants ``1.i.1``."""
@@ -91,7 +91,7 @@ def _chain_extents(size: int, annotated: bool) -> dict[str, SimpleNamespace]:
     return {"upper": SimpleNamespace(relation=upper), "lower": SimpleNamespace(relation=lower)}
 
 
-def test_staircase_join_beats_the_nested_loop():
+def test_structural_pairs_join_beats_the_nested_loop():
     plan = StructuralJoin(
         left=ViewScan("upper", alias="u"),
         right=ViewScan("lower", alias="l"),
@@ -113,16 +113,31 @@ def test_staircase_join_beats_the_nested_loop():
                 ).execute(plan)
             )
         )
-        # the sort-then-merge fallback: same rows, annotation stripped
+        # the sort-the-descendants fallback: same rows, annotation stripped
         fallback = PlanExecutor(_chain_extents(size, annotated=False)).execute(plan)
         assert results["merge"].same_contents(results["nested"])
         assert fallback.same_contents(results["nested"])
         assert len(results["merge"]) == size  # one descendant per ancestor
         speedups[size] = nested_seconds / merge_seconds
     assert speedups[10_000] >= 5.0, (
-        f"staircase merge only {speedups[10_000]:.1f}x faster than the nested "
+        f"structural_pairs only {speedups[10_000]:.1f}x faster than the nested "
         f"loop on the 10k x 10k extents"
     )
+
+
+# --------------------------------------------------------------------------- #
+# projection dedup on row keys vs Relation.project: >= 5x on a sorted ID extent
+# --------------------------------------------------------------------------- #
+def test_projection_dedup_beats_relation_project():
+    views = _chain_extents(10_000, annotated=True)
+    plan = Projection(child=ViewScan("upper", alias="u"), columns=["u.ID1"])
+    fast = PlanExecutor(views).execute(plan)  # warm: row keys cached on the extent
+    slow = OracleExecutor(views).execute(plan)  # Relation.project + _hashable
+    assert fast.rows == slow.rows and fast.sorted_by == slow.sorted_by == "u.ID1"
+    speedup = _median_seconds(lambda: OracleExecutor(views).execute(plan)) / _median_seconds(
+        lambda: PlanExecutor(views).execute(plan)
+    )
+    assert speedup >= 5.0, f"Projection only {speedup:.1f}x faster than Relation.project"
 
 
 # --------------------------------------------------------------------------- #

@@ -1,0 +1,255 @@
+"""Property: the two warm-execution kernels equal their row-wise oracles.
+
+* ``kernels.structural_pairs`` (ancestor rows grouped by key, one prefix
+  look-up per ancestor depth) must emit the same ``(ancestor row,
+  descendant row)`` pairs *in the same order* as the stack-of-open-ancestors
+  sweep in ``support.oracle_executor`` — on forests with recursive labels
+  (ancestors nested in ancestors, three and more ancestor depths), duplicate
+  identifiers on both sides, ``⊥`` keys, sorted and unsorted inputs, both
+  axes, flat and nested.
+* ``Projection`` through ``PlanExecutor`` (row-key vectors, the
+  strictly-increasing shortcut, back-to-front ``dict`` dedup) must be
+  row-identical to ``Relation.project`` — the dedup matrix below lists the
+  cell kinds whose ``_hashable`` equivalence is not plain ``==``.
+"""
+
+from __future__ import annotations
+
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.algebra import kernels
+from repro.algebra.columnar import ColumnBatch
+from repro.algebra.execution import PlanExecutor
+from repro.algebra.operators import (
+    NestedStructuralJoin,
+    Projection,
+    Selection,
+    StructuralJoin,
+    ViewScan,
+)
+from repro.algebra.tuples import Column, Relation, _hashable
+from repro.patterns.pattern import Axis
+from repro.patterns.predicates import ValueFormula
+from repro.xmltree.ids import DeweyID
+from repro.xmltree.node import XMLNode
+
+from support.oracle_executor import OracleExecutor
+
+AXES = (Axis.CHILD, Axis.DESCENDANT)
+
+
+def _views(**relations):
+    # anything exposing ``relation`` is a view store entry
+    return {name: SimpleNamespace(relation=relation) for name, relation in relations.items()}
+
+
+def _identical(fast: Relation, slow: Relation) -> None:
+    """Same schema, same annotation, same rows in the same order."""
+    assert fast.column_names == slow.column_names
+    assert fast.sorted_by == slow.sorted_by
+    assert [_hashable(row) for row in fast.rows] == [_hashable(row) for row in slow.rows]
+
+
+# --------------------------------------------------------------------------- #
+# structural_pairs against the staircase sweep
+# --------------------------------------------------------------------------- #
+def _id_relation(keys, is_sorted) -> Relation:
+    """``ID1`` holds the drawn identifiers, ``row`` the row's own index."""
+    relation = Relation(
+        [Column("ID1", kind="ID"), Column("row")],
+        rows=[(None if key is None else DeweyID(key), index) for index, key in enumerate(keys)],
+    )
+    return relation.mark_sorted_by("ID1") if is_sorted else relation
+
+
+def _sweep_pairs(upper: Relation, lower: Relation, axis: Axis):
+    """The oracle: its own sort, its own grouping, its stack sweep."""
+    oracle = OracleExecutor({})
+    ancestors = oracle._group_by_id(oracle._dewey_sorted(upper, "ID1"))
+    descendants = oracle._dewey_sorted(lower, "ID1")
+    pairs = []
+
+    def emit(group_index, lower_row):
+        pairs.extend((upper_row[1], lower_row[1]) for upper_row in ancestors[group_index][1])
+
+    oracle._staircase_sweep(ancestors, descendants, axis, emit)
+    return pairs
+
+
+# ordinals 1..2 to depth 6: most drawn identifiers are prefixes of others,
+# so ancestors nest in ancestors and sit at many depths at once
+_dewey = st.lists(st.integers(1, 2), min_size=0, max_size=5).map(lambda tail: (1, *tail))
+
+
+@st.composite
+def _key_column(draw):
+    """Identifiers with duplicates and ⊥; sorted inputs keep ⊥ anywhere."""
+    keys = draw(st.lists(_dewey, max_size=14))
+    is_sorted = draw(st.booleans())
+    if is_sorted:
+        keys.sort()
+    for position in draw(st.lists(st.integers(0, len(keys)), max_size=3)):
+        keys.insert(position, None)
+    return keys, is_sorted
+
+
+@settings(max_examples=150)
+@given(_key_column(), _key_column())
+def test_structural_pairs_equal_the_oracle_sweep(left, right):
+    (left_keys, left_sorted), (right_keys, right_sorted) = left, right
+    upper = _id_relation(left_keys, left_sorted)
+    lower = _id_relation(right_keys, right_sorted)
+    views = _views(upper=upper, lower=lower)
+    for axis in AXES:
+        left_out, right_out = kernels.structural_pairs(
+            left_keys, right_keys, axis, right_sorted
+        )
+        assert list(zip(left_out, right_out)) == _sweep_pairs(upper, lower, axis)
+        for operator, extra in (
+            (StructuralJoin, {}),
+            (NestedStructuralJoin, {"group_column": "G"}),
+        ):
+            plan = operator(
+                left=ViewScan("upper", alias="u"),
+                right=ViewScan("lower", alias="l"),
+                left_column="u.ID1",
+                right_column="l.ID1",
+                axis=axis,
+                **extra,
+            )
+            _identical(PlanExecutor(views).execute(plan), OracleExecutor(views).execute(plan))
+
+
+def test_recursive_ancestors_at_four_depths():
+    """The pinned shape: every node of a chain on both sides, plus duplicates."""
+    chain = [(1,), (1, 1), (1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1, 1)]
+    left_keys = [chain[2], None, chain[0], chain[3], chain[1], chain[1]]  # unsorted
+    right_keys = chain + [(1, 1, 2), None, chain[4]]
+    upper, lower = _id_relation(left_keys, False), _id_relation(right_keys, False)
+    pairs = kernels.structural_pairs(left_keys, right_keys, Axis.DESCENDANT, False)
+    assert list(zip(*pairs)) == _sweep_pairs(upper, lower, Axis.DESCENDANT)
+    # the deepest descendant sees its four ancestor depths outermost first,
+    # the duplicated 1.1 in row order
+    assert [left for left, right in zip(*pairs) if right == 4] == [2, 4, 5, 0, 3]
+    assert {len(left_keys[left]) for left in pairs[0]} == {1, 2, 3, 4}
+    pairs = kernels.structural_pairs(left_keys, right_keys, Axis.CHILD, False)
+    assert list(zip(*pairs)) == _sweep_pairs(upper, lower, Axis.CHILD)
+
+
+# --------------------------------------------------------------------------- #
+# projection dedup against Relation.project
+# --------------------------------------------------------------------------- #
+def _node(label, value=None, dewey=None) -> XMLNode:
+    node = XMLNode(label, value)
+    node.dewey = None if dewey is None else DeweyID(dewey)
+    return node
+
+
+def _nested(*rows) -> Relation:
+    return Relation(["ID1", "V1"], rows=rows)
+
+
+_ID = DeweyID((1, 2))
+DEDUP_MATRIX = {
+    "a node with an ID is its DeweyID": [
+        _node("a", "x", (1, 2)),
+        _ID,
+        _node("b", "y", (1, 2)),
+        DeweyID((1, 3)),
+    ],
+    "1.0 is 1, 1.5 is not": [1, 1.0, 1.5, True, 2, 2.0],
+    "the string 1.2 is not DeweyID(1.2)": ["1.2", _ID, "1.2", DeweyID((1, 2))],
+    "nested relations compare as sets": [
+        _nested((_ID, "a"), (DeweyID((1, 3)), "b")),
+        _nested((DeweyID((1, 3)), "b"), (_ID, "a"), (_ID, "a")),
+        _nested((_ID, "a")),
+        _nested(),
+        None,
+    ],
+    "ID-less nodes compare by content": [
+        _node("a", "x"),
+        _node("a", "x"),
+        _node("a", "y"),
+        None,
+        _ID,
+    ],
+    "⊥ equals only ⊥": [None, _ID, None, "", 0, None],
+    "strings and ints": ["a", 1, "a", "1", 1, None],
+}
+
+
+def _projection_matches(relation: Relation, names, keep_column=None) -> Relation:
+    views = _views(v=relation)
+    child = ViewScan("v", alias="v")
+    if keep_column is not None:  # a gather between the extent and the projection
+        child = Selection(child=child, column=f"v.{keep_column}", formula=ValueFormula.gt(0))
+    plan = Projection(child=child, columns=[f"v.{name}" for name in names])
+    fast = PlanExecutor(views).execute(plan)
+    _identical(fast, OracleExecutor(views).execute(plan))
+    return fast
+
+
+@pytest.mark.parametrize("case", DEDUP_MATRIX)
+def test_dedup_matrix_is_row_identical_to_relation_project(case):
+    cells = DEDUP_MATRIX[case]
+    relation = Relation(["A", "B"], rows=[(cell, index % 2) for index, cell in enumerate(cells)])
+    fast = _projection_matches(relation, ["A"])
+    assert fast.rows == relation.project(["A"]).rows  # the very same cells
+    assert len(fast) < len(cells)  # every case holds at least one duplicate
+    _projection_matches(relation, ["B", "A"])
+    _projection_matches(relation, ["A"], keep_column="B")
+
+
+def test_a_sorted_column_with_an_equal_key_run_still_deduplicates():
+    ids = [DeweyID((1, 1)), DeweyID((1, 2)), DeweyID((1, 2)), DeweyID((1, 2)), DeweyID((1, 3))]
+    relation = Relation(
+        [Column("ID1", kind="ID"), "V1"], rows=list(zip(ids, "abbcd"))
+    ).mark_sorted_by("ID1")
+    assert len(_projection_matches(relation, ["ID1"])) == 3
+    fast = _projection_matches(relation, ["ID1", "V1"])
+    assert len(fast) == 4 and fast.sorted_by == "v.ID1"
+    # strictly increasing, ⊥-free: nothing to remove, nothing hashed
+    strict = Relation([Column("ID1", kind="ID")], rows=[(i,) for i in ids[::2]])
+    strict.mark_sorted_by("ID1")
+    assert _projection_matches(strict, ["ID1"]).rows == strict.rows
+    keys = ColumnBatch.from_relation(strict).row_keys(0)
+    assert kernels.distinct_indices([keys], 3, keys) == range(3)
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        # duplicates that are not adjacent: the annotation is simply wrong
+        [DeweyID((1, 2)), DeweyID((1, 1)), DeweyID((1, 2)), DeweyID((1, 1))],
+        [DeweyID((1, 1)), None, DeweyID((1, 1)), None],  # ⊥ may sit anywhere
+        ["1.2", "1.1", "1.2"],  # identifier strings, unsorted
+        ["b", 3, "b", 3.0],  # not identifiers at all, not even comparable
+        [_node("a", None, (1, 2)), _ID, _node("a", None, (1, 1))],
+    ],
+)
+def test_a_lying_sorted_by_loses_no_row(cells):
+    relation = Relation(["ID1", "V1"], rows=[(cell, "v") for cell in cells])
+    relation.sorted_by = "ID1"
+    fast = _projection_matches(relation, ["ID1"])
+    assert fast.rows == relation.project(["ID1"]).rows
+    _projection_matches(relation, ["V1", "ID1"])
+
+
+_cell = st.sampled_from([cell for cells in DEDUP_MATRIX.values() for cell in cells])
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(st.tuples(_cell, _cell, st.integers(0, 1)), max_size=10),
+    st.sampled_from([None, "A", "B"]),
+    st.sampled_from([["A"], ["B", "A"], ["A", "B", "K"]]),
+    st.booleans(),
+)
+def test_projection_equals_relation_project_on_drawn_columns(rows, sorted_by, names, gathered):
+    relation = Relation(["A", "B", "K"], rows=rows)
+    relation.sorted_by = sorted_by  # as often a lie as not
+    _projection_matches(relation, names, keep_column="K" if gathered else None)

@@ -157,7 +157,7 @@ class TestRelationValueIdentity:
         from repro.algebra.tuples import _hashable
 
         assert _hashable(node) == _hashable(node.dewey)
-        assert _hashable(DeweyID((1, 1))) == ("<id>", "1.1")
+        assert _hashable(DeweyID((1, 1))) == ("<id>", (1, 1))
 
     def test_formula_selection_on_node_content_column(self):
         # a Selection over a column holding XMLNode content compares the

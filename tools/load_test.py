@@ -130,7 +130,7 @@ def run_load(
 
 
 class _ClientPool:
-    """One ServiceClient per worker thread (urllib openers are not shared)."""
+    """One ServiceClient, hence one kept-alive connection, per worker thread."""
 
     def __init__(self):
         self._local = threading.local()
