@@ -48,6 +48,7 @@ __all__ = [
     "encode_columnar",
     "joined_batch",
     "projected_batch",
+    "splice_runs",
 ]
 
 
@@ -305,6 +306,24 @@ _ID_CELLS = {DeweyID, type(None)}
 _ATOM_CELLS = {str, int, bool, float, type(None)}
 
 
+def splice_runs(old: list, splices: Sequence[tuple[int, int, list]]) -> list:
+    """``old`` with each ``[lo, hi)`` replaced by its run, in one pass.
+
+    ``splices`` are disjoint ``(lo, hi, run)`` triples in ascending order,
+    positions counted on ``old`` — the shape incremental extent
+    maintenance (:mod:`repro.views.delta`) computes once and applies to
+    the row list and to every cached column vector alike.
+    """
+    patched: list = []
+    cursor = 0
+    for lo, hi, run in splices:
+        patched += old[cursor:lo]
+        patched += run
+        cursor = hi
+    patched += old[cursor:]
+    return patched
+
+
 class _ColumnSource:
     """One column's values, materialised lazily and cached.
 
@@ -408,6 +427,42 @@ class _ColumnSource:
             self._row_keys = keys
         return self._row_keys
 
+    def spliced(self, splices: Sequence[tuple[int, int, list]]) -> "_ColumnSource":
+        """A direct source: this column with ``splices`` applied (see
+        :func:`splice_runs`), carrying over whatever key vectors are cached.
+
+        Keys are computed for the replacement cells only, under the rule
+        the cached vector was built by — component tuples for an all-ID
+        column, the values themselves for an all-atom one (both kept as
+        *aliases*, like :meth:`row_keys` makes them), ``_hashable``
+        otherwise.  A replacement cell the rule does not cover drops that
+        cache, and the next reader rebuilds it from the values.  The value
+        index is positional and is not carried over.
+        """
+        fresh = _ColumnSource(values=splice_runs(self.values(), splices))
+        kinds = {type(cell) for _, _, run in splices for cell in run}
+        if self._keys is not None and kinds <= _ID_CELLS:
+            fresh._keys = splice_runs(
+                self._keys,
+                [
+                    (lo, hi, [None if cell is None else cell.components for cell in run])
+                    for lo, hi, run in splices
+                ],
+            )
+        if self._row_keys is None:
+            pass
+        elif self._row_keys is self._keys:
+            fresh._row_keys = fresh._keys
+        elif self._row_keys is self._values:
+            if kinds <= _ATOM_CELLS:
+                fresh._row_keys = fresh._values
+        else:
+            fresh._row_keys = splice_runs(
+                self._row_keys,
+                [(lo, hi, [_hashable(cell) for cell in run]) for lo, hi, run in splices],
+            )
+        return fresh
+
 
 class ColumnBatch:
     """A column-major relation: schema plus one lazy source per column.
@@ -471,6 +526,30 @@ class ColumnBatch:
         else:
             sources = [_ColumnSource(values=[]) for _ in relation.columns]
         batch = cls(relation.columns, sources, count, relation.sorted_by)
+        batch._relation = relation
+        relation._column_batch = batch
+        return batch
+
+    def spliced(
+        self, splices: Sequence[tuple[int, int, list[tuple]]], relation: Relation
+    ) -> "ColumnBatch":
+        """The cached batch of ``relation``, derived from this one by splicing.
+
+        ``relation`` is this batch's relation after ``splices`` — disjoint,
+        ascending ``(lo, hi, replacement rows)`` — were applied to its rows
+        (:func:`splice_runs`).  Every column is re-sliced at the same
+        offsets and keeps its cached key vectors
+        (:meth:`_ColumnSource.spliced`), so a scan of the patched extent
+        starts as warm as a scan of the old one; the result is installed as
+        ``relation``'s batch exactly as :meth:`from_relation` would.
+        """
+        sources = [
+            source.spliced(
+                [(lo, hi, [row[position] for row in rows]) for lo, hi, rows in splices]
+            )
+            for position, source in enumerate(self._sources)
+        ]
+        batch = ColumnBatch(relation.columns, sources, len(relation.rows), relation.sorted_by)
         batch._relation = relation
         relation._column_batch = batch
         return batch

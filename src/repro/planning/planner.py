@@ -29,10 +29,11 @@ from repro.planning.cost import CostModel
 from repro.planning.logical import LogicalPlan, lower_plan
 from repro.planning.pushdown import push_selections
 from repro.rewriting.algorithm import Rewriting, RewritingStatistics
+from repro.rewriting.rewriter import RewriteOutcome
 from repro.summary.statistics import Statistics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.rewriting.rewriter import Rewriter, RewriteOutcome
+    from repro.rewriting.rewriter import Rewriter
 
 __all__ = ["PlannedRewriting", "PlanChoice", "Planner"]
 
@@ -84,6 +85,10 @@ class PlanChoice:
         self.query = query
         self.alternatives = alternatives
         self.statistics = statistics
+        self.data_version: Optional[int] = None
+        """The ``views.data_version`` the alternatives were priced under
+        (stamped by :meth:`Planner.choose`; ``None`` = unknown, re-price
+        before trusting the order)."""
 
     @property
     def found(self) -> bool:
@@ -171,12 +176,12 @@ class Planner:
         """The effective cost model (catalog statistics when available).
 
         Derived models are cached and invalidated when the rewriter's view
-        set mutates (same version counter the catalog itself watches).
+        set or any extent in it changes (``views.data_version``).
         """
         if self._cost_model is not None:
             return self._cost_model
         catalog = self.rewriter.catalog
-        key = (id(catalog), self.rewriter.views.version)
+        key = (id(catalog), self.rewriter.views.data_version)
         if (
             self._derived_model is not None
             and self._derived_key == key
@@ -196,7 +201,7 @@ class Planner:
         return model
 
     # ------------------------------------------------------------------ #
-    def rank(self, outcome: "RewriteOutcome") -> list[PlannedRewriting]:
+    def rank(self, outcome: RewriteOutcome) -> list[PlannedRewriting]:
         """Lower and rank every rewriting of an outcome, cheapest first.
 
         Each rewriting's plan is first run through the predicate-pushdown
@@ -231,10 +236,34 @@ class Planner:
             for rank, (plan, search_order, rewriting) in enumerate(lowered)
         ]
 
+    def choose(self, query: TreePattern, outcome: RewriteOutcome) -> PlanChoice:
+        """Rank an outcome into a choice stamped with the current data version."""
+        choice = PlanChoice(query, self.rank(outcome), outcome.statistics)
+        choice.data_version = self.rewriter.views.data_version
+        return choice
+
     def plan(self, query: TreePattern) -> PlanChoice:
         """Search, lower and rank all rewritings of ``query``."""
-        outcome = self.rewriter.rewrite(query)
-        return PlanChoice(query, self.rank(outcome), outcome.statistics)
+        return self.choose(query, self.rewriter.rewrite(query))
+
+    def current(self, choice: PlanChoice) -> PlanChoice:
+        """``choice`` as :meth:`plan` would rank it now, without a search.
+
+        Which rewritings exist does not depend on instance counts; their
+        costs — and the pushdown decisions priced with them — do.  A
+        choice ranked under an older ``views.data_version`` is therefore
+        re-ranked from its own rewritings, taken in search order so ties
+        break as a fresh plan's would; one ranked under the current one
+        is returned as is.  Only valid while ``views.version`` has not
+        moved since the search (the caller's cache key).
+        """
+        if choice.data_version == self.rewriter.views.data_version:
+            return choice
+        ordered = sorted(choice.alternatives, key=lambda planned: planned.search_order)
+        rewritings = [planned.rewriting for planned in ordered]
+        return self.choose(
+            choice.query, RewriteOutcome(choice.query, rewritings, choice.statistics)
+        )
 
     def best_plan(self, query: TreePattern) -> PlannedRewriting:
         """The minimum-cost rewriting (raises when none exists)."""

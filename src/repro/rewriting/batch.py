@@ -11,7 +11,9 @@ fast path (catalog + memo, PR 1) stays exactly as it was; with ``workers >
    exactly once per worker — the same snapshot file every worker maps,
    which is the whole point of the versioned save/load format.  The pool
    survives across :meth:`BatchEngine.run` calls (recycled only when the
-   view set, the config, the worker count or the memo switches change) and
+   view set or its data — ``views.data_version``: the snapshot carries
+   the statistics workers price plans with — the config, the worker count
+   or the memo switches change) and
    is released by :meth:`BatchEngine.close` — request-per-batch callers
    such as ``Database.query_many`` pay worker start-up once, not per batch,
 3. deals queries round-robin into ``workers`` shards (queries are
@@ -22,7 +24,7 @@ fast path (catalog + memo, PR 1) stays exactly as it was; with ``workers >
 
 With ``run(..., execute=True)`` the workers additionally *plan and execute*
 the cheapest rewriting: the engine publishes every materialised extent to
-shared memory once per view-set version
+shared memory once per ``views.data_version``
 (:class:`~repro.views.extent_store.ExtentStore`), workers attach the
 segments by manifest — no extent is ever copied per worker or per task —
 and each shard streams its result relations back through the same columnar
@@ -301,12 +303,12 @@ class BatchEngine:
         later runs or other processes.
 
     The snapshot is *reused across runs*: each save is keyed on the view
-    set's ``version`` counter, so repeated :meth:`run` calls against an
-    unchanged view set pay the (potentially large) ``ViewCatalog.save``
+    set's ``data_version`` counter, so repeated :meth:`run` calls against
+    an unchanged view set pay the (potentially large) ``ViewCatalog.save``
     exactly once — the fixed-cost amortisation ``Rewriter.rewrite_many``
-    relies on when it caches its engine.  Mutating the view set bumps the
-    version, which both rebuilds the rewriter's catalog and forces a fresh
-    snapshot here.
+    relies on when it caches its engine.  View DDL and document mutations
+    bump it (the snapshot holds the statistics plans are priced with, so
+    a data-only write outdates it too) and force a fresh snapshot here.
 
     A rewriter constructed with ``use_catalog=False`` has no snapshot to
     share, so :meth:`run` degrades to the sequential loop regardless of
@@ -361,11 +363,11 @@ class BatchEngine:
     def _ensure_snapshot(self, path: Path) -> None:
         """Save the catalog snapshot unless the saved one is still current.
 
-        Currency is keyed on ``views.version`` (the same counter that
-        invalidates the rewriter's in-memory catalog), so the second and
-        later runs over an unmutated view set skip the save entirely.
+        Currency is keyed on ``views.data_version`` (the snapshot carries
+        the catalog's statistics, which follow the data), so the second
+        and later runs over an unmutated view set skip the save entirely.
         """
-        version = self.rewriter.views.version
+        version = self.rewriter.views.data_version
         if self._snapshot_version == version and path.exists():
             return
         self.rewriter.catalog.save(path)
@@ -384,7 +386,8 @@ class BatchEngine:
         ``Database.query_many``) pay the process spawn and the per-worker
         catalog load once, not once per batch.  The key captures everything
         the workers were primed with by the initializer — worker count,
-        snapshot version (view-set mutations invalidate the loaded catalog),
+        snapshot version (DDL and document mutations outdate the loaded
+        catalog and its statistics),
         the search config, both memo switches, and the extent manifest the
         workers may attach for execution (keyed by store token and published
         version) — so a change in any of them recycles the pool instead of
@@ -504,7 +507,7 @@ class BatchEngine:
         With ``execute=True`` each worker also *plans and executes* the
         cheapest rewriting over the shared extent store and the caller gets
         :class:`QueryExecution` objects: extents are published to shared
-        memory once per view-set version (:meth:`ExtentStore.publish`),
+        memory once per data version (:meth:`ExtentStore.publish`),
         workers attach them by manifest, and result relations stream back
         shard by shard through the columnar codec — end-to-end parallel
         query answering with no per-worker extent copies.
@@ -529,7 +532,7 @@ class BatchEngine:
             manifest = self._ensure_store().publish(self.rewriter.views)
         elif (
             self._store is not None
-            and self._store.version == self.rewriter.views.version
+            and self._store.version == self.rewriter.views.data_version
         ):
             # a rewrite-only batch between execute batches: keep the warm
             # execute-capable pool instead of recycling on manifest identity

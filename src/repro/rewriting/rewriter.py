@@ -133,9 +133,10 @@ class Rewriter:
     def catalog(self) -> Optional["ViewCatalog"]:
         """The shared view catalog (built on first use, None when disabled).
 
-        Rebuilt automatically when the underlying :class:`ViewSet` has been
-        mutated since the catalog was built (detected via its version
-        counter)."""
+        Rebuilt automatically when the underlying :class:`ViewSet`'s
+        *definition* version moved since the catalog was built or last
+        patched (``views.version``: view DDL, or a document mutation that
+        changed the summary's shape or flags)."""
         if not self.use_catalog:
             return None
         if self._catalog is not None and self._catalog_version != self.views.version:
@@ -161,7 +162,8 @@ class Rewriter:
         the one new entry is built and the inverted indexes are patched in
         place (:meth:`ViewCatalog.add_view`).  Derived consumers — the
         planner's cost model and the batch engine's snapshot — key on
-        ``views.version`` and refresh themselves from the *patched* catalog.
+        ``views.data_version`` and refresh themselves from the *patched*
+        catalog.
         No-op when the catalog was never built (nothing to patch).
         """
         if self._catalog is not None:
@@ -189,8 +191,8 @@ class Rewriter:
         * the mutation only moved instance counts
           (``delta.preserves_annotations``): every catalog entry — the
           annotated prototypes, the inverted summary-path indexes — is
-          still exact, so only the cached statistics are re-synced, in
-          place, and the catalog adopts the bumped ``views.version``
+          still exact and ``views.version`` did not move, so only the
+          cached statistics are re-synced, in place
           (``entry_build_count`` stays flat: the PR 4 observable);
         * the mutation changed the summary's shape or edge flags: entry
           annotations and the summary index may now be wrong, so the whole
@@ -201,7 +203,6 @@ class Rewriter:
             return
         if delta is not None and delta.preserves_annotations:
             self._catalog.resync_statistics(changed_views)
-            self._catalog_version = self.views.version
         else:
             self.invalidate_catalog()
 
@@ -269,7 +270,7 @@ class Rewriter:
         :class:`~repro.rewriting.batch.BatchEngine`: every worker loads the
         same persisted catalog snapshot once, and the workers' containment
         memos are merged back afterwards.  The engine is kept across calls,
-        and it re-saves the snapshot only when the view set's version
+        and it re-saves the snapshot only when the view set's data version
         changed — so batch number two of a request-per-batch caller skips
         the snapshot cost entirely.  Results are plan-for-plan identical
         to the sequential path up to generated alias numbering (see the

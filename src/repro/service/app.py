@@ -406,7 +406,7 @@ class ServiceApp:
                         404, "unknown-view", f"unknown view {request.name!r}"
                     ) from exc
                 body = {"op": "drop_view", "view": request.name}
-            body["views_version"] = self.database.views.version
+            body["views_version"] = self.database.views.data_version
         return body
 
     def _handle_ingest(self, payload, span) -> dict:
@@ -421,7 +421,7 @@ class ServiceApp:
             else:
                 detached = self.database.delete_subtree(request.dewey)
                 body = {"op": "delete", "dewey": str(detached.dewey)}
-            body["views_version"] = self.database.views.version
+            body["views_version"] = self.database.views.data_version
             body["maintenance"] = dict(self.database.maintenance_stats)
         return body
 
@@ -433,7 +433,7 @@ class ServiceApp:
                 if self.database.document is not None
                 else None,
                 "views": len(self.database.views),
-                "views_version": self.database.views.version,
+                "views_version": self.database.views.data_version,
             }
 
     def _handle_metrics(self, payload, span) -> str:
@@ -490,7 +490,7 @@ class ServiceApp:
         gauge(
             "service_views_version",
             "View-set version (bumps on DDL and document mutation).",
-        ).set(snapshot["views"]["version"])
+        ).set(snapshot["views"]["data_version"])
         gauge(
             "service_worker_pool_workers",
             "Batch-engine worker pool size (0 when no pool is alive).",

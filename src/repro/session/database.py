@@ -32,8 +32,10 @@ single entry point so callers stop hand-wiring ``build_summary`` +
   query answering;
 * **plan cache** — :meth:`Database.query` consults a fingerprint-keyed
   :class:`PlanCache` (canonical pattern key → planned choice, invalidated
-  on view DDL), so unprepared callers repeating a query skip the rewriting
-  search entirely.
+  on view DDL and on a document mutation that changes the summary's shape
+  or flags), so unprepared callers repeating a query skip the rewriting
+  search entirely — across data-only writes too, where a hit is merely
+  re-ranked under the new statistics.
 """
 
 from __future__ import annotations
@@ -94,9 +96,17 @@ class PlanCache:
     re-parses, renamed patterns and structurally identical queries all hit
     — and the whole cache invalidates when ``views.version`` bumps (a plan
     over dropped views must never run; same counter the catalog and the
-    prepared queries watch).  LRU-bounded; hit/miss/invalidation counters
-    stay cumulative across invalidations so they remain meaningful
-    observables for benchmarks.
+    prepared queries watch).  That is the *definition* version: it moves
+    on view DDL and on a document mutation that changed the summary's
+    shape or edge flags, and stays put across a write that only moved
+    instance counts — the rewritings of a query cannot have changed then,
+    and a plan names its views, so a cached plan scans the current
+    extents.  What a data-only write can change is the cost *order* of
+    the cached alternatives; :meth:`Database.plan_query` re-ranks a hit
+    that was priced under an older ``views.data_version`` and stores the
+    result back.  LRU-bounded; hit/miss/invalidation counters stay
+    cumulative across invalidations so they remain meaningful observables
+    for benchmarks.
     """
 
     def __init__(self, maxsize: int = 256):
@@ -166,10 +176,12 @@ class PreparedQuery:
     Preparation runs the full front half of the pipeline — rewriting search,
     lowering every alternative to a costed logical plan, ranking — and pins
     the chosen plan; :meth:`run` only executes it.  The plan is keyed to the
-    database's view-set version: view DDL after preparation transparently
-    re-plans on the next use (the prepared query never serves a plan over
-    views that no longer exist), and :attr:`times_planned` counts how often
-    that actually happened.
+    database's view-set version: view DDL (or a shape-changing document
+    mutation) after preparation transparently re-plans on the next use (the
+    prepared query never serves a plan over views that no longer exist), and
+    :attr:`times_planned` counts how often that actually happened.  A
+    data-only write re-ranks the alternatives already found, without a
+    search.
 
     Instances come from :meth:`Database.prepare`; constructing one raises
     :class:`~repro.errors.RewritingError` when the query has no equivalent
@@ -189,9 +201,11 @@ class PreparedQuery:
     # ------------------------------------------------------------------ #
     def _ensure_planned(self) -> None:
         version = self._database.views.version
+        planner = self._database.planner
         if self._choice is not None and self._version == version:
+            self._choice = planner.current(self._choice)
             return
-        choice = self._database.planner.plan(self.query)
+        choice = planner.plan(self.query)
         if not choice.found:
             raise RewritingError(
                 f"query {self.query.name!r} has no equivalent rewriting over "
@@ -553,9 +567,10 @@ class Database:
         is appended to the attached change log (if any), and every piece
         of derived state is maintained: summary counters, materialised
         extents (by ordered Dewey splice where eligible — see
-        :mod:`repro.views.delta`), catalog statistics, and the version
-        counter every cache and pool keys on.  Returns the attached
-        subtree root.
+        :mod:`repro.views.delta`), catalog statistics, and the view set's
+        two version counters — ``data_version`` always, ``version`` (the
+        one cached plans key on) only when the summary's shape or flags
+        changed.  Returns the attached subtree root.
         """
         document = self._require_document()
         parent_node = self._resolve_node(parent)
@@ -627,17 +642,25 @@ class Database:
         for view in self.views:
             if not view.is_materialized:
                 continue
+            before = view.relation
             status = view.apply_delta(document, change)
             stats[
                 "delta_applied" if status == "delta" else "rematerialized"
             ] += 1
-            changed_views.append(view)
-        # one version bump invalidates every consumer (plan cache, prepared
-        # queries, batch snapshot + pool, extent store guard) ...
-        self.views.touch()
-        # ... and then the catalog refreshes against the *new* version:
-        # statistics re-synced in place when the summary's shape and flags
-        # survived, dropped for rebuild otherwise
+            if view.relation is not before:
+                changed_views.append(view)
+        # every consumer of the stored rows (extent store guard, batch
+        # snapshot + pool, cost model, the rank of cached plans) sees the
+        # data version move; the consumers of the definitions (plan cache,
+        # prepared queries, catalog) see theirs move only when the
+        # summary's shape or flags did — no rewriting can have appeared or
+        # gone otherwise
+        self.views.touch(
+            definitions_changed=delta is None or not delta.preserves_annotations
+        )
+        # the catalog then refreshes: statistics re-synced in place (only
+        # the touched extents re-observed) when the annotations survived,
+        # dropped for rebuild otherwise
         self._rewriter.notify_document_changed(delta, changed_views)
 
     # ------------------------------------------------------------------ #
@@ -803,11 +826,15 @@ class Database:
 
         The query's canonical fingerprint
         (:func:`~repro.canonical.hashing.pattern_key`) is looked up in
-        :attr:`plan_cache` first: a hit skips the rewriting search and the
-        planner entirely.  A miss plans as before and caches the found
-        choice.  The cache is keyed to ``views.version``, so view DDL can
-        never serve a stale plan; queries with *no* rewriting are not
-        cached (they raise, and a later DDL might make them answerable).
+        :attr:`plan_cache` first: a hit skips the rewriting search.  A
+        miss plans as before and caches the found choice.  The cache is
+        keyed to ``views.version`` — the definition version — so view DDL
+        or a shape-changing mutation can never serve a stale plan, while a
+        data-only write keeps every entry: a hit ranked before the write
+        is re-ranked from its own rewritings
+        (:meth:`~repro.planning.planner.Planner.current`) and stored
+        back.  Queries with *no* rewriting are not cached (they raise, and
+        a later DDL might make them answerable).
 
         This is the planning half of :meth:`query`, exposed so out-of-core
         callers — above all the HTTP service tier — can time and trace the
@@ -816,7 +843,7 @@ class Database:
         pattern = self._as_pattern(query, name)
         version = self.views.version
         fingerprint = pattern_key(pattern)
-        choice = self._plan_cache.lookup(fingerprint, version)
+        choice = self._cached_choice(fingerprint, version)
         if choice is None:
             choice = self._planner.plan(pattern)
             if not choice.found:
@@ -824,6 +851,16 @@ class Database:
                     f"query {pattern.name!r} has no equivalent rewriting over "
                     f"views {sorted(self.views.names)}"
                 )
+            self._plan_cache.store(fingerprint, version, choice)
+        return choice
+
+    def _cached_choice(self, fingerprint: tuple, version: int) -> Optional[PlanChoice]:
+        """A plan-cache hit, re-ranked (and stored back) if a write outdated it."""
+        cached = self._plan_cache.lookup(fingerprint, version)
+        if cached is None:
+            return None
+        choice = self._planner.current(cached)
+        if choice is not cached:
             self._plan_cache.store(fingerprint, version, choice)
         return choice
 
@@ -924,7 +961,7 @@ class Database:
         # the sequential path consults the plan cache exactly like
         # :meth:`query`: repeated workloads (benchmark reps, dashboard
         # refreshes) skip the rewriting search for every query they have
-        # planned before at this view-set version.  With ``workers > 1``
+        # planned before at this definition version.  With ``workers > 1``
         # the batch engine is consulted unconditionally — keeping the
         # persistent pool alive across calls is part of its contract
         version = self.views.version
@@ -932,7 +969,7 @@ class Database:
         cached: list[Optional[PlanChoice]]
         if workers == 1:
             cached = [
-                self._plan_cache.lookup(fingerprint, version)
+                self._cached_choice(fingerprint, version)
                 for fingerprint in fingerprints
             ]
         else:
@@ -957,7 +994,7 @@ class Database:
                         f"query {pattern.name!r} has no equivalent rewriting over "
                         f"views {sorted(self.views.names)}"
                     )
-                choice = PlanChoice(pattern, self._planner.rank(outcome), outcome.statistics)
+                choice = self._planner.choose(pattern, outcome)
                 self._plan_cache.store(fingerprints[position], version, choice)
                 for duplicate in pending[fingerprints[position]]:
                     cached[duplicate] = choice
@@ -1021,6 +1058,7 @@ class Database:
             "views": {
                 "count": len(self.views),
                 "version": self.views.version,
+                "data_version": self.views.data_version,
                 "materialized": sum(
                     1 for view in self.views if view.is_materialized
                 ),

@@ -20,24 +20,45 @@ two runs above.  Optional edges at or above ``n_i`` are excluded by the
 eligibility gate (they could pin rows at ``⊥``); optional edges *below*
 ``n_i`` are fine (their support still sits in ``subtree(v)``).
 
+**Leaf-pinned chains skip the ancestor runs.**  When the pinning node is
+the *last* node of the chain (every two-node ``root(//tag[ID,V])`` seed
+view), no pattern node maps below ``v``: the support of a row is
+``rootpath(v)`` alone, and its cells are the own ``ID`` / ``L`` / ``V`` of
+nodes on that path (a ``C`` cell is the live node itself).  A change at
+``D`` strictly below ``v`` adds, removes and alters no node of
+``rootpath(v)`` — Dewey IDs are never renumbered, labels and values are
+per node — so it can neither add, drop nor alter a row pinned at ``v``:
+a stored tuple's meaning is decided by the IDs it holds.  Such a view
+pays for the subtree range only, however large the region its ancestors
+span.  Chains with pattern nodes below the pin still recompute one run
+per matching ancestor (a new descendant can complete or multiply an
+embedding).
+
 Each affected run is recomputed by evaluating the pattern over a **pruned
 clone** of the document — the root path to the pinning node plus its
 subtree, with Dewey IDs and rooted paths copied verbatim — and spliced
 back in place.  Work is proportional to the affected region, not the
 document; :func:`apply_subtree_delta` falls back (returns ``None``) when
-the gate fails or when the affected region grows past half the document,
-and :meth:`~repro.views.view.MaterializedView.apply_delta` then simply
-rematerialises.  Both paths are row-identical — the stateful property
-harness in ``tests/property`` drives random mutation interleavings
-against a rebuild oracle to prove it.
+the gate fails or when the regions to re-evaluate grow past half the
+document (counted lazily: the walk stops at the limit), and
+:meth:`~repro.views.view.MaterializedView.apply_delta` then simply
+rematerialises.  A change the view cannot see hands back the *same*
+relation object.  When the old extent carries a cached column batch, the
+new one is built by the same splice
+(:meth:`~repro.algebra.columnar.ColumnBatch.spliced`), so the first scan
+after a write finds warm value and key vectors.  All paths are
+row-identical — the stateful property harnesses in ``tests/property``
+drive random mutation interleavings against a rebuild oracle to prove it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 from typing import TYPE_CHECKING, Optional
 
+from repro.algebra.columnar import splice_runs
 from repro.algebra.tuples import Relation
 from repro.patterns.embedding import EmbeddingMode, _node_matches
 from repro.patterns.pattern import PatternNode
@@ -197,7 +218,6 @@ def apply_subtree_delta(
     # splices: (lo, hi, replacement rows), disjoint, computed on the
     # original row list
     splices: list[tuple[int, int, list[tuple]]] = []
-    region_nodes = 0
 
     # 1. the subtree range [D, D⁺): everything pinned inside the change
     components = change.root.components
@@ -205,7 +225,6 @@ def apply_subtree_delta(
     hi = bisect_left(rows, components[:-1] + (components[-1] + 1,), key=key)
     if change.kind == "insert":
         subtree = document.node_by_id(change.root)
-        region_nodes += subtree.subtree_size()
         fresh = _region_rows(view, document, subtree)
         replacement = [
             _repatriate(row, document)
@@ -214,31 +233,39 @@ def apply_subtree_delta(
         ]
     else:
         # a deleted range has no nodes left to pin rows on
+        subtree = None
         replacement = []
     if lo != hi or replacement:
         splices.append((lo, hi, replacement))
 
-    # 2. one equal-ID run per strict ancestor the pinning node can match
-    for depth in range(1, len(components)):
-        ancestor_id = DeweyID(components[:depth])
-        ancestor = document.node_by_id(ancestor_id)
-        if not _node_matches(pin, ancestor, EmbeddingMode.DOCUMENT):
-            continue
-        region_nodes += ancestor.subtree_size()
-        if region_nodes > _REGION_FRACTION_LIMIT * document.size:
-            return None  # the "delta" covers most of the document
-        run_lo = bisect_left(rows, ancestor_id.components, key=key)
-        run_hi = run_lo
-        while run_hi < len(rows) and rows[run_hi][index] == ancestor_id:
-            run_hi += 1
-        fresh = _region_rows(view, document, ancestor)
-        replacement = [
-            _repatriate(row, document)
-            for row in fresh.rows
-            if row[index] == ancestor_id
-        ]
-        if run_lo != run_hi or replacement:
-            splices.append((run_lo, run_hi, replacement))
+    # 2. one equal-ID run per strict ancestor the pinning node can match —
+    # only when pattern nodes hang below the pin (see the module notes)
+    if pin_index < len(chain) - 1:
+        # nodes the regions may still cover before rebuilding is cheaper
+        budget = int(_REGION_FRACTION_LIMIT * document.size)
+        if subtree is not None:
+            budget -= subtree.subtree_size()
+        for depth in range(1, len(components)):
+            ancestor_id = DeweyID(components[:depth])
+            ancestor = document.node_by_id(ancestor_id)
+            if not _node_matches(pin, ancestor, EmbeddingMode.DOCUMENT):
+                continue
+            region = sum(1 for _ in islice(ancestor.iter_subtree(), max(budget, 0) + 1))
+            if region > budget:
+                return None  # the "delta" covers most of the document
+            budget -= region
+            run_lo = bisect_left(rows, ancestor_id.components, key=key)
+            run_hi = run_lo
+            while run_hi < len(rows) and rows[run_hi][index] == ancestor_id:
+                run_hi += 1
+            fresh = _region_rows(view, document, ancestor)
+            replacement = [
+                _repatriate(row, document)
+                for row in fresh.rows
+                if row[index] == ancestor_id
+            ]
+            if run_lo != run_hi or replacement:
+                splices.append((run_lo, run_hi, replacement))
 
     if not splices:
         return relation  # nothing this view can see changed
@@ -247,16 +274,12 @@ def apply_subtree_delta(
     # re-sorted stably so equal-ID rows keep their generation order —
     # the same order a full rematerialisation's stable sort yields)
     splices.sort(key=lambda s: s[0])
-    patched: list[tuple] = []
-    cursor = 0
-    for lo, hi, replacement in splices:
-        patched.extend(rows[cursor:lo])
-        replacement.sort(key=lambda row: row[index].components)
-        patched.extend(replacement)
-        cursor = hi
-    patched.extend(rows[cursor:])
-
+    for _, _, replacement in splices:
+        replacement.sort(key=key)
     result = Relation(relation.columns)
-    result.rows = patched
+    result.rows = splice_runs(rows, splices)
     result.sorted_by = relation.sorted_by
+    batch = getattr(relation, "_column_batch", None)
+    if batch is not None:
+        batch.spliced(splices, result)
     return result

@@ -5,7 +5,7 @@ catalog snapshots workers load — rewriting only needs the view definitions.
 Executing the chosen plans in the workers needs the extents too, and
 shipping them per task (or per worker) would copy megabytes of rows through
 pickle for every batch.  The :class:`ExtentStore` instead publishes each
-materialised extent **once per view-set version** into a
+materialised extent **once per data version of the view set** into a
 :mod:`multiprocessing.shared_memory` segment, in a self-describing columnar
 byte layout (:func:`encode_relation`), and hands workers a tiny picklable
 :class:`ExtentManifest` naming the segments.  Workers attach segments by
@@ -15,13 +15,15 @@ lazily, at most once per worker per version.
 Three contracts matter:
 
 * **publish-once / diff publishing** — :meth:`ExtentStore.publish` is
-  keyed on ``views.version`` (the same counter that invalidates the
-  rewriter's catalog and the batch engine's snapshot); republishing an
-  unchanged view set returns the cached manifest without touching shared
-  memory.  A *new* version re-encodes only the views whose
-  :attr:`~repro.views.view.MaterializedView.extent_version` moved since
-  their last encode — after DDL that is the one view added, after an
-  incremental document update only the views the delta actually touched.
+  keyed on ``views.data_version`` (the counter every DDL and every
+  document mutation moves; the batch engine's snapshot follows the same
+  one); republishing an unchanged view set returns the cached manifest
+  without touching shared memory.  A *new* version re-encodes only the
+  views whose :attr:`~repro.views.view.MaterializedView.extent_version`
+  moved since their last encode — after DDL that is the one view added,
+  after an incremental document update only the views the delta actually
+  touched (plus those storing content references, whose encoded subtrees
+  may have changed under unchanged rows).
   :attr:`ExtentStore.publish_count` counts view-segment encodes over the
   store's lifetime, so tests can assert "exactly once per extent change".
 * **stale rejection** — diff publishing keeps unchanged segments alive
@@ -139,7 +141,7 @@ class ExtentManifest:
 
     ``segments`` maps each materialised view to its shared-memory segment
     name and payload length; ``token`` identifies the publishing store and
-    ``version`` the ``views.version`` the extents were published under —
+    ``version`` the ``views.data_version`` the extents were published under —
     together they key the worker-side attachment cache."""
 
     token: str
@@ -260,7 +262,7 @@ class ExtentStore:
     # ------------------------------------------------------------------ #
     @property
     def version(self) -> Optional[int]:
-        """The ``views.version`` of the currently published extents."""
+        """The ``views.data_version`` of the currently published extents."""
         return self._version
 
     @property
@@ -305,7 +307,7 @@ class ExtentStore:
             pass
 
     def publish(self, views: ViewSet) -> ExtentManifest:
-        """Publish every materialised extent, keyed on ``views.version``.
+        """Publish every materialised extent, keyed on ``views.data_version``.
 
         Unchanged versions return the cached manifest without touching
         shared memory.  A new version publishes a *diff*: only views whose
@@ -319,7 +321,7 @@ class ExtentStore:
         """
         if self._refs <= 0:
             raise ExtentStoreError("cannot publish through a released extent store")
-        version = views.version
+        version = views.data_version
         if self._manifest is not None and self._version == version:
             return self._manifest
         entries: list[tuple[str, str, int]] = []
@@ -509,7 +511,7 @@ class AttachedExtents:
             if guard is not None:
                 guard.close()
             raise StaleExtentError(
-                f"extent manifest for views.version={manifest.version} is "
+                f"extent manifest for views.data_version={manifest.version} is "
                 f"stale: segment {exc.filename or ''!r} was unpublished "
                 f"(a newer publish superseded it, or the store was released)"
             ) from exc

@@ -17,23 +17,45 @@ class ViewSet:
     The store is handed directly to :class:`~repro.algebra.execution.PlanExecutor`
     (it resolves view names used by ``ViewScan`` operators) and to the
     rewriting algorithm (which iterates over the view definitions).
+
+    Two counters tell consumers of derived state what went stale.  A
+    rewriting is a function of the query, the view *definitions* and the
+    summary — never of the instance counts — so what is derived from
+    definitions (the catalog, cached plans, prepared queries) watches
+    :attr:`version`, and what is derived from the stored rows (published
+    extents, catalog snapshots with their statistics, the planner's cost
+    model, the rank of a cached plan) watches :attr:`data_version`.
     """
 
     def __init__(self, views: Iterable[MaterializedView] = ()):
         self._views: dict[str, MaterializedView] = {}
         self._version = 0
+        self._data_version = 0
         for view in views:
             self.add(view)
 
     # ------------------------------------------------------------------ #
     @property
     def version(self) -> int:
-        """Mutation counter; bumps on every add / remove.
+        """The *definition* version: which rewritings exist may have changed.
 
-        Consumers holding derived state over the set — above all the
-        :class:`~repro.views.catalog.ViewCatalog` cached by ``Rewriter`` —
-        compare versions to detect that their state is stale."""
+        Moves on every add / remove and on a document mutation that
+        changed the summary's shape or edge flags
+        (``touch(definitions_changed=True)``); stays put across a write
+        that only moved instance counts.  The
+        :class:`~repro.views.catalog.ViewCatalog` cached by ``Rewriter``,
+        the plan cache and prepared queries compare it to detect that
+        their state is stale."""
         return self._version
+
+    @property
+    def data_version(self) -> int:
+        """The *data* version: some extent, count or statistic may have changed.
+
+        Moves on every add / remove / :meth:`touch` — so it moves whenever
+        :attr:`version` does.  The shared extent store, the batch engine's
+        snapshot and pool, and the planner's cost model key on it."""
+        return self._data_version
 
     def add(self, view: MaterializedView) -> MaterializedView:
         """Add a view; names must be unique within the set."""
@@ -41,24 +63,30 @@ class ViewSet:
             raise ReproError(f"a view named {view.name!r} already exists")
         self._views[view.name] = view
         self._version += 1
+        self._data_version += 1
         return view
 
     def remove(self, name: str) -> None:
         """Remove a view by name."""
         if self._views.pop(name, None) is not None:
             self._version += 1
+            self._data_version += 1
 
-    def touch(self) -> int:
-        """Bump the version without changing membership; returns it.
+    def touch(self, definitions_changed: bool = False) -> int:
+        """Record a document mutation; returns the new :attr:`data_version`.
 
         The live-document hook: a subtree insert or delete changes view
-        *extents* (not the view set), but every consumer keyed on the
-        version counter — plan cache, prepared queries, batch snapshots,
-        worker pools, the shared extent store — must still notice.  One
-        bump invalidates them all.
+        *extents* (not the view set), so :attr:`data_version` always
+        moves.  :attr:`version` moves with it only when the caller says
+        the mutation could have changed which rewritings exist — the
+        summary gained or lost a path, an edge flag flipped, or the
+        summary had to be rebuilt; a count-only write leaves every cached
+        plan in place.
         """
-        self._version += 1
-        return self._version
+        self._data_version += 1
+        if definitions_changed:
+            self._version += 1
+        return self._data_version
 
     def materialize_all(self, document: XMLDocument) -> None:
         """Materialise every view in the set over ``document``.

@@ -166,17 +166,29 @@ class MaterializedView:
         rematerialised.  Returns ``"delta"`` or ``"rematerialized"`` so
         callers can observe which path ran.  Either way the result is
         row-identical to ``materialize(document)``.
+
+        A change this view cannot see leaves :attr:`relation` the very
+        same object — that identity is how callers tell which extents a
+        write touched — and :attr:`extent_version` where it was, unless
+        the extent holds content references: a stored node is the live
+        document's, so its *encoded* subtree may have changed under rows
+        that did not.
         """
         from repro.views.delta import apply_subtree_delta
 
         if self._relation is not None:
             patched = apply_subtree_delta(self, document, change)
             if patched is not None:
+                if patched is not self._relation or self._holds_nodes():
+                    self._extent_version += 1
                 self._relation = patched
-                self._extent_version += 1
                 return "delta"
         self.materialize(document)
         return "rematerialized"
+
+    def _holds_nodes(self) -> bool:
+        """Whether some top-level column stores document nodes (``C`` / bare)."""
+        return any(column.kind in ("C", "NODE") for column in self._relation.columns)
 
     @property
     def relation(self) -> Relation:

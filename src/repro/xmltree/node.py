@@ -133,7 +133,13 @@ class XMLNode:
 
     def subtree_size(self) -> int:
         """Number of nodes in the subtree rooted at this node."""
-        return sum(1 for _ in self.iter_subtree())
+        count = 0
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            count += 1
+            stack.extend(node.children)
+        return count
 
     def text_content(self) -> str:
         """Concatenation of all values in the subtree, in document order."""

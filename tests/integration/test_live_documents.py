@@ -30,15 +30,18 @@ from repro import (
     Database,
     XMLNode,
     build_summary,
-    encode_subtree,
+    evaluate_pattern,
     parse_parenthesized,
+    parse_pattern,
     to_parenthesized,
 )
-from repro.algebra import Relation
+from repro.rewriting import RewritingConfig
 from repro.views.extent_store import AttachedExtents, StaleExtentError
+from repro.workloads import XMARK_QUERY_PATTERNS, seed_tag_views
 from repro.workloads.dblp import generate_dblp_document
 from repro.workloads.xmark import generate_xmark_document
-from repro.xmltree.ids import DeweyID
+
+from support.rebuild_oracle import normalize
 
 DOC_TEXT = (
     'site(regions(asia(item(name="pen" quantity=2) item(name="ink")))'
@@ -46,19 +49,6 @@ DOC_TEXT = (
 )
 ITEM_QUERY = "site(//item[ID](/name[V]))"
 NAME_QUERY = "site(//name[ID,V])"
-
-
-def _normalize(relation):
-    def cell(value):
-        if isinstance(value, Relation):
-            return _normalize(value)
-        if isinstance(value, XMLNode):
-            return ("node", str(value.dewey), encode_subtree(value))
-        if isinstance(value, DeweyID):
-            return ("id", str(value))
-        return value
-
-    return [tuple(cell(c) for c in row) for row in relation.rows]
 
 
 def _scripted_session(tmp_path, checkpoint=True):
@@ -98,7 +88,7 @@ def _assert_equivalent(live, recovered):
     }
     assert set(live.views.names) == set(recovered.views.names)
     for query in (ITEM_QUERY, "site(/people(/person[ID](/name[V])))"):
-        assert _normalize(live.query(query)) == _normalize(recovered.query(query))
+        assert normalize(live.query(query)) == normalize(recovered.query(query))
 
 
 # --------------------------------------------------------------------------- #
@@ -209,6 +199,54 @@ def test_mutation_supersedes_published_extents(tmp_path):
 
 
 # --------------------------------------------------------------------------- #
+# a write costs what it changes — the count floor behind ``xmark_live``
+# --------------------------------------------------------------------------- #
+def test_a_data_only_write_block_rematerializes_and_searches_nothing():
+    """Insert + 7 reads + delete + 7 reads on the XMark seed views.
+
+    Counts, not times: no view is rematerialised (every seed view is
+    leaf-pinned, so the one-row ``seed_regions`` extent above the insert
+    point is left alone), no rewriting search runs, and all fourteen reads
+    are plan-cache hits.
+    """
+    document = generate_xmark_document(scale=1.0, seed=548, name="xmark-live")
+    config = RewritingConfig(
+        max_rewritings=2, max_plan_size=3, enable_unions=False, time_budget_seconds=None
+    )
+    queries = [
+        parse_pattern(XMARK_QUERY_PATTERNS[name], name=name)
+        for name in ("Q1", "Q2", "Q4", "Q5", "Q6", "Q18", "Q19")
+    ]
+    with Database(document, config=config) as db:
+        labels = {node.label for query in queries for node in query.nodes()}
+        for view in seed_tag_views(db.summary):
+            if view.root.children[0].label in labels:
+                db.create_view(view, name=view.name)
+        assert "seed_regions" in db.views
+
+        def reads():
+            answers = [db.query(query) for query in queries]
+            for query, answer in zip(queries, answers):
+                assert answer.same_contents(evaluate_pattern(query, document))
+            return [len(answer) for answer in answers]
+
+        sizes = reads()
+        searches = db.rewriter.search_totals["searches"]
+        hits = db.plan_cache.info()["hits"]
+        asia = document.nodes_on_path("/site/regions/asia")[0]
+        # a copy of an existing item: counts move, shape and flags do not
+        node = db.insert_subtree(asia, asia.children[0].copy())
+        grown = reads()
+        db.delete_subtree(node)
+        assert reads() == sizes
+        assert grown != sizes and all(g >= s for g, s in zip(grown, sizes))
+        assert db.maintenance_stats["rematerialized"] == 0
+        assert db.maintenance_stats["delta_applied"] == 2 * len(db.views)
+        assert db.rewriter.search_totals["searches"] == searches
+        assert db.plan_cache.info()["hits"] == hits + 14
+
+
+# --------------------------------------------------------------------------- #
 # fig13-style: the XMark workload over a replayed document
 # --------------------------------------------------------------------------- #
 @pytest.mark.slow
@@ -226,7 +264,7 @@ def test_fig13_queries_survive_log_replay(tmp_path):
     live.delete_subtree(parents[0])
     recovered = Database.recover(tmp_path / "xmark.log")
     for query in (ITEM_QUERY, "site(//keyword[ID,V])"):
-        assert _normalize(live.query(query)) == _normalize(recovered.query(query))
+        assert normalize(live.query(query)) == normalize(recovered.query(query))
     fresh = {
         n.path: (n.instance_count, n.strong, n.one_to_one)
         for n in build_summary(recovered.document).iter_nodes()
@@ -262,6 +300,6 @@ def test_fig14_queries_survive_log_replay(tmp_path):
     live.insert_subtree(articles[1], XMLNode("note", "post-checkpoint"))
     recovered = Database.recover(tmp_path / "dblp.log")
     for query in (author_query, title_query):
-        assert _normalize(live.query(query)) == _normalize(recovered.query(query))
+        assert normalize(live.query(query)) == normalize(recovered.query(query))
     live.close()
     recovered.close()

@@ -117,7 +117,7 @@ def test_fig13_extents_are_published_once_per_version(xmark_db):
     assert store.publish_count == materialised, (
         "extents must be published to shared memory exactly once per version"
     )
-    assert store.manifest.version == db.views.version
+    assert store.manifest.version == db.views.data_version
 
 
 def test_ddl_between_batches_republishes_and_stays_identical(xmark_db):

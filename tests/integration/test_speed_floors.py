@@ -221,6 +221,39 @@ def test_delta_maintenance_beats_rematerialization():
 
 
 # --------------------------------------------------------------------------- #
+# a leaf-pinned view above the change: >= 10x over rematerializing it
+# --------------------------------------------------------------------------- #
+def test_a_leaf_pinned_update_beats_rematerialization():
+    """``site(//regions[ID,V])`` holds one row, pinned at an ancestor of every
+    insert point whose subtree is most of the document: the update must cost
+    a bisect, not the ``evaluate_pattern`` (or even the subtree count) that
+    the half-document fallback used to pay."""
+    document = generate_xmark_document(scale=300.0, seed=548, name="xmark-ingest")
+    assert document.size >= 100_000
+    pattern = parse_pattern("site(//regions[ID,V])", name="regions")
+    view = MaterializedView(pattern, document, name="regions")
+    parent = document.nodes_on_path("/site/regions/asia")[0]
+    assert parent.parent.subtree_size() > 0.5 * document.size
+
+    def delta_cycle():
+        node = document.insert_subtree(parent, XMLNode("item", None, [XMLNode("name", "x")]))
+        insert = SubtreeChange("insert", node.dewey, parent.dewey)
+        assert view.apply_delta(document, insert) == "delta"
+        document.delete_subtree(node)
+        delete = SubtreeChange("delete", node.dewey, parent.dewey)
+        assert view.apply_delta(document, delete) == "delta"
+
+    before = view.relation
+    delta_cycle()
+    assert view.relation is before
+    assert _rows(view.relation) == _rows(MaterializedView(pattern, document).relation)
+    speedup = _median_seconds(lambda: view.materialize(document), reps=5) * 2 / _median_seconds(
+        delta_cycle
+    )
+    assert speedup >= 10.0, f"leaf-pinned update only {speedup:.1f}x faster than materialize"
+
+
+# --------------------------------------------------------------------------- #
 # catalog + containment memo vs the naive per-query search: >= 3x
 # --------------------------------------------------------------------------- #
 def _scaling_workload(distinct_queries, repeat):

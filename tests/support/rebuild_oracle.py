@@ -10,11 +10,27 @@ re-materialised by ``create_view`` — using public calls only.
 
 from __future__ import annotations
 
-from repro import Database
+from repro import Database, encode_subtree
+from repro.algebra import Relation
 from repro.xmltree.ids import DeweyID
 from repro.xmltree.node import XMLDocument, XMLNode
 
-__all__ = ["RebuildOracle"]
+__all__ = ["RebuildOracle", "normalize"]
+
+
+def normalize(value):
+    """A relation (or cell) in a form comparable across twin sessions.
+
+    Node cells become ``(ID, encoded subtree)``, identifiers their text,
+    relations — nested ones included — lists of row tuples.
+    """
+    if isinstance(value, Relation):
+        return [tuple(normalize(cell) for cell in row) for row in value.rows]
+    if isinstance(value, XMLNode):
+        return ("node", str(value.dewey), encode_subtree(value))
+    if isinstance(value, DeweyID):
+        return ("id", str(value))
+    return value
 
 
 class RebuildOracle:

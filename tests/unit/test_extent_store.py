@@ -180,6 +180,23 @@ def test_diff_publish_reencodes_only_changed_views(views, document):
         store.release()
 
 
+def test_publishing_follows_the_data_version_not_the_definition_version(views):
+    store = ExtentStore()
+    try:
+        old_manifest = store.publish(views)
+        definitions = views.version
+        views.touch()  # a count-only write: cached plans stay, extents do not
+        assert views.version == definitions
+        new_manifest = store.publish(views)
+        assert new_manifest is not old_manifest
+        assert new_manifest.version == store.version == views.data_version
+        with pytest.raises(StaleExtentError, match="stale"):
+            AttachedExtents.attach(old_manifest)
+        assert store.publish(views) is new_manifest
+    finally:
+        store.release()
+
+
 def test_old_manifests_go_stale_even_when_all_segments_survive(views):
     # Diff publishing reuses every view segment when nothing changed except
     # the version — the per-publish guard segment alone must reject readers

@@ -2,15 +2,18 @@
 
 Contract under test: repeated unprepared queries skip the rewriting search
 (observable through the hit counter and through the rewriter), results are
-identical to the uncached path, and any view DDL invalidates the whole
-cache before a stale plan can run.
+identical to the uncached path, and any *definition* change — view DDL, a
+document mutation that changes the summary's shape or flags — invalidates
+the whole cache before a stale plan can run, while a write that only moves
+counts keeps it (``tests/property/test_live_write_scope.py`` holds the
+served plans to a cache-less planner).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import Database, parse_parenthesized, parse_pattern
+from repro import Database, XMLNode, parse_parenthesized, parse_pattern
 from repro.errors import RewritingError
 
 
@@ -62,6 +65,39 @@ def test_view_ddl_invalidates_the_cache(database):
     assert info["invalidations"] == 1
     assert info["hits"] == 0 and info["misses"] == 2
     assert result.same_contents(baseline)
+
+
+def test_only_definition_changes_move_the_version_the_cache_keys_on(database):
+    views = database.views
+    database.query("site(//item[ID,V])")
+    seen = (views.version, views.data_version)
+
+    def moved():
+        nonlocal seen
+        before, seen = seen, (views.version, views.data_version)
+        return seen[0] - before[0], seen[1] - before[1]
+
+    database.create_view("site(//price[ID,V])", name="prices")
+    assert moved() == (1, 1)
+    database.drop_view("prices")
+    assert moved() == (1, 1)
+    database.query("site(//item[ID,V])")
+    # one more item with a name: counts only — the plan survives, and reads
+    # the new extent because it scans the view by name
+    item = database.insert_subtree(
+        database.document.root, XMLNode("item", None, [XMLNode("name", "nib")])
+    )
+    assert moved() == (0, 1)
+    assert len(database.query("site(//item[ID,V])")) == 4
+    assert database.plan_cache.info()["hits"] == 1
+    # a label the summary has not seen: a rewriting may appear or go
+    database.insert_subtree(item, XMLNode("price", 3))
+    assert moved() == (1, 1)
+    # the last price goes and takes its path along
+    database.delete_subtree(item.children[-1])
+    assert moved() == (1, 1)
+    assert len(database.query("site(//item[ID,V])")) == 4
+    assert database.plan_cache.info()["hits"] == 1, "flushed: planned afresh"
 
 
 def test_dropping_a_view_never_serves_its_plan(database):

@@ -226,7 +226,9 @@ def test_stats_aggregates_every_layer(db):
     snapshot = db.stats()
     assert snapshot["document"] == "auction"
     assert snapshot["summary"]["size"] > 0
-    assert snapshot["views"] == {"count": 1, "version": 1, "materialized": 1}
+    assert snapshot["views"] == {
+        "count": 1, "version": 1, "data_version": 1, "materialized": 1,
+    }
     assert snapshot["executor"] == "vectorized"
     assert "maintenance_mode" not in snapshot
     assert snapshot["plan_cache"]["hits"] == 0
