@@ -238,7 +238,17 @@ def _eval_concrete(
     schema: _Schema,
     id_function: Callable,
     mode: EmbeddingMode,
+    path_store=None,
 ) -> Optional[list[dict[str, object]]]:
+    """Bindings of the pattern subtree at ``tree_node``, or None on failure.
+
+    ``path_store`` is only ever given together with the document root (it
+    is not handed down), so the one step it feeds is a labelled ``//`` from
+    the root: there the candidates are the nodes on the paths ending in the
+    label, already in document order, and not the whole document.  Every
+    other step walks — children, or the context's subtree — and tests the
+    label before it recurses.
+    """
     if not _node_matches(pattern_node, tree_node, mode):
         return None
     base: dict[str, object] = {}
@@ -248,12 +258,20 @@ def _eval_concrete(
 
     for child in pattern_node.children:
         child_columns = _subtree_columns(child, schema)
+        label = None if child.label == "*" else child.label
         if child.axis is Axis.CHILD:
-            candidates = list(tree_node.children)
+            candidates = tree_node.children
+        elif path_store is not None and label is not None:
+            candidates = path_store.labelled(label)
+            if candidates and candidates[0] is tree_node:
+                del candidates[0]  # ``//`` is strict: the root is not below itself
         else:
-            candidates = list(tree_node.iter_descendants())
+            candidates = tree_node.iter_descendants()
         sub_results: list[dict[str, object]] = []
         for candidate in candidates:
+            # test the label here rather than pay a call per node
+            if label is not None and label != candidate.label:
+                continue
             result = _eval_concrete(child, candidate, schema, id_function, mode)
             if result is not None:
                 sub_results.extend(result)
@@ -297,18 +315,27 @@ def evaluate_pattern(
     document,
     id_function: Optional[Callable] = None,
     mode: EmbeddingMode = EmbeddingMode.DOCUMENT,
+    path_store=None,
 ) -> Relation:
     """Evaluate an attribute/nested/optional pattern over a document.
 
     ``document`` may be an :class:`~repro.xmltree.node.XMLDocument` or any
     tree node acting as the root.  The result is a :class:`Relation` whose
     schema is given by :func:`pattern_schema`.
+
+    Without ``path_store`` every ``//`` step walks the tree — the reference
+    semantics, which never reads the document's store.  Given the
+    document's own :class:`~repro.xmltree.paths.PathStore`, a labelled
+    ``//`` step from the root takes its candidates from the store instead;
+    rows, row order and schema are the same.
     """
     tree_root = getattr(document, "root", document)
     id_function = id_function or default_id_function
     columns, schema = pattern_schema(pattern)
     relation = Relation(columns)
-    bindings = _eval_concrete(pattern.root, tree_root, schema, id_function, mode)
+    bindings = _eval_concrete(
+        pattern.root, tree_root, schema, id_function, mode, path_store
+    )
     if bindings is None:
         return relation
     for binding in bindings:

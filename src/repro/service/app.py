@@ -288,13 +288,16 @@ class ServiceApp:
                 )
                 attach_operator_spans(execute_span, report)
         self._query_phase.observe(elapsed, {"phase": "execute"})
-        self.slow_queries.observe(
-            query_name=pattern.name,
-            fingerprint=_fingerprint_hex(pattern),
-            plan=choice.best.describe(),
-            seconds=elapsed,
-            trace_id=span.trace_id,
-        )
+        # the fingerprint (a canonical-key walk + sha256) and the plan text
+        # are only worth computing for a query the log will keep
+        if elapsed >= self.slow_queries.threshold_seconds:
+            self.slow_queries.observe(
+                query_name=pattern.name,
+                fingerprint=_fingerprint_hex(pattern),
+                plan=choice.best.describe(),
+                seconds=elapsed,
+                trace_id=span.trace_id,
+            )
         return result
 
     def _answer(self, text: str, name: Optional[str], span) -> dict:

@@ -766,8 +766,16 @@ class Database:
         return database
 
     def _replay(self, records: Iterable) -> None:
-        """Apply logged operations without re-appending them."""
+        """Apply logged operations without re-appending them.
+
+        Views the log creates are registered unmaterialised — mutations
+        skip those — and the ones that survive to the end of the log are
+        materialised once, over the final document: the extent a view
+        would have reached splice by splice is ``materialize`` of the
+        document it ends on.
+        """
         document = self._require_document()
+        deferred: dict[str, MaterializedView] = {}
         self._replaying = True
         try:
             for record in records:
@@ -789,19 +797,27 @@ class Database:
                 elif record.type == "delete":
                     self.delete_subtree(DeweyID.from_string(payload["dewey"]))
                 elif record.type == "create_view":
-                    self.create_view(
-                        payload["pattern"],
-                        name=payload["name"],
-                        materialize=payload.get("materialize", True),
+                    view = self.create_view(
+                        payload["pattern"], name=payload["name"], materialize=False
                     )
+                    if payload.get("materialize", True):
+                        deferred[view.name] = view
                 elif record.type == "drop_view":
                     self.drop_view(payload["name"])
+                    deferred.pop(payload["name"], None)
                 elif record.type in ("checkpoint", "load"):
                     continue  # fences / the starting point; nothing to apply
                 else:  # pragma: no cover - ChangeLog.read validates types
                     raise ChangeLogError(
                         f"cannot replay record type {record.type!r}"
                     )
+            for view in deferred.values():
+                view.materialize(document)
+            if deferred:
+                # extents appeared under statistics that priced these views
+                # as unmaterialised: re-derive them on next use
+                self.views.touch()
+                self._rewriter.invalidate_catalog()
         finally:
             self._replaying = False
 

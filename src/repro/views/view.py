@@ -132,7 +132,10 @@ class MaterializedView:
         (the merge join falls back to sort-then-merge, results unchanged).
         """
         relation = evaluate_pattern(
-            self.pattern, document, id_function=self._id_function
+            self.pattern,
+            document,
+            id_function=self._id_function,
+            path_store=document.path_store,
         )
         column = self.dewey_sort_column()
         if column is not None:

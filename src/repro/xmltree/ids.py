@@ -139,9 +139,15 @@ class DeweyID:
 
     def child(self, ordinal: int) -> "DeweyID":
         """Return the identifier of this node's ``ordinal``-th child."""
-        if ordinal < 1:
-            raise InvalidDeweyIDError("child ordinals are 1-based")
-        return DeweyID(self._components + (ordinal,))
+        if not isinstance(ordinal, int) or ordinal < 1:
+            raise InvalidDeweyIDError(
+                f"child ordinals are 1-based integers, got {ordinal!r}"
+            )
+        # the parent's components were validated when it was made: check the
+        # new ordinal only (a document build calls this once per node)
+        child = DeweyID.__new__(DeweyID)
+        child._components = self._components + (int(ordinal),)
+        return child
 
     def is_ancestor_of(self, other: "DeweyID") -> bool:
         """True iff this node is a *strict* ancestor of ``other``."""

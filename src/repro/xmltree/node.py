@@ -12,6 +12,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from repro.errors import XMLError
 from repro.xmltree.ids import DeweyID
+from repro.xmltree.paths import PathStore
 
 __all__ = ["XMLNode", "XMLDocument"]
 
@@ -200,16 +201,76 @@ class XMLDocument:
         """
         self._nodes_by_id.clear()
         self._max_child_ordinal: dict[DeweyID, int] = {}
-        self._assign(self.root, DeweyID.root(), "/" + self.root.label)
+        self._path_store: Optional[PathStore] = PathStore()
+        self._path_store.splice_in(
+            self._assign(self.root, DeweyID.root(), "/" + self.root.label)
+        )
 
-    def _assign(self, node: XMLNode, dewey: DeweyID, path: str) -> None:
-        node.dewey = dewey
-        node.path = path
-        self._nodes_by_id[dewey] = node
-        if node.children:
-            self._max_child_ordinal[dewey] = len(node.children)
-        for ordinal, child in enumerate(node.children, start=1):
-            self._assign(child, dewey.child(ordinal), f"{path}/{child.label}")
+    def _assign(
+        self, root: XMLNode, dewey: DeweyID, path: str
+    ) -> dict[str, list[XMLNode]]:
+        """Identify the subtree under ``root``; return its nodes by path.
+
+        One pre-order pass hands out Dewey IDs and rooted paths and
+        collects, per path, the subtree's nodes in document order — what
+        :meth:`PathStore.splice_in` takes.  A node's ``path`` is the
+        store's key string for that path (the one already in the store, if
+        the path is known), never a fresh string per node.
+        """
+        by_id = self._nodes_by_id
+        max_ordinal = self._max_child_ordinal
+        store = self.path_store
+        path = store.key(path)
+        root.dewey = dewey
+        root.path = path
+        by_id[dewey] = root
+        runs: dict[str, list[XMLNode]] = {path: [root]}
+        # parent path -> child label -> (child path, run of that path)
+        steps: dict[str, dict[str, tuple[str, list[XMLNode]]]] = {}
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            children = node.children
+            if not children:
+                continue
+            dewey = node.dewey
+            max_ordinal[dewey] = len(children)
+            labels = steps.get(node.path)
+            if labels is None:
+                labels = steps[node.path] = {}
+            for ordinal, child in enumerate(children, start=1):
+                step = labels.get(child.label)
+                if step is None:
+                    child_path = store.key(f"{node.path}/{child.label}")
+                    step = labels[child.label] = (
+                        child_path,
+                        runs.setdefault(child_path, []),
+                    )
+                child.path, run = step
+                run.append(child)
+                child.dewey = child_id = dewey.child(ordinal)
+                by_id[child_id] = child
+            stack.extend(reversed(children))
+        return runs
+
+    @property
+    def path_store(self) -> PathStore:
+        """Rooted path → its nodes in document order (derived, never persisted)."""
+        if self._path_store is None:  # unpickled: rebuilt on first use
+            self._path_store = PathStore.scan(self.root)
+        return self._path_store
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_path_store"] = None
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # pickles written before the store (or before gap-safe inserts)
+        # lack these entries; both are derived
+        state.setdefault("_path_store", None)
+        state.setdefault("_max_child_ordinal", {})
+        self.__dict__.update(state)
 
     # ------------------------------------------------------------------ #
     # live mutations (gap-safe: existing identifiers never change)
@@ -234,19 +295,20 @@ class XMLDocument:
                 f"subtree root <{subtree.label}> already has a parent; "
                 f"detach (or copy) it first"
             )
-        if not hasattr(self, "_max_child_ordinal"):  # documents from old pickles
-            self._max_child_ordinal = {}
         live = max(
             (child.dewey.ordinal for child in parent.children if child.dewey),
             default=0,
         )
         ordinal = max(live, self._max_child_ordinal.get(parent.dewey, 0)) + 1
         self._max_child_ordinal[parent.dewey] = ordinal
+        store = self.path_store  # (re)built, if need be, before the tree grows
         parent.append(subtree)
-        self._assign(
-            subtree,
-            parent.dewey.child(ordinal),
-            f"{parent.path}/{subtree.label}",
+        store.splice_in(
+            self._assign(
+                subtree,
+                parent.dewey.child(ordinal),
+                f"{parent.path}/{subtree.label}",
+            )
         )
         return subtree
 
@@ -265,8 +327,11 @@ class XMLDocument:
                 f"delete target <{node.label}> is not part of document "
                 f"{self.name!r}"
             )
+        counts: dict[str, int] = {}
         for member in node.iter_subtree():
             self._nodes_by_id.pop(member.dewey, None)
+            counts[member.path] = counts.get(member.path, 0) + 1
+        self.path_store.splice_out(node, counts)
         return node.detach()
 
     # ------------------------------------------------------------------ #
@@ -289,7 +354,7 @@ class XMLDocument:
 
     def nodes_on_path(self, path: str) -> list[XMLNode]:
         """All nodes whose rooted simple path equals ``path``."""
-        return [n for n in self.iter_nodes() if n.path == path]
+        return self.path_store.nodes(path)
 
     @property
     def size(self) -> int:

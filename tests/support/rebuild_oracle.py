@@ -10,12 +10,13 @@ re-materialised by ``create_view`` — using public calls only.
 
 from __future__ import annotations
 
-from repro import Database, encode_subtree
+from repro import Database, encode_subtree, evaluate_pattern
 from repro.algebra import Relation
+from repro.errors import ReproError
 from repro.xmltree.ids import DeweyID
 from repro.xmltree.node import XMLDocument, XMLNode
 
-__all__ = ["RebuildOracle", "normalize"]
+__all__ = ["RebuildOracle", "normalize", "scan_fed_extent"]
 
 
 def normalize(value):
@@ -31,6 +32,24 @@ def normalize(value):
     if isinstance(value, DeweyID):
         return ("id", str(value))
     return value
+
+
+def scan_fed_extent(view, document) -> Relation:
+    """What ``view.materialize(document)`` must produce, without the path store.
+
+    The reference extent: ``evaluate_pattern`` walking the tree (it is never
+    handed the document's store here), then the Dewey sort ``materialize``
+    applies.  It is also rematerialisation as the deltas found it, which is
+    what the speed floors time.
+    """
+    relation = evaluate_pattern(view.pattern, document, id_function=view._id_function)
+    column = view.dewey_sort_column()
+    if column is not None:
+        try:
+            relation = relation.sorted_in_dewey_order(column)
+        except ReproError:
+            pass  # a non-Dewey fID: left in generation order, as materialize does
+    return relation
 
 
 class RebuildOracle:

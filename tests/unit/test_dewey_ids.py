@@ -49,6 +49,21 @@ class TestStructuralRelationships:
         with pytest.raises(InvalidDeweyIDError):
             DeweyID((1,)).child(0)
 
+    @pytest.mark.parametrize("ordinal", [0, -3, "2", 2.0, None])
+    def test_child_validates_its_ordinal(self, ordinal):
+        with pytest.raises(InvalidDeweyIDError):
+            DeweyID((1, 2)).child(ordinal)
+
+    def test_child_equals_the_checked_constructor(self):
+        # child() trusts its parent's components and checks the ordinal only
+        made = DeweyID((1, 4)).child(7)
+        built = DeweyID((1, 4, 7))
+        assert made == built and hash(made) == hash(built)
+        assert made.components == (1, 4, 7) and str(made) == "1.4.7"
+        assert DeweyID((1, 4, 6)) < made < DeweyID((1, 5))
+        assert made.parent() == DeweyID((1, 4))
+        assert str(made.child(True)) == "1.4.7.1"
+
     def test_ancestor_derivation(self):
         identifier = DeweyID((1, 2, 3, 4))
         assert identifier.ancestor(2) == DeweyID((1, 2))

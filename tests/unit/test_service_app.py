@@ -302,6 +302,28 @@ def test_slow_query_log_fed_by_the_pipeline(db):
     assert len(entry["trace_id"]) == 32
 
 
+def test_a_fast_query_pays_nothing_for_the_slow_query_log(db, monkeypatch):
+    from repro.service import app as app_module
+
+    fingerprints = []
+    real = app_module._fingerprint_hex
+    monkeypatch.setattr(
+        app_module,
+        "_fingerprint_hex",
+        lambda pattern: fingerprints.append(pattern) or real(pattern),
+    )
+    fast = ServiceApp(db, slow_query_seconds=3600.0)
+    assert fast.handle("POST", "/query", {"query": ITEM_NAMES}).status == 200
+    assert fast.handle("GET", "/debug/slow_queries", None).body["slow_queries"] == []
+    assert fingerprints == []  # not computed and thrown away
+
+    slow = ServiceApp(db, slow_query_seconds=0.0)
+    slow.handle("POST", "/query", {"query": ITEM_NAMES})
+    (entry,) = slow.handle("GET", "/debug/slow_queries", None).body["slow_queries"]
+    assert sorted(entry) == ["fingerprint", "plan", "query_name", "seconds", "trace_id"]
+    assert len(fingerprints) == 1 and entry["fingerprint"] == real(fingerprints[0])
+
+
 def test_trace_log_path_writes_jsonl(db, tmp_path):
     path = tmp_path / "traces.jsonl"
     app = ServiceApp(db, trace_log_path=path)
