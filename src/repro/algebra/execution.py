@@ -3,8 +3,7 @@
 The :class:`PlanExecutor` evaluates a DAG of
 :class:`~repro.algebra.operators.PlanOperator` against a view store (any
 mapping-like object resolving view names to objects exposing ``relation``,
-the view's materialised :class:`~repro.algebra.tuples.Relation`, or a
-lazily-decoding ``column_batch``).
+the view's materialised :class:`~repro.algebra.tuples.Relation`).
 
 There is exactly one executor and every operator has exactly one
 implementation.  Plans evaluate as
@@ -110,17 +109,14 @@ class PlanExecutor:
     Parameters
     ----------
     views:
-        Mapping from view name to an object exposing ``relation`` (or a
-        lazily-decoding ``column_batch``, as attached shared extents do).
+        Mapping from view name to an object exposing ``relation``.
     executor:
         Accepts only ``"vectorized"`` — there is one executor.
     profile:
         When True, the executor records an :class:`OperatorRunStats` per
         distinct operator (rows produced, own and inclusive wall time),
         retrievable via :meth:`run_stats` — the measurement side of
-        ``EXPLAIN ANALYZE``.  Lazy column decode is charged to the operator
-        that first touches the column (usually a join or selection), not to
-        the scan that deferred it.
+        ``EXPLAIN ANALYZE``.
 
     Example
     -------
@@ -210,12 +206,8 @@ class PlanExecutor:
             view = self._views[view_name]
         except KeyError as exc:
             raise PlanExecutionError(f"unknown view {view_name!r}") from exc
-        # attached shared extents expose a lazily-decoding column batch; any
-        # other view store goes through .relation (one cached transpose)
-        base = getattr(view, "column_batch", None)
-        if base is None:
-            base = ColumnBatch.from_relation(view.relation)
-        return base
+        # one cached transpose per extent, shared by every scan of it
+        return ColumnBatch.from_relation(view.relation)
 
     @staticmethod
     def _qualified(base: ColumnBatch, alias: str) -> ColumnBatch:
@@ -234,9 +226,8 @@ class PlanExecutor:
         """Scan + pushed σ: probe the column's value index, gather positions.
 
         The index is cached on the *base* batch's column source (shared
-        across queries through the per-relation batch cache / the attached
-        extent), built lazily on this first probe or decoded from the blob
-        the extent store published.  An unindexable column falls back to
+        across queries through the per-relation batch cache), built lazily
+        on this first probe.  An unindexable column falls back to
         the selection kernel over the same source — identical rows either
         way.  Probe positions come back ascending, so the Dewey-order
         annotation survives exactly as it does for a filter.

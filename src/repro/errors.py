@@ -58,15 +58,6 @@ class AlgebraError(ReproError):
     """Problems constructing or executing algebraic plans."""
 
 
-class ExtentStoreError(ReproError):
-    """Raised when a shared extent cannot be published, attached or decoded.
-
-    Lives here (not in :mod:`repro.views.extent_store`) because the codec
-    that raises it is shared between the extent store and the columnar
-    batch layer in :mod:`repro.algebra.columnar`; the store module
-    re-exports it, so existing imports keep working."""
-
-
 class PlanExecutionError(AlgebraError):
     """Raised when a logical plan cannot be executed over the given views."""
 

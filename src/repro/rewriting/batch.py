@@ -1,39 +1,32 @@
 """Parallel batch rewriting: shard a workload across worker processes.
 
 ``Rewriter.rewrite_many`` is rebuilt on top of this engine.  The sequential
-fast path (catalog + memo, PR 1) stays exactly as it was; with ``workers >
-1`` the engine
+fast path (catalog + memo) stays exactly as it was; with ``workers > 1`` the
+engine
 
 1. builds the shared :class:`~repro.views.catalog.ViewCatalog` once and
    persists it with :meth:`ViewCatalog.save` (extents stripped — workers
-   only rewrite, the parent executes),
+   only rewrite, the calling process plans and executes),
 2. spawns a *persistent* process pool whose initializer loads the catalog
    exactly once per worker — the same snapshot file every worker maps,
    which is the whole point of the versioned save/load format.  The pool
    survives across :meth:`BatchEngine.run` calls (recycled only when the
-   view set or its data — ``views.data_version``: the snapshot carries
-   the statistics workers price plans with — the config, the worker count
-   or the memo switches change) and
-   is released by :meth:`BatchEngine.close` — request-per-batch callers
-   such as ``Database.query_many`` pay worker start-up once, not per batch,
+   view definitions — ``views.version``: view DDL, or a write that changed
+   the summary's shape or flags — the config, the worker count or the memo
+   switches change) and is released by :meth:`BatchEngine.close` —
+   request-per-batch callers such as ``Database.query_many`` pay worker
+   start-up once, not per batch, and a write that only moved instance
+   counts keeps the warm pool,
 3. deals queries round-robin into ``workers`` shards (queries are
    independent; results are re-assembled in input order),
 4. merges each worker's containment-memo delta back into the parent
    (:func:`~repro.containment.core.merge_containment_delta`), so a
    follow-up sequential run starts warm.
 
-With ``run(..., execute=True)`` the workers additionally *plan and execute*
-the cheapest rewriting: the engine publishes every materialised extent to
-shared memory once per ``views.data_version``
-(:class:`~repro.views.extent_store.ExtentStore`), workers attach the
-segments by manifest — no extent is ever copied per worker or per task —
-and each shard streams its result relations back through the same columnar
-codec — sliced into :data:`STREAM_BATCH_ROWS`-row windows, so a worker
-never materialises a second full copy of a large result just to ship it.
-That turns the rewrite-only parallelism of PR 2 into end-to-end parallel
-query answering; ``Database.query_many(..., execute=True)`` is the
-session-level entry point.  Workers run plans directly on the
-lazily-decoded column batches of the attached extents.
+Workers never execute: a rewriting is a function of the query, the view
+definitions and the summary's shape, so the snapshot they load carries
+everything they need, and every plan runs in the calling process on
+:class:`~repro.algebra.execution.PlanExecutor`.
 
 Rewriting is pure CPU-bound Python, so processes — not threads — are the
 only way to scale it with cores.  Every worker produces the outcomes the
@@ -56,71 +49,17 @@ import os
 import tempfile
 import weakref
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.algebra.columnar import (
-    ColumnBatch,
-    concat_batches,
-    decode_columnar,
-    encode_columnar,
-)
-from repro.algebra.tuples import Relation
 from repro.containment.core import merge_containment_delta
-from repro.errors import ReproError
 from repro.patterns.pattern import TreePattern
 from repro.rewriting.algorithm import RewritingConfig
-from repro.views.extent_store import (
-    AttachedExtents,
-    ExtentManifest,
-    ExtentStore,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.rewriting.rewriter import Rewriter, RewriteOutcome
 
-__all__ = [
-    "BatchEngine",
-    "QueryExecution",
-    "STREAM_BATCH_ROWS",
-    "resolve_worker_count",
-]
-
-STREAM_BATCH_ROWS = 1024
-"""Rows per encoded result window a worker streams back to the parent.
-
-Each window is one ``encode_columnar`` payload of a contiguous
-:meth:`~repro.algebra.columnar.ColumnBatch.slice`; the parent re-assembles
-them with :func:`~repro.algebra.columnar.concat_batches`.  Windowing bounds
-a worker's encode-side memory to ``O(batch)`` extra instead of a second
-full copy of the result, and empty results still ship one window so the
-schema and the ``sorted_by`` annotation survive the trip."""
-
-
-@dataclass
-class QueryExecution:
-    """One query answered end to end (rewritten, planned *and* executed).
-
-    What ``run(..., execute=True)`` returns per query, whether the plan ran
-    in a pool worker (over :class:`~repro.views.extent_store.AttachedExtents`)
-    or sequentially in the parent.  ``result`` is ``None`` when the query has
-    no equivalent rewriting (``found`` is False) — callers such as
-    ``Database.query_many`` decide whether that is an error.
-    """
-
-    query: TreePattern
-    found: bool
-    result: Optional[Relation]
-    plan_description: Optional[str]
-    """The chosen plan's cost-annotated rendering (compare across modes with
-    alias-insensitive fingerprints — scan aliases are per-process counters)."""
-
-    plan_cost: Optional[float]
-    """The chosen plan's estimated cost (identical across execution modes:
-    workers price plans from the snapshot's statistics)."""
-
-    views_used: tuple[str, ...]
+__all__ = ["BatchEngine", "resolve_worker_count"]
 
 
 def _remove_quietly(name: str) -> None:
@@ -155,9 +94,6 @@ def resolve_worker_count(workers: Optional[int]) -> int:
 # worker-process side
 # --------------------------------------------------------------------------- #
 _WORKER_REWRITER: Optional["Rewriter"] = None
-_WORKER_PLANNER = None
-_WORKER_MANIFEST: Optional[ExtentManifest] = None
-_WORKER_EXTENTS: Optional[AttachedExtents] = None
 
 
 def _worker_init(
@@ -165,7 +101,6 @@ def _worker_init(
     config: RewritingConfig,
     decisions_enabled: bool,
     models_enabled: bool,
-    manifest: Optional[ExtentManifest] = None,
 ) -> None:
     """Process-pool initializer: load the shared catalog snapshot once.
 
@@ -175,13 +110,8 @@ def _worker_init(
     :func:`~repro.containment.core.containment_cache_disabled` must be
     un-memoised in the workers too, or the "honest baseline" context would
     silently measure cache-warm work.
-
-    ``manifest`` (present when the pool will also *execute* plans) names the
-    shared-memory extent segments; attaching — and above all decoding — is
-    deferred to the first execute task, so rewrite-only batches through an
-    execute-capable pool never pay for extents.
     """
-    global _WORKER_REWRITER, _WORKER_PLANNER, _WORKER_MANIFEST, _WORKER_EXTENTS
+    global _WORKER_REWRITER
     from repro.canonical.model import canonical_model_cache
     from repro.containment.core import containment_cache
     from repro.rewriting.rewriter import Rewriter
@@ -191,11 +121,6 @@ def _worker_init(
     canonical_model_cache().enabled = models_enabled
     catalog = ViewCatalog.load(catalog_path)
     _WORKER_REWRITER = Rewriter.from_catalog(catalog, config)
-    _WORKER_PLANNER = None
-    _WORKER_MANIFEST = manifest
-    if _WORKER_EXTENTS is not None:  # pragma: no cover - re-init safety
-        _WORKER_EXTENTS.close()
-    _WORKER_EXTENTS = None
 
 
 def _worker_run(
@@ -210,77 +135,6 @@ def _worker_run(
     ]
     delta = export_containment_delta(_WORKER_REWRITER.summary)
     return outcomes, delta
-
-
-def _encode_result_stream(batch: ColumnBatch) -> tuple[bytes, ...]:
-    """Slice a result batch into row windows and encode each one.
-
-    Empty results still ship a single window: the payload carries the
-    schema and the ``sorted_by`` annotation even with zero rows.
-    """
-    if batch.row_count == 0:
-        return (encode_columnar(batch),)
-    return tuple(
-        encode_columnar(batch.slice(start, start + STREAM_BATCH_ROWS))
-        for start in range(0, batch.row_count, STREAM_BATCH_ROWS)
-    )
-
-
-def _decode_result_stream(payloads: Sequence[bytes]) -> Relation:
-    """Re-assemble a worker's encoded windows into one relation."""
-    return concat_batches([decode_columnar(payload) for payload in payloads]).to_relation()
-
-
-def _worker_execute(
-    indexed_queries: list[tuple[int, TreePattern]],
-) -> tuple[list[tuple[int, Optional[tuple]]], list]:
-    """Rewrite, plan and execute one shard over the attached extents.
-
-    Per query the worker returns ``(index, None)`` when no rewriting
-    exists, or ``(index, (encoded result windows, plan description, plan
-    cost, views used))`` — the result relation travels back through the
-    same pickle-free columnar codec the extents arrived through, in
-    :data:`STREAM_BATCH_ROWS`-row windows, so a row holding a content
-    reference never drags the whole document across the pipe and a large
-    result is never materialised twice on the worker side.
-    """
-    global _WORKER_PLANNER, _WORKER_EXTENTS
-    from repro.containment.core import export_containment_delta
-
-    assert _WORKER_REWRITER is not None, "worker used before initialisation"
-    if _WORKER_MANIFEST is None:
-        raise ReproError("this worker pool was not primed with an extent manifest")
-    if _WORKER_EXTENTS is None:
-        _WORKER_EXTENTS = AttachedExtents.attach(_WORKER_MANIFEST)
-    if _WORKER_PLANNER is None:
-        from repro.planning.planner import Planner
-
-        # prices plans from the snapshot's statistics — the identical
-        # numbers the parent's planner reads, so the chosen plan matches
-        _WORKER_PLANNER = Planner(_WORKER_REWRITER)
-    from repro.algebra.execution import PlanExecutor
-
-    results: list[tuple[int, Optional[tuple]]] = []
-    for index, query in indexed_queries:
-        outcome = _WORKER_REWRITER.rewrite(query)
-        if not outcome.found:
-            results.append((index, None))
-            continue
-        planned = _WORKER_PLANNER.rank(outcome)[0]
-        batch = PlanExecutor(_WORKER_EXTENTS).execute_batch(planned.plan_operator)
-        results.append(
-            (
-                index,
-                (
-                    _encode_result_stream(batch),
-                    planned.describe(),
-                    planned.cost,
-                    tuple(planned.rewriting.views_used),
-                ),
-            )
-        )
-    delta = export_containment_delta(_WORKER_REWRITER.summary)
-    return results, delta
 
 
 # --------------------------------------------------------------------------- #
@@ -303,12 +157,14 @@ class BatchEngine:
         later runs or other processes.
 
     The snapshot is *reused across runs*: each save is keyed on the view
-    set's ``data_version`` counter, so repeated :meth:`run` calls against
-    an unchanged view set pay the (potentially large) ``ViewCatalog.save``
-    exactly once — the fixed-cost amortisation ``Rewriter.rewrite_many``
-    relies on when it caches its engine.  View DDL and document mutations
-    bump it (the snapshot holds the statistics plans are priced with, so
-    a data-only write outdates it too) and force a fresh snapshot here.
+    set's definition ``version``, so repeated :meth:`run` calls against
+    unchanged view definitions pay the (potentially large)
+    ``ViewCatalog.save`` exactly once — the fixed-cost amortisation
+    ``Rewriter.rewrite_many`` relies on when it caches its engine.  View
+    DDL and a document mutation that changed the summary's shape or flags
+    bump it and force a fresh snapshot here; a write that only moved
+    instance counts does not, because the search reads neither statistics
+    nor extents.
 
     A rewriter constructed with ``use_catalog=False`` has no snapshot to
     share, so :meth:`run` degrades to the sequential loop regardless of
@@ -345,8 +201,6 @@ class BatchEngine:
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_key: Optional[tuple] = None
         self._pool_finalizer = None
-        self._store: Optional[ExtentStore] = None
-        self._planner = None
 
     # ------------------------------------------------------------------ #
     def _snapshot_path(self) -> Path:
@@ -363,22 +217,18 @@ class BatchEngine:
     def _ensure_snapshot(self, path: Path) -> None:
         """Save the catalog snapshot unless the saved one is still current.
 
-        Currency is keyed on ``views.data_version`` (the snapshot carries
-        the catalog's statistics, which follow the data), so the second
-        and later runs over an unmutated view set skip the save entirely.
+        Currency is keyed on ``views.version`` (the definition version), so
+        the second and later runs over unchanged view definitions skip the
+        save entirely — across count-only writes too.
         """
-        version = self.rewriter.views.data_version
+        version = self.rewriter.views.version
         if self._snapshot_version == version and path.exists():
             return
         self.rewriter.catalog.save(path)
         self._snapshot_version = version
 
     def _ensure_pool(
-        self,
-        workers: int,
-        path: Path,
-        config: RewritingConfig,
-        manifest: Optional[ExtentManifest] = None,
+        self, workers: int, path: Path, config: RewritingConfig
     ) -> ProcessPoolExecutor:
         """The persistent worker pool, (re)created only when its key changes.
 
@@ -386,13 +236,11 @@ class BatchEngine:
         ``Database.query_many``) pay the process spawn and the per-worker
         catalog load once, not once per batch.  The key captures everything
         the workers were primed with by the initializer — worker count,
-        snapshot version (DDL and document mutations outdate the loaded
-        catalog and its statistics),
-        the search config, both memo switches, and the extent manifest the
-        workers may attach for execution (keyed by store token and published
-        version) — so a change in any of them recycles the pool instead of
-        serving stale state.  Call :meth:`close` (or ``Database.close()``)
-        to release the processes.
+        snapshot version (DDL and shape-changing document mutations outdate
+        the loaded catalog), the search config and both memo switches — so
+        a change in any of them recycles the pool instead of serving stale
+        state.  Call :meth:`close` (or ``Database.close()``) to release the
+        processes.
         """
         from repro.canonical.model import canonical_model_cache
         from repro.containment.core import containment_cache
@@ -404,11 +252,10 @@ class BatchEngine:
             _config_fingerprint(config),
             containment_cache().enabled,
             canonical_model_cache().enabled,
-            (manifest.token, manifest.version) if manifest is not None else None,
         )
         if self._pool is not None and self._pool_key == key:
             return self._pool
-        self._close_pool()
+        self.close()
         self._pool = ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker_init,
@@ -417,15 +264,20 @@ class BatchEngine:
                 config,
                 containment_cache().enabled,
                 canonical_model_cache().enabled,
-                manifest,
             ),
         )
         self._pool_key = key
         self._pool_finalizer = weakref.finalize(self, _shutdown_quietly, self._pool)
         return self._pool
 
-    def _close_pool(self) -> None:
-        """Shut down only the worker pool (pool-recycling internal)."""
+    def close(self) -> None:
+        """Release the worker pool (idempotent).
+
+        The engine stays usable — the next parallel :meth:`run` simply
+        starts a fresh pool.  Owned snapshot files are kept until the
+        engine itself is garbage-collected (they are what makes the next
+        pool start cheap when the view definitions have not changed).
+        """
         if self._pool_finalizer is not None:
             self._pool_finalizer.detach()
             self._pool_finalizer = None
@@ -434,84 +286,13 @@ class BatchEngine:
             self._pool = None
             self._pool_key = None
 
-    def close(self) -> None:
-        """Release the worker pool and the shared extent segments (idempotent).
-
-        The engine stays usable — the next parallel :meth:`run` simply
-        starts a fresh pool (and, for ``execute=True`` runs, republishes the
-        extents).  Owned snapshot files are kept until the engine itself is
-        garbage-collected (they are what makes the next pool start cheap
-        when the view set has not changed).
-        """
-        self._close_pool()
-        if self._store is not None:
-            self._store.release()
-            self._store = None
-
     # ------------------------------------------------------------------ #
-    @property
-    def extent_store(self) -> Optional[ExtentStore]:
-        """The engine-owned shared extent store (None until first execute)."""
-        return self._store
-
-    def _ensure_store(self) -> ExtentStore:
-        if self._store is None:
-            self._store = ExtentStore()
-        return self._store
-
-    def _ensure_planner(self):
-        """The parent-side planner for sequential ``execute=True`` runs."""
-        if self._planner is None:
-            from repro.planning.planner import Planner
-
-            self._planner = Planner(self.rewriter)
-        return self._planner
-
-    def _execute_sequentially(
-        self, queries: Sequence[TreePattern], config: RewritingConfig
-    ) -> list[QueryExecution]:
-        """The one-process execute path (and the parallel path's oracle)."""
-        from repro.algebra.execution import PlanExecutor
-
-        planner = self._ensure_planner()
-        executions = []
-        for query in queries:
-            outcome = self.rewriter.rewrite(query, config)
-            if not outcome.found:
-                executions.append(QueryExecution(query, False, None, None, None, ()))
-                continue
-            planned = planner.rank(outcome)[0]
-            relation = PlanExecutor(self.rewriter.views).execute(planned.plan_operator)
-            executions.append(
-                QueryExecution(
-                    query=query,
-                    found=True,
-                    result=relation,
-                    plan_description=planned.describe(),
-                    plan_cost=planned.cost,
-                    views_used=tuple(planned.rewriting.views_used),
-                )
-            )
-        return executions
-
     def run(
         self,
         queries: Sequence[TreePattern],
         config: Optional[RewritingConfig] = None,
-        execute: bool = False,
-    ) -> list["RewriteOutcome"] | list[QueryExecution]:
-        """Rewrite (and optionally execute) the workload, in input order.
-
-        With ``execute=False`` (the default) the workers only rewrite and
-        the caller gets :class:`RewriteOutcome` objects, exactly as before.
-        With ``execute=True`` each worker also *plans and executes* the
-        cheapest rewriting over the shared extent store and the caller gets
-        :class:`QueryExecution` objects: extents are published to shared
-        memory once per data version (:meth:`ExtentStore.publish`),
-        workers attach them by manifest, and result relations stream back
-        shard by shard through the columnar codec — end-to-end parallel
-        query answering with no per-worker extent copies.
-        """
+    ) -> list["RewriteOutcome"]:
+        """Rewrite the workload, in input order."""
         queries = list(queries)
         config = config or self.rewriter.config
         workers = min(self.workers, len(queries)) or 1
@@ -519,63 +300,27 @@ class BatchEngine:
         if workers <= 1 or catalog is None:
             # one worker, or no catalog snapshot for workers to share
             # (use_catalog=False): stay in-process, results identical
-            if execute:
-                return self._execute_sequentially(queries, config)
             return [self.rewriter.rewrite(query, config) for query in queries]
 
         indexed = list(enumerate(queries))
         shards = [indexed[shard::workers] for shard in range(workers)]
         path = self._snapshot_path()
         self._ensure_snapshot(path)
-        manifest: Optional[ExtentManifest] = None
-        if execute:
-            manifest = self._ensure_store().publish(self.rewriter.views)
-        elif (
-            self._store is not None
-            and self._store.version == self.rewriter.views.data_version
-        ):
-            # a rewrite-only batch between execute batches: keep the warm
-            # execute-capable pool instead of recycling on manifest identity
-            manifest = self._store.manifest
         # the pool is sized to the engine's configured worker count even when
         # this batch needs fewer shards, so alternating batch sizes keep one
         # warm pool instead of recycling it on every size change
-        pool = self._ensure_pool(self.workers, path, config, manifest)
-        worker_task = _worker_execute if execute else _worker_run
-        by_index: dict[int, object] = {}
+        pool = self._ensure_pool(self.workers, path, config)
+        by_index: dict[int, "RewriteOutcome"] = {}
         try:
-            for outcomes, delta in pool.map(worker_task, shards):
+            for outcomes, delta in pool.map(_worker_run, shards):
                 for index, outcome in outcomes:
                     by_index[index] = outcome
                 merge_containment_delta(self.rewriter.summary, delta)
         except Exception:
             # a dead worker leaves the pool permanently broken; evict it so
-            # the next run self-heals with fresh processes (the per-run pool
-            # this engine replaced healed by construction)
+            # the next run self-heals with fresh processes
             self.close()
             raise
-
-        if execute:
-            executions = []
-            for index, query in enumerate(queries):
-                payload = by_index[index]
-                if payload is None:
-                    executions.append(
-                        QueryExecution(query, False, None, None, None, ())
-                    )
-                    continue
-                encoded_windows, description, cost, views_used = payload
-                executions.append(
-                    QueryExecution(
-                        query=query,
-                        found=True,
-                        result=_decode_result_stream(encoded_windows),
-                        plan_description=description,
-                        plan_cost=cost,
-                        views_used=views_used,
-                    )
-                )
-            return executions
 
         results = []
         for index, query in enumerate(queries):

@@ -28,7 +28,6 @@ from repro.views.store import ViewSet
 from repro.views.view import MaterializedView
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.rewriting.batch import QueryExecution
     from repro.views.catalog import ViewCatalog
 
 __all__ = ["Rewriter", "RewriteOutcome"]
@@ -161,9 +160,9 @@ class Rewriter:
         rebuild the whole catalog (the pre-session behaviour, O(all views)),
         the one new entry is built and the inverted indexes are patched in
         place (:meth:`ViewCatalog.add_view`).  Derived consumers — the
-        planner's cost model and the batch engine's snapshot — key on
-        ``views.data_version`` and refresh themselves from the *patched*
-        catalog.
+        planner's cost model (``views.data_version``) and the batch
+        engine's snapshot (``views.version``) — refresh themselves from
+        the *patched* catalog.
         No-op when the catalog was never built (nothing to patch).
         """
         if self._catalog is not None:
@@ -254,8 +253,7 @@ class Rewriter:
         queries: Iterable[TreePattern],
         config: Optional[RewritingConfig] = None,
         workers: int = 1,
-        execute: bool = False,
-    ) -> list[RewriteOutcome] | list["QueryExecution"]:
+    ) -> list[RewriteOutcome]:
         """Rewrite a whole workload, sharing preprocessing across queries.
 
         The catalog (summary index, per-view annotated candidate prototypes,
@@ -270,32 +268,26 @@ class Rewriter:
         :class:`~repro.rewriting.batch.BatchEngine`: every worker loads the
         same persisted catalog snapshot once, and the workers' containment
         memos are merged back afterwards.  The engine is kept across calls,
-        and it re-saves the snapshot only when the view set's data version
-        changed — so batch number two of a request-per-batch caller skips
-        the snapshot cost entirely.  Results are plan-for-plan identical
-        to the sequential path up to generated alias numbering (see the
-        :mod:`~repro.rewriting.batch` notes there — that caveat and the
-        wall-clock time-budget one).  A rewriter built with
-        ``use_catalog=False`` has no snapshot for workers to share, so it
-        always runs sequentially, whatever ``workers`` says.
-
-        With ``execute=True`` the chosen (minimum-cost) plan of every query
-        is additionally *executed* — in the workers, over the shared extent
-        store, when ``workers > 1`` — and the return value becomes a list of
-        :class:`~repro.rewriting.batch.QueryExecution` instead of outcomes.
-        Result rows are identical to the sequential path's; see the
-        :mod:`~repro.rewriting.batch` notes for how extents are shared.
+        and it re-saves the snapshot only when the view set's definition
+        version changed — so batch number two of a request-per-batch caller
+        skips the snapshot cost entirely, even after a count-only write.
+        Results are plan-for-plan identical to the sequential path up to
+        generated alias numbering (see the :mod:`~repro.rewriting.batch`
+        notes there — that caveat and the wall-clock time-budget one).  A
+        rewriter built with ``use_catalog=False`` has no snapshot for
+        workers to share, so it always runs sequentially, whatever
+        ``workers`` says.
         """
         queries = list(queries)
         from repro.rewriting.batch import BatchEngine, resolve_worker_count
 
-        if not execute and (workers == 1 or len(queries) <= 1):
+        if workers == 1 or len(queries) <= 1:
             return [self.rewrite(query, config) for query in queries]
         if self._batch_engine is None:
             self._batch_engine = BatchEngine(self, workers=workers)
         else:
             self._batch_engine.workers = resolve_worker_count(workers)
-        return self._batch_engine.run(queries, config, execute=execute)
+        return self._batch_engine.run(queries, config)
 
     def rewrite_first(
         self, query: TreePattern

@@ -12,8 +12,7 @@ Layers, transport-independent core first:
 * :mod:`repro.service.app` — routing and the request pipeline
   (:class:`ServiceApp`), no framework, no socket;
 * :mod:`repro.service.server` — the stdlib threaded HTTP server
-  (:class:`QueryService`), the keep-alive client (:class:`ServiceClient`)
-  and a dependency-free ASGI adapter.
+  (:class:`QueryService`) and the keep-alive client (:class:`ServiceClient`).
 """
 
 from repro.service.app import ServiceApp, ServiceHTTPError, ServiceResponse
@@ -35,12 +34,7 @@ from repro.service.models import (
     relation_from_payload,
     relation_to_payload,
 )
-from repro.service.server import (
-    QueryService,
-    ServiceClient,
-    asgi_server_available,
-    make_asgi_app,
-)
+from repro.service.server import QueryService, ServiceClient
 from repro.service.tracing import (
     JsonlExporter,
     RingBufferExporter,
@@ -71,9 +65,7 @@ __all__ = [
     "SlowQueryLog",
     "Span",
     "Tracer",
-    "asgi_server_available",
     "attach_operator_spans",
-    "make_asgi_app",
     "relation_from_payload",
     "relation_to_payload",
 ]

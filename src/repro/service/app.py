@@ -1,9 +1,9 @@
 """The query service application: routing, tracing, metrics — no framework.
 
 :class:`ServiceApp` is the transport-independent core of the service tier:
-it maps ``(method, path, payload)`` to a :class:`ServiceResponse`, and both
-the stdlib threaded HTTP server (:mod:`repro.service.server`) and the
-dependency-free ASGI adapter drive it.  Keeping it framework-free is what
+it maps ``(method, path, payload)`` to a :class:`ServiceResponse`, and the
+stdlib threaded HTTP server (:mod:`repro.service.server`) drives it.
+Keeping it framework-free is what
 keeps the whole tier stdlib-only — and makes it unit-testable without a
 socket.
 
@@ -476,10 +476,6 @@ class ServiceApp:
         )
         for path, value in snapshot["maintenance"].items():
             maintenance.set(value, {"path": path})
-        gauge(
-            "service_extent_publishes",
-            "Shared-memory extent segment encodes (store lifetime).",
-        ).set(snapshot["extent_store"]["publish_count"])
         indexes = self.metrics.gauge(
             "service_index_operations",
             "Value-index operations (process lifetime).",

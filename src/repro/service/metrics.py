@@ -7,7 +7,7 @@ kinds are lock-protected and label-aware:
 * :class:`Counter` — monotonically increasing totals
   (``service_requests_total{endpoint="/query",status="200"}``);
 * :class:`Gauge` — point-in-time values, set at scrape time from
-  :meth:`repro.Database.stats` (plan-cache hits, extent publishes, …);
+  :meth:`repro.Database.stats` (plan-cache hits, maintenance paths, …);
 * :class:`Histogram` — fixed-bucket latency distributions with cumulative
   bucket counts, plus estimated ``p50``/``p95``/``p99`` quantiles (linear
   interpolation inside the winning bucket — the standard Prometheus

@@ -1,4 +1,4 @@
-"""HTTP transport for the query service: stdlib server, client, ASGI.
+"""HTTP transport for the query service: stdlib server and client.
 
 :class:`QueryService` wraps a :class:`~repro.service.app.ServiceApp` in a
 ``http.server.ThreadingHTTPServer`` — one daemon thread accepts
@@ -10,13 +10,6 @@ app serializes database access internally, so the threaded transport is
 safe by construction.  No framework, no event loop, no dependency: the
 whole service tier runs on the standard library, as CI (no network) and
 the paper-reproduction charter require.
-
-For deployments that *do* have an ASGI server available (uvicorn,
-hypercorn, …), :func:`make_asgi_app` adapts the same app to the ASGI 3
-protocol.  The adapter itself is dependency-free — ASGI is just an async
-callable convention — so it is importable and unit-testable everywhere;
-only *serving* it needs an external package, probed with
-:func:`asgi_server_available` rather than imported unconditionally.
 
 :class:`ServiceClient` is the matching stdlib (``http.client``) client used
 by the tests, the quickstart example and the load tester; it keeps one
@@ -36,7 +29,6 @@ connection alive per calling thread.
 from __future__ import annotations
 
 import http.client
-import importlib.util
 import json
 import socket
 import threading
@@ -52,8 +44,6 @@ from repro.session.database import Database
 __all__ = [
     "QueryService",
     "ServiceClient",
-    "asgi_server_available",
-    "make_asgi_app",
 ]
 
 
@@ -312,90 +302,6 @@ class ServiceClient:
     def post(self, path: str, payload: Optional[dict] = None):
         """``POST path`` with a JSON body → ``(status, body)``."""
         return self._request("POST", path, payload if payload is not None else {})
-
-
-# --------------------------------------------------------------------------- #
-# optional ASGI adapter (the protocol needs no dependency; serving it does)
-# --------------------------------------------------------------------------- #
-def asgi_server_available() -> bool:
-    """Whether an ASGI server (uvicorn) is importable in this environment.
-
-    The adapter below works regardless; this probe only gates *serving* it
-    — CI has no network, so nothing here ever imports uvicorn eagerly or
-    lists it as a dependency.
-    """
-    return importlib.util.find_spec("uvicorn") is not None
-
-
-def make_asgi_app(app: ServiceApp):
-    """Adapt a :class:`ServiceApp` to the ASGI 3 protocol.
-
-    Returns an ``async def application(scope, receive, send)`` closure
-    usable under any ASGI server (``uvicorn repro_asgi:application`` style)
-    — and directly awaitable in tests with stub ``receive``/``send``
-    callables, keeping the adapter covered without any server installed.
-    The app's own lock makes concurrent ASGI workers safe, exactly as with
-    the threaded stdlib transport.
-    """
-
-    async def application(scope, receive, send):
-        if scope["type"] != "http":  # lifespan etc.: politely decline
-            raise ServiceError(f"unsupported ASGI scope {scope['type']!r}")
-        chunks = []
-        while True:
-            message = await receive()
-            chunks.append(message.get("body", b""))
-            if not message.get("more_body"):
-                break
-        raw = b"".join(chunks)
-        if raw:
-            try:
-                payload = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                payload = None
-                response = ServiceResponse(
-                    400,
-                    {
-                        "schema_version": SCHEMA_VERSION,
-                        "request_id": None,
-                        "trace_id": None,
-                        "error": {
-                            "code": "bad-json",
-                            "message": f"request body is not valid JSON: {exc}",
-                        },
-                    },
-                    request_id="",
-                )
-                await _send_asgi(send, response)
-                return
-        else:
-            payload = None
-        response = app.handle(scope["method"], scope["path"], payload)
-        await _send_asgi(send, response)
-
-    return application
-
-
-async def _send_asgi(send, response: ServiceResponse) -> None:
-    if isinstance(response.body, str):
-        payload = response.body.encode("utf-8")
-    else:
-        payload = json.dumps(response.body).encode("utf-8")
-    headers = [
-        (b"content-type", response.content_type.encode("ascii")),
-        (b"content-length", str(len(payload)).encode("ascii")),
-        (b"x-request-id", response.request_id.encode("ascii")),
-    ]
-    if response.trace_id:
-        headers.append((b"x-trace-id", response.trace_id.encode("ascii")))
-    await send(
-        {
-            "type": "http.response.start",
-            "status": response.status,
-            "headers": headers,
-        }
-    )
-    await send({"type": "http.response.body", "body": payload})
 
 
 def find_free_port(host: str = "127.0.0.1") -> int:

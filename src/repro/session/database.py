@@ -23,13 +23,11 @@ single entry point so callers stop hand-wiring ``build_summary`` +
   :meth:`PreparedQuery.explain` produces a structured
   :class:`~repro.session.explain.ExplainReport` (with per-operator
   estimated *and* measured rows under ``analyze=True``);
-* **batch service** — :meth:`Database.query_many` shards the rewriting
-  phase over the :class:`~repro.rewriting.batch.BatchEngine`'s *persistent*
-  worker pool, which survives across calls and is released by
-  :meth:`Database.close` (or the context manager); with ``execute=True``
-  the workers also run the chosen plans over the shared-memory
-  :class:`~repro.views.extent_store.ExtentStore` — end-to-end parallel
-  query answering;
+* **batch service** — :meth:`Database.query_many` answers what the plan
+  cache holds and shards the rewriting of the rest over the
+  :class:`~repro.rewriting.batch.BatchEngine`'s *persistent* worker pool,
+  which survives across calls and is released by :meth:`Database.close`
+  (or the context manager); every plan runs in this process;
 * **plan cache** — :meth:`Database.query` consults a fingerprint-keyed
   :class:`PlanCache` (canonical pattern key → planned choice, invalidated
   on view DDL and on a document mutation that changes the summary's shape
@@ -67,9 +65,7 @@ from repro.xmltree.node import XMLDocument, XMLNode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.rewriting.algorithm import RewritingConfig
-    from repro.rewriting.batch import QueryExecution
     from repro.rewriting.rewriter import RewriteOutcome
-    from repro.views.extent_store import ExtentStore
 
 __all__ = [
     "Database",
@@ -478,16 +474,6 @@ class Database:
         # kept for the frozen caller bench/layers.py (executor=db.executor)
         return "vectorized"
 
-    @property
-    def extent_store(self) -> Optional["ExtentStore"]:
-        """The shared extent store behind ``query_many(execute=True)``.
-
-        Owned by the batch engine; ``None`` until the first execute-mode
-        parallel batch publishes it, and released by :meth:`close`.
-        """
-        engine = self._rewriter._batch_engine
-        return engine.extent_store if engine is not None else None
-
     # ------------------------------------------------------------------ #
     # view DDL
     # ------------------------------------------------------------------ #
@@ -649,12 +635,11 @@ class Database:
             ] += 1
             if view.relation is not before:
                 changed_views.append(view)
-        # every consumer of the stored rows (extent store guard, batch
-        # snapshot + pool, cost model, the rank of cached plans) sees the
-        # data version move; the consumers of the definitions (plan cache,
-        # prepared queries, catalog) see theirs move only when the
-        # summary's shape or flags did — no rewriting can have appeared or
-        # gone otherwise
+        # every consumer of the stored rows (cost model, the rank of cached
+        # plans) sees the data version move; the consumers of the
+        # definitions (plan cache, prepared queries, catalog, batch
+        # snapshot + pool) see theirs move only when the summary's shape or
+        # flags did — no rewriting can have appeared or gone otherwise
         self.views.touch(
             definitions_changed=delta is None or not delta.preserves_annotations
         )
@@ -939,59 +924,27 @@ class Database:
         queries: Iterable[TreePattern | str],
         workers: int = 1,
         config: Optional["RewritingConfig"] = None,
-        execute: bool = False,
     ) -> list[Relation]:
         """Answer a whole workload, in input order.
 
-        The rewriting phase runs through :meth:`Rewriter.rewrite_many` —
-        with ``workers > 1`` it is sharded over the batch engine's
-        *persistent* process pool, which stays warm across calls until
-        :meth:`close`.
-
-        ``execute`` picks where the chosen plans run.  With the default
-        ``execute=False`` they run sequentially in this process after the
-        parallel rewriting phase (the pre-extent-store behaviour).  With
-        ``execute=True`` the workers execute too: materialised extents are
-        published to shared memory once per view-set version
-        (:class:`~repro.views.extent_store.ExtentStore`) and each worker
-        rewrites, plans *and* runs its shard, streaming result rows back —
-        rows identical to the sequential path (content-reference cells come
-        back as rebuilt, ID-equal node copies rather than the live document
-        nodes).  Raises :class:`~repro.errors.RewritingError` on the first
-        query with no equivalent rewriting.
+        Every query consults the plan cache exactly like :meth:`query`:
+        repeated workloads (benchmark reps, dashboard refreshes) skip the
+        rewriting search for every query they have planned before at this
+        definition version.  The misses are grouped by fingerprint —
+        duplicates inside one workload are planned once — and rewritten
+        through :meth:`Rewriter.rewrite_many`; with ``workers > 1`` that
+        search is sharded over the batch engine's *persistent* process
+        pool, which stays warm across calls until :meth:`close`.  Every
+        plan then runs here, in this process.  Raises
+        :class:`~repro.errors.RewritingError` on the first query with no
+        equivalent rewriting.
         """
         patterns = [self._as_pattern(query, None) for query in queries]
-        if execute:
-            executions = self._rewriter.rewrite_many(
-                patterns, config, workers=workers, execute=True
-            )
-            results = []
-            for pattern, execution in zip(patterns, executions):
-                if not execution.found:
-                    raise RewritingError(
-                        f"query {pattern.name!r} has no equivalent rewriting "
-                        f"over views {sorted(self.views.names)}"
-                    )
-                results.append(execution.result)
-            return results
-        # the sequential path consults the plan cache exactly like
-        # :meth:`query`: repeated workloads (benchmark reps, dashboard
-        # refreshes) skip the rewriting search for every query they have
-        # planned before at this definition version.  With ``workers > 1``
-        # the batch engine is consulted unconditionally — keeping the
-        # persistent pool alive across calls is part of its contract
         version = self.views.version
         fingerprints = [pattern_key(pattern) for pattern in patterns]
-        cached: list[Optional[PlanChoice]]
-        if workers == 1:
-            cached = [
-                self._cached_choice(fingerprint, version)
-                for fingerprint in fingerprints
-            ]
-        else:
-            cached = [None] * len(patterns)
-        # group the misses by fingerprint: duplicates inside one workload
-        # are planned once, like repeats across workloads
+        cached = [
+            self._cached_choice(fingerprint, version) for fingerprint in fingerprints
+        ]
         pending: "OrderedDict[tuple, list[int]]" = OrderedDict()
         for position, choice in enumerate(cached):
             if choice is None:
@@ -1029,21 +982,10 @@ class Database:
         queries: Iterable[TreePattern | str],
         workers: int = 1,
         config: Optional["RewritingConfig"] = None,
-        execute: bool = False,
-    ) -> list["RewriteOutcome"] | list["QueryExecution"]:
-        """Batch rewriting without execution (the Figure 15 measurement).
-
-        ``execute=True`` additionally runs each chosen plan (in the workers,
-        over the shared extent store, when ``workers > 1``) and returns
-        :class:`~repro.rewriting.batch.QueryExecution` objects — the
-        lower-level sibling of ``query_many(execute=True)`` that keeps the
-        per-query plan description and cost next to the result, instead of
-        raising on unanswerable queries.
-        """
+    ) -> list["RewriteOutcome"]:
+        """Batch rewriting without execution (the Figure 15 measurement)."""
         patterns = [self._as_pattern(query, None) for query in queries]
-        return self._rewriter.rewrite_many(
-            patterns, config, workers=workers, execute=execute
-        )
+        return self._rewriter.rewrite_many(patterns, config, workers=workers)
 
     # ------------------------------------------------------------------ #
     # observability
@@ -1053,18 +995,16 @@ class Database:
 
         Collects every counter the layers already expose — plan-cache
         hit/miss/invalidation, the rewriting searches' summed search-space
-        counters, live-document :attr:`maintenance_stats`,
-        shared-extent-store publish counts, value-index build/attach/probe
-        counts, worker-pool state — into a single plain dict, so monitoring
-        surfaces (above all the service tier's ``/metrics`` endpoint)
-        consume one stable shape instead of reaching into internals.
-        Purely a read: taking a snapshot never builds pools, publishes
-        extents or flushes caches.
+        counters, live-document :attr:`maintenance_stats`, value-index
+        build/probe counts, worker-pool state — into a single plain dict,
+        so monitoring surfaces (above all the service tier's ``/metrics``
+        endpoint) consume one stable shape instead of reaching into
+        internals.  Purely a read: taking a snapshot never builds pools,
+        indexes or flushes caches.
         """
         from repro.views.indexes import INDEX_STATS
 
         engine = self._rewriter._batch_engine
-        store = engine.extent_store if engine is not None else None
         return {
             "document": self._document.name if self._document else None,
             "summary": {
@@ -1083,10 +1023,6 @@ class Database:
             "plan_cache": self._plan_cache.info(),
             "rewriting": dict(self._rewriter.search_totals),
             "maintenance": dict(self.maintenance_stats),
-            "extent_store": {
-                "published": store is not None,
-                "publish_count": store.publish_count if store is not None else 0,
-            },
             "indexes": INDEX_STATS.info(),
             "worker_pool": {
                 "active": engine is not None and engine._pool is not None,
@@ -1098,11 +1034,9 @@ class Database:
     # lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release pooled resources: the worker pool, the shared-memory
-        extent segments and the attached change log's file handle
-        (idempotent; the session stays usable — a later
-        ``query_many(workers=N)`` simply starts a fresh pool and, for
-        execute-mode batches, republishes the extents)."""
+        """Release pooled resources: the worker pool and the attached
+        change log's file handle (idempotent; the session stays usable — a
+        later ``query_many(workers=N)`` simply starts a fresh pool)."""
         self._rewriter.close()
         if self._change_log is not None:
             self._change_log.close()

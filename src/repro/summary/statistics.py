@@ -94,8 +94,8 @@ class Statistics:
     (:meth:`label_frequency`, :meth:`navigation_fanout`) legitimately
     return fractions below 1 — strict cost positivity is guaranteed by the
     cost model's per-operator floor, not here.  Instances are plain
-    dictionaries of numbers: picklable, so a catalog snapshot can ship
-    them to worker processes.
+    dictionaries of numbers: picklable, so a catalog snapshot persists
+    them with the session.
     """
 
     def __init__(
@@ -386,7 +386,7 @@ def _observe_column_values(values) -> Optional[dict]:
     """One column's value statistics, or ``None`` if unobservable.
 
     The returned entry is a plain dict of numbers and atoms (picklable, so
-    catalog snapshots ship it to workers):
+    catalog snapshots persist it):
 
     ``sampled``    rows examined (nulls included)
     ``non_null``   rows with a real value

@@ -13,29 +13,16 @@ summary-node hit sets, offered attributes) that let the rewriting search
 generate candidates without scanning and re-annotating the whole view set
 per query.
 
-An :class:`ExtentStore` publishes materialised extents to shared memory
-(once per view-set version) so parallel batch workers can *execute* chosen
-plans by attaching an :class:`ExtentManifest` instead of receiving extent
-copies.
-
 Value indexes (:mod:`repro.views.indexes`) are per-column secondary
 structures over materialised extents — a sorted :class:`OrderedIndex` or a
 low-cardinality :class:`BitmapIndex`, chosen by :func:`build_index` — that
-serve the planner's :class:`~repro.algebra.operators.IndexScan` probes and
-travel through the extent store alongside the columnar payload.
+serve the planner's :class:`~repro.algebra.operators.IndexScan` probes.
 """
 
 from repro.views.view import IdScheme, MaterializedView
 from repro.views.store import ViewSet
 from repro.views.delta import SubtreeChange, apply_subtree_delta, can_apply_delta
 from repro.views.catalog import CatalogFormatError, ViewCatalog
-from repro.views.extent_store import (
-    AttachedExtents,
-    ExtentManifest,
-    ExtentStore,
-    ExtentStoreError,
-    StaleExtentError,
-)
 from repro.views.indexes import (
     BITMAP_CARDINALITY_THRESHOLD,
     INDEX_STATS,
@@ -46,18 +33,13 @@ from repro.views.indexes import (
 )
 
 __all__ = [
-    "AttachedExtents",
     "BITMAP_CARDINALITY_THRESHOLD",
     "BitmapIndex",
     "CatalogFormatError",
-    "ExtentManifest",
-    "ExtentStore",
-    "ExtentStoreError",
     "INDEX_STATS",
     "IdScheme",
     "MaterializedView",
     "OrderedIndex",
-    "StaleExtentError",
     "SubtreeChange",
     "ViewCatalog",
     "ViewSet",

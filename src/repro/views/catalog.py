@@ -328,7 +328,7 @@ class ViewCatalog:
         Materialised views report exact extent sizes; unmaterialised views
         are estimated from the summary's instance counts through their
         pre-annotated prototype patterns.  The snapshot is part of the
-        persisted catalog, so worker processes price plans identically.
+        persisted catalog, so a reloaded session prices plans identically.
         """
         if self._statistics is None:
             self._statistics = Statistics.with_annotated_views(

@@ -1,6 +1,6 @@
 """Per-column secondary indexes over materialised extents.
 
-Content selections used to decode an extent column and scan it linearly —
+Content selections used to scan an extent column linearly —
 fine for the paper's analytical workloads, wrong for selective point
 lookups.  This module gives every extent column a sub-linear access path:
 
@@ -26,17 +26,11 @@ correctness never depends on indexability.
 Indexes are built lazily, on the first eligible probe of a ``(view,
 column)`` pair, and cached on the column's
 :class:`~repro.algebra.columnar._ColumnSource` — the object whose lifetime
-*is* the extent version's lifetime (re-materialising or re-publishing a
-view creates fresh sources, so stale indexes simply become unreachable).
+*is* the extent's lifetime (re-materialising or splicing a view creates
+fresh sources, so stale indexes simply become unreachable).
 :func:`index_for_source` is the one entry point the executor calls; the
-module-level :data:`INDEX_STATS` counters make build-once / attach-once
-observable for tests and benchmarks.
-
-The byte codec (:func:`encode_index` / :func:`decode_index`, magic
-``VIX1``; :func:`encode_index_section` / :func:`decode_index_section`,
-magic ``XIDX``) lets the shared-memory extent store publish indexes the
-parent already built alongside the ``RXC1`` column payload, so parallel
-workers *attach* them instead of rebuilding.
+module-level :data:`INDEX_STATS` counters make build-once observable for
+tests and benchmarks.
 
 >>> from repro.patterns.predicates import ValueFormula
 >>> index = build_index(["pen", "ink", None, "pen", "pad"])
@@ -53,11 +47,9 @@ workers *attach* them instead of rebuilding.
 
 from __future__ import annotations
 
-import struct
 from bisect import bisect_left, bisect_right
 from typing import Optional, Sequence
 
-from repro.errors import ExtentStoreError
 from repro.patterns.predicates import ValueFormula, value_order_key
 from repro.xmltree.node import XMLNode
 
@@ -68,15 +60,8 @@ __all__ = [
     "OrderedIndex",
     "UNINDEXABLE",
     "build_index",
-    "decode_index",
-    "decode_index_section",
-    "encode_index",
-    "encode_index_section",
     "index_for_source",
 ]
-
-INDEX_MAGIC = b"VIX1"
-SECTION_MAGIC = b"XIDX"
 
 BITMAP_CARDINALITY_THRESHOLD = 64
 """Observed distinct-value count at or below which :func:`build_index`
@@ -90,7 +75,7 @@ types), so the build is attempted at most once per source."""
 class _IndexStats:
     """Process-wide index lifecycle counters (test / bench observables)."""
 
-    __slots__ = ("builds", "attaches", "probes")
+    __slots__ = ("builds", "probes")
 
     def __init__(self) -> None:
         self.reset()
@@ -98,15 +83,12 @@ class _IndexStats:
     def reset(self) -> None:
         self.builds = 0
         """Indexes constructed from column values in this process."""
-        self.attaches = 0
-        """Indexes decoded from a published blob instead of rebuilt."""
         self.probes = 0
         """Predicate probes served by any index."""
 
     def info(self) -> dict:
         return {
             "builds": self.builds,
-            "attaches": self.attaches,
             "probes": self.probes,
         }
 
@@ -265,185 +247,19 @@ def build_index(
 
 
 def index_for_source(source) -> Optional[OrderedIndex | BitmapIndex]:
-    """The (lazily built or attached) index cached on one column source.
+    """The (lazily built) index cached on one column source.
 
-    Three outcomes, all cached on the source so they happen at most once:
-
-    * a published blob is present (``source.index_blob``, set by the
-      extent store on attach) — decode it (:data:`INDEX_STATS` counts an
-      *attach*, never a build);
-    * no blob — build from the column's values (counts a *build*);
-    * the values refuse indexing — cache :data:`UNINDEXABLE` and return
-      ``None`` forever after (the caller scans).
+    Built from the column's values on first use (:data:`INDEX_STATS`
+    counts a *build*); values that refuse indexing cache
+    :data:`UNINDEXABLE`, and ``None`` is returned forever after (the
+    caller scans).
     """
     index = source.index
     if index is None:
-        blob = source.index_blob
-        if blob is not None:
-            index = decode_index(blob)
-            source.index_blob = None
-            INDEX_STATS.attaches += 1
+        index = build_index(source.values())
+        if index is None:
+            index = UNINDEXABLE
         else:
-            index = build_index(source.values())
-            if index is None:
-                index = UNINDEXABLE
-            else:
-                INDEX_STATS.builds += 1
+            INDEX_STATS.builds += 1
         source.index = index
     return None if index is UNINDEXABLE else index
-
-
-# --------------------------------------------------------------------------- #
-# byte codec (shared-memory publication)
-# --------------------------------------------------------------------------- #
-_KIND_ORDERED = 0
-_KIND_BITMAP = 1
-
-_V_INT = 1
-_V_BIGINT = 2
-_V_FLOAT = 3
-_V_STR = 4
-_V_BOOL = 5
-
-_I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
-
-
-def _write_scalar(buffer: bytearray, value) -> None:
-    if isinstance(value, bool):
-        buffer.append(_V_BOOL)
-        buffer.append(int(value))
-    elif isinstance(value, int):
-        if _I64_MIN <= value <= _I64_MAX:
-            buffer.append(_V_INT)
-            buffer += struct.pack("<q", value)
-        else:
-            raw = str(value).encode("ascii")
-            buffer.append(_V_BIGINT)
-            buffer += struct.pack("<I", len(raw))
-            buffer += raw
-    elif isinstance(value, float):
-        buffer.append(_V_FLOAT)
-        buffer += struct.pack("<d", value)
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        buffer.append(_V_STR)
-        buffer += struct.pack("<I", len(raw))
-        buffer += raw
-    else:  # pragma: no cover - build_index admits only the atoms above
-        raise ExtentStoreError(f"cannot encode index value {value!r}")
-
-
-def _read_scalar(view: memoryview, offset: int) -> tuple[object, int]:
-    tag = view[offset]
-    offset += 1
-    if tag == _V_BOOL:
-        return bool(view[offset]), offset + 1
-    if tag == _V_INT:
-        (value,) = struct.unpack_from("<q", view, offset)
-        return value, offset + 8
-    if tag == _V_BIGINT:
-        (length,) = struct.unpack_from("<I", view, offset)
-        offset += 4
-        return int(bytes(view[offset : offset + length])), offset + length
-    if tag == _V_FLOAT:
-        (value,) = struct.unpack_from("<d", view, offset)
-        return value, offset + 8
-    if tag == _V_STR:
-        (length,) = struct.unpack_from("<I", view, offset)
-        offset += 4
-        return bytes(view[offset : offset + length]).decode("utf-8"), offset + length
-    raise ExtentStoreError(f"corrupt value index: unknown scalar tag {tag}")
-
-
-def encode_index(index: OrderedIndex | BitmapIndex) -> bytes:
-    """Serialise one index into the self-describing ``VIX1`` layout."""
-    buffer = bytearray(INDEX_MAGIC)
-    if isinstance(index, BitmapIndex):
-        buffer.append(_KIND_BITMAP)
-        buffer += struct.pack("<I", index.row_count)
-        buffer += struct.pack("<I", len(index.bitmaps))
-        for value, bitmap in index.bitmaps.items():
-            _write_scalar(buffer, value)
-            raw = bitmap.to_bytes((bitmap.bit_length() + 7) // 8 or 1, "little")
-            buffer += struct.pack("<I", len(raw))
-            buffer += raw
-    elif isinstance(index, OrderedIndex):
-        buffer.append(_KIND_ORDERED)
-        buffer += struct.pack("<I", index.row_count)
-        buffer += struct.pack("<I", len(index.keys))
-        for key, position in zip(index.keys, index.positions):
-            # keys are (kind, value) pairs; the value alone round-trips the
-            # key exactly (value_order_key is deterministic per value)
-            _write_scalar(buffer, key[1] if key[0] == 0 else str(key[1]))
-            buffer += struct.pack("<I", position)
-    else:
-        raise ExtentStoreError(f"cannot encode {type(index).__name__} as an index")
-    return bytes(buffer)
-
-
-def decode_index(payload) -> OrderedIndex | BitmapIndex:
-    """Inverse of :func:`encode_index`."""
-    view = memoryview(payload)
-    if bytes(view[:4]) != INDEX_MAGIC:
-        raise ExtentStoreError("not a value-index payload (bad magic)")
-    kind = view[4]
-    (row_count,) = struct.unpack_from("<I", view, 5)
-    (count,) = struct.unpack_from("<I", view, 9)
-    offset = 13
-    if kind == _KIND_BITMAP:
-        bitmaps: dict = {}
-        for _ in range(count):
-            value, offset = _read_scalar(view, offset)
-            (length,) = struct.unpack_from("<I", view, offset)
-            offset += 4
-            bitmaps[value] = int.from_bytes(view[offset : offset + length], "little")
-            offset += length
-        return BitmapIndex(bitmaps, row_count)
-    if kind == _KIND_ORDERED:
-        keys: list = []
-        positions: list[int] = []
-        for _ in range(count):
-            value, offset = _read_scalar(view, offset)
-            keys.append(value_order_key(value))
-            (position,) = struct.unpack_from("<I", view, offset)
-            offset += 4
-            positions.append(position)
-        return OrderedIndex(keys, positions, row_count)
-    raise ExtentStoreError(f"corrupt value index: unknown kind {kind}")
-
-
-def encode_index_section(indexes: dict[int, OrderedIndex | BitmapIndex]) -> bytes:
-    """Serialise a per-column index map (the extent payload's ``XIDX`` tail).
-
-    Keys are column *positions* in the extent's schema; the section is
-    appended verbatim after the ``RXC1`` column blocks (whose parser stops
-    at the end of its block directory, so the tail is invisible to it).
-    """
-    buffer = bytearray(SECTION_MAGIC)
-    buffer += struct.pack("<I", len(indexes))
-    for position in sorted(indexes):
-        blob = encode_index(indexes[position])
-        buffer += struct.pack("<II", position, len(blob))
-        buffer += blob
-    return bytes(buffer)
-
-
-def decode_index_section(payload) -> dict[int, bytes]:
-    """Parse an ``XIDX`` tail into per-column-position index *blobs*.
-
-    Blobs stay encoded — the attach path hands them to column sources as
-    ``index_blob`` and :func:`index_for_source` decodes on first probe, so
-    a worker that never probes a column never pays its decode.
-    """
-    view = memoryview(payload)
-    if bytes(view[:4]) != SECTION_MAGIC:
-        raise ExtentStoreError("not an extent index section (bad magic)")
-    (count,) = struct.unpack_from("<I", view, 4)
-    offset = 8
-    blobs: dict[int, bytes] = {}
-    for _ in range(count):
-        position, length = struct.unpack_from("<II", view, offset)
-        offset += 8
-        blobs[position] = bytes(view[offset : offset + length])
-        offset += length
-    return blobs

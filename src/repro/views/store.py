@@ -21,10 +21,10 @@ class ViewSet:
     Two counters tell consumers of derived state what went stale.  A
     rewriting is a function of the query, the view *definitions* and the
     summary — never of the instance counts — so what is derived from
-    definitions (the catalog, cached plans, prepared queries) watches
-    :attr:`version`, and what is derived from the stored rows (published
-    extents, catalog snapshots with their statistics, the planner's cost
-    model, the rank of a cached plan) watches :attr:`data_version`.
+    definitions (the catalog, cached plans, prepared queries, the batch
+    engine's snapshot and worker pool) watches :attr:`version`, and what
+    is derived from the stored rows (the planner's cost model, the rank of
+    a cached plan) watches :attr:`data_version`.
     """
 
     def __init__(self, views: Iterable[MaterializedView] = ()):
@@ -44,8 +44,8 @@ class ViewSet:
         (``touch(definitions_changed=True)``); stays put across a write
         that only moved instance counts.  The
         :class:`~repro.views.catalog.ViewCatalog` cached by ``Rewriter``,
-        the plan cache and prepared queries compare it to detect that
-        their state is stale."""
+        the plan cache, prepared queries and the batch engine's snapshot
+        and pool compare it to detect that their state is stale."""
         return self._version
 
     @property
@@ -53,8 +53,7 @@ class ViewSet:
         """The *data* version: some extent, count or statistic may have changed.
 
         Moves on every add / remove / :meth:`touch` — so it moves whenever
-        :attr:`version` does.  The shared extent store, the batch engine's
-        snapshot and pool, and the planner's cost model key on it."""
+        :attr:`version` does.  The planner's cost model keys on it."""
         return self._data_version
 
     def add(self, view: MaterializedView) -> MaterializedView:

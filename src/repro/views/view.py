@@ -99,7 +99,6 @@ class MaterializedView:
         self.id_scheme = id_scheme or IdScheme.dewey()
         self._id_function = id_function or default_id_function
         self._relation: Optional[Relation] = None
-        self._extent_version = 0
         if document is not None:
             self.materialize(document)
 
@@ -144,18 +143,7 @@ class MaterializedView:
             except ReproError:
                 pass  # non-Dewey fID under a structural scheme: keep unsorted
         self._relation = relation
-        self._extent_version += 1
         return self._relation
-
-    @property
-    def extent_version(self) -> int:
-        """Bumps whenever the materialised extent changes (0 = never built).
-
-        The change detector behind the extent store's diff publishing: a
-        view whose extent version did not move between two publishes keeps
-        its shared-memory segment instead of being re-encoded.
-        """
-        return getattr(self, "_extent_version", 0)
 
     def apply_delta(self, document: XMLDocument, change) -> str:
         """Maintain the extent under one subtree insert / delete.
@@ -172,26 +160,17 @@ class MaterializedView:
 
         A change this view cannot see leaves :attr:`relation` the very
         same object — that identity is how callers tell which extents a
-        write touched — and :attr:`extent_version` where it was, unless
-        the extent holds content references: a stored node is the live
-        document's, so its *encoded* subtree may have changed under rows
-        that did not.
+        write touched.
         """
         from repro.views.delta import apply_subtree_delta
 
         if self._relation is not None:
             patched = apply_subtree_delta(self, document, change)
             if patched is not None:
-                if patched is not self._relation or self._holds_nodes():
-                    self._extent_version += 1
                 self._relation = patched
                 return "delta"
         self.materialize(document)
         return "rematerialized"
-
-    def _holds_nodes(self) -> bool:
-        """Whether some top-level column stores document nodes (``C`` / bare)."""
-        return any(column.kind in ("C", "NODE") for column in self._relation.columns)
 
     @property
     def relation(self) -> Relation:

@@ -11,11 +11,9 @@ session level:
   the last complete record; anything else — a flipped byte, a missing
   record — is a typed :class:`~repro.errors.ChangeLogCorruptError`, never a
   silently different database.
-* **Readers can't see the past.**  A shared-memory manifest published
-  before a document mutation fails to attach afterwards
-  (:class:`~repro.views.StaleExtentError`); the version-keyed pool path
-  (``query_many(execute=True)``) recycles on mutation exactly as it does
-  on DDL, so batch answers always reflect the live document.
+* **Readers can't see the past.**  A batch answered after a document
+  mutation — through ``query_many(workers=2)``, whose workers hold a
+  catalog snapshot from before the write — reflects the live document.
 
 The fig13-style check at the end replays an XMark session log and asserts
 the recovered database answers the workload queries row-identically.
@@ -36,7 +34,6 @@ from repro import (
     to_parenthesized,
 )
 from repro.rewriting import RewritingConfig
-from repro.views.extent_store import AttachedExtents, StaleExtentError
 from repro.workloads import XMARK_QUERY_PATTERNS, seed_tag_views
 from repro.workloads.dblp import generate_dblp_document
 from repro.workloads.xmark import generate_xmark_document
@@ -177,23 +174,21 @@ def test_missing_record_is_a_typed_error(tmp_path):
 def test_mutation_supersedes_published_extents(tmp_path):
     db = Database(parse_parenthesized(DOC_TEXT, name="live"))
     db.create_view(ITEM_QUERY, name="items")
+    db.create_view(NAME_QUERY, name="names")
+    queries = [ITEM_QUERY, NAME_QUERY]
     try:
-        before = db.query_many([ITEM_QUERY] * 2, workers=2, execute=True)
-        old_manifest = db.extent_store.manifest
-        published_before = db.extent_store.publish_count
+        before = db.query_many(queries, workers=2)
         asia = db.document.nodes_on_path("/site/regions/asia")[0]
         db.insert_subtree(asia, XMLNode("item", None, [XMLNode("name", "fresh")]))
-        # the pool recycles on mutation exactly as on DDL: the batch answer
-        # reflects the live document, through a diff publish (one view
-        # re-encoded) under a fresh guard
-        after = db.query_many([ITEM_QUERY] * 2, workers=2, execute=True)
+        # searched in the workers (the plan cache emptied), executed here
+        # over the extents the write maintained
+        db.plan_cache.clear()
+        after = db.query_many(queries, workers=2)
+        assert db.rewriter._batch_engine._pool is not None
         assert len(after[0]) == len(before[0]) + 1
-        assert db.extent_store.publish_count == published_before + 1
-        with pytest.raises(StaleExtentError):
-            AttachedExtents.attach(old_manifest)
-        fresh = AttachedExtents.attach(db.extent_store.manifest)
-        assert fresh["items"].relation.same_contents(db.views["items"].relation)
-        fresh.close()
+        for text, answer in zip(queries, after):
+            direct = evaluate_pattern(parse_pattern(text, name="q"), db.document)
+            assert answer.same_contents(direct)
     finally:
         db.close()
 

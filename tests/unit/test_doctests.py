@@ -34,7 +34,6 @@ import repro.service.tracing
 import repro.session.database
 import repro.session.explain
 import repro.views.catalog
-import repro.views.extent_store
 import repro.views.indexes
 
 DOCTEST_MODULES = [
@@ -52,7 +51,6 @@ DOCTEST_MODULES = [
     repro.session.database,
     repro.session.explain,
     repro.views.catalog,
-    repro.views.extent_store,
     repro.views.indexes,
 ]
 """The curated doctest list — the CI docs job derives its

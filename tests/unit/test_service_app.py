@@ -2,13 +2,11 @@
 
 ``ServiceApp.handle`` maps ``(method, path, payload)`` to a typed
 response; these tests pin the endpoint contracts (bodies, envelopes,
-error codes), the tracing and metrics side effects, and the ASGI adapter
-(awaited with stub callables — no ASGI server involved).
+error codes) and the tracing and metrics side effects.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 
 import pytest
@@ -16,8 +14,6 @@ import pytest
 from repro import Database, parse_parenthesized
 from repro.service.app import ServiceApp
 from repro.service.models import SCHEMA_VERSION, relation_from_payload
-from repro.service.server import make_asgi_app
-from repro.errors import ServiceError
 
 ITEM_NAMES = "site(//item[ID](/name[V]))"
 
@@ -250,7 +246,6 @@ def test_metrics_render_requests_and_database_gauges(app):
     assert "service_plan_cache_misses 1" in text
     assert "service_plan_cache_hit_rate 0.5" in text
     assert "service_views 1" in text
-    assert "service_extent_publishes 0" in text
     assert 'service_maintenance_operations{path="delta_applied"} 0' in text
 
 
@@ -341,73 +336,3 @@ def test_error_requests_still_trace(app):
     traces = app.handle("GET", "/debug/traces", None).body["traces"]
     failed = [t for t in traces if t["trace_id"] == response.trace_id]
     assert failed and failed[0]["status"] == "error"
-
-
-# --------------------------------------------------------------------------- #
-# the ASGI adapter
-# --------------------------------------------------------------------------- #
-def _asgi_call(application, method, path, payload):
-    messages = []
-    body = b"" if payload is None else json.dumps(payload).encode()
-    received = {"done": False}
-
-    async def receive():
-        if received["done"]:
-            raise AssertionError("receive called twice")
-        received["done"] = True
-        return {"type": "http.request", "body": body, "more_body": False}
-
-    async def send(message):
-        messages.append(message)
-
-    scope = {"type": "http", "method": method, "path": path}
-    asyncio.run(application(scope, receive, send))
-    start = messages[0]
-    payload = b"".join(m.get("body", b"") for m in messages[1:])
-    headers = {name.decode(): value.decode() for name, value in start["headers"]}
-    return start["status"], headers, payload
-
-
-def test_asgi_adapter_serves_the_same_app(app, db):
-    application = make_asgi_app(app)
-    status, headers, raw = _asgi_call(
-        application, "POST", "/query", {"query": ITEM_NAMES}
-    )
-    assert status == 200
-    assert headers["content-type"] == "application/json"
-    assert "x-request-id" in headers and "x-trace-id" in headers
-    body = json.loads(raw)
-    rebuilt = relation_from_payload(body["result"])
-    assert rebuilt.same_contents(db.query(ITEM_NAMES))
-
-
-def test_asgi_adapter_rejects_bad_json(app):
-    application = make_asgi_app(app)
-    messages = []
-
-    async def receive():
-        return {"type": "http.request", "body": b"{nope", "more_body": False}
-
-    async def send(message):
-        messages.append(message)
-
-    asyncio.run(
-        application({"type": "http", "method": "POST", "path": "/query"},
-                    receive, send)
-    )
-    assert messages[0]["status"] == 400
-    body = json.loads(messages[1]["body"])
-    assert body["error"]["code"] == "bad-json"
-
-
-def test_asgi_adapter_declines_non_http_scopes(app):
-    application = make_asgi_app(app)
-
-    async def receive():  # pragma: no cover - never called
-        return {}
-
-    async def send(message):  # pragma: no cover - never called
-        pass
-
-    with pytest.raises(ServiceError, match="unsupported ASGI scope"):
-        asyncio.run(application({"type": "lifespan"}, receive, send))

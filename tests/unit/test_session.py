@@ -232,13 +232,12 @@ def test_stats_aggregates_every_layer(db):
     assert snapshot["executor"] == "vectorized"
     assert "maintenance_mode" not in snapshot
     assert snapshot["plan_cache"]["hits"] == 0
-    assert snapshot["extent_store"] == {"published": False, "publish_count": 0}
     assert set(snapshot["maintenance"]) == {
         "delta_applied", "rematerialized",
         "summary_incremental", "summary_rebuilt",
     }
     assert snapshot["worker_pool"] == {"active": False, "workers": 0}
-    assert {"builds", "attaches", "probes"} <= set(snapshot["indexes"])
+    assert snapshot["indexes"].keys() == {"builds", "probes"}
 
 
 def test_stats_tracks_queries_and_ddl(db):

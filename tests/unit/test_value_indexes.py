@@ -1,4 +1,4 @@
-"""Value indexes over materialised extents: probes, lifecycle, codec.
+"""Value indexes over materialised extents: probes and lifecycle.
 
 Contracts under test:
 
@@ -9,11 +9,7 @@ Contracts under test:
   :data:`~repro.views.indexes.BITMAP_CARDINALITY_THRESHOLD` distinct values;
 * **build-once lifecycle** — one build per column source, survivable by
   unrelated DDL, invalidated by re-materialising DDL (new extent → new
-  sources → rebuild), all observable through :data:`INDEX_STATS`;
-* **publish/attach** — indexes the parent built travel through the shared
-  extent store as an ``XIDX`` trailer and are *attached* (decoded), never
-  rebuilt, on the worker side;
-* **codec fidelity** — both kinds and every scalar type round-trip.
+  sources → rebuild), all observable through :data:`INDEX_STATS`.
 """
 
 from __future__ import annotations
@@ -23,22 +19,15 @@ import pytest
 from repro import Database, MaterializedView, parse_parenthesized, parse_pattern
 from repro.algebra.columnar import ColumnBatch
 from repro.algebra.kernels import selection_indices
-from repro.errors import ExtentStoreError
 from repro.patterns.predicates import ValueFormula
-from repro.views.extent_store import AttachedExtents, ExtentStore
 from repro.views.indexes import (
     BITMAP_CARDINALITY_THRESHOLD,
     INDEX_STATS,
     BitmapIndex,
     OrderedIndex,
     build_index,
-    decode_index,
-    decode_index_section,
-    encode_index,
-    encode_index_section,
     index_for_source,
 )
-from repro.views.store import ViewSet
 
 
 @pytest.fixture(autouse=True)
@@ -178,85 +167,3 @@ def test_unindexable_columns_fall_back_to_the_scan_kernel(database):
     assert index_for_source(batch.source(batch.column_index("ID1"))) is None
     assert index_for_source(batch.source(batch.column_index("ID1"))) is None
     assert INDEX_STATS.builds == 0, "unindexable is cached, not retried"
-
-
-# --------------------------------------------------------------------------- #
-# publish / attach
-# --------------------------------------------------------------------------- #
-def test_published_indexes_attach_without_rebuilding(database):
-    database.query(SELECTIVE)  # parent builds the V1 index
-    assert INDEX_STATS.builds == 1
-    store = ExtentStore()
-    attached = None
-    try:
-        attached = AttachedExtents.attach(store.publish(database.views))
-        batch = attached["items"].column_batch
-        source = batch.source(batch.column_index("V1"))
-        assert source.index_blob is not None, "publish must ship the index"
-        index = index_for_source(source)
-        assert INDEX_STATS.attaches == 1 and INDEX_STATS.builds == 1, (
-            "the worker side must decode the published index, not rebuild"
-        )
-        kernel = selection_indices(
-            batch.values(batch.column_index("V1")), ValueFormula.eq("n1")
-        )
-        assert index.probe(ValueFormula.eq("n1")) == kernel
-    finally:
-        if attached is not None:
-            attached.close()
-        store.release()
-
-
-def test_unbuilt_indexes_are_not_published(database):
-    # nothing probed yet: the payload carries no XIDX trailer and the
-    # worker builds lazily like the parent would
-    store = ExtentStore()
-    attached = None
-    try:
-        attached = AttachedExtents.attach(store.publish(database.views))
-        batch = attached["items"].column_batch
-        source = batch.source(batch.column_index("V1"))
-        assert source.index_blob is None
-        assert index_for_source(source) is not None
-        assert INDEX_STATS.builds == 1 and INDEX_STATS.attaches == 0
-    finally:
-        if attached is not None:
-            attached.close()
-        store.release()
-
-
-# --------------------------------------------------------------------------- #
-# codec
-# --------------------------------------------------------------------------- #
-def test_codec_round_trips_both_kinds_and_every_scalar_type():
-    values = ["text", 7, -7, 2**80, 3.25, True, False, None, "text"]
-    probes = [
-        ValueFormula.true(),
-        ValueFormula.eq("text"),
-        ValueFormula.eq(2**80),
-        ValueFormula.le(0),
-        ValueFormula.eq(True),
-    ]
-    for threshold in (64, 0):
-        index = build_index(values, bitmap_threshold=threshold)
-        decoded = decode_index(encode_index(index))
-        assert type(decoded) is type(index)
-        assert decoded.row_count == index.row_count
-        for formula in probes:
-            assert decoded.probe(formula) == index.probe(formula)
-
-
-def test_section_codec_round_trips_column_positions():
-    ordered = build_index(list(range(100)), bitmap_threshold=4)
-    bitmap = build_index(["a", "b", "a"])
-    blobs = decode_index_section(encode_index_section({2: ordered, 0: bitmap}))
-    assert sorted(blobs) == [0, 2]
-    assert isinstance(decode_index(blobs[0]), BitmapIndex)
-    assert isinstance(decode_index(blobs[2]), OrderedIndex)
-
-
-def test_codec_rejects_corrupt_payloads():
-    with pytest.raises(ExtentStoreError, match="bad magic"):
-        decode_index(b"not an index")
-    with pytest.raises(ExtentStoreError, match="bad magic"):
-        decode_index_section(b"not a section")
