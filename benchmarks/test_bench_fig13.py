@@ -6,7 +6,7 @@
 
 import pytest
 from repro.canonical import canonical_model
-from repro.containment.core import containment_decision
+from repro.containment.core import canonical_containment_decision
 from repro.experiments.fig13 import (
     print_fig13,
     run_fig13_query_containment,
@@ -22,7 +22,7 @@ def test_fig13_query_self_containment(benchmark, xmark_summary_bench, xmark_quer
     """Self-containment time for representative XMark queries (Fig. 13 top)."""
     pattern = xmark_queries_bench[query_name]
 
-    decision = benchmark(containment_decision, pattern, pattern, xmark_summary_bench)
+    decision = benchmark(canonical_containment_decision, pattern, pattern, xmark_summary_bench)
 
     assert decision.contained
     model_size = len(canonical_model(pattern, xmark_summary_bench, max_trees=5000))

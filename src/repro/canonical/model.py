@@ -432,7 +432,7 @@ def _iter_canonical_model_uncached(
                     # Section 4.3: keep an erased variant only if the optional
                     # pattern still has a non-empty result on it.
                     if not evaluate_node_tuples(
-                        pattern, root, EmbeddingMode.DECORATED
+                        pattern, tree.index, EmbeddingMode.DECORATED
                     ):
                         continue
                 key = tree.key()

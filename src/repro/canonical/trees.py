@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Iterator, Optional, Sequence
 
 from repro.patterns.predicates import ValueFormula
+from repro.patterns.semantics import TreeIndex
 from repro.summary.node import SummaryNode
 
 __all__ = ["CanonicalNode", "CanonicalTree"]
@@ -105,6 +106,18 @@ class CanonicalTree:
     ):
         self.root = root
         self.return_nodes: tuple[Optional[CanonicalNode], ...] = tuple(return_nodes)
+        self._index: Optional[TreeIndex] = None
+
+    @property
+    def index(self) -> TreeIndex:
+        """The pre-order index pattern evaluation on this tree reads.
+
+        Built once and kept with the tree, so it lives exactly as long as the
+        canonical-model memo holds the tree: ``clear_containment_cache()``
+        flushes both."""
+        if self._index is None:
+            self._index = TreeIndex(self.root)
+        return self._index
 
     # ------------------------------------------------------------------ #
     @property

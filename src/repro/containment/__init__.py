@@ -6,7 +6,9 @@ The public entry points are
   decorated refinement of Section 4.2),
 * :func:`is_contained_in_union` — ``p ⊆S q1 ∪ ... ∪ qm`` (Proposition 3.2
   and the value-coverage condition of Section 4.2),
-* :func:`are_equivalent` — two-way containment (``≡S``).
+* :func:`are_equivalent` — two-way containment (``≡S``),
+* :func:`canonical_containment_decision` — the paper's canonical-model
+  decider alone, unmemoised (what the Figure 13/14 harnesses time).
 
 All tests work uniformly for conjunctive, decorated, optional, attribute and
 nested patterns; the relevant extra conditions are applied automatically
@@ -21,6 +23,7 @@ from repro.containment.core import (
     ContainmentCache,
     ContainmentDecision,
     are_equivalent,
+    canonical_containment_decision,
     clear_containment_cache,
     containment_cache,
     containment_cache_disabled,
@@ -33,6 +36,7 @@ from repro.containment.core import (
 __all__ = [
     "ContainmentCache",
     "ContainmentDecision",
+    "canonical_containment_decision",
     "clear_containment_cache",
     "containment_cache",
     "containment_cache_disabled",

@@ -8,10 +8,19 @@ formula implication).  The extra conditions for attribute patterns
 (Prop. 4.1) and nested patterns (Prop. 4.2) are purely structural and are
 checked first; the value-coverage condition of Section 4.2 is applied to
 union containment.
+
+Between the two, patterns without optional or nested edges meet two cheap
+deciders that answer without building a canonical model: a homomorphism
+from ``q`` into ``p`` proves containment, and a return-node ancestry that
+``q`` demands and ``p`` lacks refutes it (``docs/containment.md``,
+"Deciders in front of the canonical model").  Everything else goes to the
+canonical model, which :func:`canonical_containment_decision` also exposes
+on its own.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -19,19 +28,24 @@ from typing import Optional, Sequence
 
 from repro.caching import BoundedLruCache
 from repro.canonical.hashing import pattern_key, summary_token
-from repro.canonical.model import canonical_model_cache, iter_canonical_model
+from repro.canonical.model import (
+    canonical_model_cache,
+    is_satisfiable,
+    iter_canonical_model,
+)
 from repro.canonical.trees import CanonicalTree
 from repro.containment.formulas import implies_disjunction, tree_formula
 from repro.containment.nesting import nesting_depths, nesting_sequences_compatible
 from repro.errors import ContainmentBudgetExceeded, ContainmentError
 from repro.patterns.embedding import EmbeddingMode
-from repro.patterns.pattern import TreePattern
+from repro.patterns.pattern import Axis, PatternNode, TreePattern
 from repro.patterns.semantics import evaluate_node_tuples
 from repro.summary.dataguide import Summary
 
 __all__ = [
     "ContainmentCache",
     "ContainmentDecision",
+    "canonical_containment_decision",
     "clear_containment_cache",
     "containment_cache",
     "containment_cache_disabled",
@@ -57,8 +71,20 @@ class ContainmentCache(BoundedLruCache):
     canonical-model enumeration.
     """
 
+    DECIDERS = ("preconditions", "ancestry_negative", "homomorphism", "canonical")
+
     def __init__(self, maxsize: int = 65536):
         super().__init__(maxsize)
+        self.deciders = dict.fromkeys(self.DECIDERS, 0)
+
+    def clear(self) -> None:
+        super().clear()
+        self.deciders = dict.fromkeys(self.DECIDERS, 0)
+
+    def decided(self, decider: str, decision: "ContainmentDecision") -> "ContainmentDecision":
+        """Count one uncached decision under the decider that answered it."""
+        self.deciders[decider] += 1
+        return decision
 
 
 _CACHE = ContainmentCache()
@@ -238,6 +264,118 @@ def _strip_predicates(pattern: TreePattern) -> TreePattern:
 
 
 # --------------------------------------------------------------------------- #
+# deciders in front of the canonical model
+# --------------------------------------------------------------------------- #
+def _plain(pattern: TreePattern) -> bool:
+    """No optional and no nested edges: the scope of the fast deciders."""
+    return all(
+        not (node.optional or node.nested) for node in pattern.root.iter_subtree()
+    )
+
+
+def _is_proper_ancestor(upper: PatternNode, lower: PatternNode) -> bool:
+    return any(node is upper for node in lower.iter_ancestors())
+
+
+def _ancestry_refutes(contained: TreePattern, container: TreePattern) -> bool:
+    """Does the container demand, between two return nodes, an ancestry the
+    contained pattern's own return nodes lack?
+
+    Every canonical tree gives each pattern node its own image and closure
+    nodes are never images, so two contained return nodes that are not
+    pattern ancestor and descendant have images that are not either; the
+    container then cannot produce the contained pattern's own tuple.
+    """
+    inner = contained.return_nodes()
+    outer = container.return_nodes()
+    return any(
+        i != j
+        and _is_proper_ancestor(upper, lower)
+        and not _is_proper_ancestor(inner[i], inner[j])
+        for i, upper in enumerate(outer)
+        for j, lower in enumerate(outer)
+    )
+
+
+def _return_images(
+    contained: TreePattern, container: TreePattern
+) -> Optional[dict[int, PatternNode]]:
+    """Container return node (by ``id``) → the contained return node at the
+    same position, or None when a node listed twice needs two images."""
+    images: dict[int, PatternNode] = {}
+    for source, target in zip(container.return_nodes(), contained.return_nodes()):
+        if images.setdefault(id(source), target) is not target:
+            return None
+    return images
+
+
+def _step_images(axis: Axis, target: PatternNode):
+    """The contained nodes a container edge of ``axis`` leaving ``target``
+    may map to: a ``/`` edge to a ``/`` edge, a ``//`` edge to any downward
+    path of one or more edges."""
+    if axis is Axis.CHILD:
+        return [node for node in target.children if node.axis is Axis.CHILD]
+    return itertools.islice(target.iter_subtree(), 1, None)
+
+
+def _homomorphism_exists(contained: TreePattern, container: TreePattern) -> bool:
+    """Is there a map from ``container`` into ``contained`` that keeps labels
+    (``*`` maps anywhere), maps the i-th return node to the i-th, maps edges
+    per :func:`_step_images`, and sends every node to one whose formula
+    implies its own?
+
+    Composing such a map with any embedding of the contained pattern embeds
+    the container with the same return tuple, on every tree — so the map
+    proves containment on every document, and therefore under any summary
+    (Miklau & Suciu, JACM 2004).  Pairs are memoised, so the check is
+    polynomial in the two pattern sizes.
+    """
+    images = _return_images(contained, container)
+    if images is None:
+        return False
+    memo: dict[tuple[int, int], bool] = {}
+
+    def maps(source: PatternNode, target: PatternNode) -> bool:
+        key = (id(source), id(target))
+        answer = memo.get(key)
+        if answer is None:
+            answer = memo[key] = (
+                source.label in ("*", target.label)
+                and images.get(id(source), target) is target
+                and target.effective_predicate.implies(source.effective_predicate)
+                and all(
+                    any(maps(child, image) for image in _step_images(child.axis, target))
+                    for child in source.children
+                )
+            )
+        return answer
+
+    return maps(container.root, contained.root)
+
+
+def _fast_decision(
+    contained: TreePattern, container: TreePattern, summary: Summary
+) -> Optional[tuple[str, ContainmentDecision]]:
+    """``(decider, decision)`` from a decider that needs no canonical model,
+    or None when neither applies and the canonical model must decide."""
+    if not (_plain(contained) and _plain(container)):
+        return None
+    if _ancestry_refutes(contained, container) and is_satisfiable(contained, summary):
+        return "ancestry_negative", ContainmentDecision(
+            False,
+            "ancestry_negative: the container relates two return nodes as "
+            "ancestor and descendant that the contained pattern does not",
+        )
+    if _homomorphism_exists(contained, container):
+        return "homomorphism", ContainmentDecision(
+            True,
+            "homomorphism: the container maps into the contained pattern, "
+            "keeping labels, return order, edges and formulas",
+        )
+    return None
+
+
+# --------------------------------------------------------------------------- #
 # single containment
 # --------------------------------------------------------------------------- #
 def containment_decision(
@@ -245,31 +383,26 @@ def containment_decision(
     container: TreePattern,
     summary: Summary,
     check_attributes: bool = True,
-    max_trees: Optional[int] = None,
 ) -> ContainmentDecision:
     """Full containment test ``contained ⊆S container`` with statistics.
 
-    Decisions are memoised in the process-wide :class:`ContainmentCache`
-    (except when ``max_trees`` caps the enumeration, because a capped test
-    may abort with :class:`ContainmentError` instead of deciding).
+    Decisions are memoised in the process-wide :class:`ContainmentCache`,
+    which also counts which decider answered each uncached one.
     """
-    cache_key: Optional[tuple] = None
-    if max_trees is None:
-        cache_key = _cache_key(
-            "single",
-            pattern_key(contained),
-            pattern_key(container),
-            summary_token(summary),
-            check_attributes,
-        )
-        cached = _CACHE.lookup(cache_key)
-        if cached is not None:
-            return cached
-    decision = _containment_decision_uncached(
-        contained, container, summary, check_attributes, max_trees
+    cache_key = _cache_key(
+        "single",
+        pattern_key(contained),
+        pattern_key(container),
+        summary_token(summary),
+        check_attributes,
     )
-    if cache_key is not None:
-        _CACHE.store(cache_key, decision)
+    cached = _CACHE.lookup(cache_key)
+    if cached is not None:
+        return cached
+    decision = _containment_decision_uncached(
+        contained, container, summary, check_attributes
+    )
+    _CACHE.store(cache_key, decision)
     return decision
 
 
@@ -278,14 +411,49 @@ def _containment_decision_uncached(
     container: TreePattern,
     summary: Summary,
     check_attributes: bool,
-    max_trees: Optional[int],
 ) -> ContainmentDecision:
     failure = _structural_preconditions(
         contained, container, summary, check_attributes
     )
     if failure is not None:
-        return ContainmentDecision(False, failure)
+        return _CACHE.decided("preconditions", ContainmentDecision(False, failure))
+    fast = _fast_decision(contained, container, summary)
+    if fast is not None:
+        return _CACHE.decided(*fast)
+    return _CACHE.decided(
+        "canonical", _canonical_decision(contained, container, summary, None)
+    )
 
+
+def canonical_containment_decision(
+    contained: TreePattern,
+    container: TreePattern,
+    summary: Summary,
+    check_attributes: bool = True,
+    max_trees: Optional[int] = None,
+) -> ContainmentDecision:
+    """``contained ⊆S container`` by the paper's decider alone: the
+    structural pre-conditions, then every canonical tree (Prop. 3.1).
+
+    Neither memoised nor counted, and no fast decider answers first: this is
+    what the Figure 13/14 harnesses time and what the fast deciders are
+    tested against.  ``max_trees`` caps the enumeration; a model that
+    exceeds it raises :class:`ContainmentError` instead of deciding.
+    """
+    failure = _structural_preconditions(
+        contained, container, summary, check_attributes
+    )
+    if failure is not None:
+        return ContainmentDecision(False, failure)
+    return _canonical_decision(contained, container, summary, max_trees)
+
+
+def _canonical_decision(
+    contained: TreePattern,
+    container: TreePattern,
+    summary: Summary,
+    max_trees: Optional[int],
+) -> ContainmentDecision:
     checked = 0
     for tree in iter_canonical_model(contained, summary, deadline=_deadline):
         checked += 1
@@ -299,22 +467,25 @@ def _containment_decision_uncached(
         # than every other step of the test combined
         tick = _check_deadline if _deadline is not None else None
         left_tuples = evaluate_node_tuples(
-            contained, tree.root, EmbeddingMode.DECORATED, tick=tick
+            contained, tree.index, EmbeddingMode.DECORATED, tick=tick
         )
         right_tuples = evaluate_node_tuples(
-            container, tree.root, EmbeddingMode.DECORATED, tick=tick
+            container, tree.index, EmbeddingMode.DECORATED, tick=tick
         )
         if not left_tuples <= right_tuples:
             return ContainmentDecision(
                 False,
-                "a canonical tree of the contained pattern has a result tuple "
-                "the container does not produce (Prop. 3.1 condition 3)",
+                "canonical: a canonical tree of the contained pattern has a "
+                "result tuple the container does not produce (Prop. 3.1 "
+                "condition 3)",
                 checked,
             )
     if checked == 0:
         # an S-unsatisfiable pattern is contained in anything of the same shape
-        return ContainmentDecision(True, "contained pattern is S-unsatisfiable", 0)
-    return ContainmentDecision(True, "all canonical trees pass", checked)
+        return ContainmentDecision(
+            True, "canonical: contained pattern is S-unsatisfiable", 0
+        )
+    return ContainmentDecision(True, "canonical: all canonical trees pass", checked)
 
 
 def is_contained(
@@ -394,13 +565,13 @@ def _is_contained_in_union_uncached(
         _check_deadline()
         tick = _check_deadline if _deadline is not None else None
         left_tuples = evaluate_node_tuples(
-            contained, tree.root, EmbeddingMode.DECORATED, tick=tick
+            contained, tree.index, EmbeddingMode.DECORATED, tick=tick
         )
         # each container's tuples depend only on (container, tree) — compute
         # them once per tree, not once per left tuple
         container_tuples = [
             evaluate_node_tuples(
-                container, tree.root, EmbeddingMode.DECORATED, tick=tick
+                container, tree.index, EmbeddingMode.DECORATED, tick=tick
             )
             for container in stripped
         ] if left_tuples else []

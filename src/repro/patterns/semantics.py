@@ -19,6 +19,7 @@ Two evaluators are provided:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable, Optional
 
 from repro.algebra.tuples import Column, Relation
@@ -28,6 +29,7 @@ from repro.patterns.pattern import Axis, PatternNode, TreePattern
 from repro.xmltree.node import XMLNode
 
 __all__ = [
+    "TreeIndex",
     "evaluate_node_tuples",
     "evaluate_pattern",
     "pattern_schema",
@@ -44,10 +46,67 @@ product is the one loop whose size is exponential in the pattern, so it must
 poll the caller's deadline itself — everything else ticks per node visit."""
 
 
+class TreeIndex:
+    """A pre-order index of one tree, read by the ``//`` steps of
+    :func:`evaluate_node_tuples`.
+
+    The descendants of a node with a given label are one slice of that
+    label's pre-ordered nodes, bounded by the node's pre-order span, so a
+    ``//`` step never walks the subtree.  Positions are numbered on the
+    first ``//`` step and a label's node list is gathered on the first step
+    asking for it; a canonical tree keeps its index for every pattern
+    evaluated on it.
+
+    Positions are held here, keyed by node identity, and never on the
+    nodes: canonical trees share strong-closure subtrees by reference, so
+    one node has a different position in every tree that holds it.
+    """
+
+    __slots__ = ("root", "_first", "_nodes", "_by_label")
+
+    def __init__(self, root):
+        self.root = root
+        self._first: Optional[dict] = None
+
+    def _build(self) -> None:
+        first: dict = {}  # node -> its pre-order position
+        nodes: list = []
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            first[node] = len(nodes)
+            nodes.append(node)
+            stack.extend(reversed(node.children))
+        self._first, self._nodes = first, nodes
+        self._by_label: dict[str, tuple[list[int], list]] = {}
+
+    def descendants(self, node, label: Optional[str]) -> list:
+        """Strict descendants of ``node`` in pre-order, restricted to
+        ``label`` unless it is None."""
+        if self._first is None:
+            self._build()
+        # the subtree ends at its last node in pre-order: down the last
+        # children, a walk as long as the tree is deep
+        last = node
+        while last.children:
+            last = last.children[-1]
+        first, last = self._first[node], self._first[last]
+        if label is None:
+            return self._nodes[first + 1 : last + 1]
+        entry = self._by_label.get(label)
+        if entry is None:  # the labels a pattern asks for, one scan each
+            nodes = self._nodes
+            positions = [p for p, other in enumerate(nodes) if other.label == label]
+            entry = self._by_label[label] = (positions, [nodes[p] for p in positions])
+        positions, labelled = entry
+        return labelled[bisect_right(positions, first) : bisect_right(positions, last)]
+
+
 def _eval_nodes(
     pattern_node: PatternNode,
     tree_node,
     mode: EmbeddingMode,
+    index: TreeIndex,
     tick: Optional[Callable[[], None]] = None,
 ) -> Optional[list[dict[PatternNode, object]]]:
     """Return the list of partial bindings for the subtree, or None on failure."""
@@ -59,18 +118,17 @@ def _eval_nodes(
         {pattern_node: tree_node} if pattern_node.is_return else {}
     ]
     for child in pattern_node.children:
-        if child.axis is Axis.CHILD:
-            candidates = tree_node.children
-        else:
-            candidates = tree_node.iter_descendants()
-        sub_results: list[dict[PatternNode, object]] = []
-        # a ``//`` step sees the whole strong closure of a canonical tree:
         # test the label here rather than pay a call per node
         label = None if child.label == "*" else child.label
+        if child.axis is not Axis.CHILD:
+            candidates = index.descendants(tree_node, label)
+        elif label is None:
+            candidates = tree_node.children
+        else:
+            candidates = [node for node in tree_node.children if node.label == label]
+        sub_results: list[dict[PatternNode, object]] = []
         for candidate in candidates:
-            if label is not None and label != candidate.label:
-                continue
-            result = _eval_nodes(child, candidate, mode, tick)
+            result = _eval_nodes(child, candidate, mode, index, tick)
             if result is not None:
                 sub_results.extend(result)
         if not sub_results:
@@ -98,11 +156,12 @@ def _eval_nodes(
 
 def evaluate_node_tuples(
     pattern: TreePattern,
-    tree_root,
+    tree,
     mode: EmbeddingMode = EmbeddingMode.DOCUMENT,
     tick: Optional[Callable[[], None]] = None,
 ) -> set[tuple]:
-    """Evaluate ``pattern`` on the tree rooted at ``tree_root``.
+    """Evaluate ``pattern`` on ``tree``: a tree's root node, or the
+    :class:`TreeIndex` of a tree (a root gets an index of its own).
 
     Returns the set of return-node tuples (entries are tree nodes or ``None``
     for ``⊥``), following Definition 4.1 for optional edges: ``⊥`` appears
@@ -118,7 +177,8 @@ def evaluate_node_tuples(
     return_nodes = pattern.return_nodes()
     if not return_nodes:
         raise PatternError(f"pattern {pattern.name!r} has no return nodes")
-    bindings = _eval_nodes(pattern.root, tree_root, mode, tick)
+    index = tree if isinstance(tree, TreeIndex) else TreeIndex(tree)
+    bindings = _eval_nodes(pattern.root, index.root, mode, index, tick)
     if bindings is None:
         return set()
     result = set()

@@ -995,16 +995,21 @@ class Database:
 
         Collects every counter the layers already expose — plan-cache
         hit/miss/invalidation, the rewriting searches' summed search-space
-        counters, live-document :attr:`maintenance_stats`, value-index
+        counters, the containment memo's hit rate and which decider answered
+        its uncached decisions (both process-wide, like the memo),
+        live-document :attr:`maintenance_stats`, value-index
         build/probe counts, worker-pool state — into a single plain dict,
         so monitoring surfaces (above all the service tier's ``/metrics``
         endpoint) consume one stable shape instead of reaching into
         internals.  Purely a read: taking a snapshot never builds pools,
         indexes or flushes caches.
         """
+        from repro.containment.core import containment_cache
         from repro.views.indexes import INDEX_STATS
 
         engine = self._rewriter._batch_engine
+        memo = containment_cache()
+        asked = memo.hits + memo.misses
         return {
             "document": self._document.name if self._document else None,
             "summary": {
@@ -1022,6 +1027,11 @@ class Database:
             "executor": self.executor,
             "plan_cache": self._plan_cache.info(),
             "rewriting": dict(self._rewriter.search_totals),
+            "containment": {
+                **memo.info(),
+                "hit_rate": memo.hits / asked if asked else 0.0,
+                "deciders": dict(memo.deciders),
+            },
             "maintenance": dict(self.maintenance_stats),
             "indexes": INDEX_STATS.info(),
             "worker_pool": {

@@ -13,6 +13,9 @@ from repro.summary.index import SummaryIndex
 # session-scoped paper workloads shared by the A/B identity suites
 from support.paper_workloads import dblp_workload, xmark_workload  # noqa: F401
 
+# containment with the fast deciders switched off (the canonical oracle)
+from support.canonical_containment import canonical_only  # noqa: F401
+
 # --------------------------------------------------------------------------- #
 # hypothesis profiles
 #

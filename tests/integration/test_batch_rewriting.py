@@ -116,6 +116,59 @@ def test_time_budget_bounds_exploding_containment_tests():
     assert elapsed < 15.0, f"search overran its budget: {elapsed:.1f}s"
 
 
+# the paper workloads of the A/B harness, searched without a time budget so
+# both sides explore the same space: fig13 at plan size 3, fig14 at plan
+# size 2 without dblp-q3, whose unbudgeted search alone takes seconds
+_PAPER_SEARCHES = {
+    "fig13": RewritingConfig(
+        max_rewritings=2, max_plan_size=3, enable_unions=False,
+        time_budget_seconds=None,
+    ),
+    "fig14": RewritingConfig(
+        max_rewritings=2, max_plan_size=2, enable_unions=False,
+        time_budget_seconds=None,
+    ),
+}
+
+
+def _paper_searches(xmark_workload, dblp_workload):
+    """Rewritings and search counters of every paper-workload search."""
+    cases = {
+        "fig13": (xmark_workload, xmark_workload.queries),
+        "fig14": (
+            dblp_workload,
+            [query for query in dblp_workload.queries if query.name != "dblp-q3"],
+        ),
+    }
+    searches = {}
+    for name, (paper, queries) in cases.items():
+        rewriter = Rewriter(paper.summary, paper.view_set, _PAPER_SEARCHES[name])
+        for query in queries:
+            outcome = rewriter.rewrite(query)
+            searches[name, query.name] = (
+                _fingerprint(outcome), outcome.statistics.search_counters()
+            )
+    return searches
+
+
+@pytest.fixture(scope="module")
+def paper_searches(xmark_workload, dblp_workload):
+    """The searches with the fast containment deciders in place (module
+    scope, so they run before a test's ``canonical_only`` switches them off)."""
+    clear_containment_cache()
+    return _paper_searches(xmark_workload, dblp_workload)
+
+
+def test_fast_deciders_leave_paper_rewritings_unchanged(
+    paper_searches, xmark_workload, dblp_workload, canonical_only
+):
+    """The homomorphism and ancestry deciders change cost, never decisions:
+    with every containment test on the canonical model, the fig13 / fig14
+    searches find the same plans after the same search counts."""
+    assert _paper_searches(xmark_workload, dblp_workload) == paper_searches
+    assert any(fingerprint for fingerprint, _ in paper_searches.values())
+
+
 def test_catalog_is_built_once_and_invalidates(workload):
     summary, views, queries, config = workload
     rewriter = Rewriter(summary, views, config)

@@ -8,6 +8,7 @@ from repro import build_summary, parse_parenthesized
 from repro.canonical.hashing import pattern_key, summary_token
 from repro.containment.core import (
     ContainmentCache,
+    canonical_containment_decision,
     clear_containment_cache,
     containment_cache,
     containment_cache_disabled,
@@ -102,7 +103,7 @@ class TestContainmentMemo:
     def test_max_trees_bypasses_the_memo(self, make_pattern, auction_summary):
         left = make_pattern("site(//item)")
         cache = containment_cache()
-        containment_decision(left, left, auction_summary, max_trees=5000)
+        canonical_containment_decision(left, left, auction_summary, max_trees=5000)
         assert len(cache) == 0
 
     def test_union_results_are_cached_including_false(

@@ -255,6 +255,24 @@ def test_stats_tracks_queries_and_ddl(db):
     assert snapshot["views"]["version"] == 2
 
 
+def test_stats_export_the_containment_deciders(db):
+    from repro import clear_containment_cache
+
+    clear_containment_cache()
+    db.query(ITEM_NAMES)
+    containment = db.stats()["containment"]
+    deciders = containment["deciders"]
+    assert set(deciders) == {
+        "preconditions", "ancestry_negative", "homomorphism", "canonical",
+    }
+    # every uncached single decision is counted under exactly one decider
+    # (a union lookup misses without one)
+    assert 0 < sum(deciders.values()) <= containment["misses"]
+    assert 0.0 <= containment["hit_rate"] <= 1.0
+    clear_containment_cache()
+    assert set(db.stats()["containment"]["deciders"].values()) == {0}
+
+
 def test_stats_is_a_pure_read(db):
     before = db.stats()
     after = db.stats()

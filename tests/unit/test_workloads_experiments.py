@@ -115,6 +115,8 @@ class TestExperimentHarnesses:
         assert len(rows) == 20
         assert all(row.contained for row in rows)
         assert all(row.canonical_model_size >= 1 for row in rows)
+        # the figure times the canonical-model decider, not a homomorphism
+        assert all(row.canonical_trees_checked >= 1 for row in rows)
         # Q7 has by far the largest canonical model (the paper's outlier)
         largest = max(rows, key=lambda row: row.canonical_model_size)
         assert largest.query == "Q7"
