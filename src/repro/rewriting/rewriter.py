@@ -179,31 +179,33 @@ class Rewriter:
             self._catalog.remove_view(name)
             self._catalog_version = self.views.version
 
-    def notify_document_changed(self, delta, changed_views=()) -> None:
+    def notify_document_changed(self, delta, changed=()) -> tuple[int, int]:
         """Refresh derived state after a live document mutation.
 
         ``delta`` is the :class:`~repro.summary.dataguide.SummaryDelta` the
-        summary's own incremental maintenance returned, ``changed_views``
-        the materialised views whose extents the mutation touched.  Two
-        regimes:
+        summary's own incremental maintenance returned, ``changed`` the
+        :class:`~repro.views.delta.ExtentChange` of every materialised
+        view whose extent the mutation touched.  Two regimes:
 
         * the mutation only moved instance counts
           (``delta.preserves_annotations``): every catalog entry — the
           annotated prototypes, the inverted summary-path indexes — is
           still exact and ``views.version`` did not move, so only the
-          cached statistics are re-synced, in place
-          (``entry_build_count`` stays flat: the PR 4 observable);
+          cached statistics follow the write, in place
+          (``entry_build_count`` stays flat);
         * the mutation changed the summary's shape or edge flags: entry
           annotations and the summary index may now be wrong, so the whole
           cached catalog is dropped and rebuilt on next use (over the same
           in-place-maintained summary object).
+
+        Returns the statistics' ``(spliced, reobserved)`` view counts.
         """
         if self._catalog is None:
-            return
+            return 0, 0
         if delta is not None and delta.preserves_annotations:
-            self._catalog.resync_statistics(changed_views)
-        else:
-            self.invalidate_catalog()
+            return self._catalog.follow_write(delta, changed)
+        self.invalidate_catalog()
+        return 0, 0
 
     def close(self) -> None:
         """Release pooled resources (the batch engine's worker processes).

@@ -57,7 +57,7 @@ from repro.rewriting.rewriter import Rewriter
 from repro.session.explain import ExplainReport, build_explain_report
 from repro.summary.dataguide import Summary, build_summary
 from repro.views.catalog import CATALOG_FORMAT_VERSION, ViewCatalog
-from repro.views.delta import SubtreeChange
+from repro.views.delta import ExtentChange, SubtreeChange
 from repro.views.store import ViewSet
 from repro.views.view import MaterializedView
 from repro.xmltree.ids import DeweyID
@@ -78,6 +78,16 @@ DATABASE_FORMAT_VERSION = "database/1"
 """On-disk format tag written by :meth:`Database.save` (distinct from the
 bare :data:`~repro.views.catalog.CATALOG_FORMAT_VERSION` integer, so either
 kind of snapshot is recognised on load)."""
+
+MAINTENANCE_COUNTERS = (
+    "delta_applied",
+    "rematerialized",
+    "summary_incremental",
+    "summary_rebuilt",
+    "statistics_spliced",
+    "statistics_reobserved",
+)
+"""The keys of :attr:`Database.maintenance_stats`."""
 
 
 class PlanCache:
@@ -313,18 +323,16 @@ class Database:
         self._view_serial = 0
         self._change_log: Optional[ChangeLog] = None
         self._replaying = False
-        self.maintenance_stats = {
-            "delta_applied": 0,
-            "rematerialized": 0,
-            "summary_incremental": 0,
-            "summary_rebuilt": 0,
-        }
+        self.maintenance_stats = dict.fromkeys(MAINTENANCE_COUNTERS, 0)
         """Per-session counters of which maintenance path each mutation
         took — the live-document observables: ``delta_applied`` /
         ``rematerialized`` count per-view extent maintenance,
         ``summary_incremental`` / ``summary_rebuilt`` per-mutation summary
         maintenance (the summary is rebuilt only when the session was handed
-        a summary without retained instance counters)."""
+        a summary without retained instance counters),
+        ``statistics_spliced`` / ``statistics_reobserved`` per-view
+        statistics maintenance (a view is re-observed in full only after
+        its extent was rematerialised)."""
 
     # ------------------------------------------------------------------ #
     # construction variants
@@ -365,12 +373,7 @@ class Database:
         database._view_serial = 0
         database._change_log = None
         database._replaying = False
-        database.maintenance_stats = {
-            "delta_applied": 0,
-            "rematerialized": 0,
-            "summary_incremental": 0,
-            "summary_rebuilt": 0,
-        }
+        database.maintenance_stats = dict.fromkeys(MAINTENANCE_COUNTERS, 0)
         return database
 
     # ------------------------------------------------------------------ #
@@ -623,18 +626,16 @@ class Database:
             self._rewriter.summary = self._summary
             delta = None
             stats["summary_rebuilt"] += 1
-        changed_views = []
+        changed = []
         change = SubtreeChange(kind, subtree.dewey, parent.dewey)
         for view in self.views:
             if not view.is_materialized:
                 continue
             before = view.relation
-            status = view.apply_delta(document, change)
-            stats[
-                "delta_applied" if status == "delta" else "rematerialized"
-            ] += 1
+            splices = view.maintain(document, change)
+            stats["delta_applied" if splices is not None else "rematerialized"] += 1
             if view.relation is not before:
-                changed_views.append(view)
+                changed.append(ExtentChange(view, before.rows, splices))
         # every consumer of the stored rows (cost model, the rank of cached
         # plans) sees the data version move; the consumers of the
         # definitions (plan cache, prepared queries, catalog, batch
@@ -643,10 +644,12 @@ class Database:
         self.views.touch(
             definitions_changed=delta is None or not delta.preserves_annotations
         )
-        # the catalog then refreshes: statistics re-synced in place (only
-        # the touched extents re-observed) when the annotations survived,
-        # dropped for rebuild otherwise
-        self._rewriter.notify_document_changed(delta, changed_views)
+        # the catalog then refreshes: statistics moved in place by the
+        # summary delta and the extent splices when the annotations
+        # survived, dropped for rebuild otherwise
+        spliced, reobserved = self._rewriter.notify_document_changed(delta, changed)
+        stats["statistics_spliced"] += spliced
+        stats["statistics_reobserved"] += reobserved
 
     # ------------------------------------------------------------------ #
     # durable change log

@@ -31,12 +31,16 @@ class SummaryDelta:
     (:attr:`preserves_annotations`), every pattern annotation and
     containment result computed under the old summary is still valid and
     derived state can be patched in place; otherwise caches keyed on the
-    summary's structure must be dropped.
+    summary's structure must be dropped.  :attr:`touched_paths` names every
+    path whose instance count may have moved, so count consumers (the
+    planner's :class:`~repro.summary.statistics.Statistics`) can update by
+    difference instead of re-walking the summary.
     """
 
     added_paths: list[str] = field(default_factory=list)
     removed_paths: list[str] = field(default_factory=list)
     flags_changed: bool = False
+    touched_paths: set[str] = field(default_factory=set)
 
     @property
     def structure_changed(self) -> bool:
@@ -203,7 +207,8 @@ class Summary:
                 self._by_number[created.number] = created
                 delta.added_paths.append(node.path)
         # refresh instance counts + edge flags on every touched path
-        touched = {node.path for node in members}
+        touched = delta.touched_paths
+        touched.update(node.path for node in members)
         touched.add(parent.path)
         for path in touched:
             summary_node = self._by_path[path]
@@ -247,7 +252,8 @@ class Summary:
                 self._instance_counts.pop(path, None)
                 delta.removed_paths.append(path)
         # refresh instance counts + edge flags on every surviving touched path
-        touched = {node.path for node in members}
+        touched = delta.touched_paths
+        touched.update(node.path for node in members)
         touched.add(parent.path)
         for path in touched:
             summary_node = self._by_path.get(path)

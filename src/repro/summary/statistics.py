@@ -25,21 +25,25 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.summary.dataguide import Summary, build_summary
+from repro.xmltree.ids import DeweyID
 from repro.xmltree.node import XMLDocument, XMLNode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.patterns.pattern import TreePattern
     from repro.patterns.predicates import ValueFormula
+    from repro.summary.dataguide import SummaryDelta
+    from repro.views.delta import ExtentChange, Splice
     from repro.views.view import MaterializedView
 
 __all__ = ["SummaryStatistics", "Statistics", "summarize"]
 
-# per-column value statistics (observe_view on materialised extents): cap
-# the sampled rows, the equi-width histogram resolution, and the distinct
-# count below which exact per-value frequencies are kept instead
-_COLUMN_SAMPLE_LIMIT = 4096
+# per-column value statistics (observe_view on materialised extents): the
+# equi-width histogram resolution, and the distinct count below which exact
+# per-value frequencies are kept instead
 _HISTOGRAM_BUCKETS = 16
 _COMMON_VALUE_LIMIT = 64
+_ATOMS = (bool, int, float, str)
+_ATOM_CLASSES = frozenset(_ATOMS)
 
 
 @dataclass(frozen=True)
@@ -104,64 +108,122 @@ class Statistics:
         views: Iterable["MaterializedView"] = (),
     ):
         self.summary_name = summary.name
-        # kept for lazy pattern annotation in observe_view; snapshots that
-        # already contain the summary object share it through pickle's memo
+        # kept for lazy pattern annotation in observe_view and for counts
+        # that follow writes; snapshots that already contain the summary
+        # object share it through pickle's memo
         self._summary = summary
-        self._resync_base_statistics()
+        self._count_summary()
         self._view_rows: dict[str, float] = {}
         self._view_exact: dict[str, bool] = {}
         self._view_sorted: dict[str, Optional[str]] = {}
         self._view_columns: dict[str, dict[str, dict]] = {}
+        # per materialised view, one _ColumnCounts per column: the exact
+        # counters its _view_columns entries are a function of
+        self._view_counts: dict[str, list[_ColumnCounts]] = {}
         for view in views:
             self.observe_view(view)
 
-    def _resync_base_statistics(self) -> None:
-        """(Re)derive the per-path / per-label counts from the summary."""
+    def __getstate__(self):
+        from repro.views.view import view_extents_are_excluded
+
+        state = self.__dict__.copy()
+        if view_extents_are_excluded():
+            # the counters exist to follow writes to the extents; without
+            # the extents a write would re-observe the view anyway
+            state["_view_counts"] = {}
+        return state
+
+    def __setstate__(self, state):
+        # snapshots written before the integer sums and the counters
+        # existed: derive the sums again (the summary travels with them)
+        self.__dict__.update(state)
+        self.__dict__.setdefault("_view_sorted", {})
+        self.__dict__.setdefault("_view_columns", {})
+        self.__dict__.setdefault("_view_counts", {})
+        if "_total" not in state:
+            self._count_summary()
+
+    def _count_summary(self) -> None:
+        """Derive the per-path / per-label counts from the summary.
+
+        Construction only: a live write moves them by difference
+        (:meth:`follow_write`).
+        """
         summary = self._summary
         self._instances = {}
         self._depths = {}
         self._label_instances = {}
-        total = 0
-        weighted_depth = 0
-        internal = 0
+        self._total = 0
+        self._weighted_depth = 0
+        self._internal = 0
         for node in summary.iter_nodes():
-            self._instances[node.number] = node.instance_count
-            self._depths[node.number] = node.depth
+            count = node.instance_count
+            depth = node.depth
+            self._instances[node.number] = count
+            self._depths[node.number] = depth
             self._label_instances[node.label] = (
-                self._label_instances.get(node.label, 0) + node.instance_count
+                self._label_instances.get(node.label, 0) + count
             )
-            total += node.instance_count
-            weighted_depth += node.instance_count * node.depth
+            self._total += count
+            self._weighted_depth += count * depth
             if node.children:
-                internal += node.instance_count
+                self._internal += count
+        self._derive_averages()
+
+    def _derive_averages(self) -> None:
+        total = self._total
         self.total_instances = max(total, 1)
         self.average_depth = (
-            weighted_depth / total if total else float(summary.max_depth)
+            self._weighted_depth / total if total else float(self._summary.max_depth)
         )
         # average number of children per *internal* instance: every non-root
         # instance is the child of an instance on a summary path that has
         # children, so this is (non-root instances) / (internal instances)
-        root_count = summary.root.instance_count or 1
+        root_count = self._summary.root.instance_count or 1
         self.average_fanout = max(
-            1.0, (self.total_instances - root_count) / max(internal, 1)
+            1.0, (self.total_instances - root_count) / max(self._internal, 1)
         )
 
-    def resync_summary(
-        self, changed_views: Iterable["MaterializedView"] = ()
-    ) -> None:
-        """Refresh the base statistics after a live document mutation.
+    def follow_write(
+        self, delta: "SummaryDelta", changed: Iterable["ExtentChange"] = ()
+    ) -> tuple[int, int]:
+        """Update in place after a count-only live write.
 
-        The incremental-maintenance hook the session layer calls instead of
-        rebuilding the whole statistics object: the summary has already
-        been updated in place (:meth:`Summary.observe_insert` /
-        ``observe_delete``), so the per-path counts are re-indexed from it
-        — O(|S|), no document pass — and the maintained extents whose rows
-        changed are re-observed for exact sizes.  Everything recorded about
-        *unchanged* views stays as is.
+        ``delta`` is what the in-place summary maintenance returned; it must
+        preserve annotations (no path appeared or vanished, so every stored
+        path number, depth and has-children fact still holds).  Each touched
+        path's count moves by the difference between the summary node's new
+        count and the stored one, and the integer sums behind the averages
+        move with it — the result is identical to a fresh build, with no
+        summary walk.  ``changed`` lists the extents the write touched:
+        spliced ones update their column counters from the rows the splice
+        removed and added; a rematerialised one (``splices`` is ``None``),
+        or one observed without counters, is observed in full.  Returns
+        ``(spliced, reobserved)`` view counts.
         """
-        self._resync_base_statistics()
-        for view in changed_views:
-            self.observe_view(view)
+        summary = self._summary
+        for path in delta.touched_paths:
+            node = summary.node_by_path(path)
+            number = node.number
+            difference = node.instance_count - self._instances[number]
+            if not difference:
+                continue
+            self._instances[number] += difference
+            self._label_instances[node.label] += difference
+            self._total += difference
+            self._weighted_depth += difference * self._depths[number]
+            if node.children:
+                self._internal += difference
+        self._derive_averages()
+        spliced = reobserved = 0
+        for view, rows, splices in changed:
+            if splices is None or view.name not in self._view_counts:
+                self.observe_view(view)
+                reobserved += 1
+            else:
+                self._splice_columns(view, rows, splices)
+                spliced += 1
+        return spliced, reobserved
 
     # ------------------------------------------------------------------ #
     # base statistics
@@ -247,20 +309,24 @@ class Statistics:
         self._view_rows.pop(name, None)
         self._view_exact.pop(name, None)
         self._view_sorted.pop(name, None)
-        getattr(self, "_view_columns", {}).pop(name, None)
+        self._view_columns.pop(name, None)
+        self._view_counts.pop(name, None)
 
     def observe_view(self, view: "MaterializedView") -> None:
         """Record a view's extent size (exact when materialised).
 
-        Unmaterialised views are estimated from associated summary paths;
-        raw view patterns are never annotated, so a throwaway copy is
+        A materialised extent is counted as the splice of all its rows into
+        empty column counters — the same routine that later follows its
+        writes.  Unmaterialised views are estimated from associated summary
+        paths; raw view patterns are never annotated, so a throwaway copy is
         annotated here — without this, every unmaterialised view would
         silently price at the 1-row floor."""
         if view.is_materialized:
-            self._view_rows[view.name] = float(max(len(view.relation), 1))
             self._view_exact[view.name] = True
-            self._view_sorted[view.name] = view.relation.sorted_by
-            self._observe_columns(view)
+            self._view_counts[view.name] = [
+                _ColumnCounts() for _ in view.relation.columns
+            ]
+            self._splice_columns(view, [], [(0, 0, view.relation.rows)])
         else:
             from repro.canonical.model import annotate_paths
 
@@ -269,13 +335,18 @@ class Statistics:
             self._view_exact[view.name] = False
             self._view_sorted[view.name] = view.dewey_sort_column()
 
-    def _observe_columns(self, view: "MaterializedView") -> None:
-        """Record per-column value statistics of a materialised extent.
+    def _splice_columns(
+        self, view: "MaterializedView", rows: list, splices: Iterable["Splice"]
+    ) -> None:
+        """Move a materialised view's statistics along an extent splice.
 
-        For each column holding orderable atoms (bool/int/float/str after
-        content-reference unwrapping) a bounded sample — every row up to
-        :data:`_COLUMN_SAMPLE_LIMIT`, a fixed stride beyond — yields a
-        distinct count, plus either exact per-value frequencies (distinct ≤
+        ``rows`` is the row list before the write and each splice
+        ``(lo, hi, replacement)`` replaced ``rows[lo:hi]``; every column's
+        counters lose the removed cells and gain the replacement's, and
+        the column entries are re-derived from the counters.  For each
+        column holding orderable atoms (bool/int/float/str after
+        content-reference unwrapping) the entry has the exact distinct
+        count, plus either exact per-value frequencies (distinct ≤
         :data:`_COMMON_VALUE_LIMIT`) or, for all-numeric columns, an
         equi-width histogram with :data:`_HISTOGRAM_BUCKETS` buckets.  A
         column with any non-atom value (structural IDs, nested relations,
@@ -283,32 +354,37 @@ class Statistics:
         cost model's indexability gate.
         """
         relation = view.relation
-        rows = relation.rows
-        stride = max(1, len(rows) // _COLUMN_SAMPLE_LIMIT)
-        sample = rows if stride == 1 else rows[::stride]
-        columns: dict[str, dict] = {}
-        for position, column in enumerate(relation.columns):
-            entry = _observe_column_values(row[position] for row in sample)
+        counts = self._view_counts[view.name]
+        for lo, hi, replacement in splices:
+            removed = rows[lo:hi]
+            for position, column in enumerate(counts):
+                if removed:
+                    column.count([row[position] for row in removed], -1)
+                column.count([row[position] for row in replacement], +1)
+        entries: dict[str, dict] = {}
+        for column, column_counts in zip(relation.columns, counts):
+            entry = column_counts.entry()
             if entry is not None:
-                columns[column.name] = entry
-        self._view_columns[view.name] = columns
+                entries[column.name] = entry
+        self._view_rows[view.name] = float(max(len(relation), 1))
+        self._view_sorted[view.name] = relation.sorted_by
+        self._view_columns[view.name] = entries
 
     def view_column_stats(self, view: str, column: str) -> Optional[dict]:
         """The recorded value statistics of one extent column, if any.
 
         ``None`` means the column was never observed or holds values the
         order-based estimators (and value indexes) cannot handle.
-        ``getattr`` guards statistics unpickled from older snapshots.
         """
-        return getattr(self, "_view_columns", {}).get(view, {}).get(column)
+        return self._view_columns.get(view, {}).get(column)
 
     def column_selectivity(
         self, view: str, column: str, formula: "ValueFormula"
     ) -> Optional[float]:
         """Estimated fraction of extent rows satisfying ``formula``.
 
-        Exact (up to sampling) over the common-value table when the column
-        is low-cardinality; a uniform-per-distinct-value estimate for point
+        Exact over the common-value table when the column is
+        low-cardinality; a uniform-per-distinct-value estimate for point
         predicates; fractional bucket overlap over the equi-width histogram
         for ranges on numeric columns.  ``None`` when no per-column
         statistics can answer — the caller falls back to its constants.
@@ -345,10 +421,9 @@ class Statistics:
         ``sorted_by`` annotation; unmaterialised ones their declared
         :meth:`~repro.views.view.MaterializedView.dewey_sort_column`);
         ``None`` for unknown views — the cost model then falls back to the
-        first-ID-column naming convention.  ``getattr`` guards statistics
-        unpickled from snapshots written before this field existed.
+        first-ID-column naming convention.
         """
-        return getattr(self, "_view_sorted", {}).get(name)
+        return self._view_sorted.get(name)
 
     def view_rows_exact(self, name: str) -> bool:
         """True iff :meth:`view_rows` reports a materialised row count."""
@@ -382,55 +457,151 @@ class Statistics:
         )
 
 
-def _observe_column_values(values) -> Optional[dict]:
-    """One column's value statistics, or ``None`` if unobservable.
+class _ColumnCounts:
+    """Exact counters of one extent column, moved by every splice.
 
-    The returned entry is a plain dict of numbers and atoms (picklable, so
-    catalog snapshots persist it):
+    The column's statistics entry is a pure function of these (see
+    :meth:`entry`), so a counter updated by the rows a write removed and
+    added yields exactly the entry a fresh count of the whole column would.
+    Equal atoms of different types (``1``, ``1.0``, ``True``) share one
+    value slot, whichever object a splice left as its key: the formula
+    domain orders them identically, so every selectivity answer is the
+    same either way.
 
-    ``sampled``    rows examined (nulls included)
-    ``non_null``   rows with a real value
-    ``distinct``   distinct non-null values in the sample
-    ``common``     value → count, present when distinct ≤ the common limit
-    ``numeric``    ``{"min", "max", "counts"}`` equi-width histogram,
-                   present when every non-null value is numeric
+    ``rows``       cells counted (nulls included)
+    ``non_null``   atom cells (bool/int/float/str after content unwrapping)
+    ``foreign``    non-atom cells (IDs, nested relations): no entry while > 0
+    ``strings``    string cells: no histogram while > 0
+    ``values``     atom → count, the exact multiset
+    ``histogram``  ``[min, max, bucket counts]`` while the column is
+                   histogrammed, kept by bucket while no edge moves; ``None``
+                   means "derive from ``values`` when next needed"
     """
-    sampled = 0
-    counts: dict = {}
-    numeric_values: Optional[list[float]] = []
-    for value in values:
-        sampled += 1
-        if isinstance(value, XMLNode):
-            value = value.value
-        if value is None:
-            continue
-        if not isinstance(value, (bool, int, float, str)):
-            return None
-        counts[value] = counts.get(value, 0) + 1
-        if numeric_values is not None:
-            if isinstance(value, (bool, int, float)):
-                numeric_values.append(float(value))
+
+    __slots__ = ("rows", "non_null", "foreign", "strings", "values", "histogram")
+
+    def __init__(self):
+        self.rows = 0
+        self.non_null = 0
+        self.foreign = 0
+        self.strings = 0
+        self.values: dict = {}
+        self.histogram: Optional[list] = None
+
+    def count(self, cells: list, sign: int) -> None:
+        """Add (``sign`` +1) or remove (-1) one batch of column cells.
+
+        The histogram edge rule: a bucket count moves only while the value
+        lies inside ``[min, max]`` and, on removal, does not take away the
+        last copy of an edge value; otherwise the histogram is dropped and
+        re-derived from the multiset in O(distinct).  Either way it equals
+        the histogram of a fresh count.
+        """
+        # classify, then count the atoms; exact classes decide the common
+        # cells (Dewey IDs, content nodes, atoms), isinstance the rest
+        atoms: list = []
+        append = atoms.append
+        foreign = strings = 0
+        for cell in cells:
+            kind = cell.__class__
+            if kind is DeweyID:
+                foreign += 1
+                continue
+            if kind is XMLNode:
+                cell = cell.value
+                kind = cell.__class__
+            if kind not in _ATOM_CLASSES:
+                if isinstance(cell, XMLNode):
+                    cell = cell.value
+                if cell is None:
+                    continue
+                if not isinstance(cell, _ATOMS):
+                    foreign += 1
+                    continue
+            append(cell)
+            if isinstance(cell, str):
+                strings += 1
+        self.rows += sign * len(cells)
+        self.non_null += sign * len(atoms)
+        self.foreign += sign * foreign
+        self.strings += sign * strings
+        values = self.values
+        if strings:
+            self.histogram = None
+        histogram = self.histogram
+        if sign > 0 and histogram is None:
+            get = values.get
+            for cell in atoms:
+                values[cell] = get(cell, 0) + 1
+            return
+        for cell in atoms:
+            left = values.get(cell, 0) + sign
+            if left:
+                values[cell] = left
             else:
-                numeric_values = None
-    entry: dict = {
-        "sampled": sampled,
-        "non_null": sum(counts.values()),
-        "distinct": len(counts),
-    }
-    if len(counts) <= _COMMON_VALUE_LIMIT:
-        entry["common"] = counts
-    elif numeric_values:
-        low, high = min(numeric_values), max(numeric_values)
-        buckets = [0] * _HISTOGRAM_BUCKETS
-        if high > low:
-            width = (high - low) / _HISTOGRAM_BUCKETS
-            for number in numeric_values:
-                position = min(int((number - low) / width), _HISTOGRAM_BUCKETS - 1)
-                buckets[position] += 1
+                del values[cell]
+            if histogram is not None:
+                number = float(cell)
+                low, high, buckets = histogram
+                if number < low or number > high or (
+                    not left and (number == low or number == high)
+                ):
+                    histogram = None
+                else:
+                    buckets[_bucket(number, low, high)] += sign
+        self.histogram = histogram
+
+    def entry(self) -> Optional[dict]:
+        """The column's statistics entry, or ``None`` if unobservable.
+
+        A plain dict of numbers and atoms (picklable, so catalog snapshots
+        persist it):
+
+        ``sampled``    rows counted (nulls included) — every row
+        ``non_null``   rows with a real value
+        ``distinct``   distinct non-null values
+        ``common``     value → count, present when distinct ≤ the common limit
+        ``numeric``    ``{"min", "max", "counts"}`` equi-width histogram,
+                       present otherwise when every non-null value is numeric
+        """
+        if self.foreign:
+            return None
+        values = self.values
+        entry: dict = {
+            "sampled": self.rows,
+            "non_null": self.non_null,
+            "distinct": len(values),
+        }
+        if len(values) <= _COMMON_VALUE_LIMIT:
+            entry["common"] = dict(values)
+            self.histogram = None
+        elif self.strings:
+            self.histogram = None
         else:
-            buckets[0] = len(numeric_values)
-        entry["numeric"] = {"min": low, "max": high, "counts": buckets}
-    return entry
+            if self.histogram is None:
+                self.histogram = _histogram(values)
+            low, high, buckets = self.histogram
+            entry["numeric"] = {"min": low, "max": high, "counts": list(buckets)}
+        return entry
+
+
+def _bucket(number: float, low: float, high: float) -> int:
+    """The equi-width bucket of ``number`` in a ``[low, high]`` histogram."""
+    if high > low:
+        width = (high - low) / _HISTOGRAM_BUCKETS
+        return min(int((number - low) / width), _HISTOGRAM_BUCKETS - 1)
+    return 0
+
+
+def _histogram(values: dict) -> list:
+    """``[min, max, bucket counts]`` of a numeric value multiset."""
+    numbers = [(float(value), count) for value, count in values.items()]
+    low = min(number for number, _ in numbers)
+    high = max(number for number, _ in numbers)
+    buckets = [0] * _HISTOGRAM_BUCKETS
+    for number, count in numbers:
+        buckets[_bucket(number, low, high)] += count
+    return [low, high, buckets]
 
 
 def _histogram_matches(numeric: dict, formula: "ValueFormula") -> Optional[float]:

@@ -39,9 +39,10 @@ from repro.canonical.model import annotate_paths
 from repro.errors import ReproError
 from repro.patterns.pattern import TreePattern
 from repro.rewriting.candidates import RewriteCandidate, initial_candidate
-from repro.summary.dataguide import Summary
+from repro.summary.dataguide import Summary, SummaryDelta
 from repro.summary.index import SummaryIndex
 from repro.summary.statistics import Statistics
+from repro.views.delta import ExtentChange
 from repro.views.view import MaterializedView, view_extents_excluded
 
 __all__ = ["CatalogFormatError", "ViewCatalog", "CATALOG_FORMAT_VERSION"]
@@ -306,18 +307,21 @@ class ViewCatalog:
                     break
         return names
 
-    def resync_statistics(self, changed_views: Iterable[MaterializedView] = ()) -> None:
-        """Re-sync the cached statistics after a live document mutation.
+    def follow_write(
+        self, delta: SummaryDelta, changed: Iterable[ExtentChange] = ()
+    ) -> tuple[int, int]:
+        """Move the cached statistics along a live document mutation.
 
         Only valid when the mutation preserved every entry's annotation
         (no summary-shape or edge-flag change — the caller,
         :meth:`~repro.rewriting.rewriter.Rewriter.notify_document_changed`,
-        checks); the base per-path counts are re-read from the in-place
-        maintained summary and the changed extents re-observed.  No-op when
+        checks); see :meth:`Statistics.follow_write`, whose
+        ``(spliced, reobserved)`` view counts are returned.  No-op when
         the statistics were never built.
         """
-        if self._statistics is not None:
-            self._statistics.resync_summary(changed_views)
+        if self._statistics is None:
+            return 0, 0
+        return self._statistics.follow_write(delta, changed)
 
     # ------------------------------------------------------------------ #
     # statistics snapshot

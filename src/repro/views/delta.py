@@ -46,7 +46,9 @@ rematerialises.  A change the view cannot see hands back the *same*
 relation object.  When the old extent carries a cached column batch, the
 new one is built by the same splice
 (:meth:`~repro.algebra.columnar.ColumnBatch.spliced`), so the first scan
-after a write finds warm value and key vectors.  All paths are
+after a write finds warm value and key vectors; the splices themselves are
+handed back, so the planner's statistics follow the same runs
+(:class:`ExtentChange`).  All paths are
 row-identical — the stateful property harnesses in ``tests/property``
 drive random mutation interleavings against a rebuild oracle to prove it.
 """
@@ -56,7 +58,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from repro.algebra.columnar import splice_runs
 from repro.algebra.tuples import Relation
@@ -69,7 +71,7 @@ from repro.xmltree.node import XMLDocument, XMLNode
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.views.view import MaterializedView
 
-__all__ = ["SubtreeChange", "can_apply_delta", "apply_subtree_delta"]
+__all__ = ["ExtentChange", "SubtreeChange", "can_apply_delta", "apply_subtree_delta"]
 
 _REGION_FRACTION_LIMIT = 0.5
 """Fallback threshold: when the pruned regions to re-evaluate exceed this
@@ -89,6 +91,24 @@ class SubtreeChange:
     kind: str  # "insert" | "delete"
     root: DeweyID
     parent: DeweyID
+
+
+Splice = tuple[int, int, list[tuple]]
+"""``(lo, hi, replacement)``: rows ``[lo, hi)`` of the old row list give way
+to ``replacement``."""
+
+
+class ExtentChange(NamedTuple):
+    """One extent a write changed, as its consumers (statistics) see it.
+
+    ``rows`` is the row list before the write; ``splices`` are the runs
+    that turned it into the view's current extent, ascending and disjoint
+    — ``None`` when the view was rematerialised instead.
+    """
+
+    view: "MaterializedView"
+    rows: list[tuple]
+    splices: Optional[list[Splice]]
 
 
 def _chain_nodes(view: "MaterializedView") -> Optional[list[PatternNode]]:
@@ -196,13 +216,16 @@ def _repatriate(row: tuple, document: XMLDocument) -> tuple:
 
 def apply_subtree_delta(
     view: "MaterializedView", document: XMLDocument, change: SubtreeChange
-) -> Optional[Relation]:
+) -> Optional[tuple[Relation, list[Splice]]]:
     """Patch the extent for one subtree change; ``None`` means fall back.
 
     The splice plan: on the *sorted* extent, compute one contiguous
     replacement run for the changed subtree's Dewey range and one per
     matching ancestor, re-evaluate each over its pruned clone, and rebuild
-    the row list in a single ordered pass.
+    the row list in a single ordered pass.  Returns the new relation and
+    the splices (ascending, disjoint, against the old row list) that
+    produced it — empty, with the old relation itself, when the view could
+    not see the change.
     """
     gate = can_apply_delta(view)
     if gate is None:
@@ -215,9 +238,8 @@ def apply_subtree_delta(
     rows = relation.rows
     key = lambda row: row[index].components  # noqa: E731
 
-    # splices: (lo, hi, replacement rows), disjoint, computed on the
-    # original row list
-    splices: list[tuple[int, int, list[tuple]]] = []
+    # disjoint, computed on the original row list
+    splices: list[Splice] = []
 
     # 1. the subtree range [D, D⁺): everything pinned inside the change
     components = change.root.components
@@ -268,7 +290,7 @@ def apply_subtree_delta(
                 splices.append((run_lo, run_hi, replacement))
 
     if not splices:
-        return relation  # nothing this view can see changed
+        return relation, splices  # nothing this view can see changed
 
     # 3. rebuild the row list in one ordered pass (replacement runs are
     # re-sorted stably so equal-ID rows keep their generation order —
@@ -282,4 +304,4 @@ def apply_subtree_delta(
     batch = getattr(relation, "_column_batch", None)
     if batch is not None:
         batch.spliced(splices, result)
-    return result
+    return result, splices

@@ -5,6 +5,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 from repro.algebra.tuples import Relation
@@ -33,6 +34,11 @@ def view_extents_excluded():
         yield
     finally:
         _exclude_extents.reset(token)
+
+
+def view_extents_are_excluded() -> bool:
+    """True inside a :func:`view_extents_excluded` block."""
+    return _exclude_extents.get()
 
 
 @dataclass(frozen=True)
@@ -115,7 +121,7 @@ class MaterializedView:
         """
         if not self.id_scheme.structural:
             return None
-        for column in self.schema():
+        for column in self._schema:
             if column.kind == "ID":
                 return column.name
         return None
@@ -145,7 +151,7 @@ class MaterializedView:
         self._relation = relation
         return self._relation
 
-    def apply_delta(self, document: XMLDocument, change) -> str:
+    def maintain(self, document: XMLDocument, change) -> Optional[list]:
         """Maintain the extent under one subtree insert / delete.
 
         ``change`` is a :class:`~repro.views.delta.SubtreeChange` describing
@@ -153,24 +159,31 @@ class MaterializedView:
         eligible for incremental maintenance (see
         :func:`~repro.views.delta.can_apply_delta`) the sorted extent is
         patched by an ordered Dewey splice — work proportional to the
-        affected region, not the document; otherwise the view is fully
-        rematerialised.  Returns ``"delta"`` or ``"rematerialized"`` so
-        callers can observe which path ran.  Either way the result is
-        row-identical to ``materialize(document)``.
+        affected region, not the document — and the splices are returned
+        (``(lo, hi, replacement)`` against the previous row list, so
+        consumers such as the planner's statistics can follow them);
+        otherwise the view is fully rematerialised and ``None`` is
+        returned.  Either way the result is row-identical to
+        ``materialize(document)``.
 
         A change this view cannot see leaves :attr:`relation` the very
-        same object — that identity is how callers tell which extents a
-        write touched.
+        same object (and returns no splices) — that identity is how callers
+        tell which extents a write touched.
         """
         from repro.views.delta import apply_subtree_delta
 
         if self._relation is not None:
             patched = apply_subtree_delta(self, document, change)
             if patched is not None:
-                self._relation = patched
-                return "delta"
+                self._relation, splices = patched
+                return splices
         self.materialize(document)
-        return "rematerialized"
+        return None
+
+    def apply_delta(self, document: XMLDocument, change) -> str:
+        """:meth:`maintain`, reporting ``"delta"`` or ``"rematerialized"``."""
+        spliced = self.maintain(document, change) is not None
+        return "delta" if spliced else "rematerialized"
 
     @property
     def relation(self) -> Relation:
@@ -188,18 +201,25 @@ class MaterializedView:
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        if _exclude_extents.get():
+        if view_extents_are_excluded():
             state["_relation"] = None
         return state
 
+    @cached_property
+    def _schema(self) -> tuple:
+        # the pattern is fixed at construction, so its schema is derived
+        # once; a pickle carries the cached tuple, one written before the
+        # cache existed derives it on first use
+        columns, _ = pattern_schema(self.pattern)
+        return tuple(columns)
+
     def schema(self):
         """The view's column list (computable without materialising)."""
-        columns, _ = pattern_schema(self.pattern)
-        return columns
+        return list(self._schema)
 
     def column_names(self) -> list[str]:
         """Names of the view's columns."""
-        return [column.name for column in self.schema()]
+        return [column.name for column in self._schema]
 
     def __repr__(self) -> str:
         status = f"rows={len(self._relation)}" if self._relation is not None else "unmaterialised"

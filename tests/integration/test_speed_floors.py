@@ -36,6 +36,7 @@ from repro.errors import RewritingError
 from repro.patterns.pattern import Axis
 from repro.rewriting.algorithm import RewritingConfig
 from repro.rewriting.rewriter import Rewriter
+from repro.summary.statistics import Statistics
 from repro.views.delta import SubtreeChange
 from repro.views.indexes import INDEX_STATS
 from repro.workloads.synthetic import batch_rewriting_workload, seed_tag_views
@@ -46,6 +47,7 @@ from support.annotation_oracle import oracle_annotate_paths, oracle_annotations
 from support.oracle_executor import OracleExecutor
 from support.paper_workloads import build_dblp_workload, build_xmark_workload
 from support.rebuild_oracle import scan_fed_extent
+from support.statistics_oracle import assert_statistics_equal_a_fresh_build
 
 pytestmark = pytest.mark.slow
 
@@ -251,6 +253,50 @@ def test_a_leaf_pinned_update_beats_rematerialization():
         _median_seconds(delta_cycle)
     )
     assert speedup >= 10.0, f"leaf-pinned update only {speedup:.1f}x faster than rematerializing"
+
+
+# --------------------------------------------------------------------------- #
+# statistics following a write's splice vs re-observing the extent: >= 20x
+# --------------------------------------------------------------------------- #
+def test_statistics_follow_the_splice_not_the_extent(monkeypatch):
+    """A 50 000-row view with a high-cardinality numeric ``V`` column (a
+    histogram, not a common-value table): one item in and out must move its
+    statistics by the rows it changed, not by counting the whole column."""
+    items = 50_000
+    document = parse_parenthesized(
+        "site(" + " ".join(f"item(qty={i % 5_000})" for i in range(items)) + ")"
+    )
+    db = Database(document)
+    view = db.create_view("site(/item(/qty[ID,V]))", name="quantities")
+    statistics = db.catalog.statistics()
+    assert "numeric" in statistics.view_column_stats("quantities", "V1")
+    followed = []
+    follow = Statistics.follow_write
+
+    def timed_follow(self, delta, changed=()):
+        start = time.perf_counter()
+        result = follow(self, delta, changed)
+        followed.append(time.perf_counter() - start)
+        return result
+
+    monkeypatch.setattr(Statistics, "follow_write", timed_follow)
+
+    def cycle():
+        node = db.insert_subtree(document.root, XMLNode("item", None, [XMLNode("qty", 2_500)]))
+        db.delete_subtree(node)
+
+    cycle()
+    assert_statistics_equal_a_fresh_build(statistics, db.summary, db.views)
+    assert db.maintenance_stats["statistics_reobserved"] == 0
+    followed.clear()
+    for _ in range(15):
+        cycle()
+    per_write = sorted(followed)[len(followed) // 2]
+    reobserve = _median_seconds(lambda: statistics.observe_view(view), reps=5)
+    db.close()
+    assert reobserve / per_write >= 20.0, (
+        f"following a write only {reobserve / per_write:.1f}x faster than re-observing"
+    )
 
 
 # --------------------------------------------------------------------------- #

@@ -18,10 +18,17 @@ Three scopes of one principle, each held to a reference:
 * **Column caches.**  After every step the cached column batch of every
   extent — values, Dewey keys, dedup keys — equals a fresh transpose of its
   rows; the invariant itself warms the caches the next delta splices.
+* **Statistics.**  After every step the catalog's statistics — moved by the
+  summary delta and the extent splices, never rebuilt — equal a fresh
+  build over the same summary and views, field by field, and answer every
+  selectivity probe alike (``support.statistics_oracle``).
 
 The deterministic cases below the machine pin what a random walk cannot
 promise to visit: flat miss counters, the two kinds of definition change,
-the foreign-kind and empty-extent splices.
+the foreign-kind and empty-extent splices, and the statistics' edges — a
+column crossing the common-value limit, a histogram edge moving, a string
+in a numeric column, an ID entering an empty column, the rematerialising
+fallback.
 """
 
 from __future__ import annotations
@@ -52,6 +59,7 @@ from repro.views.indexes import index_for_source
 from repro.xmltree.ids import DeweyID
 
 from support.rebuild_oracle import RebuildOracle, normalize
+from support.statistics_oracle import assert_statistics_equal_a_fresh_build
 
 DOC_TEXT = (
     "site("
@@ -164,6 +172,11 @@ def assert_cache_matches_cacheless_planner(db) -> None:
         assert normalize(db.query(text)) == normalize(expected)
 
 
+def assert_statistics_followed(db) -> None:
+    """The catalog's statistics == a fresh build over the session's state."""
+    assert_statistics_equal_a_fresh_build(db.catalog.statistics(), db.summary, db.views)
+
+
 class LiveWriteScopeMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
@@ -258,6 +271,10 @@ class LiveWriteScopeMachine(RuleBasedStateMachine):
     def column_caches_equal_a_fresh_transpose(self):
         for view in self.sut.views:
             assert_batch_is_a_fresh_transpose(view.relation)
+
+    @invariant()
+    def statistics_equal_a_fresh_build(self):
+        assert_statistics_followed(self.sut)
 
 
 TestLiveWriteScope = LiveWriteScopeMachine.TestCase
@@ -457,3 +474,144 @@ def test_a_foreign_replacement_cell_never_yields_wrong_keys(old, cells):
     batch.spliced([(1, len(old), patched.rows[1:])], patched)
     assert patched._column_batch.values(0) == [old[0]] + cells
     assert_batch_is_a_fresh_transpose(patched)
+
+
+# --------------------------------------------------------------------------- #
+# statistics follow the splice: the edges a random walk may miss
+# --------------------------------------------------------------------------- #
+def _quantities(values) -> Database:
+    """One asia item per value, and the views over their quantities."""
+    items = " ".join(f"item(quantity={value})" for value in values)
+    database = Database(
+        parse_parenthesized(f"site(regions(asia({items})))", name="numeric"), config=CONFIG
+    )
+    database.create_view("site(//quantity[ID,V])", name="v_quantity")
+    database.create_view("site(//quantity[ID,V]{v>1000})", name="v_large")
+    database.catalog.statistics()  # built before the writes, so it follows them
+    return database
+
+
+def _write(db, value) -> XMLNode:
+    """Insert one item with this quantity; judge the statistics after it."""
+    asia = _asia(db)
+    node = db.insert_subtree(asia, XMLNode("item", None, [XMLNode("quantity", value)]))
+    assert_statistics_followed(db)
+    return node
+
+
+def _erase(db, node) -> None:
+    db.delete_subtree(node)
+    assert_statistics_followed(db)
+
+
+def _entry(db, view="v_quantity", column="V1"):
+    return db.catalog.statistics().view_column_stats(view, column)
+
+
+def _kind(entry) -> str:
+    return "common" if "common" in entry else "numeric" if "numeric" in entry else "neither"
+
+
+def test_a_column_crosses_the_common_value_limit_and_back():
+    db = _quantities(range(62))
+    assert _kind(_entry(db)) == "common"
+    kinds = []
+    nodes = []
+    for value in (100, 101, 102, 103):
+        nodes.append(_write(db, value))
+        kinds.append(_kind(_entry(db)))
+    assert kinds == ["common", "common", "numeric", "numeric"]  # 64 distinct is common
+    for node in reversed(nodes):
+        _erase(db, node)
+    assert _kind(_entry(db)) == "common"
+    assert db.maintenance_stats["statistics_reobserved"] == 0
+    db.close()
+
+
+def test_histogram_edges_move_with_the_extreme_rows():
+    db = _quantities(range(70))
+    assert _entry(db)["numeric"]["min"] == 0.0
+    inside = _write(db, 33.5)  # kept by bucket: no edge moves
+    above = _write(db, 500)  # a new max: re-derived
+    assert _entry(db)["numeric"]["max"] == 500.0
+    minimum = next(
+        node.parent for node in db.document.nodes_on_path("/site/regions/asia/item/quantity")
+        if node.value == 0
+    )
+    _erase(db, minimum)  # the only min row
+    assert _entry(db)["numeric"]["min"] == 1.0
+    _erase(db, above)
+    _erase(db, inside)
+    assert _entry(db)["numeric"]["max"] == 69.0
+    assert db.maintenance_stats["statistics_reobserved"] == 0
+    db.close()
+
+
+def test_a_string_lands_in_a_numeric_column_and_leaves():
+    db = _quantities(range(70))
+    node = _write(db, "many")
+    assert _kind(_entry(db)) == "neither"
+    _erase(db, node)
+    assert _kind(_entry(db)) == "numeric"
+    db.close()
+
+
+def test_an_identifier_enters_an_empty_column_and_leaves():
+    db = _quantities(range(10))
+    assert _entry(db, "v_large", "ID1") == {
+        "sampled": 0, "non_null": 0, "distinct": 0, "common": {}
+    }
+    node = _write(db, 5000)
+    assert _entry(db, "v_large", "ID1") is None  # a Dewey ID is no atom
+    _erase(db, node)
+    assert _entry(db, "v_large", "ID1") is not None
+    assert db.maintenance_stats["statistics_reobserved"] == 0
+    db.close()
+
+
+def test_a_rematerialised_view_is_reobserved(db):
+    db.create_view("site(//item[ID](/name[V], /quantity[V]))", name="v_branching")
+    db.catalog.statistics()
+    spliced = db.maintenance_stats["statistics_spliced"]
+    node = db.insert_subtree(_asia(db), SUBTREE_SHAPES[1](1))
+    assert db.maintenance_stats["rematerialized"] == 1
+    assert db.maintenance_stats["statistics_reobserved"] == 1
+    assert db.maintenance_stats["statistics_spliced"] > spliced
+    assert_statistics_followed(db)
+    db.delete_subtree(node)
+    assert db.maintenance_stats["statistics_reobserved"] == 2
+    assert_statistics_followed(db)
+
+
+def test_the_bench_shaped_cycle_never_reobserves():
+    """An asia item in, then out, over the seed tag views of an XMark document."""
+    from repro.workloads import seed_tag_views
+    from repro.workloads.xmark import generate_xmark_document
+
+    document = generate_xmark_document(scale=1.0, seed=548, name="xmark-live")
+    with Database(document, config=CONFIG) as database:
+        for pattern in seed_tag_views(database.summary):
+            database.create_view(pattern, name=pattern.name)
+        database.catalog.statistics()
+        version = database.views.version
+        asia = _asia(database)
+        for _ in range(2):
+            node = database.insert_subtree(asia, asia.children[0].copy())
+            assert_statistics_followed(database)
+            database.delete_subtree(node)
+            assert_statistics_followed(database)
+        assert database.views.version == version
+        stats = database.maintenance_stats
+        assert stats["statistics_reobserved"] == 0
+        assert stats["statistics_spliced"] > 0 and stats["rematerialized"] == 0
+
+
+def test_a_loaded_session_keeps_following(db, tmp_path):
+    db.save(tmp_path / "live.db")
+    with Database.load(tmp_path / "live.db") as loaded:
+        node = loaded.insert_subtree(_asia(loaded), SUBTREE_SHAPES[1](1))
+        assert_statistics_followed(loaded)
+        loaded.delete_subtree(node)
+        assert_statistics_followed(loaded)
+        assert loaded.maintenance_stats["statistics_reobserved"] == 0
+        assert loaded.maintenance_stats["statistics_spliced"] > 0

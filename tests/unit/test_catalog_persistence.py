@@ -146,3 +146,60 @@ def test_views_supplying_respects_same_node_correlation(setup):
     assert catalog.views_with_attribute(item, "ID") and catalog.views_with_attribute(
         item, "V"
     )
+
+
+def _columns(view):
+    return [(column.name, column.kind) for column in view.schema()]
+
+
+def test_a_view_derives_its_schema_once_and_pickles_it(setup, monkeypatch):
+    import repro.views.view as view_module
+
+    _, _, views = setup
+    view = MaterializedView(parse_pattern("site(//item[ID](/name[ID,V]))", name="v"))
+    calls = []
+    derive = view_module.pattern_schema
+    monkeypatch.setattr(
+        view_module, "pattern_schema", lambda pattern: calls.append(1) or derive(pattern)
+    )
+    expected = _columns(view)
+    for _ in range(3):
+        assert view.dewey_sort_column() == "ID1"
+        assert _columns(view) == expected
+    assert len(calls) == 1
+    loaded = pickle.loads(pickle.dumps(view))
+    assert _columns(loaded) == expected and len(calls) == 1, "the pickle carried it"
+    # a pickle written before the schema was cached derives it on first use
+    state = view.__getstate__()
+    del state["_schema"]
+    old = MaterializedView.__new__(MaterializedView)
+    old.__dict__.update(state)
+    assert _columns(old) == expected and len(calls) == 2
+
+
+def test_statistics_counters_travel_only_with_extents(setup, tmp_path):
+    _, summary, views = setup
+    catalog = ViewCatalog(summary, views)
+    statistics = catalog.statistics()
+    path = tmp_path / "catalog.pkl"
+    catalog.save(path)
+    stripped = ViewCatalog.load(path).statistics()
+    assert stripped._view_counts == {}
+    assert stripped._view_columns == statistics._view_columns
+    catalog.save(path, include_extents=True)
+    kept = ViewCatalog.load(path).statistics()
+    assert kept._view_counts.keys() == statistics._view_counts.keys()
+
+
+def test_statistics_pickled_before_the_integer_sums_load_whole(setup):
+    _, summary, views = setup
+    statistics = ViewCatalog(summary, views).statistics()
+    state = statistics.__getstate__()
+    for name in ("_total", "_weighted_depth", "_internal", "_view_counts"):
+        del state[name]
+    old = type(statistics).__new__(type(statistics))
+    old.__setstate__(state)
+    assert (old._total, old._weighted_depth, old._internal) == (
+        statistics._total, statistics._weighted_depth, statistics._internal
+    )
+    assert old._view_counts == {}

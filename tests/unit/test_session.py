@@ -235,6 +235,7 @@ def test_stats_aggregates_every_layer(db):
     assert set(snapshot["maintenance"]) == {
         "delta_applied", "rematerialized",
         "summary_incremental", "summary_rebuilt",
+        "statistics_spliced", "statistics_reobserved",
     }
     assert snapshot["worker_pool"] == {"active": False, "workers": 0}
     assert snapshot["indexes"].keys() == {"builds", "probes"}
