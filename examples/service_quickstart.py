@@ -20,7 +20,7 @@ import sys
 
 from repro import Database, MaterializedView, QueryService, ServiceClient, build_summary
 from repro.errors import RewritingError
-from repro.service.models import relation_to_payload
+from repro.service.models import SCHEMA_VERSION, relation_to_payload
 from repro.workloads.synthetic import seed_tag_views
 from repro.workloads.xmark import generate_xmark_document, xmark_query_patterns
 
@@ -70,11 +70,18 @@ def main() -> int:
         status, body = client.post("/query", {"query": query_text})
         check(status == 200, f"/query -> {status}")
         check(
+            body.get("schema_version") == SCHEMA_VERSION,
+            f"/query speaks schema {body.get('schema_version')}, not {SCHEMA_VERSION}",
+        )
+        check(
             body.get("result") == expected,
             "/query answer diverged from Database.query",
         )
+        # schema 2: one kind per column — "atom" cells are JSON scalars,
+        # "dewey" cells dotted identifiers, "cell" cells tagged objects
+        kinds = dict(zip(body["result"]["columns"], body["result"]["kinds"]))
         print(f"rows    : {body['result']['row_count']} "
-              f"(trace {body['trace_id'][:8]}…)")
+              f"(trace {body['trace_id'][:8]}…), column kinds {kinds}")
 
         # 4. POST /explain — the chosen plan with estimated vs actual rows
         status, body = client.post(

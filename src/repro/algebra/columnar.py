@@ -4,8 +4,9 @@
 :class:`_ColumnSource` per column.  Sources are direct value lists or
 gathers over a parent source, so selections, projections and joins emit
 index vectors and never copy a column nobody reads.  Dewey component keys
-are cached per source and *shared through gathers*: a view extent's sort
-keys are computed once and reused by every query that scans it.
+and their dotted text are cached per source and *shared through gathers*: a
+view extent's sort keys, and the identifier text the service writes for
+them, are computed once and reused by every query that scans it.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ class _ColumnSource:
         "_values",
         "_keys",
         "_row_keys",
+        "_text",
         "_parent",
         "_indices",
         "index",
@@ -76,6 +78,7 @@ class _ColumnSource:
         self._indices = indices
         self._keys: Optional[list] = None
         self._row_keys: Optional[list] = None
+        self._text: Optional[list] = None
         # value-index cache (repro.views.indexes): the built index, or the
         # UNINDEXABLE sentinel.  Deliberately NOT propagated through
         # gathers — a gather's row positions differ from its parent's.
@@ -104,6 +107,24 @@ class _ColumnSource:
                     keys.append(None if identifier is None else identifier.components)
             self._keys = keys
         return self._keys
+
+    def dewey_text(self) -> list:
+        """Per-row dotted Dewey text (``None`` for ⊥) — cached like the keys.
+
+        Derived from :meth:`dewey_keys` and gathered through gathers, so an
+        extent's identifier text is written once for every query that
+        scans it (the service's ``"dewey"`` columns are this list).
+        """
+        if self._text is None:
+            if self._parent is not None:
+                parent_text = self._parent.dewey_text()
+                self._text = [parent_text[i] for i in self._indices]
+            else:
+                self._text = [
+                    None if key is None else ".".join(map(str, key))
+                    for key in self.dewey_keys()
+                ]
+        return self._text
 
     def row_keys(self) -> list:
         """Per-row dedup keys, equal exactly where ``_hashable`` cells are — cached.
@@ -142,8 +163,9 @@ class _ColumnSource:
         :func:`splice_runs`), carrying over whatever key vectors are cached.
 
         Keys are computed for the replacement cells only, under the rule
-        the cached vector was built by — component tuples for an all-ID
-        column, the values themselves for an all-atom one (both kept as
+        the cached vector was built by — component tuples (and dotted
+        text) for an all-ID column, the values themselves for an all-atom
+        one (both kept as
         *aliases*, like :meth:`row_keys` makes them), ``_hashable``
         otherwise.  A replacement cell the rule does not cover drops that
         cache, and the next reader rebuilds it from the values.  The value
@@ -156,6 +178,14 @@ class _ColumnSource:
                 self._keys,
                 [
                     (lo, hi, [None if cell is None else cell.components for cell in run])
+                    for lo, hi, run in splices
+                ],
+            )
+        if self._text is not None and kinds <= _ID_CELLS:
+            fresh._text = splice_runs(
+                self._text,
+                [
+                    (lo, hi, [None if cell is None else str(cell) for cell in run])
                     for lo, hi, run in splices
                 ],
             )

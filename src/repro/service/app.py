@@ -18,6 +18,10 @@ Per request, the app
 * times the pipeline phases as child spans (``parse`` → ``plan`` →
   ``execute``), expanding the profiled executor's per-operator
   measurements into spans with estimated *and* actual row counts;
+* encodes a query's answer straight from the executor's
+  :class:`~repro.algebra.columnar.ColumnBatch`, column by column
+  (:func:`~repro.service.models.batch_to_payload`) — no row-major
+  :class:`~repro.algebra.tuples.Relation` is built on the way out;
 * feeds the metrics registry (request counter + latency histograms) and
   the slow-query log.
 
@@ -36,6 +40,8 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.algebra.columnar import ColumnBatch
+from repro.algebra.execution import PlanExecutor
 from repro.canonical.hashing import pattern_key
 from repro.errors import (
     IngestError,
@@ -57,7 +63,7 @@ from repro.service.models import (
     PrepareRequest,
     QueryManyRequest,
     QueryRequest,
-    relation_to_payload,
+    batch_to_payload,
 )
 from repro.service.tracing import (
     JsonlExporter,
@@ -273,15 +279,16 @@ class ServiceApp:
         )
         return choice
 
-    def _execute(self, pattern, choice, span):
+    def _execute(self, pattern, choice, span) -> ColumnBatch:
+        """Run the chosen plan; the result stays the executor's batch, which
+        :func:`batch_to_payload` encodes column by column."""
         profile = self.profile_queries
         with span.child("execute") as execute_span:
             started = time.perf_counter()
-            result, executor = self.database.execute_choice(
-                choice, profile=profile
-            )
+            executor = PlanExecutor(self.database.views, profile=profile)
+            batch = executor.execute_batch(choice.best.plan_operator)
             elapsed = time.perf_counter() - started
-            execute_span.set_attribute("rows", len(result))
+            execute_span.set_attribute("rows", batch.row_count)
             if profile:
                 report = self.database.explain_choice(
                     choice, executor, elapsed
@@ -298,17 +305,17 @@ class ServiceApp:
                 seconds=elapsed,
                 trace_id=span.trace_id,
             )
-        return result
+        return batch
 
     def _answer(self, text: str, name: Optional[str], span) -> dict:
         pattern = self._parse(text, name, span)
         with self._lock:
             choice = self._plan(pattern, span)
-            result = self._execute(pattern, choice, span)
+            batch = self._execute(pattern, choice, span)
         return {
             "query_name": pattern.name,
             "views_used": sorted(set(choice.best.rewriting.views_used)),
-            "result": relation_to_payload(result),
+            "result": batch_to_payload(batch),
         }
 
     # ------------------------------------------------------------------ #
@@ -359,12 +366,12 @@ class ServiceApp:
                     f"(it may have been prepared by another server process)",
                 )
             choice = prepared.choice  # transparently re-plans after DDL
-            result = self._execute(prepared.query, choice, span)
+            batch = self._execute(prepared.query, choice, span)
         return {
             "stmt_id": stmt_id,
             "query_name": prepared.query.name,
             "times_planned": prepared.times_planned,
-            "result": relation_to_payload(result),
+            "result": batch_to_payload(batch),
         }
 
     def _handle_explain(self, payload, span) -> dict:

@@ -15,11 +15,13 @@ here.  The contract is deliberately strict:
   ``request_id`` and ``trace_id``.
 
 Results travel as the JSON relation codec (:func:`relation_to_payload` /
-:func:`relation_from_payload`): columns plus rows, with non-atomic cells
-tagged — ``{"$type": "dewey"}`` for structural identifiers,
-``{"$type": "node"}`` for content references (subtree plus its Dewey ID),
-``{"$type": "relation"}`` for nested relations — so two encodings are
-bytewise-comparable and a client can rebuild a faithful
+:func:`batch_to_payload` / :func:`relation_from_payload`): columns, one
+*kind* per column, and row-major rows.  An ``"atom"`` column holds JSON
+scalars and ⊥ as they are, a ``"dewey"`` column holds structural
+identifiers as dotted text, and a ``"cell"`` column (nodes, nested
+relations, mixed columns) tags each non-atomic cell — ``{"$type": "dewey"}``,
+``{"$type": "node"}`` (subtree plus its Dewey ID), ``{"$type": "relation"}``.
+Two encodings are bytewise-comparable and a client can rebuild a faithful
 :class:`~repro.algebra.tuples.Relation`.
 
 >>> request = QueryRequest.from_payload({"query": "site(//item[ID])"})
@@ -34,8 +36,9 @@ repro.errors.RequestValidationError: field 'query' must be a string
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Optional, Sequence
 
+from repro.algebra.columnar import _ATOM_CELLS, _ID_CELLS, ColumnBatch, _ColumnSource
 from repro.algebra.tuples import Relation
 from repro.errors import RequestValidationError, ServiceError
 from repro.ingest.changelog import decode_subtree, encode_subtree
@@ -50,14 +53,16 @@ __all__ = [
     "PrepareRequest",
     "QueryManyRequest",
     "QueryRequest",
+    "batch_to_payload",
     "relation_from_payload",
     "relation_to_payload",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 """The request/response schema generation this server speaks.  Embedded in
 every response; requests carrying a different version are rejected with a
-typed 400 instead of being reinterpreted."""
+typed 400 instead of being reinterpreted.  Version 2 made result payloads
+column-kinded (``"kinds"``)."""
 
 _MISSING = object()
 
@@ -254,6 +259,54 @@ class IngestRequest(_RequestModel):
 # --------------------------------------------------------------------------- #
 # the relation codec
 # --------------------------------------------------------------------------- #
+def _column_kind(values: list) -> str:
+    """``"atom"``, ``"dewey"`` or ``"cell"``: the one rule for a column.
+
+    Exact types, like the executor's dedup keys: an empty or all-⊥ column
+    is ``"atom"``, and a column mixing identifiers with atoms is ``"cell"``.
+    """
+    kinds = set(map(type, values))
+    if kinds <= _ATOM_CELLS:
+        return "atom"
+    if kinds <= _ID_CELLS:
+        return "dewey"
+    return "cell"
+
+
+def _encode_columns(names, columns: Sequence[_ColumnSource], row_count: int) -> dict:
+    """The one encoder: a payload from a schema and one source per column.
+
+    A ``"dewey"`` column is the source's cached :meth:`dewey_text
+    <repro.algebra.columnar._ColumnSource.dewey_text>`; the cells are
+    transposed to row-major order only at the end.
+    """
+    kinds = []
+    encoded = []
+    for column in columns:
+        values = column.values()
+        kind = _column_kind(values)
+        kinds.append(kind)
+        if kind == "atom":
+            encoded.append(values)
+        elif kind == "dewey":
+            encoded.append(column.dewey_text())
+        else:
+            encoded.append([_encode_cell(value) for value in values])
+    if encoded:
+        rows = list(map(list, zip(*encoded)))
+    else:
+        rows = [[] for _ in range(row_count)]
+    return {"columns": list(names), "kinds": kinds, "rows": rows, "row_count": row_count}
+
+
+def _decode_dewey(value):
+    return None if value is None else DeweyID.from_string(value)
+
+
+def _decode_atom(value):
+    return value
+
+
 def _encode_cell(value):
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
@@ -286,24 +339,44 @@ def _decode_cell(value):
     raise ServiceError(f"cannot decode result cell {value!r}")
 
 
+_DECODERS = {"atom": _decode_atom, "dewey": _decode_dewey, "cell": _decode_cell}
+
+
 def relation_to_payload(relation: Relation) -> dict:
     """A :class:`Relation` as a JSON-safe dict (stable under re-encoding).
 
-    >>> payload = relation_to_payload(Relation(["V"], [["pen"], ["ink"]]))
-    >>> payload["columns"], payload["row_count"]
-    (['V'], 2)
+    The rows are transposed into columns and handed to the same encoder
+    the service runs on the executor's batch (:func:`batch_to_payload`).
+
+    >>> payload = relation_to_payload(Relation(["ID", "V"], [[DeweyID((1, 2)), "pen"]]))
+    >>> payload["kinds"], payload["rows"]
+    (['dewey', 'atom'], [['1.2', 'pen']])
     >>> relation_from_payload(payload).rows
-    [('pen',), ('ink',)]
+    [(DeweyID(1.2), 'pen')]
     """
-    return {
-        "columns": list(relation.column_names),
-        "rows": [[_encode_cell(cell) for cell in row] for row in relation.rows],
-        "row_count": len(relation),
-    }
+    rows = relation.rows
+    if rows:
+        columns = [_ColumnSource(values=list(values)) for values in zip(*rows)]
+    else:
+        columns = [_ColumnSource(values=[]) for _ in relation.columns]
+    return _encode_columns(relation.column_names, columns, len(rows))
+
+
+def batch_to_payload(batch: ColumnBatch) -> dict:
+    """The executor's result batch as the payload :func:`relation_to_payload`
+    gives for ``batch.to_relation()`` — without building that relation.
+
+    Every column is read through its source, so a ``"dewey"`` column is the
+    text cached on the scanned extent, gathered.
+    """
+    columns = [batch.source(index) for index in range(len(batch.columns))]
+    return _encode_columns(
+        [column.name for column in batch.columns], columns, batch.row_count
+    )
 
 
 def relation_from_payload(payload: dict) -> Relation:
-    """Inverse of :func:`relation_to_payload`.
+    """Inverse of :func:`relation_to_payload`, decoding per column kind.
 
     Dewey cells come back as :class:`DeweyID`, node cells as rebuilt
     (detached) subtrees carrying their original Dewey ID, nested relations
@@ -312,7 +385,21 @@ def relation_from_payload(payload: dict) -> Relation:
     """
     try:
         columns = payload["columns"]
-        rows = [tuple(_decode_cell(cell) for cell in row) for row in payload["rows"]]
+        kinds = payload["kinds"]
+        if len(kinds) != len(columns):
+            raise ServiceError(
+                f"malformed relation payload: {len(kinds)} kinds "
+                f"for {len(columns)} columns"
+            )
+        decoders = []
+        for kind in kinds:
+            if kind not in _DECODERS:
+                raise ServiceError(f"unknown column kind {kind!r}")
+            decoders.append(_DECODERS[kind])
+        rows = [
+            tuple(decode(cell) for decode, cell in zip(decoders, row))
+            for row in payload["rows"]
+        ]
     except (KeyError, TypeError) as exc:
         raise ServiceError(f"malformed relation payload: {exc}") from exc
     return Relation(columns, rows)

@@ -65,14 +65,23 @@ class _RequestHandler(BaseHTTPRequestHandler):
         pass  # request logging is the metrics/tracing layer's job
 
     def _read_payload(self) -> Optional[dict]:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        if not (header.isascii() and header.isdigit()):
+            # where the body ends is unknown: the connection cannot be reused
+            self.close_connection = True
+            raise _BadRequestBody(
+                "bad-content-length",
+                f"Content-Length {header!r} is not a non-negative integer",
+            )
+        length = int(header)
         if length == 0:
             return None
         raw = self.rfile.read(length)
         try:
             return json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise _BadRequestBody(f"request body is not valid JSON: {exc}")
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, a body that is not UTF-8, nesting too deep
+            raise _BadRequestBody("bad-json", f"request body is not valid JSON: {exc}")
 
     def _write(self, response: ServiceResponse) -> None:
         if isinstance(response.body, str):
@@ -105,9 +114,10 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 "schema_version": SCHEMA_VERSION,
                 "request_id": None,
                 "trace_id": None,
-                "error": {"code": "bad-json", "message": str(exc)},
+                "error": {"code": exc.code, "message": str(exc)},
             }
-            self._write(ServiceResponse(400, body, request_id=""))
+            headers = {"Connection": "close"} if self.close_connection else {}
+            self._write(ServiceResponse(400, body, request_id="", headers=headers))
             return
         self._write(self.app.handle(method, self.path, payload))
 
@@ -119,7 +129,11 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
 
 class _BadRequestBody(ServiceError):
-    pass
+    """A request the transport rejects before the app sees it (a typed 400)."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 class _Server(ThreadingHTTPServer):

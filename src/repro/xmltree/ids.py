@@ -104,7 +104,7 @@ class DeweyID:
         return f"DeweyID({self})"
 
     def __str__(self) -> str:
-        return ".".join(str(c) for c in self._components)
+        return ".".join(map(str, self._components))
 
     # ------------------------------------------------------------------ #
     # structural relationships

@@ -15,12 +15,15 @@ Two acceptance properties live here:
 
 from __future__ import annotations
 
+import http.client
+import json
+import socket
 import threading
 
 import pytest
 
 from repro import Database, parse_parenthesized
-from repro.service.models import relation_to_payload
+from repro.service.models import SCHEMA_VERSION, relation_to_payload
 from repro.service.server import QueryService, ServiceClient
 
 DOCUMENT_TEXT = (
@@ -91,6 +94,49 @@ def test_invalid_json_body_is_a_400_not_a_crash(service):
     # and the service is still alive afterwards
     status, _ = ServiceClient(service.url).get("/healthz")
     assert status == 200
+
+
+def _raw_request(connection, head: str, body: bytes = b""):
+    """Send bytes no well-behaved client would; return (status, headers, body)."""
+    connection.sendall(head.encode("latin-1") + b"\r\n\r\n" + body)
+    reply = http.client.HTTPResponse(connection)
+    reply.begin()
+    return reply.status, reply.headers, json.loads(reply.read())
+
+
+def _raw_connection(service):
+    host, port = service._server.server_address[:2]
+    # a server blocked on the body fails the test by this timeout
+    return socket.create_connection((host, port), timeout=5)
+
+
+@pytest.mark.parametrize("length", ["abc", "-1", "1_0"])
+def test_a_bad_content_length_is_a_typed_400_and_ends_the_connection(service, length):
+    with _raw_connection(service) as connection:
+        status, headers, body = _raw_request(
+            connection, f"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: {length}", b"{}"
+        )
+        assert status == 400
+        assert body["error"]["code"] == "bad-content-length"
+        assert body["schema_version"] == SCHEMA_VERSION
+        assert headers["Connection"] == "close"
+        assert connection.recv(1) == b"", "the server hung up: the body's end is unknown"
+    assert ServiceClient(service.url).get("/healthz")[0] == 200
+
+
+@pytest.mark.parametrize("raw", [b"\x80\x81", b"[" * 100_000], ids=["not-utf8", "too-deep"])
+def test_an_undecodable_body_is_a_typed_400_on_a_live_connection(service, raw):
+    with _raw_connection(service) as connection:
+        status, _, body = _raw_request(
+            connection,
+            f"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: {len(raw)}",
+            raw,
+        )
+        assert status == 400
+        assert body["error"]["code"] == "bad-json"
+        # the body was read to its declared end: the connection stays usable
+        status, _, body = _raw_request(connection, "GET /healthz HTTP/1.1\r\nHost: x")
+        assert status == 200 and body["status"] == "ok"
 
 
 def test_metrics_endpoint_serves_prometheus_text(client):
@@ -214,9 +260,10 @@ def test_mixed_workload_matches_direct_database_oracle(client):
         assert body["result"]["row_count"] == 4
         assert body["result"] == relation_to_payload(oracle.query(ITEM_NAMES))
 
-        # 4. delete it again on both sides
+        # 4. delete it again on both sides (an ID column is dotted text)
+        assert body["result"]["kinds"][0] == "dewey"
         status, body = client.post(
-            "/ingest", {"op": "delete", "dewey": body["result"]["rows"][3][0]["id"]}
+            "/ingest", {"op": "delete", "dewey": body["result"]["rows"][3][0]}
         )
         assert status == 200
         oracle.delete_subtree(body["dewey"])

@@ -25,7 +25,8 @@ Three scopes of one principle, each held to a reference:
 
 The deterministic cases below the machine pin what a random walk cannot
 promise to visit: flat miss counters, the two kinds of definition change,
-the foreign-kind and empty-extent splices, and the statistics' edges — a
+the foreign-kind and empty-extent splices, the identifier text a write
+carries over for the service's encoder, and the statistics' edges — a
 column crossing the common-value limit, a histogram edge moving, a string
 in a numeric column, an ID entering an empty column, the rematerialising
 fallback.
@@ -445,6 +446,46 @@ def test_an_empty_extent_takes_its_first_rows_by_splice(db):
     assert spliced.source(0)._row_keys is spliced.source(0)._keys is not None
     assert spliced.source(1)._row_keys is None
     assert_batch_is_a_fresh_transpose(view.relation)
+
+
+def _id_sources(batch) -> list:
+    """The identifier columns of an extent's batch, as their sources."""
+    return [
+        batch.source(position)
+        for position in range(len(batch.columns))
+        if {type(value) for value in batch.values(position)} <= {DeweyID, type(None)}
+    ]
+
+
+def _extent_batches(db) -> dict:
+    return {name: ColumnBatch.from_relation(db.views[name].relation) for name in db.views.names}
+
+
+def _assert_dewey_text_spliced(db, before: dict) -> dict:
+    """Every identifier column of every extent the write spliced arrives
+    with its text, and the text is each identifier's ``str``."""
+    after = _extent_batches(db)
+    spliced = [name for name in after if after[name] is not before[name]]
+    assert spliced, "the write spliced some extent"
+    for name in spliced:
+        for source in _id_sources(after[name]):
+            assert source._text is not None, f"{name}: the text was dropped, not spliced"
+            assert source.dewey_text() == [
+                None if value is None else str(value) for value in source.values()
+            ]
+    return after
+
+
+def test_dewey_text_follows_the_splice(db):
+    before = _extent_batches(db)
+    for batch in before.values():
+        for source in _id_sources(batch):
+            source.dewey_text()
+    node = db.insert_subtree(_asia(db), SUBTREE_SHAPES[1](3))
+    before = _assert_dewey_text_spliced(db, before)
+    db.delete_subtree(node)
+    _assert_dewey_text_spliced(db, before)
+    assert str(DeweyID((1, 12, 3))) == "1.12.3"
 
 
 def _identified(components) -> XMLNode:

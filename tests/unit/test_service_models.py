@@ -9,9 +9,13 @@ load tester's row-identity check both stand on.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro import Relation, parse_parenthesized
+from repro.algebra.columnar import ColumnBatch
+from repro.algebra.tuples import _hashable
 from repro.errors import RequestValidationError, ServiceError
 from repro.service.models import (
     SCHEMA_VERSION,
@@ -21,6 +25,7 @@ from repro.service.models import (
     PrepareRequest,
     QueryManyRequest,
     QueryRequest,
+    batch_to_payload,
     relation_from_payload,
     relation_to_payload,
 )
@@ -151,12 +156,20 @@ def test_atomic_relation_roundtrip():
 
 
 def test_dewey_cells_roundtrip_as_tagged_objects():
+    # an ID column is dotted text; the tagged object is left to mixed columns
     relation = Relation(["ID"], [[DeweyID.from_string("1.2.3")]])
     payload = relation_to_payload(relation)
-    assert payload["rows"][0][0] == {"$type": "dewey", "id": "1.2.3"}
+    assert payload["kinds"] == ["dewey"]
+    assert payload["rows"][0][0] == "1.2.3"
     rebuilt = relation_from_payload(payload)
     assert rebuilt.rows[0][0] == DeweyID.from_string("1.2.3")
     assert relation_to_payload(rebuilt) == payload
+
+    mixed = Relation(["X"], [[DeweyID.from_string("1.2.3")], ["1.2.3"]])
+    payload = relation_to_payload(mixed)
+    assert payload["kinds"] == ["cell"]
+    assert payload["rows"] == [[{"$type": "dewey", "id": "1.2.3"}], ["1.2.3"]]
+    assert relation_from_payload(payload).rows == mixed.rows
 
 
 def test_node_cells_roundtrip_with_identity_and_content():
@@ -193,8 +206,101 @@ def test_unencodable_cells_raise():
 def test_unknown_cell_tag_raises():
     with pytest.raises(ServiceError, match="cannot decode"):
         relation_from_payload(
-            {"columns": ["X"], "rows": [[{"$type": "widget"}]], "row_count": 1}
+            {"columns": ["X"], "kinds": ["cell"], "rows": [[{"$type": "widget"}]],
+             "row_count": 1}
         )
+
+
+def test_unknown_column_kind_raises():
+    with pytest.raises(ServiceError, match="unknown column kind 'widget'"):
+        relation_from_payload(
+            {"columns": ["X"], "kinds": ["widget"], "rows": [[1]], "row_count": 1}
+        )
+    with pytest.raises(ServiceError, match="1 kinds for 2 columns"):
+        relation_from_payload(
+            {"columns": ["X", "Y"], "kinds": ["atom"], "rows": [], "row_count": 0}
+        )
+
+
+def test_a_schema_1_payload_is_malformed_and_a_schema_1_request_a_400():
+    with pytest.raises(ServiceError, match="malformed relation payload"):
+        relation_from_payload({"columns": ["X"], "rows": [[1]], "row_count": 1})
+    with pytest.raises(RequestValidationError, match="this server speaks 2"):
+        QueryRequest.from_payload({"schema_version": 1, "query": "q"})
+
+
+# --------------------------------------------------------------------------- #
+# one encoder: the batch's payload is the relation's
+# --------------------------------------------------------------------------- #
+def _encoded_both_ways(relation: Relation) -> dict:
+    """``relation_to_payload(relation)``, checked against the batch encoder.
+
+    The batch is a gather over the relation's transpose, the shape the
+    executor hands the service; both payloads must agree dict for dict and
+    byte for byte, decode to the same rows and re-encode unchanged.
+    """
+    payload = relation_to_payload(relation)
+    batch = ColumnBatch.from_relation(relation).gather(range(len(relation.rows)))
+    from_batch = batch_to_payload(batch)
+    assert from_batch == payload
+    assert json.dumps(from_batch) == json.dumps(payload)
+    rebuilt = relation_from_payload(json.loads(json.dumps(payload)))
+    assert rebuilt.column_names == relation.column_names
+    assert [_hashable(row) for row in rebuilt.rows] == [
+        _hashable(row) for row in relation.rows
+    ]
+    assert relation_to_payload(rebuilt) == payload
+    return payload
+
+
+def test_empty_and_zero_column_relations():
+    payload = _encoded_both_ways(Relation(["ID", "V"], []))
+    assert payload == {
+        "columns": ["ID", "V"], "kinds": ["atom", "atom"], "rows": [], "row_count": 0
+    }
+    payload = _encoded_both_ways(Relation([], [(), ()]))
+    assert payload == {"columns": [], "kinds": [], "rows": [[], []], "row_count": 2}
+
+
+def test_bottom_in_and_as_columns():
+    one, two = DeweyID((1, 1)), DeweyID((1, 2))
+    payload = _encoded_both_ways(
+        Relation(["B", "ID"], [(None, one), (None, None), (None, two)])
+    )
+    assert payload["kinds"] == ["atom", "dewey"]
+    assert payload["rows"] == [[None, "1.1"], [None, None], [None, "1.2"]]
+
+
+def test_an_id_column_mixed_with_atoms_is_a_cell_column():
+    payload = _encoded_both_ways(Relation(["X"], [(DeweyID((1, 3)),), (3,), (None,)]))
+    assert payload["kinds"] == ["cell"]
+    assert payload["rows"] == [[{"$type": "dewey", "id": "1.3"}], [3], [None]]
+
+
+def test_scalar_columns_keep_their_json_types():
+    payload = _encoded_both_ways(
+        Relation(["B", "I", "F"], [(True, 1, 1.5), (False, -2, 2.0)])
+    )
+    assert payload["kinds"] == ["atom"] * 3
+    assert json.dumps(payload["rows"]) == "[[true, 1, 1.5], [false, -2, 2.0]]"
+
+
+def test_a_string_that_looks_like_an_identifier_stays_a_string():
+    payload = _encoded_both_ways(Relation(["V"], [("1.2.3",), ("1",)]))
+    assert payload["kinds"] == ["atom"]
+    assert relation_from_payload(payload).rows == [("1.2.3",), ("1",)]
+
+
+def test_node_and_nested_relation_columns_are_cell_columns():
+    document = parse_parenthesized('site(item(name="pen") item(name="ink"))')
+    items = document.root.children
+    nested = [Relation(["V"], [["pen"]]), Relation(["ID"], [[DeweyID((1, 2))]])]
+    payload = _encoded_both_ways(
+        Relation(["C", "R"], [(item, inner) for item, inner in zip(items, nested)])
+    )
+    assert payload["kinds"] == ["cell", "cell"]
+    assert [row[0]["$type"] for row in payload["rows"]] == ["node", "node"]
+    assert payload["rows"][1][1]["value"]["kinds"] == ["dewey"]
 
 
 def test_malformed_relation_payload_raises():

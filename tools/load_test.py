@@ -8,10 +8,11 @@ end-to-end throughput plus client-observed latency quantiles::
 
     PYTHONPATH=src python tools/load_test.py --threads 4 --requests 200
 
-Correctness is asserted, not sampled: every response must be 2xx and its
-result payload must be *identical* to the serial
-``Database.query`` answer for the same query (computed once, before the
-storm, through the same relation codec).  Any error or row mismatch makes
+Correctness is asserted, not sampled: every response must be 2xx, speak
+this driver's ``schema_version`` (2: column-kinded result payloads) and
+carry a result payload *identical* to the serial ``Database.query`` answer
+for the same query (computed once, before the storm, through the same
+relation codec).  Any error or row mismatch makes
 the exit status non-zero.  The summary (throughput, p50/p95/p99 latency) is
 printed as one ``BENCH_JSON:`` line; nothing is written to disk — measured
 service numbers come from the ``dblp_service`` workload of ``bench/``.
@@ -34,7 +35,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro import Database, MaterializedView, build_summary  # noqa: E402
 from repro.errors import RewritingError  # noqa: E402
 from repro.rewriting.algorithm import RewritingConfig  # noqa: E402
-from repro.service.models import relation_to_payload  # noqa: E402
+from repro.service.models import SCHEMA_VERSION, relation_to_payload  # noqa: E402
 from repro.service.server import QueryService, ServiceClient  # noqa: E402
 from repro.workloads.synthetic import seed_tag_views  # noqa: E402
 from repro.workloads.xmark import (  # noqa: E402
@@ -105,6 +106,8 @@ def run_load(
             latencies.append(elapsed)
             if status != 200:
                 errors.append(f"{name}: HTTP {status} {body}")
+            elif body["schema_version"] != SCHEMA_VERSION:
+                errors.append(f"{name}: schema {body['schema_version']}, not {SCHEMA_VERSION}")
             elif body["result"] != expected[name]:
                 mismatches.append(f"{name}: rows diverged from Database.query")
 
@@ -166,6 +169,11 @@ def probe_remote_queries(url: str) -> tuple[dict[str, str], dict[str, dict]]:
             continue
         if status != 200:
             raise SystemExit(f"warm-up {name} failed: HTTP {status} {body}")
+        if body["schema_version"] != SCHEMA_VERSION:
+            raise SystemExit(
+                f"the service speaks schema {body['schema_version']}; "
+                f"this driver speaks {SCHEMA_VERSION}"
+            )
         queries[name] = text
         expected[name] = body["result"]
     return queries, expected
