@@ -11,7 +11,9 @@ union containment.
 
 Between the two, patterns without optional or nested edges meet two cheap
 deciders that answer without building a canonical model: a homomorphism
-from ``q`` into ``p`` proves containment, and a return-node ancestry that
+from ``q`` into the summary chase of ``p`` (``p`` plus the steps and
+strong children the summary fixes) proves containment, and a return-node
+ancestry that
 ``q`` demands and ``p`` lacks refutes it (``docs/containment.md``,
 "Deciders in front of the canonical model").  Everything else goes to the
 canonical model, which :func:`canonical_containment_decision` also exposes
@@ -29,8 +31,8 @@ from typing import Optional, Sequence
 from repro.caching import BoundedLruCache
 from repro.canonical.hashing import pattern_key, summary_token
 from repro.canonical.model import (
+    annotate_paths,
     canonical_model_cache,
-    is_satisfiable,
     iter_canonical_model,
 )
 from repro.canonical.trees import CanonicalTree
@@ -41,6 +43,7 @@ from repro.patterns.embedding import EmbeddingMode
 from repro.patterns.pattern import Axis, PatternNode, TreePattern
 from repro.patterns.semantics import evaluate_node_tuples
 from repro.summary.dataguide import Summary
+from repro.summary.index import SummaryIndex
 
 __all__ = [
     "ContainmentCache",
@@ -353,6 +356,148 @@ def _homomorphism_exists(contained: TreePattern, container: TreePattern) -> bool
     return maps(container.root, contained.root)
 
 
+# --------------------------------------------------------------------------- #
+# the summary chase of the contained pattern
+# --------------------------------------------------------------------------- #
+def _chain_between(index: SummaryIndex, upper: int, lower: int) -> tuple[int, ...]:
+    """Summary numbers strictly between ``upper`` and its descendant
+    ``lower``, top-down."""
+    chain = []
+    number = index.parent(lower)
+    while number != upper:
+        chain.append(number)
+        number = index.parent(number)
+    chain.reverse()
+    return tuple(chain)
+
+
+def _shared_steps(
+    chains: list[tuple[int, ...]], index: SummaryIndex
+) -> tuple[list[frozenset[int]], list[frozenset[int]], bool]:
+    """The steps every summary chain of a ``//`` edge starts and ends with.
+
+    Returns ``(prefix, suffix, fixed)``: one path set per shared step,
+    top-down, for the label prefix and the label suffix common to every
+    chain (never overlapping inside the shortest one), and whether every
+    chain carries the same labels — then the prefix is the whole chain and
+    the edge becomes ``/`` steps only.
+    """
+    labels = [tuple(index.node(number).label for number in chain) for chain in chains]
+    first = labels[0]
+    fixed = all(sequence == first for sequence in labels)
+    if fixed:
+        prefix_length, suffix_length = len(first), 0
+    else:
+        shortest = min(map(len, labels))
+        prefix_length = 0
+        while prefix_length < shortest and all(
+            sequence[prefix_length] == first[prefix_length] for sequence in labels
+        ):
+            prefix_length += 1
+        suffix_length = 0
+        while prefix_length + suffix_length < shortest and all(
+            sequence[-1 - suffix_length] == first[-1 - suffix_length]
+            for sequence in labels
+        ):
+            suffix_length += 1
+    prefix = [frozenset(chain[i] for chain in chains) for i in range(prefix_length)]
+    suffix = [
+        frozenset(chain[len(chain) - suffix_length + i] for chain in chains)
+        for i in range(suffix_length)
+    ]
+    return prefix, suffix, fixed
+
+
+def _chase_chain(node: PatternNode, index: SummaryIndex) -> None:
+    """Insert, as ``/`` nodes, the steps the summary fixes on the ``//``
+    edge above ``node`` (over every related pair of annotated paths)."""
+    parent = node.parent
+    chains = [
+        _chain_between(index, upper, lower)
+        for lower in sorted(node.annotated_paths)
+        for upper in sorted(parent.annotated_paths & index.ancestors(lower))
+    ]
+    prefix, suffix, fixed = _shared_steps(chains, index)
+    steps = [(paths, Axis.CHILD) for paths in prefix]
+    below = Axis.CHILD if fixed else Axis.DESCENDANT
+    for paths in suffix:
+        steps.append((paths, below))
+        below = Axis.CHILD
+    node.axis = below
+    if not steps:
+        return
+    slot = next(i for i, child in enumerate(parent.children) if child is node)
+    current = parent
+    for paths, axis in steps:
+        step = PatternNode(index.node(min(paths)).label, axis=axis)
+        step.annotated_paths = paths
+        if current is parent:
+            parent.children[slot] = step
+        else:
+            current.children.append(step)
+        step.parent = current
+        current = step
+    node.parent = current
+    current.children.append(node)
+
+
+def _strong_children(
+    paths: frozenset[int], index: SummaryIndex, labels: Optional[frozenset[str]]
+) -> dict[str, frozenset[int]]:
+    """Label → children, for the labels (among ``labels``; None means any)
+    that every summary node in ``paths`` has a strong child with."""
+    shared: Optional[dict[str, list[int]]] = None
+    for number in paths:
+        strong = {
+            child.label: child.number
+            for child in index.node(number).children
+            if child.strong and (labels is None or child.label in labels)
+        }
+        if shared is None:
+            shared = {label: [child] for label, child in strong.items()}
+        else:
+            shared = {
+                label: numbers + [strong[label]]
+                for label, numbers in shared.items()
+                if label in strong
+            }
+        if not shared:
+            return {}
+    return {label: frozenset(numbers) for label, numbers in (shared or {}).items()}
+
+
+def _chase_strong(
+    node: PatternNode, index: SummaryIndex, labels: Optional[frozenset[str]]
+) -> None:
+    """Give ``node`` a ``/`` child for every strong child all its annotated
+    paths share, and recurse into each new child."""
+    present = {child.label for child in node.children if child.axis is Axis.CHILD}
+    for label, paths in _strong_children(node.annotated_paths, index, labels).items():
+        if label in present:
+            continue
+        child = PatternNode(label, axis=Axis.CHILD)
+        child.annotated_paths = paths
+        child.parent = node
+        node.children.append(child)
+        _chase_strong(child, index, labels)
+
+
+def _summary_chase(
+    annotated: TreePattern, index: SummaryIndex, labels: Optional[frozenset[str]]
+) -> TreePattern:
+    """``chase_S(p)`` in place, on an annotated copy of a satisfiable plain
+    pattern: every ``//`` edge gains the steps the summary fixes on it, then
+    every node the strong children all its paths share (only labels in
+    ``labels``).  Every embedding of ``p`` into a document conforming to the
+    summary extends to one of the chase (``docs/containment.md``)."""
+    for node in annotated.nodes():
+        if node.axis is Axis.DESCENDANT:
+            _chase_chain(node, index)
+    for node in annotated.nodes():
+        _chase_strong(node, index, labels)
+    return annotated
+
+
 def _fast_decision(
     contained: TreePattern, container: TreePattern, summary: Summary
 ) -> Optional[tuple[str, ContainmentDecision]]:
@@ -360,17 +505,25 @@ def _fast_decision(
     or None when neither applies and the canonical model must decide."""
     if not (_plain(contained) and _plain(container)):
         return None
-    if _ancestry_refutes(contained, container) and is_satisfiable(contained, summary):
+    annotated = annotate_paths(contained.copy(), summary)
+    satisfiable = bool(annotated.root.annotated_paths)
+    if satisfiable and _ancestry_refutes(contained, container):
         return "ancestry_negative", ContainmentDecision(
             False,
             "ancestry_negative: the container relates two return nodes as "
             "ancestor and descendant that the contained pattern does not",
         )
-    if _homomorphism_exists(contained, container):
+    target = contained
+    if satisfiable:
+        labels = frozenset(node.label for node in container.nodes())
+        target = _summary_chase(
+            annotated, summary.index, None if "*" in labels else labels
+        )
+    if _homomorphism_exists(target, container):
         return "homomorphism", ContainmentDecision(
             True,
-            "homomorphism: the container maps into the contained pattern, "
-            "keeping labels, return order, edges and formulas",
+            "homomorphism: the container maps into the summary chase of the "
+            "contained pattern, keeping labels, return order, edges and formulas",
         )
     return None
 

@@ -209,17 +209,14 @@ class PatternNode:
     # ------------------------------------------------------------------ #
     def signature(self, include_paths: bool = False) -> tuple:
         """A hashable structural signature of the subtree rooted here."""
-        edge = (
-            self.axis.value if self.axis is not None else None,
+        own = node_signature(
+            self.label,
+            self.axis,
             self.optional,
             self.nested,
-        )
-        own = (
-            self.label,
-            edge,
             self.attributes,
             self._return_flag,
-            self.effective_predicate.to_text(),
+            self.predicate,
             self.annotated_paths if include_paths else None,
         )
         return own + tuple(
@@ -442,6 +439,23 @@ class TreePattern:
             else:
                 node.is_return = True
         return cls(root, name=name)
+
+
+def node_signature(
+    label: str,
+    axis: Optional[Axis],
+    optional: bool,
+    nested: bool,
+    attributes: tuple[str, ...],
+    return_flag: bool,
+    predicate: Optional[ValueFormula],
+    paths: Optional[frozenset[int]] = None,
+) -> tuple:
+    """The node's own part of :meth:`PatternNode.signature`, from its fields
+    (the subtree signature appends its children's)."""
+    formula = predicate if predicate is not None else ValueFormula.true()
+    edge = (axis.value if axis is not None else None, optional, nested)
+    return (label, edge, attributes, return_flag, formula.to_text(), paths)
 
 
 def _render_node(node: PatternNode) -> str:

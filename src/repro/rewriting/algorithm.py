@@ -33,7 +33,13 @@ from repro.errors import ContainmentBudgetExceeded, RewritingError
 from repro.patterns.pattern import Axis, PatternNode, TreePattern
 from repro.rewriting.alignment import AlignmentResult, align_candidate
 from repro.rewriting.candidates import RewriteCandidate, initial_candidate
-from repro.rewriting.fusion import fuse_equality, fuse_structural
+from repro.rewriting.fusion import (
+    copied_signatures,
+    equality_shape,
+    fuse_equality,
+    fuse_structural,
+    structural_shape,
+)
 from repro.rewriting.preprocessing import (
     add_virtual_ids,
     query_path_targets,
@@ -96,6 +102,9 @@ class RewritingStatistics:
     """Join pairs at the plan-size bound skipped by the same Prop. 3.7 test
     *before* fusion: their views could never cover the query's attributes
     and the joined candidate could not have been extended."""
+    fusions_skipped: int = 0
+    """Fusions never built because their pattern's shape was already
+    accepted in this search: Prop. 3.5 would have dropped them."""
 
     def search_counters(self) -> dict[str, int]:
         """The search-space counters ``EXPLAIN`` and ``Database.stats()`` export."""
@@ -104,6 +113,7 @@ class RewritingStatistics:
             "joins_attempted": self.joins_attempted,
             "alignments_pruned": self.alignments_pruned,
             "pairs_skipped_by_suppliers": self.pairs_skipped_by_suppliers,
+            "fusions_skipped": self.fusions_skipped,
         }
 
     @property
@@ -158,6 +168,12 @@ class RewritingSearch:
         self.rewritings: list[Rewriting] = []
         self._partial: list[tuple[RewriteCandidate, AlignmentResult]] = []
         self._seen_signatures: set = set()
+        # unannotated signatures of the fusions _combine accepted (Prop. 3.5
+        # would drop any later fusion with the same shape)
+        self._accepted_shapes: set = set()
+        # id(pattern) -> (pattern, copied subtree signatures, annotated
+        # signature); the pattern is held so its id cannot be reused
+        self._signatures: dict[int, tuple] = {}
         self._start_time = 0.0
         # per (query return node, required attribute): names of views able
         # to supply that attribute on a compatible path (None until _setup
@@ -470,6 +486,15 @@ class RewritingSearch:
     ) -> Optional[RewriteCandidate]:
         from repro.algebra.operators import IdEqualityJoin
 
+        shape = equality_shape(
+            left_node,
+            self._signatures_of(left.pattern)[1],
+            right_node,
+            self._signatures_of(right.pattern)[1],
+        )
+        if self._skips(shape):
+            self.statistics.fusions_skipped += 1
+            return None
         left, left_column = left.ensure_column(left_node, "ID")
         right, right_column = right.ensure_column(right_node, "ID")
         fusion = fuse_equality(
@@ -483,7 +508,9 @@ class RewritingSearch:
             left_column=left_column,
             right_column=right_column,
         )
-        return self._combine(left, right, fusion.left_map, fusion.right_map, fusion.pattern, plan)
+        return self._combine(
+            left, right, fusion.left_map, fusion.right_map, fusion.pattern, plan, shape
+        )
 
     def _structural_candidate(
         self,
@@ -496,6 +523,16 @@ class RewritingSearch:
     ) -> Optional[RewriteCandidate]:
         from repro.algebra.operators import StructuralJoin
 
+        shape = structural_shape(
+            upper_node,
+            self._signatures_of(upper.pattern)[1],
+            lower_node,
+            self._signatures_of(lower.pattern)[1],
+            axis,
+        )
+        if self._skips(shape):
+            self.statistics.fusions_skipped += 1
+            return None
         upper, upper_column = upper.ensure_column(upper_node, "ID")
         lower, lower_column = lower.ensure_column(lower_node, "ID")
         fusion = fuse_structural(
@@ -517,8 +554,25 @@ class RewritingSearch:
             axis=axis,
         )
         return self._combine(
-            upper, lower, fusion.left_map, fusion.right_map, fusion.pattern, plan
+            upper, lower, fusion.left_map, fusion.right_map, fusion.pattern, plan, shape
         )
+
+    def _signatures_of(self, pattern: TreePattern) -> tuple:
+        """``(pattern, copied subtree signatures, annotated signature)`` of an
+        input candidate's pattern, computed once per search."""
+        entry = self._signatures.get(id(pattern))
+        if entry is None:
+            entry = self._signatures[id(pattern)] = (
+                pattern,
+                copied_signatures(pattern),
+                pattern.root.signature(include_paths=True),
+            )
+        return entry
+
+    def _skips(self, shape: Optional[tuple]) -> bool:
+        """Prop. 3.5 before fusion: was a fusion of this shape — hence of
+        this annotated signature — already accepted?"""
+        return shape in self._accepted_shapes
 
     def _combine(
         self,
@@ -528,17 +582,19 @@ class RewritingSearch:
         right_map: dict[int, PatternNode],
         pattern: TreePattern,
         plan,
+        shape: tuple,
     ) -> Optional[RewriteCandidate]:
         """Assemble the candidate for a join, translating column bookkeeping."""
         # Prop. 3.5: the join must produce a genuinely new pattern
         signature = pattern.root.signature(include_paths=True)
-        if signature == left.pattern.root.signature(include_paths=True):
+        if signature == self._signatures_of(left.pattern)[2]:
             return None
-        if signature == right.pattern.root.signature(include_paths=True):
+        if signature == self._signatures_of(right.pattern)[2]:
             return None
         if signature in self._seen_signatures:
             return None
         self._seen_signatures.add(signature)
+        self._accepted_shapes.add(shape)
 
         columns: dict[tuple[int, str], str] = {}
         lazy: dict = {}

@@ -26,11 +26,20 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.canonical.model import annotate_paths
-from repro.patterns.pattern import Axis, PatternNode, TreePattern
+from repro.patterns.pattern import Axis, PatternNode, TreePattern, node_signature
 from repro.summary.dataguide import Summary
 from repro.summary.index import SummaryIndex
 
-__all__ = ["FusionResult", "copy_with_map", "fuse_equality", "fuse_structural", "bare_chain"]
+__all__ = [
+    "FusionResult",
+    "bare_chain",
+    "copied_signatures",
+    "copy_with_map",
+    "equality_shape",
+    "fuse_equality",
+    "fuse_structural",
+    "structural_shape",
+]
 
 
 @dataclass
@@ -181,6 +190,107 @@ def _paths_ok(pattern: TreePattern) -> bool:
         if not node.annotated_paths:
             return False
     return True
+
+
+# --------------------------------------------------------------------------- #
+# the shape of a fusion, before it is built
+# --------------------------------------------------------------------------- #
+# annotate_paths reads only labels, edges and optional flags, so the
+# annotated signature Prop. 3.5 compares is a function of the unannotated
+# one: two fusions with the same shape are the same candidate.
+def copied_signatures(pattern: TreePattern) -> dict[int, tuple]:
+    """Node id → the unannotated signature of its subtree as
+    :func:`copy_with_map` copies it (a node with stored attributes loses its
+    plain return marker)."""
+    signatures: dict[int, tuple] = {}
+    for node in reversed(pattern.nodes()):
+        signatures[id(node)] = _copied_own(node, node.optional) + tuple(
+            signatures[id(child)] for child in node.children
+        )
+    return signatures
+
+
+def _copied_own(node: PatternNode, optional: bool) -> tuple:
+    return node_signature(
+        node.label,
+        node.axis,
+        optional,
+        node.nested,
+        node.attributes,
+        node._return_flag and not node.attributes,
+        node.predicate,
+    )
+
+
+def _required_up(anchor: PatternNode, own: tuple, below: tuple, signatures) -> tuple:
+    """The shape of the whole pattern once ``anchor`` has own part ``own``
+    and children ``below``, with :func:`_make_required`'s clears on the path
+    from the root."""
+    current = own + below
+    child, node = anchor, anchor.parent
+    while node is not None:
+        current = _copied_own(node, False) + tuple(
+            current if other is child else signatures[id(other)]
+            for other in node.children
+        )
+        child, node = node, node.parent
+    return current
+
+
+def structural_shape(
+    upper_node: PatternNode,
+    upper_signatures: dict[int, tuple],
+    lower_node: PatternNode,
+    lower_signatures: dict[int, tuple],
+    axis: Axis,
+) -> tuple:
+    """The unannotated signature :func:`fuse_structural` would produce."""
+    grafted = node_signature(
+        lower_node.label,
+        axis,
+        False,
+        False,
+        lower_node.attributes,
+        lower_node._return_flag and not lower_node.attributes,
+        lower_node.predicate,
+    ) + tuple(lower_signatures[id(child)] for child in lower_node.children)
+    below = tuple(upper_signatures[id(child)] for child in upper_node.children)
+    return _required_up(
+        upper_node, _copied_own(upper_node, False), below + (grafted,), upper_signatures
+    )
+
+
+def equality_shape(
+    left_node: PatternNode,
+    left_signatures: dict[int, tuple],
+    right_node: PatternNode,
+    right_signatures: dict[int, tuple],
+) -> Optional[tuple]:
+    """The unannotated signature :func:`fuse_equality` would produce, or
+    None when the labels cannot be unified."""
+    label = _labels_compatible(left_node.label, right_node.label)
+    if label is None:
+        return None
+    predicate = left_node.predicate
+    if right_node.predicate is not None:
+        predicate = (
+            right_node.predicate
+            if predicate is None
+            else predicate.and_(right_node.predicate)
+        )
+    own = node_signature(
+        label,
+        left_node.axis,
+        False,
+        left_node.nested,
+        tuple(dict.fromkeys(left_node.attributes + right_node.attributes)),
+        right_node.is_return or (left_node._return_flag and not left_node.attributes),
+        predicate,
+    )
+    below = tuple(left_signatures[id(child)] for child in left_node.children) + tuple(
+        right_signatures[id(child)] for child in right_node.children
+    )
+    return _required_up(left_node, own, below, left_signatures)
 
 
 # --------------------------------------------------------------------------- #

@@ -148,8 +148,8 @@ class ExplainReport:
 
     search: dict[str, int] = field(default_factory=dict)
     """What the rewriting search that found the plan did:
-    ``candidates_explored``, ``joins_attempted``, ``alignments_pruned`` and
-    ``pairs_skipped_by_suppliers`` of its
+    ``candidates_explored``, ``joins_attempted``, ``alignments_pruned``,
+    ``pairs_skipped_by_suppliers`` and ``fusions_skipped`` of its
     :class:`~repro.rewriting.algorithm.RewritingStatistics`."""
 
     # ------------------------------------------------------------------ #

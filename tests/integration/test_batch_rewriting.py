@@ -13,7 +13,7 @@ import pytest
 
 from repro import MaterializedView, build_summary
 from repro.containment.core import clear_containment_cache, containment_cache_disabled
-from repro.rewriting.algorithm import RewritingConfig
+from repro.rewriting.algorithm import RewritingConfig, RewritingSearch
 from repro.rewriting.rewriter import Rewriter
 from repro.workloads.synthetic import batch_rewriting_workload
 from repro.workloads.xmark import generate_xmark_document
@@ -167,6 +167,56 @@ def test_fast_deciders_leave_paper_rewritings_unchanged(
     searches find the same plans after the same search counts."""
     assert _paper_searches(xmark_workload, dblp_workload) == paper_searches
     assert any(fingerprint for fingerprint, _ in paper_searches.values())
+
+
+def _without_skips(counters):
+    return {name: count for name, count in counters.items() if name != "fusions_skipped"}
+
+
+def test_pre_fusion_skip_leaves_paper_searches_unchanged(
+    paper_searches, xmark_workload, dblp_workload, monkeypatch
+):
+    """Prop. 3.5 before fusion changes cost, never the search: with the skip
+    off, the fig13 / fig14 searches find the same plans after the same
+    counts, every fused pattern has the shape composed before fusion, and
+    every pair the skip drops is rejected by the fusion or by ``_combine``."""
+    skipped = sum(counters["fusions_skipped"] for _, counters in paper_searches.values())
+    assert skipped > 0
+    flagged, outcomes = [], []
+    would_skip = RewritingSearch._skips
+
+    def recording_skips(self, shape):
+        if would_skip(self, shape):
+            flagged.append(shape)
+        return False
+
+    def recorded(method):
+        def run(self, *args, **kwargs):
+            flagged.clear()
+            result = method(self, *args, **kwargs)
+            if flagged:
+                outcomes.append(result)
+            return result
+        return run
+
+    combine = RewritingSearch._combine
+
+    def checked_combine(self, left, right, left_map, right_map, pattern, plan, shape):
+        assert shape == pattern.root.signature()
+        return combine(self, left, right, left_map, right_map, pattern, plan, shape)
+
+    monkeypatch.setattr(RewritingSearch, "_skips", recording_skips)
+    monkeypatch.setattr(RewritingSearch, "_combine", checked_combine)
+    for name in ("_structural_candidate", "_equality_candidate"):
+        monkeypatch.setattr(RewritingSearch, name, recorded(getattr(RewritingSearch, name)))
+    clear_containment_cache()
+    unskipped = _paper_searches(xmark_workload, dblp_workload)
+    assert unskipped.keys() == paper_searches.keys()
+    for key, (fingerprint, counters) in paper_searches.items():
+        assert unskipped[key][0] == fingerprint, key
+        assert unskipped[key][1]["fusions_skipped"] == 0
+        assert _without_skips(unskipped[key][1]) == _without_skips(counters), key
+    assert len(outcomes) == skipped and set(outcomes) == {None}
 
 
 def test_catalog_is_built_once_and_invalidates(workload):

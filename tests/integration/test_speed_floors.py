@@ -12,9 +12,11 @@ Run with ``PYTHONPATH=src python -m pytest tests/integration/test_speed_floors.p
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -31,11 +33,17 @@ from repro import (
 from repro.algebra.execution import PlanExecutor
 from repro.algebra.operators import Projection, StructuralJoin, ViewScan
 from repro.algebra.tuples import Column, Relation, _hashable
-from repro.containment.core import clear_containment_cache, containment_cache_disabled
+from repro.containment import core
+from repro.containment.core import (
+    canonical_containment_decision,
+    clear_containment_cache,
+    containment_cache_disabled,
+)
 from repro.errors import RewritingError
 from repro.patterns.pattern import Axis
 from repro.rewriting.algorithm import RewritingConfig
 from repro.rewriting.rewriter import Rewriter
+from repro.summary.dataguide import summary_from_paths
 from repro.summary.statistics import Statistics
 from repro.views.delta import SubtreeChange
 from repro.views.indexes import INDEX_STATS
@@ -433,6 +441,59 @@ def test_indexed_annotation_beats_the_oracle_annotator(monkeypatch):
         f"cold search only {slow_seconds / fast_seconds:.2f}x faster than with "
         f"the oracle annotator"
     )
+
+
+# --------------------------------------------------------------------------- #
+# the summary chase vs the canonical model on a cold XMark block's
+# summary-fixed positives: >= 3x
+# --------------------------------------------------------------------------- #
+def _corpus_questions(dataset):
+    corpus = json.loads(
+        (Path(__file__).resolve().parent.parent / "corpus" / "containment_questions.json")
+        .read_text()
+    )[dataset]
+    summary = summary_from_paths([tuple(entry) for entry in corpus["summary"]])
+
+    def load(text, returns):
+        pattern = parse_pattern(text)
+        nodes = pattern.nodes()
+        pattern.set_return_order([nodes[position] for position in returns])
+        return pattern
+
+    return [
+        (load(left, left_returns), load(right, right_returns), summary, check)
+        for left, left_returns, right, right_returns, check in corpus["questions"]
+    ]
+
+
+def test_the_summary_chase_beats_the_canonical_model():
+    """The 14 positive questions of a cold XMark block that no plain
+    homomorphism answers — the query's extra steps are implied only by the
+    summary — decided by the chase and by every canonical tree."""
+    chased = []
+    for contained, container, summary, check in _corpus_questions("xmark_small"):
+        if core._structural_preconditions(contained, container, summary, check):
+            continue
+        fast = core._fast_decision(contained, container, summary)
+        if fast is not None and fast[0] == "homomorphism" and not (
+            core._homomorphism_exists(contained, container)
+        ):
+            chased.append((contained, container, summary, check))
+    assert len(chased) == 14
+    for question in chased:
+        assert canonical_containment_decision(*question).contained
+
+    def chase():
+        for contained, container, summary, _ in chased:
+            assert core._fast_decision(contained, container, summary)[1].contained
+
+    def canonical():
+        for question in chased:
+            canonical_containment_decision(*question)
+
+    with containment_cache_disabled():
+        speedup = _median_seconds(canonical, reps=5) / _median_seconds(chase)
+    assert speedup >= 3.0, f"the chase only {speedup:.1f}x faster than the canonical model"
 
 
 # --------------------------------------------------------------------------- #

@@ -62,10 +62,10 @@ class TestMemoHits:
 
     def test_containment_benefits_from_the_model_memo(self, summary):
         cache = canonical_model_cache()
-        # every item sits below regions: only the canonical model sees that
-        # (no homomorphism maps the container's /regions step)
-        left = parse_pattern("site(//item[ID,V])")
-        right = parse_pattern("site(/regions(//item[ID,V]))")
+        # every item sits below regions; the optional edge keeps the question
+        # away from the fast deciders, so only the canonical model answers it
+        left = parse_pattern("site(//item[ID,V](/?name[V]))")
+        right = parse_pattern("site(/regions(//item[ID,V](/?name[V])))")
         assert is_contained(left, right, summary)
         clear_containment_cache()  # forget decisions but also models...
         canonical_model(left, summary)  # ...then rebuild the model once

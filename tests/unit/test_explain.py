@@ -41,7 +41,7 @@ def test_explain_reports_plan_shape_and_estimates(db):
     # the search that found the plan reports what it did, by counter name
     assert set(report.search) == {
         "candidates_explored", "joins_attempted",
-        "alignments_pruned", "pairs_skipped_by_suppliers",
+        "alignments_pruned", "pairs_skipped_by_suppliers", "fusions_skipped",
     }
     assert report.search["joins_attempted"] > 0
     assert "search: candidates_explored=" in report.to_text()

@@ -251,7 +251,7 @@ def test_stats_tracks_queries_and_ddl(db):
     # one search (the miss); its counters are summed under "rewriting"
     assert snapshot["rewriting"]["searches"] == 1
     assert {"candidates_explored", "joins_attempted", "alignments_pruned",
-            "pairs_skipped_by_suppliers"} < set(snapshot["rewriting"])
+            "pairs_skipped_by_suppliers", "fusions_skipped"} <= set(snapshot["rewriting"])
     assert snapshot["views"]["count"] == 2
     assert snapshot["views"]["version"] == 2
 
@@ -269,6 +269,8 @@ def test_stats_export_the_containment_deciders(db):
     # every uncached single decision is counted under exactly one decider
     # (a union lookup misses without one)
     assert 0 < sum(deciders.values()) <= containment["misses"]
+    # plain view, plain query: the summary chase answers every question
+    assert deciders["canonical"] == 0 and deciders["homomorphism"] > 0
     assert 0.0 <= containment["hit_rate"] <= 1.0
     clear_containment_cache()
     assert set(db.stats()["containment"]["deciders"].values()) == {0}
