@@ -22,18 +22,18 @@ lifecycle (summary, views, catalog, planner, executor)::
         result = prepared.run()                      # ...run many times
     print(prepared.explain(analyze=True).to_text())  # est. vs actual rows
 
-    answers = db.query_many(workload, workers=4)     # persistent pool
-    db.close()                                       # releases the pool
+    answers = db.query_many(workload)                # plan cache, then search
+    db.close()
 
 ``create_view`` / ``drop_view`` maintain the shared
 :class:`~repro.views.ViewCatalog` incrementally (inverted indexes patched in
 place — the other views are never re-annotated), ``query``/``prepare`` route
 through the cost-based :class:`~repro.planning.Planner` (every rewriting
 lowers to a costed :class:`~repro.planning.LogicalPlan`, the cheapest one
-runs), and ``query_many(workers=N)`` shards the rewriting phase over the
-:class:`~repro.rewriting.BatchEngine`'s persistent worker pool.  The layers
-underneath (``Rewriter``, ``ViewCatalog``, ``Planner``, ``PlanExecutor``)
-remain importable for code that needs just one of them.
+runs), and ``query_many`` answers a batch from the plan cache, searching
+only the misses.  Rewriting, like execution, runs in the calling process.
+The layers underneath (``Rewriter``, ``ViewCatalog``, ``Planner``,
+``PlanExecutor``) remain importable for code that needs just one of them.
 """
 
 from repro.errors import (
@@ -102,7 +102,7 @@ from repro.containment import (
 )
 from repro.algebra import Relation
 from repro.views import MaterializedView, SubtreeChange, ViewCatalog, ViewSet
-from repro.rewriting import BatchEngine, Rewriter, Rewriting
+from repro.rewriting import Rewriter, Rewriting
 from repro.planning import CostModel, LogicalPlan, PlanChoice, PlannedRewriting, Planner
 from repro.session import Database, ExplainReport, PreparedQuery
 from repro.service import (
@@ -181,7 +181,6 @@ __all__ = [
     "MaterializedView",
     "ViewCatalog",
     "ViewSet",
-    "BatchEngine",
     "Rewriter",
     "Rewriting",
     # planning

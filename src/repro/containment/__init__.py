@@ -27,8 +27,6 @@ from repro.containment.core import (
     clear_containment_cache,
     containment_cache,
     containment_cache_disabled,
-    export_containment_delta,
-    merge_containment_delta,
     is_contained,
     is_contained_in_union,
 )
@@ -40,8 +38,6 @@ __all__ = [
     "clear_containment_cache",
     "containment_cache",
     "containment_cache_disabled",
-    "export_containment_delta",
-    "merge_containment_delta",
     "is_contained",
     "is_contained_in_union",
     "are_equivalent",

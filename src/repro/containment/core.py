@@ -52,8 +52,6 @@ __all__ = [
     "clear_containment_cache",
     "containment_cache",
     "containment_cache_disabled",
-    "export_containment_delta",
-    "merge_containment_delta",
     "is_contained",
     "is_contained_in_union",
     "are_equivalent",
@@ -129,58 +127,11 @@ def containment_cache_disabled():
 
 
 # --------------------------------------------------------------------------- #
-# memo keys and cross-process merging
+# memo keys
 # --------------------------------------------------------------------------- #
-# Every containment cache key is built by _cache_key and nothing else, so
-# the token slot used by the delta export/merge below cannot drift away
-# from the key shape: change the layout here and _TOKEN_POSITION with it.
-_TOKEN_POSITION = 3
-
-
 def _cache_key(kind: str, left, right, token, check_attributes: bool) -> tuple:
     """The canonical memo key layout for both "single" and "union" entries."""
     return (kind, left, right, token, check_attributes)
-
-
-def _replace_token(key: tuple, token) -> tuple:
-    """Swap the summary-token slot of a key built by :func:`_cache_key`."""
-    return key[:_TOKEN_POSITION] + (token,) + key[_TOKEN_POSITION + 1 :]
-
-
-def export_containment_delta(summary: "Summary") -> list[tuple[tuple, object]]:
-    """Export this process's decisions about ``summary`` in portable form.
-
-    Summary tokens are process-local identity, so they are blanked out of
-    every key; :func:`merge_containment_delta` re-binds the entries to the
-    receiving process's token for the same summary.  This is how parallel
-    batch-rewriting workers hand their containment work back to the parent:
-    the memo is a pure function table, so merging can only add true facts.
-    """
-    token = summary_token(summary)
-    exported = []
-    for key, value in _CACHE._data.items():
-        if len(key) > _TOKEN_POSITION and key[_TOKEN_POSITION] == token:
-            exported.append((_replace_token(key, None), value))
-    return exported
-
-
-def merge_containment_delta(
-    summary: "Summary", delta: list[tuple[tuple, object]]
-) -> int:
-    """Merge decisions exported by another process; returns how many were new.
-
-    A no-op (returning 0) while the memo is disabled — storing would be
-    dropped anyway, and reporting phantom merges would mislead callers."""
-    if not _CACHE.enabled:
-        return 0
-    token = summary_token(summary)
-    merged = 0
-    for portable, value in delta:
-        key = _replace_token(portable, token)
-        if key not in _CACHE._data:
-            merged += 1
-        _CACHE.store(key, value)
-    return merged
 
 
 # --------------------------------------------------------------------------- #

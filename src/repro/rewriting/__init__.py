@@ -11,12 +11,10 @@ from repro.rewriting.algorithm import (
     RewritingSearch,
     RewritingStatistics,
 )
-from repro.rewriting.batch import BatchEngine
 from repro.rewriting.candidates import LazyColumn, RewriteCandidate, initial_candidate
 from repro.rewriting.rewriter import RewriteOutcome, Rewriter
 
 __all__ = [
-    "BatchEngine",
     "Rewriter",
     "RewriteOutcome",
     "Rewriting",

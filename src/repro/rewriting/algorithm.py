@@ -77,11 +77,6 @@ class RewritingConfig:
     max_union_size: int = 3
     """Maximum number of branches in a union plan."""
 
-    enable_structural_joins: bool = True
-    enable_equality_joins: bool = True
-    enable_content_unfolding: bool = True
-    enable_virtual_ids: bool = True
-
 
 @dataclass
 class RewritingStatistics:
@@ -228,24 +223,18 @@ class RewritingSearch:
         self.statistics.views_before_pruning = len(self.views)
         initial: list[RewriteCandidate] = []
         for view, candidate in self._pruned_initial_candidates():
-            if self.config.enable_content_unfolding:
-                # capture both before the call: unfold_content mutates the
-                # pattern in place (only the candidate wrapper is fresh)
-                size_before = candidate.pattern.size
-                lazy_before = candidate.lazy
-                unfolded = unfold_content(candidate, targets, self.index)
-                if (
-                    unfolded.pattern.size != size_before
-                    or unfolded.lazy != lazy_before
-                ):
-                    # unfolding touched the pattern (new chains or retargeted
-                    # tips); recompute the path annotations it invalidated
-                    annotate_paths(unfolded.pattern, self.summary)
-                candidate = unfolded
-            if self.config.enable_virtual_ids:
-                candidate = add_virtual_ids(
-                    candidate, self.index, view.id_scheme.derives_parent
-                )
+            # capture both before the call: unfold_content mutates the
+            # pattern in place (only the candidate wrapper is fresh)
+            size_before = candidate.pattern.size
+            lazy_before = candidate.lazy
+            unfolded = unfold_content(candidate, targets, self.index)
+            if unfolded.pattern.size != size_before or unfolded.lazy != lazy_before:
+                # unfolding touched the pattern (new chains or retargeted
+                # tips); recompute the path annotations it invalidated
+                annotate_paths(unfolded.pattern, self.summary)
+            candidate = add_virtual_ids(
+                unfolded, self.index, view.id_scheme.derives_parent
+            )
             initial.append(candidate)
         self.statistics.views_after_pruning = len(initial)
         return initial
@@ -401,7 +390,6 @@ class RewritingSearch:
             # always copies, so only the plan / column bookkeeping is renamed.
             right = self._fresh_occurrence(right)
         results: list[RewriteCandidate] = []
-        structural_ok = self.config.enable_structural_joins
         for left_node in left.pattern.nodes():
             if left_node.nesting_depth() > 0:
                 continue
@@ -415,34 +403,33 @@ class RewritingSearch:
                 if not right_paths:
                     continue
                 self.statistics.joins_attempted += 1
-                if (
-                    self.config.enable_equality_joins
-                    and self.index.any_equal(left_paths, right_paths)
-                    and left.has_attribute(left_node, "ID")
+                if not (
+                    left.has_attribute(left_node, "ID")
                     and right.has_attribute(right_node, "ID")
                 ):
+                    continue
+                if self.index.any_equal(left_paths, right_paths):
                     fused = self._equality_candidate(left, left_node, right, right_node)
                     if fused is not None:
                         results.append(fused)
-                if structural_ok and left.has_attribute(left_node, "ID") and right.has_attribute(right_node, "ID"):
-                    if self.index.any_ancestor(left_paths, right_paths):
+                if self.index.any_ancestor(left_paths, right_paths):
+                    fused = self._structural_candidate(
+                        left, left_node, right, right_node, Axis.DESCENDANT
+                    )
+                    if fused is not None:
+                        results.append(fused)
+                    if self.index.any_parent(left_paths, right_paths):
                         fused = self._structural_candidate(
-                            left, left_node, right, right_node, Axis.DESCENDANT
+                            left, left_node, right, right_node, Axis.CHILD
                         )
                         if fused is not None:
                             results.append(fused)
-                        if self.index.any_parent(left_paths, right_paths):
-                            fused = self._structural_candidate(
-                                left, left_node, right, right_node, Axis.CHILD
-                            )
-                            if fused is not None:
-                                results.append(fused)
-                    if self.index.any_ancestor(right_paths, left_paths):
-                        fused = self._structural_candidate(
-                            right, right_node, left, left_node, Axis.DESCENDANT, swap=True
-                        )
-                        if fused is not None:
-                            results.append(fused)
+                if self.index.any_ancestor(right_paths, left_paths):
+                    fused = self._structural_candidate(
+                        right, right_node, left, left_node, Axis.DESCENDANT, swap=True
+                    )
+                    if fused is not None:
+                        results.append(fused)
         return results
 
     @staticmethod

@@ -255,9 +255,9 @@ class RewriteCandidate:
         ``columns`` and ``lazy`` are keyed by ``id(pattern node)`` — memory
         addresses that mean nothing after unpickling.  Pre-order positions
         are stable across a pattern round-trip, so the keys are translated
-        on the way out and rebuilt on the way in.  This is what makes
-        catalog snapshots (and their pre-annotated prototypes) shareable
-        across processes.
+        on the way out and rebuilt on the way in.  This is what lets a
+        saved session (``Database.save``) keep its pre-annotated
+        prototypes.
         """
         positions = {id(node): pos for pos, node in enumerate(self.pattern.nodes())}
         return {

@@ -11,6 +11,7 @@ executes); to rewrite, pick the cheapest plan and run it in one call, use
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.algebra.execution import PlanExecutor
@@ -121,11 +122,9 @@ class Rewriter:
         self.use_catalog = use_catalog
         self._catalog: Optional["ViewCatalog"] = None
         self._catalog_version: Optional[int] = None
-        self._batch_engine = None  # built lazily; reuses its catalog snapshot
         self.search_totals = {"searches": 0, **RewritingStatistics().search_counters()}
-        """Search-space counters summed over every in-process :meth:`rewrite`
-        (``Database.stats()["rewriting"]``; worker-pool batches search in
-        their own processes and are not counted)."""
+        """Search-space counters summed over every :meth:`rewrite`
+        (``Database.stats()["rewriting"]``)."""
 
     # ------------------------------------------------------------------ #
     @property
@@ -160,9 +159,8 @@ class Rewriter:
         rebuild the whole catalog (the pre-session behaviour, O(all views)),
         the one new entry is built and the inverted indexes are patched in
         place (:meth:`ViewCatalog.add_view`).  Derived consumers — the
-        planner's cost model (``views.data_version``) and the batch
-        engine's snapshot (``views.version``) — refresh themselves from
-        the *patched* catalog.
+        planner's cost model (``views.data_version``) — refresh themselves
+        from the *patched* catalog.
         No-op when the catalog was never built (nothing to patch).
         """
         if self._catalog is not None:
@@ -207,15 +205,6 @@ class Rewriter:
         self.invalidate_catalog()
         return 0, 0
 
-    def close(self) -> None:
-        """Release pooled resources (the batch engine's worker processes).
-
-        Safe to call repeatedly; a later ``rewrite_many(workers=N)`` simply
-        starts a fresh pool.
-        """
-        if self._batch_engine is not None:
-            self._batch_engine.close()
-
     @classmethod
     def from_catalog(
         cls, catalog: "ViewCatalog", config: Optional[RewritingConfig] = None
@@ -223,9 +212,8 @@ class Rewriter:
         """Build a rewriter around an existing (e.g. loaded) catalog.
 
         The catalog's summary, views and pre-annotated prototypes are
-        adopted as-is — nothing is re-derived.  This is how parallel batch
-        workers come up: :meth:`~repro.views.catalog.ViewCatalog.load` the
-        shared snapshot, then ``Rewriter.from_catalog``.
+        adopted as-is — nothing is re-derived.  ``Database.load`` rebuilds
+        its rewriter from the saved catalog this way.
         """
         rewriter = cls(catalog.summary, catalog.views, config, use_catalog=True)
         rewriter._catalog = catalog
@@ -254,7 +242,6 @@ class Rewriter:
         self,
         queries: Iterable[TreePattern],
         config: Optional[RewritingConfig] = None,
-        workers: int = 1,
     ) -> list[RewriteOutcome]:
         """Rewrite a whole workload, sharing preprocessing across queries.
 
@@ -263,40 +250,15 @@ class Rewriter:
         every subsequent one, and the process-wide containment memo turns
         repeated containment questions into cache hits.  The outcomes are
         exactly the outcomes :meth:`rewrite` produces query by query, in
-        input order.
-
-        With ``workers > 1`` (or ``workers=0`` for one per CPU core) the
-        workload is sharded over a process pool by
-        :class:`~repro.rewriting.batch.BatchEngine`: every worker loads the
-        same persisted catalog snapshot once, and the workers' containment
-        memos are merged back afterwards.  The engine is kept across calls,
-        and it re-saves the snapshot only when the view set's definition
-        version changed — so batch number two of a request-per-batch caller
-        skips the snapshot cost entirely, even after a count-only write.
-        Results are plan-for-plan identical to the sequential path up to
-        generated alias numbering (see the :mod:`~repro.rewriting.batch`
-        notes there — that caveat and the wall-clock time-budget one).  A
-        rewriter built with ``use_catalog=False`` has no snapshot for
-        workers to share, so it always runs sequentially, whatever
-        ``workers`` says.
+        input order, all searched in the calling process.
         """
-        queries = list(queries)
-        from repro.rewriting.batch import BatchEngine, resolve_worker_count
-
-        if workers == 1 or len(queries) <= 1:
-            return [self.rewrite(query, config) for query in queries]
-        if self._batch_engine is None:
-            self._batch_engine = BatchEngine(self, workers=workers)
-        else:
-            self._batch_engine.workers = resolve_worker_count(workers)
-        return self._batch_engine.run(queries, config)
+        return [self.rewrite(query, config) for query in queries]
 
     def rewrite_first(
         self, query: TreePattern
     ) -> Optional[Rewriting]:
         """Return the first rewriting found, or None."""
-        config = RewritingConfig(**{**self.config.__dict__, "stop_at_first": True})
-        outcome = self.rewrite(query, config)
+        outcome = self.rewrite(query, replace(self.config, stop_at_first=True))
         return outcome.rewritings[0] if outcome.found else None
 
     # ------------------------------------------------------------------ #

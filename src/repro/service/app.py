@@ -498,14 +498,6 @@ class ServiceApp:
             "View-set version (bumps on DDL and document mutation).",
         ).set(snapshot["views"]["data_version"])
         gauge(
-            "service_worker_pool_workers",
-            "Batch-engine worker pool size (0 when no pool is alive).",
-        ).set(
-            snapshot["worker_pool"]["workers"]
-            if snapshot["worker_pool"]["active"]
-            else 0
-        )
-        gauge(
             "service_prepared_statements",
             "Prepared statements currently registered.",
         ).set(len(self._statements))

@@ -9,8 +9,8 @@ single entry point so callers stop hand-wiring ``build_summary`` +
   owns the :class:`~repro.views.store.ViewSet`, the shared
   :class:`~repro.views.catalog.ViewCatalog`, the cost-based
   :class:`~repro.planning.planner.Planner` and the rewriting machinery;
-  ``save``/``load`` persist the whole session (views *with* extents) through
-  the versioned catalog snapshot format;
+  ``save``/``load`` persist the whole session (document, catalog, views
+  *with* extents) in one versioned snapshot;
 * **view DDL** — :meth:`Database.create_view` / :meth:`Database.drop_view`
   maintain the catalog *incrementally*: the inverted root-label /
   summary-path / attribute indexes are patched in place
@@ -24,10 +24,9 @@ single entry point so callers stop hand-wiring ``build_summary`` +
   :class:`~repro.session.explain.ExplainReport` (with per-operator
   estimated *and* measured rows under ``analyze=True``);
 * **batch service** — :meth:`Database.query_many` answers what the plan
-  cache holds and shards the rewriting of the rest over the
-  :class:`~repro.rewriting.batch.BatchEngine`'s *persistent* worker pool,
-  which survives across calls and is released by :meth:`Database.close`
-  (or the context manager); every plan runs in this process;
+  cache holds and rewrites the rest through
+  :meth:`~repro.rewriting.rewriter.Rewriter.rewrite_many`; every search and
+  every plan runs in this process;
 * **plan cache** — :meth:`Database.query` consults a fingerprint-keyed
   :class:`PlanCache` (canonical pattern key → planned choice, invalidated
   on view DDL and on a document mutation that changes the summary's shape
@@ -56,7 +55,7 @@ from repro.planning.planner import PlanChoice, PlannedRewriting, Planner
 from repro.rewriting.rewriter import Rewriter
 from repro.session.explain import ExplainReport, build_explain_report
 from repro.summary.dataguide import Summary, build_summary
-from repro.views.catalog import CATALOG_FORMAT_VERSION, ViewCatalog
+from repro.views.catalog import ViewCatalog
 from repro.views.delta import ExtentChange, SubtreeChange
 from repro.views.store import ViewSet
 from repro.views.view import MaterializedView
@@ -75,9 +74,7 @@ __all__ = [
 ]
 
 DATABASE_FORMAT_VERSION = "database/1"
-"""On-disk format tag written by :meth:`Database.save` (distinct from the
-bare :data:`~repro.views.catalog.CATALOG_FORMAT_VERSION` integer, so either
-kind of snapshot is recognised on load)."""
+"""On-disk format tag written by :meth:`Database.save`."""
 
 MAINTENANCE_COUNTERS = (
     "delta_applied",
@@ -382,10 +379,10 @@ class Database:
     def save(self, path: str | Path) -> None:
         """Persist the session: summary, views *with* extents, document.
 
-        The payload wraps the same versioned catalog snapshot the parallel
-        batch machinery shares (:meth:`ViewCatalog.save`), with extents kept
-        — a loaded database answers queries immediately.  Load it back with
-        :meth:`load`.
+        The payload is a versioned pickle of the catalog (summary, views
+        with their extents, annotated prototypes, statistics), the document
+        and the rewriting config — a loaded database answers queries
+        immediately.  Load it back with :meth:`load`.
         """
         catalog = self._rewriter.catalog
         if catalog is None:
@@ -405,10 +402,10 @@ class Database:
     def load(cls, path: str | Path) -> "Database":
         """Load a session persisted with :meth:`save`.
 
-        Bare :meth:`ViewCatalog.save` snapshots are accepted too (the
-        document comes back as ``None``; extents are whatever the snapshot
-        kept).  The persisted catalog is adopted as-is — summary, views,
-        annotated prototypes and statistics are not re-derived.
+        The persisted catalog is adopted as-is — summary, views, annotated
+        prototypes and statistics are not re-derived.  Raises
+        :class:`~repro.errors.SessionError` when the file is unreadable, is
+        not a database snapshot, has another format or holds no catalog.
         """
         try:
             payload = pickle.loads(Path(path).read_bytes())
@@ -416,22 +413,17 @@ class Database:
             raise SessionError(f"cannot read database file {path}: {exc}") from exc
         if not isinstance(payload, dict) or "format" not in payload:
             raise SessionError(f"{path} is not a persisted database")
-        if payload["format"] == DATABASE_FORMAT_VERSION:
-            catalog = payload.get("catalog")
-            document = payload.get("document")
-            config = payload.get("config")
-        elif payload["format"] == CATALOG_FORMAT_VERSION:
-            # a bare catalog snapshot (already decoded — no second read)
-            catalog = payload.get("catalog")
-            document = None
-            config = None
-        else:
+        if payload["format"] != DATABASE_FORMAT_VERSION:
             raise SessionError(
                 f"{path} has unsupported snapshot format {payload['format']!r}"
             )
+        catalog = payload.get("catalog")
         if not isinstance(catalog, ViewCatalog):
             raise SessionError(f"{path} does not contain a view catalog")
-        return cls._wrap(Rewriter.from_catalog(catalog, config), document)
+        return cls._wrap(
+            Rewriter.from_catalog(catalog, payload.get("config")),
+            payload.get("document"),
+        )
 
     # ------------------------------------------------------------------ #
     # owned state
@@ -638,9 +630,9 @@ class Database:
                 changed.append(ExtentChange(view, before.rows, splices))
         # every consumer of the stored rows (cost model, the rank of cached
         # plans) sees the data version move; the consumers of the
-        # definitions (plan cache, prepared queries, catalog, batch
-        # snapshot + pool) see theirs move only when the summary's shape or
-        # flags did — no rewriting can have appeared or gone otherwise
+        # definitions (plan cache, prepared queries, catalog) see theirs
+        # move only when the summary's shape or flags did — no rewriting
+        # can have appeared or gone otherwise
         self.views.touch(
             definitions_changed=delta is None or not delta.preserves_annotations
         )
@@ -925,8 +917,6 @@ class Database:
     def query_many(
         self,
         queries: Iterable[TreePattern | str],
-        workers: int = 1,
-        config: Optional["RewritingConfig"] = None,
     ) -> list[Relation]:
         """Answer a whole workload, in input order.
 
@@ -935,10 +925,8 @@ class Database:
         rewriting search for every query they have planned before at this
         definition version.  The misses are grouped by fingerprint —
         duplicates inside one workload are planned once — and rewritten
-        through :meth:`Rewriter.rewrite_many`; with ``workers > 1`` that
-        search is sharded over the batch engine's *persistent* process
-        pool, which stays warm across calls until :meth:`close`.  Every
-        plan then runs here, in this process.  Raises
+        through :meth:`Rewriter.rewrite_many` under the session's config.
+        Searches and plans all run in this process.  Raises
         :class:`~repro.errors.RewritingError` on the first query with no
         equivalent rewriting.
         """
@@ -955,9 +943,7 @@ class Database:
         if pending:
             representatives = [positions[0] for positions in pending.values()]
             outcomes = self._rewriter.rewrite_many(
-                [patterns[position] for position in representatives],
-                config,
-                workers=workers,
+                [patterns[position] for position in representatives]
             )
             for position, outcome in zip(representatives, outcomes):
                 pattern = patterns[position]
@@ -983,12 +969,11 @@ class Database:
     def rewrite_many(
         self,
         queries: Iterable[TreePattern | str],
-        workers: int = 1,
         config: Optional["RewritingConfig"] = None,
     ) -> list["RewriteOutcome"]:
         """Batch rewriting without execution (the Figure 15 measurement)."""
         patterns = [self._as_pattern(query, None) for query in queries]
-        return self._rewriter.rewrite_many(patterns, config, workers=workers)
+        return self._rewriter.rewrite_many(patterns, config)
 
     # ------------------------------------------------------------------ #
     # observability
@@ -1001,16 +986,15 @@ class Database:
         counters, the containment memo's hit rate and which decider answered
         its uncached decisions (both process-wide, like the memo),
         live-document :attr:`maintenance_stats`, value-index
-        build/probe counts, worker-pool state — into a single plain dict,
-        so monitoring surfaces (above all the service tier's ``/metrics``
-        endpoint) consume one stable shape instead of reaching into
-        internals.  Purely a read: taking a snapshot never builds pools,
-        indexes or flushes caches.
+        build/probe counts — into a single plain dict, so monitoring
+        surfaces (above all the service tier's ``/metrics`` endpoint)
+        consume one stable shape instead of reaching into internals.
+        Purely a read: taking a snapshot never builds indexes or flushes
+        caches.
         """
         from repro.containment.core import containment_cache
         from repro.views.indexes import INDEX_STATS
 
-        engine = self._rewriter._batch_engine
         memo = containment_cache()
         asked = memo.hits + memo.misses
         return {
@@ -1037,20 +1021,14 @@ class Database:
             },
             "maintenance": dict(self.maintenance_stats),
             "indexes": INDEX_STATS.info(),
-            "worker_pool": {
-                "active": engine is not None and engine._pool is not None,
-                "workers": engine.workers if engine is not None else 0,
-            },
         }
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release pooled resources: the worker pool and the attached
-        change log's file handle (idempotent; the session stays usable — a
-        later ``query_many(workers=N)`` simply starts a fresh pool)."""
-        self._rewriter.close()
+        """Release the attached change log's file handle (idempotent; the
+        session stays usable)."""
         if self._change_log is not None:
             self._change_log.close()
             self._change_log = None

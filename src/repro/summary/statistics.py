@@ -123,16 +123,6 @@ class Statistics:
         for view in views:
             self.observe_view(view)
 
-    def __getstate__(self):
-        from repro.views.view import view_extents_are_excluded
-
-        state = self.__dict__.copy()
-        if view_extents_are_excluded():
-            # the counters exist to follow writes to the extents; without
-            # the extents a write would re-observe the view anyway
-            state["_view_counts"] = {}
-        return state
-
     def __setstate__(self, state):
         # snapshots written before the integer sums and the counters
         # existed: derive the sums again (the summary travels with them)

@@ -22,7 +22,7 @@ serve the planner's :class:`~repro.algebra.operators.IndexScan` probes.
 from repro.views.view import IdScheme, MaterializedView
 from repro.views.store import ViewSet
 from repro.views.delta import SubtreeChange, apply_subtree_delta, can_apply_delta
-from repro.views.catalog import CatalogFormatError, ViewCatalog
+from repro.views.catalog import ViewCatalog
 from repro.views.indexes import (
     BITMAP_CARDINALITY_THRESHOLD,
     INDEX_STATS,
@@ -35,7 +35,6 @@ from repro.views.indexes import (
 __all__ = [
     "BITMAP_CARDINALITY_THRESHOLD",
     "BitmapIndex",
-    "CatalogFormatError",
     "INDEX_STATS",
     "IdScheme",
     "MaterializedView",

@@ -31,8 +31,6 @@ into the catalog without changing results.
 
 from __future__ import annotations
 
-import pickle
-from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from repro.canonical.model import annotate_paths
@@ -43,16 +41,9 @@ from repro.summary.dataguide import Summary, SummaryDelta
 from repro.summary.index import SummaryIndex
 from repro.summary.statistics import Statistics
 from repro.views.delta import ExtentChange
-from repro.views.view import MaterializedView, view_extents_excluded
+from repro.views.view import MaterializedView
 
-__all__ = ["CatalogFormatError", "ViewCatalog", "CATALOG_FORMAT_VERSION"]
-
-CATALOG_FORMAT_VERSION = 1
-"""On-disk format version written by :meth:`ViewCatalog.save`."""
-
-
-class CatalogFormatError(ReproError):
-    """Raised when a persisted catalog cannot be loaded."""
+__all__ = ["ViewCatalog"]
 
 
 class _ViewEntry:
@@ -340,52 +331,6 @@ class ViewCatalog:
                 ((entry.view, entry.candidate.pattern) for entry in self._entries),
             )
         return self._statistics
-
-    # ------------------------------------------------------------------ #
-    # persistence
-    # ------------------------------------------------------------------ #
-    def save(self, path: str | Path, include_extents: bool = False) -> None:
-        """Persist the catalog (summary, views, prototypes, indexes, stats).
-
-        The file is a versioned pickle; load it back with :meth:`load`.
-        View extents are stripped by default — rewriting only needs the view
-        *definitions*, and this is the snapshot parallel batch workers share
-        — pass ``include_extents=True`` to keep the materialised relations.
-        """
-        self.statistics()  # make sure the snapshot ships with the file
-        payload = {
-            "format": CATALOG_FORMAT_VERSION,
-            "catalog": self,
-        }
-        path = Path(path)
-        if include_extents:
-            path.write_bytes(pickle.dumps(payload))
-        else:
-            with view_extents_excluded():
-                path.write_bytes(pickle.dumps(payload))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ViewCatalog":
-        """Load a catalog persisted with :meth:`save`.
-
-        Raises :class:`CatalogFormatError` on version mismatch or when the
-        file is not a catalog snapshot at all.
-        """
-        try:
-            payload = pickle.loads(Path(path).read_bytes())
-        except Exception as exc:
-            raise CatalogFormatError(f"cannot read catalog file {path}: {exc}") from exc
-        if not isinstance(payload, dict) or "format" not in payload:
-            raise CatalogFormatError(f"{path} is not a persisted view catalog")
-        if payload["format"] != CATALOG_FORMAT_VERSION:
-            raise CatalogFormatError(
-                f"catalog format {payload['format']} unsupported "
-                f"(expected {CATALOG_FORMAT_VERSION})"
-            )
-        catalog = payload["catalog"]
-        if not isinstance(catalog, cls):
-            raise CatalogFormatError(f"{path} does not contain a ViewCatalog")
-        return catalog
 
     # ------------------------------------------------------------------ #
     # candidate generation

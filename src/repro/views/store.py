@@ -21,8 +21,8 @@ class ViewSet:
     Two counters tell consumers of derived state what went stale.  A
     rewriting is a function of the query, the view *definitions* and the
     summary — never of the instance counts — so what is derived from
-    definitions (the catalog, cached plans, prepared queries, the batch
-    engine's snapshot and worker pool) watches :attr:`version`, and what
+    definitions (the catalog, cached plans, prepared queries) watches
+    :attr:`version`, and what
     is derived from the stored rows (the planner's cost model, the rank of
     a cached plan) watches :attr:`data_version`.
     """
@@ -44,8 +44,8 @@ class ViewSet:
         (``touch(definitions_changed=True)``); stays put across a write
         that only moved instance counts.  The
         :class:`~repro.views.catalog.ViewCatalog` cached by ``Rewriter``,
-        the plan cache, prepared queries and the batch engine's snapshot
-        and pool compare it to detect that their state is stale."""
+        the plan cache and prepared queries compare it to detect that their
+        state is stale."""
         return self._version
 
     @property

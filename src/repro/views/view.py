@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -14,31 +12,7 @@ from repro.patterns.pattern import TreePattern
 from repro.patterns.semantics import default_id_function, evaluate_pattern, pattern_schema
 from repro.xmltree.node import XMLDocument
 
-__all__ = ["IdScheme", "MaterializedView", "view_extents_excluded"]
-
-_exclude_extents: ContextVar[bool] = ContextVar("exclude_view_extents", default=False)
-
-
-@contextmanager
-def view_extents_excluded():
-    """Pickle views *without* their materialised extents inside this block.
-
-    Catalog snapshots shared with rewriting workers only need the view
-    definitions; shipping megabytes of rows (or content references into
-    whole documents) would defeat the point.  The flag rides a
-    :class:`~contextvars.ContextVar`, so concurrent picklers in other
-    threads are unaffected.
-    """
-    token = _exclude_extents.set(True)
-    try:
-        yield
-    finally:
-        _exclude_extents.reset(token)
-
-
-def view_extents_are_excluded() -> bool:
-    """True inside a :func:`view_extents_excluded` block."""
-    return _exclude_extents.get()
+__all__ = ["IdScheme", "MaterializedView"]
 
 
 @dataclass(frozen=True)
@@ -198,12 +172,6 @@ class MaterializedView:
     def is_materialized(self) -> bool:
         """True iff the view has a materialised extent."""
         return self._relation is not None
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        if view_extents_are_excluded():
-            state["_relation"] = None
-        return state
 
     @cached_property
     def _schema(self) -> tuple:

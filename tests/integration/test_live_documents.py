@@ -12,8 +12,8 @@ session level:
   record — is a typed :class:`~repro.errors.ChangeLogCorruptError`, never a
   silently different database.
 * **Readers can't see the past.**  A batch answered after a document
-  mutation — through ``query_many(workers=2)``, whose workers hold a
-  catalog snapshot from before the write — reflects the live document.
+  mutation — through ``query_many``, searched again once the plan cache
+  is emptied — reflects the live document.
 
 The fig13-style check at the end replays an XMark session log and asserts
 the recovered database answers the workload queries row-identically.
@@ -169,7 +169,7 @@ def test_missing_record_is_a_typed_error(tmp_path):
 
 
 # --------------------------------------------------------------------------- #
-# stale readers and the pool path
+# stale readers and the batch path
 # --------------------------------------------------------------------------- #
 def test_mutation_supersedes_published_extents(tmp_path):
     db = Database(parse_parenthesized(DOC_TEXT, name="live"))
@@ -177,14 +177,13 @@ def test_mutation_supersedes_published_extents(tmp_path):
     db.create_view(NAME_QUERY, name="names")
     queries = [ITEM_QUERY, NAME_QUERY]
     try:
-        before = db.query_many(queries, workers=2)
+        before = db.query_many(queries)
         asia = db.document.nodes_on_path("/site/regions/asia")[0]
         db.insert_subtree(asia, XMLNode("item", None, [XMLNode("name", "fresh")]))
-        # searched in the workers (the plan cache emptied), executed here
-        # over the extents the write maintained
+        # searched again (the plan cache emptied), executed over the
+        # extents the write maintained
         db.plan_cache.clear()
-        after = db.query_many(queries, workers=2)
-        assert db.rewriter._batch_engine._pool is not None
+        after = db.query_many(queries)
         assert len(after[0]) == len(before[0]) + 1
         for text, answer in zip(queries, after):
             direct = evaluate_pattern(parse_pattern(text, name="q"), db.document)

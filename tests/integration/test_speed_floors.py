@@ -13,7 +13,6 @@ Run with ``PYTHONPATH=src python -m pytest tests/integration/test_speed_floors.p
 from __future__ import annotations
 
 import json
-import os
 import re
 import time
 from pathlib import Path
@@ -497,37 +496,6 @@ def test_the_summary_chase_beats_the_canonical_model():
 
 
 # --------------------------------------------------------------------------- #
-# parallel rewriting: >= 2x at >= 8 logical CPUs, >= 1.3x at >= 4 (SMT-safe)
-# --------------------------------------------------------------------------- #
-def test_parallel_rewriting_beats_one_worker():
-    workers = 4
-    summary, views, queries, config = _scaling_workload(distinct_queries=200, repeat=1)
-    database = Database.from_summary(summary, views=views, config=config)
-    clear_containment_cache()
-    start = time.perf_counter()
-    serial_outcomes = database.rewrite_many(queries, workers=1)
-    serial_seconds = time.perf_counter() - start
-    clear_containment_cache()
-    start = time.perf_counter()
-    parallel_outcomes = database.rewrite_many(queries, workers=workers)
-    parallel_seconds = time.perf_counter() - start
-    database.close()
-    assert [_rewriting_fingerprint(o) for o in serial_outcomes] == [
-        _rewriting_fingerprint(o) for o in parallel_outcomes
-    ], "parallel rewrite_many must produce plan-for-plan identical rewritings"
-    # os.cpu_count() reports logical CPUs: with SMT, `workers` logical CPUs
-    # may be half as many cores, hence the softer floor below 2x workers
-    cores = os.cpu_count() or 1
-    floor = 2.0 if cores >= 2 * workers else 1.3 if cores >= workers else None
-    if floor is None:
-        pytest.skip(f"{cores} logical CPU(s): the floors arm at >= {workers}")
-    assert serial_seconds / parallel_seconds >= floor, (
-        f"{workers}-worker rewrite_many only {serial_seconds / parallel_seconds:.2f}x "
-        f"faster than one worker on {cores} logical CPUs (floor {floor}x)"
-    )
-
-
-# --------------------------------------------------------------------------- #
 # batch kernels vs the tuple interpreter on the paper workloads: >= 1.2x
 # --------------------------------------------------------------------------- #
 def test_batch_kernels_beat_the_tuple_interpreter():
@@ -564,9 +532,9 @@ def test_batch_kernels_beat_the_tuple_interpreter():
 
 
 # --------------------------------------------------------------------------- #
-# prepared vs re-planned queries, persistent vs cold worker pool: > 1x
+# prepared vs re-planned queries: > 1x
 # --------------------------------------------------------------------------- #
-def test_prepared_queries_and_the_persistent_pool_pay_off():
+def test_prepared_queries_pay_off():
     config = RewritingConfig(
         stop_at_first=True, max_plan_size=4, enable_unions=False, time_budget_seconds=10.0
     )
@@ -595,29 +563,3 @@ def test_prepared_queries_and_the_persistent_pool_pay_off():
     prepared_seconds = time.perf_counter() - start
     assert prepared_rows == unprepared_rows
     assert unprepared_seconds / prepared_seconds > 1.0
-
-    definitions = [(view.name, view.pattern) for view in database.views]
-    batch = [
-        view.pattern.copy(name=f"batch_q{index}")
-        for index, view in enumerate(database.views)
-        if index % 3 == 0
-    ]
-    # the plan cache would answer batches two and three without the pool
-    persistent = []
-    start = time.perf_counter()
-    for _ in range(3):
-        database.plan_cache.clear()
-        persistent.append([len(r) for r in database.query_many(batch, workers=2)])
-    persistent_seconds = time.perf_counter() - start
-    database.close()
-    start = time.perf_counter()
-    cold = []
-    for _ in range(3):
-        session = Database(document, config=config)
-        for name, pattern in definitions:
-            session.create_view(pattern.copy(), name=name)
-        cold.append([len(r) for r in session.query_many(batch, workers=2)])
-        session.close()
-    cold_seconds = time.perf_counter() - start
-    assert persistent == cold
-    assert cold_seconds / persistent_seconds > 1.0

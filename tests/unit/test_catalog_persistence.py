@@ -1,8 +1,10 @@
-"""ViewCatalog save/load: the snapshot parallel workers share.
+"""Database save/load: the one persisted snapshot of a session.
 
-A loaded catalog must behave exactly like the one that was saved — same
-pruning, same prototypes, same rewritings — across the id()-keyed column
-bookkeeping that a naive pickle would corrupt.
+A loaded database must behave exactly like the one that was saved — same
+pruning, same prototypes, same rewritings, same statistics — across the
+id()-keyed column bookkeeping that a naive pickle would corrupt.  A file
+that is not such a snapshot is refused with a typed
+:class:`~repro.errors.SessionError`.
 """
 
 from __future__ import annotations
@@ -12,10 +14,17 @@ import re
 
 import pytest
 
-from repro import MaterializedView, build_summary, parse_parenthesized, parse_pattern
+from repro import (
+    Database,
+    MaterializedView,
+    build_summary,
+    parse_parenthesized,
+    parse_pattern,
+)
+from repro.errors import SessionError
 from repro.rewriting.algorithm import RewritingConfig
-from repro.rewriting.rewriter import Rewriter
-from repro.views.catalog import CATALOG_FORMAT_VERSION, CatalogFormatError, ViewCatalog
+from repro.session.database import DATABASE_FORMAT_VERSION
+from repro.views.catalog import ViewCatalog
 
 _ALIAS = re.compile(r"[@#]\d+")
 
@@ -45,88 +54,89 @@ def setup():
     return doc, summary, views
 
 
-def test_round_trip_preserves_rewritings(setup, tmp_path):
-    _, summary, views = setup
-    catalog = ViewCatalog(summary, views)
-    path = tmp_path / "catalog.pkl"
-    catalog.save(path)
-    loaded = ViewCatalog.load(path)
+@pytest.fixture()
+def database(setup):
+    doc, summary, views = setup
+    return Database(doc, views, summary=summary)
 
+
+def _save_and_load(database, path):
+    database.save(path)
+    return Database.load(path)
+
+
+def test_round_trip_preserves_rewritings(setup, tmp_path):
+    doc, summary, views = setup
     config = RewritingConfig(max_rewritings=4, time_budget_seconds=10.0)
+    original = Database(doc, views, config, summary=summary)
+    restored = _save_and_load(original, tmp_path / "session.db")
+    assert restored.rewriter.config == config
     queries = [
         parse_pattern("site(//item[ID,V])"),
         parse_pattern("site(//name[ID,V])"),
         parse_pattern("site(//item(/name[ID,V]))"),
     ]
-    original = Rewriter.from_catalog(catalog, config)
-    restored = Rewriter.from_catalog(loaded, config)
     for query in queries:
         assert _fingerprint(original.rewrite(query)) == _fingerprint(
             restored.rewrite(query)
         )
 
 
-def test_extents_are_stripped_by_default(setup, tmp_path):
-    _, summary, views = setup
-    path = tmp_path / "catalog.pkl"
-    ViewCatalog(summary, views).save(path)
-    loaded = ViewCatalog.load(path)
-    assert all(not view.is_materialized for view in loaded.views)
-    # the in-memory views are untouched by saving
-    assert all(view.is_materialized for view in views)
+def test_statistics_snapshot_travels_with_the_catalog(database, tmp_path):
+    expected = database.catalog.statistics().view_rows("v_item")
+    loaded = _save_and_load(database, tmp_path / "session.db")
+    assert loaded.catalog.statistics().view_rows("v_item") == expected
 
 
-def test_extents_can_be_included(setup, tmp_path):
-    _, summary, views = setup
-    path = tmp_path / "catalog.pkl"
-    ViewCatalog(summary, views).save(path, include_extents=True)
-    loaded = ViewCatalog.load(path)
-    assert all(view.is_materialized for view in loaded.views)
-    assert len(loaded.views[0].relation) == len(views[0].relation)
+def test_statistics_counters_travel_with_the_session(database, tmp_path):
+    statistics = database.catalog.statistics()
+    kept = _save_and_load(database, tmp_path / "session.db").catalog.statistics()
+    # the exact counters a later write splices come back with the extents
+    assert kept._view_counts.keys() == statistics._view_counts.keys()
+    assert kept._view_columns == statistics._view_columns
 
 
-def test_statistics_snapshot_travels_with_the_catalog(setup, tmp_path):
-    _, summary, views = setup
-    catalog = ViewCatalog(summary, views)
-    expected = catalog.statistics().view_rows("v_item")
-    path = tmp_path / "catalog.pkl"
-    catalog.save(path)
-    loaded = ViewCatalog.load(path)
-    # extents were stripped, yet the snapshot keeps the exact counts
-    assert loaded.statistics().view_rows("v_item") == expected
-
-
-def test_loaded_summaries_never_share_containment_tokens(setup, tmp_path):
+def test_loaded_summaries_never_share_containment_tokens(database, tmp_path):
     from repro.canonical.hashing import summary_token
 
-    _, summary, views = setup
-    path = tmp_path / "catalog.pkl"
-    catalog = ViewCatalog(summary, views)
-    summary_token(summary)  # force a token onto the summary being saved
-    catalog.save(path)
-    first = ViewCatalog.load(path)
-    second = ViewCatalog.load(path)
+    path = tmp_path / "session.db"
+    summary_token(database.summary)  # force a token onto the summary being saved
+    database.save(path)
+    first = Database.load(path)
+    second = Database.load(path)
     assert summary_token(first.summary) != summary_token(second.summary)
-    assert summary_token(first.summary) != summary_token(summary)
+    assert summary_token(first.summary) != summary_token(database.summary)
 
 
-def test_version_mismatch_is_rejected(setup, tmp_path):
-    _, summary, views = setup
-    path = tmp_path / "catalog.pkl"
-    payload = {"format": CATALOG_FORMAT_VERSION + 1, "catalog": None}
-    path.write_bytes(pickle.dumps(payload))
-    with pytest.raises(CatalogFormatError, match="unsupported"):
-        ViewCatalog.load(path)
+def test_version_mismatch_is_rejected(database, tmp_path):
+    path = tmp_path / "session.db"
+    # 1 is the tag of the bare catalog snapshots older releases wrote
+    for version in ("database/0", 1):
+        payload = {"format": version, "catalog": database.catalog}
+        path.write_bytes(pickle.dumps(payload))
+        with pytest.raises(SessionError, match="unsupported snapshot format"):
+            Database.load(path)
 
 
 def test_garbage_files_are_rejected(tmp_path):
-    path = tmp_path / "not-a-catalog.pkl"
+    path = tmp_path / "not-a-database.db"
     path.write_bytes(b"definitely not pickle")
-    with pytest.raises(CatalogFormatError):
-        ViewCatalog.load(path)
-    path.write_bytes(pickle.dumps([1, 2, 3]))
-    with pytest.raises(CatalogFormatError, match="not a persisted view catalog"):
-        ViewCatalog.load(path)
+    with pytest.raises(SessionError, match="cannot read"):
+        Database.load(path)
+    for payload in ([1, 2, 3], {"catalog": None}):
+        path.write_bytes(pickle.dumps(payload))
+        with pytest.raises(SessionError, match="not a persisted database"):
+            Database.load(path)
+
+
+def test_a_snapshot_without_a_view_catalog_is_rejected(setup, tmp_path):
+    _, _, views = setup
+    path = tmp_path / "session.db"
+    for catalog in (None, views):
+        payload = {"format": DATABASE_FORMAT_VERSION, "catalog": catalog}
+        path.write_bytes(pickle.dumps(payload))
+        with pytest.raises(SessionError, match="does not contain a view catalog"):
+            Database.load(path)
 
 
 def test_views_supplying_respects_same_node_correlation(setup):
@@ -170,31 +180,17 @@ def test_a_view_derives_its_schema_once_and_pickles_it(setup, monkeypatch):
     loaded = pickle.loads(pickle.dumps(view))
     assert _columns(loaded) == expected and len(calls) == 1, "the pickle carried it"
     # a pickle written before the schema was cached derives it on first use
-    state = view.__getstate__()
+    state = dict(vars(view))
     del state["_schema"]
     old = MaterializedView.__new__(MaterializedView)
     old.__dict__.update(state)
     assert _columns(old) == expected and len(calls) == 2
 
 
-def test_statistics_counters_travel_only_with_extents(setup, tmp_path):
-    _, summary, views = setup
-    catalog = ViewCatalog(summary, views)
-    statistics = catalog.statistics()
-    path = tmp_path / "catalog.pkl"
-    catalog.save(path)
-    stripped = ViewCatalog.load(path).statistics()
-    assert stripped._view_counts == {}
-    assert stripped._view_columns == statistics._view_columns
-    catalog.save(path, include_extents=True)
-    kept = ViewCatalog.load(path).statistics()
-    assert kept._view_counts.keys() == statistics._view_counts.keys()
-
-
 def test_statistics_pickled_before_the_integer_sums_load_whole(setup):
     _, summary, views = setup
     statistics = ViewCatalog(summary, views).statistics()
-    state = statistics.__getstate__()
+    state = dict(vars(statistics))
     for name in ("_total", "_weighted_depth", "_internal", "_view_counts"):
         del state[name]
     old = type(statistics).__new__(type(statistics))

@@ -1,8 +1,7 @@
 """Tier-1 doctest runner for the public API surface.
 
 The entry points of the pipeline — ``Database``, ``Rewriter``,
-``ViewCatalog``, ``Planner``, ``PlanExecutor``, ``BatchEngine`` — carry
-executable ``>>>``
+``ViewCatalog``, ``Planner``, ``PlanExecutor`` — carry executable ``>>>``
 examples in their docstrings (they double as the quick-start snippets the
 docs link to).  This module runs them on every tier-1 invocation; the CI
 ``docs`` job additionally runs ``pytest --doctest-modules`` over the same
@@ -25,7 +24,6 @@ import repro.algebra.execution
 import repro.ingest.changelog
 import repro.ingest.streaming
 import repro.planning.planner
-import repro.rewriting.batch
 import repro.rewriting.rewriter
 import repro.service.metrics
 import repro.service.models
@@ -42,7 +40,6 @@ DOCTEST_MODULES = [
     repro.ingest.changelog,
     repro.ingest.streaming,
     repro.planning.planner,
-    repro.rewriting.batch,
     repro.rewriting.rewriter,
     repro.service.metrics,
     repro.service.models,

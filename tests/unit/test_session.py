@@ -64,15 +64,6 @@ def test_save_load_roundtrip(db, auction_document, tmp_path):
     assert loaded.catalog.entry_build_count == db.catalog.entry_build_count
 
 
-def test_load_accepts_bare_catalog_snapshots(db, tmp_path):
-    path = tmp_path / "catalog.pkl"
-    db.catalog.save(path, include_extents=True)
-    loaded = Database.load(path)
-    assert loaded.document is None
-    assert loaded.views.names == db.views.names
-    assert len(loaded.query(ITEM_NAMES)) == 3
-
-
 def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "junk.db"
     path.write_bytes(b"not a pickle")
@@ -237,7 +228,7 @@ def test_stats_aggregates_every_layer(db):
         "summary_incremental", "summary_rebuilt",
         "statistics_spliced", "statistics_reobserved",
     }
-    assert snapshot["worker_pool"] == {"active": False, "workers": 0}
+    assert "worker_pool" not in snapshot
     assert snapshot["indexes"].keys() == {"builds", "probes"}
 
 

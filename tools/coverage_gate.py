@@ -13,9 +13,7 @@ CI runs the real thing — ``pytest --cov=repro`` via ``pytest-cov`` (see the
 
 The universe of measurable lines is derived from the compiled code objects
 (``co_lines``), the same definition ``coverage.py`` uses, so the two
-numbers track each other closely.  Lines executed only inside worker
-*processes* (the parallel batch paths) are invisible to both tools here;
-the floor is calibrated against what the in-process suite reaches.
+numbers track each other closely.
 
 Output: a per-file table on stdout plus ``coverage-gate.json`` next to the
 repo root (total percentage, per-file detail) for artifact upload.
