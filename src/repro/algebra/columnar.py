@@ -12,6 +12,7 @@ them, are computed once and reused by every query that scans it.
 from __future__ import annotations
 
 from typing import Optional, Sequence
+from weakref import WeakKeyDictionary
 
 from repro.algebra.tuples import Column, Relation, _hashable, as_dewey
 from repro.xmltree.ids import DeweyID
@@ -54,7 +55,9 @@ class _ColumnSource:
     emit, so a column nobody reads is never copied).  Dewey
     component keys and dedup row keys are cached per source, and a gather
     reuses its parent's key caches, so renaming, slicing and joining share
-    one key computation per underlying column.
+    one key computation per underlying column.  A direct source also holds
+    the structural links joins found for its rows (``links``, see
+    :meth:`~repro.algebra.execution.PlanExecutor._structural_pairs`).
     """
 
     __slots__ = (
@@ -65,6 +68,8 @@ class _ColumnSource:
         "_parent",
         "_indices",
         "index",
+        "links",
+        "__weakref__",
     )
 
     def __init__(
@@ -83,6 +88,32 @@ class _ColumnSource:
         # UNINDEXABLE sentinel.  Deliberately NOT propagated through
         # gathers — a gather's row positions differ from its parent's.
         self.index = None
+        # structural links with this source's rows as descendants: ancestor
+        # source (weakly) -> {axis: StructuralLinks}.  Positional like the
+        # value index, so never propagated, spliced or pickled.
+        self.links: Optional[WeakKeyDictionary] = None
+
+    def __getstate__(self) -> dict:
+        return {
+            name: getattr(self, name)
+            for name in self.__slots__
+            if name not in ("links", "__weakref__")
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self.links = None
+
+    def resolve(self) -> tuple["_ColumnSource", Optional[Sequence[int]]]:
+        """The direct source under this one, and which of its rows each of
+        ours reads (``None`` when this source is itself direct)."""
+        source, rows = self, None
+        while source._parent is not None:
+            indices = source._indices
+            rows = indices if rows is None else list(map(indices.__getitem__, rows))
+            source = source._parent
+        return source, rows
 
     def values(self) -> list:
         if self._values is None:

@@ -12,8 +12,9 @@ implementation.  Plans evaluate as
 * **kernel operators** — scan, index scan, ``σ``, ``π``, ``⋈=``, the
   structural joins ``⋈≺`` / ``⋈≺≺`` (flat and nested) and the ordered
   ``∪``-merge — run the batch kernels of :mod:`repro.algebra.kernels` over
-  cached column vectors, Dewey component keys and dedup row keys and emit
-  index vectors, so a column nobody reads is never copied;
+  cached column vectors, Dewey component keys, structural links and dedup
+  row keys and emit index vectors, so a column nobody reads is never
+  copied;
 * **row-wise operators** — nested projection, unnest, group-by, content
   navigation and parent-ID derivation — build or take apart nested
   relations and document nodes cell by cell; they read their child as rows
@@ -22,16 +23,22 @@ implementation.  Plans evaluate as
 Structural joins compare Dewey identifiers, so they work on any view whose
 ID columns were materialised with the default structural ``fID``
 (Section 1, "Exploiting ID properties").  An ancestor's identifier is a
-strict prefix of its descendants', so the one structural-join kernel groups
-the ancestor rows by component key in a dict — no ancestor-side sort, which
-:class:`~repro.planning.cost.CostModel` still (conservatively) charges —
-and walks the descendant rows in document order (a no-op for view extents
-and structural-join outputs, which arrive annotated), looking up one key
-prefix per distinct ancestor depth: ``O(l + r × depths + output)``.  ``π``
-deduplicates on cached row keys, or not at all when the projected sort
-column is strictly increasing.  ``⋈=`` merges when both inputs arrive
-annotated sorted on their join columns and hashes otherwise: every such
-choice follows an observable input property, never a flag.
+strict prefix of its descendants', so the per-descendant-row ancestor rows
+(:class:`~repro.algebra.kernels.StructuralLinks`) are found once per pair
+of extents — ancestor rows grouped by component key, one key-prefix look-up
+per distinct ancestor depth — and cached on the descendant extent's column
+source, weakly keyed on the ancestor's.  A query only chains the cached
+link tuples of its descendant rows, walked in document order (a no-op for
+view extents and structural-join outputs, which arrive annotated), and
+remaps a gathered ancestor side through the inverse of its gather: no
+ancestor-side sort, which :class:`~repro.planning.cost.CostModel` still
+(conservatively) charges, and no key slice or hash once the links exist.
+A write splices fresh sources into the extents it touches, so the next
+join over them rebuilds.  ``π`` deduplicates on cached row keys, or not
+at all when the projected sort column is strictly increasing.  ``⋈=``
+merges when both inputs arrive annotated sorted on their join columns and
+hashes otherwise: every such choice follows an observable input property,
+never a flag.
 
 The reference implementations the identity suites compare against (the
 row-at-a-time interpreter with its staircase sweep, the ``O(l × r)``
@@ -44,6 +51,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from typing import Mapping, Optional
+from weakref import WeakKeyDictionary
 
 from repro.algebra import kernels
 from repro.algebra.columnar import ColumnBatch, joined_batch, projected_batch
@@ -309,19 +317,58 @@ class PlanExecutor:
     ) -> tuple[ColumnBatch, ColumnBatch, list[int], list[int]]:
         """Both inputs and the matching index pairs.
 
-        The one structural join in production: rows with a ``⊥`` join value
-        never match, only the descendant side needs document order (a
-        no-op when annotated sorted), and the kernel emits ``(ancestor
-        row, descendant row)`` index pairs in descendant document order.
+        The one structural join in production.  Both join columns resolve
+        to their direct source plus the gather over it; the
+        :class:`~repro.algebra.kernels.StructuralLinks` between the two
+        direct sources are built once and cached on the descendant one,
+        weakly keyed on the ancestor one, so a join of two extents nobody
+        wrote to re-reads its links instead of slicing and hashing keys.
+        Rows with a ``⊥`` join value never match, only the descendant side
+        needs document order (a no-op when annotated sorted), and pairs
+        come out as ``(ancestor row, descendant row)`` in descendant
+        document order.
         """
         left = self.execute_batch(plan.left)
         right = self.execute_batch(plan.right)
-        left_keys = self._batch_keys(left, left.column_index(plan.left_column))
-        right_keys = self._batch_keys(right, right.column_index(plan.right_column))
-        left_out, right_out = kernels.structural_pairs(
-            left_keys, right_keys, plan.axis, right.sorted_by == plan.right_column
-        )
+        right_index = right.column_index(plan.right_column)
+        ancestor, ancestor_rows = left.source(left.column_index(plan.left_column)).resolve()
+        descendant, descendant_rows = right.source(right_index).resolve()
+        links = self._links(ancestor, descendant, plan.axis)
+        if right.sorted_by == plan.right_column:
+            positions = range(right.row_count)
+        else:
+            keys = self._batch_keys(right, right_index)
+            positions = [index for index, _ in kernels.dewey_ordered(keys, False)]
+            descendant_rows = (
+                positions
+                if descendant_rows is None
+                else list(map(descendant_rows.__getitem__, positions))
+            )
+        left_out, right_out = links.pairs(descendant_rows, positions, ancestor_rows)
         return left, right, left_out, right_out
+
+    @staticmethod
+    def _links(ancestor, descendant, axis: Axis) -> kernels.StructuralLinks:
+        """The cached links from ``descendant``'s rows to ``ancestor``'s.
+
+        One entry per (ancestor source, axis); a write splices fresh
+        sources, so the next join after it rebuilds, and the entry of a
+        spliced-away ancestor goes with it (weak key).
+        """
+        cache = descendant.links
+        if cache is None:
+            cache = descendant.links = WeakKeyDictionary()
+        by_axis = cache.setdefault(ancestor, {})
+        links = by_axis.get(axis)
+        if links is None:
+            try:
+                links = kernels.StructuralLinks(
+                    ancestor.dewey_keys(), descendant.dewey_keys(), axis
+                )
+            except AlgebraError as exc:
+                raise PlanExecutionError(str(exc)) from exc
+            by_axis[axis] = links
+        return links
 
     def _structural_join_batch(self, plan: StructuralJoin) -> ColumnBatch:
         left, right, left_out, right_out = self._structural_pairs(plan)

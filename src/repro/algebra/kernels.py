@@ -2,17 +2,21 @@
 
 Pure functions over column value lists, cached Dewey component keys
 (tuples of sibling ordinals — tuple order *is* document order, a strict
-prefix *is* an ancestor) and cached dedup row keys.  Each kernel is
+prefix *is* an ancestor) and cached dedup row keys, plus
+:class:`StructuralLinks`, the one stateful kernel: per descendant row, the
+ancestor rows a structural join pairs it with, built once from two key
+vectors and cached by the executor per pair of extents.  Each kernel is
 specified by a row-at-a-time reference implementation in
 ``tests/support/oracle_executor.py``: same output rows, same row order,
 same ⊥ handling.  That parity is the whole contract — the identity suites
 assert it on every plan the paper workloads produce and
 ``tests/property/test_structural_kernel.py`` on drawn inputs — so every
 algorithmic subtlety here (stable sorts, first-occurrence dedup, outermost
-ancestor first, the non-retreating merge cursor) matches the reference,
-just producing index vectors instead of row tuples.  Identity and ancestry
-are decided on the keys alone: nothing here compares component by
-component in Python or turns an identifier into a string.
+ancestor first, a key's rows in input order, the non-retreating merge
+cursor) matches the reference, just producing index vectors instead of row
+tuples.  Identity and ancestry are decided on the keys alone: nothing here
+compares component by component in Python or turns an identifier into a
+string.
 
 Join kernels return parallel ``(left_indices, right_indices)`` vectors;
 :func:`repro.algebra.columnar.joined_batch` turns them into lazy gathers,
@@ -22,8 +26,9 @@ so joined columns that no later operator reads are never copied.
 from __future__ import annotations
 
 import heapq
-from itertools import islice
-from operator import itemgetter, lt
+from collections import defaultdict
+from itertools import chain, compress, islice, repeat
+from operator import is_not, itemgetter, lt
 from typing import Iterable, Optional, Sequence
 
 from repro.algebra.tuples import _hashable
@@ -31,13 +36,13 @@ from repro.patterns.pattern import Axis
 from repro.xmltree.node import XMLNode
 
 __all__ = [
+    "StructuralLinks",
     "dewey_ordered",
     "distinct_indices",
     "hash_id_join_pairs",
     "merge_id_join_pairs",
     "ordered_union_rows",
     "selection_indices",
-    "structural_pairs",
 ]
 
 
@@ -99,51 +104,142 @@ def dewey_ordered(
     return pairs
 
 
-def structural_pairs(
-    left_keys: Sequence[Optional[tuple]],
-    right_keys: Sequence[Optional[tuple]],
-    axis: Axis,
-    right_sorted: bool,
-) -> tuple[list[int], list[int]]:
-    """``⋈≺`` / ``⋈≺≺`` on component keys: one prefix look-up per ancestor depth.
+class StructuralLinks:
+    """``⋈≺`` / ``⋈≺≺`` between two key vectors, solved once per descendant row.
 
-    An ancestor's key is a strict prefix of its descendants' keys, so the
-    ancestor rows are grouped by key in a dict (row order inside a group,
-    no ancestor-side sort) and every descendant, taken in document order,
-    looks up its own prefixes: ``key[:-1]`` for the child axis, ``key[:cut]``
-    for each distinct ancestor depth ``cut < len(key)``, shallowest first,
-    for the descendant axis.  That is every matching (ancestor row,
-    descendant row) pair in the order a stack of open ancestors emits them
-    — descendant document order, outermost ancestor first — in
-    ``O(|D| × distinct ancestor depths)`` slices and hashes.
+    ``targets[d]`` is the tuple of ancestor rows descendant row ``d`` pairs
+    with, in the order a stack of open ancestors emits them: outermost
+    ancestor first, row order inside a key.  Built from the key vectors
+    alone — an ancestor's key is a strict prefix of its descendants', so
+    the ancestor rows are grouped by key in a dict and each descendant
+    looks up its own prefixes: ``key[:-1]`` for the child axis,
+    ``key[:cut]`` for each distinct ancestor depth ``cut < len(key)``,
+    shallowest first, for the descendant axis —
+    ``O(|A| + |D| × distinct ancestor depths)`` slices and hashes, paid
+    once.  With ancestors at one depth, siblings share one tuple; ⊥ keys
+    link to nothing.
+
+    :meth:`pairs` then answers a join over *gathers* of the two vectors
+    (selections, join outputs) without a slice or a tuple hash: the
+    executor caches one instance per pair of extents
+    (:meth:`~repro.algebra.execution.PlanExecutor._structural_pairs`).
     """
-    groups: dict[tuple, list[int]] = {}
-    for index, key in enumerate(left_keys):
-        if key is not None:
-            groups.setdefault(key, []).append(index)
-    find = groups.get
-    cuts = [-1] if axis is Axis.CHILD else sorted(set(map(len, groups)))
-    left_out: list[int] = []
-    right_out: list[int] = []
-    descendants = dewey_ordered(right_keys, right_sorted)
-    if len(cuts) == 1:
-        # the common case — the parent, or ancestors all at one depth
-        (cut,) = cuts
-        for index, key in descendants:
-            if len(key) > cut:  # a shorter key would look up itself
-                for left_index in find(key[:cut], ()):
-                    left_out.append(left_index)
-                    right_out.append(index)
-        return left_out, right_out
-    for index, key in descendants:
-        depth = len(key)
-        for cut in cuts:
-            if cut >= depth:
-                break
-            for left_index in find(key[:cut], ()):
-                left_out.append(left_index)
-                right_out.append(index)
-    return left_out, right_out
+
+    __slots__ = ("targets", "leaders", "single")
+
+    def __init__(
+        self,
+        ancestor_keys: Sequence[Optional[tuple]],
+        descendant_keys: Sequence[Optional[tuple]],
+        axis: Axis,
+    ) -> None:
+        count = len(ancestor_keys)
+        # one C-level pass while every identified ancestor has its own key
+        rows = dict(zip(ancestor_keys, zip(range(count))))
+        rows.pop(None, None)
+        unique = len(rows) == count - ancestor_keys.count(None)
+        if not unique:
+            groups: dict[tuple, list[int]] = {}
+            for index, key in enumerate(ancestor_keys):
+                if key is not None:
+                    groups.setdefault(key, []).append(index)
+            rows = {key: tuple(group) for key, group in groups.items()}
+        find = rows.get
+        cuts = [-1] if axis is Axis.CHILD else sorted(set(map(len, rows)))
+        none = ()
+        if len(cuts) == 1:
+            # the common case — the parent, or ancestors all at one depth
+            (cut,) = cuts
+            if None in descendant_keys or cut in map(len, descendant_keys):
+                # a key no longer than the cut would look up itself
+                targets = [
+                    none if key is None or len(key) <= cut else find(key[:cut], none)
+                    for key in descendant_keys
+                ]
+            else:
+                prefixes = map(itemgetter(slice(None, cut)), descendant_keys)
+                targets = list(map(find, prefixes, repeat(none)))
+        else:
+            targets = []
+            for key in descendant_keys:
+                found = none
+                if key is not None:
+                    depth = len(key)
+                    for cut in cuts:
+                        if cut >= depth:
+                            break
+                        group = find(key[:cut])
+                        if group is not None:
+                            found = found + group if found else group
+                targets.append(found)
+        self.targets: list[tuple[int, ...]] = targets
+        # per ancestor row, the first row of its key (-1 for ⊥) — only
+        # needed, and only kept, when some key has several rows
+        self.leaders: Optional[list[int]] = None
+        if not unique:
+            leaders = [-1] * count
+            for group in rows.values():
+                for index in group:
+                    leaders[index] = group[0]
+            self.leaders = leaders
+        # ancestor keys unique and at one depth: ≤ 1 target per row, so the
+        # descendant positions are a compress, not a repeat per row
+        self.single = unique and len(cuts) == 1
+
+    def pairs(
+        self,
+        descendants: Optional[Sequence[int]],
+        positions: Sequence[int],
+        ancestors: Optional[Sequence[int]],
+    ) -> tuple[list[int], list[int]]:
+        """``(ancestor position, descendant position)`` index pairs.
+
+        ``descendants`` lists the descendant rows in emission order
+        (``None``: every row, in row order) and ``positions`` the output
+        position of each; ``ancestors`` maps each position of the ancestor
+        input to its row (``None``: the rows themselves).  Each descendant
+        emits its targets in order, all in C-level ``chain`` / ``compress``
+        passes.  A gathered ancestor side is remapped through the inverse of
+        its gather — one ``dict(zip(...))`` when no row repeats — or else
+        through its positions grouped by key, so every key expands to its
+        positions in ascending order, the order the row-wise sweep emits a
+        key's rows in.
+        """
+        targets = self.targets
+        per_row = targets if descendants is None else list(map(targets.__getitem__, descendants))
+        left = list(chain.from_iterable(per_row))
+        if self.single:
+            right = list(compress(positions, per_row))
+        else:
+            right = list(chain.from_iterable(map(repeat, positions, map(len, per_row))))
+        if ancestors is None:
+            return left, right
+        count = len(ancestors)
+        inverse = dict(zip(ancestors, range(count)))
+        leaders = self.leaders
+        if len(inverse) == count and (
+            leaders is None or all(map(lt, ancestors, islice(ancestors, 1, None)))
+        ):
+            left = list(map(inverse.get, left))
+            if None in left:  # ancestor rows the gather dropped
+                keep = list(map(is_not, left, repeat(None)))
+                return list(compress(left, keep)), list(compress(right, keep))
+            return left, right
+        # the gather repeats rows (or reorders a key's rows): group its
+        # positions by key, ascending, and expand each key to its group
+        grouped: defaultdict[int, list[int]] = defaultdict(list)
+        if leaders is None:
+            for position, row in enumerate(ancestors):
+                grouped[row].append(position)
+        else:
+            # a key's leader stands for all its rows; the others expand to []
+            for position, row in enumerate(ancestors):
+                grouped[leaders[row]].append(position)
+        expanded = list(map(grouped.__getitem__, left))
+        return (
+            list(chain.from_iterable(expanded)),
+            list(chain.from_iterable(map(repeat, right, map(len, expanded)))),
+        )
 
 
 def merge_id_join_pairs(

@@ -295,9 +295,11 @@ class XMLDocument:
                 f"subtree root <{subtree.label}> already has a parent; "
                 f"detach (or copy) it first"
             )
-        live = max(
-            (child.dewey.ordinal for child in parent.children if child.dewey),
-            default=0,
+        # children sit in ordinal order: the last identified one is the
+        # highest live ordinal, and the record covers deleted ones
+        live = next(
+            (child.dewey.ordinal for child in reversed(parent.children) if child.dewey),
+            0,
         )
         ordinal = max(live, self._max_child_ordinal.get(parent.dewey, 0)) + 1
         self._max_child_ordinal[parent.dewey] = ordinal

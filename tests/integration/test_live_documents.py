@@ -21,6 +21,9 @@ the recovered database answers the workload queries row-identically.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro import (
@@ -33,6 +36,7 @@ from repro import (
     parse_pattern,
     to_parenthesized,
 )
+from repro.algebra.columnar import ColumnBatch
 from repro.rewriting import RewritingConfig
 from repro.workloads import XMARK_QUERY_PATTERNS, seed_tag_views
 from repro.workloads.dblp import generate_dblp_document
@@ -190,6 +194,52 @@ def test_mutation_supersedes_published_extents(tmp_path):
             assert answer.same_contents(direct)
     finally:
         db.close()
+
+
+def test_structural_links_follow_writes_and_die_with_their_extents():
+    """Links cached on an extent never outlive it, nor answer for a newer one.
+
+    ``items ⋈≺ names`` caches its links on the ``names`` ID column, weakly
+    keyed on the ``items`` one.  A write splices fresh column sources into
+    every extent it touches: the next read must rebuild (equal to direct
+    evaluation), the superseded source must be collectable, and an
+    untouched descendant extent must not pile up entries for ancestor
+    extents that are gone.
+    """
+    db = Database(parse_parenthesized(DOC_TEXT, name="links"))
+    db.create_view("site(//item[ID])", name="items")
+    db.create_view(NAME_QUERY, name="names")
+    query = parse_pattern(ITEM_QUERY, name="q")
+    assert "StructuralJoin(items" in str(db.explain(ITEM_QUERY))
+
+    def column(view):
+        return ColumnBatch.from_relation(db.views[view].relation).source(0)
+
+    def read():
+        assert db.query(ITEM_QUERY).same_contents(evaluate_pattern(query, db.document))
+
+    asia = db.document.nodes_on_path("/site/regions/asia")[0]
+    read()
+    before = weakref.ref(column("names"))
+    assert len(before().links) == 1
+    named = db.insert_subtree(asia, XMLNode("item", None, [XMLNode("name", "new")]))
+    read()
+    db.delete_subtree(named)
+    read()
+    gc.collect()
+    assert before() is None
+    # writes that touch only the ancestor extent: the names column stays,
+    # and keeps one live entry, not one per items column it ever met
+    names = column("names")
+    for _ in range(10):
+        bare = db.insert_subtree(asia, XMLNode("item"))
+        read()
+        db.delete_subtree(bare)
+        read()
+        assert column("names") is names
+    gc.collect()
+    assert len(names.links) == 1
+    db.close()
 
 
 # --------------------------------------------------------------------------- #

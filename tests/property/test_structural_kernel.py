@@ -1,12 +1,13 @@
 """Property: the two warm-execution kernels equal their row-wise oracles.
 
-* ``kernels.structural_pairs`` (ancestor rows grouped by key, one prefix
-  look-up per ancestor depth) must emit the same ``(ancestor row,
-  descendant row)`` pairs *in the same order* as the stack-of-open-ancestors
-  sweep in ``support.oracle_executor`` — on forests with recursive labels
-  (ancestors nested in ancestors, three and more ancestor depths), duplicate
-  identifiers on both sides, ``⊥`` keys, sorted and unsorted inputs, both
-  axes, flat and nested.
+* ``kernels.StructuralLinks`` (ancestor rows grouped by key, one prefix
+  look-up per ancestor depth, built once) must emit the same ``(ancestor
+  row, descendant row)`` pairs *in the same order* as the
+  stack-of-open-ancestors sweep in ``support.oracle_executor`` — on forests
+  with recursive labels (ancestors nested in ancestors, three and more
+  ancestor depths), duplicate identifiers on both sides, ``⊥`` keys, sorted
+  and unsorted inputs, ancestor gathers that repeat, drop and reorder rows,
+  both axes, flat and nested, through the executor's link cache.
 * ``Projection`` through ``PlanExecutor`` (row-key vectors, the
   strictly-increasing shortcut, back-to-front ``dict`` dedup) must be
   row-identical to ``Relation.project`` — the dedup matrix below lists the
@@ -15,6 +16,7 @@
 
 from __future__ import annotations
 
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
@@ -25,6 +27,8 @@ from repro.algebra import kernels
 from repro.algebra.columnar import ColumnBatch
 from repro.algebra.execution import PlanExecutor
 from repro.algebra.operators import (
+    IdEqualityJoin,
+    IndexScan,
     NestedStructuralJoin,
     Projection,
     Selection,
@@ -55,8 +59,17 @@ def _identical(fast: Relation, slow: Relation) -> None:
 
 
 # --------------------------------------------------------------------------- #
-# structural_pairs against the staircase sweep
+# structural links against the staircase sweep
 # --------------------------------------------------------------------------- #
+def _link_pairs(left_keys, right_keys, axis, right_sorted, ancestors=None):
+    """The links' pairs over ``left_keys`` (gathered by ``ancestors``, if
+    given), descendants in document order — as ``_structural_pairs`` reads
+    them."""
+    links = kernels.StructuralLinks(left_keys, right_keys, axis)
+    order = [index for index, _ in kernels.dewey_ordered(right_keys, right_sorted)]
+    return list(zip(*links.pairs(order, order, ancestors)))
+
+
 def _id_relation(keys, is_sorted) -> Relation:
     """``ID1`` holds the drawn identifiers, ``row`` the row's own index."""
     relation = Relation(
@@ -98,17 +111,24 @@ def _key_column(draw):
 
 
 @settings(max_examples=150)
-@given(_key_column(), _key_column())
-def test_structural_pairs_equal_the_oracle_sweep(left, right):
+@given(_key_column(), _key_column(), st.data())
+def test_structural_pairs_equal_the_oracle_sweep(left, right, data):
     (left_keys, left_sorted), (right_keys, right_sorted) = left, right
     upper = _id_relation(left_keys, left_sorted)
     lower = _id_relation(right_keys, right_sorted)
     views = _views(upper=upper, lower=lower)
+    # an ancestor gather drawn freely: rows repeated, dropped, reordered
+    # (one that never repeats a row takes the inverse-dict path)
+    rows = st.lists(
+        st.integers(0, max(len(left_keys) - 1, 0)), max_size=12, unique=data.draw(st.booleans())
+    )
+    ancestors = data.draw(rows) if left_keys else []
+    gathered = _id_relation([left_keys[row] for row in ancestors], False)
     for axis in AXES:
-        left_out, right_out = kernels.structural_pairs(
-            left_keys, right_keys, axis, right_sorted
-        )
-        assert list(zip(left_out, right_out)) == _sweep_pairs(upper, lower, axis)
+        pairs = _link_pairs(left_keys, right_keys, axis, right_sorted)
+        assert pairs == _sweep_pairs(upper, lower, axis)
+        pairs = _link_pairs(left_keys, right_keys, axis, right_sorted, ancestors)
+        assert pairs == _sweep_pairs(gathered, lower, axis)
         for operator, extra in (
             (StructuralJoin, {}),
             (NestedStructuralJoin, {"group_column": "G"}),
@@ -124,20 +144,89 @@ def test_structural_pairs_equal_the_oracle_sweep(left, right):
             _identical(PlanExecutor(views).execute(plan), OracleExecutor(views).execute(plan))
 
 
+def test_a_gather_that_swaps_equal_keys_emits_them_in_position_order():
+    """Rows 0 and 2 share key 1.1; the gather reads them as positions 1 and 0."""
+    left_keys = [(1, 1), (1,), (1, 1)]
+    right_keys = [(1, 1, 1)]
+    lower = _id_relation(right_keys, True)
+    for ancestors in ([2, 0], [2, 1, 0], [2, 0, 2]):
+        upper = _id_relation([left_keys[row] for row in ancestors], False)
+        for axis in AXES:
+            pairs = _link_pairs(left_keys, right_keys, axis, True, ancestors)
+            assert pairs == _sweep_pairs(upper, lower, axis)
+    assert _link_pairs(left_keys, right_keys, Axis.CHILD, True, [2, 0]) == [(0, 0), (1, 0)]
+
+
 def test_recursive_ancestors_at_four_depths():
     """The pinned shape: every node of a chain on both sides, plus duplicates."""
     chain = [(1,), (1, 1), (1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1, 1)]
     left_keys = [chain[2], None, chain[0], chain[3], chain[1], chain[1]]  # unsorted
     right_keys = chain + [(1, 1, 2), None, chain[4]]
     upper, lower = _id_relation(left_keys, False), _id_relation(right_keys, False)
-    pairs = kernels.structural_pairs(left_keys, right_keys, Axis.DESCENDANT, False)
-    assert list(zip(*pairs)) == _sweep_pairs(upper, lower, Axis.DESCENDANT)
+    pairs = _link_pairs(left_keys, right_keys, Axis.DESCENDANT, False)
+    assert pairs == _sweep_pairs(upper, lower, Axis.DESCENDANT)
     # the deepest descendant sees its four ancestor depths outermost first,
     # the duplicated 1.1 in row order
-    assert [left for left, right in zip(*pairs) if right == 4] == [2, 4, 5, 0, 3]
-    assert {len(left_keys[left]) for left in pairs[0]} == {1, 2, 3, 4}
-    pairs = kernels.structural_pairs(left_keys, right_keys, Axis.CHILD, False)
-    assert list(zip(*pairs)) == _sweep_pairs(upper, lower, Axis.CHILD)
+    assert [left for left, right in pairs if right == 4] == [2, 4, 5, 0, 3]
+    assert {len(left_keys[left]) for left, _ in pairs} == {1, 2, 3, 4}
+    pairs = _link_pairs(left_keys, right_keys, Axis.CHILD, False)
+    assert pairs == _sweep_pairs(upper, lower, Axis.CHILD)
+
+
+# --------------------------------------------------------------------------- #
+# the executor's cached links, read through gathers, against the oracle
+# --------------------------------------------------------------------------- #
+def _left_inputs():
+    """Ancestor inputs: an extent, and join outputs whose gather over the
+    extent repeats rows (an ancestor with several matches) or is not
+    ascending (ancestors at several depths, an unsorted or hashed input)."""
+    upper, middle = ViewScan("upper", alias="u"), ViewScan("middle", alias="m")
+    below = StructuralJoin(
+        left=upper,
+        right=middle,
+        left_column="u.ID1",
+        right_column="m.ID1",
+        axis=Axis.DESCENDANT,
+    )
+    same = IdEqualityJoin(left=upper, right=middle, left_column="u.ID1", right_column="m.ID1")
+    return [(upper, "u.ID1"), (below, "u.ID1"), (below, "m.ID1"), (same, "m.ID1")]
+
+
+def _right_inputs(floor: int):
+    """Descendant inputs: the extent, and two gathers over it."""
+    keep = ValueFormula.gt(floor)
+    return [
+        ViewScan("lower", alias="l"),
+        Selection(child=ViewScan("lower", alias="l"), column="l.row", formula=keep),
+        IndexScan("lower", column="l.row", formula=keep, alias="l"),
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_key_column(), _key_column(), _key_column(), st.integers(-1, 8))
+def test_cached_links_through_gathers_equal_the_oracle(upper, middle, lower, floor):
+    views = _views(
+        upper=_id_relation(*upper), middle=_id_relation(*middle), lower=_id_relation(*lower)
+    )
+    for axis, (left, left_column), right in product(
+        AXES, _left_inputs(), _right_inputs(floor)
+    ):
+        for operator, extra in (
+            (StructuralJoin, {}),
+            (NestedStructuralJoin, {"group_column": "G"}),
+        ):
+            plan = operator(
+                left=left,
+                right=right,
+                left_column=left_column,
+                right_column="l.ID1",
+                axis=axis,
+                **extra,
+            )
+            slow = OracleExecutor(views).execute(plan)
+            # a fresh executor builds the links, the next one reads them back
+            for _ in range(2):
+                _identical(PlanExecutor(views).execute(plan), slow)
 
 
 # --------------------------------------------------------------------------- #

@@ -10,6 +10,9 @@ rather than handed back from the relation the batch was built from.
 
 from __future__ import annotations
 
+import pickle
+from weakref import WeakKeyDictionary
+
 from repro.algebra.columnar import ColumnBatch
 from repro.algebra.tuples import Column, Relation
 from repro.xmltree.ids import DeweyID
@@ -93,3 +96,22 @@ class TestSortedByThroughSlicing:
         rows = [(DeweyID((1, i)), f"v{i}") for i in range(1, 4)]
         batch = ColumnBatch.from_relation(_relation(rows, sorted_by="ID"))
         assert batch.gather([2, 0, 1]).sorted_by is None
+
+
+class TestStructuralLinkCache:
+    def test_resolve_composes_gathers_down_to_the_direct_source(self):
+        batch = ColumnBatch.from_relation(_relation([(DeweyID((1, i)), i) for i in range(1, 6)]))
+        direct = batch.source(0)
+        assert direct.resolve() == (direct, None)
+        twice = batch.gather([4, 2, 0]).gather([2, 1, 1])
+        assert twice.source(0).resolve() == (direct, [0, 2, 2])
+
+    def test_a_pickled_source_keeps_its_caches_but_not_its_links(self):
+        relation = _relation([(DeweyID((1, 1)), "a"), (DeweyID((1, 1, 1)), "b")])
+        source = ColumnBatch.from_relation(relation).source(0)
+        source.dewey_keys()
+        source.links = WeakKeyDictionary({source: {}})
+        copy = pickle.loads(pickle.dumps(source))
+        assert copy.dewey_keys() == [(1, 1), (1, 1, 1)]
+        assert copy.values() == source.values()
+        assert copy.links is None

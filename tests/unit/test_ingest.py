@@ -183,6 +183,21 @@ class TestDeweyDiscipline:
         assert replacement.dewey.components[-1] > doomed.dewey.components[-1]
         assert not db.document.has_id(doomed.dewey)
 
+    def test_deleting_the_last_and_a_middle_child_frees_no_ordinal(self):
+        db = _db()
+        asia = db.document.nodes_on_path("/site/regions/asia")[0]
+        added = [db.insert_subtree(asia, XMLNode("item")) for _ in range(3)]
+        used = {child.dewey.ordinal for child in asia.children}
+        db.delete_subtree(added[-1])  # the highest live ordinal goes
+        db.delete_subtree(added[0])  # and one in the middle
+        fresh = [db.insert_subtree(asia, XMLNode("item")) for _ in range(2)]
+        ordinals = [node.dewey.ordinal for node in fresh]
+        assert ordinals == [max(used) + 1, max(used) + 2]
+        assert not used & set(ordinals)
+        # children stay in ordinal order, which is what the insert reads
+        live = [child.dewey.ordinal for child in asia.children]
+        assert live == sorted(live)
+
     def test_root_deletion_and_foreign_nodes_are_rejected(self):
         db = _db()
         with pytest.raises(XMLError):
