@@ -57,7 +57,9 @@ class _ColumnSource:
     reuses its parent's key caches, so renaming, slicing and joining share
     one key computation per underlying column.  A direct source also holds
     the structural links joins found for its rows (``links``, see
-    :meth:`~repro.algebra.execution.PlanExecutor._structural_pairs`).
+    :meth:`~repro.algebra.execution.PlanExecutor._structural_pairs`), which
+    a write moves onto the source its splice makes
+    (:func:`repro.views.delta.follow_links`).
     """
 
     __slots__ = (
@@ -90,7 +92,9 @@ class _ColumnSource:
         self.index = None
         # structural links with this source's rows as descendants: ancestor
         # source (weakly) -> {axis: StructuralLinks}.  Positional like the
-        # value index, so never propagated, spliced or pickled.
+        # value index, so never gathered or pickled; a write's splice
+        # carries the entries read since the previous write onto the new
+        # source (repro.views.delta.follow_links) and drops the rest.
         self.links: Optional[WeakKeyDictionary] = None
 
     def __getstate__(self) -> dict:

@@ -351,9 +351,11 @@ class PlanExecutor:
     def _links(ancestor, descendant, axis: Axis) -> kernels.StructuralLinks:
         """The cached links from ``descendant``'s rows to ``ancestor``'s.
 
-        One entry per (ancestor source, axis); a write splices fresh
-        sources, so the next join after it rebuilds, and the entry of a
-        spliced-away ancestor goes with it (weak key).
+        One entry per (ancestor source, axis), marked ``read`` when it
+        serves a join: a write moves the read entries onto the sources its
+        splices made (:func:`repro.views.delta.follow_links`) and drops the
+        rest, and the entry of an ancestor source that is gone goes with it
+        (weak key).
         """
         cache = descendant.links
         if cache is None:
@@ -368,6 +370,7 @@ class PlanExecutor:
             except AlgebraError as exc:
                 raise PlanExecutionError(str(exc)) from exc
             by_axis[axis] = links
+        links.read = True
         return links
 
     def _structural_join_batch(self, plan: StructuralJoin) -> ColumnBatch:

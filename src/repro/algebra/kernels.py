@@ -5,7 +5,8 @@ Pure functions over column value lists, cached Dewey component keys
 prefix *is* an ancestor) and cached dedup row keys, plus
 :class:`StructuralLinks`, the one stateful kernel: per descendant row, the
 ancestor rows a structural join pairs it with, built once from two key
-vectors and cached by the executor per pair of extents.  Each kernel is
+vectors, cached by the executor per pair of extents and carried across a
+write's splices by :meth:`StructuralLinks.follow`.  Each kernel is
 specified by a row-at-a-time reference implementation in
 ``tests/support/oracle_executor.py``: same output rows, same row order,
 same ⊥ handling.  That parity is the whole contract — the identity suites
@@ -26,9 +27,10 @@ so joined columns that no later operator reads are never copied.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from collections import defaultdict
 from itertools import chain, compress, islice, repeat
-from operator import is_not, itemgetter, lt
+from operator import is_not, itemgetter, le, lt
 from typing import Iterable, Optional, Sequence
 
 from repro.algebra.tuples import _hashable
@@ -122,10 +124,12 @@ class StructuralLinks:
     :meth:`pairs` then answers a join over *gathers* of the two vectors
     (selections, join outputs) without a slice or a tuple hash: the
     executor caches one instance per pair of extents
-    (:meth:`~repro.algebra.execution.PlanExecutor._structural_pairs`).
+    (:meth:`~repro.algebra.execution.PlanExecutor._structural_pairs`) and
+    marks it ``read`` whenever it serves a join; a write carries the read
+    ones across its splices with :meth:`follow`.
     """
 
-    __slots__ = ("targets", "leaders", "single")
+    __slots__ = ("targets", "leaders", "single", "depth", "singles", "read")
 
     def __init__(
         self,
@@ -145,7 +149,8 @@ class StructuralLinks:
                     groups.setdefault(key, []).append(index)
             rows = {key: tuple(group) for key, group in groups.items()}
         find = rows.get
-        cuts = [-1] if axis is Axis.CHILD else sorted(set(map(len, rows)))
+        depths = set(map(len, rows))
+        cuts = [-1] if axis is Axis.CHILD else sorted(depths)
         none = ()
         if len(cuts) == 1:
             # the common case — the parent, or ancestors all at one depth
@@ -185,6 +190,109 @@ class StructuralLinks:
         # ancestor keys unique and at one depth: ≤ 1 target per row, so the
         # descendant positions are a compress, not a repeat per row
         self.single = unique and len(cuts) == 1
+        # the one depth of the ancestor keys when :meth:`follow` can carry
+        # these links: unique ancestors all at that depth, both vectors
+        # ⊥-free and in document order — read off the data, never off an
+        # annotation
+        self.depth: Optional[int] = None
+        # with a depth, ``singles[r]`` is the one ``(r,)`` every descendant
+        # of ancestor row ``r`` holds: a follow renumbers onto these tuples,
+        # so it allocates none and siblings keep sharing one
+        self.singles: Optional[list[tuple[int]]] = None
+        if self.single and len(depths) == 1:
+            if _ordered(ancestor_keys) and _ordered(descendant_keys):
+                (self.depth,) = depths
+                self.singles = list(rows.values())
+        self.read = False
+
+    def follow(
+        self,
+        ancestor_keys: Sequence[Optional[tuple]],
+        descendant_keys: Sequence[Optional[tuple]],
+        ancestor_runs: Sequence[tuple[int, int, int]],
+        descendant_runs: Sequence[tuple[int, int, int]],
+        axis: Axis,
+    ) -> Optional["StructuralLinks"]:
+        """These links after one write, or ``None`` when the write drops them.
+
+        ``ancestor_keys`` / ``descendant_keys`` are the key vectors after
+        the write; each side's runs are the ``(lo, hi, count)`` splices that
+        made them — rows ``[lo, hi)`` of the old vector gave way to
+        ``count`` new ones, ascending, disjoint, counted on the old vector.
+        The result equals ``StructuralLinks(ancestor_keys, descendant_keys,
+        axis)`` field for field.
+
+        Carried is the case a write to leaf-pinned views makes: unique
+        ancestors at one :attr:`depth` (≤ 1 target per row) and at most one
+        ancestor run.  The old targets are sliced around each descendant
+        run and, past the ancestor run, shifted by its size change — with
+        both vectors in document order those descendants are one suffix,
+        found by bisect.  Looked up again, by bisect on the ancestor keys:
+        a descendant run's rows; the rows ``[K, K⁺)`` under each added
+        ancestor key ``K``; and, when the run replaced rows, every
+        descendant between the subtrees of its two neighbours, where the
+        replaced rows' descendants lie.
+
+        ``None`` — the caller drops the links, the next join builds them —
+        when :attr:`depth` is ``None`` (⊥ or unsorted keys, duplicate
+        ancestor keys, ancestors at several depths or none), the write made
+        several ancestor runs or left no ancestor, or a run's rows do not
+        fit in order between their neighbours (ancestors: strictly, at
+        :attr:`depth`).
+        """
+        depth = self.depth
+        if depth is None or len(ancestor_runs) > 1 or not ancestor_keys:
+            return None
+        added = _fitted_ranges(ancestor_keys, ancestor_runs, depth)
+        moved = _fitted_ranges(descendant_keys, descendant_runs)
+        if added is None or moved is None:
+            return None
+        targets = self.targets
+        singles = self.singles
+        if len(ancestor_keys) != len(singles):
+            singles = singles[: len(ancestor_keys)]
+            singles += zip(range(len(singles), len(ancestor_keys)))
+        recompute = [range(lo, hi) for lo, hi in moved]
+        if descendant_runs:
+            spliced: list = []
+            cursor = 0
+            for lo, hi, count in descendant_runs:
+                spliced += targets[cursor:lo]
+                spliced += repeat((), count)  # looked up below
+                cursor = hi
+            spliced += targets[cursor:]
+            targets = spliced
+        else:
+            targets = list(targets)
+        for lo, hi, count in ancestor_runs:
+            shift = count - (hi - lo)
+            # past the subtree of the run's left neighbour, every target is
+            # an ancestor row >= lo
+            start = bisect_left(descendant_keys, _above(ancestor_keys[lo - 1])) if lo else 0
+            if shift:
+                suffix = targets[start:]
+                targets[start:] = [singles[group[0] + shift] if group else () for group in suffix]
+            if lo < hi:
+                end = lo + count
+                stop = len(descendant_keys)
+                if end < len(ancestor_keys):
+                    stop = bisect_left(descendant_keys, ancestor_keys[end])
+                recompute.append(range(start, stop))
+            else:
+                for key in islice(ancestor_keys, lo, lo + count):
+                    recompute.append(
+                        range(
+                            bisect_left(descendant_keys, key),
+                            bisect_left(descendant_keys, _above(key)),
+                        )
+                    )
+        for row in set(chain.from_iterable(recompute)):
+            linked = _linked(descendant_keys[row], ancestor_keys, depth, axis)
+            targets[row] = () if linked is None else singles[linked]
+        followed = StructuralLinks.__new__(StructuralLinks)
+        followed.targets, followed.leaders, followed.single = targets, None, True
+        followed.depth, followed.singles, followed.read = depth, singles, False
+        return followed
 
     def pairs(
         self,
@@ -240,6 +348,56 @@ class StructuralLinks:
             list(chain.from_iterable(expanded)),
             list(chain.from_iterable(map(repeat, right, map(len, expanded)))),
         )
+
+
+def _ordered(keys: Sequence[Optional[tuple]]) -> bool:
+    """Whether ``keys`` are ⊥-free and non-decreasing (document order)."""
+    return None not in keys and all(map(le, keys, islice(keys, 1, None)))
+
+
+def _fitted_ranges(
+    keys: Sequence[Optional[tuple]],
+    runs: Sequence[tuple[int, int, int]],
+    depth: Optional[int] = None,
+) -> Optional[list[tuple[int, int]]]:
+    """Where each run's new rows sit in the new vector ``keys`` (``[lo, hi)``,
+    none for a run that only removes), or ``None`` when a run's rows are not
+    ⊥-free and in order between their neighbours — with ``depth`` given,
+    strictly in order and all of that depth."""
+    order = le if depth is None else lt
+    ranges = []
+    offset = 0
+    for lo, hi, count in runs:
+        start = lo + offset
+        offset += count - (hi - lo)
+        if count:
+            rows = keys[start : start + count]
+            if None in rows or (depth is not None and any(len(key) != depth for key in rows)):
+                return None
+            window = keys[max(start - 1, 0) : start + count + 1]
+            if not all(map(order, window, islice(window, 1, None))):
+                return None
+            ranges.append((start, start + count))
+    return ranges
+
+
+def _above(key: tuple) -> tuple:
+    """The first key after every descendant of ``key``: ``[key, _above(key))``
+    is ``key``'s subtree in document order."""
+    return key[:-1] + (key[-1] + 1,)
+
+
+def _linked(
+    key: tuple, ancestor_keys: Sequence[tuple], depth: int, axis: Axis
+) -> Optional[int]:
+    """The ancestor row descendant ``key`` links to, or ``None``, by bisect
+    on sorted, unique ancestor keys all of ``depth`` components — as
+    :class:`StructuralLinks` builds it."""
+    if len(key) <= depth or (axis is Axis.CHILD and len(key) != depth + 1):
+        return None
+    prefix = key[:depth]
+    row = bisect_left(ancestor_keys, prefix)
+    return row if row < len(ancestor_keys) and ancestor_keys[row] == prefix else None
 
 
 def merge_id_join_pairs(

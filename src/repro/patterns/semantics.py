@@ -389,9 +389,26 @@ def evaluate_pattern(
     ``//`` step from the root takes its candidates from the store instead;
     rows, row order and schema are the same.
     """
+    return _evaluate_laid_out(
+        pattern, document, pattern_schema(pattern), id_function, mode, path_store
+    )
+
+
+def _evaluate_laid_out(
+    pattern: TreePattern,
+    document,
+    layout: tuple[list[Column], _Schema],
+    id_function: Optional[Callable] = None,
+    mode: EmbeddingMode = EmbeddingMode.DOCUMENT,
+    path_store=None,
+) -> Relation:
+    """:func:`evaluate_pattern` with ``layout``, the pattern's
+    :func:`pattern_schema`, already derived — a view's pattern is fixed, so
+    incremental maintenance hands in the layout the view derived once
+    (``MaterializedView._layout``) instead of deriving it per region."""
     tree_root = getattr(document, "root", document)
     id_function = id_function or default_id_function
-    columns, schema = pattern_schema(pattern)
+    columns, schema = layout
     relation = Relation(columns)
     bindings = _eval_concrete(
         pattern.root, tree_root, schema, id_function, mode, path_store

@@ -56,7 +56,7 @@ from repro.rewriting.rewriter import Rewriter
 from repro.session.explain import ExplainReport, build_explain_report
 from repro.summary.dataguide import Summary, build_summary
 from repro.views.catalog import ViewCatalog
-from repro.views.delta import ExtentChange, SubtreeChange
+from repro.views.delta import ExtentChange, SubtreeChange, follow_links
 from repro.views.store import ViewSet
 from repro.views.view import MaterializedView
 from repro.xmltree.ids import DeweyID
@@ -83,6 +83,8 @@ MAINTENANCE_COUNTERS = (
     "summary_rebuilt",
     "statistics_spliced",
     "statistics_reobserved",
+    "links_followed",
+    "links_dropped",
 )
 """The keys of :attr:`Database.maintenance_stats`."""
 
@@ -329,7 +331,9 @@ class Database:
         a summary without retained instance counters),
         ``statistics_spliced`` / ``statistics_reobserved`` per-view
         statistics maintenance (a view is re-observed in full only after
-        its extent was rematerialised)."""
+        its extent was rematerialised), ``links_followed`` /
+        ``links_dropped`` per cached structural-link entry a write carried
+        across its splices or dropped for the next join to build."""
 
     # ------------------------------------------------------------------ #
     # construction variants
@@ -627,7 +631,11 @@ class Database:
             splices = view.maintain(document, change)
             stats["delta_applied" if splices is not None else "rematerialized"] += 1
             if view.relation is not before:
-                changed.append(ExtentChange(view, before.rows, splices))
+                changed.append(ExtentChange(view, before, splices))
+        # the structural links cached on the extents follow their splices
+        followed, dropped = follow_links(self.views, changed)
+        stats["links_followed"] += followed
+        stats["links_dropped"] += dropped
         # every consumer of the stored rows (cost model, the rank of cached
         # plans) sees the data version move; the consumers of the
         # definitions (plan cache, prepared queries, catalog) see theirs

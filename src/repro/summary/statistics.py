@@ -206,12 +206,12 @@ class Statistics:
                 self._internal += difference
         self._derive_averages()
         spliced = reobserved = 0
-        for view, rows, splices in changed:
+        for view, before, splices in changed:
             if splices is None or view.name not in self._view_counts:
                 self.observe_view(view)
                 reobserved += 1
             else:
-                self._splice_columns(view, rows, splices)
+                self._splice_columns(view, before.rows, splices)
                 spliced += 1
         return spliced, reobserved
 

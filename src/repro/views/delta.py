@@ -58,20 +58,29 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from operator import itemgetter
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
+from weakref import WeakKeyDictionary
 
 from repro.algebra.columnar import splice_runs
 from repro.algebra.tuples import Relation
+from repro.errors import AlgebraError
 from repro.patterns.embedding import EmbeddingMode, _node_matches
 from repro.patterns.pattern import PatternNode
-from repro.patterns.semantics import default_id_function, evaluate_pattern
+from repro.patterns.semantics import _evaluate_laid_out, default_id_function
 from repro.xmltree.ids import DeweyID
 from repro.xmltree.node import XMLDocument, XMLNode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.views.view import MaterializedView
 
-__all__ = ["ExtentChange", "SubtreeChange", "can_apply_delta", "apply_subtree_delta"]
+__all__ = [
+    "ExtentChange",
+    "SubtreeChange",
+    "apply_subtree_delta",
+    "can_apply_delta",
+    "follow_links",
+]
 
 _REGION_FRACTION_LIMIT = 0.5
 """Fallback threshold: when the pruned regions to re-evaluate exceed this
@@ -99,15 +108,17 @@ to ``replacement``."""
 
 
 class ExtentChange(NamedTuple):
-    """One extent a write changed, as its consumers (statistics) see it.
+    """One extent a write changed, as its consumers see it (statistics,
+    :func:`follow_links`).
 
-    ``rows`` is the row list before the write; ``splices`` are the runs
-    that turned it into the view's current extent, ascending and disjoint
-    — ``None`` when the view was rematerialised instead.
+    ``before`` is the relation before the write (its rows, and the column
+    batch scans cached on it); ``splices`` are the runs that turned it into
+    the view's current extent, ascending and disjoint — ``None`` when the
+    view was rematerialised instead.
     """
 
     view: "MaterializedView"
-    rows: list[tuple]
+    before: Relation
     splices: Optional[list[Splice]]
 
 
@@ -195,8 +206,8 @@ def _region_rows(
     view: "MaterializedView", document: XMLDocument, target: XMLNode
 ) -> Relation:
     """Evaluate the view pattern over the pruned clone around ``target``."""
-    return evaluate_pattern(
-        view.pattern, _pruned_root(target), id_function=view._id_function
+    return _evaluate_laid_out(
+        view.pattern, _pruned_root(target), view._layout, id_function=view._id_function
     )
 
 
@@ -236,15 +247,16 @@ def apply_subtree_delta(
     column = view.dewey_sort_column()
     index = relation.column_index(column)
     rows = relation.rows
-    key = lambda row: row[index].components  # noqa: E731
+    # the sort column's DeweyIDs compare in document order themselves
+    key = itemgetter(index)
 
     # disjoint, computed on the original row list
     splices: list[Splice] = []
 
     # 1. the subtree range [D, D⁺): everything pinned inside the change
     components = change.root.components
-    lo = bisect_left(rows, components, key=key)
-    hi = bisect_left(rows, components[:-1] + (components[-1] + 1,), key=key)
+    lo = bisect_left(rows, change.root, key=key)
+    hi = bisect_left(rows, DeweyID(components[:-1] + (components[-1] + 1,)), key=key)
     if change.kind == "insert":
         subtree = document.node_by_id(change.root)
         fresh = _region_rows(view, document, subtree)
@@ -276,7 +288,7 @@ def apply_subtree_delta(
             if region > budget:
                 return None  # the "delta" covers most of the document
             budget -= region
-            run_lo = bisect_left(rows, ancestor_id.components, key=key)
+            run_lo = bisect_left(rows, ancestor_id, key=key)
             run_hi = run_lo
             while run_hi < len(rows) and rows[run_hi][index] == ancestor_id:
                 run_hi += 1
@@ -305,3 +317,73 @@ def apply_subtree_delta(
     if batch is not None:
         batch.spliced(splices, result)
     return result, splices
+
+
+def follow_links(
+    views: Iterable["MaterializedView"], changed: Sequence[ExtentChange]
+) -> tuple[int, int]:
+    """Carry the structural links cached on extents across one write.
+
+    Runs once after every view was maintained, so a pair of extents that
+    both moved is followed once.  Each changed extent's pre-write column
+    sources map to the sources its splice made; every cached entry with a
+    moved side — on the old sources of the changed extents, or on an
+    untouched extent's source, keyed on a moved ancestor — moves onto the
+    new descendant source, weakly keyed on the new ancestor source, by
+    :meth:`~repro.algebra.kernels.StructuralLinks.follow`.  Dropped
+    instead, for the next join to build: an entry no join read since the
+    previous write (a bulk load pays no follow per write), one whose extent
+    was rematerialised, and one ``follow`` answers ``None`` for.  Returns
+    ``(followed, dropped)`` entry counts.
+    """
+    moved: dict = {}
+    for view, before, splices in changed:
+        old = getattr(before, "_column_batch", None)
+        if old is None:
+            continue  # never scanned: nothing cached on it
+        new = None if splices is None else getattr(view.relation, "_column_batch", None)
+        runs = None if new is None else [(lo, hi, len(run)) for lo, hi, run in splices]
+        for position in range(len(old.columns)):
+            moved[old.source(position)] = (None if new is None else new.source(position), runs)
+    if not moved:
+        return 0, 0
+    holders = list(moved)
+    touched = {change.view.name for change in changed}
+    for view in views:
+        if view.is_materialized and view.name not in touched:
+            batch = getattr(view.relation, "_column_batch", None)
+            if batch is not None:
+                holders += map(batch.source, range(len(batch.columns)))
+    followed = dropped = 0
+    for source in holders:
+        cache = source.links
+        if not cache:
+            continue
+        target, runs = moved.get(source, (source, ()))
+        for ancestor, by_axis in list(cache.items()):
+            new_ancestor, ancestor_runs = moved.get(ancestor, (ancestor, ()))
+            if target is source:
+                if new_ancestor is ancestor:
+                    continue  # neither side moved
+                del cache[ancestor]
+            for axis, links in by_axis.items():
+                fresh = None
+                if links.read and target is not None and new_ancestor is not None:
+                    try:
+                        fresh = links.follow(
+                            new_ancestor.dewey_keys(),
+                            target.dewey_keys(),
+                            ancestor_runs,
+                            runs,
+                            axis,
+                        )
+                    except AlgebraError:
+                        pass  # a new cell is no structural identifier
+                if fresh is None:
+                    dropped += 1
+                    continue
+                if target.links is None:
+                    target.links = WeakKeyDictionary()
+                target.links.setdefault(new_ancestor, {})[axis] = fresh
+                followed += 1
+    return followed, dropped

@@ -174,12 +174,24 @@ class MaterializedView:
         return self._relation is not None
 
     @cached_property
+    def _layout(self) -> tuple:
+        # the pattern is fixed at construction, so its full schema — columns
+        # plus the per-node layout evaluation reads — is derived once, for
+        # the columns and for the regions incremental maintenance
+        # re-evaluates; never pickled (see __getstate__)
+        return pattern_schema(self.pattern)
+
+    @cached_property
     def _schema(self) -> tuple:
-        # the pattern is fixed at construction, so its schema is derived
-        # once; a pickle carries the cached tuple, one written before the
-        # cache existed derives it on first use
-        columns, _ = pattern_schema(self.pattern)
-        return tuple(columns)
+        # a pickle carries the cached tuple, one written before the cache
+        # existed derives it on first use
+        return tuple(self._layout[0])
+
+    def __getstate__(self) -> dict:
+        # the layout is keyed on pattern-node identities, which no pickle keeps
+        state = dict(self.__dict__)
+        state.pop("_layout", None)
+        return state
 
     def schema(self):
         """The view's column list (computable without materialising)."""

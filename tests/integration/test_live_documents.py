@@ -36,12 +36,18 @@ from repro import (
     parse_pattern,
     to_parenthesized,
 )
+from repro.algebra import kernels
 from repro.algebra.columnar import ColumnBatch
+from repro.algebra.execution import PlanExecutor
+from repro.algebra.operators import StructuralJoin, ViewScan
+from repro.patterns.pattern import Axis
 from repro.rewriting import RewritingConfig
+from repro.views.delta import can_apply_delta
 from repro.workloads import XMARK_QUERY_PATTERNS, seed_tag_views
 from repro.workloads.dblp import generate_dblp_document
 from repro.workloads.xmark import generate_xmark_document
 
+from support.oracle_executor import OracleExecutor
 from support.rebuild_oracle import normalize
 
 DOC_TEXT = (
@@ -201,10 +207,10 @@ def test_structural_links_follow_writes_and_die_with_their_extents():
 
     ``items ⋈≺ names`` caches its links on the ``names`` ID column, weakly
     keyed on the ``items`` one.  A write splices fresh column sources into
-    every extent it touches: the next read must rebuild (equal to direct
-    evaluation), the superseded source must be collectable, and an
-    untouched descendant extent must not pile up entries for ancestor
-    extents that are gone.
+    every extent it touches and moves the links onto them: the next read
+    must equal direct evaluation, the superseded source must be
+    collectable, and an untouched descendant extent must not pile up
+    entries for ancestor extents that are gone.
     """
     db = Database(parse_parenthesized(DOC_TEXT, name="links"))
     db.create_view("site(//item[ID])", name="items")
@@ -242,6 +248,124 @@ def test_structural_links_follow_writes_and_die_with_their_extents():
     db.close()
 
 
+def _seed_view_session(document, names):
+    """A session over ``document`` with the bench's seed views for ``names``."""
+    config = RewritingConfig(
+        max_rewritings=2, max_plan_size=3, enable_unions=False, time_budget_seconds=None
+    )
+    queries = [parse_pattern(XMARK_QUERY_PATTERNS[name], name=name) for name in names]
+    db = Database(document, config=config)
+    labels = {node.label for query in queries for node in query.nodes()}
+    for view in seed_tag_views(db.summary):
+        if view.root.children[0].label in labels:
+            db.create_view(view, name=view.name)
+    return db, queries
+
+
+def _counting_link_builds(monkeypatch) -> list:
+    """Record every ``StructuralLinks`` construction from now on."""
+    builds = []
+    build = kernels.StructuralLinks.__init__
+
+    def counted(self, ancestor_keys, descendant_keys, axis):
+        builds.append(axis)
+        build(self, ancestor_keys, descendant_keys, axis)
+
+    monkeypatch.setattr(kernels.StructuralLinks, "__init__", counted)
+    return builds
+
+
+def test_the_first_read_after_a_write_follows_the_links(monkeypatch):
+    """Q1 (``person ⋈ name``) and Q19 (``item ⋈ location``, ``item ⋈ name``)
+    over the seed views: after the first read built the links, the reads
+    after an insert and after a delete build none — every entry followed
+    the write — and equal direct evaluation."""
+    document = generate_xmark_document(scale=10.0, seed=548, name="xmark-follow")
+    db, queries = _seed_view_session(document, ("Q1", "Q19"))
+    with db:
+        for query in queries:
+            assert "StructuralJoin" in str(db.explain(query))
+
+        def reads():
+            for query in queries:
+                assert db.query(query).same_contents(evaluate_pattern(query, document))
+
+        reads()
+        builds = _counting_link_builds(monkeypatch)
+        asia = document.nodes_on_path("/site/regions/asia")[0]
+        node = db.insert_subtree(asia, asia.children[0].copy())
+        followed = db.maintenance_stats["links_followed"]
+        assert followed == 3  # person ⋈ name moves with the names alone
+        reads()
+        db.delete_subtree(node)
+        reads()
+        assert builds == []
+        assert db.maintenance_stats["links_followed"] == 2 * followed
+        assert db.maintenance_stats["links_dropped"] == 0
+
+
+def test_a_non_leaf_pinned_ancestor_run_is_followed():
+    """``auctions`` pins ``open_auction`` above a ``bidder`` branch, so a
+    bidder written below an auction re-evaluates that auction's run (a
+    replaced ancestor row, same key): the followed links keep the join
+    row-identical to the oracle, and the counters say they were followed."""
+    document = generate_xmark_document(scale=10.0, seed=548, name="xmark-auctions")
+    db = Database(document)
+    db.create_view("site(//open_auction[ID](/bidder))", name="auctions")
+    db.create_view("site(//increase[ID,V])", name="increases")
+    chain, pin = can_apply_delta(db.views["auctions"])
+    assert pin < len(chain) - 1  # pinned above the bidder
+    plan = StructuralJoin(
+        left=ViewScan("auctions", alias="a"),
+        right=ViewScan("increases", alias="i"),
+        left_column="a.ID1",
+        right_column="i.ID1",
+        axis=Axis.DESCENDANT,
+    )
+
+    def read():
+        fast = PlanExecutor(db.views).execute(plan)
+        slow = OracleExecutor(db.views).execute(plan)
+        assert fast.rows == slow.rows and fast.sorted_by == slow.sorted_by
+        return len(fast)
+
+    before = read()
+    auctions = document.nodes_on_path("/site/open_auctions/open_auction")
+    target = auctions[len(auctions) // 2]
+    bidder = next(child for child in target.children if child.label == "bidder")
+    stats = db.maintenance_stats
+    added = db.insert_subtree(target, bidder.copy())
+    assert stats["links_followed"] == 1 and stats["links_dropped"] == 0
+    assert read() == before + 1
+    db.delete_subtree(added)
+    assert stats["links_followed"] == 2 and stats["links_dropped"] == 0
+    assert read() == before
+    # the auction's last bidders go: its row leaves the ancestor extent
+    for child in [child for child in target.children if child.label == "bidder"]:
+        db.delete_subtree(child)
+        read()
+    assert stats["links_dropped"] == 0 and stats["rematerialized"] == 0
+    db.close()
+
+
+def test_a_bulk_ingest_without_reads_follows_each_entry_once():
+    """A link entry is followed only if a join read it since the previous
+    write: fifty streamed subtrees pay one round of follows, then drops."""
+    db = Database(parse_parenthesized(DOC_TEXT, name="bulk"))
+    db.create_view("site(//item[ID])", name="items")
+    db.create_view(NAME_QUERY, name="names")
+    query = parse_pattern(ITEM_QUERY, name="q")
+    assert db.query(query).same_contents(evaluate_pattern(query, db.document))
+    asia = db.document.nodes_on_path("/site/regions/asia")[0]
+    chunks = [f"<item><name>bulk {index}</name></item>" for index in range(50)]
+    assert len(db.ingest_stream(chunks, asia)) == 50
+    stats = db.maintenance_stats
+    assert stats["links_followed"] == 1  # the one entry, on the first write
+    assert stats["links_dropped"] == 1  # unread since: dropped on the second
+    assert db.query(query).same_contents(evaluate_pattern(query, db.document))
+    db.close()
+
+
 # --------------------------------------------------------------------------- #
 # a write costs what it changes — the count floor behind ``xmark_live``
 # --------------------------------------------------------------------------- #
@@ -254,18 +378,8 @@ def test_a_data_only_write_block_rematerializes_and_searches_nothing():
     are plan-cache hits.
     """
     document = generate_xmark_document(scale=1.0, seed=548, name="xmark-live")
-    config = RewritingConfig(
-        max_rewritings=2, max_plan_size=3, enable_unions=False, time_budget_seconds=None
-    )
-    queries = [
-        parse_pattern(XMARK_QUERY_PATTERNS[name], name=name)
-        for name in ("Q1", "Q2", "Q4", "Q5", "Q6", "Q18", "Q19")
-    ]
-    with Database(document, config=config) as db:
-        labels = {node.label for query in queries for node in query.nodes()}
-        for view in seed_tag_views(db.summary):
-            if view.root.children[0].label in labels:
-                db.create_view(view, name=view.name)
+    db, queries = _seed_view_session(document, ("Q1", "Q2", "Q4", "Q5", "Q6", "Q18", "Q19"))
+    with db:
         assert "seed_regions" in db.views
 
         def reads():

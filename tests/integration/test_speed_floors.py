@@ -172,6 +172,56 @@ def test_a_repeated_structural_join_reads_its_cached_links():
 
 
 # --------------------------------------------------------------------------- #
+# links that follow a write: the first join after it >= 3x one that rebuilds
+# --------------------------------------------------------------------------- #
+def test_the_first_join_after_a_write_reads_the_followed_links():
+    """A one-row insert into both extents of a 10k x 10k view x view join,
+    halfway through them: the write carries the links across its splices
+    (the ancestor shift included), so the first join after it only reads
+    them; with the links dropped, the same join builds them again.  Both
+    start from the spliced, warm column and key caches."""
+    half = "g(" + " ".join(["a(b)"] * 5_000) + ")"
+    db = Database(parse_parenthesized(f"site({half} {half})", name="follow"))
+    db.create_view("site(//a[ID])", name="upper")
+    db.create_view("site(//b[ID])", name="lower")
+    plan = StructuralJoin(
+        left=ViewScan("upper", alias="u"),
+        right=ViewScan("lower", alias="l"),
+        left_column="u.ID1",
+        right_column="l.ID1",
+        axis=Axis.CHILD,
+    )
+    PlanExecutor(db.views).execute_batch(plan)  # builds the links
+    group = db.document.root.children[0]
+    ratios = []
+    for round_ in range(5):
+        db.insert_subtree(group, XMLNode("a", None, [XMLNode("b")]))
+        assert db.maintenance_stats["links_followed"] == round_ + 1
+        batches = {}
+        followed = _seconds(
+            lambda: batches.update(followed=PlanExecutor(db.views).execute_batch(plan))
+        )
+        lower = ColumnBatch.from_relation(db.views["lower"].relation).source(0)
+        lower.links = None
+        rebuilt = _seconds(
+            lambda: batches.update(rebuilt=PlanExecutor(db.views).execute_batch(plan))
+        )
+        assert _rows(batches["followed"].to_relation()) == _rows(
+            batches["rebuilt"].to_relation()
+        )
+        assert len(batches["followed"].to_relation()) == 10_001 + round_
+        ratios.append(rebuilt / followed)
+    oracle = OracleExecutor(db.views).execute(plan)
+    assert batches["followed"].to_relation().same_contents(oracle)
+    db.close()
+    ratio = sorted(ratios)[len(ratios) // 2]
+    assert ratio >= 3.0, (
+        f"the first 10k x 10k structural join after a write only {ratio:.1f}x "
+        f"faster than one that rebuilds its links"
+    )
+
+
+# --------------------------------------------------------------------------- #
 # projection dedup on row keys vs Relation.project: >= 5x on a sorted ID extent
 # --------------------------------------------------------------------------- #
 def test_projection_dedup_beats_relation_project():

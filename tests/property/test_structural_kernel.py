@@ -8,6 +8,13 @@
   ancestor depths), duplicate identifiers on both sides, ``⊥`` keys, sorted
   and unsorted inputs, ancestor gathers that repeat, drop and reorder rows,
   both axes, flat and nested, through the executor's link cache.
+* ``StructuralLinks.follow`` (old targets sliced around each descendant
+  run, shifted past the ancestor run, the rows nothing old answers for
+  looked up again by bisect) must equal a fresh build field for field over
+  drawn splice sequences — insert and delete runs on either side and on
+  both in one write, added ancestor keys above existing descendants — and
+  be ``None`` exactly where its docstring says it drops: ancestors at
+  several depths, duplicate ancestor keys, several ancestor runs.
 * ``Projection`` through ``PlanExecutor`` (row-key vectors, the
   strictly-increasing shortcut, back-to-front ``dict`` dedup) must be
   row-identical to ``Relation.project`` — the dedup matrix below lists the
@@ -171,6 +178,150 @@ def test_recursive_ancestors_at_four_depths():
     assert {len(left_keys[left]) for left, _ in pairs} == {1, 2, 3, 4}
     pairs = _link_pairs(left_keys, right_keys, Axis.CHILD, False)
     assert pairs == _sweep_pairs(upper, lower, Axis.CHILD)
+
+
+# --------------------------------------------------------------------------- #
+# links that follow a write's splices against a fresh build
+# --------------------------------------------------------------------------- #
+_sorted_keys = st.lists(_dewey, max_size=10).map(sorted)
+# depth-3 identifiers, unique: the ancestors a follow carries
+_flat = st.tuples(st.integers(1, 4), st.integers(1, 4)).map(lambda tail: (1, *tail))
+_unique_keys = st.lists(_flat, min_size=1, max_size=6, unique=True).map(sorted)
+
+
+@st.composite
+def _write(draw, keys, dewey=_dewey, strict=False, most=3):
+    """One write's runs over sorted ``keys``: ``(new keys, (lo, hi, count) runs)``.
+
+    Each of up to ``most`` runs replaces up to two rows by drawn keys that
+    fit in order between its neighbours — ``strict``: distinct from them and
+    from each other — so the new vector is sorted too; runs may touch (an
+    insertion right where the previous run ended).
+    """
+    runs, new, cursor = [], [], 0
+    for _ in range(draw(st.integers(1, most))):
+        lo = draw(st.integers(cursor, len(keys)))
+        hi = draw(st.integers(lo, min(lo + 2, len(keys))))
+        new += keys[cursor:lo]
+        low = new[-1] if new else (1,)
+        high = keys[hi] if hi < len(keys) else (2,)
+        drawn = draw(st.lists(dewey, max_size=3))
+        if strict:
+            rows = sorted({key for key in drawn if low < key < high})
+        else:
+            rows = sorted(key for key in drawn if low <= key <= high)
+        if lo == hi and not rows:
+            cursor = lo
+            continue
+        new += rows
+        runs.append((lo, hi, len(rows)))
+        cursor = hi
+    return new + keys[cursor:], runs
+
+
+def _assert_equal_to_a_fresh_build(links, upper_keys, lower_keys, axis):
+    fresh = kernels.StructuralLinks(upper_keys, lower_keys, axis)
+    assert links is not None
+    assert (links.targets, links.leaders, links.single, links.depth, links.singles) == (
+        fresh.targets,
+        fresh.leaders,
+        fresh.single,
+        fresh.depth,
+        fresh.singles,
+    )
+    # siblings share one tuple per ancestor row, as in a fresh build
+    assert all(group is links.singles[group[0]] for group in links.targets if group)
+    order = list(range(len(lower_keys)))
+    pairs = list(zip(*links.pairs(order, order, None)))
+    upper, lower = _id_relation(upper_keys, True), _id_relation(lower_keys, True)
+    assert pairs == _sweep_pairs(upper, lower, axis)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.booleans(), _sorted_keys, st.data())
+def test_followed_links_equal_a_fresh_build(unique, lower_keys, data):
+    """Unique one-depth ancestors with one run are followed; everything else
+    (duplicates, several depths, several ancestor runs, no ancestor left)
+    is dropped and built afresh, as the caller does."""
+    upper_keys = data.draw(_unique_keys if unique else _sorted_keys)
+    for axis in AXES:
+        links = kernels.StructuralLinks(upper_keys, lower_keys, axis)
+        upper, lower = upper_keys, lower_keys
+        for _ in range(data.draw(st.integers(1, 3))):  # a sequence of writes
+            sides = data.draw(st.sampled_from(["upper", "lower", "both"]))
+            upper_runs = lower_runs = []
+            if sides != "lower":
+                write = _write(upper, _flat, strict=True, most=2) if unique else _write(upper)
+                upper, upper_runs = data.draw(write)
+            if sides != "upper":
+                lower, lower_runs = data.draw(_write(lower))
+            followed = links.follow(upper, lower, upper_runs, lower_runs, axis)
+            fresh = kernels.StructuralLinks(upper, lower, axis)
+            if links.depth is not None and len(upper_runs) <= 1 and fresh.depth == links.depth:
+                _assert_equal_to_a_fresh_build(followed, upper, lower, axis)
+            else:
+                assert followed is None
+            links = followed or fresh
+
+
+@pytest.mark.parametrize("axis", AXES)
+def test_an_added_ancestor_links_the_descendants_already_below_it(axis):
+    """A new ``1.2`` above existing ``1.2.1`` / ``1.2.1.1``, and a deleted
+    ``1.1`` whose descendant stays: both rows are looked up again."""
+    upper = [(1, 1), (1, 3)]
+    lower = [(1, 1, 1), (1, 2, 1), (1, 2, 1, 1), (1, 3, 1)]
+    links = kernels.StructuralLinks(upper, lower, axis)
+    grown = [(1, 1), (1, 2), (1, 3)]
+    links = links.follow(grown, lower, [(1, 1, 1)], [], axis)
+    _assert_equal_to_a_fresh_build(links, grown, lower, axis)
+    assert links.targets[1:3] == [(1,), ((1,) if axis is Axis.DESCENDANT else ())]
+    shrunk = [(1, 2), (1, 3)]
+    links = links.follow(shrunk, lower, [(0, 1, 0)], [], axis)
+    _assert_equal_to_a_fresh_build(links, shrunk, lower, axis)
+    assert links.targets == [(), (0,), ((0,) if axis is Axis.DESCENDANT else ()), (1,)]
+
+
+@pytest.mark.parametrize(
+    "upper, lower, upper_after, lower_after, upper_runs, lower_runs",
+    [
+        # ⊥ or out-of-order keys at build: nothing to bisect
+        ([(1, 1), None], [(1, 1, 1)], [(1, 1), None], [(1, 1, 1), (1, 1, 2)], [], [(1, 1, 1)]),
+        ([(1, 2), (1, 1)], [(1, 1, 1)], [(1, 2), (1, 1)], [(1, 1, 1), (1, 1, 2)], [], [(1, 1, 1)]),
+        (
+            [(1, 1)],
+            [(1, 1, 2), (1, 1, 1)],
+            [(1, 1), (1, 2)],
+            [(1, 1, 2), (1, 1, 1)],
+            [(1, 1, 1)],
+            [],
+        ),
+        # duplicate ancestor keys, or ancestors at several depths, at build
+        ([(1, 1), (1, 1)], [(1, 1, 1)], [(1, 1), (1, 1)], [(1, 1, 1), (1, 1, 2)], [], [(1, 1, 1)]),
+        ([(1,), (1, 1)], [(1, 1, 1)], [(1,), (1, 1)], [(1, 1, 1), (1, 1, 2)], [], [(1, 1, 1)]),
+        # a write that adds a twin, adds a key at another depth, makes two
+        # ancestor runs, or leaves no ancestor
+        ([(1, 1), (1, 2)], [(1, 1, 1)], [(1, 1), (1, 1), (1, 2)], [(1, 1, 1)], [(1, 1, 1)], []),
+        ([(1, 1), (1, 3)], [(1, 1, 1)], [(1, 1), (1, 2, 1), (1, 3)], [(1, 1, 1)], [(1, 1, 1)], []),
+        (
+            [(1, 1), (1, 3), (1, 5)],
+            [(1, 1, 1)],
+            [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5)],
+            [(1, 1, 1)],
+            [(1, 1, 1), (2, 2, 1)],
+            [],
+        ),
+        ([(1, 1), (1, 2)], [(1, 1, 1)], [], [(1, 1, 1)], [(0, 2, 0)], []),
+        # a run whose rows do not fit between their neighbours
+        ([(1, 1), (1, 3)], [(1, 1, 1)], [(1, 1), (1, 4), (1, 3)], [(1, 1, 1)], [(1, 1, 1)], []),
+        ([(1, 1)], [(1, 1, 1), (1, 1, 3)], [(1, 1)], [(1, 1, 1), (1, 1, 2), None], [], [(1, 2, 2)]),
+    ],
+)
+def test_a_follow_drops_what_it_cannot_prove(
+    upper, lower, upper_after, lower_after, upper_runs, lower_runs
+):
+    for axis in AXES:
+        links = kernels.StructuralLinks(upper, lower, axis)
+        assert links.follow(upper_after, lower_after, upper_runs, lower_runs, axis) is None
 
 
 # --------------------------------------------------------------------------- #

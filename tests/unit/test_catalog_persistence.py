@@ -180,11 +180,24 @@ def test_a_view_derives_its_schema_once_and_pickles_it(setup, monkeypatch):
     loaded = pickle.loads(pickle.dumps(view))
     assert _columns(loaded) == expected and len(calls) == 1, "the pickle carried it"
     # a pickle written before the schema was cached derives it on first use
-    state = dict(vars(view))
+    state = view.__getstate__()  # what a pickle carries: no layout
     del state["_schema"]
     old = MaterializedView.__new__(MaterializedView)
     old.__dict__.update(state)
     assert _columns(old) == expected and len(calls) == 2
+
+
+def test_a_view_pickles_without_its_evaluation_layout():
+    """The layout incremental maintenance evaluates regions with is keyed on
+    pattern-node identities: a loaded view derives its own."""
+    view = MaterializedView(parse_pattern("site(//item[ID](/name[ID,V]))", name="v"))
+    columns, layout = view._layout
+    assert layout.node_columns
+    assert set(layout.node_columns) <= {id(node) for node in view.pattern.nodes()}
+    loaded = pickle.loads(pickle.dumps(view))
+    assert "_layout" not in vars(loaded) and "_layout" in vars(view)
+    assert set(loaded._layout[1].node_columns) <= {id(node) for node in loaded.pattern.nodes()}
+    assert loaded._layout[0] == columns
 
 
 def test_statistics_pickled_before_the_integer_sums_load_whole(setup):

@@ -247,6 +247,8 @@ def test_metrics_render_requests_and_database_gauges(app):
     assert "service_plan_cache_hit_rate 0.5" in text
     assert "service_views 1" in text
     assert 'service_maintenance_operations{path="delta_applied"} 0' in text
+    assert 'service_maintenance_operations{path="links_followed"} 0' in text
+    assert 'service_maintenance_operations{path="links_dropped"} 0' in text
 
 
 def test_metrics_error_statuses_are_counted(app):

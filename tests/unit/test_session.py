@@ -227,6 +227,7 @@ def test_stats_aggregates_every_layer(db):
         "delta_applied", "rematerialized",
         "summary_incremental", "summary_rebuilt",
         "statistics_spliced", "statistics_reobserved",
+        "links_followed", "links_dropped",
     }
     assert "worker_pool" not in snapshot
     assert snapshot["indexes"].keys() == {"builds", "probes"}

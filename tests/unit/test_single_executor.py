@@ -168,7 +168,7 @@ def test_stats_keep_the_keys_monitoring_reads():
     # /metrics exports one service_maintenance_operations series per key
     assert set(snapshot["maintenance"]) == {
         "delta_applied", "rematerialized", "summary_incremental", "summary_rebuilt",
-        "statistics_spliced", "statistics_reobserved",
+        "statistics_spliced", "statistics_reobserved", "links_followed", "links_dropped",
     }
 
 
