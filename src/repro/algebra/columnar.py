@@ -11,9 +11,12 @@ them, are computed once and reused by every query that scans it.
 
 from __future__ import annotations
 
+from itertools import islice
+from operator import lt
 from typing import Optional, Sequence
 from weakref import WeakKeyDictionary
 
+from repro.algebra.kernels import _fitted_ranges
 from repro.algebra.tuples import Column, Relation, _hashable, as_dewey
 from repro.xmltree.ids import DeweyID
 
@@ -59,7 +62,8 @@ class _ColumnSource:
     the structural links joins found for its rows (``links``, see
     :meth:`~repro.algebra.execution.PlanExecutor._structural_pairs`), which
     a write moves onto the source its splice makes
-    (:func:`repro.views.delta.follow_links`).
+    (:func:`repro.views.delta.follow_links`), and whether its row keys
+    strictly ascend (:meth:`ascending`), which the splice carries too.
     """
 
     __slots__ = (
@@ -67,6 +71,7 @@ class _ColumnSource:
         "_keys",
         "_row_keys",
         "_text",
+        "_ascending",
         "_parent",
         "_indices",
         "index",
@@ -86,6 +91,9 @@ class _ColumnSource:
         self._keys: Optional[list] = None
         self._row_keys: Optional[list] = None
         self._text: Optional[list] = None
+        # a direct source's proof that its rows are distinct: True / False
+        # once :meth:`ascending` has read the row keys, None while unknown
+        self._ascending: Optional[bool] = None
         # value-index cache (repro.views.indexes): the built index, or the
         # UNINDEXABLE sentinel.  Deliberately NOT propagated through
         # gathers — a gather's row positions differ from its parent's.
@@ -105,6 +113,8 @@ class _ColumnSource:
         }
 
     def __setstate__(self, state: dict) -> None:
+        # a state pickled before a slot existed leaves it unknown
+        self._ascending = None
         for name, value in state.items():
             setattr(self, name, value)
         self.links = None
@@ -118,6 +128,39 @@ class _ColumnSource:
             rows = indices if rows is None else list(map(indices.__getitem__, rows))
             source = source._parent
         return source, rows
+
+    def ascending(self) -> bool:
+        """Whether this direct source's row keys strictly ascend — cached.
+
+        Computed once, on the first read, with one C-level comparison pass
+        over :meth:`row_keys`.  Only an all-identifier column (component
+        tuples) or an all-atom one (its own strings and numbers) can pass:
+        strict ``<`` between those keys implies ``_hashable``-inequality,
+        and a total order makes every pair of rows, not just neighbours,
+        distinct.  ⊥, NaN and cells that do not compare fail the check.
+        """
+        if self._ascending is None:
+            keys = self.row_keys()
+            try:
+                self._ascending = (keys is self._keys or keys is self._values) and all(
+                    map(lt, keys, islice(keys, 1, None))
+                )
+            except TypeError:
+                self._ascending = False
+        return self._ascending
+
+    def distinct(self) -> bool:
+        """Whether no two rows of this column have equal row keys, proven
+        without hashing a key: its direct source strictly ascends
+        (:meth:`ascending`, rejected in O(1) once cached) and the composed
+        gather reads no row of it twice."""
+        source = self
+        while source._parent is not None:
+            source = source._parent
+        if not source.ascending():
+            return False
+        _, rows = self.resolve()
+        return rows is None or len(set(rows)) == len(rows)
 
     def values(self) -> list:
         if self._values is None:
@@ -204,7 +247,10 @@ class _ColumnSource:
         *aliases*, like :meth:`row_keys` makes them), ``_hashable``
         otherwise.  A replacement cell the rule does not cover drops that
         cache, and the next reader rebuilds it from the values.  The value
-        index is positional and is not carried over.
+        index is positional and is not carried over.  A strictly ascending
+        column stays proven so when every run's new keys, with one
+        neighbour on each side, strictly ascend (removing rows cannot break
+        it); anything else leaves :meth:`ascending` to read the data again.
         """
         fresh = _ColumnSource(values=splice_runs(self.values(), splices))
         kinds = {type(cell) for _, _, run in splices for cell in run}
@@ -236,6 +282,13 @@ class _ColumnSource:
                 self._row_keys,
                 [(lo, hi, [_hashable(cell) for cell in run]) for lo, hi, run in splices],
             )
+        if self._ascending and fresh._row_keys is not None:
+            runs = [(lo, hi, len(run)) for lo, hi, run in splices]
+            try:
+                if _fitted_ranges(fresh._row_keys, runs, strict=True) is not None:
+                    fresh._ascending = True
+            except TypeError:
+                pass  # a new cell does not compare with its neighbour
         return fresh
 
 
@@ -336,6 +389,8 @@ class ColumnBatch:
             twin = self._row_twin
             if twin is not None and twin._relation is not None:
                 relation.rows = list(twin._relation.rows)
+            elif not self._sources:
+                relation.rows = [()] * self.row_count  # zip() of no column is empty
             elif self.row_count:
                 relation.rows = list(zip(*(source.values() for source in self._sources)))
             relation.sorted_by = self.sorted_by

@@ -33,9 +33,12 @@ view extents and structural-join outputs, which arrive annotated), and
 remaps a gathered ancestor side through the inverse of its gather: no
 ancestor-side sort, which :class:`~repro.planning.cost.CostModel` still
 (conservatively) charges, and no key slice or hash once the links exist.
-A write splices fresh sources into the extents it touches, so the next
-join over them rebuilds.  ``π`` deduplicates on cached row keys, or not
-at all when the projected sort column is strictly increasing.  ``⋈=``
+A join of two whole extents keeps its pair vectors on the links.  A write
+splices fresh sources into the extents it touches and carries the links
+it can across (without pair vectors).  ``π`` deduplicates on cached row
+keys, or not at all when a projected column proves its rows distinct — a
+strictly ascending extent column, read through a gather that repeats no
+row — a fact cached on the extent and carried by its splices.  ``⋈=``
 merges when both inputs arrive annotated sorted on their join columns and
 hashes otherwise: every such choice follows an observable input property,
 never a flag.
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 from weakref import WeakKeyDictionary
 
 from repro.algebra import kernels
@@ -276,16 +279,14 @@ class PlanExecutor:
         return child.gather(keep, sorted_by=child.sorted_by)
 
     def _projection_batch(self, plan: Projection) -> ColumnBatch:
+        """``π`` with first-occurrence dedup — or none at all when a
+        projected column proves its rows distinct
+        (:meth:`~repro.algebra.columnar._ColumnSource.distinct`, a fact
+        cached on the extent): then the child's sources are the result."""
         child = self.execute_batch(plan.child)
         names = list(plan.columns)
         indexes = [child.column_index(name) for name in names]
-        key_columns = [child.row_keys(index) for index in indexes]
         sorted_by = child.sorted_by if child.sorted_by in names else None
-        keep = kernels.distinct_indices(
-            key_columns,
-            child.row_count,
-            None if sorted_by is None else key_columns[names.index(sorted_by)],
-        )
         columns = [child.columns[index] for index in indexes]
         if plan.renames:
             mapping = dict(plan.renames)
@@ -295,6 +296,12 @@ class PlanExecutor:
             ]
             if sorted_by is not None:
                 sorted_by = mapping.get(sorted_by, sorted_by)
+        sources = [child.source(index) for index in indexes]
+        if any(source.distinct() for source in sources):
+            return ColumnBatch(columns, sources, child.row_count, sorted_by)
+        keep = kernels.distinct_indices(
+            [child.row_keys(index) for index in indexes], child.row_count
+        )
         return projected_batch(child, indexes, columns, keep, sorted_by)
 
     def _id_join_batch(self, plan: IdEqualityJoin) -> ColumnBatch:
@@ -314,7 +321,7 @@ class PlanExecutor:
 
     def _structural_pairs(
         self, plan: StructuralJoin | NestedStructuralJoin
-    ) -> tuple[ColumnBatch, ColumnBatch, list[int], list[int]]:
+    ) -> tuple[ColumnBatch, ColumnBatch, Sequence[int], Sequence[int]]:
         """Both inputs and the matching index pairs.
 
         The one structural join in production.  Both join columns resolve
@@ -322,7 +329,9 @@ class PlanExecutor:
         :class:`~repro.algebra.kernels.StructuralLinks` between the two
         direct sources are built once and cached on the descendant one,
         weakly keyed on the ancestor one, so a join of two extents nobody
-        wrote to re-reads its links instead of slicing and hashing keys.
+        wrote to re-reads its links instead of slicing and hashing keys —
+        and a join of the two whole extents, the descendant annotated
+        sorted, re-reads the very pair vectors its first run built.
         Rows with a ``⊥`` join value never match, only the descendant side
         needs document order (a no-op when annotated sorted), and pairs
         come out as ``(ancestor row, descendant row)`` in descendant
@@ -334,9 +343,7 @@ class PlanExecutor:
         ancestor, ancestor_rows = left.source(left.column_index(plan.left_column)).resolve()
         descendant, descendant_rows = right.source(right_index).resolve()
         links = self._links(ancestor, descendant, plan.axis)
-        if right.sorted_by == plan.right_column:
-            positions = range(right.row_count)
-        else:
+        if right.sorted_by != plan.right_column:
             keys = self._batch_keys(right, right_index)
             positions = [index for index, _ in kernels.dewey_ordered(keys, False)]
             descendant_rows = (
@@ -344,6 +351,11 @@ class PlanExecutor:
                 if descendant_rows is None
                 else list(map(descendant_rows.__getitem__, positions))
             )
+        elif descendant_rows is None and ancestor_rows is None:
+            # two whole extents: the links keep this join's pair vectors
+            return (left, right, *links.extent_pairs())
+        else:
+            positions = range(right.row_count)
         left_out, right_out = links.pairs(descendant_rows, positions, ancestor_rows)
         return left, right, left_out, right_out
 

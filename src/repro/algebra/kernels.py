@@ -59,26 +59,16 @@ def selection_indices(values: Sequence, formula) -> list[int]:
     return keep
 
 
-def distinct_indices(
-    key_columns: Sequence[Sequence],
-    row_count: int,
-    sorted_keys: Optional[Sequence],
-) -> Sequence[int]:
+def distinct_indices(key_columns: Sequence[Sequence], row_count: int) -> Sequence[int]:
     """First-occurrence indices of distinct rows (the projection dedup).
 
     ``key_columns`` holds the projected columns' row-key vectors
     (:meth:`~repro.algebra.columnar._ColumnSource.row_keys`): equal keys
-    exactly where ``Relation.project``'s ``_hashable`` rows are equal.
-    ``sorted_keys`` is the key vector of the ``sorted_by`` column when it
-    is projected (else ``None``): strictly increasing keys prove every row distinct, and
-    the proof is read off the data, so a wrong annotation loses no rows.
+    exactly where ``Relation.project``'s ``_hashable`` rows are equal.  With
+    no column every row is the empty row: one survives, if any exists.
     """
-    if sorted_keys is not None:
-        try:
-            if all(map(lt, sorted_keys, islice(sorted_keys, 1, None))):
-                return range(row_count)
-        except TypeError:
-            pass  # ⊥ or mixed cells do not compare: nothing proven
+    if not key_columns:
+        return range(min(row_count, 1))
     if len(key_columns) == 1:
         rows = reversed(key_columns[0])
     else:
@@ -126,10 +116,11 @@ class StructuralLinks:
     executor caches one instance per pair of extents
     (:meth:`~repro.algebra.execution.PlanExecutor._structural_pairs`) and
     marks it ``read`` whenever it serves a join; a write carries the read
-    ones across its splices with :meth:`follow`.
+    ones across its splices with :meth:`follow`.  The pairs of a join of
+    the two whole extents are kept too (:meth:`extent_pairs`).
     """
 
-    __slots__ = ("targets", "leaders", "single", "depth", "singles", "read")
+    __slots__ = ("targets", "leaders", "single", "depth", "singles", "read", "paired")
 
     def __init__(
         self,
@@ -204,6 +195,8 @@ class StructuralLinks:
                 (self.depth,) = depths
                 self.singles = list(rows.values())
         self.read = False
+        # the (left, right) vectors of :meth:`extent_pairs`, once built
+        self.paired: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
 
     def follow(
         self,
@@ -292,7 +285,18 @@ class StructuralLinks:
         followed = StructuralLinks.__new__(StructuralLinks)
         followed.targets, followed.leaders, followed.single = targets, None, True
         followed.depth, followed.singles, followed.read = depth, singles, False
+        followed.paired = None  # the first join after the write pairs again
         return followed
+
+    def extent_pairs(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """:meth:`pairs` over the two whole extents — every descendant row in
+        row order (document order), the ancestor rows themselves — built
+        by the first such join and returned to every later one.  Shared
+        between queries, so kept as tuples nobody can mutate."""
+        if self.paired is None:
+            left, right = self.pairs(None, range(len(self.targets)), None)
+            self.paired = tuple(left), tuple(right)
+        return self.paired
 
     def pairs(
         self,
@@ -359,12 +363,13 @@ def _fitted_ranges(
     keys: Sequence[Optional[tuple]],
     runs: Sequence[tuple[int, int, int]],
     depth: Optional[int] = None,
+    strict: bool = False,
 ) -> Optional[list[tuple[int, int]]]:
     """Where each run's new rows sit in the new vector ``keys`` (``[lo, hi)``,
     none for a run that only removes), or ``None`` when a run's rows are not
-    ⊥-free and in order between their neighbours — with ``depth`` given,
-    strictly in order and all of that depth."""
-    order = le if depth is None else lt
+    ⊥-free and in order between their neighbours — strictly in order with
+    ``strict`` or ``depth`` given, and with ``depth`` all of that depth."""
+    order = lt if strict or depth is not None else le
     ranges = []
     offset = 0
     for lo, hi, count in runs:

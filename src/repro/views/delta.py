@@ -136,20 +136,10 @@ def _chain_nodes(view: "MaterializedView") -> Optional[list[PatternNode]]:
     return nodes
 
 
-def can_apply_delta(view: "MaterializedView") -> Optional[tuple[list[PatternNode], int]]:
-    """Eligibility gate for the ordered-splice maintenance path.
-
-    Returns ``(chain nodes, index of the pinning node)`` when every
-    precondition holds, ``None`` otherwise:
-
-    * structural identifier scheme with the default ``fID`` (cells in the
-      sort column are genuine Dewey IDs of the pinned nodes),
-    * the pattern is a chain (at most one child per node, no nested edges),
-    * it has an ID column, and the extent is sorted on it,
-    * the pinning node is not the pattern root (a root-pinned chain makes
-      every row's support the whole document) and no edge at or above it
-      is optional (so the sort column never holds ``⊥``).
-    """
+def fixed_chain(view: "MaterializedView") -> Optional[tuple[list[PatternNode], int]]:
+    """:func:`can_apply_delta` without the one condition on the data (the
+    extent sorted on its ID column): the view's definition decides the
+    rest, so the view derives it once (``MaterializedView._chain``)."""
     if not view.id_scheme.structural:
         return None
     if view._id_function is not default_id_function:
@@ -164,10 +154,34 @@ def can_apply_delta(view: "MaterializedView") -> Optional[tuple[list[PatternNode
         return None
     if any(node.optional for node in chain[: pin_index + 1]):
         return None
+    return chain, pin_index
+
+
+def can_apply_delta(view: "MaterializedView") -> Optional[tuple[list[PatternNode], int]]:
+    """Eligibility gate for the ordered-splice maintenance path.
+
+    Returns ``(chain nodes, index of the pinning node)`` when every
+    precondition holds, ``None`` otherwise:
+
+    * structural identifier scheme with the default ``fID`` (cells in the
+      sort column are genuine Dewey IDs of the pinned nodes),
+    * the pattern is a chain (at most one child per node, no nested edges),
+    * it has an ID column, and the extent is sorted on it,
+    * the pinning node is not the pattern root (a root-pinned chain makes
+      every row's support the whole document) and no edge at or above it
+      is optional (so the sort column never holds ``⊥``).
+
+    All but the extent's order is fixed by the definition and read from
+    the view's cache (:func:`fixed_chain`); the order is checked on every
+    call.
+    """
+    gate = view._chain
+    if gate is None:
+        return None
     column = view.dewey_sort_column()
     if column is None or not view.relation.is_sorted_by(column):
         return None
-    return chain, pin_index
+    return gate
 
 
 def _clone_with_ids(node: XMLNode, deep: bool) -> XMLNode:

@@ -182,6 +182,14 @@ class MaterializedView:
         return pattern_schema(self.pattern)
 
     @cached_property
+    def _chain(self) -> Optional[tuple]:
+        # the definition-only part of the delta gate (chain nodes and pin,
+        # or None), derived once like the layout
+        from repro.views.delta import fixed_chain
+
+        return fixed_chain(self)
+
+    @cached_property
     def _schema(self) -> tuple:
         # a pickle carries the cached tuple, one written before the cache
         # existed derives it on first use

@@ -25,6 +25,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Database
+from repro.algebra.columnar import ColumnBatch
 from repro.algebra.execution import PlanExecutor
 from repro.algebra.tuples import _hashable
 from repro.planning.cost import CostModel
@@ -108,3 +109,49 @@ def test_the_session_answers_through_the_production_path(xmark_workload):
     ).execute(choice.best.rewriting.plan)
     assert db.query(query).same_contents(oracle)
     db.close()
+
+
+def _kept_pair_vectors(views) -> dict:
+    """Every pair-vector tuple kept on the links between two extents:
+    ``id(links)`` → ``(links, the kept vectors, a copy of them as lists)``.
+
+    Links keyed on a query's own direct sources (a union's output, say)
+    live until the collector takes that source; they are left out."""
+    sources = [
+        batch.source(position)
+        for batch in (ColumnBatch.from_relation(view.relation) for view in views)
+        for position in range(len(batch.columns))
+    ]
+    extents = {id(source) for source in sources}
+    kept = {}
+    for source in sources:
+        for ancestor, by_axis in (source.links or {}).items():
+            for links in by_axis.values():
+                if id(ancestor) in extents and links.paired is not None:
+                    kept[id(links)] = (links, links.paired, [list(v) for v in links.paired])
+    return kept
+
+
+@pytest.mark.parametrize("workload_name", ["xmark_workload", "dblp_workload"])
+def test_every_plan_run_twice_reads_the_same_kept_pair_vectors(request, workload_name):
+    """A join of two whole extents keeps its pair vectors on the links; a
+    second run of every fig13 / fig14 plan returns identical rows and
+    leaves those vectors as the first run left them — no operator mutates
+    what the links share between queries."""
+    workload = request.getfixturevalue(workload_name)
+    plans = [
+        rewriting.plan
+        for config_name in sorted(HARNESS_CONFIGS)
+        for _, rewriting in workload.rewritings(config_name)
+    ]
+    first = [PlanExecutor(workload.view_set).execute(plan) for plan in plans]
+    kept = _kept_pair_vectors(workload.views)
+    assert kept, "no plan joined two whole extents"
+    second = [PlanExecutor(workload.view_set).execute(plan) for plan in plans]
+    for plan, before, again in zip(plans, first, second):
+        _assert_identical(again, before, f"second run of {plan!r}")
+    after = _kept_pair_vectors(workload.views)
+    assert after.keys() == kept.keys()
+    for key, (_, vectors, copy) in kept.items():
+        assert after[key][1] is vectors
+        assert [list(vector) for vector in vectors] == copy

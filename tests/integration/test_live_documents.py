@@ -304,6 +304,56 @@ def test_the_first_read_after_a_write_follows_the_links(monkeypatch):
         assert db.maintenance_stats["links_dropped"] == 0
 
 
+def _extent_links(db) -> list:
+    """Every ``StructuralLinks`` entry cached between two of ``db``'s extents."""
+    sources = [
+        batch.source(position)
+        for batch in (ColumnBatch.from_relation(view.relation) for view in db.views)
+        for position in range(len(batch.columns))
+    ]
+    extents = {id(source) for source in sources}
+    return [
+        links
+        for source in sources
+        for ancestor, by_axis in (source.links or {}).items()
+        if id(ancestor) in extents
+        for links in by_axis.values()
+    ]
+
+
+def test_a_followed_entry_pairs_again_on_its_first_read():
+    """Q1's join and Q19's first join read two whole seed extents, so their
+    links keep the pair vectors; a write follows the links without them,
+    and the first read after it pairs again — equal to a fresh ``pairs()``
+    call — while every answer equals direct evaluation."""
+    document = generate_xmark_document(scale=10.0, seed=548, name="xmark-paired")
+    db, queries = _seed_view_session(document, ("Q1", "Q19"))
+    with db:
+
+        def reads():
+            for query in queries:
+                assert db.query(query).same_contents(evaluate_pattern(query, document))
+
+        reads()
+        before = _extent_links(db)
+        # item ⋈ name in Q19 reads a join output on its ancestor side
+        assert len(before) == 3 and sum(links.paired is not None for links in before) == 2
+        asia = document.nodes_on_path("/site/regions/asia")[0]
+        node = db.insert_subtree(asia, asia.children[0].copy())
+        followed = _extent_links(db)
+        assert len(followed) == 3 and not any(links in before for links in followed)
+        assert all(links.paired is None for links in followed)
+        reads()
+        paired = [links for links in followed if links.paired is not None]
+        assert len(paired) == 2
+        for links in paired:
+            fresh = links.pairs(None, range(len(links.targets)), None)
+            assert [list(vector) for vector in links.paired] == list(fresh)
+        db.delete_subtree(node)
+        assert all(links.paired is None for links in _extent_links(db))
+        reads()
+
+
 def test_a_non_leaf_pinned_ancestor_run_is_followed():
     """``auctions`` pins ``open_auction`` above a ``bidder`` branch, so a
     bidder written below an auction re-evaluates that auction's run (a

@@ -15,14 +15,18 @@
   both in one write, added ancestor keys above existing descendants — and
   be ``None`` exactly where its docstring says it drops: ancestors at
   several depths, duplicate ancestor keys, several ancestor runs.
-* ``Projection`` through ``PlanExecutor`` (row-key vectors, the
-  strictly-increasing shortcut, back-to-front ``dict`` dedup) must be
-  row-identical to ``Relation.project`` — the dedup matrix below lists the
-  cell kinds whose ``_hashable`` equivalence is not plain ``==``.
+* ``Projection`` through ``PlanExecutor`` (row-key vectors, the cached
+  distinctness proof read through gathers, back-to-front ``dict`` dedup)
+  must be row-identical to ``Relation.project`` — the dedup matrix below
+  lists the cell kinds whose ``_hashable`` equivalence is not plain
+  ``==`` — and the proof a splice carries must equal a fresh computation.
+* ``StructuralLinks.extent_pairs`` must equal a fresh ``pairs()`` call over
+  the whole extents, and stay as built.
 """
 
 from __future__ import annotations
 
+import pickle
 from itertools import product
 from types import SimpleNamespace
 
@@ -31,7 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algebra import kernels
-from repro.algebra.columnar import ColumnBatch
+from repro.algebra.columnar import ColumnBatch, _ColumnSource, splice_runs
 from repro.algebra.execution import PlanExecutor
 from repro.algebra.operators import (
     IdEqualityJoin,
@@ -452,12 +456,17 @@ def test_a_sorted_column_with_an_equal_key_run_still_deduplicates():
     assert len(_projection_matches(relation, ["ID1"])) == 3
     fast = _projection_matches(relation, ["ID1", "V1"])
     assert len(fast) == 4 and fast.sorted_by == "v.ID1"
-    # strictly increasing, ⊥-free: nothing to remove, nothing hashed
+    # the equal-key run is read off the extent once: not strictly ascending
+    assert ColumnBatch.from_relation(relation).source(0)._ascending is False
+    # strictly increasing, ⊥-free: nothing to remove, nothing hashed — the
+    # extent's cached proof hands the projection its very source
     strict = Relation([Column("ID1", kind="ID")], rows=[(i,) for i in ids[::2]])
     strict.mark_sorted_by("ID1")
     assert _projection_matches(strict, ["ID1"]).rows == strict.rows
-    keys = ColumnBatch.from_relation(strict).row_keys(0)
-    assert kernels.distinct_indices([keys], 3, keys) == range(3)
+    extent = ColumnBatch.from_relation(strict).source(0)
+    assert extent._ascending is True
+    plan = Projection(child=ViewScan("v", alias="v"), columns=["v.ID1"])
+    assert PlanExecutor(_views(v=strict)).execute_batch(plan).source(0) is extent
 
 
 @pytest.mark.parametrize(
@@ -493,3 +502,246 @@ def test_projection_equals_relation_project_on_drawn_columns(rows, sorted_by, na
     relation = Relation(["A", "B", "K"], rows=rows)
     relation.sorted_by = sorted_by  # as often a lie as not
     _projection_matches(relation, names, keep_column="K" if gathered else None)
+
+
+def test_a_zero_column_projection_keeps_one_empty_row():
+    """``π`` onto no column: one ``()`` row when the input has any row,
+    none otherwise — as ``Relation.project`` answers."""
+    relation = Relation(["ID1"], rows=[(DeweyID((1, 1)),), (DeweyID((1, 2)),)])
+    assert _projection_matches(relation, []).rows == [()] == relation.project([]).rows
+    assert _projection_matches(Relation(["ID1"]), []).rows == []
+    assert list(kernels.distinct_indices([], 2)) == [0]
+    assert list(kernels.distinct_indices([], 0)) == []
+
+
+# --------------------------------------------------------------------------- #
+# the extent's distinctness proof, cached and carried across splices
+# --------------------------------------------------------------------------- #
+_NAN = float("nan")
+# order-preserving codes: rank i of a strictly ascending universe as an
+# identifier, a string, or a number (bools and ints and floats interleaved)
+_CODES = {
+    "ids": lambda rank: DeweyID((1, rank + 1)),
+    "strings": lambda rank: f"{rank:03d}",
+    "numbers": lambda rank: (False, True)[rank] if rank < 2 else rank / 2,
+}
+# cells that break the proof: ⊥, NaN, a type that does not compare, a twin
+_SPOILERS = st.sampled_from([None, _NAN, "x", DeweyID((1, 1)), 1, 1.0, True])
+
+
+@st.composite
+def _proof_column(draw):
+    """``(kind, ranks, cells)``: a column whose cells are the codes of
+    ``ranks`` — strictly ascending, sorted with duplicates, or as drawn —
+    with, sometimes, spoilers at drawn positions."""
+    kind = draw(st.sampled_from(sorted(_CODES)))
+    ranks = draw(st.lists(st.integers(0, 30), max_size=10))
+    shape = draw(st.sampled_from(["strictly ascending", "sorted", "as drawn"]))
+    if shape == "strictly ascending":
+        ranks = sorted(set(ranks))
+    elif shape == "sorted":
+        ranks = sorted(ranks)
+    cells = [_CODES[kind](rank) for rank in ranks]
+    for position in draw(st.lists(st.integers(0, len(cells)), max_size=2)):
+        cells.insert(position, draw(_SPOILERS))
+    return kind, cells
+
+
+def _unique(cells) -> bool:
+    return len({_hashable(cell) for cell in cells}) == len(cells)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_proof_column(), st.data())
+def test_projection_through_drawn_gathers_equals_relation_project(column, data):
+    """``A`` holds the drawn column, ``K`` a unique identifier per row; an
+    ``⋈=`` with ``g`` gathers ``v``'s rows in ``g``'s order (repeated,
+    dropped, reordered).  Every column the executor proves distinct must
+    hold distinct cells, and every projection equals ``Relation.project``."""
+    _, cells = column
+    relation = Relation(
+        ["A", Column("K", kind="ID")],
+        rows=[(cell, DeweyID((1, index + 1))) for index, cell in enumerate(cells)],
+    ).mark_sorted_by("K")
+    views = {"v": relation}
+    child = ViewScan("v", alias="v")
+    if cells and data.draw(st.booleans()):
+        rows = data.draw(st.lists(st.integers(0, len(cells) - 1), max_size=12))
+        views["g"] = Relation([Column("G", kind="ID")], rows=[(DeweyID((1, row + 1)),) for row in rows])
+        child = IdEqualityJoin(
+            left=ViewScan("g", alias="g"), right=child, left_column="g.G", right_column="v.K"
+        )
+    views = _views(**views)
+    batch = PlanExecutor(views).execute_batch(child)
+    for index in range(len(batch.columns)):
+        if batch.source(index).distinct():
+            assert _unique(batch.values(index))
+    expected = OracleExecutor(views).execute(child)
+    for names in (["v.A"], ["v.A", "v.K"], ["v.K"], ["v.K", "v.A"]):
+        plan = Projection(child=child, columns=names)
+        fast = PlanExecutor(views).execute(plan)
+        _identical(fast, OracleExecutor(views).execute(plan))
+        assert [_hashable(row) for row in fast.rows] == [
+            _hashable(row) for row in expected.project(names).rows
+        ]
+
+
+@st.composite
+def _splices(draw, kind, cells):
+    """Ascending, disjoint ``(lo, hi, run)`` splices over ``cells``: each run
+    replaces up to two cells by codes that fit strictly between its
+    neighbours' (when they are codes) or by freely drawn ones."""
+    code = _CODES[kind]
+    splices, cursor = [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        if cursor > len(cells):
+            break
+        lo = draw(st.integers(cursor, len(cells)))
+        hi = draw(st.integers(lo, min(lo + 2, len(cells))))
+        if draw(st.booleans()):
+            run = [code(rank) for rank in sorted(set(draw(st.lists(st.integers(0, 30), max_size=3))))]
+            # keep the codes strictly between the neighbours
+            low = cells[lo - 1] if lo else None
+            high = cells[hi] if hi < len(cells) else None
+            try:
+                run = [
+                    cell
+                    for cell in run
+                    if (low is None or low < cell) and (high is None or cell < high)
+                ]
+            except TypeError:
+                pass  # a spoiler neighbour: the run stays as drawn
+        else:
+            run = draw(st.lists(st.one_of(_SPOILERS, st.integers(0, 30).map(code)), max_size=3))
+        if lo == hi and not run:
+            continue
+        splices.append((lo, hi, run))
+        cursor = hi + 1
+    return splices
+
+
+@settings(max_examples=150, deadline=None)
+@given(_proof_column(), st.data())
+def test_a_spliced_proof_equals_a_fresh_computation(column, data):
+    """A write's splice carries the fact (or leaves it unknown): whatever it
+    carries, and whatever is read after it, equals the fact computed from
+    the spliced cells by a source that never saw the old ones — through
+    three writes in a row."""
+    kind, cells = column
+    source = _ColumnSource(values=list(cells))
+    assert source.ascending() == _ColumnSource(values=list(cells)).ascending()
+    if source.ascending():
+        assert _unique(cells)
+    for _ in range(3):
+        splices = data.draw(_splices(kind, cells))
+        if not splices:
+            break
+        carried = source.spliced(splices)
+        cells = splice_runs(cells, splices)
+        fresh = _ColumnSource(values=list(cells)).ascending()
+        assert carried._ascending in (None, fresh)
+        if source._ascending and fresh and None not in cells and carried._row_keys is not None:
+            # ascending before and after: every run fit strictly between its
+            # neighbours, so the carry is never missed — unless the row keys
+            # it reads were not carried (an empty column's keys follow the
+            # identifier rule, a number does not) or a run holds ⊥ (a lone
+            # ⊥ row is ascending, but ⊥ is never taken to fit)
+            assert carried._ascending is True
+        assert carried.ascending() == fresh
+        source = carried
+
+
+def test_a_fitted_splice_keeps_the_proof_and_others_drop_it():
+    source = _ColumnSource(values=[1, 3, 5])
+    assert source.ascending()
+    assert source.spliced([(1, 1, [2])])._ascending is True  # fits strictly
+    assert source.spliced([(1, 2, [])])._ascending is True  # a removal
+    assert source.spliced([(3, 3, [6, 7])])._ascending is True  # at the end
+    assert source.spliced([(1, 1, [3])])._ascending is None  # a twin
+    assert source.spliced([(1, 1, [None])])._ascending is None  # ⊥
+    assert source.spliced([(1, 1, ["2"])])._ascending is None  # does not compare
+    ids = _ColumnSource(values=[DeweyID((1, 1)), DeweyID((1, 3))])
+    assert ids.ascending() and ids.spliced([(1, 1, [DeweyID((1, 2))])])._ascending is True
+    # a known "not ascending" is not carried: a removal may have cured it
+    twins = _ColumnSource(values=[1, 1])
+    assert twins.ascending() is False
+    healed = twins.spliced([(0, 1, [])])
+    assert healed._ascending is None and healed.ascending() is True
+
+
+def test_node_and_mixed_columns_prove_nothing():
+    """Cells keyed by ``_hashable`` never pass, even in order: only
+    identifiers and atoms have an order whose strictness implies distinct
+    keys."""
+    nodes = _ColumnSource(values=[_node("a", None, (1, 1)), _node("a", None, (1, 2))])
+    assert nodes.ascending() is False
+    assert _ColumnSource(values=[_ID, "1.3"]).ascending() is False  # mixed cells
+
+
+def test_a_pickle_written_before_the_proof_existed_loads_it_unknown():
+    source = _ColumnSource(values=[1, 2, 3])
+    assert source.ascending()
+    copy = pickle.loads(pickle.dumps(source))
+    assert copy._ascending is True and copy.ascending()
+    old_state = {
+        name: value for name, value in source.__getstate__().items() if name != "_ascending"
+    }
+    old = _ColumnSource.__new__(_ColumnSource)
+    old.__setstate__(old_state)
+    assert old._ascending is None
+    assert old.ascending() is True
+
+
+# --------------------------------------------------------------------------- #
+# the pair vectors a join of two whole extents keeps on its links
+# --------------------------------------------------------------------------- #
+@settings(max_examples=100, deadline=None)
+@given(_key_column(), _key_column())
+def test_extent_pairs_equal_a_fresh_pairs_call(left, right):
+    (left_keys, _), (right_keys, _) = left, right
+    for axis in AXES:
+        links = kernels.StructuralLinks(left_keys, right_keys, axis)
+        assert links.paired is None
+        kept = links.extent_pairs()
+        fresh = links.pairs(None, range(len(right_keys)), None)
+        assert [list(vector) for vector in kept] == list(fresh)
+        assert links.extent_pairs() is kept  # built once, then returned
+        # shared by every later join: no caller can mutate them
+        for vector in kept:
+            with pytest.raises((TypeError, AttributeError)):
+                vector[:0] = [0]
+            with pytest.raises(AttributeError):
+                vector.sort()
+
+
+def test_a_join_of_two_extents_reads_its_kept_pair_vectors():
+    upper = _id_relation([(1, 1), (1, 2)], True)
+    lower = _id_relation([(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 3, 1)], True)
+    views = _views(upper=upper, lower=lower)
+    plan = StructuralJoin(
+        left=ViewScan("upper", alias="u"),
+        right=ViewScan("lower", alias="l"),
+        left_column="u.ID1",
+        right_column="l.ID1",
+        axis=Axis.CHILD,
+    )
+    first = PlanExecutor(views).execute(plan)
+    links = ColumnBatch.from_relation(lower).source(0).links
+    (entry,) = [by_axis[Axis.CHILD] for by_axis in links.values()]
+    kept = entry.paired
+    assert kept == ((0, 0, 1), (0, 1, 2))
+    second = PlanExecutor(views).execute(plan)
+    assert entry.paired is kept and second.rows == first.rows
+    _identical(second, OracleExecutor(views).execute(plan))
+    # a gathered side pairs through pairs(), and leaves the vectors alone
+    gathered = StructuralJoin(
+        left=ViewScan("upper", alias="u"),
+        right=Selection(
+            child=ViewScan("lower", alias="l"), column="l.row", formula=ValueFormula.gt(0)
+        ),
+        left_column="u.ID1",
+        right_column="l.ID1",
+        axis=Axis.CHILD,
+    )
+    _identical(PlanExecutor(views).execute(gathered), OracleExecutor(views).execute(gathered))
+    assert entry.paired is kept

@@ -40,6 +40,7 @@ from repro import (
 )
 from repro.errors import SessionError, XMLError
 from repro.summary.dataguide import Summary
+from repro.views import delta
 from repro.views.delta import can_apply_delta
 from repro.views.view import MaterializedView
 
@@ -290,6 +291,20 @@ class TestExtentDelta:
         assert can_apply_delta(branchy) is None
         root_pinned = MaterializedView(parse_pattern("site[ID]", name="r"), doc)
         assert can_apply_delta(root_pinned) is None
+
+    def test_the_gate_derives_the_chain_once_and_reads_the_order_live(self, monkeypatch):
+        doc = parse_parenthesized(DOC_TEXT)
+        view = MaterializedView(parse_pattern("site(//item[ID](/name[V]))", name="c"), doc)
+        derived = []
+        fixed_chain = delta.fixed_chain
+        monkeypatch.setattr(
+            delta, "fixed_chain", lambda view: derived.append(view) or fixed_chain(view)
+        )
+        chain, pin = can_apply_delta(view)
+        assert can_apply_delta(view) == (chain, pin) and derived == [view]
+        assert [node.label for node in chain] == ["site", "item", "name"] and pin == 1
+        view.relation.mark_sorted_by(None)  # the order is the data's: read every call
+        assert can_apply_delta(view) is None and derived == [view]
 
     def test_ineligible_views_fall_back_to_rematerialize(self):
         db = _db()
