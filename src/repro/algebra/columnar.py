@@ -16,7 +16,7 @@ from operator import lt
 from typing import Optional, Sequence
 from weakref import WeakKeyDictionary
 
-from repro.algebra.kernels import _fitted_ranges
+from repro.algebra.kernels import KeptIndices, _fitted_ranges
 from repro.algebra.tuples import Column, Relation, _hashable, as_dewey
 from repro.xmltree.ids import DeweyID
 
@@ -63,7 +63,10 @@ class _ColumnSource:
     :meth:`~repro.algebra.execution.PlanExecutor._structural_pairs`), which
     a write moves onto the source its splice makes
     (:func:`repro.views.delta.follow_links`), and whether its row keys
-    strictly ascend (:meth:`ascending`), which the splice carries too.
+    strictly ascend (:meth:`ascending`), which the splice carries too.  A
+    gather made from a vector the links keep records whether that vector
+    repeats a row (``repeat_free``), so :meth:`distinct` reads it instead of
+    hashing the composed gather.
     """
 
     __slots__ = (
@@ -74,6 +77,7 @@ class _ColumnSource:
         "_ascending",
         "_parent",
         "_indices",
+        "_repeat_free",
         "index",
         "links",
         "__weakref__",
@@ -84,10 +88,13 @@ class _ColumnSource:
         values: Optional[list] = None,
         parent: Optional["_ColumnSource"] = None,
         indices: Optional[Sequence[int]] = None,
+        repeat_free: bool = False,
     ) -> None:
         self._values = values
         self._parent = parent
         self._indices = indices
+        # a gather whose ``indices`` are known to read no row twice
+        self._repeat_free = repeat_free
         self._keys: Optional[list] = None
         self._row_keys: Optional[list] = None
         self._text: Optional[list] = None
@@ -115,6 +122,7 @@ class _ColumnSource:
     def __setstate__(self, state: dict) -> None:
         # a state pickled before a slot existed leaves it unknown
         self._ascending = None
+        self._repeat_free = False
         for name, value in state.items():
             setattr(self, name, value)
         self.links = None
@@ -153,12 +161,17 @@ class _ColumnSource:
         """Whether no two rows of this column have equal row keys, proven
         without hashing a key: its direct source strictly ascends
         (:meth:`ascending`, rejected in O(1) once cached) and the composed
-        gather reads no row of it twice."""
+        gather reads no row of it twice — known without composing it when
+        every gather on the way down is ``repeat_free``."""
         source = self
+        flagged = True
         while source._parent is not None:
+            flagged = flagged and source._repeat_free
             source = source._parent
         if not source.ascending():
             return False
+        if flagged:
+            return True
         _, rows = self.resolve()
         return rows is None or len(set(rows)) == len(rows)
 
@@ -479,14 +492,18 @@ def joined_batch(
     """The concatenated-schema batch a pair-producing join kernel emits.
 
     Every output column is a lazy gather over one input, so a joined
-    column nobody projects afterwards is never copied.
+    column nobody projects afterwards is never copied.  An index vector the
+    structural links keep (:class:`~repro.algebra.kernels.KeptIndices`)
+    hands its ``repeat_free`` record to the gathers made from it.
     """
+    left_free = type(left_indices) is KeptIndices and left_indices.repeat_free
+    right_free = type(right_indices) is KeptIndices and right_indices.repeat_free
     sources = [
-        _ColumnSource(parent=source, indices=left_indices)
+        _ColumnSource(parent=source, indices=left_indices, repeat_free=left_free)
         for source in left._sources
     ]
     sources += [
-        _ColumnSource(parent=source, indices=right_indices)
+        _ColumnSource(parent=source, indices=right_indices, repeat_free=right_free)
         for source in right._sources
     ]
     return ColumnBatch(columns, sources, len(left_indices), sorted_by)

@@ -33,9 +33,11 @@ view extents and structural-join outputs, which arrive annotated), and
 remaps a gathered ancestor side through the inverse of its gather: no
 ancestor-side sort, which :class:`~repro.planning.cost.CostModel` still
 (conservatively) charges, and no key slice or hash once the links exist.
-A join of two whole extents keeps its pair vectors on the links.  A write
-splices fresh sources into the extents it touches and carries the links
-it can across (without pair vectors).  ``π`` deduplicates on cached row
+A join of two whole extents keeps its pair vectors on the links, and so
+does the next join of a chain over them — its ancestor side gathered
+through a kept vector, a whole extent below.  A write splices fresh
+sources into the extents it touches and carries the links it can across
+(without pair vectors).  ``π`` deduplicates on cached row
 keys, or not at all when a projected column proves its rows distinct — a
 strictly ascending extent column, read through a gather that repeats no
 row — a fact cached on the extent and carried by its splices.  ``⋈=``
@@ -282,7 +284,8 @@ class PlanExecutor:
         """``π`` with first-occurrence dedup — or none at all when a
         projected column proves its rows distinct
         (:meth:`~repro.algebra.columnar._ColumnSource.distinct`, a fact
-        cached on the extent): then the child's sources are the result."""
+        cached on the extent and, through kept join vectors, on their
+        gathers): then the child's sources are the result."""
         child = self.execute_batch(plan.child)
         names = list(plan.columns)
         indexes = [child.column_index(name) for name in names]
@@ -331,7 +334,9 @@ class PlanExecutor:
         weakly keyed on the ancestor one, so a join of two extents nobody
         wrote to re-reads its links instead of slicing and hashing keys —
         and a join of the two whole extents, the descendant annotated
-        sorted, re-reads the very pair vectors its first run built.
+        sorted, re-reads the very pair vectors its first run built, as does
+        a join over the whole descendant extent whose ancestor column is a
+        join output gathered once through such a kept vector.
         Rows with a ``⊥`` join value never match, only the descendant side
         needs document order (a no-op when annotated sorted), and pairs
         come out as ``(ancestor row, descendant row)`` in descendant
@@ -354,6 +359,10 @@ class PlanExecutor:
         elif descendant_rows is None and ancestor_rows is None:
             # two whole extents: the links keep this join's pair vectors
             return (left, right, *links.extent_pairs())
+        elif descendant_rows is None and type(ancestor_rows) is kernels.KeptIndices:
+            # a join output's column, gathered once through a kept vector,
+            # over a whole extent: the links keep this join's vectors too
+            return (left, right, *links.chained_pairs(ancestor_rows))
         else:
             positions = range(right.row_count)
         left_out, right_out = links.pairs(descendant_rows, positions, ancestor_rows)

@@ -155,3 +155,52 @@ def test_every_plan_run_twice_reads_the_same_kept_pair_vectors(request, workload
     for key, (_, vectors, copy) in kept.items():
         assert after[key][1] is vectors
         assert [list(vector) for vector in vectors] == copy
+
+
+def _chained_vectors(views) -> dict:
+    """Every chained entry kept on the links between two extents:
+    ``id(links)`` → ``(links, its (ancestor vector, left, right) tuple)``."""
+    sources = [
+        batch.source(position)
+        for batch in (ColumnBatch.from_relation(view.relation) for view in views)
+        for position in range(len(batch.columns))
+    ]
+    extents = {id(source) for source in sources}
+    return {
+        id(links): (links, links.chained)
+        for source in sources
+        for ancestor, by_axis in (source.links or {}).items()
+        if id(ancestor) in extents
+        for links in by_axis.values()
+        if links.chained is not None
+    }
+
+
+@pytest.mark.parametrize("workload_name", ["xmark_workload", "dblp_workload"])
+def test_every_plan_run_twice_reads_the_same_chained_vectors(request, workload_name):
+    """A join whose ancestor side is a join output's column, gathered
+    through a kept vector, over a whole extent keeps its pair vectors too:
+    every fig13 / fig14 plan run twice in a row returns identical rows, and
+    the second run reads the chained vectors the first one left — the
+    very same objects, still equal to what they held."""
+    workload = request.getfixturevalue(workload_name)
+    plans = [
+        rewriting.plan
+        for config_name in sorted(HARNESS_CONFIGS)
+        for _, rewriting in workload.rewritings(config_name)
+    ]
+    chains = 0
+    for plan in plans:
+        first = PlanExecutor(workload.view_set).execute(plan)
+        kept = _chained_vectors(workload.views)
+        copies = {key: [list(vector) for vector in chained] for key, (_, chained) in kept.items()}
+        again = PlanExecutor(workload.view_set).execute(plan)
+        _assert_identical(again, first, f"second run of {plan!r}")
+        after = _chained_vectors(workload.views)
+        assert after.keys() == kept.keys()
+        for key, (_, chained) in kept.items():
+            assert after[key][1] is chained
+            assert [list(vector) for vector in chained] == copies[key]
+        chains = max(chains, len(kept))
+    if workload_name == "xmark_workload":
+        assert chains, "no plan chained a join over a join output"

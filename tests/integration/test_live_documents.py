@@ -354,6 +354,64 @@ def test_a_followed_entry_pairs_again_on_its_first_read():
         reads()
 
 
+def _chained_entry(db, ancestor: str, descendant: str) -> kernels.StructuralLinks:
+    """The one links entry from ``descendant``'s ID column to ``ancestor``'s."""
+    upper = ColumnBatch.from_relation(db.views[ancestor].relation).source(0)
+    lower = ColumnBatch.from_relation(db.views[descendant].relation).source(0)
+    (entry,) = lower.links[upper].values()
+    return entry
+
+
+def test_a_write_to_the_middle_of_a_chain_makes_its_chained_entry_miss():
+    """Q19 chains ``(item ⋈ location) ⋈ name``.  A ``location`` inserted
+    under an existing ``item`` moves the ``location`` extent alone: the
+    ``item → name`` links are left as they were, but the first join keeps a
+    new vector after the write, so their chained entry misses on the next
+    read and pairs again — now through an ``item`` with two locations.  A
+    ``name`` moves the last extent alone: the followed entry pairs again
+    through the vector the feeding links still keep.  Q4 and Q19 equal
+    direct evaluation through both insert / delete cycles."""
+    document = generate_xmark_document(scale=10.0, seed=548, name="xmark-chained")
+    db, queries = _seed_view_session(document, ("Q4", "Q19"))
+    with db:
+
+        def reads():
+            for query in queries:
+                assert db.query(query).same_contents(evaluate_pattern(query, document))
+
+        reads()
+        entry = _chained_entry(db, "seed_item", "seed_name")
+        chained = entry.chained
+        feeding = _chained_entry(db, "seed_item", "seed_location")
+        assert chained is not None and chained[0] is feeding.paired[0]
+        assert chained[0].repeat_free  # one location per item
+        item = document.nodes_on_path("/site/regions/asia/item")[0]
+        (location,) = item.children_with_label("location")
+        node = db.insert_subtree(item, location.copy())
+        assert _chained_entry(db, "seed_item", "seed_name") is entry  # untouched
+        assert entry.chained is chained
+        reads()
+        assert entry.chained is not chained  # missed, and paired again
+        feeding = _chained_entry(db, "seed_item", "seed_location")
+        assert entry.chained[0] is feeding.paired[0]
+        assert not entry.chained[0].repeat_free  # that item now has two
+        db.delete_subtree(node)
+        reads()
+        feeding = _chained_entry(db, "seed_item", "seed_location")
+        assert entry.chained[0] is feeding.paired[0]
+        # a ``name`` moves the last extent alone: the feeding links and their
+        # vector stay, the followed item → name entry starts without pairs
+        (name,) = item.children_with_label("name")
+        node = db.insert_subtree(item, name.copy())
+        followed = _chained_entry(db, "seed_item", "seed_name")
+        assert followed is not entry and followed.chained is None
+        assert _chained_entry(db, "seed_item", "seed_location") is feeding
+        reads()
+        assert followed.chained[0] is feeding.paired[0]
+        db.delete_subtree(node)
+        reads()
+
+
 def test_a_non_leaf_pinned_ancestor_run_is_followed():
     """``auctions`` pins ``open_auction`` above a ``bidder`` branch, so a
     bidder written below an auction re-evaluates that auction's run (a

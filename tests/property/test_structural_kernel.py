@@ -22,6 +22,12 @@
   ``==`` — and the proof a splice carries must equal a fresh computation.
 * ``StructuralLinks.extent_pairs`` must equal a fresh ``pairs()`` call over
   the whole extents, and stay as built.
+* A join chain ``(A ⋈ B) ⋈ C`` (``StructuralLinks.chained_pairs``: the
+  second join over a kept vector's gather) must equal the oracle on every
+  run, re-read its own vectors while the feeding vector stays the same
+  object and pair again when it does not; every kept vector's
+  ``repeat_free`` record must be its own truth, and ``distinct()`` read
+  through those records must answer as hashing the composed gather does.
 """
 
 from __future__ import annotations
@@ -745,3 +751,204 @@ def test_a_join_of_two_extents_reads_its_kept_pair_vectors():
     )
     _identical(PlanExecutor(views).execute(gathered), OracleExecutor(views).execute(gathered))
     assert entry.paired is kept
+
+
+# --------------------------------------------------------------------------- #
+# join chains: the second join keeps its pairs when its ancestor side is a
+# kept vector's gather, and kept vectors record whether they repeat a row
+# --------------------------------------------------------------------------- #
+@st.composite
+def _chain_extent(draw):
+    """An extent of a chain: drawn like :func:`_key_column` (duplicates, ⊥,
+    recursive keys, sorted or not), or strictly ascending and ⊥-free — the
+    extent whose ID column proves a projection distinct."""
+    keys, is_sorted = draw(_key_column())
+    if draw(st.booleans()):
+        keys, is_sorted = sorted({key for key in keys if key is not None}), True
+    return keys, is_sorted
+
+
+def _chain(first_axis: Axis, second_axis: Axis, ancestor_column: str) -> StructuralJoin:
+    """``(upper ⋈ middle) ⋈ lower``, the second join's ancestor column drawn
+    from either side of the first join's output."""
+    first = StructuralJoin(
+        left=ViewScan("upper", alias="u"),
+        right=ViewScan("middle", alias="m"),
+        left_column="u.ID1",
+        right_column="m.ID1",
+        axis=first_axis,
+    )
+    return StructuralJoin(
+        left=first,
+        right=ViewScan("lower", alias="l"),
+        left_column=ancestor_column,
+        right_column="l.ID1",
+        axis=second_axis,
+    )
+
+
+def _entries(relation: Relation) -> list:
+    """The links cached on ``relation``'s ID column, as descendant side."""
+    links = ColumnBatch.from_relation(relation).source(0).links or {}
+    return [entry for by_axis in links.values() for entry in by_axis.values()]
+
+
+def _kept_vectors(*relations: Relation) -> list:
+    vectors = []
+    for relation in relations:
+        for entry in _entries(relation):
+            vectors += entry.paired or ()
+            vectors += (entry.chained or ())[1:]
+    return vectors
+
+
+def _distinct_by_hashing(source) -> bool:
+    """:meth:`_ColumnSource.distinct` as it reads with no ``repeat_free``
+    record: the composed gather, hashed."""
+    direct, rows = source.resolve()
+    return direct.ascending() and (rows is None or len(set(rows)) == len(rows))
+
+
+_CHAIN_PROJECTIONS = [
+    ["u.ID1"],
+    ["u.ID1", "l.row"],
+    ["m.ID1"],
+    ["m.ID1", "u.row"],
+    ["l.ID1", "m.row"],
+    ["u.row", "m.row"],
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _chain_extent(),
+    _chain_extent(),
+    _chain_extent(),
+    st.sampled_from(AXES),
+    st.sampled_from(AXES),
+    st.sampled_from(["u.ID1", "m.ID1"]),
+    st.sampled_from(_CHAIN_PROJECTIONS),
+)
+def test_a_join_chain_equals_the_oracle_and_rereads_its_kept_vectors(
+    upper, middle, lower, first_axis, second_axis, ancestor_column, names
+):
+    """``(A ⋈ B) ⋈ C`` twice through the executor: row for row the oracle's
+    both times; the second join keeps its pairs exactly when the first one
+    kept its own (``B`` annotated sorted) and ``C`` is annotated sorted, and
+    the second run re-reads them; every kept vector's ``repeat_free``
+    record is its own truth; every ``distinct()`` answer equals hashing the
+    composed gather; ``π`` over the chain equals ``Relation.project``.
+    Then the feeding links build a new vector: the chained entry misses and
+    the answers still match."""
+    relations = {
+        name: _id_relation(*extent)
+        for name, extent in (("upper", upper), ("middle", middle), ("lower", lower))
+    }
+    views = _views(**relations)
+    plan = _chain(first_axis, second_axis, ancestor_column)
+    projection = Projection(child=plan, columns=names)
+    slow = OracleExecutor(views).execute(plan)
+    kept_path = middle[1] and lower[1]
+
+    def run():
+        executor = PlanExecutor(views)
+        _identical(executor.execute(plan), slow)
+        for source in executor.execute_batch(plan)._sources:
+            assert source.distinct() == _distinct_by_hashing(source)
+        projected = executor.execute(projection)
+        assert projected.column_names == names
+        assert [_hashable(row) for row in projected.rows] == [
+            _hashable(row) for row in slow.project(names).rows
+        ]
+        (entry,) = _entries(relations["lower"])
+        assert (entry.chained is not None) == kept_path
+        for vector in _kept_vectors(*relations.values()):
+            assert vector.repeat_free == (len(set(vector)) == len(vector))
+        return entry.chained
+
+    chained = run()
+    assert run() is chained  # the same tuples, not an equal rebuild
+    if kept_path:
+        (feeding,) = _entries(relations["middle"])
+        assert chained[0] in feeding.paired
+        feeding.paired = None  # the next first join keeps a new vector
+        again = run()
+        assert again is not chained and again[0] in feeding.paired
+
+
+@settings(max_examples=30, deadline=None)
+@given(_chain_extent(), _chain_extent(), _chain_extent())
+def test_two_chains_alternating_into_one_links_stay_correct(upper, middle, lower):
+    """The child-axis and the descendant-axis first join keep two different
+    vectors over ``upper``; both chains then feed the one ``upper → lower``
+    entry, each run replacing the other's slot, and every answer stays the
+    oracle's."""
+    relations = {
+        name: _id_relation(*extent)
+        for name, extent in (("upper", upper), ("middle", middle), ("lower", lower))
+    }
+    views = _views(**relations)
+    chains = [_chain(axis, Axis.DESCENDANT, "u.ID1") for axis in AXES]
+    oracles = [OracleExecutor(views).execute(plan) for plan in chains]
+    for _ in range(2):
+        for plan, slow in zip(chains, oracles):
+            _identical(PlanExecutor(views).execute(plan), slow)
+            if middle[1] and lower[1]:
+                (entry,) = _entries(relations["lower"])
+                (by_axis,) = ColumnBatch.from_relation(relations["middle"]).source(0).links.values()
+                assert entry.chained[0] is by_axis[plan.left.axis].paired[0]
+
+
+@pytest.mark.parametrize(
+    "middle, lower, repeating",
+    [
+        # 1.1 has two middle children: the first join's vector repeats
+        ([(1, 1, 1), (1, 1, 2), (1, 2, 1)], [(1, 1, 3)], "first"),
+        # 1.1 has two lower children: the second join's vector repeats
+        ([(1, 1, 1), (1, 2, 1)], [(1, 1, 3), (1, 1, 4)], "second"),
+    ],
+)
+def test_a_repeat_at_either_level_of_a_chain_still_deduplicates(middle, lower, repeating):
+    """``u.ID1`` read through both joins' vectors is distinct only when
+    neither vector repeats a row: with one repeating, the projection keeps
+    one ``1.1`` of the two."""
+    relations = {
+        "upper": _id_relation([(1, 1), (1, 2)], True),
+        "middle": _id_relation(middle, True),
+        "lower": _id_relation(lower, True),
+    }
+    views = _views(**relations)
+    plan = _chain(Axis.CHILD, Axis.CHILD, "u.ID1")
+    executor = PlanExecutor(views)
+    batch = executor.execute_batch(plan)
+    source = batch.source(batch.column_index("u.ID1"))
+    assert source._repeat_free == (repeating == "first")
+    assert source._parent._repeat_free == (repeating == "second")
+    assert not source.distinct()
+    projection = Projection(child=plan, columns=["u.ID1"])
+    assert executor.execute(projection).rows == [(DeweyID((1, 1)),)]
+    _identical(executor.execute(projection), OracleExecutor(views).execute(projection))
+
+
+def test_a_pickle_written_before_the_repeat_free_record_loads_it_unset():
+    parent = _ColumnSource(values=[1, 2, 3])
+    gather = _ColumnSource(parent=parent, indices=(0, 2), repeat_free=True)
+    copy = pickle.loads(pickle.dumps(gather))
+    assert copy._repeat_free is True and copy.values() == [1, 3]
+    old_state = {
+        name: value for name, value in gather.__getstate__().items() if name != "_repeat_free"
+    }
+    old = _ColumnSource.__new__(_ColumnSource)
+    old.__setstate__(old_state)
+    assert old._repeat_free is False
+    assert old.distinct()  # read by hashing the gather, as before the record
+
+
+def test_kept_indices_record_whether_they_repeat_a_row():
+    assert kernels.KeptIndices([0, 2, 1]).repeat_free
+    assert not kernels.KeptIndices([0, 1, 0]).repeat_free
+    assert kernels.KeptIndices([]).repeat_free
+    kept = kernels.KeptIndices([3, 1])
+    assert kept == (3, 1) and isinstance(kept, tuple)
+    copy = pickle.loads(pickle.dumps(kept))
+    assert copy == kept and copy.repeat_free

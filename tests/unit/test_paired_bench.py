@@ -1,4 +1,4 @@
-"""``tools/paired_bench.py``: the summary of paired parent/change runs.
+"""``tools/paired_bench.py``: the summary and verdict of paired runs.
 
 Only the pure summary is tested here — the runs themselves are
 ``bench/run.py`` subprocesses, minutes long, and belong to no tier-1 test.
@@ -13,7 +13,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
 
-from paired_bench import summarize  # noqa: E402
+from paired_bench import summarize, verdict  # noqa: E402
 
 METRICS = [
     {"name": "queries_per_s", "better": "higher"},
@@ -63,3 +63,49 @@ def test_one_pair_is_its_own_median_and_uneven_sides_are_refused():
     assert summary["setup_s"]["parent_median"] == 0.12346  # five significant digits
     with pytest.raises(ValueError):
         summarize([{"setup_s": 1.0}], [], METRICS, "")
+
+
+PARENT_QPS = [1000.0, 1010.0, 990.0, 1005.0, 995.0, 1002.0, 998.0, 1008.0, 992.0, 1000.0]
+
+
+def test_a_gain_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_spread():
+    change = [q * 1.4 for q in PARENT_QPS]
+    assert verdict(PARENT_QPS, change, "higher", 0.1) == "gain"
+    # eight wins of ten: a large median gap is still no gain
+    eight = change[:8] + PARENT_QPS[8:]
+    assert verdict(PARENT_QPS, eight, "higher", 0.1) == "within bound"
+    # ten wins, but by less than the parent's quartile spread (≈ 10)
+    assert verdict(PARENT_QPS, [q + 1.0 for q in PARENT_QPS], "higher", 0.1) == "within bound"
+    # lower is better: every latency down by a third
+    latency = [1.0 / q for q in PARENT_QPS]
+    assert verdict(latency, [v * 0.66 for v in latency], "lower", 0.2) == "gain"
+    assert verdict(latency, [v * 1.5 for v in latency], "lower", 0.2) == "worse"
+
+
+def test_worse_is_a_median_past_the_bound_in_the_metric_direction():
+    assert verdict(PARENT_QPS, [q * 0.85 for q in PARENT_QPS], "higher", 0.1) == "worse"
+    assert verdict(PARENT_QPS, [q * 0.95 for q in PARENT_QPS], "higher", 0.1) == "within bound"
+    rss = [84.9] * 10
+    assert verdict(rss, [84.9 * 1.06] * 10, "lower", 0.05) == "worse"
+    assert verdict(rss, [84.9 * 1.04] * 10, "lower", 0.05) == "within bound"
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    noisy = [0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4]  # IQR 0.45 of 0.95
+    assert verdict(noisy, list(noisy), "lower", 0.25) == "unresolved"
+    # unless every change run reads better than every parent run
+    skewed = [1.0] * 5 + [2.0, 3.0, 4.0, 5.0, 6.0]  # median 1.5, IQR 2.75
+    assert verdict(skewed, [0.9] * 10, "lower", 0.25) == "within bound"
+    assert verdict(skewed, [1.0] * 10, "lower", 0.25) == "unresolved"  # ties
+    assert verdict(noisy, [v - 0.05 for v in noisy], "lower", 0.25) == "unresolved"
+    # a change whose median is past the bound is worse, spread or not
+    assert verdict(noisy, [v * 2 for v in noisy], "lower", 0.25) == "worse"
+
+
+def test_the_summary_carries_the_verdict_of_a_metric_with_a_bound():
+    metrics = [{"name": "queries_per_s", "better": "higher", "bound": 0.1}]
+    parent = [{"queries_per_s": q} for q in PARENT_QPS]
+    change = [{"queries_per_s": q * 1.4} for q in PARENT_QPS]
+    summary = summarize(parent, change, metrics, "")
+    assert summary["queries_per_s"]["verdict"] == "gain"
+    assert "verdict" not in summarize(parent, change, METRICS, "")["queries_per_s"]

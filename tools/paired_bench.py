@@ -9,9 +9,11 @@ Exports ``<parent-rev>`` with ``git archive`` into a temporary directory,
 then runs ``python3 bench/run.py --workload W --trace 0 --out FILE`` there
 and in the working tree, one pair at a time, alternating which side runs
 first.  Prints, per end-to-end metric of ``BENCHMARK.json``, the parent's
-median and quartile spread, the change's median and how many pairs the
-change won; the last line is one JSON object, metric name → the
-``paired_runs`` record a ``BENCH_<pr>.json`` claim carries.
+median and quartile spread, the change's median, how many pairs the
+change won and the verdict against the metric's bound (:func:`verdict`),
+then the operations each side attempted and failed; the last line is one
+JSON object, metric name → the ``paired_runs`` record a
+``BENCH_<pr>.json`` claim carries.
 
 Only subprocesses touch the benchmark: nothing under ``bench/`` is
 imported, so the tool runs any parent the harness can.  Exit status 1 when
@@ -46,6 +48,35 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def verdict(
+    parent_values: list[float], change_values: list[float], better: str, bound: float
+) -> str:
+    """What paired runs show about one metric, by the sandbox rule.
+
+    ``gain``: the change wins at least nine tenths of the pairs (ties count
+    for neither side) and the medians differ, in the metric's direction, by
+    more than the parent's quartile spread.  ``worse``: the change's median
+    is past the parent's by more than ``bound`` (a fraction of the parent's
+    median).  ``unresolved``: the parent's quartile spread is wider than
+    that bound, unless every change run reads better than every parent run.
+    ``within bound``: none of these.
+    """
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (change - parent) > 0 for parent, change in zip(parent_values, change_values))
+    p1, p50, p3 = _quartiles(parent_values)
+    _, c50, _ = _quartiles(change_values)
+    if 10 * wins >= 9 * len(parent_values) and sign * (c50 - p50) > p3 - p1:
+        return "gain"
+    if sign * (p50 - c50) > bound * abs(p50):
+        return "worse"
+    if p3 - p1 > bound * abs(p50):
+        best_parent = max(parent_values) if sign > 0 else min(parent_values)
+        worst_change = min(change_values) if sign > 0 else max(change_values)
+        if not sign * (worst_change - best_parent) > 0:
+            return "unresolved"
+    return "within bound"
+
+
 def summarize(
     parent_runs: list[dict[str, float]],
     change_runs: list[dict[str, float]],
@@ -56,9 +87,10 @@ def summarize(
 
     ``parent_runs[i]`` and ``change_runs[i]`` are pair ``i``'s metric
     values by name; ``metrics`` are ``BENCHMARK.json``'s ``end_to_end``
-    entries (``name``, ``better``).  A pair is a win when the change is
-    strictly better in the metric's direction; a metric either side did
-    not report (``None``) is left out.
+    entries (``name``, ``better``, and the ``bound`` a :func:`verdict`
+    reads, when given).  A pair is a win when the change is strictly better
+    in the metric's direction; a metric either side did not report
+    (``None``) is left out.
     """
     if len(parent_runs) != len(change_runs) or not parent_runs:
         raise ValueError("need the same, non-zero number of runs on each side")
@@ -90,6 +122,10 @@ def summarize(
             "change_range": f"{_figure(c1)}..{_figure(c3)} (quartiles)",
             "how": how,
         }
+        if "bound" in metric:
+            summary[name]["verdict"] = verdict(
+                parent_values, change_values, metric["better"], metric["bound"]
+            )
     return summary
 
 
@@ -104,7 +140,8 @@ def _export(rev: str, target: Path) -> None:
         tar.extractall(target, filter="data")
 
 
-def _run(root: Path, workload: str, out: Path, seed) -> dict[str, float]:
+def _run(root: Path, workload: str, out: Path, seed) -> tuple[dict[str, float], int, int]:
+    """One run's end-to-end metrics, and the operations it attempted and failed."""
     command = [sys.executable, "bench/run.py", "--workload", workload, "--trace", "0"]
     if seed is not None:
         command += ["--seed", str(seed)]
@@ -115,7 +152,8 @@ def _run(root: Path, workload: str, out: Path, seed) -> dict[str, float]:
     document = json.loads(out.read_text(encoding="utf-8"))
     if not document.get("correct"):
         raise SystemExit(f"{root}: the run reported correct=false")
-    return {name: entry["value"] for name, entry in document["metrics"].items()}
+    metrics = {name: entry["value"] for name, entry in document["metrics"].items()}
+    return metrics, document["attempted"], document["failed"]
 
 
 def main(argv=None) -> int:
@@ -138,11 +176,17 @@ def main(argv=None) -> int:
         _export(rev, parent_root)
         sides = {"parent": parent_root, "change": ROOT}
         runs: dict[str, list] = {"parent": [], "change": []}
+        operations = {"parent": [0, 0], "change": [0, 0]}
         for pair in range(options.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
                 out = scratch / f"{side}-{pair}.json"
-                runs[side].append(_run(sides[side], options.workload, out, options.seed))
+                metrics_of_run, attempted, failed = _run(
+                    sides[side], options.workload, out, options.seed
+                )
+                runs[side].append(metrics_of_run)
+                operations[side][0] += attempted
+                operations[side][1] += failed
             print(
                 f"# pair {pair + 1}: "
                 + ", ".join(
@@ -161,7 +205,10 @@ def main(argv=None) -> int:
         print(
             f"{name:16s} parent {record['parent_median']:>10} (IQR {record['parent_iqr']})"
             f"  change {record['change_median']:>10}  wins {record['wins']}/{record['pairs']}"
+            f"  {record.get('verdict', '')}"
         )
+    for side, (attempted, failed) in operations.items():
+        print(f"{side:6s} operations attempted {attempted}, failed {failed}")
     print(json.dumps(summary))
     return 0
 
