@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import islice
 from operator import lt
 from typing import Optional, Sequence
-from weakref import WeakKeyDictionary
+from weakref import WeakKeyDictionary, ref
 
 from repro.algebra.kernels import KeptIndices, _fitted_ranges
 from repro.algebra.tuples import Column, Relation, _hashable, as_dewey
@@ -23,6 +23,7 @@ from repro.xmltree.ids import DeweyID
 __all__ = [
     "ColumnBatch",
     "joined_batch",
+    "kept_projection",
     "projected_batch",
     "splice_runs",
 ]
@@ -66,7 +67,9 @@ class _ColumnSource:
     strictly ascend (:meth:`ascending`), which the splice carries too.  A
     gather made from a vector the links keep records whether that vector
     repeats a row (``repeat_free``), so :meth:`distinct` reads it instead of
-    hashing the composed gather.
+    hashing the composed gather.  A direct source may hold the memo of a
+    projection of direct columns (``projected``, see
+    :func:`kept_projection`).
     """
 
     __slots__ = (
@@ -80,6 +83,7 @@ class _ColumnSource:
         "_repeat_free",
         "index",
         "links",
+        "projected",
         "__weakref__",
     )
 
@@ -111,12 +115,15 @@ class _ColumnSource:
         # carries the entries read since the previous write onto the new
         # source (repro.views.delta.follow_links) and drops the rest.
         self.links: Optional[WeakKeyDictionary] = None
+        # a projection's one-entry memo when no projected column is a gather
+        # (kept_projection); like the links, never gathered, spliced or pickled
+        self.projected: Optional[tuple] = None
 
     def __getstate__(self) -> dict:
         return {
             name: getattr(self, name)
             for name in self.__slots__
-            if name not in ("links", "__weakref__")
+            if name not in ("index", "links", "projected", "__weakref__")
         }
 
     def __setstate__(self, state: dict) -> None:
@@ -125,7 +132,8 @@ class _ColumnSource:
         self._repeat_free = False
         for name, value in state.items():
             setattr(self, name, value)
-        self.links = None
+        # a state pickled before they were dropped may still carry an index
+        self.index = self.links = self.projected = None
 
     def resolve(self) -> tuple["_ColumnSource", Optional[Sequence[int]]]:
         """The direct source under this one, and which of its rows each of
@@ -479,6 +487,39 @@ def projected_batch(
         for i in column_indexes
     ]
     return ColumnBatch(columns, sources, len(row_indices), sorted_by)
+
+
+def kept_projection(sources: Sequence[_ColumnSource]) -> Optional[tuple[object, tuple]]:
+    """Where a ``π`` over ``sources`` keeps its answer, and under which key.
+
+    Only when every gather level under every column is a vector the links
+    keep (:class:`~repro.algebra.kernels.KeptIndices`; zero levels is
+    allowed): those vectors and the direct sources fix every row key the
+    dedup reads, so while they stay the same objects its answer stays the
+    same.  Returns ``(holder, key)``: the holder is the first kept vector
+    met walking the columns in order, else the first column's direct
+    source, and its ``projected`` slot holds ``(key, answer)``; the key is
+    every column's vectors and a weak reference to its direct source, the
+    holder itself replaced by ``None`` — a vector the links hold points
+    strongly at no source and never at itself, so the memo forms no cycle.
+    ``None`` for any other gather (a selection's, an index probe's, a
+    per-query join's) and for a projection onto no column.
+    """
+    holder = None
+    key = []
+    for source in sources:
+        while source._parent is not None:
+            indices = source._indices
+            if type(indices) is not KeptIndices:
+                return None
+            if holder is None:
+                holder, indices = indices, None
+            key.append(indices)
+            source = source._parent
+        key.append(ref(source))
+    if not key:
+        return None
+    return (key[0]() if holder is None else holder), tuple(key)
 
 
 def joined_batch(

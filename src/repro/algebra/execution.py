@@ -38,10 +38,11 @@ does the next join of a chain over them — its ancestor side gathered
 through a kept vector, a whole extent below.  A write splices fresh
 sources into the extents it touches and carries the links it can across
 (without pair vectors).  ``π`` deduplicates on cached row
-keys, or not at all when a projected column proves its rows distinct — a
+keys, or not at all when a projected column proves its rows distinct (a
 strictly ascending extent column, read through a gather that repeats no
-row — a fact cached on the extent and carried by its splices.  ``⋈=``
-merges when both inputs arrive annotated sorted on their join columns and
+row), a fact cached on the extent and carried by its splices; a ``π``
+read through kept vectors only re-reads the answer its first run kept
+beside them.  ``⋈=`` merges when both inputs arrive annotated sorted on their join columns and
 hashes otherwise: every such choice follows an observable input property,
 never a flag.
 
@@ -55,11 +56,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import is_
 from typing import Mapping, Optional, Sequence
 from weakref import WeakKeyDictionary
 
 from repro.algebra import kernels
-from repro.algebra.columnar import ColumnBatch, joined_batch, projected_batch
+from repro.algebra.columnar import (
+    ColumnBatch,
+    joined_batch,
+    kept_projection,
+    projected_batch,
+)
 from repro.algebra.operators import (
     ContentNavigation,
     GroupBy,
@@ -285,7 +292,11 @@ class PlanExecutor:
         projected column proves its rows distinct
         (:meth:`~repro.algebra.columnar._ColumnSource.distinct`, a fact
         cached on the extent and, through kept join vectors, on their
-        gathers): then the child's sources are the result."""
+        gathers): then the child's sources are the result.  A projection
+        whose columns read their extents through kept vectors only keeps
+        its answer — the dedup vector, or ``None`` for "distinct" — beside
+        them (:func:`~repro.algebra.columnar.kept_projection`) and reads it
+        back, before any proof or hash, while they stay the same objects."""
         child = self.execute_batch(plan.child)
         names = list(plan.columns)
         indexes = [child.column_index(name) for name in names]
@@ -300,11 +311,22 @@ class PlanExecutor:
             if sorted_by is not None:
                 sorted_by = mapping.get(sorted_by, sorted_by)
         sources = [child.source(index) for index in indexes]
-        if any(source.distinct() for source in sources):
+        memo = kept_projection(sources)
+        kept = memo and memo[0].projected
+        if kept and len(kept[0]) == len(memo[1]) and all(map(is_, kept[0], memo[1])):
+            keep = kept[1]
+        else:
+            keep = None
+            if not any(source.distinct() for source in sources):
+                keep = kernels.distinct_indices(
+                    [child.row_keys(index) for index in indexes], child.row_count
+                )
+                if memo:
+                    keep = kernels.KeptIndices(keep, repeat_free=True)
+            if memo:
+                memo[0].projected = (memo[1], keep)
+        if keep is None:
             return ColumnBatch(columns, sources, child.row_count, sorted_by)
-        keep = kernels.distinct_indices(
-            [child.row_keys(index) for index in indexes], child.row_count
-        )
         return projected_batch(child, indexes, columns, keep, sorted_by)
 
     def _id_join_batch(self, plan: IdEqualityJoin) -> ColumnBatch:

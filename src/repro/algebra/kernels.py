@@ -101,17 +101,25 @@ class KeptIndices(tuple):
     """An index vector :class:`StructuralLinks` keeps for later joins.
 
     A tuple, because every later query shares it and none may mutate it;
-    ``repeat_free`` records, once when it is built, whether no row occurs
-    in it twice — what :func:`~repro.algebra.columnar.joined_batch` hands
-    to the gathers it makes, so a projection proves its rows distinct
-    without hashing a composed gather
-    (:meth:`~repro.algebra.columnar._ColumnSource.distinct`).
+    ``repeat_free`` records, once when it is built (or as its maker vouches,
+    for a dedup vector), whether no row occurs in it twice — what
+    :func:`~repro.algebra.columnar.joined_batch` hands to the gathers it
+    makes, so a projection proves its rows distinct without hashing a
+    composed gather (:meth:`~repro.algebra.columnar._ColumnSource.distinct`).
+    ``projected`` is the one-entry memo of a projection read through it
+    (:func:`~repro.algebra.columnar.kept_projection`); pickles drop it.
     """
 
-    def __new__(cls, indices: Iterable[int]) -> "KeptIndices":
+    def __new__(
+        cls, indices: Iterable[int], repeat_free: Optional[bool] = None
+    ) -> "KeptIndices":
         kept = super().__new__(cls, indices)
-        kept.repeat_free = len(set(kept)) == len(kept)
+        kept.repeat_free = len(set(kept)) == len(kept) if repeat_free is None else repeat_free
+        kept.projected = None
         return kept
+
+    def __reduce__(self):
+        return KeptIndices, (tuple(self), self.repeat_free)
 
 
 class StructuralLinks:

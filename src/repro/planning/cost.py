@@ -306,10 +306,10 @@ class CostModel:
     def index_probe_cost(self, rows: float, output_rows: float) -> float:
         """Work of an index probe over a ``rows``-row extent.
 
-        A bisection (or per-distinct-value bitmap OR) locates the matches in
-        ``log₂`` of the extent, then every matched position is gathered —
-        sub-linear for selective predicates, degrading gracefully toward the
-        scan as the output approaches the extent.
+        A bisection of the sorted index locates the matches in ``log₂`` of
+        the extent, then every matched position is gathered — sub-linear
+        for selective predicates, degrading gracefully toward the scan as
+        the output approaches the extent.
         """
         return math.log2(rows + 2.0) + output_rows
 

@@ -14,9 +14,9 @@ generate candidates without scanning and re-annotating the whole view set
 per query.
 
 Value indexes (:mod:`repro.views.indexes`) are per-column secondary
-structures over materialised extents — a sorted :class:`OrderedIndex` or a
-low-cardinality :class:`BitmapIndex`, chosen by :func:`build_index` — that
-serve the planner's :class:`~repro.algebra.operators.IndexScan` probes.
+structures over materialised extents — one sorted :class:`OrderedIndex`
+per probed column, built by :func:`build_index` — that serve the planner's
+:class:`~repro.algebra.operators.IndexScan` probes.
 """
 
 from repro.views.view import IdScheme, MaterializedView
@@ -24,17 +24,13 @@ from repro.views.store import ViewSet
 from repro.views.delta import SubtreeChange, apply_subtree_delta, can_apply_delta
 from repro.views.catalog import ViewCatalog
 from repro.views.indexes import (
-    BITMAP_CARDINALITY_THRESHOLD,
     INDEX_STATS,
-    BitmapIndex,
     OrderedIndex,
     build_index,
     index_for_source,
 )
 
 __all__ = [
-    "BITMAP_CARDINALITY_THRESHOLD",
-    "BitmapIndex",
     "INDEX_STATS",
     "IdScheme",
     "MaterializedView",

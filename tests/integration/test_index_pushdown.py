@@ -56,9 +56,9 @@ def test_selective_equality_plans_as_index_scan(selective_db):
     assert len(result) == 5
 
 
-def test_both_index_kinds_serve_pushed_selections(selective_db):
-    # qty: 4 distinct values → BitmapIndex; names: 40 distinct strings,
-    # probed with a range → the same code path an OrderedIndex serves
+def test_equality_and_range_probes_serve_pushed_selections(selective_db):
+    # qty: 4 distinct values probed for one; names: 40 distinct strings,
+    # probed with a range — the one index kind answers both
     INDEX_STATS.reset()
     eq = selective_db.query("site(/item(/qty[ID,V]{v=2}))")
     rng = selective_db.query('site(/item(/name[ID,V]{v>="n38"}))')

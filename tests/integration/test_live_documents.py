@@ -37,7 +37,7 @@ from repro import (
     to_parenthesized,
 )
 from repro.algebra import kernels
-from repro.algebra.columnar import ColumnBatch
+from repro.algebra.columnar import ColumnBatch, kept_projection
 from repro.algebra.execution import PlanExecutor
 from repro.algebra.operators import StructuralJoin, ViewScan
 from repro.patterns.pattern import Axis
@@ -410,6 +410,51 @@ def test_a_write_to_the_middle_of_a_chain_makes_its_chained_entry_miss():
         assert followed.chained[0] is feeding.paired[0]
         db.delete_subtree(node)
         reads()
+
+
+def _projection_memo(db, query):
+    """The entry the kept-π memo of ``query``'s chosen plan holds (``None``
+    when nothing is kept)."""
+    plan = db.prepare(query).choice.best.plan_operator
+    child = PlanExecutor(db.views).execute_batch(plan.child)
+    memo = kept_projection([child.source(child.column_index(name)) for name in plan.columns])
+    return memo and memo[0].projected
+
+
+def test_a_write_outside_a_projection_keeps_its_memo_and_one_inside_misses():
+    """Q2 (``open_auction ≺≺ increase``) and Q4 (``(open_auction ≺≺ bidder)
+    ≺ reserve``) end in a ``π`` through kept vectors only.  The bench's
+    write — an ``item`` under ``asia`` — touches none of their extents, so
+    both memos are read back as they were; a ``bidder`` written into an
+    auction moves Q4's chain, so its memo misses on the next read.  Both
+    equal direct evaluation throughout."""
+    document = generate_xmark_document(scale=10.0, seed=548, name="xmark-kept-pi")
+    db, (q2, q4) = _seed_view_session(document, ("Q2", "Q4"))
+    with db:
+
+        def reads():
+            for query in (q2, q4):
+                assert db.query(query).same_contents(evaluate_pattern(query, document))
+
+        reads()
+        kept = {query.name: _projection_memo(db, query) for query in (q2, q4)}
+        assert all(entry is not None for entry in kept.values())
+        asia = document.nodes_on_path("/site/regions/asia")[0]
+        item = db.insert_subtree(asia, asia.children[0].copy())
+        reads()
+        assert _projection_memo(db, q2) is kept["Q2"]
+        assert _projection_memo(db, q4) is kept["Q4"]
+        auction = next(
+            node
+            for node in document.nodes_on_path("/site/open_auctions/open_auction")
+            if node.children_with_label("bidder")
+        )
+        bidder = db.insert_subtree(auction, auction.children_with_label("bidder")[0].copy())
+        reads()
+        assert _projection_memo(db, q4) is not kept["Q4"]
+        for node in (bidder, item):
+            db.delete_subtree(node)
+            reads()
 
 
 def test_a_non_leaf_pinned_ancestor_run_is_followed():

@@ -32,7 +32,9 @@
 
 from __future__ import annotations
 
+import gc
 import pickle
+import weakref
 from itertools import product
 from types import SimpleNamespace
 
@@ -41,7 +43,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algebra import kernels
-from repro.algebra.columnar import ColumnBatch, _ColumnSource, splice_runs
+from repro.algebra.columnar import ColumnBatch, _ColumnSource, kept_projection, splice_runs
 from repro.algebra.execution import PlanExecutor
 from repro.algebra.operators import (
     IdEqualityJoin,
@@ -952,3 +954,159 @@ def test_kept_indices_record_whether_they_repeat_a_row():
     assert kept == (3, 1) and isinstance(kept, tuple)
     copy = pickle.loads(pickle.dumps(kept))
     assert copy == kept and copy.repeat_free
+
+
+# --------------------------------------------------------------------------- #
+# kept π: a projection through kept vectors only re-reads its answer
+# --------------------------------------------------------------------------- #
+_CHAIN_COLUMNS = ["u.ID1", "u.row", "m.ID1", "m.row", "l.ID1", "l.row"]
+_CHAIN_SUBSETS = [
+    [name for bit, name in enumerate(_CHAIN_COLUMNS) if mask >> bit & 1]
+    for mask in range(1, 1 << len(_CHAIN_COLUMNS))
+]
+
+
+def _projection_run(executor, child_plan, names):
+    """A π of ``names`` over ``child_plan``: its result, its memo slot (the
+    holder and the entry it holds after the run, or ``None`` where no memo
+    applies) and its answer (``None`` when it handed back the child's
+    sources, else the dedup vector it gathered through)."""
+    child = executor.execute_batch(child_plan)
+    sources = [child.source(child.column_index(name)) for name in names]
+    batch = executor.execute_batch(Projection(child=child_plan, columns=names))
+    memo = kept_projection(sources)
+    head = batch.source(0)
+    answer = head._indices if head._parent is sources[0] else None
+    return batch, memo and (memo[0], memo[0].projected), answer
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    _chain_extent(),
+    _chain_extent(),
+    _chain_extent(),
+    st.sampled_from(AXES),
+    st.sampled_from(AXES),
+    st.sampled_from(["u.ID1", "m.ID1"]),
+)
+def test_a_kept_projection_rereads_its_answer_and_equals_the_oracle(
+    upper, middle, lower, first_axis, second_axis, ancestor_column
+):
+    """``π`` over every column subset of ``(A ⋈ B) ⋈ C``: row for row the
+    oracle's on every run; wherever every column reads its extent through
+    kept vectors — both joins keep theirs — a second run returns the very
+    answer of the first (the same dedup vector object, or the child's
+    sources) and stores nothing, and a dedup vector is a repeat-free
+    ``KeptIndices``.  Then each feeding kept vector is replaced in turn —
+    the first join's, then the second's: the memo misses (a new entry is
+    stored) and the answer still matches."""
+    relations = {
+        name: _id_relation(*extent)
+        for name, extent in (("upper", upper), ("middle", middle), ("lower", lower))
+    }
+    views = _views(**relations)
+    plan = _chain(first_axis, second_axis, ancestor_column)
+
+    def run(names, slow):
+        batch, slot, answer = _projection_run(PlanExecutor(views), plan, names)
+        _identical(batch.to_relation(), slow)
+        if answer is not None and slot:
+            assert type(answer) is kernels.KeptIndices and answer.repeat_free
+            assert len(set(answer)) == len(answer)
+        return slot, answer
+
+    feeding = {"paired": relations["middle"], "chained": relations["lower"]}
+    kept = []
+    for names in _CHAIN_SUBSETS:
+        slow = OracleExecutor(views).execute(Projection(child=plan, columns=names))
+        slot, answer = run(names, slow)
+        again, answer_again = run(names, slow)
+        assert bool(again) == bool(slot)
+        if not slot:
+            continue
+        kept.append(names)
+        assert again[1] is slot[1] and answer_again is answer
+        for replace, relation in feeding.items():
+            for entry in _entries(relation):
+                setattr(entry, replace, None)
+            missed, _ = run(names, slow)
+            assert missed[1] is not slot[1]
+            slot = missed
+    assert bool(kept) == (middle[1] and lower[1])
+
+
+@settings(max_examples=25, deadline=None)
+@given(_chain_extent())
+def test_a_projection_of_a_whole_extent_keeps_its_answer_on_the_source(extent):
+    """No gather level (a π straight over a scan): the memo lives on the
+    first column's direct source and the second run reads it back."""
+    relation = _id_relation(*extent)
+    views = _views(upper=relation)
+    scan = ViewScan("upper", alias="u")
+    direct = ColumnBatch.from_relation(relation)
+    for names in (["u.ID1"], ["u.row"], ["u.row", "u.ID1"], ["u.ID1", "u.row"]):
+        slow = OracleExecutor(views).execute(Projection(child=scan, columns=names))
+        batch, (holder, entry), answer = _projection_run(PlanExecutor(views), scan, names)
+        _identical(batch.to_relation(), slow)
+        assert holder is direct.source(0 if names[0] == "u.ID1" else 1)
+        batch, (_, again), answer_again = _projection_run(PlanExecutor(views), scan, names)
+        _identical(batch.to_relation(), slow)
+        assert again is entry and answer_again is answer
+
+
+def test_a_selection_below_a_projection_never_memoises():
+    relations = {
+        "upper": _id_relation([(1, 1), (1, 1), (1, 2)], True),
+        "middle": _id_relation([(1, 1, 1), (1, 1, 2), (1, 2, 1)], True),
+        "lower": _id_relation([(1, 1, 3), (1, 2, 3)], True),
+    }
+    views = _views(**relations)
+    chain = _chain(Axis.CHILD, Axis.DESCENDANT, "u.ID1")
+    selected = Selection(child=chain, column="m.row", formula=ValueFormula.ge(0))
+    for names in _CHAIN_SUBSETS:
+        projection = Projection(child=selected, columns=names)
+        for _ in range(2):
+            _identical(
+                PlanExecutor(views).execute(projection), OracleExecutor(views).execute(projection)
+            )
+    vectors = _kept_vectors(*relations.values())
+    assert vectors and all(vector.projected is None for vector in vectors)
+    for relation in relations.values():
+        sources = ColumnBatch.from_relation(relation)._sources
+        assert all(source.projected is None for source in sources)
+
+
+def test_the_projection_memo_keeps_no_replaced_extent_alive():
+    """With the collector off, replacing the ancestor extent frees its old
+    direct sources: the memo on a kept vector of the untouched extents
+    holds the ``u.row`` source it read only weakly, and the links entry
+    weakly keyed on the old ``u.ID1`` source dies with it."""
+    relations = {
+        "upper": _id_relation([(1, 1), (1, 2)], True),
+        "middle": _id_relation([(1, 1, 1), (1, 1, 2), (1, 2, 1)], True),
+        "lower": _id_relation([(1, 1, 1, 1), (1, 1, 2, 1), (1, 2, 1, 1)], True),
+    }
+    views = _views(**relations)
+    plan = _chain(Axis.CHILD, Axis.CHILD, "m.ID1")
+    names = ["u.row"]  # repeats: the memo holds a dedup vector
+    gc.disable()
+    try:
+        batch, (holder, entry), answer = _projection_run(PlanExecutor(views), plan, names)
+        assert type(holder) is kernels.KeptIndices and answer is not None
+        old = relations.pop("upper")
+        old_sources = [weakref.ref(source) for source in ColumnBatch.from_relation(old)._sources]
+        # an extent's relation and its cached batch point at each other
+        # (independently of any memo): break that before letting it go
+        del old._column_batch
+        views["upper"] = SimpleNamespace(relation=_id_relation([(1, 1), (1, 2)], True))
+        del old, batch, holder, entry, answer
+        assert [source() for source in old_sources] == [None, None]
+        (middle_links,) = [ColumnBatch.from_relation(relations["middle"]).source(0).links]
+        assert len(middle_links) == 0
+        batch, _, _ = _projection_run(PlanExecutor(views), plan, names)
+        _identical(
+            batch.to_relation(),
+            OracleExecutor(views).execute(Projection(child=plan, columns=names)),
+        )
+    finally:
+        gc.enable()

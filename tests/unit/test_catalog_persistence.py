@@ -212,3 +212,91 @@ def test_statistics_pickled_before_the_integer_sums_load_whole(setup):
         statistics._total, statistics._weighted_depth, statistics._internal
     )
     assert old._view_counts == {}
+
+
+# --------------------------------------------------------------------------- #
+# the value index and the projection memo never travel in a pickle
+# --------------------------------------------------------------------------- #
+def test_a_column_source_pickles_without_its_index_or_projection_memo():
+    from repro.algebra.columnar import _ColumnSource
+    from repro.views.indexes import index_for_source
+
+    # a column of tuples refuses indexing: the source caches the sentinel,
+    # which a pickle would bring back as a bare object() taken for an index
+    refused = _ColumnSource(values=[("a",), ("b",)])
+    assert index_for_source(refused) is None
+    copy = pickle.loads(pickle.dumps(refused))
+    assert copy.index is None and index_for_source(copy) is None
+
+    indexed = _ColumnSource(values=["b", "a"])
+    indexed.projected = ((), None)
+    assert index_for_source(indexed) is not None
+    copy = pickle.loads(pickle.dumps(indexed))
+    assert copy.index is None and copy.projected is None
+    assert copy.values() == ["b", "a"]
+
+
+SELECTIVE = 'site(//item[ID](/name[ID,V]{v="ink"}))'
+
+
+def _save_with_a_removed_index_class(db, save, monkeypatch):
+    """``save`` as a build that pickled each source's value index did, one
+    index being an instance of a class that no longer exists."""
+    from repro.algebra.columnar import ColumnBatch, _ColumnSource
+    from repro.views import indexes
+
+    class BitmapIndex:
+        pass
+
+    BitmapIndex.__module__ = indexes.__name__
+    BitmapIndex.__qualname__ = "BitmapIndex"
+    monkeypatch.setattr(indexes, "BitmapIndex", BitmapIndex, raising=False)
+    db.query(SELECTIVE)  # builds the name column's index
+    for name in db.views.names:
+        for source in ColumnBatch.from_relation(db.views[name].relation)._sources:
+            if source.index is not None:
+                source.index = BitmapIndex()
+    monkeypatch.setattr(
+        _ColumnSource,
+        "__getstate__",
+        lambda source: {
+            name: getattr(source, name)
+            for name in _ColumnSource.__slots__
+            if name not in ("links", "projected", "__weakref__")
+        },
+    )
+    save()
+    monkeypatch.undo()
+
+
+def test_a_snapshot_naming_a_removed_index_class_is_refused(setup, tmp_path, monkeypatch):
+    doc, summary, views = setup
+    db = Database(doc, views, summary=summary)
+    path = tmp_path / "old.db"
+    _save_with_a_removed_index_class(db, lambda: db.save(path), monkeypatch)
+    with pytest.raises(SessionError, match="cannot read"):
+        Database.load(path)
+
+
+def test_recovery_falls_back_past_a_checkpoint_naming_a_removed_index_class(
+    tmp_path, monkeypatch
+):
+    from repro import evaluate_pattern
+
+    db = Database(
+        parse_parenthesized('site(item(name="pen") item(name="ink"))', name="ckpt")
+    )
+    db.attach_log(tmp_path / "doc.log")
+    db.create_view("site(//item[ID](/name[ID,V]))", name="items")
+    _save_with_a_removed_index_class(
+        db, lambda: db.checkpoint(tmp_path / "doc.ckpt"), monkeypatch
+    )
+    db.close()
+    with pytest.raises(SessionError):
+        Database.load(tmp_path / "doc.ckpt")
+    recovered = Database.recover(tmp_path / "doc.log")  # replays from the load record
+    query = parse_pattern(SELECTIVE)
+    expected = evaluate_pattern(query, recovered.document)
+    assert recovered.query(SELECTIVE).same_contents(expected)
+    assert len(expected) == 1
+    recovered.close()

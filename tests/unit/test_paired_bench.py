@@ -1,11 +1,14 @@
 """``tools/paired_bench.py``: the summary and verdict of paired runs.
 
-Only the pure summary is tested here — the runs themselves are
-``bench/run.py`` subprocesses, minutes long, and belong to no tier-1 test.
+The summary and verdict are tested as pure functions; the run loop with
+its ``bench/run.py`` subprocesses (minutes long, no tier-1 test) and the
+``git archive`` export replaced by stand-ins, so several workloads in one
+invocation are checked without running — or importing — the benchmark.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -13,6 +16,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
 
+import paired_bench  # noqa: E402
 from paired_bench import summarize, verdict  # noqa: E402
 
 METRICS = [
@@ -109,3 +113,66 @@ def test_the_summary_carries_the_verdict_of_a_metric_with_a_bound():
     summary = summarize(parent, change, metrics, "")
     assert summary["queries_per_s"]["verdict"] == "gain"
     assert "verdict" not in summarize(parent, change, METRICS, "")["queries_per_s"]
+
+
+def test_several_workloads_run_in_one_invocation_with_one_block_each(monkeypatch, capsys):
+    """Every pair runs every workload, each with the side that goes first
+    alternating pair by pair; the output is one verdict block per workload
+    and a last JSON line keyed by workload."""
+    calls = []
+    throughput = {("xmark_live", "parent"): 700.0, ("xmark_live", "change"): 780.0,
+                  ("dblp_service", "parent"): 980.0, ("dblp_service", "change"): 975.0}
+
+    def run(root, workload, out, seed):
+        side = "parent" if root != paired_bench.ROOT else "change"
+        calls.append((workload, side))
+        jitter = len(calls) % 3  # never a tie between the two sides
+        metrics = {"queries_per_s": throughput[workload, side] + jitter, "setup_s": 0.5}
+        return metrics, 10, 1 if side == "parent" else 0
+
+    monkeypatch.setattr(paired_bench, "_resolve", lambda rev: "abc1234")
+    monkeypatch.setattr(paired_bench, "_export", lambda rev, target: None)
+    monkeypatch.setattr(paired_bench, "_run", run)
+    argv = ["HEAD~1", "--workload", "xmark_live", "--workload", "dblp_service", "--pairs", "3"]
+    assert paired_bench.main(argv) == 0
+    assert calls == [
+        ("xmark_live", "parent"), ("xmark_live", "change"),
+        ("dblp_service", "parent"), ("dblp_service", "change"),
+        ("xmark_live", "change"), ("xmark_live", "parent"),
+        ("dblp_service", "change"), ("dblp_service", "parent"),
+        ("xmark_live", "parent"), ("xmark_live", "change"),
+        ("dblp_service", "parent"), ("dblp_service", "change"),
+    ]
+    lines = capsys.readouterr().out.splitlines()
+    blocks = [line for line in lines if line.startswith("## ")]
+    assert blocks == ["## xmark_live", "## dblp_service"]
+    summaries = json.loads(lines[-1])
+    assert list(summaries) == ["xmark_live", "dblp_service"]
+    assert summaries["xmark_live"]["queries_per_s"]["wins"] == 3
+    assert summaries["dblp_service"]["queries_per_s"]["wins"] == 0
+    assert summaries["xmark_live"]["queries_per_s"]["how"].startswith(
+        "python3 bench/run.py --workload xmark_live"
+    )
+    live = lines[lines.index("## xmark_live"):lines.index("## dblp_service")]
+    assert "parent operations attempted 30, failed 3" in live
+    assert "change operations attempted 30, failed 0" in live
+    source = Path(paired_bench.__file__).read_text(encoding="utf-8")
+    assert "from bench" not in source and "import bench" not in source
+
+
+def test_a_workload_given_twice_runs_once_and_the_seed_is_recorded(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(paired_bench, "_resolve", lambda rev: "abc1234")
+    monkeypatch.setattr(paired_bench, "_export", lambda rev, target: None)
+    monkeypatch.setattr(
+        paired_bench,
+        "_run",
+        lambda root, workload, out, seed: calls.append((workload, seed))
+        or ({"setup_s": 1.0}, 1, 0),
+    )
+    paired_bench.main(["HEAD", "--workload", "xmark_warm", "--workload", "xmark_warm",
+                       "--pairs", "1", "--seed", "7"])
+    assert calls == [("xmark_warm", 7), ("xmark_warm", 7)]  # one pair: parent and change
+    summaries = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert list(summaries) == ["xmark_warm"]
+    assert "--workload xmark_warm --seed 7 --trace 0" in summaries["xmark_warm"]["setup_s"]["how"]

@@ -2,11 +2,13 @@
 
 Contracts under test:
 
-* **probe ≡ filter** — for every formula shape, both index kinds return
+* **probe ≡ filter** — for every formula shape, the index returns
   exactly the positions the selection kernel would (``⊥`` rows match only
-  the ``true`` formula; positions come back ascending);
-* **kind selection** — the bitmap-vs-ordered decision flips exactly at
-  :data:`~repro.views.indexes.BITMAP_CARDINALITY_THRESHOLD` distinct values;
+  the ``true`` formula; positions come back ascending), on fixed columns
+  and on drawn ones (atoms, bools, ``⊥``, content references) probed with
+  drawn formulas, disjunctions and negations included;
+* **one kind** — every indexable column, whatever its cardinality, gets
+  the sorted :class:`~repro.views.indexes.OrderedIndex`;
 * **build-once lifecycle** — one build per column source, survivable by
   unrelated DDL, invalidated by re-materialising DDL (new extent → new
   sources → rebuild), all observable through :data:`INDEX_STATS`.
@@ -15,19 +17,20 @@ Contracts under test:
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Database, MaterializedView, parse_parenthesized, parse_pattern
 from repro.algebra.columnar import ColumnBatch
 from repro.algebra.kernels import selection_indices
 from repro.patterns.predicates import ValueFormula
 from repro.views.indexes import (
-    BITMAP_CARDINALITY_THRESHOLD,
     INDEX_STATS,
-    BitmapIndex,
     OrderedIndex,
     build_index,
     index_for_source,
 )
+from repro.xmltree.node import XMLNode
 
 
 @pytest.fixture(autouse=True)
@@ -65,27 +68,59 @@ VALUE_COLUMNS = [
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("values", VALUE_COLUMNS, ids=lambda v: f"n{len(v)}")
 def test_probes_match_the_selection_kernel(values):
-    has_values = any(value is not None for value in values)
-    for threshold, expected_kind in [(64, BitmapIndex), (0, OrderedIndex)]:
-        index = build_index(values, bitmap_threshold=threshold)
-        if has_values or expected_kind is BitmapIndex:
-            assert type(index) is expected_kind
-        else:  # zero distinct values never exceed any threshold
-            assert type(index) is BitmapIndex
-        expected_kind = type(index)
-        for formula in FORMULAS:
-            assert index.probe(formula) == selection_indices(values, formula), (
-                f"{expected_kind.__name__} diverged from the kernel "
-                f"on {formula.to_text()!r} over {values!r}"
+    index = build_index(values)
+    assert type(index) is OrderedIndex
+    for formula in FORMULAS:
+        assert index.probe(formula) == selection_indices(values, formula), (
+            f"the index diverged from the kernel on {formula.to_text()!r} over {values!r}"
+        )
+
+
+# constants equal across types (1, 1.0, True) and strings that look like
+# numbers, so the formula domain's number-before-string order is exercised
+_ATOMS = st.one_of(
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from([0.5, 1.0, -2.5, float("inf"), float("-inf")]),
+    st.sampled_from(["", "1", "10", "2", "a", "ab", "b"]),
+)
+_CELLS = st.one_of(
+    st.none(),
+    _ATOMS,
+    st.builds(XMLNode, st.just("name"), st.one_of(st.none(), _ATOMS)),
+)
+
+
+@st.composite
+def _formulas(draw, depth=2):
+    if depth == 0 or draw(st.booleans()):
+        make = draw(
+            st.sampled_from(
+                [ValueFormula.eq, ValueFormula.ne, ValueFormula.lt, ValueFormula.le,
+                 ValueFormula.gt, ValueFormula.ge]
             )
+        )
+        return make(draw(_ATOMS))
+    left, right = draw(_formulas(depth - 1)), draw(_formulas(depth - 1))
+    combined = draw(st.sampled_from(["or", "and", "not"]))
+    if combined == "or":
+        return left.or_(right)
+    return left.and_(right) if combined == "and" else left.negate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_CELLS, max_size=30), st.lists(_formulas(), min_size=1, max_size=4))
+def test_probes_match_the_selection_kernel_on_drawn_columns(values, formulas):
+    index = build_index(values)
+    assert type(index) is OrderedIndex
+    for formula in formulas + [ValueFormula.true()]:
+        assert index.probe(formula) == selection_indices(values, formula), formula.to_text()
 
 
 def test_probes_unwrap_content_references():
     document = parse_parenthesized('site(item(name="pen") item(name="ink"))')
     names = [node for item in document.root.children for node in item.children]
-    for threshold in (64, 0):
-        index = build_index(names, bitmap_threshold=threshold)
-        assert index.probe(ValueFormula.eq("ink")) == [1]
+    assert build_index(names).probe(ValueFormula.eq("ink")) == [1]
 
 
 def test_non_atom_columns_are_unindexable():
@@ -93,25 +128,23 @@ def test_non_atom_columns_are_unindexable():
     view = MaterializedView(parse_pattern("site(//name[ID,V])", name="v"), document)
     id_values = [row[0] for row in view.relation.rows]  # DeweyIDs
     assert build_index(id_values) is None
+    # NaN compares false with every key, so no sorted array can place it
+    assert build_index([1.0, float("nan"), 2.0]) is None
 
 
 # --------------------------------------------------------------------------- #
-# kind selection
+# one kind
 # --------------------------------------------------------------------------- #
-def test_kind_flips_exactly_at_the_cardinality_threshold():
-    at_threshold = list(range(BITMAP_CARDINALITY_THRESHOLD)) * 2
-    index = build_index(at_threshold)
-    assert isinstance(index, BitmapIndex)
-    assert index.cardinality == BITMAP_CARDINALITY_THRESHOLD
-
-    over_threshold = list(range(BITMAP_CARDINALITY_THRESHOLD + 1)) * 2
-    index = build_index(over_threshold)
-    assert isinstance(index, OrderedIndex)
-    assert index.cardinality == BITMAP_CARDINALITY_THRESHOLD + 1
-
-    # ⊥ rows are not values: they never push a column over the threshold
-    with_nulls = list(range(BITMAP_CARDINALITY_THRESHOLD)) + [None] * 10
-    assert isinstance(build_index(with_nulls), BitmapIndex)
+@pytest.mark.parametrize("distinct", [1, 25, 64, 65, 5_000])
+def test_every_indexable_column_gets_the_ordered_kind(distinct):
+    """No cardinality rule: two values or five thousand, the same sorted
+    array, ``⊥`` rows left out of it, equal keys in row order."""
+    values = [None] + [f"k{i % distinct:05d}" for i in range(2 * distinct)]
+    index = build_index(values)
+    assert type(index) is OrderedIndex
+    assert index.row_count == len(values) and len(index.keys) == len(values) - 1
+    assert index.keys == sorted(index.keys)
+    assert index.probe(ValueFormula.eq("k00000")) == [1, 1 + distinct]
 
 
 # --------------------------------------------------------------------------- #

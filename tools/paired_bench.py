@@ -1,18 +1,20 @@
 #!/usr/bin/env python
-"""Paired parent/change runs of one benchmark workload.
+"""Paired parent/change runs of benchmark workloads.
 
 Usage (from the repository root)::
 
     python3 tools/paired_bench.py <parent-rev> --workload xmark_warm --pairs 10
+    python3 tools/paired_bench.py <parent-rev> --workload xmark_live --workload dblp_service
 
 Exports ``<parent-rev>`` with ``git archive`` into a temporary directory,
 then runs ``python3 bench/run.py --workload W --trace 0 --out FILE`` there
-and in the working tree, one pair at a time, alternating which side runs
-first.  Prints, per end-to-end metric of ``BENCHMARK.json``, the parent's
+and in the working tree, one pair at a time — every ``--workload`` in
+turn within a pair — alternating which side runs first.  Prints one block
+per workload: per end-to-end metric of ``BENCHMARK.json``, the parent's
 median and quartile spread, the change's median, how many pairs the
 change won and the verdict against the metric's bound (:func:`verdict`),
 then the operations each side attempted and failed; the last line is one
-JSON object, metric name → the ``paired_runs`` record a
+JSON object, workload → metric name → the ``paired_runs`` record a
 ``BENCH_<pr>.json`` claim carries.
 
 Only subprocesses touch the benchmark: nothing under ``bench/`` is
@@ -156,60 +158,83 @@ def _run(root: Path, workload: str, out: Path, seed) -> tuple[dict[str, float], 
     return metrics, document["attempted"], document["failed"]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", help="the revision to compare the working tree against")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, help="passed to bench/run.py")
-    options = parser.parse_args(argv)
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
-    rev = subprocess.run(
-        ["git", "-C", str(ROOT), "rev-parse", "--short", options.parent],
+def _resolve(rev: str) -> str:
+    return subprocess.run(
+        ["git", "-C", str(ROOT), "rev-parse", "--short", rev],
         check=True,
         capture_output=True,
         text=True,
     ).stdout.strip()
-    scratch = Path(tempfile.mkdtemp(prefix="paired-bench-"))
-    try:
-        parent_root = scratch / "parent"
-        _export(rev, parent_root)
-        sides = {"parent": parent_root, "change": ROOT}
-        runs: dict[str, list] = {"parent": [], "change": []}
-        operations = {"parent": [0, 0], "change": [0, 0]}
-        for pair in range(options.pairs):
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in order:
-                out = scratch / f"{side}-{pair}.json"
-                metrics_of_run, attempted, failed = _run(
-                    sides[side], options.workload, out, options.seed
-                )
-                runs[side].append(metrics_of_run)
-                operations[side][0] += attempted
-                operations[side][1] += failed
-            print(
-                f"# pair {pair + 1}: "
-                + ", ".join(
-                    f"{side} {runs[side][-1].get('queries_per_s', 0):.1f} q/s" for side in order
-                ),
-                flush=True,
-            )
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
-    how = (
-        f"python3 bench/run.py --workload {options.workload} --trace 0 on the parent ({rev}, "
-        "exported with git archive) and on the working tree, alternating which side runs first"
-    )
-    summary = summarize(runs["parent"], runs["change"], metrics, how)
+
+
+def report(workload: str, summary: dict[str, dict], operations: dict[str, list[int]]) -> str:
+    """One workload's verdict block: a line per metric, then per side the
+    operations attempted and failed."""
+    lines = [f"## {workload}"]
     for name, record in summary.items():
-        print(
+        lines.append(
             f"{name:16s} parent {record['parent_median']:>10} (IQR {record['parent_iqr']})"
             f"  change {record['change_median']:>10}  wins {record['wins']}/{record['pairs']}"
             f"  {record.get('verdict', '')}"
         )
     for side, (attempted, failed) in operations.items():
-        print(f"{side:6s} operations attempted {attempted}, failed {failed}")
-    print(json.dumps(summary))
+        lines.append(f"{side:6s} operations attempted {attempted}, failed {failed}")
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", help="the revision to compare the working tree against")
+    parser.add_argument(
+        "--workload", action="append", required=True, help="repeat for several workloads"
+    )
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, help="passed to bench/run.py")
+    options = parser.parse_args(argv)
+    workloads = list(dict.fromkeys(options.workload))
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    rev = _resolve(options.parent)
+    scratch = Path(tempfile.mkdtemp(prefix="paired-bench-"))
+    runs = {workload: {"parent": [], "change": []} for workload in workloads}
+    operations = {workload: {"parent": [0, 0], "change": [0, 0]} for workload in workloads}
+    try:
+        parent_root = scratch / "parent"
+        _export(rev, parent_root)
+        sides = {"parent": parent_root, "change": ROOT}
+        for pair in range(options.pairs):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for workload in workloads:
+                for side in order:
+                    out = scratch / f"{workload}-{side}-{pair}.json"
+                    metrics_of_run, attempted, failed = _run(
+                        sides[side], workload, out, options.seed
+                    )
+                    runs[workload][side].append(metrics_of_run)
+                    operations[workload][side][0] += attempted
+                    operations[workload][side][1] += failed
+                print(
+                    f"# pair {pair + 1} {workload}: "
+                    + ", ".join(
+                        f"{side} {runs[workload][side][-1].get('queries_per_s', 0):.1f} q/s"
+                        for side in order
+                    ),
+                    flush=True,
+                )
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    summaries = {}
+    for workload in workloads:
+        seed = "" if options.seed is None else f" --seed {options.seed}"
+        how = (
+            f"python3 bench/run.py --workload {workload}{seed} --trace 0 on the parent "
+            f"({rev}, exported with git archive) and on the working tree, alternating "
+            "which side runs first"
+        )
+        summaries[workload] = summarize(
+            runs[workload]["parent"], runs[workload]["change"], metrics, how
+        )
+        print(report(workload, summaries[workload], operations[workload]))
+    print(json.dumps(summaries))
     return 0
 
 
