@@ -6,7 +6,9 @@ gathers over a parent source, so selections, projections and joins emit
 index vectors and never copy a column nobody reads.  Dewey component keys
 and their dotted text are cached per source and *shared through gathers*: a
 view extent's sort keys, and the identifier text the service writes for
-them, are computed once and reused by every query that scans it.
+them, are computed once and reused by every query that scans it.  What an
+operator computes from them is kept on its plan node, never on a source
+(:meth:`~repro.algebra.execution.PlanExecutor._kept`).
 """
 
 from __future__ import annotations
@@ -14,16 +16,15 @@ from __future__ import annotations
 from itertools import islice
 from operator import lt
 from typing import Optional, Sequence
-from weakref import WeakKeyDictionary, ref
+from weakref import WeakKeyDictionary
 
-from repro.algebra.kernels import KeptIndices, _fitted_ranges
+from repro.algebra.kernels import _fitted_ranges
 from repro.algebra.tuples import Column, Relation, _hashable, as_dewey
 from repro.xmltree.ids import DeweyID
 
 __all__ = [
     "ColumnBatch",
     "joined_batch",
-    "kept_projection",
     "projected_batch",
     "splice_runs",
 ]
@@ -64,12 +65,7 @@ class _ColumnSource:
     :meth:`~repro.algebra.execution.PlanExecutor._structural_pairs`), which
     a write moves onto the source its splice makes
     (:func:`repro.views.delta.follow_links`), and whether its row keys
-    strictly ascend (:meth:`ascending`), which the splice carries too.  A
-    gather made from a vector the links keep records whether that vector
-    repeats a row (``repeat_free``), so :meth:`distinct` reads it instead of
-    hashing the composed gather.  A direct source may hold the memo of a
-    projection of direct columns (``projected``, see
-    :func:`kept_projection`).
+    strictly ascend (:meth:`ascending`), which the splice carries too.
     """
 
     __slots__ = (
@@ -80,25 +76,22 @@ class _ColumnSource:
         "_ascending",
         "_parent",
         "_indices",
-        "_repeat_free",
         "index",
         "links",
-        "projected",
         "__weakref__",
     )
+    # what a pickle carries: the index and the links are positional
+    _PICKLED = ("_values", "_keys", "_row_keys", "_text", "_ascending", "_parent", "_indices")
 
     def __init__(
         self,
         values: Optional[list] = None,
         parent: Optional["_ColumnSource"] = None,
         indices: Optional[Sequence[int]] = None,
-        repeat_free: bool = False,
     ) -> None:
         self._values = values
         self._parent = parent
         self._indices = indices
-        # a gather whose ``indices`` are known to read no row twice
-        self._repeat_free = repeat_free
         self._keys: Optional[list] = None
         self._row_keys: Optional[list] = None
         self._text: Optional[list] = None
@@ -115,25 +108,19 @@ class _ColumnSource:
         # carries the entries read since the previous write onto the new
         # source (repro.views.delta.follow_links) and drops the rest.
         self.links: Optional[WeakKeyDictionary] = None
-        # a projection's one-entry memo when no projected column is a gather
-        # (kept_projection); like the links, never gathered, spliced or pickled
-        self.projected: Optional[tuple] = None
 
     def __getstate__(self) -> dict:
-        return {
-            name: getattr(self, name)
-            for name in self.__slots__
-            if name not in ("index", "links", "projected", "__weakref__")
-        }
+        return {name: getattr(self, name) for name in self._PICKLED}
 
     def __setstate__(self, state: dict) -> None:
-        # a state pickled before a slot existed leaves it unknown
+        # a state pickled before a slot existed leaves it unknown; one
+        # pickled by an older build may carry an index, links or a slot
+        # since removed, none of which is read back
         self._ascending = None
-        self._repeat_free = False
-        for name, value in state.items():
-            setattr(self, name, value)
-        # a state pickled before they were dropped may still carry an index
-        self.index = self.links = self.projected = None
+        self.index = self.links = None
+        for name in self._PICKLED:
+            if name in state:
+                setattr(self, name, state[name])
 
     def resolve(self) -> tuple["_ColumnSource", Optional[Sequence[int]]]:
         """The direct source under this one, and which of its rows each of
@@ -169,17 +156,12 @@ class _ColumnSource:
         """Whether no two rows of this column have equal row keys, proven
         without hashing a key: its direct source strictly ascends
         (:meth:`ascending`, rejected in O(1) once cached) and the composed
-        gather reads no row of it twice — known without composing it when
-        every gather on the way down is ``repeat_free``."""
+        gather reads no row of it twice."""
         source = self
-        flagged = True
         while source._parent is not None:
-            flagged = flagged and source._repeat_free
             source = source._parent
         if not source.ascending():
             return False
-        if flagged:
-            return True
         _, rows = self.resolve()
         return rows is None or len(set(rows)) == len(rows)
 
@@ -489,39 +471,6 @@ def projected_batch(
     return ColumnBatch(columns, sources, len(row_indices), sorted_by)
 
 
-def kept_projection(sources: Sequence[_ColumnSource]) -> Optional[tuple[object, tuple]]:
-    """Where a ``π`` over ``sources`` keeps its answer, and under which key.
-
-    Only when every gather level under every column is a vector the links
-    keep (:class:`~repro.algebra.kernels.KeptIndices`; zero levels is
-    allowed): those vectors and the direct sources fix every row key the
-    dedup reads, so while they stay the same objects its answer stays the
-    same.  Returns ``(holder, key)``: the holder is the first kept vector
-    met walking the columns in order, else the first column's direct
-    source, and its ``projected`` slot holds ``(key, answer)``; the key is
-    every column's vectors and a weak reference to its direct source, the
-    holder itself replaced by ``None`` — a vector the links hold points
-    strongly at no source and never at itself, so the memo forms no cycle.
-    ``None`` for any other gather (a selection's, an index probe's, a
-    per-query join's) and for a projection onto no column.
-    """
-    holder = None
-    key = []
-    for source in sources:
-        while source._parent is not None:
-            indices = source._indices
-            if type(indices) is not KeptIndices:
-                return None
-            if holder is None:
-                holder, indices = indices, None
-            key.append(indices)
-            source = source._parent
-        key.append(ref(source))
-    if not key:
-        return None
-    return (key[0]() if holder is None else holder), tuple(key)
-
-
 def joined_batch(
     left: ColumnBatch,
     right: ColumnBatch,
@@ -533,18 +482,8 @@ def joined_batch(
     """The concatenated-schema batch a pair-producing join kernel emits.
 
     Every output column is a lazy gather over one input, so a joined
-    column nobody projects afterwards is never copied.  An index vector the
-    structural links keep (:class:`~repro.algebra.kernels.KeptIndices`)
-    hands its ``repeat_free`` record to the gathers made from it.
+    column nobody projects afterwards is never copied.
     """
-    left_free = type(left_indices) is KeptIndices and left_indices.repeat_free
-    right_free = type(right_indices) is KeptIndices and right_indices.repeat_free
-    sources = [
-        _ColumnSource(parent=source, indices=left_indices, repeat_free=left_free)
-        for source in left._sources
-    ]
-    sources += [
-        _ColumnSource(parent=source, indices=right_indices, repeat_free=right_free)
-        for source in right._sources
-    ]
+    sources = [_ColumnSource(parent=source, indices=left_indices) for source in left._sources]
+    sources += [_ColumnSource(parent=source, indices=right_indices) for source in right._sources]
     return ColumnBatch(columns, sources, len(left_indices), sorted_by)

@@ -33,18 +33,19 @@ view extents and structural-join outputs, which arrive annotated), and
 remaps a gathered ancestor side through the inverse of its gather: no
 ancestor-side sort, which :class:`~repro.planning.cost.CostModel` still
 (conservatively) charges, and no key slice or hash once the links exist.
-A join of two whole extents keeps its pair vectors on the links, and so
-does the next join of a chain over them — its ancestor side gathered
-through a kept vector, a whole extent below.  A write splices fresh
-sources into the extents it touches and carries the links it can across
-(without pair vectors).  ``π`` deduplicates on cached row
-keys, or not at all when a projected column proves its rows distinct (a
-strictly ascending extent column, read through a gather that repeats no
-row), a fact cached on the extent and carried by its splices; a ``π``
-read through kept vectors only re-reads the answer its first run kept
-beside them.  ``⋈=`` merges when both inputs arrive annotated sorted on their join columns and
-hashes otherwise: every such choice follows an observable input property,
-never a flag.
+A write splices fresh sources into the extents it touches and carries the
+links it can across.  ``π`` deduplicates on cached row keys, or not at all
+when a projected column proves its rows distinct (a strictly ascending
+extent column, read through a gather that repeats no row), a fact cached
+on the extent and carried by its splices.  ``⋈=`` merges when both inputs
+arrive annotated sorted on their join columns and hashes otherwise: every
+such choice follows an observable input property, never a flag.
+
+A kernel operator's output index vectors — σ and probe keep vectors, the
+``π`` dedup vector, join pairs — are kept on its plan node
+(:meth:`PlanExecutor._kept`), weakly keyed on the extents its subtree
+scans: a warm read of an unchanged plan over unchanged extents is a memo
+read, and the first read after a write to one of them computes again.
 
 The reference implementations the identity suites compare against (the
 row-at-a-time interpreter with its staircase sweep, the ``O(l × r)``
@@ -56,17 +57,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from operator import is_
-from typing import Mapping, Optional, Sequence
-from weakref import WeakKeyDictionary
+from typing import Any, Callable, Mapping, Optional, Sequence
+from weakref import WeakKeyDictionary, ref
 
 from repro.algebra import kernels
-from repro.algebra.columnar import (
-    ColumnBatch,
-    joined_batch,
-    kept_projection,
-    projected_batch,
-)
+from repro.algebra.columnar import ColumnBatch, joined_batch, projected_batch
 from repro.algebra.operators import (
     ContentNavigation,
     GroupBy,
@@ -169,6 +164,8 @@ class PlanExecutor:
         self.profile = profile
         # id() -> (operator, result); the operator reference keeps the id alive
         self._memo: dict[int, tuple[PlanOperator, ColumnBatch]] = {}
+        # id() -> (operator, weak references to the extents it scans)
+        self._scanned: dict[int, tuple[PlanOperator, Optional[tuple]]] = {}
         self._run_stats: dict[int, OperatorRunStats] = {}
         self._child_seconds: list[float] = []
 
@@ -221,13 +218,53 @@ class PlanExecutor:
     # ------------------------------------------------------------------ #
     # kernel operators
     # ------------------------------------------------------------------ #
-    def _base_batch(self, view_name: str) -> ColumnBatch:
+    def _kept(self, plan: PlanOperator, compute: Callable[[], Any]) -> Any:
+        """``compute()``, or what it returned on an earlier run of ``plan``.
+
+        The one memo of operator output: a kernel operator's index vectors
+        are a function of the extents its subtree scans, so they are kept
+        on the plan node (``plan._kept``), keyed on weak references to those
+        relations, and read back while each is still the one the view store
+        holds — a write replaces every extent it changes.  The entry holds
+        no row, relation or source and dies with its plan.  A content
+        navigation reads live nodes, which a write can change under an
+        extent it hands back unchanged: nothing above one is kept.
+        """
+        scans = self._scans(plan)
+        if scans is None:
+            return compute()
+        entry = plan._kept
+        if entry is not None and entry[0] == scans:
+            return entry[1]
+        value = compute()
+        plan._kept = (scans, value)
+        return value
+
+    def _scans(self, plan: PlanOperator) -> Optional[tuple]:
+        """Weak references to the extents ``plan``'s subtree scans, in scan
+        order — ``None`` under a content navigation.  Worked out once per
+        operator object and executor."""
+        cached = self._scanned.get(id(plan))
+        if cached is None:
+            if isinstance(plan, (ViewScan, IndexScan)):
+                scans = (ref(self._relation(plan.view_name)),)
+            elif isinstance(plan, ContentNavigation):
+                scans = None
+            else:
+                below = [self._scans(child) for child in plan.children()]
+                scans = None if None in below else sum(below, ())
+            cached = self._scanned[id(plan)] = (plan, scans)
+        return cached[1]
+
+    def _relation(self, view_name: str) -> Relation:
         try:
-            view = self._views[view_name]
+            return self._views[view_name].relation
         except KeyError as exc:
             raise PlanExecutionError(f"unknown view {view_name!r}") from exc
+
+    def _base_batch(self, view_name: str) -> ColumnBatch:
         # one cached transpose per extent, shared by every scan of it
-        return ColumnBatch.from_relation(view.relation)
+        return ColumnBatch.from_relation(self._relation(view_name))
 
     @staticmethod
     def _qualified(base: ColumnBatch, alias: str) -> ColumnBatch:
@@ -254,15 +291,17 @@ class PlanExecutor:
         """
         base = self._base_batch(plan.view_name)
         source = base.source(base.column_index(plan.base_column))
-        from repro.views.indexes import index_for_source
 
-        index = index_for_source(source)
-        if index is not None:
-            keep = index.probe(plan.formula)
-        else:
-            keep = kernels.selection_indices(source.values(), plan.formula)
+        def probe() -> Sequence[int]:
+            from repro.views.indexes import index_for_source
+
+            index = index_for_source(source)
+            if index is not None:
+                return index.probe(plan.formula)
+            return kernels.selection_indices(source.values(), plan.formula)
+
         qualified = self._qualified(base, plan.effective_alias)
-        return qualified.gather(keep, sorted_by=qualified.sorted_by)
+        return qualified.gather(self._kept(plan, probe), sorted_by=qualified.sorted_by)
 
     def _batch_keys(self, batch: ColumnBatch, index: int) -> list:
         """Cached Dewey component keys, error-wrapped like :meth:`_as_dewey`."""
@@ -282,21 +321,20 @@ class PlanExecutor:
 
     def _selection_batch(self, plan: Selection) -> ColumnBatch:
         child = self.execute_batch(plan.child)
-        values = child.values(child.column_index(plan.column))
-        keep = kernels.selection_indices(values, plan.formula)
+        keep = self._kept(
+            plan,
+            lambda: kernels.selection_indices(
+                child.values(child.column_index(plan.column)), plan.formula
+            ),
+        )
         # a subset in order stays in order
         return child.gather(keep, sorted_by=child.sorted_by)
 
     def _projection_batch(self, plan: Projection) -> ColumnBatch:
         """``π`` with first-occurrence dedup — or none at all when a
         projected column proves its rows distinct
-        (:meth:`~repro.algebra.columnar._ColumnSource.distinct`, a fact
-        cached on the extent and, through kept join vectors, on their
-        gathers): then the child's sources are the result.  A projection
-        whose columns read their extents through kept vectors only keeps
-        its answer — the dedup vector, or ``None`` for "distinct" — beside
-        them (:func:`~repro.algebra.columnar.kept_projection`) and reads it
-        back, before any proof or hash, while they stay the same objects."""
+        (:meth:`~repro.algebra.columnar._ColumnSource.distinct`): then the
+        child's sources are the result."""
         child = self.execute_batch(plan.child)
         names = list(plan.columns)
         indexes = [child.column_index(name) for name in names]
@@ -311,20 +349,15 @@ class PlanExecutor:
             if sorted_by is not None:
                 sorted_by = mapping.get(sorted_by, sorted_by)
         sources = [child.source(index) for index in indexes]
-        memo = kept_projection(sources)
-        kept = memo and memo[0].projected
-        if kept and len(kept[0]) == len(memo[1]) and all(map(is_, kept[0], memo[1])):
-            keep = kept[1]
-        else:
-            keep = None
-            if not any(source.distinct() for source in sources):
-                keep = kernels.distinct_indices(
-                    [child.row_keys(index) for index in indexes], child.row_count
-                )
-                if memo:
-                    keep = kernels.KeptIndices(keep, repeat_free=True)
-            if memo:
-                memo[0].projected = (memo[1], keep)
+
+        def dedup() -> Optional[Sequence[int]]:
+            if any(source.distinct() for source in sources):
+                return None
+            return kernels.distinct_indices(
+                [child.row_keys(index) for index in indexes], child.row_count
+            )
+
+        keep = self._kept(plan, dedup)
         if keep is None:
             return ColumnBatch(columns, sources, child.row_count, sorted_by)
         return projected_batch(child, indexes, columns, keep, sorted_by)
@@ -333,32 +366,32 @@ class PlanExecutor:
         left = self.execute_batch(plan.left)
         right = self.execute_batch(plan.right)
         columns = self._concat_schema(left, right)
-        left_keys = self._batch_keys(left, left.column_index(plan.left_column))
-        right_keys = self._batch_keys(right, right.column_index(plan.right_column))
-        # one merge pass when both inputs arrive Dewey-sorted on their join
-        # columns, build/probe otherwise — identical pairs, left-row order
-        if left.sorted_by == plan.left_column and right.sorted_by == plan.right_column:
-            pairs = kernels.merge_id_join_pairs(left_keys, right_keys)
-        else:
-            pairs = kernels.hash_id_join_pairs(left_keys, right_keys)
+
+        def pair() -> tuple[Sequence[int], Sequence[int]]:
+            left_keys = self._batch_keys(left, left.column_index(plan.left_column))
+            right_keys = self._batch_keys(right, right.column_index(plan.right_column))
+            # one merge pass when both inputs arrive Dewey-sorted on their
+            # join columns, build/probe otherwise — identical pairs, left-row
+            # order
+            if left.sorted_by == plan.left_column and right.sorted_by == plan.right_column:
+                return kernels.merge_id_join_pairs(left_keys, right_keys)
+            return kernels.hash_id_join_pairs(left_keys, right_keys)
+
+        left_out, right_out = self._kept(plan, pair)
         # probe order is left order
-        return joined_batch(left, right, columns, pairs[0], pairs[1], left.sorted_by)
+        return joined_batch(left, right, columns, left_out, right_out, left.sorted_by)
 
     def _structural_pairs(
         self, plan: StructuralJoin | NestedStructuralJoin
     ) -> tuple[ColumnBatch, ColumnBatch, Sequence[int], Sequence[int]]:
-        """Both inputs and the matching index pairs.
+        """Both inputs and the matching index pairs (kept, see :meth:`_kept`).
 
         The one structural join in production.  Both join columns resolve
         to their direct source plus the gather over it; the
         :class:`~repro.algebra.kernels.StructuralLinks` between the two
         direct sources are built once and cached on the descendant one,
         weakly keyed on the ancestor one, so a join of two extents nobody
-        wrote to re-reads its links instead of slicing and hashing keys —
-        and a join of the two whole extents, the descendant annotated
-        sorted, re-reads the very pair vectors its first run built, as does
-        a join over the whole descendant extent whose ancestor column is a
-        join output gathered once through such a kept vector.
+        wrote to re-reads its links instead of slicing and hashing keys.
         Rows with a ``⊥`` join value never match, only the descendant side
         needs document order (a no-op when annotated sorted), and pairs
         come out as ``(ancestor row, descendant row)`` in descendant
@@ -366,29 +399,25 @@ class PlanExecutor:
         """
         left = self.execute_batch(plan.left)
         right = self.execute_batch(plan.right)
-        right_index = right.column_index(plan.right_column)
-        ancestor, ancestor_rows = left.source(left.column_index(plan.left_column)).resolve()
-        descendant, descendant_rows = right.source(right_index).resolve()
-        links = self._links(ancestor, descendant, plan.axis)
-        if right.sorted_by != plan.right_column:
-            keys = self._batch_keys(right, right_index)
-            positions = [index for index, _ in kernels.dewey_ordered(keys, False)]
-            descendant_rows = (
-                positions
-                if descendant_rows is None
-                else list(map(descendant_rows.__getitem__, positions))
-            )
-        elif descendant_rows is None and ancestor_rows is None:
-            # two whole extents: the links keep this join's pair vectors
-            return (left, right, *links.extent_pairs())
-        elif descendant_rows is None and type(ancestor_rows) is kernels.KeptIndices:
-            # a join output's column, gathered once through a kept vector,
-            # over a whole extent: the links keep this join's vectors too
-            return (left, right, *links.chained_pairs(ancestor_rows))
-        else:
-            positions = range(right.row_count)
-        left_out, right_out = links.pairs(descendant_rows, positions, ancestor_rows)
-        return left, right, left_out, right_out
+
+        def pair() -> tuple[list[int], list[int]]:
+            right_index = right.column_index(plan.right_column)
+            ancestor, ancestor_rows = left.source(left.column_index(plan.left_column)).resolve()
+            descendant, descendant_rows = right.source(right_index).resolve()
+            links = self._links(ancestor, descendant, plan.axis)
+            if right.sorted_by != plan.right_column:
+                keys = self._batch_keys(right, right_index)
+                positions = [index for index, _ in kernels.dewey_ordered(keys, False)]
+                descendant_rows = (
+                    positions
+                    if descendant_rows is None
+                    else list(map(descendant_rows.__getitem__, positions))
+                )
+            else:
+                positions = range(right.row_count)
+            return links.pairs(descendant_rows, positions, ancestor_rows)
+
+        return (left, right, *self._kept(plan, pair))
 
     @staticmethod
     def _links(ancestor, descendant, axis: Axis) -> kernels.StructuralLinks:

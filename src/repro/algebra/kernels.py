@@ -21,7 +21,8 @@ string.
 
 Join kernels return parallel ``(left_indices, right_indices)`` vectors;
 :func:`repro.algebra.columnar.joined_batch` turns them into lazy gathers,
-so joined columns that no later operator reads are never copied.
+so joined columns that no later operator reads are never copied.  Their
+callers keep the output on the plan node (``PlanExecutor._kept``).
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from repro.patterns.pattern import Axis
 from repro.xmltree.node import XMLNode
 
 __all__ = [
-    "KeptIndices",
     "StructuralLinks",
     "dewey_ordered",
     "distinct_indices",
@@ -97,31 +97,6 @@ def dewey_ordered(
     return pairs
 
 
-class KeptIndices(tuple):
-    """An index vector :class:`StructuralLinks` keeps for later joins.
-
-    A tuple, because every later query shares it and none may mutate it;
-    ``repeat_free`` records, once when it is built (or as its maker vouches,
-    for a dedup vector), whether no row occurs in it twice — what
-    :func:`~repro.algebra.columnar.joined_batch` hands to the gathers it
-    makes, so a projection proves its rows distinct without hashing a
-    composed gather (:meth:`~repro.algebra.columnar._ColumnSource.distinct`).
-    ``projected`` is the one-entry memo of a projection read through it
-    (:func:`~repro.algebra.columnar.kept_projection`); pickles drop it.
-    """
-
-    def __new__(
-        cls, indices: Iterable[int], repeat_free: Optional[bool] = None
-    ) -> "KeptIndices":
-        kept = super().__new__(cls, indices)
-        kept.repeat_free = len(set(kept)) == len(kept) if repeat_free is None else repeat_free
-        kept.projected = None
-        return kept
-
-    def __reduce__(self):
-        return KeptIndices, (tuple(self), self.repeat_free)
-
-
 class StructuralLinks:
     """``⋈≺`` / ``⋈≺≺`` between two key vectors, solved once per descendant row.
 
@@ -142,11 +117,7 @@ class StructuralLinks:
     executor caches one instance per pair of extents
     (:meth:`~repro.algebra.execution.PlanExecutor._structural_pairs`) and
     marks it ``read`` whenever it serves a join; a write carries the read
-    ones across its splices with :meth:`follow`.  The pairs of a join of
-    the two whole extents are kept too (:meth:`extent_pairs`), and so are
-    those of a join whose ancestor side is a kept vector's gather — a join
-    output's column — over the whole descendant extent
-    (:meth:`chained_pairs`): a chain ``(A ⋈ B) ⋈ C`` re-reads both joins.
+    ones across its splices with :meth:`follow`.
     """
 
     __slots__ = (
@@ -156,8 +127,6 @@ class StructuralLinks:
         "depth",
         "singles",
         "read",
-        "paired",
-        "chained",
     )
 
     def __init__(
@@ -233,10 +202,6 @@ class StructuralLinks:
                 (self.depth,) = depths
                 self.singles = list(rows.values())
         self.read = False
-        # the (left, right) vectors of :meth:`extent_pairs`, once built
-        self.paired: Optional[tuple[KeptIndices, KeptIndices]] = None
-        # the (ancestor vector, left, right) of the last :meth:`chained_pairs`
-        self.chained: Optional[tuple[KeptIndices, KeptIndices, KeptIndices]] = None
 
     def follow(
         self,
@@ -325,32 +290,7 @@ class StructuralLinks:
         followed = StructuralLinks.__new__(StructuralLinks)
         followed.targets, followed.leaders, followed.single = targets, None, True
         followed.depth, followed.singles, followed.read = depth, singles, False
-        # the first join after the write pairs again
-        followed.paired = followed.chained = None
         return followed
-
-    def extent_pairs(self) -> tuple[KeptIndices, KeptIndices]:
-        """:meth:`pairs` over the two whole extents — every descendant row in
-        row order (document order), the ancestor rows themselves — built
-        by the first such join and returned to every later one.  Shared
-        between queries, so kept as tuples nobody can mutate."""
-        if self.paired is None:
-            left, right = self.pairs(None, range(len(self.targets)), None)
-            self.paired = KeptIndices(left), KeptIndices(right)
-        return self.paired
-
-    def chained_pairs(self, ancestors: KeptIndices) -> tuple[KeptIndices, KeptIndices]:
-        """:meth:`pairs` over every descendant row, in row order, and the
-        ancestor rows ``ancestors`` gathers — the column of a join output
-        whose pair vectors some links keep.  The next join through the very
-        same vector (``is``) returns what this one built; another vector
-        replaces it.  The slot holds the vector itself, so no recycled
-        ``id`` can answer for a new one."""
-        chained = self.chained
-        if chained is None or chained[0] is not ancestors:
-            left, right = self.pairs(None, range(len(self.targets)), ancestors)
-            chained = self.chained = (ancestors, KeptIndices(left), KeptIndices(right))
-        return chained[1], chained[2]
 
     def pairs(
         self,

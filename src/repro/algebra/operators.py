@@ -74,7 +74,16 @@ class PlanOperator:
 
     Keeping the hook on the operator and the statistics behind the context
     lets the algebra stay free of any dependency on summaries or planning.
+
+    ``_kept`` is the executor's memo of this node's output index vectors
+    (:meth:`~repro.algebra.execution.PlanExecutor._kept`): no part of the
+    description, so left out of ``==``, ``repr``, pickles and copies.
     """
+
+    _kept: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in self.__dict__.items() if name != "_kept"}
 
     def children(self) -> list["PlanOperator"]:
         """Child operators (empty for leaves)."""

@@ -22,16 +22,19 @@ contracts are checked on each plan:
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro import Database
-from repro.algebra.columnar import ColumnBatch
 from repro.algebra.execution import PlanExecutor
+from repro.algebra.operators import NestedStructuralJoin, StructuralJoin
 from repro.algebra.tuples import _hashable
 from repro.planning.cost import CostModel
 from repro.planning.pushdown import push_selections
 from repro.summary.statistics import Statistics
 
+from support.memo_oracle import assert_memo_derived, plan_nodes
 from support.oracle_executor import OracleExecutor
 from support.paper_workloads import HARNESS_CONFIGS
 
@@ -111,33 +114,35 @@ def test_the_session_answers_through_the_production_path(xmark_workload):
     db.close()
 
 
-def _kept_pair_vectors(views) -> dict:
-    """Every pair-vector tuple kept on the links between two extents:
-    ``id(links)`` → ``(links, the kept vectors, a copy of them as lists)``.
-
-    Links keyed on a query's own direct sources (a union's output, say)
-    live until the collector takes that source; they are left out."""
-    sources = [
-        batch.source(position)
-        for batch in (ColumnBatch.from_relation(view.relation) for view in views)
-        for position in range(len(batch.columns))
-    ]
-    extents = {id(source) for source in sources}
+def _kept_entries(plans, joins_only=False) -> dict:
+    """Every memo entry on the plans' nodes: ``id(node)`` → ``(node, the
+    entry, a copy of its vectors as lists)``."""
     kept = {}
-    for source in sources:
-        for ancestor, by_axis in (source.links or {}).items():
-            for links in by_axis.values():
-                if id(ancestor) in extents and links.paired is not None:
-                    kept[id(links)] = (links, links.paired, [list(v) for v in links.paired])
+    for node in plan_nodes(plans):
+        if node._kept is None:
+            continue
+        if joins_only and not isinstance(node, (StructuralJoin, NestedStructuralJoin)):
+            continue
+        value = node._kept[1]
+        vectors = value if isinstance(value, tuple) else (value,)
+        kept[id(node)] = (node, node._kept, [None if v is None else list(v) for v in vectors])
     return kept
+
+
+def _assert_read_unchanged(before: dict, after: dict) -> None:
+    assert after.keys() == before.keys()
+    for key, (node, entry, vectors) in before.items():
+        assert after[key][1] is entry, f"re-stored: {node._describe_self()}"
+        assert after[key][2] == vectors, f"mutated: {node._describe_self()}"
 
 
 @pytest.mark.parametrize("workload_name", ["xmark_workload", "dblp_workload"])
 def test_every_plan_run_twice_reads_the_same_kept_pair_vectors(request, workload_name):
-    """A join of two whole extents keeps its pair vectors on the links; a
-    second run of every fig13 / fig14 plan returns identical rows and
-    leaves those vectors as the first run left them — no operator mutates
-    what the links share between queries."""
+    """Every kernel operator keeps its output vectors on its plan node; a
+    second run of every fig13 / fig14 plan returns identical rows, reads
+    the very entries the first run left and leaves their vectors as they
+    were — no operator mutates what later runs share — and every entry
+    equals a fresh run."""
     workload = request.getfixturevalue(workload_name)
     plans = [
         rewriting.plan
@@ -145,62 +150,38 @@ def test_every_plan_run_twice_reads_the_same_kept_pair_vectors(request, workload
         for _, rewriting in workload.rewritings(config_name)
     ]
     first = [PlanExecutor(workload.view_set).execute(plan) for plan in plans]
-    kept = _kept_pair_vectors(workload.views)
-    assert kept, "no plan joined two whole extents"
+    kept = _kept_entries(plans)
+    assert _kept_entries(plans, joins_only=True), "no plan kept a join's pairs"
     second = [PlanExecutor(workload.view_set).execute(plan) for plan in plans]
     for plan, before, again in zip(plans, first, second):
         _assert_identical(again, before, f"second run of {plan!r}")
-    after = _kept_pair_vectors(workload.views)
-    assert after.keys() == kept.keys()
-    for key, (_, vectors, copy) in kept.items():
-        assert after[key][1] is vectors
-        assert [list(vector) for vector in vectors] == copy
-
-
-def _chained_vectors(views) -> dict:
-    """Every chained entry kept on the links between two extents:
-    ``id(links)`` → ``(links, its (ancestor vector, left, right) tuple)``."""
-    sources = [
-        batch.source(position)
-        for batch in (ColumnBatch.from_relation(view.relation) for view in views)
-        for position in range(len(batch.columns))
-    ]
-    extents = {id(source) for source in sources}
-    return {
-        id(links): (links, links.chained)
-        for source in sources
-        for ancestor, by_axis in (source.links or {}).items()
-        if id(ancestor) in extents
-        for links in by_axis.values()
-        if links.chained is not None
-    }
+    _assert_read_unchanged(kept, _kept_entries(plans))
+    assert assert_memo_derived(plans, workload.view_set) == len(kept)
 
 
 @pytest.mark.parametrize("workload_name", ["xmark_workload", "dblp_workload"])
 def test_every_plan_run_twice_reads_the_same_chained_vectors(request, workload_name):
-    """A join whose ancestor side is a join output's column, gathered
-    through a kept vector, over a whole extent keeps its pair vectors too:
-    every fig13 / fig14 plan run twice in a row returns identical rows, and
-    the second run reads the chained vectors the first one left — the
-    very same objects, still equal to what they held."""
+    """A join whose ancestor side is a join output keeps its pairs like any
+    other: every fig13 / fig14 plan run twice in a row (each on its own,
+    from fresh copies) returns identical rows, and the second run reads the
+    join entries the first one left — the very same objects, still equal
+    to what they held."""
     workload = request.getfixturevalue(workload_name)
     plans = [
-        rewriting.plan
+        copy.deepcopy(rewriting.plan)
         for config_name in sorted(HARNESS_CONFIGS)
         for _, rewriting in workload.rewritings(config_name)
     ]
     chains = 0
     for plan in plans:
         first = PlanExecutor(workload.view_set).execute(plan)
-        kept = _chained_vectors(workload.views)
-        copies = {key: [list(vector) for vector in chained] for key, (_, chained) in kept.items()}
+        kept = _kept_entries([plan], joins_only=True)
         again = PlanExecutor(workload.view_set).execute(plan)
         _assert_identical(again, first, f"second run of {plan!r}")
-        after = _chained_vectors(workload.views)
-        assert after.keys() == kept.keys()
-        for key, (_, chained) in kept.items():
-            assert after[key][1] is chained
-            assert [list(vector) for vector in chained] == copies[key]
-        chains = max(chains, len(kept))
+        _assert_read_unchanged(kept, _kept_entries([plan], joins_only=True))
+        chains += sum(
+            isinstance(node.left, (StructuralJoin, NestedStructuralJoin))
+            for node, _, _ in kept.values()
+        )
     if workload_name == "xmark_workload":
         assert chains, "no plan chained a join over a join output"

@@ -37,17 +37,17 @@ from repro import (
     to_parenthesized,
 )
 from repro.algebra import kernels
-from repro.algebra.columnar import ColumnBatch, kept_projection
+from repro.algebra.columnar import ColumnBatch
 from repro.algebra.execution import PlanExecutor
 from repro.algebra.operators import StructuralJoin, ViewScan
 from repro.patterns.pattern import Axis
-from repro.rewriting import RewritingConfig
 from repro.views.delta import can_apply_delta
-from repro.workloads import XMARK_QUERY_PATTERNS, seed_tag_views
 from repro.workloads.dblp import generate_dblp_document
 from repro.workloads.xmark import generate_xmark_document
 
+from support.memo_oracle import assert_memo_derived, assert_plan_cache_derived, plan_nodes
 from support.oracle_executor import OracleExecutor
+from support.paper_workloads import seed_view_session
 from support.rebuild_oracle import normalize
 
 DOC_TEXT = (
@@ -56,6 +56,21 @@ DOC_TEXT = (
 )
 ITEM_QUERY = "site(//item[ID](/name[V]))"
 NAME_QUERY = "site(//name[ID,V])"
+
+
+@pytest.fixture(autouse=True)
+def _memo_checked_after_every_write(monkeypatch):
+    """After every write, every plan-cache memo entry that a read would
+    take equals a fresh run over the current extents."""
+    for name in ("insert_subtree", "delete_subtree"):
+        write = getattr(Database, name)
+
+        def checked(self, *args, _write=write, **kwargs):
+            result = _write(self, *args, **kwargs)
+            assert_plan_cache_derived(self)
+            return result
+
+        monkeypatch.setattr(Database, name, checked)
 
 
 def _scripted_session(tmp_path, checkpoint=True):
@@ -248,20 +263,6 @@ def test_structural_links_follow_writes_and_die_with_their_extents():
     db.close()
 
 
-def _seed_view_session(document, names):
-    """A session over ``document`` with the bench's seed views for ``names``."""
-    config = RewritingConfig(
-        max_rewritings=2, max_plan_size=3, enable_unions=False, time_budget_seconds=None
-    )
-    queries = [parse_pattern(XMARK_QUERY_PATTERNS[name], name=name) for name in names]
-    db = Database(document, config=config)
-    labels = {node.label for query in queries for node in query.nodes()}
-    for view in seed_tag_views(db.summary):
-        if view.root.children[0].label in labels:
-            db.create_view(view, name=view.name)
-    return db, queries
-
-
 def _counting_link_builds(monkeypatch) -> list:
     """Record every ``StructuralLinks`` construction from now on."""
     builds = []
@@ -281,7 +282,7 @@ def test_the_first_read_after_a_write_follows_the_links(monkeypatch):
     after an insert and after a delete build none — every entry followed
     the write — and equal direct evaluation."""
     document = generate_xmark_document(scale=10.0, seed=548, name="xmark-follow")
-    db, queries = _seed_view_session(document, ("Q1", "Q19"))
+    db, queries = seed_view_session(document, ("Q1", "Q19"))
     with db:
         for query in queries:
             assert "StructuralJoin" in str(db.explain(query))
@@ -321,13 +322,27 @@ def _extent_links(db) -> list:
     ]
 
 
+def _plan(db, query):
+    """The operator tree ``db`` runs for ``query`` (its plan-cache entry)."""
+    return db.plan_query(query).best.plan_operator
+
+
+def _joins(db, query) -> list[StructuralJoin]:
+    return [node for node in plan_nodes([_plan(db, query)]) if isinstance(node, StructuralJoin)]
+
+
+def _scanned(node) -> set[str]:
+    return {leaf.view_name for leaf in plan_nodes([node]) if isinstance(leaf, ViewScan)}
+
+
 def test_a_followed_entry_pairs_again_on_its_first_read():
-    """Q1's join and Q19's first join read two whole seed extents, so their
-    links keep the pair vectors; a write follows the links without them,
-    and the first read after it pairs again — equal to a fresh ``pairs()``
-    call — while every answer equals direct evaluation."""
+    """Q1's join and Q19's two joins keep their pair vectors on their plan
+    nodes.  An ``item`` write moves the extents of all three joins: the
+    links follow it, and the first read after it pairs each join again —
+    a new entry, equal to a fresh run — while every answer equals direct
+    evaluation.  The read after that takes the new entries as they are."""
     document = generate_xmark_document(scale=10.0, seed=548, name="xmark-paired")
-    db, queries = _seed_view_session(document, ("Q1", "Q19"))
+    db, queries = seed_view_session(document, ("Q1", "Q19"))
     with db:
 
         def reads():
@@ -335,44 +350,35 @@ def test_a_followed_entry_pairs_again_on_its_first_read():
                 assert db.query(query).same_contents(evaluate_pattern(query, document))
 
         reads()
-        before = _extent_links(db)
-        # item ⋈ name in Q19 reads a join output on its ancestor side
-        assert len(before) == 3 and sum(links.paired is not None for links in before) == 2
+        joins = [join for query in queries for join in _joins(db, query)]
+        assert len(joins) == 3
+        before = [join._kept for join in joins]
+        assert all(entry is not None for entry in before)
         asia = document.nodes_on_path("/site/regions/asia")[0]
         node = db.insert_subtree(asia, asia.children[0].copy())
-        followed = _extent_links(db)
-        assert len(followed) == 3 and not any(links in before for links in followed)
-        assert all(links.paired is None for links in followed)
+        assert len(_extent_links(db)) == 3  # followed, not dropped
         reads()
-        paired = [links for links in followed if links.paired is not None]
-        assert len(paired) == 2
-        for links in paired:
-            fresh = links.pairs(None, range(len(links.targets)), None)
-            assert [list(vector) for vector in links.paired] == list(fresh)
+        after = [join._kept for join in joins]
+        assert not any(map(lambda old, new: old is new, before, after))
+        assert assert_plan_cache_derived(db) >= 3
+        reads()
+        assert all(map(lambda old, join: old is join._kept, after, joins))
         db.delete_subtree(node)
-        assert all(links.paired is None for links in _extent_links(db))
         reads()
-
-
-def _chained_entry(db, ancestor: str, descendant: str) -> kernels.StructuralLinks:
-    """The one links entry from ``descendant``'s ID column to ``ancestor``'s."""
-    upper = ColumnBatch.from_relation(db.views[ancestor].relation).source(0)
-    lower = ColumnBatch.from_relation(db.views[descendant].relation).source(0)
-    (entry,) = lower.links[upper].values()
-    return entry
 
 
 def test_a_write_to_the_middle_of_a_chain_makes_its_chained_entry_miss():
-    """Q19 chains ``(item ⋈ location) ⋈ name``.  A ``location`` inserted
-    under an existing ``item`` moves the ``location`` extent alone: the
-    ``item → name`` links are left as they were, but the first join keeps a
-    new vector after the write, so their chained entry misses on the next
-    read and pairs again — now through an ``item`` with two locations.  A
-    ``name`` moves the last extent alone: the followed entry pairs again
-    through the vector the feeding links still keep.  Q4 and Q19 equal
-    direct evaluation through both insert / delete cycles."""
+    """Q4 chains ``(open_auction ≺≺ bidder) ≺ reserve``.  A ``bidder``
+    written into an auction moves the ``bidder`` extent: both joins scan
+    it, so both entries miss on the next read and pair again.  A
+    ``reserve`` written into an auction that had none moves the last
+    extent alone: the first join's entry is read as it was, the chain's
+    misses.  Neither write changes the summary, so the plan stays cached
+    throughout; Q4 and Q19 equal direct evaluation through both insert /
+    delete cycles."""
     document = generate_xmark_document(scale=10.0, seed=548, name="xmark-chained")
-    db, queries = _seed_view_session(document, ("Q4", "Q19"))
+    db, queries = seed_view_session(document, ("Q4", "Q19"))
+    q4 = queries[0]
     with db:
 
         def reads():
@@ -380,56 +386,38 @@ def test_a_write_to_the_middle_of_a_chain_makes_its_chained_entry_miss():
                 assert db.query(query).same_contents(evaluate_pattern(query, document))
 
         reads()
-        entry = _chained_entry(db, "seed_item", "seed_name")
-        chained = entry.chained
-        feeding = _chained_entry(db, "seed_item", "seed_location")
-        assert chained is not None and chained[0] is feeding.paired[0]
-        assert chained[0].repeat_free  # one location per item
-        item = document.nodes_on_path("/site/regions/asia/item")[0]
-        (location,) = item.children_with_label("location")
-        node = db.insert_subtree(item, location.copy())
-        assert _chained_entry(db, "seed_item", "seed_name") is entry  # untouched
-        assert entry.chained is chained
-        reads()
-        assert entry.chained is not chained  # missed, and paired again
-        feeding = _chained_entry(db, "seed_item", "seed_location")
-        assert entry.chained[0] is feeding.paired[0]
-        assert not entry.chained[0].repeat_free  # that item now has two
-        db.delete_subtree(node)
-        reads()
-        feeding = _chained_entry(db, "seed_item", "seed_location")
-        assert entry.chained[0] is feeding.paired[0]
-        # a ``name`` moves the last extent alone: the feeding links and their
-        # vector stay, the followed item → name entry starts without pairs
-        (name,) = item.children_with_label("name")
-        node = db.insert_subtree(item, name.copy())
-        followed = _chained_entry(db, "seed_item", "seed_name")
-        assert followed is not entry and followed.chained is None
-        assert _chained_entry(db, "seed_item", "seed_location") is feeding
-        reads()
-        assert followed.chained[0] is feeding.paired[0]
-        db.delete_subtree(node)
-        reads()
-
-
-def _projection_memo(db, query):
-    """The entry the kept-π memo of ``query``'s chosen plan holds (``None``
-    when nothing is kept)."""
-    plan = db.prepare(query).choice.best.plan_operator
-    child = PlanExecutor(db.views).execute_batch(plan.child)
-    memo = kept_projection([child.source(child.column_index(name)) for name in plan.columns])
-    return memo and memo[0].projected
+        (chain,) = [join for join in _joins(db, q4) if isinstance(join.left, StructuralJoin)]
+        first = chain.left
+        assert _scanned(first) == {"seed_open_auction", "seed_bidder"}
+        assert _scanned(chain) == {"seed_open_auction", "seed_bidder", "seed_reserve"}
+        auctions = document.nodes_on_path("/site/open_auctions/open_auction")
+        bidding = next(node for node in auctions if node.children_with_label("bidder"))
+        reserved = next(node for node in auctions if node.children_with_label("reserve"))
+        bare = next(node for node in auctions if not node.children_with_label("reserve"))
+        version = db.views.version
+        for parent, child, moved in (
+            (bidding, bidding.children_with_label("bidder")[0], (chain, first)),
+            (bare, reserved.children_with_label("reserve")[0], (chain,)),
+        ):
+            kept = {id(join): join._kept for join in (chain, first)}
+            node = db.insert_subtree(parent, child.copy())
+            reads()
+            assert _joins(db, q4)[0] is chain and db.views.version == version
+            for join in (chain, first):
+                assert (join._kept is kept[id(join)]) == (join not in moved)
+            db.delete_subtree(node)
+            reads()
 
 
 def test_a_write_outside_a_projection_keeps_its_memo_and_one_inside_misses():
     """Q2 (``open_auction ≺≺ increase``) and Q4 (``(open_auction ≺≺ bidder)
-    ≺ reserve``) end in a ``π`` through kept vectors only.  The bench's
-    write — an ``item`` under ``asia`` — touches none of their extents, so
-    both memos are read back as they were; a ``bidder`` written into an
-    auction moves Q4's chain, so its memo misses on the next read.  Both
+    ≺ reserve``) end in a ``π`` that keeps its answer.  The bench's write —
+    an ``item`` under ``asia`` — touches none of their extents, so both
+    entries are read back as they were; a ``bidder`` written into an
+    auction moves Q4's chain, so its entry misses on the next read.  Both
     equal direct evaluation throughout."""
     document = generate_xmark_document(scale=10.0, seed=548, name="xmark-kept-pi")
-    db, (q2, q4) = _seed_view_session(document, ("Q2", "Q4"))
+    db, (q2, q4) = seed_view_session(document, ("Q2", "Q4"))
     with db:
 
         def reads():
@@ -437,13 +425,13 @@ def test_a_write_outside_a_projection_keeps_its_memo_and_one_inside_misses():
                 assert db.query(query).same_contents(evaluate_pattern(query, document))
 
         reads()
-        kept = {query.name: _projection_memo(db, query) for query in (q2, q4)}
+        kept = {query.name: _plan(db, query)._kept for query in (q2, q4)}
         assert all(entry is not None for entry in kept.values())
         asia = document.nodes_on_path("/site/regions/asia")[0]
         item = db.insert_subtree(asia, asia.children[0].copy())
         reads()
-        assert _projection_memo(db, q2) is kept["Q2"]
-        assert _projection_memo(db, q4) is kept["Q4"]
+        assert _plan(db, q2)._kept is kept["Q2"]
+        assert _plan(db, q4)._kept is kept["Q4"]
         auction = next(
             node
             for node in document.nodes_on_path("/site/open_auctions/open_auction")
@@ -451,7 +439,7 @@ def test_a_write_outside_a_projection_keeps_its_memo_and_one_inside_misses():
         )
         bidder = db.insert_subtree(auction, auction.children_with_label("bidder")[0].copy())
         reads()
-        assert _projection_memo(db, q4) is not kept["Q4"]
+        assert _plan(db, q4)._kept is not kept["Q4"]
         for node in (bidder, item):
             db.delete_subtree(node)
             reads()
@@ -480,6 +468,7 @@ def test_a_non_leaf_pinned_ancestor_run_is_followed():
         fast = PlanExecutor(db.views).execute(plan)
         slow = OracleExecutor(db.views).execute(plan)
         assert fast.rows == slow.rows and fast.sorted_by == slow.sorted_by
+        assert assert_memo_derived([plan], db.views) == 1
         return len(fast)
 
     before = read()
@@ -531,7 +520,7 @@ def test_a_data_only_write_block_rematerializes_and_searches_nothing():
     are plan-cache hits.
     """
     document = generate_xmark_document(scale=1.0, seed=548, name="xmark-live")
-    db, queries = _seed_view_session(document, ("Q1", "Q2", "Q4", "Q5", "Q6", "Q18", "Q19"))
+    db, queries = seed_view_session(document, ("Q1", "Q2", "Q4", "Q5", "Q6", "Q18", "Q19"))
     with db:
         assert "seed_regions" in db.views
 

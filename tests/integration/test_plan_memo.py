@@ -1,0 +1,126 @@
+"""Lifetime of the executor's one memo (``PlanExecutor._kept``).
+
+Entries live on plan nodes and hold only index vectors and weak references
+to the extents they were computed over, so:
+
+* a flushed session is honestly cold — after ``clear_containment_cache()``
+  and ``db.plan_cache.clear()`` (what the bench's ``xmark_cold`` does per
+  block) a re-planned query starts with no entry and computes its kernels
+  again;
+* a write that replaces an extent lets the old relation die, even with the
+  collector off, while the plan that read it stays cached;
+* entries die with their plan: after 1 000 distinct plans over fixed
+  extents, only plans the plan cache still holds keep entries.
+"""
+
+from __future__ import annotations
+
+import gc
+import weakref
+
+from repro import (
+    Database,
+    XMLNode,
+    clear_containment_cache,
+    evaluate_pattern,
+    parse_parenthesized,
+    parse_pattern,
+)
+from repro.algebra import kernels
+from repro.algebra.operators import PlanOperator
+from repro.rewriting import RewritingConfig
+from repro.workloads.xmark import generate_xmark_document
+
+from support.memo_oracle import assert_plan_cache_derived, cached_plans, plan_nodes
+from support.paper_workloads import seed_view_session
+
+DOC_TEXT = (
+    'site(regions(asia(item(name="pen" quantity=2) item(name="ink")))'
+    '     people(person(name="bob")))'
+)
+ITEM_QUERY = "site(//item[ID](/name[V]))"
+
+
+def _kept_nodes(plans) -> list[PlanOperator]:
+    return [node for node in plan_nodes(plans) if node._kept is not None]
+
+
+def test_a_flushed_session_replans_with_no_memo_hit(monkeypatch):
+    document = generate_xmark_document(scale=1.0, seed=548, name="xmark-cold")
+    db, queries = seed_view_session(document, ("Q1", "Q2", "Q4", "Q19"))
+    with db:
+        for query in queries:
+            db.query(query)
+        assert _kept_nodes(cached_plans(db))
+        clear_containment_cache()
+        db.plan_cache.clear()
+        plans = [db.plan_query(query).best.plan_operator for query in queries]
+        assert _kept_nodes(plans) == [], "a re-planned query found a memo entry"
+        paired = []
+        pairs = kernels.StructuralLinks.pairs
+
+        def counted(self, *args):
+            paired.append(self)
+            return pairs(self, *args)
+
+        monkeypatch.setattr(kernels.StructuralLinks, "pairs", counted)
+        for query in queries:
+            assert db.query(query).same_contents(evaluate_pattern(query, document))
+        joins = [node for node in plan_nodes(plans) if "StructuralJoin" in type(node).__name__]
+        assert len(paired) == len(joins) > 0  # every join paired again
+        assert assert_plan_cache_derived(db) >= len(joins)
+
+
+def test_a_replaced_extent_dies_while_its_plan_stays_cached():
+    db = Database(parse_parenthesized(DOC_TEXT, name="lifetime"))
+    db.create_view("site(//item[ID])", name="items")
+    db.create_view("site(//name[ID,V])", name="names")
+    assert db.query(ITEM_QUERY)
+    plan = db.plan_query(ITEM_QUERY).best.plan_operator
+    assert _kept_nodes([plan])
+    old = weakref.ref(db.views["names"].relation)
+    asia = db.document.nodes_on_path("/site/regions/asia")[0]
+    gc.collect()
+    gc.disable()
+    try:
+        db.insert_subtree(asia, XMLNode("item", None, [XMLNode("name", "new")]))
+        assert db.views["names"].relation is not old()
+        # an extent's relation and its cached batch point at each other
+        # (independently of any memo): break that before letting it go
+        del old()._column_batch
+        assert old() is None
+        assert any(cached is plan for cached in cached_plans(db))
+        assert _kept_nodes([plan])
+    finally:
+        gc.enable()
+    query = parse_pattern(ITEM_QUERY)
+    assert db.query(ITEM_QUERY).same_contents(evaluate_pattern(query, db.document))
+    db.close()
+
+
+def test_entries_die_with_their_plans():
+    document = parse_parenthesized(
+        "site(" + " ".join(f'item(name="n{index % 50}")' for index in range(200)) + ")"
+    )
+    # one cheap search per query: the plans, not the search, are under test
+    db = Database(
+        document,
+        config=RewritingConfig(stop_at_first=True, max_plan_size=1, enable_unions=False),
+    )
+    db.create_view("site(/item(/name[ID,V]))", name="names")
+    for index in range(1_000):
+        assert len(db.query(f'site(/item(/name[ID,V]{{v="n{index}"}}))')) == (index < 50) * 4
+    gc.collect()
+    extent = db.views["names"].relation
+    held = [
+        node
+        for node in gc.get_objects()
+        if isinstance(node, PlanOperator)
+        and node._kept is not None
+        and any(reference() is extent for reference in node._kept[0])
+    ]
+    cached = cached_plans(db)
+    assert {id(node) for node in held} <= {id(node) for node in plan_nodes(cached)}
+    owners = [plan for plan in cached if _kept_nodes([plan])]
+    assert 0 < len(owners) <= db.plan_cache.maxsize
+    db.close()

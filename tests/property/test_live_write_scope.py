@@ -14,7 +14,9 @@ Three scopes of one principle, each held to a reference:
 * **Plans.**  After every step each pool query answered through the plan
   cache equals a cache-less ``planner.plan`` + execute — rows *and* the
   costed plan, so a hit was re-priced under the write's statistics — and
-  ``views.version`` moved exactly when a definition could have changed.
+  ``views.version`` moved exactly when a definition could have changed;
+  and every executor memo entry on a cached plan that a read would take
+  equals a fresh run over the current extents (``support.memo_oracle``).
 * **Column caches.**  After every step the cached column batch of every
   extent — values, Dewey keys, dedup keys — equals a fresh transpose of its
   rows; the invariant itself warms the caches the next delta splices.
@@ -59,6 +61,7 @@ from repro.rewriting import RewritingConfig
 from repro.views.indexes import index_for_source
 from repro.xmltree.ids import DeweyID
 
+from support.memo_oracle import assert_plan_cache_derived
 from support.rebuild_oracle import RebuildOracle, normalize
 from support.statistics_oracle import assert_statistics_equal_a_fresh_build
 
@@ -272,6 +275,10 @@ class LiveWriteScopeMachine(RuleBasedStateMachine):
     def column_caches_equal_a_fresh_transpose(self):
         for view in self.sut.views:
             assert_batch_is_a_fresh_transpose(view.relation)
+
+    @invariant()
+    def memo_entries_equal_a_fresh_run(self):
+        assert_plan_cache_derived(self.sut)
 
     @invariant()
     def statistics_equal_a_fresh_build(self):

@@ -14,6 +14,12 @@ shares no code with it:
   without it (the walk every oracle in this repository uses), fresh and
   after every write.
 
+The machine also reads a few plans over extents that, like a session's,
+are replaced only when a write changes their rows: after every step the
+plans equal the row-wise oracle and every executor memo entry a read
+would take equals a fresh run (``support.memo_oracle``) — a content
+navigation over an unchanged extent of live nodes included.
+
 A :class:`~hypothesis.stateful.RuleBasedStateMachine` draws the write
 sequences over a small document with a view pool of hand-written and
 generated patterns; deterministic cases below it cover both paper
@@ -23,6 +29,7 @@ workloads, persistence and recovery, and the oracle's independence.
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import settings
@@ -38,6 +45,19 @@ from repro import (
     parse_parenthesized,
     parse_pattern,
 )
+from repro.algebra.execution import PlanExecutor
+from repro.algebra.operators import (
+    ContentNavigation,
+    IdEqualityJoin,
+    IndexScan,
+    Projection,
+    Selection,
+    StructuralJoin,
+    ViewScan,
+)
+from repro.algebra.tuples import _hashable
+from repro.patterns.pattern import Axis
+from repro.patterns.predicates import ValueFormula
 from repro.workloads.synthetic import (
     SyntheticPatternConfig,
     generate_random_pattern,
@@ -46,6 +66,8 @@ from repro.workloads.synthetic import (
 from repro.xmltree.node import XMLDocument
 from repro.xmltree.paths import PathStore
 
+from support.memo_oracle import assert_memo_derived
+from support.oracle_executor import OracleExecutor
 from support.paper_workloads import build_dblp_workload, build_xmark_workload
 from support.rebuild_oracle import normalize, scan_fed_extent
 
@@ -162,6 +184,41 @@ def view_pool(document: XMLDocument) -> list[MaterializedView]:
     return views
 
 
+MEMO_VIEWS = {
+    "items": "site(//item[ID])",
+    "names": "site(//name[ID,V])",
+    "cells": "site(//item[ID,C])",
+}
+
+
+def memo_plans() -> list:
+    """Plans over :data:`MEMO_VIEWS` through every kept kernel operator, and
+    a ``π`` over a content navigation, which must keep nothing."""
+    items, names, cells = (ViewScan(name, alias=name[0]) for name in MEMO_VIEWS)
+    short = ValueFormula.parse('v < "n"')
+    return [
+        Projection(
+            child=StructuralJoin(items, names, "i.ID1", "n.ID1", Axis.CHILD), columns=["i.ID1"]
+        ),
+        Projection(
+            child=StructuralJoin(
+                items, Selection(names, "n.V1", short), "i.ID1", "n.ID1", Axis.DESCENDANT
+            ),
+            columns=["n.V1"],
+        ),
+        IdEqualityJoin(IndexScan("names", "n.V1", short, alias="n"), cells, "n.ID1", "c.ID1"),
+        IdEqualityJoin(items, cells, "i.ID1", "c.ID1"),
+        Projection(
+            child=ContentNavigation(cells, "c.C1", ((Axis.CHILD, "name"),), "nav", "V"),
+            columns=["nav"],
+        ),
+    ]
+
+
+def _rows(relation) -> tuple:
+    return relation.column_names, relation.sorted_by, [_hashable(row) for row in relation.rows]
+
+
 # --------------------------------------------------------------------------- #
 # drawn write sequences
 # --------------------------------------------------------------------------- #
@@ -174,6 +231,11 @@ class PathStoreMachine(RuleBasedStateMachine):
         self.views = view_pool(self.document)
         self.inserted: list[XMLNode] = []
         self.serial = 0
+        self.memo_views = [
+            MaterializedView(parse_pattern(text, name=name)) for name, text in MEMO_VIEWS.items()
+        ]
+        self.extents: dict = {}
+        self.plans = memo_plans()
 
     def _attached(self, node: XMLNode) -> bool:
         return node.dewey is not None and (
@@ -216,6 +278,21 @@ class PathStoreMachine(RuleBasedStateMachine):
         live = [root for root in self.inserted if self._attached(root)]
         if live:
             self.document.delete_subtree(live[position % len(live)])
+
+    @invariant()
+    def memo_is_derived(self):
+        # a write replaces the extents whose rows it changes, as a session's
+        # delta does, and leaves the others the very same relation
+        for view in self.memo_views:
+            fresh = view.materialize(self.document)
+            old = self.extents.get(view.name)
+            if old is None or _rows(old) != _rows(fresh):
+                self.extents[view.name] = fresh
+        store = {name: SimpleNamespace(relation=extent) for name, extent in self.extents.items()}
+        for plan in self.plans:
+            fast = PlanExecutor(store).execute(plan)
+            assert _rows(fast) == _rows(OracleExecutor(store).execute(plan)), plan.describe()
+        assert assert_memo_derived(self.plans, store) > 0
 
     @invariant()
     def store_is_exact(self):

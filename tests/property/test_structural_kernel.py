@@ -20,19 +20,20 @@
   must be row-identical to ``Relation.project`` — the dedup matrix below
   lists the cell kinds whose ``_hashable`` equivalence is not plain
   ``==`` — and the proof a splice carries must equal a fresh computation.
-* ``StructuralLinks.extent_pairs`` must equal a fresh ``pairs()`` call over
-  the whole extents, and stay as built.
-* A join chain ``(A ⋈ B) ⋈ C`` (``StructuralLinks.chained_pairs``: the
-  second join over a kept vector's gather) must equal the oracle on every
-  run, re-read its own vectors while the feeding vector stays the same
-  object and pair again when it does not; every kept vector's
-  ``repeat_free`` record must be its own truth, and ``distinct()`` read
-  through those records must answer as hashing the composed gather does.
+* The executor's one memo (``PlanExecutor._kept``: a kernel operator's
+  output vectors on its plan node, weakly keyed on the extents it scans)
+  must equal a fresh run (``support.memo_oracle``), be read back — the very
+  same entry — while those extents stay, miss once one is replaced, never
+  be mutated by a later operator, travel in no pickle or copy and keep no
+  replaced extent alive: on joins of two extents, join chains, ``π`` over
+  every column subset of a chain and a ``σ`` below it.
 """
 
 from __future__ import annotations
 
+import copy
 import gc
+import operator
 import pickle
 import weakref
 from itertools import product
@@ -43,7 +44,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algebra import kernels
-from repro.algebra.columnar import ColumnBatch, _ColumnSource, kept_projection, splice_runs
+from repro.algebra.columnar import ColumnBatch, _ColumnSource, splice_runs
 from repro.algebra.execution import PlanExecutor
 from repro.algebra.operators import (
     IdEqualityJoin,
@@ -60,6 +61,7 @@ from repro.patterns.predicates import ValueFormula
 from repro.xmltree.ids import DeweyID
 from repro.xmltree.node import XMLNode
 
+from support.memo_oracle import assert_memo_derived
 from support.oracle_executor import OracleExecutor
 
 AXES = (Axis.CHILD, Axis.DESCENDANT)
@@ -701,47 +703,52 @@ def test_a_pickle_written_before_the_proof_existed_loads_it_unknown():
 
 
 # --------------------------------------------------------------------------- #
-# the pair vectors a join of two whole extents keeps on its links
+# the one memo: a kernel operator's output vectors, kept on its plan node
 # --------------------------------------------------------------------------- #
+def _extent_join(axis: Axis) -> StructuralJoin:
+    return StructuralJoin(
+        left=ViewScan("upper", alias="u"),
+        right=ViewScan("lower", alias="l"),
+        left_column="u.ID1",
+        right_column="l.ID1",
+        axis=axis,
+    )
+
+
 @settings(max_examples=100, deadline=None)
 @given(_key_column(), _key_column())
 def test_extent_pairs_equal_a_fresh_pairs_call(left, right):
-    (left_keys, _), (right_keys, _) = left, right
+    """A join of two whole extents keeps the pairs its links give, sorted
+    descendant side or not; a second run reads the very same vectors, and
+    later operators over the join's output leave them as they were."""
+    (left_keys, _), (right_keys, right_sorted) = left, right
+    views = _views(upper=_id_relation(*left), lower=_id_relation(*right))
     for axis in AXES:
-        links = kernels.StructuralLinks(left_keys, right_keys, axis)
-        assert links.paired is None
-        kept = links.extent_pairs()
-        fresh = links.pairs(None, range(len(right_keys)), None)
-        assert [list(vector) for vector in kept] == list(fresh)
-        assert links.extent_pairs() is kept  # built once, then returned
-        # shared by every later join: no caller can mutate them
-        for vector in kept:
-            with pytest.raises((TypeError, AttributeError)):
-                vector[:0] = [0]
-            with pytest.raises(AttributeError):
-                vector.sort()
+        plan = _extent_join(axis)
+        PlanExecutor(views).execute_batch(plan)
+        key, kept = plan._kept
+        assert list(zip(*kept)) == _link_pairs(left_keys, right_keys, axis, right_sorted)
+        copies = [list(vector) for vector in kept]
+        PlanExecutor(views).execute_batch(Projection(child=plan, columns=["u.row"]))
+        PlanExecutor(views).execute_batch(
+            Selection(child=plan, column="l.row", formula=ValueFormula.gt(0))
+        )
+        assert plan._kept[1] is kept and [list(vector) for vector in kept] == copies
+        assert all(type(held) is weakref.ReferenceType for held in key)
 
 
 def test_a_join_of_two_extents_reads_its_kept_pair_vectors():
     upper = _id_relation([(1, 1), (1, 2)], True)
     lower = _id_relation([(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 3, 1)], True)
     views = _views(upper=upper, lower=lower)
-    plan = StructuralJoin(
-        left=ViewScan("upper", alias="u"),
-        right=ViewScan("lower", alias="l"),
-        left_column="u.ID1",
-        right_column="l.ID1",
-        axis=Axis.CHILD,
-    )
+    plan = _extent_join(Axis.CHILD)
     first = PlanExecutor(views).execute(plan)
-    links = ColumnBatch.from_relation(lower).source(0).links
-    (entry,) = [by_axis[Axis.CHILD] for by_axis in links.values()]
-    kept = entry.paired
-    assert kept == ((0, 0, 1), (0, 1, 2))
+    entry = plan._kept
+    assert [list(vector) for vector in entry[1]] == [[0, 0, 1], [0, 1, 2]]
     second = PlanExecutor(views).execute(plan)
-    assert entry.paired is kept and second.rows == first.rows
+    assert plan._kept is entry and second.rows == first.rows
     _identical(second, OracleExecutor(views).execute(plan))
-    # a gathered side pairs through pairs(), and leaves the vectors alone
+    # a gathered side keeps its own pairs, and leaves these alone
     gathered = StructuralJoin(
         left=ViewScan("upper", alias="u"),
         right=Selection(
@@ -751,13 +758,14 @@ def test_a_join_of_two_extents_reads_its_kept_pair_vectors():
         right_column="l.ID1",
         axis=Axis.CHILD,
     )
-    _identical(PlanExecutor(views).execute(gathered), OracleExecutor(views).execute(gathered))
-    assert entry.paired is kept
+    for _ in range(2):
+        _identical(PlanExecutor(views).execute(gathered), OracleExecutor(views).execute(gathered))
+    assert gathered._kept is not None and plan._kept is entry
+    assert assert_memo_derived([plan, gathered], views) == 3
 
 
 # --------------------------------------------------------------------------- #
-# join chains: the second join keeps its pairs when its ancestor side is a
-# kept vector's gather, and kept vectors record whether they repeat a row
+# join chains: every join of a chain keeps its pairs, whatever its inputs
 # --------------------------------------------------------------------------- #
 @st.composite
 def _chain_extent(draw):
@@ -789,24 +797,26 @@ def _chain(first_axis: Axis, second_axis: Axis, ancestor_column: str) -> Structu
     )
 
 
-def _entries(relation: Relation) -> list:
-    """The links cached on ``relation``'s ID column, as descendant side."""
-    links = ColumnBatch.from_relation(relation).source(0).links or {}
-    return [entry for by_axis in links.values() for entry in by_axis.values()]
+def _chain_views(upper, middle, lower) -> tuple[dict, dict]:
+    relations = {
+        name: _id_relation(*extent)
+        for name, extent in (("upper", upper), ("middle", middle), ("lower", lower))
+    }
+    return relations, _views(**relations)
 
 
-def _kept_vectors(*relations: Relation) -> list:
-    vectors = []
-    for relation in relations:
-        for entry in _entries(relation):
-            vectors += entry.paired or ()
-            vectors += (entry.chained or ())[1:]
-    return vectors
+def _replace(views: dict, name: str) -> None:
+    """A write's effect on ``name``: a new extent relation, here with the
+    same rows."""
+    old = views[name].relation
+    fresh = Relation(old.columns, rows=list(old.rows))
+    fresh.sorted_by = old.sorted_by
+    views[name] = SimpleNamespace(relation=fresh)
 
 
 def _distinct_by_hashing(source) -> bool:
-    """:meth:`_ColumnSource.distinct` as it reads with no ``repeat_free``
-    record: the composed gather, hashed."""
+    """:meth:`_ColumnSource.distinct` restated: an ascending direct source,
+    read through a composed gather that repeats no row."""
     direct, rows = source.resolve()
     return direct.ascending() and (rows is None or len(set(rows)) == len(rows))
 
@@ -835,22 +845,16 @@ def test_a_join_chain_equals_the_oracle_and_rereads_its_kept_vectors(
     upper, middle, lower, first_axis, second_axis, ancestor_column, names
 ):
     """``(A ⋈ B) ⋈ C`` twice through the executor: row for row the oracle's
-    both times; the second join keeps its pairs exactly when the first one
-    kept its own (``B`` annotated sorted) and ``C`` is annotated sorted, and
-    the second run re-reads them; every kept vector's ``repeat_free``
-    record is its own truth; every ``distinct()`` answer equals hashing the
-    composed gather; ``π`` over the chain equals ``Relation.project``.
-    Then the feeding links build a new vector: the chained entry misses and
-    the answers still match."""
-    relations = {
-        name: _id_relation(*extent)
-        for name, extent in (("upper", upper), ("middle", middle), ("lower", lower))
-    }
-    views = _views(**relations)
+    both times, every ``distinct()`` answer equal to hashing the composed
+    gather, ``π`` over the chain equal to ``Relation.project``.  Both joins
+    and the ``π`` keep their vectors on the first run, sorted inputs or
+    not, and the second run reads the very same entries.  Then the middle
+    extent is replaced: both joins and the ``π`` miss, and the answers
+    still match."""
+    relations, views = _chain_views(upper, middle, lower)
     plan = _chain(first_axis, second_axis, ancestor_column)
     projection = Projection(child=plan, columns=names)
     slow = OracleExecutor(views).execute(plan)
-    kept_path = middle[1] and lower[1]
 
     def run():
         executor = PlanExecutor(views)
@@ -862,43 +866,38 @@ def test_a_join_chain_equals_the_oracle_and_rereads_its_kept_vectors(
         assert [_hashable(row) for row in projected.rows] == [
             _hashable(row) for row in slow.project(names).rows
         ]
-        (entry,) = _entries(relations["lower"])
-        assert (entry.chained is not None) == kept_path
-        for vector in _kept_vectors(*relations.values()):
-            assert vector.repeat_free == (len(set(vector)) == len(vector))
-        return entry.chained
+        entries = [projection._kept, plan._kept, plan.left._kept]
+        assert all(entry is not None for entry in entries)
+        return entries
 
-    chained = run()
-    assert run() is chained  # the same tuples, not an equal rebuild
-    if kept_path:
-        (feeding,) = _entries(relations["middle"])
-        assert chained[0] in feeding.paired
-        feeding.paired = None  # the next first join keeps a new vector
-        again = run()
-        assert again is not chained and again[0] in feeding.paired
+    kept = run()
+    assert all(map(operator.is_, run(), kept))  # the same entries, not a rebuild
+    assert assert_memo_derived([projection], views) == 3
+    _replace(views, "middle")
+    missed = run()
+    assert not any(map(operator.is_, missed, kept))
+    assert [entry[1] for entry in missed] == [entry[1] for entry in kept]
 
 
 @settings(max_examples=30, deadline=None)
 @given(_chain_extent(), _chain_extent(), _chain_extent())
 def test_two_chains_alternating_into_one_links_stay_correct(upper, middle, lower):
-    """The child-axis and the descendant-axis first join keep two different
-    vectors over ``upper``; both chains then feed the one ``upper → lower``
-    entry, each run replacing the other's slot, and every answer stays the
-    oracle's."""
-    relations = {
-        name: _id_relation(*extent)
-        for name, extent in (("upper", upper), ("middle", middle), ("lower", lower))
-    }
-    views = _views(**relations)
+    """The child-axis and the descendant-axis chain share the one
+    ``upper → lower`` links entry; run in turn, each keeps its own vectors
+    on its own nodes, reads them back on every later run, and every answer
+    stays the oracle's."""
+    _, views = _chain_views(upper, middle, lower)
     chains = [_chain(axis, Axis.DESCENDANT, "u.ID1") for axis in AXES]
     oracles = [OracleExecutor(views).execute(plan) for plan in chains]
-    for _ in range(2):
-        for plan, slow in zip(chains, oracles):
+    kept = []
+    for round_ in range(2):
+        for index, (plan, slow) in enumerate(zip(chains, oracles)):
             _identical(PlanExecutor(views).execute(plan), slow)
-            if middle[1] and lower[1]:
-                (entry,) = _entries(relations["lower"])
-                (by_axis,) = ColumnBatch.from_relation(relations["middle"]).source(0).links.values()
-                assert entry.chained[0] is by_axis[plan.left.axis].paired[0]
+            if round_:
+                assert plan._kept is kept[index]
+            else:
+                kept.append(plan._kept)
+    assert assert_memo_derived(chains, views) == 4
 
 
 @pytest.mark.parametrize(
@@ -913,7 +912,7 @@ def test_two_chains_alternating_into_one_links_stay_correct(upper, middle, lower
 def test_a_repeat_at_either_level_of_a_chain_still_deduplicates(middle, lower, repeating):
     """``u.ID1`` read through both joins' vectors is distinct only when
     neither vector repeats a row: with one repeating, the projection keeps
-    one ``1.1`` of the two."""
+    one ``1.1`` of the two — and keeps that dedup vector."""
     relations = {
         "upper": _id_relation([(1, 1), (1, 2)], True),
         "middle": _id_relation(middle, True),
@@ -924,40 +923,53 @@ def test_a_repeat_at_either_level_of_a_chain_still_deduplicates(middle, lower, r
     executor = PlanExecutor(views)
     batch = executor.execute_batch(plan)
     source = batch.source(batch.column_index("u.ID1"))
-    assert source._repeat_free == (repeating == "first")
-    assert source._parent._repeat_free == (repeating == "second")
+    outer, inner = plan._kept[1][0], plan.left._kept[1][0]
+    assert (len(set(inner)) < len(inner)) == (repeating == "first")
+    assert (len(set(outer)) < len(outer)) == (repeating == "second")
     assert not source.distinct()
     projection = Projection(child=plan, columns=["u.ID1"])
     assert executor.execute(projection).rows == [(DeweyID((1, 1)),)]
+    assert projection._kept[1] is not None  # a dedup vector, not "distinct"
     _identical(executor.execute(projection), OracleExecutor(views).execute(projection))
+    _identical(PlanExecutor(views).execute(projection), OracleExecutor(views).execute(projection))
 
 
 def test_a_pickle_written_before_the_repeat_free_record_loads_it_unset():
+    """Older builds pickled a gather's ``_repeat_free`` record; such a state
+    loads without it, and ``distinct()`` hashes the gather."""
     parent = _ColumnSource(values=[1, 2, 3])
-    gather = _ColumnSource(parent=parent, indices=(0, 2), repeat_free=True)
-    copy = pickle.loads(pickle.dumps(gather))
-    assert copy._repeat_free is True and copy.values() == [1, 3]
-    old_state = {
-        name: value for name, value in gather.__getstate__().items() if name != "_repeat_free"
-    }
+    gather = _ColumnSource(parent=parent, indices=(0, 2))
     old = _ColumnSource.__new__(_ColumnSource)
-    old.__setstate__(old_state)
-    assert old._repeat_free is False
-    assert old.distinct()  # read by hashing the gather, as before the record
+    old.__setstate__({**gather.__getstate__(), "_repeat_free": True})
+    assert not hasattr(old, "_repeat_free") and old.values() == [1, 3]
+    assert old.distinct()
+    repeating = _ColumnSource(parent=parent, indices=(0, 0))
+    old.__setstate__({**repeating.__getstate__(), "_repeat_free": True})
+    assert not old.distinct()  # the record is not believed
 
 
-def test_kept_indices_record_whether_they_repeat_a_row():
-    assert kernels.KeptIndices([0, 2, 1]).repeat_free
-    assert not kernels.KeptIndices([0, 1, 0]).repeat_free
-    assert kernels.KeptIndices([]).repeat_free
-    kept = kernels.KeptIndices([3, 1])
-    assert kept == (3, 1) and isinstance(kept, tuple)
-    copy = pickle.loads(pickle.dumps(kept))
-    assert copy == kept and copy.repeat_free
+def test_a_plan_pickles_and_copies_without_its_memo():
+    """The memo is no part of the plan's description: equal plans compare
+    equal and print alike whatever they keep, and neither a pickle nor a
+    copy carries an entry (its weak references could not travel, and a
+    copy must run from scratch)."""
+    views = _views(
+        upper=_id_relation([(1, 1), (1, 2)], True),
+        lower=_id_relation([(1, 1, 1), (1, 2, 1)], True),
+    )
+    plan = Projection(child=_extent_join(Axis.CHILD), columns=["u.ID1"])
+    PlanExecutor(views).execute(plan)
+    assert plan._kept is not None and plan.child._kept is not None
+    fresh = Projection(child=_extent_join(Axis.CHILD), columns=["u.ID1"])
+    assert plan == fresh and repr(plan) == repr(fresh)
+    for twin in (pickle.loads(pickle.dumps(plan)), copy.deepcopy(plan)):
+        assert twin == plan
+        assert twin._kept is None and twin.child._kept is None
+    assert plan._kept is not None and plan.child._kept is not None
 
 
 # --------------------------------------------------------------------------- #
-# kept π: a projection through kept vectors only re-reads its answer
+# kept π: a projection re-reads its dedup vector (or "distinct")
 # --------------------------------------------------------------------------- #
 _CHAIN_COLUMNS = ["u.ID1", "u.row", "m.ID1", "m.row", "l.ID1", "l.row"]
 _CHAIN_SUBSETS = [
@@ -966,18 +978,16 @@ _CHAIN_SUBSETS = [
 ]
 
 
-def _projection_run(executor, child_plan, names):
-    """A π of ``names`` over ``child_plan``: its result, its memo slot (the
-    holder and the entry it holds after the run, or ``None`` where no memo
-    applies) and its answer (``None`` when it handed back the child's
-    sources, else the dedup vector it gathered through)."""
-    child = executor.execute_batch(child_plan)
-    sources = [child.source(child.column_index(name)) for name in names]
-    batch = executor.execute_batch(Projection(child=child_plan, columns=names))
-    memo = kept_projection(sources)
+def _projection_run(views, projection):
+    """A run of ``projection``: its result, its memo entry after the run and
+    its answer (``None`` when it handed back the child's sources, else the
+    dedup vector it gathered through)."""
+    batch = PlanExecutor(views).execute_batch(projection)
     head = batch.source(0)
-    answer = head._indices if head._parent is sources[0] else None
-    return batch, memo and (memo[0], memo[0].projected), answer
+    answer = None if head._parent is None or head._indices is None else head._indices
+    if projection._kept[1] is None:
+        answer = None
+    return batch, projection._kept, answer
 
 
 @settings(max_examples=25, deadline=None)
@@ -993,68 +1003,56 @@ def test_a_kept_projection_rereads_its_answer_and_equals_the_oracle(
     upper, middle, lower, first_axis, second_axis, ancestor_column
 ):
     """``π`` over every column subset of ``(A ⋈ B) ⋈ C``: row for row the
-    oracle's on every run; wherever every column reads its extent through
-    kept vectors — both joins keep theirs — a second run returns the very
-    answer of the first (the same dedup vector object, or the child's
-    sources) and stores nothing, and a dedup vector is a repeat-free
-    ``KeptIndices``.  Then each feeding kept vector is replaced in turn —
-    the first join's, then the second's: the memo misses (a new entry is
-    stored) and the answer still matches."""
-    relations = {
-        name: _id_relation(*extent)
-        for name, extent in (("upper", upper), ("middle", middle), ("lower", lower))
-    }
-    views = _views(**relations)
+    oracle's on every run; a second run reads the very entry of the first
+    and gathers through the very same dedup vector, which repeats no row.
+    Then the middle, then the lower extent is replaced: the memo misses (a
+    new entry) and the answer still matches."""
+    _, views = _chain_views(upper, middle, lower)
     plan = _chain(first_axis, second_axis, ancestor_column)
-
-    def run(names, slow):
-        batch, slot, answer = _projection_run(PlanExecutor(views), plan, names)
-        _identical(batch.to_relation(), slow)
-        if answer is not None and slot:
-            assert type(answer) is kernels.KeptIndices and answer.repeat_free
-            assert len(set(answer)) == len(answer)
-        return slot, answer
-
-    feeding = {"paired": relations["middle"], "chained": relations["lower"]}
-    kept = []
     for names in _CHAIN_SUBSETS:
-        slow = OracleExecutor(views).execute(Projection(child=plan, columns=names))
-        slot, answer = run(names, slow)
-        again, answer_again = run(names, slow)
-        assert bool(again) == bool(slot)
-        if not slot:
-            continue
-        kept.append(names)
-        assert again[1] is slot[1] and answer_again is answer
-        for replace, relation in feeding.items():
-            for entry in _entries(relation):
-                setattr(entry, replace, None)
-            missed, _ = run(names, slow)
-            assert missed[1] is not slot[1]
-            slot = missed
-    assert bool(kept) == (middle[1] and lower[1])
+        projection = Projection(child=plan, columns=names)
+        slow = OracleExecutor(views).execute(projection)
+        batch, entry, answer = _projection_run(views, projection)
+        _identical(batch.to_relation(), slow)
+        if answer is not None:
+            assert answer is entry[1] and len(set(answer)) == len(answer)
+        batch, again, answer_again = _projection_run(views, projection)
+        _identical(batch.to_relation(), slow)
+        assert again is entry and answer_again is answer
+    for name in ("middle", "lower"):
+        _replace(views, name)
+        for names in _CHAIN_SUBSETS[:: len(_CHAIN_SUBSETS) // 7]:
+            projection = Projection(child=plan, columns=names)
+            _projection_run(views, projection)
+            batch, entry, _ = _projection_run(views, projection)
+            kept_before = entry
+            _replace(views, name)
+            batch, missed, _ = _projection_run(views, projection)
+            assert missed is not kept_before and missed[1] == kept_before[1]
+            _identical(batch.to_relation(), OracleExecutor(views).execute(projection))
 
 
 @settings(max_examples=25, deadline=None)
 @given(_chain_extent())
-def test_a_projection_of_a_whole_extent_keeps_its_answer_on_the_source(extent):
-    """No gather level (a π straight over a scan): the memo lives on the
-    first column's direct source and the second run reads it back."""
-    relation = _id_relation(*extent)
-    views = _views(upper=relation)
+def test_a_projection_of_a_whole_extent_keeps_its_answer(extent):
+    """No gather level (a π straight over a scan, like Q18): the second run
+    reads the first one's entry back."""
+    views = _views(upper=_id_relation(*extent))
     scan = ViewScan("upper", alias="u")
-    direct = ColumnBatch.from_relation(relation)
     for names in (["u.ID1"], ["u.row"], ["u.row", "u.ID1"], ["u.ID1", "u.row"]):
-        slow = OracleExecutor(views).execute(Projection(child=scan, columns=names))
-        batch, (holder, entry), answer = _projection_run(PlanExecutor(views), scan, names)
+        projection = Projection(child=scan, columns=names)
+        slow = OracleExecutor(views).execute(projection)
+        batch, entry, answer = _projection_run(views, projection)
         _identical(batch.to_relation(), slow)
-        assert holder is direct.source(0 if names[0] == "u.ID1" else 1)
-        batch, (_, again), answer_again = _projection_run(PlanExecutor(views), scan, names)
+        batch, again, answer_again = _projection_run(views, projection)
         _identical(batch.to_relation(), slow)
         assert again is entry and answer_again is answer
 
 
-def test_a_selection_below_a_projection_never_memoises():
+def test_a_selection_below_a_projection_is_kept_too():
+    """A σ between the chain and its π: the σ keeps its keep vector, the π
+    its answer, both read back on the next run; every run equals the
+    oracle, and replacing the extent the σ reads makes both miss."""
     relations = {
         "upper": _id_relation([(1, 1), (1, 1), (1, 2)], True),
         "middle": _id_relation([(1, 1, 1), (1, 1, 2), (1, 2, 1)], True),
@@ -1062,51 +1060,58 @@ def test_a_selection_below_a_projection_never_memoises():
     }
     views = _views(**relations)
     chain = _chain(Axis.CHILD, Axis.DESCENDANT, "u.ID1")
-    selected = Selection(child=chain, column="m.row", formula=ValueFormula.ge(0))
-    for names in _CHAIN_SUBSETS:
-        projection = Projection(child=selected, columns=names)
-        for _ in range(2):
-            _identical(
-                PlanExecutor(views).execute(projection), OracleExecutor(views).execute(projection)
-            )
-    vectors = _kept_vectors(*relations.values())
-    assert vectors and all(vector.projected is None for vector in vectors)
-    for relation in relations.values():
-        sources = ColumnBatch.from_relation(relation)._sources
-        assert all(source.projected is None for source in sources)
+    selected = Selection(child=chain, column="m.row", formula=ValueFormula.ge(1))
+    projections = [Projection(child=selected, columns=names) for names in _CHAIN_SUBSETS]
+    for projection in projections:
+        _identical(
+            PlanExecutor(views).execute(projection), OracleExecutor(views).execute(projection)
+        )
+    kept = [(projection._kept, selected._kept) for projection in projections]
+    assert all(entry is not None for pair in kept for entry in pair)
+    for projection, (entry, below) in zip(projections, kept):
+        _identical(
+            PlanExecutor(views).execute(projection), OracleExecutor(views).execute(projection)
+        )
+        assert projection._kept is entry and selected._kept is below
+    assert assert_memo_derived(projections, views) == len(projections) + 3
+    _replace(views, "middle")
+    projection = projections[0]
+    _identical(PlanExecutor(views).execute(projection), OracleExecutor(views).execute(projection))
+    assert projection._kept is not kept[0][0] and selected._kept is not kept[0][1]
 
 
 def test_the_projection_memo_keeps_no_replaced_extent_alive():
     """With the collector off, replacing the ancestor extent frees its old
-    direct sources: the memo on a kept vector of the untouched extents
-    holds the ``u.row`` source it read only weakly, and the links entry
-    weakly keyed on the old ``u.ID1`` source dies with it."""
+    relation and direct sources while the plan keeps its entries — they
+    hold the extents only weakly — and the links entry weakly keyed on the
+    old ``u.ID1`` source dies with it.  The next run misses and equals the
+    oracle."""
     relations = {
         "upper": _id_relation([(1, 1), (1, 2)], True),
         "middle": _id_relation([(1, 1, 1), (1, 1, 2), (1, 2, 1)], True),
         "lower": _id_relation([(1, 1, 1, 1), (1, 1, 2, 1), (1, 2, 1, 1)], True),
     }
     views = _views(**relations)
-    plan = _chain(Axis.CHILD, Axis.CHILD, "m.ID1")
-    names = ["u.row"]  # repeats: the memo holds a dedup vector
+    projection = Projection(child=_chain(Axis.CHILD, Axis.CHILD, "m.ID1"), columns=["u.row"])
     gc.disable()
     try:
-        batch, (holder, entry), answer = _projection_run(PlanExecutor(views), plan, names)
-        assert type(holder) is kernels.KeptIndices and answer is not None
+        batch, entry, answer = _projection_run(views, projection)
+        assert answer is not None  # u.row repeats: the memo holds a dedup vector
         old = relations.pop("upper")
+        old_relation = weakref.ref(old)
         old_sources = [weakref.ref(source) for source in ColumnBatch.from_relation(old)._sources]
         # an extent's relation and its cached batch point at each other
         # (independently of any memo): break that before letting it go
         del old._column_batch
         views["upper"] = SimpleNamespace(relation=_id_relation([(1, 1), (1, 2)], True))
-        del old, batch, holder, entry, answer
+        del old, batch, answer
+        assert old_relation() is None
         assert [source() for source in old_sources] == [None, None]
+        assert projection._kept is entry and entry[0][0]() is None
         (middle_links,) = [ColumnBatch.from_relation(relations["middle"]).source(0).links]
         assert len(middle_links) == 0
-        batch, _, _ = _projection_run(PlanExecutor(views), plan, names)
-        _identical(
-            batch.to_relation(),
-            OracleExecutor(views).execute(Projection(child=plan, columns=names)),
-        )
+        batch, missed, _ = _projection_run(views, projection)
+        assert missed is not entry
+        _identical(batch.to_relation(), OracleExecutor(views).execute(projection))
     finally:
         gc.enable()

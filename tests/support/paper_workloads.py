@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from repro import MaterializedView, build_summary
+from repro import Database, MaterializedView, build_summary, parse_pattern
 from repro.rewriting.algorithm import Rewriting, RewritingConfig
 from repro.rewriting.rewriter import Rewriter
 from repro.views.store import ViewSet
@@ -31,6 +31,7 @@ from repro.workloads.synthetic import (
     generate_random_views,
     seed_tag_views,
 )
+from repro.workloads import XMARK_QUERY_PATTERNS
 from repro.workloads.xmark import generate_xmark_document, xmark_query_patterns
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
     "dblp_workload",
     "materialised_views",
     "query_labels",
+    "seed_view_session",
     "xmark_workload",
 ]
 
@@ -67,6 +69,21 @@ def query_labels(queries):
             if node.label and node.label != "*":
                 labels.add(node.label)
     return labels
+
+
+def seed_view_session(document, names):
+    """A session over ``document`` with the bench's seed views for the fig13
+    queries ``names``, and those queries."""
+    config = RewritingConfig(
+        max_rewritings=2, max_plan_size=3, enable_unions=False, time_budget_seconds=None
+    )
+    queries = [parse_pattern(XMARK_QUERY_PATTERNS[name], name=name) for name in names]
+    db = Database(document, config=config)
+    labels = {node.label for query in queries for node in query.nodes()}
+    for view in seed_tag_views(db.summary):
+        if view.root.children[0].label in labels:
+            db.create_view(view, name=view.name)
+    return db, queries
 
 
 def materialised_views(summary, document, labels, random_view_count=8, seed=3):

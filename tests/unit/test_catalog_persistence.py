@@ -215,7 +215,8 @@ def test_statistics_pickled_before_the_integer_sums_load_whole(setup):
 
 
 # --------------------------------------------------------------------------- #
-# the value index and the projection memo never travel in a pickle
+# the value index never travels in a pickle, and slots an older build
+# pickled (a gather's repeat-free record, a projection memo) load ignored
 # --------------------------------------------------------------------------- #
 def test_a_column_source_pickles_without_its_index_or_projection_memo():
     from repro.algebra.columnar import _ColumnSource
@@ -229,11 +230,37 @@ def test_a_column_source_pickles_without_its_index_or_projection_memo():
     assert copy.index is None and index_for_source(copy) is None
 
     indexed = _ColumnSource(values=["b", "a"])
-    indexed.projected = ((), None)
     assert index_for_source(indexed) is not None
     copy = pickle.loads(pickle.dumps(indexed))
-    assert copy.index is None and copy.projected is None
-    assert copy.values() == ["b", "a"]
+    assert copy.index is None and copy.values() == ["b", "a"]
+
+    old = _ColumnSource.__new__(_ColumnSource)
+    old.__setstate__(
+        {**indexed.__getstate__(), "_repeat_free": True, "projected": ((), None), "index": 1}
+    )
+    assert old.values() == ["b", "a"] and old.index is None and old.links is None
+    assert not hasattr(old, "_repeat_free") and not hasattr(old, "projected")
+
+
+def test_a_save_file_whose_sources_carry_removed_slots_loads(setup, tmp_path, monkeypatch):
+    """A ``Database.save`` file of a build whose column sources pickled a
+    gather's ``_repeat_free`` record and a ``projected`` memo loads, and
+    answers as the session that wrote it."""
+    from repro.algebra.columnar import _ColumnSource
+
+    doc, summary, views = setup
+    db = Database(doc, views, summary=summary)
+    expected = db.query(SELECTIVE)
+    state = _ColumnSource.__getstate__
+    monkeypatch.setattr(
+        _ColumnSource,
+        "__getstate__",
+        lambda source: {**state(source), "_repeat_free": False, "projected": None},
+    )
+    db.save(tmp_path / "old.db")
+    monkeypatch.undo()
+    loaded = Database.load(tmp_path / "old.db")
+    assert loaded.query(SELECTIVE).same_contents(expected)
 
 
 SELECTIVE = 'site(//item[ID](/name[ID,V]{v="ink"}))'
