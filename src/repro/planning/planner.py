@@ -201,23 +201,28 @@ class Planner:
         return model
 
     # ------------------------------------------------------------------ #
-    def rank(self, outcome: RewriteOutcome) -> list[PlannedRewriting]:
+    def rank(
+        self,
+        outcome: RewriteOutcome,
+        previous: Optional[list[PlanOperator]] = None,
+    ) -> list[PlannedRewriting]:
         """Lower and rank every rewriting of an outcome, cheapest first.
 
         Each rewriting's plan is first run through the predicate-pushdown
         pass (selections sink into index probes where the cost model's
         access-path comparison prefers them), so costs, ``EXPLAIN`` output
         and execution all speak about the same transformed operators.
+        ``previous`` holds the operators an earlier rank of the same
+        rewritings pushed, in search order: one the pass rebuilt equal is
+        reused, so the executor's memo on its nodes survives the re-rank.
         """
         model = self.cost_model
-        lowered = [
-            (
-                lower_plan(push_selections(rewriting.plan, model), model),
-                search_order,
-                rewriting,
-            )
-            for search_order, rewriting in enumerate(outcome.rewritings)
-        ]
+        lowered = []
+        for search_order, rewriting in enumerate(outcome.rewritings):
+            pushed = push_selections(rewriting.plan, model)
+            if previous is not None and pushed == previous[search_order]:
+                pushed = previous[search_order]
+            lowered.append((lower_plan(pushed, model), search_order, rewriting))
         lowered.sort(
             key=lambda item: (
                 item[0].total_cost,
@@ -236,9 +241,14 @@ class Planner:
             for rank, (plan, search_order, rewriting) in enumerate(lowered)
         ]
 
-    def choose(self, query: TreePattern, outcome: RewriteOutcome) -> PlanChoice:
+    def choose(
+        self,
+        query: TreePattern,
+        outcome: RewriteOutcome,
+        previous: Optional[list[PlanOperator]] = None,
+    ) -> PlanChoice:
         """Rank an outcome into a choice stamped with the current data version."""
-        choice = PlanChoice(query, self.rank(outcome), outcome.statistics)
+        choice = PlanChoice(query, self.rank(outcome, previous), outcome.statistics)
         choice.data_version = self.rewriter.views.data_version
         return choice
 
@@ -255,14 +265,18 @@ class Planner:
         re-ranked from its own rewritings, taken in search order so ties
         break as a fresh plan's would; one ranked under the current one
         is returned as is.  Only valid while ``views.version`` has not
-        moved since the search (the caller's cache key).
+        moved since the search (the caller's cache key).  An alternative
+        whose pushed plan comes out equal keeps its operator objects, and
+        with them the executor's memo of their outputs.
         """
         if choice.data_version == self.rewriter.views.data_version:
             return choice
         ordered = sorted(choice.alternatives, key=lambda planned: planned.search_order)
         rewritings = [planned.rewriting for planned in ordered]
         return self.choose(
-            choice.query, RewriteOutcome(choice.query, rewritings, choice.statistics)
+            choice.query,
+            RewriteOutcome(choice.query, rewritings, choice.statistics),
+            [planned.plan_operator for planned in ordered],
         )
 
     def best_plan(self, query: TreePattern) -> PlannedRewriting:

@@ -53,7 +53,6 @@ from repro.errors import (
     SessionError,
     XMLError,
 )
-from repro.patterns.parser import parse_pattern
 from repro.service.metrics import MetricsRegistry, SlowQueryLog
 from repro.service.models import (
     SCHEMA_VERSION,
@@ -71,7 +70,7 @@ from repro.service.tracing import (
     Tracer,
     attach_operator_spans,
 )
-from repro.session.database import Database, PreparedQuery
+from repro.session.database import Database, PreparedQuery, QueryKey
 
 __all__ = ["ServiceApp", "ServiceResponse"]
 
@@ -253,20 +252,25 @@ class ServiceApp:
     # ------------------------------------------------------------------ #
     # the query pipeline (shared by /query, /query_many, /execute)
     # ------------------------------------------------------------------ #
-    def _parse(self, text: str, name: Optional[str], span):
+    def _key(self, text: str, name: Optional[str], span) -> QueryKey:
+        """The ``parse`` phase: the text resolved to its plan-cache key.
+
+        A text the plan cache's front has seen is not parsed again; the
+        span marks that with ``front_hit``."""
         with span.child("parse") as parse_span:
             started = time.perf_counter()
-            pattern = parse_pattern(text, name=name or "query")
-            parse_span.set_attribute("query_name", pattern.name)
+            key = self.database.query_key(text, name)
+            parse_span.set_attribute("query_name", key.name)
+            parse_span.set_attribute("front_hit", key.pattern is None)
         self._query_phase.observe(
             time.perf_counter() - started, {"phase": "parse"}
         )
-        return pattern
+        return key
 
-    def _plan(self, pattern, span):
+    def _plan(self, key: QueryKey, span):
         with span.child("plan") as plan_span:
             started = time.perf_counter()
-            choice = self.database.plan_query(pattern)
+            choice = self.database.plan_query(key)
             plan_span.set_attribute(
                 "views_used", sorted(set(choice.best.rewriting.views_used))
             )
@@ -279,7 +283,7 @@ class ServiceApp:
         )
         return choice
 
-    def _execute(self, pattern, choice, span) -> ColumnBatch:
+    def _execute(self, query_name: str, choice, span) -> ColumnBatch:
         """Run the chosen plan; the result stays the executor's batch, which
         :func:`batch_to_payload` encodes column by column."""
         profile = self.profile_queries
@@ -299,8 +303,8 @@ class ServiceApp:
         # are only worth computing for a query the log will keep
         if elapsed >= self.slow_queries.threshold_seconds:
             self.slow_queries.observe(
-                query_name=pattern.name,
-                fingerprint=_fingerprint_hex(pattern),
+                query_name=query_name,
+                fingerprint=_fingerprint_hex(choice.query),
                 plan=choice.best.describe(),
                 seconds=elapsed,
                 trace_id=span.trace_id,
@@ -308,12 +312,12 @@ class ServiceApp:
         return batch
 
     def _answer(self, text: str, name: Optional[str], span) -> dict:
-        pattern = self._parse(text, name, span)
         with self._lock:
-            choice = self._plan(pattern, span)
-            batch = self._execute(pattern, choice, span)
+            key = self._key(text, name, span)
+            choice = self._plan(key, span)
+            batch = self._execute(key.name, choice, span)
         return {
-            "query_name": pattern.name,
+            "query_name": key.name,
             "views_used": sorted(set(choice.best.rewriting.views_used)),
             "result": batch_to_payload(batch),
         }
@@ -337,16 +341,16 @@ class ServiceApp:
 
     def _handle_prepare(self, payload, span) -> dict:
         request = PrepareRequest.from_payload(payload)
-        pattern = self._parse(request.query, request.name, span)
         with self._lock:
+            key = self._key(request.query, request.name, span)
             with span.child("plan"):
-                prepared = self.database.prepare(pattern)
+                prepared = self.database.prepare(key.parsed())
             self._statement_serial += 1
             stmt_id = f"stmt-{self._statement_serial}"
             self._statements[stmt_id] = prepared
         return {
             "stmt_id": stmt_id,
-            "query_name": pattern.name,
+            "query_name": key.name,
             "views_used": sorted(set(prepared.plan.rewriting.views_used)),
             "times_planned": prepared.times_planned,
         }
@@ -366,7 +370,7 @@ class ServiceApp:
                     f"(it may have been prepared by another server process)",
                 )
             choice = prepared.choice  # transparently re-plans after DDL
-            batch = self._execute(prepared.query, choice, span)
+            batch = self._execute(prepared.query.name, choice, span)
         return {
             "stmt_id": stmt_id,
             "query_name": prepared.query.name,
@@ -376,10 +380,10 @@ class ServiceApp:
 
     def _handle_explain(self, payload, span) -> dict:
         request = ExplainRequest.from_payload(payload)
-        pattern = self._parse(request.query, request.name, span)
         with self._lock:
+            key = self._key(request.query, request.name, span)
             with span.child("plan"):
-                choice = self.database.plan_query(pattern)
+                choice = self.database.plan_query(key)
             if request.analyze:
                 with span.child("execute") as execute_span:
                     started = time.perf_counter()

@@ -10,6 +10,7 @@ from repro.session.database import (
     Database,
     PlanCache,
     PreparedQuery,
+    QueryKey,
 )
 from repro.session.explain import ExplainOperator, ExplainReport, build_explain_report
 
@@ -18,6 +19,7 @@ __all__ = [
     "Database",
     "PlanCache",
     "PreparedQuery",
+    "QueryKey",
     "ExplainOperator",
     "ExplainReport",
     "build_explain_report",

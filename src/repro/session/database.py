@@ -32,7 +32,8 @@ single entry point so callers stop hand-wiring ``build_summary`` +
   on view DDL and on a document mutation that changes the summary's shape
   or flags), so unprepared callers repeating a query skip the rewriting
   search entirely — across data-only writes too, where a hit is merely
-  re-ranked under the new statistics.
+  re-ranked under the new statistics; a repeated query *text* is not even
+  parsed or keyed (the cache's text front, :meth:`Database.query_key`).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import pickle
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from repro.algebra.execution import PlanExecutor
 from repro.algebra.tuples import Relation
@@ -70,6 +71,7 @@ __all__ = [
     "Database",
     "PlanCache",
     "PreparedQuery",
+    "QueryKey",
     "DATABASE_FORMAT_VERSION",
 ]
 
@@ -87,6 +89,24 @@ MAINTENANCE_COUNTERS = (
     "links_dropped",
 )
 """The keys of :attr:`Database.maintenance_stats`."""
+
+
+class QueryKey(NamedTuple):
+    """A query resolved to its plan-cache fingerprint (:meth:`Database.query_key`)."""
+
+    fingerprint: tuple
+    name: str
+    text: Optional[str]
+    """The query text, or None for a query handed over as a pattern."""
+    pattern: Optional[TreePattern]
+    """The parsed pattern; None when the text front knew the text, so that
+    nothing was parsed (a plan-cache miss then parses it)."""
+
+    def parsed(self) -> TreePattern:
+        """The pattern, parsed now if the text front skipped it."""
+        if self.pattern is not None:
+            return self.pattern
+        return parse_pattern(self.text, name=self.name)
 
 
 class PlanCache:
@@ -112,6 +132,12 @@ class PlanCache:
     result back.  LRU-bounded; hit/miss/invalidation counters stay
     cumulative across invalidations so they remain meaningful observables
     for benchmarks.
+
+    In front of the fingerprints sits a *text front*: query text → its
+    fingerprint, so a repeated string is neither parsed nor walked for its
+    key (:meth:`text_key` / :meth:`remember_text`).  Text → key is a pure
+    function of the text, so the front does not follow ``views.version``;
+    it is bounded by the same ``maxsize`` and emptied by :meth:`clear`.
     """
 
     def __init__(self, maxsize: int = 256):
@@ -122,6 +148,7 @@ class PlanCache:
         """How many times a view-set version bump flushed the cache."""
         self._version: Optional[int] = None
         self._data: "OrderedDict[tuple, PlanChoice]" = OrderedDict()
+        self._texts: "OrderedDict[str, tuple]" = OrderedDict()
 
     def _sync_version(self, version: int) -> None:
         if self._version != version:
@@ -150,9 +177,23 @@ class PlanCache:
         while len(self._data) > self.maxsize:
             self._data.popitem(last=False)
 
+    def text_key(self, text: str) -> Optional[tuple]:
+        """The fingerprint the text front holds for ``text``, if any."""
+        fingerprint = self._texts.get(text)
+        if fingerprint is not None:
+            self._texts.move_to_end(text)
+        return fingerprint
+
+    def remember_text(self, text: str, fingerprint: tuple) -> None:
+        """Put ``text`` → ``fingerprint`` in the text front (LRU-bounded)."""
+        self._texts[text] = fingerprint
+        while len(self._texts) > self.maxsize:
+            self._texts.popitem(last=False)
+
     def clear(self) -> None:
-        """Drop every entry and reset all counters."""
+        """Drop every entry (text front included) and reset all counters."""
         self._data.clear()
+        self._texts.clear()
         self._version = None
         self.hits = 0
         self.misses = 0
@@ -168,6 +209,7 @@ class PlanCache:
             "misses": self.misses,
             "invalidations": self.invalidations,
             "size": len(self._data),
+            "texts": len(self._texts),
             "maxsize": self.maxsize,
         }
 
@@ -823,39 +865,67 @@ class Database:
         """Parse + rewrite + plan once; run (and explain) many times."""
         return PreparedQuery(self, self._as_pattern(query, name))
 
-    def plan_query(
+    def query_key(
         self, query: TreePattern | str, name: Optional[str] = None
+    ) -> QueryKey:
+        """The plan-cache fingerprint of ``query``, through the text front.
+
+        Text the plan cache's front has seen maps straight to its
+        fingerprint — no :func:`~repro.patterns.parser.parse_pattern`, no
+        :func:`~repro.canonical.hashing.pattern_key` walk; other text is
+        parsed (named ``name or "query"``; a malformed pattern raises every
+        time and is never remembered), keyed, and remembered.  A
+        :class:`TreePattern` is keyed as it is.  The first half of
+        :meth:`plan_query`, exposed so the service can time it as its own
+        phase.
+        """
+        if isinstance(query, str):
+            name = name or "query"
+            fingerprint = self._plan_cache.text_key(query)
+            if fingerprint is not None:
+                return QueryKey(fingerprint, name, query, None)
+            pattern = parse_pattern(query, name=name)
+            fingerprint = pattern_key(pattern)
+            self._plan_cache.remember_text(query, fingerprint)
+            return QueryKey(fingerprint, name, query, pattern)
+        return QueryKey(pattern_key(query), query.name, None, query)
+
+    def plan_query(
+        self, query: TreePattern | str | QueryKey, name: Optional[str] = None
     ) -> PlanChoice:
         """Rewrite + plan one query through the plan cache (no execution).
 
-        The query's canonical fingerprint
-        (:func:`~repro.canonical.hashing.pattern_key`) is looked up in
+        The query's canonical fingerprint (:meth:`query_key`: a repeated
+        text is answered by the text front, other queries by
+        :func:`~repro.canonical.hashing.pattern_key`) is looked up in
         :attr:`plan_cache` first: a hit skips the rewriting search.  A
-        miss plans as before and caches the found choice.  The cache is
-        keyed to ``views.version`` — the definition version — so view DDL
-        or a shape-changing mutation can never serve a stale plan, while a
-        data-only write keeps every entry: a hit ranked before the write
-        is re-ranked from its own rewritings
+        miss parses the text if the front skipped it, plans as before and
+        caches the found choice.  The cache is keyed to ``views.version``
+        — the definition version — so view DDL or a shape-changing
+        mutation can never serve a stale plan, while a data-only write
+        keeps every entry: a hit ranked before the write is re-ranked from
+        its own rewritings
         (:meth:`~repro.planning.planner.Planner.current`) and stored
         back.  Queries with *no* rewriting are not cached (they raise, and
         a later DDL might make them answerable).
 
         This is the planning half of :meth:`query`, exposed so out-of-core
         callers — above all the HTTP service tier — can time and trace the
-        planning and execution phases separately.
+        planning and execution phases separately; they may pass the
+        :class:`QueryKey` they already resolved.
         """
-        pattern = self._as_pattern(query, name)
+        key = query if isinstance(query, QueryKey) else self.query_key(query, name)
         version = self.views.version
-        fingerprint = pattern_key(pattern)
-        choice = self._cached_choice(fingerprint, version)
+        choice = self._cached_choice(key.fingerprint, version)
         if choice is None:
+            pattern = key.parsed()
             choice = self._planner.plan(pattern)
             if not choice.found:
                 raise RewritingError(
                     f"query {pattern.name!r} has no equivalent rewriting over "
                     f"views {sorted(self.views.names)}"
                 )
-            self._plan_cache.store(fingerprint, version, choice)
+            self._plan_cache.store(key.fingerprint, version, choice)
         return choice
 
     def _cached_choice(self, fingerprint: tuple, version: int) -> Optional[PlanChoice]:
@@ -905,9 +975,9 @@ class Database:
         """One-shot query answering, served through the plan cache.
 
         Sugar for :meth:`plan_query` + :meth:`execute_choice` — a repeated
-        query hits the fingerprint-keyed cache and goes straight to
-        execution, most of the prepared-query speedup with none of the
-        call-site bookkeeping.
+        query hits the fingerprint-keyed cache (a repeated text through
+        the text front, unparsed) and goes straight to execution, most of
+        the prepared-query speedup with none of the call-site bookkeeping.
         """
         choice = self.plan_query(query, name)
         result, _ = self.execute_choice(choice)
@@ -938,31 +1008,25 @@ class Database:
         :class:`~repro.errors.RewritingError` on the first query with no
         equivalent rewriting.
         """
-        patterns = [self._as_pattern(query, None) for query in queries]
+        keys = [self.query_key(query) for query in queries]
         version = self.views.version
-        fingerprints = [pattern_key(pattern) for pattern in patterns]
-        cached = [
-            self._cached_choice(fingerprint, version) for fingerprint in fingerprints
-        ]
+        cached = [self._cached_choice(key.fingerprint, version) for key in keys]
         pending: "OrderedDict[tuple, list[int]]" = OrderedDict()
         for position, choice in enumerate(cached):
             if choice is None:
-                pending.setdefault(fingerprints[position], []).append(position)
+                pending.setdefault(keys[position].fingerprint, []).append(position)
         if pending:
-            representatives = [positions[0] for positions in pending.values()]
-            outcomes = self._rewriter.rewrite_many(
-                [patterns[position] for position in representatives]
-            )
-            for position, outcome in zip(representatives, outcomes):
-                pattern = patterns[position]
+            patterns = [keys[positions[0]].parsed() for positions in pending.values()]
+            outcomes = self._rewriter.rewrite_many(patterns)
+            for fingerprint, pattern, outcome in zip(pending, patterns, outcomes):
                 if not outcome.found:
                     raise RewritingError(
                         f"query {pattern.name!r} has no equivalent rewriting over "
                         f"views {sorted(self.views.names)}"
                     )
                 choice = self._planner.choose(pattern, outcome)
-                self._plan_cache.store(fingerprints[position], version, choice)
-                for duplicate in pending[fingerprints[position]]:
+                self._plan_cache.store(fingerprint, version, choice)
+                for duplicate in pending[fingerprint]:
                     cached[duplicate] = choice
         return [
             PlanExecutor(self.views).execute(choice.best.plan_operator)

@@ -27,7 +27,8 @@ from repro import (
     parse_pattern,
 )
 from repro.algebra import kernels
-from repro.algebra.operators import PlanOperator
+from repro.algebra.execution import PlanExecutor
+from repro.algebra.operators import IndexScan, PlanOperator
 from repro.rewriting import RewritingConfig
 from repro.workloads.xmark import generate_xmark_document
 
@@ -124,3 +125,37 @@ def test_entries_die_with_their_plans():
     owners = [plan for plan in cached if _kept_nodes([plan])]
     assert 0 < len(owners) <= db.plan_cache.maxsize
     db.close()
+
+
+def test_a_rerank_keeps_the_operators_of_a_plan_it_rebuilds_equal(monkeypatch):
+    document = generate_xmark_document(scale=1.0, seed=548, name="xmark-rerank")
+    db, (q5,) = seed_view_session(document, ("Q5",))
+    with db:
+        db.query(q5)
+        before = db.plan_query(q5)
+        plan = before.best.plan_operator
+        assert any(isinstance(node, IndexScan) for node in plan_nodes([plan]))
+        assert _kept_nodes([plan])
+        asia = db.document.nodes_on_path("/site/regions/asia")[0]
+        version = db.views.version
+        db.insert_subtree(asia, asia.children[0].copy())  # a data-only write
+        assert db.views.version == version
+        computed = []
+        kept = PlanExecutor._kept
+
+        def counted(self, node, compute):
+            return kept(self, node, lambda: computed.append(node) or compute())
+
+        monkeypatch.setattr(PlanExecutor, "_kept", counted)
+        assert db.query(q5).same_contents(evaluate_pattern(q5, db.document))
+        assert computed == [], "an item write left Q5's extents: its entries are read"
+        after = db.plan_query(q5)
+        assert after is not before and after.data_version == db.views.data_version
+        assert after.best.plan_operator is plan
+        # the same plans and costs as a full re-rank, which rebuilds every operator
+        fresh = db.planner.plan(q5)
+        assert [planned.plan_operator for planned in after] == [
+            planned.plan_operator for planned in fresh
+        ]
+        assert after.alternative_costs == fresh.alternative_costs
+        assert fresh.best.plan_operator is not plan

@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Database, XMLNode, parse_parenthesized, parse_pattern
-from repro.errors import RewritingError
+from repro.errors import PatternParseError, RewritingError
 
 
 @pytest.fixture()
@@ -184,3 +184,91 @@ def test_query_matches_query_pattern_object(database):
         database.query("site(//item[ID,V])")
     )
     assert database.plan_cache.hits == 1
+
+
+# --------------------------------------------------------------------------- #
+# the text front: query text -> fingerprint
+# --------------------------------------------------------------------------- #
+@pytest.fixture()
+def counted(monkeypatch):
+    """Counts of the parses and key walks ``Database`` does."""
+    from repro.session import database as database_module
+
+    calls = {"parse": 0, "key": 0}
+
+    def counting(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(
+        database_module, "parse_pattern", counting("parse", database_module.parse_pattern)
+    )
+    monkeypatch.setattr(
+        database_module, "pattern_key", counting("key", database_module.pattern_key)
+    )
+    return calls
+
+
+def test_a_repeated_string_is_neither_parsed_nor_keyed(database, counted):
+    first = database.query("site(//item[ID,V])")
+    assert counted == {"parse": 1, "key": 1}
+    for _ in range(3):
+        assert database.query("site(//item[ID,V])").rows == first.rows
+        database.plan_query("site(//item[ID,V])")
+    assert counted == {"parse": 1, "key": 1}
+    assert database.plan_cache.info()["hits"] == 6, "the lookup still counts"
+
+
+def test_clear_empties_the_front_so_the_next_query_parses_again(database, counted):
+    database.query("site(//item[ID,V])")
+    assert database.plan_cache.info()["texts"] == 1
+    database.plan_cache.clear()
+    assert database.plan_cache.info()["texts"] == 0
+    database.query("site(//item[ID,V])")
+    assert counted == {"parse": 2, "key": 2}
+    assert database.plan_cache.info()["misses"] == 1
+
+
+def test_the_front_holds_at_most_maxsize_texts(database):
+    database.plan_cache.maxsize = 2
+    texts = [f'site(//item[ID,V]{{v="{label}"}})' for label in ("pen", "ink", "pad")]
+    for text in texts:
+        database.query(text)
+    assert database.plan_cache.info()["texts"] == 2
+    assert database.plan_cache.text_key(texts[0]) is None, "the oldest text left"
+    assert database.plan_cache.text_key(texts[2]) is not None
+
+
+def test_a_malformed_text_raises_every_time_and_is_never_stored(database):
+    for _ in range(2):
+        with pytest.raises(PatternParseError):
+            database.query("site(//item[ID,V]")
+    assert database.plan_cache.text_key("site(//item[ID,V]") is None
+    assert database.plan_cache.info()["texts"] == 0
+
+
+def test_query_many_goes_through_the_front(database, counted):
+    texts = ["site(//item[ID,V])", "site(//name[ID,V])", "site(//item[ID,V])"]
+    first = database.query_many(texts)
+    assert counted == {"parse": 2, "key": 2}, "a duplicate inside a batch hits the front"
+    again = database.query_many(texts)
+    assert counted == {"parse": 2, "key": 2}
+    assert [result.rows for result in again] == [result.rows for result in first]
+
+
+def test_a_text_answers_as_its_parsed_pattern_does(database):
+    text = "site(//item[ID](/name[V]))"
+    assert database.query(text).rows == database.query(parse_pattern(text)).rows
+    assert database.query(text).rows == database.query(parse_pattern(text)).rows
+
+
+def test_a_front_hit_over_an_invalidated_plan_parses_for_the_search(database, counted):
+    database.query("site(//item[ID,V])")
+    database.create_view("site(//price[ID,V])", name="prices")
+    counted.update(parse=0, key=0)
+    result = database.query("site(//item[ID,V])")
+    assert len(result) == 3 and database.plan_cache.info()["misses"] == 2
+    assert counted == {"parse": 1, "key": 0}, "the key came from the front"

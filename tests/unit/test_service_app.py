@@ -321,6 +321,36 @@ def test_a_fast_query_pays_nothing_for_the_slow_query_log(db, monkeypatch):
     assert len(fingerprints) == 1 and entry["fingerprint"] == real(fingerprints[0])
 
 
+def test_a_repeated_bad_pattern_is_a_400_every_time(app):
+    for _ in range(2):
+        response = app.handle("POST", "/query", {"query": "site(//item[ID]"})
+        assert response.status == 400
+        assert response.body["error"]["code"] == "bad-pattern"
+
+
+def test_a_repeated_query_marks_the_text_front_hit_on_its_parse_span(app):
+    for _ in range(2):
+        assert app.handle("POST", "/query", {"query": ITEM_NAMES}).ok
+    first, second = app.handle("GET", "/debug/traces", None).body["traces"][-2:]
+    parses = [trace["children"][0] for trace in (first, second)]
+    assert [span["name"] for span in parses] == ["parse", "parse"]
+    assert [span["attributes"]["front_hit"] for span in parses] == [False, True]
+    assert [span["attributes"]["query_name"] for span in parses] == ["query", "query"]
+
+
+def test_the_slow_query_fingerprint_of_a_front_hit_is_the_parsed_one(db):
+    from repro import parse_pattern
+    from repro.service.app import _fingerprint_hex
+
+    app = ServiceApp(db, slow_query_seconds=0.0)
+    for name in ("first", "second"):
+        assert app.handle("POST", "/query", {"query": ITEM_NAMES, "name": name}).ok
+    entries = app.handle("GET", "/debug/slow_queries", None).body["slow_queries"]
+    assert [entry["query_name"] for entry in entries] == ["first", "second"]
+    expected = _fingerprint_hex(parse_pattern(ITEM_NAMES))
+    assert [entry["fingerprint"] for entry in entries] == [expected, expected]
+
+
 def test_trace_log_path_writes_jsonl(db, tmp_path):
     path = tmp_path / "traces.jsonl"
     app = ServiceApp(db, trace_log_path=path)
