@@ -61,7 +61,7 @@ def main() -> int:
         return 1
     expected = relation_to_payload(database.query(query_text))
 
-    # 2. the service: a threaded stdlib HTTP server on an ephemeral port
+    # 2. the service: a one-thread stdlib HTTP server on an ephemeral port
     with QueryService(database) as service:
         print(f"serving : {service.url}")
         client = ServiceClient(service.url)

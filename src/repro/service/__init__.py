@@ -11,7 +11,7 @@ Layers, transport-independent core first:
   histograms plus the slow-query log;
 * :mod:`repro.service.app` — routing and the request pipeline
   (:class:`ServiceApp`), no framework, no socket;
-* :mod:`repro.service.server` — the stdlib threaded HTTP server
+* :mod:`repro.service.server` — the one-thread ``selectors`` HTTP server
   (:class:`QueryService`) and the keep-alive client (:class:`ServiceClient`).
 """
 

@@ -2,22 +2,25 @@
 
 :class:`ServiceApp` is the transport-independent core of the service tier:
 it maps ``(method, path, payload)`` to a :class:`ServiceResponse`, and the
-stdlib threaded HTTP server (:mod:`repro.service.server`) drives it.
-Keeping it framework-free is what
-keeps the whole tier stdlib-only — and makes it unit-testable without a
-socket.
+one loop thread of the HTTP server (:mod:`repro.service.server`) drives
+it.  Keeping it framework-free is what keeps the whole tier stdlib-only —
+and makes it unit-testable without a socket.
+
+An app serves one request at a time: it takes no lock, so whoever drives
+it — the server's loop, a test, a tool — calls :meth:`ServiceApp.handle`
+from one thread at a time (one :class:`repro.Database` is not a concurrent
+structure either).
 
 Per request, the app
 
 * mints a request id and a root trace span (endpoint, request id, status);
 * validates the payload against the versioned request models (strict →
   typed 400s);
-* serves the endpoint under the database lock — one :class:`repro.Database`
-  is not a concurrent structure, so the service serializes sessions access
-  while the HTTP layer keeps accepting connections;
 * times the pipeline phases as child spans (``parse`` → ``plan`` →
-  ``execute``), expanding the profiled executor's per-operator
-  measurements into spans with estimated *and* actual row counts;
+  ``execute``), recording the profiled executor's per-operator rows and
+  seconds — the spans with estimated *and* actual row counts are built
+  from them only when a trace is read (``GET /debug/traces``, the JSONL
+  log);
 * encodes a query's answer straight from the executor's
   :class:`~repro.algebra.columnar.ColumnBatch`, column by column
   (:func:`~repro.service.models.batch_to_payload`) — no row-major
@@ -34,9 +37,9 @@ response makes that observable).
 from __future__ import annotations
 
 import hashlib
-import threading
 import time
 import uuid
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -71,6 +74,7 @@ from repro.service.tracing import (
     attach_operator_spans,
 )
 from repro.session.database import Database, PreparedQuery, QueryKey
+from repro.session.explain import ExplainReport, measurements, planned_report
 
 __all__ = ["ServiceApp", "ServiceResponse"]
 
@@ -103,9 +107,8 @@ class ServiceApp:
     Parameters
     ----------
     database:
-        The session to serve.  The app owns serialization (one internal
-        lock) but not the lifecycle — closing the database remains the
-        caller's job.
+        The session to serve.  The app does not own its lifecycle —
+        closing the database remains the caller's job.
     slow_query_seconds:
         Queries slower than this land in the slow-query log.
     trace_capacity:
@@ -128,7 +131,9 @@ class ServiceApp:
     ):
         self.database = database
         self.profile_queries = profile_queries
-        self._lock = threading.RLock()
+        # id(choice) -> (weak reference, un-analyzed report, operators): the
+        # static half of a traced query's operator spans, once per choice
+        self._reports: dict[int, tuple] = {}
         self.metrics = MetricsRegistry()
         self.slow_queries = SlowQueryLog(threshold_seconds=slow_query_seconds)
         self.trace_buffer = RingBufferExporter(capacity=trace_capacity)
@@ -283,9 +288,33 @@ class ServiceApp:
         )
         return choice
 
+    def _planned_report(self, choice) -> tuple[ExplainReport, tuple]:
+        """:func:`planned_report` of ``choice``, built at its first traced run.
+
+        A choice runs only while it is current — a write re-ranks the
+        plan-cache entry into a new choice — so its order decisions read
+        the statistics it was priced under, whichever run builds them."""
+        key = id(choice)
+        entry = self._reports.get(key)
+        if entry is None or entry[0]() is not choice:
+            reports = self._reports
+            report, operators = planned_report(
+                choice, self.database.planner.cost_model.statistics
+            )
+            entry = reports[key] = (
+                weakref.ref(choice, lambda _, key=key: reports.pop(key, None)),
+                report,
+                operators,
+            )
+        return entry[1], entry[2]
+
     def _execute(self, query_name: str, choice, span) -> ColumnBatch:
         """Run the chosen plan; the result stays the executor's batch, which
-        :func:`batch_to_payload` encodes column by column."""
+        :func:`batch_to_payload` encodes column by column.
+
+        A profiled run keeps only its per-operator ``(rows, seconds)`` on
+        the execute span; the operator spans are rendered from them when
+        the trace is read, and the executor goes with the request."""
         profile = self.profile_queries
         with span.child("execute") as execute_span:
             started = time.perf_counter()
@@ -294,10 +323,13 @@ class ServiceApp:
             elapsed = time.perf_counter() - started
             execute_span.set_attribute("rows", batch.row_count)
             if profile:
-                report = self.database.explain_choice(
-                    choice, executor, elapsed
+                report, operators = self._planned_report(choice)
+                measured = measurements(executor, operators)
+                execute_span.defer(
+                    lambda target: attach_operator_spans(
+                        target, report.with_measurements(measured, elapsed)
+                    )
                 )
-                attach_operator_spans(execute_span, report)
         self._query_phase.observe(elapsed, {"phase": "execute"})
         # the fingerprint (a canonical-key walk + sha256) and the plan text
         # are only worth computing for a query the log will keep
@@ -312,10 +344,9 @@ class ServiceApp:
         return batch
 
     def _answer(self, text: str, name: Optional[str], span) -> dict:
-        with self._lock:
-            key = self._key(text, name, span)
-            choice = self._plan(key, span)
-            batch = self._execute(key.name, choice, span)
+        key = self._key(text, name, span)
+        choice = self._plan(key, span)
+        batch = self._execute(key.name, choice, span)
         return {
             "query_name": key.name,
             "views_used": sorted(set(choice.best.rewriting.views_used)),
@@ -341,13 +372,12 @@ class ServiceApp:
 
     def _handle_prepare(self, payload, span) -> dict:
         request = PrepareRequest.from_payload(payload)
-        with self._lock:
-            key = self._key(request.query, request.name, span)
-            with span.child("plan"):
-                prepared = self.database.prepare(key.parsed())
-            self._statement_serial += 1
-            stmt_id = f"stmt-{self._statement_serial}"
-            self._statements[stmt_id] = prepared
+        key = self._key(request.query, request.name, span)
+        with span.child("plan"):
+            prepared = self.database.prepare(key.parsed())
+        self._statement_serial += 1
+        stmt_id = f"stmt-{self._statement_serial}"
+        self._statements[stmt_id] = prepared
         return {
             "stmt_id": stmt_id,
             "query_name": key.name,
@@ -361,16 +391,15 @@ class ServiceApp:
                 "POST /execute/{stmt_id} takes no request body"
             )
         span.set_attribute("stmt_id", stmt_id)
-        with self._lock:
-            prepared = self._statements.get(stmt_id)
-            if prepared is None:
-                raise ServiceHTTPError(
-                    404, "unknown-statement",
-                    f"no prepared statement {stmt_id!r} "
-                    f"(it may have been prepared by another server process)",
-                )
-            choice = prepared.choice  # transparently re-plans after DDL
-            batch = self._execute(prepared.query.name, choice, span)
+        prepared = self._statements.get(stmt_id)
+        if prepared is None:
+            raise ServiceHTTPError(
+                404, "unknown-statement",
+                f"no prepared statement {stmt_id!r} "
+                f"(it may have been prepared by another server process)",
+            )
+        choice = prepared.choice  # transparently re-plans after DDL
+        batch = self._execute(prepared.query.name, choice, span)
         return {
             "stmt_id": stmt_id,
             "query_name": prepared.query.name,
@@ -380,80 +409,70 @@ class ServiceApp:
 
     def _handle_explain(self, payload, span) -> dict:
         request = ExplainRequest.from_payload(payload)
-        with self._lock:
-            key = self._key(request.query, request.name, span)
-            with span.child("plan"):
-                choice = self.database.plan_query(key)
-            if request.analyze:
-                with span.child("execute") as execute_span:
-                    started = time.perf_counter()
-                    _, executor = self.database.execute_choice(
-                        choice, profile=True
-                    )
-                    elapsed = time.perf_counter() - started
-                    report = self.database.explain_choice(
-                        choice, executor, elapsed
-                    )
-                    attach_operator_spans(execute_span, report)
-            else:
-                report = self.database.explain_choice(choice)
+        key = self._key(request.query, request.name, span)
+        with span.child("plan"):
+            choice = self.database.plan_query(key)
+        if request.analyze:
+            with span.child("execute") as execute_span:
+                started = time.perf_counter()
+                _, executor = self.database.execute_choice(choice, profile=True)
+                elapsed = time.perf_counter() - started
+                report = self.database.explain_choice(choice, executor, elapsed)
+                attach_operator_spans(execute_span, report)
+        else:
+            report = self.database.explain_choice(choice)
         return {"explain": report.to_dict()}
 
     def _handle_ddl(self, payload, span) -> dict:
         request = DdlRequest.from_payload(payload)
         span.set_attribute("op", request.op)
         span.set_attribute("view", request.name)
-        with self._lock:
-            if request.op == "create_view":
-                view = self.database.create_view(
-                    request.pattern,
-                    name=request.name,
-                    materialize=request.materialize,
-                )
-                rows = len(view.relation) if view.is_materialized else None
-                body = {"op": "create_view", "view": view.name, "rows": rows}
-            else:
-                try:
-                    self.database.drop_view(request.name)
-                except KeyError as exc:
-                    raise ServiceHTTPError(
-                        404, "unknown-view", f"unknown view {request.name!r}"
-                    ) from exc
-                body = {"op": "drop_view", "view": request.name}
-            body["views_version"] = self.database.views.data_version
+        if request.op == "create_view":
+            view = self.database.create_view(
+                request.pattern,
+                name=request.name,
+                materialize=request.materialize,
+            )
+            rows = len(view.relation) if view.is_materialized else None
+            body = {"op": "create_view", "view": view.name, "rows": rows}
+        else:
+            try:
+                self.database.drop_view(request.name)
+            except KeyError as exc:
+                raise ServiceHTTPError(
+                    404, "unknown-view", f"unknown view {request.name!r}"
+                ) from exc
+            body = {"op": "drop_view", "view": request.name}
+        body["views_version"] = self.database.views.data_version
         return body
 
     def _handle_ingest(self, payload, span) -> dict:
         request = IngestRequest.from_payload(payload)
         span.set_attribute("op", request.op)
-        with self._lock:
-            if request.op == "insert":
-                node = self.database.insert_subtree(
-                    request.parent, request.decoded_subtree()
-                )
-                body = {"op": "insert", "dewey": str(node.dewey)}
-            else:
-                detached = self.database.delete_subtree(request.dewey)
-                body = {"op": "delete", "dewey": str(detached.dewey)}
-            body["views_version"] = self.database.views.data_version
-            body["maintenance"] = dict(self.database.maintenance_stats)
+        if request.op == "insert":
+            node = self.database.insert_subtree(
+                request.parent, request.decoded_subtree()
+            )
+            body = {"op": "insert", "dewey": str(node.dewey)}
+        else:
+            detached = self.database.delete_subtree(request.dewey)
+            body = {"op": "delete", "dewey": str(detached.dewey)}
+        body["views_version"] = self.database.views.data_version
+        body["maintenance"] = dict(self.database.maintenance_stats)
         return body
 
     def _handle_healthz(self, payload, span) -> dict:
-        with self._lock:
-            return {
-                "status": "ok",
-                "document": self.database.document.name
-                if self.database.document is not None
-                else None,
-                "views": len(self.database.views),
-                "views_version": self.database.views.data_version,
-            }
+        return {
+            "status": "ok",
+            "document": self.database.document.name
+            if self.database.document is not None
+            else None,
+            "views": len(self.database.views),
+            "views_version": self.database.views.data_version,
+        }
 
     def _handle_metrics(self, payload, span) -> str:
-        with self._lock:
-            snapshot = self.database.stats()
-        self._export_database_stats(snapshot)
+        self._export_database_stats(self.database.stats())
         return self.metrics.render()
 
     def _handle_debug_traces(self, payload, span) -> dict:

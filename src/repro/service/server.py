@@ -1,19 +1,32 @@
-"""HTTP transport for the query service: stdlib server and client.
+"""HTTP transport for the query service: one loop thread, and its client.
 
-:class:`QueryService` wraps a :class:`~repro.service.app.ServiceApp` in a
-``http.server.ThreadingHTTPServer`` — one daemon thread accepts
-connections, one thread per connection parses JSON and calls the app.
-Connections are HTTP/1.1 keep-alive: a client that holds on to its
-connection is served by one long-lived thread, with no accept and no
-thread start per request (stopping the service ends the idle ones).  The
-app serializes database access internally, so the threaded transport is
-safe by construction.  No framework, no event loop, no dependency: the
-whole service tier runs on the standard library, as CI (no network) and
-the paper-reproduction charter require.
+:class:`QueryService` serves a :class:`~repro.service.app.ServiceApp` from
+one daemon thread running a :mod:`selectors` loop.  The loop accepts
+connections, reads HTTP/1.1 requests framed by ``Content-Length``, calls
+the app, and queues each reply for a non-blocking write: headers and body
+leave in one ``send`` on a socket with ``TCP_NODELAY``.  Connections are
+keep-alive unless the request says ``Connection: close`` or speaks
+HTTP/1.0 without ``Connection: keep-alive``.  Requests are answered one at
+a time, in arrival order, so the app needs no lock: under the GIL
+CPU-bound readers gain nothing from more threads, and one thread spares
+the hand-offs between them.  A connection whose reply is still being
+written is not read further, so a client that never reads cannot stall the
+others.
 
-:class:`ServiceClient` is the matching stdlib (``http.client``) client used
-by the tests, the quickstart example and the load tester; it keeps one
-connection alive per calling thread.
+The transport speaks a small fixed subset of HTTP/1.1 — ``GET`` and
+``POST`` with a ``Content-Length`` body — and turns everything else into a
+typed JSON error that ends the connection: a malformed request line or
+header (400 ``bad-request``), a bad ``Content-Length`` (400
+``bad-content-length``), ``Transfer-Encoding`` (411 ``length-required``),
+a head over 64 KiB (431 ``head-too-large``) and any other method (501
+``not-implemented``).  A body that is not JSON is a 400 ``bad-json`` on a
+connection that stays usable.  No framework, no dependency: the whole
+service tier runs on the standard library.
+
+:class:`ServiceClient` is the matching client used by the tests, the
+quickstart example and the load tester.  It frames its requests and the
+replies itself over a raw socket, keeping one connection alive per calling
+thread.
 
 >>> from repro import Database, parse_parenthesized
 >>> db = Database(parse_parenthesized('site(item(name="pen"))'))
@@ -28,12 +41,14 @@ connection alive per calling thread.
 
 from __future__ import annotations
 
-import http.client
 import json
+import selectors
 import socket
 import threading
+import traceback
 import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate
+from http import HTTPStatus
 from typing import Optional
 
 from repro.errors import ServiceError
@@ -46,135 +61,333 @@ __all__ = [
     "ServiceClient",
 ]
 
-
-class _RequestHandler(BaseHTTPRequestHandler):
-    """Parses HTTP, delegates to the app, writes the JSON (or text) reply."""
-
-    protocol_version = "HTTP/1.1"
-    server_version = "repro-query-service"
-    # no segment of a reply on a kept-alive connection waits for the client's
-    # delayed ACK of the one before it (40 ms)
-    disable_nagle_algorithm = True
-
-    # the ThreadingHTTPServer subclass carries the app
-    @property
-    def app(self) -> ServiceApp:
-        return self.server.app  # type: ignore[attr-defined]
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass  # request logging is the metrics/tracing layer's job
-
-    def _read_payload(self) -> Optional[dict]:
-        header = self.headers.get("Content-Length") or "0"
-        if not (header.isascii() and header.isdigit()):
-            # where the body ends is unknown: the connection cannot be reused
-            self.close_connection = True
-            raise _BadRequestBody(
-                "bad-content-length",
-                f"Content-Length {header!r} is not a non-negative integer",
-            )
-        length = int(header)
-        if length == 0:
-            return None
-        raw = self.rfile.read(length)
-        try:
-            return json.loads(raw)
-        except (ValueError, RecursionError) as exc:
-            # JSONDecodeError, a body that is not UTF-8, nesting too deep
-            raise _BadRequestBody("bad-json", f"request body is not valid JSON: {exc}")
-
-    def _write(self, response: ServiceResponse) -> None:
-        if isinstance(response.body, str):
-            payload = response.body.encode("utf-8")
-        else:
-            payload = json.dumps(response.body).encode("utf-8")
-        headers = {
-            "Server": self.version_string(),
-            "Date": self.date_time_string(),
-            "Content-Type": response.content_type,
-            "Content-Length": str(len(payload)),
-            "X-Request-ID": response.request_id,
-        }
-        if response.trace_id:
-            headers["X-Trace-ID"] = response.trace_id
-        headers.update(response.headers)
-        phrase = self.responses.get(response.status, ("",))[0]
-        head = [f"{self.protocol_version} {response.status} {phrase}"]
-        head += [f"{name}: {value}" for name, value in headers.items()]
-        # the whole reply in one write: a client woken by the headers alone
-        # may or may not sleep again for the body, and on two cores the
-        # service's throughput then fell into one of two modes run by run
-        self.wfile.write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + payload)
-
-    def _dispatch(self, method: str) -> None:
-        try:
-            payload = self._read_payload()
-        except _BadRequestBody as exc:
-            body = {
-                "schema_version": SCHEMA_VERSION,
-                "request_id": None,
-                "trace_id": None,
-                "error": {"code": exc.code, "message": str(exc)},
-            }
-            headers = {"Connection": "close"} if self.close_connection else {}
-            self._write(ServiceResponse(400, body, request_id="", headers=headers))
-            return
-        self._write(self.app.handle(method, self.path, payload))
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch("POST")
+# the longest request or reply head either side reads (http.server's line
+# limit, applied to the whole head)
+_MAX_HEAD = 65536
+_RECV_SIZE = 65536
+_PHRASES = {status.value: status.phrase for status in HTTPStatus}
+_SERVER = "repro-query-service"
 
 
-class _BadRequestBody(ServiceError):
-    """A request the transport rejects before the app sees it (a typed 400)."""
+class _Rejected(Exception):
+    """A request the transport answers itself, ending the connection."""
 
-    def __init__(self, code: str, message: str):
+    def __init__(self, status: int, code: str, message: str):
         super().__init__(message)
+        self.status = status
         self.code = code
 
 
-class _Server(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
+class _Request:
+    """One parsed request head, waiting for the rest of its body."""
+
+    __slots__ = ("method", "target", "keep_alive", "body_start", "end", "expects_continue")
+
+    def __init__(self, method, target, keep_alive, body_start, end, expects_continue):
+        self.method = method
+        self.target = target
+        self.keep_alive = keep_alive
+        self.body_start = body_start  # where the body starts and ends in the inbox
+        self.end = end
+        self.expects_continue = expects_continue
+
+
+class _Connection:
+    """A client connection: the bytes read and the reply bytes not yet sent."""
+
+    __slots__ = ("sock", "inbox", "outbox", "request", "eof", "closing", "closed", "events")
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.inbox = bytearray()
+        self.outbox = bytearray()
+        self.request: Optional[_Request] = None
+        self.eof = False  # the peer sent all it will
+        self.closing = False  # answer nothing more; close once the outbox is written
+        self.closed = False
+        self.events = selectors.EVENT_READ
+
+
+def _parse_head(inbox: bytearray) -> Optional[_Request]:
+    """The request head at the start of ``inbox`` (``None``: not all here)."""
+    end = inbox.find(b"\r\n\r\n", 0, _MAX_HEAD + 4)
+    if end < 0:
+        if len(inbox) >= _MAX_HEAD + 4:
+            raise _Rejected(431, "head-too-large", "the request head is over 64 KiB")
+        return None
+    lines = inbox[:end].decode("latin-1").split("\r\n")
+    parts = lines[0].split()
+    if len(parts) != 3 or parts[2] not in ("HTTP/1.0", "HTTP/1.1"):
+        raise _Rejected(400, "bad-request", f"malformed request line {lines[0]!r}")
+    method, target, version = parts
+    headers: dict[str, str] = {}
+    for line in lines[1:]:
+        name, colon, value = line.partition(":")
+        name = name.lower()
+        if not colon or not name or name != name.strip():
+            raise _Rejected(400, "bad-request", f"malformed header line {line!r}")
+        value = value.strip()
+        if headers.setdefault(name, value) != value and name == "content-length":
+            raise _Rejected(400, "bad-content-length", "conflicting Content-Length headers")
+    if method not in ("GET", "POST"):
+        raise _Rejected(501, "not-implemented", f"method {method!r} is not supported")
+    if "transfer-encoding" in headers:
+        raise _Rejected(
+            411, "length-required",
+            "Transfer-Encoding is not supported; send a Content-Length",
+        )
+    length = headers.get("content-length", "0")
+    if not (length.isascii() and length.isdigit()):
+        # where the body ends is unknown: the connection cannot be reused
+        raise _Rejected(
+            400, "bad-content-length",
+            f"Content-Length {length!r} is not a non-negative integer",
+        )
+    tokens = {token.strip() for token in headers.get("connection", "").lower().split(",")}
+    keep_alive = "close" not in tokens and (version == "HTTP/1.1" or "keep-alive" in tokens)
+    return _Request(
+        method, target, keep_alive, end + 4, end + 4 + int(length),
+        headers.get("expect", "").lower() == "100-continue",
+    )
+
+
+def _error_body(code: str, message: str) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "request_id": None,
+        "trace_id": None,
+        "error": {"code": code, "message": message},
+    }
+
+
+def _encode(response: ServiceResponse, close: bool) -> bytes:
+    """The whole reply — head and body — as the one buffer it is sent in."""
+    body = response.body
+    payload = (body if isinstance(body, str) else json.dumps(body)).encode("utf-8")
+    head = (
+        f"HTTP/1.1 {response.status} {_PHRASES.get(response.status, '')}\r\n"
+        f"Server: {_SERVER}\r\nDate: {formatdate(usegmt=True)}\r\n"
+        f"Content-Type: {response.content_type}\r\n"
+        f"Content-Length: {len(payload)}\r\n"
+        f"X-Request-ID: {response.request_id}\r\n"
+    )
+    if response.trace_id:
+        head += f"X-Trace-ID: {response.trace_id}\r\n"
+    for name, value in response.headers.items():
+        head += f"{name}: {value}\r\n"
+    if close:
+        head += "Connection: close\r\n"
+    return (head + "\r\n").encode("latin-1") + payload
+
+
+class _Loop:
+    """The listening socket, its connections and the loop that serves them.
+
+    Everything but :meth:`stop` and :attr:`connection_count` runs on the
+    loop's own thread.
+    """
 
     def __init__(self, address, app: ServiceApp):
-        super().__init__(address, _RequestHandler)
         self.app = app
-        # kept-alive connections outlive their last request
-        self._connections: set[socket.socket] = set()
-        self._connections_lock = threading.Lock()
+        self._listener = socket.create_server(address, backlog=128)
+        self._listener.setblocking(False)
+        self.server_address = self._listener.getsockname()
+        self._wake_reader, self._wake_writer = socket.socketpair()
+        self._wake_reader.setblocking(False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._selector.register(self._wake_reader, selectors.EVENT_READ)
+        self._connections: dict[int, _Connection] = {}
+        self._stopping = False
 
-    def process_request(self, request, client_address):
-        with self._connections_lock:
-            self._connections.add(request)
-        super().process_request(request, client_address)
+    @property
+    def connection_count(self) -> int:
+        """Open client connections (read from any thread)."""
+        return len(self._connections)
 
-    def shutdown_request(self, request):
-        with self._connections_lock:
-            self._connections.discard(request)
-        super().shutdown_request(request)
+    def stop(self) -> None:
+        """Ask the loop to end (from any thread): it closes every
+        connection once the request it is serving, if any, is answered."""
+        self._stopping = True
+        try:
+            self._wake_writer.send(b"\0")
+        except OSError:
+            pass  # the loop has ended already
 
-    def end_connections(self) -> None:
-        """End of input on every open connection.
+    def close_listener(self) -> None:
+        self._listener.close()
 
-        A thread waiting for the next request on an idle connection sees
-        the end and exits; one in the middle of a request still writes its
-        reply first.
-        """
-        with self._connections_lock:
-            connections = list(self._connections)
-        for connection in connections:
+    # ------------------------------------------------------------------ #
+    def serve(self) -> None:
+        try:
+            while not self._stopping:
+                for key, events in self._selector.select():
+                    connection = key.data
+                    if connection is None:
+                        if key.fileobj is self._listener:
+                            self._accept()
+                        continue  # the wake socket only ends the select
+                    try:
+                        if events & selectors.EVENT_WRITE:
+                            self._flush(connection)
+                        if events & selectors.EVENT_READ and not connection.closed:
+                            self._receive(connection)
+                    except Exception:
+                        # a fault in the transport ends this connection, not the service
+                        traceback.print_exc()
+                        self._close(connection)
+        finally:
+            for connection in list(self._connections.values()):
+                self._close(connection)
+            self._selector.close()
+            for sock in (self._listener, self._wake_reader, self._wake_writer):
+                sock.close()
+
+    def _accept(self) -> None:
+        while True:
             try:
-                connection.shutdown(socket.SHUT_RD)
+                sock, _ = self._listener.accept()
+            except (BlockingIOError, InterruptedError):
+                return
             except OSError:
-                pass  # the peer hung up first
+                return  # e.g. the peer reset before accept, or out of descriptors
+            sock.setblocking(False)
+            # no segment of a reply on a kept-alive connection waits for the
+            # client's delayed ACK of the one before it (40 ms)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            connection = _Connection(sock)
+            self._connections[sock.fileno()] = connection
+            self._selector.register(sock, selectors.EVENT_READ, connection)
+
+    def _receive(self, connection: _Connection) -> None:
+        try:
+            data = connection.sock.recv(_RECV_SIZE)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            self._close(connection)
+            return
+        if data:
+            connection.inbox += data
+        else:
+            connection.eof = True  # answer its whole requests, then close
+        self._serve(connection)
+
+    def _serve(self, connection: _Connection) -> None:
+        """Answer the whole requests in the inbox, in order, while the
+        replies leave at once; then wait for what the connection needs."""
+        while not (connection.outbox or connection.closing or connection.closed):
+            try:
+                reply = self._next_reply(connection)
+            except _Rejected as rejected:
+                connection.inbox.clear()
+                connection.closing = True
+                response = ServiceResponse(
+                    rejected.status, _error_body(rejected.code, str(rejected)), request_id=""
+                )
+                self._write(connection, _encode(response, close=True))
+                break
+            if reply is None:
+                break
+            self._write(connection, reply)
+        if connection.closed:
+            return
+        if connection.outbox:
+            self._want(connection, selectors.EVENT_WRITE)
+        elif connection.closing or connection.eof:
+            self._close(connection)
+        else:
+            self._want(connection, selectors.EVENT_READ)
+
+    def _next_reply(self, connection: _Connection) -> Optional[bytes]:
+        """The reply to the next whole request (``None``: wait for bytes)."""
+        inbox = connection.inbox
+        request = connection.request
+        if request is None:
+            request = _parse_head(inbox)
+            if request is None:
+                return None
+            connection.request = request
+            if request.expects_continue and len(inbox) < request.end:
+                self._write(connection, b"HTTP/1.1 100 Continue\r\n\r\n")
+        if len(inbox) < request.end:
+            return None
+        raw = bytes(inbox[request.body_start:request.end])
+        del inbox[:request.end]
+        connection.request = None
+        if not request.keep_alive:
+            connection.closing = True
+        if not raw:
+            response = self.app.handle(request.method, request.target, None)
+        else:
+            try:
+                payload = json.loads(raw)
+            except (ValueError, RecursionError) as exc:
+                # JSONDecodeError, a body that is not UTF-8, nesting too deep;
+                # the body was read to its declared end, so the connection lives
+                response = ServiceResponse(
+                    400,
+                    _error_body("bad-json", f"request body is not valid JSON: {exc}"),
+                    request_id="",
+                )
+            else:
+                response = self.app.handle(request.method, request.target, payload)
+        return _encode(response, close=connection.closing)
+
+    def _write(self, connection: _Connection, data: bytes) -> None:
+        """Send ``data`` now, as far as the socket takes it; queue the rest."""
+        if not connection.outbox:
+            try:
+                sent = connection.sock.send(data)
+            except (BlockingIOError, InterruptedError):
+                sent = 0
+            except OSError:
+                self._close(connection)
+                return
+            if sent == len(data):
+                return
+            data = data[sent:]
+        connection.outbox += data
+
+    def _flush(self, connection: _Connection) -> None:
+        try:
+            sent = connection.sock.send(connection.outbox)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            self._close(connection)
+            return
+        del connection.outbox[:sent]
+        if not connection.outbox:
+            self._serve(connection)  # the requests read meanwhile, if any
+
+    def _want(self, connection: _Connection, events: int) -> None:
+        if connection.events != events:
+            connection.events = events
+            self._selector.modify(connection.sock, events, connection)
+
+    def _close(self, connection: _Connection) -> None:
+        if connection.closed:
+            return
+        connection.closed = True
+        self._connections.pop(connection.sock.fileno(), None)
+        try:
+            self._selector.unregister(connection.sock)
+        except (KeyError, ValueError):
+            pass  # the selector is closing too
+        try:
+            # input left unread turns the close into a reset, which can
+            # discard the reply still on its way (a rejected request's body)
+            for _ in range(16):
+                if not connection.sock.recv(_RECV_SIZE):
+                    break
+        except OSError:
+            pass  # nothing more to read now
+        connection.sock.close()
 
 
 class QueryService:
-    """The query service: one database, one listening socket, many threads.
+    """The query service: one database, one listening socket, one thread.
 
     Pass a :class:`~repro.session.database.Database` (an app is built
     around it) or a ready-made :class:`~repro.service.app.ServiceApp`.
@@ -201,7 +414,7 @@ class QueryService:
         else:
             self.app = ServiceApp(database_or_app, **app_options)
         self._address = (host, port)
-        self._server: Optional[_Server] = None
+        self._server: Optional[_Loop] = None
         self._thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------ #
@@ -221,9 +434,9 @@ class QueryService:
         """Bind the socket and serve requests on a daemon thread."""
         if self._server is not None:
             raise ServiceError("the service is already running")
-        self._server = _Server(self._address, self.app)
+        self._server = _Loop(self._address, self.app)
         self._thread = threading.Thread(
-            target=self._server.serve_forever,
+            target=self._server.serve,
             name="repro-query-service",
             daemon=True,
         )
@@ -231,14 +444,19 @@ class QueryService:
         return self
 
     def stop(self) -> None:
-        """Stop accepting, join the serving thread, release the socket."""
+        """Stop accepting, end every connection, join the loop thread,
+        release the socket.
+
+        A request being served is answered first; a reply a client has not
+        finished reading is dropped with its connection.
+        """
         if self._server is None:
             return
-        self._server.shutdown()
-        self._server.server_close()
-        self._server.end_connections()
+        self._server.stop()
         if self._thread is not None:
             self._thread.join(timeout=10)
+        # the port is free even if a request outlived the join
+        self._server.close_listener()
         self._server = None
         self._thread = None
         self.app.close()
@@ -254,6 +472,75 @@ class QueryService:
         return f"<QueryService {state}>"
 
 
+# POST endpoints that change nothing, hence safe to send twice
+_RETRY_SAFE = ("/query", "/query_many", "/explain")
+
+
+def _retry_safe(method: str, path: str) -> bool:
+    path = path.split("?", 1)[0].rstrip("/")
+    return method == "GET" or path in _RETRY_SAFE or path.startswith("/execute/")
+
+
+class _Link:
+    """One kept-alive client connection and the bytes read past its last reply."""
+
+    __slots__ = ("sock", "buffer")
+
+    def __init__(self, address, timeout: float):
+        self.sock = socket.create_connection(address, timeout=timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.buffer = bytearray()
+
+    def read_reply(self) -> tuple[int, dict, bytes]:
+        """One ``Content-Length``-framed reply: status, headers, body."""
+        buffer = self.buffer
+        while True:
+            end = buffer.find(b"\r\n\r\n", 0, _MAX_HEAD + 4)
+            if end >= 0:
+                break
+            if len(buffer) >= _MAX_HEAD + 4:
+                raise ServiceError("the reply head is over 64 KiB")
+            chunk = self.sock.recv(_RECV_SIZE)
+            if not chunk:
+                if buffer:
+                    raise ServiceError("the connection closed in the middle of a reply")
+                raise ConnectionResetError("the service closed the connection without a reply")
+            buffer += chunk
+        lines = buffer[:end].decode("latin-1").split("\r\n")
+        parts = lines[0].split(" ", 2)
+        if (
+            len(parts) < 2 or parts[0] not in ("HTTP/1.0", "HTTP/1.1")
+            or len(parts[1]) != 3 or not (parts[1].isascii() and parts[1].isdigit())
+        ):
+            raise ServiceError(f"malformed status line {lines[0]!r}")
+        headers: dict[str, str] = {}
+        for line in lines[1:]:
+            name, colon, value = line.partition(":")
+            if not colon:
+                raise ServiceError(f"malformed header line {line!r}")
+            headers[name.strip().lower()] = value.strip()
+        if "transfer-encoding" in headers:
+            raise ServiceError(
+                f"a reply with Transfer-Encoding {headers['transfer-encoding']!r} "
+                "is not Content-Length framed"
+            )
+        length = headers.get("content-length")
+        if length is None or not (length.isascii() and length.isdigit()):
+            raise ServiceError(f"the reply's Content-Length is {length!r}")
+        total = end + 4 + int(length)
+        while len(buffer) < total:
+            chunk = self.sock.recv(_RECV_SIZE)
+            if not chunk:
+                raise ServiceError("the connection closed in the middle of a reply")
+            buffer += chunk
+        body = bytes(buffer[end + 4:total])
+        del buffer[:total]
+        return int(parts[1]), headers, body
+
+    def close(self) -> None:
+        self.sock.close()
+
+
 class ServiceClient:
     """A minimal stdlib JSON client for the service (tests, tools, examples).
 
@@ -261,51 +548,64 @@ class ServiceClient:
     JSON object — or the raw text for non-JSON responses like
     ``/metrics``.  HTTP error statuses are returned, not raised: the
     service's error bodies are part of its contract and callers assert on
-    them.
+    them.  A reply the client cannot frame — chunked, without a valid
+    ``Content-Length``, with a malformed status line — raises
+    :class:`~repro.errors.ServiceError`.
 
     Each calling thread keeps one connection alive between requests, so a
     client may be shared.  A request that finds its idle connection ended
-    by the server (stopped, restarted) is sent once more on a new one; a
-    service that is gone raises ``OSError`` as before.
+    by the server (stopped, restarted) is sent once more on a new one if
+    sending it twice is harmless (``GET``, ``/query``, ``/query_many``,
+    ``/explain``, ``/execute/…``); any other request — DDL, ingest,
+    prepare — may already have been applied, and raises
+    :class:`~repro.errors.ServiceError` instead.  A service that is gone
+    raises ``OSError``.
     """
 
     def __init__(self, base_url: str, timeout: float = 30.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        self._url = urllib.parse.urlsplit(self.base_url)
+        url = urllib.parse.urlsplit(self.base_url)
+        self._address = (url.hostname, url.port or 80)
+        self._host = url.netloc
+        self._prefix = url.path
         self._local = threading.local()
 
-    def _connection(self) -> http.client.HTTPConnection:
-        connection = getattr(self._local, "connection", None)
-        if connection is None:
-            connection = http.client.HTTPConnection(
-                self._url.hostname, self._url.port, timeout=self.timeout
-            )
-            self._local.connection = connection
-        return connection
-
     def _request(self, method: str, path: str, payload=None):
-        body = None if payload is None else json.dumps(payload).encode("utf-8")
-        headers = {"Content-Type": "application/json"} if body else {}
-        connection = self._connection()
-        reused = connection.sock is not None
+        body = b"" if payload is None else json.dumps(payload).encode("utf-8")
+        head = f"{method} {self._prefix}{path} HTTP/1.1\r\nHost: {self._host}\r\n"
+        if body:
+            head += "Content-Type: application/json\r\n"
+        message = f"{head}Content-Length: {len(body)}\r\n\r\n".encode("latin-1") + body
+        link = getattr(self._local, "link", None)
+        reused = link is not None
+        if link is None:
+            link = self._local.link = _Link(self._address, self.timeout)
         try:
             try:
-                connection.request(method, self._url.path + path, body, headers)
-                reply = connection.getresponse()
-            except ConnectionError:
-                connection.close()
+                link.sock.sendall(message)
+                status, headers, raw = link.read_reply()
+            except ConnectionError as exc:
+                link.close()
                 if not reused:
                     raise
+                if not _retry_safe(method, path):
+                    raise ServiceError(
+                        f"{method} {path}: the kept-alive connection was ended; not "
+                        "sent again, since the service may have applied it"
+                    ) from exc
                 # the server ended the idle connection: once more, on a new one
-                connection.request(method, self._url.path + path, body, headers)
-                reply = connection.getresponse()
-            status, raw = reply.status, reply.read()
+                link = self._local.link = _Link(self._address, self.timeout)
+                link.sock.sendall(message)
+                status, headers, raw = link.read_reply()
         except BaseException:
-            connection.close()  # never reuse a connection in an unknown state
+            link.close()  # never reuse a connection in an unknown state
+            self._local.link = None
             raise
-        content_type = reply.headers.get("Content-Type", "")
-        if content_type.startswith("application/json"):
+        if headers.get("connection", "").lower() == "close":
+            link.close()
+            self._local.link = None
+        if headers.get("content-type", "").startswith("application/json"):
             return status, json.loads(raw)
         return status, raw.decode("utf-8")
 

@@ -7,13 +7,16 @@ planner's *estimated* and the executor's *actual* row counts side by side
 (:func:`attach_operator_spans` converts an analyzed
 :class:`~repro.session.explain.ExplainReport` into spans, so the EXPLAIN
 ANALYZE plumbing is the instrumentation backbone rather than a parallel
-code path).
+code path).  Spans that are costly to build and rarely read can be
+deferred (:meth:`Span.defer`): they are built when the trace is first
+rendered.
 
 Finished traces go to exporters: :class:`RingBufferExporter` keeps the
-last N in memory (served at ``GET /debug/traces``),
-:class:`JsonlExporter` appends one JSON line per trace to a file.  Spans
-record wall-clock start plus a monotonic duration; ids are random hex, in
-the OTel spirit (16-hex span ids, 32-hex trace ids).
+last N in memory and renders them when read (served at
+``GET /debug/traces``), :class:`JsonlExporter` appends one JSON line per
+trace to a file.  Spans record wall-clock start plus a monotonic duration;
+ids are random hex, in the OTel spirit (16-hex span ids, 32-hex trace
+ids).
 
 >>> tracer = Tracer()
 >>> ring = RingBufferExporter()
@@ -77,6 +80,7 @@ class Span:
         self.duration_seconds: Optional[float] = None
         self._start_clock: Optional[float] = None
         self._on_end = None  # set by the tracer on root spans
+        self._deferred = None  # see defer()
 
     # ------------------------------------------------------------------ #
     def set_attribute(self, key: str, value) -> None:
@@ -88,6 +92,12 @@ class Span:
         span = Span(name, self.trace_id, parent_id=self.span_id, **attributes)
         self.children.append(span)
         return span
+
+    def defer(self, render) -> None:
+        """Have ``render(self)`` add this span's children when the trace is
+        first rendered (:meth:`to_dict`) instead of now.  ``render`` must
+        hold only what it needs: the trace keeps it until then."""
+        self._deferred = render
 
     # ------------------------------------------------------------------ #
     def __enter__(self) -> "Span":
@@ -114,6 +124,9 @@ class Span:
     # ------------------------------------------------------------------ #
     def to_dict(self) -> dict:
         """The span (sub)tree as a JSON-safe dict."""
+        if self._deferred is not None:
+            render, self._deferred = self._deferred, None
+            render(self)
         return {
             "name": self.name,
             "trace_id": self.trace_id,
@@ -167,7 +180,8 @@ class RingBufferExporter:
 
     The backing store of ``GET /debug/traces`` — cheap enough to leave on
     in production, bounded so a long-lived service never grows without
-    limit.
+    limit.  A trace is kept as its span tree and rendered to a dict when
+    read, so a request pays for no rendering nobody asks for.
     """
 
     def __init__(self, capacity: int = 256):
@@ -177,12 +191,12 @@ class RingBufferExporter:
 
     def export(self, span: Span) -> None:
         with self._lock:
-            self._traces.append(span.to_dict())
+            self._traces.append(span)
 
     def traces(self) -> list[dict]:
         """The retained traces, oldest first."""
         with self._lock:
-            return list(self._traces)
+            return [span.to_dict() for span in self._traces]
 
     def __len__(self) -> int:
         with self._lock:

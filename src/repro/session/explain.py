@@ -18,8 +18,8 @@ to_text` renders the conventional indented tree for humans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.algebra.operators import IndexScan, ViewScan
 from repro.planning.cost import sort_merge_decision
@@ -30,7 +30,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.algebra.execution import PlanExecutor
     from repro.summary.statistics import Statistics
 
-__all__ = ["ExplainOperator", "ExplainReport", "build_explain_report"]
+__all__ = [
+    "ExplainOperator",
+    "ExplainReport",
+    "build_explain_report",
+    "measurements",
+    "planned_report",
+]
 
 
 @dataclass
@@ -158,6 +164,28 @@ class ExplainReport:
         """Distinct operators listed (shared repeats excluded)."""
         return sum(1 for entry in self.operators if not entry.shared)
 
+    def with_measurements(
+        self,
+        measured: Sequence[Optional[tuple[int, float]]],
+        actual_seconds: Optional[float] = None,
+    ) -> "ExplainReport":
+        """A copy of this un-analyzed report carrying a run's measurements:
+        ``measured`` holds ``(rows, seconds)`` per operator entry, in
+        order (``None``: not measured), as :func:`measurements` reads them."""
+        operators = [
+            entry if sample is None
+            else replace(entry, actual_rows=sample[0], actual_seconds=sample[1])
+            for entry, sample in zip(self.operators, measured)
+        ]
+        root = measured[0] if measured else None
+        return replace(
+            self,
+            operators=operators,
+            analyzed=True,
+            actual_rows=None if root is None else root[0],
+            actual_seconds=actual_seconds,
+        )
+
     def to_dict(self) -> dict:
         """The whole report as a JSON-safe plain dict.
 
@@ -256,6 +284,17 @@ def build_explain_report(
     operator entry is matched to its measurement by operator object
     identity, exactly how the executor memoises results.
     """
+    report, operators = planned_report(choice, statistics)
+    if executor is None:
+        return report
+    return report.with_measurements(measurements(executor, operators), actual_seconds)
+
+
+def planned_report(
+    choice: PlanChoice, statistics: Optional["Statistics"] = None
+) -> tuple[ExplainReport, tuple]:
+    """The un-analyzed report of ``choice``, and the plan operator behind
+    each of its entries (what :func:`measurements` reads a run by)."""
     planned = choice.best
     report = ExplainReport(
         query_name=choice.query.name,
@@ -264,11 +303,9 @@ def build_explain_report(
         chosen_cost=planned.cost,
         estimated_rows=planned.estimated_rows,
         alternative_costs=choice.alternative_costs,
-        analyzed=executor is not None,
-        actual_seconds=actual_seconds,
         search=choice.statistics.search_counters(),
     )
-
+    operators = []
     seen: set[int] = set()
 
     def visit(node: LogicalPlanNode, depth: int) -> None:
@@ -280,7 +317,7 @@ def build_explain_report(
             access_path = "scan"
         else:
             access_path = None
-        entry = ExplainOperator(
+        report.operators.append(ExplainOperator(
             description=node.operator._describe_self(),
             depth=depth,
             estimated_rows=node.rows,
@@ -289,21 +326,24 @@ def build_explain_report(
             order_decision=sort_merge_decision(node.operator, statistics),
             shared=shared,
             access_path=access_path,
-        )
-        if executor is not None:
-            stats = executor.run_stats(node.operator)
-            if stats is not None:
-                entry.actual_rows = stats.rows
-                entry.actual_seconds = stats.seconds
-        report.operators.append(entry)
+        ))
+        operators.append(node.operator)
         if shared:
             return
         for child in node.children:
             visit(child, depth + 1)
 
     visit(planned.logical_plan.root, 0)
-    if executor is not None:
-        root_stats = executor.run_stats(planned.logical_plan.root.operator)
-        if root_stats is not None:
-            report.actual_rows = root_stats.rows
-    return report
+    return report, tuple(operators)
+
+
+def measurements(
+    executor: "PlanExecutor", operators
+) -> tuple[Optional[tuple[int, float]], ...]:
+    """``(rows, seconds)`` the profiling ``executor`` measured for each of
+    ``operators`` (``None`` where it measured nothing)."""
+    measured = []
+    for operator in operators:
+        stats = executor.run_stats(operator)
+        measured.append(None if stats is None else (stats.rows, stats.seconds))
+    return tuple(measured)

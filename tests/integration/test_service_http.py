@@ -1,6 +1,9 @@
-"""The service over a real socket: round-trips, oracles, concurrency.
+"""The service over a real socket: round-trips, oracles, concurrency, framing.
 
-Two acceptance properties live here:
+The loop's framing is driven with raw sockets (requests split byte by
+byte, pipelined, oversized, chunked, closing), and the client against bare
+socket servers that drop a connection or send a reply it cannot frame.
+Two acceptance properties live here too:
 
 * **serial oracle** — every operation applied through HTTP is also applied
   to a twin ``Database`` directly; after each step the service's answer
@@ -124,7 +127,10 @@ def test_a_bad_content_length_is_a_typed_400_and_ends_the_connection(service, le
     assert ServiceClient(service.url).get("/healthz")[0] == 200
 
 
-@pytest.mark.parametrize("raw", [b"\x80\x81", b"[" * 100_000], ids=["not-utf8", "too-deep"])
+@pytest.mark.parametrize(
+    "raw", [b"{this is not json", b"\x80\x81", b"[" * 100_000],
+    ids=["not-json", "not-utf8", "too-deep"],
+)
 def test_an_undecodable_body_is_a_typed_400_on_a_live_connection(service, raw):
     with _raw_connection(service) as connection:
         status, _, body = _raw_request(
@@ -137,6 +143,150 @@ def test_an_undecodable_body_is_a_typed_400_on_a_live_connection(service, raw):
         # the body was read to its declared end: the connection stays usable
         status, _, body = _raw_request(connection, "GET /healthz HTTP/1.1\r\nHost: x")
         assert status == 200 and body["status"] == "ok"
+
+
+# --------------------------------------------------------------------------- #
+# the loop's framing
+# --------------------------------------------------------------------------- #
+def _message(method: str, path: str, payload=None, headers: str = "") -> bytes:
+    body = b"" if payload is None else json.dumps(payload).encode("utf-8")
+    head = f"{method} {path} HTTP/1.1\r\nHost: x\r\n{headers}Content-Length: {len(body)}\r\n\r\n"
+    return head.encode("latin-1") + body
+
+
+def _read_reply(reader):
+    """One reply off a buffered reader of the socket: (status, headers, JSON body)."""
+    status_line = reader.readline()
+    assert status_line.startswith(b"HTTP/1.1 "), status_line
+    headers = {}
+    while (line := reader.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = reader.read(int(headers["content-length"]))
+    return int(status_line.split()[1]), headers, json.loads(body)
+
+
+def test_a_request_arriving_byte_by_byte_is_answered(service):
+    import time
+
+    message = _message("POST", "/query", {"query": ITEM_NAMES})
+    with _raw_connection(service) as connection:
+        connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for index in range(len(message)):
+            connection.sendall(message[index:index + 1])
+            time.sleep(0.0005)  # each byte its own read, head and body alike
+        status, _, body = _read_reply(connection.makefile("rb"))
+    assert status == 200
+    assert body["result"]["row_count"] == 3
+
+
+def test_a_client_expecting_100_continue_is_told_to_send_its_body(service):
+    body = json.dumps({"query": ITEM_NAMES}).encode()
+    with _raw_connection(service) as connection:
+        connection.sendall(
+            f"POST /query HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n".encode()
+        )
+        reader = connection.makefile("rb")
+        assert reader.readline() == b"HTTP/1.1 100 Continue\r\n"
+        assert reader.readline() == b"\r\n"
+        connection.sendall(body)
+        status, _, reply = _read_reply(reader)
+    assert status == 200 and reply["result"]["row_count"] == 3
+
+
+def test_pipelined_requests_are_answered_in_order(service):
+    with _raw_connection(service) as connection:
+        connection.sendall(
+            _message("POST", "/query", {"query": ITEM_NAMES})
+            + _message("GET", "/healthz")
+            + _message("POST", "/query", {"query": "site(//mailbox[ID])"})
+        )
+        reader = connection.makefile("rb")
+        replies = [_read_reply(reader) for _ in range(3)]
+    assert [status for status, _, _ in replies] == [200, 200, 422]
+    assert replies[0][2]["result"]["row_count"] == 3
+    assert replies[1][2]["status"] == "ok"
+    assert replies[2][2]["error"]["code"] == "unanswerable"
+
+
+def test_a_client_that_never_reads_its_reply_does_not_stall_the_others():
+    import time
+
+    names = " ".join(f'item(name="{index:04d}{"x" * 1000}")' for index in range(500))
+    database = Database(parse_parenthesized(f"site({names})"))
+    database.create_view(ITEM_NAMES, name="item_names")
+    try:
+        with QueryService(database) as service:
+            loop = service._server
+            host, port = loop.server_address[:2]
+            # accepted sockets inherit the listener's buffer size: no autotuning
+            # to megabytes, so the 500 kB reply cannot fit the socket buffers
+            loop._listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            with socket.socket() as stalled:
+                stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                stalled.connect((host, port))
+                stalled.sendall(_message("POST", "/query", {"query": ITEM_NAMES}))
+                deadline = time.monotonic() + 5
+                # the loop holds the part of the reply the socket did not take
+                while not any(c.outbox for c in list(loop._connections.values())):
+                    assert time.monotonic() < deadline, "the reply never filled the socket"
+                    time.sleep(0.01)
+                status, body = ServiceClient(service.url, timeout=5).get("/healthz")
+                assert status == 200 and body["status"] == "ok"
+    finally:
+        database.close()
+
+
+CHUNKED_BODY = b'd\r\n{"query": "x"}\r\n0\r\n\r\n'
+
+
+@pytest.mark.parametrize(
+    "head, body, status, code",
+    [(f"GET /healthz?{'a' * 70_000} HTTP/1.1\r\nHost: x", b"", 431, "head-too-large"),
+     (f"GET /healthz HTTP/1.1\r\nHost: x\r\nX-Padding: {'a' * 70_000}", b"", 431,
+      "head-too-large"),
+     ("POST /query HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked", CHUNKED_BODY, 411,
+      "length-required"),
+     ("GET /healthz", b"", 400, "bad-request"),
+     ("GET /healthz HTTP/2.0\r\nHost: x", b"", 400, "bad-request"),
+     ("GET /healthz HTTP/1.1\r\nno colon here", b"", 400, "bad-request"),
+     ("PUT /query HTTP/1.1\r\nHost: x", b"", 501, "not-implemented")],
+    ids=["long-request-line", "long-header", "chunked", "no-version", "http2", "bad-header",
+         "put"],
+)
+def test_a_request_the_transport_rejects_is_typed_and_ends_the_connection(
+    service, head, body, status, code
+):
+    with _raw_connection(service) as connection:
+        got, headers, reply = _raw_request(connection, head, body)
+        assert (got, reply["error"]["code"]) == (status, code)
+        assert reply["schema_version"] == SCHEMA_VERSION
+        assert headers["Connection"] == "close"
+        assert connection.recv(1) == b""
+    assert ServiceClient(service.url).get("/healthz")[0] == 200
+
+
+@pytest.mark.parametrize(
+    "version, connection_header, kept",
+    [("HTTP/1.1", "", True), ("HTTP/1.1", "Connection: close\r\n", False),
+     ("HTTP/1.0", "", False), ("HTTP/1.0", "Connection: keep-alive\r\n", True)],
+    ids=["1.1", "1.1-close", "1.0", "1.0-keep-alive"],
+)
+def test_connection_close_and_http_1_0_are_honoured(service, version, connection_header, kept):
+    head = f"GET /healthz {version}\r\nHost: x\r\n{connection_header}\r\n".encode()
+    with _raw_connection(service) as connection:
+        connection.sendall(head)
+        reader = connection.makefile("rb")
+        status, headers, _ = _read_reply(reader)
+        assert status == 200
+        if kept:
+            assert "connection" not in headers
+            connection.sendall(head)
+            assert _read_reply(reader)[0] == 200
+        else:
+            assert headers["connection"] == "close"
+            assert connection.recv(1) == b""
 
 
 def test_metrics_endpoint_serves_prometheus_text(client):
@@ -160,16 +310,15 @@ def test_service_url_requires_running_server():
 # kept-alive connections
 # --------------------------------------------------------------------------- #
 def _wait_for_connections(server, count: int) -> None:
-    """Handler threads notice the end of their connection a moment later."""
+    """The loop notices the end of a connection a moment later."""
     import time
 
     deadline = time.monotonic() + 5
     while time.monotonic() < deadline:
-        with server._connections_lock:
-            if len(server._connections) == count:
-                return
+        if server.connection_count == count:
+            return
         time.sleep(0.01)
-    raise AssertionError(f"{len(server._connections)} open connections, expected {count}")
+    raise AssertionError(f"{server.connection_count} open connections, expected {count}")
 
 
 def test_client_reuses_one_connection_per_thread(service, client):
@@ -375,3 +524,142 @@ def test_concurrent_mixed_requests_stay_correct(service):
     status, text = prepare_client.get("/metrics")
     assert status == 200
     assert 'status="500"' not in text
+
+
+# --------------------------------------------------------------------------- #
+# the client against a bare socket server
+# --------------------------------------------------------------------------- #
+OK_REPLY = (
+    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\n\r\n{}"
+)
+
+
+class BareServer:
+    """A listening socket that answers each connection with ``script(server, index,
+    reader, connection)`` on its own thread; records every request line it reads."""
+
+    def __init__(self, script):
+        self.script = script
+        self.requests: list[str] = []
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(0.05)  # accept() polls release
+        self.url = "http://127.0.0.1:%d" % self.listener.getsockname()[1]
+        self.release = threading.Event()  # ends a script holding its connection open
+        self._connection = None
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def read_request(self, reader) -> bool:
+        """Read one whole request; False at the end of the connection."""
+        line = reader.readline()
+        if not line:
+            return False
+        self.requests.append(line.decode("latin-1").strip())
+        length = 0
+        while (header := reader.readline()) not in (b"\r\n", b""):
+            name, _, value = header.decode("latin-1").partition(":")
+            if name.strip().lower() == "content-length":
+                length = int(value)
+        reader.read(length)
+        return True
+
+    def _serve(self):
+        index = 0
+        while not self.release.is_set():
+            try:
+                connection, _ = self.listener.accept()
+            except TimeoutError:
+                continue
+            connection.settimeout(None)
+            self._connection = connection
+            with connection:
+                self.script(self, index, connection.makefile("rb"), connection)
+            index += 1
+
+    def close(self):
+        self.release.set()
+        if self._connection is not None:
+            try:
+                self._connection.shutdown(socket.SHUT_RDWR)  # wakes a blocked read
+            except OSError:
+                pass
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
+        self.listener.close()
+
+
+@pytest.fixture()
+def bare():
+    servers = []
+    yield lambda script: servers.append(BareServer(script)) or servers[-1]
+    for server in servers:
+        server.close()
+
+
+def _answer_once_then_drop(server, index, reader, connection):
+    """The first connection answers one request, then reads one more and closes
+    without a reply (as a server that stopped meanwhile); later ones answer all."""
+    replies = 1 if index == 0 else None
+    while server.read_request(reader):
+        if replies == 0:
+            return
+        connection.sendall(OK_REPLY)
+        if replies is not None:
+            replies -= 1
+
+
+@pytest.mark.parametrize(
+    "method, path",
+    [("GET", "/healthz"), ("POST", "/query"), ("POST", "/query_many"), ("POST", "/explain"),
+     ("POST", "/execute/stmt-1")],
+)
+def test_the_client_sends_a_safe_request_again_on_a_dropped_connection(bare, method, path):
+    server = bare(_answer_once_then_drop)
+    client = ServiceClient(server.url, timeout=5)
+    assert client.get("/healthz") == (200, {})
+    call = client.get if method == "GET" else (lambda p: client.post(p, {}))
+    assert call(path) == (200, {})
+    assert server.requests == [
+        "GET /healthz HTTP/1.1", f"{method} {path} HTTP/1.1", f"{method} {path} HTTP/1.1",
+    ]
+
+
+@pytest.mark.parametrize("path", ["/ingest", "/ddl", "/prepare"])
+def test_the_client_never_sends_an_unsafe_request_twice(bare, path):
+    from repro.errors import ServiceError
+
+    server = bare(_answer_once_then_drop)
+    client = ServiceClient(server.url, timeout=5)
+    assert client.get("/healthz") == (200, {})
+    with pytest.raises(ServiceError, match="not sent again"):
+        client.post(path, {"op": "insert"})
+    assert server.requests == ["GET /healthz HTTP/1.1", f"POST {path} HTTP/1.1"]
+    # the next request opens a new connection
+    assert client.get("/healthz") == (200, {})
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+     b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n{}",
+     b"HTTP/1.1 200 OK\r\nContent-Length: two\r\n\r\n{}",
+     b"HTTP/1.1 OK\r\nContent-Length: 2\r\n\r\n{}",
+     b"garbage\r\n\r\n"],
+    ids=["chunked", "no-length", "bad-length", "bad-status-line", "no-status-line"],
+)
+def test_a_reply_the_client_cannot_frame_is_a_service_error_not_a_hang(bare, reply):
+    import time
+
+    from repro.errors import ServiceError
+
+    def script(server, index, reader, connection):
+        server.read_request(reader)
+        connection.sendall(reply)
+        server.release.wait(10)  # hold the connection open: no end of input to go by
+
+    server = bare(script)
+    client = ServiceClient(server.url, timeout=10)
+    started = time.monotonic()
+    with pytest.raises(ServiceError):
+        client.get("/healthz")
+    assert time.monotonic() - started < 5

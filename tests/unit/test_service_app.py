@@ -368,3 +368,111 @@ def test_error_requests_still_trace(app):
     traces = app.handle("GET", "/debug/traces", None).body["traces"]
     failed = [t for t in traces if t["trace_id"] == response.trace_id]
     assert failed and failed[0]["status"] == "error"
+
+
+# --------------------------------------------------------------------------- #
+# traces are rendered when read
+# --------------------------------------------------------------------------- #
+OPERATOR_ATTRIBUTES = (
+    "estimated_rows", "estimated_cost", "actual_rows", "order_decision", "access_path", "shared",
+)
+
+
+def _operator_spans(span: dict) -> list:
+    """(name, the estimate/measurement attributes) of every operator span, pre-order."""
+    found = []
+    for child in span["children"]:
+        if child["name"].startswith("operator:"):
+            attributes = child["attributes"]
+            found.append((child["name"], {key: attributes.get(key) for key in OPERATOR_ATTRIBUTES}))
+        found.extend(_operator_spans(child))
+    return found
+
+
+def _eager_operator_spans(report) -> list:
+    """The operator spans rendering ``report`` at once gives."""
+    from repro.service.tracing import Tracer, attach_operator_spans
+
+    parent = Tracer().trace("execute")
+    attach_operator_spans(parent, report)
+    return _operator_spans(parent.to_dict())
+
+
+def _trace(app, trace_id: str) -> dict:
+    traces = app.handle("GET", "/debug/traces", None).body["traces"]
+    (trace,) = [trace for trace in traces if trace["trace_id"] == trace_id]
+    return trace
+
+
+def test_a_trace_read_after_a_write_shows_the_operator_spans_of_its_request(app, db):
+    response = app.handle("POST", "/query", {"query": ITEM_NAMES})
+    assert response.ok
+    at_request = _eager_operator_spans(db.explain(ITEM_NAMES, analyze=True))
+    assert at_request and all(
+        attributes["actual_rows"] == 3 for _, attributes in at_request
+    )
+    subtree = ["item", None, [["name", "jar", []]]]
+    assert app.handle("POST", "/ingest", {"op": "insert", "parent": "1", "subtree": subtree}).ok
+    # what rendering after the write would read: estimates and rows have moved
+    assert _eager_operator_spans(db.explain(ITEM_NAMES, analyze=True)) != at_request
+    assert _operator_spans(_trace(app, response.trace_id)) == at_request
+
+
+def test_a_jsonl_trace_line_is_the_rendered_trace(db, tmp_path):
+    path = tmp_path / "traces.jsonl"
+    app = ServiceApp(db, trace_log_path=path)
+    response = app.handle("POST", "/query", {"query": ITEM_NAMES})
+    app.close()
+    (line,) = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [line] == app.trace_buffer.traces()
+    assert line["trace_id"] == response.trace_id
+    execute = line["children"][2]
+    assert [span["attributes"]["actual_rows"] for span in execute["children"]] == [3]
+    assert sorted(execute["children"][0]) == [
+        "attributes", "children", "duration_seconds", "name", "parent_id", "span_id",
+        "started_at", "status", "trace_id",
+    ]
+
+
+def test_a_traced_request_keeps_neither_its_executor_nor_its_batch(db, monkeypatch):
+    import gc
+    import sys
+    import weakref
+
+    from repro.algebra.execution import PlanExecutor
+    from repro.service import app as app_module
+
+    executors, results = [], []
+
+    class Recording(PlanExecutor):
+        depth = 0
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            executors.append(weakref.ref(self))
+
+        def execute_batch(self, plan):
+            self.depth += 1
+            try:
+                batch = super().execute_batch(plan)
+            finally:
+                self.depth -= 1
+            if self.depth == 0:
+                results.append(batch)
+            return batch
+
+    monkeypatch.setattr(app_module, "PlanExecutor", Recording)
+    app = ServiceApp(db, trace_capacity=4)
+    for _ in range(6):
+        assert app.handle("POST", "/query", {"query": ITEM_NAMES}).ok
+    gc.collect()
+    assert len(executors) == 6 and all(executor() is None for executor in executors)
+    assert len(results) == 6
+    while results:
+        batch = results.pop()
+        assert sys.getrefcount(batch) == 2, "only this test holds the result batch"
+    del batch
+    assert len(app.trace_buffer) == 4
+    traces = app.handle("GET", "/debug/traces", None).body["traces"]
+    assert len(traces) == 4
+    assert all(_operator_spans(trace) for trace in traces[:3])
