@@ -131,9 +131,9 @@ class ServiceApp:
     ):
         self.database = database
         self.profile_queries = profile_queries
-        # id(choice) -> (weak reference, un-analyzed report, operators): the
-        # static half of a traced query's operator spans, once per choice
-        self._reports: dict[int, tuple] = {}
+        # choice -> (un-analyzed report, operators): the static half of a
+        # traced query's operator spans, once per choice
+        self._reports: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self.metrics = MetricsRegistry()
         self.slow_queries = SlowQueryLog(threshold_seconds=slow_query_seconds)
         self.trace_buffer = RingBufferExporter(capacity=trace_capacity)
@@ -294,19 +294,12 @@ class ServiceApp:
         A choice runs only while it is current — a write re-ranks the
         plan-cache entry into a new choice — so its order decisions read
         the statistics it was priced under, whichever run builds them."""
-        key = id(choice)
-        entry = self._reports.get(key)
-        if entry is None or entry[0]() is not choice:
-            reports = self._reports
-            report, operators = planned_report(
+        entry = self._reports.get(choice)
+        if entry is None:
+            entry = self._reports[choice] = planned_report(
                 choice, self.database.planner.cost_model.statistics
             )
-            entry = reports[key] = (
-                weakref.ref(choice, lambda _, key=key: reports.pop(key, None)),
-                report,
-                operators,
-            )
-        return entry[1], entry[2]
+        return entry
 
     def _execute(self, query_name: str, choice, span) -> ColumnBatch:
         """Run the chosen plan; the result stays the executor's batch, which

@@ -42,6 +42,7 @@ thread.
 from __future__ import annotations
 
 import json
+import select
 import selectors
 import socket
 import threading
@@ -484,12 +485,24 @@ def _retry_safe(method: str, path: str) -> bool:
 class _Link:
     """One kept-alive client connection and the bytes read past its last reply."""
 
-    __slots__ = ("sock", "buffer")
+    __slots__ = ("sock", "buffer", "poller")
 
     def __init__(self, address, timeout: float):
         self.sock = socket.create_connection(address, timeout=timeout)
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.buffer = bytearray()
+        self.poller = select.poll()
+        self.poller.register(self.sock, select.POLLIN)
+
+    def ended(self) -> bool:
+        """Whether the service has already closed this idle connection
+        (a poll that does not wait, then a peek at the end of input)."""
+        if not self.poller.poll(0):
+            return False
+        try:
+            return not self.sock.recv(1, socket.MSG_PEEK)
+        except ConnectionError:
+            return True
 
     def read_reply(self) -> tuple[int, dict, bytes]:
         """One ``Content-Length``-framed reply: status, headers, body."""
@@ -553,13 +566,14 @@ class ServiceClient:
     :class:`~repro.errors.ServiceError`.
 
     Each calling thread keeps one connection alive between requests, so a
-    client may be shared.  A request that finds its idle connection ended
-    by the server (stopped, restarted) is sent once more on a new one if
-    sending it twice is harmless (``GET``, ``/query``, ``/query_many``,
-    ``/explain``, ``/execute/…``); any other request — DDL, ingest,
-    prepare — may already have been applied, and raises
-    :class:`~repro.errors.ServiceError` instead.  A service that is gone
-    raises ``OSError``.
+    client may be shared.  A kept connection the server has already ended
+    (stopped, restarted) is replaced before the request goes out.  If the
+    connection ends after the request went out, the request is sent once
+    more on a new one only if sending it twice is harmless (``GET``,
+    ``/query``, ``/query_many``, ``/explain``, ``/execute/…``); any other
+    request — DDL, ingest, prepare — may already have been applied, and
+    raises :class:`~repro.errors.ServiceError` instead.  A service that is
+    gone raises ``OSError``.
     """
 
     def __init__(self, base_url: str, timeout: float = 30.0):
@@ -578,23 +592,28 @@ class ServiceClient:
             head += "Content-Type: application/json\r\n"
         message = f"{head}Content-Length: {len(body)}\r\n\r\n".encode("latin-1") + body
         link = getattr(self._local, "link", None)
+        if link is not None and link.ended():
+            link.close()  # ended while idle (a stop): the request goes on a new one
+            link = self._local.link = None
         reused = link is not None
         if link is None:
             link = self._local.link = _Link(self._address, self.timeout)
+        sent = False
         try:
             try:
                 link.sock.sendall(message)
+                sent = True
                 status, headers, raw = link.read_reply()
             except ConnectionError as exc:
                 link.close()
                 if not reused:
                     raise
-                if not _retry_safe(method, path):
+                if sent and not _retry_safe(method, path):
                     raise ServiceError(
-                        f"{method} {path}: the kept-alive connection was ended; not "
-                        "sent again, since the service may have applied it"
+                        f"{method} {path}: the connection ended after the request "
+                        "went out; not sent again, since the service may have applied it"
                     ) from exc
-                # the server ended the idle connection: once more, on a new one
+                # it never fully went out, or twice is harmless: once more, on a new one
                 link = self._local.link = _Link(self._address, self.timeout)
                 link.sock.sendall(message)
                 status, headers, raw = link.read_reply()

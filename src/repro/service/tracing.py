@@ -238,7 +238,10 @@ def attach_operator_spans(parent: Span, report: "ExplainReport") -> None:
     measured ``actual_rows`` and per-operator wall time — the
     estimated-vs-actual comparison, exported as a trace instead of a
     rendered report.  Shared sub-plan repeats are annotated, not
-    re-expanded, matching how the executor evaluates the plan once.
+    re-expanded, matching how the executor evaluates the plan once.  The
+    executor times operators but does not stamp when each began, so every
+    operator span starts at ``parent``'s start: inside the interval its
+    operators ran in, however late the spans are built (:meth:`Span.defer`).
     """
     stack: list[tuple[int, Span]] = [(-1, parent)]
     for entry in report.operators:
@@ -250,6 +253,7 @@ def attach_operator_spans(parent: Span, report: "ExplainReport") -> None:
             estimated_rows=entry.estimated_rows,
             estimated_cost=entry.estimated_cost,
         )
+        span.started_at = parent.started_at
         if entry.actual_rows is not None:
             span.set_attribute("actual_rows", entry.actual_rows)
         if entry.actual_seconds is not None:

@@ -365,11 +365,21 @@ def test_stop_ends_idle_connections_and_a_restart_is_picked_up():
             client.get("/healthz")  # a connection the next stop() will end
             server = second._server
         _wait_for_connections(server, 0)
-        with QueryService(database, port=port):
+        with QueryService(database, port=port) as third:
             # the idle connection is gone: the request goes out again on a new one
             status, body = client.post("/query", {"query": ITEM_NAMES})
             assert status == 200
             assert body["result"]["row_count"] == 3
+            server = third._server
+        _wait_for_connections(server, 0)
+        with QueryService(database, port=port):
+            # a request that is not safe twice finds the ended connection before
+            # it goes out, so it is sent (once) on a new one
+            status, _ = client.post(
+                "/ddl", {"op": "create_view", "name": "after_restart", "pattern": ITEM_IDS}
+            )
+            assert status == 200
+            assert "after_restart" in database.views
     finally:
         database.close()
 

@@ -8,6 +8,7 @@ error codes) and the tracing and metrics side effects.
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -415,7 +416,22 @@ def test_a_trace_read_after_a_write_shows_the_operator_spans_of_its_request(app,
     assert app.handle("POST", "/ingest", {"op": "insert", "parent": "1", "subtree": subtree}).ok
     # what rendering after the write would read: estimates and rows have moved
     assert _eager_operator_spans(db.explain(ITEM_NAMES, analyze=True)) != at_request
-    assert _operator_spans(_trace(app, response.trace_id)) == at_request
+    time.sleep(0.05)  # a read well after the request ended
+    trace = _trace(app, response.trace_id)
+    assert _operator_spans(trace) == at_request
+    # the spans are built at the read, but start inside their request
+    ends = trace["started_at"] + trace["duration_seconds"]
+    starts = _operator_starts(trace)
+    assert starts and all(trace["started_at"] <= start <= ends for start in starts)
+
+
+def _operator_starts(span: dict) -> list:
+    found = []
+    for child in span["children"]:
+        if child["name"].startswith("operator:"):
+            found.append(child["started_at"])
+        found.extend(_operator_starts(child))
+    return found
 
 
 def test_a_jsonl_trace_line_is_the_rendered_trace(db, tmp_path):

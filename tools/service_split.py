@@ -3,9 +3,8 @@
 
 Usage (from the repository root)::
 
-    python3 tools/service_split.py               # 20 rounds on the bench's DBLP set-up
-    python3 tools/service_split.py --rounds 40 --repeats 8
-    python3 tools/service_split.py --smoke       # the small spec, 3 rounds: about a second
+    python3 tools/service_split.py           # 20 rounds on the bench's DBLP set-up
+    python3 tools/service_split.py --smoke   # the small spec, 3 rounds: about a second
 
 Starts a copy of itself as the server child (``--serve``): it sets up the
 benchmark's DBLP ``Session`` (``bench/workloads.py``, imported and never
@@ -13,7 +12,7 @@ changed), answers every class once directly for the expected payloads,
 serves the database with :class:`repro.QueryService` and, on each line
 read from its stdin, prints its own ``time.process_time()``.  This process
 then runs rounds of two client threads, each sending every class
-``--repeats`` times, as a ``dblp_service`` block does; every reply must be
+four times, as a ``dblp_service`` block does; every reply must be
 payload-identical to the expected one, else the exit status is 1.  The
 scheduler is left alone: no process or thread is pinned.
 
@@ -45,6 +44,7 @@ from repro.service import relation_to_payload  # noqa: E402
 from workloads import DATASETS, Session  # noqa: E402
 
 CLIENTS = 2
+REPEATS = 4  # times each client thread sends each class per round
 
 
 def serve(smoke: bool) -> int:
@@ -96,7 +96,7 @@ class ServerChild:
             raise RuntimeError(f"the server child exited with {self.process.returncode}")
 
 
-def one_round(child: ServerChild, repeats: int) -> tuple[dict, int]:
+def one_round(child: ServerChild, repeats: int = REPEATS) -> tuple[dict, int]:
     """Two client threads, each sending every class ``repeats`` times:
     ``({"wall_ms", "client_cpu_ms", "server_cpu_ms"}, mismatches)``."""
     classes, expected = child.boot["classes"], child.boot["expected"]
@@ -130,13 +130,13 @@ def one_round(child: ServerChild, repeats: int) -> tuple[dict, int]:
     return per_request, sum(mismatches)
 
 
-def split(smoke: bool, rounds: int, repeats: int) -> dict:
+def split(smoke: bool, rounds: int) -> dict:
     child = ServerChild(smoke)
     try:
         one_round(child, 1)  # connections, caches and plans warm
         samples, mismatches = [], 0
         for _ in range(rounds):
-            sample, failed = one_round(child, repeats)
+            sample, failed = one_round(child)
             samples.append(sample)
             mismatches += failed
     finally:
@@ -145,22 +145,19 @@ def split(smoke: bool, rounds: int, repeats: int) -> dict:
         key: round(statistics.median(sample[key] for sample in samples), 4)
         for key in ("wall_ms", "client_cpu_ms", "server_cpu_ms")
     }
-    requests = rounds * CLIENTS * repeats * len(child.boot["classes"])
+    requests = rounds * CLIENTS * REPEATS * len(child.boot["classes"])
     return {"requests": requests, "mismatches": mismatches, **medians}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--smoke", action="store_true", help="the small spec, 3 rounds")
-    parser.add_argument("--rounds", type=int, default=None, help="measured rounds (20)")
-    parser.add_argument("--repeats", type=int, default=4,
-                        help="times each client thread sends each class per round")
     parser.add_argument("--serve", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.serve:
         return serve(args.smoke)
-    rounds = args.rounds if args.rounds is not None else (3 if args.smoke else 20)
-    result = split(args.smoke, rounds, args.repeats)
+    rounds = 3 if args.smoke else 20
+    result = split(args.smoke, rounds)
     print(f"{result['requests']} requests over {rounds} rounds, "
           f"{result['mismatches']} not payload-identical; per request (median ms):")
     for key in ("wall_ms", "client_cpu_ms", "server_cpu_ms"):
