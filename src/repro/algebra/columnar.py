@@ -80,8 +80,6 @@ class _ColumnSource:
         "links",
         "__weakref__",
     )
-    # what a pickle carries: the index and the links are positional
-    _PICKLED = ("_values", "_keys", "_row_keys", "_text", "_ascending", "_parent", "_indices")
 
     def __init__(
         self,
@@ -104,23 +102,10 @@ class _ColumnSource:
         self.index = None
         # structural links with this source's rows as descendants: ancestor
         # source (weakly) -> {axis: StructuralLinks}.  Positional like the
-        # value index, so never gathered or pickled; a write's splice
+        # value index, so never gathered; a write's splice
         # carries the entries read since the previous write onto the new
         # source (repro.views.delta.follow_links) and drops the rest.
         self.links: Optional[WeakKeyDictionary] = None
-
-    def __getstate__(self) -> dict:
-        return {name: getattr(self, name) for name in self._PICKLED}
-
-    def __setstate__(self, state: dict) -> None:
-        # a state pickled before a slot existed leaves it unknown; one
-        # pickled by an older build may carry an index, links or a slot
-        # since removed, none of which is read back
-        self._ascending = None
-        self.index = self.links = None
-        for name in self._PICKLED:
-            if name in state:
-                setattr(self, name, state[name])
 
     def resolve(self) -> tuple["_ColumnSource", Optional[Sequence[int]]]:
         """The direct source under this one, and which of its rows each of

@@ -77,7 +77,7 @@ class PlanOperator:
 
     ``_kept`` is the executor's memo of this node's output index vectors
     (:meth:`~repro.algebra.execution.PlanExecutor._kept`): no part of the
-    description, so left out of ``==``, ``repr``, pickles and copies.
+    description, so left out of ``==``, ``repr`` and copies.
     """
 
     _kept: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)

@@ -18,7 +18,9 @@ a typed failure, never silently wrong.
 
 Subtrees ride inside payloads as nested ``[label, value, children]``
 triples (:func:`encode_subtree` / :func:`decode_subtree`), so the log is
-self-contained and readable with any JSON tooling.
+self-contained and readable with any JSON tooling.  A whole document
+(:func:`encode_document`) adds the sibling ordinals that deletes left
+with gaps, so it reloads with every Dewey ID it had.
 
 Example
 -------
@@ -46,9 +48,17 @@ from pathlib import Path
 from typing import IO, Iterator, Optional
 
 from repro.errors import ChangeLogCorruptError, ChangeLogError
-from repro.xmltree.node import XMLNode
+from repro.xmltree.ids import DeweyID
+from repro.xmltree.node import XMLDocument, XMLNode
 
-__all__ = ["ChangeLog", "LogRecord", "encode_subtree", "decode_subtree"]
+__all__ = [
+    "ChangeLog",
+    "LogRecord",
+    "decode_document",
+    "decode_subtree",
+    "encode_document",
+    "encode_subtree",
+]
 
 
 RECORD_TYPES = frozenset(
@@ -114,6 +124,33 @@ def decode_subtree(data: list) -> XMLNode:
     for child in children:
         node.append(decode_subtree(child))
     return node
+
+
+def encode_document(document: XMLDocument) -> dict:
+    """A document as a JSON-safe dict: its name, its ID-free tree, and the
+    sibling ordinals that are not ``1..n`` (:meth:`XMLDocument.ordinal_gaps`)."""
+    return {
+        "name": document.name,
+        "root": encode_subtree(document.root),
+        "ordinals": {
+            str(dewey): numbers for dewey, numbers in document.ordinal_gaps().items()
+        },
+    }
+
+
+def decode_document(data: dict) -> XMLDocument:
+    """Inverse of :func:`encode_document`: every Dewey ID and every
+    ordinal high-water mark as the encoded document had them.  A payload
+    without ``ordinals`` (one written before they were recorded) numbers
+    the tree afresh."""
+    return XMLDocument(
+        decode_subtree(data["root"]),
+        name=data.get("name", "doc"),
+        ordinals={
+            DeweyID.from_string(dewey): numbers
+            for dewey, numbers in data.get("ordinals", {}).items()
+        },
+    )
 
 
 class ChangeLog:

@@ -246,52 +246,6 @@ class RewriteCandidate:
             ),
         )
 
-    # ------------------------------------------------------------------ #
-    # pickling
-    # ------------------------------------------------------------------ #
-    def __getstate__(self):
-        """Pickle with column keys re-based on pattern pre-order positions.
-
-        ``columns`` and ``lazy`` are keyed by ``id(pattern node)`` — memory
-        addresses that mean nothing after unpickling.  Pre-order positions
-        are stable across a pattern round-trip, so the keys are translated
-        on the way out and rebuilt on the way in.  This is what lets a
-        saved session (``Database.save``) keep its pre-annotated
-        prototypes.
-        """
-        positions = {id(node): pos for pos, node in enumerate(self.pattern.nodes())}
-        return {
-            "plan": self.plan,
-            "pattern": self.pattern,
-            "columns": [
-                (positions[node_id], attribute, column)
-                for (node_id, attribute), column in self.columns.items()
-                if node_id in positions
-            ],
-            "lazy": [
-                (positions[node_id], attribute, spec)
-                for (node_id, attribute), spec in self.lazy.items()
-                if node_id in positions
-            ],
-            "views_used": self.views_used,
-            "unnested_columns": self.unnested_columns,
-        }
-
-    def __setstate__(self, state) -> None:
-        self.plan = state["plan"]
-        self.pattern = state["pattern"]
-        nodes = self.pattern.nodes()
-        self.columns = {
-            (id(nodes[position]), attribute): column
-            for position, attribute, column in state["columns"]
-        }
-        self.lazy = {
-            (id(nodes[position]), attribute): spec
-            for position, attribute, spec in state["lazy"]
-        }
-        self.views_used = state["views_used"]
-        self.unnested_columns = state["unnested_columns"]
-
     def __repr__(self) -> str:
         return (
             f"<RewriteCandidate views={list(self.views_used)} "

@@ -205,21 +205,6 @@ class Rewriter:
         self.invalidate_catalog()
         return 0, 0
 
-    @classmethod
-    def from_catalog(
-        cls, catalog: "ViewCatalog", config: Optional[RewritingConfig] = None
-    ) -> "Rewriter":
-        """Build a rewriter around an existing (e.g. loaded) catalog.
-
-        The catalog's summary, views and pre-annotated prototypes are
-        adopted as-is — nothing is re-derived.  ``Database.load`` rebuilds
-        its rewriter from the saved catalog this way.
-        """
-        rewriter = cls(catalog.summary, catalog.views, config, use_catalog=True)
-        rewriter._catalog = catalog
-        rewriter._catalog_version = rewriter.views.version
-        return rewriter
-
     # ------------------------------------------------------------------ #
     def rewrite(
         self, query: TreePattern, config: Optional[RewritingConfig] = None

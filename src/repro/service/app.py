@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import hashlib
 import time
-import uuid
 import weakref
 from dataclasses import dataclass, field
 from typing import Optional
@@ -115,10 +114,9 @@ class ServiceApp:
         How many finished traces ``GET /debug/traces`` retains.
     trace_log_path:
         Optional JSONL file every finished trace is appended to.
-    profile_queries:
-        Execute queries under the profiling executor so traces carry
-        per-operator measured rows (the default; disable to shave the
-        instrumentation overhead off hot paths).
+
+    Every query runs under the profiling executor, so its trace carries
+    per-operator measured rows.
     """
 
     def __init__(
@@ -127,10 +125,8 @@ class ServiceApp:
         slow_query_seconds: float = 0.25,
         trace_capacity: int = 256,
         trace_log_path=None,
-        profile_queries: bool = True,
     ):
         self.database = database
-        self.profile_queries = profile_queries
         # choice -> (un-analyzed report, operators): the static half of a
         # traced query's operator spans, once per choice
         self._reports: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -202,7 +198,7 @@ class ServiceApp:
         self, method: str, path: str, payload: Optional[dict] = None
     ) -> ServiceResponse:
         """Serve one request; never raises — errors become typed bodies."""
-        request_id = uuid.uuid4().hex[:16]
+        request_id = self.tracer.new_id(16)
         started = time.perf_counter()
         try:
             handler, endpoint, argument = self._route(method, path)
@@ -305,24 +301,22 @@ class ServiceApp:
         """Run the chosen plan; the result stays the executor's batch, which
         :func:`batch_to_payload` encodes column by column.
 
-        A profiled run keeps only its per-operator ``(rows, seconds)`` on
+        The profiled run keeps only its per-operator ``(rows, seconds)`` on
         the execute span; the operator spans are rendered from them when
         the trace is read, and the executor goes with the request."""
-        profile = self.profile_queries
         with span.child("execute") as execute_span:
             started = time.perf_counter()
-            executor = PlanExecutor(self.database.views, profile=profile)
+            executor = PlanExecutor(self.database.views, profile=True)
             batch = executor.execute_batch(choice.best.plan_operator)
             elapsed = time.perf_counter() - started
             execute_span.set_attribute("rows", batch.row_count)
-            if profile:
-                report, operators = self._planned_report(choice)
-                measured = measurements(executor, operators)
-                execute_span.defer(
-                    lambda target: attach_operator_spans(
-                        target, report.with_measurements(measured, elapsed)
-                    )
+            report, operators = self._planned_report(choice)
+            measured = measurements(executor, operators)
+            execute_span.defer(
+                lambda target: attach_operator_spans(
+                    target, report.with_measurements(measured, elapsed)
                 )
+            )
         self._query_phase.observe(elapsed, {"phase": "execute"})
         # the fingerprint (a canonical-key walk + sha256) and the plan text
         # are only worth computing for a query the log will keep

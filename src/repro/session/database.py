@@ -9,8 +9,8 @@ single entry point so callers stop hand-wiring ``build_summary`` +
   owns the :class:`~repro.views.store.ViewSet`, the shared
   :class:`~repro.views.catalog.ViewCatalog`, the cost-based
   :class:`~repro.planning.planner.Planner` and the rewriting machinery;
-  ``save``/``load`` persist the whole session (document, catalog, views
-  *with* extents) in one versioned snapshot;
+  ``save``/``load`` persist what the session is made of (document, view
+  definitions, config) as change-log records and rebuild the rest;
 * **view DDL** — :meth:`Database.create_view` / :meth:`Database.drop_view`
   maintain the catalog *incrementally*: the inverted root-label /
   summary-path / attribute indexes are patched in place
@@ -38,21 +38,30 @@ single entry point so callers stop hand-wiring ``build_summary`` +
 
 from __future__ import annotations
 
-import pickle
+import os
 import time
 from collections import OrderedDict
+from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from repro.algebra.execution import PlanExecutor
 from repro.algebra.tuples import Relation
 from repro.canonical.hashing import pattern_key
-from repro.errors import ChangeLogError, RewritingError, SessionError
-from repro.ingest.changelog import ChangeLog, decode_subtree, encode_subtree
+from repro.errors import ChangeLogError, RewritingError, SessionError, XMLError
+from repro.ingest.changelog import (
+    ChangeLog,
+    LogRecord,
+    decode_document,
+    decode_subtree,
+    encode_document,
+    encode_subtree,
+)
 from repro.ingest.streaming import iter_stream_subtrees
 from repro.patterns.parser import parse_pattern
 from repro.patterns.pattern import TreePattern
 from repro.planning.planner import PlanChoice, PlannedRewriting, Planner
+from repro.rewriting.algorithm import RewritingConfig
 from repro.rewriting.rewriter import Rewriter
 from repro.session.explain import ExplainReport, build_explain_report
 from repro.summary.dataguide import Summary, build_summary
@@ -64,7 +73,6 @@ from repro.xmltree.ids import DeweyID
 from repro.xmltree.node import XMLDocument, XMLNode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.rewriting.algorithm import RewritingConfig
     from repro.rewriting.rewriter import RewriteOutcome
 
 __all__ = [
@@ -75,8 +83,9 @@ __all__ = [
     "DATABASE_FORMAT_VERSION",
 ]
 
-DATABASE_FORMAT_VERSION = "database/1"
-"""On-disk format tag written by :meth:`Database.save`."""
+DATABASE_FORMAT_VERSION = "database/2"
+"""Format tag of the ``load`` record :meth:`Database.save` and
+:meth:`Database.attach_log` write."""
 
 MAINTENANCE_COUNTERS = (
     "delta_applied",
@@ -89,6 +98,15 @@ MAINTENANCE_COUNTERS = (
     "links_dropped",
 )
 """The keys of :attr:`Database.maintenance_stats`."""
+
+
+def _view_payload(view: MaterializedView) -> dict:
+    """A view's ``create_view`` record: enough to declare it again."""
+    return {
+        "name": view.name,
+        "pattern": view.pattern.to_text(),
+        "materialize": view.is_materialized,
+    }
 
 
 class QueryKey(NamedTuple):
@@ -402,74 +420,92 @@ class Database:
             use_catalog=use_catalog,
         )
 
-    @classmethod
-    def _wrap(
-        cls, rewriter: Rewriter, document: Optional[XMLDocument]
-    ) -> "Database":
-        """Adopt an existing rewriter (and its catalog) without rebuilding."""
-        database = cls.__new__(cls)
-        database._document = document
-        database._summary = rewriter.summary
-        database._rewriter = rewriter
-        database._planner = Planner(rewriter)
-        database._plan_cache = PlanCache()
-        database._view_serial = 0
-        database._change_log = None
-        database._replaying = False
-        database.maintenance_stats = dict.fromkeys(MAINTENANCE_COUNTERS, 0)
-        return database
-
     # ------------------------------------------------------------------ #
     # persistence
     # ------------------------------------------------------------------ #
     def save(self, path: str | Path) -> None:
-        """Persist the session: summary, views *with* extents, document.
+        """Write the session's snapshot: its change log, compacted.
 
-        The payload is a versioned pickle of the catalog (summary, views
-        with their extents, annotated prototypes, statistics), the document
-        and the rewriting config — a loaded database answers queries
-        immediately.  Load it back with :meth:`load`.
+        One ``load`` record (the document with its Dewey numbering, the
+        format tag and the rewriting config), one ``create_view`` record
+        per view in view-set order, and a closing ``checkpoint`` fence —
+        the records :meth:`recover` replays, in :class:`ChangeLog`'s
+        envelope.  Everything else (summary, extents, catalog, statistics)
+        is derived and rebuilt by :meth:`load`.  The file is written under
+        a temporary name, synced and renamed into place.  A summary-only
+        session has no document to record: saving one raises
+        :class:`~repro.errors.SessionError`.
         """
-        catalog = self._rewriter.catalog
-        if catalog is None:
-            raise SessionError(
-                "a use_catalog=False database has no catalog snapshot to save"
-            )
-        catalog.statistics()  # price plans identically after a reload
-        payload = {
-            "format": DATABASE_FORMAT_VERSION,
-            "catalog": catalog,
-            "document": self._document,
-            "config": self._rewriter.config,
-        }
-        Path(path).write_bytes(pickle.dumps(payload))
+        if self._document is None:
+            raise SessionError("a summary-only session has no document to save")
+        records = [("load", self._load_payload())]
+        records += [("create_view", _view_payload(view)) for view in self.views]
+        records.append(("checkpoint", {}))
+        path = Path(path)
+        partial = path.with_name(path.name + ".partial")
+        with open(partial, "w", encoding="utf-8") as handle:
+            for lsn, (type_, payload) in enumerate(records, start=1):
+                handle.write(LogRecord(lsn, type_, payload).encode())
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(partial, path)
 
     @classmethod
     def load(cls, path: str | Path) -> "Database":
-        """Load a session persisted with :meth:`save`.
+        """Load a session written by :meth:`save` (or :meth:`checkpoint`).
 
-        The persisted catalog is adopted as-is — summary, views, annotated
-        prototypes and statistics are not re-derived.  Raises
-        :class:`~repro.errors.SessionError` when the file is unreadable, is
-        not a database snapshot, has another format or holds no catalog.
+        The document comes back with every Dewey ID it had, the views are
+        declared again and each is materialised once.  Raises
+        :class:`~repro.errors.SessionError` when the file is unreadable,
+        corrupt, truncated (no closing fence) or of another format.
         """
+        return cls._from_records(cls._snapshot(path))
+
+    @staticmethod
+    def _snapshot(path: str | Path) -> list[LogRecord]:
+        """The validated records of a snapshot file, fence included."""
         try:
-            payload = pickle.loads(Path(path).read_bytes())
-        except Exception as exc:
+            records = ChangeLog.read(path)
+        except (ChangeLogError, OSError) as exc:
             raise SessionError(f"cannot read database file {path}: {exc}") from exc
-        if not isinstance(payload, dict) or "format" not in payload:
-            raise SessionError(f"{path} is not a persisted database")
-        if payload["format"] != DATABASE_FORMAT_VERSION:
-            raise SessionError(
-                f"{path} has unsupported snapshot format {payload['format']!r}"
+        if not records or records[0].type != "load":
+            raise SessionError(f"{path} is not a database snapshot")
+        if records[-1].type != "checkpoint":
+            raise SessionError(f"{path} is truncated: no closing checkpoint fence")
+        return records
+
+    def _load_payload(self) -> dict:
+        """The ``load`` record of this session: document, format, config."""
+        return {
+            **encode_document(self._document),
+            "format": DATABASE_FORMAT_VERSION,
+            "config": asdict(self._rewriter.config),
+        }
+
+    @classmethod
+    def _from_records(cls, records: list[LogRecord]) -> "Database":
+        """A session rebuilt from a ``load`` record and the records behind it.
+
+        The one replay path: a snapshot's records, a snapshot's records
+        followed by the log tail after its checkpoint, or a whole log.
+        """
+        first = records[0]
+        if first.type != "load":
+            raise ChangeLogError(
+                f"replay must start with a load record (found {first.type!r})"
             )
-        catalog = payload.get("catalog")
-        if not isinstance(catalog, ViewCatalog):
-            raise SessionError(f"{path} does not contain a view catalog")
-        return cls._wrap(
-            Rewriter.from_catalog(catalog, payload.get("config")),
-            payload.get("document"),
-        )
+        payload = first.payload
+        if payload.get("format", DATABASE_FORMAT_VERSION) != DATABASE_FORMAT_VERSION:
+            raise SessionError(f"unsupported snapshot format {payload['format']!r}")
+        try:
+            document = decode_document(payload)
+            config = payload.get("config")
+            config = RewritingConfig(**config) if config is not None else None
+        except (LookupError, TypeError, ValueError, XMLError) as exc:
+            raise SessionError(f"malformed load record: {exc!r}") from exc
+        database = cls(document, config=config)
+        database._replay(records[1:])
+        return database
 
     # ------------------------------------------------------------------ #
     # owned state
@@ -549,14 +585,7 @@ class Database:
         )
         self.views.add(view)
         self._rewriter.notify_view_added(view)
-        self._log(
-            "create_view",
-            {
-                "name": view.name,
-                "pattern": pattern.to_text(),
-                "materialize": bool(materialize),
-            },
-        )
+        self._log("create_view", _view_payload(view))
         return view
 
     def drop_view(self, name: str) -> None:
@@ -710,13 +739,14 @@ class Database:
 
         The log must be empty (a fresh file, or one whose torn tail was
         the only content): its first record becomes a full ``load`` of the
-        current document, and every later :meth:`insert_subtree` /
-        :meth:`delete_subtree` / :meth:`create_view` / :meth:`drop_view` /
-        :meth:`checkpoint` appends one record.  To *resume* from a log
+        current document and config (the one :meth:`save` writes), and
+        every later :meth:`insert_subtree` / :meth:`delete_subtree` /
+        :meth:`create_view` / :meth:`drop_view` / :meth:`checkpoint`
+        appends one record.  To *resume* from a log
         that already has records, use :meth:`recover` — attaching it here
         would fork its history.
         """
-        document = self._require_document()
+        self._require_document()
         log = ChangeLog(path)
         if log.last_lsn != 0:
             log.close()
@@ -725,19 +755,16 @@ class Database:
                 f"Database.recover(path) to resume from it"
             )
         self._change_log = log
-        log.append(
-            "load",
-            {"name": document.name, "root": encode_subtree(document.root)},
-        )
+        log.append("load", self._load_payload())
         return log
 
     def checkpoint(self, path: str | Path) -> None:
-        """Persist the session and fence the log at the current LSN.
+        """Write a snapshot (:meth:`save`) and fence the log at the current LSN.
 
         Recovery (:meth:`recover`) starts from the newest checkpoint whose
-        snapshot file still exists and replays only the log tail behind
-        it; a missing snapshot falls back to the previous checkpoint, or
-        to full replay from the ``load`` record.
+        snapshot loads and replays the log tail behind it after the
+        snapshot's records; a missing or unreadable snapshot falls back to
+        the previous checkpoint, or to full replay from the ``load`` record.
         """
         if self._change_log is None:
             raise SessionError("no change log attached; nothing to checkpoint")
@@ -748,8 +775,9 @@ class Database:
     def recover(cls, log_path: str | Path) -> "Database":
         """Rebuild a live session from its durable change log.
 
-        Replays the newest usable checkpoint plus the log tail behind it
-        (or the whole log from its ``load`` record).  Replay is *exact*:
+        Replays the newest loadable checkpoint snapshot followed by the log
+        tail behind it (or the whole log from its ``load`` record), through
+        the one replay path :meth:`load` takes.  Replay is *exact*:
         inserts re-derive the very Dewey IDs the original session assigned
         (the log records them, and a mismatch is a typed
         :class:`~repro.errors.ChangeLogError`, never a silently different
@@ -762,35 +790,18 @@ class Database:
         records = ChangeLog.read(log_path)
         if not records:
             raise ChangeLogError(f"change log {log_path} holds no intact records")
-        database: Optional["Database"] = None
-        start = 0
         for position in range(len(records) - 1, -1, -1):
             record = records[position]
             if record.type != "checkpoint":
                 continue
-            snapshot = Path(record.payload["path"])
-            if snapshot.exists():
-                try:
-                    database = cls.load(snapshot)
-                except SessionError:
-                    continue  # unreadable snapshot: fall back further
-                start = position + 1
-                break
-        if database is None:
-            first = records[0]
-            if first.type != "load":
-                raise ChangeLogError(
-                    f"change log {log_path} does not start with a load record "
-                    f"(found {first.type!r}) and no checkpoint snapshot is "
-                    f"readable"
-                )
-            document = XMLDocument(
-                decode_subtree(first.payload["root"]),
-                name=first.payload.get("name", "doc"),
-            )
-            database = cls(document)
-            start = 1
-        database._replay(records[start:])
+            try:
+                snapshot = cls._snapshot(record.payload["path"])
+                database = cls._from_records(snapshot + records[position + 1 :])
+            except SessionError:
+                continue  # unreadable snapshot: fall back further
+            break
+        else:
+            database = cls._from_records(records)
         # resume durable logging exactly where the recovered history ends
         database._change_log = ChangeLog(log_path)
         return database

@@ -348,14 +348,6 @@ class Summary:
                     return False
         return True
 
-    def __getstate__(self):
-        # the containment-memo token is process-local identity: letting it
-        # travel through pickle would make two different summaries loaded
-        # from files share cache keys
-        state = self.__dict__.copy()
-        state.pop("_containment_token", None)
-        return state
-
     def __repr__(self) -> str:
         return f"<Summary {self.name!r} size={self.size}>"
 

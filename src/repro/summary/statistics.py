@@ -98,8 +98,8 @@ class Statistics:
     (:meth:`label_frequency`, :meth:`navigation_fanout`) legitimately
     return fractions below 1 — strict cost positivity is guaranteed by the
     cost model's per-operator floor, not here.  Instances are plain
-    dictionaries of numbers: picklable, so a catalog snapshot persists
-    them with the session.
+    dictionaries of numbers, derived from the summary and the extents: a
+    loaded session observes them again.
     """
 
     def __init__(
@@ -109,8 +109,7 @@ class Statistics:
     ):
         self.summary_name = summary.name
         # kept for lazy pattern annotation in observe_view and for counts
-        # that follow writes; snapshots that already contain the summary
-        # object share it through pickle's memo
+        # that follow writes
         self._summary = summary
         self._count_summary()
         self._view_rows: dict[str, float] = {}
@@ -122,16 +121,6 @@ class Statistics:
         self._view_counts: dict[str, list[_ColumnCounts]] = {}
         for view in views:
             self.observe_view(view)
-
-    def __setstate__(self, state):
-        # snapshots written before the integer sums and the counters
-        # existed: derive the sums again (the summary travels with them)
-        self.__dict__.update(state)
-        self.__dict__.setdefault("_view_sorted", {})
-        self.__dict__.setdefault("_view_columns", {})
-        self.__dict__.setdefault("_view_counts", {})
-        if "_total" not in state:
-            self._count_summary()
 
     def _count_summary(self) -> None:
         """Derive the per-path / per-label counts from the summary.
@@ -420,7 +409,7 @@ class Statistics:
         return self._view_exact.get(name, False)
 
     def set_view_rows(self, name: str, rows: float, exact: bool = True) -> None:
-        """Override the recorded extent size (used by snapshots / tests)."""
+        """Override the recorded extent size (used by writes / tests)."""
         self._view_rows[name] = float(max(rows, 1.0))
         self._view_exact[name] = exact
 
@@ -544,8 +533,7 @@ class _ColumnCounts:
     def entry(self) -> Optional[dict]:
         """The column's statistics entry, or ``None`` if unobservable.
 
-        A plain dict of numbers and atoms (picklable, so catalog snapshots
-        persist it):
+        A plain dict of numbers and atoms:
 
         ``sampled``    rows counted (nulls included) — every row
         ``non_null``   rows with a real value

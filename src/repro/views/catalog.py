@@ -91,9 +91,6 @@ class _ViewEntry:
         # must all come from ONE pattern node on a compatible path)
         self.node_offers = tuple(node_offers)
 
-    # (pickling needs no custom methods: protocol 2+ handles __slots__-only
-    # classes natively, and RewriteCandidate re-keys itself on the way out)
-
     def instantiate(self) -> RewriteCandidate:
         """A fresh candidate clone the search may annotate and transform."""
         return self.candidate.clone()
@@ -144,12 +141,6 @@ class ViewCatalog:
     def index(self) -> SummaryIndex:
         """The summary's shared :class:`SummaryIndex`."""
         return self.summary.index
-
-    def __setstate__(self, state):
-        # snapshots written before the counter existed (format 1 predates
-        # it) must keep loading — and their entries *were* built, once each
-        self.__dict__.update(state)
-        self.__dict__.setdefault("entry_build_count", len(self._entries))
 
     def _build_entry(self, view: MaterializedView) -> _ViewEntry:
         """The query-independent per-view work: prototype + annotation."""
@@ -322,8 +313,8 @@ class ViewCatalog:
 
         Materialised views report exact extent sizes; unmaterialised views
         are estimated from the summary's instance counts through their
-        pre-annotated prototype patterns.  The snapshot is part of the
-        persisted catalog, so a reloaded session prices plans identically.
+        pre-annotated prototype patterns.  Derived state: a loaded session
+        observes the same extents and prices plans identically.
         """
         if self._statistics is None:
             self._statistics = Statistics.with_annotated_views(

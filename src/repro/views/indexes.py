@@ -23,8 +23,7 @@ Indexes are built lazily, on the first eligible probe of a ``(view,
 column)`` pair, and cached on the column's
 :class:`~repro.algebra.columnar._ColumnSource` — the object whose lifetime
 *is* the extent's lifetime (re-materialising or splicing a view creates
-fresh sources, so stale indexes simply become unreachable; pickles drop
-them).  :func:`index_for_source` is the one entry point the executor calls;
+fresh sources, so stale indexes simply become unreachable).  :func:`index_for_source` is the one entry point the executor calls;
 the module-level :data:`INDEX_STATS` counters make build-once observable
 for tests and benchmarks.
 

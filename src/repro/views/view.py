@@ -178,7 +178,7 @@ class MaterializedView:
         # the pattern is fixed at construction, so its full schema — columns
         # plus the per-node layout evaluation reads — is derived once, for
         # the columns and for the regions incremental maintenance
-        # re-evaluates; never pickled (see __getstate__)
+        # re-evaluates
         return pattern_schema(self.pattern)
 
     @cached_property
@@ -191,15 +191,7 @@ class MaterializedView:
 
     @cached_property
     def _schema(self) -> tuple:
-        # a pickle carries the cached tuple, one written before the cache
-        # existed derives it on first use
         return tuple(self._layout[0])
-
-    def __getstate__(self) -> dict:
-        # the layout is keyed on pattern-node identities, which no pickle keeps
-        state = dict(self.__dict__)
-        state.pop("_layout", None)
-        return state
 
     def schema(self):
         """The view's column list (computable without materialising)."""

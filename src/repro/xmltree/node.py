@@ -178,18 +178,23 @@ class XMLDocument:
     them directly.
     """
 
-    def __init__(self, root: XMLNode, name: str = "doc"):
+    def __init__(
+        self,
+        root: XMLNode,
+        name: str = "doc",
+        ordinals: Optional[dict[DeweyID, list[int]]] = None,
+    ):
         if root.parent is not None:
             raise XMLError("the document root must not have a parent")
         self.root = root
         self.name = name
         self._nodes_by_id: dict[DeweyID, XMLNode] = {}
-        self.reindex()
+        self.reindex(ordinals)
 
     # ------------------------------------------------------------------ #
     # identifier / path maintenance
     # ------------------------------------------------------------------ #
-    def reindex(self) -> None:
+    def reindex(self, ordinals: Optional[dict[DeweyID, list[int]]] = None) -> None:
         """(Re)assign Dewey IDs and rooted paths to every node of the tree.
 
         Only valid on a pristine tree: renumbering compacts sibling
@@ -198,16 +203,41 @@ class XMLDocument:
         documents therefore never call this after a mutation — inserts
         take fresh ordinals past the highest ever used (ORDPATH-style
         gaps are legal Dewey IDs) and deletes leave the survivors alone.
+        ``ordinals`` restores such a numbering: what :meth:`ordinal_gaps`
+        returned for the document this tree was copied from.
         """
         self._nodes_by_id.clear()
+        # parent -> an ordinal it handed out that may lie above its live
+        # children: written by inserts and deletes, read by inserts
         self._max_child_ordinal: dict[DeweyID, int] = {}
-        self._path_store: Optional[PathStore] = PathStore()
+        self._path_store = PathStore()
         self._path_store.splice_in(
-            self._assign(self.root, DeweyID.root(), "/" + self.root.label)
+            self._assign(self.root, DeweyID.root(), "/" + self.root.label, ordinals)
         )
+        for dewey, numbers in (ordinals or {}).items():
+            self._max_child_ordinal[dewey] = numbers[-1]
+
+    def ordinal_gaps(self) -> dict[DeweyID, list[int]]:
+        """Per parent whose children are not numbered ``1..n``: the
+        children's ordinals, then the highest ordinal it ever handed out
+        (only that, for a parent whose children were all deleted)."""
+        gaps = {}
+        for dewey, mark in self._max_child_ordinal.items():
+            parent = self._nodes_by_id.get(dewey)
+            if parent is None:
+                continue
+            numbers = [child.dewey.ordinal for child in parent.children]
+            high = max(numbers[-1] if numbers else 0, mark)
+            if high != len(numbers):
+                gaps[dewey] = numbers + [high]
+        return gaps
 
     def _assign(
-        self, root: XMLNode, dewey: DeweyID, path: str
+        self,
+        root: XMLNode,
+        dewey: DeweyID,
+        path: str,
+        ordinals: Optional[dict[DeweyID, list[int]]] = None,
     ) -> dict[str, list[XMLNode]]:
         """Identify the subtree under ``root``; return its nodes by path.
 
@@ -218,7 +248,6 @@ class XMLDocument:
         the path is known), never a fresh string per node.
         """
         by_id = self._nodes_by_id
-        max_ordinal = self._max_child_ordinal
         store = self.path_store
         path = store.key(path)
         root.dewey = dewey
@@ -234,11 +263,16 @@ class XMLDocument:
             if not children:
                 continue
             dewey = node.dewey
-            max_ordinal[dewey] = len(children)
             labels = steps.get(node.path)
             if labels is None:
                 labels = steps[node.path] = {}
-            for ordinal, child in enumerate(children, start=1):
+            numbers = ordinals.get(dewey) if ordinals else None
+            numbering = (
+                enumerate(children, start=1)
+                if numbers is None
+                else zip(numbers[:-1], children, strict=True)
+            )
+            for ordinal, child in numbering:
                 step = labels.get(child.label)
                 if step is None:
                     child_path = store.key(f"{node.path}/{child.label}")
@@ -256,21 +290,7 @@ class XMLDocument:
     @property
     def path_store(self) -> PathStore:
         """Rooted path → its nodes in document order (derived, never persisted)."""
-        if self._path_store is None:  # unpickled: rebuilt on first use
-            self._path_store = PathStore.scan(self.root)
         return self._path_store
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_path_store"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        # pickles written before the store (or before gap-safe inserts)
-        # lack these entries; both are derived
-        state.setdefault("_path_store", None)
-        state.setdefault("_max_child_ordinal", {})
-        self.__dict__.update(state)
 
     # ------------------------------------------------------------------ #
     # live mutations (gap-safe: existing identifiers never change)
@@ -303,9 +323,8 @@ class XMLDocument:
         )
         ordinal = max(live, self._max_child_ordinal.get(parent.dewey, 0)) + 1
         self._max_child_ordinal[parent.dewey] = ordinal
-        store = self.path_store  # (re)built, if need be, before the tree grows
         parent.append(subtree)
-        store.splice_in(
+        self._path_store.splice_in(
             self._assign(
                 subtree,
                 parent.dewey.child(ordinal),
@@ -334,6 +353,9 @@ class XMLDocument:
             self._nodes_by_id.pop(member.dewey, None)
             counts[member.path] = counts.get(member.path, 0) + 1
         self.path_store.splice_out(node, counts)
+        # the deleted ordinal may have been the parent's highest
+        marks, parent = self._max_child_ordinal, node.parent.dewey
+        marks[parent] = max(marks.get(parent, 0), node.dewey.ordinal)
         return node.detach()
 
     # ------------------------------------------------------------------ #

@@ -10,10 +10,10 @@ bought with memory so that work follows the answer and not the data: a
 in ``tag`` instead of walking the whole tree.
 
 The store is *derived*: :class:`~repro.xmltree.node.XMLDocument` fills it
-in the pass that hands out Dewey IDs, splices it on every subtree insert /
-delete, never pickles or logs it, and rebuilds it on first use after a
-load.  Its keys double as the nodes' ``path`` strings — one string per
-distinct path, shared by every node on it.
+in the pass that hands out Dewey IDs and splices it on every subtree
+insert / delete; no snapshot or log records it, and a loaded document
+fills its own in that same pass.  Its keys double as the nodes' ``path``
+strings — one string per distinct path, shared by every node on it.
 """
 
 from __future__ import annotations
@@ -38,25 +38,6 @@ class PathStore:
 
     def __init__(self) -> None:
         self._runs: dict[str, list["XMLNode"]] = {}
-
-    @classmethod
-    def scan(cls, root: "XMLNode") -> "PathStore":
-        """Rebuild the store of an already identified tree in one pass.
-
-        Nodes are re-pointed at the store's key string for their path, so
-        a document whose nodes each carried a private copy (an old pickle)
-        shares one string per path afterwards.
-        """
-        store = cls()
-        runs = store._runs
-        for node in root.iter_subtree():
-            run = runs.get(node.path)
-            if run is None:
-                runs[node.path] = [node]
-            else:
-                node.path = run[0].path
-                run.append(node)
-        return store
 
     # ------------------------------------------------------------------ #
     # reads

@@ -150,6 +150,34 @@ def test_replay_reassigns_the_original_dewey_ids(tmp_path):
     recovered.close()
 
 
+@pytest.mark.parametrize("survivors", [1, 0])
+def test_a_checkpoint_keeps_the_ordinal_high_water_mark(tmp_path, survivors):
+    """Deleting a parent's *last* child leaves its high-water mark above
+    its live children.  The snapshot keeps the mark, so the insert behind
+    the checkpoint gets the Dewey ID it got in the writing session, in the
+    loaded snapshot and in recovery alike."""
+    live = Database(parse_parenthesized(DOC_TEXT, name="live"))
+    live.attach_log(tmp_path / "doc.log")
+    live.create_view(ITEM_QUERY, name="items")
+    asia = live.document.nodes_on_path("/site/regions/asia")[0]
+    for item in asia.children[survivors:]:
+        live.delete_subtree(item)
+    live.checkpoint(tmp_path / "doc.ckpt")
+    snapshot = Database.load(tmp_path / "doc.ckpt")
+    node = live.insert_subtree(asia, XMLNode("item", None, [XMLNode("name", "new")]))
+    assert str(node.dewey) == "1.1.1.3"
+    restored_asia = snapshot.document.nodes_on_path("/site/regions/asia")[0]
+    restored = snapshot.insert_subtree(restored_asia, XMLNode("item", None))
+    assert restored.dewey == node.dewey
+    recovered = Database.recover(tmp_path / "doc.log")
+    assert recovered.document.node_by_id(node.dewey).children[0].value == "new"
+    live_ids = [str(n.dewey) for n in live.document.iter_nodes()]
+    assert live_ids == [str(n.dewey) for n in recovered.document.iter_nodes()]
+    assert normalize(live.query(ITEM_QUERY)) == normalize(recovered.query(ITEM_QUERY))
+    live.close()
+    recovered.close()
+
+
 # --------------------------------------------------------------------------- #
 # fault injection
 # --------------------------------------------------------------------------- #

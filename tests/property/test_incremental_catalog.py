@@ -82,5 +82,5 @@ def test_any_ddl_interleaving_matches_fresh_rebuild(auction_summary, ops):
     # 4. rewriting equivalence: patched and fresh catalogs answer alike
     query = parse_pattern(QUERY, name="q")
     patched_outcome = database.rewrite(query)
-    fresh_outcome = Rewriter.from_catalog(fresh).rewrite(query)
+    fresh_outcome = Rewriter(fresh.summary, fresh.views).rewrite(query)
     assert _fingerprint(patched_outcome) == _fingerprint(fresh_outcome)

@@ -376,7 +376,7 @@ def test_nodes_on_path_answers_from_the_store_with_a_copy():
 
 
 # --------------------------------------------------------------------------- #
-# derived, not persisted: save / load, old pickles, recovery
+# derived, not persisted: save / load, recovery
 # --------------------------------------------------------------------------- #
 def _extents(database: Database) -> dict:
     return {
@@ -405,13 +405,12 @@ def _live_session(tmp_path, checkpoint: bool) -> Database:
     return db
 
 
-def test_the_store_is_left_out_of_pickles_and_rebuilt_on_first_use(tmp_path):
+def test_the_store_is_left_out_of_snapshots_and_rebuilt_on_load(tmp_path):
     db = _live_session(tmp_path, checkpoint=False)
-    assert db.document.__getstate__()["_path_store"] is None
-    assert "_path_store" not in (tmp_path / "doc.log").read_text()
     db.save(tmp_path / "doc.db")
+    for path in ("doc.log", "doc.db"):
+        assert "/site/regions" not in (tmp_path / path).read_text()
     loaded = Database.load(tmp_path / "doc.db")
-    assert loaded.document.__dict__["_path_store"] is None
     assert_store_exact(loaded.document)
     # a loaded document is live: the first write splices the rebuilt store
     parent = loaded.document.nodes_on_path("/site/people")[0]
@@ -424,18 +423,6 @@ def test_the_store_is_left_out_of_pickles_and_rebuilt_on_first_use(tmp_path):
             assert_store_fed_equals_scan_fed(view, loaded.document)
     db.close()
     loaded.close()
-
-
-def test_a_pickle_older_than_the_store_loads_and_writes():
-    document = parse_parenthesized(DOC_TEXT)
-    state = document.__getstate__()
-    del state["_path_store"], state["_max_child_ordinal"]
-    for node in document.iter_nodes():
-        node.path = "".join(node.path)  # private copies, as such pickles held
-    old = XMLDocument.__new__(XMLDocument)
-    old.__setstate__(state)
-    old.insert_subtree(old.nodes_on_path("/site/people")[0], SUBTREE_SHAPES[0](1))
-    assert_store_exact(old)
 
 
 @pytest.mark.parametrize("checkpoint", [True, False])

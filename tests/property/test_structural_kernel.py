@@ -688,20 +688,6 @@ def test_node_and_mixed_columns_prove_nothing():
     assert _ColumnSource(values=[_ID, "1.3"]).ascending() is False  # mixed cells
 
 
-def test_a_pickle_written_before_the_proof_existed_loads_it_unknown():
-    source = _ColumnSource(values=[1, 2, 3])
-    assert source.ascending()
-    copy = pickle.loads(pickle.dumps(source))
-    assert copy._ascending is True and copy.ascending()
-    old_state = {
-        name: value for name, value in source.__getstate__().items() if name != "_ascending"
-    }
-    old = _ColumnSource.__new__(_ColumnSource)
-    old.__setstate__(old_state)
-    assert old._ascending is None
-    assert old.ascending() is True
-
-
 # --------------------------------------------------------------------------- #
 # the one memo: a kernel operator's output vectors, kept on its plan node
 # --------------------------------------------------------------------------- #
@@ -932,20 +918,6 @@ def test_a_repeat_at_either_level_of_a_chain_still_deduplicates(middle, lower, r
     assert projection._kept[1] is not None  # a dedup vector, not "distinct"
     _identical(executor.execute(projection), OracleExecutor(views).execute(projection))
     _identical(PlanExecutor(views).execute(projection), OracleExecutor(views).execute(projection))
-
-
-def test_a_pickle_written_before_the_repeat_free_record_loads_it_unset():
-    """Older builds pickled a gather's ``_repeat_free`` record; such a state
-    loads without it, and ``distinct()`` hashes the gather."""
-    parent = _ColumnSource(values=[1, 2, 3])
-    gather = _ColumnSource(parent=parent, indices=(0, 2))
-    old = _ColumnSource.__new__(_ColumnSource)
-    old.__setstate__({**gather.__getstate__(), "_repeat_free": True})
-    assert not hasattr(old, "_repeat_free") and old.values() == [1, 3]
-    assert old.distinct()
-    repeating = _ColumnSource(parent=parent, indices=(0, 0))
-    old.__setstate__({**repeating.__getstate__(), "_repeat_free": True})
-    assert not old.distinct()  # the record is not believed
 
 
 def test_a_plan_pickles_and_copies_without_its_memo():

@@ -51,6 +51,27 @@ def test_span_ids_follow_the_otel_shape():
     assert span.parent_id is None
 
 
+def test_ids_come_from_one_generator_seeded_once(monkeypatch):
+    """Ids need to be unique, not secret: after the tracer is built, minting
+    them reads no system entropy."""
+    import os
+
+    tracer = Tracer()
+
+    def no_entropy(size):
+        raise AssertionError("an id read os.urandom")
+
+    monkeypatch.setattr(os, "urandom", no_entropy)
+    spans = [tracer.trace("request") for _ in range(200)]
+    children = [span.child("inner") for span in spans]
+    ids = [span.trace_id for span in spans] + [s.span_id for s in spans + children]
+    assert len(set(ids)) == len(ids)
+    assert all(len(span.trace_id) == 32 for span in spans)
+    assert all(len(span.span_id) == 16 for span in spans + children)
+    assert all(int(value, 16) >= 0 for value in ids)
+    assert len(tracer.new_id(16)) == 16
+
+
 def test_exception_marks_the_span_as_error_and_reraises():
     ring = RingBufferExporter()
     tracer = Tracer(exporters=[ring])

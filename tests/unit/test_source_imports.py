@@ -1,0 +1,65 @@
+"""No module under ``src/repro`` reads or writes a pickle-family format.
+
+Snapshots and the change log are JSONL records whose derived state is
+rebuilt on load; a module importing ``pickle``, ``marshal`` or ``shelve``
+would bring back a durable format that runs code when read.  Nor does
+any class keep pickle hooks: the one ``__getstate__`` left is
+``PlanOperator``'s, which keeps the executor's memo out of
+``copy.deepcopy``.
+"""
+
+from __future__ import annotations
+
+import ast
+from functools import cache
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent.parent / "src" / "repro"
+FORBIDDEN = {"pickle", "marshal", "shelve"}
+
+
+def _imported(tree: ast.AST) -> list[str]:
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return names
+
+
+@cache
+def _modules() -> list[tuple[str, ast.AST]]:
+    return [
+        (path.relative_to(SRC.parent).as_posix(), ast.parse(path.read_text()))
+        for path in sorted(SRC.rglob("*.py"))
+    ]
+
+
+def test_the_scan_sees_every_import_form():
+    tree = ast.parse("import os, pickle as p\nfrom marshal import dumps\nfrom . import x")
+    assert {name.split(".")[0] for name in _imported(tree)} & FORBIDDEN == {
+        "pickle",
+        "marshal",
+    }
+
+
+def test_no_module_imports_a_pickle_format():
+    offenders = [
+        f"{name}: {module}"
+        for name, tree in _modules()
+        for module in _imported(tree)
+        if module.split(".")[0] in FORBIDDEN
+    ]
+    assert offenders == []
+
+
+def test_no_class_keeps_pickle_hooks():
+    hooks = [
+        (name, node.name)
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("__getstate__", "__setstate__", "__reduce__", "__reduce_ex__")
+    ]
+    assert hooks == [("repro/algebra/operators.py", "__getstate__")]
