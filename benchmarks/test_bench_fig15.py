@@ -5,6 +5,7 @@ view-pruning ratio)."""
 import pytest
 from repro.experiments.fig15 import fig15_views, print_fig15, run_fig15
 from repro.rewriting.algorithm import RewritingConfig, RewritingSearch
+from repro.views.catalog import ViewCatalog
 
 pytestmark = [pytest.mark.bench, pytest.mark.slow]
 
@@ -15,15 +16,15 @@ def test_fig15_single_query_rewriting(
     benchmark, xmark_summary_bench, xmark_queries_bench, query_name
 ):
     """Rewriting time for representative XMark queries."""
-    views = fig15_views(xmark_summary_bench, random_view_count=25)
+    catalog = ViewCatalog(
+        xmark_summary_bench, fig15_views(xmark_summary_bench, random_view_count=25)
+    )
     config = RewritingConfig(
         time_budget_seconds=3.0, max_rewritings=1, max_plan_size=8, enable_unions=False
     )
 
     def rewrite_once():
-        search = RewritingSearch(
-            xmark_queries_bench[query_name], xmark_summary_bench, views, config
-        )
+        search = RewritingSearch(xmark_queries_bench[query_name], catalog, config)
         search.run()
         return search.statistics
 

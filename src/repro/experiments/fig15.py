@@ -18,9 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from contextlib import nullcontext
-
-from repro.containment.core import clear_containment_cache, containment_cache_disabled
+from repro.containment.core import clear_containment_cache
 from repro.experiments.fig13 import xmark_summary
 from repro.rewriting.algorithm import RewritingConfig
 from repro.session.database import Database
@@ -86,7 +84,6 @@ def run_fig15(
     time_budget_seconds: float = 5.0,
     max_rewritings: int = 3,
     query_names: Optional[Sequence[str]] = None,
-    use_catalog: bool = True,
     fresh_containment_cache: bool = True,
     rank_plans: bool = True,
 ) -> list[RewritingRow]:
@@ -94,13 +91,11 @@ def run_fig15(
 
     The workload runs through a summary-only session
     (:meth:`Database.from_summary` — views stay unmaterialised, exactly as
-    in the paper, which measures rewriting time only) and its batch
-    ``rewrite_many``, so the view catalog (summary index, annotated view
-    prototypes, Prop. 3.4 path index) is shared across all 20 queries; pass
-    ``use_catalog=False`` to reproduce the seed per-query behaviour — that mode also bypasses the containment
-    memo, since cross-query cache hits would otherwise make the reported
-    per-query times order-dependent and un-seed-like.  The memo is cleared
-    up front by default so catalog-mode runs do not depend on earlier runs.
+    in the paper, which measures rewriting time only), one
+    :meth:`Database.rewrite` per query, so the view catalog (summary index,
+    annotated view prototypes, Prop. 3.4 path index) is shared across all
+    20 queries.  The containment memo is cleared up front by default so a
+    run does not depend on earlier runs.
 
     With ``rank_plans`` (the default) every outcome's rewritings are also
     lowered and costed through a :class:`~repro.planning.Planner`, and the
@@ -123,13 +118,9 @@ def run_fig15(
     )
     if fresh_containment_cache:
         clear_containment_cache()
-    database = Database.from_summary(
-        summary, views=views, config=config, use_catalog=use_catalog
-    )
+    database = Database.from_summary(summary, views=views, config=config)
     ordered = sorted(queries.items(), key=lambda kv: int(kv[0][1:]))
-    memo = nullcontext() if use_catalog else containment_cache_disabled()
-    with memo:
-        outcomes = database.rewrite_many([pattern for _, pattern in ordered])
+    outcomes = [database.rewrite(pattern) for _, pattern in ordered]
     planner = database.planner if rank_plans else None
     rows = []
     for (name, _), outcome in zip(ordered, outcomes):

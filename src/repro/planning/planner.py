@@ -30,7 +30,6 @@ from repro.planning.logical import LogicalPlan, lower_plan
 from repro.planning.pushdown import push_selections
 from repro.rewriting.algorithm import Rewriting, RewritingStatistics
 from repro.rewriting.rewriter import RewriteOutcome
-from repro.summary.statistics import Statistics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.rewriting.rewriter import Rewriter
@@ -108,15 +107,6 @@ class PlanChoice:
         cost landscape the planner actually chose from."""
         return tuple(planned.cost for planned in self.alternatives)
 
-    @property
-    def first_found_was_best(self) -> bool:
-        """Whether the cheapest plan is also the one the search found first
-        (a search-order comparison; the seed *execution* policy was the
-        fewest-views heuristic of ``RewriteOutcome.best``, not this)."""
-        if not self.alternatives:
-            return True
-        return self.alternatives[0].search_order == 0
-
     def __iter__(self):
         return iter(self.alternatives)
 
@@ -173,7 +163,7 @@ class Planner:
     # ------------------------------------------------------------------ #
     @property
     def cost_model(self) -> CostModel:
-        """The effective cost model (catalog statistics when available).
+        """The effective cost model (the catalog's statistics).
 
         Derived models are cached and invalidated when the rewriter's view
         set or any extent in it changes (``views.data_version``).
@@ -188,13 +178,7 @@ class Planner:
             and self._derived_catalog is catalog
         ):
             return self._derived_model
-        if catalog is not None:
-            model = CostModel(catalog.statistics())
-        else:
-            # catalog-less fallback: the Statistics constructor observes
-            # every view itself (annotating throwaway pattern copies for
-            # unmaterialised ones), so pricing matches the catalog path
-            model = CostModel(Statistics(self.rewriter.summary, self.rewriter.views))
+        model = CostModel(catalog.statistics())
         self._derived_model = model
         self._derived_key = key
         self._derived_catalog = catalog

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.algebra.operators import PlanOperator, UnionPlan, ViewScan
 from repro.canonical.model import annotate_paths
@@ -32,7 +32,7 @@ from repro.containment.core import containment_deadline, is_contained_in_union
 from repro.errors import ContainmentBudgetExceeded, RewritingError
 from repro.patterns.pattern import Axis, PatternNode, TreePattern
 from repro.rewriting.alignment import AlignmentResult, align_candidate
-from repro.rewriting.candidates import RewriteCandidate, initial_candidate
+from repro.rewriting.candidates import RewriteCandidate
 from repro.rewriting.fusion import (
     copied_signatures,
     equality_shape,
@@ -44,10 +44,10 @@ from repro.rewriting.preprocessing import (
     add_virtual_ids,
     query_path_targets,
     unfold_content,
-    view_is_useful,
 )
-from repro.summary.dataguide import Summary
-from repro.views.view import MaterializedView
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.views.catalog import ViewCatalog
 
 __all__ = ["RewritingConfig", "RewritingStatistics", "Rewriting", "RewritingSearch"]
 
@@ -134,30 +134,24 @@ class Rewriting:
 
 
 class RewritingSearch:
-    """One run of Algorithm 1 for a fixed query, summary and view set.
+    """One run of Algorithm 1 for a fixed query over a view catalog.
 
-    When a :class:`~repro.views.catalog.ViewCatalog` over the same summary
-    and views is supplied, setup takes the catalog fast path: the summary
-    index is shared, Prop. 3.4 candidate views come from the catalog's
-    inverted path index, and initial candidates are cloned from the
-    catalog's pre-annotated prototypes instead of being re-annotated from
-    scratch.  The search results are identical either way — the catalog
-    prunes exactly the views ``view_is_useful`` would reject.
+    The :class:`~repro.views.catalog.ViewCatalog` supplies the summary, its
+    index and the views: Prop. 3.4 candidate views come from the catalog's
+    inverted path index, and initial candidates are cloned from its
+    pre-annotated prototypes, so no view is re-annotated per query.
     """
 
     def __init__(
         self,
         query: TreePattern,
-        summary: Summary,
-        views: list[MaterializedView],
+        catalog: "ViewCatalog",
         config: Optional[RewritingConfig] = None,
-        catalog=None,
     ):
         self.query = query.copy(name=query.name)
-        self.summary = summary
         self.catalog = catalog
-        self.index = summary.index
-        self.views = list(catalog.views) if catalog is not None else list(views)
+        self.summary = catalog.summary
+        self.index = catalog.index
         self.config = config or RewritingConfig()
         self.statistics = RewritingStatistics()
         self.rewritings: list[Rewriting] = []
@@ -220,9 +214,9 @@ class RewritingSearch:
     def _setup(self) -> list[RewriteCandidate]:
         annotate_paths(self.query, self.summary)
         targets = query_path_targets(self.query)
-        self.statistics.views_before_pruning = len(self.views)
+        self.statistics.views_before_pruning = len(self.catalog)
         initial: list[RewriteCandidate] = []
-        for view, candidate in self._pruned_initial_candidates():
+        for view, candidate in self.catalog.initial_candidates(self.query):
             # capture both before the call: unfold_content mutates the
             # pattern in place (only the candidate wrapper is fresh)
             size_before = candidate.pattern.size
@@ -238,22 +232,6 @@ class RewritingSearch:
             initial.append(candidate)
         self.statistics.views_after_pruning = len(initial)
         return initial
-
-    def _pruned_initial_candidates(self):
-        """Yield (view, annotated candidate) pairs surviving Prop. 3.4.
-
-        The catalog fast path clones pre-annotated prototypes for exactly
-        the views its inverted path index keeps; the fallback re-derives and
-        re-annotates every view from scratch and filters per pair."""
-        if self.catalog is not None:
-            yield from self.catalog.initial_candidates(self.query)
-            return
-        for view in self.views:
-            candidate = initial_candidate(view)
-            annotate_paths(candidate.pattern, self.summary)
-            if not view_is_useful(candidate.pattern, self.query, self.index):
-                continue
-            yield view, candidate
 
     def _attributes_feasible(self, initial: list[RewriteCandidate]) -> bool:
         """Quick necessary condition (seed semantics, unchanged): every
@@ -277,9 +255,7 @@ class RewritingSearch:
             query_paths = query_node.annotated_paths or frozenset()
             if not query_paths:
                 return False
-            if self.catalog is not None and (
-                self.catalog.views_supplying(query_paths, required) & names_in_play
-            ):
+            if self.catalog.views_supplying(query_paths, required) & names_in_play:
                 continue
             satisfied = False
             for candidate in initial:
@@ -318,13 +294,11 @@ class RewritingSearch:
             query_paths = query_node.annotated_paths or frozenset()
             per_attribute: list[set[str]] = []
             for attribute in required:
-                fast: set[str] = set()
-                if self.catalog is not None:
-                    for number in query_paths:
-                        for view in self.catalog.views_with_attribute(
-                            number, attribute
-                        ):
-                            fast.add(view.name)
+                fast = {
+                    view.name
+                    for number in query_paths
+                    for view in self.catalog.views_with_attribute(number, attribute)
+                }
                 names: set[str] = set()
                 for candidate in initial:
                     name = candidate.views_used[0]

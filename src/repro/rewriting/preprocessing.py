@@ -1,10 +1,9 @@
 """Pre-processing steps applied to views before the rewriting search.
 
-Three steps from the paper are implemented:
+View pruning (Proposition 3.4) is the view catalog's inverted path index
+(:meth:`~repro.views.catalog.ViewCatalog.candidate_positions`).  Two steps
+from the paper are implemented here:
 
-* **view pruning** (Proposition 3.4) — a view none of whose non-root nodes is
-  path-related to any non-root query node can never take part in a minimal
-  rewriting and is discarded up front,
 * **C-attribute unfolding** (Section 4.6) — a view node storing content can
   serve query nodes *below* it; we materialise this by adding optional child
   chains (labelled from the summary) under the content node, whose attributes
@@ -21,7 +20,7 @@ from repro.patterns.pattern import Axis, PatternNode, TreePattern
 from repro.rewriting.candidates import LazyColumn, RewriteCandidate
 from repro.summary.index import SummaryIndex
 
-__all__ = ["view_is_useful", "unfold_content", "add_virtual_ids", "query_path_targets"]
+__all__ = ["unfold_content", "add_virtual_ids", "query_path_targets"]
 
 # Cap on how many summary descendants are unfolded under one C attribute.
 _MAX_UNFOLD_TARGETS = 24
@@ -36,31 +35,6 @@ def query_path_targets(query: TreePattern) -> set[int]:
         if node.annotated_paths:
             targets |= set(node.annotated_paths)
     return targets
-
-
-def view_is_useful(
-    view_pattern: TreePattern, query: TreePattern, index: SummaryIndex
-) -> bool:
-    """Proposition 3.4: keep a view only if some non-root view node is
-    path-related (equal / ancestor / descendant) to some non-root query node."""
-    query_paths: list[frozenset[int]] = [
-        node.annotated_paths or frozenset()
-        for node in query.nodes()
-        if node.parent is not None
-    ]
-    if not query_paths:
-        # a single-node query relates to everything through its root
-        return True
-    for view_node in view_pattern.nodes():
-        if view_node.parent is None:
-            continue
-        view_paths = view_node.annotated_paths or frozenset()
-        if not view_paths:
-            continue
-        for q_paths in query_paths:
-            if q_paths and index.any_related(view_paths, q_paths):
-                return True
-    return False
 
 
 # --------------------------------------------------------------------------- #

@@ -84,13 +84,11 @@ class Rewriter:
         of :class:`MaterializedView`).
     config:
         Optional :class:`RewritingConfig` tuning the search.
-    use_catalog:
-        When True (the default), searches run through a shared
-        :class:`~repro.views.catalog.ViewCatalog`: views are pre-filtered by
-        the catalog's inverted summary-path index and their annotated
-        candidate prototypes are built once and reused across queries.  Set
-        to False to force the per-query scan (used by the scaling benchmark
-        as the naive baseline).  Results are identical either way.
+
+    Every search runs through one shared
+    :class:`~repro.views.catalog.ViewCatalog`: views are pre-filtered by the
+    catalog's inverted summary-path index and their annotated candidate
+    prototypes are built once and reused across queries.
 
     Example
     -------
@@ -114,12 +112,10 @@ class Rewriter:
         summary: Summary,
         views: ViewSet | Iterable[MaterializedView],
         config: Optional[RewritingConfig] = None,
-        use_catalog: bool = True,
     ):
         self.summary = summary
         self.views = views if isinstance(views, ViewSet) else ViewSet(views)
         self.config = config or RewritingConfig()
-        self.use_catalog = use_catalog
         self._catalog: Optional["ViewCatalog"] = None
         self._catalog_version: Optional[int] = None
         self.search_totals = {"searches": 0, **RewritingStatistics().search_counters()}
@@ -128,15 +124,13 @@ class Rewriter:
 
     # ------------------------------------------------------------------ #
     @property
-    def catalog(self) -> Optional["ViewCatalog"]:
-        """The shared view catalog (built on first use, None when disabled).
+    def catalog(self) -> "ViewCatalog":
+        """The shared view catalog (built on first use).
 
         Rebuilt automatically when the underlying :class:`ViewSet`'s
         *definition* version moved since the catalog was built or last
         patched (``views.version``: view DDL, or a document mutation that
         changed the summary's shape or flags)."""
-        if not self.use_catalog:
-            return None
         if self._catalog is not None and self._catalog_version != self.views.version:
             self._catalog = None
         if self._catalog is None:
@@ -210,34 +204,12 @@ class Rewriter:
         self, query: TreePattern, config: Optional[RewritingConfig] = None
     ) -> RewriteOutcome:
         """Search for S-equivalent rewritings of ``query``."""
-        search = RewritingSearch(
-            query,
-            self.summary,
-            list(self.views),
-            config or self.config,
-            catalog=self.catalog,
-        )
+        search = RewritingSearch(query, self.catalog, config or self.config)
         rewritings = search.run()
         self.search_totals["searches"] += 1
         for name, count in search.statistics.search_counters().items():
             self.search_totals[name] += count
         return RewriteOutcome(query, rewritings, search.statistics)
-
-    def rewrite_many(
-        self,
-        queries: Iterable[TreePattern],
-        config: Optional[RewritingConfig] = None,
-    ) -> list[RewriteOutcome]:
-        """Rewrite a whole workload, sharing preprocessing across queries.
-
-        The catalog (summary index, per-view annotated candidate prototypes,
-        Prop. 3.4 path index) is built once for the first query and reused by
-        every subsequent one, and the process-wide containment memo turns
-        repeated containment questions into cache hits.  The outcomes are
-        exactly the outcomes :meth:`rewrite` produces query by query, in
-        input order, all searched in the calling process.
-        """
-        return [self.rewrite(query, config) for query in queries]
 
     def rewrite_first(
         self, query: TreePattern

@@ -203,7 +203,10 @@ class ServiceApp:
         try:
             handler, endpoint, argument = self._route(method, path)
         except ServiceHTTPError as exc:
-            return self._finish_error(exc, request_id, path, None, started)
+            # no span exists yet to time the request
+            return self._finish_error(
+                exc, request_id, path, None, time.perf_counter() - started
+            )
         span = self.tracer.trace(
             f"{method} {endpoint}", endpoint=endpoint, request_id=request_id
         )
@@ -217,10 +220,9 @@ class ServiceApp:
         except Exception as exc:
             error = _as_http_error(exc)
             return self._finish_error(
-                error, request_id, endpoint, span.trace_id, started
+                error, request_id, endpoint, span.trace_id, span.duration_seconds
             )
-        elapsed = time.perf_counter() - started
-        self._observe(endpoint, 200, elapsed)
+        self._observe(endpoint, 200, span.duration_seconds)
         if isinstance(body, str):
             return ServiceResponse(
                 200, body, request_id, span.trace_id,
@@ -239,9 +241,9 @@ class ServiceApp:
         self._latency.observe(elapsed, {"endpoint": endpoint})
 
     def _finish_error(
-        self, error, request_id, endpoint, trace_id, started
+        self, error, request_id, endpoint, trace_id, elapsed
     ) -> ServiceResponse:
-        self._observe(endpoint, error.status, time.perf_counter() - started)
+        self._observe(endpoint, error.status, elapsed)
         body = {
             "schema_version": SCHEMA_VERSION,
             "request_id": request_id,
@@ -259,18 +261,14 @@ class ServiceApp:
         A text the plan cache's front has seen is not parsed again; the
         span marks that with ``front_hit``."""
         with span.child("parse") as parse_span:
-            started = time.perf_counter()
             key = self.database.query_key(text, name)
             parse_span.set_attribute("query_name", key.name)
             parse_span.set_attribute("front_hit", key.pattern is None)
-        self._query_phase.observe(
-            time.perf_counter() - started, {"phase": "parse"}
-        )
+        self._query_phase.observe(parse_span.duration_seconds, {"phase": "parse"})
         return key
 
     def _plan(self, key: QueryKey, span):
         with span.child("plan") as plan_span:
-            started = time.perf_counter()
             choice = self.database.plan_query(key)
             plan_span.set_attribute(
                 "views_used", sorted(set(choice.best.rewriting.views_used))
@@ -279,9 +277,7 @@ class ServiceApp:
             plan_span.set_attribute(
                 "alternatives", len(choice.alternative_costs)
             )
-        self._query_phase.observe(
-            time.perf_counter() - started, {"phase": "plan"}
-        )
+        self._query_phase.observe(plan_span.duration_seconds, {"phase": "plan"})
         return choice
 
     def _planned_report(self, choice) -> tuple[ExplainReport, tuple]:
@@ -305,18 +301,17 @@ class ServiceApp:
         the execute span; the operator spans are rendered from them when
         the trace is read, and the executor goes with the request."""
         with span.child("execute") as execute_span:
-            started = time.perf_counter()
             executor = PlanExecutor(self.database.views, profile=True)
             batch = executor.execute_batch(choice.best.plan_operator)
-            elapsed = time.perf_counter() - started
-            execute_span.set_attribute("rows", batch.row_count)
-            report, operators = self._planned_report(choice)
-            measured = measurements(executor, operators)
-            execute_span.defer(
-                lambda target: attach_operator_spans(
-                    target, report.with_measurements(measured, elapsed)
-                )
+        elapsed = execute_span.duration_seconds
+        execute_span.set_attribute("rows", batch.row_count)
+        report, operators = self._planned_report(choice)
+        measured = measurements(executor, operators)
+        execute_span.defer(
+            lambda target: attach_operator_spans(
+                target, report.with_measurements(measured, target.duration_seconds)
             )
+        )
         self._query_phase.observe(elapsed, {"phase": "execute"})
         # the fingerprint (a canonical-key walk + sha256) and the plan text
         # are only worth computing for a query the log will keep
@@ -401,11 +396,11 @@ class ServiceApp:
             choice = self.database.plan_query(key)
         if request.analyze:
             with span.child("execute") as execute_span:
-                started = time.perf_counter()
                 _, executor = self.database.execute_choice(choice, profile=True)
-                elapsed = time.perf_counter() - started
-                report = self.database.explain_choice(choice, executor, elapsed)
-                attach_operator_spans(execute_span, report)
+            report = self.database.explain_choice(
+                choice, executor, execute_span.duration_seconds
+            )
+            attach_operator_spans(execute_span, report)
         else:
             report = self.database.explain_choice(choice)
         return {"explain": report.to_dict()}

@@ -24,8 +24,8 @@ single entry point so callers stop hand-wiring ``build_summary`` +
   :class:`~repro.session.explain.ExplainReport` (with per-operator
   estimated *and* measured rows under ``analyze=True``);
 * **batch service** — :meth:`Database.query_many` answers what the plan
-  cache holds and rewrites the rest through
-  :meth:`~repro.rewriting.rewriter.Rewriter.rewrite_many`; every search and
+  cache holds and rewrites each distinct miss once through
+  :meth:`~repro.rewriting.rewriter.Rewriter.rewrite`; every search and
   every plan runs in this process;
 * **plan cache** — :meth:`Database.query` consults a fingerprint-keyed
   :class:`PlanCache` (canonical pattern key → planned choice, invalidated
@@ -39,7 +39,6 @@ single entry point so callers stop hand-wiring ``build_summary`` +
 from __future__ import annotations
 
 import os
-import time
 from collections import OrderedDict
 from dataclasses import asdict
 from pathlib import Path
@@ -301,17 +300,16 @@ class PreparedQuery:
 
         With ``analyze=True`` the plan is executed under a profiling
         executor and every operator entry carries measured rows and wall
-        time next to the planner's estimates.
+        time next to the planner's estimates; the whole run's time is the
+        root operator's inclusive time.
         """
         choice = self.choice
-        model = self._database.planner.cost_model
+        database = self._database
         if not analyze:
-            return build_explain_report(choice, model.statistics)
-        executor = PlanExecutor(self._database.views, profile=True)
-        start = time.perf_counter()
-        executor.execute(choice.best.plan_operator)
-        elapsed = time.perf_counter() - start
-        return build_explain_report(choice, model.statistics, executor, elapsed)
+            return database.explain_choice(choice)
+        _, executor = database.execute_choice(choice, profile=True)
+        root = executor.run_stats(choice.best.plan_operator)
+        return database.explain_choice(choice, executor, root.inclusive_seconds)
 
     def describe(self) -> str:
         """The chosen plan's indented cost-annotated rendering."""
@@ -338,9 +336,6 @@ class Database:
     config:
         Optional :class:`~repro.rewriting.algorithm.RewritingConfig` tuning
         every rewriting search this session runs.
-    use_catalog:
-        Disable only for naive-baseline experiments; incremental DDL then
-        degrades to the version-counter rebuild.
 
     Example
     -------
@@ -365,7 +360,6 @@ class Database:
         views: ViewSet | Iterable[MaterializedView] = (),
         config: Optional["RewritingConfig"] = None,
         summary: Optional[Summary] = None,
-        use_catalog: bool = True,
     ):
         if document is None and summary is None:
             raise SessionError(
@@ -374,9 +368,7 @@ class Database:
             )
         self._document = document
         self._summary = summary if summary is not None else build_summary(document)
-        self._rewriter = Rewriter(
-            self._summary, views, config, use_catalog=use_catalog
-        )
+        self._rewriter = Rewriter(self._summary, views, config)
         self._planner = Planner(self._rewriter)
         self._plan_cache = PlanCache()
         self._view_serial = 0
@@ -404,21 +396,14 @@ class Database:
         summary: Summary,
         views: ViewSet | Iterable[MaterializedView] = (),
         config: Optional["RewritingConfig"] = None,
-        use_catalog: bool = True,
     ) -> "Database":
         """A document-less session over a bare summary.
 
         What the rewriting experiments use: views stay unmaterialised, so
-        :meth:`rewrite` / :meth:`rewrite_many` and ``EXPLAIN`` work but
-        executing plans does not (there are no extents to scan).
+        :meth:`rewrite` and ``EXPLAIN`` work but executing plans does not
+        (there are no extents to scan).
         """
-        return cls(
-            document=None,
-            views=views,
-            config=config,
-            summary=summary,
-            use_catalog=use_catalog,
-        )
+        return cls(document=None, views=views, config=config, summary=summary)
 
     # ------------------------------------------------------------------ #
     # persistence
@@ -526,7 +511,7 @@ class Database:
         return self._rewriter.views
 
     @property
-    def catalog(self) -> Optional[ViewCatalog]:
+    def catalog(self) -> ViewCatalog:
         """The shared, incrementally-maintained view catalog."""
         return self._rewriter.catalog
 
@@ -765,10 +750,14 @@ class Database:
         snapshot loads and replays the log tail behind it after the
         snapshot's records; a missing or unreadable snapshot falls back to
         the previous checkpoint, or to full replay from the ``load`` record.
+        A relative ``path`` is logged relative to the log file's directory,
+        so recovery finds the snapshot from any working directory.
         """
         if self._change_log is None:
             raise SessionError("no change log attached; nothing to checkpoint")
         self.save(path)
+        if not Path(path).is_absolute():
+            path = os.path.relpath(path, self._change_log.path.parent)
         self._change_log.append("checkpoint", {"path": str(Path(path))})
 
     @classmethod
@@ -795,7 +784,7 @@ class Database:
             if record.type != "checkpoint":
                 continue
             try:
-                snapshot = cls._snapshot(record.payload["path"])
+                snapshot = cls._snapshot(Path(log_path).parent / record.payload["path"])
                 database = cls._from_records(snapshot + records[position + 1 :])
             except SessionError:
                 continue  # unreadable snapshot: fall back further
@@ -1013,8 +1002,8 @@ class Database:
         repeated workloads (benchmark reps, dashboard refreshes) skip the
         rewriting search for every query they have planned before at this
         definition version.  The misses are grouped by fingerprint —
-        duplicates inside one workload are planned once — and rewritten
-        through :meth:`Rewriter.rewrite_many` under the session's config.
+        duplicates inside one workload are planned once — and each is
+        rewritten through :meth:`Rewriter.rewrite` under the session's config.
         Searches and plans all run in this process.  Raises
         :class:`~repro.errors.RewritingError` on the first query with no
         equivalent rewriting.
@@ -1026,19 +1015,18 @@ class Database:
         for position, choice in enumerate(cached):
             if choice is None:
                 pending.setdefault(keys[position].fingerprint, []).append(position)
-        if pending:
-            patterns = [keys[positions[0]].parsed() for positions in pending.values()]
-            outcomes = self._rewriter.rewrite_many(patterns)
-            for fingerprint, pattern, outcome in zip(pending, patterns, outcomes):
-                if not outcome.found:
-                    raise RewritingError(
-                        f"query {pattern.name!r} has no equivalent rewriting over "
-                        f"views {sorted(self.views.names)}"
-                    )
-                choice = self._planner.choose(pattern, outcome)
-                self._plan_cache.store(fingerprint, version, choice)
-                for duplicate in pending[fingerprint]:
-                    cached[duplicate] = choice
+        for fingerprint, positions in pending.items():
+            pattern = keys[positions[0]].parsed()
+            outcome = self._rewriter.rewrite(pattern)
+            if not outcome.found:
+                raise RewritingError(
+                    f"query {pattern.name!r} has no equivalent rewriting over "
+                    f"views {sorted(self.views.names)}"
+                )
+            choice = self._planner.choose(pattern, outcome)
+            self._plan_cache.store(fingerprint, version, choice)
+            for duplicate in positions:
+                cached[duplicate] = choice
         return [
             PlanExecutor(self.views).execute(choice.best.plan_operator)
             for choice in cached
@@ -1048,15 +1036,6 @@ class Database:
     def rewrite(self, query: TreePattern | str) -> "RewriteOutcome":
         """All equivalent rewritings of one query (no execution)."""
         return self._rewriter.rewrite(self._as_pattern(query, None))
-
-    def rewrite_many(
-        self,
-        queries: Iterable[TreePattern | str],
-        config: Optional["RewritingConfig"] = None,
-    ) -> list["RewriteOutcome"]:
-        """Batch rewriting without execution (the Figure 15 measurement)."""
-        patterns = [self._as_pattern(query, None) for query in queries]
-        return self._rewriter.rewrite_many(patterns, config)
 
     # ------------------------------------------------------------------ #
     # observability

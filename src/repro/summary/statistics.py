@@ -102,14 +102,9 @@ class Statistics:
     loaded session observes them again.
     """
 
-    def __init__(
-        self,
-        summary: Summary,
-        views: Iterable["MaterializedView"] = (),
-    ):
+    def __init__(self, summary: Summary):
         self.summary_name = summary.name
-        # kept for lazy pattern annotation in observe_view and for counts
-        # that follow writes
+        # kept for counts that follow writes
         self._summary = summary
         self._count_summary()
         self._view_rows: dict[str, float] = {}
@@ -119,8 +114,6 @@ class Statistics:
         # per materialised view, one _ColumnCounts per column: the exact
         # counters its _view_columns entries are a function of
         self._view_counts: dict[str, list[_ColumnCounts]] = {}
-        for view in views:
-            self.observe_view(view)
 
     def _count_summary(self) -> None:
         """Derive the per-path / per-label counts from the summary.
@@ -242,33 +235,15 @@ class Statistics:
     # ------------------------------------------------------------------ #
     # view extents
     # ------------------------------------------------------------------ #
-    @classmethod
-    def with_annotated_views(
-        cls,
-        summary: Summary,
-        pairs: Iterable[tuple["MaterializedView", "TreePattern"]],
-    ) -> "Statistics":
-        """Build statistics over (view, annotated pattern) pairs.
-
-        Same extent policy as :meth:`observe_view` — exact counts for
-        materialised views, path-based estimates otherwise — but taking
-        *pre-annotated* patterns, so callers that already hold them (the
-        catalog's prototype entries) skip the per-view annotation copy.
-        """
-        statistics = cls(summary)
-        for view, pattern in pairs:
-            statistics.observe_annotated(view, pattern)
-        return statistics
-
     def observe_annotated(
         self, view: "MaterializedView", pattern: "TreePattern"
     ) -> None:
         """Record one view using its already-annotated pattern.
 
-        The single-view form of :meth:`with_annotated_views`, used by the
-        incremental catalog maintenance path: adding a view to a built
-        catalog updates the cached statistics in place instead of
-        rebuilding the whole snapshot.
+        Exact counts for a materialised view (:meth:`observe_view`); an
+        unmaterialised one is estimated from the summary's instance counts
+        along the pattern's associated paths.  The catalog observes every
+        view this way, with its pre-annotated prototype patterns.
         """
         if view.is_materialized:
             self.observe_view(view)
@@ -292,27 +267,13 @@ class Statistics:
         self._view_counts.pop(name, None)
 
     def observe_view(self, view: "MaterializedView") -> None:
-        """Record a view's extent size (exact when materialised).
+        """Record a materialised view's exact extent statistics.
 
-        A materialised extent is counted as the splice of all its rows into
-        empty column counters — the same routine that later follows its
-        writes.  Unmaterialised views are estimated from associated summary
-        paths; raw view patterns are never annotated, so a throwaway copy is
-        annotated here — without this, every unmaterialised view would
-        silently price at the 1-row floor."""
-        if view.is_materialized:
-            self._view_exact[view.name] = True
-            self._view_counts[view.name] = [
-                _ColumnCounts() for _ in view.relation.columns
-            ]
-            self._splice_columns(view, [], [(0, 0, view.relation.rows)])
-        else:
-            from repro.canonical.model import annotate_paths
-
-            pattern = annotate_paths(view.pattern.copy(), self._summary)
-            self._view_rows[view.name] = self.estimate_pattern_rows(pattern)
-            self._view_exact[view.name] = False
-            self._view_sorted[view.name] = view.dewey_sort_column()
+        The extent is counted as the splice of all its rows into empty
+        column counters — the same routine that later follows its writes."""
+        self._view_exact[view.name] = True
+        self._view_counts[view.name] = [_ColumnCounts() for _ in view.relation.columns]
+        self._splice_columns(view, [], [(0, 0, view.relation.rows)])
 
     def _splice_columns(
         self, view: "MaterializedView", rows: list, splices: Iterable["Splice"]

@@ -317,10 +317,9 @@ class ViewCatalog:
         observes the same extents and prices plans identically.
         """
         if self._statistics is None:
-            self._statistics = Statistics.with_annotated_views(
-                self.summary,
-                ((entry.view, entry.candidate.pattern) for entry in self._entries),
-            )
+            self._statistics = Statistics(self.summary)
+            for entry in self._entries:
+                self._statistics.observe_annotated(entry.view, entry.candidate.pattern)
         return self._statistics
 
     # ------------------------------------------------------------------ #
@@ -330,8 +329,8 @@ class ViewCatalog:
         """Positions of the views Prop. 3.4 keeps for ``query``.
 
         ``query`` must already be annotated with its associated paths.  The
-        result is exactly the set the seed per-view ``view_is_useful`` scan
-        computes — a single-node query keeps every view, and otherwise a view
+        result is exactly the set the seed per-view scan computes (kept as
+        the test reference ``tests/support/naive_pruning.py``) — a single-node query keeps every view, and otherwise a view
         survives iff one of its non-root paths is equal to, an ancestor of,
         or a descendant of one of the query's non-root paths — but it is
         found through the inverted index in ``O(|query paths|)`` instead of

@@ -1,8 +1,9 @@
-"""Regression guarantees of the batch / catalog rewriting fast path.
+"""Regression guarantees of the catalog rewriting path.
 
-The whole point of ``ViewCatalog`` + ``rewrite_many`` is that they change
-*cost*, never *results*: these tests pin down plan-for-plan equality with
-the per-query, scan-everything seed path.
+The view catalog and the containment memo change *cost*, never *results*:
+these tests pin down plan-for-plan equality with the memo off, and
+view-for-view equality of the catalog's Prop. 3.4 pruning with the
+per-query, scan-everything seed pruning (``support.naive_pruning``).
 """
 
 from __future__ import annotations
@@ -11,12 +12,15 @@ import re
 
 import pytest
 
-from repro import MaterializedView, build_summary
+from repro import MaterializedView, annotate_paths, build_summary
 from repro.containment.core import clear_containment_cache, containment_cache_disabled
+from repro.experiments.fig15 import fig15_views
 from repro.rewriting.algorithm import RewritingConfig, RewritingSearch
 from repro.rewriting.rewriter import Rewriter
+from repro.views.catalog import ViewCatalog
 from repro.workloads.synthetic import batch_rewriting_workload
-from repro.workloads.xmark import generate_xmark_document
+from repro.workloads.xmark import generate_xmark_document, xmark_query_patterns
+from support.naive_pruning import naive_initial_candidates
 
 _ALIAS = re.compile(r"[@#]\d+")
 
@@ -48,35 +52,73 @@ def workload():
     return summary, views, queries, config
 
 
-def test_rewrite_many_equals_per_query_rewrite(workload):
-    summary, views, queries, config = workload
-    rewriter = Rewriter(summary, views, config)
-    batched = rewriter.rewrite_many(queries)
-    assert len(batched) == len(queries)
-    for query, outcome in zip(queries, batched):
-        single = rewriter.rewrite(query)
-        assert outcome.query is query
-        assert _fingerprint(outcome) == _fingerprint(single)
-
-
 def test_catalog_path_equals_naive_path(workload):
-    """The catalog + memo fast path returns exactly the seed path's plans."""
+    """Searches sharing the containment memo return exactly the plans of
+    searches that decide every containment test afresh."""
     summary, views, queries, config = workload
     clear_containment_cache()
-    fast = Rewriter(summary, views, config, use_catalog=True).rewrite_many(queries)
-    naive_rewriter = Rewriter(summary, views, config, use_catalog=False)
+    rewriter = Rewriter(summary, views, config)
+    fast = [rewriter.rewrite(query) for query in queries]
     with containment_cache_disabled():
-        naive = [naive_rewriter.rewrite(query) for query in queries]
+        naive = [Rewriter(summary, views, config).rewrite(query) for query in queries]
     assert [_fingerprint(o) for o in fast] == [_fingerprint(o) for o in naive]
     # the workload is built so a healthy fraction of queries actually rewrite
     assert sum(1 for outcome in fast if outcome.found) >= len(queries) // 2
 
 
+def _prototype(candidate):
+    """An annotated initial candidate modulo its generated scan alias."""
+    nodes = candidate.pattern.nodes()
+    position = {id(node): index for index, node in enumerate(nodes)}
+
+    def keyed(table):
+        return sorted(
+            (position[node_id], attribute, _ALIAS.sub("@N", repr(value)))
+            for (node_id, attribute), value in table.items()
+        )
+
+    return (
+        candidate.pattern.root.signature(include_paths=True),
+        candidate.views_used,
+        candidate.plan.view_name,
+        keyed(candidate.columns),
+        keyed(candidate.lazy),
+        sorted(_ALIAS.sub("@N", name) for name in candidate.unnested_columns),
+    )
+
+
+def _assert_catalog_prunes_like_the_seed(summary, views, queries):
+    catalog = ViewCatalog(summary, views)
+    for query in queries:
+        query = annotate_paths(query.copy(name=query.name), summary)
+        fast = list(catalog.initial_candidates(query))
+        naive = list(naive_initial_candidates(query, summary, views))
+        assert [view.name for view, _ in fast] == [view.name for view, _ in naive], (
+            query.name
+        )
+        for (_, kept), (_, seed) in zip(fast, naive):
+            assert _prototype(kept) == _prototype(seed), query.name
+
+
+def test_catalog_keeps_the_views_the_seed_pruning_keeps(workload):
+    """``ViewCatalog.initial_candidates`` yields the views the per-view
+    Prop. 3.4 scan keeps, in view order, with equal annotated candidates —
+    over the batch workload and the 20 XMark queries against the
+    167-view Figure 15 pool."""
+    summary, views, queries, _ = workload
+    _assert_catalog_prunes_like_the_seed(summary, views, queries)
+    xmark = build_summary(generate_xmark_document(scale=1.0, seed=548))
+    pool = fig15_views(xmark, 100)
+    assert len(pool) == 167
+    _assert_catalog_prunes_like_the_seed(
+        xmark, pool, list(xmark_query_patterns().values())
+    )
+
+
 def test_batch_statistics_report_catalog_pruning(workload):
     summary, views, queries, config = workload
     rewriter = Rewriter(summary, views, config)
-    outcomes = rewriter.rewrite_many(queries[:4])
-    for outcome in outcomes:
+    for outcome in map(rewriter.rewrite, queries[:4]):
         stats = outcome.statistics
         assert stats.views_before_pruning == len(views)
         assert 0 <= stats.views_after_pruning <= len(views)
@@ -223,7 +265,8 @@ def test_catalog_is_built_once_and_invalidates(workload):
     summary, views, queries, config = workload
     rewriter = Rewriter(summary, views, config)
     first = rewriter.catalog
-    rewriter.rewrite_many(queries[:2])
+    for query in queries[:2]:
+        rewriter.rewrite(query)
     assert rewriter.catalog is first
     rewriter.invalidate_catalog()
     assert rewriter.catalog is not first

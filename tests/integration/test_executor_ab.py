@@ -32,7 +32,7 @@ from repro.algebra.operators import NestedStructuralJoin, StructuralJoin
 from repro.algebra.tuples import _hashable
 from repro.planning.cost import CostModel
 from repro.planning.pushdown import push_selections
-from repro.summary.statistics import Statistics
+from repro.views.catalog import ViewCatalog
 
 from support.memo_oracle import assert_memo_derived, plan_nodes
 from support.oracle_executor import OracleExecutor
@@ -50,7 +50,7 @@ def _assert_identical(result, oracle, what):
 def _check_every_plan(workload, config_name):
     """Run the three contracts on every rewriting; return the plan count."""
     views = workload.view_set
-    model = CostModel(Statistics(workload.summary, views))
+    model = CostModel(ViewCatalog(workload.summary, views).statistics())
     executed = 0
     for query, rewriting in workload.rewritings(config_name):
         label = f"{query.name!r} via views {rewriting.views_used} ({config_name})"

@@ -20,7 +20,7 @@ import pytest
 from repro import Database, build_summary, parse_parenthesized
 from repro.patterns.predicates import ValueFormula
 from repro.planning.cost import CostModel
-from repro.summary.statistics import Statistics
+from repro.views.catalog import ViewCatalog
 from repro.views.indexes import INDEX_STATS
 
 
@@ -90,7 +90,7 @@ def _gap(model, view_name, column, values, formula):
 
 def test_fig13_selectivity_estimates_shrink_the_gap(xmark_workload):
     views = xmark_workload.views
-    model = CostModel(Statistics(xmark_workload.summary, views))
+    model = CostModel(ViewCatalog(xmark_workload.summary, views).statistics())
 
     # the fig13 views' largest string value column (the keyword extent):
     # a selective equality on a real document value
@@ -123,7 +123,7 @@ def test_histogram_range_estimates_shrink_the_gap():
     )
     db = Database(document)
     db.create_view("site(/item(/qty[ID,V]))", name="quantities")
-    model = CostModel(Statistics(build_summary(document), db.views))
+    model = CostModel(ViewCatalog(build_summary(document), db.views).statistics())
 
     entry = model.statistics.view_column_stats("quantities", "V1")
     assert entry is not None and "numeric" in entry, (

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import gc
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -173,6 +174,38 @@ def test_a_checkpoint_keeps_the_ordinal_high_water_mark(tmp_path, survivors):
     assert recovered.document.node_by_id(node.dewey).children[0].value == "new"
     live_ids = [str(n.dewey) for n in live.document.iter_nodes()]
     assert live_ids == [str(n.dewey) for n in recovered.document.iter_nodes()]
+    assert normalize(live.query(ITEM_QUERY)) == normalize(recovered.query(ITEM_QUERY))
+    live.close()
+    recovered.close()
+
+
+def test_a_relative_checkpoint_is_found_from_another_directory(tmp_path, monkeypatch):
+    """A relative checkpoint path is logged relative to the log's directory:
+    recovering the log from elsewhere starts from the snapshot instead of
+    silently replaying the whole log."""
+    (tmp_path / "session" / "logs").mkdir(parents=True)
+    (tmp_path / "session" / "snapshots").mkdir()
+    monkeypatch.chdir(tmp_path / "session")
+    live = Database(parse_parenthesized(DOC_TEXT, name="live"))
+    live.attach_log("logs/doc.log")
+    live.create_view(ITEM_QUERY, name="items")
+    live.checkpoint("snapshots/doc.ckpt")
+    live.insert_subtree(
+        live.document.nodes_on_path("/site/regions/asia")[0],
+        XMLNode("item", None, [XMLNode("name", "after")]),
+    )
+    monkeypatch.chdir(tmp_path)
+    loaded = []
+    snapshot = Database._snapshot
+
+    def spy(path):
+        records = snapshot(path)
+        loaded.append(Path(path).resolve())
+        return records
+
+    monkeypatch.setattr(Database, "_snapshot", staticmethod(spy))
+    recovered = Database.recover(Path("session", "logs", "doc.log"))
+    assert loaded == [tmp_path.resolve() / "session" / "snapshots" / "doc.ckpt"]
     assert normalize(live.query(ITEM_QUERY)) == normalize(recovered.query(ITEM_QUERY))
     live.close()
     recovered.close()

@@ -49,7 +49,7 @@ from repro.summary.dataguide import summary_from_paths
 from repro.summary.statistics import Statistics
 from repro.views.delta import SubtreeChange
 from repro.views.indexes import INDEX_STATS
-from repro.workloads.synthetic import batch_rewriting_workload, seed_tag_views
+from repro.workloads.synthetic import seed_tag_views
 from repro.workloads.xmark import generate_xmark_document, xmark_query_patterns, xmark_spec
 from repro.xmltree.ids import DeweyID
 
@@ -629,46 +629,6 @@ def test_store_fed_materialisation_beats_the_scan():
 
 
 # --------------------------------------------------------------------------- #
-# catalog + containment memo vs the naive per-query search: >= 3x
-# --------------------------------------------------------------------------- #
-def _scaling_workload(distinct_queries, repeat):
-    summary = build_summary(generate_xmark_document(scale=1.0, seed=548, name="xmark-scaling"))
-    view_patterns, queries = batch_rewriting_workload(
-        summary, view_count=50, distinct_queries=distinct_queries, repeat=repeat
-    )
-    views = [
-        MaterializedView(pattern, name=f"v{index}_{pattern.name}")
-        for index, pattern in enumerate(view_patterns)
-    ]
-    config = RewritingConfig(
-        max_rewritings=1, stop_at_first=True, max_plan_size=4,
-        enable_unions=False, time_budget_seconds=30.0,
-    )
-    return summary, views, queries, config
-
-
-def test_catalog_and_memo_beat_naive_rewriting():
-    summary, views, queries, config = _scaling_workload(distinct_queries=20, repeat=10)
-    naive = Rewriter(summary, views, config, use_catalog=False)
-    clear_containment_cache()
-    with containment_cache_disabled():
-        start = time.perf_counter()
-        naive_outcomes = [naive.rewrite(query) for query in queries]
-        naive_seconds = time.perf_counter() - start
-    fast = Rewriter(summary, views, config, use_catalog=True)
-    clear_containment_cache()
-    start = time.perf_counter()
-    fast_outcomes = fast.rewrite_many(queries)
-    fast_seconds = time.perf_counter() - start
-    assert [_rewriting_fingerprint(o) for o in naive_outcomes] == [
-        _rewriting_fingerprint(o) for o in fast_outcomes
-    ], "catalog + memo path must produce identical rewritings"
-    assert naive_seconds / fast_seconds >= 3.0, (
-        f"catalog + memo only {naive_seconds / fast_seconds:.2f}x faster than naive"
-    )
-
-
-# --------------------------------------------------------------------------- #
 # summary-indexed path annotation vs the node-by-node oracle: >= 10x alone,
 # >= 3x on a cold search of the benchmark's fig13 query classes
 # --------------------------------------------------------------------------- #
@@ -794,9 +754,7 @@ def test_batch_kernels_beat_the_tuple_interpreter():
     for workload in (build_xmark_workload(scale=30.0), build_dblp_workload(scale=30.0)):
         db = Database(workload.document, views=workload.views, config=config)
         rewritable = [
-            outcome.query
-            for outcome in db.rewrite_many(workload.queries, config=probe)
-            if outcome.found
+            query for query in workload.queries if db.rewriter.rewrite(query, probe).found
         ]
         assert rewritable, "the workload is degenerate"
         plans = [db.prepare(query).plan.rewriting.plan for query in rewritable]

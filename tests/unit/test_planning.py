@@ -29,6 +29,7 @@ from repro.planning.logical import lower_plan
 from repro.planning.planner import Planner
 from repro.rewriting.rewriter import Rewriter
 from repro.summary.statistics import Statistics
+from repro.views.catalog import ViewCatalog
 from repro.views.view import MaterializedView
 
 
@@ -61,16 +62,13 @@ class TestStatistics:
 
     def test_materialized_views_report_exact_rows(self, doc, summary):
         view = MaterializedView(parse_pattern("site(//item[ID,V])"), doc, name="vi")
-        statistics = Statistics(summary, [view])
+        statistics = ViewCatalog(summary, [view]).statistics()
         assert statistics.view_rows("vi") == len(view.relation)
         assert statistics.view_rows_exact("vi")
 
     def test_unmaterialized_views_are_estimated_not_one(self, summary):
         view = MaterializedView(parse_pattern("site(//item[ID,V])"), name="vi")
-        from repro.canonical.model import annotate_paths
-
-        annotate_paths(view.pattern, summary)
-        statistics = Statistics(summary, [view])
+        statistics = ViewCatalog(summary, [view]).statistics()
         assert not statistics.view_rows_exact("vi")
         assert statistics.view_rows("vi") == 4  # 3 asia items + 1 europe item
 

@@ -7,13 +7,9 @@ from repro.canonical import annotate_paths
 from repro.patterns.pattern import Axis
 from repro.rewriting.candidates import initial_candidate
 from repro.rewriting.fusion import bare_chain, copy_with_map, fuse_equality, fuse_structural
-from repro.rewriting.preprocessing import (
-    add_virtual_ids,
-    query_path_targets,
-    unfold_content,
-    view_is_useful,
-)
+from repro.rewriting.preprocessing import add_virtual_ids, query_path_targets, unfold_content
 from repro.summary.index import SummaryIndex
+from support.naive_pruning import view_is_useful
 
 
 @pytest.fixture(scope="module")
@@ -223,8 +219,7 @@ class TestAttributePrefilter:
 
         clear_containment_cache()
         search = (RewritingSearch if prefilter else UnfilteredSearch)(
-            query, summary, views, RewritingConfig(max_rewritings=4),
-            catalog=ViewCatalog(summary, views),
+            query, ViewCatalog(summary, views), RewritingConfig(max_rewritings=4)
         )
         return search.run(), search.statistics
 
@@ -286,6 +281,7 @@ class TestAttributePrefilter:
         can only be gained this way: with the check after fusion, the
         useless ``v_opaque ⋈= v_name`` shadowed ``v_dewey ⋈= v_name``."""
         from repro.rewriting.algorithm import RewritingConfig, RewritingSearch
+        from repro.views.catalog import ViewCatalog
         from repro.views.view import IdScheme
 
         shared = "site(//item(/name[ID]))"
@@ -301,7 +297,7 @@ class TestAttributePrefilter:
         from repro.containment.core import clear_containment_cache
 
         clear_containment_cache()
-        search = RewritingSearch(query, store_summary, views, config)
+        search = RewritingSearch(query, ViewCatalog(store_summary, views), config)
         rewritings = search.run()
         assert {r.views_used for r in rewritings} == {("v_dewey", "v_name")}
         assert any("IdEqualityJoin" in r.describe() for r in rewritings)

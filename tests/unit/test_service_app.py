@@ -293,6 +293,29 @@ def test_slow_query_log_fed_by_the_pipeline(db):
     assert len(entry["trace_id"]) == 32
 
 
+def test_each_phase_is_timed_once_by_its_span(db):
+    """The latency histograms, the slow-query log and the rendered operator
+    report all read the durations of the spans that time the request and
+    its phases."""
+    app = ServiceApp(db, slow_query_seconds=0.0)
+    app.handle("POST", "/query", {"query": ITEM_NAMES})
+    trace = app.trace_buffer.traces()[-1]
+    phases = {child["name"]: child for child in trace["children"]}
+    assert sorted(phases) == ["execute", "parse", "plan"]
+    for phase, span in phases.items():
+        series = app._query_phase._get_series({"phase": phase})
+        assert series.total == 1 and series.sum == span["duration_seconds"]
+    request = app._latency._get_series({"endpoint": "/query"})
+    assert request.total == 1 and request.sum == trace["duration_seconds"]
+    execute = phases["execute"]["duration_seconds"]
+    [entry] = app.slow_queries.entries()
+    assert entry["seconds"] == execute
+    explained = app.handle("POST", "/explain", {"query": ITEM_NAMES, "analyze": True})
+    analyze = app.trace_buffer.traces()[-1]["children"][-1]
+    assert analyze["name"] == "execute"
+    assert explained.body["explain"]["actual_seconds"] == analyze["duration_seconds"]
+
+
 def test_a_fast_query_pays_nothing_for_the_slow_query_log(db, monkeypatch):
     from repro.service import app as app_module
 

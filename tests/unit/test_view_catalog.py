@@ -8,10 +8,10 @@ from repro import MaterializedView, annotate_paths, parse_pattern
 from repro.canonical.model import annotate_paths as annotate
 from repro.rewriting.algorithm import RewritingConfig, RewritingSearch
 from repro.rewriting.candidates import initial_candidate
-from repro.rewriting.preprocessing import view_is_useful
 from repro.summary.index import SummaryIndex
 from repro.views.catalog import ViewCatalog
 from repro.workloads.synthetic import generate_random_views, seed_tag_views
+from support.naive_pruning import view_is_useful
 
 
 def _views_for(summary):
@@ -67,22 +67,29 @@ class TestCatalogPruningMatchesProp34:
     ):
         """Soundness: a view the catalog prunes must be useless on its own.
 
-        The search's own Prop. 3.4 filter is disabled so pruned views really
-        reach the alignment / join machinery — the assertion is that even
-        then they produce no rewriting."""
-        import repro.rewriting.algorithm as algorithm_module
-
-        monkeypatch.setattr(
-            algorithm_module, "view_is_useful", lambda *args, **kwargs: True
-        )
+        Each pruned view is searched alone through a catalog whose Prop. 3.4
+        filter is disabled, so it really reaches the alignment / join
+        machinery — the assertion is that even then it produces no
+        rewriting."""
         views = _views_for(auction_summary)
         catalog = ViewCatalog(auction_summary, views)
         config = RewritingConfig(time_budget_seconds=5.0, max_plan_size=3)
+        pruned_by_query = []
         for query in _queries_for(auction_summary, make_pattern):
             kept = {view.name for view in catalog.candidate_views(query)}
-            pruned = [view for view in views if view.name not in kept]
+            pruned_by_query.append(
+                (query, [view for view in views if view.name not in kept])
+            )
+        monkeypatch.setattr(
+            ViewCatalog,
+            "candidate_positions",
+            lambda self, query: list(range(len(self.views))),
+        )
+        for query, pruned in pruned_by_query:
             for view in pruned:
-                search = RewritingSearch(query, auction_summary, [view], config)
+                search = RewritingSearch(
+                    query, ViewCatalog(auction_summary, [view]), config
+                )
                 assert search.run() == [], (
                     f"pruned view {view.name!r} rewrote query {query.name!r}"
                 )
