@@ -703,5 +703,6 @@ def _group_key(value):
     if isinstance(value, DeweyID):
         return str(value)
     if isinstance(value, XMLNode):
-        return ("node", str(value.dewey) if value.dewey else id(value))
+        dewey = value.dewey
+        return ("node", str(dewey) if dewey else id(value))
     return value

@@ -345,8 +345,9 @@ def _hashable(value):
         # a node is identified by its structural ID, so a column holding the
         # node itself and a column holding its ID compare equal — exactly the
         # equivalence the rewriting relies on
-        if value.dewey is not None:
-            return ("<id>", value.dewey.components)
+        key = value.dewey_key
+        if key is not None:
+            return ("<id>", key)
         from repro.xmltree.serializer import to_parenthesized
 
         return ("<node>", to_parenthesized(value))

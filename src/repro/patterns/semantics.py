@@ -191,8 +191,17 @@ def evaluate_node_tuples(
 # concrete semantics: nested relations with attributes, used for views
 # --------------------------------------------------------------------------- #
 def default_id_function(node: XMLNode):
-    """The default ``fID``: a node's Dewey structural identifier."""
-    return node.dewey
+    """The default ``fID``: a node's Dewey structural identifier.
+
+    The identifier is derived from the parent chain, and assigned back as
+    the node's anchor: every answer or extent that identifies the node then
+    holds that one object, and a later derivation of the node, or of a node
+    below it, stops there.
+    """
+    dewey = node.dewey
+    if dewey is not None:
+        node.dewey = dewey
+    return dewey
 
 
 class _Schema:

@@ -396,7 +396,9 @@ class ServiceApp:
             choice = self.database.plan_query(key)
         if request.analyze:
             with span.child("execute") as execute_span:
-                _, executor = self.database.execute_choice(choice, profile=True)
+                # the report reads the operators' stats, never the result rows
+                executor = PlanExecutor(self.database.views, profile=True)
+                executor.execute_batch(choice.best.plan_operator)
             report = self.database.explain_choice(
                 choice, executor, execute_span.duration_seconds
             )

@@ -313,9 +313,10 @@ def _encode_cell(value):
     if isinstance(value, DeweyID):
         return {"$type": "dewey", "id": str(value)}
     if isinstance(value, XMLNode):
+        dewey = value.dewey
         return {
             "$type": "node",
-            "id": str(value.dewey) if value.dewey is not None else None,
+            "id": str(dewey) if dewey is not None else None,
             "tree": encode_subtree(value),
         }
     if isinstance(value, Relation):

@@ -307,7 +307,9 @@ class PreparedQuery:
         database = self._database
         if not analyze:
             return database.explain_choice(choice)
-        _, executor = database.execute_choice(choice, profile=True)
+        # the report reads the operators' stats, never the result rows
+        executor = PlanExecutor(database.views, profile=True)
+        executor.execute_batch(choice.best.plan_operator)
         root = executor.run_stats(choice.best.plan_operator)
         return database.explain_choice(choice, executor, root.inclusive_seconds)
 

@@ -7,10 +7,8 @@ Prop. 3.4 usefulness test.  Over a workload of hundreds of queries against
 hundreds of views, that per-pair work dominates everything else.
 
 A :class:`ViewCatalog` does the query-independent part of that work exactly
-once per view and indexes the results three ways:
+once per view and indexes the results two ways:
 
-* **root label** — views grouped by their pattern's root label
-  (:meth:`views_with_root_label`),
 * **summary-node hit sets** — an inverted index from every summary node
   number to the views with a path-related (equal / ancestor / descendant)
   non-root node; a lookup over the query's target paths yields precisely the
@@ -116,8 +114,6 @@ class ViewCatalog:
     >>> catalog = ViewCatalog(summary, views)
     >>> len(catalog)
     1
-    >>> [view.name for view in catalog.views_with_root_label("site")]
-    ['v']
     >>> catalog.statistics().view_rows("v")
     2.0
     """
@@ -152,13 +148,10 @@ class ViewCatalog:
     def _reindex(self) -> None:
         """(Re)build the inverted indexes from the entry list."""
         self._by_related_path: dict[int, list[int]] = {}
-        self._by_root_label: dict[str, list[int]] = {}
         self._by_name: dict[str, int] = {}
         self._by_path_attribute: dict[tuple[int, str], list[int]] = {}
         for position, entry in enumerate(self._entries):
-            view = entry.view
-            self._by_root_label.setdefault(view.pattern.root.label, []).append(position)
-            self._by_name.setdefault(view.name, position)
+            self._by_name.setdefault(entry.view.name, position)
             for number in entry.related_hits:
                 self._by_related_path.setdefault(number, []).append(position)
             for number, attributes in entry.attributes_by_path.items():
@@ -184,7 +177,6 @@ class ViewCatalog:
         position = len(self._entries)
         self.views.append(view)
         self._entries.append(entry)
-        self._by_root_label.setdefault(view.pattern.root.label, []).append(position)
         self._by_name[view.name] = position
         for number in entry.related_hits:
             self._by_related_path.setdefault(number, []).append(position)
@@ -210,11 +202,7 @@ class ViewCatalog:
             raise KeyError(f"unknown view {name!r}") from None
         del self.views[position]
         del self._entries[position]
-        for postings_by_key in (
-            self._by_root_label,
-            self._by_related_path,
-            self._by_path_attribute,
-        ):
+        for postings_by_key in (self._by_related_path, self._by_path_attribute):
             empty = []
             for key, postings in postings_by_key.items():
                 postings[:] = [
@@ -236,10 +224,6 @@ class ViewCatalog:
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
         return len(self.views)
-
-    def views_with_root_label(self, label: str) -> list[MaterializedView]:
-        """Views whose pattern root carries ``label``."""
-        return [self.views[position] for position in self._by_root_label.get(label, [])]
 
     def views_with_attribute(self, number: int, attribute: str) -> list[MaterializedView]:
         """Views offering ``attribute`` (materialised or derivable) on summary

@@ -184,14 +184,21 @@ def can_apply_delta(view: "MaterializedView") -> Optional[tuple[list[PatternNode
     return gate
 
 
-def _clone_with_ids(node: XMLNode, deep: bool) -> XMLNode:
-    """A detached clone carrying the original's Dewey ID and rooted path."""
+def _clone_with_ids(
+    node: XMLNode, deep: bool, dewey: Optional[DeweyID] = None
+) -> XMLNode:
+    """A detached clone carrying the original's Dewey ID and rooted path.
+
+    ``dewey`` is ``node``'s ID when the caller already has it: a deep clone
+    derives each child's from its parent's on the way down, never by a
+    walk up to the root per node.
+    """
     clone = XMLNode(node.label, node.value)
-    clone.dewey = node.dewey
+    clone.dewey = dewey = node.dewey if dewey is None else dewey
     clone.path = node.path
     if deep:
         for child in node.children:
-            child_clone = _clone_with_ids(child, True)
+            child_clone = _clone_with_ids(child, True, dewey.child(child.ordinal))
             child_clone.parent = clone
             clone.children.append(child_clone)
     return clone

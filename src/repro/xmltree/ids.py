@@ -149,6 +149,19 @@ class DeweyID:
         child._components = self._components + (int(ordinal),)
         return child
 
+    def descendant(self, ordinals: Sequence[int]) -> "DeweyID":
+        """Return the identifier reached by following ``ordinals`` down.
+
+        ``d.descendant((2, 1)) == d.child(2).child(1)``, built at once: this
+        is how a document derives a node's identifier from the nearest
+        identified ancestor and the sibling ordinals it stored below it.
+        Those are its own (integers >= 1) and are not checked again; an
+        ordinal from elsewhere goes through :meth:`child`.
+        """
+        descendant = DeweyID.__new__(DeweyID)
+        descendant._components = self._components + tuple(ordinals)
+        return descendant
+
     def is_ancestor_of(self, other: "DeweyID") -> bool:
         """True iff this node is a *strict* ancestor of ``other``."""
         mine, theirs = self._components, other._components

@@ -4,15 +4,33 @@ Every :class:`XMLNode` carries a tag (``label``), an optional atomic value,
 an ordered list of children and — once attached to an :class:`XMLDocument` —
 a Dewey structural identifier and its *rooted simple path* (the ``/``-joined
 sequence of labels from the root, Section 2.3).
+
+A node does not hold its identifier.  It holds its *place*: its sibling
+ordinal (an ``int``) when it is an identified non-root node of a tree, or a
+:class:`~repro.xmltree.ids.DeweyID` *anchor* when it is a document root, the
+root of a deleted (detached) subtree, or a node whose ``dewey`` was
+assigned — pattern evaluation's default ``fID`` assigns the identifier it
+puts in an answer, so the answer's cell and the node share one object.
+``node.dewey`` is derived: walk ``parent`` up to the nearest anchor and
+append the ordinals met on the way (Section 4.6's parent derivation, run
+the other way).  So an identifier costs one small int per node, or
+nothing beyond the cell an extent already holds, and the document keeps
+no identifier → node map: :meth:`XMLDocument.node_by_id` walks down from
+the root, one ordinal per level.  What the document does keep is one list
+of its nodes in document order (:meth:`XMLDocument.iter_nodes`, 8 bytes a
+node); it also hands CPython's cyclic collector every node in the order
+they were allocated, where the child lists alone would have it rediscover
+the tree breadth-first.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.errors import XMLError
 from repro.xmltree.ids import DeweyID
-from repro.xmltree.paths import PathStore
+from repro.xmltree.paths import PathStore, _document_order
 
 __all__ = ["XMLNode", "XMLDocument"]
 
@@ -33,7 +51,7 @@ class XMLNode:
         Optional iterable of child nodes (appended in order).
     """
 
-    __slots__ = ("label", "value", "children", "parent", "dewey", "path")
+    __slots__ = ("label", "value", "children", "parent", "_place", "path")
 
     def __init__(
         self,
@@ -47,7 +65,8 @@ class XMLNode:
         self.value = value
         self.children: list[XMLNode] = []
         self.parent: Optional[XMLNode] = None
-        self.dewey: Optional[DeweyID] = None
+        # sibling ordinal (int), DeweyID anchor, or None: see the module notes
+        self._place: int | DeweyID | None = None
         self.path: Optional[str] = None
         if children is not None:
             for child in children:
@@ -71,8 +90,13 @@ class XMLNode:
         return self.append(XMLNode(label, value))
 
     def detach(self) -> "XMLNode":
-        """Remove this node from its parent (if any) and return it."""
+        """Remove this node from its parent (if any) and return it.
+
+        The node and its subtree keep their identifiers: an ordinal becomes
+        an anchor before the parent it was relative to goes.
+        """
         if self.parent is not None:
+            self._place = self.dewey
             self.parent.children.remove(self)
             self.parent = None
         return self
@@ -118,6 +142,57 @@ class XMLNode:
             if predicate(node):
                 return node
         return None
+
+    # ------------------------------------------------------------------ #
+    # structural identifier (derived from the parent chain)
+    # ------------------------------------------------------------------ #
+    @property
+    def dewey(self) -> Optional[DeweyID]:
+        """The node's Dewey identifier, or ``None`` if it was never identified."""
+        place = self._place
+        if place.__class__ is not int:
+            return place
+        anchor, ordinals = self._anchored()
+        return None if anchor is None else anchor.descendant(ordinals)
+
+    @dewey.setter
+    def dewey(self, dewey: Optional[DeweyID]) -> None:
+        # an anchor: the subtree's ordinals now count from it
+        self._place = dewey
+
+    @property
+    def dewey_key(self) -> Optional[tuple[int, ...]]:
+        """``dewey.components`` without building the :class:`DeweyID`.
+
+        Tuples compare in document order, so this is the sort and bisect
+        key of the nodes of one document.
+        """
+        place = self._place
+        if place.__class__ is not int:
+            return None if place is None else place.components
+        anchor, ordinals = self._anchored()
+        return None if anchor is None else anchor.components + tuple(ordinals)
+
+    @property
+    def ordinal(self) -> Optional[int]:
+        """The node's 1-based position among its siblings (``None`` if unidentified)."""
+        place = self._place
+        if place.__class__ is int or place is None:
+            return place
+        return place.ordinal
+
+    def _anchored(self) -> tuple[Optional[DeweyID], list[int]]:
+        """For a node placed by ordinal: the nearest anchor above it, and
+        the ordinals from just below that anchor down to this node."""
+        ordinals = [self._place]
+        node = self.parent
+        place = node._place
+        while place.__class__ is int:
+            ordinals.append(place)
+            node = node.parent
+            place = node._place
+        ordinals.reverse()
+        return place, ordinals
 
     # ------------------------------------------------------------------ #
     # derived properties
@@ -173,9 +248,10 @@ class XMLNode:
 class XMLDocument:
     """A rooted XML document.
 
-    Creating a document assigns Dewey identifiers and rooted paths to every
-    node of the tree, so structural joins and summary construction can use
-    them directly.
+    Creating a document identifies every node of the tree — the root gets
+    the anchor ``DeweyID.root()``, every other node its sibling ordinal —
+    and assigns rooted paths, so structural joins and summary construction
+    can use them directly.
     """
 
     def __init__(
@@ -188,15 +264,16 @@ class XMLDocument:
             raise XMLError("the document root must not have a parent")
         self.root = root
         self.name = name
-        self._nodes_by_id: dict[DeweyID, XMLNode] = {}
         self.reindex(ordinals)
 
     # ------------------------------------------------------------------ #
     # identifier / path maintenance
     # ------------------------------------------------------------------ #
     def reindex(self, ordinals: Optional[dict[DeweyID, list[int]]] = None) -> None:
-        """(Re)assign Dewey IDs and rooted paths to every node of the tree.
+        """(Re)number the tree's nodes and assign their rooted paths.
 
+        The root is anchored at ``DeweyID.root()`` and every other node
+        stores its sibling ordinal; identifiers are derived from those.
         Only valid on a pristine tree: renumbering compacts sibling
         ordinals, which would retroactively change the identifiers of
         nodes that survived an earlier :meth:`delete_subtree`.  Live
@@ -206,16 +283,22 @@ class XMLDocument:
         ``ordinals`` restores such a numbering: what :meth:`ordinal_gaps`
         returned for the document this tree was copied from.
         """
-        self._nodes_by_id.clear()
         # parent -> an ordinal it handed out that may lie above its live
         # children: written by inserts and deletes, read by inserts
         self._max_child_ordinal: dict[DeweyID, int] = {}
         self._path_store = PathStore()
-        self._path_store.splice_in(
-            self._assign(self.root, DeweyID.root(), "/" + self.root.label, ordinals)
-        )
-        for dewey, numbers in (ordinals or {}).items():
+        self._nodes: list[XMLNode] = []
+        self.root.dewey = DeweyID.root()
+        runs = self._assign(self.root, "/" + self.root.label, self._nodes)
+        # parents before their children, so each lookup below walks
+        # ordinals that are already final; document order stays as it was
+        for dewey, numbers in sorted((ordinals or {}).items()):
+            parent = self._find(dewey)
+            if parent is not None:
+                for ordinal, child in zip(numbers[:-1], parent.children, strict=True):
+                    child._place = ordinal
             self._max_child_ordinal[dewey] = numbers[-1]
+        self._path_store.splice_in(runs)
 
     def ordinal_gaps(self) -> dict[DeweyID, list[int]]:
         """Per parent whose children are not numbered ``1..n``: the
@@ -223,56 +306,45 @@ class XMLDocument:
         (only that, for a parent whose children were all deleted)."""
         gaps = {}
         for dewey, mark in self._max_child_ordinal.items():
-            parent = self._nodes_by_id.get(dewey)
+            parent = self._find(dewey)
             if parent is None:
                 continue
-            numbers = [child.dewey.ordinal for child in parent.children]
+            numbers = [child.ordinal for child in parent.children]
             high = max(numbers[-1] if numbers else 0, mark)
             if high != len(numbers):
                 gaps[dewey] = numbers + [high]
         return gaps
 
     def _assign(
-        self,
-        root: XMLNode,
-        dewey: DeweyID,
-        path: str,
-        ordinals: Optional[dict[DeweyID, list[int]]] = None,
+        self, root: XMLNode, path: str, order: list[XMLNode]
     ) -> dict[str, list[XMLNode]]:
-        """Identify the subtree under ``root``; return its nodes by path.
+        """Number the subtree under ``root``; return its nodes by path.
 
-        One pre-order pass hands out Dewey IDs and rooted paths and
-        collects, per path, the subtree's nodes in document order — what
-        :meth:`PathStore.splice_in` takes.  A node's ``path`` is the
-        store's key string for that path (the one already in the store, if
-        the path is known), never a fresh string per node.
+        ``root``'s own place is the caller's (an anchor or an ordinal).  One
+        pre-order pass gives every other node its sibling ordinal, appends
+        the subtree's nodes to ``order`` in document order and collects
+        them per rooted path — what :meth:`PathStore.splice_in` takes.  A
+        node's ``path`` is the store's key string for that path (the one
+        already in the store, if the path is known), never a fresh string
+        per node.
         """
-        by_id = self._nodes_by_id
         store = self.path_store
         path = store.key(path)
-        root.dewey = dewey
         root.path = path
-        by_id[dewey] = root
         runs: dict[str, list[XMLNode]] = {path: [root]}
         # parent path -> child label -> (child path, run of that path)
         steps: dict[str, dict[str, tuple[str, list[XMLNode]]]] = {}
         stack = [root]
         while stack:
             node = stack.pop()
+            order.append(node)
             children = node.children
             if not children:
                 continue
-            dewey = node.dewey
             labels = steps.get(node.path)
             if labels is None:
                 labels = steps[node.path] = {}
-            numbers = ordinals.get(dewey) if ordinals else None
-            numbering = (
-                enumerate(children, start=1)
-                if numbers is None
-                else zip(numbers[:-1], children, strict=True)
-            )
-            for ordinal, child in numbering:
+            for ordinal, child in enumerate(children, start=1):
                 step = labels.get(child.label)
                 if step is None:
                     child_path = store.key(f"{node.path}/{child.label}")
@@ -282,8 +354,7 @@ class XMLDocument:
                     )
                 child.path, run = step
                 run.append(child)
-                child.dewey = child_id = dewey.child(ordinal)
-                by_id[child_id] = child
+                child._place = ordinal
             stack.extend(reversed(children))
         return runs
 
@@ -296,16 +367,18 @@ class XMLDocument:
     # live mutations (gap-safe: existing identifiers never change)
     # ------------------------------------------------------------------ #
     def insert_subtree(self, parent: XMLNode, subtree: XMLNode) -> XMLNode:
-        """Attach ``subtree`` as the last child of ``parent`` and ID it.
+        """Attach ``subtree`` as the last child of ``parent`` and number it.
 
         The new node takes the sibling ordinal *after the highest one in
         use* (not ``len(children) + 1``), so identifiers freed by earlier
         deletes are never reused — every identifier ever handed out stays
         unique for the document's lifetime, which is what lets change-log
-        replay and delta maintenance refer to nodes by ID.  Returns the
-        attached subtree root (now carrying its Dewey ID and path).
+        replay and delta maintenance refer to nodes by ID.  The subtree
+        root stores that ordinal and its descendants ``1..n`` below it;
+        their identifiers derive from ``parent``'s.  Returns the attached
+        subtree root (now carrying its Dewey ID and path).
         """
-        if parent.dewey is None or parent.dewey not in self._nodes_by_id:
+        if not self._holds(parent):
             raise XMLError(
                 f"insert target <{parent.label}> is not part of document "
                 f"{self.name!r}"
@@ -318,19 +391,21 @@ class XMLDocument:
         # children sit in ordinal order: the last identified one is the
         # highest live ordinal, and the record covers deleted ones
         live = next(
-            (child.dewey.ordinal for child in reversed(parent.children) if child.dewey),
+            (child.ordinal for child in reversed(parent.children) if child.ordinal),
             0,
         )
-        ordinal = max(live, self._max_child_ordinal.get(parent.dewey, 0)) + 1
-        self._max_child_ordinal[parent.dewey] = ordinal
+        parent_id = parent.dewey
+        ordinal = max(live, self._max_child_ordinal.get(parent_id, 0)) + 1
+        self._max_child_ordinal[parent_id] = ordinal
         parent.append(subtree)
+        subtree._place = ordinal
+        added: list[XMLNode] = []
         self._path_store.splice_in(
-            self._assign(
-                subtree,
-                parent.dewey.child(ordinal),
-                f"{parent.path}/{subtree.label}",
-            )
+            self._assign(subtree, f"{parent.path}/{subtree.label}", added)
         )
+        # the subtree follows everything under ``parent`` in document order
+        at = bisect_left(self._nodes, subtree.dewey_key, key=_document_order)
+        self._nodes[at:at] = added
         return subtree
 
     def delete_subtree(self, node: XMLNode) -> XMLNode:
@@ -338,43 +413,71 @@ class XMLDocument:
 
         The root cannot be deleted.  The detached subtree keeps its Dewey
         IDs and paths (callers use them for summary accounting and change
-        logging); the document forgets them, and sibling identifiers are
-        *not* compacted — see :meth:`insert_subtree`.
+        logging): its root's ordinal becomes an anchor.  Sibling
+        identifiers are *not* compacted — see :meth:`insert_subtree`.
         """
         if node is self.root:
             raise XMLError(f"cannot delete the root of document {self.name!r}")
-        if node.dewey is None or self._nodes_by_id.get(node.dewey) is not node:
+        if not self._holds(node):
             raise XMLError(
                 f"delete target <{node.label}> is not part of document "
                 f"{self.name!r}"
             )
         counts: dict[str, int] = {}
         for member in node.iter_subtree():
-            self._nodes_by_id.pop(member.dewey, None)
             counts[member.path] = counts.get(member.path, 0) + 1
+        at = bisect_left(self._nodes, node.dewey_key, key=_document_order)
+        del self._nodes[at : at + sum(counts.values())]
         self.path_store.splice_out(node, counts)
         # the deleted ordinal may have been the parent's highest
         marks, parent = self._max_child_ordinal, node.parent.dewey
-        marks[parent] = max(marks.get(parent, 0), node.dewey.ordinal)
+        marks[parent] = max(marks.get(parent, 0), node.ordinal)
         return node.detach()
+
+    def _holds(self, node: XMLNode) -> bool:
+        """True iff ``node`` is an identified node of this document's tree."""
+        if node._place is None:
+            return False
+        while node.parent is not None:
+            node = node.parent
+        return node is self.root
 
     # ------------------------------------------------------------------ #
     # lookup helpers
     # ------------------------------------------------------------------ #
+    def _find(self, dewey: DeweyID) -> Optional[XMLNode]:
+        """The node identified by ``dewey``, walked down from the root."""
+        node = self.root
+        anchor = node.dewey.components
+        components = dewey.components
+        if components[: len(anchor)] != anchor:
+            return None
+        for ordinal in components[len(anchor) :]:
+            children = node.children
+            # gap-free siblings: the ordinal is the position
+            if ordinal <= len(children) and children[ordinal - 1].ordinal == ordinal:
+                node = children[ordinal - 1]
+                continue
+            at = bisect_left(children, ordinal, key=_sibling_order)
+            if at == len(children) or children[at].ordinal != ordinal:
+                return None
+            node = children[at]
+        return node
+
     def node_by_id(self, dewey: DeweyID) -> XMLNode:
         """Return the node with the given Dewey identifier."""
-        try:
-            return self._nodes_by_id[dewey]
-        except KeyError as exc:
-            raise XMLError(f"no node with identifier {dewey} in {self.name}") from exc
+        node = self._find(dewey)
+        if node is None:
+            raise XMLError(f"no node with identifier {dewey} in {self.name}")
+        return node
 
     def has_id(self, dewey: DeweyID) -> bool:
         """True iff a node with this identifier exists in the document."""
-        return dewey in self._nodes_by_id
+        return self._find(dewey) is not None
 
     def iter_nodes(self) -> Iterator[XMLNode]:
         """Yield every node of the document in document order."""
-        return self.root.iter_subtree()
+        return iter(self._nodes)
 
     def nodes_on_path(self, path: str) -> list[XMLNode]:
         """All nodes whose rooted simple path equals ``path``."""
@@ -383,7 +486,12 @@ class XMLDocument:
     @property
     def size(self) -> int:
         """Number of nodes in the document."""
-        return len(self._nodes_by_id)
+        return len(self._nodes)
 
     def __repr__(self) -> str:
         return f"<XMLDocument {self.name!r} root={self.root.label} size={self.size}>"
+
+
+def _sibling_order(node: XMLNode) -> int:
+    """A bisect key over one child list, which sits in ordinal order."""
+    return node.ordinal or 0

@@ -10,10 +10,15 @@ bought with memory so that work follows the answer and not the data: a
 in ``tag`` instead of walking the whole tree.
 
 The store is *derived*: :class:`~repro.xmltree.node.XMLDocument` fills it
-in the pass that hands out Dewey IDs and splices it on every subtree
+in the pass that numbers the nodes and splices it on every subtree
 insert / delete; no snapshot or log records it, and a loaded document
 fills its own in that same pass.  Its keys double as the nodes' ``path``
 strings — one string per distinct path, shared by every node on it.
+
+Document order is read off :attr:`XMLNode.dewey_key`, the identifier's
+component tuple derived from the parent chain (nodes store ordinals, not
+identifiers): a splice bisects one run with it, and :meth:`labelled`
+merges its runs by it — plain tuples, no ``DeweyID`` built.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["PathStore"]
 
-_document_order = attrgetter("dewey._components")
+_document_order = attrgetter("dewey_key")
 
 
 class PathStore:

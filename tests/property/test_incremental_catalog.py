@@ -3,7 +3,7 @@
 Any interleaving of ``create_view`` / ``drop_view`` on a :class:`Database`
 must leave the patched :class:`ViewCatalog` *index-identical* to a catalog
 built from scratch over the surviving views — same name/position map, same
-root-label, summary-path and attribute inverted indexes, same statistics —
+summary-path and attribute inverted indexes, same statistics —
 and rewriting any query over the patched catalog must produce the same
 rewritings the fresh catalog produces.  Meanwhile the patched catalog may
 never have built more entries than one per ``create`` (the incremental
@@ -62,7 +62,6 @@ def test_any_ddl_interleaving_matches_fresh_rebuild(auction_summary, ops):
 
     # 1. index identity, structure by structure
     assert patched._by_name == fresh._by_name
-    assert patched._by_root_label == fresh._by_root_label
     assert patched._by_related_path == fresh._by_related_path
     assert patched._by_path_attribute == fresh._by_path_attribute
     assert [v.name for v in patched.views] == [v.name for v in fresh.views]

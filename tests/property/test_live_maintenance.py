@@ -219,7 +219,6 @@ class LiveMaintenanceMachine(RuleBasedStateMachine):
         if catalog is not None and self.sut.views.names:
             fresh = ViewCatalog(self.sut.summary, list(self.sut.views))
             assert catalog._by_name == fresh._by_name
-            assert catalog._by_root_label == fresh._by_root_label
             assert catalog._by_related_path == fresh._by_related_path
             assert catalog._by_path_attribute == fresh._by_path_attribute
             patched_stats = catalog.statistics()

@@ -64,6 +64,13 @@ class TestStructuralRelationships:
         assert made.parent() == DeweyID((1, 4))
         assert str(made.child(True)) == "1.4.7.1"
 
+    def test_descendant_equals_a_chain_of_children(self):
+        start = DeweyID((1, 4))
+        made = start.descendant([2, 7, 1])
+        assert made == start.child(2).child(7).child(1)
+        assert hash(made) == hash(DeweyID((1, 4, 2, 7, 1)))
+        assert start.descendant(()) == start
+
     def test_ancestor_derivation(self):
         identifier = DeweyID((1, 2, 3, 4))
         assert identifier.ancestor(2) == DeweyID((1, 2))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Database
+from repro.algebra.columnar import ColumnBatch
 from repro.errors import RewritingError
 from repro.session.explain import ExplainReport
 from repro.workloads.synthetic import seed_tag_views
@@ -70,6 +71,34 @@ def test_explain_analyze_attaches_actuals(db):
         assert entry.actual_seconds is not None and entry.actual_seconds >= 0
     # the root's measured size is the result size
     assert report.operators[0].actual_rows == report.actual_rows
+
+
+def _counting_to_relation(monkeypatch) -> list:
+    calls = []
+    real = ColumnBatch.to_relation
+
+    def counted(batch):
+        calls.append(batch)
+        return real(batch)
+
+    monkeypatch.setattr(ColumnBatch, "to_relation", counted)
+    return calls
+
+
+def test_explain_analyze_builds_no_result_relation(db, monkeypatch):
+    prepared = db.prepare(JOIN_QUERY, name="q")
+    # what the report said when it was built from execute_choice's run
+    _, executor = db.execute_choice(prepared.choice, profile=True)
+    before = db.explain_choice(prepared.choice, executor, 0.0)
+    calls = _counting_to_relation(monkeypatch)
+    report = prepared.explain(analyze=True)
+    assert calls == []
+    assert [e.description for e in report.operators] == [
+        e.description for e in before.operators
+    ]
+    assert [e.actual_rows for e in report.operators] == [
+        e.actual_rows for e in before.operators
+    ]
 
 
 def test_explain_text_rendering_mentions_estimates_and_actuals(db):

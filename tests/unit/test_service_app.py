@@ -13,6 +13,7 @@ import time
 import pytest
 
 from repro import Database, parse_parenthesized
+from repro.algebra.columnar import ColumnBatch
 from repro.service.app import ServiceApp
 from repro.service.models import SCHEMA_VERSION, relation_from_payload
 
@@ -167,6 +168,23 @@ def test_explain_analyze_carries_actual_rows(app):
     assert report["actual_rows"] == 3
     for entry in report["operators"]:
         assert entry["actual_rows"] is not None
+
+
+def test_explain_analyze_builds_no_result_relation(app, db, monkeypatch):
+    choice = db.plan_query(ITEM_NAMES)
+    _, executor = db.execute_choice(choice, profile=True)
+    before = db.explain_choice(choice, executor, 0.0).to_dict()["operators"]
+    calls = []
+    real = ColumnBatch.to_relation
+    monkeypatch.setattr(
+        ColumnBatch, "to_relation", lambda batch: calls.append(batch) or real(batch)
+    )
+    response = app.handle("POST", "/explain", {"query": ITEM_NAMES, "analyze": True})
+    assert response.ok and calls == []
+    operators = response.body["explain"]["operators"]
+    assert [entry["actual_rows"] for entry in operators] == [
+        entry["actual_rows"] for entry in before
+    ]
 
 
 # --------------------------------------------------------------------------- #

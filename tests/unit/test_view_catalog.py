@@ -113,12 +113,6 @@ class TestCatalogPruningMatchesProp34:
 
 
 class TestCatalogSecondaryIndexes:
-    def test_root_label_index(self, auction_summary):
-        views = _views_for(auction_summary)
-        catalog = ViewCatalog(auction_summary, views)
-        assert catalog.views_with_root_label("site") == views
-        assert catalog.views_with_root_label("nosuch") == []
-
     def test_attribute_index_reflects_offered_attributes(self, auction_summary):
         pattern = parse_pattern("site(//item[ID,V])", name="item-idv")
         view = MaterializedView(pattern, name="item-view")

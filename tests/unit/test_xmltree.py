@@ -1,8 +1,12 @@
 """Unit tests for the XML substrate: nodes, documents, parsing, serialisation."""
 
+import gc
+
 import pytest
 
 from repro import (
+    Database,
+    DeweyID,
     XMLDocument,
     XMLNode,
     element,
@@ -13,6 +17,8 @@ from repro import (
     tree,
 )
 from repro.errors import XMLError, XMLParseError
+from repro.patterns.parser import parse_pattern
+from repro.patterns.semantics import evaluate_pattern
 from repro.xmltree.generator import (
     ChildSpec,
     RandomDocumentSpec,
@@ -102,8 +108,6 @@ class TestXMLDocument:
 
     def test_unknown_id_raises(self):
         doc = parse_parenthesized("a(b)")
-        from repro import DeweyID
-
         with pytest.raises(XMLError):
             doc.node_by_id(DeweyID((1, 9)))
 
@@ -123,6 +127,149 @@ class TestXMLDocument:
         doc.reindex()
         assert doc.size == 3
         assert doc.root.children[1].path == "/a/c"
+
+
+def _generated(seed=3) -> XMLDocument:
+    spec = RandomDocumentSpec(
+        root="r",
+        children={"r": [ChildSpec("a", 2, 5)], "a": [ChildSpec("b", 0, 4)],
+                  "b": [ChildSpec("c", 0, 3)]},
+        values={"c": [1, 2, 3]},
+    )
+    return generate_random_document(spec, seed=seed)
+
+
+class TestDerivedIds:
+    """Nodes store sibling ordinals; ``dewey`` is derived from the parent chain."""
+
+    def test_every_id_equals_the_root_down_child_walk(self):
+        doc = _generated()
+        stack = [(doc.root, DeweyID.root())]
+        seen = 0
+        while stack:
+            node, expected = stack.pop()
+            assert node.dewey == expected and node.dewey_key == expected.components
+            seen += 1
+            stack.extend(
+                (child, expected.child(ordinal))
+                for ordinal, child in enumerate(node.children, start=1)
+            )
+        assert seen == doc.size
+
+    def test_the_document_keeps_no_id_per_node(self):
+        assert len(XMLNode.__slots__) == 6 and "dewey" not in XMLNode.__slots__
+        gc.collect()
+        before = sum(isinstance(obj, DeweyID) for obj in gc.get_objects())
+        doc = _generated()
+        after = sum(isinstance(obj, DeweyID) for obj in gc.get_objects())
+        assert after - before <= 1  # the root's anchor
+        assert not any(
+            isinstance(value, dict) and len(value) >= doc.size
+            for value in vars(doc).values()
+        )
+        # the one per-node structure is the node list iter_nodes reads
+        (nodes,) = [
+            value for value in vars(doc).values()
+            if isinstance(value, list) and len(value) >= doc.size
+        ]
+        assert nodes == list(doc.root.iter_subtree()) and len(nodes) == doc.size
+
+    def test_a_deleted_subtree_keeps_its_ids_and_leaves_the_lookup(self):
+        doc = _generated()
+        victim = doc.root.children[1]
+        members = list(victim.iter_subtree())
+        ids = [member.dewey for member in members]
+        doc.delete_subtree(victim)
+        assert victim.parent is None
+        assert [member.dewey for member in members] == ids
+        for dewey in ids:
+            assert not doc.has_id(dewey)
+            with pytest.raises(XMLError):
+                doc.node_by_id(dewey)
+
+    def test_lookups_past_a_gap_and_inserts_after_it(self):
+        doc = parse_parenthesized("r(a b(x) c(y z) d)")
+        b, c, d = doc.root.children[1:]
+        doc.delete_subtree(b)
+        doc.delete_subtree(d)
+        # c keeps ordinal 3 at position 2: the lookup takes the bisect branch
+        assert c.ordinal == 3 and doc.root.children.index(c) == 1
+        assert doc.node_by_id(DeweyID((1, 3, 2))) is c.children[1]
+        assert not doc.has_id(DeweyID((1, 2)))
+        # an insert takes the ordinal past the highest ever handed out
+        fresh = doc.insert_subtree(doc.root, XMLNode("e"))
+        assert fresh.dewey == DeweyID((1, 5))
+        assert doc.node_by_id(DeweyID((1, 5))) is fresh
+        assert not doc.has_id(DeweyID((1, 4)))
+        assert doc.ordinal_gaps() == {DeweyID((1,)): [1, 3, 5, 5]}
+
+    def test_size_and_node_order_follow_inserts_and_deletes(self):
+        doc = _generated()
+        size = doc.size
+
+        def in_document_order():
+            walked = list(doc.root.iter_subtree())
+            assert list(doc.iter_nodes()) == walked and doc.size == len(walked)
+            return walked
+
+        subtree = parse_parenthesized("n(m(k) m)").root
+        doc.insert_subtree(doc.root.children[0], subtree)
+        assert len(in_document_order()) == size + 4
+        doc.insert_subtree(doc.root.children[0].children[0], XMLNode("p"))
+        doc.insert_subtree(doc.root, XMLNode("q"))
+        assert len(in_document_order()) == size + 6
+        victim = doc.root.children[-2]
+        gone = sum(1 for _ in victim.iter_subtree())
+        doc.delete_subtree(victim)
+        assert len(in_document_order()) == size + 6 - gone
+        doc.delete_subtree(subtree)
+        assert len(in_document_order()) == size + 2 - gone
+
+    def test_an_identified_node_shares_its_id_and_stays_findable(self):
+        doc = parse_parenthesized("r(a(b c) a(x b(y)) d)")
+        answer = evaluate_pattern(parse_pattern("r(//b[ID])"), doc)
+        bs = [node for node in doc.iter_nodes() if node.label == "b"]
+        # the answer's cells are the nodes' own anchors, not copies
+        assert [row[0] for row in answer.rows] == [b.dewey for b in bs]
+        assert all(row[0] is b.dewey for row, b in zip(answer.rows, bs))
+        assert bs[1].children[0].dewey == DeweyID((1, 2, 2, 1))
+        assert all(doc.node_by_id(b.dewey) is b for b in bs)
+        # anchored nodes take inserts below them and can be deleted
+        fresh = doc.insert_subtree(bs[1], XMLNode("z"))
+        assert fresh.dewey == DeweyID((1, 2, 2, 2)) and doc.has_id(fresh.dewey)
+        doc.delete_subtree(bs[0])
+        assert not doc.has_id(DeweyID((1, 1, 1)))
+        assert doc.node_by_id(DeweyID((1, 1, 2))).label == "c"
+        with pytest.raises(XMLError):
+            doc.insert_subtree(bs[0], XMLNode("q"))
+        walked = [(doc.root, DeweyID.root())]
+        while walked:
+            node, expected = walked.pop()
+            assert node.dewey == expected
+            walked.extend((c, expected.child(c.ordinal)) for c in node.children)
+
+    def test_assigning_an_id_to_a_detached_node_anchors_its_subtree(self):
+        doc = parse_parenthesized("r(a(b(c)))")
+        a = doc.delete_subtree(doc.root.children[0])
+        a.dewey = DeweyID((4, 2))
+        c = a.children[0].children[0]
+        assert c.dewey == DeweyID((4, 2, 1, 1))
+        assert c.ordinal == 1 and a.ordinal == 2
+
+    def test_save_load_keeps_every_id_across_ordinal_gaps(self, tmp_path):
+        doc = _generated(seed=11)
+        for victim in (doc.root.children[0], doc.root.children[-1].children[0]):
+            doc.delete_subtree(victim)
+        doc.insert_subtree(doc.root.children[1], XMLNode("b"))
+        assert doc.ordinal_gaps()
+        db = Database(doc)
+        db.save(tmp_path / "snapshot.log")
+        loaded = Database.load(tmp_path / "snapshot.log").document
+        pairs = list(zip(doc.iter_nodes(), loaded.iter_nodes(), strict=True))
+        assert all(old.dewey == new.dewey for old, new in pairs)
+        assert all(loaded.node_by_id(new.dewey) is new for _, new in pairs)
+        assert loaded.ordinal_gaps() == doc.ordinal_gaps()
+        assert loaded.size == doc.size
 
 
 class TestBuildersAndParsers:
