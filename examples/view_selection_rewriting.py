@@ -29,7 +29,7 @@ def main() -> None:
     # for a larger corpus — the workload and views are scale-independent
     document = generate_dblp_document("2005", scale=1.0, seed=21, name="dblp")
     db = Database(
-        document, config=RewritingConfig(stop_at_first=True, time_budget_seconds=10.0)
+        document, config=RewritingConfig(max_rewritings=1, time_budget_seconds=10.0)
     )
     print(f"DBLP-like document: {document.size} nodes, summary {db.summary.size} nodes\n")
 

@@ -291,7 +291,8 @@ class ColumnBatch:
 
     >>> relation = Relation(["ID", "V"], rows=[(DeweyID((1, 1)), "pen"),
     ...                                        (DeweyID((1, 2)), "ink")])
-    >>> batch = ColumnBatch.from_relation(relation.mark_sorted_by("ID"))
+    >>> relation.sorted_by = "ID"  # the rows are in document order
+    >>> batch = ColumnBatch.from_relation(relation)
     >>> batch.row_count, batch.sorted_by
     (2, 'ID')
     >>> batch.values(1)

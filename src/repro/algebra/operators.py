@@ -93,10 +93,6 @@ class PlanOperator:
         """Estimated output rows given the children's estimated rows."""
         return child_rows[0] if child_rows else 1.0
 
-    def view_scan_count(self) -> int:
-        """Number of view scans in the plan (the plan *size* of Prop. 3.6)."""
-        return sum(child.view_scan_count() for child in self.children())
-
     def describe(self, indent: int = 0) -> str:
         """Multi-line, indented rendering of the plan."""
         pad = "  " * indent
@@ -127,9 +123,6 @@ class ViewScan(PlanOperator):
     def effective_alias(self) -> str:
         """Alias used to qualify output column names."""
         return self.alias or self.view_name
-
-    def view_scan_count(self) -> int:
-        return 1
 
     def estimate_rows(self, child_rows: Sequence[float], context) -> float:
         return context.view_rows(self.view_name)
@@ -170,9 +163,6 @@ class IndexScan(PlanOperator):
         if self.column.startswith(prefix):
             return self.column[len(prefix):]
         return self.column
-
-    def view_scan_count(self) -> int:
-        return 1
 
     def estimate_rows(self, child_rows: Sequence[float], context) -> float:
         return context.view_rows(self.view_name) * context.selection_selectivity(

@@ -140,10 +140,6 @@ class Relation:
         """The :class:`Column` object named ``name``."""
         return self.columns[self.column_index(name)]
 
-    def has_column(self, name: str) -> bool:
-        """True iff a column with this name exists."""
-        return any(column.name == name for column in self.columns)
-
     def value(self, row: Sequence, name: str):
         """Value of column ``name`` in ``row``."""
         return row[self.column_index(name)]
@@ -171,17 +167,6 @@ class Relation:
     def is_sorted_by(self, name: str) -> bool:
         """True iff the rows are known to be Dewey-sorted on column ``name``."""
         return self.sorted_by == name
-
-    def mark_sorted_by(self, name: Optional[str]) -> "Relation":
-        """Record (or clear, with ``None``) the Dewey-sort annotation.
-
-        The caller asserts the physical order; the column must exist.
-        Returns ``self`` for chaining.
-        """
-        if name is not None:
-            self.column_index(name)  # raises on unknown columns
-        self.sorted_by = name
-        return self
 
     def sorted_in_dewey_order(self, name: str) -> "Relation":
         """A copy of this relation sorted in document order on column ``name``.

@@ -13,14 +13,15 @@ containment:
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.patterns.embedding import EmbeddingMode, iter_embeddings
 from repro.patterns.pattern import PatternNode, TreePattern
 from repro.summary.dataguide import Summary
 from repro.summary.node import SummaryNode
 
 __all__ = ["nesting_depths", "nesting_sequences_compatible"]
+
+# Bound on the summary embeddings enumerated per pattern in the 2(b) check.
+_MAX_EMBEDDINGS = 2000
 
 
 def nesting_depths(pattern: TreePattern) -> list[int]:
@@ -65,18 +66,13 @@ def _one_to_one_connected(a: SummaryNode, b: SummaryNode) -> bool:
 
 
 def _sequences_match(
-    left: tuple[int, ...],
-    right: tuple[int, ...],
-    summary: Summary,
-    use_one_to_one: bool,
+    left: tuple[int, ...], right: tuple[int, ...], summary: Summary
 ) -> bool:
     if len(left) != len(right):
         return False
     for l_number, r_number in zip(left, right):
         if l_number == r_number:
             continue
-        if not use_one_to_one:
-            return False
         if not _one_to_one_connected(
             summary.node_by_number(l_number), summary.node_by_number(r_number)
         ):
@@ -88,8 +84,6 @@ def nesting_sequences_compatible(
     contained: TreePattern,
     container: TreePattern,
     summary: Summary,
-    use_one_to_one: bool = True,
-    max_embeddings: Optional[int] = 2000,
 ) -> bool:
     """Check conditions 2(a) and 2(b) of Proposition 4.2.
 
@@ -120,7 +114,7 @@ def nesting_sequences_compatible(
         ]
         container_index.setdefault(images, []).append(sequences)
         count += 1
-        if max_embeddings is not None and count >= max_embeddings:
+        if count >= _MAX_EMBEDDINGS:
             break
 
     count = 0
@@ -135,7 +129,7 @@ def nesting_sequences_compatible(
         matched = False
         for candidate in candidates:
             if all(
-                _sequences_match(seq, cand_seq, summary, use_one_to_one)
+                _sequences_match(seq, cand_seq, summary)
                 for seq, cand_seq in zip(sequences, candidate)
             ):
                 matched = True
@@ -143,6 +137,6 @@ def nesting_sequences_compatible(
         if not matched:
             return False
         count += 1
-        if max_embeddings is not None and count >= max_embeddings:
+        if count >= _MAX_EMBEDDINGS:
             break
     return True

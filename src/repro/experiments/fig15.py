@@ -84,8 +84,6 @@ def run_fig15(
     time_budget_seconds: float = 5.0,
     max_rewritings: int = 3,
     query_names: Optional[Sequence[str]] = None,
-    fresh_containment_cache: bool = True,
-    rank_plans: bool = True,
 ) -> list[RewritingRow]:
     """Rewrite every XMark query pattern against the Figure 15 view set.
 
@@ -94,16 +92,15 @@ def run_fig15(
     in the paper, which measures rewriting time only), one
     :meth:`Database.rewrite` per query, so the view catalog (summary index,
     annotated view prototypes, Prop. 3.4 path index) is shared across all
-    20 queries.  The containment memo is cleared up front by default so a
-    run does not depend on earlier runs.
+    20 queries.  The containment memo is cleared up front so a run does not
+    depend on earlier runs.
 
-    With ``rank_plans`` (the default) every outcome's rewritings are also
-    lowered and costed through a :class:`~repro.planning.Planner`, and the
-    row reports the chosen plan's cost next to the cost of the rewriting
-    the *seed* policy would have executed (``RewriteOutcome.best``: the
-    non-union, fewest-views heuristic) — the plan-choice-quality
-    comparison; ranking uses no containment tests, so the timing columns
-    are unaffected.
+    Every outcome's rewritings are also lowered and costed through a
+    :class:`~repro.planning.Planner`, and the row reports the chosen plan's
+    cost next to the cost of the rewriting the *seed* policy would have
+    executed (``RewriteOutcome.best``: the non-union, fewest-views
+    heuristic) — the plan-choice-quality comparison; ranking uses no
+    containment tests, so the timing columns are unaffected.
     """
     summary = summary or xmark_summary()
     queries = queries or xmark_query_patterns()
@@ -116,17 +113,16 @@ def run_fig15(
         max_plan_size=8,
         enable_unions=False,
     )
-    if fresh_containment_cache:
-        clear_containment_cache()
+    clear_containment_cache()
     database = Database.from_summary(summary, views=views, config=config)
     ordered = sorted(queries.items(), key=lambda kv: int(kv[0][1:]))
     outcomes = [database.rewrite(pattern) for _, pattern in ordered]
-    planner = database.planner if rank_plans else None
+    planner = database.planner
     rows = []
     for (name, _), outcome in zip(ordered, outcomes):
         stats = outcome.statistics
         best_cost = seed_cost = None
-        if planner is not None and outcome.found:
+        if outcome.found:
             # plan-choice quality: what cost-based selection buys over the
             # seed policy (outcome.best — non-union, fewest views)
             ranked = planner.rank(outcome)

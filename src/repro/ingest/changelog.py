@@ -45,7 +45,7 @@ import os
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterator, Optional
+from typing import IO, Optional
 
 from repro.errors import ChangeLogCorruptError, ChangeLogError
 from repro.xmltree.ids import DeweyID

@@ -12,8 +12,10 @@ stream, and a subtree is yielded the moment its close tag arrives.
 Conversion matches :func:`repro.xmltree.parser.parse_xml_string` exactly
 (attributes become ``@name`` children, text is type-coerced, namespaces
 are stripped), so streamed elements are indistinguishable from parsed
-ones.  :meth:`repro.Database.ingest_stream` drives this iterator and
-applies each subtree as one logged ``insert_subtree``.
+ones.  A live session applies each subtree as one logged insert::
+
+    for subtree in iter_stream_subtrees(chunks):
+        db.insert_subtree(parent, subtree)
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ column order of the pattern's result.
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.errors import PatternError
@@ -153,11 +152,6 @@ class PatternNode:
         self._return_flag = bool(flag)
 
     @property
-    def is_root(self) -> bool:
-        """True iff the node has no parent."""
-        return self.parent is None
-
-    @property
     def effective_predicate(self) -> ValueFormula:
         """The node's predicate, defaulting to *true*."""
         return self.predicate if self.predicate is not None else ValueFormula.true()
@@ -289,10 +283,6 @@ class TreePattern:
         """Number of return nodes (``k`` in the paper)."""
         return len(self.return_nodes())
 
-    def has_optional_edges(self) -> bool:
-        """True iff at least one edge is optional."""
-        return any(n.optional for n in self.root.iter_subtree() if n.parent is not None)
-
     def has_nested_edges(self) -> bool:
         """True iff at least one edge is nested."""
         return any(n.nested for n in self.root.iter_subtree() if n.parent is not None)
@@ -303,17 +293,6 @@ class TreePattern:
             n.predicate is not None and not n.predicate.is_true()
             for n in self.root.iter_subtree()
         )
-
-    def stored_attributes(self) -> list[tuple[PatternNode, str]]:
-        """Flat list of ``(node, attribute)`` pairs in column order."""
-        pairs = []
-        for node in self.return_nodes():
-            if node.attributes:
-                for attr in node.attributes:
-                    pairs.append((node, attr))
-            else:
-                pairs.append((node, "NODE"))
-        return pairs
 
     # ------------------------------------------------------------------ #
     # transformation helpers
@@ -340,47 +319,6 @@ class TreePattern:
         clone = self.copy(name=name or f"{self.name}-unnested")
         for node in clone.root.iter_subtree():
             node.nested = False
-        return clone
-
-    def conjunctive_core(self, name: Optional[str] = None) -> "TreePattern":
-        """Strip optionality, nesting, attributes and predicates.
-
-        The result is the plain conjunctive pattern with the same shape and
-        the same return positions — useful when only tree structure matters.
-        """
-        clone = self.copy(name=name or f"{self.name}-core")
-        for node in clone.root.iter_subtree():
-            node.optional = False
-            node.nested = False
-            node.predicate = None
-            if node.attributes:
-                node.is_return = True
-                node.attributes = ()
-        return clone
-
-    def with_return_nodes(
-        self, keep: Sequence[PatternNode], name: Optional[str] = None
-    ) -> "TreePattern":
-        """A copy in which exactly the nodes matching ``keep`` are returning.
-
-        ``keep`` contains nodes *of this pattern*; positions are mapped onto
-        the copy.  Used by the rewriting algorithm when it must select ``k``
-        return nodes of a candidate pattern before a containment test.
-        """
-        original = self.nodes()
-        indexes = set()
-        for node in keep:
-            try:
-                indexes.add(original.index(node))
-            except ValueError as exc:
-                raise PatternError("return node does not belong to this pattern") from exc
-        clone = self.copy(name=name)
-        clone._return_order = None
-        for position, node in enumerate(clone.nodes()):
-            selected = position in indexes
-            node.is_return = selected
-            if not selected:
-                node.attributes = ()
         return clone
 
     # ------------------------------------------------------------------ #
@@ -410,35 +348,6 @@ class TreePattern:
 
     def __repr__(self) -> str:
         return f"<TreePattern {self.name!r} {self.to_text()}>"
-
-    # ------------------------------------------------------------------ #
-    # convenience constructors
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_path(
-        cls,
-        labels: Sequence[str],
-        axes: Optional[Sequence[Axis]] = None,
-        return_last: bool = True,
-        attributes: Iterable[str] = (),
-        name: str = "pattern",
-    ) -> "TreePattern":
-        """Build a linear (chain) pattern from a label sequence."""
-        if not labels:
-            raise PatternError("need at least one label")
-        if axes is not None and len(axes) != len(labels) - 1:
-            raise PatternError("need exactly len(labels) - 1 axes")
-        root = PatternNode(labels[0])
-        node = root
-        for position, label in enumerate(labels[1:]):
-            axis = axes[position] if axes is not None else Axis.CHILD
-            node = node.add_child(label, axis=axis)
-        if return_last:
-            if attributes:
-                node.attributes = tuple(a.upper() for a in attributes)
-            else:
-                node.is_return = True
-        return cls(root, name=name)
 
 
 def node_signature(
@@ -477,8 +386,3 @@ def _render_node(node: PatternNode) -> str:
     if node.children:
         text += "(" + ", ".join(_render_node(c) for c in node.children) + ")"
     return text
-
-
-def cartesian_product(iterables: Sequence[Sequence]) -> Iterator[tuple]:
-    """Tiny wrapper around :func:`itertools.product` kept for readability."""
-    return itertools.product(*iterables)

@@ -157,12 +157,6 @@ def _min_high(a: _Bound, b: _Bound) -> _Bound:
     return a if not a.closed else b
 
 
-def _low_sort_key(interval: _Interval):
-    if interval.low.infinite:
-        return ((-1,), True)
-    return ((0,) + tuple([interval.low.key()]), interval.low.closed)
-
-
 class ValueFormula:
     """A value-predicate formula in interval normal form.
 

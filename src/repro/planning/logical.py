@@ -79,15 +79,6 @@ class LogicalPlan:
         """Number of distinct operators in the DAG."""
         return len(self.nodes)
 
-    @property
-    def shared_operator_count(self) -> int:
-        """Distinct operators referenced by more than one parent."""
-        references: dict[int, int] = {}
-        for node in self.nodes:
-            for child in node.children:
-                references[id(child)] = references.get(id(child), 0) + 1
-        return sum(1 for count in references.values() if count > 1)
-
     def to_algebra(self) -> PlanOperator:
         """The underlying executable operator tree (lowering is lossless)."""
         return self.root.operator

@@ -128,9 +128,7 @@ class Planner:
     ----------
     rewriter:
         The rewriter to search with; its view catalog supplies the
-        statistics snapshot when no explicit ``cost_model`` is given.
-    cost_model:
-        Optional cost model override (e.g. with hand-built statistics).
+        statistics the cost model reads.
 
     Example
     -------
@@ -146,13 +144,8 @@ class Planner:
     2
     """
 
-    def __init__(
-        self,
-        rewriter: "Rewriter",
-        cost_model: Optional[CostModel] = None,
-    ):
+    def __init__(self, rewriter: "Rewriter"):
         self.rewriter = rewriter
-        self._cost_model = cost_model
         self._derived_model: Optional[CostModel] = None
         self._derived_key: Optional[tuple] = None
         # strong reference to the catalog the derived model was built from:
@@ -168,8 +161,6 @@ class Planner:
         Derived models are cached and invalidated when the rewriter's view
         set or any extent in it changes (``views.data_version``).
         """
-        if self._cost_model is not None:
-            return self._cost_model
         catalog = self.rewriter.catalog
         key = (id(catalog), self.rewriter.views.data_version)
         if (

@@ -51,6 +51,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["RewritingConfig", "RewritingStatistics", "Rewriting", "RewritingSearch"]
 
+# Hard cap on the working set ``M``: a join result enters it only while the
+# search has seen fewer candidate signatures than this.
+_MAX_CANDIDATES = 4000
+# Maximum number of branches in a union plan.
+_MAX_UNION_SIZE = 3
+
 
 @dataclass
 class RewritingConfig:
@@ -59,23 +65,14 @@ class RewritingConfig:
     max_plan_size: int = 12
     """Maximum number of view occurrences per join plan (Prop. 3.6 bound)."""
 
-    max_candidates: int = 4000
-    """Hard cap on the size of the working set ``M``."""
-
     max_rewritings: int = 8
-    """Stop after this many equivalent rewritings have been found."""
-
-    stop_at_first: bool = False
-    """Stop the search as soon as one equivalent rewriting is found."""
+    """Stop after this many equivalent rewritings have been found (1: the first)."""
 
     time_budget_seconds: Optional[float] = 20.0
     """Wall-clock budget for the whole search (None = unlimited)."""
 
     enable_unions: bool = True
     """Whether to build union plans from partial (contained) candidates."""
-
-    max_union_size: int = 3
-    """Maximum number of branches in a union plan."""
 
 
 @dataclass
@@ -346,7 +343,7 @@ class RewritingSearch:
                             return
                         if (
                             joined.size < self.config.max_plan_size
-                            and len(self._seen_signatures) < self.config.max_candidates
+                            and len(self._seen_signatures) < _MAX_CANDIDATES
                         ):
                             new_candidates.append(joined)
             frontier = new_candidates
@@ -660,7 +657,7 @@ class RewritingSearch:
     def _union_pass_inner(self) -> None:
         if len(self._partial) < 2:
             return
-        for size in range(2, self.config.max_union_size + 1):
+        for size in range(2, _MAX_UNION_SIZE + 1):
             if self._done():
                 return
             for combo in itertools.combinations(self._partial, size):
@@ -702,8 +699,6 @@ class RewritingSearch:
     # termination
     # ------------------------------------------------------------------ #
     def _done(self) -> bool:
-        if self.config.stop_at_first and self.rewritings:
-            return True
         if len(self.rewritings) >= self.config.max_rewritings:
             return True
         return self._out_of_time()

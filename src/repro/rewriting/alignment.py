@@ -117,7 +117,6 @@ def align_candidate(
     candidate: RewriteCandidate,
     query: TreePattern,
     summary: Summary,
-    max_assignments: int = _MAX_ASSIGNMENTS,
     containment_only: bool = False,
 ) -> Optional[AlignmentResult]:
     """Try to turn ``candidate`` into a rewriting of ``query``.
@@ -136,7 +135,7 @@ def align_candidate(
         return None
 
     assignments = itertools.islice(
-        itertools.product(*option_lists), max_assignments
+        itertools.product(*option_lists), _MAX_ASSIGNMENTS
     )
     for assignment in assignments:
         result = _try_assignment(

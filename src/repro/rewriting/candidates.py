@@ -98,10 +98,6 @@ class RewriteCandidate:
                 found.add(attribute)
         return found
 
-    def column_for(self, node: PatternNode, attribute: str) -> Optional[str]:
-        """Name of the materialised column for (node, attribute), if any."""
-        return self.columns.get(self.key(node, attribute))
-
     @property
     def size(self) -> int:
         """Plan size in number of view occurrences (Prop. 3.6)."""

@@ -11,7 +11,6 @@ executes); to rewrite, pick the cheapest plan and run it in one call, use
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.algebra.execution import PlanExecutor
@@ -200,23 +199,14 @@ class Rewriter:
         return 0, 0
 
     # ------------------------------------------------------------------ #
-    def rewrite(
-        self, query: TreePattern, config: Optional[RewritingConfig] = None
-    ) -> RewriteOutcome:
+    def rewrite(self, query: TreePattern) -> RewriteOutcome:
         """Search for S-equivalent rewritings of ``query``."""
-        search = RewritingSearch(query, self.catalog, config or self.config)
+        search = RewritingSearch(query, self.catalog, self.config)
         rewritings = search.run()
         self.search_totals["searches"] += 1
         for name, count in search.statistics.search_counters().items():
             self.search_totals[name] += count
         return RewriteOutcome(query, rewritings, search.statistics)
-
-    def rewrite_first(
-        self, query: TreePattern
-    ) -> Optional[Rewriting]:
-        """Return the first rewriting found, or None."""
-        outcome = self.rewrite(query, replace(self.config, stop_at_first=True))
-        return outcome.rewritings[0] if outcome.found else None
 
     # ------------------------------------------------------------------ #
     def execute(self, rewriting: Rewriting) -> Relation:

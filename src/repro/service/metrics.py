@@ -9,10 +9,8 @@ kinds are lock-protected and label-aware:
 * :class:`Gauge` — point-in-time values, set at scrape time from
   :meth:`repro.Database.stats` (plan-cache hits, maintenance paths, …);
 * :class:`Histogram` — fixed-bucket latency distributions with cumulative
-  bucket counts, plus estimated ``p50``/``p95``/``p99`` quantiles (linear
-  interpolation inside the winning bucket — the standard Prometheus
-  ``histogram_quantile`` estimate, computed server-side so the load
-  tester and the bench artifact read the same numbers).
+  bucket counts (``_bucket`` / ``_sum`` / ``_count``; a scraper estimates
+  quantiles from them with Prometheus's ``histogram_quantile``).
 
 The :class:`SlowQueryLog` rides along: every query slower than a
 configurable threshold records its canonical fingerprint, the chosen
@@ -26,8 +24,8 @@ attributable end to end (grep the JSONL trace log by trace id).
 >>> latency = registry.histogram("request_seconds", "Request latency.")
 >>> for ms in (1, 2, 3, 4, 5):
 ...     latency.observe(ms / 1000.0)
->>> round(latency.quantile(0.5), 4) <= 0.005
-True
+>>> latency.count()
+5
 >>> 'requests_total{endpoint="/query"} 1' in registry.render()
 True
 """
@@ -152,7 +150,7 @@ class _HistogramSeries:
 
 
 class Histogram:
-    """A fixed-bucket distribution with server-side quantile estimates."""
+    """A fixed-bucket distribution with cumulative bucket counts."""
 
     kind = "histogram"
 
@@ -194,37 +192,6 @@ class Histogram:
         """Observations recorded in one labelled series."""
         with self._lock:
             return self._get_series(labels).total
-
-    def quantile(self, q: float, labels: Optional[dict] = None) -> float:
-        """Estimated ``q``-quantile (0 < q < 1) of one labelled series.
-
-        Linear interpolation inside the winning bucket, the
-        ``histogram_quantile`` estimate; observations beyond the last
-        finite bound report that bound (the estimate is clamped, never
-        extrapolated to infinity).  Returns 0.0 for an empty series.
-        """
-        if not 0.0 < q < 1.0:
-            raise ServiceError(f"quantile must be in (0, 1), got {q}")
-        with self._lock:
-            series = self._get_series(labels)
-            counts = list(series.counts)
-            total = series.total
-        if total == 0:
-            return 0.0
-        rank = q * total
-        seen = 0.0
-        for position, count in enumerate(counts):
-            if count == 0:
-                continue
-            if seen + count >= rank:
-                if position >= len(self.buckets):  # the +Inf bucket
-                    return self.buckets[-1]
-                lower = self.buckets[position - 1] if position else 0.0
-                upper = self.buckets[position]
-                fraction = (rank - seen) / count
-                return lower + (upper - lower) * fraction
-            seen += count
-        return self.buckets[-1]
 
     def samples(self) -> list[str]:
         with self._lock:

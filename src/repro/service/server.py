@@ -18,8 +18,9 @@ The transport speaks a small fixed subset of HTTP/1.1 — ``GET`` and
 typed JSON error that ends the connection: a malformed request line or
 header (400 ``bad-request``), a bad ``Content-Length`` (400
 ``bad-content-length``), ``Transfer-Encoding`` (411 ``length-required``),
-a head over 64 KiB (431 ``head-too-large``) and any other method (501
-``not-implemented``).  A body that is not JSON is a 400 ``bad-json`` on a
+a body over 8 MiB (413 ``body-too-large``, answered before the body is
+read), a head over 64 KiB (431 ``head-too-large``) and any other method
+(501 ``not-implemented``).  A body that is not JSON is a 400 ``bad-json`` on a
 connection that stays usable.  No framework, no dependency: the whole
 service tier runs on the standard library.
 
@@ -65,6 +66,9 @@ __all__ = [
 # the longest request or reply head either side reads (http.server's line
 # limit, applied to the whole head)
 _MAX_HEAD = 65536
+# the longest request body the loop buffers: 8 MiB, 80 times the largest body
+# the repo's tests, examples, tools and bench send (100 000 bytes)
+_MAX_BODY = 8 << 20
 _RECV_SIZE = 65536
 _PHRASES = {status.value: status.phrase for status in HTTPStatus}
 _SERVER = "repro-query-service"
@@ -144,6 +148,9 @@ def _parse_head(inbox: bytearray) -> Optional[_Request]:
             400, "bad-content-length",
             f"Content-Length {length!r} is not a non-negative integer",
         )
+    if int(length) > _MAX_BODY:
+        # refused before a body byte is read or ``100 Continue`` invites one
+        raise _Rejected(413, "body-too-large", "the request body is over 8 MiB")
     tokens = {token.strip() for token in headers.get("connection", "").lower().split(",")}
     keep_alive = "close" not in tokens and (version == "HTTP/1.1" or "keep-alive" in tokens)
     return _Request(
@@ -184,8 +191,7 @@ def _encode(response: ServiceResponse, close: bool) -> bytes:
 class _Loop:
     """The listening socket, its connections and the loop that serves them.
 
-    Everything but :meth:`stop` and :attr:`connection_count` runs on the
-    loop's own thread.
+    Everything but :meth:`stop` runs on the loop's own thread.
     """
 
     def __init__(self, address, app: ServiceApp):
@@ -200,11 +206,6 @@ class _Loop:
         self._selector.register(self._wake_reader, selectors.EVENT_READ)
         self._connections: dict[int, _Connection] = {}
         self._stopping = False
-
-    @property
-    def connection_count(self) -> int:
-        """Open client connections (read from any thread)."""
-        return len(self._connections)
 
     def stop(self) -> None:
         """Ask the loop to end (from any thread): it closes every
@@ -635,10 +636,3 @@ class ServiceClient:
     def post(self, path: str, payload: Optional[dict] = None):
         """``POST path`` with a JSON body → ``(status, body)``."""
         return self._request("POST", path, payload if payload is not None else {})
-
-
-def find_free_port(host: str = "127.0.0.1") -> int:
-    """An OS-assigned free TCP port (for tools that must name one up front)."""
-    with socket.socket() as probe:
-        probe.bind((host, 0))
-        return probe.getsockname()[1]

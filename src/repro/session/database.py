@@ -56,7 +56,6 @@ from repro.ingest.changelog import (
     encode_document,
     encode_subtree,
 )
-from repro.ingest.streaming import iter_stream_subtrees
 from repro.patterns.parser import parse_pattern
 from repro.patterns.pattern import TreePattern
 from repro.planning.planner import PlanChoice, PlannedRewriting, Planner
@@ -487,7 +486,16 @@ class Database:
         try:
             document = decode_document(payload)
             config = payload.get("config")
-            config = RewritingConfig(**config) if config is not None else None
+            if config is not None:
+                # snapshots and logs written before the search caps became
+                # module constants carry three more keys: drop the caps,
+                # and ``stop_at_first`` is ``max_rewritings=1``
+                config = dict(config)
+                config.pop("max_candidates", None)
+                config.pop("max_union_size", None)
+                if config.pop("stop_at_first", False):
+                    config["max_rewritings"] = 1
+                config = RewritingConfig(**config)
         except (LookupError, TypeError, ValueError, XMLError) as exc:
             raise SessionError(f"malformed load record: {exc!r}") from exc
         database = cls(document, config=config)
@@ -644,24 +652,6 @@ class Database:
         self._after_mutation("delete", parent_node, detached)
         return detached
 
-    def ingest_stream(
-        self, chunks: Iterable[str], parent: XMLNode | DeweyID | str
-    ) -> list[XMLNode]:
-        """Stream XML fragments in as children of ``parent``, live.
-
-        ``chunks`` is any iterable of text pieces — element boundaries may
-        fall anywhere (see :func:`repro.ingest.iter_stream_subtrees`).
-        Each completed top-level element is applied as one
-        :meth:`insert_subtree` the moment its close tag arrives: logged,
-        summary-maintained, extents delta-patched.  Returns the attached
-        subtree roots, in stream order.
-        """
-        parent_node = self._resolve_node(parent)
-        return [
-            self.insert_subtree(parent_node, subtree)
-            for subtree in iter_stream_subtrees(chunks)
-        ]
-
     def _after_mutation(
         self, kind: str, parent: XMLNode, subtree: XMLNode
     ) -> None:
@@ -715,11 +705,6 @@ class Database:
     def _log(self, type_: str, payload: dict) -> None:
         if self._change_log is not None and not self._replaying:
             self._change_log.append(type_, payload)
-
-    @property
-    def change_log(self) -> Optional[ChangeLog]:
-        """The attached durable change log (None when not attached)."""
-        return self._change_log
 
     def attach_log(self, path: str | Path) -> ChangeLog:
         """Attach a durable change log; mutations and DDL append to it.

@@ -79,7 +79,7 @@ class ExplainOperator:
     """Measured wall time of this operator alone (``analyze`` runs only)."""
 
     def to_dict(self) -> dict:
-        """This entry as a JSON-safe plain dict (see :meth:`from_dict`)."""
+        """This entry as a JSON-safe plain dict."""
         return {
             "description": self.description,
             "depth": self.depth,
@@ -92,14 +92,6 @@ class ExplainOperator:
             "actual_rows": self.actual_rows,
             "actual_seconds": self.actual_seconds,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExplainOperator":
-        """Inverse of :meth:`to_dict`."""
-        try:
-            return cls(**{key: data[key] for key in cls.__dataclass_fields__})
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed explain operator entry: {exc}") from exc
 
     def render(self) -> str:
         """The indented one-line form used by :meth:`ExplainReport.to_text`."""
@@ -190,10 +182,9 @@ class ExplainReport:
         """The whole report as a JSON-safe plain dict.
 
         Everything :meth:`to_text` renders survives — tuples become lists,
-        operator entries become dicts — and :meth:`from_dict` rebuilds an
-        equal report, so structured ``EXPLAIN`` output can cross process
-        boundaries (the service tier's ``/explain`` endpoint returns
-        exactly this shape).
+        operator entries become dicts — so structured ``EXPLAIN`` output can
+        cross process boundaries (the service tier's ``/explain`` endpoint
+        returns exactly this shape).
 
         >>> report = ExplainReport(
         ...     query_name="q", views_used=("v",), is_union=False,
@@ -201,8 +192,9 @@ class ExplainReport:
         ...     alternative_costs=(12.0, 40.0),
         ...     operators=[ExplainOperator("ViewScan(v)", 0, 3.0, 12.0, 12.0)],
         ... )
-        >>> ExplainReport.from_dict(report.to_dict()) == report
-        True
+        >>> data = report.to_dict()
+        >>> data["views_used"], data["operators"][0]["description"]
+        (['v'], 'ViewScan(v)')
         """
         return {
             "query_name": self.query_name,
@@ -217,30 +209,6 @@ class ExplainReport:
             "actual_seconds": self.actual_seconds,
             "search": dict(self.search),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExplainReport":
-        """Inverse of :meth:`to_dict` (raises :class:`ValueError` on
-        malformed input, never a silently partial report)."""
-        try:
-            return cls(
-                query_name=data["query_name"],
-                views_used=tuple(data["views_used"]),
-                is_union=data["is_union"],
-                chosen_cost=data["chosen_cost"],
-                estimated_rows=data["estimated_rows"],
-                alternative_costs=tuple(data["alternative_costs"]),
-                operators=[
-                    ExplainOperator.from_dict(entry)
-                    for entry in data.get("operators", [])
-                ],
-                analyzed=data.get("analyzed", False),
-                actual_rows=data.get("actual_rows"),
-                actual_seconds=data.get("actual_seconds"),
-                search=dict(data.get("search", {})),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed explain report payload: {exc}") from exc
 
     def to_text(self) -> str:
         """The conventional indented ``EXPLAIN`` rendering."""

@@ -275,10 +275,6 @@ class Summary:
         except KeyError as exc:
             raise SummaryError(f"path {path!r} does not occur in {self.name}") from exc
 
-    def has_path(self, path: str) -> bool:
-        """True iff ``path`` occurs in the summarised document."""
-        return path in self._by_path
-
     def node_by_number(self, number: int) -> SummaryNode:
         """Return the summary node with the given pre-order number."""
         try:
@@ -289,12 +285,6 @@ class Summary:
     def iter_nodes(self) -> Iterator[SummaryNode]:
         """Yield all summary nodes in pre-order."""
         return self.root.iter_subtree()
-
-    def nodes_with_label(self, label: str) -> list[SummaryNode]:
-        """All summary nodes carrying ``label`` (all nodes for ``'*'``)."""
-        if label == "*":
-            return list(self.iter_nodes())
-        return [n for n in self.iter_nodes() if n.label == label]
 
     # ------------------------------------------------------------------ #
     # statistics
@@ -320,33 +310,6 @@ class Summary:
     def max_depth(self) -> int:
         """Depth of the deepest summary node."""
         return max(n.depth for n in self.iter_nodes())
-
-    # ------------------------------------------------------------------ #
-    # conformance
-    # ------------------------------------------------------------------ #
-    def conforms(self, doc: XMLDocument, check_constraints: bool = True) -> bool:
-        """Check ``S |= d``: every document path occurs in the summary.
-
-        With ``check_constraints`` the strong-edge integrity constraints of
-        the enhanced summary are verified as well.
-        """
-        for node in doc.iter_nodes():
-            if node.path not in self._by_path:
-                return False
-        if not check_constraints:
-            return True
-        for node in doc.iter_nodes():
-            summary_node = self._by_path[node.path]
-            for child in summary_node.children:
-                if child.strong and not any(
-                    c.label == child.label for c in node.children
-                ):
-                    return False
-                if child.one_to_one and sum(
-                    1 for c in node.children if c.label == child.label
-                ) != 1:
-                    return False
-        return True
 
     def __repr__(self) -> str:
         return f"<Summary {self.name!r} size={self.size}>"

@@ -92,10 +92,6 @@ class SummaryIndex:
         """True iff ``ancestor`` is a strict ancestor of ``descendant``."""
         return ancestor in self._ancestors[descendant]
 
-    def is_parent(self, parent: int, child: int) -> bool:
-        """True iff ``parent`` is the parent of ``child``."""
-        return self._parent[child] == parent
-
     def related(self, a: int, b: int) -> bool:
         """True iff the two nodes are equal or in an ancestor/descendant line."""
         return a == b or self.is_ancestor(a, b) or self.is_ancestor(b, a)
@@ -118,14 +114,6 @@ class SummaryIndex:
         """True iff some upper path is a strict ancestor of some lower path."""
         ancestors = self._ancestors
         return any(not uppers.isdisjoint(ancestors[low]) for low in lowers)
-
-    def any_related(self, left: AbstractSet[int], right: AbstractSet[int]) -> bool:
-        """True iff some pair of paths is equal or ancestor/descendant related."""
-        return (
-            not left.isdisjoint(right)
-            or self.any_ancestor(left, right)
-            or self.any_ancestor(right, left)
-        )
 
     def constant_depth_difference(
         self, upper_paths: Iterable[int], lower_paths: Iterable[int]

@@ -57,17 +57,6 @@ class SummaryStatistics:
     one_to_one_edges: int
     max_depth: int
 
-    def as_row(self) -> dict[str, object]:
-        """Dictionary form, convenient for tabular printing."""
-        return {
-            "Doc.": self.document_name,
-            "Size (nodes)": self.document_size,
-            "|S|": self.summary_size,
-            "nS": self.strong_edges,
-            "n1": self.one_to_one_edges,
-            "depth": self.max_depth,
-        }
-
 
 def summarize(doc: XMLDocument, summary: Summary | None = None) -> SummaryStatistics:
     """Compute the Table 1 statistics for a document.

@@ -233,13 +233,6 @@ class ViewCatalog:
             for position in self._by_path_attribute.get((number, attribute), ())
         ]
 
-    def hit_set(self, view_name: str) -> frozenset[int]:
-        """Summary numbers associated with the view's non-root nodes."""
-        try:
-            return self._entries[self._by_name[view_name]].hits
-        except KeyError:
-            raise KeyError(f"unknown view {view_name!r}") from None
-
     def views_supplying(
         self, numbers: Iterable[int], attributes: Iterable[str]
     ) -> set[str]:
@@ -330,10 +323,6 @@ class ViewCatalog:
         for number in targets:
             positions.update(self._by_related_path.get(number, ()))
         return sorted(positions)
-
-    def candidate_views(self, query: TreePattern) -> list[MaterializedView]:
-        """The views kept for ``query``, in catalog order."""
-        return [self.views[position] for position in self.candidate_positions(query)]
 
     def initial_candidates(
         self, query: TreePattern

@@ -6,7 +6,6 @@ from typing import Iterable, Iterator, Optional
 
 from repro.errors import ReproError
 from repro.views.view import MaterializedView
-from repro.xmltree.node import XMLDocument
 
 __all__ = ["ViewSet"]
 
@@ -86,26 +85,6 @@ class ViewSet:
         if definitions_changed:
             self._version += 1
         return self._data_version
-
-    def materialize_all(self, document: XMLDocument) -> None:
-        """Materialise every view in the set over ``document``.
-
-        Every extent comes back with the *sorted extent guarantee* of
-        :meth:`~repro.views.view.MaterializedView.materialize`: views with a
-        structural identifier scheme are stored in document order of their
-        first ``ID`` column and annotated as such, which is what lets
-        ``ViewScan`` feed the staircase merge join sort-free.
-        """
-        for view in self._views.values():
-            view.materialize(document)
-
-    def dewey_sort_columns(self) -> dict[str, Optional[str]]:
-        """The sorted-extent guarantee, per view: name -> Dewey-sort column.
-
-        ``None`` marks views whose extents carry no document order (opaque
-        identifier schemes, or patterns without an ``ID`` column).
-        """
-        return {name: view.dewey_sort_column() for name, view in self._views.items()}
 
     # ------------------------------------------------------------------ #
     def __getitem__(self, name: str) -> MaterializedView:

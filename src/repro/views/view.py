@@ -42,11 +42,6 @@ class IdScheme:
         """The default scheme: Dewey IDs (structural, parent-derivable)."""
         return cls(structural=True, derives_parent=True, name="dewey")
 
-    @classmethod
-    def opaque(cls) -> "IdScheme":
-        """Opaque identifiers: unique but carrying no structural information."""
-        return cls(structural=False, derives_parent=False, name="opaque")
-
 
 class MaterializedView:
     """A tree-pattern view, optionally materialised over a document.

@@ -167,40 +167,6 @@ class DeweyID:
         mine, theirs = self._components, other._components
         return len(mine) < len(theirs) and theirs[: len(mine)] == mine
 
-    def is_descendant_of(self, other: "DeweyID") -> bool:
-        """True iff this node is a *strict* descendant of ``other``."""
-        return other.is_ancestor_of(self)
-
-    def is_parent_of(self, other: "DeweyID") -> bool:
-        """True iff this node is the parent of ``other``."""
-        return (
-            len(other._components) == len(self._components) + 1
-            and other._components[: len(self._components)] == self._components
-        )
-
-    def is_child_of(self, other: "DeweyID") -> bool:
-        """True iff this node is a child of ``other``."""
-        return other.is_parent_of(self)
-
     def is_ancestor_or_self_of(self, other: "DeweyID") -> bool:
         """True iff this node is ``other`` or one of its ancestors."""
         return self == other or self.is_ancestor_of(other)
-
-    def common_ancestor(self, other: "DeweyID") -> "DeweyID":
-        """Return the deepest identifier that is an ancestor-or-self of both."""
-        prefix: list[int] = []
-        for a, b in zip(self._components, other._components):
-            if a != b:
-                break
-            prefix.append(a)
-        if not prefix:
-            raise InvalidDeweyIDError(
-                "identifiers from different documents share no common ancestor"
-            )
-        return DeweyID(prefix)
-
-    def distance_to_ancestor(self, ancestor: "DeweyID") -> int:
-        """Number of edges between this node and ``ancestor`` (ancestor-or-self)."""
-        if not ancestor.is_ancestor_or_self_of(self):
-            raise InvalidDeweyIDError(f"{ancestor} is not an ancestor of {self}")
-        return len(self._components) - len(ancestor._components)

@@ -26,7 +26,7 @@ the tree breadth-first.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.errors import XMLError
 from repro.xmltree.ids import DeweyID
@@ -85,10 +85,6 @@ class XMLNode:
         self.children.append(child)
         return child
 
-    def append_new(self, label: str, value: Optional[Atomic] = None) -> "XMLNode":
-        """Create a new node, append it as the last child, and return it."""
-        return self.append(XMLNode(label, value))
-
     def detach(self) -> "XMLNode":
         """Remove this node from its parent (if any) and return it.
 
@@ -135,13 +131,6 @@ class XMLNode:
         if label == "*":
             return list(self.iter_descendants())
         return [d for d in self.iter_descendants() if d.label == label]
-
-    def find_first(self, predicate: Callable[["XMLNode"], bool]) -> Optional["XMLNode"]:
-        """Return the first subtree node satisfying ``predicate``, if any."""
-        for node in self.iter_subtree():
-            if predicate(node):
-                return node
-        return None
 
     # ------------------------------------------------------------------ #
     # structural identifier (derived from the parent chain)
@@ -197,10 +186,6 @@ class XMLNode:
     # ------------------------------------------------------------------ #
     # derived properties
     # ------------------------------------------------------------------ #
-    @property
-    def is_leaf(self) -> bool:
-        """True iff the node has no children."""
-        return not self.children
 
     @property
     def depth(self) -> int:
@@ -216,21 +201,6 @@ class XMLNode:
             count += 1
             stack.extend(node.children)
         return count
-
-    def text_content(self) -> str:
-        """Concatenation of all values in the subtree, in document order."""
-        parts = [
-            str(node.value)
-            for node in self.iter_subtree()
-            if node.value is not None
-        ]
-        return " ".join(parts)
-
-    def rooted_path(self) -> str:
-        """The rooted simple path of this node, e.g. ``/site/regions/item``."""
-        labels = [self.label]
-        labels.extend(anc.label for anc in self.iter_ancestors())
-        return "/" + "/".join(reversed(labels))
 
     def copy(self) -> "XMLNode":
         """Deep-copy the subtree rooted at this node (detached, no IDs)."""
@@ -470,10 +440,6 @@ class XMLDocument:
         if node is None:
             raise XMLError(f"no node with identifier {dewey} in {self.name}")
         return node
-
-    def has_id(self, dewey: DeweyID) -> bool:
-        """True iff a node with this identifier exists in the document."""
-        return self._find(dewey) is not None
 
     def iter_nodes(self) -> Iterator[XMLNode]:
         """Yield every node of the document in document order."""

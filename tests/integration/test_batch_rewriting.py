@@ -148,7 +148,7 @@ def test_time_budget_bounds_exploding_containment_tests():
         )
     ]
     query = xpath_to_pattern("/dblp//article[volume > 10]/title")
-    config = RewritingConfig(stop_at_first=True, time_budget_seconds=1.0)
+    config = RewritingConfig(max_rewritings=1, time_budget_seconds=1.0)
     rewriter = Rewriter(summary, views, config)
     start = time.perf_counter()
     rewriter.rewrite(query)

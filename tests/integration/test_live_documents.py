@@ -33,6 +33,7 @@ from repro import (
     XMLNode,
     build_summary,
     evaluate_pattern,
+    iter_stream_subtrees,
     parse_parenthesized,
     parse_pattern,
     to_parenthesized,
@@ -84,9 +85,10 @@ def _scripted_session(tmp_path, checkpoint=True):
     doomed = db.insert_subtree(
         asia, XMLNode("item", None, [XMLNode("name", "doomed")])
     )
-    db.ingest_stream(
-        ["<item><name>str", "eamed</name><quantity>4</quantity></item>"], asia
-    )
+    for subtree in iter_stream_subtrees(
+        ["<item><name>str", "eamed</name><quantity>4</quantity></item>"]
+    ):
+        db.insert_subtree(asia, subtree)
     db.delete_subtree(doomed)
     if checkpoint:
         db.checkpoint(tmp_path / "doc.ckpt")
@@ -123,12 +125,12 @@ def test_recovery_from_checkpoint_matches_the_writing_session(tmp_path):
     _assert_equivalent(live, recovered)
     # the recovered session keeps writing the same log: a further mutation
     # appends records behind the ones it replayed
-    lsn_before = recovered.change_log.last_lsn
+    lsn_before = recovered._change_log.last_lsn
     recovered.insert_subtree(
         recovered.document.nodes_on_path("/site/regions/asia")[0],
         XMLNode("item", None, [XMLNode("name", "post-recovery")]),
     )
-    assert recovered.change_log.last_lsn == lsn_before + 1
+    assert recovered._change_log.last_lsn == lsn_before + 1
     live.close()
     recovered.close()
 
@@ -225,7 +227,7 @@ def test_torn_tail_recovers_to_the_last_complete_record(tmp_path):
     recovered = Database.recover(log_path)
     # the torn final record was the drop of the "names" view; everything up
     # to the tear replayed, the torn record itself never happened
-    assert recovered.change_log.last_lsn == whole[:last_line_start].count(b"\n")
+    assert recovered._change_log.last_lsn == whole[:last_line_start].count(b"\n")
     assert "names" in recovered.views
     assert recovered.document.nodes_on_path("/site/people/person")  # eve's insert held
     recovered.close()
@@ -561,7 +563,8 @@ def test_a_bulk_ingest_without_reads_follows_each_entry_once():
     assert db.query(query).same_contents(evaluate_pattern(query, db.document))
     asia = db.document.nodes_on_path("/site/regions/asia")[0]
     chunks = [f"<item><name>bulk {index}</name></item>" for index in range(50)]
-    assert len(db.ingest_stream(chunks, asia)) == 50
+    for subtree in iter_stream_subtrees(chunks):
+        db.insert_subtree(asia, subtree)
     stats = db.maintenance_stats
     assert stats["links_followed"] == 1  # the one entry, on the first write
     assert stats["links_dropped"] == 1  # unread since: dropped on the second

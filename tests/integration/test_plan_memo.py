@@ -106,7 +106,7 @@ def test_entries_die_with_their_plans():
     # one cheap search per query: the plans, not the search, are under test
     db = Database(
         document,
-        config=RewritingConfig(stop_at_first=True, max_plan_size=1, enable_unions=False),
+        config=RewritingConfig(max_rewritings=1, max_plan_size=1, enable_unions=False),
     )
     db.create_view("site(/item(/name[ID,V]))", name="names")
     for index in range(1_000):

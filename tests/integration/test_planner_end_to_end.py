@@ -16,6 +16,7 @@ from repro import MaterializedView, build_summary, parse_parenthesized, parse_pa
 from repro.planning.planner import Planner
 from repro.rewriting.algorithm import RewritingConfig
 from repro.rewriting.rewriter import Rewriter
+from support.relations import view_scan_count
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +79,7 @@ def test_planner_answer_runs_the_cheapest_plan(fixture):
     best = planner.best_plan(query)
     # the single-scan plan must win against joins / unions on this fixture,
     # and answer() must produce exactly its result
-    assert best.logical_plan.to_algebra().view_scan_count() == 1
+    assert view_scan_count(best.logical_plan.to_algebra()) == 1
     assert planner.answer(query).same_contents(planner.execute(best))
 
 

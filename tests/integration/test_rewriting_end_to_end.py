@@ -230,7 +230,7 @@ class TestAdvancedRewritings:
             parse_pattern("site(//item[ID](/name[V]))", name="v"), document, name="v"
         )
         rewriter = Rewriter(
-            summary, [view], RewritingConfig(stop_at_first=True, time_budget_seconds=10.0)
+            summary, [view], RewritingConfig(max_rewritings=1, time_budget_seconds=10.0)
         )
         outcome = rewriter.rewrite(parse_pattern("site(//item[ID](/name[V]))", name="q"))
         stats = outcome.statistics

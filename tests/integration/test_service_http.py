@@ -27,7 +27,13 @@ import pytest
 
 from repro import Database, parse_parenthesized
 from repro.service.models import SCHEMA_VERSION, relation_to_payload
-from repro.service.server import QueryService, ServiceClient
+from repro.service.server import (
+    _MAX_BODY,
+    QueryService,
+    ServiceClient,
+    _parse_head,
+    _Rejected,
+)
 
 DOCUMENT_TEXT = (
     'site(item(name="pen") item(name="ink") item(name="vase"))'
@@ -195,6 +201,53 @@ def test_a_client_expecting_100_continue_is_told_to_send_its_body(service):
     assert status == 200 and reply["result"]["row_count"] == 3
 
 
+def test_a_body_over_the_cap_is_refused_before_any_of_it_is_sent(service):
+    with _raw_connection(service) as connection:
+        connection.sendall(
+            b"POST /query HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+            b"Content-Length: 1073741824\r\n\r\n"
+        )
+        reader = connection.makefile("rb")
+        # the refusal comes first: no ``100 Continue`` invites the gigabyte
+        status, headers, reply = _read_reply(reader)
+        assert (status, reply["error"]["code"]) == (413, "body-too-large")
+        assert headers["connection"] == "close"
+        assert reader.read(1) == b""
+    assert ServiceClient(service.url).get("/healthz")[0] == 200
+
+
+def test_a_client_sending_an_over_cap_body_unasked_gets_the_refusal(service):
+    # no ``Expect``: the first 32 KiB of the body follow the head at once
+    with _raw_connection(service) as connection:
+        status, headers, reply = _raw_request(
+            connection,
+            f"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: {_MAX_BODY + 1}",
+            b"x" * 32768,
+        )
+        assert (status, reply["error"]["code"]) == (413, "body-too-large")
+        assert headers["Connection"] == "close"
+    assert ServiceClient(service.url).get("/healthz")[0] == 200
+
+
+def _head(length: int) -> bytearray:
+    return bytearray(
+        f"POST /query HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+        f"Content-Length: {length}\r\n\r\n".encode()
+    )
+
+
+def test_the_body_cap_admits_a_body_of_exactly_its_size():
+    request = _parse_head(_head(_MAX_BODY))
+    assert request.end - request.body_start == _MAX_BODY == 8 << 20
+    assert request.expects_continue and request.keep_alive
+
+
+def test_the_body_cap_refuses_one_byte_more():
+    with pytest.raises(_Rejected) as refused:
+        _parse_head(_head(_MAX_BODY + 1))
+    assert (refused.value.status, refused.value.code) == (413, "body-too-large")
+
+
 def test_pipelined_requests_are_answered_in_order(service):
     with _raw_connection(service) as connection:
         connection.sendall(
@@ -315,10 +368,10 @@ def _wait_for_connections(server, count: int) -> None:
 
     deadline = time.monotonic() + 5
     while time.monotonic() < deadline:
-        if server.connection_count == count:
+        if len(server._connections) == count:
             return
         time.sleep(0.01)
-    raise AssertionError(f"{server.connection_count} open connections, expected {count}")
+    raise AssertionError(f"{len(server._connections)} open connections, expected {count}")
 
 
 def test_client_reuses_one_connection_per_thread(service, client):
@@ -348,10 +401,10 @@ def test_replies_on_a_kept_alive_connection_do_not_wait_for_a_delayed_ack(client
 
 
 def test_stop_ends_idle_connections_and_a_restart_is_picked_up():
-    from repro.service.server import find_free_port
-
     database = make_database()
-    port = find_free_port()
+    with socket.socket() as probe:  # an OS-assigned port the restarts can share
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
     try:
         first = QueryService(database, port=port).start()
         client = ServiceClient(first.url)

@@ -25,6 +25,7 @@ from repro.rewriting.algorithm import RewritingConfig
 from repro.rewriting.rewriter import Rewriter
 from repro.xmltree.generator import ChildSpec, RandomDocumentSpec
 from support.annotation_oracle import oracle_annotations
+from support.conformance import has_path
 
 # The oracle costs milliseconds per pattern, so each distinct pattern is
 # checked once; the budget only cuts short the workloads' unanswerable
@@ -135,5 +136,5 @@ def test_drawn_patterns_match_the_oracle_across_live_inserts(seed, pattern):
 
     # and deleting it again retires them
     summary.observe_delete(parent, document.delete_subtree(subtree))
-    assert not summary.has_path(f"{parent.path}/new")
+    assert not has_path(summary, f"{parent.path}/new")
     _assert_identical(pattern, summary)

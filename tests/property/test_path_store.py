@@ -66,6 +66,7 @@ from repro.workloads.synthetic import (
 from repro.xmltree.node import XMLDocument
 from repro.xmltree.paths import PathStore
 
+from support.documents import has_id, rooted_path
 from support.memo_oracle import assert_memo_derived
 from support.oracle_executor import OracleExecutor
 from support.paper_workloads import build_dblp_workload, build_xmark_workload
@@ -122,7 +123,7 @@ def assert_store_exact(document: XMLDocument) -> None:
     """The document's store equals a rebuild from a plain pre-order walk."""
     expected: dict[str, list[XMLNode]] = {}
     for node in document.root.iter_subtree():
-        expected.setdefault(node.rooted_path(), []).append(node)
+        expected.setdefault(rooted_path(node), []).append(node)
     store = document.path_store
     keys = store.paths()
     assert sorted(keys) == sorted(expected)  # an emptied list would show here
@@ -239,7 +240,7 @@ class PathStoreMachine(RuleBasedStateMachine):
 
     def _attached(self, node: XMLNode) -> bool:
         return node.dewey is not None and (
-            self.document.has_id(node.dewey)
+            has_id(self.document, node.dewey)
             and self.document.node_by_id(node.dewey) is node
         )
 

@@ -63,6 +63,7 @@ from repro.xmltree.node import XMLNode
 
 from support.memo_oracle import assert_memo_derived
 from support.oracle_executor import OracleExecutor
+from support.relations import mark_sorted_by
 
 AXES = (Axis.CHILD, Axis.DESCENDANT)
 
@@ -97,7 +98,7 @@ def _id_relation(keys, is_sorted) -> Relation:
         [Column("ID1", kind="ID"), Column("row")],
         rows=[(None if key is None else DeweyID(key), index) for index, key in enumerate(keys)],
     )
-    return relation.mark_sorted_by("ID1") if is_sorted else relation
+    return mark_sorted_by(relation, "ID1") if is_sorted else relation
 
 
 def _sweep_pairs(upper: Relation, lower: Relation, axis: Axis):
@@ -460,9 +461,8 @@ def test_dedup_matrix_is_row_identical_to_relation_project(case):
 
 def test_a_sorted_column_with_an_equal_key_run_still_deduplicates():
     ids = [DeweyID((1, 1)), DeweyID((1, 2)), DeweyID((1, 2)), DeweyID((1, 2)), DeweyID((1, 3))]
-    relation = Relation(
-        [Column("ID1", kind="ID"), "V1"], rows=list(zip(ids, "abbcd"))
-    ).mark_sorted_by("ID1")
+    relation = Relation([Column("ID1", kind="ID"), "V1"], rows=list(zip(ids, "abbcd")))
+    mark_sorted_by(relation, "ID1")
     assert len(_projection_matches(relation, ["ID1"])) == 3
     fast = _projection_matches(relation, ["ID1", "V1"])
     assert len(fast) == 4 and fast.sorted_by == "v.ID1"
@@ -471,7 +471,7 @@ def test_a_sorted_column_with_an_equal_key_run_still_deduplicates():
     # strictly increasing, ⊥-free: nothing to remove, nothing hashed — the
     # extent's cached proof hands the projection its very source
     strict = Relation([Column("ID1", kind="ID")], rows=[(i,) for i in ids[::2]])
-    strict.mark_sorted_by("ID1")
+    mark_sorted_by(strict, "ID1")
     assert _projection_matches(strict, ["ID1"]).rows == strict.rows
     extent = ColumnBatch.from_relation(strict).source(0)
     assert extent._ascending is True
@@ -572,7 +572,8 @@ def test_projection_through_drawn_gathers_equals_relation_project(column, data):
     relation = Relation(
         ["A", Column("K", kind="ID")],
         rows=[(cell, DeweyID((1, index + 1))) for index, cell in enumerate(cells)],
-    ).mark_sorted_by("K")
+    )
+    mark_sorted_by(relation, "K")
     views = {"v": relation}
     child = ViewScan("v", alias="v")
     if cells and data.draw(st.booleans()):

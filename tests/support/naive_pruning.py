@@ -39,7 +39,11 @@ def view_is_useful(
         if not view_paths:
             continue
         for q_paths in query_paths:
-            if q_paths and index.any_related(view_paths, q_paths):
+            if q_paths and (
+                not view_paths.isdisjoint(q_paths)
+                or index.any_ancestor(view_paths, q_paths)
+                or index.any_ancestor(q_paths, view_paths)
+            ):
                 return True
     return False
 

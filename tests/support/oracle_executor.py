@@ -233,7 +233,7 @@ class OracleExecutor(PlanExecutor):
         if upper_id is None or lower_id is None:
             return False
         if axis is Axis.CHILD:
-            return upper_id.is_parent_of(lower_id)
+            return upper_id.is_ancestor_of(lower_id) and len(lower_id) == len(upper_id) + 1
         return upper_id.is_ancestor_of(lower_id)
 
     # -------------------------- staircase machinery -------------------- #

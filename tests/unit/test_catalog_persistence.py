@@ -22,7 +22,7 @@ from repro import (
     parse_pattern,
 )
 from repro.errors import SessionError
-from repro.ingest.changelog import ChangeLog
+from repro.ingest.changelog import ChangeLog, LogRecord
 from repro.rewriting.algorithm import RewritingConfig
 from repro.session.database import DATABASE_FORMAT_VERSION
 from repro.views.catalog import ViewCatalog
@@ -119,6 +119,96 @@ def test_a_snapshot_is_change_log_records_behind_a_fence(database, tmp_path):
     assert records[0].payload["format"] == DATABASE_FORMAT_VERSION == "database/2"
     assert [record.payload["name"] for record in records[1:-1]] == database.views.names
     assert not (tmp_path / "session.db.partial").exists()
+
+
+def _with_config(records, config):
+    """The records with the ``load`` record's config replaced."""
+    load = records[0]
+    return [LogRecord(load.lsn, load.type, {**load.payload, "config": config}), *records[1:]]
+
+
+def _write(path, records):
+    path.write_text("".join(record.encode() for record in records), encoding="utf-8")
+
+
+# the config dict every snapshot and log held before the two search caps
+# became module constants and ``stop_at_first`` folded into ``max_rewritings``
+_RETIRED_CONFIG = {
+    "max_plan_size": 5,
+    "max_candidates": 4000,
+    "max_rewritings": 8,
+    "stop_at_first": True,
+    "time_budget_seconds": 10.0,
+    "enable_unions": False,
+    "max_union_size": 3,
+}
+_MIGRATED_CONFIG = RewritingConfig(
+    max_plan_size=5, max_rewritings=1, time_budget_seconds=10.0, enable_unions=False
+)
+
+
+def test_snapshots_and_logs_with_retired_config_keys_still_load(database, tmp_path):
+    retired = _RETIRED_CONFIG
+    snapshot = tmp_path / "session.db"
+    database.save(snapshot)
+    _write(snapshot, _with_config(ChangeLog.read(snapshot), retired))
+    assert Database.load(snapshot).rewriter.config == _MIGRATED_CONFIG
+
+    # a log with no checkpoint: recover replays it whole from its load record
+    log = tmp_path / "doc.log"
+    live = Database(database.document)
+    live.attach_log(log)
+    live.create_view("site(//item[ID,V])", name="v_item")
+    live.close()
+    _write(log, _with_config(ChangeLog.read(log), {**retired, "stop_at_first": False}))
+    recovered = Database.recover(log)
+    assert recovered.rewriter.config == RewritingConfig(
+        max_plan_size=5, max_rewritings=8, time_budget_seconds=10.0, enable_unions=False
+    )
+    assert recovered.views.names == ["v_item"]
+    recovered.close()
+
+
+def test_a_checkpoint_with_retired_config_keys_recovers_from_its_snapshot(
+    database, tmp_path
+):
+    log, snapshot = tmp_path / "doc.log", tmp_path / "doc.ckpt"
+    live = Database(database.document)
+    live.attach_log(log)
+    live.create_view("site(//item[ID,V])", name="v_item")
+    live.checkpoint(snapshot)
+    live.create_view("site(//name[ID,V])", name="v_name")  # the tail behind it
+    live.close()
+    _write(snapshot, _with_config(ChangeLog.read(snapshot), _RETIRED_CONFIG))
+    # the log's own load record differs: only the snapshot yields the migrated config
+    _write(log, _with_config(ChangeLog.read(log), {"max_plan_size": 7}))
+    recovered = Database.recover(log)
+    assert recovered.rewriter.config == _MIGRATED_CONFIG
+    assert recovered.views.names == ["v_item", "v_name"]
+    recovered.close()
+
+
+def test_a_config_key_that_was_never_written_is_still_refused(database, tmp_path):
+    snapshot = tmp_path / "session.db"
+    database.save(snapshot)
+    records = ChangeLog.read(snapshot)
+    config = {**records[0].payload["config"], "max_candidatez": 4000}
+    _write(snapshot, _with_config(records, config))
+    with pytest.raises(SessionError, match="max_candidatez"):
+        Database.load(snapshot)
+
+
+def test_a_migrated_snapshot_is_saved_with_the_current_keys_only(database, tmp_path):
+    old, new = tmp_path / "old.db", tmp_path / "new.db"
+    database.save(old)
+    _write(old, _with_config(ChangeLog.read(old), _RETIRED_CONFIG))
+    Database.load(old).save(new)
+    assert ChangeLog.read(new)[0].payload["config"] == {
+        "max_plan_size": 5,
+        "max_rewritings": 1,
+        "time_budget_seconds": 10.0,
+        "enable_unions": False,
+    }
 
 
 def test_garbage_files_are_rejected(database, tmp_path):

@@ -14,12 +14,13 @@ from __future__ import annotations
 from repro.algebra.columnar import ColumnBatch
 from repro.algebra.tuples import Column, Relation
 from repro.xmltree.ids import DeweyID
+from support.relations import mark_sorted_by
 
 
 def _relation(rows, columns=("ID", "V"), sorted_by=None):
     relation = Relation([Column(name) for name in columns], rows=list(rows))
     if sorted_by:
-        relation.mark_sorted_by(sorted_by)
+        mark_sorted_by(relation, sorted_by)
     return relation
 
 

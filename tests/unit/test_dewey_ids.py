@@ -88,26 +88,6 @@ class TestStructuralRelationships:
     def test_ancestor_is_strict(self):
         assert not DeweyID((1, 2)).is_ancestor_of(DeweyID((1, 2)))
 
-    def test_is_parent_of(self):
-        assert DeweyID((1, 2)).is_parent_of(DeweyID((1, 2, 1)))
-        assert not DeweyID((1, 2)).is_parent_of(DeweyID((1, 2, 1, 1)))
-        assert not DeweyID((1, 2)).is_parent_of(DeweyID((1, 3, 1)))
-
-    def test_is_child_and_descendant(self):
-        assert DeweyID((1, 2, 1)).is_child_of(DeweyID((1, 2)))
-        assert DeweyID((1, 2, 1)).is_descendant_of(DeweyID((1,)))
-
-    def test_common_ancestor(self):
-        a = DeweyID((1, 2, 3))
-        b = DeweyID((1, 2, 5, 1))
-        assert a.common_ancestor(b) == DeweyID((1, 2))
-
-    def test_distance_to_ancestor(self):
-        node = DeweyID((1, 2, 3, 4))
-        assert node.distance_to_ancestor(DeweyID((1, 2))) == 2
-        with pytest.raises(InvalidDeweyIDError):
-            node.distance_to_ancestor(DeweyID((1, 3)))
-
 
 class TestOrdering:
     def test_document_order(self):

@@ -87,14 +87,23 @@ class TestRewriterConfiguration:
         doc = parse_parenthesized('site(item(name="pen") item(name="ink"))')
         return doc, build_summary(doc)
 
-    def test_stop_at_first_limits_results(self, tiny_db):
+    def test_max_rewritings_one_stops_at_the_first(self, tiny_db):
         doc, summary = tiny_db
-        view = MaterializedView(parse_pattern("site(//item[ID](/name[V]))", name="v"), doc, name="v")
-        config = RewritingConfig(stop_at_first=True)
-        outcome = Rewriter(summary, [view], config).rewrite(
+        views = [
+            MaterializedView(parse_pattern("site(//item[ID](/name[V]))", name=f"v{i}"), doc, name=f"v{i}")
+            for i in range(3)
+        ]
+        config = RewritingConfig(max_rewritings=1)
+        outcome = Rewriter(summary, views, config).rewrite(
             parse_pattern("site(//item[ID](/name[V]))", name="q")
         )
         assert len(outcome.rewritings) == 1
+
+    @pytest.mark.parametrize("retired", ["stop_at_first", "max_candidates", "max_union_size"])
+    def test_retired_config_fields_are_refused(self, retired):
+        # only loading a snapshot or a change log translates them
+        with pytest.raises(TypeError, match=retired):
+            RewritingConfig(**{retired: 1})
 
     def test_max_rewritings_cap(self, tiny_db):
         doc, summary = tiny_db
@@ -129,25 +138,6 @@ class TestRewriterConfiguration:
         )
         assert outcome.found
         assert len(outcome.best.views_used) == 1
-
-    def test_rewrite_first_helper(self, tiny_db):
-        doc, summary = tiny_db
-        view = MaterializedView(parse_pattern("site(//item[ID](/name[V]))", name="v"), doc, name="v")
-        rewriting = Rewriter(summary, [view]).rewrite_first(
-            parse_pattern("site(//item[ID](/name[V]))", name="q")
-        )
-        assert rewriting is not None
-        missing = Rewriter(summary, [view]).rewrite_first(
-            parse_pattern("site(//item[ID](/name[V]{v='zzz'}, //*[C]))", name="q2")
-        )
-        assert missing is None or missing.plan is not None  # never raises
-
-    def test_viewset_materialize_all(self, tiny_db):
-        doc, _ = tiny_db
-        store = ViewSet([MaterializedView(parse_pattern("site(//item[ID])", name="v"))])
-        assert not store["v"].is_materialized
-        store.materialize_all(doc)
-        assert store["v"].is_materialized
 
 
 class TestRelationValueIdentity:

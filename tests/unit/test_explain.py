@@ -138,23 +138,20 @@ def test_explain_analyze_fig13_query():
 # --------------------------------------------------------------------------- #
 # dict round-trips (the service tier's wire format)
 # --------------------------------------------------------------------------- #
-def test_report_to_dict_roundtrip_unanalyzed(db):
+def test_report_to_dict_unanalyzed(db):
     report = db.explain(JOIN_QUERY, name="q")
     data = report.to_dict()
     assert data["query_name"] == "q"
     assert isinstance(data["views_used"], list)
     assert isinstance(data["alternative_costs"], list)
-    assert all(isinstance(entry, dict) for entry in data["operators"])
-    rebuilt = ExplainReport.from_dict(data)
-    assert rebuilt == report
-    assert rebuilt.to_text() == report.to_text()
+    assert data["operators"] == [operator.to_dict() for operator in report.operators]
+    assert data["analyzed"] is False
 
 
-def test_report_to_dict_roundtrip_analyzed(db):
+def test_report_to_dict_analyzed(db):
     report = db.explain(JOIN_QUERY, analyze=True, name="q")
-    rebuilt = ExplainReport.from_dict(report.to_dict())
-    assert rebuilt == report
-    assert rebuilt.analyzed and rebuilt.actual_rows == report.actual_rows
+    data = report.to_dict()
+    assert data["analyzed"] and data["actual_rows"] == report.actual_rows
 
 
 def test_report_to_dict_is_json_safe(db):
@@ -162,13 +159,3 @@ def test_report_to_dict_is_json_safe(db):
 
     data = db.explain(JOIN_QUERY, analyze=True, name="q").to_dict()
     assert json.loads(json.dumps(data)) == data
-
-
-def test_from_dict_rejects_malformed_payloads(db):
-    report = db.explain(JOIN_QUERY, name="q")
-    data = report.to_dict()
-    with pytest.raises(ValueError, match="malformed explain report"):
-        ExplainReport.from_dict({"query_name": "q"})
-    broken = dict(data, operators=[{"description": "x"}])
-    with pytest.raises(ValueError, match="malformed explain operator"):
-        ExplainReport.from_dict(broken)

@@ -43,6 +43,9 @@ from repro.summary.dataguide import Summary
 from repro.views import delta
 from repro.views.delta import can_apply_delta
 from repro.views.view import MaterializedView
+from support.conformance import has_path
+from support.documents import has_id
+from support.relations import mark_sorted_by
 
 DOC_TEXT = (
     'site(regions(asia(item(name="pen" quantity=2) item(name="ink")))'
@@ -182,7 +185,7 @@ class TestDeweyDiscipline:
         db.delete_subtree(doomed)
         replacement = db.insert_subtree(asia, XMLNode("item"))
         assert replacement.dewey.components[-1] > doomed.dewey.components[-1]
-        assert not db.document.has_id(doomed.dewey)
+        assert not has_id(db.document, doomed.dewey)
 
     def test_deleting_the_last_and_a_middle_child_frees_no_ordinal(self):
         db = _db()
@@ -252,7 +255,7 @@ class TestSummaryMaintenance:
         first = db.insert_subtree(asia, XMLNode("gadget"))
         number = db.summary.node_by_path("/site/regions/asia/gadget").number
         db.delete_subtree(first)
-        assert not db.summary.has_path("/site/regions/asia/gadget")
+        assert not has_path(db.summary, "/site/regions/asia/gadget")
         db.insert_subtree(asia, XMLNode("widget"))
         fresh = db.summary.node_by_path("/site/regions/asia/widget").number
         assert fresh > number  # append-only numbering: retired numbers stay dead
@@ -303,7 +306,7 @@ class TestExtentDelta:
         chain, pin = can_apply_delta(view)
         assert can_apply_delta(view) == (chain, pin) and derived == [view]
         assert [node.label for node in chain] == ["site", "item", "name"] and pin == 1
-        view.relation.mark_sorted_by(None)  # the order is the data's: read every call
+        mark_sorted_by(view.relation, None)  # the order is the data's: read every call
         assert can_apply_delta(view) is None and derived == [view]
 
     def test_ineligible_views_fall_back_to_rematerialize(self):
@@ -361,15 +364,13 @@ class TestExtentDelta:
 # session-level ingestion
 # --------------------------------------------------------------------------- #
 class TestSessionIngestion:
-    def test_ingest_stream_applies_each_completed_element(self):
+    def test_each_streamed_element_is_one_insert(self):
         db = _db()
         db.create_view("site(//item[ID](/name[V]))", name="items")
         asia = db.document.nodes_on_path("/site/regions/asia")[0]
         before = len(db.query("site(//item[ID](/name[V]))"))
-        nodes = db.ingest_stream(
-            ["<item><name>str", "eamed</name></item><item><name>x</name></item>"],
-            asia,
-        )
+        chunks = ["<item><name>str", "eamed</name></item><item><name>x</name></item>"]
+        nodes = [db.insert_subtree(asia, subtree) for subtree in iter_stream_subtrees(chunks)]
         assert [n.parent for n in nodes] == [asia, asia]
         assert len(db.query("site(//item[ID](/name[V]))")) == before + 2
 

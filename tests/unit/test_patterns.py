@@ -35,7 +35,6 @@ class TestPatternAST:
         pattern = parse_pattern("a(//b[ID], /?c{v>2}, /~d[V])")
         assert pattern.size == 4
         assert pattern.arity == 2
-        assert pattern.has_optional_edges()
         assert pattern.has_nested_edges()
         assert pattern.has_predicates()
 
@@ -50,25 +49,10 @@ class TestPatternAST:
         assert clone == pattern
         assert clone.nodes()[1] is not pattern.nodes()[1]
 
-    def test_strict_unnested_core_versions(self):
+    def test_strict_and_unnested_versions(self):
         pattern = parse_pattern("a(//?b[ID], /~c[V]{v>1})")
-        assert not pattern.strict_version().has_optional_edges()
+        assert not any(node.optional for node in pattern.strict_version().nodes())
         assert not pattern.unnested_version().has_nested_edges()
-        core = pattern.conjunctive_core()
-        assert not core.has_predicates()
-        assert core.arity == pattern.arity
-
-    def test_with_return_nodes(self):
-        pattern = parse_pattern("a(//b[ID], //c[V])")
-        b_node = pattern.nodes()[1]
-        projected = pattern.with_return_nodes([b_node])
-        assert projected.arity == 1
-        assert projected.return_nodes()[0].label == "b"
-
-    def test_with_return_nodes_rejects_foreign_node(self):
-        pattern = parse_pattern("a(//b[ID])")
-        with pytest.raises(PatternError):
-            pattern.with_return_nodes([PatternNode("x")])
 
     def test_explicit_return_order(self):
         pattern = parse_pattern("a(//b[ID], //c[V])")
@@ -83,12 +67,6 @@ class TestPatternAST:
         c_node = pattern.nodes()[2]
         with pytest.raises(PatternError):
             pattern.set_return_order([c_node])  # not a return node
-
-    def test_from_path(self):
-        pattern = TreePattern.from_path(
-            ["a", "b", "c"], axes=[Axis.CHILD, Axis.DESCENDANT], attributes=("ID",)
-        )
-        assert pattern.to_text() == "a(/b(//c[ID]))"
 
     def test_structural_equality_includes_predicates(self):
         left = parse_pattern("a(//b[ID]{v>2})")

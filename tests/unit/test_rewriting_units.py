@@ -38,8 +38,8 @@ class TestInitialCandidates:
         )
         candidate = initial_candidate(view, alias="v0")
         item, name = candidate.pattern.return_nodes()
-        assert candidate.column_for(item, "ID") == "v0.ID1"
-        assert candidate.column_for(name, "V") == "v0.V2"
+        assert candidate.columns.get(candidate.key(item, "ID")) == "v0.ID1"
+        assert candidate.columns.get(candidate.key(name, "V")) == "v0.V2"
         assert candidate.size == 1
 
     def test_nested_return_nodes_become_lazy_unnest_columns(self, store_doc):
@@ -51,10 +51,10 @@ class TestInitialCandidates:
         candidate = initial_candidate(view, alias="v0")
         keyword = [n for n in candidate.pattern.nodes() if n.label == "keyword"][0]
         assert candidate.has_attribute(keyword, "V")
-        assert candidate.column_for(keyword, "V") is None  # lazy, not materialised
+        assert candidate.columns.get(candidate.key(keyword, "V")) is None  # lazy, not materialised
         materialised, column = candidate.ensure_column(keyword, "V")
         assert column == "V2"
-        assert materialised.column_for(keyword, "V") == "V2"
+        assert materialised.columns.get(materialised.key(keyword, "V")) == "V2"
 
     def test_ensure_column_unknown_attribute(self, store_doc):
         view = MaterializedView(parse_pattern("site(//item[ID])", name="v"), store_doc, name="v")
@@ -287,7 +287,8 @@ class TestAttributePrefilter:
         shared = "site(//item(/name[ID]))"
         views = [
             MaterializedView(
-                parse_pattern(shared, name="v_opaque"), id_scheme=IdScheme.opaque()
+                parse_pattern(shared, name="v_opaque"),
+                id_scheme=IdScheme(structural=False, derives_parent=False, name="opaque"),
             ),
             MaterializedView(parse_pattern(shared, name="v_dewey")),
             MaterializedView(parse_pattern("site(//name[ID,V])", name="v_name")),

@@ -1,10 +1,8 @@
 """The metrics layer: counters, gauges, histograms, rendering, slow queries.
 
-The quantitative contract under test: histogram quantile estimates use
-linear interpolation inside the winning bucket (the ``histogram_quantile``
-estimate), cumulative bucket counts follow Prometheus ``le`` semantics, and
-the rendered text parses as the exposition format (# HELP / # TYPE plus
-samples).
+The quantitative contract under test: cumulative bucket counts follow
+Prometheus ``le`` semantics, and the rendered text parses as the exposition
+format (# HELP / # TYPE plus samples).
 """
 
 from __future__ import annotations
@@ -93,44 +91,6 @@ def test_histogram_buckets_follow_le_semantics():
     assert 'h_bucket{le="+Inf"} 4' in lines
     assert "h_count 4" in lines
     assert "h_sum 8" in lines
-
-
-def test_quantile_interpolates_inside_the_winning_bucket():
-    histogram = Histogram("h", "x", buckets=(1.0, 2.0, 4.0))
-    for _ in range(10):
-        histogram.observe(1.5)  # all ten land in the (1, 2] bucket
-    # rank 5 of 10 → halfway through the bucket: 1 + (2-1) * 0.5
-    assert histogram.quantile(0.5) == pytest.approx(1.5)
-    # rank 9 of 10 → 90% through the bucket
-    assert histogram.quantile(0.9) == pytest.approx(1.9)
-
-
-def test_quantile_spanning_buckets():
-    histogram = Histogram("h", "x", buckets=(1.0, 2.0))
-    for _ in range(5):
-        histogram.observe(0.5)
-    for _ in range(5):
-        histogram.observe(1.5)
-    assert histogram.quantile(0.25) == pytest.approx(0.5)
-    assert histogram.quantile(0.75) == pytest.approx(1.5)
-
-
-def test_quantile_clamps_at_the_last_finite_bound():
-    histogram = Histogram("h", "x", buckets=(1.0,))
-    histogram.observe(100.0)  # +Inf bucket
-    assert histogram.quantile(0.99) == 1.0
-
-
-def test_quantile_of_empty_series_is_zero():
-    assert Histogram("h", "x").quantile(0.5) == 0.0
-
-
-def test_quantile_validates_q():
-    histogram = Histogram("h", "x")
-    with pytest.raises(ServiceError):
-        histogram.quantile(0.0)
-    with pytest.raises(ServiceError):
-        histogram.quantile(1.0)
 
 
 def test_histogram_count_per_label_set():

@@ -33,6 +33,7 @@ from repro.patterns.pattern import Axis
 from repro.xmltree.ids import DeweyID
 
 from support.oracle_executor import OracleExecutor
+from support.relations import mark_sorted_by
 
 
 def _extent(ids, values, sorted_by=None):
@@ -44,7 +45,7 @@ def _extent(ids, values, sorted_by=None):
         ],
     )
     if sorted_by:
-        relation.mark_sorted_by(sorted_by)
+        mark_sorted_by(relation, sorted_by)
     return SimpleNamespace(relation=relation)  # anything exposing ``relation``
 
 

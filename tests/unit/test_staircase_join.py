@@ -27,6 +27,7 @@ from repro.patterns.predicates import ValueFormula
 from repro.xmltree.ids import DeweyID
 
 from support.oracle_executor import OracleExecutor
+from support.relations import mark_sorted_by
 
 
 class _Extent:
@@ -46,7 +47,7 @@ def _id_relation(ids, extra=None, sorted_by=None):
             rows=list(zip(ids, extra)),
         )
     if sorted_by:
-        relation.mark_sorted_by(sorted_by)
+        mark_sorted_by(relation, sorted_by)
     return relation
 
 
@@ -169,7 +170,7 @@ class TestStaircaseEdgeCases:
         # skips the sort, so the merge may legitimately miss matches — this
         # documents that the flag is trusted, not re-verified
         lying = _id_relation(list(reversed(_ids("1.1", "1.2"))))
-        lying.mark_sorted_by("ID1")
+        mark_sorted_by(lying, "ID1")
         views = {
             "upper": _Extent(lying),
             "lower": _Extent(_id_relation(_ids("1.1.5", "1.2.5"))),
@@ -243,12 +244,6 @@ class TestSortedFlagLifecycle:
         # already-annotated relations are returned as-is
         assert ordered.sorted_in_dewey_order("ID1") is ordered
 
-    def test_mark_sorted_by_validates_the_column(self):
-        relation = _id_relation(_ids("1.1"))
-        with pytest.raises(AlgebraError):
-            relation.mark_sorted_by("nope")
-        assert relation.mark_sorted_by(None).sorted_by is None
-
     def test_view_set_reports_the_sorted_extent_guarantee(self):
         from repro import MaterializedView, parse_parenthesized, parse_pattern
         from repro.views.store import ViewSet
@@ -266,11 +261,11 @@ class TestSortedFlagLifecycle:
                 MaterializedView(
                     parse_pattern("site(//item[ID,V])", name="opaque_view"),
                     doc,
-                    id_scheme=IdScheme.opaque(),
+                    id_scheme=IdScheme(structural=False, derives_parent=False, name="opaque"),
                 ),
             ]
         )
-        assert views.dewey_sort_columns() == {
+        assert {view.name: view.dewey_sort_column() for view in views} == {
             "dewey_view": "ID1",
             "no_id_view": None,
             "opaque_view": None,

@@ -23,6 +23,7 @@ from repro.planning.cost import plan_sorted_on
 from repro.xmltree.ids import DeweyID
 
 from support.oracle_executor import OracleExecutor
+from support.relations import mark_sorted_by
 
 
 def _merge_union(relations):
@@ -97,10 +98,10 @@ def test_merge_union_deduplicates_across_branches(views):
 def test_merge_union_deduplicates_within_identifier_runs():
     left = Relation([Column("ID", kind="ID"), Column("V")])
     left.extend([(DeweyID((1, 1)), "a"), (DeweyID((1, 1)), "b"), (DeweyID((1, 3)), "c")])
-    left.mark_sorted_by("ID")
+    mark_sorted_by(left, "ID")
     right = Relation([Column("ID", kind="ID"), Column("V")])
     right.extend([(DeweyID((1, 1)), "b"), (DeweyID((1, 2)), "d"), (DeweyID((1, 3)), "c")])
-    right.mark_sorted_by("ID")
+    mark_sorted_by(right, "ID")
     merged = _merge_union([left, right])
     assert merged is not None
     assert len(merged) == 4  # (1.1,a) (1.1,b) (1.2,d) (1.3,c)
@@ -111,10 +112,10 @@ def test_merge_union_deduplicates_within_identifier_runs():
 def test_merge_union_places_null_identifiers_first():
     left = Relation([Column("ID", kind="ID")])
     left.extend([(None,), (DeweyID((1, 2)),)])
-    left.mark_sorted_by("ID")
+    mark_sorted_by(left, "ID")
     right = Relation([Column("ID", kind="ID")])
     right.extend([(DeweyID((1, 1)),), (None,)])
-    right.mark_sorted_by("ID")
+    mark_sorted_by(right, "ID")
     merged = _merge_union([left, right])
     assert merged is not None
     assert merged.rows[0] == (None,) and len(merged) == 3
@@ -140,10 +141,10 @@ def test_unsorted_branch_falls_back_to_oracle(views):
 def test_mismatched_sort_positions_fall_back():
     left = Relation([Column("ID", kind="ID"), Column("V")])
     left.extend([(DeweyID((1, 1)), "a")])
-    left.mark_sorted_by("ID")
+    mark_sorted_by(left, "ID")
     right = Relation([Column("V"), Column("ID", kind="ID")])
     right.extend([("b", DeweyID((1, 2)))])
-    right.mark_sorted_by("ID")  # same name, different position
+    mark_sorted_by(right, "ID")  # same name, different position
     assert _merge_union([left, right]) is None
 
 
@@ -154,10 +155,10 @@ def test_identifierless_node_cells_count_as_nulls():
 
     left = Relation([Column("ID", kind="ID")])
     left.extend([(XMLNode("detached"),), (DeweyID((1, 2)),)])
-    left.mark_sorted_by("ID")
+    mark_sorted_by(left, "ID")
     right = Relation([Column("ID", kind="ID")])
     right.extend([(DeweyID((1, 1)),)])
-    right.mark_sorted_by("ID")
+    mark_sorted_by(right, "ID")
     merged = _merge_union([left, right])
     assert merged is not None and len(merged) == 3
     assert isinstance(merged.rows[0][0], XMLNode)
@@ -167,7 +168,7 @@ def test_identifierless_node_cells_count_as_nulls():
 def test_non_dewey_sort_values_fall_back():
     left = Relation([Column("ID", kind="ID")])
     left.extend([("not-an-identifier",)])
-    left.mark_sorted_by("ID")
+    mark_sorted_by(left, "ID")
     assert _merge_union([left]) is None
 
 

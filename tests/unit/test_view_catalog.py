@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro import MaterializedView, annotate_paths, parse_pattern
 from repro.canonical.model import annotate_paths as annotate
 from repro.rewriting.algorithm import RewritingConfig, RewritingSearch
@@ -38,6 +36,11 @@ def _queries_for(summary, make_pattern):
     return queries
 
 
+def _kept_views(catalog, query):
+    """The views the catalog keeps for ``query``, in catalog order."""
+    return [catalog.views[position] for position in catalog.candidate_positions(query)]
+
+
 class TestCatalogPruningMatchesProp34:
     def test_candidates_equal_seed_usefulness_filter(
         self, auction_summary, make_pattern
@@ -52,7 +55,7 @@ class TestCatalogPruningMatchesProp34:
                 annotate(candidate.pattern, auction_summary)
                 if view_is_useful(candidate.pattern, query, index):
                     expected.append(view.name)
-            got = [view.name for view in catalog.candidate_views(query)]
+            got = [view.name for view in _kept_views(catalog, query)]
             assert got == expected, query.name
 
     def test_single_node_query_keeps_every_view(self, auction_summary, make_pattern):
@@ -60,7 +63,7 @@ class TestCatalogPruningMatchesProp34:
         catalog = ViewCatalog(auction_summary, views)
         query = make_pattern("site[ID]", name="q-root")
         annotate_paths(query, auction_summary)
-        assert len(catalog.candidate_views(query)) == len(views)
+        assert len(_kept_views(catalog, query)) == len(views)
 
     def test_pruned_views_never_admit_a_rewriting(
         self, auction_summary, make_pattern, monkeypatch
@@ -76,7 +79,7 @@ class TestCatalogPruningMatchesProp34:
         config = RewritingConfig(time_budget_seconds=5.0, max_plan_size=3)
         pruned_by_query = []
         for query in _queries_for(auction_summary, make_pattern):
-            kept = {view.name for view in catalog.candidate_views(query)}
+            kept = {view.name for view in _kept_views(catalog, query)}
             pruned_by_query.append(
                 (query, [view for view in views if view.name not in kept])
             )
@@ -123,21 +126,12 @@ class TestCatalogSecondaryIndexes:
         name_number = auction_summary.node_by_path("/site/regions/asia/item/name").number
         assert catalog.views_with_attribute(name_number, "ID") == []
 
-    def test_hit_sets(self, auction_summary):
-        pattern = parse_pattern("site(//item[ID])", name="item-id")
-        view = MaterializedView(pattern, name="hv")
-        catalog = ViewCatalog(auction_summary, [view])
-        item_number = auction_summary.node_by_path("/site/regions/asia/item").number
-        assert catalog.hit_set("hv") == frozenset({item_number})
-        with pytest.raises(KeyError):
-            catalog.hit_set("missing")
-
 
 class TestSummaryIndexLabelMaps:
     def test_label_map_matches_summary_scan(self, auction_summary, auction_index):
         for label in auction_index.labels:
             expected = {
-                node.number for node in auction_summary.nodes_with_label(label)
+                node.number for node in auction_summary.iter_nodes() if node.label == label
             }
             assert auction_index.numbers_with_label(label) == expected
 

@@ -2,7 +2,7 @@
 
 import random
 
-from repro import build_summary
+from repro import build_summary, containment_cache
 from repro.canonical import is_satisfiable
 from repro.experiments.fig13 import run_fig13_query_containment, run_fig13_synthetic_containment
 from repro.experiments.fig15 import fig15_views, run_fig15
@@ -20,13 +20,14 @@ from repro.workloads.synthetic import (
     seed_tag_views,
 )
 from repro.workloads.xmark import generate_xmark_document, xmark_query_patterns
+from support.conformance import has_path
 
 
 class TestGenerators:
     def test_xmark_document_structure(self):
         document = generate_xmark_document(scale=1.0, seed=42)
         summary = build_summary(document)
-        assert summary.has_path("/site/regions")
+        assert has_path(summary, "/site/regions")
         assert any("item" in node.path for node in summary.iter_nodes())
         assert any("listitem" in node.path for node in summary.iter_nodes())
         assert summary.size < document.size
@@ -146,3 +147,38 @@ class TestExperimentHarnesses:
             assert row.total_seconds >= row.setup_seconds
             assert 0.0 <= row.views_kept_ratio <= 1.0
         assert any(row.rewritings_found > 0 for row in rows)
+
+    def test_fig15_prices_every_query_it_rewrites(self):
+        summary = build_summary(generate_xmark_document(scale=1.0, seed=548))
+        rows = run_fig15(
+            summary=summary,
+            random_view_count=5,
+            time_budget_seconds=30.0,
+            query_names=["Q5", "Q6", "Q20"],
+        )
+        found = [row for row in rows if row.rewritings_found > 0]
+        assert found and len(found) < len(rows)
+        assert any(row.plan_choice_changed for row in rows)
+        for row in found:
+            # the ranked choice is never dearer than the fewest-views one
+            assert row.best_plan_cost is not None and row.seed_plan_cost is not None
+            assert row.best_plan_cost <= row.seed_plan_cost
+        for row in rows:
+            if row.rewritings_found == 0:
+                assert row.best_plan_cost is None
+
+    def test_fig15_runs_do_not_lean_on_a_warm_containment_memo(self):
+        summary = build_summary(generate_xmark_document(scale=1.0, seed=548))
+        runs = []
+        for _ in range(2):
+            rows = run_fig15(
+                summary=summary,
+                random_view_count=5,
+                time_budget_seconds=30.0,
+                query_names=["Q6", "Q18"],
+            )
+            # a second run that found the first one's decisions memoised would
+            # count more hits and fewer misses than the first
+            memo = containment_cache()
+            runs.append((memo.info(), dict(memo.deciders), [row.rewritings_found for row in rows]))
+        assert runs[0] == runs[1] and runs[0][0]["misses"] > 0

@@ -25,6 +25,7 @@ from repro.xmltree.generator import (
     generate_random_document,
     generate_uniform_tree,
 )
+from support.documents import has_id
 
 
 class TestXMLNode:
@@ -34,13 +35,13 @@ class TestXMLNode:
 
     def test_append_sets_parent(self):
         parent = XMLNode("a")
-        child = parent.append_new("b", value=3)
+        child = parent.append(XMLNode("b", 3))
         assert child.parent is parent
         assert parent.children == [child]
 
     def test_cannot_append_attached_node(self):
         parent = XMLNode("a")
-        child = parent.append_new("b")
+        child = parent.append(XMLNode("b"))
         with pytest.raises(XMLError):
             XMLNode("c").append(child)
 
@@ -67,12 +68,7 @@ class TestXMLNode:
     def test_rooted_path(self):
         doc = parse_parenthesized("a(b(c))")
         c = doc.root.children[0].children[0]
-        assert c.rooted_path() == "/a/b/c"
         assert c.path == "/a/b/c"
-
-    def test_text_content_concatenates_values(self):
-        doc = parse_parenthesized('a(b="x" c(d="y"))')
-        assert doc.root.text_content() == "x y"
 
     def test_copy_is_deep_and_detached(self):
         doc = parse_parenthesized('a(b="1"(c))')
@@ -117,13 +113,13 @@ class TestXMLDocument:
 
     def test_root_cannot_have_parent(self):
         parent = XMLNode("a")
-        child = parent.append_new("b")
+        child = parent.append(XMLNode("b"))
         with pytest.raises(XMLError):
             XMLDocument(child)
 
     def test_reindex_after_mutation(self):
         doc = parse_parenthesized("a(b)")
-        doc.root.append_new("c")
+        doc.root.append(XMLNode("c"))
         doc.reindex()
         assert doc.size == 3
         assert doc.root.children[1].path == "/a/c"
@@ -183,7 +179,6 @@ class TestDerivedIds:
         assert victim.parent is None
         assert [member.dewey for member in members] == ids
         for dewey in ids:
-            assert not doc.has_id(dewey)
             with pytest.raises(XMLError):
                 doc.node_by_id(dewey)
 
@@ -195,12 +190,12 @@ class TestDerivedIds:
         # c keeps ordinal 3 at position 2: the lookup takes the bisect branch
         assert c.ordinal == 3 and doc.root.children.index(c) == 1
         assert doc.node_by_id(DeweyID((1, 3, 2))) is c.children[1]
-        assert not doc.has_id(DeweyID((1, 2)))
+        assert not has_id(doc, DeweyID((1, 2)))
         # an insert takes the ordinal past the highest ever handed out
         fresh = doc.insert_subtree(doc.root, XMLNode("e"))
         assert fresh.dewey == DeweyID((1, 5))
         assert doc.node_by_id(DeweyID((1, 5))) is fresh
-        assert not doc.has_id(DeweyID((1, 4)))
+        assert not has_id(doc, DeweyID((1, 4)))
         assert doc.ordinal_gaps() == {DeweyID((1,)): [1, 3, 5, 5]}
 
     def test_size_and_node_order_follow_inserts_and_deletes(self):
@@ -236,9 +231,9 @@ class TestDerivedIds:
         assert all(doc.node_by_id(b.dewey) is b for b in bs)
         # anchored nodes take inserts below them and can be deleted
         fresh = doc.insert_subtree(bs[1], XMLNode("z"))
-        assert fresh.dewey == DeweyID((1, 2, 2, 2)) and doc.has_id(fresh.dewey)
+        assert fresh.dewey == DeweyID((1, 2, 2, 2)) and has_id(doc, fresh.dewey)
         doc.delete_subtree(bs[0])
-        assert not doc.has_id(DeweyID((1, 1, 1)))
+        assert not has_id(doc, DeweyID((1, 1, 1)))
         assert doc.node_by_id(DeweyID((1, 1, 2))).label == "c"
         with pytest.raises(XMLError):
             doc.insert_subtree(bs[0], XMLNode("q"))
