@@ -11,7 +11,6 @@ Run with::
 
 from repro import are_equivalent, parse_pattern, summarize, summary_from_paths
 from repro.experiments.table1 import TABLE1_DOCUMENTS
-from repro.summary.dataguide import build_summary
 
 
 def corpus_tour() -> None:

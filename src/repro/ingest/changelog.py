@@ -18,9 +18,11 @@ a typed failure, never silently wrong.
 
 Subtrees ride inside payloads as nested ``[label, value, children]``
 triples (:func:`encode_subtree` / :func:`decode_subtree`), so the log is
-self-contained and readable with any JSON tooling.  A whole document
-(:func:`encode_document`) adds the sibling ordinals that deletes left
-with gaps, so it reloads with every Dewey ID it had.
+self-contained and readable with any JSON tooling.  A whole document (the
+``load`` record) adds the sibling ordinals that deletes left with gaps, so
+it reloads with every Dewey ID it had (:func:`decode_document`).  A tree
+is written straight from its nodes (:meth:`LogRecord.write`): the triples
+of a whole document are never built, only their text, chunk by chunk.
 
 Example
 -------
@@ -45,7 +47,7 @@ import os
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Optional
+from typing import IO, Callable, Iterator, Optional
 
 from repro.errors import ChangeLogCorruptError, ChangeLogError
 from repro.xmltree.ids import DeweyID
@@ -56,7 +58,6 @@ __all__ = [
     "LogRecord",
     "decode_document",
     "decode_subtree",
-    "encode_document",
     "encode_subtree",
 ]
 
@@ -68,7 +69,13 @@ RECORD_TYPES = frozenset(
 
 @dataclass(frozen=True)
 class LogRecord:
-    """One validated change-log record."""
+    """One validated change-log record.
+
+    A record about to be written may carry an :class:`XMLNode` as a
+    top-level payload value (the ``load`` record's ``root``): it is written
+    as its :func:`encode_subtree` triple, streamed from the tree.  A record
+    read back carries the triples themselves.
+    """
 
     lsn: int
     type: str
@@ -76,27 +83,106 @@ class LogRecord:
 
     def encode(self) -> str:
         """The record's JSONL line (with trailing newline)."""
-        return (
-            json.dumps(
-                {
-                    "lsn": self.lsn,
-                    "type": self.type,
-                    "payload": self.payload,
-                    "crc": _crc(self.lsn, self.type, self.payload),
-                },
-                separators=(",", ":"),
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        parts: list[str] = []
+        self.write(parts.append)
+        return "".join(parts)
+
+    def write(self, write: Callable[[str], object]) -> None:
+        """Hand the record's JSONL line to ``write``, chunk by chunk.
+
+        The line is the one ``json.dumps`` gives for ``{"crc", "lsn",
+        "payload", "type"}`` with sorted keys and no spaces, byte for
+        byte.  The CRC leads the line, so the payload's chunks are kept
+        until it is known: about the line's size, never the nested lists
+        of a tree nor a second copy of its text.
+        """
+        chunks = list(_payload_chunks(self.payload))
+        lsn, type_ = _dumps(self.lsn), _dumps(self.type)
+        crc = zlib.crc32(f"[{lsn},{type_},".encode())
+        for chunk in chunks:
+            crc = zlib.crc32(chunk.encode(), crc)
+        write(f'{{"crc":{zlib.crc32(b"]", crc)},"lsn":{lsn},"payload":')
+        for chunk in chunks:
+            write(chunk)
+        write(f',"type":{type_}}}\n')
+
+
+def _dumps(value) -> str:
+    """The canonical JSON text of ``value``: what every record is made of."""
+    return json.dumps(value, separators=(",", ":"), sort_keys=True)
 
 
 def _crc(lsn: int, type_: str, payload: dict) -> int:
     """CRC-32 over the canonical JSON of the record's meaningful fields."""
-    canonical = json.dumps(
-        [lsn, type_, payload], separators=(",", ":"), sort_keys=True
-    )
-    return zlib.crc32(canonical.encode("utf-8"))
+    return zlib.crc32(_dumps([lsn, type_, payload]).encode("utf-8"))
+
+
+def _payload_chunks(payload: dict) -> Iterator[str]:
+    """``_dumps(payload)`` in chunks, each node value streamed from its tree."""
+    if not any(isinstance(value, XMLNode) for value in payload.values()):
+        yield _dumps(payload)
+        return
+    texts: dict = {}
+    separator = "{"
+    for key in sorted(payload):
+        value = payload[key]
+        if isinstance(value, XMLNode):
+            yield f"{separator}{_dumps(key)}:"
+            yield from _tree_chunks(value, texts)
+        else:
+            yield f"{separator}{_dumps(key)}:{_dumps(value)}"
+        separator = ","
+    yield "}"
+
+
+# the nodes of one chunk: the kept chunks hold one string per few hundred
+# nodes, where the parts alone would hold several per node; a larger
+# chunk only raises the transient of joining its parts
+_CHUNK_NODES = 256
+
+
+def _tree_chunks(root: XMLNode, texts: dict) -> Iterator[str]:
+    """``_dumps(encode_subtree(root))`` in chunks, without the triples."""
+    parts: list[str] = []
+    stack: list = [root]
+    count = 0
+    while stack:
+        node = stack.pop()
+        if node.__class__ is str:
+            parts.append(node)
+            continue
+        head = f"[{_text(node.label, texts)},{_text(node.value, texts)},["
+        children = node.children
+        if children:
+            parts.append(head)
+            stack.append("]]")
+            for child in reversed(children):
+                stack.append(child)
+                stack.append(",")
+            stack.pop()
+        else:
+            parts.append(head + "]]")
+        count += 1
+        if count == _CHUNK_NODES:
+            yield "".join(parts)
+            parts.clear()
+            count = 0
+    yield "".join(parts)
+
+
+# where a value equal to another always has the same JSON text: not
+# ``float`` (``0.0 == -0.0``), nor ``bool`` beside ``int`` (``True == 1``)
+_MEMOISED = frozenset({str, int, type(None)})
+
+
+def _text(value, texts: dict) -> str:
+    """``_dumps(value)``, memoised in ``texts`` where that is exact."""
+    if value.__class__ not in _MEMOISED:
+        return _dumps(value)
+    text = texts.get(value)
+    if text is None:
+        text = texts[value] = _dumps(value)
+    return text
 
 
 def encode_subtree(node: XMLNode) -> list:
@@ -126,21 +212,9 @@ def decode_subtree(data: list) -> XMLNode:
     return node
 
 
-def encode_document(document: XMLDocument) -> dict:
-    """A document as a JSON-safe dict: its name, its ID-free tree, and the
-    sibling ordinals that are not ``1..n`` (:meth:`XMLDocument.ordinal_gaps`)."""
-    return {
-        "name": document.name,
-        "root": encode_subtree(document.root),
-        "ordinals": {
-            str(dewey): numbers for dewey, numbers in document.ordinal_gaps().items()
-        },
-    }
-
-
 def decode_document(data: dict) -> XMLDocument:
-    """Inverse of :func:`encode_document`: every Dewey ID and every
-    ordinal high-water mark as the encoded document had them.  A payload
+    """A ``load`` payload's document: every Dewey ID and every ordinal
+    high-water mark as the written document had them.  A payload
     without ``ordinals`` (one written before they were recorded) numbers
     the tree afresh."""
     return XMLDocument(
@@ -186,7 +260,7 @@ class ChangeLog:
         if type_ not in RECORD_TYPES:
             raise ChangeLogError(f"unknown change-log record type {type_!r}")
         record = LogRecord(self._last_lsn + 1, type_, payload)
-        self._handle.write(record.encode())
+        record.write(self._handle.write)
         self._handle.flush()
         os.fsync(self._handle.fileno())
         self._last_lsn = record.lsn

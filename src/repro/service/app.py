@@ -36,7 +36,6 @@ response makes that observable).
 
 from __future__ import annotations
 
-import hashlib
 import time
 import weakref
 from dataclasses import dataclass, field
@@ -96,6 +95,9 @@ class ServiceResponse:
 
 def _fingerprint_hex(pattern) -> str:
     """A stable short hex form of the query's canonical fingerprint."""
+    # imported here: hashlib loads libcrypto, and only slow queries get here
+    import hashlib
+
     key = repr(pattern_key(pattern)).encode("utf-8")
     return hashlib.sha256(key).hexdigest()[:16]
 

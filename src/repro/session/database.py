@@ -53,7 +53,6 @@ from repro.ingest.changelog import (
     LogRecord,
     decode_document,
     decode_subtree,
-    encode_document,
     encode_subtree,
 )
 from repro.patterns.parser import parse_pattern
@@ -424,14 +423,12 @@ class Database:
         """
         if self._document is None:
             raise SessionError("a summary-only session has no document to save")
-        records = [("load", self._load_payload())]
-        records += [("create_view", _view_payload(view)) for view in self.views]
-        records.append(("checkpoint", {}))
+        records = [*self._state_records(), ("checkpoint", {})]
         path = Path(path)
         partial = path.with_name(path.name + ".partial")
         with open(partial, "w", encoding="utf-8") as handle:
             for lsn, (type_, payload) in enumerate(records, start=1):
-                handle.write(LogRecord(lsn, type_, payload).encode())
+                LogRecord(lsn, type_, payload).write(handle.write)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(partial, path)
@@ -460,13 +457,23 @@ class Database:
             raise SessionError(f"{path} is truncated: no closing checkpoint fence")
         return records
 
-    def _load_payload(self) -> dict:
-        """The ``load`` record of this session: document, format, config."""
-        return {
-            **encode_document(self._document),
+    def _state_records(self) -> list[tuple[str, dict]]:
+        """The records that declare this session's state: one ``load`` —
+        the document's name, its tree (written streamed from the nodes,
+        :meth:`LogRecord.write`), the sibling ordinals that are not
+        ``1..n``, the format and the config — then one ``create_view`` per
+        view in view-set order."""
+        document = self._document
+        load = {
+            "name": document.name,
+            "root": document.root,
+            "ordinals": {
+                str(dewey): numbers for dewey, numbers in document.ordinal_gaps().items()
+            },
             "format": DATABASE_FORMAT_VERSION,
             "config": asdict(self._rewriter.config),
         }
+        return [("load", load), *(("create_view", _view_payload(v)) for v in self.views)]
 
     @classmethod
     def _from_records(cls, records: list[LogRecord]) -> "Database":
@@ -710,9 +717,10 @@ class Database:
         """Attach a durable change log; mutations and DDL append to it.
 
         The log must be empty (a fresh file, or one whose torn tail was
-        the only content): its first record becomes a full ``load`` of the
-        current document and config (the one :meth:`save` writes), and
-        every later :meth:`insert_subtree` / :meth:`delete_subtree` /
+        the only content): its first records are the ones :meth:`save`
+        writes — a full ``load`` of the current document and config, then
+        one ``create_view`` per view the session already has — and every
+        later :meth:`insert_subtree` / :meth:`delete_subtree` /
         :meth:`create_view` / :meth:`drop_view` / :meth:`checkpoint`
         appends one record.  To *resume* from a log
         that already has records, use :meth:`recover` — attaching it here
@@ -727,7 +735,8 @@ class Database:
                 f"Database.recover(path) to resume from it"
             )
         self._change_log = log
-        log.append("load", self._load_payload())
+        for type_, payload in self._state_records():
+            log.append(type_, payload)
         return log
 
     def checkpoint(self, path: str | Path) -> None:

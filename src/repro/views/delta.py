@@ -198,9 +198,7 @@ def _clone_with_ids(
     clone.path = node.path
     if deep:
         for child in node.children:
-            child_clone = _clone_with_ids(child, True, dewey.child(child.ordinal))
-            child_clone.parent = clone
-            clone.children.append(child_clone)
+            clone.append(_clone_with_ids(child, True, dewey.child(child.ordinal)))
     return clone
 
 
@@ -216,8 +214,7 @@ def _pruned_root(target: XMLNode) -> XMLNode:
     node = target
     while node.parent is not None:
         parent_clone = _clone_with_ids(node.parent, False)
-        clone.parent = parent_clone
-        parent_clone.children.append(clone)
+        parent_clone.append(clone)
         clone = parent_clone
         node = node.parent
     return clone

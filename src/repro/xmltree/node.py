@@ -1,9 +1,10 @@
 """Ordered labelled tree nodes and documents (the data model of Section 2.1).
 
 Every :class:`XMLNode` carries a tag (``label``), an optional atomic value,
-an ordered list of children and — once attached to an :class:`XMLDocument` —
-a Dewey structural identifier and its *rooted simple path* (the ``/``-joined
-sequence of labels from the root, Section 2.3).
+an ordered list of children (a leaf shares the empty tuple) and — once
+attached to an :class:`XMLDocument` — a Dewey structural identifier and its
+*rooted simple path* (the ``/``-joined sequence of labels from the root,
+Section 2.3).
 
 A node does not hold its identifier.  It holds its *place*: its sibling
 ordinal (an ``int``) when it is an identified non-root node of a tree, or a
@@ -63,7 +64,8 @@ class XMLNode:
             raise XMLError("node labels must be non-empty strings")
         self.label = label
         self.value = value
-        self.children: list[XMLNode] = []
+        # a leaf shares the empty tuple: most nodes of a document are leaves
+        self.children: list[XMLNode] | tuple[()] = ()
         self.parent: Optional[XMLNode] = None
         # sibling ordinal (int), DeweyID anchor, or None: see the module notes
         self._place: int | DeweyID | None = None
@@ -82,7 +84,10 @@ class XMLNode:
                 f"node <{child.label}> already has a parent <{child.parent.label}>"
             )
         child.parent = self
-        self.children.append(child)
+        if self.children:
+            self.children.append(child)
+        else:
+            self.children = [child]
         return child
 
     def detach(self) -> "XMLNode":

@@ -6,11 +6,16 @@ of the paper (useful in error messages and tests).
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 from repro.xmltree.node import XMLDocument, XMLNode
 
 __all__ = ["to_xml_string", "to_parenthesized"]
+
+
+def _escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as entities, as ``xml.sax.saxutils.escape``
+    gives them; that module would load ``urllib.request`` and OpenSSL
+    into every process that imports :mod:`repro`."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _node_to_xml(node: XMLNode, indent: int, pretty: bool) -> str:
@@ -19,10 +24,10 @@ def _node_to_xml(node: XMLNode, indent: int, pretty: bool) -> str:
     attrs = [c for c in node.children if c.label.startswith("@")]
     elements = [c for c in node.children if not c.label.startswith("@")]
     attr_text = "".join(
-        f' {a.label[1:]}="{escape(str(a.value))}"' for a in attrs if a.value is not None
+        f' {a.label[1:]}="{_escape(str(a.value))}"' for a in attrs if a.value is not None
     )
     open_tag = f"{pad}<{node.label}{attr_text}>"
-    value_text = escape(str(node.value)) if node.value is not None else ""
+    value_text = _escape(str(node.value)) if node.value is not None else ""
     if not elements:
         return f"{open_tag}{value_text}</{node.label}>{newline}"
     parts = [open_tag, value_text, newline]

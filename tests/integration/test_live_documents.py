@@ -30,6 +30,7 @@ import pytest
 from repro import (
     ChangeLogCorruptError,
     Database,
+    MaterializedView,
     XMLNode,
     build_summary,
     evaluate_pattern,
@@ -141,6 +142,20 @@ def test_recovery_falls_back_to_full_replay_without_the_snapshot(tmp_path):
     recovered = Database.recover(tmp_path / "doc.log")
     _assert_equivalent(live, recovered)
     live.close()
+    recovered.close()
+
+
+def test_a_log_attached_after_the_views_recovers_them(tmp_path):
+    """``attach_log`` writes what ``save`` writes: the ``load`` record and a
+    ``create_view`` record per view the session already has."""
+    document = parse_parenthesized(DOC_TEXT, name="live")
+    view = MaterializedView(parse_pattern(ITEM_QUERY, name="items"), document)
+    db = Database(document, [view])
+    db.attach_log(tmp_path / "doc.log")
+    db.close()
+    recovered = Database.recover(tmp_path / "doc.log")
+    assert recovered.views.names == ["items"]
+    assert normalize(db.query(ITEM_QUERY)) == normalize(recovered.query(ITEM_QUERY))
     recovered.close()
 
 

@@ -10,7 +10,6 @@ from repro import build_summary, parse_parenthesized, parse_pattern
 from repro.canonical.model import (
     canonical_model,
     canonical_model_cache,
-    clear_canonical_model_cache,
     iter_canonical_model,
 )
 from repro.containment.core import (

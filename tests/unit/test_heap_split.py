@@ -18,11 +18,15 @@ ROOT = Path(__file__).resolve().parents[2]
 
 def test_the_heap_split_shows_no_identifier_per_node():
     run = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "heap_split.py"), "--smoke", "--top", "40"],
+        [sys.executable, str(ROOT / "tools" / "heap_split.py"), "--smoke", "--top", "40",
+         "--log"],
         capture_output=True, text=True, timeout=60, check=True,
     )
     result = json.loads(run.stdout.splitlines()[-1])
     assert result["smoke"] and result["document_size"] > 1000
+    # the set-up's peak, the change log's load record included
+    assert result["log"] and result["traced_peak_mb"] > 0
+    assert "set-up traced peak" in run.stdout
     assert result["traced_mb"] > 0 and result["gc_tracked"] > 0
     assert result["ru_maxrss_mb"] > 0
     # nodes store ordinals: the DeweyIDs left are the extents' ID cells,

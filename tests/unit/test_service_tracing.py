@@ -16,7 +16,6 @@ import pytest
 from repro.service.tracing import (
     JsonlExporter,
     RingBufferExporter,
-    Span,
     Tracer,
     attach_operator_spans,
 )

@@ -1,4 +1,5 @@
-"""No module under ``src/repro`` reads or writes a pickle-family format.
+"""No module under ``src/repro`` reads or writes a pickle-family format,
+and importing :mod:`repro` loads no TLS or crypto library.
 
 Snapshots and the change log are JSONL records whose derived state is
 rebuilt on load; a module importing ``pickle``, ``marshal`` or ``shelve``
@@ -6,11 +7,20 @@ would bring back a durable format that runs code when read.  Nor does
 any class keep pickle hooks: the one ``__getstate__`` left is
 ``PlanOperator``'s, which keeps the executor's memo out of
 ``copy.deepcopy``.
+
+``xml.sax.saxutils`` pulls in ``urllib.request`` and with it ``ssl`` and
+``http.client``; a top-level ``hashlib`` loads libcrypto (``_hashlib``).
+Either costs every process that imports :mod:`repro` several megabytes
+of resident memory it never uses.
 """
 
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from functools import cache
 from pathlib import Path
 
@@ -63,3 +73,16 @@ def test_no_class_keeps_pickle_hooks():
         and node.name in ("__getstate__", "__setstate__", "__reduce__", "__reduce_ex__")
     ]
     assert hooks == [("repro/algebra/operators.py", "__getstate__")]
+
+
+def test_importing_repro_loads_no_tls_or_crypto_library():
+    # a child process: this one has long since imported what pytest needs
+    probe = (
+        "import json, sys, repro; print(json.dumps(sorted(m for m in "
+        "('ssl', '_hashlib', 'urllib.request', 'http.client') if m in sys.modules)))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert json.loads(run.stdout) == []

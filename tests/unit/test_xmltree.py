@@ -295,6 +295,17 @@ class TestBuildersAndParsers:
         again = parse_xml_string(to_xml_string(doc))
         assert to_parenthesized(again) == to_parenthesized(doc)
 
+    def test_xml_string_escapes_what_saxutils_escapes(self):
+        from xml.sax.saxutils import escape
+
+        text = "a < b && c > d; 'café'"
+        node = XMLNode("e", text, [XMLNode("@k", text)])
+        assert to_xml_string(node, pretty=False) == (
+            f'<e k="{escape(text)}">{escape(text)}</e>'
+        )
+        again = parse_xml_string(to_xml_string(node)).root
+        assert again.value == again.children[0].value == text
+
     def test_xml_parse_error(self):
         with pytest.raises(XMLParseError):
             parse_xml_string("<a><b></a>")

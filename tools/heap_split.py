@@ -7,11 +7,14 @@ Usage (from the repository root)::
     python3 tools/heap_split.py                  # xmark_large
     python3 tools/heap_split.py --dataset dblp
     python3 tools/heap_split.py --smoke          # the small spec: seconds
+    python3 tools/heap_split.py --log            # a change log, as xmark_live
 
 Starts ``tracemalloc``, sets up the benchmark's ``Session``
 (``bench/workloads.py``, imported and never changed, the way
-``tools/read_split.py`` does), answers every class twice and then prints
-two tables:
+``tools/read_split.py`` does) — with ``--log`` it attaches a change log
+in a temporary directory before the views, as the live workload does —
+records the traced peak of that set-up, answers every class twice and
+then prints two tables:
 
 * the traced megabytes still held, per source file that allocated them
   (the ``--top`` largest, plus the total);
@@ -20,7 +23,10 @@ two tables:
   process's peak RSS (``ru_maxrss``; ``tracemalloc``'s own bookkeeping
   inflates it, so compare it only between runs of this tool).
 
-The last line is the JSON of both.
+A last line before the JSON gives the set-up's traced peak
+(``traced_peak_mb``): the most the set-up held at once, transients
+included, where the tables show what stays.  The last line is the JSON of
+all of it.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import gc
 import json
 import resource
 import sys
+import tempfile
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -83,22 +90,31 @@ def main(argv=None) -> dict:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--smoke", action="store_true", help="the dataset's small spec")
     parser.add_argument("--top", type=int, default=12, help="rows per table")
+    parser.add_argument("--log", action="store_true",
+                        help="attach a change log before the views, as xmark_live does")
     args = parser.parse_args(argv)
     dataset = DATASETS[args.dataset]
-    tracemalloc.start()
-    session = Session(dataset, args.seed if args.seed is not None else dataset.default_seed,
-                      args.smoke, None)
-    try:
-        result = {"dataset": dataset.name, "smoke": args.smoke, **split(session, args.top)}
-    finally:
-        session.close()
-        tracemalloc.stop()
+    seed = args.seed if args.seed is not None else dataset.default_seed
+    with tempfile.TemporaryDirectory() as scratch:
+        log_path = str(Path(scratch) / "session.log") if args.log else None
+        tracemalloc.start()
+        session = Session(dataset, seed, args.smoke, log_path)
+        peak = tracemalloc.get_traced_memory()[1]
+        try:
+            result = {"dataset": dataset.name, "smoke": args.smoke, "log": args.log,
+                      "traced_peak_mb": round(peak / (1 << 20), 2),
+                      **split(session, args.top)}
+        finally:
+            session.close()
+            tracemalloc.stop()
     print(_table(f"traced MB per source file (total {result['traced_mb']})",
                  result["files"], " MB"))
     print(_table(f"GC-tracked objects by type (total {result['gc_tracked']})",
                  result["objects"], ""))
     print(f"document size {result['document_size']} nodes, "
           f"peak RSS {result['ru_maxrss_mb']} MB")
+    print(f"set-up traced peak {result['traced_peak_mb']} MB"
+          f"{' (change log attached)' if args.log else ''}")
     print(json.dumps(result, sort_keys=True))
     return result
 
