@@ -220,7 +220,7 @@ def _strip_predicates(pattern: TreePattern) -> TreePattern:
 # --------------------------------------------------------------------------- #
 # deciders in front of the canonical model
 # --------------------------------------------------------------------------- #
-def _plain(pattern: TreePattern) -> bool:
+def is_plain(pattern: TreePattern) -> bool:
     """No optional and no nested edges: the scope of the fast deciders."""
     return all(
         not (node.optional or node.nested) for node in pattern.root.iter_subtree()
@@ -248,6 +248,28 @@ def _ancestry_refutes(contained: TreePattern, container: TreePattern) -> bool:
         and not _is_proper_ancestor(inner[i], inner[j])
         for i, upper in enumerate(outer)
         for j, lower in enumerate(outer)
+    )
+
+
+def return_ancestry_differs(
+    left: Sequence[PatternNode], right: Sequence[PatternNode]
+) -> bool:
+    """Are some return nodes ``i`` and ``j`` proper ancestor and descendant
+    in one of two equally long return-node lists and not in the other?
+
+    Between two plain patterns ``p`` and ``q`` with these return nodes, one
+    S-satisfiable, that refutes ``p ≡S q``: :func:`_ancestry_refutes` fails
+    the containment into the pattern that relates them whenever the other
+    is satisfiable, and a satisfiable pattern is not contained in an
+    unsatisfiable one.
+    """
+    pairs = range(len(left))
+    return any(
+        i != j
+        and _is_proper_ancestor(left[i], left[j])
+        != _is_proper_ancestor(right[i], right[j])
+        for i in pairs
+        for j in pairs
     )
 
 
@@ -454,7 +476,7 @@ def _fast_decision(
 ) -> Optional[tuple[str, ContainmentDecision]]:
     """``(decider, decision)`` from a decider that needs no canonical model,
     or None when neither applies and the canonical model must decide."""
-    if not (_plain(contained) and _plain(container)):
+    if not (is_plain(contained) and is_plain(container)):
         return None
     annotated = annotate_paths(contained.copy(), summary)
     satisfiable = bool(annotated.root.annotated_paths)

@@ -91,9 +91,10 @@ class RewritingStatistics:
     """Candidates skipped by the Prop. 3.7 attribute pre-filter before any
     containment test ran."""
     pairs_skipped_by_suppliers: int = 0
-    """Join pairs at the plan-size bound skipped by the same Prop. 3.7 test
-    *before* fusion: their views could never cover the query's attributes
-    and the joined candidate could not have been extended."""
+    """Join pairs skipped by the same Prop. 3.7 test *before* fusion: the
+    views the plan-size bound still allows cannot supply every output
+    attribute the two sides' views lack, so neither the joined candidate
+    nor any extension of it could ever align."""
     fusions_skipped: int = 0
     """Fusions never built because their pattern's shape was already
     accepted in this search: Prop. 3.5 would have dropped them."""
@@ -161,10 +162,14 @@ class RewritingSearch:
         # signature); the pattern is held so its id cannot be reused
         self._signatures: dict[int, tuple] = {}
         self._start_time = 0.0
-        # per (query return node, required attribute): names of views able
-        # to supply that attribute on a compatible path (None until _setup
-        # computes them; per-attribute, NOT per-set — see _lacks_supplier)
-        self._supplier_names: Optional[list[list[set[str]]]] = None
+        # one bit per (query return node, required attribute) slot: the slots
+        # each initial view supplies on a compatible path, and all of them
+        # (0 until _attributes_feasible computes them; per attribute, NOT per
+        # set — see _lacks_supplier)
+        self._slots_of: dict[str, int] = {}
+        self._all_slots = 0
+        # (missing slots, views left) -> can that many views supply them?
+        self._cover_memo: dict[tuple[int, int], bool] = {}
 
     # ------------------------------------------------------------------ #
     # public entry point
@@ -243,8 +248,8 @@ class RewritingSearch:
         O(1); only when it cannot vouch for any surviving view does the
         per-node scan run, stopping at the first satisfying view.
 
-        With the Prop. 3.7 pre-filter enabled, the *per-attribute*
-        supplier sets for :meth:`_lacks_supplier` are computed afterwards.
+        The *per-attribute* supplier slots of :meth:`_lacks_supplier` and
+        :meth:`_cannot_cover` are computed afterwards.
         """
         names_in_play = {candidate.views_used[0] for candidate in initial}
         for query_node in self.query.return_nodes():
@@ -267,12 +272,13 @@ class RewritingSearch:
                     break
             if not satisfied:
                 return False
-        self._supplier_names = self._attribute_suppliers(initial)
+        self._attribute_suppliers(initial)
         return True
 
-    def _attribute_suppliers(self, initial: list[RewriteCandidate]) -> list[list[set[str]]]:
-        """Per (query return node, required attribute): the views offering
-        that attribute on a compatible path.
+    def _attribute_suppliers(self, initial: list[RewriteCandidate]) -> None:
+        """One slot per (query return node, required attribute): set its bit
+        in ``_slots_of`` for every view offering that attribute on a
+        compatible path.
 
         This is the sound granularity for candidate pruning.  Equality
         fusion merges the joined nodes and *pools their attributes*, so a
@@ -285,33 +291,27 @@ class RewritingSearch:
         attributes that only became derivable during setup (content
         unfolding, virtual IDs) fall back to the per-node scan.
         """
-        suppliers: list[list[set[str]]] = []
+        slot = 1
         for query_node in self.query.return_nodes():
             required = sorted(set(query_node.attributes) or {"ID"})
             query_paths = query_node.annotated_paths or frozenset()
-            per_attribute: list[set[str]] = []
             for attribute in required:
                 fast = {
                     view.name
                     for number in query_paths
                     for view in self.catalog.views_with_attribute(number, attribute)
                 }
-                names: set[str] = set()
                 for candidate in initial:
                     name = candidate.views_used[0]
-                    if name in fast:
-                        names.add(name)
-                        continue
-                    for node in candidate.pattern.nodes():
-                        node_paths = node.annotated_paths or frozenset()
-                        if not node_paths or not (node_paths & query_paths):
-                            continue
-                        if attribute in candidate.available_attributes(node):
-                            names.add(name)
-                            break
-                per_attribute.append(names)
-            suppliers.append(per_attribute)
-        return suppliers
+                    if name in fast or any(
+                        node.annotated_paths
+                        and node.annotated_paths & query_paths
+                        and attribute in candidate.available_attributes(node)
+                        for node in candidate.pattern.nodes()
+                    ):
+                        self._slots_of[name] = self._slots_of.get(name, 0) | slot
+                slot <<= 1
+        self._all_slots = slot - 1
 
     # ------------------------------------------------------------------ #
     # join loop
@@ -329,11 +329,12 @@ class RewritingSearch:
                     size = left.size + right.size
                     if size > self.config.max_plan_size:
                         continue
-                    if size == self.config.max_plan_size and self._lacks_supplier(
-                        left.views_used + right.views_used
+                    if self._cannot_cover(
+                        left.views_used + right.views_used,
+                        self.config.max_plan_size - size,
                     ):
-                        # the joined candidate could never be extended, and
-                        # alignment would reject it on its views alone: skip
+                        # alignment would reject the joined candidate and
+                        # every extension of it on their views alone: skip
                         # the fusions (copies, annotation, signature) too
                         self.statistics.pairs_skipped_by_suppliers += 1
                         continue
@@ -620,14 +621,44 @@ class RewritingSearch:
         pools attributes from several views onto one node, so a full-set
         single-view requirement would wrongly prune such joins.
         """
-        if not self._supplier_names:
+        return self._missing_slots(views_used) != 0
+
+    def _missing_slots(self, views_used: tuple[str, ...]) -> int:
+        """The slots none of these views supplies, as a bitmask."""
+        missing = self._all_slots
+        for name in views_used:
+            missing &= ~self._slots_of.get(name, 0)
+        return missing
+
+    def _cannot_cover(self, views_used: tuple[str, ...], views_left: int) -> bool:
+        """Prop. 3.7 at any distance from the plan-size bound: can no
+        ``views_left`` further views supply the slots these views lack?
+
+        Joins add one initial candidate (one view occurrence) at a time, so
+        when this holds the joined candidate and every extension of it lack
+        a supplier; with no view left it is :meth:`_lacks_supplier`.
+        """
+        missing = self._missing_slots(views_used)
+        return missing != 0 and not self._coverable(missing, views_left)
+
+    def _coverable(self, missing: int, views_left: int) -> bool:
+        """Exact minimum cover: can ``views_left`` initial views supply
+        every slot of ``missing`` together?  Some view must supply its
+        lowest slot, so branching on those views alone is complete."""
+        if missing == 0:
+            return True
+        if views_left == 0:
             return False
-        used = set(views_used)
-        return any(
-            used.isdisjoint(names)
-            for per_attribute in self._supplier_names
-            for names in per_attribute
-        )
+        key = (missing, views_left)
+        known = self._cover_memo.get(key)
+        if known is None:
+            lowest = missing & -missing
+            known = self._cover_memo[key] = any(
+                self._coverable(missing & ~slots, views_left - 1)
+                for slots in set(self._slots_of.values())
+                if slots & lowest
+            )
+        return known
 
     def _record(
         self, result: AlignmentResult, candidate: RewriteCandidate, is_union: bool

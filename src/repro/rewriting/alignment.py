@@ -10,7 +10,9 @@ Given a candidate (plan, pattern) pair and the query pattern, alignment
    candidate nests more than the query, group-by (on a stored ID) when the
    query nests more than the candidate,
 3. tests S-equivalence of the adapted pattern with the query
-   (Propositions 3.1 / 4.1 / 4.2), and
+   (Propositions 3.1 / 4.1 / 4.2) — between plain patterns, an assignment
+   whose return nodes relate as ancestor and descendant differently from the
+   query's is refused before the pattern is built — and
 4. on success assembles the final executable plan: lazy-column
    materialisation, selections, nesting adaptation and the final projection
    renamed to the query's output schema.
@@ -29,7 +31,12 @@ from repro.algebra.operators import (
     Projection,
     Selection,
 )
-from repro.containment.core import are_equivalent, is_contained
+from repro.containment.core import (
+    are_equivalent,
+    is_contained,
+    is_plain,
+    return_ancestry_differs,
+)
 from repro.patterns.pattern import PatternNode, TreePattern
 from repro.patterns.predicates import ValueFormula
 from repro.patterns.semantics import pattern_schema
@@ -134,12 +141,21 @@ def align_candidate(
     if any(not options for options in option_lists):
         return None
 
+    # an equivalence test between two plain patterns, the query satisfiable,
+    # fails on a return-ancestry mismatch (docs/containment.md)
+    refuse_ancestry = (
+        not containment_only
+        and bool(query.root.annotated_paths)
+        and is_plain(query)
+        and is_plain(candidate.pattern)
+    )
     assignments = itertools.islice(
         itertools.product(*option_lists), _MAX_ASSIGNMENTS
     )
     for assignment in assignments:
         result = _try_assignment(
-            candidate, query, summary, targets, assignment, containment_only
+            candidate, query, summary, targets, assignment, containment_only,
+            refuse_ancestry,
         )
         if result is not None:
             return result
@@ -156,7 +172,14 @@ def _try_assignment(
     targets: list[_QueryTarget],
     assignment: tuple[PatternNode, ...],
     containment_only: bool,
+    refuse_ancestry: bool,
 ) -> Optional[AlignmentResult]:
+    # two plain patterns need no nesting adaptation: the equivalence test
+    # would answer the ancestry negative, so answer it before anything is built
+    if refuse_ancestry and return_ancestry_differs(
+        [target.node for target in targets], assignment
+    ):
+        return None
     # classify the nesting adaptation needed
     needs_group_by = False
     needs_unnest = False

@@ -47,9 +47,9 @@ import select
 import selectors
 import socket
 import threading
+import time
 import traceback
 import urllib.parse
-from email.utils import formatdate
 from http import HTTPStatus
 from typing import Optional
 
@@ -72,6 +72,21 @@ _MAX_BODY = 8 << 20
 _RECV_SIZE = 65536
 _PHRASES = {status.value: status.phrase for status in HTTPStatus}
 _SERVER = "repro-query-service"
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
+           "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+
+
+def _http_date(timestamp: Optional[float] = None) -> str:
+    """``timestamp`` (default: now) as an IMF-fixdate in GMT, the ``Date``
+    header's form (RFC 9110 §5.6.7).  ``email.utils.formatdate`` gives the
+    same text but loads the ``email`` package, ``calendar`` and ``locale``
+    into every process that imports :mod:`repro`."""
+    t = time.gmtime(timestamp)
+    return (
+        f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} {t.tm_year:04d} "
+        f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT"
+    )
 
 
 class _Rejected(Exception):
@@ -174,7 +189,7 @@ def _encode(response: ServiceResponse, close: bool) -> bytes:
     payload = (body if isinstance(body, str) else json.dumps(body)).encode("utf-8")
     head = (
         f"HTTP/1.1 {response.status} {_PHRASES.get(response.status, '')}\r\n"
-        f"Server: {_SERVER}\r\nDate: {formatdate(usegmt=True)}\r\n"
+        f"Server: {_SERVER}\r\nDate: {_http_date()}\r\n"
         f"Content-Type: {response.content_type}\r\n"
         f"Content-Length: {len(payload)}\r\n"
         f"X-Request-ID: {response.request_id}\r\n"

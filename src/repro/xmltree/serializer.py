@@ -18,13 +18,26 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
+def _escape_attribute(text: str) -> str:
+    """:func:`_escape` plus what an attribute value inside ``"`` needs: the
+    quote itself, and newline, CR and tab as character references, which
+    XML would otherwise normalise to spaces when the value is read back."""
+    return (
+        _escape(text)
+        .replace('"', "&quot;")
+        .replace("\n", "&#10;")
+        .replace("\r", "&#13;")
+        .replace("\t", "&#9;")
+    )
+
+
 def _node_to_xml(node: XMLNode, indent: int, pretty: bool) -> str:
     pad = "  " * indent if pretty else ""
     newline = "\n" if pretty else ""
     attrs = [c for c in node.children if c.label.startswith("@")]
     elements = [c for c in node.children if not c.label.startswith("@")]
     attr_text = "".join(
-        f' {a.label[1:]}="{_escape(str(a.value))}"' for a in attrs if a.value is not None
+        f' {a.label[1:]}="{_escape_attribute(str(a.value))}"' for a in attrs if a.value is not None
     )
     open_tag = f"{pad}<{node.label}{attr_text}>"
     value_text = _escape(str(node.value)) if node.value is not None else ""

@@ -18,6 +18,7 @@ Two acceptance properties live here too:
 
 from __future__ import annotations
 
+import calendar
 import http.client
 import json
 import socket
@@ -31,6 +32,7 @@ from repro.service.server import (
     _MAX_BODY,
     QueryService,
     ServiceClient,
+    _http_date,
     _parse_head,
     _Rejected,
 )
@@ -75,6 +77,29 @@ def test_http_roundtrip_and_headers(service):
         assert reply.headers["Content-Type"] == "application/json"
         assert len(reply.headers["X-Request-ID"]) == 16
         assert len(reply.headers["X-Trace-ID"]) == 32
+
+
+@pytest.mark.parametrize(
+    "timestamp",
+    # the epoch, RFC 9110's example date, a leap day, a fraction of a second
+    # and the last second of a year; then seven days in a row from Monday
+    # 2024-01-01 and one day in every month of 2024
+    [0, 784111777, 951782400, 1700000000.75, 4102444799]
+    + [1704067200 + day * 86400 + 3723 for day in range(7)]
+    + [calendar.timegm((2024, month, 2 * month, 23, 59, 59)) for month in range(1, 13)],
+)
+def test_the_date_header_is_the_imf_fixdate_email_would_write(timestamp):
+    from email.utils import formatdate
+
+    assert _http_date(timestamp) == formatdate(timestamp, usegmt=True)
+
+
+def test_every_reply_carries_a_date_header(service):
+    with _raw_connection(service) as connection:
+        status, headers, _ = _raw_request(connection, "GET /healthz HTTP/1.1\r\nHost: x")
+    assert status == 200
+    assert headers.get_all("Date") and len(headers.get_all("Date")) == 1
+    assert headers["Date"].endswith(" GMT")
 
 
 def test_error_statuses_cross_the_wire(client):

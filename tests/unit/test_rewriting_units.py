@@ -204,8 +204,8 @@ class TestAttributePrefilter:
     """Prop. 3.7 pre-filtering: skipped alignments, unchanged results.
 
     The pre-filter is always on; the reference is a search whose
-    ``_lacks_supplier`` never fires, so every pair is fused and every
-    candidate reaches alignment.
+    ``_lacks_supplier`` and ``_cannot_cover`` never fire, so every pair is
+    fused and every candidate reaches alignment.
     """
 
     def _rewrite(self, summary, views, query, prefilter):
@@ -215,6 +215,9 @@ class TestAttributePrefilter:
 
         class UnfilteredSearch(RewritingSearch):
             def _lacks_supplier(self, views_used):
+                return False
+
+            def _cannot_cover(self, views_used, views_left):
                 return False
 
         clear_containment_cache()
@@ -303,3 +306,98 @@ class TestAttributePrefilter:
         assert {r.views_used for r in rewritings} == {("v_dewey", "v_name")}
         assert any("IdEqualityJoin" in r.describe() for r in rewritings)
         assert search.statistics.pairs_skipped_by_suppliers > 0
+
+    def test_a_pair_skipped_below_the_bound_does_not_shadow_a_later_twin(
+        self, store_summary
+    ):
+        """The same edge one level down: at bound 3, ``v_opaque ⋈= v_name``
+        lacks the ``item`` ID and the keyword value, which the one view left
+        cannot both supply, so the cover test skips it; ``v_dewey ⋈= v_name``
+        then fuses to the same signature and extends to a rewriting the
+        unpruned search, which admits the useless twin first, never finds."""
+        from repro.containment.core import clear_containment_cache
+        from repro.rewriting.algorithm import RewritingConfig, RewritingSearch
+        from repro.views.catalog import ViewCatalog
+        from repro.views.view import IdScheme
+        from support.unpruned_search import UnprunedSearch, rewriting_set
+
+        shared = "site(//item(/name[ID]))"
+        views = [
+            MaterializedView(
+                parse_pattern(shared, name="v_opaque"),
+                id_scheme=IdScheme(structural=False, derives_parent=False, name="opaque"),
+            ),
+            MaterializedView(parse_pattern(shared, name="v_dewey")),
+            MaterializedView(parse_pattern("site(//name[ID,V])", name="v_name")),
+            MaterializedView(parse_pattern("site(//keyword[ID,V])", name="v_keyword")),
+        ]
+        query = parse_pattern(
+            "site(//item[ID](/name[V], /description(/listitem(/keyword[V]))))"
+        )
+        config = RewritingConfig(
+            max_plan_size=3, max_rewritings=10**9, enable_unions=False,
+            time_budget_seconds=None,
+        )
+        catalog = ViewCatalog(store_summary, views)
+        clear_containment_cache()
+        pruned = RewritingSearch(query, catalog, config)
+        unpruned = UnprunedSearch(query, catalog, config)
+        found, reference = rewriting_set(pruned.run()), rewriting_set(unpruned.run())
+        assert reference < found
+        [(views_used, plan)] = found - reference
+        assert views_used == ("v_dewey", "v_name", "v_keyword")
+        assert "IdEqualityJoin(v_dewey@.ID1 = v_name@.ID1)" in plan
+        assert pruned.statistics.pairs_skipped_by_suppliers > 0
+
+
+class TestCoverTest:
+    """``_cannot_cover``: Prop. 3.7 at any distance from the plan-size bound,
+    over three slots — A and B (supplied together by ``vAB``, apart by
+    ``vA`` and ``vB``) and C (supplied by ``vC``)."""
+
+    A, B, C = 1, 2, 4
+
+    def _search(self, store_summary, all_slots=A | B | C):
+        from repro.rewriting.algorithm import RewritingSearch
+        from repro.views.catalog import ViewCatalog
+
+        search = RewritingSearch(
+            parse_pattern("site(//item[ID])"), ViewCatalog(store_summary, [])
+        )
+        search._slots_of = {
+            "vA": self.A, "vB": self.B, "vAB": self.A | self.B, "vC": self.C,
+        }
+        search._all_slots = all_slots
+        return search
+
+    @pytest.mark.parametrize(
+        "views", [(), ("vA",), ("vA", "vB"), ("vAB",), ("vAB", "vC"), ("vA", "vB", "vC")]
+    )
+    def test_no_view_left_is_the_supplier_test(self, store_summary, views):
+        search = self._search(store_summary)
+        assert search._cannot_cover(views, 0) == search._lacks_supplier(views)
+
+    def test_two_slots_one_view_supplies_are_kept_with_one_view_left(self, store_summary):
+        search = self._search(store_summary)
+        assert not search._cannot_cover(("vC",), 1)
+        assert search._cannot_cover(("vC",), 0)
+
+    def test_two_slots_needing_two_views_are_skipped_with_one_left_kept_with_two(
+        self, store_summary
+    ):
+        search = self._search(store_summary)
+        # vA supplies A; B and C need vB (or vAB) and vC
+        assert search._cannot_cover(("vA",), 1)
+        assert not search._cannot_cover(("vA",), 2)
+        assert not search._cannot_cover(("vA", "vB"), 1)
+
+    def test_a_slot_no_view_supplies_is_skipped_at_any_distance(self, store_summary):
+        search = self._search(store_summary, all_slots=self.A | self.B | self.C | 8)
+        for views_left in range(6):
+            assert search._cannot_cover(("vAB", "vC"), views_left)
+            assert search._cannot_cover(("vA",), views_left)
+
+    def test_the_cover_memo_lives_in_its_search(self, store_summary):
+        first, second = self._search(store_summary), self._search(store_summary)
+        first._cannot_cover(("vA",), 2)
+        assert first._cover_memo and not second._cover_memo

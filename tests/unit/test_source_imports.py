@@ -11,7 +11,9 @@ any class keep pickle hooks: the one ``__getstate__`` left is
 ``xml.sax.saxutils`` pulls in ``urllib.request`` and with it ``ssl`` and
 ``http.client``; a top-level ``hashlib`` loads libcrypto (``_hashlib``).
 Either costs every process that imports :mod:`repro` several megabytes
-of resident memory it never uses.
+of resident memory it never uses.  Nor does :mod:`repro` load the
+``email`` package: ``email.utils.formatdate`` brought it in, with
+``calendar`` and ``locale``, for one ``Date`` header.
 """
 
 from __future__ import annotations
@@ -75,14 +77,26 @@ def test_no_class_keeps_pickle_hooks():
     assert hooks == [("repro/algebra/operators.py", "__getstate__")]
 
 
-def test_importing_repro_loads_no_tls_or_crypto_library():
+def _loaded_after_import_repro(condition: str) -> list[str]:
+    """The modules matching ``condition`` (an expression in ``m``) that a
+    fresh interpreter holds after ``import repro``."""
     # a child process: this one has long since imported what pytest needs
     probe = (
         "import json, sys, repro; print(json.dumps(sorted(m for m in "
-        "('ssl', '_hashlib', 'urllib.request', 'http.client') if m in sys.modules)))"
+        f"list(sys.modules) if {condition})))"
     )
     run = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)},
     )
-    assert json.loads(run.stdout) == []
+    return json.loads(run.stdout)
+
+
+def test_importing_repro_loads_no_tls_or_crypto_library():
+    assert _loaded_after_import_repro(
+        "m in ('ssl', '_hashlib', 'urllib.request', 'http.client')"
+    ) == []
+
+
+def test_importing_repro_loads_no_email_package():
+    assert _loaded_after_import_repro("m == 'email' or m.startswith('email.')") == []

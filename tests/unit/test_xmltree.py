@@ -306,6 +306,17 @@ class TestBuildersAndParsers:
         again = parse_xml_string(to_xml_string(node)).root
         assert again.value == again.children[0].value == text
 
+    @pytest.mark.parametrize(
+        "text",
+        ['say "hi"', "it's", "a & b", "a < b", "a > b", "a\nb", "a\r\nb", "a\tb",
+         "café ☃ 名前", "\"'&<>\n\r\t"],
+    )
+    def test_attribute_values_round_trip(self, text):
+        node = XMLNode("e", None, [XMLNode("@k", text)])
+        markup = to_xml_string(node, pretty=False)
+        assert markup.count('"') == 2
+        assert parse_xml_string(markup).root.children[0].value == text
+
     def test_xml_parse_error(self):
         with pytest.raises(XMLParseError):
             parse_xml_string("<a><b></a>")
