@@ -40,7 +40,7 @@ def splice_runs(old: list, splices: Sequence[tuple[int, int, list]]) -> list:
     ``splices`` are disjoint ``(lo, hi, run)`` triples in ascending order,
     positions counted on ``old`` — the shape incremental extent
     maintenance (:mod:`repro.views.delta`) computes once and applies to
-    the row list and to every cached column vector alike.
+    every column vector, and every cached key vector, alike.
     """
     patched: list = []
     cursor = 0
@@ -301,7 +301,15 @@ class ColumnBatch:
     [(DeweyID(1.2), 'ink')]
     """
 
-    __slots__ = ("columns", "row_count", "sorted_by", "_sources", "_relation", "_row_twin")
+    __slots__ = (
+        "columns",
+        "row_count",
+        "sorted_by",
+        "_sources",
+        "_relation",
+        "_row_twin",
+        "__weakref__",
+    )
 
     def __init__(
         self,
@@ -317,6 +325,8 @@ class ColumnBatch:
         self._sources = list(sources)
         self.row_count = row_count
         self.sorted_by = sorted_by
+        # the row form, once built (or the relation this batch was built
+        # from): the batch points at it, never the other way round
         self._relation: Optional[Relation] = None
         # a schema-sharing parent whose materialised rows equal ours — lets
         # to_relation() reuse the parent's row tuples instead of re-zipping
@@ -324,16 +334,13 @@ class ColumnBatch:
 
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_relation(cls, relation: Relation) -> "ColumnBatch":
-        """Wrap a relation (transposed once, cached on the relation).
+    def from_relation(cls, relation: Relation, keep_rows: bool = True) -> "ColumnBatch":
+        """Transpose a relation into columns.
 
-        The cache makes repeated scans of one extent free: the second query
-        over a materialised view reuses the first one's column vectors and
-        Dewey key caches.
+        With ``keep_rows`` the batch keeps ``relation`` as its row form
+        (:meth:`to_relation` returns it), which is what a row-wise
+        operator's result wants; a view extent keeps the columns alone.
         """
-        cached = getattr(relation, "_column_batch", None)
-        if cached is not None:
-            return cached
         count = len(relation.rows)
         if count:
             sources = [
@@ -343,22 +350,17 @@ class ColumnBatch:
         else:
             sources = [_ColumnSource(values=[]) for _ in relation.columns]
         batch = cls(relation.columns, sources, count, relation.sorted_by)
-        batch._relation = relation
-        relation._column_batch = batch
+        if keep_rows:
+            batch._relation = relation
         return batch
 
-    def spliced(
-        self, splices: Sequence[tuple[int, int, list[tuple]]], relation: Relation
-    ) -> "ColumnBatch":
-        """The cached batch of ``relation``, derived from this one by splicing.
+    def spliced(self, splices: Sequence[tuple[int, int, list[tuple]]]) -> "ColumnBatch":
+        """This batch with ``splices`` — disjoint, ascending ``(lo, hi,
+        replacement rows)`` — applied (:func:`splice_runs`).
 
-        ``relation`` is this batch's relation after ``splices`` — disjoint,
-        ascending ``(lo, hi, replacement rows)`` — were applied to its rows
-        (:func:`splice_runs`).  Every column is re-sliced at the same
-        offsets and keeps its cached key vectors
-        (:meth:`_ColumnSource.spliced`), so a scan of the patched extent
-        starts as warm as a scan of the old one; the result is installed as
-        ``relation``'s batch exactly as :meth:`from_relation` would.
+        Every column is re-sliced at the same offsets and keeps its cached
+        key vectors (:meth:`_ColumnSource.spliced`), so a scan of the
+        patched extent starts as warm as a scan of the old one.
         """
         sources = [
             source.spliced(
@@ -366,18 +368,16 @@ class ColumnBatch:
             )
             for position, source in enumerate(self._sources)
         ]
-        batch = ColumnBatch(relation.columns, sources, len(relation.rows), relation.sorted_by)
-        batch._relation = relation
-        relation._column_batch = batch
-        return batch
+        count = self.row_count + sum(len(rows) - (hi - lo) for lo, hi, rows in splices)
+        return ColumnBatch(self.columns, sources, count, self.sorted_by)
 
     def to_relation(self) -> Relation:
-        """Materialise as a row-major :class:`Relation` (cached)."""
+        """The rows as a row-major :class:`Relation` (built once, cached)."""
         if self._relation is None:
             relation = Relation(self.columns)
             twin = self._row_twin
-            if twin is not None and twin._relation is not None:
-                relation.rows = list(twin._relation.rows)
+            if twin is not None:
+                relation.rows = list(twin.to_relation().rows)
             elif not self._sources:
                 relation.rows = [()] * self.row_count  # zip() of no column is empty
             elif self.row_count:

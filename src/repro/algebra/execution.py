@@ -2,8 +2,8 @@
 
 The :class:`PlanExecutor` evaluates a DAG of
 :class:`~repro.algebra.operators.PlanOperator` against a view store (any
-mapping-like object resolving view names to objects exposing ``relation``,
-the view's materialised :class:`~repro.algebra.tuples.Relation`).
+mapping-like object resolving view names to objects exposing ``extent``,
+the view's materialised :class:`~repro.algebra.columnar.ColumnBatch`).
 
 There is exactly one executor and every operator has exactly one
 implementation.  Plans evaluate as
@@ -18,7 +18,9 @@ implementation.  Plans evaluate as
 * **row-wise operators** — nested projection, unnest, group-by, content
   navigation and parent-ID derivation — build or take apart nested
   relations and document nodes cell by cell; they read their child as rows
-  and hand the result back to the batch spine wrapped.
+  (over a scan, one row list per extent, built on the first such read and
+  kept on the extent) and hand the result back to the batch spine
+  transposed.
 
 Structural joins compare Dewey identifiers, so they work on any view whose
 ID columns were materialised with the default structural ``fID``
@@ -124,7 +126,7 @@ class PlanExecutor:
     Parameters
     ----------
     views:
-        Mapping from view name to an object exposing ``relation``.
+        Mapping from view name to an object exposing ``extent``.
     executor:
         Accepts only ``"vectorized"`` — there is one executor.
     profile:
@@ -224,7 +226,7 @@ class PlanExecutor:
         The one memo of operator output: a kernel operator's index vectors
         are a function of the extents its subtree scans, so they are kept
         on the plan node (``plan._kept``), keyed on weak references to those
-        relations, and read back while each is still the one the view store
+        extents, and read back while each is still the one the view store
         holds — a write replaces every extent it changes.  The entry holds
         no row, relation or source and dies with its plan.  A content
         navigation reads live nodes, which a write can change under an
@@ -247,7 +249,7 @@ class PlanExecutor:
         cached = self._scanned.get(id(plan))
         if cached is None:
             if isinstance(plan, (ViewScan, IndexScan)):
-                scans = (ref(self._relation(plan.view_name)),)
+                scans = (ref(self._extent(plan.view_name)),)
             elif isinstance(plan, ContentNavigation):
                 scans = None
             else:
@@ -256,15 +258,11 @@ class PlanExecutor:
             cached = self._scanned[id(plan)] = (plan, scans)
         return cached[1]
 
-    def _relation(self, view_name: str) -> Relation:
+    def _extent(self, view_name: str) -> ColumnBatch:
         try:
-            return self._views[view_name].relation
+            return self._views[view_name].extent
         except KeyError as exc:
             raise PlanExecutionError(f"unknown view {view_name!r}") from exc
-
-    def _base_batch(self, view_name: str) -> ColumnBatch:
-        # one cached transpose per extent, shared by every scan of it
-        return ColumnBatch.from_relation(self._relation(view_name))
 
     @staticmethod
     def _qualified(base: ColumnBatch, alias: str) -> ColumnBatch:
@@ -277,19 +275,19 @@ class PlanExecutor:
         return base.with_schema(columns, sorted_by)
 
     def _scan_batch(self, plan: ViewScan) -> ColumnBatch:
-        return self._qualified(self._base_batch(plan.view_name), plan.effective_alias)
+        return self._qualified(self._extent(plan.view_name), plan.effective_alias)
 
     def _index_scan_batch(self, plan: IndexScan) -> ColumnBatch:
         """Scan + pushed σ: probe the column's value index, gather positions.
 
-        The index is cached on the *base* batch's column source (shared
-        across queries through the per-relation batch cache), built lazily
-        on this first probe.  An unindexable column falls back to
-        the selection kernel over the same source — identical rows either
-        way.  Probe positions come back ascending, so the Dewey-order
-        annotation survives exactly as it does for a filter.
+        The index is cached on the extent's column source (shared by every
+        query that scans it), built lazily on this first probe.  An
+        unindexable column falls back to the selection kernel over the same
+        source — identical rows either way.  Probe positions come back
+        ascending, so the Dewey-order annotation survives exactly as it does
+        for a filter.
         """
-        base = self._base_batch(plan.view_name)
+        base = self._extent(plan.view_name)
         source = base.source(base.column_index(plan.base_column))
 
         def probe() -> Sequence[int]:

@@ -216,11 +216,6 @@ class ValueFormula:
         """``v >= c``."""
         return cls([_Interval(_Bound(constant, closed=True), _Bound.pos_inf())])
 
-    @classmethod
-    def between(cls, low, high, closed: bool = True) -> "ValueFormula":
-        """``low <= v <= high`` (or the open variant)."""
-        return cls([_Interval(_Bound(low, closed=closed), _Bound(high, closed=closed))])
-
     # ------------------------------------------------------------------ #
     # logical connectives
     # ------------------------------------------------------------------ #
@@ -321,10 +316,6 @@ class ValueFormula:
         if self.is_true():
             return False  # the normal form is canonical: ``other`` has a gap
         return not self.and_(other.negate()).is_satisfiable()
-
-    def equivalent(self, other: "ValueFormula") -> bool:
-        """Logical equivalence (two-way implication)."""
-        return self.implies(other) and other.implies(self)
 
     # ------------------------------------------------------------------ #
     # plumbing

@@ -1,9 +1,10 @@
 """The planner: cost-based choice among a query's rewritings.
 
-``Planner.best_plan(query)`` runs the rewriting search (through a
+``Planner.plan(query)`` runs the rewriting search (through a
 :class:`~repro.rewriting.rewriter.Rewriter`, so the view catalog and the
 containment memo are shared), lowers *every* rewriting found to a costed
-:class:`~repro.planning.logical.LogicalPlan` and returns the cheapest.
+:class:`~repro.planning.logical.LogicalPlan` and ranks them, cheapest
+first.
 This replaces the seed behaviour of executing ``RewriteOutcome.best`` —
 the structural fewest-views heuristic, blind to extent sizes — with
 statistics-backed selection: on view sets where several rewritings exist
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.algebra.operators import PlanOperator
-from repro.algebra.tuples import Relation
 from repro.errors import RewritingError
 from repro.patterns.pattern import TreePattern
 from repro.planning.cost import CostModel
@@ -122,7 +122,7 @@ class PlanChoice:
 
 
 class Planner:
-    """Ranks a query's rewritings by estimated cost and runs the cheapest.
+    """Ranks a query's rewritings by estimated cost.
 
     Parameters
     ----------
@@ -137,11 +137,9 @@ class Planner:
     >>> doc = parse_parenthesized('site(item(name="pen") item(name="ink"))')
     >>> views = [MaterializedView(parse_pattern("site(//item[ID,V])", name="v"), doc)]
     >>> planner = Planner(Rewriter(build_summary(doc), views))
-    >>> best = planner.best_plan(parse_pattern("site(//item[ID,V])", name="q"))
+    >>> best = planner.plan(parse_pattern("site(//item[ID,V])", name="q")).best
     >>> best.rank, best.cost > 0
     (0, True)
-    >>> len(planner.execute(best))
-    2
     """
 
     def __init__(self, rewriter: "Rewriter"):
@@ -253,22 +251,3 @@ class Planner:
             RewriteOutcome(choice.query, rewritings, choice.statistics),
             [planned.plan_operator for planned in ordered],
         )
-
-    def best_plan(self, query: TreePattern) -> PlannedRewriting:
-        """The minimum-cost rewriting (raises when none exists)."""
-        return self.plan(query).best
-
-    # ------------------------------------------------------------------ #
-    def execute(self, planned: PlannedRewriting) -> Relation:
-        """Execute a planned rewriting over the rewriter's views.
-
-        Runs ``planned.plan_operator`` — the pushdown-transformed tree the
-        costs were computed over — so the chosen access paths (index probes
-        vs. scans) are what actually executes."""
-        from repro.algebra.execution import PlanExecutor
-
-        return PlanExecutor(self.rewriter.views).execute(planned.plan_operator)
-
-    def answer(self, query: TreePattern) -> Relation:
-        """Plan and execute in one call (raises when no rewriting exists)."""
-        return self.execute(self.best_plan(query))

@@ -22,6 +22,7 @@ those are precisely the series reported in the paper's Figure 15.
 from __future__ import annotations
 
 import itertools
+import re
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
@@ -56,6 +57,11 @@ __all__ = ["RewritingConfig", "RewritingStatistics", "Rewriting", "RewritingSear
 _MAX_CANDIDATES = 4000
 # Maximum number of branches in a union plan.
 _MAX_UNION_SIZE = 3
+# The generated numbers of scan aliases (``view@N``) and hints (``#N``) in
+# a plan's text: two plans that differ only there are one rewriting.  (Two
+# literal replacements keep ``sub`` in C; a group reference would not.)
+_ALIAS_NUMBER = re.compile(r"@\d+")
+_HINT_NUMBER = re.compile(r"#\d+")
 
 
 @dataclass
@@ -153,6 +159,8 @@ class RewritingSearch:
         self.config = config or RewritingConfig()
         self.statistics = RewritingStatistics()
         self.rewritings: list[Rewriting] = []
+        # (views used, plan text with generated numbers masked) per kept one
+        self._recorded: set[tuple] = set()
         self._partial: list[tuple[RewriteCandidate, AlignmentResult]] = []
         self._seen_signatures: set = set()
         # unannotated signatures of the fusions _combine accepted (Prop. 3.5
@@ -598,7 +606,14 @@ class RewritingSearch:
         try:
             result = align_candidate(candidate, self.query, self.summary)
             if result is not None:
-                self._record(result, candidate, is_union=False)
+                self._record(
+                    Rewriting(
+                        plan=result.plan,
+                        pattern=result.pattern,
+                        views_used=candidate.views_used,
+                        is_union=False,
+                    )
+                )
                 return
             if self.config.enable_unions and len(self._partial) < 64:
                 partial = align_candidate(
@@ -660,21 +675,20 @@ class RewritingSearch:
             )
         return known
 
-    def _record(
-        self, result: AlignmentResult, candidate: RewriteCandidate, is_union: bool
-    ) -> None:
+    def _record(self, rewriting: Rewriting) -> None:
+        """Keep ``rewriting`` unless this search already kept one with the
+        same views and the same plan up to the generated ``@N`` scan
+        aliases and ``#N`` numbers (two derivations can build one plan)."""
+        text = _HINT_NUMBER.sub("#", _ALIAS_NUMBER.sub("@", rewriting.plan.describe()))
+        key = (rewriting.views_used, text)
+        if key in self._recorded:
+            return
+        self._recorded.add(key)
         if self.statistics.first_rewriting_seconds is None:
             self.statistics.first_rewriting_seconds = (
                 time.perf_counter() - self._start_time
             )
-        self.rewritings.append(
-            Rewriting(
-                plan=result.plan,
-                pattern=result.pattern,
-                views_used=candidate.views_used,
-                is_union=is_union,
-            )
-        )
+        self.rewritings.append(rewriting)
 
     # ------------------------------------------------------------------ #
     # union plans (Algorithm 1, lines 13-14)
@@ -713,7 +727,7 @@ class RewritingSearch:
                     itertools.chain.from_iterable(c.views_used for c, _ in combo)
                 )
                 first_pattern = combo[0][1].pattern
-                self.rewritings.append(
+                self._record(
                     Rewriting(
                         plan=plan,
                         pattern=first_pattern,
@@ -721,10 +735,6 @@ class RewritingSearch:
                         is_union=True,
                     )
                 )
-                if self.statistics.first_rewriting_seconds is None:
-                    self.statistics.first_rewriting_seconds = (
-                        time.perf_counter() - self._start_time
-                    )
 
     # ------------------------------------------------------------------ #
     # termination

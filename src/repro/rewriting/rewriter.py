@@ -6,15 +6,13 @@ executor, and adds prepared queries, ``EXPLAIN`` and incremental view DDL
 on top of the machinery here.  ``Rewriter`` remains fully supported as the
 rewriting-layer internal (and for code that genuinely only rewrites, never
 executes); to rewrite, pick the cheapest plan and run it in one call, use
-``Database.query`` or :meth:`repro.planning.Planner.answer`.
+``Database.query``.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from repro.algebra.execution import PlanExecutor
-from repro.algebra.tuples import Relation
 from repro.errors import RewritingError
 from repro.patterns.pattern import TreePattern
 from repro.rewriting.algorithm import (
@@ -102,8 +100,6 @@ class Rewriter:
     True
     >>> sorted(outcome.best.views_used)
     ['v']
-    >>> len(rewriter.execute(outcome.best))
-    2
     """
 
     def __init__(
@@ -207,8 +203,3 @@ class Rewriter:
         for name, count in search.statistics.search_counters().items():
             self.search_totals[name] += count
         return RewriteOutcome(query, rewritings, search.statistics)
-
-    # ------------------------------------------------------------------ #
-    def execute(self, rewriting: Rewriting) -> Relation:
-        """Execute a rewriting's plan over the materialised views."""
-        return PlanExecutor(self.views).execute(rewriting.plan)

@@ -419,7 +419,7 @@ class ServiceApp:
                 name=request.name,
                 materialize=request.materialize,
             )
-            rows = len(view.relation) if view.is_materialized else None
+            rows = view.extent.row_count if view.is_materialized else None
             body = {"op": "create_view", "view": view.name, "rows": rows}
         else:
             try:

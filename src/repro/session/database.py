@@ -301,15 +301,7 @@ class PreparedQuery:
         time next to the planner's estimates; the whole run's time is the
         root operator's inclusive time.
         """
-        choice = self.choice
-        database = self._database
-        if not analyze:
-            return database.explain_choice(choice)
-        # the report reads the operators' stats, never the result rows
-        executor = PlanExecutor(database.views, profile=True)
-        executor.execute_batch(choice.best.plan_operator)
-        root = executor.run_stats(choice.best.plan_operator)
-        return database.explain_choice(choice, executor, root.inclusive_seconds)
+        return self._database._explain(self.choice, analyze)
 
     def describe(self) -> str:
         """The chosen plan's indented cost-annotated rendering."""
@@ -682,10 +674,10 @@ class Database:
         for view in self.views:
             if not view.is_materialized:
                 continue
-            before = view.relation
+            before = view.extent
             splices = view.maintain(document, change)
             stats["delta_applied" if splices is not None else "rematerialized"] += 1
-            if view.relation is not before:
+            if view.extent is not before:
                 changed.append(ExtentChange(view, before, splices))
         # the structural links cached on the extents follow their splices
         followed, dropped = follow_links(self.views, changed)
@@ -985,48 +977,28 @@ class Database:
         analyze: bool = False,
         name: Optional[str] = None,
     ) -> ExplainReport:
-        """Sugar for ``db.prepare(query).explain(analyze=...)``."""
-        return self.prepare(query, name).explain(analyze=analyze)
+        """The structured report for ``query``'s plan, planned through the
+        plan cache like :meth:`query` (a cached query is not searched
+        again); ``analyze`` as in :meth:`PreparedQuery.explain`."""
+        return self._explain(self.plan_query(query, name), analyze)
+
+    def _explain(self, choice: PlanChoice, analyze: bool) -> ExplainReport:
+        if not analyze:
+            return self.explain_choice(choice)
+        # the report reads the operators' stats, never the result rows
+        executor = PlanExecutor(self.views, profile=True)
+        executor.execute_batch(choice.best.plan_operator)
+        root = executor.run_stats(choice.best.plan_operator)
+        return self.explain_choice(choice, executor, root.inclusive_seconds)
 
     def query_many(
         self,
         queries: Iterable[TreePattern | str],
     ) -> list[Relation]:
-        """Answer a whole workload, in input order.
-
-        Every query consults the plan cache exactly like :meth:`query`:
-        repeated workloads (benchmark reps, dashboard refreshes) skip the
-        rewriting search for every query they have planned before at this
-        definition version.  The misses are grouped by fingerprint —
-        duplicates inside one workload are planned once — and each is
-        rewritten through :meth:`Rewriter.rewrite` under the session's config.
-        Searches and plans all run in this process.  Raises
-        :class:`~repro.errors.RewritingError` on the first query with no
-        equivalent rewriting.
-        """
-        keys = [self.query_key(query) for query in queries]
-        version = self.views.version
-        cached = [self._cached_choice(key.fingerprint, version) for key in keys]
-        pending: "OrderedDict[tuple, list[int]]" = OrderedDict()
-        for position, choice in enumerate(cached):
-            if choice is None:
-                pending.setdefault(keys[position].fingerprint, []).append(position)
-        for fingerprint, positions in pending.items():
-            pattern = keys[positions[0]].parsed()
-            outcome = self._rewriter.rewrite(pattern)
-            if not outcome.found:
-                raise RewritingError(
-                    f"query {pattern.name!r} has no equivalent rewriting over "
-                    f"views {sorted(self.views.names)}"
-                )
-            choice = self._planner.choose(pattern, outcome)
-            self._plan_cache.store(fingerprint, version, choice)
-            for duplicate in positions:
-                cached[duplicate] = choice
-        return [
-            PlanExecutor(self.views).execute(choice.best.plan_operator)
-            for choice in cached
-        ]
+        """Answer a whole workload, in input order, one :meth:`query` each:
+        a query planned before at this definition version — earlier in the
+        same workload included — is served by the plan cache."""
+        return [self.query(query) for query in queries]
 
     # rewriting-layer passthroughs (experiments measure these directly)
     def rewrite(self, query: TreePattern | str) -> "RewriteOutcome":

@@ -83,18 +83,9 @@ class SummaryIndex:
             return self._all
         return self._by_label.get(label, _EMPTY)
 
-    @property
-    def labels(self) -> frozenset[str]:
-        """All labels occurring in the summary."""
-        return frozenset(self._by_label)
-
     def is_ancestor(self, ancestor: int, descendant: int) -> bool:
         """True iff ``ancestor`` is a strict ancestor of ``descendant``."""
         return ancestor in self._ancestors[descendant]
-
-    def related(self, a: int, b: int) -> bool:
-        """True iff the two nodes are equal or in an ancestor/descendant line."""
-        return a == b or self.is_ancestor(a, b) or self.is_ancestor(b, a)
 
     # ------------------------------------------------------------------ #
     # set-level helpers used during rewriting

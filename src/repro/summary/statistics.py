@@ -29,6 +29,7 @@ from repro.xmltree.ids import DeweyID
 from repro.xmltree.node import XMLDocument, XMLNode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.algebra.columnar import ColumnBatch
     from repro.patterns.pattern import TreePattern
     from repro.patterns.predicates import ValueFormula
     from repro.summary.dataguide import SummaryDelta
@@ -182,7 +183,7 @@ class Statistics:
                 self.observe_view(view)
                 reobserved += 1
             else:
-                self._splice_columns(view, before.rows, splices)
+                self._splice_columns(view, before, splices)
                 spliced += 1
         return spliced, reobserved
 
@@ -258,45 +259,49 @@ class Statistics:
     def observe_view(self, view: "MaterializedView") -> None:
         """Record a materialised view's exact extent statistics.
 
-        The extent is counted as the splice of all its rows into empty
-        column counters — the same routine that later follows its writes."""
+        Every column's counters start from its whole vector — then the
+        routine that later follows the view's writes derives the entries
+        from them, with no splice to apply."""
+        extent = view.extent
+        counts = [_ColumnCounts() for _ in extent.columns]
+        for position, column in enumerate(counts):
+            column.count(extent.values(position), +1)
         self._view_exact[view.name] = True
-        self._view_counts[view.name] = [_ColumnCounts() for _ in view.relation.columns]
-        self._splice_columns(view, [], [(0, 0, view.relation.rows)])
+        self._view_counts[view.name] = counts
+        self._splice_columns(view, extent, ())
 
     def _splice_columns(
-        self, view: "MaterializedView", rows: list, splices: Iterable["Splice"]
+        self, view: "MaterializedView", before: "ColumnBatch", splices: Iterable["Splice"]
     ) -> None:
         """Move a materialised view's statistics along an extent splice.
 
-        ``rows`` is the row list before the write and each splice
-        ``(lo, hi, replacement)`` replaced ``rows[lo:hi]``; every column's
-        counters lose the removed cells and gain the replacement's, and
-        the column entries are re-derived from the counters.  For each
-        column holding orderable atoms (bool/int/float/str after
-        content-reference unwrapping) the entry has the exact distinct
-        count, plus either exact per-value frequencies (distinct ≤
-        :data:`_COMMON_VALUE_LIMIT`) or, for all-numeric columns, an
-        equi-width histogram with :data:`_HISTOGRAM_BUCKETS` buckets.  A
-        column with any non-atom value (structural IDs, nested relations,
-        content subtrees) gets no entry at all — its absence doubles as the
-        cost model's indexability gate.
+        ``before`` is the extent before the write and each splice
+        ``(lo, hi, replacement)`` replaced its rows ``[lo, hi)``; every
+        column's counters lose the removed cells and gain the
+        replacement's, and the column entries are re-derived from the
+        counters.  For each column holding orderable atoms (bool/int/
+        float/str after content-reference unwrapping) the entry has the
+        exact distinct count, plus either exact per-value frequencies
+        (distinct ≤ :data:`_COMMON_VALUE_LIMIT`) or, for all-numeric
+        columns, an equi-width histogram with :data:`_HISTOGRAM_BUCKETS`
+        buckets.  A column with any non-atom value (structural IDs, nested
+        relations, content subtrees) gets no entry at all — its absence
+        doubles as the cost model's indexability gate.
         """
-        relation = view.relation
         counts = self._view_counts[view.name]
         for lo, hi, replacement in splices:
-            removed = rows[lo:hi]
             for position, column in enumerate(counts):
-                if removed:
-                    column.count([row[position] for row in removed], -1)
+                if hi > lo:
+                    column.count(before.values(position)[lo:hi], -1)
                 column.count([row[position] for row in replacement], +1)
+        extent = view.extent
         entries: dict[str, dict] = {}
-        for column, column_counts in zip(relation.columns, counts):
+        for column, column_counts in zip(extent.columns, counts):
             entry = column_counts.entry()
             if entry is not None:
                 entries[column.name] = entry
-        self._view_rows[view.name] = float(max(len(relation), 1))
-        self._view_sorted[view.name] = relation.sorted_by
+        self._view_rows[view.name] = float(max(extent.row_count, 1))
+        self._view_sorted[view.name] = extent.sorted_by
         self._view_columns[view.name] = entries
 
     def view_column_stats(self, view: str, column: str) -> Optional[dict]:

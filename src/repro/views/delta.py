@@ -43,8 +43,8 @@ the gate fails or when the regions to re-evaluate grow past half the
 document (counted lazily: the walk stops at the limit), and
 :meth:`~repro.views.view.MaterializedView.apply_delta` then simply
 rematerialises.  A change the view cannot see hands back the *same*
-relation object.  When the old extent carries a cached column batch, the
-new one is built by the same splice
+extent object.  The extent is a column batch, and the runs are found by
+bisecting its sort column and spliced into every column
 (:meth:`~repro.algebra.columnar.ColumnBatch.spliced`), so the first scan
 after a write finds warm value and key vectors; the splices themselves are
 handed back, so the planner's statistics follow the same runs
@@ -58,12 +58,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
-from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 from weakref import WeakKeyDictionary
 
-from repro.algebra.columnar import splice_runs
-from repro.algebra.tuples import Relation
+from repro.algebra.columnar import ColumnBatch
 from repro.errors import AlgebraError
 from repro.patterns.embedding import EmbeddingMode, _node_matches
 from repro.patterns.pattern import PatternNode
@@ -103,22 +101,22 @@ class SubtreeChange:
 
 
 Splice = tuple[int, int, list[tuple]]
-"""``(lo, hi, replacement)``: rows ``[lo, hi)`` of the old row list give way
-to ``replacement``."""
+"""``(lo, hi, replacement)``: rows ``[lo, hi)`` of the old extent give way
+to the ``replacement`` rows."""
 
 
 class ExtentChange(NamedTuple):
     """One extent a write changed, as its consumers see it (statistics,
     :func:`follow_links`).
 
-    ``before`` is the relation before the write (its rows, and the column
-    batch scans cached on it); ``splices`` are the runs that turned it into
+    ``before`` is the extent before the write (its columns, and what scans
+    cached on their sources); ``splices`` are the runs that turned it into
     the view's current extent, ascending and disjoint — ``None`` when the
     view was rematerialised instead.
     """
 
     view: "MaterializedView"
-    before: Relation
+    before: ColumnBatch
     splices: Optional[list[Splice]]
 
 
@@ -179,7 +177,7 @@ def can_apply_delta(view: "MaterializedView") -> Optional[tuple[list[PatternNode
     if gate is None:
         return None
     column = view.dewey_sort_column()
-    if column is None or not view.relation.is_sorted_by(column):
+    if column is None or view.extent.sorted_by != column:
         return None
     return gate
 
@@ -222,11 +220,11 @@ def _pruned_root(target: XMLNode) -> XMLNode:
 
 def _region_rows(
     view: "MaterializedView", document: XMLDocument, target: XMLNode
-) -> Relation:
+) -> list[tuple]:
     """Evaluate the view pattern over the pruned clone around ``target``."""
     return _evaluate_laid_out(
         view.pattern, _pruned_root(target), view._layout, id_function=view._id_function
-    )
+    ).rows
 
 
 def _repatriate(row: tuple, document: XMLDocument) -> tuple:
@@ -245,15 +243,15 @@ def _repatriate(row: tuple, document: XMLDocument) -> tuple:
 
 def apply_subtree_delta(
     view: "MaterializedView", document: XMLDocument, change: SubtreeChange
-) -> Optional[tuple[Relation, list[Splice]]]:
+) -> Optional[tuple[ColumnBatch, list[Splice]]]:
     """Patch the extent for one subtree change; ``None`` means fall back.
 
     The splice plan: on the *sorted* extent, compute one contiguous
     replacement run for the changed subtree's Dewey range and one per
-    matching ancestor, re-evaluate each over its pruned clone, and rebuild
-    the row list in a single ordered pass.  Returns the new relation and
-    the splices (ascending, disjoint, against the old row list) that
-    produced it — empty, with the old relation itself, when the view could
+    matching ancestor, re-evaluate each over its pruned clone, and splice
+    every column in a single ordered pass.  Returns the new extent and
+    the splices (ascending, disjoint, against the old extent) that
+    produced it — empty, with the old extent itself, when the view could
     not see the change.
     """
     gate = can_apply_delta(view)
@@ -261,26 +259,23 @@ def apply_subtree_delta(
         return None
     chain, pin_index = gate
     pin = chain[pin_index]
-    relation = view.relation
-    column = view.dewey_sort_column()
-    index = relation.column_index(column)
-    rows = relation.rows
+    extent = view.extent
+    index = extent.column_index(view.dewey_sort_column())
     # the sort column's DeweyIDs compare in document order themselves
-    key = itemgetter(index)
+    ids = extent.values(index)
 
-    # disjoint, computed on the original row list
+    # disjoint, computed on the original extent
     splices: list[Splice] = []
 
     # 1. the subtree range [D, D⁺): everything pinned inside the change
     components = change.root.components
-    lo = bisect_left(rows, change.root, key=key)
-    hi = bisect_left(rows, DeweyID(components[:-1] + (components[-1] + 1,)), key=key)
+    lo = bisect_left(ids, change.root)
+    hi = bisect_left(ids, DeweyID(components[:-1] + (components[-1] + 1,)))
     if change.kind == "insert":
         subtree = document.node_by_id(change.root)
-        fresh = _region_rows(view, document, subtree)
         replacement = [
             _repatriate(row, document)
-            for row in fresh.rows
+            for row in _region_rows(view, document, subtree)
             if change.root.is_ancestor_or_self_of(row[index])
         ]
     else:
@@ -306,35 +301,28 @@ def apply_subtree_delta(
             if region > budget:
                 return None  # the "delta" covers most of the document
             budget -= region
-            run_lo = bisect_left(rows, ancestor_id, key=key)
+            run_lo = bisect_left(ids, ancestor_id)
             run_hi = run_lo
-            while run_hi < len(rows) and rows[run_hi][index] == ancestor_id:
+            while run_hi < len(ids) and ids[run_hi] == ancestor_id:
                 run_hi += 1
-            fresh = _region_rows(view, document, ancestor)
             replacement = [
                 _repatriate(row, document)
-                for row in fresh.rows
+                for row in _region_rows(view, document, ancestor)
                 if row[index] == ancestor_id
             ]
             if run_lo != run_hi or replacement:
                 splices.append((run_lo, run_hi, replacement))
 
     if not splices:
-        return relation, splices  # nothing this view can see changed
+        return extent, splices  # nothing this view can see changed
 
-    # 3. rebuild the row list in one ordered pass (replacement runs are
+    # 3. splice every column in one ordered pass (replacement runs are
     # re-sorted stably so equal-ID rows keep their generation order —
     # the same order a full rematerialisation's stable sort yields)
     splices.sort(key=lambda s: s[0])
     for _, _, replacement in splices:
-        replacement.sort(key=key)
-    result = Relation(relation.columns)
-    result.rows = splice_runs(rows, splices)
-    result.sorted_by = relation.sorted_by
-    batch = getattr(relation, "_column_batch", None)
-    if batch is not None:
-        batch.spliced(splices, result)
-    return result, splices
+        replacement.sort(key=lambda row: row[index])
+    return extent.spliced(splices), splices
 
 
 def follow_links(
@@ -356,22 +344,18 @@ def follow_links(
     """
     moved: dict = {}
     for view, before, splices in changed:
-        old = getattr(before, "_column_batch", None)
-        if old is None:
-            continue  # never scanned: nothing cached on it
-        new = None if splices is None else getattr(view.relation, "_column_batch", None)
+        new = None if splices is None else view.extent
         runs = None if new is None else [(lo, hi, len(run)) for lo, hi, run in splices]
-        for position in range(len(old.columns)):
-            moved[old.source(position)] = (None if new is None else new.source(position), runs)
+        for position in range(len(before.columns)):
+            moved[before.source(position)] = (None if new is None else new.source(position), runs)
     if not moved:
         return 0, 0
     holders = list(moved)
     touched = {change.view.name for change in changed}
     for view in views:
         if view.is_materialized and view.name not in touched:
-            batch = getattr(view.relation, "_column_batch", None)
-            if batch is not None:
-                holders += map(batch.source, range(len(batch.columns)))
+            batch = view.extent
+            holders += map(batch.source, range(len(batch.columns)))
     followed = dropped = 0
     for source in holders:
         cache = source.links

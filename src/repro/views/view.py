@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
+from repro.algebra.columnar import ColumnBatch
 from repro.algebra.tuples import Relation
 from repro.errors import ReproError
 from repro.patterns.pattern import TreePattern
@@ -73,7 +74,7 @@ class MaterializedView:
         self.name = name or pattern.name
         self.id_scheme = id_scheme or IdScheme.dewey()
         self._id_function = id_function or default_id_function
-        self._relation: Optional[Relation] = None
+        self._extent: Optional[ColumnBatch] = None
         if document is not None:
             self.materialize(document)
 
@@ -95,15 +96,16 @@ class MaterializedView:
                 return column.name
         return None
 
-    def materialize(self, document: XMLDocument) -> Relation:
+    def materialize(self, document: XMLDocument) -> ColumnBatch:
         """(Re)compute the view extent over ``document`` and return it.
 
         Extents are stored in document order of the view's first ``ID``
         column (when the ID scheme is structural), annotated via
-        ``Relation.sorted_by`` — scans then feed the staircase merge join
-        without any run-time sort.  Custom ``fID`` functions producing
-        values that are not Dewey-coercible leave the extent unsorted
-        (the merge join falls back to sort-then-merge, results unchanged).
+        ``sorted_by`` — scans then feed the staircase merge join without
+        any run-time sort.  Custom ``fID`` functions producing values that
+        are not Dewey-coercible leave the extent unsorted (the merge join
+        falls back to sort-then-merge, results unchanged).  The evaluated
+        rows are transposed once into the columns the extent is kept as.
         """
         relation = evaluate_pattern(
             self.pattern,
@@ -117,8 +119,8 @@ class MaterializedView:
                 relation = relation.sorted_in_dewey_order(column)
             except ReproError:
                 pass  # non-Dewey fID under a structural scheme: keep unsorted
-        self._relation = relation
-        return self._relation
+        self._extent = ColumnBatch.from_relation(relation, keep_rows=False)
+        return self._extent
 
     def maintain(self, document: XMLDocument, change) -> Optional[list]:
         """Maintain the extent under one subtree insert / delete.
@@ -129,22 +131,22 @@ class MaterializedView:
         :func:`~repro.views.delta.can_apply_delta`) the sorted extent is
         patched by an ordered Dewey splice — work proportional to the
         affected region, not the document — and the splices are returned
-        (``(lo, hi, replacement)`` against the previous row list, so
+        (``(lo, hi, replacement)`` against the previous extent, so
         consumers such as the planner's statistics can follow them);
         otherwise the view is fully rematerialised and ``None`` is
         returned.  Either way the result is row-identical to
         ``materialize(document)``.
 
-        A change this view cannot see leaves :attr:`relation` the very
-        same object (and returns no splices) — that identity is how callers
+        A change this view cannot see leaves :attr:`extent` the very same
+        object (and returns no splices) — that identity is how callers
         tell which extents a write touched.
         """
         from repro.views.delta import apply_subtree_delta
 
-        if self._relation is not None:
+        if self._extent is not None:
             patched = apply_subtree_delta(self, document, change)
             if patched is not None:
-                self._relation, splices = patched
+                self._extent, splices = patched
                 return splices
         self.materialize(document)
         return None
@@ -155,18 +157,25 @@ class MaterializedView:
         return "delta" if spliced else "rematerialized"
 
     @property
-    def relation(self) -> Relation:
-        """The materialised extent (raises if the view was never materialised)."""
-        if self._relation is None:
+    def extent(self) -> ColumnBatch:
+        """The materialised extent, as columns (raises if the view was never
+        materialised)."""
+        if self._extent is None:
             raise ReproError(
                 f"view {self.name!r} has not been materialised over any document"
             )
-        return self._relation
+        return self._extent
+
+    @property
+    def relation(self) -> Relation:
+        """The extent's rows: a read-only row view derived from
+        :attr:`extent` (built on first read, cached on the extent)."""
+        return self.extent.to_relation()
 
     @property
     def is_materialized(self) -> bool:
         """True iff the view has a materialised extent."""
-        return self._relation is not None
+        return self._extent is not None
 
     @cached_property
     def _layout(self) -> tuple:
@@ -188,14 +197,10 @@ class MaterializedView:
     def _schema(self) -> tuple:
         return tuple(self._layout[0])
 
-    def schema(self):
-        """The view's column list (computable without materialising)."""
-        return list(self._schema)
-
     def column_names(self) -> list[str]:
         """Names of the view's columns."""
         return [column.name for column in self._schema]
 
     def __repr__(self) -> str:
-        status = f"rows={len(self._relation)}" if self._relation is not None else "unmaterialised"
+        status = f"rows={self._extent.row_count}" if self._extent is not None else "unmaterialised"
         return f"<MaterializedView {self.name!r} {self.pattern.to_text()} {status}>"

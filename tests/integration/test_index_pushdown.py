@@ -22,6 +22,7 @@ from repro.patterns.predicates import ValueFormula
 from repro.planning.cost import CostModel
 from repro.views.catalog import ViewCatalog
 from repro.views.indexes import INDEX_STATS
+from support.formulas import between
 
 
 # --------------------------------------------------------------------------- #
@@ -133,7 +134,7 @@ def test_histogram_range_estimates_shrink_the_gap():
     view = db.views["quantities"]
     position = view.relation.column_index("V1")
     values = _unwrapped(row[position] for row in view.relation.rows)
-    for formula in (ValueFormula.gt(475), ValueFormula.between(100, 120)):
+    for formula in (ValueFormula.gt(475), between(100, 120)):
         flat_gap, informed_gap = _gap(model, "quantities", "V1", values, formula)
         assert informed_gap < flat_gap, (
             f"histogram estimate must beat the flat constant on "

@@ -40,11 +40,12 @@ from repro import (
     to_parenthesized,
 )
 from repro.algebra import kernels
-from repro.algebra.columnar import ColumnBatch
 from repro.algebra.execution import PlanExecutor
 from repro.algebra.operators import StructuralJoin, ViewScan
 from repro.patterns.pattern import Axis
+from repro.service.app import ServiceApp
 from repro.views.delta import can_apply_delta
+from repro.workloads import XMARK_QUERY_PATTERNS
 from repro.workloads.dblp import generate_dblp_document
 from repro.workloads.xmark import generate_xmark_document
 
@@ -312,7 +313,7 @@ def test_structural_links_follow_writes_and_die_with_their_extents():
     assert "StructuralJoin(items" in str(db.explain(ITEM_QUERY))
 
     def column(view):
-        return ColumnBatch.from_relation(db.views[view].relation).source(0)
+        return db.views[view].extent.source(0)
 
     def read():
         assert db.query(ITEM_QUERY).same_contents(evaluate_pattern(query, db.document))
@@ -354,6 +355,42 @@ def _counting_link_builds(monkeypatch) -> list:
     return builds
 
 
+def test_no_production_path_reads_a_view_s_row_form(monkeypatch):
+    """An extent is its columns alone.  With ``MaterializedView.relation``
+    raising, the bench's seed views materialise, every bench class answers
+    cold and warm, a live insert and delete are maintained, ``stats()``
+    reads, and the service's ``/query`` and ``/ddl`` reply."""
+
+    def refuse(view):
+        raise AssertionError(f"{view.name}: a production path read the row form")
+
+    monkeypatch.setattr(MaterializedView, "relation", property(refuse))
+    document = generate_xmark_document(scale=2.0, seed=548, name="xmark-columns")
+    names = ("Q1", "Q2", "Q4", "Q5", "Q6", "Q18", "Q19")
+    db, queries = seed_view_session(document, names)
+    with db:
+
+        def reads():
+            for query in queries:
+                assert db.query(query).same_contents(evaluate_pattern(query, document))
+
+        reads()
+        asia = document.nodes_on_path("/site/regions/asia")[0]
+        node = db.insert_subtree(asia, asia.children[0].copy())
+        reads()
+        db.delete_subtree(node)
+        reads()
+        stats = db.stats()
+        assert stats["maintenance"]["delta_applied"] > 0
+        assert stats["plan_cache"]["hits"] >= 2 * len(queries)
+        app = ServiceApp(db)
+        assert app.handle("POST", "/query", {"query": XMARK_QUERY_PATTERNS["Q1"]}).ok
+        ddl = app.handle(
+            "POST", "/ddl", {"op": "create_view", "name": "items", "pattern": "site(//item[ID])"}
+        )
+        assert ddl.ok and ddl.body["rows"] == db.views["items"].extent.row_count > 0
+
+
 def test_the_first_read_after_a_write_follows_the_links(monkeypatch):
     """Q1 (``person ⋈ name``) and Q19 (``item ⋈ location``, ``item ⋈ name``)
     over the seed views: after the first read built the links, the reads
@@ -387,7 +424,7 @@ def _extent_links(db) -> list:
     """Every ``StructuralLinks`` entry cached between two of ``db``'s extents."""
     sources = [
         batch.source(position)
-        for batch in (ColumnBatch.from_relation(view.relation) for view in db.views)
+        for batch in (view.extent for view in db.views)
         for position in range(len(batch.columns))
     ]
     extents = {id(source) for source in sources}

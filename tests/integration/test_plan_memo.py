@@ -79,16 +79,14 @@ def test_a_replaced_extent_dies_while_its_plan_stays_cached():
     assert db.query(ITEM_QUERY)
     plan = db.plan_query(ITEM_QUERY).best.plan_operator
     assert _kept_nodes([plan])
-    old = weakref.ref(db.views["names"].relation)
+    old = weakref.ref(db.views["names"].extent)
     asia = db.document.nodes_on_path("/site/regions/asia")[0]
     gc.collect()
     gc.disable()
     try:
         db.insert_subtree(asia, XMLNode("item", None, [XMLNode("name", "new")]))
-        assert db.views["names"].relation is not old()
-        # an extent's relation and its cached batch point at each other
-        # (independently of any memo): break that before letting it go
-        del old()._column_batch
+        assert db.views["names"].extent is not old()
+        # nothing points back at an extent: reference counting frees it
         assert old() is None
         assert any(cached is plan for cached in cached_plans(db))
         assert _kept_nodes([plan])

@@ -4,8 +4,8 @@ Every rewriting of a query is S-equivalent to it, so every costed
 alternative must return the *same relation* when executed — cost-based
 selection may only ever change how fast an answer is computed, never the
 answer.  These tests execute all alternatives on materialised fixtures and
-compare contents, then pin down that ``Planner.answer`` runs the cheapest
-plan.
+compare contents, then pin down that the cheapest plan is the one that
+runs.
 """
 
 from __future__ import annotations
@@ -13,10 +13,11 @@ from __future__ import annotations
 import pytest
 
 from repro import MaterializedView, build_summary, parse_parenthesized, parse_pattern
+from repro.algebra.execution import PlanExecutor
 from repro.planning.planner import Planner
 from repro.rewriting.algorithm import RewritingConfig
 from repro.rewriting.rewriter import Rewriter
-from support.relations import view_scan_count
+from support.relations import cheapest_answer, view_scan_count
 
 
 @pytest.fixture(scope="module")
@@ -54,9 +55,9 @@ def test_every_costed_alternative_returns_the_same_relation(fixture, query_text)
     rewriter, planner = fixture
     choice = planner.plan(parse_pattern(query_text))
     assert choice.found, f"no rewriting for {query_text}"
-    reference = planner.execute(choice.best)
+    reference = PlanExecutor(rewriter.views).execute(choice.best.plan_operator)
     for alternative in choice.alternatives[1:]:
-        relation = planner.execute(alternative)
+        relation = PlanExecutor(rewriter.views).execute(alternative.plan_operator)
         assert relation.same_contents(reference), (
             f"alternative {alternative.rewriting.views_used} disagrees with the "
             f"chosen plan on {query_text}"
@@ -66,21 +67,22 @@ def test_every_costed_alternative_returns_the_same_relation(fixture, query_text)
 def test_chosen_plan_matches_direct_evaluation(fixture):
     rewriter, planner = fixture
     query = parse_pattern("site(//item[ID,V])")
-    result = planner.answer(query)
+    result = cheapest_answer(planner, query)
     # the search's own fewest-views pick, executed without the cost model
-    direct = rewriter.execute(rewriter.rewrite(query).best)
+    direct = PlanExecutor(rewriter.views).execute(rewriter.rewrite(query).best.plan)
     assert result.same_contents(direct)
     assert len(result) == 3  # three items in the fixture
 
 
 def test_planner_answer_runs_the_cheapest_plan(fixture):
-    _, planner = fixture
+    rewriter, planner = fixture
     query = parse_pattern("site(//item[ID,V])")
-    best = planner.best_plan(query)
+    best = planner.plan(query).best
     # the single-scan plan must win against joins / unions on this fixture,
-    # and answer() must produce exactly its result
+    # and the answer must be exactly its result
     assert view_scan_count(best.logical_plan.to_algebra()) == 1
-    assert planner.answer(query).same_contents(planner.execute(best))
+    expected = PlanExecutor(rewriter.views).execute(best.plan_operator)
+    assert cheapest_answer(planner, query).same_contents(expected)
 
 
 def test_plan_choice_reports_costs_for_every_alternative(fixture):

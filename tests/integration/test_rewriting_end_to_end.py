@@ -12,8 +12,10 @@ from repro import (
     parse_pattern,
     xquery_to_pattern,
 )
+from repro.algebra.execution import PlanExecutor
 from repro.planning.planner import Planner
 from repro.rewriting import RewritingConfig
+from support.relations import cheapest_answer
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +37,7 @@ def check_rewriting(document, summary, views, query, expect_views=None):
     rewriter = Rewriter(summary, views)
     outcome = rewriter.rewrite(query)
     assert outcome.found, f"no rewriting found for {query.name}"
-    result = rewriter.execute(outcome.best)
+    result = PlanExecutor(rewriter.views).execute(outcome.best.plan)
     direct = evaluate_pattern(query, document)
     assert result.same_contents(direct), (
         f"plan result differs from direct evaluation for {query.name}\n"
@@ -176,7 +178,7 @@ class TestAdvancedRewritings:
         rewriter = Rewriter(summary, views)
         outcome = rewriter.rewrite(query)
         assert outcome.found
-        result = rewriter.execute(outcome.best)
+        result = PlanExecutor(rewriter.views).execute(outcome.best.plan)
         direct = evaluate_pattern(query, document)
         assert result.same_contents(direct)
 
@@ -219,8 +221,8 @@ class TestAdvancedRewritings:
             parse_pattern("site(//item[ID](/name[V]))", name="v"), document, name="v"
         )
         rewriter = Rewriter(summary, [view])
-        answer = Planner(rewriter).answer(
-            parse_pattern("site(//item[ID](/name[V]))", name="q")
+        answer = cheapest_answer(
+            Planner(rewriter), parse_pattern("site(//item[ID](/name[V]))", name="q")
         )
         assert len(answer) == 3  # every item has a name
 

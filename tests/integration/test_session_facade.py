@@ -1,7 +1,7 @@
 """End-to-end façade behaviour: layer identity, warm batches, DDL flow.
 
-* the layer-level ``Planner(rewriter).answer`` and the façade's
-  ``Database.query`` must produce identical relations;
+* the layer-level answer (``Planner(rewriter).plan``'s cheapest plan, run)
+  and the façade's ``Database.query`` must produce identical relations;
 * a ``Database.query_many`` workload the plan cache already holds searches
   nothing and answers exactly like the first run;
 * a DDL → query → DDL → query session must stay consistent throughout.
@@ -13,6 +13,7 @@ import pytest
 
 from repro import Database, Rewriter, parse_pattern
 from repro.planning.planner import Planner
+from support.relations import cheapest_answer
 
 ITEM_NAMES = "site(//item[ID](/name[V]))"
 KEYWORDS = "site(//keyword[ID,V])"
@@ -34,7 +35,7 @@ def test_planner_answer_matches_facade(db, auction_summary):
     rewriter = Rewriter(auction_summary, list(db.views))
     query = parse_pattern(ITEM_NAMES, name="q")
 
-    layer_answer = Planner(rewriter).answer(query)
+    layer_answer = cheapest_answer(Planner(rewriter), query)
     facade_answer = db.query(ITEM_NAMES, name="q")
     assert layer_answer.same_contents(facade_answer), (
         "the planner and the façade must produce identical relations"

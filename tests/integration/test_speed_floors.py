@@ -31,7 +31,6 @@ from repro import (
     parse_parenthesized,
     parse_pattern,
 )
-from repro.algebra.columnar import ColumnBatch
 from repro.algebra.execution import PlanExecutor
 from repro.algebra.operators import IndexScan, Projection, Selection, StructuralJoin, ViewScan
 from repro.algebra.tuples import Column, Relation, _hashable
@@ -58,7 +57,7 @@ from support.annotation_oracle import oracle_annotate_paths, oracle_annotations
 from support.oracle_executor import OracleExecutor
 from support.paper_workloads import build_dblp_workload, build_xmark_workload
 from support.rebuild_oracle import scan_fed_extent
-from support.relations import mark_sorted_by
+from support.relations import mark_sorted_by, stored_view
 from support.statistics_oracle import assert_statistics_equal_a_fresh_build
 
 pytestmark = pytest.mark.slow
@@ -113,8 +112,7 @@ def _chain_extents(size: int, annotated: bool) -> dict[str, SimpleNamespace]:
     if annotated:
         mark_sorted_by(upper, "ID1")
         mark_sorted_by(lower, "ID1")
-    # anything exposing ``relation`` is a view store entry
-    return {"upper": SimpleNamespace(relation=upper), "lower": SimpleNamespace(relation=lower)}
+    return {"upper": stored_view(upper), "lower": stored_view(lower)}
 
 
 def test_structural_pairs_join_beats_the_nested_loop():
@@ -171,7 +169,7 @@ def test_a_repeated_structural_join_reads_its_cached_links():
     for _ in range(5):
         views = _chain_extents(10_000, annotated=True)
         for view in views.values():
-            ColumnBatch.from_relation(view.relation).dewey_keys(0)
+            view.extent.dewey_keys(0)
         batches = {}
         fresh = _copies(plan, 6)
         first = _seconds(
@@ -216,7 +214,7 @@ def test_a_repeated_extent_join_and_projection_read_what_the_first_run_kept():
     for _ in range(5):
         views = _chain_extents(10_000, annotated=True)
         for view in views.values():
-            ColumnBatch.from_relation(view.relation).dewey_keys(0)
+            view.extent.dewey_keys(0)
         batches = {}
         first = _seconds(lambda: batches.update(first=PlanExecutor(views).execute_batch(plan)))
         again = _median_seconds(
@@ -272,9 +270,9 @@ def test_a_repeated_join_chain_and_projection_read_what_the_first_run_kept():
         lower = Relation(
             [Column("ID1", kind="ID")], rows=[(DeweyID((1, i, 2)),) for i in range(1, 10_001)]
         )
-        views["lower"] = SimpleNamespace(relation=mark_sorted_by(lower, "ID1"))
+        views["lower"] = stored_view(mark_sorted_by(lower, "ID1"))
         for view in views.values():
-            ColumnBatch.from_relation(view.relation).dewey_keys(0)
+            view.extent.dewey_keys(0)
         batches = {}
         first = _seconds(lambda: batches.update(first=PlanExecutor(views).execute_batch(plan)))
         again = _median_seconds(
@@ -309,7 +307,7 @@ def test_a_repeated_projection_over_a_join_chain_reads_its_kept_answer():
             for i in range(1, 10_001)
         ]
         columns = [Column("ID1", kind="ID")] + ([Column("V1")] if values else [])
-        return SimpleNamespace(relation=mark_sorted_by(Relation(columns, rows=rows), "ID1"))
+        return stored_view(mark_sorted_by(Relation(columns, rows=rows), "ID1"))
 
     first_join = StructuralJoin(
         left=ViewScan("upper", alias="u"),
@@ -381,7 +379,7 @@ def test_the_first_join_after_a_write_reads_the_followed_links():
         followed = _seconds(
             lambda: batches.update(followed=PlanExecutor(db.views).execute_batch(next(fresh)))
         )
-        lower = ColumnBatch.from_relation(db.views["lower"].relation).source(0)
+        lower = db.views["lower"].extent.source(0)
         lower.links = None
         rebuilt = _seconds(
             lambda: batches.update(rebuilt=PlanExecutor(db.views).execute_batch(next(fresh)))
@@ -619,7 +617,8 @@ def test_store_fed_materialisation_beats_the_scan():
     ]
     assert len(views) == 16
     for view in views:
-        extent, reference = view.materialize(document), scan_fed_extent(view, document)
+        extent = view.materialize(document).to_relation()
+        reference = scan_fed_extent(view, document)
         assert extent.rows == reference.rows and extent.sorted_by == reference.sorted_by
 
     def store_fed():

@@ -263,6 +263,17 @@ def test_the_fig13_and_fig14_sets_lose_no_rewriting_at_bound_3(
     _paper_sets_agree(dblp_workload, 3)
 
 
+def test_the_search_keeps_each_rewriting_once(xmark_workload):
+    """Two derivations can build one plan: fig13's Q5 at bound 3, unbounded
+    and without unions, used to return 70 rewritings of which 68 differ
+    (a view ``⋈=``-joined with itself on its derived parent IDs, twice).
+    A search keeps each (views, plan up to generated numbers) once."""
+    catalog = ViewCatalog(xmark_workload.summary, xmark_workload.views)
+    (query,) = [query for query in xmark_workload.queries if query.name == "Q5"]
+    rewritings = RewritingSearch(query, catalog, UNBOUNDED).run()
+    assert len(rewritings) == len(rewriting_set(rewritings)) == 68
+
+
 @pytest.mark.slow
 def test_the_paper_sets_lose_no_rewriting_nightly(xmark_workload, dblp_workload):
     _contract_agrees(4)

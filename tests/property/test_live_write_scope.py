@@ -142,9 +142,9 @@ def _classes(keys: list) -> list[int]:
     return [keys.index(key) for key in keys]
 
 
-def assert_batch_is_a_fresh_transpose(relation) -> None:
-    """The relation's cached batch equals one built from its rows alone."""
-    batch = ColumnBatch.from_relation(relation)
+def assert_batch_is_a_fresh_transpose(batch) -> None:
+    """A batch's cached vectors equal ones built from its rows alone."""
+    relation = batch.to_relation()
     assert batch.row_count == len(relation.rows)
     assert batch.sorted_by == relation.sorted_by
     assert batch.to_relation() is relation
@@ -274,7 +274,7 @@ class LiveWriteScopeMachine(RuleBasedStateMachine):
     @invariant()
     def column_caches_equal_a_fresh_transpose(self):
         for view in self.sut.views:
-            assert_batch_is_a_fresh_transpose(view.relation)
+            assert_batch_is_a_fresh_transpose(view.extent)
 
     @invariant()
     def memo_entries_equal_a_fresh_run(self):
@@ -425,33 +425,33 @@ def test_published_content_follows_a_write_below_an_unchanged_row(db):
 
 def test_the_first_scan_after_a_write_finds_spliced_vectors(db):
     view = db.views["v_name"]
-    batch = ColumnBatch.from_relation(view.relation)
+    batch = view.extent
     batch.dewey_keys(0), batch.row_keys(0), batch.row_keys(1)
     assert index_for_source(batch.source(1)) is not None
     db.insert_subtree(_asia(db), SUBTREE_SHAPES[1](7))  # an int under //name
-    spliced = view.relation._column_batch  # installed by the delta, not by a read
+    spliced = view.extent  # made by the delta, not by a read
     assert spliced is not batch and spliced.row_count == batch.row_count + 1
     id_source, value_source = spliced.source(0), spliced.source(1)
     assert id_source._keys is not None and id_source._row_keys is id_source._keys
     assert value_source._row_keys is value_source._values
     assert value_source.index is None, "a value index is positional: not carried over"
     assert 7 in spliced.values(1) and "pen" in spliced.values(1)
-    assert_batch_is_a_fresh_transpose(view.relation)
+    assert_batch_is_a_fresh_transpose(spliced)
 
 
 def test_an_empty_extent_takes_its_first_rows_by_splice(db):
     view = db.views["v_keyword"]
     assert len(view.relation) == 0
-    empty = ColumnBatch.from_relation(view.relation)
+    empty = view.extent
     empty.row_keys(0), empty.row_keys(1)
     db.insert_subtree(_asia(db), SUBTREE_SHAPES[3](1))
     assert len(view.relation) == 1
-    spliced = view.relation._column_batch
+    spliced = view.extent
     # an empty column keys as an ID column; "kw-1" is foreign to that rule,
     # so the dedup cache is dropped and rebuilt rather than guessed
     assert spliced.source(0)._row_keys is spliced.source(0)._keys is not None
     assert spliced.source(1)._row_keys is None
-    assert_batch_is_a_fresh_transpose(view.relation)
+    assert_batch_is_a_fresh_transpose(spliced)
 
 
 def _id_sources(batch) -> list:
@@ -464,7 +464,7 @@ def _id_sources(batch) -> list:
 
 
 def _extent_batches(db) -> dict:
-    return {name: ColumnBatch.from_relation(db.views[name].relation) for name in db.views.names}
+    return {name: db.views[name].extent for name in db.views.names}
 
 
 def _assert_dewey_text_spliced(db, before: dict) -> dict:
@@ -517,9 +517,8 @@ def test_a_foreign_replacement_cell_never_yields_wrong_keys(old, cells):
     batch = ColumnBatch.from_relation(relation)
     batch.row_keys(0)
     _or_error(lambda: batch.dewey_keys(0), ReproError)
-    patched = Relation(["X"], rows=[(old[0],)] + [(cell,) for cell in cells])
-    batch.spliced([(1, len(old), patched.rows[1:])], patched)
-    assert patched._column_batch.values(0) == [old[0]] + cells
+    patched = batch.spliced([(1, len(old), [(cell,) for cell in cells])])
+    assert patched.values(0) == [old[0]] + cells
     assert_batch_is_a_fresh_transpose(patched)
 
 

@@ -29,7 +29,6 @@ workloads, persistence and recovery, and the oracle's independence.
 from __future__ import annotations
 
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import settings
@@ -71,6 +70,7 @@ from support.memo_oracle import assert_memo_derived
 from support.oracle_executor import OracleExecutor
 from support.paper_workloads import build_dblp_workload, build_xmark_workload
 from support.rebuild_oracle import normalize, scan_fed_extent
+from support.relations import stored_view
 
 DOC_TEXT = (
     "site("
@@ -137,7 +137,7 @@ def assert_store_exact(document: XMLDocument) -> None:
 
 
 def assert_store_fed_equals_scan_fed(view: MaterializedView, document) -> None:
-    extent = view.materialize(document)
+    extent = view.materialize(document).to_relation()
     reference = scan_fed_extent(view, document)
     assert extent.column_names == reference.column_names, view.name
     assert extent.sorted_by == reference.sorted_by, view.name
@@ -285,11 +285,11 @@ class PathStoreMachine(RuleBasedStateMachine):
         # a write replaces the extents whose rows it changes, as a session's
         # delta does, and leaves the others the very same relation
         for view in self.memo_views:
-            fresh = view.materialize(self.document)
+            fresh = view.materialize(self.document).to_relation()
             old = self.extents.get(view.name)
-            if old is None or _rows(old) != _rows(fresh):
-                self.extents[view.name] = fresh
-        store = {name: SimpleNamespace(relation=extent) for name, extent in self.extents.items()}
+            if old is None or _rows(old.relation) != _rows(fresh):
+                self.extents[view.name] = stored_view(fresh)
+        store = dict(self.extents)
         for plan in self.plans:
             fast = PlanExecutor(store).execute(plan)
             assert _rows(fast) == _rows(OracleExecutor(store).execute(plan)), plan.describe()

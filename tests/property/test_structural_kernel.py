@@ -37,14 +37,13 @@ import operator
 import pickle
 import weakref
 from itertools import product
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algebra import kernels
-from repro.algebra.columnar import ColumnBatch, _ColumnSource, splice_runs
+from repro.algebra.columnar import _ColumnSource, splice_runs
 from repro.algebra.execution import PlanExecutor
 from repro.algebra.operators import (
     IdEqualityJoin,
@@ -63,14 +62,13 @@ from repro.xmltree.node import XMLNode
 
 from support.memo_oracle import assert_memo_derived
 from support.oracle_executor import OracleExecutor
-from support.relations import mark_sorted_by
+from support.relations import mark_sorted_by, stored_view
 
 AXES = (Axis.CHILD, Axis.DESCENDANT)
 
 
 def _views(**relations):
-    # anything exposing ``relation`` is a view store entry
-    return {name: SimpleNamespace(relation=relation) for name, relation in relations.items()}
+    return {name: stored_view(relation) for name, relation in relations.items()}
 
 
 def _identical(fast: Relation, slow: Relation) -> None:
@@ -467,16 +465,19 @@ def test_a_sorted_column_with_an_equal_key_run_still_deduplicates():
     fast = _projection_matches(relation, ["ID1", "V1"])
     assert len(fast) == 4 and fast.sorted_by == "v.ID1"
     # the equal-key run is read off the extent once: not strictly ascending
-    assert ColumnBatch.from_relation(relation).source(0)._ascending is False
+    plan = Projection(child=ViewScan("v", alias="v"), columns=["v.ID1"])
+    views = _views(v=relation)
+    PlanExecutor(views).execute_batch(plan)
+    assert views["v"].extent.source(0)._ascending is False
     # strictly increasing, ⊥-free: nothing to remove, nothing hashed — the
     # extent's cached proof hands the projection its very source
     strict = Relation([Column("ID1", kind="ID")], rows=[(i,) for i in ids[::2]])
     mark_sorted_by(strict, "ID1")
     assert _projection_matches(strict, ["ID1"]).rows == strict.rows
-    extent = ColumnBatch.from_relation(strict).source(0)
+    views = _views(v=strict)
+    extent = views["v"].extent.source(0)
+    assert PlanExecutor(views).execute_batch(plan).source(0) is extent
     assert extent._ascending is True
-    plan = Projection(child=ViewScan("v", alias="v"), columns=["v.ID1"])
-    assert PlanExecutor(_views(v=strict)).execute_batch(plan).source(0) is extent
 
 
 @pytest.mark.parametrize(
@@ -798,7 +799,7 @@ def _replace(views: dict, name: str) -> None:
     old = views[name].relation
     fresh = Relation(old.columns, rows=list(old.rows))
     fresh.sorted_by = old.sorted_by
-    views[name] = SimpleNamespace(relation=fresh)
+    views[name] = stored_view(fresh)
 
 
 def _distinct_by_hashing(source) -> bool:
@@ -1072,16 +1073,13 @@ def test_the_projection_memo_keeps_no_replaced_extent_alive():
         assert answer is not None  # u.row repeats: the memo holds a dedup vector
         old = relations.pop("upper")
         old_relation = weakref.ref(old)
-        old_sources = [weakref.ref(source) for source in ColumnBatch.from_relation(old)._sources]
-        # an extent's relation and its cached batch point at each other
-        # (independently of any memo): break that before letting it go
-        del old._column_batch
-        views["upper"] = SimpleNamespace(relation=_id_relation([(1, 1), (1, 2)], True))
+        old_sources = [weakref.ref(source) for source in views["upper"].extent._sources]
+        views["upper"] = stored_view(_id_relation([(1, 1), (1, 2)], True))
         del old, batch, answer
         assert old_relation() is None
         assert [source() for source in old_sources] == [None, None]
         assert projection._kept is entry and entry[0][0]() is None
-        (middle_links,) = [ColumnBatch.from_relation(relations["middle"]).source(0).links]
+        (middle_links,) = [views["middle"].extent.source(0).links]
         assert len(middle_links) == 0
         batch, missed, _ = _projection_run(views, projection)
         assert missed is not entry

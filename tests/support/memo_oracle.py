@@ -2,12 +2,12 @@
 
 :meth:`repro.algebra.execution.PlanExecutor._kept` keeps a kernel
 operator's output index vectors on its plan node, keyed on weak references
-to the extent relations the node's subtree scans, and reads them back while
-each of those is still the relation the view store holds.  The contract
+to the extents the node's subtree scans, and reads them back while each of
+those is still the extent the view store holds.  The contract
 this module checks, after any sequence of reads and writes:
 
 * an entry holds index vectors only — ``None``, integer vectors or a pair
-  of them — and weak references, never a row, relation or column source;
+  of them — and weak references, never a row, extent or column source;
 * no node whose subtree holds a ``ContentNavigation`` keeps anything (it
   reads live document nodes, which a write can change under an extent it
   hands back unchanged);
@@ -48,22 +48,22 @@ def plan_nodes(plans: Iterable[PlanOperator]) -> list[PlanOperator]:
 
 
 def _scanned_now(node: PlanOperator, views: Mapping[str, object]) -> Optional[list]:
-    """The relations ``node``'s subtree scans in the store now (``None``
+    """The extents ``node``'s subtree scans in the store now (``None``
     under a content navigation or over an unmaterialised view)."""
     if isinstance(node, ContentNavigation):
         return None
     if isinstance(node, (ViewScan, IndexScan)):
         try:
-            return [views[node.view_name].relation]
+            return [views[node.view_name].extent]
         except (KeyError, ReproError):
             return None
-    relations: list = []
+    extents: list = []
     for child in node.children():
         below = _scanned_now(child, views)
         if below is None:
             return None
-        relations += below
-    return relations
+        extents += below
+    return extents
 
 
 def _below_navigation(node: PlanOperator) -> bool:

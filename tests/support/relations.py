@@ -1,18 +1,23 @@
-"""Small builders for hand-made relations and plans.
+"""Small builders for hand-made relations, view stores and plans.
 
 The library sets a relation's Dewey-sort annotation itself (view extents,
 the merge join); tests that build relations by hand assert their physical
-order with :func:`mark_sorted_by`.
+order with :func:`mark_sorted_by`, and hand them to an executor as a view
+with :func:`stored_view`.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Optional
 
+from repro.algebra.columnar import ColumnBatch
+from repro.algebra.execution import PlanExecutor
 from repro.algebra.operators import IndexScan, PlanOperator, ViewScan
 from repro.algebra.tuples import Relation
+from repro.patterns.pattern import TreePattern
 
-__all__ = ["mark_sorted_by", "view_scan_count"]
+__all__ = ["cheapest_answer", "mark_sorted_by", "stored_view", "view_scan_count"]
 
 
 def mark_sorted_by(relation: Relation, name: Optional[str]) -> Relation:
@@ -22,6 +27,24 @@ def mark_sorted_by(relation: Relation, name: Optional[str]) -> Relation:
         relation.column_index(name)  # raises on unknown columns
     relation.sorted_by = name
     return relation
+
+
+def cheapest_answer(planner, query: TreePattern) -> Relation:
+    """``query``'s cheapest plan run over the planner's views: the
+    layer-level twin of ``Database.query``, with no plan cache (raises
+    :class:`~repro.errors.RewritingError` when no rewriting exists)."""
+    return PlanExecutor(planner.rewriter.views).execute(planner.plan(query).best.plan_operator)
+
+
+def stored_view(relation: Relation) -> SimpleNamespace:
+    """A view-store entry over a hand-made extent.
+
+    ``extent`` is what :class:`~repro.algebra.execution.PlanExecutor` scans
+    (the relation transposed into columns); ``relation`` is what the
+    row-at-a-time oracle scans, the very relation the extent was built
+    from (``extent.to_relation() is relation``).
+    """
+    return SimpleNamespace(extent=ColumnBatch.from_relation(relation), relation=relation)
 
 
 def view_scan_count(plan: PlanOperator) -> int:

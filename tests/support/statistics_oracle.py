@@ -21,6 +21,7 @@ from repro.patterns.predicates import ValueFormula
 from repro.summary.statistics import Statistics
 from repro.views.catalog import ViewCatalog
 from repro.xmltree.node import XMLNode
+from support.formulas import between
 
 __all__ = [
     "assert_statistics_equal_a_fresh_build",
@@ -78,7 +79,7 @@ def probe_formulas(entry: dict) -> list[ValueFormula]:
         formulas += [
             ValueFormula.eq(low),
             ValueFormula.gt(middle),
-            ValueFormula.between(low, middle),
+            between(low, middle),
             ValueFormula.lt(low - 1),
         ]
     return formulas

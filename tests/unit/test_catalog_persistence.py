@@ -254,7 +254,7 @@ def test_views_supplying_respects_same_node_correlation(setup):
 
 
 def _columns(view):
-    return [(column.name, column.kind) for column in view.schema()]
+    return [(column.name, column.kind) for column in view._schema]
 
 
 def test_a_view_derives_its_schema_once(setup, monkeypatch):

@@ -18,11 +18,7 @@ from repro.algebra.tuples import Relation
 from repro.xmltree.ids import DeweyID
 
 from support.oracle_executor import OracleExecutor
-
-
-class _FakeView:
-    def __init__(self, relation):
-        self.relation = relation
+from support.relations import stored_view
 
 
 def _relation(columns, ids_and_values, sorted_by=None):
@@ -54,7 +50,7 @@ def _run_both(left, right):
         ViewScan("l"), ViewScan("r"), left_column="l.ID", right_column="r.ID"
     )
     return _assert_matches_both_oracles(
-        {"l": _FakeView(left), "r": _FakeView(right)}, join
+        {"l": stored_view(left), "r": stored_view(right)}, join
     )
 
 
@@ -114,7 +110,7 @@ def test_merge_join_preserves_left_order_annotation():
     join = IdEqualityJoin(
         ViewScan("l"), ViewScan("r"), left_column="l.ID", right_column="r.ID"
     )
-    views = {"l": _FakeView(left), "r": _FakeView(right)}
+    views = {"l": stored_view(left), "r": stored_view(right)}
     result = PlanExecutor(views).execute(join)
     assert result.sorted_by == "l.ID"
 

@@ -45,7 +45,6 @@ from repro.views.delta import can_apply_delta
 from repro.views.view import MaterializedView
 from support.conformance import has_path
 from support.documents import has_id
-from support.relations import mark_sorted_by
 
 DOC_TEXT = (
     'site(regions(asia(item(name="pen" quantity=2) item(name="ink")))'
@@ -306,7 +305,7 @@ class TestExtentDelta:
         chain, pin = can_apply_delta(view)
         assert can_apply_delta(view) == (chain, pin) and derived == [view]
         assert [node.label for node in chain] == ["site", "item", "name"] and pin == 1
-        mark_sorted_by(view.relation, None)  # the order is the data's: read every call
+        view.extent.sorted_by = None  # the order is the data's: read every call
         assert can_apply_delta(view) is None and derived == [view]
 
     def test_ineligible_views_fall_back_to_rematerialize(self):

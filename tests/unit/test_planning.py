@@ -190,7 +190,7 @@ class TestPlannerChoice:
             MaterializedView(parse_pattern("site(//name[ID,V])", name="v_name"), doc),
         ]
         planner = Planner(Rewriter(summary, views))
-        best = planner.best_plan(parse_pattern("site(//item[ID,V])"))
+        best = planner.plan(parse_pattern("site(//item[ID,V])")).best
         assert best.rewriting.views_used == ("v_item",)
         assert view_scan_count(best.logical_plan.to_algebra()) == 1
 
@@ -213,4 +213,4 @@ class TestPlannerChoice:
         from repro.errors import RewritingError
 
         with pytest.raises(RewritingError):
-            planner.best_plan(parse_pattern("site(//item[ID,V])"))
+            planner.plan(parse_pattern("site(//item[ID,V])")).best

@@ -4,6 +4,7 @@ import pytest
 
 from repro import ValueFormula
 from repro.errors import PredicateError
+from support.formulas import between, equivalent
 
 
 class TestConstructionAndEvaluation:
@@ -38,9 +39,9 @@ class TestConstructionAndEvaluation:
         assert not formula.evaluate(3)
 
     def test_between(self):
-        formula = ValueFormula.between(2, 5)
+        formula = between(2, 5)
         assert formula.evaluate(2) and formula.evaluate(5)
-        assert not ValueFormula.between(2, 5, closed=False).evaluate(2)
+        assert not between(2, 5, closed=False).evaluate(2)
 
     def test_none_satisfies_only_true(self):
         assert ValueFormula.true().evaluate(None)
@@ -65,7 +66,7 @@ class TestConnectives:
 
     def test_disjunction_merges_overlaps(self):
         formula = ValueFormula.lt(5).or_(ValueFormula.lt(10))
-        assert formula.equivalent(ValueFormula.lt(10))
+        assert equivalent(formula, ValueFormula.lt(10))
 
     def test_negation(self):
         formula = ValueFormula.eq(3).negate()
@@ -74,7 +75,7 @@ class TestConnectives:
 
     def test_double_negation(self):
         formula = ValueFormula.gt(2).and_(ValueFormula.lt(5))
-        assert formula.negate().negate().equivalent(formula)
+        assert equivalent(formula.negate().negate(), formula)
 
     def test_negation_of_true_is_false(self):
         assert not ValueFormula.true().negate().is_satisfiable()
@@ -98,7 +99,7 @@ class TestImplication:
 
     def test_equivalence(self):
         left = ValueFormula.ge(2).and_(ValueFormula.le(2))
-        assert left.equivalent(ValueFormula.eq(2))
+        assert equivalent(left, ValueFormula.eq(2))
 
     def test_paper_section42_example(self):
         # phi_t'phi2 = (v=3)  implies  phi_tphi3 = (v>1)
@@ -142,7 +143,7 @@ class TestParsingAndRendering:
     def test_to_text_round_trip(self):
         for text in ["v>2 and v<5", "v=3", "v='pen'", "v>=1 or v<=-4", "true"]:
             formula = ValueFormula.parse(text)
-            assert ValueFormula.parse(formula.to_text()).equivalent(formula)
+            assert equivalent(ValueFormula.parse(formula.to_text()), formula)
 
     def test_repr_and_hash(self):
         formula = ValueFormula.eq(3)

@@ -14,7 +14,6 @@
 from __future__ import annotations
 
 import itertools
-from types import SimpleNamespace
 
 import pytest
 
@@ -33,7 +32,7 @@ from repro.patterns.pattern import Axis
 from repro.xmltree.ids import DeweyID
 
 from support.oracle_executor import OracleExecutor
-from support.relations import mark_sorted_by
+from support.relations import mark_sorted_by, stored_view
 
 
 def _extent(ids, values, sorted_by=None):
@@ -46,7 +45,7 @@ def _extent(ids, values, sorted_by=None):
     )
     if sorted_by:
         mark_sorted_by(relation, sorted_by)
-    return SimpleNamespace(relation=relation)  # anything exposing ``relation``
+    return stored_view(relation)
 
 
 def _exact(value):

@@ -11,6 +11,15 @@ called by the language.  Tests, docs and docstrings do not count: a
 definition only a test calls is the test's helper and lives in
 ``tests/support/``.
 
+Two rules narrow that:
+
+* a bare ``Name`` inside a function body is a local or a global, so it
+  reaches no method (one at class level does: ``PlanExecutor``'s
+  ``_OPERATORS`` table names its methods);
+* a reference from inside a definition nothing reaches does not count,
+  followed to a fixed point, so a dead definition takes the helpers only
+  it calls down with it.
+
 The scan matches words, not bindings: one ``x.run`` somewhere reaches
 every method called ``run``.  It misses only a name built at run time;
 such a definition goes in ``ALLOWED`` with a comment naming its caller.
@@ -24,7 +33,7 @@ from __future__ import annotations
 
 import ast
 import re
-from collections import Counter, defaultdict
+from collections import defaultdict
 from functools import cache
 from pathlib import Path
 from typing import Optional
@@ -77,16 +86,34 @@ def _marked(node: ast.AST) -> tuple[Optional[ast.AST], Optional[ast.AST]]:
     return docstring, annotation
 
 
+def _walk(tree: ast.Module):
+    """Every node of ``tree``, each before the nodes it contains, with
+    whether it lies in a function body (decorators excluded) and the
+    definitions of :func:`_definitions` it lies in, outermost first."""
+    qualified = {id(node): name for name, node in _definitions(tree)}
+    stack = [(tree, False, ())]
+    while stack:
+        node, in_function, owners = stack.pop()
+        yield node, in_function, owners
+        if id(node) in qualified:
+            owners = (*owners, qualified[id(node)])
+        body = in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        decorators = {id(child) for child in getattr(node, "decorator_list", ())}
+        for child in reversed(list(ast.iter_child_nodes(node))):
+            stack.append((child, in_function if id(child) in decorators else body, owners))
+
+
 @cache
-def _references(tree: ast.Module) -> dict[str, list[tuple[int, int]]]:
-    """Word → the ``(line, column)`` of each reference to it in ``tree``.
+def _references(tree: ast.Module) -> dict[str, list[tuple[bool, tuple[str, ...]]]]:
+    """Word → per reference to it in ``tree``: whether it is a bare ``Name``
+    in a function body, and the definitions it lies in (see :func:`_walk`).
 
     Docstrings refer to nothing; a quoted annotation
     (``"PlanOperator | Rewriting"``) refers to every name in it."""
     docstrings: set[int] = set()
     quoted: set[int] = set()
     found = defaultdict(list)
-    for node in ast.walk(tree):  # breadth first: a node before the strings it owns
+    for node, in_function, owners in _walk(tree):
         kind = type(node)
         if kind is ast.Name:
             words = [node.id]
@@ -105,34 +132,55 @@ def _references(tree: ast.Module) -> dict[str, list[tuple[int, int]]]:
             quoted.add(id(annotation))
             continue
         for word in words:
-            found[word].append((node.lineno, node.col_offset))
+            found[word].append((kind is ast.Name and in_function, owners))
     return found
 
 
-def _span(definition: ast.AST) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Where a definition starts (its first decorator) and ends."""
-    start = min(
-        (node.lineno, node.col_offset) for node in [definition, *definition.decorator_list]
-    )
-    return start, (definition.end_lineno, definition.end_col_offset)
+def _unreached(
+    modules: dict[str, ast.Module], callers: dict[str, ast.Module]
+) -> list[str]:
+    """The definitions of ``modules`` nothing reaches.
 
-
-def _unreached(modules: dict[str, ast.Module], outside: set[str]) -> list[str]:
-    total: Counter = Counter()
-    for tree in modules.values():
-        total.update({word: len(found) for word, found in _references(tree).items()})
-    unreached = []
+    Every reference in ``callers``, and every one at module level, reaches;
+    so does every one from inside a definition already reached, followed
+    to a fixed point.  A bare ``Name`` in a function body is a local or a
+    global, so it reaches no method; a definition does not reach itself."""
+    definitions = [
+        (name, qualified, node)
+        for name, tree in modules.items()
+        for qualified, node in _definitions(tree)
+    ]
+    uses = defaultdict(list)
     for name, tree in modules.items():
-        for qualified, node in _definitions(tree):
-            start, end = _span(node)
-            own = sum(start <= where <= end for where in _references(tree).get(node.name, ()))
-            if (
-                not (node.name.startswith("__") and node.name.endswith("__"))
-                and node.name not in outside
-                and total[node.name] == own
+        for word, found in _references(tree).items():
+            uses[word] += [(bare, {(name, owner) for owner in owners}) for bare, owners in found]
+    for tree in callers.values():
+        for word, found in _references(tree).items():
+            uses[word] += [(bare, set()) for bare, _ in found]
+    reached = {
+        (name, qualified)
+        for name, qualified, node in definitions
+        if node.name.startswith("__") and node.name.endswith("__")
+    }
+    grew = True
+    while grew:
+        grew = False
+        for name, qualified, node in definitions:
+            key = (name, qualified)
+            if key in reached:
+                continue
+            method = "." in qualified
+            if any(
+                not (method and bare) and key not in owners and owners <= reached
+                for bare, owners in uses.get(node.name, ())
             ):
-                unreached.append(f"{name}:{qualified}")
-    return unreached
+                reached.add(key)
+                grew = True
+    return [
+        f"{name}:{qualified}"
+        for name, qualified, _ in definitions
+        if (name, qualified) not in reached
+    ]
 
 
 def _module_imports(statements: list[ast.stmt]):
@@ -166,13 +214,12 @@ def _source_modules() -> dict[str, ast.Module]:
 
 
 @cache
-def _outside_words() -> frozenset[str]:
-    return frozenset(
-        word
+def _caller_modules() -> dict[str, ast.Module]:
+    return {
+        path.relative_to(ROOT).as_posix(): ast.parse(path.read_text())
         for caller in CALLERS
         for path in sorted((ROOT / caller).rglob("*.py"))
-        for word in _references(ast.parse(path.read_text()))
-    )
+    }
 
 
 def test_the_scan_sees_every_reference_form():
@@ -197,10 +244,13 @@ def test_the_scan_sees_every_reference_form():
         "    def unused_elsewhere(self): return Box\n"
         "def user(box) -> 'Sequence | None': return box.used(), json.dumps(p)\n"
     )
-    assert _unreached({"m.py": module}, {"from_outside"}) == [
+    assert _unreached({"m.py": module}, {"c.py": ast.parse("from_outside()")}) == [
         "m.py:recursive",
         "m.py:helper_in_docstring",
         "m.py:Box",
+        # named only inside ``user`` and ``Box``, which nothing reaches
+        "m.py:Box.used",
+        "m.py:Box.unused_elsewhere",
         "m.py:user",
     ]
     assert _unused_imports("m.py", module) == ["m.py: sys", "m.py: Iterator"]
@@ -211,7 +261,7 @@ def test_a_reference_in_another_module_reaches_the_definition():
         "a.py": ast.parse("def shared(): pass\ndef lonely(): pass\n"),
         "b.py": ast.parse("from a import shared\n"),
     }
-    assert _unreached(modules, set()) == ["a.py:lonely"]
+    assert _unreached(modules, {}) == ["a.py:lonely"]
 
 
 def test_one_attribute_reaches_every_method_of_that_name():
@@ -220,15 +270,44 @@ def test_one_attribute_reaches_every_method_of_that_name():
         "class B:\n    def run(self): pass\n    def stop(self): pass\n"
         "def main(thing): return thing.run(), A, B\n"
     )
-    assert _unreached({"m.py": module}, {"main"}) == ["m.py:B.stop"]
+    assert _unreached({"m.py": module}, {"c.py": ast.parse("main")}) == ["m.py:B.stop"]
 
 
-def test_a_deletion_can_orphan_the_helpers_it_called():
-    source = "def dead(): return _helper()\ndef _helper(): return 1\n"
-    assert _unreached({"m.py": ast.parse(source)}, set()) == ["m.py:dead"]
-    # with ``dead`` deleted, the next pass finds its helper: scan to a fixpoint
-    remaining = source.split("\n", 1)[1]
-    assert _unreached({"m.py": ast.parse(remaining)}, set()) == ["m.py:_helper"]
+def test_a_bare_name_in_a_function_body_reaches_no_method():
+    module = ast.parse(
+        "class Table:\n"
+        "    def _scan(self): pass\n"
+        "    def _join(self): pass\n"
+        "    def answer(self): pass\n"
+        "    OPERATORS = {1: _scan}\n"
+        "def main():\n"
+        "    answer = Table.OPERATORS\n"
+        "    return _join, answer\n"
+    )
+    caller = ast.parse("def run():\n    return main()\n")
+    # ``_scan`` is named at class level; ``_join`` and ``answer`` only by a
+    # function's locals and globals
+    assert _unreached({"m.py": module}, {"c.py": caller}) == [
+        "m.py:Table._join",
+        "m.py:Table.answer",
+    ]
+
+
+def test_a_reference_from_an_unreached_definition_does_not_count():
+    source = (
+        "def dead(): return _helper()\n"
+        "def _helper(): return _deeper()\n"
+        "def _deeper(): return 1\n"
+        "def ping(): return pong()\n"
+        "def pong(): return ping()\n"
+    )
+    assert _unreached({"m.py": ast.parse(source)}, {}) == [
+        "m.py:dead",
+        "m.py:_helper",
+        "m.py:_deeper",
+        "m.py:ping",
+        "m.py:pong",
+    ]
 
 
 def test_an_import_listed_in_all_is_a_re_export():
@@ -237,7 +316,7 @@ def test_an_import_listed_in_all_is_a_re_export():
 
 
 def test_every_definition_in_src_is_reached():
-    unreached = _unreached(_source_modules(), _outside_words())
+    unreached = _unreached(_source_modules(), _caller_modules())
     fresh = [found for found in unreached if found not in ALLOWED]
     assert not fresh, "reached from nowhere:\n" + "\n".join(fresh)
     stale = sorted(set(ALLOWED) - set(unreached))

@@ -27,14 +27,7 @@ from repro.patterns.predicates import ValueFormula
 from repro.xmltree.ids import DeweyID
 
 from support.oracle_executor import OracleExecutor
-from support.relations import mark_sorted_by
-
-
-class _Extent:
-    """Minimal view-store entry: anything exposing ``relation`` works."""
-
-    def __init__(self, relation: Relation):
-        self.relation = relation
+from support.relations import mark_sorted_by, stored_view
 
 
 def _id_relation(ids, extra=None, sorted_by=None):
@@ -85,8 +78,8 @@ def _ids(*texts):
 class TestStaircaseEdgeCases:
     def test_duplicate_identifiers_on_both_sides(self):
         views = {
-            "upper": _Extent(_id_relation(_ids("1.1", "1.1", "1.2"), extra="aab")),
-            "lower": _Extent(_id_relation(_ids("1.1.1", "1.1.1", "1.2.9"), extra="xxy")),
+            "upper": stored_view(_id_relation(_ids("1.1", "1.1", "1.2"), extra="aab")),
+            "lower": stored_view(_id_relation(_ids("1.1.1", "1.1.1", "1.2.9"), extra="xxy")),
         }
         merge, _ = _both(views, _join(views))
         # 2 upper dups x 2 lower dups under 1.1, plus the single 1.2 pair
@@ -97,8 +90,8 @@ class TestStaircaseEdgeCases:
         # identifiers must never match (ancestry is strict), prefixes must
         chain = _ids("1", "1.1", "1.1.1")
         views = {
-            "upper": _Extent(_id_relation(chain)),
-            "lower": _Extent(_id_relation(chain)),
+            "upper": stored_view(_id_relation(chain)),
+            "lower": stored_view(_id_relation(chain)),
         }
         merge, _ = _both(views, _join(views))
         assert len(merge) == 3  # (1,1.1), (1,1.1.1), (1.1,1.1.1)
@@ -108,8 +101,8 @@ class TestStaircaseEdgeCases:
     def test_parent_axis_on_deep_chain(self):
         chain = _ids("1", "1.1", "1.1.1", "1.1.1.1")
         views = {
-            "upper": _Extent(_id_relation(chain)),
-            "lower": _Extent(_id_relation(chain)),
+            "upper": stored_view(_id_relation(chain)),
+            "lower": stored_view(_id_relation(chain)),
         }
         merge, _ = _both(views, _join(views, axis=Axis.CHILD))
         pairs = {(str(row[0]), str(row[1])) for row in merge.rows}
@@ -119,7 +112,7 @@ class TestStaircaseEdgeCases:
         empty = _id_relation([])
         populated = _id_relation(_ids("1.1", "1.1.2"))
         for upper, lower in [(empty, populated), (populated, empty), (empty, empty)]:
-            views = {"upper": _Extent(upper), "lower": _Extent(lower)}
+            views = {"upper": stored_view(upper), "lower": stored_view(lower)}
             merge, _ = _both(views, _join(views))
             assert len(merge) == 0
             nested_merge, _ = _both(views, _join(views, nested=True))
@@ -129,16 +122,16 @@ class TestStaircaseEdgeCases:
         # _as_dewey coerces strings, DeweyIDs and None; the merge must see
         # the same world the oracle sees
         views = {
-            "upper": _Extent(_id_relation(["1.1", DeweyID.from_string("1.2"), None])),
-            "lower": _Extent(_id_relation([DeweyID.from_string("1.1.3"), "1.2.1", None])),
+            "upper": stored_view(_id_relation(["1.1", DeweyID.from_string("1.2"), None])),
+            "lower": stored_view(_id_relation([DeweyID.from_string("1.1.3"), "1.2.1", None])),
         }
         merge, _ = _both(views, _join(views))
         assert len(merge) == 2  # the None rows never match anything
 
     def test_nested_join_keeps_null_left_rows(self):
         views = {
-            "upper": _Extent(_id_relation([None, "1.1"], extra="na")),
-            "lower": _Extent(_id_relation(_ids("1.1.1", "1.1.2"))),
+            "upper": stored_view(_id_relation([None, "1.1"], extra="na")),
+            "lower": stored_view(_id_relation(_ids("1.1.1", "1.1.2"))),
         }
         nested_merge, oracle = _both(views, _join(views, nested=True))
         assert len(nested_merge) == 2 == len(oracle)
@@ -147,8 +140,8 @@ class TestStaircaseEdgeCases:
 
     def test_non_identifier_values_raise(self):
         views = {
-            "upper": _Extent(_id_relation([42])),
-            "lower": _Extent(_id_relation(_ids("1.1"))),
+            "upper": stored_view(_id_relation([42])),
+            "lower": stored_view(_id_relation(_ids("1.1"))),
         }
         with pytest.raises(PlanExecutionError):
             PlanExecutor(views).execute(_join(views))
@@ -161,7 +154,7 @@ class TestStaircaseEdgeCases:
         upper = _id_relation(list(reversed(_ids("1.1", "1.2", "1.3"))))
         lower = _id_relation(list(reversed(_ids("1.1.1", "1.2.1", "1.3.9.2"))))
         assert upper.sorted_by is None
-        views = {"upper": _Extent(upper), "lower": _Extent(lower)}
+        views = {"upper": stored_view(upper), "lower": stored_view(lower)}
         merge, _ = _both(views, _join(views))
         assert len(merge) == 3
 
@@ -172,8 +165,8 @@ class TestStaircaseEdgeCases:
         lying = _id_relation(list(reversed(_ids("1.1", "1.2"))))
         mark_sorted_by(lying, "ID1")
         views = {
-            "upper": _Extent(lying),
-            "lower": _Extent(_id_relation(_ids("1.1.5", "1.2.5"))),
+            "upper": stored_view(lying),
+            "lower": stored_view(_id_relation(_ids("1.1.5", "1.2.5"))),
         }
         result = PlanExecutor(views).execute(_join(views))
         assert len(result) <= 2
@@ -182,13 +175,13 @@ class TestStaircaseEdgeCases:
 class TestSortedFlagLifecycle:
     def test_view_scan_qualifies_the_annotation(self):
         relation = _id_relation(_ids("1.1", "1.2"), sorted_by="ID1")
-        executor = PlanExecutor({"upper": _Extent(relation)})
+        executor = PlanExecutor({"upper": stored_view(relation)})
         result = executor.execute(ViewScan("upper", alias="u"))
         assert result.sorted_by == "u.ID1"
 
     def test_selection_preserves_the_annotation(self):
         relation = _id_relation(_ids("1.1", "1.2"), extra="ab", sorted_by="ID1")
-        executor = PlanExecutor({"upper": _Extent(relation)})
+        executor = PlanExecutor({"upper": stored_view(relation)})
         plan = Selection(
             child=ViewScan("upper", alias="u"),
             column="u.V1",
@@ -200,7 +193,7 @@ class TestSortedFlagLifecycle:
 
     def test_projection_keeps_annotation_only_when_column_survives(self):
         relation = _id_relation(_ids("1.1", "1.2"), extra="ab", sorted_by="ID1")
-        executor = PlanExecutor({"upper": _Extent(relation)})
+        executor = PlanExecutor({"upper": stored_view(relation)})
         kept = executor.execute(
             Projection(child=ViewScan("upper", alias="u"), columns=["u.ID1"])
         )
@@ -212,7 +205,7 @@ class TestSortedFlagLifecycle:
 
     def test_projection_rename_follows_the_annotation(self):
         relation = _id_relation(_ids("1.1", "1.2"), sorted_by="ID1")
-        executor = PlanExecutor({"upper": _Extent(relation)})
+        executor = PlanExecutor({"upper": stored_view(relation)})
         result = executor.execute(
             Projection(
                 child=ViewScan("upper", alias="u"),
@@ -224,8 +217,8 @@ class TestSortedFlagLifecycle:
 
     def test_merge_join_output_is_sorted_on_the_descendant_column(self):
         views = {
-            "upper": _Extent(_id_relation(_ids("1.1", "1.2"), sorted_by="ID1")),
-            "lower": _Extent(_id_relation(_ids("1.1.1", "1.2.1"), sorted_by="ID1")),
+            "upper": stored_view(_id_relation(_ids("1.1", "1.2"), sorted_by="ID1")),
+            "lower": stored_view(_id_relation(_ids("1.1.1", "1.2.1"), sorted_by="ID1")),
         }
         result = PlanExecutor(views).execute(_join(views))
         assert result.sorted_by == "l.ID1"

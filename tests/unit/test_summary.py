@@ -119,7 +119,6 @@ class TestSummaryIndex:
         assert index.is_ancestor(a, e)
         assert not index.any_parent({a}, {e})
         assert not index.is_ancestor(e, a)
-        assert index.related(a, e)
         assert index.children(a) == {n.number for n in figure2_summary.root.children}
         assert index.children(e) == frozenset()
         # one stored set per label, handed out as-is

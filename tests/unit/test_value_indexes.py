@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Database, MaterializedView, parse_parenthesized, parse_pattern
-from repro.algebra.columnar import ColumnBatch
 from repro.algebra.kernels import selection_indices
 from repro.patterns.predicates import ValueFormula
 from repro.views.indexes import (
@@ -31,6 +30,7 @@ from repro.views.indexes import (
     index_for_source,
 )
 from repro.xmltree.node import XMLNode
+from support.formulas import between
 
 
 @pytest.fixture(autouse=True)
@@ -48,7 +48,7 @@ FORMULAS = [
     ValueFormula.ne("pen"),
     ValueFormula.lt(5),
     ValueFormula.ge(5),
-    ValueFormula.between(2, 9),
+    between(2, 9),
     ValueFormula.gt(3).and_(ValueFormula.lt(3)),  # unsatisfiable
     ValueFormula.eq("ink").or_(ValueFormula.eq("pad")),
     ValueFormula.parse('v >= "i"'),
@@ -200,7 +200,7 @@ def test_rematerialising_ddl_rebuilds_the_index(database):
 def test_unindexable_columns_fall_back_to_the_scan_kernel(database):
     # probe the ID column: DeweyIDs refuse indexing, the plan must still
     # answer through the selection kernel (and never count a build)
-    batch = ColumnBatch.from_relation(database.views["items"].relation)
+    batch = database.views["items"].extent
     assert index_for_source(batch.source(batch.column_index("ID1"))) is None
     assert index_for_source(batch.source(batch.column_index("ID1"))) is None
     assert INDEX_STATS.builds == 0, "unindexable is cached, not retried"

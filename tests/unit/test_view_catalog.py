@@ -129,7 +129,7 @@ class TestCatalogSecondaryIndexes:
 
 class TestSummaryIndexLabelMaps:
     def test_label_map_matches_summary_scan(self, auction_summary, auction_index):
-        for label in auction_index.labels:
+        for label in {node.label for node in auction_summary.iter_nodes()}:
             expected = {
                 node.number for node in auction_summary.iter_nodes() if node.label == label
             }
