@@ -307,7 +307,6 @@ class ColumnBatch:
         "sorted_by",
         "_sources",
         "_relation",
-        "_row_twin",
         "__weakref__",
     )
 
@@ -325,12 +324,9 @@ class ColumnBatch:
         self._sources = list(sources)
         self.row_count = row_count
         self.sorted_by = sorted_by
-        # the row form, once built (or the relation this batch was built
-        # from): the batch points at it, never the other way round
+        # the relation this batch was built from, if it keeps it: the batch
+        # points at it, never the other way round
         self._relation: Optional[Relation] = None
-        # a schema-sharing parent whose materialised rows equal ours — lets
-        # to_relation() reuse the parent's row tuples instead of re-zipping
-        self._row_twin: Optional[ColumnBatch] = None
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -372,19 +368,18 @@ class ColumnBatch:
         return ColumnBatch(self.columns, sources, count, self.sorted_by)
 
     def to_relation(self) -> Relation:
-        """The rows as a row-major :class:`Relation` (built once, cached)."""
-        if self._relation is None:
-            relation = Relation(self.columns)
-            twin = self._row_twin
-            if twin is not None:
-                relation.rows = list(twin.to_relation().rows)
-            elif not self._sources:
-                relation.rows = [()] * self.row_count  # zip() of no column is empty
-            elif self.row_count:
-                relation.rows = list(zip(*(source.values() for source in self._sources)))
-            relation.sorted_by = self.sorted_by
-            self._relation = relation
-        return self._relation
+        """The rows as a row-major :class:`Relation`: the relation the batch
+        was built from when it keeps it, else a fresh transpose the batch
+        does not keep."""
+        if self._relation is not None:
+            return self._relation
+        relation = Relation(self.columns)
+        if not self._sources:
+            relation.rows = [()] * self.row_count  # zip() of no column is empty
+        elif self.row_count:
+            relation.rows = list(zip(*(source.values() for source in self._sources)))
+        relation.sorted_by = self.sorted_by
+        return relation
 
     # ------------------------------------------------------------------ #
     def column_index(self, name: str) -> int:
@@ -415,12 +410,9 @@ class ColumnBatch:
     ) -> "ColumnBatch":
         """The same rows under different column names (scan qualification).
 
-        Sources are shared, so value and key caches carry over; the result
-        also reuses this batch's materialised rows on ``to_relation``.
+        Sources are shared, so value and key caches carry over.
         """
-        batch = ColumnBatch(columns, self._sources, self.row_count, sorted_by)
-        batch._row_twin = self._row_twin if self._row_twin is not None else self
-        return batch
+        return ColumnBatch(columns, self._sources, self.row_count, sorted_by)
 
     def gather(
         self, indices: Sequence[int], sorted_by: Optional[str] = None

@@ -18,9 +18,8 @@ implementation.  Plans evaluate as
 * **row-wise operators** — nested projection, unnest, group-by, content
   navigation and parent-ID derivation — build or take apart nested
   relations and document nodes cell by cell; they read their child as rows
-  (over a scan, one row list per extent, built on the first such read and
-  kept on the extent) and hand the result back to the batch spine
-  transposed.
+  (over a scan, a fresh transpose of the extent, which keeps no rows) and
+  hand the result back to the batch spine transposed.
 
 Structural joins compare Dewey identifiers, so they work on any view whose
 ID columns were materialised with the default structural ``fID``

@@ -239,7 +239,12 @@ class ChangeLog:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        records, intact_bytes = _scan(self.path)
+        self._continue(*_scan(self.path))
+
+    def _continue(self, records: list[LogRecord], intact_bytes: int) -> None:
+        """Open the file for appending after ``records``, its validated
+        content, which ends at byte ``intact_bytes`` (a torn tail past it is
+        truncated away)."""
         self._last_lsn = records[-1].lsn if records else 0
         size = self.path.stat().st_size if self.path.exists() else None
         if size is not None and intact_bytes < size:
@@ -289,6 +294,23 @@ class ChangeLog:
         """
         records, _ = _scan(Path(path))
         return records
+
+    @classmethod
+    def _read_for_append(
+        cls, path: str | Path
+    ) -> tuple[list[LogRecord], Callable[[], "ChangeLog"]]:
+        """:meth:`read`, plus a call that opens the log for appending after
+        those records without validating the file a second time (recovery
+        replays the records first, then resumes the log)."""
+        log = cls.__new__(cls)
+        log.path = Path(path)
+        records, intact_bytes = _scan(log.path)
+
+        def reopen() -> "ChangeLog":
+            log._continue(records, intact_bytes)
+            return log
+
+        return records, reopen
 
     def __repr__(self) -> str:
         state = "open" if self._handle is not None else "closed"

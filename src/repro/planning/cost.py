@@ -55,7 +55,7 @@ __all__ = ["CostModel", "OperatorEstimate", "plan_sorted_on", "sort_merge_decisi
 
 
 def sort_merge_decision(
-    operator: PlanOperator, statistics: Optional[Statistics] = None
+    operator: PlanOperator, statistics: Statistics
 ) -> Optional[str]:
     """The order-based algorithm choice for a join operator, as a label.
 
@@ -93,9 +93,7 @@ def sort_merge_decision(
 
 
 def plan_sorted_on(
-    operator: PlanOperator,
-    column: str,
-    statistics: Optional[Statistics] = None,
+    operator: PlanOperator, column: str, statistics: Statistics
 ) -> bool:
     """Will ``operator``'s output be Dewey-sorted on ``column``?
 
@@ -103,11 +101,9 @@ def plan_sorted_on(
     run time (``Relation.sorted_by``), so the cost model can decide which
     staircase inputs need an explicit sort without executing anything:
 
-    * ``ViewScan`` emits its extent in document order of the view's first
-      ``ID`` column (the sorted extent guarantee) — the statistics record
-      which column that is per view; without statistics the conventional
-      first ID column name (``ID1``…) is assumed for ``ID``-prefixed
-      columns, which can only mis-price, never mis-execute;
+    * ``ViewScan`` emits its extent in the order the statistics record for
+      the view (the sorted extent guarantee: the first ``ID`` column of a
+      structural identifier scheme, none for an opaque one);
     * ``StructuralJoin`` emits descendant order, ``NestedStructuralJoin``
       and ``IdEqualityJoin`` preserve their left input's order;
     * ``Selection`` / ``Projection`` (column kept) / ``Unnest`` /
@@ -124,15 +120,8 @@ def plan_sorted_on(
         alias_prefix = f"{operator.effective_alias}."
         if not column.startswith(alias_prefix):
             return False
-        base = column[len(alias_prefix):]
-        if statistics is not None:
-            recorded = statistics.view_sorted_column(operator.view_name)
-            if recorded is not None:
-                return base == recorded
-        # statistics-free fallback: only the conventional first-ID-column
-        # name — the guarantee covers the *first* ID column only, and
-        # under-claiming merely over-prices (a sort term), never the reverse
-        return base == "ID1"
+        recorded = statistics.view_sorted_column(operator.view_name)
+        return recorded is not None and column[len(alias_prefix):] == recorded
     if isinstance(operator, StructuralJoin):
         return column == operator.right_column
     if isinstance(operator, NestedStructuralJoin):
@@ -194,9 +183,8 @@ class CostModel:
     Parameters
     ----------
     statistics:
-        The cardinality statistics to read.  ``None`` falls back to a
-        statistics-free model (every view extent counts 1 row), which still
-        ranks plans by shape — more joins cost more.
+        The cardinality statistics to read (a view catalog's
+        :meth:`~repro.views.catalog.ViewCatalog.statistics`).
     """
 
     minimum_operator_cost = 1.0
@@ -233,15 +221,13 @@ class CostModel:
         UnionPlan,
     )
 
-    def __init__(self, statistics: Optional[Statistics] = None):
+    def __init__(self, statistics: Statistics):
         self.statistics = statistics
 
     # ------------------------------------------------------------------ #
     # cardinality-context protocol (called from operator estimate_rows hooks)
     # ------------------------------------------------------------------ #
     def view_rows(self, view_name: str) -> float:
-        if self.statistics is None:
-            return 1.0
         return self.statistics.view_rows(view_name)
 
     def equality_join_rows(self, left: float, right: float) -> float:
@@ -255,7 +241,7 @@ class CostModel:
         if axis is Axis.CHILD:
             per_row = 1.0
         else:
-            per_row = self.statistics.average_depth if self.statistics else 2.0
+            per_row = self.statistics.average_depth
         return max(min(left * right, right * per_row), 1.0)
 
     def selection_selectivity(
@@ -275,7 +261,7 @@ class CostModel:
         """
         if formula.is_true():
             return 1.0
-        if view_name is not None and column is not None and self.statistics is not None:
+        if view_name is not None and column is not None:
             estimated = self.statistics.column_selectivity(view_name, column, formula)
             if estimated is not None:
                 return estimated
@@ -284,13 +270,9 @@ class CostModel:
         return self.default_selection_selectivity
 
     def navigation_matches(self, steps: Sequence[tuple[Axis, str]]) -> float:
-        if self.statistics is None:
-            return 1.0
         return self.statistics.navigation_fanout(label for _, label in steps)
 
     def unnest_fanout(self) -> float:
-        if self.statistics is None:
-            return 1.0
         return max(self.statistics.average_fanout, 1.0)
 
     def group_reduction(self) -> float:
@@ -328,7 +310,7 @@ class CostModel:
         """
         if formula.is_true() or not formula.is_satisfiable():
             return False
-        if self.statistics is None or not self.statistics.view_rows_exact(view_name):
+        if not self.statistics.view_rows_exact(view_name):
             return False
         if self.statistics.view_column_stats(view_name, column) is None:
             return False

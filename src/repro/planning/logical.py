@@ -108,9 +108,7 @@ class LogicalPlan:
         )
 
 
-def lower_plan(
-    plan: "PlanOperator | Rewriting", cost_model: Optional[CostModel] = None
-) -> LogicalPlan:
+def lower_plan(plan: "PlanOperator | Rewriting", cost_model: CostModel) -> LogicalPlan:
     """Lower an algebra plan (or a rewriting) to a costed :class:`LogicalPlan`.
 
     The walk is iterative (post-order over the DAG), so arbitrarily deep
@@ -120,8 +118,6 @@ def lower_plan(
     root_operator = getattr(plan, "plan", plan)
     if not isinstance(root_operator, PlanOperator):
         raise TypeError(f"cannot lower {plan!r} to a logical plan")
-    model = cost_model or CostModel()
-
     nodes: dict[int, LogicalPlanNode] = {}
     ordered: list[LogicalPlanNode] = []
     # per-operator map of reachable operator ids -> their own cost
@@ -140,8 +136,8 @@ def lower_plan(
             continue
         children = [nodes[id(child)] for child in operator.children()]
         child_rows = [child.rows for child in children]
-        rows = max(float(operator.estimate_rows(child_rows, model)), 0.0)
-        own = model.operator_cost(operator, child_rows, rows)
+        rows = max(float(operator.estimate_rows(child_rows, cost_model)), 0.0)
+        own = cost_model.operator_cost(operator, child_rows, rows)
         # cumulative over the DAG: each distinct reachable operator charged
         # once, even through diamonds (a sub-plan shared by both inputs)
         reachable = reach.setdefault(id(operator), {id(operator): own})

@@ -144,34 +144,12 @@ class Planner:
 
     def __init__(self, rewriter: "Rewriter"):
         self.rewriter = rewriter
-        self._derived_model: Optional[CostModel] = None
-        self._derived_key: Optional[tuple] = None
-        # strong reference to the catalog the derived model was built from:
-        # the key uses its id(), which CPython may recycle after GC, so the
-        # referent must stay alive for the identity comparison to be sound
-        self._derived_catalog = None
 
-    # ------------------------------------------------------------------ #
     @property
     def cost_model(self) -> CostModel:
-        """The effective cost model (the catalog's statistics).
-
-        Derived models are cached and invalidated when the rewriter's view
-        set or any extent in it changes (``views.data_version``).
-        """
-        catalog = self.rewriter.catalog
-        key = (id(catalog), self.rewriter.views.data_version)
-        if (
-            self._derived_model is not None
-            and self._derived_key == key
-            and self._derived_catalog is catalog
-        ):
-            return self._derived_model
-        model = CostModel(catalog.statistics())
-        self._derived_model = model
-        self._derived_key = key
-        self._derived_catalog = catalog
-        return model
+        """The cost model over the catalog's statistics (which follow
+        writes in place, so a model never goes stale)."""
+        return CostModel(self.rewriter.catalog.statistics())
 
     # ------------------------------------------------------------------ #
     def rank(

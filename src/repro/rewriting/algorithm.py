@@ -172,7 +172,7 @@ class RewritingSearch:
         self._start_time = 0.0
         # one bit per (query return node, required attribute) slot: the slots
         # each initial view supplies on a compatible path, and all of them
-        # (0 until _attributes_feasible computes them; per attribute, NOT per
+        # (0 until _suppliers_feasible computes them; per attribute, NOT per
         # set — see _lacks_supplier)
         self._slots_of: dict[str, int] = {}
         self._all_slots = 0
@@ -195,7 +195,7 @@ class RewritingSearch:
             initial = self._setup()
             self.statistics.setup_seconds = time.perf_counter() - self._start_time
 
-            if not self._attributes_feasible(initial):
+            if not self._suppliers_feasible(initial):
                 # no combination of views can supply some required output
                 # attribute on a compatible path; Prop. 3.7 rules out every plan
                 self.statistics.total_seconds = (
@@ -243,83 +243,60 @@ class RewritingSearch:
         self.statistics.views_after_pruning = len(initial)
         return initial
 
-    def _attributes_feasible(self, initial: list[RewriteCandidate]) -> bool:
-        """Quick necessary condition (seed semantics, unchanged): every
-        query return node must have, in some view, a single node on
-        compatible paths offering all its attributes.
+    def _suppliers_feasible(self, initial: list[RewriteCandidate]) -> bool:
+        """Prop. 3.7 in one pass over the initial candidates: fill the
+        supplier slots and decide the seed's feasibility condition.
 
-        (The single-node requirement is knowingly conservative: equality
-        fusion can pool attributes from several views onto one node, so a
-        query answerable only by such a join is bailed here — exactly as
-        the seed did; the identity tests pin this behaviour.)  The
-        catalog's ``views_supplying`` index answers whole return nodes in
-        O(1); only when it cannot vouch for any surviving view does the
-        per-node scan run, stopping at the first satisfying view.
+        The initial candidates are the only objects that show every
+        attribute a view can supply — content unfolding and virtual IDs
+        add some during setup — so both facts are read off them:
 
-        The *per-attribute* supplier slots of :meth:`_lacks_supplier` and
-        :meth:`_cannot_cover` are computed afterwards.
+        * one slot per (query return node, required attribute); its bit is
+          set in ``_slots_of`` for every view offering that attribute on a
+          compatible path.  This is the sound granularity for candidate
+          pruning: equality fusion merges the joined nodes and *pools their
+          attributes*, so a join candidate can serve a return node no single
+          member view covers alone — but every attribute on a fused node
+          still traces back to some member view's node whose paths are a
+          superset of the fused node's, so "each required attribute has a
+          supplier among the candidate's views" remains a necessary
+          condition (:meth:`_lacks_supplier`, :meth:`_cannot_cover`);
+        * the feasibility verdict (seed semantics, unchanged): every query
+          return node must have, in some view, a *single* node on compatible
+          paths offering all its attributes.  This is knowingly
+          conservative — a query answerable only by an attribute-pooling
+          join is bailed here, exactly as the seed did; the identity tests
+          pin this behaviour.
         """
-        names_in_play = {candidate.views_used[0] for candidate in initial}
-        for query_node in self.query.return_nodes():
-            required = set(query_node.attributes) or {"ID"}
-            query_paths = query_node.annotated_paths or frozenset()
-            if not query_paths:
-                return False
-            if self.catalog.views_supplying(query_paths, required) & names_in_play:
-                continue
-            satisfied = False
-            for candidate in initial:
-                for node in candidate.pattern.nodes():
-                    node_paths = node.annotated_paths or frozenset()
-                    if not node_paths or not (node_paths & query_paths):
-                        continue
-                    if required <= candidate.available_attributes(node):
-                        satisfied = True
-                        break
-                if satisfied:
-                    break
-            if not satisfied:
-                return False
-        self._attribute_suppliers(initial)
-        return True
-
-    def _attribute_suppliers(self, initial: list[RewriteCandidate]) -> None:
-        """One slot per (query return node, required attribute): set its bit
-        in ``_slots_of`` for every view offering that attribute on a
-        compatible path.
-
-        This is the sound granularity for candidate pruning.  Equality
-        fusion merges the joined nodes and *pools their attributes*, so a
-        join candidate can serve a return node no single member view covers
-        alone — but every attribute on a fused node still traces back to
-        some member view's node whose paths are a superset of the fused
-        node's, so "each required attribute has a supplier among the
-        candidate's views" remains a necessary condition.  The catalog's
-        ``views_with_attribute`` inverted index fast-accepts most views;
-        attributes that only became derivable during setup (content
-        unfolding, virtual IDs) fall back to the per-node scan.
-        """
+        # per return node: its paths and its (attribute, slot bit) pairs
+        wanted = []
         slot = 1
         for query_node in self.query.return_nodes():
-            required = sorted(set(query_node.attributes) or {"ID"})
-            query_paths = query_node.annotated_paths or frozenset()
-            for attribute in required:
-                fast = {
-                    view.name
-                    for number in query_paths
-                    for view in self.catalog.views_with_attribute(number, attribute)
-                }
-                for candidate in initial:
-                    name = candidate.views_used[0]
-                    if name in fast or any(
-                        node.annotated_paths
-                        and node.annotated_paths & query_paths
-                        and attribute in candidate.available_attributes(node)
-                        for node in candidate.pattern.nodes()
-                    ):
-                        self._slots_of[name] = self._slots_of.get(name, 0) | slot
+            if not query_node.annotated_paths:
+                return False
+            bits = []
+            for attribute in sorted(set(query_node.attributes) or {"ID"}):
+                bits.append((attribute, slot))
                 slot <<= 1
+            wanted.append((query_node.annotated_paths, bits))
         self._all_slots = slot - 1
+        whole = [False] * len(wanted)
+        for candidate in initial:
+            name = candidate.views_used[0]
+            for node in candidate.pattern.nodes():
+                if not node.annotated_paths:
+                    continue
+                available = None
+                for position, (query_paths, bits) in enumerate(wanted):
+                    if not node.annotated_paths & query_paths:
+                        continue
+                    if available is None:
+                        available = candidate.available_attributes(node)
+                    offered = [bit for attribute, bit in bits if attribute in available]
+                    if offered:
+                        self._slots_of[name] = self._slots_of.get(name, 0) | sum(offered)
+                        whole[position] |= len(offered) == len(bits)
+        return all(whole)
 
     # ------------------------------------------------------------------ #
     # join loop

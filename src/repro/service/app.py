@@ -291,7 +291,7 @@ class ServiceApp:
         entry = self._reports.get(choice)
         if entry is None:
             entry = self._reports[choice] = planned_report(
-                choice, self.database.planner.cost_model.statistics
+                choice, self.database.rewriter.catalog.statistics()
             )
         return entry
 

@@ -12,8 +12,8 @@ single entry point so callers stop hand-wiring ``build_summary`` +
   ``save``/``load`` persist what the session is made of (document, view
   definitions, config) as change-log records and rebuild the rest;
 * **view DDL** — :meth:`Database.create_view` / :meth:`Database.drop_view`
-  maintain the catalog *incrementally*: the inverted root-label /
-  summary-path / attribute indexes are patched in place
+  maintain the catalog *incrementally*: the Prop. 3.4 summary-path
+  postings are appended to or re-derived from the kept entries
   (:meth:`~repro.views.catalog.ViewCatalog.add_view` /
   :meth:`~repro.views.catalog.ViewCatalog.remove_view`), so adding or
   dropping one view among hundreds never re-annotates the others;
@@ -365,7 +365,6 @@ class Database:
         self._plan_cache = PlanCache()
         self._view_serial = 0
         self._change_log: Optional[ChangeLog] = None
-        self._replaying = False
         self.maintenance_stats = dict.fromkeys(MAINTENANCE_COUNTERS, 0)
         """Per-session counters of which maintenance path each mutation
         took — the live-document observables: ``delta_applied`` /
@@ -702,7 +701,7 @@ class Database:
     # durable change log
     # ------------------------------------------------------------------ #
     def _log(self, type_: str, payload: dict) -> None:
-        if self._change_log is not None and not self._replaying:
+        if self._change_log is not None:
             self._change_log.append(type_, payload)
 
     def attach_log(self, path: str | Path) -> ChangeLog:
@@ -764,7 +763,7 @@ class Database:
         record.  The recovered session has the log re-attached, so it
         keeps appending where the lost one stopped.
         """
-        records = ChangeLog.read(log_path)
+        records, reopen = ChangeLog._read_for_append(log_path)
         if not records:
             raise ChangeLogError(f"change log {log_path} holds no intact records")
         for position in range(len(records) - 1, -1, -1):
@@ -780,11 +779,12 @@ class Database:
         else:
             database = cls._from_records(records)
         # resume durable logging exactly where the recovered history ends
-        database._change_log = ChangeLog(log_path)
+        database._change_log = reopen()
         return database
 
     def _replay(self, records: Iterable) -> None:
-        """Apply logged operations without re-appending them.
+        """Apply logged operations (on a session with no change log yet,
+        so nothing is appended again).
 
         Views the log creates are registered unmaterialised — mutations
         skip those — and the ones that survive to the end of the log are
@@ -794,50 +794,40 @@ class Database:
         """
         document = self._require_document()
         deferred: dict[str, MaterializedView] = {}
-        self._replaying = True
-        try:
-            for record in records:
-                payload = record.payload
-                if record.type == "insert":
-                    parent = document.node_by_id(
-                        DeweyID.from_string(payload["parent"])
-                    )
-                    node = self.insert_subtree(
-                        parent, decode_subtree(payload["subtree"])
-                    )
-                    if str(node.dewey) != payload["dewey"]:
-                        raise ChangeLogError(
-                            f"replay of lsn {record.lsn} assigned Dewey ID "
-                            f"{node.dewey}, but the log recorded "
-                            f"{payload['dewey']} — the replayed history "
-                            f"diverged from the original"
-                        )
-                elif record.type == "delete":
-                    self.delete_subtree(DeweyID.from_string(payload["dewey"]))
-                elif record.type == "create_view":
-                    view = self.create_view(
-                        payload["pattern"], name=payload["name"], materialize=False
-                    )
-                    if payload.get("materialize", True):
-                        deferred[view.name] = view
-                elif record.type == "drop_view":
-                    self.drop_view(payload["name"])
-                    deferred.pop(payload["name"], None)
-                elif record.type in ("checkpoint", "load"):
-                    continue  # fences / the starting point; nothing to apply
-                else:  # pragma: no cover - ChangeLog.read validates types
+        for record in records:
+            payload = record.payload
+            if record.type == "insert":
+                parent = document.node_by_id(DeweyID.from_string(payload["parent"]))
+                node = self.insert_subtree(parent, decode_subtree(payload["subtree"]))
+                if str(node.dewey) != payload["dewey"]:
                     raise ChangeLogError(
-                        f"cannot replay record type {record.type!r}"
+                        f"replay of lsn {record.lsn} assigned Dewey ID "
+                        f"{node.dewey}, but the log recorded "
+                        f"{payload['dewey']} — the replayed history "
+                        f"diverged from the original"
                     )
-            for view in deferred.values():
-                view.materialize(document)
-            if deferred:
-                # extents appeared under statistics that priced these views
-                # as unmaterialised: re-derive them on next use
-                self.views.touch()
-                self._rewriter.invalidate_catalog()
-        finally:
-            self._replaying = False
+            elif record.type == "delete":
+                self.delete_subtree(DeweyID.from_string(payload["dewey"]))
+            elif record.type == "create_view":
+                view = self.create_view(
+                    payload["pattern"], name=payload["name"], materialize=False
+                )
+                if payload.get("materialize", True):
+                    deferred[view.name] = view
+            elif record.type == "drop_view":
+                self.drop_view(payload["name"])
+                deferred.pop(payload["name"], None)
+            elif record.type in ("checkpoint", "load"):
+                continue  # fences / the starting point; nothing to apply
+            else:  # pragma: no cover - ChangeLog.read validates types
+                raise ChangeLogError(f"cannot replay record type {record.type!r}")
+        for view in deferred.values():
+            view.materialize(document)
+        if deferred:
+            # extents appeared under statistics that priced these views
+            # as unmaterialised: re-derive them on next use
+            self.views.touch()
+            self._rewriter.invalidate_catalog()
 
     # ------------------------------------------------------------------ #
     # query lifecycle
@@ -956,7 +946,7 @@ class Database:
         executed here.
         """
         return build_explain_report(
-            choice, self._planner.cost_model.statistics, executor, elapsed
+            choice, self._rewriter.catalog.statistics(), executor, elapsed
         )
 
     def query(self, query: TreePattern | str, name: Optional[str] = None) -> Relation:

@@ -239,7 +239,7 @@ class ExplainReport:
 
 def build_explain_report(
     choice: PlanChoice,
-    statistics: Optional["Statistics"] = None,
+    statistics: "Statistics",
     executor: Optional["PlanExecutor"] = None,
     actual_seconds: Optional[float] = None,
 ) -> ExplainReport:
@@ -259,7 +259,7 @@ def build_explain_report(
 
 
 def planned_report(
-    choice: PlanChoice, statistics: Optional["Statistics"] = None
+    choice: PlanChoice, statistics: "Statistics"
 ) -> tuple[ExplainReport, tuple]:
     """The un-analyzed report of ``choice``, and the plan operator behind
     each of its entries (what :func:`measurements` reads a run by)."""

@@ -354,8 +354,8 @@ class Statistics:
         Exact for observed views (materialised extents report their actual
         ``sorted_by`` annotation; unmaterialised ones their declared
         :meth:`~repro.views.view.MaterializedView.dewey_sort_column`);
-        ``None`` for unknown views — the cost model then falls back to the
-        first-ID-column naming convention.
+        ``None`` for unknown views and unsorted extents (an opaque
+        identifier scheme) — the cost model then prices a sort.
         """
         return self._view_sorted.get(name)
 

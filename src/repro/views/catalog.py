@@ -7,24 +7,19 @@ Prop. 3.4 usefulness test.  Over a workload of hundreds of queries against
 hundreds of views, that per-pair work dominates everything else.
 
 A :class:`ViewCatalog` does the query-independent part of that work exactly
-once per view and indexes the results two ways:
-
-* **summary-node hit sets** — an inverted index from every summary node
-  number to the views with a path-related (equal / ancestor / descendant)
-  non-root node; a lookup over the query's target paths yields precisely the
-  views Proposition 3.4 would keep, without touching the others
-  (:meth:`candidate_positions`),
-* **offered attributes** — which views can supply a given attribute on a
-  given summary path, counting both materialised and lazily derivable
-  columns (:meth:`views_with_attribute`).
+once per view and keeps one index over the results: an inverted index from
+every summary node number to the views with a path-related (equal /
+ancestor / descendant) non-root node.  A lookup over the query's target
+paths yields precisely the views Proposition 3.4 would keep, without
+touching the others (:meth:`candidate_positions`).
 
 For every surviving view, :meth:`initial_candidates` hands the search a
 fresh :class:`~repro.rewriting.candidates.RewriteCandidate` cloned from a
 pre-annotated prototype, so no per-query path annotation is needed for the
 views themselves.  The query-*dependent* pre-processing (targeted C-attribute
-unfolding and the attribute-feasibility check of Prop. 3.7) intentionally
-stays in the search: it depends on the query's paths and cannot be hoisted
-into the catalog without changing results.
+unfolding, virtual IDs and the attribute-feasibility check of Prop. 3.7)
+stays in the search: it depends on the query's paths, and only the unfolded
+candidates show every attribute a view can supply.
 """
 
 from __future__ import annotations
@@ -45,16 +40,10 @@ __all__ = ["ViewCatalog"]
 
 
 class _ViewEntry:
-    """One catalogued view: its pre-annotated prototype candidate and keys."""
+    """One catalogued view: its pre-annotated prototype candidate and the
+    summary nodes its Prop. 3.4 postings go to."""
 
-    __slots__ = (
-        "view",
-        "candidate",
-        "hits",
-        "related_hits",
-        "attributes_by_path",
-        "node_offers",
-    )
+    __slots__ = ("view", "candidate", "related_hits")
 
     def __init__(
         self, view: MaterializedView, candidate: RewriteCandidate, index: SummaryIndex
@@ -62,40 +51,18 @@ class _ViewEntry:
         self.view = view
         self.candidate = candidate
         hits: set[int] = set()
-        attributes_by_path: dict[int, set[str]] = {}
-        node_offers: list[tuple[frozenset[int], frozenset[str]]] = []
         for node in candidate.pattern.nodes():
-            paths = node.annotated_paths or frozenset()
-            if not paths:
-                continue
-            if node.parent is not None:
-                hits |= paths
-            available = candidate.available_attributes(node)
-            if available:
-                for number in paths:
-                    attributes_by_path.setdefault(number, set()).update(available)
-                node_offers.append((frozenset(paths), frozenset(available)))
+            if node.parent is not None and node.annotated_paths:
+                hits |= node.annotated_paths
         related: set[int] = set(hits)
         for number in hits:
             related |= index.ancestors(number)
             related |= index.descendants(number)
-        self.hits = frozenset(hits)
         self.related_hits = frozenset(related)
-        self.attributes_by_path = {
-            number: frozenset(attrs) for number, attrs in attributes_by_path.items()
-        }
-        # per-node (paths, attributes) pairs: unlike attributes_by_path this
-        # keeps same-node correlation, which Prop. 3.7 needs (the attributes
-        # must all come from ONE pattern node on a compatible path)
-        self.node_offers = tuple(node_offers)
-
-    def instantiate(self) -> RewriteCandidate:
-        """A fresh candidate clone the search may annotate and transform."""
-        return self.candidate.clone()
 
 
 class ViewCatalog:
-    """Query-independent indexes over a fixed view set and summary.
+    """The query-independent Prop. 3.4 index over a view set and summary.
 
     Parameters
     ----------
@@ -125,10 +92,10 @@ class ViewCatalog:
         self._statistics: Optional[Statistics] = None
         self.entry_build_count = 0
         """How many per-view entries (prototype candidate + annotation +
-        index keys) this catalog has built over its lifetime.  The
-        incremental-maintenance contract is observable here: adding or
-        removing one view among N must bump this by at most one, never N —
-        the other entries are patched around, not rebuilt."""
+        postings) this catalog has built over its lifetime.  The
+        incremental-maintenance contract is observable here: adding one
+        view among N bumps this by one and removing one leaves it flat —
+        the other entries are kept, never rebuilt."""
         for view in self.views:
             self._entries.append(self._build_entry(view))
         self._reindex()
@@ -146,30 +113,28 @@ class ViewCatalog:
         return _ViewEntry(view, candidate, self.index)
 
     def _reindex(self) -> None:
-        """(Re)build the inverted indexes from the entry list."""
+        """(Re)build the name map and the Prop. 3.4 postings from the entry list."""
         self._by_related_path: dict[int, list[int]] = {}
         self._by_name: dict[str, int] = {}
-        self._by_path_attribute: dict[tuple[int, str], list[int]] = {}
         for position, entry in enumerate(self._entries):
             self._by_name.setdefault(entry.view.name, position)
-            for number in entry.related_hits:
-                self._by_related_path.setdefault(number, []).append(position)
-            for number, attributes in entry.attributes_by_path.items():
-                for attribute in attributes:
-                    self._by_path_attribute.setdefault(
-                        (number, attribute), []
-                    ).append(position)
+            self._post(entry, position)
+
+    def _post(self, entry: _ViewEntry, position: int) -> None:
+        """Add the Prop. 3.4 postings of the entry at ``position``."""
+        for number in entry.related_hits:
+            self._by_related_path.setdefault(number, []).append(position)
 
     # ------------------------------------------------------------------ #
     # incremental maintenance (view DDL)
     # ------------------------------------------------------------------ #
     def add_view(self, view: MaterializedView) -> None:
-        """Catalogue one more view by patching the indexes in place.
+        """Catalogue one more view.
 
-        Only the new view's entry is built (one prototype annotation); the
-        existing entries and their index postings are untouched.  The cached
-        statistics snapshot, when already built, is extended with the new
-        view instead of being recomputed.
+        Only the new view's entry is built (one prototype annotation) and
+        its postings appended; the existing entries are untouched.  The
+        cached statistics snapshot, when already built, is extended with
+        the new view instead of being recomputed.
         """
         if view.name in self._by_name:
             raise ReproError(f"a view named {view.name!r} is already catalogued")
@@ -178,23 +143,17 @@ class ViewCatalog:
         self.views.append(view)
         self._entries.append(entry)
         self._by_name[view.name] = position
-        for number in entry.related_hits:
-            self._by_related_path.setdefault(number, []).append(position)
-        for number, attributes in entry.attributes_by_path.items():
-            for attribute in attributes:
-                self._by_path_attribute.setdefault((number, attribute), []).append(
-                    position
-                )
+        self._post(entry, position)
         if self._statistics is not None:
             self._statistics.observe_annotated(view, entry.candidate.pattern)
 
     def remove_view(self, name: str) -> None:
-        """De-catalogue a view by patching the indexes in place.
+        """De-catalogue a view.
 
-        The view's postings are dropped and later positions shifted down —
-        pure index surgery, identical to what a from-scratch rebuild over
-        the remaining views would produce (the entry list keeps its order),
-        but without re-annotating a single surviving entry.
+        The entry is dropped and the postings are re-derived from the
+        remaining entries (which keep their order), so the catalog is what
+        a from-scratch build over the remaining views would produce —
+        without re-annotating a single surviving entry.
         """
         try:
             position = self._by_name[name]
@@ -202,69 +161,12 @@ class ViewCatalog:
             raise KeyError(f"unknown view {name!r}") from None
         del self.views[position]
         del self._entries[position]
-        for postings_by_key in (self._by_related_path, self._by_path_attribute):
-            empty = []
-            for key, postings in postings_by_key.items():
-                postings[:] = [
-                    p - 1 if p > position else p for p in postings if p != position
-                ]
-                if not postings:
-                    empty.append(key)
-            for key in empty:
-                del postings_by_key[key]
-        del self._by_name[name]
-        for other, p in self._by_name.items():
-            if p > position:
-                self._by_name[other] = p - 1
+        self._reindex()
         if self._statistics is not None:
             self._statistics.forget_view(name)
 
-    # ------------------------------------------------------------------ #
-    # indexed lookups
-    # ------------------------------------------------------------------ #
     def __len__(self) -> int:
         return len(self.views)
-
-    def views_with_attribute(self, number: int, attribute: str) -> list[MaterializedView]:
-        """Views offering ``attribute`` (materialised or derivable) on summary
-        node ``number`` — before any query-directed content unfolding."""
-        return [
-            self.views[position]
-            for position in self._by_path_attribute.get((number, attribute), ())
-        ]
-
-    def views_supplying(
-        self, numbers: Iterable[int], attributes: Iterable[str]
-    ) -> set[str]:
-        """Names of views with one prototype node offering *all* of
-        ``attributes`` on a summary path in ``numbers`` (Prop. 3.7).
-
-        The inverted ``views_with_attribute`` index narrows the candidates
-        (a view must offer every attribute somewhere on a compatible path)
-        and the per-node offers then enforce that the attributes come from
-        a single pattern node — the condition a rewriting's output column
-        actually needs.  Content unfolding and virtual IDs can only *add*
-        derivable attributes later, so membership here is a sound
-        fast-accept, never a rejection oracle on its own.
-        """
-        numbers = frozenset(numbers)
-        required = frozenset(attributes) or frozenset({"ID"})
-        positions: Optional[set[int]] = None
-        for attribute in required:
-            offering: set[int] = set()
-            for number in numbers:
-                offering.update(self._by_path_attribute.get((number, attribute), ()))
-            positions = offering if positions is None else positions & offering
-            if not positions:
-                return set()
-        names: set[str] = set()
-        for position in positions or ():
-            entry = self._entries[position]
-            for paths, available in entry.node_offers:
-                if paths & numbers and required <= available:
-                    names.add(entry.view.name)
-                    break
-        return names
 
     def follow_write(
         self, delta: SummaryDelta, changed: Iterable[ExtentChange] = ()
@@ -330,7 +232,7 @@ class ViewCatalog:
         """Fresh, pre-annotated initial candidates for the surviving views."""
         for position in self.candidate_positions(query):
             entry = self._entries[position]
-            yield entry.view, entry.instantiate()
+            yield entry.view, entry.candidate.clone()
 
     def __repr__(self) -> str:
         return (

@@ -168,8 +168,8 @@ class MaterializedView:
 
     @property
     def relation(self) -> Relation:
-        """The extent's rows: a read-only row view derived from
-        :attr:`extent` (built on first read, cached on the extent)."""
+        """The extent's rows: a row view derived from :attr:`extent`, a
+        fresh transpose on every read (the extent keeps no rows)."""
         return self.extent.to_relation()
 
     @property

@@ -42,6 +42,7 @@ from repro import (
 from repro.algebra import kernels
 from repro.algebra.execution import PlanExecutor
 from repro.algebra.operators import StructuralJoin, ViewScan
+from repro.ingest import changelog
 from repro.patterns.pattern import Axis
 from repro.service.app import ServiceApp
 from repro.views.delta import can_apply_delta
@@ -165,6 +166,28 @@ def test_replay_reassigns_the_original_dewey_ids(tmp_path):
     recovered = Database.recover(tmp_path / "doc.log")
     live_ids = [str(n.dewey) for n in live.document.iter_nodes()]
     assert live_ids == [str(n.dewey) for n in recovered.document.iter_nodes()]
+    live.close()
+    recovered.close()
+
+
+@pytest.mark.parametrize("checkpoint", [True, False])
+def test_recovery_validates_the_log_once(tmp_path, monkeypatch, checkpoint):
+    """Recovery replays the log's records and resumes appending behind them
+    from one validating scan of the file (a checkpoint's snapshot is a file
+    of its own)."""
+    live = _scripted_session(tmp_path, checkpoint=checkpoint)
+    log_path = tmp_path / "doc.log"
+    scanned = []
+    scan = changelog._scan
+
+    def counted(path):
+        scanned.append(path)
+        return scan(path)
+
+    monkeypatch.setattr(changelog, "_scan", counted)
+    recovered = Database.recover(log_path)
+    assert scanned.count(log_path) == 1
+    assert recovered._change_log.last_lsn == live._change_log.last_lsn
     live.close()
     recovered.close()
 

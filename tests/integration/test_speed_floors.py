@@ -541,9 +541,9 @@ def test_a_leaf_pinned_update_beats_rematerialization():
         delete = SubtreeChange("delete", node.dewey, parent.dewey)
         assert view.apply_delta(document, delete) == "delta"
 
-    before = view.relation
+    before = view.extent
     delta_cycle()
-    assert view.relation is before
+    assert view.extent is before
     assert _rows(view.relation) == _rows(scan_fed_extent(view, document))
     speedup = _median_seconds(lambda: scan_fed_extent(view, document), reps=5) * 2 / (
         _median_seconds(delta_cycle)

@@ -143,11 +143,12 @@ def _classes(keys: list) -> list[int]:
 
 
 def assert_batch_is_a_fresh_transpose(batch) -> None:
-    """A batch's cached vectors equal ones built from its rows alone."""
+    """A batch's cached vectors equal ones built from its rows alone, and
+    the batch keeps no rows: each read of them is a fresh transpose."""
     relation = batch.to_relation()
     assert batch.row_count == len(relation.rows)
     assert batch.sorted_by == relation.sorted_by
-    assert batch.to_relation() is relation
+    assert batch.to_relation() is not relation
     for position in range(len(relation.columns)):
         fresh = _ColumnSource(values=[row[position] for row in relation.rows])
         assert batch.values(position) == fresh.values()
@@ -202,7 +203,7 @@ class LiveWriteScopeMachine(RuleBasedStateMachine):
         before = (views.version, views.data_version)
         shape = _shape_and_flags(self.sut.summary)
         leaf_pinned = {
-            name: views[name].relation for name in LEAF_PINNED if name in views
+            name: views[name].extent for name in LEAF_PINNED if name in views
         }
         results = [call(db) for db in (self.sut, self.oracle)]
         assert views.data_version == before[1] + 1
@@ -228,8 +229,8 @@ class LiveWriteScopeMachine(RuleBasedStateMachine):
         assert str(inserted[0].dewey) == str(inserted[1].dewey)
         # the insert points lie strictly below every leaf-pinned pin: the
         # extents must come through as the very same objects
-        for name, relation in leaf_pinned.items():
-            assert self.sut.views[name].relation is relation
+        for name, extent in leaf_pinned.items():
+            assert self.sut.views[name].extent is extent
 
     @rule(victim_slot=st.integers(min_value=0))
     def delete(self, victim_slot):
@@ -397,14 +398,14 @@ def test_a_rebuilt_summary_counts_as_a_definition_change():
 
 def test_rows_pinned_at_an_ancestor_of_the_change(db):
     """Leaf-pinned: left alone.  A node below the pin: the run is recomputed."""
-    kept = {name: db.views[name].relation for name in LEAF_PINNED}
-    below = db.views["v_regions_names"].relation
+    kept = {name: db.views[name].extent for name in LEAF_PINNED}
+    below = db.views["v_regions_names"].extent
     db.insert_subtree(_asia(db), SUBTREE_SHAPES[0](1))
     for name in LEAF_PINNED:
-        assert db.views[name].relation is kept[name]
+        assert db.views[name].extent is kept[name]
     # //regions[ID](//name[V]) is pinned at regions, a strict ancestor of
     # the insert point, and gains a row for the new item's name
-    assert len(db.views["v_regions_names"].relation) == len(below) + 1
+    assert db.views["v_regions_names"].extent.row_count == below.row_count + 1
     assert db.maintenance_stats["rematerialized"] == 0
 
 

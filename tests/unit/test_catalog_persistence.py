@@ -25,7 +25,6 @@ from repro.errors import SessionError
 from repro.ingest.changelog import ChangeLog, LogRecord
 from repro.rewriting.algorithm import RewritingConfig
 from repro.session.database import DATABASE_FORMAT_VERSION
-from repro.views.catalog import ViewCatalog
 
 _ALIAS = re.compile(r"[@#]\d+")
 
@@ -232,25 +231,6 @@ def test_a_summary_only_session_cannot_be_saved(setup, tmp_path):
     with pytest.raises(SessionError, match="summary-only"):
         Database.from_summary(summary).save(tmp_path / "session.db")
     assert not (tmp_path / "session.db").exists()
-
-
-def test_views_supplying_respects_same_node_correlation(setup):
-    """A view offering ID on one node and V on another (same summary path)
-    must not count as supplying {ID, V} — Prop. 3.7 needs one node."""
-    _, summary, _ = setup
-    split = MaterializedView(
-        parse_pattern("site(//item[ID], //item[V])", name="v_split")
-    )
-    whole = MaterializedView(parse_pattern("site(//item[ID,V])", name="v_whole"))
-    catalog = ViewCatalog(summary, [split, whole])
-    item = summary.node_by_path("/site/regions/asia/item").number
-    supplying = catalog.views_supplying({item}, {"ID", "V"})
-    assert "v_whole" in supplying
-    assert "v_split" not in supplying
-    # each attribute alone is offered by both
-    assert catalog.views_with_attribute(item, "ID") and catalog.views_with_attribute(
-        item, "V"
-    )
 
 
 def _columns(view):

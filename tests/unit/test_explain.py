@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Database
+from repro import Database, MaterializedView, parse_parenthesized, parse_pattern
 from repro.algebra.columnar import ColumnBatch
 from repro.errors import RewritingError
 from repro.session.explain import ExplainReport
+from repro.views.view import IdScheme
 from repro.workloads.synthetic import seed_tag_views
 from repro.workloads.xmark import generate_xmark_document, xmark_query_patterns
 
@@ -58,6 +59,29 @@ def test_explain_reports_join_order_decisions(db):
     assert decisions, "a join plan must surface its order decisions"
     for decision in decisions:
         assert decision == "merge" or decision.startswith(("sort+merge", "hash"))
+
+
+def test_an_equality_join_over_opaque_ids_reports_hash():
+    """An opaque identifier scheme keeps its extent unsorted (``sorted_by``
+    is None), so the executor hashes the ``⋈=`` and EXPLAIN must say so:
+    no column name stands in for a sort order the statistics do not record."""
+    document = parse_parenthesized(
+        'site(regions(asia(item(name="pen" price="3") item(name="ink" price="5"))))'
+    )
+    opaque = IdScheme(structural=False, derives_parent=False, name="opaque")
+    views = [
+        MaterializedView(parse_pattern(text, name=name), document, id_scheme=opaque)
+        for name, text in (
+            ("v_name", "site(//item[ID](/name[V]))"),
+            ("v_price", "site(//item[ID](/price[V]))"),
+        )
+    ]
+    database = Database(document, views)
+    report = database.explain("site(//item[ID](/name[V], /price[V]))")
+    [decision] = [e.order_decision for e in report.operators if e.order_decision]
+    assert "IdEqualityJoin" in report.to_text()
+    assert decision == "hash"
+    database.close()
 
 
 def test_explain_analyze_attaches_actuals(db):

@@ -335,13 +335,13 @@ class TestExtentDelta:
         db = _db()
         items = db.create_view("site(//item[ID](/name[V]))", name="items")
         people = db.create_view("site(/people(/person[ID,C]))", name="people")
-        items_before, people_before = items.relation, people.relation
+        items_before, people_before = items.extent, people.extent
         asia = db.document.nodes_on_path("/site/regions/asia")[0]
         db.insert_subtree(asia, XMLNode("item", None, [XMLNode("name", "w")]))
-        assert items.relation is not items_before
+        assert items.extent is not items_before
         # the people view is maintained too, but its splice is empty: the
         # extent is the very same object, content references and all
-        assert people.relation is people_before
+        assert people.extent is people_before
 
     def test_value_index_probes_match_after_delta_maintenance(self):
         db = _db()

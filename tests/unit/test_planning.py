@@ -155,7 +155,7 @@ class TestLogicalPlanDag:
         assert plan.total_cost == pytest.approx(operator_sum)
 
     def test_lowering_is_lossless(self, summary):
-        model = CostModel()
+        model = CostModel(Statistics(summary))
         root = Projection(child=ViewScan("v"), columns=("v.ID1",))
         assert lower_plan(root, model).to_algebra() is root
 
@@ -164,7 +164,7 @@ class TestLogicalPlanDag:
         join = IdEqualityJoin(
             left=shared, right=shared, left_column="v.ID", right_column="v.ID"
         )
-        text = lower_plan(join, CostModel()).describe()
+        text = lower_plan(join, CostModel(Statistics(summary))).describe()
         assert "[shared]" in text
         assert "cost≈" in text
 

@@ -251,6 +251,52 @@ class TestAttributePrefilter:
         rewritings, stats = self._rewrite(store_summary, views, query, True)
         assert rewritings == []
 
+    def test_feasibility_needs_one_node_supplying_every_attribute(self, store_summary):
+        """A view offering ``ID`` on one ``item`` node and ``V`` on another
+        supplies each attribute's slot, but not the single node Prop. 3.7's
+        feasibility check asks for: ``site(//item[ID,V])`` is bailed."""
+        from repro.rewriting.algorithm import RewritingSearch
+        from repro.views.catalog import ViewCatalog
+
+        query = parse_pattern("site(//item[ID,V])")
+        split = MaterializedView(
+            parse_pattern("site(//item[ID], //item[V])", name="v_split")
+        )
+        whole = MaterializedView(parse_pattern("site(//item[ID,V])", name="v_whole"))
+        verdicts = {}
+        for view in (split, whole):
+            search = RewritingSearch(query, ViewCatalog(store_summary, [view]))
+            verdicts[view.name] = search._suppliers_feasible(search._setup())
+            assert search._slots_of == {view.name: 0b11}
+        assert verdicts == {"v_split": False, "v_whole": True}
+        rewritings, _ = self._rewrite(store_summary, [split], query, True)
+        assert rewritings == []
+
+    @pytest.mark.parametrize(
+        "view_text, query_text",
+        [
+            # content unfolding: name's ID and V come from item's stored C
+            ("site(//item[ID,C])", "site(//item(/name[ID,V]))"),
+            # a virtual ID: item's ID is derived from name's Dewey ID
+            ("site(//item(/name[ID,V]))", "site(//item[ID])"),
+        ],
+    )
+    def test_suppliers_are_read_off_the_set_up_candidates(
+        self, store_summary, view_text, query_text
+    ):
+        """Attributes that only set-up makes derivable supply their slots
+        and satisfy the feasibility check: the search finds the rewriting."""
+        from repro.rewriting.algorithm import RewritingSearch
+        from repro.views.catalog import ViewCatalog
+
+        view = MaterializedView(parse_pattern(view_text, name="v"))
+        query = parse_pattern(query_text)
+        search = RewritingSearch(query, ViewCatalog(store_summary, [view]))
+        assert search._suppliers_feasible(search._setup())
+        assert search._slots_of == {"v": search._all_slots}
+        rewritings, _ = self._rewrite(store_summary, [view], query, True)
+        assert rewritings
+
     def test_prefilter_keeps_attribute_pooling_joins(self, store_summary):
         """Equality fusion pools attributes from both sides onto the
         unified node, so a vA ⋈= vB candidate can supply {ID,V,L} although

@@ -123,7 +123,6 @@ def test_patched_catalog_matches_fresh_rebuild(db, auction_summary):
     fresh = ViewCatalog(auction_summary, list(db.views))
     assert patched._by_name == fresh._by_name
     assert patched._by_related_path == fresh._by_related_path
-    assert patched._by_path_attribute == fresh._by_path_attribute
 
 
 def test_statistics_follow_incremental_ddl(db):

@@ -26,7 +26,10 @@ such a definition goes in ``ALLOWED`` with a comment naming its caller.
 
 A module-level import whose bound name the module never uses, and does
 not list in ``__all__``, fails too: it is the first thing a deletion
-orphans, and CI's ``ruff check`` (pyflakes F401) refuses it.
+orphans, and CI's ``ruff check`` (pyflakes F401) refuses it.  That check
+also covers ``tests/``, ``tools/``, ``examples/`` and ``benchmarks/`` (CI's
+ruff never reaches ``tools/`` or ``examples/``), where an import marked
+``# noqa: F401`` — a pytest fixture a conftest re-exports — is waived.
 """
 
 from __future__ import annotations
@@ -41,12 +44,16 @@ from typing import Optional
 ROOT = Path(__file__).resolve().parent.parent.parent
 SRC = ROOT / "src" / "repro"
 CALLERS = ("bench", "tools", "examples")
+#: directories outside ``src/`` whose imports are checked too
+LINTED = ("tests", "tools", "examples", "benchmarks")
 
 #: ``"module.py:Qualified.name"`` → why the scan cannot see its caller.
 ALLOWED: dict[str, str] = {}
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+# a bare ``# noqa`` or one whose codes include F401
+_NOQA_F401 = re.compile(r"#\s*noqa(?::[^#]*\bF401\b|(?![:\w]))")
 
 
 def _alias_words(alias: ast.alias) -> list[str]:
@@ -192,7 +199,9 @@ def _module_imports(statements: list[ast.stmt]):
             yield from _module_imports(statement.body + statement.orelse)
 
 
-def _unused_imports(name: str, tree: ast.Module) -> list[str]:
+def _unused_imports(name: str, tree: ast.Module, waived: frozenset = frozenset()) -> list[str]:
+    """The imports of ``tree`` it never uses, but for those on a line in
+    ``waived`` (the alias's own, or the statement's first)."""
     used = _references(tree)
     unused = []
     for statement in _module_imports(tree.body):
@@ -200,9 +209,20 @@ def _unused_imports(name: str, tree: ast.Module) -> list[str]:
             continue
         for alias in statement.names:
             bound = alias.asname or alias.name.split(".")[0]
+            if {alias.lineno, statement.lineno} & waived:
+                continue
             if len(used.get(bound, ())) <= _alias_words(alias).count(bound):
                 unused.append(f"{name}: {bound}")
     return unused
+
+
+def _noqa_lines(text: str) -> frozenset:
+    """The line numbers whose comment waives F401."""
+    return frozenset(
+        number
+        for number, line in enumerate(text.splitlines(), start=1)
+        if _NOQA_F401.search(line)
+    )
 
 
 @cache
@@ -220,6 +240,16 @@ def _caller_modules() -> dict[str, ast.Module]:
         for caller in CALLERS
         for path in sorted((ROOT / caller).rglob("*.py"))
     }
+
+
+@cache
+def _linted_modules() -> dict[str, tuple[ast.Module, frozenset]]:
+    modules = {}
+    for top in LINTED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            text = path.read_text()
+            modules[path.relative_to(ROOT).as_posix()] = (ast.parse(text), _noqa_lines(text))
+    return modules
 
 
 def test_the_scan_sees_every_reference_form():
@@ -315,6 +345,23 @@ def test_an_import_listed_in_all_is_a_re_export():
     assert _unused_imports("m.py", module) == ["m.py: sep"]
 
 
+def test_a_noqa_f401_import_is_waived():
+    text = (
+        "import os  # noqa: F401\n"
+        "import re  # noqa: E402\n"
+        "import sys  # noqa\n"
+        "from json import (  # noqa: E402, F401\n"
+        "    dumps,\n"
+        ")\n"
+        "from ast import (\n"
+        "    parse,  # noqa: F401\n"
+        "    walk,\n"
+        ")\n"
+    )
+    module = ast.parse(text)
+    assert _unused_imports("m.py", module, _noqa_lines(text)) == ["m.py: re", "m.py: walk"]
+
+
 def test_every_definition_in_src_is_reached():
     unreached = _unreached(_source_modules(), _caller_modules())
     fresh = [found for found in unreached if found not in ALLOWED]
@@ -328,5 +375,10 @@ def test_no_module_keeps_an_unused_import():
         found
         for name, tree in _source_modules().items()
         for found in _unused_imports(name, tree)
+    ]
+    unused += [
+        found
+        for name, (tree, waived) in _linted_modules().items()
+        for found in _unused_imports(name, tree, waived)
     ]
     assert not unused, "imported and never used:\n" + "\n".join(unused)

@@ -13,13 +13,14 @@ from functools import reduce
 
 import pytest
 
-from repro import MaterializedView, parse_parenthesized, parse_pattern
+from repro import MaterializedView, build_summary, parse_parenthesized, parse_pattern
 from repro.algebra.columnar import ColumnBatch
 from repro.algebra.execution import PlanExecutor
 from repro.algebra.operators import Projection, UnionPlan, ViewScan
 from repro.algebra.tuples import Column, Relation, as_dewey
 from repro.errors import PlanExecutionError
 from repro.planning.cost import plan_sorted_on
+from repro.views.catalog import ViewCatalog
 from repro.xmltree.ids import DeweyID
 
 from support.oracle_executor import OracleExecutor
@@ -177,13 +178,14 @@ def test_empty_union_still_raises():
         PlanExecutor({}).execute(UnionPlan(plans=()))
 
 
-def test_static_order_analysis_accepts_provable_unions(views):
+def test_static_order_analysis_accepts_provable_unions(document, views):
+    statistics = ViewCatalog(build_summary(document), views.values()).statistics()
     # both branches scan the same view under the same alias-qualified
     # column name, so the static rule can prove the output order
     provable = UnionPlan(plans=(ViewScan("items"), ViewScan("items")))
-    assert plan_sorted_on(provable, "items.ID1")
+    assert plan_sorted_on(provable, "items.ID1", statistics)
     # different aliases → different column names → statically unprovable,
     # even though the run-time merge will keep the annotation
     unprovable = UnionPlan(plans=(ViewScan("items"), ViewScan("gadgets")))
-    assert not plan_sorted_on(unprovable, "items.ID1")
-    assert not plan_sorted_on(UnionPlan(plans=()), "items.ID1")
+    assert not plan_sorted_on(unprovable, "items.ID1", statistics)
+    assert not plan_sorted_on(UnionPlan(plans=()), "items.ID1", statistics)

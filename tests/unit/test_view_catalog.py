@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro import MaterializedView, annotate_paths, parse_pattern
+from repro import MaterializedView, annotate_paths
 from repro.canonical.model import annotate_paths as annotate
 from repro.rewriting.algorithm import RewritingConfig, RewritingSearch
 from repro.rewriting.candidates import initial_candidate
@@ -113,18 +113,6 @@ class TestCatalogPruningMatchesProp34:
             # mutating one clone must not leak into the next
             candidate.pattern.root.add_child("mutation")
             assert len(other.pattern.nodes()) != len(candidate.pattern.nodes())
-
-
-class TestCatalogSecondaryIndexes:
-    def test_attribute_index_reflects_offered_attributes(self, auction_summary):
-        pattern = parse_pattern("site(//item[ID,V])", name="item-idv")
-        view = MaterializedView(pattern, name="item-view")
-        catalog = ViewCatalog(auction_summary, [view])
-        item_number = auction_summary.node_by_path("/site/regions/asia/item").number
-        assert catalog.views_with_attribute(item_number, "ID") == [view]
-        assert catalog.views_with_attribute(item_number, "C") == []
-        name_number = auction_summary.node_by_path("/site/regions/asia/item/name").number
-        assert catalog.views_with_attribute(name_number, "ID") == []
 
 
 class TestSummaryIndexLabelMaps:
