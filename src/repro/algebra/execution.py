@@ -9,17 +9,17 @@ There is exactly one executor and every operator has exactly one
 implementation.  Plans evaluate as
 :class:`~repro.algebra.columnar.ColumnBatch` pipelines:
 
-* **kernel operators** — scan, index scan, ``σ``, ``π``, ``⋈=``, the
-  structural joins ``⋈≺`` / ``⋈≺≺`` (flat and nested) and the ordered
-  ``∪``-merge — run the batch kernels of :mod:`repro.algebra.kernels` over
-  cached column vectors, Dewey component keys, structural links and dedup
-  row keys and emit index vectors, so a column nobody reads is never
-  copied;
-* **row-wise operators** — nested projection, unnest, group-by, content
-  navigation and parent-ID derivation — build or take apart nested
-  relations and document nodes cell by cell; they read their child as rows
-  (over a scan, a fresh transpose of the extent, which keeps no rows) and
-  hand the result back to the batch spine transposed.
+* **kernel operators** — scan, index scan, ``σ``, ``π``, ``⋈=`` and the
+  structural joins ``⋈≺`` / ``⋈≺≺`` (flat and nested) — run the batch
+  kernels of :mod:`repro.algebra.kernels` over cached column vectors, Dewey
+  component keys, structural links and dedup row keys and emit index
+  vectors, so a column nobody reads is never copied;
+* **row-wise operators** — ``∪`` (one first-occurrence pass over the
+  branches), nested projection, unnest, group-by, content navigation and
+  parent-ID derivation — build, merge or take apart relations and document
+  nodes cell by cell; they read their child as rows (over a scan, a fresh
+  transpose of the extent, which keeps no rows) and hand the result back to
+  the batch spine transposed.
 
 Structural joins compare Dewey identifiers, so they work on any view whose
 ID columns were materialised with the default structural ``fID``
@@ -38,9 +38,9 @@ A write splices fresh sources into the extents it touches and carries the
 links it can across.  ``π`` deduplicates on cached row keys, or not at all
 when a projected column proves its rows distinct (a strictly ascending
 extent column, read through a gather that repeats no row), a fact cached
-on the extent and carried by its splices.  ``⋈=`` merges when both inputs
-arrive annotated sorted on their join columns and hashes otherwise: every
-such choice follows an observable input property, never a flag.
+on the extent and carried by its splices.  ``⋈=`` always builds on its
+right input and probes in left-row order: on Dewey component keys the hash
+join beat a merge over sorted inputs at every measured size.
 
 A kernel operator's output index vectors — σ and probe keep vectors, the
 ``π`` dedup vector, join pairs — are kept on its plan node
@@ -49,8 +49,8 @@ scans: a warm read of an unchanged plan over unchanged extents is a memo
 read, and the first read after a write to one of them computes again.
 
 The reference implementations the identity suites compare against (the
-row-at-a-time interpreter with its staircase sweep, the ``O(l × r)``
-nested-loop joins, the forced hash ``⋈=``) live in
+row-at-a-time interpreter with its staircase sweep and ``str``-keyed hash
+``⋈=``, the ``O(l × r)`` nested-loop joins) live in
 ``tests/support/oracle_executor.py``, not here.
 """
 
@@ -80,7 +80,7 @@ from repro.algebra.operators import (
     ViewScan,
 )
 from repro.algebra.tuples import Column, Relation, as_dewey
-from repro.errors import AlgebraError, PlanExecutionError, ReproError
+from repro.errors import AlgebraError, PlanExecutionError
 from repro.patterns.pattern import Axis
 from repro.xmltree.ids import DeweyID
 from repro.xmltree.node import XMLNode
@@ -367,11 +367,6 @@ class PlanExecutor:
         def pair() -> tuple[Sequence[int], Sequence[int]]:
             left_keys = self._batch_keys(left, left.column_index(plan.left_column))
             right_keys = self._batch_keys(right, right.column_index(plan.right_column))
-            # one merge pass when both inputs arrive Dewey-sorted on their
-            # join columns, build/probe otherwise — identical pairs, left-row
-            # order
-            if left.sorted_by == plan.left_column and right.sorted_by == plan.right_column:
-                return kernels.merge_id_join_pairs(left_keys, right_keys)
             return kernels.hash_id_join_pairs(left_keys, right_keys)
 
         left_out, right_out = self._kept(plan, pair)
@@ -477,70 +472,13 @@ class PlanExecutor:
         return ColumnBatch.from_relation(result)
 
     def _union_batch(self, plan: UnionPlan) -> ColumnBatch:
+        """``∪`` as one first-occurrence pass over the branches, in branch
+        order (:meth:`~repro.algebra.tuples.Relation.union`); the result
+        carries no sort annotation."""
         if not plan.plans:
             raise PlanExecutionError("a union plan needs at least one branch")
-        branches = [self.execute_batch(branch) for branch in plan.plans]
-        merged = self._merge_union_batches(branches)
-        if merged is not None:
-            return merged
-        relations = [branch.to_relation() for branch in branches]
-        result = relations[0]
-        for relation in relations[1:]:
-            result = result.union(relation)
-        return ColumnBatch.from_relation(result.distinct())
-
-    def _merge_union_batches(
-        self, branches: list[ColumnBatch]
-    ) -> Optional[ColumnBatch]:
-        """Ordered k-way union merge, when every branch shares the sort column.
-
-        Union set semantics never needed order, but dropping the
-        ``sorted_by`` annotation forces a re-sort on any structural join
-        consuming the union.  When every branch arrives Dewey-sorted on the
-        same column *position*, a :func:`heapq.merge` over the branches
-        produces the union already in document order, so the annotation
-        survives.  Duplicate elimination stays exact with bounded memory:
-        duplicate rows carry equal sort identifiers, so they always land
-        inside the same identifier run and a per-run seen-set suffices.
-        Rows with a ``⊥`` sort value (which the annotation says nothing
-        about) are emitted first, deduplicated globally — the same null
-        placement ``sorted_in_dewey_order`` uses.  Sort keys come from the
-        branches' cached Dewey key vectors.  Returns ``None`` when the
-        branches do not share a sort column (or a sort value refuses Dewey
-        coercion): the caller falls back to the order-blind union, results
-        identical.
-        """
-        first = branches[0]
-        if first.sorted_by is None:
-            return None
-        sort_index = first.column_index(first.sorted_by)
-        arity = len(first.columns)
-        for branch in branches:
-            if (
-                len(branch.columns) != arity
-                or branch.sorted_by is None
-                or branch.column_index(branch.sorted_by) != sort_index
-            ):
-                return None
-        null_rows: list[tuple] = []
-        keyed_streams: list[list[tuple[tuple, tuple]]] = []
-        try:
-            for branch in branches:
-                keys = branch.dewey_keys(sort_index)
-                keyed = []
-                for key, row in zip(keys, branch.to_relation().rows):
-                    if key is None:
-                        null_rows.append(row)
-                    else:
-                        keyed.append((key, row))
-                keyed_streams.append(keyed)
-        except ReproError:
-            # a mis-annotated branch: fall back, order-blind
-            return None
-        result = Relation(first.columns)
-        result.sorted_by = first.sorted_by
-        result.rows = kernels.ordered_union_rows(null_rows, keyed_streams)
-        return ColumnBatch.from_relation(result)
+        first, *rest = [self.execute_batch(branch).to_relation() for branch in plan.plans]
+        return ColumnBatch.from_relation(first.union(*rest))
 
     # ------------------------------------------------------------------ #
     # row-wise operators (nested relations and document nodes, cell by cell)

@@ -13,9 +13,8 @@ same ⊥ handling.  That parity is the whole contract — the identity suites
 assert it on every plan the paper workloads produce and
 ``tests/property/test_structural_kernel.py`` on drawn inputs — so every
 algorithmic subtlety here (stable sorts, first-occurrence dedup, outermost
-ancestor first, a key's rows in input order, the non-retreating merge
-cursor) matches the reference, just producing index vectors instead of row
-tuples.  Identity and ancestry are decided on the keys alone: nothing here
+ancestor first, a key's rows in input order) matches the reference, just
+producing index vectors instead of row tuples.  Identity and ancestry are decided on the keys alone: nothing here
 compares component by component in Python or turns an identifier into a
 string.
 
@@ -27,14 +26,12 @@ callers keep the output on the plan node (``PlanExecutor._kept``).
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
 from collections import defaultdict
 from itertools import chain, compress, islice, repeat
 from operator import is_not, itemgetter, le, lt
 from typing import Iterable, Optional, Sequence
 
-from repro.algebra.tuples import _hashable
 from repro.patterns.pattern import Axis
 from repro.xmltree.node import XMLNode
 
@@ -43,8 +40,6 @@ __all__ = [
     "dewey_ordered",
     "distinct_indices",
     "hash_id_join_pairs",
-    "merge_id_join_pairs",
-    "ordered_union_rows",
     "selection_indices",
 ]
 
@@ -399,40 +394,6 @@ def _linked(
     return row if row < len(ancestor_keys) and ancestor_keys[row] == prefix else None
 
 
-def merge_id_join_pairs(
-    left_keys: Sequence[Optional[tuple]], right_keys: Sequence[Optional[tuple]]
-) -> tuple[list[int], list[int]]:
-    """``⋈=`` as one merge pass over two Dewey-sorted key columns.
-
-    Equal identifiers are adjacent on both sides, so the right side
-    collapses into consecutive per-identifier groups and a non-retreating
-    cursor pairs them with the non-decreasing left keys; ⊥ keys never
-    match, and output pairs come out in left-row order — the same pair list
-    :func:`hash_id_join_pairs` produces, not just the same set.
-    """
-    groups: list[tuple[tuple, list[int]]] = []
-    for right_index, key in enumerate(right_keys):
-        if key is None:
-            continue
-        if groups and groups[-1][0] == key:
-            groups[-1][1].append(right_index)
-        else:
-            groups.append((key, [right_index]))
-    left_out: list[int] = []
-    right_out: list[int] = []
-    position = 0
-    for left_index, key in enumerate(left_keys):
-        if key is None:
-            continue
-        while position < len(groups) and groups[position][0] < key:
-            position += 1
-        if position < len(groups) and groups[position][0] == key:
-            for right_index in groups[position][1]:
-                left_out.append(left_index)
-                right_out.append(right_index)
-    return left_out, right_out
-
-
 def hash_id_join_pairs(
     left_keys: Sequence[Optional[tuple]], right_keys: Sequence[Optional[tuple]]
 ) -> tuple[list[int], list[int]]:
@@ -454,34 +415,3 @@ def hash_id_join_pairs(
             left_out.append(left_index)
             right_out.append(right_index)
     return left_out, right_out
-
-
-def ordered_union_rows(
-    null_rows: Sequence[tuple],
-    keyed_streams: Sequence[Sequence[tuple[tuple, tuple]]],
-) -> list[tuple]:
-    """The ordered k-way union merge body.
-
-    ``⊥``-keyed rows first (deduplicated globally), then a stable
-    :func:`heapq.merge` over the per-branch ``(components, row)`` streams
-    with a per-identifier-run seen-set — duplicates always carry equal sort
-    keys, so the bounded run-local dedup is exact.
-    """
-    rows: list[tuple] = []
-    seen: set = set()
-    for row in null_rows:
-        key = _hashable(row)
-        if key not in seen:
-            seen.add(key)
-            rows.append(row)
-    current_components: Optional[tuple] = None
-    run_seen: set = set()
-    for components, row in heapq.merge(*keyed_streams, key=lambda item: item[0]):
-        if components != current_components:
-            current_components = components
-            run_seen = set()
-        key = _hashable(row)
-        if key not in run_seen:
-            run_seen.add(key)
-            rows.append(row)
-    return rows

@@ -252,17 +252,20 @@ class Relation:
                     result.rows.append(left + right)
         return result
 
-    def union(self, other: "Relation") -> "Relation":
-        """Set union (schemas must have the same arity; names from self)."""
-        if self.arity != other.arity:
+    def union(self, *others: "Relation") -> "Relation":
+        """Set union in one pass: the first occurrence of every row, ``self``'s
+        rows first, then each of ``others`` in turn (schemas must have the
+        same arity; names from self; no sort annotation)."""
+        if any(other.arity != self.arity for other in others):
             raise AlgebraError("union of relations with different arities")
         result = Relation(self.columns)
         seen = set()
-        for row in list(self.rows) + list(other.rows):
-            key = _hashable(row)
-            if key not in seen:
-                seen.add(key)
-                result.rows.append(row)
+        for relation in (self, *others):
+            for row in relation.rows:
+                key = _hashable(row)
+                if key not in seen:
+                    seen.add(key)
+                    result.rows.append(row)
         return result
 
     def distinct(self) -> "Relation":

@@ -13,7 +13,10 @@ executor in :mod:`repro.algebra.execution` actually does:
   (cost ∝ left + right + output when both inputs arrive Dewey-sorted on
   their join columns; an explicit ``n·log₂ n`` sort term is charged per
   unsorted input — :func:`plan_sorted_on` mirrors the executor's
-  order-propagation rules to decide which inputs those are),
+  order-propagation rules to decide which inputs those are; the
+  ancestor-side term is conservative, as only the nested join sorts that
+  side — :func:`sort_merge_decision` names the sorts that run),
+* ``∪`` touches every branch row once (cost ∝ branch rows + output),
 * unary operators stream their input once,
 * operators priced as batch kernels (:data:`CostModel._KERNEL_OPERATORS`)
   are discounted by :data:`CostModel.vectorized_batch_factor`.
@@ -57,39 +60,36 @@ __all__ = ["CostModel", "OperatorEstimate", "plan_sorted_on", "sort_merge_decisi
 def sort_merge_decision(
     operator: PlanOperator, statistics: Statistics
 ) -> Optional[str]:
-    """The order-based algorithm choice for a join operator, as a label.
+    """The algorithm a join operator runs, as a label.
 
-    ``EXPLAIN`` reports surface this next to each join: structural joins
-    run as a pure ``"merge"`` when the static order analysis
-    (:func:`plan_sorted_on`) proves both inputs Dewey-sorted on their join
-    columns, and as ``"sort+merge(<sides>)"`` naming the inputs that need
-    an explicit sort otherwise; ID-equality joins report ``"merge"`` or
-    ``"hash"`` under the same analysis.  Non-join operators return ``None``.
+    ``EXPLAIN`` reports surface this next to each join.  ``⋈=`` always
+    reports ``"hash"``.  A structural join reports a pure ``"merge"`` when
+    it sorts nothing, and ``"sort+merge(<sides>)"`` naming the inputs it
+    puts in document order first: the descendant (right) side when the
+    static order analysis (:func:`plan_sorted_on`) cannot prove it sorted
+    on its join column, and — for the nested join only, which emits its
+    ancestor rows in document order — the ancestor (left) side under the
+    same test.  The flat join reads its ancestor rows through structural
+    links and never sorts that side.  Non-join operators return ``None``.
 
-    The analysis mirrors the executor's dynamic ``Relation.sorted_by``
-    checks but can only under-claim (a run-time annotation the static
-    rules cannot prove), so a reported sort may turn out to be a no-op —
-    never the other way round.
+    The analysis can only under-claim order (a run-time annotation the
+    static rules cannot prove), so a reported sort may turn out to be a
+    no-op — never the other way round.
     """
-    if isinstance(operator, (StructuralJoin, NestedStructuralJoin)):
-        unsorted = [
-            side
-            for side, child, column in (
-                ("left", operator.left, operator.left_column),
-                ("right", operator.right, operator.right_column),
-            )
-            if not plan_sorted_on(child, column, statistics)
-        ]
-        if not unsorted:
-            return "merge"
-        return f"sort+merge({','.join(unsorted)})"
     if isinstance(operator, IdEqualityJoin):
-        if plan_sorted_on(
-            operator.left, operator.left_column, statistics
-        ) and plan_sorted_on(operator.right, operator.right_column, statistics):
-            return "merge"
         return "hash"
-    return None
+    if not isinstance(operator, (StructuralJoin, NestedStructuralJoin)):
+        return None
+    sides = [("right", operator.right, operator.right_column)]
+    if isinstance(operator, NestedStructuralJoin):
+        sides.insert(0, ("left", operator.left, operator.left_column))
+    unsorted = [
+        side for side, child, column in sides
+        if not plan_sorted_on(child, column, statistics)
+    ]
+    if not unsorted:
+        return "merge"
+    return f"sort+merge({','.join(unsorted)})"
 
 
 def plan_sorted_on(
@@ -108,11 +108,7 @@ def plan_sorted_on(
       and ``IdEqualityJoin`` preserve their left input's order;
     * ``Selection`` / ``Projection`` (column kept) / ``Unnest`` /
       ``ContentNavigation`` / ``ParentIdDerivation`` preserve order;
-    * ``UnionPlan`` preserves a column every branch is provably sorted on
-      (the executor's ordered k-way merge; the run-time rule also accepts
-      same-*position* columns under different names, which the static
-      analysis conservatively treats as unsorted);
-    * everything else is treated as unsorted.
+    * everything else (``UnionPlan`` included) is treated as unsorted.
     """
     if isinstance(operator, (ViewScan, IndexScan)):
         # an IndexScan is scan + σ and probes return ascending positions,
@@ -150,16 +146,6 @@ def plan_sorted_on(
         if column == operator.new_column:
             return False
         return plan_sorted_on(operator.child, column, statistics)
-    if isinstance(operator, UnionPlan):
-        # the executor's ordered k-way merge keeps the annotation when every
-        # branch is sorted on the same column *position*; statically only
-        # the same-name case is provable (branches scanning different views
-        # qualify different alias prefixes), so this under-claims — a
-        # run-time annotation the analysis cannot see only over-prices
-        return bool(operator.plans) and all(
-            plan_sorted_on(branch, column, statistics)
-            for branch in operator.plans
-        )
     return False
 
 
@@ -206,10 +192,11 @@ class CostModel:
     vectorized_batch_factor = 0.5
     """Per-row work discount of the batch kernels relative to row-wise
     execution.  Applies exactly to :data:`_KERNEL_OPERATORS` — scans,
-    ``σ``, ``π``, ``⋈=``, the flat staircase ``⋈≺``/``⋈≺≺`` and the
-    ``∪``-merge; row-wise operators keep full price, tilting mixed plans
-    toward the kernels.  ``NestedStructuralJoin`` builds one nested
-    relation per output row, so it stays at full price too."""
+    ``σ``, ``π``, ``⋈=``, the flat staircase ``⋈≺``/``⋈≺≺`` and ``∪``
+    (its one pass is priced like a kernel's, though it runs on rows);
+    row-wise operators keep full price, tilting mixed plans toward the
+    kernels.  ``NestedStructuralJoin`` builds one nested relation per
+    output row, so it stays at full price too."""
 
     _KERNEL_OPERATORS = (
         ViewScan,

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
 from repro.algebra.operators import PlanOperator, UnionPlan, ViewScan
@@ -170,6 +170,8 @@ class RewritingSearch:
         # signature); the pattern is held so its id cannot be reused
         self._signatures: dict[int, tuple] = {}
         self._start_time = 0.0
+        # the generated numbers of this search's scan aliases and column names
+        self._numbers = itertools.count(1)
         # one bit per (query return node, required attribute) slot: the slots
         # each initial view supplies on a compatible path, and all of them
         # (0 until _suppliers_feasible computes them; per attribute, NOT per
@@ -227,6 +229,7 @@ class RewritingSearch:
         self.statistics.views_before_pruning = len(self.catalog)
         initial: list[RewriteCandidate] = []
         for view, candidate in self.catalog.initial_candidates(self.query):
+            candidate = replace(candidate, numbers=self._numbers)
             # capture both before the call: unfold_content mutates the
             # pattern in place (only the candidate wrapper is fresh)
             size_before = candidate.pattern.size
@@ -399,14 +402,12 @@ class RewritingSearch:
         point — their plan is a bare ``ViewScan`` — because joins always
         take their right input from ``M0``.
         """
-        from repro.rewriting.candidates import _alias_counter
-
         scan = candidate.plan
         if not isinstance(scan, ViewScan):  # pragma: no cover - defensive
             raise RewritingError(
                 "only initial (single-scan) candidates can be re-instantiated"
             )
-        new_alias = f"{scan.view_name}@{next(_alias_counter)}"
+        new_alias = f"{scan.view_name}@{next(candidate.numbers)}"
         old_prefix = f"{scan.effective_alias}."
         new_prefix = f"{new_alias}."
 
@@ -563,6 +564,7 @@ class RewritingSearch:
         return RewriteCandidate(
             plan=plan,
             pattern=pattern,
+            numbers=left.numbers,
             columns=columns,
             lazy=lazy,
             views_used=left.views_used + right.views_used,

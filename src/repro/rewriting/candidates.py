@@ -11,7 +11,11 @@ search needs:
   the plan: attributes of nodes obtained by unfolding a ``C`` attribute
   (navigation inside stored content, Section 4.6), virtual parent IDs
   (``navfID``), and attributes living inside a nested column (reachable
-  through an unnest).
+  through an unnest),
+* ``numbers`` mints the generated numbers of scan aliases (``view@N``) and
+  column names (``vid#N``): one iterator per search, shared by all its
+  candidates, so a plan's text does not depend on what the process ran
+  before.
 
 ``ensure_column`` materialises a lazy column by wrapping the plan with the
 appropriate operator, producing a new candidate (candidates are never
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.algebra.operators import (
     ContentNavigation,
@@ -36,8 +40,6 @@ from repro.patterns.pattern import Axis, PatternNode, TreePattern
 from repro.patterns.semantics import pattern_schema
 
 __all__ = ["LazyColumn", "RewriteCandidate", "initial_candidate"]
-
-_alias_counter = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,7 @@ class RewriteCandidate:
 
     plan: PlanOperator
     pattern: TreePattern
+    numbers: Iterator[int] = field(compare=False, repr=False)
     columns: dict[tuple[int, str], str] = field(default_factory=dict)
     lazy: dict[tuple[int, str], LazyColumn] = field(default_factory=dict)
     views_used: tuple[str, ...] = ()
@@ -131,7 +134,7 @@ class RewriteCandidate:
         raise RewritingError(f"unknown lazy column kind {lazy.kind!r}")
 
     def _fresh_name(self, hint: str) -> str:
-        return f"{hint}#{next(_alias_counter)}"
+        return f"{hint}#{next(self.numbers)}"
 
     def _materialize_content(
         self, key: tuple[int, str], lazy: LazyColumn
@@ -234,6 +237,7 @@ class RewriteCandidate:
         return RewriteCandidate(
             plan=plan if plan is not None else self.plan,
             pattern=pattern,
+            numbers=self.numbers,
             columns=columns,
             lazy=lazy,
             views_used=self.views_used,
@@ -255,9 +259,10 @@ def initial_candidate(view, alias: Optional[str] = None) -> RewriteCandidate:
     The view's pattern is *copied*, so the search can annotate and transform
     it freely.  Columns of return nodes at nesting depth zero map directly to
     qualified view columns; return nodes living under nested edges are
-    exposed as lazy ``unnest`` columns.
+    exposed as lazy ``unnest`` columns.  The default alias is ``view@0``: a
+    search numbers every further occurrence from 1.
     """
-    alias = alias or f"{view.name}@{next(_alias_counter)}"
+    alias = alias or f"{view.name}@0"
     pattern = view.pattern.copy(name=f"{view.name}[{alias}]")
     plan = ViewScan(view_name=view.name, alias=alias)
 
@@ -293,6 +298,7 @@ def initial_candidate(view, alias: Optional[str] = None) -> RewriteCandidate:
     return RewriteCandidate(
         plan=plan,
         pattern=pattern,
+        numbers=itertools.count(1),
         columns=columns,
         lazy=lazy,
         views_used=(view.name,),

@@ -16,6 +16,8 @@ from the paper are implemented here:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.patterns.pattern import Axis, PatternNode, TreePattern
 from repro.rewriting.candidates import LazyColumn, RewriteCandidate
 from repro.summary.index import SummaryIndex
@@ -82,14 +84,7 @@ def unfold_content(
                         optional=True,
                     )
                 added += 1
-    return RewriteCandidate(
-        plan=candidate.plan,
-        pattern=pattern,
-        columns=candidate.columns,
-        lazy=lazy,
-        views_used=candidate.views_used,
-        unnested_columns=candidate.unnested_columns,
-    )
+    return replace(candidate, pattern=pattern, lazy=lazy)
 
 
 def _add_optional_chain(node: PatternNode, labels: list[str]) -> PatternNode:
@@ -156,11 +151,4 @@ def add_virtual_ids(
                 levels_up=distance,
             )
             ancestor = ancestor.parent
-    return RewriteCandidate(
-        plan=candidate.plan,
-        pattern=candidate.pattern,
-        columns=candidate.columns,
-        lazy=lazy,
-        views_used=candidate.views_used,
-        unnested_columns=candidate.unnested_columns,
-    )
+    return replace(candidate, lazy=lazy)

@@ -3,10 +3,10 @@
 An :class:`ExplainReport` is the inspectable form of one planned query: which
 rewriting the cost-based planner chose (and what the alternatives would have
 cost), the plan operator tree with the planner's per-operator row and cost
-estimates, and — for joins — the order-based algorithm decision
-(:func:`~repro.planning.cost.sort_merge_decision`: staircase ``merge`` vs
-``sort+merge``, Dewey ``merge`` vs ``hash``).  With ``analyze=True`` the plan
-is actually executed under a profiling
+estimates, and — for joins — the algorithm the executor runs
+(:func:`~repro.planning.cost.sort_merge_decision`: staircase ``merge`` or
+``sort+merge`` naming the inputs it sorts, ``hash`` for ``⋈=``).  With
+``analyze=True`` the plan is actually executed under a profiling
 :class:`~repro.algebra.execution.PlanExecutor` and every operator's entry
 additionally carries its *measured* row count and wall time, right next to
 the estimates — the estimated-vs-actual comparison the cost-model

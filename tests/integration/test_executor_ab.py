@@ -7,12 +7,12 @@ and by the reference interpreters of ``support.oracle_executor``, and three
 contracts are checked on each plan:
 
 * **exact identity vs. the tuple-merge oracle** — same column names, same
-  ``sorted_by`` annotation, same rows *in the same order*.  Not just
-  set-equal: the stream codec, ordered unions and ``EXPLAIN`` row counts all
-  depend on physical order;
+  ``sorted_by`` annotation, same rows *in the same order*, ``⋈=`` and ``∪``
+  plans included.  Not just set-equal: the stream codec and ``EXPLAIN``
+  row counts depend on physical order;
 * **same contents vs. the seed algorithms** — the ``O(l × r)`` nested-loop
-  structural joins and the forced hash ``⋈=`` (nested loops emit left-major
-  order, so this one is a set comparison);
+  structural joins (nested loops emit left-major order, so this one is a
+  set comparison);
 * **pushdown preserves identity** — the plan with its selections fused
   into :class:`~repro.algebra.operators.IndexScan` probes returns exactly
   the rows of the untransformed plan, under the production executor
@@ -23,12 +23,13 @@ contracts are checked on each plan:
 from __future__ import annotations
 
 import copy
+from collections import Counter
 
 import pytest
 
 from repro import Database
 from repro.algebra.execution import PlanExecutor
-from repro.algebra.operators import NestedStructuralJoin, StructuralJoin
+from repro.algebra.operators import IdEqualityJoin, NestedStructuralJoin, StructuralJoin
 from repro.algebra.tuples import _hashable
 from repro.planning.cost import CostModel
 from repro.planning.pushdown import push_selections
@@ -48,10 +49,11 @@ def _assert_identical(result, oracle, what):
 
 
 def _check_every_plan(workload, config_name):
-    """Run the three contracts on every rewriting; return the plan count."""
+    """Run the three contracts on every rewriting; return how many plans
+    ran, in total and per operator type they contain."""
     views = workload.view_set
     model = CostModel(ViewCatalog(workload.summary, views).statistics())
-    executed = 0
+    executed = Counter()
     for query, rewriting in workload.rewritings(config_name):
         label = f"{query.name!r} via views {rewriting.views_used} ({config_name})"
         production = PlanExecutor(views).execute(rewriting.plan)
@@ -59,7 +61,7 @@ def _check_every_plan(workload, config_name):
         _assert_identical(production, tuple_merge, f"production vs tuple oracle on {label}")
 
         seed = OracleExecutor(
-            views, structural_join_strategy="nested-loop", id_join_strategy="hash"
+            views, structural_join_strategy="nested-loop"
         ).execute(rewriting.plan)
         assert production.same_contents(seed), (
             f"production diverges from the nested-loop + hash oracle on {label}"
@@ -76,7 +78,8 @@ def _check_every_plan(workload, config_name):
             tuple_merge,
             f"scan-then-filter IndexScan vs the scan oracle on {label}",
         )
-        executed += 1
+        executed["plans"] += 1
+        executed.update({type(node) for node in plan_nodes([rewriting.plan])})
     return executed
 
 
@@ -86,15 +89,18 @@ def test_fig13_xmark_every_plan_matches_every_oracle(xmark_workload, config_name
     # with the 1 s search budget the rewritable XMark queries yield ≥ 12
     # plans on this fixture; 8 keeps headroom for slow CI hosts where the
     # budget truncates more searches
-    assert executed >= 8, (
+    assert executed["plans"] >= 8, (
         "the A/B harness must actually execute a meaningful share of plans"
     )
+    # no fixture search here returns a union rewriting; test_union_merge.py
+    # runs one against the oracle
+    assert executed[IdEqualityJoin], "no ⋈= plan was checked against the oracle"
 
 
 @pytest.mark.parametrize("config_name", sorted(HARNESS_CONFIGS))
 def test_fig14_dblp_every_plan_matches_every_oracle(dblp_workload, config_name):
     executed = _check_every_plan(dblp_workload, config_name)
-    assert executed >= 1, "no plan was executed — the workload is degenerate"
+    assert executed["plans"] >= 1, "no plan was executed — the workload is degenerate"
 
 
 def test_the_session_answers_through_the_production_path(xmark_workload):
@@ -108,7 +114,7 @@ def test_the_session_answers_through_the_production_path(xmark_workload):
     query = next(query for query, _ in xmark_workload.rewritings("unions-off"))
     choice = db.plan_query(query)
     oracle = OracleExecutor(
-        db.views, structural_join_strategy="nested-loop", id_join_strategy="hash"
+        db.views, structural_join_strategy="nested-loop"
     ).execute(choice.best.rewriting.plan)
     assert db.query(query).same_contents(oracle)
     db.close()

@@ -7,13 +7,13 @@ before the batch kernels replaced it, moved here verbatim:
 
 * ``ViewScan`` copies the extent rows; ``IndexScan`` is the literal
   scan-then-filter composition and never touches an index;
-* ``⋈=`` merges two Dewey-sorted inputs or hashes on ``str(id)``
-  (``id_join_strategy="hash"`` forces the hash join);
+* ``⋈=`` hashes on ``str(id)``, probing in left-row order;
 * ``⋈≺`` / ``⋈≺≺``, flat and nested, run ``_staircase_sweep`` on
   :class:`~repro.xmltree.ids.DeweyID` objects, or the ``O(l × r)`` nested
   loop under ``structural_join_strategy="nested-loop"``;
 * ``π`` / ``σ`` / ``∪`` go through :class:`~repro.algebra.tuples.Relation`
-  methods and the tuple ``_merge_union``.
+  methods (``∪`` as the order-blind chain of pairwise unions plus
+  ``distinct``).
 
 The five row-wise operators (nested projection, unnest, group-by, content
 navigation, parent-ID derivation) have a single implementation; the oracle
@@ -21,19 +21,18 @@ inherits it and feeds it oracle-computed children.
 
 Two configurations are in use:
 
-* ``OracleExecutor(views)`` — tuple interpreter with merge joins.  The
-  production executor must match it *exactly*: column names, ``sorted_by``
-  and row order.
-* ``OracleExecutor(views, structural_join_strategy="nested-loop",
-  id_join_strategy="hash")`` — the seed algorithms.  Nested loops emit
-  left-major order, so the comparison is ``Relation.same_contents``.
+* ``OracleExecutor(views)`` — tuple interpreter with staircase merge
+  joins.  The production executor must match it *exactly*: column names,
+  ``sorted_by`` and row order.
+* ``OracleExecutor(views, structural_join_strategy="nested-loop")`` — the
+  seed algorithms.  Nested loops emit left-major order, so the comparison
+  is ``Relation.same_contents``.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping
 
-from repro.algebra import kernels
 from repro.algebra.columnar import ColumnBatch
 from repro.algebra.execution import PlanExecutor
 from repro.algebra.operators import (
@@ -47,16 +46,15 @@ from repro.algebra.operators import (
     UnionPlan,
     ViewScan,
 )
-from repro.algebra.tuples import Column, Relation, as_dewey
-from repro.errors import PlanExecutionError, ReproError
+from repro.algebra.tuples import Column, Relation
+from repro.errors import PlanExecutionError
 from repro.patterns.pattern import Axis
 from repro.xmltree.ids import DeweyID
 from repro.xmltree.node import XMLNode
 
-__all__ = ["OracleExecutor", "STRUCTURAL_JOIN_STRATEGIES", "ID_JOIN_STRATEGIES"]
+__all__ = ["OracleExecutor", "STRUCTURAL_JOIN_STRATEGIES"]
 
 STRUCTURAL_JOIN_STRATEGIES = ("merge", "nested-loop")
-ID_JOIN_STRATEGIES = ("merge", "hash")
 
 
 class OracleExecutor(PlanExecutor):
@@ -66,21 +64,14 @@ class OracleExecutor(PlanExecutor):
         self,
         views: Mapping[str, object],
         structural_join_strategy: str = "merge",
-        id_join_strategy: str = "merge",
     ):
         if structural_join_strategy not in STRUCTURAL_JOIN_STRATEGIES:
             raise PlanExecutionError(
                 f"unknown structural join strategy {structural_join_strategy!r}; "
                 f"expected one of {STRUCTURAL_JOIN_STRATEGIES}"
             )
-        if id_join_strategy not in ID_JOIN_STRATEGIES:
-            raise PlanExecutionError(
-                f"unknown id join strategy {id_join_strategy!r}; "
-                f"expected one of {ID_JOIN_STRATEGIES}"
-            )
         super().__init__(views)
         self._merge_joins = structural_join_strategy == "merge"
-        self._merge_id_joins = id_join_strategy == "merge"
         # id() -> (operator, result); the operator reference keeps the id alive
         self._relations: dict[int, tuple[PlanOperator, Relation]] = {}
 
@@ -166,66 +157,19 @@ class OracleExecutor(PlanExecutor):
         left_index = left.column_index(plan.left_column)
         right_index = right.column_index(plan.right_column)
         result = left.natural_concat(right)
-        if (
-            self._merge_id_joins
-            and left.is_sorted_by(plan.left_column)
-            and right.is_sorted_by(plan.right_column)
-        ):
-            self._merge_id_join(plan, left, right, left_index, right_index, result)
-        else:
-            by_id: dict[str, list[tuple]] = {}
-            for row in right.rows:
-                identifier = self._as_dewey(row[right_index])
-                if identifier is not None:
-                    by_id.setdefault(str(identifier), []).append(row)
-            for left_row in left.rows:
-                identifier = self._as_dewey(left_row[left_index])
-                if identifier is None:
-                    continue
-                for right_row in by_id.get(str(identifier), ()):
-                    result.rows.append(left_row + right_row)
-        result.sorted_by = left.sorted_by  # probe order is left order
-        return result
-
-    def _merge_id_join(
-        self,
-        plan: IdEqualityJoin,
-        left: Relation,
-        right: Relation,
-        left_index: int,
-        right_index: int,
-        result: Relation,
-    ) -> None:
-        """``⋈=`` as a single merge pass over two Dewey-sorted inputs.
-
-        Equal identifiers are adjacent on both sides, so the right side
-        collapses into per-identifier groups and one non-retreating cursor
-        pairs them with the (non-decreasing) left identifiers.  Rows with a
-        ``⊥`` join value can never match and are skipped — exactly what the
-        hash join does — and output rows come out in left-row order, so the
-        two strategies produce *identical* row lists, not just equal sets.
-        """
-        groups: list[tuple[tuple, list[tuple]]] = []
+        by_id: dict[str, list[tuple]] = {}
         for row in right.rows:
             identifier = self._as_dewey(row[right_index])
-            if identifier is None:
-                continue
-            key = identifier.components
-            if groups and groups[-1][0] == key:
-                groups[-1][1].append(row)
-            else:
-                groups.append((key, [row]))
-        position = 0
+            if identifier is not None:
+                by_id.setdefault(str(identifier), []).append(row)
         for left_row in left.rows:
             identifier = self._as_dewey(left_row[left_index])
             if identifier is None:
                 continue
-            key = identifier.components
-            while position < len(groups) and groups[position][0] < key:
-                position += 1
-            if position < len(groups) and groups[position][0] == key:
-                for right_row in groups[position][1]:
-                    result.rows.append(left_row + right_row)
+            for right_row in by_id.get(str(identifier), ()):
+                result.rows.append(left_row + right_row)
+        result.sorted_by = left.sorted_by  # probe order is left order
+        return result
 
     def _structural_match(self, upper, lower, axis: Axis) -> bool:
         upper_id = self._as_dewey(upper)
@@ -420,67 +364,10 @@ class OracleExecutor(PlanExecutor):
         if not plan.plans:
             raise PlanExecutionError("a union plan needs at least one branch")
         relations = [self.execute(branch) for branch in plan.plans]
-        merged = self._merge_union(relations)
-        if merged is not None:
-            return merged
         result = relations[0]
         for relation in relations[1:]:
             result = result.union(relation)
         return result.distinct()
-
-    def _merge_union(self, relations: list[Relation]) -> Optional[Relation]:
-        """Ordered k-way union merge, when every branch shares the sort column.
-
-        Union set semantics never needed order, so ``UnionPlan`` used to drop
-        the ``sorted_by`` annotation unconditionally — forcing a re-sort on
-        any staircase merge join consuming the union.  When every branch
-        arrives Dewey-sorted on the same column *position*, a
-        :func:`heapq.merge` over the branches produces the union already in
-        document order, so the annotation survives.  Duplicate elimination
-        stays exact with bounded memory: duplicate rows carry equal sort
-        identifiers, so they always land inside the same identifier run and
-        a per-run seen-set suffices.  Rows with a ``⊥`` sort value (which
-        the annotation says nothing about) are emitted first, deduplicated
-        globally — the same null placement ``sorted_in_dewey_order`` uses.
-        Returns ``None`` when the branches do not share a sort column (or a
-        sort value refuses Dewey coercion): the caller falls back to the
-        order-blind union, results identical.
-        """
-        first = relations[0]
-        if first.sorted_by is None:
-            return None
-        sort_index = first.column_index(first.sorted_by)
-        arity = first.arity
-        for relation in relations:
-            if (
-                relation.arity != arity
-                or relation.sorted_by is None
-                or relation.column_index(relation.sorted_by) != sort_index
-            ):
-                return None
-        null_rows: list[tuple] = []
-        keyed_streams: list[list[tuple[tuple, tuple]]] = []
-        try:
-            for relation in relations:
-                keyed = []
-                for row in relation.rows:
-                    identifier = as_dewey(row[sort_index])
-                    if identifier is None:
-                        # ⊥, or a node with no assigned identifier — both
-                        # are nulls to sorted_in_dewey_order, so both sort
-                        # ahead of every real identifier here too
-                        null_rows.append(row)
-                    else:
-                        keyed.append((identifier.components, row))
-                keyed_streams.append(keyed)
-        except ReproError:
-            # a mis-annotated branch (non-Dewey sort values, AlgebraError or
-            # a malformed identifier string): fall back, order-blind
-            return None
-        result = Relation(first.columns)
-        result.sorted_by = first.sorted_by
-        result.rows = kernels.ordered_union_rows(null_rows, keyed_streams)
-        return result
 
     _TWINS = {
         ViewScan: _execute_scan,

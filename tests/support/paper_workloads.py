@@ -52,8 +52,8 @@ HARNESS_CONFIGS = {
         max_rewritings=2, max_plan_size=4, enable_unions=False,
         time_budget_seconds=1.0,
     ),
-    # the vectorized / pushdown A/B configuration: the ordered k-way union
-    # merge is one of the kernels under test
+    # the vectorized / pushdown A/B configuration: union plans are executed
+    # beside the ⋈= and structural-join plans
     "unions-on": RewritingConfig(
         max_rewritings=3, max_plan_size=4, enable_unions=True,
         time_budget_seconds=1.0,

@@ -9,10 +9,26 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Database, MaterializedView, parse_parenthesized, parse_pattern
+from repro import (
+    Database,
+    MaterializedView,
+    build_summary,
+    parse_parenthesized,
+    parse_pattern,
+)
 from repro.algebra.columnar import ColumnBatch
+from repro.algebra.operators import (
+    IdEqualityJoin,
+    NestedStructuralJoin,
+    StructuralJoin,
+    UnionPlan,
+    ViewScan,
+)
 from repro.errors import RewritingError
+from repro.patterns.pattern import Axis
+from repro.planning.cost import sort_merge_decision
 from repro.session.explain import ExplainReport
+from repro.views.catalog import ViewCatalog
 from repro.views.view import IdScheme
 from repro.workloads.synthetic import seed_tag_views
 from repro.workloads.xmark import generate_xmark_document, xmark_query_patterns
@@ -58,7 +74,36 @@ def test_explain_reports_join_order_decisions(db):
     decisions = [e.order_decision for e in report.operators if e.order_decision]
     assert decisions, "a join plan must surface its order decisions"
     for decision in decisions:
-        assert decision == "merge" or decision.startswith(("sort+merge", "hash"))
+        assert decision in ("merge", "sort+merge(right)", "hash")
+
+
+def test_a_join_label_names_only_the_sorts_the_executor_runs(auction_document):
+    """``⋈=`` always hashes.  The flat structural join reads its ancestor
+    rows through structural links and sorts only an unsorted descendant
+    side; the nested join also puts its ancestor side in document order."""
+    names = MaterializedView(parse_pattern("site(//item[ID](/name[V]))", name="names"),
+                             auction_document)
+    statistics = ViewCatalog(build_summary(auction_document), [names]).statistics()
+    sorted_scan = ViewScan("names")
+    # every operand exposes names.ID1; only the union is statically unsorted
+    unsorted = UnionPlan(plans=(sorted_scan,))
+    assert sort_merge_decision(IdEqualityJoin(
+        sorted_scan, ViewScan("names", alias="n2"), "names.ID1", "n2.ID1"
+    ), statistics) == "hash"
+    for left, right, flat, nested in (
+        (sorted_scan, unsorted, "sort+merge(right)", "sort+merge(right)"),
+        (unsorted, sorted_scan, "merge", "sort+merge(left)"),
+        (unsorted, unsorted, "sort+merge(right)", "sort+merge(left,right)"),
+    ):
+        columns = ("names.ID1", "names.ID1")
+        assert sort_merge_decision(
+            StructuralJoin(left, right, *columns, axis=Axis.DESCENDANT), statistics
+        ) == flat
+        assert sort_merge_decision(
+            NestedStructuralJoin(left, right, *columns, axis=Axis.DESCENDANT,
+                                 group_column="g"),
+            statistics,
+        ) == nested
 
 
 def test_an_equality_join_over_opaque_ids_reports_hash():
@@ -183,3 +228,30 @@ def test_report_to_dict_is_json_safe(db):
 
     data = db.explain(JOIN_QUERY, analyze=True, name="q").to_dict()
     assert json.loads(json.dumps(data)) == data
+
+
+def test_two_identical_sessions_describe_a_plan_byte_for_byte(auction_document):
+    """Scan aliases (``view@N``) and generated column names (``vid#N``) are
+    numbered per search: two identically built sessions in one process show
+    one query's plans the same, whatever either of them ran before."""
+    query = "site(//item[ID](/name[V], /description[ID]))"
+
+    def session():
+        database = Database(auction_document)
+        database.create_view("site(//item[ID](/name[V]))", name="names")
+        database.create_view("site(//item[ID](/description[ID]))", name="descr")
+        database.create_view("site(//description[ID])", name="descriptions")
+        return database
+
+    first, second = session(), session()
+    for unrelated in ("site(//item[ID](/name[V]))", "site(//description[ID])", JOIN_QUERY):
+        first.query(unrelated)
+    texts = [
+        [planned.describe() for planned in database.plan_query(query)]
+        for database in (first, second)
+    ]
+    assert texts[0] == texts[1]
+    assert any("@" in text for text in texts[0]) and any("#" in text for text in texts[0])
+    assert first.explain(query).to_text() == second.explain(query).to_text()
+    first.close()
+    second.close()

@@ -1,59 +1,55 @@
-"""``UnionPlan``'s ordered multiway merge vs. the order-blind oracle.
+"""``UnionPlan``: one first-occurrence pass over the branches, in branch order.
 
-The merge union must (a) produce exactly the set the old
-``Relation.union``-chain produced, (b) keep the ``sorted_by`` annotation
-whenever every branch shares the Dewey sort column position, and (c) fall
-back — annotation dropped, contents identical — whenever it cannot prove
-order.  The oracle here *is* the old implementation, inlined.
+The production union must return exactly the rows of the oracle's
+order-blind reference — the chain of pairwise ``Relation.union`` calls
+plus ``distinct`` — in the same order, and carry no sort annotation.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-
 import pytest
 
-from repro import MaterializedView, build_summary, parse_parenthesized, parse_pattern
-from repro.algebra.columnar import ColumnBatch
+from repro import (
+    Database,
+    MaterializedView,
+    evaluate_pattern,
+    parse_parenthesized,
+    parse_pattern,
+)
 from repro.algebra.execution import PlanExecutor
-from repro.algebra.operators import Projection, UnionPlan, ViewScan
-from repro.algebra.tuples import Column, Relation, as_dewey
-from repro.errors import PlanExecutionError
-from repro.planning.cost import plan_sorted_on
-from repro.views.catalog import ViewCatalog
+from repro.algebra.operators import UnionPlan, ViewScan
+from repro.algebra.tuples import Column, Relation
+from repro.errors import AlgebraError, PlanExecutionError
+from repro.rewriting.algorithm import RewritingConfig
 from repro.xmltree.ids import DeweyID
+from repro.xmltree.node import XMLNode
 
 from support.oracle_executor import OracleExecutor
-from support.relations import mark_sorted_by
+from support.relations import mark_sorted_by, stored_view
 
 
-def _merge_union(relations):
-    """The production ordered merge, checked against the tuple oracle's."""
-    merged = PlanExecutor({})._merge_union_batches(
-        [ColumnBatch.from_relation(relation) for relation in relations]
+def _assert_matches_the_oracle(views, plan):
+    """Production ≡ the oracle's reference union, row order included."""
+    result = PlanExecutor(views).execute(plan)
+    oracle = OracleExecutor(views).execute(plan)
+    assert result.column_names == oracle.column_names
+    assert result.rows == oracle.rows
+    assert result.sorted_by is None and oracle.sorted_by is None
+    return result
+
+
+def _union(*relations):
+    """The union of hand-made branches, one stored view each."""
+    views = {f"b{index}": stored_view(relation) for index, relation in enumerate(relations)}
+    return _assert_matches_the_oracle(
+        views, UnionPlan(plans=tuple(ViewScan(name) for name in views))
     )
-    oracle = OracleExecutor({})._merge_union(relations)
-    if merged is None:
-        assert oracle is None, "production fell back where the oracle merged"
-        return None
-    merged = merged.to_relation()
-    assert merged.rows == oracle.rows
-    assert merged.sorted_by == oracle.sorted_by
-    return merged
 
 
-def _oracle_union(relations):
-    """The pre-merge implementation: chained set unions, order-blind."""
-    return reduce(lambda left, right: left.union(right), relations).distinct()
-
-
-def _assert_dewey_ordered(relation):
-    identifiers = [
-        as_dewey(row[relation.column_index(relation.sorted_by)])
-        for row in relation.rows
-    ]
-    non_null = [identifier for identifier in identifiers if identifier is not None]
-    assert non_null == sorted(non_null), "sorted_by annotation must hold"
+def _identified(*rows):
+    relation = Relation([Column("ID", kind="ID"), Column("V")])
+    relation.extend(rows)
+    return mark_sorted_by(relation, "ID")
 
 
 @pytest.fixture()
@@ -75,102 +71,57 @@ def views(document):
     }
 
 
-def test_merge_union_keeps_order_and_matches_oracle(views):
+def test_union_of_two_views_matches_the_oracle(views):
     plan = UnionPlan(plans=(ViewScan("items"), ViewScan("gadgets")))
-    executor = PlanExecutor(views)
-    branches = [executor.execute(branch) for branch in plan.plans]
-    result = executor.execute(plan)
-    assert result.sorted_by == "items.ID1", (
-        "a union of same-position Dewey-sorted branches must stay annotated"
-    )
-    _assert_dewey_ordered(result)
-    assert result.same_contents(_oracle_union(branches))
+    result = _assert_matches_the_oracle(views, plan)
     assert len(result) == 4
+    assert result.column_names == ["items.ID1", "items.V2"]
 
 
-def test_merge_union_deduplicates_across_branches(views):
+def test_union_deduplicates_across_branches(views):
     plan = UnionPlan(plans=(ViewScan("items"), ViewScan("items", alias="again")))
-    executor = PlanExecutor(views)
-    result = executor.execute(plan)
-    assert len(result) == 3, "identical branch rows must collapse"
-    _assert_dewey_ordered(result)
-
-
-def test_merge_union_deduplicates_within_identifier_runs():
-    left = Relation([Column("ID", kind="ID"), Column("V")])
-    left.extend([(DeweyID((1, 1)), "a"), (DeweyID((1, 1)), "b"), (DeweyID((1, 3)), "c")])
-    mark_sorted_by(left, "ID")
-    right = Relation([Column("ID", kind="ID"), Column("V")])
-    right.extend([(DeweyID((1, 1)), "b"), (DeweyID((1, 2)), "d"), (DeweyID((1, 3)), "c")])
-    mark_sorted_by(right, "ID")
-    merged = _merge_union([left, right])
-    assert merged is not None
-    assert len(merged) == 4  # (1.1,a) (1.1,b) (1.2,d) (1.3,c)
-    _assert_dewey_ordered(merged)
-    assert merged.same_contents(_oracle_union([left, right]))
-
-
-def test_merge_union_places_null_identifiers_first():
-    left = Relation([Column("ID", kind="ID")])
-    left.extend([(None,), (DeweyID((1, 2)),)])
-    mark_sorted_by(left, "ID")
-    right = Relation([Column("ID", kind="ID")])
-    right.extend([(DeweyID((1, 1)),), (None,)])
-    mark_sorted_by(right, "ID")
-    merged = _merge_union([left, right])
-    assert merged is not None
-    assert merged.rows[0] == (None,) and len(merged) == 3
-    _assert_dewey_ordered(merged)
-
-
-def test_unsorted_branch_falls_back_to_oracle(views):
-    # projecting away the ID column leaves the branch unsorted
-    plan = UnionPlan(
-        plans=(
-            Projection(child=ViewScan("items"), columns=("items.V2",)),
-            Projection(child=ViewScan("items", alias="b"), columns=("b.ID1",)),
-        )
+    assert len(_assert_matches_the_oracle(views, plan)) == 3, (
+        "identical branch rows must collapse"
     )
-    executor = PlanExecutor(views)
-    branches = [executor.execute(branch) for branch in plan.plans]
-    assert branches[0].sorted_by is None
-    result = executor.execute(plan)
-    assert result.sorted_by is None
-    assert result.same_contents(_oracle_union(branches))
 
 
-def test_mismatched_sort_positions_fall_back():
-    left = Relation([Column("ID", kind="ID"), Column("V")])
-    left.extend([(DeweyID((1, 1)), "a")])
-    mark_sorted_by(left, "ID")
-    right = Relation([Column("V"), Column("ID", kind="ID")])
-    right.extend([("b", DeweyID((1, 2)))])
-    mark_sorted_by(right, "ID")  # same name, different position
-    assert _merge_union([left, right]) is None
+def test_union_keeps_first_occurrences_in_branch_order():
+    a, b, c = DeweyID((1, 1)), DeweyID((1, 2)), DeweyID((1, 3))
+    result = _union(
+        _identified((a, "a"), (a, "b"), (c, "c")),
+        _identified((a, "b"), (b, "d"), (c, "c")),
+    )
+    assert result.rows == [(a, "a"), (a, "b"), (c, "c"), (b, "d")]
 
 
-def test_identifierless_node_cells_count_as_nulls():
-    # an XMLNode with no assigned Dewey ID is a null to as_dewey (and to
-    # sorted_in_dewey_order); the merge must treat it the same, not crash
-    from repro.xmltree.node import XMLNode
-
-    left = Relation([Column("ID", kind="ID")])
-    left.extend([(XMLNode("detached"),), (DeweyID((1, 2)),)])
-    mark_sorted_by(left, "ID")
-    right = Relation([Column("ID", kind="ID")])
-    right.extend([(DeweyID((1, 1)),)])
-    mark_sorted_by(right, "ID")
-    merged = _merge_union([left, right])
-    assert merged is not None and len(merged) == 3
-    assert isinstance(merged.rows[0][0], XMLNode)
-    _assert_dewey_ordered(merged)
+def test_union_deduplicates_null_identifiers():
+    result = _union(
+        _identified((None, "x"), (DeweyID((1, 2)), "y")),
+        _identified((DeweyID((1, 1)), "z"), (None, "x")),
+    )
+    assert len(result) == 3 and result.rows[0] == (None, "x")
 
 
-def test_non_dewey_sort_values_fall_back():
-    left = Relation([Column("ID", kind="ID")])
-    left.extend([("not-an-identifier",)])
-    mark_sorted_by(left, "ID")
-    assert _merge_union([left]) is None
+def test_identifierless_node_cells_are_plain_cells():
+    detached = XMLNode("detached")
+    result = _union(
+        _identified((detached, "x"), (DeweyID((1, 2)), "y")),
+        _identified((DeweyID((1, 1)), "z")),
+    )
+    assert len(result) == 3 and result.rows[0][0] is detached
+
+
+def test_union_with_empty_branches():
+    assert len(_union(_identified(), _identified((DeweyID((1, 1)), "a")))) == 1
+    assert len(_union(_identified(), _identified())) == 0
+
+
+def test_union_of_different_arities_raises():
+    narrow = Relation([Column("ID", kind="ID")])
+    with pytest.raises(AlgebraError, match="different arities"):
+        PlanExecutor({"a": stored_view(_identified()), "b": stored_view(narrow)}).execute(
+            UnionPlan(plans=(ViewScan("a"), ViewScan("b")))
+        )
 
 
 def test_empty_union_still_raises():
@@ -178,14 +129,21 @@ def test_empty_union_still_raises():
         PlanExecutor({}).execute(UnionPlan(plans=()))
 
 
-def test_static_order_analysis_accepts_provable_unions(document, views):
-    statistics = ViewCatalog(build_summary(document), views.values()).statistics()
-    # both branches scan the same view under the same alias-qualified
-    # column name, so the static rule can prove the output order
-    provable = UnionPlan(plans=(ViewScan("items"), ViewScan("items")))
-    assert plan_sorted_on(provable, "items.ID1", statistics)
-    # different aliases → different column names → statically unprovable,
-    # even though the run-time merge will keep the annotation
-    unprovable = UnionPlan(plans=(ViewScan("items"), ViewScan("gadgets")))
-    assert not plan_sorted_on(unprovable, "items.ID1", statistics)
-    assert not plan_sorted_on(UnionPlan(plans=()), "items.ID1", statistics)
+def test_a_union_rewriting_runs_like_the_oracle():
+    """Neither view answers the query alone; their union does (Algorithm 1,
+    lines 13-14), and its plan runs exactly like the oracle's."""
+    document = parse_parenthesized(
+        'site(regions(asia(item(name="a") item(name="b")) '
+        'europe(item(name="b") item(name="c"))))'
+    )
+    database = Database(document, config=RewritingConfig(max_plan_size=1))
+    database.create_view("site(/regions(/asia(/item[ID](/name[V]))))", name="asia")
+    database.create_view("site(/regions(/europe(/item[ID](/name[V]))))", name="europe")
+    query = "site(//item[ID](/name[V]))"
+    unions = [rewriting for rewriting in database.rewrite(query) if rewriting.is_union]
+    assert unions, "the search must find the union rewriting"
+    for rewriting in unions:
+        result = _assert_matches_the_oracle(database.views, rewriting.plan)
+        assert result.same_contents(evaluate_pattern(parse_pattern(query), document))
+    assert len(database.query(query)) == 4
+    database.close()
