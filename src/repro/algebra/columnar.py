@@ -8,13 +8,17 @@ and their dotted text are cached per source and *shared through gathers*: a
 view extent's sort keys, and the identifier text the service writes for
 them, are computed once and reused by every query that scans it.  What an
 operator computes from them is kept on its plan node, never on a source
-(:meth:`~repro.algebra.execution.PlanExecutor._kept`).
+(:meth:`~repro.algebra.execution.PlanExecutor._kept`).  Row order is a
+fact about the data, never an annotation: a column proves itself in
+document order (:meth:`_ColumnSource.in_document_order`) or distinct
+(:meth:`_ColumnSource.distinct`) from its extent's cached
+:meth:`_ColumnSource.ascending` and the gathers over it.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from operator import lt
+from operator import le, lt
 from typing import Optional, Sequence
 from weakref import WeakKeyDictionary
 
@@ -93,8 +97,9 @@ class _ColumnSource:
         self._keys: Optional[list] = None
         self._row_keys: Optional[list] = None
         self._text: Optional[list] = None
-        # a direct source's proof that its rows are distinct: True / False
-        # once :meth:`ascending` has read the row keys, None while unknown
+        # a direct source's proof that its row keys strictly ascend (its
+        # rows are distinct and, keyed by identifier, in document order):
+        # True / False once :meth:`ascending` has read them, None while unknown
         self._ascending: Optional[bool] = None
         # value-index cache (repro.views.indexes): the built index, or the
         # UNINDEXABLE sentinel.  Deliberately NOT propagated through
@@ -125,30 +130,49 @@ class _ColumnSource:
         tuples) or an all-atom one (its own strings and numbers) can pass:
         strict ``<`` between those keys implies ``_hashable``-inequality,
         and a total order makes every pair of rows, not just neighbours,
-        distinct.  ⊥, NaN and cells that do not compare fail the check.
+        distinct.  ⊥, NaN and cells that do not compare fail the check — a
+        lone ⊥, which meets no comparison, by the first-cell test.
         """
         if self._ascending is None:
             keys = self.row_keys()
             try:
-                self._ascending = (keys is self._keys or keys is self._values) and all(
-                    map(lt, keys, islice(keys, 1, None))
+                self._ascending = (
+                    (keys is self._keys or keys is self._values)
+                    and None not in keys[:1]
+                    and all(map(lt, keys, islice(keys, 1, None)))
                 )
             except TypeError:
                 self._ascending = False
         return self._ascending
+
+    def _direct(self) -> "_ColumnSource":
+        source = self
+        while source._parent is not None:
+            source = source._parent
+        return source
 
     def distinct(self) -> bool:
         """Whether no two rows of this column have equal row keys, proven
         without hashing a key: its direct source strictly ascends
         (:meth:`ascending`, rejected in O(1) once cached) and the composed
         gather reads no row of it twice."""
-        source = self
-        while source._parent is not None:
-            source = source._parent
-        if not source.ascending():
+        if not self._direct().ascending():
             return False
         _, rows = self.resolve()
         return rows is None or len(set(rows)) == len(rows)
+
+    def in_document_order(self) -> bool:
+        """Whether this column's Dewey keys are ⊥-free and non-decreasing,
+        proven without comparing a key: its direct source strictly ascends
+        on its component keys (:meth:`ascending`, which an identifier
+        column's row keys are) and the composed gather reads its rows in
+        non-decreasing order.  ``False`` says only that the proof fails:
+        the caller sorts, stably, and sorted keys stay as they are."""
+        source = self._direct()
+        if not source.ascending() or source._row_keys is not source._keys:
+            return False
+        _, rows = self.resolve()
+        return rows is None or all(map(le, rows, islice(rows, 1, None)))
 
     def values(self) -> list:
         if self._values is None:
@@ -286,25 +310,24 @@ class ColumnBatch:
     The vectorized executor's unit of work.  Construction never touches
     cell values — sources materialise on first read — and
     :meth:`to_relation` round-trips back to the tuple representation the
-    rest of the library speaks.  ``sorted_by`` carries the same physical
-    Dewey-order annotation as :class:`~repro.algebra.tuples.Relation`.
+    rest of the library speaks.
 
     >>> relation = Relation(["ID", "V"], rows=[(DeweyID((1, 1)), "pen"),
     ...                                        (DeweyID((1, 2)), "ink")])
-    >>> relation.sorted_by = "ID"  # the rows are in document order
     >>> batch = ColumnBatch.from_relation(relation)
-    >>> batch.row_count, batch.sorted_by
-    (2, 'ID')
-    >>> batch.values(1)
-    ['pen', 'ink']
-    >>> batch.gather([1], sorted_by=batch.sorted_by).to_relation().rows
+    >>> batch.row_count, batch.values(1)
+    (2, ['pen', 'ink'])
+    >>> batch.source(0).in_document_order()  # read off the data
+    True
+    >>> batch.gather([1, 0]).source(0).in_document_order()
+    False
+    >>> batch.gather([1]).to_relation().rows
     [(DeweyID(1.2), 'ink')]
     """
 
     __slots__ = (
         "columns",
         "row_count",
-        "sorted_by",
         "_sources",
         "_relation",
         "__weakref__",
@@ -315,7 +338,6 @@ class ColumnBatch:
         columns: Sequence[Column | str],
         sources: Sequence[_ColumnSource],
         row_count: int,
-        sorted_by: Optional[str] = None,
     ) -> None:
         self.columns = [
             column if isinstance(column, Column) else Column(column)
@@ -323,7 +345,6 @@ class ColumnBatch:
         ]
         self._sources = list(sources)
         self.row_count = row_count
-        self.sorted_by = sorted_by
         # the relation this batch was built from, if it keeps it: the batch
         # points at it, never the other way round
         self._relation: Optional[Relation] = None
@@ -345,7 +366,7 @@ class ColumnBatch:
             ]
         else:
             sources = [_ColumnSource(values=[]) for _ in relation.columns]
-        batch = cls(relation.columns, sources, count, relation.sorted_by)
+        batch = cls(relation.columns, sources, count)
         if keep_rows:
             batch._relation = relation
         return batch
@@ -365,7 +386,7 @@ class ColumnBatch:
             for position, source in enumerate(self._sources)
         ]
         count = self.row_count + sum(len(rows) - (hi - lo) for lo, hi, rows in splices)
-        return ColumnBatch(self.columns, sources, count, self.sorted_by)
+        return ColumnBatch(self.columns, sources, count)
 
     def to_relation(self) -> Relation:
         """The rows as a row-major :class:`Relation`: the relation the batch
@@ -378,7 +399,6 @@ class ColumnBatch:
             relation.rows = [()] * self.row_count  # zip() of no column is empty
         elif self.row_count:
             relation.rows = list(zip(*(source.values() for source in self._sources)))
-        relation.sorted_by = self.sorted_by
         return relation
 
     # ------------------------------------------------------------------ #
@@ -405,27 +425,23 @@ class ColumnBatch:
         return self._sources[index].row_keys()
 
     # ------------------------------------------------------------------ #
-    def with_schema(
-        self, columns: Sequence[Column], sorted_by: Optional[str]
-    ) -> "ColumnBatch":
+    def with_schema(self, columns: Sequence[Column]) -> "ColumnBatch":
         """The same rows under different column names (scan qualification).
 
         Sources are shared, so value and key caches carry over.
         """
-        return ColumnBatch(columns, self._sources, self.row_count, sorted_by)
+        return ColumnBatch(columns, self._sources, self.row_count)
 
-    def gather(
-        self, indices: Sequence[int], sorted_by: Optional[str] = None
-    ) -> "ColumnBatch":
+    def gather(self, indices: Sequence[int]) -> "ColumnBatch":
         """Select rows by index vector; every column becomes a lazy gather."""
         sources = [
             _ColumnSource(parent=source, indices=indices) for source in self._sources
         ]
-        return ColumnBatch(self.columns, sources, len(indices), sorted_by)
+        return ColumnBatch(self.columns, sources, len(indices))
 
     def __repr__(self) -> str:
         names = ", ".join(column.name for column in self.columns)
-        return f"<ColumnBatch [{names}] rows={self.row_count} sorted_by={self.sorted_by}>"
+        return f"<ColumnBatch [{names}] rows={self.row_count}>"
 
 
 def _column_error(name, names):
@@ -439,14 +455,13 @@ def projected_batch(
     column_indexes: Sequence[int],
     columns: Sequence[Column],
     row_indices: Sequence[int],
-    sorted_by: Optional[str] = None,
 ) -> ColumnBatch:
     """Project + gather in one step (what the Project kernel emits)."""
     sources = [
         _ColumnSource(parent=batch.source(i), indices=row_indices)
         for i in column_indexes
     ]
-    return ColumnBatch(columns, sources, len(row_indices), sorted_by)
+    return ColumnBatch(columns, sources, len(row_indices))
 
 
 def joined_batch(
@@ -455,7 +470,6 @@ def joined_batch(
     columns: Sequence[Column],
     left_indices: Sequence[int],
     right_indices: Sequence[int],
-    sorted_by: Optional[str] = None,
 ) -> ColumnBatch:
     """The concatenated-schema batch a pair-producing join kernel emits.
 
@@ -464,4 +478,4 @@ def joined_batch(
     """
     sources = [_ColumnSource(parent=source, indices=left_indices) for source in left._sources]
     sources += [_ColumnSource(parent=source, indices=right_indices) for source in right._sources]
-    return ColumnBatch(columns, sources, len(left_indices), sorted_by)
+    return ColumnBatch(columns, sources, len(left_indices))

@@ -29,18 +29,22 @@ strict prefix of its descendants', so the per-descendant-row ancestor rows
 of extents — ancestor rows grouped by component key, one key-prefix look-up
 per distinct ancestor depth — and cached on the descendant extent's column
 source, weakly keyed on the ancestor's.  A query only chains the cached
-link tuples of its descendant rows, walked in document order (a no-op for
-view extents and structural-join outputs, which arrive annotated), and
-remaps a gathered ancestor side through the inverse of its gather: no
-ancestor-side sort, which :class:`~repro.planning.cost.CostModel` still
-(conservatively) charges, and no key slice or hash once the links exist.
-A write splices fresh sources into the extents it touches and carries the
-links it can across.  ``π`` deduplicates on cached row keys, or not at all
-when a projected column proves its rows distinct (a strictly ascending
-extent column, read through a gather that repeats no row), a fact cached
-on the extent and carried by its splices.  ``⋈=`` always builds on its
-right input and probes in left-row order: on Dewey component keys the hash
-join beat a merge over sorted inputs at every measured size.
+link tuples of its descendant rows, walked in document order, and remaps a
+gathered ancestor side through the inverse of its gather: no ancestor-side
+sort, and no key slice or hash once the links exist.  Order is read off the
+data, never carried as an annotation: a descendant column (and the nested
+join's ancestor column) is sorted, stably, unless it proves itself in
+document order — a strictly ascending extent column read through a gather
+that never steps back
+(:meth:`~repro.algebra.columnar._ColumnSource.in_document_order`), as every
+scan of a structural extent is.  A write splices fresh sources into the
+extents it touches and carries the links it can across.  ``π``
+deduplicates on cached row keys, or not at all when a projected column
+proves its rows distinct (a strictly ascending extent column, read through
+a gather that repeats no row), a fact cached on the extent and carried by
+its splices.  ``⋈=`` always builds on its right input and probes in
+left-row order: on Dewey component keys the hash join beat a merge over
+sorted inputs at every measured size.
 
 A kernel operator's output index vectors — σ and probe keep vectors, the
 ``π`` dedup vector, join pairs — are kept on its plan node
@@ -146,8 +150,6 @@ class PlanExecutor:
     ['v.ID1', 'v.V1']
     >>> len(result)
     2
-    >>> result.sorted_by  # extents arrive in document order
-    'v.ID1'
     """
 
     def __init__(
@@ -266,12 +268,7 @@ class PlanExecutor:
     @staticmethod
     def _qualified(base: ColumnBatch, alias: str) -> ColumnBatch:
         columns = [column.renamed(f"{alias}.{column.name}") for column in base.columns]
-        sorted_by = None
-        if base.sorted_by is not None:
-            # extents are materialised in document order; the annotation
-            # survives qualification so downstream merges skip their sort
-            sorted_by = f"{alias}.{base.sorted_by}"
-        return base.with_schema(columns, sorted_by)
+        return base.with_schema(columns)
 
     def _scan_batch(self, plan: ViewScan) -> ColumnBatch:
         return self._qualified(self._extent(plan.view_name), plan.effective_alias)
@@ -283,8 +280,8 @@ class PlanExecutor:
         query that scans it), built lazily on this first probe.  An
         unindexable column falls back to the selection kernel over the same
         source — identical rows either way.  Probe positions come back
-        ascending, so the Dewey-order annotation survives exactly as it does
-        for a filter.
+        ascending, so a column in document order stays so, exactly as it
+        does under a filter.
         """
         base = self._extent(plan.view_name)
         source = base.source(base.column_index(plan.base_column))
@@ -298,7 +295,7 @@ class PlanExecutor:
             return kernels.selection_indices(source.values(), plan.formula)
 
         qualified = self._qualified(base, plan.effective_alias)
-        return qualified.gather(self._kept(plan, probe), sorted_by=qualified.sorted_by)
+        return qualified.gather(self._kept(plan, probe))
 
     def _batch_keys(self, batch: ColumnBatch, index: int) -> list:
         """Cached Dewey component keys, error-wrapped like :meth:`_as_dewey`."""
@@ -324,8 +321,7 @@ class PlanExecutor:
                 child.values(child.column_index(plan.column)), plan.formula
             ),
         )
-        # a subset in order stays in order
-        return child.gather(keep, sorted_by=child.sorted_by)
+        return child.gather(keep)
 
     def _projection_batch(self, plan: Projection) -> ColumnBatch:
         """``π`` with first-occurrence dedup — or none at all when a
@@ -335,7 +331,6 @@ class PlanExecutor:
         child = self.execute_batch(plan.child)
         names = list(plan.columns)
         indexes = [child.column_index(name) for name in names]
-        sorted_by = child.sorted_by if child.sorted_by in names else None
         columns = [child.columns[index] for index in indexes]
         if plan.renames:
             mapping = dict(plan.renames)
@@ -343,8 +338,6 @@ class PlanExecutor:
                 column.renamed(mapping.get(column.name, column.name))
                 for column in columns
             ]
-            if sorted_by is not None:
-                sorted_by = mapping.get(sorted_by, sorted_by)
         sources = [child.source(index) for index in indexes]
 
         def dedup() -> Optional[Sequence[int]]:
@@ -356,8 +349,8 @@ class PlanExecutor:
 
         keep = self._kept(plan, dedup)
         if keep is None:
-            return ColumnBatch(columns, sources, child.row_count, sorted_by)
-        return projected_batch(child, indexes, columns, keep, sorted_by)
+            return ColumnBatch(columns, sources, child.row_count)
+        return projected_batch(child, indexes, columns, keep)
 
     def _id_join_batch(self, plan: IdEqualityJoin) -> ColumnBatch:
         left = self.execute_batch(plan.left)
@@ -370,8 +363,7 @@ class PlanExecutor:
             return kernels.hash_id_join_pairs(left_keys, right_keys)
 
         left_out, right_out = self._kept(plan, pair)
-        # probe order is left order
-        return joined_batch(left, right, columns, left_out, right_out, left.sorted_by)
+        return joined_batch(left, right, columns, left_out, right_out)
 
     def _structural_pairs(
         self, plan: StructuralJoin | NestedStructuralJoin
@@ -385,9 +377,10 @@ class PlanExecutor:
         weakly keyed on the ancestor one, so a join of two extents nobody
         wrote to re-reads its links instead of slicing and hashing keys.
         Rows with a ``⊥`` join value never match, only the descendant side
-        needs document order (a no-op when annotated sorted), and pairs
-        come out as ``(ancestor row, descendant row)`` in descendant
-        document order.
+        needs document order (a stable sort, unless the column proves itself
+        in order: :meth:`~repro.algebra.columnar._ColumnSource.in_document_order`),
+        and pairs come out as ``(ancestor row, descendant row)`` in
+        descendant document order.
         """
         left = self.execute_batch(plan.left)
         right = self.execute_batch(plan.right)
@@ -395,9 +388,10 @@ class PlanExecutor:
         def pair() -> tuple[list[int], list[int]]:
             right_index = right.column_index(plan.right_column)
             ancestor, ancestor_rows = left.source(left.column_index(plan.left_column)).resolve()
-            descendant, descendant_rows = right.source(right_index).resolve()
+            column = right.source(right_index)
+            descendant, descendant_rows = column.resolve()
             links = self._links(ancestor, descendant, plan.axis)
-            if right.sorted_by != plan.right_column:
+            if not column.in_document_order():
                 keys = self._batch_keys(right, right_index)
                 positions = [index for index, _ in kernels.dewey_ordered(keys, False)]
                 descendant_rows = (
@@ -440,8 +434,7 @@ class PlanExecutor:
     def _structural_join_batch(self, plan: StructuralJoin) -> ColumnBatch:
         left, right, left_out, right_out = self._structural_pairs(plan)
         columns = self._concat_schema(left, right)
-        # output is produced in descendant document order
-        return joined_batch(left, right, columns, left_out, right_out, plan.right_column)
+        return joined_batch(left, right, columns, left_out, right_out)
 
     def _nested_structural_join_batch(self, plan: NestedStructuralJoin) -> ColumnBatch:
         left, right, left_out, right_out = self._structural_pairs(plan)
@@ -454,8 +447,9 @@ class PlanExecutor:
             matches[left_index].append(right_rows[right_index])
         result = Relation(list(left.columns) + [Column(plan.group_column, kind="NESTED")])
         # left rows in document order, ⊥ join values dropped
-        left_keys = left.dewey_keys(left.column_index(plan.left_column))
-        left_sorted = left.sorted_by == plan.left_column
+        column = left.column_index(plan.left_column)
+        left_keys = left.dewey_keys(column)
+        left_sorted = left.source(column).in_document_order()
         for left_index, _key in kernels.dewey_ordered(left_keys, left_sorted):
             if matches[left_index] or plan.keep_unmatched:
                 nested = Relation(nested_schema, rows=matches[left_index])
@@ -466,15 +460,11 @@ class PlanExecutor:
             for left_index, key in enumerate(left_keys):
                 if key is None:
                     result.rows.append(left_rows[left_index] + (Relation(nested_schema),))
-        # output is produced in ancestor document order (the annotation only
-        # speaks about non-null identifiers, so trailing ⊥ rows are fine)
-        result.sorted_by = plan.left_column
         return ColumnBatch.from_relation(result)
 
     def _union_batch(self, plan: UnionPlan) -> ColumnBatch:
         """``∪`` as one first-occurrence pass over the branches, in branch
-        order (:meth:`~repro.algebra.tuples.Relation.union`); the result
-        carries no sort annotation."""
+        order (:meth:`~repro.algebra.tuples.Relation.union`)."""
         if not plan.plans:
             raise PlanExecutionError("a union plan needs at least one branch")
         first, *rest = [self.execute_batch(branch).to_relation() for branch in plan.plans]
@@ -494,8 +484,6 @@ class PlanExecutor:
         child = self.execute(plan.child)
         index = child.column_index(plan.nested_column)
         result = Relation(child.columns)
-        if child.sorted_by != plan.nested_column:
-            result.sorted_by = child.sorted_by  # outer rows keep their order
         for row in child.rows:
             value = row[index]
             if isinstance(value, Relation):
@@ -519,9 +507,6 @@ class PlanExecutor:
             nested_columns = []
         outer_columns = [c for i, c in enumerate(child.columns) if i != index]
         result = Relation(outer_columns + nested_columns)
-        if child.sorted_by != plan.nested_column:
-            # outer rows expand in place, so non-decreasing order survives
-            result.sorted_by = child.sorted_by
         for row in child.rows:
             outer = tuple(v for i, v in enumerate(row) if i != index)
             nested = row[index]
@@ -542,9 +527,6 @@ class PlanExecutor:
             [child.columns[i] for i in key_indexes]
             + [Column(plan.group_column, kind="NESTED")]
         )
-        if child.sorted_by in plan.key_columns:
-            # groups are emitted in first-appearance order of their keys
-            result.sorted_by = child.sorted_by
         groups: dict[tuple, list[tuple]] = {}
         order: list[tuple] = []
         for row in child.rows:
@@ -567,7 +549,6 @@ class PlanExecutor:
         result = Relation(
             list(child.columns) + [Column(plan.new_column, kind=plan.attribute)]
         )
-        result.sorted_by = child.sorted_by  # rows expand in place
         for row in child.rows:
             content = row[index]
             matches = self._navigate(content, list(plan.steps))
@@ -607,7 +588,6 @@ class PlanExecutor:
         child = self.execute(plan.child)
         index = child.column_index(plan.id_column)
         result = Relation(list(child.columns) + [Column(plan.new_column, kind="ID")])
-        result.sorted_by = child.sorted_by  # one output row per input row
         for row in child.rows:
             identifier = self._as_dewey(row[index])
             derived = None

@@ -75,20 +75,22 @@ def distinct_indices(key_columns: Sequence[Sequence], row_count: int) -> Sequenc
 
 
 def dewey_ordered(
-    keys: Sequence[Optional[tuple]], is_sorted: bool
+    keys: Sequence[Optional[tuple]], in_order: bool
 ) -> Iterable[tuple[int, tuple]]:
     """``(row index, components)`` pairs in document order, ⊥ dropped.
 
-    Rows whose join key is ``None`` can never satisfy a structural
-    predicate and are dropped up front; unannotated inputs are stably
-    sorted on their component tuples (ties keep input row order).  An
-    annotated, ⊥-free input is served by ``enumerate`` — no pair list.
+    ``in_order`` says the keys are already ⊥-free and non-decreasing, as
+    the caller proved off the data
+    (:meth:`~repro.algebra.columnar._ColumnSource.in_document_order`):
+    ``enumerate`` serves them, no pair list.  Otherwise the rows whose key
+    is ``None``, which can never satisfy a structural predicate, are
+    dropped and the rest stably sorted on their component tuples (ties
+    keep input row order).
     """
-    if is_sorted and None not in keys:
+    if in_order:
         return enumerate(keys)
     pairs = [(index, key) for index, key in enumerate(keys) if key is not None]
-    if not is_sorted:
-        pairs.sort(key=itemgetter(1))
+    pairs.sort(key=itemgetter(1))
     return pairs
 
 

@@ -14,15 +14,12 @@ are all :class:`Relation` instances: a schema (ordered list of
 Relations compare *as sets*: pattern semantics is set-based, and the paper's
 equivalence notion (``≡S``) ignores duplicates and row order.
 
-Row order is nevertheless tracked as a *physical* property: a relation may
-carry a ``sorted_by`` annotation naming one ID column whose values appear in
-document order (Dewey order, which for :class:`~repro.xmltree.ids.DeweyID`
-is plain tuple order).  Materialised view extents are produced with this
-guarantee, and the structural and ID-equality joins in
-:mod:`repro.algebra.execution` consume it to join in a single pass without
-sorting first.  The annotation never affects comparisons (``to_set`` /
-``same_contents`` stay order-blind); it only tells the executor which sorts
-it may skip.
+Row order is nevertheless physical: materialised view extents are stored
+in document order of their first ID column (Dewey order, which for
+:class:`~repro.xmltree.ids.DeweyID` is plain tuple order,
+:meth:`Relation.sorted_in_dewey_order`), and the executor reads that order
+off the data when a join needs it — a relation carries no annotation of
+it.  Comparisons (``to_set`` / ``same_contents``) stay order-blind.
 """
 
 from __future__ import annotations
@@ -95,17 +92,6 @@ class Relation:
         if len(set(names)) != len(names):
             raise AlgebraError(f"duplicate column names: {names}")
         self.rows: list[tuple] = []
-        self.sorted_by: Optional[str] = None
-        """Name of the ID column the rows are Dewey-sorted on, if any.
-
-        The contract covers *non-null* identifiers only: reading just the
-        rows whose value in this column is not ``⊥`` yields identifiers in
-        non-decreasing document order (nulls may sit anywhere).  Purely
-        physical: set by document-order producers (view extents, the merge
-        join) and consumed by the merge join to skip its sort phase.
-        Operators that cannot cheaply prove order preservation drop it —
-        a missing annotation is always safe, a wrong one never is.
-        """
         if rows is not None:
             for row in rows:
                 self.append(row)
@@ -164,20 +150,13 @@ class Relation:
     # ------------------------------------------------------------------ #
     # document order
     # ------------------------------------------------------------------ #
-    def is_sorted_by(self, name: str) -> bool:
-        """True iff the rows are known to be Dewey-sorted on column ``name``."""
-        return self.sorted_by == name
-
     def sorted_in_dewey_order(self, name: str) -> "Relation":
         """A copy of this relation sorted in document order on column ``name``.
 
         Rows are ordered by the column's Dewey identifier (tuple order ==
         document order); rows whose identifier is null (``⊥``) sort first,
-        before every real identifier.  The copy carries the ``sorted_by``
-        annotation.  Already-sorted relations return themselves unchanged.
+        before every real identifier; the sort is stable.
         """
-        if self.is_sorted_by(name):
-            return self
         index = self.column_index(name)
 
         def key(row):
@@ -186,7 +165,6 @@ class Relation:
 
         result = Relation(self.columns)
         result.rows = sorted(self.rows, key=key)
-        result.sorted_by = name
         return result
 
     # ------------------------------------------------------------------ #
@@ -203,10 +181,6 @@ class Relation:
             if key not in seen:
                 seen.add(key)
                 result.rows.append(projected)
-        if self.sorted_by in names:
-            # duplicate elimination keeps first occurrences in order, so a
-            # surviving sort column stays sorted
-            result.sorted_by = self.sorted_by
         return result
 
     def select(self, predicate: Callable[[dict], bool]) -> "Relation":
@@ -215,7 +189,6 @@ class Relation:
         for row in self.rows:
             if predicate(dict(zip(self.column_names, row))):
                 result.rows.append(row)
-        result.sorted_by = self.sorted_by  # a subset in order stays in order
         return result
 
     def rename(self, mapping: dict[str, str]) -> "Relation":
@@ -226,8 +199,6 @@ class Relation:
         ]
         result = Relation(new_columns)
         result.rows = list(self.rows)
-        if self.sorted_by is not None:
-            result.sorted_by = mapping.get(self.sorted_by, self.sorted_by)
         return result
 
     def natural_concat(self, other: "Relation") -> "Relation":
@@ -255,7 +226,7 @@ class Relation:
     def union(self, *others: "Relation") -> "Relation":
         """Set union in one pass: the first occurrence of every row, ``self``'s
         rows first, then each of ``others`` in turn (schemas must have the
-        same arity; names from self; no sort annotation)."""
+        same arity; names from self)."""
         if any(other.arity != self.arity for other in others):
             raise AlgebraError("union of relations with different arities")
         result = Relation(self.columns)
@@ -277,7 +248,6 @@ class Relation:
             if key not in seen:
                 seen.add(key)
                 result.rows.append(row)
-        result.sorted_by = self.sorted_by
         return result
 
     # ------------------------------------------------------------------ #

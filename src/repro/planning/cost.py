@@ -9,17 +9,15 @@ executor in :mod:`repro.algebra.execution` actually does:
 * scans stream their extent (cost ∝ rows),
 * ``⋈=`` builds a hash table on one side and probes with the other
   (cost ∝ left + right + output),
-* structural joins run as the staircase sort-merge on Dewey order
-  (cost ∝ left + right + output when both inputs arrive Dewey-sorted on
-  their join columns; an explicit ``n·log₂ n`` sort term is charged per
-  unsorted input — :func:`plan_sorted_on` mirrors the executor's
-  order-propagation rules to decide which inputs those are; the
-  ancestor-side term is conservative, as only the nested join sorts that
-  side — :func:`sort_merge_decision` names the sorts that run),
+* structural joins chain cached structural links over the descendant
+  rows in document order (cost ∝ left + right + output; the executor reads
+  that order off the data, and the descendant side of every workload plan
+  is a scan of an extent already in it, so no sort is priced),
 * ``∪`` touches every branch row once (cost ∝ branch rows + output),
 * unary operators stream their input once,
 * operators priced as batch kernels (:data:`CostModel._KERNEL_OPERATORS`)
-  are discounted by :data:`CostModel.vectorized_batch_factor`.
+  are discounted by :data:`CostModel.vectorized_batch_factor`; ``∪`` and
+  the other row-wise operators keep full price.
 
 Costs are cumulative over the plan *DAG*: a sub-plan shared by two parents
 is charged once, matching the executor's per-object result memo.  Every
@@ -36,117 +34,21 @@ from typing import Optional, Sequence
 
 from repro.algebra.operators import (
     ContentNavigation,
-    GroupBy,
     IdEqualityJoin,
     IndexScan,
-    NestedProjection,
     NestedStructuralJoin,
-    ParentIdDerivation,
     PlanOperator,
     Projection,
     Selection,
     StructuralJoin,
     UnionPlan,
-    Unnest,
     ViewScan,
 )
 from repro.patterns.pattern import Axis
 from repro.patterns.predicates import ValueFormula
 from repro.summary.statistics import Statistics
 
-__all__ = ["CostModel", "OperatorEstimate", "plan_sorted_on", "sort_merge_decision"]
-
-
-def sort_merge_decision(
-    operator: PlanOperator, statistics: Statistics
-) -> Optional[str]:
-    """The algorithm a join operator runs, as a label.
-
-    ``EXPLAIN`` reports surface this next to each join.  ``⋈=`` always
-    reports ``"hash"``.  A structural join reports a pure ``"merge"`` when
-    it sorts nothing, and ``"sort+merge(<sides>)"`` naming the inputs it
-    puts in document order first: the descendant (right) side when the
-    static order analysis (:func:`plan_sorted_on`) cannot prove it sorted
-    on its join column, and — for the nested join only, which emits its
-    ancestor rows in document order — the ancestor (left) side under the
-    same test.  The flat join reads its ancestor rows through structural
-    links and never sorts that side.  Non-join operators return ``None``.
-
-    The analysis can only under-claim order (a run-time annotation the
-    static rules cannot prove), so a reported sort may turn out to be a
-    no-op — never the other way round.
-    """
-    if isinstance(operator, IdEqualityJoin):
-        return "hash"
-    if not isinstance(operator, (StructuralJoin, NestedStructuralJoin)):
-        return None
-    sides = [("right", operator.right, operator.right_column)]
-    if isinstance(operator, NestedStructuralJoin):
-        sides.insert(0, ("left", operator.left, operator.left_column))
-    unsorted = [
-        side for side, child, column in sides
-        if not plan_sorted_on(child, column, statistics)
-    ]
-    if not unsorted:
-        return "merge"
-    return f"sort+merge({','.join(unsorted)})"
-
-
-def plan_sorted_on(
-    operator: PlanOperator, column: str, statistics: Statistics
-) -> bool:
-    """Will ``operator``'s output be Dewey-sorted on ``column``?
-
-    A static mirror of the order-propagation rules the executor applies at
-    run time (``Relation.sorted_by``), so the cost model can decide which
-    staircase inputs need an explicit sort without executing anything:
-
-    * ``ViewScan`` emits its extent in the order the statistics record for
-      the view (the sorted extent guarantee: the first ``ID`` column of a
-      structural identifier scheme, none for an opaque one);
-    * ``StructuralJoin`` emits descendant order, ``NestedStructuralJoin``
-      and ``IdEqualityJoin`` preserve their left input's order;
-    * ``Selection`` / ``Projection`` (column kept) / ``Unnest`` /
-      ``ContentNavigation`` / ``ParentIdDerivation`` preserve order;
-    * everything else (``UnionPlan`` included) is treated as unsorted.
-    """
-    if isinstance(operator, (ViewScan, IndexScan)):
-        # an IndexScan is scan + σ and probes return ascending positions,
-        # so it emits extent document order exactly like the plain scan
-        alias_prefix = f"{operator.effective_alias}."
-        if not column.startswith(alias_prefix):
-            return False
-        recorded = statistics.view_sorted_column(operator.view_name)
-        return recorded is not None and column[len(alias_prefix):] == recorded
-    if isinstance(operator, StructuralJoin):
-        return column == operator.right_column
-    if isinstance(operator, NestedStructuralJoin):
-        return column == operator.left_column
-    if isinstance(operator, IdEqualityJoin):
-        return plan_sorted_on(operator.left, column, statistics)
-    if isinstance(operator, Selection):
-        return plan_sorted_on(operator.child, column, statistics)
-    if isinstance(operator, Projection):
-        renames = dict(operator.renames or {})
-        original = next(
-            (old for old, new in renames.items() if new == column), column
-        )
-        if original not in operator.columns:
-            return False
-        return plan_sorted_on(operator.child, original, statistics)
-    if isinstance(operator, (Unnest, NestedProjection)):
-        if column == operator.nested_column:
-            return False
-        return plan_sorted_on(operator.child, column, statistics)
-    if isinstance(operator, GroupBy):
-        if column not in operator.key_columns:
-            return False
-        return plan_sorted_on(operator.child, column, statistics)
-    if isinstance(operator, (ContentNavigation, ParentIdDerivation)):
-        if column == operator.new_column:
-            return False
-        return plan_sorted_on(operator.child, column, statistics)
-    return False
+__all__ = ["CostModel", "OperatorEstimate"]
 
 
 @dataclass(frozen=True)
@@ -185,18 +87,13 @@ class CostModel:
     equality_selection_selectivity = 0.1
     """Selectivity of an equality selection ``σ v=c``."""
 
-    sort_cost_factor = 1.0
-    """Per-comparison weight of the ``n·log₂(n)`` sort charged on each
-    structural-join input that does not arrive Dewey-sorted."""
-
     vectorized_batch_factor = 0.5
     """Per-row work discount of the batch kernels relative to row-wise
     execution.  Applies exactly to :data:`_KERNEL_OPERATORS` — scans,
-    ``σ``, ``π``, ``⋈=``, the flat staircase ``⋈≺``/``⋈≺≺`` and ``∪``
-    (its one pass is priced like a kernel's, though it runs on rows);
-    row-wise operators keep full price, tilting mixed plans toward the
-    kernels.  ``NestedStructuralJoin`` builds one nested relation per
-    output row, so it stays at full price too."""
+    ``σ``, ``π``, ``⋈=`` and the flat ``⋈≺``/``⋈≺≺``; row-wise operators
+    (``∪`` among them: its one pass reads rows) keep full price, tilting
+    mixed plans toward the kernels.  ``NestedStructuralJoin`` builds one
+    nested relation per output row, so it stays at full price too."""
 
     _KERNEL_OPERATORS = (
         ViewScan,
@@ -205,7 +102,6 @@ class CostModel:
         Projection,
         IdEqualityJoin,
         StructuralJoin,
-        UnionPlan,
     )
 
     def __init__(self, statistics: Statistics):
@@ -268,10 +164,6 @@ class CostModel:
     # ------------------------------------------------------------------ #
     # operator work
     # ------------------------------------------------------------------ #
-    def sort_cost(self, rows: float) -> float:
-        """Cost of Dewey-sorting ``rows`` rows (the merge-join fallback)."""
-        return self.sort_cost_factor * rows * math.log2(rows + 2.0)
-
     def index_probe_cost(self, rows: float, output_rows: float) -> float:
         """Work of an index probe over a ``rows``-row extent.
 
@@ -318,19 +210,9 @@ class CostModel:
             work = self.index_probe_cost(
                 self.view_rows(operator.view_name), output_rows
             )
-        elif isinstance(operator, IdEqualityJoin):
+        elif isinstance(operator, (IdEqualityJoin, StructuralJoin, NestedStructuralJoin)):
+            # one pass over each input plus the output
             work = child_rows[0] + child_rows[1] + output_rows
-        elif isinstance(operator, (StructuralJoin, NestedStructuralJoin)):
-            # the staircase merge join: one pass over both sorted inputs
-            # plus the output, with an explicit sort charged per input the
-            # static order analysis cannot prove Dewey-sorted
-            work = child_rows[0] + child_rows[1] + output_rows
-            if not plan_sorted_on(operator.left, operator.left_column, self.statistics):
-                work += self.sort_cost(child_rows[0])
-            if not plan_sorted_on(
-                operator.right, operator.right_column, self.statistics
-            ):
-                work += self.sort_cost(child_rows[1])
         elif isinstance(operator, ContentNavigation):
             # navigating inside stored content walks the fragment per row
             work = child_rows[0] * (1.0 + len(operator.steps)) + output_rows

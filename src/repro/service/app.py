@@ -286,13 +286,11 @@ class ServiceApp:
         """:func:`planned_report` of ``choice``, built at its first traced run.
 
         A choice runs only while it is current — a write re-ranks the
-        plan-cache entry into a new choice — so its order decisions read
-        the statistics it was priced under, whichever run builds them."""
+        plan-cache entry into a new choice — so whichever run builds the
+        report reads the estimates the choice was priced with."""
         entry = self._reports.get(choice)
         if entry is None:
-            entry = self._reports[choice] = planned_report(
-                choice, self.database.rewriter.catalog.statistics()
-            )
+            entry = self._reports[choice] = planned_report(choice)
         return entry
 
     def _execute(self, query_name: str, choice, span) -> ColumnBatch:

@@ -277,8 +277,6 @@ def attach_operator_spans(parent: Span, report: "ExplainReport") -> None:
             span.duration_seconds = entry.actual_seconds
         else:
             span.duration_seconds = 0.0
-        if entry.order_decision is not None:
-            span.set_attribute("order_decision", entry.order_decision)
         if entry.access_path is not None:
             span.set_attribute("access_path", entry.access_path)
         if entry.shared:

@@ -945,9 +945,7 @@ class Database:
         happened — unlike :meth:`PreparedQuery.explain`, nothing is
         executed here.
         """
-        return build_explain_report(
-            choice, self._rewriter.catalog.statistics(), executor, elapsed
-        )
+        return build_explain_report(choice, executor, elapsed)
 
     def query(self, query: TreePattern | str, name: Optional[str] = None) -> Relation:
         """One-shot query answering, served through the plan cache.

@@ -2,11 +2,9 @@
 
 An :class:`ExplainReport` is the inspectable form of one planned query: which
 rewriting the cost-based planner chose (and what the alternatives would have
-cost), the plan operator tree with the planner's per-operator row and cost
-estimates, and — for joins — the algorithm the executor runs
-(:func:`~repro.planning.cost.sort_merge_decision`: staircase ``merge`` or
-``sort+merge`` naming the inputs it sorts, ``hash`` for ``⋈=``).  With
-``analyze=True`` the plan is actually executed under a profiling
+cost), and the plan operator tree with the planner's per-operator row and
+cost estimates and each leaf's access path.  With ``analyze=True`` the
+plan is actually executed under a profiling
 :class:`~repro.algebra.execution.PlanExecutor` and every operator's entry
 additionally carries its *measured* row count and wall time, right next to
 the estimates — the estimated-vs-actual comparison the cost-model
@@ -22,13 +20,11 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.algebra.operators import IndexScan, ViewScan
-from repro.planning.cost import sort_merge_decision
 from repro.planning.logical import LogicalPlanNode
 from repro.planning.planner import PlanChoice
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.algebra.execution import PlanExecutor
-    from repro.summary.statistics import Statistics
 
 __all__ = [
     "ExplainOperator",
@@ -58,10 +54,6 @@ class ExplainOperator:
     cumulative_cost: float
     """Estimated work of the whole sub-DAG rooted here (shared work once)."""
 
-    order_decision: Optional[str] = None
-    """For joins: the order-based algorithm choice (``merge``,
-    ``sort+merge(left,right)``, ``hash``); ``None`` for non-joins."""
-
     access_path: Optional[str] = None
     """For leaf accesses: how the extent is read — ``"index"`` for an
     :class:`~repro.algebra.operators.IndexScan` probe, ``"scan"`` for a
@@ -86,7 +78,6 @@ class ExplainOperator:
             "estimated_rows": self.estimated_rows,
             "estimated_cost": self.estimated_cost,
             "cumulative_cost": self.cumulative_cost,
-            "order_decision": self.order_decision,
             "access_path": self.access_path,
             "shared": self.shared,
             "actual_rows": self.actual_rows,
@@ -96,8 +87,6 @@ class ExplainOperator:
     def render(self) -> str:
         """The indented one-line form used by :meth:`ExplainReport.to_text`."""
         annotations = [f"rows≈{self.estimated_rows:.0f}", f"cost≈{self.cumulative_cost:.0f}"]
-        if self.order_decision is not None:
-            annotations.append(self.order_decision)
         if self.access_path is not None:
             annotations.append(f"access={self.access_path}")
         if self.actual_rows is not None:
@@ -239,28 +228,23 @@ class ExplainReport:
 
 def build_explain_report(
     choice: PlanChoice,
-    statistics: "Statistics",
     executor: Optional["PlanExecutor"] = None,
     actual_seconds: Optional[float] = None,
 ) -> ExplainReport:
     """Assemble a report from a ranked :class:`PlanChoice`.
 
-    ``statistics`` feeds the static order analysis behind the per-join
-    ``order_decision`` labels (the same snapshot the cost model priced the
-    plan with).  Pass the profiling ``executor`` that just ran the plan —
-    plus the measured wall clock — to produce an ``ANALYZE`` report; every
+    Pass the profiling ``executor`` that just ran the plan — plus the
+    measured wall clock — to produce an ``ANALYZE`` report; every
     operator entry is matched to its measurement by operator object
     identity, exactly how the executor memoises results.
     """
-    report, operators = planned_report(choice, statistics)
+    report, operators = planned_report(choice)
     if executor is None:
         return report
     return report.with_measurements(measurements(executor, operators), actual_seconds)
 
 
-def planned_report(
-    choice: PlanChoice, statistics: "Statistics"
-) -> tuple[ExplainReport, tuple]:
+def planned_report(choice: PlanChoice) -> tuple[ExplainReport, tuple]:
     """The un-analyzed report of ``choice``, and the plan operator behind
     each of its entries (what :func:`measurements` reads a run by)."""
     planned = choice.best
@@ -291,7 +275,6 @@ def planned_report(
             estimated_rows=node.rows,
             estimated_cost=node.estimate.operator_cost if node.estimate else 0.0,
             cumulative_cost=node.cost,
-            order_decision=sort_merge_decision(node.operator, statistics),
             shared=shared,
             access_path=access_path,
         ))

@@ -99,7 +99,6 @@ class Statistics:
         self._count_summary()
         self._view_rows: dict[str, float] = {}
         self._view_exact: dict[str, bool] = {}
-        self._view_sorted: dict[str, Optional[str]] = {}
         self._view_columns: dict[str, dict[str, dict]] = {}
         # per materialised view, one _ColumnCounts per column: the exact
         # counters its _view_columns entries are a function of
@@ -241,7 +240,6 @@ class Statistics:
             self.set_view_rows(
                 view.name, self.estimate_pattern_rows(pattern), exact=False
             )
-            self._view_sorted[view.name] = view.dewey_sort_column()
 
     def forget_view(self, name: str) -> None:
         """Drop every recorded fact about the named view (missing is fine).
@@ -252,7 +250,6 @@ class Statistics:
         """
         self._view_rows.pop(name, None)
         self._view_exact.pop(name, None)
-        self._view_sorted.pop(name, None)
         self._view_columns.pop(name, None)
         self._view_counts.pop(name, None)
 
@@ -301,7 +298,6 @@ class Statistics:
             if entry is not None:
                 entries[column.name] = entry
         self._view_rows[view.name] = float(max(extent.row_count, 1))
-        self._view_sorted[view.name] = extent.sorted_by
         self._view_columns[view.name] = entries
 
     def view_column_stats(self, view: str, column: str) -> Optional[dict]:
@@ -347,17 +343,6 @@ class Statistics:
     def view_rows(self, name: str) -> float:
         """Extent size of the named view (1.0 when entirely unknown)."""
         return self._view_rows.get(name, 1.0)
-
-    def view_sorted_column(self, name: str) -> Optional[str]:
-        """The column the named view's extent is Dewey-sorted on, if any.
-
-        Exact for observed views (materialised extents report their actual
-        ``sorted_by`` annotation; unmaterialised ones their declared
-        :meth:`~repro.views.view.MaterializedView.dewey_sort_column`);
-        ``None`` for unknown views and unsorted extents (an opaque
-        identifier scheme) — the cost model then prices a sort.
-        """
-        return self._view_sorted.get(name)
 
     def view_rows_exact(self, name: str) -> bool:
         """True iff :meth:`view_rows` reports a materialised row count."""

@@ -135,9 +135,8 @@ def _chain_nodes(view: "MaterializedView") -> Optional[list[PatternNode]]:
 
 
 def fixed_chain(view: "MaterializedView") -> Optional[tuple[list[PatternNode], int]]:
-    """:func:`can_apply_delta` without the one condition on the data (the
-    extent sorted on its ID column): the view's definition decides the
-    rest, so the view derives it once (``MaterializedView._chain``)."""
+    """:func:`can_apply_delta`'s answer, derived from the view's definition
+    alone — so the view derives it once (``MaterializedView._chain``)."""
     if not view.id_scheme.structural:
         return None
     if view._id_function is not default_id_function:
@@ -164,22 +163,17 @@ def can_apply_delta(view: "MaterializedView") -> Optional[tuple[list[PatternNode
     * structural identifier scheme with the default ``fID`` (cells in the
       sort column are genuine Dewey IDs of the pinned nodes),
     * the pattern is a chain (at most one child per node, no nested edges),
-    * it has an ID column, and the extent is sorted on it,
+    * it has an ID column,
     * the pinning node is not the pattern root (a root-pinned chain makes
       every row's support the whole document) and no edge at or above it
       is optional (so the sort column never holds ``⊥``).
 
-    All but the extent's order is fixed by the definition and read from
-    the view's cache (:func:`fixed_chain`); the order is checked on every
-    call.
+    Every condition is fixed by the definition, read from the view's cache
+    (:func:`fixed_chain`).  Under the first, the extent is in document
+    order of its ID column: :meth:`~repro.views.view.MaterializedView.materialize`
+    sorts every such extent and each splice keeps the order.
     """
-    gate = view._chain
-    if gate is None:
-        return None
-    column = view.dewey_sort_column()
-    if column is None or view.extent.sorted_by != column:
-        return None
-    return gate
+    return view._chain
 
 
 def _clone_with_ids(

@@ -13,8 +13,7 @@ half-selective range.)
 The index replicates the executor's selection semantics *exactly*: content
 references unwrap to their node value, ``⊥`` rows match only the ``true``
 formula, and probes return **ascending** row positions, so gathering them
-preserves document order (and the ``sorted_by`` annotation) just like a
-filter would.  Columns holding values the probes cannot order (structural
+preserves document order just like a filter would.  Columns holding values the probes cannot order (structural
 IDs, nested relations, NaN) are *unindexable*: :func:`build_index` returns
 ``None`` and the executor falls back to the scan-and-filter kernel —
 correctness never depends on indexability.

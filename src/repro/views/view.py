@@ -84,10 +84,10 @@ class MaterializedView:
 
         The first ``ID`` column of the schema, when the identifier scheme is
         structural (Dewey / ORDPATH): its identifiers order the extent in
-        document order, which is the precondition for the staircase merge
-        join (the *sorted extent guarantee* relied on by
-        :class:`~repro.algebra.execution.PlanExecutor` scans).  Opaque
-        identifier schemes carry no order, so they return ``None``.
+        document order (the *sorted extent guarantee*, which
+        :class:`~repro.algebra.execution.PlanExecutor` scans read off the
+        data and incremental maintenance splices by).  Opaque identifier
+        schemes carry no order, so they return ``None``.
         """
         if not self.id_scheme.structural:
             return None
@@ -100,12 +100,12 @@ class MaterializedView:
         """(Re)compute the view extent over ``document`` and return it.
 
         Extents are stored in document order of the view's first ``ID``
-        column (when the ID scheme is structural), annotated via
-        ``sorted_by`` — scans then feed the staircase merge join without
-        any run-time sort.  Custom ``fID`` functions producing values that
-        are not Dewey-coercible leave the extent unsorted (the merge join
-        falls back to sort-then-merge, results unchanged).  The evaluated
-        rows are transposed once into the columns the extent is kept as.
+        column (when the ID scheme is structural): a structural join reads
+        that order off the column and sorts nothing.  Custom ``fID``
+        functions producing values that are not Dewey-coercible leave the
+        extent unsorted (the join sorts its descendant side then, results
+        unchanged).  The evaluated rows are transposed once into the
+        columns the extent is kept as.
         """
         relation = evaluate_pattern(
             self.pattern,

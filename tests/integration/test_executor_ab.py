@@ -7,8 +7,7 @@ and by the reference interpreters of ``support.oracle_executor``, and three
 contracts are checked on each plan:
 
 * **exact identity vs. the tuple-merge oracle** — same column names, same
-  ``sorted_by`` annotation, same rows *in the same order*, ``⋈=`` and ``∪``
-  plans included.  Not just set-equal: the stream codec and ``EXPLAIN``
+  rows *in the same order*, ``⋈=`` and ``∪`` plans included.  Not just set-equal: the stream codec and ``EXPLAIN``
   row counts depend on physical order;
 * **same contents vs. the seed algorithms** — the ``O(l × r)`` nested-loop
   structural joins (nested loops emit left-major order, so this one is a
@@ -42,7 +41,6 @@ from support.paper_workloads import HARNESS_CONFIGS
 
 def _assert_identical(result, oracle, what):
     assert result.column_names == oracle.column_names, f"schema diverges: {what}"
-    assert result.sorted_by == oracle.sorted_by, f"sort annotation diverges: {what}"
     assert [_hashable(row) for row in result.rows] == [
         _hashable(row) for row in oracle.rows
     ], f"rows diverge: {what}"

@@ -605,7 +605,7 @@ def test_a_non_leaf_pinned_ancestor_run_is_followed():
     def read():
         fast = PlanExecutor(db.views).execute(plan)
         slow = OracleExecutor(db.views).execute(plan)
-        assert fast.rows == slow.rows and fast.sorted_by == slow.sorted_by
+        assert fast.rows == slow.rows
         assert assert_memo_derived([plan], db.views) == 1
         return len(fast)
 

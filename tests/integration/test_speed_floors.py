@@ -57,7 +57,7 @@ from support.annotation_oracle import oracle_annotate_paths, oracle_annotations
 from support.oracle_executor import OracleExecutor
 from support.paper_workloads import build_dblp_workload, build_xmark_workload
 from support.rebuild_oracle import scan_fed_extent
-from support.relations import mark_sorted_by, stored_view
+from support.relations import stored_view
 from support.statistics_oracle import assert_statistics_equal_a_fresh_build
 
 pytestmark = pytest.mark.slow
@@ -112,17 +112,12 @@ def _rewriting_fingerprint(outcome):
 # --------------------------------------------------------------------------- #
 # prefix-keyed structural join vs the O(l × r) nested loop: >= 5x at 10k x 10k
 # --------------------------------------------------------------------------- #
-def _chain_extents(size: int, annotated: bool) -> dict[str, SimpleNamespace]:
-    """``size`` ancestors ``1.i`` and ``size`` descendants ``1.i.1``."""
-    upper = Relation(
-        [Column("ID1", kind="ID")], rows=[(DeweyID((1, i)),) for i in range(1, size + 1)]
-    )
-    lower = Relation(
-        [Column("ID1", kind="ID")], rows=[(DeweyID((1, i, 1)),) for i in range(1, size + 1)]
-    )
-    if annotated:
-        mark_sorted_by(upper, "ID1")
-        mark_sorted_by(lower, "ID1")
+def _chain_extents(size: int, reverse: bool = False) -> dict[str, SimpleNamespace]:
+    """``size`` ancestors ``1.i`` and ``size`` descendants ``1.i.1``, in
+    document order — or, with ``reverse``, in reverse document order."""
+    order = range(size, 0, -1) if reverse else range(1, size + 1)
+    upper = Relation([Column("ID1", kind="ID")], rows=[(DeweyID((1, i)),) for i in order])
+    lower = Relation([Column("ID1", kind="ID")], rows=[(DeweyID((1, i, 1)),) for i in order])
     return {"upper": stored_view(upper), "lower": stored_view(lower)}
 
 
@@ -136,7 +131,7 @@ def test_structural_pairs_join_beats_the_nested_loop():
     )
     speedups = {}
     for size in (1_000, 3_000, 10_000):
-        views = _chain_extents(size, annotated=True)
+        views = _chain_extents(size)
         results = {}
         merge_seconds = _seconds(
             lambda: results.update(merge=PlanExecutor(views).execute(plan))
@@ -148,10 +143,12 @@ def test_structural_pairs_join_beats_the_nested_loop():
                 ).execute(plan)
             )
         )
-        # the sort-the-descendants fallback: same rows, annotation stripped
-        fallback = PlanExecutor(_chain_extents(size, annotated=False)).execute(plan)
+        # the sort-the-descendants fallback: the same rows, out of order
+        reversed_views = _chain_extents(size, reverse=True)
+        fallback = PlanExecutor(reversed_views).execute(plan)
         assert results["merge"].same_contents(results["nested"])
         assert fallback.same_contents(results["nested"])
+        assert _rows(fallback) == _rows(OracleExecutor(reversed_views).execute(plan))
         assert len(results["merge"]) == size  # one descendant per ancestor
         speedups[size] = nested_seconds / merge_seconds
     print(f"structural join vs nested loop at 10k: {speedups[10_000]:.1f}x")
@@ -179,7 +176,7 @@ def test_a_repeated_structural_join_reads_its_cached_links():
     )
     ratios = []
     for _ in range(5):
-        views = _chain_extents(10_000, annotated=True)
+        views = _chain_extents(10_000)
         for view in views.values():
             view.extent.dewey_keys(0)
         batches = {}
@@ -225,7 +222,7 @@ def test_a_repeated_extent_join_and_projection_read_what_the_first_run_kept():
     )
     ratios = []
     for _ in range(5):
-        views = _chain_extents(10_000, annotated=True)
+        views = _chain_extents(10_000)
         for view in views.values():
             view.extent.dewey_keys(0)
         batches = {}
@@ -279,12 +276,12 @@ def test_a_repeated_join_chain_and_projection_read_what_the_first_run_kept():
     )
     ratios = []
     for _ in range(5):
-        views = _chain_extents(10_000, annotated=True)
+        views = _chain_extents(10_000)
         views["middle"] = views.pop("lower")
         lower = Relation(
             [Column("ID1", kind="ID")], rows=[(DeweyID((1, i, 2)),) for i in range(1, 10_001)]
         )
-        views["lower"] = stored_view(mark_sorted_by(lower, "ID1"))
+        views["lower"] = stored_view(lower)
         for view in views.values():
             view.extent.dewey_keys(0)
         batches = {}
@@ -321,7 +318,7 @@ def test_a_repeated_projection_over_a_join_chain_reads_its_kept_answer():
             for i in range(1, 10_001)
         ]
         columns = [Column("ID1", kind="ID")] + ([Column("V1")] if values else [])
-        return stored_view(mark_sorted_by(Relation(columns, rows=rows), "ID1"))
+        return stored_view(Relation(columns, rows=rows))
 
     first_join = StructuralJoin(
         left=ViewScan("upper", alias="u"),
@@ -418,11 +415,11 @@ def test_the_first_join_after_a_write_reads_the_followed_links():
 # projection dedup on row keys vs Relation.project: >= 5x on a sorted ID extent
 # --------------------------------------------------------------------------- #
 def test_projection_dedup_beats_relation_project():
-    views = _chain_extents(10_000, annotated=True)
+    views = _chain_extents(10_000)
     plan = Projection(child=ViewScan("upper", alias="u"), columns=["u.ID1"])
     fast = PlanExecutor(views).execute(plan)  # warm: row keys cached on the extent
     slow = OracleExecutor(views).execute(plan)  # Relation.project + _hashable
-    assert fast.rows == slow.rows and fast.sorted_by == slow.sorted_by == "u.ID1"
+    assert fast.rows == slow.rows
     speedup = _median_seconds(lambda: OracleExecutor(views).execute(plan)) / _median_seconds(
         lambda: PlanExecutor(views).execute(plan)
     )
@@ -638,7 +635,7 @@ def test_store_fed_materialisation_beats_the_scan():
     for view in views:
         extent = view.materialize(document).to_relation()
         reference = scan_fed_extent(view, document)
-        assert extent.rows == reference.rows and extent.sorted_by == reference.sorted_by
+        assert extent.rows == reference.rows
 
     def store_fed():
         for view in views:

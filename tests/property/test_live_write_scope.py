@@ -147,7 +147,6 @@ def assert_batch_is_a_fresh_transpose(batch) -> None:
     the batch keeps no rows: each read of them is a fresh transpose."""
     relation = batch.to_relation()
     assert batch.row_count == len(relation.rows)
-    assert batch.sorted_by == relation.sorted_by
     assert batch.to_relation() is not relation
     for position in range(len(relation.columns)):
         fresh = _ColumnSource(values=[row[position] for row in relation.rows])
@@ -266,7 +265,6 @@ class LiveWriteScopeMachine(RuleBasedStateMachine):
         for view in self.sut.views:
             twin = self.oracle.views[view.name]
             assert normalize(view.relation) == normalize(twin.relation)
-            assert view.relation.sorted_by == twin.relation.sorted_by
 
     @invariant()
     def cached_plans_equal_the_cacheless_planner(self):

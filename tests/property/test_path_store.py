@@ -9,8 +9,8 @@ shares no code with it:
   node objects in the same order, no empty list left behind, and every
   node's ``path`` *is* the store's key string for it.
 * **Store-fed equals scan-fed.**  ``MaterializedView.materialize`` hands the
-  store to ``evaluate_pattern``; the extent must equal — rows, row order,
-  ``sorted_by`` — what ``evaluate_pattern(pattern, document)`` yields
+  store to ``evaluate_pattern``; the extent must equal — rows and row
+  order — what ``evaluate_pattern(pattern, document)`` yields
   without it (the walk every oracle in this repository uses), fresh and
   after every write.
 
@@ -140,7 +140,6 @@ def assert_store_fed_equals_scan_fed(view: MaterializedView, document) -> None:
     extent = view.materialize(document).to_relation()
     reference = scan_fed_extent(view, document)
     assert extent.column_names == reference.column_names, view.name
-    assert extent.sorted_by == reference.sorted_by, view.name
     assert normalize(extent) == normalize(reference), view.pattern.to_text()
 
 
@@ -217,7 +216,7 @@ def memo_plans() -> list:
 
 
 def _rows(relation) -> tuple:
-    return relation.column_names, relation.sorted_by, [_hashable(row) for row in relation.rows]
+    return relation.column_names, [_hashable(row) for row in relation.rows]
 
 
 # --------------------------------------------------------------------------- #

@@ -62,7 +62,7 @@ from repro.xmltree.node import XMLNode
 
 from support.memo_oracle import assert_memo_derived
 from support.oracle_executor import OracleExecutor
-from support.relations import mark_sorted_by, stored_view
+from support.relations import stored_view
 
 AXES = (Axis.CHILD, Axis.DESCENDANT)
 
@@ -72,9 +72,8 @@ def _views(**relations):
 
 
 def _identical(fast: Relation, slow: Relation) -> None:
-    """Same schema, same annotation, same rows in the same order."""
+    """Same schema, same rows in the same order."""
     assert fast.column_names == slow.column_names
-    assert fast.sorted_by == slow.sorted_by
     assert [_hashable(row) for row in fast.rows] == [_hashable(row) for row in slow.rows]
 
 
@@ -86,17 +85,18 @@ def _link_pairs(left_keys, right_keys, axis, right_sorted, ancestors=None):
     given), descendants in document order — as ``_structural_pairs`` reads
     them."""
     links = kernels.StructuralLinks(left_keys, right_keys, axis)
-    order = [index for index, _ in kernels.dewey_ordered(right_keys, right_sorted)]
+    in_order = right_sorted and None not in right_keys
+    order = [index for index, _ in kernels.dewey_ordered(right_keys, in_order)]
     return list(zip(*links.pairs(order, order, ancestors)))
 
 
-def _id_relation(keys, is_sorted) -> Relation:
+def _id_relation(keys) -> Relation:
     """``ID1`` holds the drawn identifiers, ``row`` the row's own index."""
     relation = Relation(
         [Column("ID1", kind="ID"), Column("row")],
         rows=[(None if key is None else DeweyID(key), index) for index, key in enumerate(keys)],
     )
-    return mark_sorted_by(relation, "ID1") if is_sorted else relation
+    return relation
 
 
 def _sweep_pairs(upper: Relation, lower: Relation, axis: Axis):
@@ -134,8 +134,8 @@ def _key_column(draw):
 @given(_key_column(), _key_column(), st.data())
 def test_structural_pairs_equal_the_oracle_sweep(left, right, data):
     (left_keys, left_sorted), (right_keys, right_sorted) = left, right
-    upper = _id_relation(left_keys, left_sorted)
-    lower = _id_relation(right_keys, right_sorted)
+    upper = _id_relation(left_keys)
+    lower = _id_relation(right_keys)
     views = _views(upper=upper, lower=lower)
     # an ancestor gather drawn freely: rows repeated, dropped, reordered
     # (one that never repeats a row takes the inverse-dict path)
@@ -143,7 +143,7 @@ def test_structural_pairs_equal_the_oracle_sweep(left, right, data):
         st.integers(0, max(len(left_keys) - 1, 0)), max_size=12, unique=data.draw(st.booleans())
     )
     ancestors = data.draw(rows) if left_keys else []
-    gathered = _id_relation([left_keys[row] for row in ancestors], False)
+    gathered = _id_relation([left_keys[row] for row in ancestors])
     for axis in AXES:
         pairs = _link_pairs(left_keys, right_keys, axis, right_sorted)
         assert pairs == _sweep_pairs(upper, lower, axis)
@@ -168,9 +168,9 @@ def test_a_gather_that_swaps_equal_keys_emits_them_in_position_order():
     """Rows 0 and 2 share key 1.1; the gather reads them as positions 1 and 0."""
     left_keys = [(1, 1), (1,), (1, 1)]
     right_keys = [(1, 1, 1)]
-    lower = _id_relation(right_keys, True)
+    lower = _id_relation(right_keys)
     for ancestors in ([2, 0], [2, 1, 0], [2, 0, 2]):
-        upper = _id_relation([left_keys[row] for row in ancestors], False)
+        upper = _id_relation([left_keys[row] for row in ancestors])
         for axis in AXES:
             pairs = _link_pairs(left_keys, right_keys, axis, True, ancestors)
             assert pairs == _sweep_pairs(upper, lower, axis)
@@ -182,7 +182,7 @@ def test_recursive_ancestors_at_four_depths():
     chain = [(1,), (1, 1), (1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1, 1)]
     left_keys = [chain[2], None, chain[0], chain[3], chain[1], chain[1]]  # unsorted
     right_keys = chain + [(1, 1, 2), None, chain[4]]
-    upper, lower = _id_relation(left_keys, False), _id_relation(right_keys, False)
+    upper, lower = _id_relation(left_keys), _id_relation(right_keys)
     pairs = _link_pairs(left_keys, right_keys, Axis.DESCENDANT, False)
     assert pairs == _sweep_pairs(upper, lower, Axis.DESCENDANT)
     # the deepest descendant sees its four ancestor depths outermost first,
@@ -246,7 +246,7 @@ def _assert_equal_to_a_fresh_build(links, upper_keys, lower_keys, axis):
     assert all(group is links.singles[group[0]] for group in links.targets if group)
     order = list(range(len(lower_keys)))
     pairs = list(zip(*links.pairs(order, order, None)))
-    upper, lower = _id_relation(upper_keys, True), _id_relation(lower_keys, True)
+    upper, lower = _id_relation(upper_keys), _id_relation(lower_keys)
     assert pairs == _sweep_pairs(upper, lower, axis)
 
 
@@ -370,7 +370,9 @@ def _right_inputs(floor: int):
 @given(_key_column(), _key_column(), _key_column(), st.integers(-1, 8))
 def test_cached_links_through_gathers_equal_the_oracle(upper, middle, lower, floor):
     views = _views(
-        upper=_id_relation(*upper), middle=_id_relation(*middle), lower=_id_relation(*lower)
+        upper=_id_relation(upper[0]),
+        middle=_id_relation(middle[0]),
+        lower=_id_relation(lower[0]),
     )
     for axis, (left, left_column), right in product(
         AXES, _left_inputs(), _right_inputs(floor)
@@ -460,10 +462,9 @@ def test_dedup_matrix_is_row_identical_to_relation_project(case):
 def test_a_sorted_column_with_an_equal_key_run_still_deduplicates():
     ids = [DeweyID((1, 1)), DeweyID((1, 2)), DeweyID((1, 2)), DeweyID((1, 2)), DeweyID((1, 3))]
     relation = Relation([Column("ID1", kind="ID"), "V1"], rows=list(zip(ids, "abbcd")))
-    mark_sorted_by(relation, "ID1")
     assert len(_projection_matches(relation, ["ID1"])) == 3
     fast = _projection_matches(relation, ["ID1", "V1"])
-    assert len(fast) == 4 and fast.sorted_by == "v.ID1"
+    assert len(fast) == 4
     # the equal-key run is read off the extent once: not strictly ascending
     plan = Projection(child=ViewScan("v", alias="v"), columns=["v.ID1"])
     views = _views(v=relation)
@@ -472,7 +473,6 @@ def test_a_sorted_column_with_an_equal_key_run_still_deduplicates():
     # strictly increasing, ⊥-free: nothing to remove, nothing hashed — the
     # extent's cached proof hands the projection its very source
     strict = Relation([Column("ID1", kind="ID")], rows=[(i,) for i in ids[::2]])
-    mark_sorted_by(strict, "ID1")
     assert _projection_matches(strict, ["ID1"]).rows == strict.rows
     views = _views(v=strict)
     extent = views["v"].extent.source(0)
@@ -483,7 +483,7 @@ def test_a_sorted_column_with_an_equal_key_run_still_deduplicates():
 @pytest.mark.parametrize(
     "cells",
     [
-        # duplicates that are not adjacent: the annotation is simply wrong
+        # duplicates that are not adjacent, out of document order
         [DeweyID((1, 2)), DeweyID((1, 1)), DeweyID((1, 2)), DeweyID((1, 1))],
         [DeweyID((1, 1)), None, DeweyID((1, 1)), None],  # ⊥ may sit anywhere
         ["1.2", "1.1", "1.2"],  # identifier strings, unsorted
@@ -491,9 +491,8 @@ def test_a_sorted_column_with_an_equal_key_run_still_deduplicates():
         [_node("a", None, (1, 2)), _ID, _node("a", None, (1, 1))],
     ],
 )
-def test_a_lying_sorted_by_loses_no_row(cells):
+def test_out_of_order_cells_lose_no_row(cells):
     relation = Relation(["ID1", "V1"], rows=[(cell, "v") for cell in cells])
-    relation.sorted_by = "ID1"
     fast = _projection_matches(relation, ["ID1"])
     assert fast.rows == relation.project(["ID1"]).rows
     _projection_matches(relation, ["V1", "ID1"])
@@ -505,13 +504,11 @@ _cell = st.sampled_from([cell for cells in DEDUP_MATRIX.values() for cell in cel
 @settings(max_examples=100)
 @given(
     st.lists(st.tuples(_cell, _cell, st.integers(0, 1)), max_size=10),
-    st.sampled_from([None, "A", "B"]),
     st.sampled_from([["A"], ["B", "A"], ["A", "B", "K"]]),
     st.booleans(),
 )
-def test_projection_equals_relation_project_on_drawn_columns(rows, sorted_by, names, gathered):
+def test_projection_equals_relation_project_on_drawn_columns(rows, names, gathered):
     relation = Relation(["A", "B", "K"], rows=rows)
-    relation.sorted_by = sorted_by  # as often a lie as not
     _projection_matches(relation, names, keep_column="K" if gathered else None)
 
 
@@ -574,7 +571,6 @@ def test_projection_through_drawn_gathers_equals_relation_project(column, data):
         ["A", Column("K", kind="ID")],
         rows=[(cell, DeweyID((1, index + 1))) for index, cell in enumerate(cells)],
     )
-    mark_sorted_by(relation, "K")
     views = {"v": relation}
     child = ViewScan("v", alias="v")
     if cells and data.draw(st.booleans()):
@@ -710,7 +706,7 @@ def test_extent_pairs_equal_a_fresh_pairs_call(left, right):
     descendant side or not; a second run reads the very same vectors, and
     later operators over the join's output leave them as they were."""
     (left_keys, _), (right_keys, right_sorted) = left, right
-    views = _views(upper=_id_relation(*left), lower=_id_relation(*right))
+    views = _views(upper=_id_relation(left[0]), lower=_id_relation(right[0]))
     for axis in AXES:
         plan = _extent_join(axis)
         PlanExecutor(views).execute_batch(plan)
@@ -726,8 +722,8 @@ def test_extent_pairs_equal_a_fresh_pairs_call(left, right):
 
 
 def test_a_join_of_two_extents_reads_its_kept_pair_vectors():
-    upper = _id_relation([(1, 1), (1, 2)], True)
-    lower = _id_relation([(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 3, 1)], True)
+    upper = _id_relation([(1, 1), (1, 2)])
+    lower = _id_relation([(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 3, 1)])
     views = _views(upper=upper, lower=lower)
     plan = _extent_join(Axis.CHILD)
     first = PlanExecutor(views).execute(plan)
@@ -787,7 +783,7 @@ def _chain(first_axis: Axis, second_axis: Axis, ancestor_column: str) -> Structu
 
 def _chain_views(upper, middle, lower) -> tuple[dict, dict]:
     relations = {
-        name: _id_relation(*extent)
+        name: _id_relation(extent[0])
         for name, extent in (("upper", upper), ("middle", middle), ("lower", lower))
     }
     return relations, _views(**relations)
@@ -798,7 +794,6 @@ def _replace(views: dict, name: str) -> None:
     same rows."""
     old = views[name].relation
     fresh = Relation(old.columns, rows=list(old.rows))
-    fresh.sorted_by = old.sorted_by
     views[name] = stored_view(fresh)
 
 
@@ -902,9 +897,9 @@ def test_a_repeat_at_either_level_of_a_chain_still_deduplicates(middle, lower, r
     neither vector repeats a row: with one repeating, the projection keeps
     one ``1.1`` of the two — and keeps that dedup vector."""
     relations = {
-        "upper": _id_relation([(1, 1), (1, 2)], True),
-        "middle": _id_relation(middle, True),
-        "lower": _id_relation(lower, True),
+        "upper": _id_relation([(1, 1), (1, 2)]),
+        "middle": _id_relation(middle),
+        "lower": _id_relation(lower),
     }
     views = _views(**relations)
     plan = _chain(Axis.CHILD, Axis.CHILD, "u.ID1")
@@ -928,8 +923,8 @@ def test_a_plan_pickles_and_copies_without_its_memo():
     copy carries an entry (its weak references could not travel, and a
     copy must run from scratch)."""
     views = _views(
-        upper=_id_relation([(1, 1), (1, 2)], True),
-        lower=_id_relation([(1, 1, 1), (1, 2, 1)], True),
+        upper=_id_relation([(1, 1), (1, 2)]),
+        lower=_id_relation([(1, 1, 1), (1, 2, 1)]),
     )
     plan = Projection(child=_extent_join(Axis.CHILD), columns=["u.ID1"])
     PlanExecutor(views).execute(plan)
@@ -1011,7 +1006,7 @@ def test_a_kept_projection_rereads_its_answer_and_equals_the_oracle(
 def test_a_projection_of_a_whole_extent_keeps_its_answer(extent):
     """No gather level (a π straight over a scan, like Q18): the second run
     reads the first one's entry back."""
-    views = _views(upper=_id_relation(*extent))
+    views = _views(upper=_id_relation(extent[0]))
     scan = ViewScan("upper", alias="u")
     for names in (["u.ID1"], ["u.row"], ["u.row", "u.ID1"], ["u.ID1", "u.row"]):
         projection = Projection(child=scan, columns=names)
@@ -1028,9 +1023,9 @@ def test_a_selection_below_a_projection_is_kept_too():
     its answer, both read back on the next run; every run equals the
     oracle, and replacing the extent the σ reads makes both miss."""
     relations = {
-        "upper": _id_relation([(1, 1), (1, 1), (1, 2)], True),
-        "middle": _id_relation([(1, 1, 1), (1, 1, 2), (1, 2, 1)], True),
-        "lower": _id_relation([(1, 1, 3), (1, 2, 3)], True),
+        "upper": _id_relation([(1, 1), (1, 1), (1, 2)]),
+        "middle": _id_relation([(1, 1, 1), (1, 1, 2), (1, 2, 1)]),
+        "lower": _id_relation([(1, 1, 3), (1, 2, 3)]),
     }
     views = _views(**relations)
     chain = _chain(Axis.CHILD, Axis.DESCENDANT, "u.ID1")
@@ -1061,9 +1056,9 @@ def test_the_projection_memo_keeps_no_replaced_extent_alive():
     old ``u.ID1`` source dies with it.  The next run misses and equals the
     oracle."""
     relations = {
-        "upper": _id_relation([(1, 1), (1, 2)], True),
-        "middle": _id_relation([(1, 1, 1), (1, 1, 2), (1, 2, 1)], True),
-        "lower": _id_relation([(1, 1, 1, 1), (1, 1, 2, 1), (1, 2, 1, 1)], True),
+        "upper": _id_relation([(1, 1), (1, 2)]),
+        "middle": _id_relation([(1, 1, 1), (1, 1, 2), (1, 2, 1)]),
+        "lower": _id_relation([(1, 1, 1, 1), (1, 1, 2, 1), (1, 2, 1, 1)]),
     }
     views = _views(**relations)
     projection = Projection(child=_chain(Axis.CHILD, Axis.CHILD, "m.ID1"), columns=["u.row"])
@@ -1074,7 +1069,7 @@ def test_the_projection_memo_keeps_no_replaced_extent_alive():
         old = relations.pop("upper")
         old_relation = weakref.ref(old)
         old_sources = [weakref.ref(source) for source in views["upper"].extent._sources]
-        views["upper"] = stored_view(_id_relation([(1, 1), (1, 2)], True))
+        views["upper"] = stored_view(_id_relation([(1, 1), (1, 2)]))
         del old, batch, answer
         assert old_relation() is None
         assert [source() for source in old_sources] == [None, None]

@@ -9,8 +9,9 @@ before the batch kernels replaced it, moved here verbatim:
   scan-then-filter composition and never touches an index;
 * ``⋈=`` hashes on ``str(id)``, probing in left-row order;
 * ``⋈≺`` / ``⋈≺≺``, flat and nested, run ``_staircase_sweep`` on
-  :class:`~repro.xmltree.ids.DeweyID` objects, or the ``O(l × r)`` nested
-  loop under ``structural_join_strategy="nested-loop"``;
+  :class:`~repro.xmltree.ids.DeweyID` objects — both inputs always sorted
+  first, stably, whatever order they arrive in — or the ``O(l × r)``
+  nested loop under ``structural_join_strategy="nested-loop"``;
 * ``π`` / ``σ`` / ``∪`` go through :class:`~repro.algebra.tuples.Relation`
   methods (``∪`` as the order-blind chain of pairwise unions plus
   ``distinct``).
@@ -22,8 +23,8 @@ inherits it and feeds it oracle-computed children.
 Two configurations are in use:
 
 * ``OracleExecutor(views)`` — tuple interpreter with staircase merge
-  joins.  The production executor must match it *exactly*: column names,
-  ``sorted_by`` and row order.
+  joins.  The production executor must match it *exactly*: column names
+  and row order.
 * ``OracleExecutor(views, structural_join_strategy="nested-loop")`` — the
   seed algorithms.  Nested loops emit left-major order, so the comparison
   is ``Relation.same_contents``.
@@ -114,10 +115,6 @@ class OracleExecutor(PlanExecutor):
             [column.renamed(f"{alias}.{column.name}") for column in relation.columns]
         )
         qualified.rows = list(relation.rows)
-        if relation.sorted_by is not None:
-            # extents are materialised in document order; the annotation
-            # survives qualification so downstream merges skip their sort
-            qualified.sorted_by = f"{alias}.{relation.sorted_by}"
         return qualified
 
     def _execute_index_scan(self, plan: IndexScan) -> Relation:
@@ -137,8 +134,6 @@ class OracleExecutor(PlanExecutor):
         result = Relation(
             [column.renamed(f"{alias}.{column.name}") for column in relation.columns]
         )
-        if relation.sorted_by is not None:
-            result.sorted_by = f"{alias}.{relation.sorted_by}"
         index = relation.column_index(plan.base_column)
         for row in relation.rows:
             value = row[index]
@@ -168,7 +163,6 @@ class OracleExecutor(PlanExecutor):
                 continue
             for right_row in by_id.get(str(identifier), ()):
                 result.rows.append(left_row + right_row)
-        result.sorted_by = left.sorted_by  # probe order is left order
         return result
 
     def _structural_match(self, upper, lower, axis: Axis) -> bool:
@@ -188,9 +182,8 @@ class OracleExecutor(PlanExecutor):
 
         Rows whose join value is ``⊥`` can never satisfy a structural
         predicate (the nested-loop oracle rejects them row by row); the
-        merge drops them up front.  When the relation is not annotated as
-        sorted on ``column``, the pairs are sorted here — the sort-then-
-        merge fallback the cost model charges for.
+        merge drops them up front.  The pairs are always sorted here,
+        stably: the oracle trusts no order it did not make.
         """
         index = relation.column_index(column)
         pairs = []
@@ -198,8 +191,7 @@ class OracleExecutor(PlanExecutor):
             identifier = self._as_dewey(row[index])
             if identifier is not None:
                 pairs.append((identifier, row))
-        if not relation.is_sorted_by(column):
-            pairs.sort(key=lambda pair: pair[0].components)
+        pairs.sort(key=lambda pair: pair[0].components)
         return pairs
 
     @staticmethod
@@ -287,8 +279,6 @@ class OracleExecutor(PlanExecutor):
                 rows.append(upper_row + lower_row)
 
         self._staircase_sweep(ancestors, descendants, plan.axis, emit)
-        # output is produced in descendant document order
-        result.sorted_by = plan.right_column
         return result
 
     def _execute_nested_structural_join(self, plan: NestedStructuralJoin) -> Relation:
@@ -332,9 +322,6 @@ class OracleExecutor(PlanExecutor):
             for left_row in left.rows:
                 if self._as_dewey(left_row[left_index]) is None:
                     result.rows.append(left_row + (Relation(nested_schema),))
-        # output is produced in ancestor document order (the annotation only
-        # speaks about non-null identifiers, so trailing ⊥ rows are fine)
-        result.sorted_by = plan.left_column
         return result
 
     # ------------------------------------------------------------------ #
@@ -351,7 +338,6 @@ class OracleExecutor(PlanExecutor):
         child = self.execute(plan.child)
         index = child.column_index(plan.column)
         result = Relation(child.columns)
-        result.sorted_by = child.sorted_by  # a subset in order stays in order
         for row in child.rows:
             value = row[index]
             if isinstance(value, XMLNode):

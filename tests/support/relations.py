@@ -1,15 +1,13 @@
 """Small builders for hand-made relations, view stores and plans.
 
-The library sets a relation's Dewey-sort annotation itself (view extents,
-the merge join); tests that build relations by hand assert their physical
-order with :func:`mark_sorted_by`, and hand them to an executor as a view
-with :func:`stored_view`.
+Tests that build relations by hand hand them to an executor as a view with
+:func:`stored_view`; the executor reads their row order off the data, as
+it does an extent's.
 """
 
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import Optional
 
 from repro.algebra.columnar import ColumnBatch
 from repro.algebra.execution import PlanExecutor
@@ -17,16 +15,7 @@ from repro.algebra.operators import IndexScan, PlanOperator, ViewScan
 from repro.algebra.tuples import Relation
 from repro.patterns.pattern import TreePattern
 
-__all__ = ["cheapest_answer", "mark_sorted_by", "stored_view", "view_scan_count"]
-
-
-def mark_sorted_by(relation: Relation, name: Optional[str]) -> Relation:
-    """Record (or clear, with ``None``) that ``relation``'s rows are
-    Dewey-sorted on column ``name``; the column must exist."""
-    if name is not None:
-        relation.column_index(name)  # raises on unknown columns
-    relation.sorted_by = name
-    return relation
+__all__ = ["cheapest_answer", "stored_view", "view_scan_count"]
 
 
 def cheapest_answer(planner, query: TreePattern) -> Relation:

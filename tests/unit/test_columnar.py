@@ -14,19 +14,15 @@ from __future__ import annotations
 from repro.algebra.columnar import ColumnBatch
 from repro.algebra.tuples import Column, Relation
 from repro.xmltree.ids import DeweyID
-from support.relations import mark_sorted_by
 
 
-def _relation(rows, columns=("ID", "V"), sorted_by=None):
-    relation = Relation([Column(name) for name in columns], rows=list(rows))
-    if sorted_by:
-        mark_sorted_by(relation, sorted_by)
-    return relation
+def _relation(rows, columns=("ID", "V")):
+    return Relation([Column(name) for name in columns], rows=list(rows))
 
 
 def _window(batch, start, stop):
     """A contiguous row window; a window of a sorted batch stays sorted."""
-    return batch.gather(range(start, stop), sorted_by=batch.sorted_by)
+    return batch.gather(range(start, stop))
 
 
 def _round_trip(relation):
@@ -36,7 +32,7 @@ def _round_trip(relation):
 
 class TestEmptyColumns:
     def test_empty_relation_round_trips_through_batch(self):
-        relation = _relation([], sorted_by="ID")
+        relation = _relation([])
         batch = ColumnBatch.from_relation(relation)
         assert batch.row_count == 0
         assert batch.values(0) == [] and batch.values(1) == []
@@ -44,9 +40,9 @@ class TestEmptyColumns:
         assert back.rows == [] and [c.name for c in back.columns] == ["ID", "V"]
 
     def test_empty_batch_slices_and_gathers(self):
-        batch = ColumnBatch.from_relation(_relation([], sorted_by="ID"))
+        batch = ColumnBatch.from_relation(_relation([]))
         window = _window(batch, 0, 0)
-        assert window.row_count == 0 and window.sorted_by == "ID"
+        assert window.row_count == 0 and window.source(0).in_document_order()
         assert window.to_relation().rows == []
         assert batch.gather([]).to_relation().rows == []
 
@@ -54,9 +50,8 @@ class TestEmptyColumns:
 class TestAllNullColumns:
     def test_all_null_column_round_trips(self):
         rows = [(DeweyID((1, i)), None) for i in range(1, 5)]
-        back = _round_trip(_relation(rows, sorted_by="ID"))
+        back = _round_trip(_relation(rows))
         assert back.rows == rows
-        assert back.sorted_by == "ID"
 
     def test_all_null_dewey_keys_are_none(self):
         rows = [(None,), (None,), (None,)]
@@ -65,7 +60,7 @@ class TestAllNullColumns:
 
     def test_all_null_column_survives_slicing(self):
         rows = [(DeweyID((1, i)), None) for i in range(1, 7)]
-        batch = ColumnBatch.from_relation(_relation(rows, sorted_by="ID"))
+        batch = ColumnBatch.from_relation(_relation(rows))
         window = _window(batch, 2, 5)
         assert window.values(1) == [None, None, None]
         assert window.values(0) == [DeweyID((1, 3)), DeweyID((1, 4)), DeweyID((1, 5))]
@@ -74,27 +69,44 @@ class TestAllNullColumns:
 class TestSingleRowBatches:
     def test_single_row_batch_round_trips(self):
         rows = [(DeweyID((1, 1)), "only")]
-        relation = _relation(rows, sorted_by="ID")
+        relation = _relation(rows)
         assert ColumnBatch.from_relation(relation).row_count == 1
         back = _round_trip(relation)
-        assert back.rows == rows and back.sorted_by == "ID"
+        assert back.rows == rows
 
 
-class TestSortedByThroughSlicing:
-    def test_sorted_by_survives_slice(self):
+class TestDocumentOrderReadOffTheData:
+    """``_ColumnSource.in_document_order``: the one order fact a join reads."""
+
+    def test_a_window_of_an_ordered_column_stays_in_document_order(self):
         rows = [(DeweyID((1, i)), f"v{i}") for i in range(1, 6)]
-        batch = ColumnBatch.from_relation(_relation(rows, sorted_by="ID"))
+        batch = ColumnBatch.from_relation(_relation(rows))
         window = _window(batch, 1, 4)
-        assert window.sorted_by == "ID"
-        assert window.to_relation().sorted_by == "ID"
+        assert batch.source(0).in_document_order()
+        assert window.source(0).in_document_order()
         assert window.to_relation().rows == rows[1:4]
 
-    def test_gather_does_not_claim_order_by_default(self):
-        # an arbitrary index vector may reorder rows — gather must not
-        # inherit the annotation unless the caller proves it holds
+    def test_a_reordering_gather_is_not_in_document_order(self):
+        # an arbitrary index vector may reorder rows: the proof reads it
         rows = [(DeweyID((1, i)), f"v{i}") for i in range(1, 4)]
-        batch = ColumnBatch.from_relation(_relation(rows, sorted_by="ID"))
-        assert batch.gather([2, 0, 1]).sorted_by is None
+        batch = ColumnBatch.from_relation(_relation(rows))
+        assert not batch.gather([2, 0, 1]).source(0).in_document_order()
+        # a gather that repeats a row but never steps back keeps the order
+        assert batch.gather([0, 0, 2]).gather([0, 1, 1]).source(0).in_document_order()
+
+    def test_only_strictly_ascending_identifier_columns_prove_order(self):
+        one, two = DeweyID((1, 1)), DeweyID((1, 2))
+        for cells in (
+            [two, one],  # reversed
+            [one, one, two],  # several rows per node: non-strict
+            [one, None, two],  # ⊥
+            [None],  # a lone ⊥ meets no comparison
+        ):
+            batch = ColumnBatch.from_relation(_relation([(cell,) for cell in cells], ("ID",)))
+            assert not batch.source(0).in_document_order(), cells
+        # dotted text ascends as strings, not in Dewey order (1.10 < 1.9)
+        text = ColumnBatch.from_relation(_relation([("1.10",), ("1.9",)], ("ID",)))
+        assert text.source(0).ascending() and not text.source(0).in_document_order()
 
 
 class TestStructuralLinkCache:

@@ -1,4 +1,4 @@
-"""``EXPLAIN`` / ``EXPLAIN ANALYZE`` reports: structure, decisions, actuals.
+"""``EXPLAIN`` / ``EXPLAIN ANALYZE`` reports: structure, estimates, actuals.
 
 The acceptance-level property lives in ``test_explain_analyze_fig13_query``:
 on a real Figure 13 XMark query pattern, ``PreparedQuery.explain(analyze=
@@ -12,23 +12,12 @@ import pytest
 from repro import (
     Database,
     MaterializedView,
-    build_summary,
     parse_parenthesized,
     parse_pattern,
 )
 from repro.algebra.columnar import ColumnBatch
-from repro.algebra.operators import (
-    IdEqualityJoin,
-    NestedStructuralJoin,
-    StructuralJoin,
-    UnionPlan,
-    ViewScan,
-)
 from repro.errors import RewritingError
-from repro.patterns.pattern import Axis
-from repro.planning.cost import sort_merge_decision
 from repro.session.explain import ExplainReport
-from repro.views.catalog import ViewCatalog
 from repro.views.view import IdScheme
 from repro.workloads.synthetic import seed_tag_views
 from repro.workloads.xmark import generate_xmark_document, xmark_query_patterns
@@ -69,47 +58,11 @@ def test_explain_reports_plan_shape_and_estimates(db):
         assert entry.actual_rows is None  # no analyze, no actuals
 
 
-def test_explain_reports_join_order_decisions(db):
-    report = db.explain(JOIN_QUERY, name="q")
-    decisions = [e.order_decision for e in report.operators if e.order_decision]
-    assert decisions, "a join plan must surface its order decisions"
-    for decision in decisions:
-        assert decision in ("merge", "sort+merge(right)", "hash")
-
-
-def test_a_join_label_names_only_the_sorts_the_executor_runs(auction_document):
-    """``⋈=`` always hashes.  The flat structural join reads its ancestor
-    rows through structural links and sorts only an unsorted descendant
-    side; the nested join also puts its ancestor side in document order."""
-    names = MaterializedView(parse_pattern("site(//item[ID](/name[V]))", name="names"),
-                             auction_document)
-    statistics = ViewCatalog(build_summary(auction_document), [names]).statistics()
-    sorted_scan = ViewScan("names")
-    # every operand exposes names.ID1; only the union is statically unsorted
-    unsorted = UnionPlan(plans=(sorted_scan,))
-    assert sort_merge_decision(IdEqualityJoin(
-        sorted_scan, ViewScan("names", alias="n2"), "names.ID1", "n2.ID1"
-    ), statistics) == "hash"
-    for left, right, flat, nested in (
-        (sorted_scan, unsorted, "sort+merge(right)", "sort+merge(right)"),
-        (unsorted, sorted_scan, "merge", "sort+merge(left)"),
-        (unsorted, unsorted, "sort+merge(right)", "sort+merge(left,right)"),
-    ):
-        columns = ("names.ID1", "names.ID1")
-        assert sort_merge_decision(
-            StructuralJoin(left, right, *columns, axis=Axis.DESCENDANT), statistics
-        ) == flat
-        assert sort_merge_decision(
-            NestedStructuralJoin(left, right, *columns, axis=Axis.DESCENDANT,
-                                 group_column="g"),
-            statistics,
-        ) == nested
-
-
-def test_an_equality_join_over_opaque_ids_reports_hash():
-    """An opaque identifier scheme keeps its extent unsorted (``sorted_by``
-    is None), so the executor hashes the ``⋈=`` and EXPLAIN must say so:
-    no column name stands in for a sort order the statistics do not record."""
+def test_an_equality_join_over_opaque_ids_is_explained_without_an_order_label():
+    """An opaque identifier scheme keeps its extent in no document order;
+    the plan joins on ``⋈=``, and EXPLAIN reports operators with no
+    algorithm label: each operator has one algorithm, order is read off
+    the data at run time, and the planner predicts none of it."""
     document = parse_parenthesized(
         'site(regions(asia(item(name="pen" price="3") item(name="ink" price="5"))))'
     )
@@ -123,9 +76,9 @@ def test_an_equality_join_over_opaque_ids_reports_hash():
     ]
     database = Database(document, views)
     report = database.explain("site(//item[ID](/name[V], /price[V]))")
-    [decision] = [e.order_decision for e in report.operators if e.order_decision]
     assert "IdEqualityJoin" in report.to_text()
-    assert decision == "hash"
+    assert all("order_decision" not in entry.to_dict() for entry in report.operators)
+    assert "merge" not in report.to_text() and "hash" not in report.to_text()
     database.close()
 
 

@@ -19,14 +19,13 @@ from support.oracle_executor import OracleExecutor
 from support.relations import stored_view
 
 
-def _relation(columns, ids_and_values, sorted_by=None):
+def _relation(columns, ids_and_values):
     relation = Relation(columns)
     relation.rows = [
         tuple(DeweyID.from_string(value) if index == 0 and value is not None else value
               for index, value in enumerate(row))
         for row in ids_and_values
     ]
-    relation.sorted_by = sorted_by
     return relation
 
 
@@ -50,63 +49,60 @@ def _run(left, right):
 
 
 def test_id_join_basic_identity():
-    left = _relation(["ID", "V"], [("1.1", "a"), ("1.2", "b"), ("1.3", "c")], "ID")
-    right = _relation(["ID", "W"], [("1.2", "x"), ("1.3", "y"), ("1.4", "z")], "ID")
+    left = _relation(["ID", "V"], [("1.1", "a"), ("1.2", "b"), ("1.3", "c")])
+    right = _relation(["ID", "W"], [("1.2", "x"), ("1.3", "y"), ("1.4", "z")])
     result = _run(left, right)
     assert len(result) == 2
 
 
 def test_id_join_duplicates_on_both_sides():
-    left = _relation(
-        ["ID", "V"], [("1.1", "a1"), ("1.1", "a2"), ("1.2", "b")], "ID"
-    )
-    right = _relation(
-        ["ID", "W"], [("1.1", "x1"), ("1.1", "x2"), ("1.1", "x3")], "ID"
-    )
+    left = _relation(["ID", "V"], [("1.1", "a1"), ("1.1", "a2"), ("1.2", "b")])
+    right = _relation(["ID", "W"], [("1.1", "x1"), ("1.1", "x2"), ("1.1", "x3")])
     result = _run(left, right)
     assert len(result) == 6  # 2 left x 3 right for the shared identifier
 
 
 def test_id_join_null_identifiers_never_match():
-    left = _relation(["ID", "V"], [(None, "n"), ("1.1", "a")], "ID")
-    right = _relation(["ID", "W"], [(None, "m"), ("1.1", "x")], "ID")
+    left = _relation(["ID", "V"], [(None, "n"), ("1.1", "a")])
+    right = _relation(["ID", "W"], [(None, "m"), ("1.1", "x")])
     result = _run(left, right)
     assert len(result) == 1
 
 
 def test_id_join_empty_sides():
-    left = _relation(["ID", "V"], [], "ID")
-    right = _relation(["ID", "W"], [("1.1", "x")], "ID")
+    left = _relation(["ID", "V"], [])
+    right = _relation(["ID", "W"], [("1.1", "x")])
     assert len(_run(left, right)) == 0
     assert len(_run(right, left)) == 0
 
 
 def test_unsorted_inputs_pair_in_left_row_order():
-    # deliberately unsorted rows with no annotation: pairs still come out in
-    # left-row order, like the oracle's
-    left = _relation(["ID", "V"], [("1.3", "c"), ("1.1", "a")], None)
-    right = _relation(["ID", "W"], [("1.1", "x"), ("1.3", "y")], "ID")
+    # deliberately unsorted rows: pairs still come out in left-row order,
+    # like the oracle's
+    left = _relation(["ID", "V"], [("1.3", "c"), ("1.1", "a")])
+    right = _relation(["ID", "W"], [("1.1", "x"), ("1.3", "y")])
     result = _run(left, right)
     assert len(result) == 2
 
 
 def test_id_join_prefix_identifiers_are_not_equal():
     # 1.1 is an ancestor of 1.1.1 but not equal to it
-    left = _relation(["ID", "V"], [("1.1", "a"), ("1.1.1", "b")], "ID")
-    right = _relation(["ID", "W"], [("1.1.1", "x")], "ID")
+    left = _relation(["ID", "V"], [("1.1", "a"), ("1.1.1", "b")])
+    right = _relation(["ID", "W"], [("1.1.1", "x")])
     result = _run(left, right)
     assert len(result) == 1
 
 
-def test_id_join_preserves_left_order_annotation():
-    left = _relation(["ID", "V"], [("1.1", "a"), ("1.2", "b")], "ID")
-    right = _relation(["ID", "W"], [("1.1", "x")], "ID")
+def test_id_join_output_keeps_the_left_document_order():
+    left = _relation(["ID", "V"], [("1.1", "a"), ("1.2", "b")])
+    right = _relation(["ID", "W"], [("1.1", "x")])
     join = IdEqualityJoin(
         ViewScan("l"), ViewScan("r"), left_column="l.ID", right_column="r.ID"
     )
     views = {"l": stored_view(left), "r": stored_view(right)}
-    result = PlanExecutor(views).execute(join)
-    assert result.sorted_by == "l.ID"
+    result = PlanExecutor(views).execute_batch(join)
+    # probe order is left order, read off the data
+    assert result.source(result.column_index("l.ID")).in_document_order()
 
 
 def test_ab_identity_on_real_rewritten_plans(auction_document):

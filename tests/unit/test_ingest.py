@@ -294,7 +294,7 @@ class TestExtentDelta:
         root_pinned = MaterializedView(parse_pattern("site[ID]", name="r"), doc)
         assert can_apply_delta(root_pinned) is None
 
-    def test_the_gate_derives_the_chain_once_and_reads_the_order_live(self, monkeypatch):
+    def test_the_gate_is_derived_once_from_the_definition(self, monkeypatch):
         doc = parse_parenthesized(DOC_TEXT)
         view = MaterializedView(parse_pattern("site(//item[ID](/name[V]))", name="c"), doc)
         derived = []
@@ -305,8 +305,9 @@ class TestExtentDelta:
         chain, pin = can_apply_delta(view)
         assert can_apply_delta(view) == (chain, pin) and derived == [view]
         assert [node.label for node in chain] == ["site", "item", "name"] and pin == 1
-        view.extent.sorted_by = None  # the order is the data's: read every call
-        assert can_apply_delta(view) is None and derived == [view]
+        # a fresh extent asks nothing of the data: the definition decides
+        view.materialize(doc)
+        assert can_apply_delta(view) == (chain, pin) and derived == [view]
 
     def test_ineligible_views_fall_back_to_rematerialize(self):
         db = _db()
@@ -326,7 +327,6 @@ class TestExtentDelta:
         assert db.maintenance_stats["delta_applied"] == 1
         oracle = MaterializedView(view.pattern.copy(), db.document, name="oracle")
         assert view.relation.rows == oracle.relation.rows
-        assert view.relation.sorted_by == oracle.relation.sorted_by
         db.delete_subtree(node)
         oracle = MaterializedView(view.pattern.copy(), db.document, name="oracle2")
         assert view.relation.rows == oracle.relation.rows

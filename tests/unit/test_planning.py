@@ -126,6 +126,31 @@ class TestCostMonotonicity:
         assert lower_plan(big, model).total_cost > lower_plan(small, model).total_cost
 
 
+class TestOperatorPricing:
+    def test_a_union_is_priced_as_the_row_pass_it_is(self, summary):
+        # ∪ reads its branches as rows: no batch-kernel discount
+        model = CostModel(_stats_with({"a": 100, "b": 40}, summary))
+        plan = lower_plan(UnionPlan(plans=(ViewScan("a"), ViewScan("b"))), model)
+        branch_rows = sum(child.rows for child in plan.root.children)
+        assert branch_rows == 140
+        assert plan.root.estimate.operator_cost == pytest.approx(branch_rows + plan.root.rows)
+
+    def test_a_structural_join_is_one_pass_over_each_input_in_any_order(self, summary):
+        # no sort term, whatever the inputs are: the executor reads order
+        # off the data, and the planner predicts none of it
+        model = CostModel(_stats_with({"a": 100, "b": 40}, summary))
+        for left in (ViewScan("a"), UnionPlan(plans=(ViewScan("a"),))):
+            for right in (ViewScan("b"), UnionPlan(plans=(ViewScan("b"),))):
+                join = StructuralJoin(
+                    left=left, right=right,
+                    left_column="a.ID", right_column="b.ID", axis=Axis.DESCENDANT,
+                )
+                root = lower_plan(join, model).root
+                work = sum(child.rows for child in root.children) + root.rows
+                expected = work * model.vectorized_batch_factor
+                assert root.estimate.operator_cost == pytest.approx(expected)
+
+
 class TestLogicalPlanDag:
     def test_shared_subplan_is_one_node_charged_once(self, summary):
         model = CostModel(_stats_with({"v": 100}, summary))

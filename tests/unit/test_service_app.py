@@ -420,7 +420,7 @@ def test_error_requests_still_trace(app):
 # traces are rendered when read
 # --------------------------------------------------------------------------- #
 OPERATOR_ATTRIBUTES = (
-    "estimated_rows", "estimated_cost", "actual_rows", "order_decision", "access_path", "shared",
+    "estimated_rows", "estimated_cost", "actual_rows", "access_path", "shared",
 )
 
 

@@ -176,7 +176,6 @@ def _analyzed_report() -> ExplainReport:
         actual_seconds=0.01,
         operators=[
             ExplainOperator("Join", 0, 5.0, 10.0, 30.0,
-                            order_decision="merge",
                             actual_rows=5, actual_seconds=0.004),
             ExplainOperator("ViewScan(v)", 1, 8.0, 10.0, 10.0,
                             access_path="scan",
@@ -196,7 +195,7 @@ def test_attach_operator_spans_mirrors_depths_and_carries_both_row_counts():
     assert join.name == "operator:Join"
     assert join.attributes["estimated_rows"] == 5.0
     assert join.attributes["actual_rows"] == 5
-    assert join.attributes["order_decision"] == "merge"
+    assert "order_decision" not in join.attributes
     assert join.duration_seconds == 0.004
     scans = join.children
     assert [span.name for span in scans] == ["operator:ViewScan(v)"] * 2

@@ -1,9 +1,9 @@
 """What the one-executor design adds or promises.
 
 * ``NestedStructuralJoin`` runs on the staircase kernels and must match the
-  oracle's tuple sweep exactly (row order, nested row order, ``sorted_by``)
-  and its nested loop by contents — on duplicate ancestor IDs,
-  ``keep_unmatched`` with ⊥ join values, unsorted inputs and both axes;
+  oracle's tuple sweep exactly (row order, nested row order) and its
+  nested loop by contents — on duplicate ancestor IDs, ``keep_unmatched``
+  with ⊥ join values, inputs in and out of document order and both axes;
 * the strategy options are gone: the only accepted ``executor`` keyword
   value is ``"vectorized"``, ``Database`` takes neither ``executor`` nor
   ``maintenance``, and ``Database.executor`` is a read-only constant;
@@ -32,10 +32,10 @@ from repro.patterns.pattern import Axis
 from repro.xmltree.ids import DeweyID
 
 from support.oracle_executor import OracleExecutor
-from support.relations import mark_sorted_by, stored_view
+from support.relations import stored_view
 
 
-def _extent(ids, values, sorted_by=None):
+def _extent(ids, values):
     relation = Relation(
         [Column("ID1", kind="ID"), Column("V1", kind="V")],
         rows=[
@@ -43,8 +43,6 @@ def _extent(ids, values, sorted_by=None):
             for text, value in zip(ids, values)
         ],
     )
-    if sorted_by:
-        mark_sorted_by(relation, sorted_by)
     return stored_view(relation)
 
 
@@ -83,25 +81,19 @@ def test_nested_structural_join_on_kernels_matches_both_oracles(
     axis, keep_unmatched, presorted
 ):
     upper_ids, lower_ids = list(UPPER_IDS), list(LOWER_IDS)
-    if presorted:
-        # ⊥ rows may sit anywhere: the annotation only speaks about real IDs
-        views = {
-            "upper": _extent(upper_ids, "abcdefg", sorted_by="ID1"),
-            "lower": _extent(lower_ids, "stuvwxyz", sorted_by="ID1"),
-        }
-    else:
+    if not presorted:
+        # the real IDs out of document order (⊥ rows sit anywhere either way)
         upper_ids.reverse()
         lower_ids.reverse()
-        views = {
-            "upper": _extent(upper_ids, "abcdefg"),
-            "lower": _extent(lower_ids, "stuvwxyz"),
-        }
+    views = {
+        "upper": _extent(upper_ids, "abcdefg"),
+        "lower": _extent(lower_ids, "stuvwxyz"),
+    }
     plan = _nested_join(axis, keep_unmatched)
 
     production = PlanExecutor(views).execute(plan)
     sweep = OracleExecutor(views).execute(plan)
     assert production.column_names == sweep.column_names
-    assert production.sorted_by == sweep.sorted_by == "u.ID1"
     assert _exact(tuple(production.rows)) == _exact(tuple(sweep.rows))
 
     nested_loop = OracleExecutor(views, structural_join_strategy="nested-loop").execute(plan)
@@ -177,8 +169,8 @@ def test_stats_keep_the_keys_monitoring_reads():
 # --------------------------------------------------------------------------- #
 def test_profile_records_every_distinct_operator_of_a_dag_once():
     views = {
-        "upper": _extent(["1.1", "1.2"], "ab", sorted_by="ID1"),
-        "lower": _extent(["1.1.1", "1.1.2", "1.2.1"], "xyz", sorted_by="ID1"),
+        "upper": _extent(["1.1", "1.2"], "ab"),
+        "lower": _extent(["1.1.1", "1.1.2", "1.2.1"], "xyz"),
     }
     shared = ViewScan("upper", alias="u")  # referenced by two parents
     lower = ViewScan("lower", alias="l")

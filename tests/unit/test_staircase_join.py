@@ -4,8 +4,9 @@ Every test runs the same plan through the production executor and the
 nested-loop oracle (``support.oracle_executor``) and asserts identical
 contents, then pins down the specific edge the fixture exercises: duplicate
 identifiers, self-ancestor chains, empty extents, mixed string/DeweyID
-columns (the ``_as_dewey`` coercion) and the ``sorted_by`` annotation
-lifecycle through ``Select`` / ``Project``.
+columns (the ``_as_dewey`` coercion), inputs out of document order, and
+the order each operator's output proves off its data through ``Select`` /
+``Project`` / the join itself.
 """
 
 from __future__ import annotations
@@ -20,17 +21,17 @@ from repro.algebra.operators import (
     StructuralJoin,
     ViewScan,
 )
-from repro.algebra.tuples import Column, Relation, as_dewey
+from repro.algebra.tuples import Column, Relation, _hashable, as_dewey
 from repro.errors import AlgebraError, PlanExecutionError
 from repro.patterns.pattern import Axis
 from repro.patterns.predicates import ValueFormula
 from repro.xmltree.ids import DeweyID
 
 from support.oracle_executor import OracleExecutor
-from support.relations import mark_sorted_by, stored_view
+from support.relations import stored_view
 
 
-def _id_relation(ids, extra=None, sorted_by=None):
+def _id_relation(ids, extra=None):
     """A one-ID-column relation (plus an optional value column)."""
     if extra is None:
         relation = Relation([Column("ID1", kind="ID")], rows=[(i,) for i in ids])
@@ -39,8 +40,6 @@ def _id_relation(ids, extra=None, sorted_by=None):
             [Column("ID1", kind="ID"), Column("V1", kind="V")],
             rows=list(zip(ids, extra)),
         )
-    if sorted_by:
-        mark_sorted_by(relation, sorted_by)
     return relation
 
 
@@ -149,93 +148,76 @@ class TestStaircaseEdgeCases:
             as_dewey(object())
 
     def test_unsorted_inputs_fall_back_to_sort_then_merge(self):
-        # extents deliberately delivered in reverse document order and
-        # *without* the sorted annotation: the merge must sort first
+        # extents deliberately delivered in reverse document order: the
+        # descendant column proves no order, so the join sorts it first
         upper = _id_relation(list(reversed(_ids("1.1", "1.2", "1.3"))))
         lower = _id_relation(list(reversed(_ids("1.1.1", "1.2.1", "1.3.9.2"))))
-        assert upper.sorted_by is None
         views = {"upper": stored_view(upper), "lower": stored_view(lower)}
+        assert not views["lower"].extent.source(0).in_document_order()
         merge, _ = _both(views, _join(views))
-        assert len(merge) == 3
+        assert merge.rows == OracleExecutor(views).execute(_join(views)).rows
+        assert [str(row[1]) for row in merge.rows] == ["1.1.1", "1.2.1", "1.3.9.2"]
 
-    def test_wrongly_claimed_sort_annotation_is_trusted(self):
-        # the annotation is a contract: marking an unsorted relation sorted
-        # skips the sort, so the merge may legitimately miss matches — this
-        # documents that the flag is trusted, not re-verified
-        lying = _id_relation(list(reversed(_ids("1.1", "1.2"))))
-        mark_sorted_by(lying, "ID1")
+    def test_an_out_of_order_ancestor_side_loses_no_match(self):
+        # no annotation to trust or to lie: order is read off the data, so
+        # reversed ancestors still meet every descendant
+        reversed_upper = _id_relation(list(reversed(_ids("1.1", "1.2"))))
         views = {
-            "upper": stored_view(lying),
+            "upper": stored_view(reversed_upper),
             "lower": stored_view(_id_relation(_ids("1.1.5", "1.2.5"))),
         }
-        result = PlanExecutor(views).execute(_join(views))
-        assert len(result) <= 2
+        for nested in (False, True):
+            merge, _ = _both(views, _join(views, nested=nested))
+            oracle = OracleExecutor(views).execute(_join(views, nested=nested))
+            assert list(map(_hashable, merge.rows)) == list(map(_hashable, oracle.rows))
+        assert len(PlanExecutor(views).execute(_join(views))) == 2
 
 
-class TestSortedFlagLifecycle:
-    def test_view_scan_qualifies_the_annotation(self):
-        relation = _id_relation(_ids("1.1", "1.2"), sorted_by="ID1")
-        executor = PlanExecutor({"upper": stored_view(relation)})
-        result = executor.execute(ViewScan("upper", alias="u"))
-        assert result.sorted_by == "u.ID1"
+class TestDocumentOrderReadOffTheData:
+    @staticmethod
+    def _in_order(views, plan, column):
+        batch = PlanExecutor(views).execute_batch(plan)
+        return batch.source(batch.column_index(column)).in_document_order()
 
-    def test_selection_preserves_the_annotation(self):
-        relation = _id_relation(_ids("1.1", "1.2"), extra="ab", sorted_by="ID1")
-        executor = PlanExecutor({"upper": stored_view(relation)})
+    def test_a_view_scan_of_a_sorted_extent_is_in_document_order(self):
+        views = {"upper": stored_view(_id_relation(_ids("1.1", "1.2")))}
+        assert self._in_order(views, ViewScan("upper", alias="u"), "u.ID1")
+
+    def test_a_selection_stays_in_document_order(self):
+        views = {"upper": stored_view(_id_relation(_ids("1.1", "1.2"), extra="ab"))}
         plan = Selection(
             child=ViewScan("upper", alias="u"),
             column="u.V1",
             formula=ValueFormula.eq("a"),
         )
-        result = executor.execute(plan)
-        assert result.sorted_by == "u.ID1"
-        assert len(result) == 1
+        assert self._in_order(views, plan, "u.ID1")
+        assert len(PlanExecutor(views).execute(plan)) == 1
 
-    def test_projection_keeps_annotation_only_when_column_survives(self):
-        relation = _id_relation(_ids("1.1", "1.2"), extra="ab", sorted_by="ID1")
-        executor = PlanExecutor({"upper": stored_view(relation)})
-        kept = executor.execute(
-            Projection(child=ViewScan("upper", alias="u"), columns=["u.ID1"])
-        )
-        assert kept.sorted_by == "u.ID1"
-        dropped = executor.execute(
-            Projection(child=ViewScan("upper", alias="u"), columns=["u.V1"])
-        )
-        assert dropped.sorted_by is None
+    def test_a_projected_and_renamed_column_stays_in_document_order(self):
+        views = {"upper": stored_view(_id_relation(_ids("1.1", "1.2"), extra="aa"))}
+        scan = ViewScan("upper", alias="u")
+        assert self._in_order(views, Projection(child=scan, columns=["u.ID1"]), "u.ID1")
+        renamed = Projection(child=scan, columns=["u.ID1"], renames={"u.ID1": "the_id"})
+        assert self._in_order(views, renamed, "the_id")
 
-    def test_projection_rename_follows_the_annotation(self):
-        relation = _id_relation(_ids("1.1", "1.2"), sorted_by="ID1")
-        executor = PlanExecutor({"upper": stored_view(relation)})
-        result = executor.execute(
-            Projection(
-                child=ViewScan("upper", alias="u"),
-                columns=["u.ID1"],
-                renames={"u.ID1": "the_id"},
-            )
-        )
-        assert result.sorted_by == "the_id"
-
-    def test_merge_join_output_is_sorted_on_the_descendant_column(self):
+    def test_join_output_is_in_descendant_document_order(self):
         views = {
-            "upper": stored_view(_id_relation(_ids("1.1", "1.2"), sorted_by="ID1")),
-            "lower": stored_view(_id_relation(_ids("1.1.1", "1.2.1"), sorted_by="ID1")),
+            "upper": stored_view(_id_relation(_ids("1.1", "1.2"))),
+            "lower": stored_view(_id_relation(_ids("1.1.1", "1.2.1"))),
         }
+        assert self._in_order(views, _join(views), "l.ID1")
         result = PlanExecutor(views).execute(_join(views))
-        assert result.sorted_by == "l.ID1"
         identifiers = [row[1] for row in result.rows]
         assert identifiers == sorted(identifiers, key=lambda i: i.components)
 
-    def test_relation_sort_helper_places_nulls_first_and_marks(self):
+    def test_relation_sort_helper_places_nulls_first(self):
         relation = _id_relation(["1.2", None, "1.1"])
         ordered = relation.sorted_in_dewey_order("ID1")
-        assert ordered.sorted_by == "ID1"
         assert [None if v is None else str(v) for (v,) in ordered.rows] == [
             None,
             "1.1",
             "1.2",
         ]
-        # already-annotated relations are returned as-is
-        assert ordered.sorted_in_dewey_order("ID1") is ordered
 
     def test_view_set_reports_the_sorted_extent_guarantee(self):
         from repro import MaterializedView, parse_parenthesized, parse_pattern
@@ -263,6 +245,5 @@ class TestSortedFlagLifecycle:
             "no_id_view": None,
             "opaque_view": None,
         }
-        # the guarantee matches what the extents actually carry
-        assert views["dewey_view"].relation.sorted_by == "ID1"
-        assert views["opaque_view"].relation.sorted_by is None
+        # the guarantee holds on the data the structural extent carries
+        assert views["dewey_view"].extent.source(0).in_document_order()

@@ -2,7 +2,7 @@
 
 The production union must return exactly the rows of the oracle's
 order-blind reference — the chain of pairwise ``Relation.union`` calls
-plus ``distinct`` — in the same order, and carry no sort annotation.
+plus ``distinct`` — in the same order.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.xmltree.ids import DeweyID
 from repro.xmltree.node import XMLNode
 
 from support.oracle_executor import OracleExecutor
-from support.relations import mark_sorted_by, stored_view
+from support.relations import stored_view
 
 
 def _assert_matches_the_oracle(views, plan):
@@ -34,7 +34,6 @@ def _assert_matches_the_oracle(views, plan):
     oracle = OracleExecutor(views).execute(plan)
     assert result.column_names == oracle.column_names
     assert result.rows == oracle.rows
-    assert result.sorted_by is None and oracle.sorted_by is None
     return result
 
 
@@ -49,7 +48,7 @@ def _union(*relations):
 def _identified(*rows):
     relation = Relation([Column("ID", kind="ID"), Column("V")])
     relation.extend(rows)
-    return mark_sorted_by(relation, "ID")
+    return relation
 
 
 @pytest.fixture()
