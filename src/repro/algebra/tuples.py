@@ -25,7 +25,7 @@ it.  Comparisons (``to_set`` / ``same_contents``) stay order-blind.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.errors import AlgebraError
 from repro.xmltree.ids import DeweyID
@@ -122,14 +122,6 @@ class Relation:
                 return index
         raise AlgebraError(f"no column named {name!r}; have {self.column_names}")
 
-    def column(self, name: str) -> Column:
-        """The :class:`Column` object named ``name``."""
-        return self.columns[self.column_index(name)]
-
-    def value(self, row: Sequence, name: str):
-        """Value of column ``name`` in ``row``."""
-        return row[self.column_index(name)]
-
     # ------------------------------------------------------------------ #
     # mutation
     # ------------------------------------------------------------------ #
@@ -141,11 +133,6 @@ class Relation:
                 f"row arity {len(row)} does not match schema arity {len(self.columns)}"
             )
         self.rows.append(row)
-
-    def extend(self, rows: Iterable[Sequence]) -> None:
-        """Append several rows."""
-        for row in rows:
-            self.append(row)
 
     # ------------------------------------------------------------------ #
     # document order
@@ -183,14 +170,6 @@ class Relation:
                 result.rows.append(projected)
         return result
 
-    def select(self, predicate: Callable[[dict], bool]) -> "Relation":
-        """Selection; the predicate receives a ``{column name: value}`` dict."""
-        result = Relation(self.columns)
-        for row in self.rows:
-            if predicate(dict(zip(self.column_names, row))):
-                result.rows.append(row)
-        return result
-
     def rename(self, mapping: dict[str, str]) -> "Relation":
         """Rename columns according to ``mapping`` (missing names unchanged)."""
         new_columns = [
@@ -199,28 +178,6 @@ class Relation:
         ]
         result = Relation(new_columns)
         result.rows = list(self.rows)
-        return result
-
-    def natural_concat(self, other: "Relation") -> "Relation":
-        """Schema concatenation (columns must be disjoint)."""
-        overlap = set(self.column_names) & set(other.column_names)
-        if overlap:
-            raise AlgebraError(f"overlapping columns in concatenation: {overlap}")
-        return Relation(list(self.columns) + list(other.columns))
-
-    def join(
-        self,
-        other: "Relation",
-        condition: Callable[[dict, dict], bool],
-    ) -> "Relation":
-        """Theta-join; the condition receives both rows as dicts."""
-        result = self.natural_concat(other)
-        left_names, right_names = self.column_names, other.column_names
-        for left in self.rows:
-            left_dict = dict(zip(left_names, left))
-            for right in other.rows:
-                if condition(left_dict, dict(zip(right_names, right))):
-                    result.rows.append(left + right)
         return result
 
     def union(self, *others: "Relation") -> "Relation":

@@ -17,25 +17,14 @@ nesting-sequence conditions of Proposition 4.2 in :mod:`repro.containment`.
 """
 
 from repro.canonical.trees import CanonicalNode, CanonicalTree
-from repro.canonical.hashing import pattern_key, summary_token
-from repro.canonical.model import (
-    CanonicalModelCache,
-    annotate_paths,
-    canonical_model,
-    canonical_model_cache,
-    clear_canonical_model_cache,
-    is_satisfiable,
-)
+from repro.canonical.hashing import pattern_key
+from repro.canonical.model import annotate_paths, canonical_model, is_satisfiable
 
 __all__ = [
     "CanonicalNode",
     "CanonicalTree",
     "annotate_paths",
     "canonical_model",
-    "CanonicalModelCache",
-    "canonical_model_cache",
-    "clear_canonical_model_cache",
     "is_satisfiable",
     "pattern_key",
-    "summary_token",
 ]

@@ -1,4 +1,4 @@
-"""Canonical hashable keys for patterns and summaries.
+"""Canonical hashable keys for patterns.
 
 Containment under summary constraints (``p ⊆S q``) is a pure function of
 
@@ -8,13 +8,13 @@ Containment under summary constraints (``p ⊆S q``) is a pure function of
   by the tuple-inclusion test of Proposition 3.1), and
 * the summary ``S``.
 
-:func:`pattern_key` turns the first two into one hashable value and
-:func:`summary_token` stamps every summary with a process-unique token, so
-``(pattern_key(p), pattern_key(q), summary_token(S))`` canonically identifies
-a containment question.  This is what the memo in
-:mod:`repro.containment.core` hashes on; the rewriting search hits the memo
-every time a workload re-asks a containment question it has already answered
-(repeated queries, shared view patterns, repeated join shapes).
+:func:`pattern_key` turns the first two into one hashable value, so
+``(pattern_key(p), pattern_key(q))`` canonically identifies a containment
+question in the memo the summary owns
+(:attr:`~repro.summary.dataguide.Summary.containment_memo`, so the summary
+is never part of a key).  The rewriting search hits that memo every time a
+workload re-asks a containment question it has already answered (repeated
+queries, shared view patterns, repeated join shapes).
 
 Annotated summary paths are deliberately *excluded* from the key: they are a
 derived annotation (Definition 2.1) that is itself a function of the pattern
@@ -24,14 +24,9 @@ between annotated and un-annotated copies of the same pattern.
 
 from __future__ import annotations
 
-import itertools
-
 from repro.patterns.pattern import PatternNode, TreePattern
-from repro.summary.dataguide import Summary
 
-__all__ = ["pattern_key", "summary_token"]
-
-_summary_tokens = itertools.count(1)
+__all__ = ["pattern_key"]
 
 
 def _node_key(node: PatternNode) -> tuple:
@@ -62,16 +57,3 @@ def pattern_key(pattern: TreePattern) -> tuple:
     return_order = tuple(positions[id(node)] for node in pattern.return_nodes())
     return (_node_key(pattern.root), return_order)
 
-
-def summary_token(summary: Summary) -> int:
-    """A process-unique token identifying ``summary``.
-
-    The token is assigned on first use and stored on the summary object, so
-    two distinct summaries never share a token (unlike raw ``id()`` values,
-    which can be reused after garbage collection).
-    """
-    token = getattr(summary, "_containment_token", None)
-    if token is None:
-        token = next(_summary_tokens)
-        summary._containment_token = token
-    return token

@@ -32,6 +32,9 @@ Duplicate canonical trees (different embeddings yielding the same tree) are
 removed.  Nested edges never affect the canonical model; they are handled by
 the nesting-sequence conditions of Proposition 4.2 in
 :mod:`repro.containment`.
+
+Complete models and the strong-closure subtrees are memoised on the summary
+(:attr:`~repro.summary.dataguide.Summary.containment_memo`).
 """
 
 from __future__ import annotations
@@ -40,8 +43,7 @@ import itertools
 import time
 from typing import Iterator, Optional
 
-from repro.caching import BoundedLruCache
-from repro.canonical.hashing import pattern_key, summary_token
+from repro.canonical.hashing import pattern_key
 from repro.canonical.trees import CanonicalNode, CanonicalTree
 from repro.errors import ContainmentBudgetExceeded
 from repro.patterns.embedding import EmbeddingMode
@@ -53,70 +55,8 @@ from repro.summary.node import SummaryNode
 __all__ = [
     "annotate_paths",
     "canonical_model",
-    "CanonicalModelCache",
-    "canonical_model_cache",
-    "clear_canonical_model_cache",
     "is_satisfiable",
 ]
-
-
-# --------------------------------------------------------------------------- #
-# canonical-model memoisation
-# --------------------------------------------------------------------------- #
-class CanonicalModelCache(BoundedLruCache):
-    """A bounded LRU memo for *complete* canonical models.
-
-    ``modS(p)`` is a pure function of the pattern structure and the summary,
-    keyed here by the same canonical pattern hash the containment-decision
-    memo uses (:func:`repro.canonical.hashing.pattern_key`).  A rewriting
-    search enumerates the model of the same query / view / join patterns
-    over and over — every equivalence test enumerates the contained side in
-    full — so replaying a stored model saves the whole erased-variant ×
-    embedding enumeration.
-
-    The same non-caching rules as the decision memo apply: an enumeration
-    that aborts on a deadline, is abandoned by its consumer, or overflows
-    ``max_trees_cached`` is never stored (only *complete* models are
-    replayed; a capped or aborted one is not the model).
-    """
-
-    def __init__(self, maxsize: int = 512, max_trees_cached: int = 256):
-        super().__init__(maxsize)
-        self.max_trees_cached = max_trees_cached
-        # summary token -> summary number -> shared strong-closure subtree
-        # (see _apply_strong_closure); flushed with the models
-        self._closures: dict[int, dict[int, CanonicalNode]] = {}
-
-    def closures(self, summary: Summary) -> dict[int, CanonicalNode]:
-        """The strong-closure subtrees built so far under ``summary``."""
-        if not self.enabled:
-            return {}
-        if len(self._closures) >= 64:  # tokens of long-gone summaries
-            self._closures.clear()
-        return self._closures.setdefault(summary_token(summary), {})
-
-    def clear(self) -> None:
-        super().clear()
-        self._closures.clear()
-
-    def store(self, key: tuple, trees: tuple[CanonicalTree, ...]) -> None:
-        """Insert a complete model, unless it overflows the per-entry cap."""
-        if len(trees) > self.max_trees_cached:
-            return
-        super().store(key, trees)
-
-
-_MODEL_CACHE = CanonicalModelCache()
-
-
-def canonical_model_cache() -> CanonicalModelCache:
-    """The process-wide canonical-model memo."""
-    return _MODEL_CACHE
-
-
-def clear_canonical_model_cache() -> None:
-    """Reset the process-wide canonical-model memo (stats included)."""
-    _MODEL_CACHE.clear()
 
 
 # --------------------------------------------------------------------------- #
@@ -258,8 +198,9 @@ def _apply_strong_closure(root: CanonicalNode, shared: dict[int, CanonicalNode])
     """Add the strong-edge closure of every canonical node (Section 4.1).
 
     The closure below a summary node depends on the summary alone, so each is
-    built once (``shared``, by summary number: the model cache keeps them per
-    summary token) and hung *by reference* under every tree that needs it.
+    built once (``shared``, by summary number: the summary's
+    :attr:`~repro.summary.dataguide.Summary.containment_memo` keeps them) and
+    hung *by reference* under every tree that needs it.
     Evaluation results are tuples of node identities, so one tree must never
     hold a node twice: a closure needed a second time inside the same tree
     gets nodes of its own.
@@ -345,41 +286,38 @@ def iter_canonical_model(
     which may be filtered without ever yielding a tree — a consumer-side
     check alone could never fire.
 
-    Complete enumerations are memoised in the process-wide
-    :class:`CanonicalModelCache` and replayed on repetition; enumerations
-    cut short by the deadline, abandoned mid-way, or larger than the cache's
-    per-entry cap are computed but never stored.
+    Complete enumerations are memoised in the summary's
+    :attr:`~repro.summary.dataguide.Summary.containment_memo` and replayed
+    on repetition; enumerations cut short by the deadline, abandoned
+    mid-way, or larger than the memo's ``max_trees_cached`` are computed
+    but never stored.
     """
-    cache = _MODEL_CACHE
-    if not cache.enabled:
-        yield from _iter_canonical_model_uncached(
-            pattern, summary, use_strong_closure, deadline
-        )
-        return
-    key = (pattern_key(pattern), summary_token(summary), use_strong_closure)
-    cached = cache.lookup(key)
+    memo = summary.containment_memo
+    key = (pattern_key(pattern), use_strong_closure)
+    cached = memo.models.lookup(key)
     if cached is not None:
         yield from cached
         return
     buffer: Optional[list[CanonicalTree]] = []
     for tree in _iter_canonical_model_uncached(
-        pattern, summary, use_strong_closure, deadline
+        pattern, summary, memo.closures, use_strong_closure, deadline
     ):
         if buffer is not None:
             buffer.append(tree)
-            if len(buffer) > cache.max_trees_cached:
+            if len(buffer) > memo.max_trees_cached:
                 buffer = None  # too large to replay; stop buffering
         yield tree
     # reached only when the enumeration ran to genuine completion
     if buffer is not None:
-        cache.store(key, tuple(buffer))
+        memo.models.store(key, tuple(buffer))
 
 
 def _iter_canonical_model_uncached(
     pattern: TreePattern,
     summary: Summary,
-    use_strong_closure: bool = True,
-    deadline: Optional[float] = None,
+    closures: dict[int, CanonicalNode],
+    use_strong_closure: bool,
+    deadline: Optional[float],
 ) -> Iterator[CanonicalTree]:
     original_nodes = pattern.nodes()
     return_positions = [
@@ -390,7 +328,6 @@ def _iter_canonical_model_uncached(
     ]
 
     seen: set[tuple] = set()
-    closures = _MODEL_CACHE.closures(summary)
     embeddings_since_check = 0
     for erased_size in range(len(optional_positions) + 1):
         for erased_tops in itertools.combinations(optional_positions, erased_size):

@@ -14,30 +14,28 @@ All tests work uniformly for conjunctive, decorated, optional, attribute and
 nested patterns; the relevant extra conditions are applied automatically
 based on the features the patterns actually use.
 
-Decisions are memoised in a process-wide LRU keyed by the canonical pattern
-hashes of :mod:`repro.canonical.hashing`; see :func:`containment_cache` and
-:func:`clear_containment_cache`.
+Decisions are memoised on the summary they were decided under
+(:attr:`~repro.summary.dataguide.Summary.containment_memo`), keyed by the
+canonical pattern hashes of :mod:`repro.canonical.hashing`;
+:func:`clear_containment_cache` flushes every live summary's memo and
+:func:`containment_cache` sums their counters, read-only.
 """
 
 from repro.containment.core import (
-    ContainmentCache,
     ContainmentDecision,
     are_equivalent,
     canonical_containment_decision,
     clear_containment_cache,
     containment_cache,
-    containment_cache_disabled,
     is_contained,
     is_contained_in_union,
 )
 
 __all__ = [
-    "ContainmentCache",
     "ContainmentDecision",
     "canonical_containment_decision",
     "clear_containment_cache",
     "containment_cache",
-    "containment_cache_disabled",
     "is_contained",
     "is_contained_in_union",
     "are_equivalent",

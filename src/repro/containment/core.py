@@ -18,23 +18,23 @@ ancestry that
 "Deciders in front of the canonical model").  Everything else goes to the
 canonical model, which :func:`canonical_containment_decision` also exposes
 on its own.
+
+Every answer is memoised in the summary's
+:attr:`~repro.summary.dataguide.Summary.containment_memo`; a caller with a
+time budget passes ``deadline`` (a ``time.perf_counter()`` instant) and a
+test that crosses it raises :class:`ContainmentBudgetExceeded` unmemoised.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from repro.caching import BoundedLruCache
-from repro.canonical.hashing import pattern_key, summary_token
-from repro.canonical.model import (
-    annotate_paths,
-    canonical_model_cache,
-    iter_canonical_model,
-)
+from repro.caching import clear_containment_cache, containment_cache
+from repro.canonical.hashing import pattern_key
+from repro.canonical.model import annotate_paths, iter_canonical_model
 from repro.canonical.trees import CanonicalTree
 from repro.containment.formulas import implies_disjunction, tree_formula
 from repro.containment.nesting import nesting_depths, nesting_sequences_compatible
@@ -46,127 +46,30 @@ from repro.summary.dataguide import Summary
 from repro.summary.index import SummaryIndex
 
 __all__ = [
-    "ContainmentCache",
     "ContainmentDecision",
     "canonical_containment_decision",
     "clear_containment_cache",
     "containment_cache",
-    "containment_cache_disabled",
     "is_contained",
     "is_contained_in_union",
     "are_equivalent",
 ]
 
 
-# --------------------------------------------------------------------------- #
-# memoisation
-# --------------------------------------------------------------------------- #
-class ContainmentCache(BoundedLruCache):
-    """A bounded LRU memo for containment decisions.
+def _ticker(deadline: Optional[float]) -> Optional[Callable[[], None]]:
+    """A check that raises :class:`ContainmentBudgetExceeded` once the
+    ``time.perf_counter()`` instant ``deadline`` has passed (None: no
+    deadline, no check)."""
+    if deadline is None:
+        return None
 
-    Containment is a pure function of (contained pattern, container pattern,
-    summary), so decisions are cached under the canonical keys of
-    :mod:`repro.canonical.hashing`.  Across a batch-rewriting workload the
-    same (view pattern, query pattern) questions recur constantly — repeated
-    queries, shared views, identical join shapes — and each hit saves a full
-    canonical-model enumeration.
-    """
+    def tick() -> None:
+        if time.perf_counter() > deadline:
+            raise ContainmentBudgetExceeded(
+                "containment test aborted: caller's time budget exhausted"
+            )
 
-    DECIDERS = ("preconditions", "ancestry_negative", "homomorphism", "canonical")
-
-    def __init__(self, maxsize: int = 65536):
-        super().__init__(maxsize)
-        self.deciders = dict.fromkeys(self.DECIDERS, 0)
-
-    def clear(self) -> None:
-        super().clear()
-        self.deciders = dict.fromkeys(self.DECIDERS, 0)
-
-    def decided(self, decider: str, decision: "ContainmentDecision") -> "ContainmentDecision":
-        """Count one uncached decision under the decider that answered it."""
-        self.deciders[decider] += 1
-        return decision
-
-
-_CACHE = ContainmentCache()
-
-
-def containment_cache() -> ContainmentCache:
-    """The process-wide containment memo."""
-    return _CACHE
-
-
-def clear_containment_cache() -> None:
-    """Reset the containment memo *and* the canonical-model memo.
-
-    The two caches answer the same underlying question at different
-    granularities, so every honest-measurement caller (figures, benchmark
-    baselines) wants both gone at once."""
-    _CACHE.clear()
-    canonical_model_cache().clear()
-
-
-@contextmanager
-def containment_cache_disabled():
-    """Temporarily bypass both memo layers (reads and writes).
-
-    Used by benchmarks that need an honest un-memoised baseline; the
-    canonical-model memo is switched off alongside the decision memo
-    because a warm model cache would make "un-memoised" containment times
-    meaningless."""
-    model_cache = canonical_model_cache()
-    previous = _CACHE.enabled
-    previous_model = model_cache.enabled
-    _CACHE.enabled = False
-    model_cache.enabled = False
-    try:
-        yield
-    finally:
-        _CACHE.enabled = previous
-        model_cache.enabled = previous_model
-
-
-# --------------------------------------------------------------------------- #
-# memo keys
-# --------------------------------------------------------------------------- #
-def _cache_key(kind: str, left, right, token, check_attributes: bool) -> tuple:
-    """The canonical memo key layout for both "single" and "union" entries."""
-    return (kind, left, right, token, check_attributes)
-
-
-# --------------------------------------------------------------------------- #
-# deadlines
-# --------------------------------------------------------------------------- #
-_deadline: Optional[float] = None
-
-
-@contextmanager
-def containment_deadline(deadline: Optional[float]):
-    """Arm a wall-clock deadline (``time.perf_counter()`` value) for every
-    containment test run inside the block.
-
-    A test whose canonical-model enumeration crosses the deadline raises
-    :class:`ContainmentBudgetExceeded` instead of running to completion
-    (patterns with many optional edges have exponentially many canonical
-    trees, so an uninterruptible test would defeat any search time budget).
-    Aborted tests are not memoised.  Nested deadlines keep the tighter one.
-    """
-    global _deadline
-    previous = _deadline
-    if deadline is not None and previous is not None:
-        deadline = min(deadline, previous)
-    _deadline = deadline if deadline is not None else previous
-    try:
-        yield
-    finally:
-        _deadline = previous
-
-
-def _check_deadline() -> None:
-    if _deadline is not None and time.perf_counter() > _deadline:
-        raise ContainmentBudgetExceeded(
-            "containment test aborted: caller's time budget exhausted"
-        )
+    return tick
 
 
 @dataclass
@@ -509,45 +412,47 @@ def containment_decision(
     container: TreePattern,
     summary: Summary,
     check_attributes: bool = True,
+    deadline: Optional[float] = None,
 ) -> ContainmentDecision:
     """Full containment test ``contained ⊆S container`` with statistics.
 
-    Decisions are memoised in the process-wide :class:`ContainmentCache`,
-    which also counts which decider answered each uncached one.
+    Decisions are memoised in the summary's
+    :attr:`~repro.summary.dataguide.Summary.containment_memo`, which also
+    counts which decider answered each uncached one.  ``deadline`` is a
+    ``time.perf_counter()`` instant: a canonical-model test that crosses it
+    raises :class:`ContainmentBudgetExceeded` (patterns with many optional
+    edges have exponentially many canonical trees, so an uninterruptible
+    test would defeat any search time budget) and stores nothing.
     """
-    cache_key = _cache_key(
-        "single",
-        pattern_key(contained),
-        pattern_key(container),
-        summary_token(summary),
-        check_attributes,
-    )
-    cached = _CACHE.lookup(cache_key)
+    memo = summary.containment_memo
+    key = ("single", pattern_key(contained), pattern_key(container), check_attributes)
+    cached = memo.decisions.lookup(key)
     if cached is not None:
         return cached
-    decision = _containment_decision_uncached(
-        contained, container, summary, check_attributes
-    )
-    _CACHE.store(cache_key, decision)
+    decider, decision = _decide(contained, container, summary, check_attributes, deadline)
+    memo.deciders[decider] += 1
+    memo.decisions.store(key, decision)
     return decision
 
 
-def _containment_decision_uncached(
+def _decide(
     contained: TreePattern,
     container: TreePattern,
     summary: Summary,
     check_attributes: bool,
-) -> ContainmentDecision:
+    deadline: Optional[float],
+) -> tuple[str, ContainmentDecision]:
+    """``(decider, decision)`` for one uncached question."""
     failure = _structural_preconditions(
         contained, container, summary, check_attributes
     )
     if failure is not None:
-        return _CACHE.decided("preconditions", ContainmentDecision(False, failure))
+        return "preconditions", ContainmentDecision(False, failure)
     fast = _fast_decision(contained, container, summary)
     if fast is not None:
-        return _CACHE.decided(*fast)
-    return _CACHE.decided(
-        "canonical", _canonical_decision(contained, container, summary, None)
+        return fast
+    return "canonical", _canonical_decision(
+        contained, container, summary, None, deadline
     )
 
 
@@ -571,7 +476,7 @@ def canonical_containment_decision(
     )
     if failure is not None:
         return ContainmentDecision(False, failure)
-    return _canonical_decision(contained, container, summary, max_trees)
+    return _canonical_decision(contained, container, summary, max_trees, None)
 
 
 def _canonical_decision(
@@ -579,19 +484,21 @@ def _canonical_decision(
     container: TreePattern,
     summary: Summary,
     max_trees: Optional[int],
+    deadline: Optional[float],
 ) -> ContainmentDecision:
+    # the deadline ticks inside each evaluation too: one decorated
+    # evaluation over an adversarial (pattern, tree) pair can cost more than
+    # every other step of the test combined
+    tick = _ticker(deadline)
     checked = 0
-    for tree in iter_canonical_model(contained, summary, deadline=_deadline):
+    for tree in iter_canonical_model(contained, summary, deadline=deadline):
         checked += 1
-        _check_deadline()
+        if tick is not None:
+            tick()
         if max_trees is not None and checked > max_trees:
             raise ContainmentError(
                 f"canonical model of {contained.name!r} exceeds {max_trees} trees"
             )
-        # the deadline must tick *inside* the evaluation too: one decorated
-        # evaluation over an adversarial (pattern, tree) pair can cost more
-        # than every other step of the test combined
-        tick = _check_deadline if _deadline is not None else None
         left_tuples = evaluate_node_tuples(
             contained, tree.index, EmbeddingMode.DECORATED, tick=tick
         )
@@ -619,10 +526,11 @@ def is_contained(
     container: TreePattern,
     summary: Summary,
     check_attributes: bool = True,
+    deadline: Optional[float] = None,
 ) -> bool:
     """``contained ⊆S container`` (Definition 3.1 plus the Section 4 extensions)."""
     return containment_decision(
-        contained, container, summary, check_attributes=check_attributes
+        contained, container, summary, check_attributes, deadline
     ).contained
 
 
@@ -634,28 +542,30 @@ def is_contained_in_union(
     containers: Sequence[TreePattern],
     summary: Summary,
     check_attributes: bool = True,
+    deadline: Optional[float] = None,
 ) -> bool:
     """``contained ⊆S containers[0] ∪ ... ∪ containers[m-1]`` (Prop. 3.2).
 
     When value predicates are present, the value-coverage condition of
     Section 4.2 is verified on top of the structural membership condition.
-    Results are memoised like single containment decisions; the union pass
-    of the rewriting search re-asks the same subset questions constantly.
+    Results are memoised like single containment decisions, and
+    ``deadline`` aborts them the same way; the union pass of the rewriting
+    search re-asks the same subset questions constantly.
     """
-    cache_key = _cache_key(
+    memo = summary.containment_memo
+    key = (
         "union",
         pattern_key(contained),
         tuple(pattern_key(container) for container in containers),
-        summary_token(summary),
         check_attributes,
     )
-    cached = _CACHE.lookup(cache_key)
+    cached = memo.decisions.lookup(key)
     if cached is not None:
         return cached
     result = _is_contained_in_union_uncached(
-        contained, containers, summary, check_attributes
+        contained, containers, summary, check_attributes, deadline
     )
-    _CACHE.store(cache_key, result)
+    memo.decisions.store(key, result)
     return result
 
 
@@ -663,10 +573,12 @@ def _is_contained_in_union_uncached(
     contained: TreePattern,
     containers: Sequence[TreePattern],
     summary: Summary,
-    check_attributes: bool = True,
+    check_attributes: bool,
+    deadline: Optional[float],
 ) -> bool:
     if not containers:
-        return not _has_canonical_tree(contained, summary)
+        tree = next(iter_canonical_model(contained, summary, deadline=deadline), None)
+        return tree is None
 
     eligible = [
         container
@@ -677,9 +589,7 @@ def _is_contained_in_union_uncached(
     if not eligible:
         return False
     if len(eligible) == 1:
-        return containment_decision(
-            contained, eligible[0], summary, check_attributes=check_attributes
-        ).contained
+        return is_contained(contained, eligible[0], summary, check_attributes, deadline)
 
     any_predicates = contained.has_predicates() or any(
         container.has_predicates() for container in eligible
@@ -687,9 +597,10 @@ def _is_contained_in_union_uncached(
     stripped = [_strip_predicates(container) for container in eligible]
     container_models: Optional[list[list[CanonicalTree]]] = None
 
-    for tree in iter_canonical_model(contained, summary, deadline=_deadline):
-        _check_deadline()
-        tick = _check_deadline if _deadline is not None else None
+    tick = _ticker(deadline)
+    for tree in iter_canonical_model(contained, summary, deadline=deadline):
+        if tick is not None:
+            tick()
         left_tuples = evaluate_node_tuples(
             contained, tree.index, EmbeddingMode.DECORATED, tick=tick
         )
@@ -718,7 +629,7 @@ def _is_contained_in_union_uncached(
         # containers' canonical trees with the same return paths.
         if container_models is None:
             container_models = [
-                list(iter_canonical_model(container, summary, deadline=_deadline))
+                list(iter_canonical_model(container, summary, deadline=deadline))
                 for container in eligible
             ]
         same_return = []
@@ -733,12 +644,6 @@ def _is_contained_in_union_uncached(
     return True
 
 
-def _has_canonical_tree(pattern: TreePattern, summary: Summary) -> bool:
-    for _ in iter_canonical_model(pattern, summary, deadline=_deadline):
-        return True
-    return False
-
-
 # --------------------------------------------------------------------------- #
 # equivalence
 # --------------------------------------------------------------------------- #
@@ -747,8 +652,9 @@ def are_equivalent(
     right: TreePattern,
     summary: Summary,
     check_attributes: bool = True,
+    deadline: Optional[float] = None,
 ) -> bool:
     """``left ≡S right``: two-way containment."""
-    return is_contained(
-        left, right, summary, check_attributes=check_attributes
-    ) and is_contained(right, left, summary, check_attributes=check_attributes)
+    return is_contained(left, right, summary, check_attributes, deadline) and (
+        is_contained(right, left, summary, check_attributes, deadline)
+    )

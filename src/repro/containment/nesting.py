@@ -20,7 +20,9 @@ from repro.summary.node import SummaryNode
 
 __all__ = ["nesting_depths", "nesting_sequences_compatible"]
 
-# Bound on the summary embeddings enumerated per pattern in the 2(b) check.
+# Bound on the summary embeddings enumerated per pattern in the 2(b) check:
+# a contained side with more is refused (never called compatible unchecked),
+# a container side cut there can only lose matches.
 _MAX_EMBEDDINGS = 2000
 
 
@@ -90,7 +92,9 @@ def nesting_sequences_compatible(
     When neither pattern has nested edges the check trivially succeeds.
     Embeddings of the container are indexed by their return-image tuples so
     each contained-side embedding is matched against the relevant candidates
-    only.
+    only.  Both sides are enumerated up to ``_MAX_EMBEDDINGS``; a contained
+    side with more embeddings than that is not compatible — the check may
+    then miss a rewriting, but never admits a wrong one.
     """
     if not contained.has_nested_edges() and not container.has_nested_edges():
         return True
@@ -117,10 +121,11 @@ def nesting_sequences_compatible(
         if count >= _MAX_EMBEDDINGS:
             break
 
-    count = 0
-    for embedding in iter_embeddings(
+    for count, embedding in enumerate(iter_embeddings(
         contained_strict, summary.root, EmbeddingMode.SUMMARY
-    ):
+    )):
+        if count == _MAX_EMBEDDINGS:
+            return False  # embeddings past the cap would go unchecked
         images = tuple(embedding[node].number for node in contained_returns)
         sequences = [
             _nesting_sequence(node, embedding) for node in contained_returns
@@ -136,7 +141,4 @@ def nesting_sequences_compatible(
                 break
         if not matched:
             return False
-        count += 1
-        if count >= _MAX_EMBEDDINGS:
-            break
     return True

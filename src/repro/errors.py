@@ -48,9 +48,9 @@ class ContainmentBudgetExceeded(ContainmentError):
 
     A single test over a pattern with many optional edges can enumerate an
     exponential canonical model (2^|optional| erased variants), so callers
-    with wall-clock budgets — the rewriting search above all — arm a
-    deadline (:func:`repro.containment.core.containment_deadline`) that
-    aborts the enumeration instead of hanging.  Aborted tests are never
+    with wall-clock budgets — the rewriting search above all — pass a
+    ``deadline`` (:func:`repro.containment.core.is_contained`) that aborts
+    the enumeration instead of hanging.  Aborted tests are never
     memoised."""
 
 

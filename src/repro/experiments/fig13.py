@@ -20,11 +20,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.containment.core import (
-    canonical_containment_decision,
-    clear_containment_cache,
-    containment_cache_disabled,
-)
+from repro.containment.core import canonical_containment_decision
 from repro.canonical.model import canonical_model
 from repro.summary.dataguide import Summary, build_summary
 from repro.workloads.synthetic import SyntheticPatternConfig, generate_random_pattern
@@ -76,21 +72,20 @@ def run_fig13_query_containment(
     The figure measures the cost of *deciding* containment from scratch with
     the paper's decider, so the timed call is
     :func:`~repro.containment.core.canonical_containment_decision` (a
-    self-containment test is otherwise a trivial homomorphism) and both
-    memo layers are bypassed — the model-size probe just before each test
-    would otherwise pre-warm the canonical-model memo and the timings would
-    measure a replay."""
+    self-containment test is otherwise a trivial homomorphism) and the
+    summary's memos are cleared right before each timed test, outside the
+    timer — the model-size probe just before it would otherwise pre-warm
+    the canonical-model memo and the timing would measure a replay."""
     summary = summary or xmark_summary()
-    clear_containment_cache()
     rows = []
     for name, pattern in sorted(
         xmark_query_patterns().items(), key=lambda kv: int(kv[0][1:])
     ):
-        with containment_cache_disabled():
-            model = canonical_model(pattern, summary, max_trees=5000)
-            start = time.perf_counter()
-            decision = canonical_containment_decision(pattern, pattern, summary)
-            elapsed = time.perf_counter() - start
+        model = canonical_model(pattern, summary, max_trees=5000)
+        summary.containment_memo.clear()
+        start = time.perf_counter()
+        decision = canonical_containment_decision(pattern, pattern, summary)
+        elapsed = time.perf_counter() - start
         rows.append(
             QueryContainmentRow(
                 query=name,
@@ -128,10 +123,6 @@ def run_fig13_synthetic_containment(
     from repro.errors import ContainmentError
 
     summary = summary or xmark_summary()
-    # the timed section below disables the canonical-model memo, which would
-    # otherwise warm across pairs sharing a side (the decider never reads the
-    # decision memo); clear as well so mixed runs stay comparable run to run
-    clear_containment_cache()
     rng = random.Random(seed)
     rows = []
     for return_count in return_counts:
@@ -150,13 +141,16 @@ def run_fig13_synthetic_containment(
             positive_tests = negative_tests = 0
             for i, left in enumerate(patterns):
                 for right in patterns[i:]:
+                    # the canonical-model memo would otherwise warm across
+                    # pairs sharing a side (the decider never reads the
+                    # decision memo): every timed test starts cold
+                    summary.containment_memo.clear()
                     start = time.perf_counter()
                     try:
-                        with containment_cache_disabled():
-                            decision = canonical_containment_decision(
-                                left, right, summary, check_attributes=False,
-                                max_trees=max_trees,
-                            )
+                        decision = canonical_containment_decision(
+                            left, right, summary, check_attributes=False,
+                            max_trees=max_trees,
+                        )
                     except ContainmentError:
                         continue  # worst-case canonical model, skipped
                     elapsed = time.perf_counter() - start

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.algebra.operators import PlanOperator, UnionPlan, ViewScan
 from repro.canonical.model import annotate_paths
-from repro.containment.core import containment_deadline, is_contained_in_union
+from repro.containment.core import is_contained_in_union
 from repro.errors import ContainmentBudgetExceeded, RewritingError
 from repro.patterns.pattern import Axis, PatternNode, TreePattern
 from repro.rewriting.alignment import AlignmentResult, align_candidate
@@ -170,6 +170,7 @@ class RewritingSearch:
         # signature); the pattern is held so its id cannot be reused
         self._signatures: dict[int, tuple] = {}
         self._start_time = 0.0
+        self._deadline: Optional[float] = None
         # the generated numbers of this search's scan aliases and column names
         self._numbers = itertools.count(1)
         # one bit per (query return node, required attribute) slot: the slots
@@ -188,33 +189,30 @@ class RewritingSearch:
         """Run the search and return every rewriting found."""
         self._start_time = time.perf_counter()
         budget = self.config.time_budget_seconds
-        deadline = self._start_time + budget if budget is not None else None
         # the deadline makes individual containment tests interruptible: a
         # single test over a join pattern with many optional edges can
         # otherwise enumerate 2^k canonical variants and outlive any
         # between-candidates budget check by hours
-        with containment_deadline(deadline):
-            initial = self._setup()
-            self.statistics.setup_seconds = time.perf_counter() - self._start_time
+        self._deadline = self._start_time + budget if budget is not None else None
+        initial = self._setup()
+        self.statistics.setup_seconds = time.perf_counter() - self._start_time
 
-            if not self._suppliers_feasible(initial):
-                # no combination of views can supply some required output
-                # attribute on a compatible path; Prop. 3.7 rules out every plan
-                self.statistics.total_seconds = (
-                    time.perf_counter() - self._start_time
-                )
-                return self.rewritings
+        if not self._suppliers_feasible(initial):
+            # no combination of views can supply some required output
+            # attribute on a compatible path; Prop. 3.7 rules out every plan
+            self.statistics.total_seconds = time.perf_counter() - self._start_time
+            return self.rewritings
 
-            working = list(initial)
-            for candidate in initial:
-                self._consider(candidate)
-                if self._done():
-                    break
+        working = list(initial)
+        for candidate in initial:
+            self._consider(candidate)
+            if self._done():
+                break
 
-            if not self._done():
-                self._join_loop(working, initial)
-            if self.config.enable_unions and not self._done():
-                self._union_pass()
+        if not self._done():
+            self._join_loop(working, initial)
+        if self.config.enable_unions and not self._done():
+            self._union_pass()
 
         self.statistics.total_seconds = time.perf_counter() - self._start_time
         self.statistics.rewritings_found = len(self.rewritings)
@@ -583,7 +581,9 @@ class RewritingSearch:
             self.statistics.alignments_pruned += 1
             return
         try:
-            result = align_candidate(candidate, self.query, self.summary)
+            result = align_candidate(
+                candidate, self.query, self.summary, deadline=self._deadline
+            )
             if result is not None:
                 self._record(
                     Rewriting(
@@ -596,7 +596,8 @@ class RewritingSearch:
                 return
             if self.config.enable_unions and len(self._partial) < 64:
                 partial = align_candidate(
-                    candidate, self.query, self.summary, containment_only=True
+                    candidate, self.query, self.summary, containment_only=True,
+                    deadline=self._deadline,
                 )
                 if partial is not None:
                     self._partial.append((candidate, partial))
@@ -688,7 +689,9 @@ class RewritingSearch:
                 if self._done() or self._out_of_time():
                     return
                 patterns = [alignment.pattern for _, alignment in combo]
-                if not is_contained_in_union(self.query, patterns, self.summary):
+                if not is_contained_in_union(
+                    self.query, patterns, self.summary, deadline=self._deadline
+                ):
                     continue
                 # minimality: no strict subset may already cover the query
                 if any(
@@ -696,6 +699,7 @@ class RewritingSearch:
                         self.query,
                         [a.pattern for _, a in subset],
                         self.summary,
+                        deadline=self._deadline,
                     )
                     for smaller in range(1, size)
                     for subset in itertools.combinations(combo, smaller)
@@ -724,7 +728,4 @@ class RewritingSearch:
         return self._out_of_time()
 
     def _out_of_time(self) -> bool:
-        budget = self.config.time_budget_seconds
-        if budget is None:
-            return False
-        return (time.perf_counter() - self._start_time) > budget
+        return self._deadline is not None and time.perf_counter() > self._deadline

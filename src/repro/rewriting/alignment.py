@@ -125,12 +125,14 @@ def align_candidate(
     query: TreePattern,
     summary: Summary,
     containment_only: bool = False,
+    deadline: Optional[float] = None,
 ) -> Optional[AlignmentResult]:
     """Try to turn ``candidate`` into a rewriting of ``query``.
 
     With ``containment_only`` the equivalence requirement is relaxed to
     ``candidate ⊆S query``; such partial rewritings are the building blocks
-    of union plans (Algorithm 1, lines 13-14).
+    of union plans (Algorithm 1, lines 13-14).  ``deadline`` is handed to
+    every containment test (see :func:`~repro.containment.core.is_contained`).
     """
     targets = _query_targets(query)
     if not targets:
@@ -155,7 +157,7 @@ def align_candidate(
     for assignment in assignments:
         result = _try_assignment(
             candidate, query, summary, targets, assignment, containment_only,
-            refuse_ancestry,
+            refuse_ancestry, deadline,
         )
         if result is not None:
             return result
@@ -173,6 +175,7 @@ def _try_assignment(
     assignment: tuple[PatternNode, ...],
     containment_only: bool,
     refuse_ancestry: bool,
+    deadline: Optional[float],
 ) -> Optional[AlignmentResult]:
     # two plain patterns need no nesting adaptation: the equivalence test
     # would answer the ancestry negative, so answer it before anything is built
@@ -242,10 +245,10 @@ def _try_assignment(
         query_for_test = query
         aligned_for_test = aligned
     if containment_only:
-        if not is_contained(aligned_for_test, query_for_test, summary):
+        if not is_contained(aligned_for_test, query_for_test, summary, deadline=deadline):
             return None
     else:
-        if not are_equivalent(aligned_for_test, query_for_test, summary):
+        if not are_equivalent(aligned_for_test, query_for_test, summary, deadline=deadline):
             return None
 
     # ---- assemble the executable plan ------------------------------------- #

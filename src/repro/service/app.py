@@ -490,13 +490,10 @@ class ServiceApp:
         )
         for path, value in snapshot["maintenance"].items():
             maintenance.set(value, {"path": path})
-        indexes = self.metrics.gauge(
-            "service_index_operations",
-            "Value-index operations (process lifetime).",
-            labelnames=("kind",),
-        )
-        for kind, value in snapshot["indexes"].items():
-            indexes.set(value, {"kind": kind})
+        gauge(
+            "service_indexes_built",
+            "Value indexes the session's extents hold.",
+        ).set(snapshot["indexes"]["built"])
         gauge("service_views", "Views currently declared.").set(
             snapshot["views"]["count"]
         )

@@ -1001,20 +1001,26 @@ class Database:
 
         Collects every counter the layers already expose — plan-cache
         hit/miss/invalidation, the rewriting searches' summed search-space
-        counters, the containment memo's hit rate and which decider answered
-        its uncached decisions (both process-wide, like the memo),
-        live-document :attr:`maintenance_stats`, value-index
-        build/probe counts — into a single plain dict, so monitoring
+        counters, the containment memo of this session's summary (hit rate
+        and which decider answered its uncached decisions), live-document
+        :attr:`maintenance_stats`, and how many value indexes this
+        session's extents hold — into a single plain dict, so monitoring
         surfaces (above all the service tier's ``/metrics`` endpoint)
         consume one stable shape instead of reaching into internals.
         Purely a read: taking a snapshot never builds indexes or flushes
         caches.
         """
-        from repro.containment.core import containment_cache
-        from repro.views.indexes import INDEX_STATS
+        from repro.views.indexes import OrderedIndex
 
-        memo = containment_cache()
-        asked = memo.hits + memo.misses
+        memo = self._summary.containment_memo
+        decisions = memo.decisions
+        asked = decisions.hits + decisions.misses
+        built = sum(
+            isinstance(view.extent.source(position).index, OrderedIndex)
+            for view in self.views
+            if view.is_materialized
+            for position in range(len(view.extent.columns))
+        )
         return {
             "document": self._document.name if self._document else None,
             "summary": {
@@ -1033,12 +1039,12 @@ class Database:
             "plan_cache": self._plan_cache.info(),
             "rewriting": dict(self._rewriter.search_totals),
             "containment": {
-                **memo.info(),
-                "hit_rate": memo.hits / asked if asked else 0.0,
+                **decisions.info(),
+                "hit_rate": decisions.hits / asked if asked else 0.0,
                 "deciders": dict(memo.deciders),
             },
             "maintenance": dict(self.maintenance_stats),
-            "indexes": INDEX_STATS.info(),
+            "indexes": {"built": built},
         }
 
     # ------------------------------------------------------------------ #

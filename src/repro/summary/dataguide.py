@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
+from repro.caching import ContainmentMemo
 from repro.errors import SummaryError
 from repro.summary.index import SummaryIndex
 from repro.summary.node import SummaryNode
@@ -103,14 +104,27 @@ class Summary:
             index = self._index = SummaryIndex(self)
         return index
 
+    @property
+    def containment_memo(self) -> ContainmentMemo:
+        """What containment memoises under this summary (built on first use):
+        decisions, canonical models and strong-closure subtrees.
+
+        :meth:`observe_insert` / :meth:`observe_delete` drop it when they
+        change the structure or an edge flag.
+        """
+        memo = self.__dict__.get("_memo")
+        if memo is None:
+            memo = self._memo = ContainmentMemo()
+        return memo
+
     def _retire_derived_state(self, delta: SummaryDelta) -> None:
         """Retire what was derived from the old structure / edge flags."""
         if delta.structure_changed:
             self.__dict__.pop("_index", None)
         if not delta.preserves_annotations:
             # containment answers memoised under the old structure/flags no
-            # longer apply; dropping the token retires them wholesale
-            self.__dict__.pop("_containment_token", None)
+            # longer apply; dropping the memo retires them wholesale
+            self.__dict__.pop("_memo", None)
 
     @property
     def supports_incremental_maintenance(self) -> bool:

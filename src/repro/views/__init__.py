@@ -23,15 +23,9 @@ from repro.views.view import IdScheme, MaterializedView
 from repro.views.store import ViewSet
 from repro.views.delta import SubtreeChange, apply_subtree_delta, can_apply_delta
 from repro.views.catalog import ViewCatalog
-from repro.views.indexes import (
-    INDEX_STATS,
-    OrderedIndex,
-    build_index,
-    index_for_source,
-)
+from repro.views.indexes import OrderedIndex, build_index, index_for_source
 
 __all__ = [
-    "INDEX_STATS",
     "IdScheme",
     "MaterializedView",
     "OrderedIndex",

@@ -22,9 +22,10 @@ Indexes are built lazily, on the first eligible probe of a ``(view,
 column)`` pair, and cached on the column's
 :class:`~repro.algebra.columnar._ColumnSource` — the object whose lifetime
 *is* the extent's lifetime (re-materialising or splicing a view creates
-fresh sources, so stale indexes simply become unreachable).  :func:`index_for_source` is the one entry point the executor calls;
-the module-level :data:`INDEX_STATS` counters make build-once observable
-for tests and benchmarks.
+fresh sources, so stale indexes simply become unreachable).
+:func:`index_for_source` is the one entry point the executor calls.  What
+is built is read off the extents themselves: ``Database.stats()["indexes"]``
+counts the column sources that hold an :class:`OrderedIndex`.
 
 >>> from repro.patterns.predicates import ValueFormula
 >>> index = build_index(["pen", "ink", None, "pen", "pad"])
@@ -43,7 +44,6 @@ from repro.patterns.predicates import ValueFormula, value_order_key
 from repro.xmltree.node import XMLNode
 
 __all__ = [
-    "INDEX_STATS",
     "OrderedIndex",
     "UNINDEXABLE",
     "build_index",
@@ -53,33 +53,6 @@ __all__ = [
 UNINDEXABLE = object()
 """Cached on a column source whose values refuse indexing (non-atom cell
 types, NaN), so the build is attempted at most once per source."""
-
-
-class _IndexStats:
-    """Process-wide index lifecycle counters (test / bench observables)."""
-
-    __slots__ = ("builds", "probes")
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.builds = 0
-        """Indexes constructed from column values in this process."""
-        self.probes = 0
-        """Predicate probes served by any index."""
-
-    def info(self) -> dict:
-        return {
-            "builds": self.builds,
-            "probes": self.probes,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<IndexStats {self.info()}>"
-
-
-INDEX_STATS = _IndexStats()
 
 
 # --------------------------------------------------------------------------- #
@@ -107,7 +80,6 @@ class OrderedIndex:
         Row-identical to filtering: ``⊥`` rows (never indexed) match only
         the ``true`` formula, which short-circuits to every row.
         """
-        INDEX_STATS.probes += 1
         if formula.is_true():
             return list(range(self.row_count))
         matched: list[int] = []
@@ -167,17 +139,11 @@ def build_index(values: Sequence) -> Optional[OrderedIndex]:
 def index_for_source(source) -> Optional[OrderedIndex]:
     """The (lazily built) index cached on one column source.
 
-    Built from the column's values on first use (:data:`INDEX_STATS`
-    counts a *build*); values that refuse indexing cache
-    :data:`UNINDEXABLE`, and ``None`` is returned forever after (the
-    caller scans).
+    Built from the column's values on first use; values that refuse
+    indexing cache :data:`UNINDEXABLE`, and ``None`` is returned forever
+    after (the caller scans).
     """
     index = source.index
     if index is None:
-        index = build_index(source.values())
-        if index is None:
-            index = UNINDEXABLE
-        else:
-            INDEX_STATS.builds += 1
-        source.index = index
+        index = source.index = build_index(source.values()) or UNINDEXABLE
     return None if index is UNINDEXABLE else index

@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from repro import build_summary, parse_parenthesized, parse_pattern
 from repro.summary.index import SummaryIndex
@@ -16,6 +16,9 @@ from support.paper_workloads import dblp_workload, xmark_workload  # noqa: F401
 # containment with the fast deciders switched off (the canonical oracle)
 from support.canonical_containment import canonical_only  # noqa: F401
 
+# value-index builds and probes, counted by wrapping the two index calls
+from support.index_counts import index_counts  # noqa: F401
+
 # --------------------------------------------------------------------------- #
 # hypothesis profiles
 #
@@ -25,8 +28,18 @@ from support.canonical_containment import canonical_only  # noqa: F401
 # ``derandomize=True`` every run replays the same (fast, pre-vetted) example
 # sequence, which is what a <2-minute tier-1 needs.  Run the randomized
 # exploration explicitly with ``HYPOTHESIS_PROFILE=thorough`` (nightly CI).
+#
+# ``ci`` does not shrink: a property that starts failing reports its first
+# failing example at once instead of stalling tier-1 for minutes while
+# hypothesis minimises it.  ``thorough`` keeps shrinking, so a nightly
+# counterexample still reaches ``tests/corpus/`` minimal.
 # --------------------------------------------------------------------------- #
-settings.register_profile("ci", derandomize=True, deadline=None)
+settings.register_profile(
+    "ci",
+    derandomize=True,
+    deadline=None,
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
+)
 settings.register_profile("thorough", derandomize=False, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 

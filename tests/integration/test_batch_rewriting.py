@@ -1,7 +1,7 @@
 """Regression guarantees of the catalog rewriting path.
 
 The view catalog and the containment memo change *cost*, never *results*:
-these tests pin down plan-for-plan equality with the memo off, and
+these tests pin down plan-for-plan equality with no memo (``support.memo_free``), and
 view-for-view equality of the catalog's Prop. 3.4 pruning with the
 per-query, scan-everything seed pruning (``support.naive_pruning``).
 """
@@ -13,13 +13,14 @@ import re
 import pytest
 
 from repro import MaterializedView, annotate_paths, build_summary
-from repro.containment.core import clear_containment_cache, containment_cache_disabled
+from repro.containment.core import clear_containment_cache
 from repro.experiments.fig15 import fig15_views
 from repro.rewriting.algorithm import RewritingConfig, RewritingSearch
 from repro.rewriting.rewriter import Rewriter
 from repro.views.catalog import ViewCatalog
 from repro.workloads.synthetic import batch_rewriting_workload
 from repro.workloads.xmark import generate_xmark_document, xmark_query_patterns
+from support.memo_free import memo_free
 from support.naive_pruning import naive_initial_candidates
 
 _ALIAS = re.compile(r"[@#]\d+")
@@ -59,7 +60,7 @@ def test_catalog_path_equals_naive_path(workload):
     clear_containment_cache()
     rewriter = Rewriter(summary, views, config)
     fast = [rewriter.rewrite(query) for query in queries]
-    with containment_cache_disabled():
+    with memo_free():
         naive = [Rewriter(summary, views, config).rewrite(query) for query in queries]
     assert [_fingerprint(o) for o in fast] == [_fingerprint(o) for o in naive]
     # the workload is built so a healthy fraction of queries actually rewrite

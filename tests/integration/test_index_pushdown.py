@@ -21,7 +21,6 @@ from repro import Database, build_summary, parse_parenthesized
 from repro.patterns.predicates import ValueFormula
 from repro.planning.cost import CostModel
 from repro.views.catalog import ViewCatalog
-from repro.views.indexes import INDEX_STATS
 from support.formulas import between
 
 
@@ -41,8 +40,7 @@ def selective_db():
     return db
 
 
-def test_selective_equality_plans_as_index_scan(selective_db):
-    INDEX_STATS.reset()
+def test_selective_equality_plans_as_index_scan(selective_db, index_counts):
     report = selective_db.explain(
         'site(/item(/name[ID,V]{v="n7"}))', analyze=True
     )
@@ -51,22 +49,22 @@ def test_selective_equality_plans_as_index_scan(selective_db):
     )
     assert "access=index" in report.to_text()
     assert report.actual_rows == 5
-    assert INDEX_STATS.probes >= 1 and INDEX_STATS.builds == 1
+    assert index_counts.probes >= 1 and index_counts.builds == 1
+    assert selective_db.stats()["indexes"] == {"built": 1}
 
     result = selective_db.query('site(/item(/name[ID,V]{v="n7"}))')
     assert len(result) == 5
 
 
-def test_equality_and_range_probes_serve_pushed_selections(selective_db):
+def test_equality_and_range_probes_serve_pushed_selections(selective_db, index_counts):
     # qty: 4 distinct values probed for one; names: 40 distinct strings,
     # probed with a range — the one index kind answers both
-    INDEX_STATS.reset()
     eq = selective_db.query("site(/item(/qty[ID,V]{v=2}))")
     rng = selective_db.query('site(/item(/name[ID,V]{v>="n38"}))')
     assert len(eq) == 50
     # lexicographic: "n38", "n39", "n4", "n5", ..., "n9" → 2 + 6 labels
     assert len(rng) == 8 * 5
-    assert INDEX_STATS.probes >= 2
+    assert index_counts.probes >= 2
 
 
 # --------------------------------------------------------------------------- #

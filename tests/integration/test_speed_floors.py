@@ -38,7 +38,6 @@ from repro.containment import core
 from repro.containment.core import (
     canonical_containment_decision,
     clear_containment_cache,
-    containment_cache_disabled,
 )
 from repro.errors import RewritingError
 from repro.patterns.pattern import Axis
@@ -48,12 +47,12 @@ from repro.rewriting.rewriter import Rewriter
 from repro.summary.dataguide import summary_from_paths
 from repro.summary.statistics import Statistics
 from repro.views.delta import SubtreeChange
-from repro.views.indexes import INDEX_STATS
 from repro.workloads.synthetic import seed_tag_views
 from repro.workloads.xmark import generate_xmark_document, xmark_query_patterns, xmark_spec
 from repro.xmltree.ids import DeweyID
 
 from support.annotation_oracle import oracle_annotate_paths, oracle_annotations
+from support.memo_free import memo_free
 from support.oracle_executor import OracleExecutor
 from support.paper_workloads import build_dblp_workload, build_xmark_workload
 from support.rebuild_oracle import scan_fed_extent
@@ -450,7 +449,6 @@ def test_index_probe_beats_the_full_scan():
     db = Database(document)
     db.create_view("site(/item(/name[ID,V]))", name="names")
     db.create_view("site(/item(/grp[ID,V]))", name="groups")
-    INDEX_STATS.reset()
     plans = {}
     for label, query in [
         ("selective", 'site(/item(/name[ID,V]{v="k123"}))'),
@@ -477,11 +475,12 @@ def test_index_probe_beats_the_full_scan():
         scan_seconds = _median_seconds(lambda: PlanExecutor(db.views).execute(next(scan_copies)))
         speedups[label] = scan_seconds / index_seconds
         rows[label] = len(index_result)
+    built = db.stats()["indexes"]["built"]
     db.close()
     print("index probe over scan-and-filter: " + ", ".join(
         f"{label} {speedup:.1f}x" for label, speedup in speedups.items()
     ))
-    assert INDEX_STATS.builds == 2, "one index per probed column"
+    assert built == 2, "one index per probed column"
     assert rows == {
         "selective": items // name_values,
         "low-cardinality": items // group_values,
@@ -759,7 +758,7 @@ def test_the_summary_chase_beats_the_canonical_model():
         for question in chased:
             canonical_containment_decision(*question)
 
-    with containment_cache_disabled():
+    with memo_free():
         speedup = _median_seconds(canonical, reps=5) / _median_seconds(chase)
     print(f"summary chase vs canonical model: {speedup:.1f}x")
     assert speedup >= 3.0, f"the chase only {speedup:.1f}x faster than the canonical model"

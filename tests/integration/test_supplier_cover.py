@@ -289,14 +289,14 @@ def _refusals(monkeypatch, runs):
     try_assignment = alignment._try_assignment
 
     def recording(candidate, query, summary, targets, assignment, containment_only,
-                  refuse_ancestry):
+                  refuse_ancestry, deadline):
         if refuse_ancestry and alignment.return_ancestry_differs(
             [target.node for target in targets], assignment
         ):
             refused.append((candidate, query, summary, assignment))
         return try_assignment(
             candidate, query, summary, targets, assignment, containment_only,
-            refuse_ancestry,
+            refuse_ancestry, deadline,
         )
 
     monkeypatch.setattr(alignment, "_try_assignment", recording)
@@ -310,15 +310,15 @@ def _unrefused_equivalence(candidate, query, summary, assignment, monkeypatch):
     assignment: the code path every assignment took before the refusal."""
     asked = []
 
-    def recording(aligned, query_for_test, summary_):
-        answer = are_equivalent(aligned, query_for_test, summary_)
+    def recording(aligned, query_for_test, summary_, deadline):
+        answer = are_equivalent(aligned, query_for_test, summary_, deadline=deadline)
         asked.append(answer)
         return answer
 
     monkeypatch.setattr(alignment, "are_equivalent", recording)
     targets = alignment._query_targets(query)
     result = alignment._try_assignment(
-        candidate, query, summary, targets, assignment, False, False
+        candidate, query, summary, targets, assignment, False, False, None
     )
     monkeypatch.undo()
     assert result is None
@@ -369,14 +369,14 @@ def test_a_refused_assignment_builds_and_asks_nothing(monkeypatch, bench_spaces)
     for candidate, query, summary, assignment in refused:
         targets = alignment._query_targets(query)
         assert alignment._try_assignment(
-            candidate, query, summary, targets, assignment, False, True
+            candidate, query, summary, targets, assignment, False, True, None
         ) is None
     assert copies == [] and len(containment_cache()) == 0
     # the same assignments, not refused, are built and asked about
     candidate, query, summary, assignment = refused[0]
     alignment._try_assignment(
         candidate, query, summary, alignment._query_targets(query), assignment, False,
-        False,
+        False, None,
     )
     assert len(copies) == 1 and len(containment_cache()) > 0
 

@@ -48,7 +48,7 @@ from repro.algebra.operators import (
     ViewScan,
 )
 from repro.algebra.tuples import Column, Relation
-from repro.errors import PlanExecutionError
+from repro.errors import AlgebraError, PlanExecutionError
 from repro.patterns.pattern import Axis
 from repro.xmltree.ids import DeweyID
 from repro.xmltree.node import XMLNode
@@ -56,6 +56,14 @@ from repro.xmltree.node import XMLNode
 __all__ = ["OracleExecutor", "STRUCTURAL_JOIN_STRATEGIES"]
 
 STRUCTURAL_JOIN_STRATEGIES = ("merge", "nested-loop")
+
+
+def _concat(left: Relation, right: Relation) -> Relation:
+    """An empty relation over both schemas (columns must be disjoint)."""
+    overlap = set(left.column_names) & set(right.column_names)
+    if overlap:
+        raise AlgebraError(f"overlapping columns in concatenation: {overlap}")
+    return Relation(list(left.columns) + list(right.columns))
 
 
 class OracleExecutor(PlanExecutor):
@@ -151,7 +159,7 @@ class OracleExecutor(PlanExecutor):
         right = self.execute(plan.right)
         left_index = left.column_index(plan.left_column)
         right_index = right.column_index(plan.right_column)
-        result = left.natural_concat(right)
+        result = _concat(left, right)
         by_id: dict[str, list[tuple]] = {}
         for row in right.rows:
             identifier = self._as_dewey(row[right_index])
@@ -261,7 +269,7 @@ class OracleExecutor(PlanExecutor):
         right = self.execute(plan.right)
         left_index = left.column_index(plan.left_column)
         right_index = right.column_index(plan.right_column)
-        result = left.natural_concat(right)
+        result = _concat(left, right)
         if not self._merge_joins:
             for left_row in left.rows:
                 for right_row in right.rows:

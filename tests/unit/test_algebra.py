@@ -37,18 +37,13 @@ class TestRelation:
         projected = relation.project(["a"])
         assert len(projected) == 1
 
-    def test_select_and_rename(self):
+    def test_rename(self):
         relation = Relation(["a", "b"], rows=[(1, 2), (5, 6)])
-        selected = relation.select(lambda row: row["a"] > 2)
-        assert selected.rows == [(5, 6)]
         renamed = relation.rename({"a": "x"})
         assert renamed.column_names == ["x", "b"]
 
-    def test_join_and_union(self):
+    def test_union(self):
         left = Relation(["a"], rows=[(1,), (2,)])
-        right = Relation(["b"], rows=[(2,), (3,)])
-        joined = left.join(right, lambda l, r: l["a"] == r["b"])
-        assert joined.rows == [(2, 2)]
         union = left.union(Relation(["a"], rows=[(2,), (9,)]))
         assert len(union) == 3
 

@@ -1,4 +1,5 @@
-"""The canonical-model memo: hits, and the abort/cap non-caching rules."""
+"""The canonical-model memo a summary owns: hits, and the abort/cap
+non-caching rules."""
 
 from __future__ import annotations
 
@@ -7,17 +8,10 @@ import time
 import pytest
 
 from repro import build_summary, parse_parenthesized, parse_pattern
-from repro.canonical.model import (
-    canonical_model,
-    canonical_model_cache,
-    iter_canonical_model,
-)
-from repro.containment.core import (
-    clear_containment_cache,
-    containment_cache_disabled,
-    is_contained,
-)
+from repro.canonical.model import canonical_model, iter_canonical_model
+from repro.containment.core import clear_containment_cache, is_contained
 from repro.errors import ContainmentBudgetExceeded
+from support.memo_free import memo_free
 
 
 @pytest.fixture()
@@ -44,7 +38,7 @@ def _model_keys(trees):
 
 class TestMemoHits:
     def test_second_enumeration_replays_the_cached_model(self, summary):
-        cache = canonical_model_cache()
+        cache = summary.containment_memo.models
         pattern = parse_pattern("site(//item[ID,V](/name[ID,V]))")
         first = canonical_model(pattern, summary)
         misses = cache.misses
@@ -53,14 +47,14 @@ class TestMemoHits:
         assert _model_keys(first) == _model_keys(second)
 
     def test_key_is_the_canonical_pattern_hash_not_identity(self, summary):
-        cache = canonical_model_cache()
+        cache = summary.containment_memo.models
         canonical_model(parse_pattern("site(//item[ID,V])"), summary)
         # a structurally identical but distinct pattern object hits
         canonical_model(parse_pattern("site(//item[ID,V])"), summary)
         assert cache.hits >= 1
 
     def test_containment_benefits_from_the_model_memo(self, summary):
-        cache = canonical_model_cache()
+        cache = summary.containment_memo.models
         # every item sits below regions; the optional edge keeps the question
         # away from the fast deciders, so only the canonical model answers it
         left = parse_pattern("site(//item[ID,V](/?name[V]))")
@@ -75,7 +69,7 @@ class TestMemoHits:
 
 class TestNonCachingRules:
     def test_abandoned_enumerations_are_not_stored(self, summary):
-        cache = canonical_model_cache()
+        cache = summary.containment_memo.models
         pattern = parse_pattern("site(//item[ID,V])")
         iterator = iter_canonical_model(pattern, summary)
         next(iterator)
@@ -83,7 +77,7 @@ class TestNonCachingRules:
         assert len(cache) == 0
 
     def test_deadline_aborts_are_not_stored(self, summary):
-        cache = canonical_model_cache()
+        cache = summary.containment_memo.models
         pattern = parse_pattern("site(//item[ID,V](/?name[ID,V]))")
         with pytest.raises(ContainmentBudgetExceeded):
             list(
@@ -94,31 +88,48 @@ class TestNonCachingRules:
         assert len(cache) == 0
 
     def test_oversized_models_are_not_stored(self, summary):
-        cache = canonical_model_cache()
-        cache.max_trees_cached = 0  # force every model to overflow the cap
-        try:
-            trees = canonical_model(parse_pattern("site(//item[ID,V])"), summary)
-            assert trees  # the enumeration itself still works
-            assert len(cache) == 0
-        finally:
-            cache.max_trees_cached = 256
+        memo = summary.containment_memo
+        memo.max_trees_cached = 0  # force every model to overflow the cap
+        trees = canonical_model(parse_pattern("site(//item[ID,V])"), summary)
+        assert trees  # the enumeration itself still works
+        assert len(memo.models) == 0
 
-    def test_disabled_context_bypasses_reads_and_writes(self, summary):
-        cache = canonical_model_cache()
+    def test_memo_free_context_bypasses_reads_and_writes(self, summary):
+        cache = summary.containment_memo.models
         pattern = parse_pattern("site(//item[ID,V])")
         canonical_model(pattern, summary)
         assert len(cache) == 1
-        with containment_cache_disabled():
+        with memo_free():
             hits = cache.hits
+            canonical_model(parse_pattern("site(//name[ID,V])"), summary)
             canonical_model(pattern, summary)
             assert cache.hits == hits
+        assert len(cache) == 1
+
+    def test_memo_free_shares_no_closure_subtree_across_decisions(self, summary):
+        # every item has a name: the strong closure hangs a name below each item
+        pattern = parse_pattern("site(//item[ID])")
+
+        def closure_names():  # the nodes themselves, so no id is reused
+            return [
+                node
+                for tree in canonical_model(pattern, summary)
+                for node in tree.root.iter_subtree()
+                if node.label == "name"
+            ]
+
+        def shared(first, second):
+            return {id(node) for node in first} & {id(node) for node in second}
+
+        first, second = closure_names(), closure_names()
+        assert first and shared(first, second)  # the memo replays one model
+        with memo_free():
+            first, second = closure_names(), closure_names()
+        assert first and not shared(first, second)
 
     def test_lru_eviction_respects_maxsize(self, summary):
-        cache = canonical_model_cache()
+        cache = summary.containment_memo.models
         cache.maxsize = 2
-        try:
-            for label in ("item", "name", "regions", "asia"):
-                canonical_model(parse_pattern(f"site(//{label}[ID])"), summary)
-            assert len(cache) <= 2
-        finally:
-            cache.maxsize = 512
+        for label in ("item", "name", "regions", "asia"):
+            canonical_model(parse_pattern(f"site(//{label}[ID])"), summary)
+        assert len(cache) <= 2

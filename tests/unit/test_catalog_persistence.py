@@ -96,16 +96,18 @@ def test_statistics_counters_travel_with_the_session(database, tmp_path):
     assert kept._view_columns == statistics._view_columns
 
 
-def test_loaded_summaries_never_share_containment_tokens(database, tmp_path):
-    from repro.canonical.hashing import summary_token
-
+def test_loaded_sessions_never_share_a_memo(database, tmp_path):
     path = tmp_path / "session.db"
-    summary_token(database.summary)  # force a token onto the summary being saved
+    saved = database.summary.containment_memo  # a memo on the summary being saved
     database.save(path)
     first = Database.load(path)
     second = Database.load(path)
-    assert summary_token(first.summary) != summary_token(second.summary)
-    assert summary_token(first.summary) != summary_token(database.summary)
+    assert first.summary.containment_memo is not second.summary.containment_memo
+    assert first.summary.containment_memo is not saved
+    first.query("site(//item[ID,V])")
+    assert len(first.summary.containment_memo.decisions) > 0
+    assert len(second.summary.containment_memo.decisions) == 0
+    assert len(saved.decisions) == 0
 
 
 def test_a_snapshot_is_change_log_records_behind_a_fence(database, tmp_path):

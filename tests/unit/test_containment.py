@@ -9,7 +9,9 @@ from repro import (
     parse_pattern,
     summary_from_paths,
 )
+from repro.containment import nesting
 from repro.containment.core import containment_decision
+from repro.containment.nesting import nesting_sequences_compatible
 
 
 class TestConjunctiveContainment:
@@ -196,6 +198,26 @@ class TestAttributeAndNestedContainment:
         nest_under_r = parse_pattern("r(/~x(/y(/b[V])))")
         assert is_contained(nest_under_x, nest_under_r, summary)
         assert is_contained(nest_under_r, nest_under_x, summary)
+
+    def test_a_contained_side_cut_at_the_embedding_cap_is_not_compatible(
+        self, monkeypatch
+    ):
+        # x is one-to-one under a, y is not: nesting b under a and under a's
+        # child groups alike below x and differently below the two y's
+        summary = build_summary(
+            parse_parenthesized('a(x(b(c="1")) y(b(c="2")) y(b(c="3")))')
+        )
+        anywhere = parse_pattern("a(//~b[ID](/c[V]))")
+        under_child = parse_pattern("a(/*(/~b[ID](/c[V])))")
+        assert not nesting_sequences_compatible(anywhere, under_child, summary)
+        # a cap of one embedding checks only the b below x: the check must
+        # refuse the unchecked rest, not call the pair compatible
+        monkeypatch.setattr(nesting, "_MAX_EMBEDDINGS", 1)
+        assert not nesting_sequences_compatible(anywhere, under_child, summary)
+        assert not is_contained(anywhere, under_child, summary)
+        # a contained side within the cap is still checked in full
+        nested = parse_pattern("a(/x(/~b[ID](/c[V])))")
+        assert nesting_sequences_compatible(nested, nested, summary)
 
 
 class TestOptionalContainment:

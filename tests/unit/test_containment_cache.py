@@ -1,23 +1,23 @@
-"""The containment memo and the canonical pattern keys it hashes on."""
+"""The containment memo a summary owns and the canonical pattern keys it
+hashes on."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import build_summary, parse_parenthesized
-from repro.canonical.hashing import pattern_key, summary_token
+from repro.caching import BoundedLruCache
+from repro.canonical.hashing import pattern_key
 from repro.containment.core import (
-    ContainmentCache,
     canonical_containment_decision,
     clear_containment_cache,
     containment_cache,
-    containment_cache_disabled,
-    containment_deadline,
     containment_decision,
     is_contained,
     is_contained_in_union,
 )
 from repro.errors import ContainmentBudgetExceeded
+from support.memo_free import memo_free
 
 
 @pytest.fixture(autouse=True)
@@ -62,11 +62,11 @@ class TestPatternKey:
         right.set_return_order(list(reversed(returns)))
         assert pattern_key(left) != pattern_key(right)
 
-    def test_summary_tokens_are_distinct_and_stable(self):
+    def test_summary_memos_are_distinct_and_stable(self):
         first = build_summary(parse_parenthesized("a(b c)", name="one"))
         second = build_summary(parse_parenthesized("a(b c)", name="two"))
-        assert summary_token(first) != summary_token(second)
-        assert summary_token(first) == summary_token(first)
+        assert first.containment_memo is not second.containment_memo
+        assert first.containment_memo is first.containment_memo
 
 
 class TestContainmentMemo:
@@ -90,10 +90,11 @@ class TestContainmentMemo:
         ]
         for left_text, right_text in pairs:
             left, right = make_pattern(left_text), make_pattern(right_text)
-            with containment_cache_disabled():
+            clear_containment_cache()
+            with memo_free():
                 expected = is_contained(left, right, auction_summary,
                                         check_attributes=False)
-            clear_containment_cache()
+            assert len(containment_cache()) == 0  # nothing left behind
             assert is_contained(left, right, auction_summary,
                                 check_attributes=False) == expected
             # second, memoised call agrees as well
@@ -137,42 +138,34 @@ class TestContainmentDeadline:
         self, make_pattern, auction_summary
     ):
         pattern = make_pattern("site(//item(/?name, /?description))")
-        with containment_deadline(0.0):  # already in the past
-            with pytest.raises(ContainmentBudgetExceeded):
-                is_contained(pattern, pattern, auction_summary,
-                             check_attributes=False)
+        memo = auction_summary.containment_memo
+        with pytest.raises(ContainmentBudgetExceeded):  # already in the past
+            is_contained(pattern, pattern, auction_summary,
+                         check_attributes=False, deadline=0.0)
         assert len(containment_cache()) == 0
-        # outside the block the same test completes (and is memoised)
+        assert len(memo.models) == 0 and set(memo.deciders.values()) == {0}
+        # without a deadline the same test completes (and is memoised)
         assert is_contained(pattern, pattern, auction_summary,
                             check_attributes=False)
         assert len(containment_cache()) == 1
 
-    def test_nested_deadlines_keep_the_tighter_one(
-        self, make_pattern, auction_summary
-    ):
-        import time as time_module
-
-        pattern = make_pattern("site(//item(/?name))")
-        far = time_module.perf_counter() + 60.0
-        with containment_deadline(far):
-            with containment_deadline(0.0):
-                with pytest.raises(ContainmentBudgetExceeded):
-                    is_contained(pattern, pattern, auction_summary,
-                                 check_attributes=False)
-            # after leaving the inner block the far deadline applies again
-            assert is_contained(pattern, pattern, auction_summary,
-                                check_attributes=False)
+    def test_expired_deadline_aborts_a_union_test(self, make_pattern, auction_summary):
+        contained = make_pattern("site(//item(/?name))")
+        containers = [make_pattern("site(//item(/?name))"), make_pattern("site(//item)")]
+        with pytest.raises(ContainmentBudgetExceeded):
+            is_contained_in_union(contained, containers, auction_summary,
+                                  check_attributes=False, deadline=0.0)
+        assert len(containment_cache()) == 0
 
     def test_none_deadline_is_a_no_op(self, make_pattern, auction_summary):
         pattern = make_pattern("site(//item)")
-        with containment_deadline(None):
-            assert is_contained(pattern, pattern, auction_summary,
-                                check_attributes=False)
+        assert is_contained(pattern, pattern, auction_summary,
+                            check_attributes=False, deadline=None)
 
 
 class TestCacheMechanics:
     def test_lru_eviction(self):
-        cache = ContainmentCache(maxsize=2)
+        cache = BoundedLruCache(maxsize=2)
         cache.store(("a",), 1)
         cache.store(("b",), 2)
         assert cache.lookup(("a",)) == 1  # refresh "a"
@@ -182,20 +175,18 @@ class TestCacheMechanics:
         assert cache.lookup(("c",)) == 3
 
     def test_clear_resets_stats(self):
-        cache = ContainmentCache(maxsize=4)
+        cache = BoundedLruCache(maxsize=4)
         cache.store(("a",), 1)
         cache.lookup(("a",))
         cache.lookup(("missing",))
         cache.clear()
         assert cache.info() == {"hits": 0, "misses": 0, "size": 0, "maxsize": 4}
 
-    def test_disabled_cache_neither_reads_nor_writes(self):
-        cache = containment_cache()
-        with containment_cache_disabled():
-            cache.store(("key",), 1)
-            assert cache.lookup(("key",)) is None
+    def test_a_zero_capacity_lru_never_holds_an_entry(self):
+        cache = BoundedLruCache(maxsize=0)
+        cache.store(("key",), 1)
+        assert cache.lookup(("key",)) is None
         assert len(cache) == 0
-        assert cache.enabled
 
 
 class TestNoHiddenWarmth:
@@ -206,8 +197,6 @@ class TestNoHiddenWarmth:
     QUERY = "site(//item[ID](/name[V], //keyword[V]))"
 
     def _plan(self, db):
-        from repro.canonical import canonical_model_cache
-
         choice = db.plan_query(self.QUERY)
         statistics = choice.statistics
         return {
@@ -215,7 +204,7 @@ class TestNoHiddenWarmth:
             "joins_attempted": statistics.joins_attempted,
             "views_after_pruning": statistics.views_after_pruning,
             "containment_misses": containment_cache().misses,
-            "model_misses": canonical_model_cache().misses,
+            "model_misses": db.summary.containment_memo.models.misses,
         }, containment_cache().hits
 
     def test_a_flushed_replan_repeats_the_first_plan_exactly(self, auction_document):

@@ -266,6 +266,7 @@ def test_metrics_render_requests_and_database_gauges(app):
     assert 'service_maintenance_operations{path="delta_applied"} 0' in text
     assert 'service_maintenance_operations{path="links_followed"} 0' in text
     assert 'service_maintenance_operations{path="links_dropped"} 0' in text
+    assert "service_indexes_built 0" in text
 
 
 def test_metrics_error_statuses_are_counted(app):

@@ -206,7 +206,7 @@ def test_stats_aggregates_every_layer(db):
         "links_followed", "links_dropped",
     }
     assert "worker_pool" not in snapshot
-    assert snapshot["indexes"].keys() == {"builds", "probes"}
+    assert snapshot["indexes"] == {"built": 0}
 
 
 def test_stats_tracks_queries_and_ddl(db):

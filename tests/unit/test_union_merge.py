@@ -46,9 +46,7 @@ def _union(*relations):
 
 
 def _identified(*rows):
-    relation = Relation([Column("ID", kind="ID"), Column("V")])
-    relation.extend(rows)
-    return relation
+    return Relation([Column("ID", kind="ID"), Column("V")], rows=rows)
 
 
 @pytest.fixture()

@@ -11,7 +11,9 @@ Contracts under test:
   the sorted :class:`~repro.views.indexes.OrderedIndex`;
 * **build-once lifecycle** — one build per column source, survivable by
   unrelated DDL, invalidated by re-materialising DDL (new extent → new
-  sources → rebuild), all observable through :data:`INDEX_STATS`.
+  sources → rebuild), counted by the ``index_counts`` fixture
+  (``support.index_counts``) and read off the extents by
+  ``Database.stats()["indexes"]``.
 """
 
 from __future__ import annotations
@@ -23,21 +25,9 @@ from hypothesis import strategies as st
 from repro import Database, MaterializedView, parse_parenthesized, parse_pattern
 from repro.algebra.kernels import selection_indices
 from repro.patterns.predicates import ValueFormula
-from repro.views.indexes import (
-    INDEX_STATS,
-    OrderedIndex,
-    build_index,
-    index_for_source,
-)
+from repro.views.indexes import OrderedIndex, build_index, index_for_source
 from repro.xmltree.node import XMLNode
 from support.formulas import between
-
-
-@pytest.fixture(autouse=True)
-def _reset_index_stats():
-    INDEX_STATS.reset()
-    yield
-    INDEX_STATS.reset()
 
 
 FORMULAS = [
@@ -163,44 +153,46 @@ def database():
 SELECTIVE = 'site(/item(/name[ID,V]{v="n1"}))'
 
 
-def test_index_builds_once_per_extent_version(database):
+def test_index_builds_once_per_extent_version(database, index_counts):
     first = database.query(SELECTIVE)
-    assert INDEX_STATS.builds == 1 and INDEX_STATS.probes == 1
+    assert index_counts.builds == 1 and index_counts.probes == 1
     second = database.query(SELECTIVE)
-    assert INDEX_STATS.builds == 1, "a cached source must not rebuild"
-    assert INDEX_STATS.probes == 1, "the cached plan reads its kept probe"
+    assert index_counts.builds == 1, "a cached source must not rebuild"
+    assert index_counts.probes == 1, "the cached plan reads its kept probe"
     database.plan_cache.clear()
     third = database.query(SELECTIVE)
-    assert INDEX_STATS.builds == 1
-    assert INDEX_STATS.probes == 2, "a re-planned query probes the cached index"
+    assert index_counts.builds == 1
+    assert index_counts.probes == 2, "a re-planned query probes the cached index"
     assert first.same_contents(second) and first.same_contents(third) and len(first) == 3
 
 
-def test_unrelated_ddl_keeps_the_index(database):
+def test_unrelated_ddl_keeps_the_index(database, index_counts):
     database.query(SELECTIVE)
     database.create_view("site(/item[ID])", name="unrelated")
     database.query(SELECTIVE)
-    assert INDEX_STATS.builds == 1, (
+    assert index_counts.builds == 1, (
         "DDL on another view leaves this extent (and its index) untouched"
     )
 
 
-def test_rematerialising_ddl_rebuilds_the_index(database):
+def test_rematerialising_ddl_rebuilds_the_index(database, index_counts):
     baseline = database.query(SELECTIVE)
     database.drop_view("items")
     database.create_view("site(/item(/name[ID,V]))", name="items")
     result = database.query(SELECTIVE)
-    assert INDEX_STATS.builds == 2, (
+    assert index_counts.builds == 2, (
         "a re-materialised extent has fresh column sources: the stale "
         "index must be unreachable and a new one built"
     )
+    assert database.stats()["indexes"] == {"built": 1}, "only the new extent's"
     assert result.same_contents(baseline)
 
 
-def test_unindexable_columns_fall_back_to_the_scan_kernel(database):
+def test_unindexable_columns_fall_back_to_the_scan_kernel(database, index_counts):
     # probe the ID column: DeweyIDs refuse indexing, the plan must still
     # answer through the selection kernel (and never count a build)
     batch = database.views["items"].extent
     assert index_for_source(batch.source(batch.column_index("ID1"))) is None
     assert index_for_source(batch.source(batch.column_index("ID1"))) is None
-    assert INDEX_STATS.builds == 0, "unindexable is cached, not retried"
+    assert index_counts.builds == 0, "unindexable is cached, not retried"
+    assert database.stats()["indexes"] == {"built": 0}

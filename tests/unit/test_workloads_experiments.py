@@ -2,7 +2,7 @@
 
 import random
 
-from repro import build_summary, containment_cache
+from repro import build_summary
 from repro.canonical import is_satisfiable
 from repro.experiments.fig13 import run_fig13_query_containment, run_fig13_synthetic_containment
 from repro.experiments.fig15 import fig15_views, run_fig15
@@ -179,6 +179,9 @@ class TestExperimentHarnesses:
             )
             # a second run that found the first one's decisions memoised would
             # count more hits and fewer misses than the first
-            memo = containment_cache()
-            runs.append((memo.info(), dict(memo.deciders), [row.rewritings_found for row in rows]))
+            memo = summary.containment_memo
+            runs.append((
+                memo.decisions.info(), dict(memo.deciders),
+                [row.rewritings_found for row in rows],
+            ))
         assert runs[0] == runs[1] and runs[0][0]["misses"] > 0
