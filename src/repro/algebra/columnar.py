@@ -12,13 +12,17 @@ operator computes from them is kept on its plan node, never on a source
 fact about the data, never an annotation: a column proves itself in
 document order (:meth:`_ColumnSource.in_document_order`) or distinct
 (:meth:`_ColumnSource.distinct`) from its extent's cached
-:meth:`_ColumnSource.ascending` and the gathers over it.
+:meth:`_ColumnSource.ascending` and the gathers over it.  An index vector
+that reads every row once, in place, is kept as ``range(n)``
+(:func:`in_place`), and a gather through it is no gather: the input's
+sources are the output's.  :meth:`ColumnBatch.to_relation` hands out a
+relation backed by the batch, whose rows are built when first read.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from operator import le, lt
+from operator import eq, le, lt
 from typing import Optional, Sequence
 from weakref import WeakKeyDictionary
 
@@ -28,6 +32,7 @@ from repro.xmltree.ids import DeweyID
 
 __all__ = [
     "ColumnBatch",
+    "in_place",
     "joined_batch",
     "projected_batch",
     "splice_runs",
@@ -389,17 +394,19 @@ class ColumnBatch:
         return ColumnBatch(self.columns, sources, count)
 
     def to_relation(self) -> Relation:
-        """The rows as a row-major :class:`Relation`: the relation the batch
-        was built from when it keeps it, else a fresh transpose the batch
-        does not keep."""
+        """The rows as a :class:`Relation`: the relation the batch was built
+        from when it keeps it, else one backed by this batch, which builds
+        its rows (:meth:`row_tuples`) only when they are first read.  The
+        batch does not keep that relation."""
         if self._relation is not None:
             return self._relation
-        relation = Relation(self.columns)
+        return Relation._backed_by(self)
+
+    def row_tuples(self) -> list[tuple]:
+        """A fresh row-major list of the batch's rows, one tuple each."""
         if not self._sources:
-            relation.rows = [()] * self.row_count  # zip() of no column is empty
-        elif self.row_count:
-            relation.rows = list(zip(*(source.values() for source in self._sources)))
-        return relation
+            return [()] * self.row_count  # zip() of no column is empty
+        return list(zip(*(source.values() for source in self._sources)))
 
     # ------------------------------------------------------------------ #
     def column_index(self, name: str) -> int:
@@ -433,11 +440,12 @@ class ColumnBatch:
         return ColumnBatch(columns, self._sources, self.row_count)
 
     def gather(self, indices: Sequence[int]) -> "ColumnBatch":
-        """Select rows by index vector; every column becomes a lazy gather."""
-        sources = [
-            _ColumnSource(parent=source, indices=indices) for source in self._sources
-        ]
-        return ColumnBatch(self.columns, sources, len(indices))
+        """Select rows by index vector; every column becomes a lazy gather —
+        or stays this batch's source when ``indices`` reads every row in
+        place (:func:`in_place`)."""
+        return ColumnBatch(
+            self.columns, _gathered(self._sources, indices, self.row_count), len(indices)
+        )
 
     def __repr__(self) -> str:
         names = ", ".join(column.name for column in self.columns)
@@ -450,6 +458,27 @@ def _column_error(name, names):
     return AlgebraError(f"no column named {name!r}; have {names}")
 
 
+def in_place(indices: Sequence[int], row_count: int) -> Sequence[int]:
+    """``range(row_count)`` when ``indices`` reads each of ``row_count``
+    rows once, in row order — the one form a kernel keeps such a vector
+    in — else ``indices`` itself."""
+    if len(indices) != row_count or isinstance(indices, range):
+        return indices
+    # compared lazily: no second vector of row_count ints is built
+    return range(row_count) if all(map(eq, indices, range(row_count))) else indices
+
+
+def _gathered(
+    sources: Sequence[_ColumnSource], indices: Sequence[int], row_count: int
+) -> list[_ColumnSource]:
+    """``sources`` (of ``row_count`` rows) read through ``indices``: the
+    sources themselves when ``indices`` is the ``range(row_count)``
+    :func:`in_place` keeps, else one lazy gather each."""
+    if isinstance(indices, range) and indices == range(row_count):
+        return list(sources)
+    return [_ColumnSource(parent=source, indices=indices) for source in sources]
+
+
 def projected_batch(
     batch: ColumnBatch,
     column_indexes: Sequence[int],
@@ -457,10 +486,7 @@ def projected_batch(
     row_indices: Sequence[int],
 ) -> ColumnBatch:
     """Project + gather in one step (what the Project kernel emits)."""
-    sources = [
-        _ColumnSource(parent=batch.source(i), indices=row_indices)
-        for i in column_indexes
-    ]
+    sources = _gathered([batch.source(i) for i in column_indexes], row_indices, batch.row_count)
     return ColumnBatch(columns, sources, len(row_indices))
 
 
@@ -474,8 +500,9 @@ def joined_batch(
     """The concatenated-schema batch a pair-producing join kernel emits.
 
     Every output column is a lazy gather over one input, so a joined
-    column nobody projects afterwards is never copied.
+    column nobody projects afterwards is never copied; a side whose
+    vector reads every row in place hands its sources through.
     """
-    sources = [_ColumnSource(parent=source, indices=left_indices) for source in left._sources]
-    sources += [_ColumnSource(parent=source, indices=right_indices) for source in right._sources]
+    sources = _gathered(left._sources, left_indices, left.row_count)
+    sources += _gathered(right._sources, right_indices, right.row_count)
     return ColumnBatch(columns, sources, len(left_indices))

@@ -50,7 +50,11 @@ A kernel operator's output index vectors — σ and probe keep vectors, the
 ``π`` dedup vector, join pairs — are kept on its plan node
 (:meth:`PlanExecutor._kept`), weakly keyed on the extents its subtree
 scans: a warm read of an unchanged plan over unchanged extents is a memo
-read, and the first read after a write to one of them computes again.
+read, and the first read after a write to one of them computes again.  A
+vector that reads every input row in place is kept as ``range(n)``, and
+the operator hands its input's column sources through.
+:meth:`PlanExecutor.execute` returns a relation backed by the result batch:
+its rows are built only when read.
 
 The reference implementations the identity suites compare against (the
 row-at-a-time interpreter with its staircase sweep and ``str``-keyed hash
@@ -66,7 +70,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 from weakref import WeakKeyDictionary, ref
 
 from repro.algebra import kernels
-from repro.algebra.columnar import ColumnBatch, joined_batch, projected_batch
+from repro.algebra.columnar import ColumnBatch, in_place, joined_batch, projected_batch
 from repro.algebra.operators import (
     ContentNavigation,
     GroupBy,
@@ -291,8 +295,10 @@ class PlanExecutor:
 
             index = index_for_source(source)
             if index is not None:
-                return index.probe(plan.formula)
-            return kernels.selection_indices(source.values(), plan.formula)
+                keep = index.probe(plan.formula)
+            else:
+                keep = kernels.selection_indices(source.values(), plan.formula)
+            return in_place(keep, base.row_count)
 
         qualified = self._qualified(base, plan.effective_alias)
         return qualified.gather(self._kept(plan, probe))
@@ -317,8 +323,11 @@ class PlanExecutor:
         child = self.execute_batch(plan.child)
         keep = self._kept(
             plan,
-            lambda: kernels.selection_indices(
-                child.values(child.column_index(plan.column)), plan.formula
+            lambda: in_place(
+                kernels.selection_indices(
+                    child.values(child.column_index(plan.column)), plan.formula
+                ),
+                child.row_count,
             ),
         )
         return child.gather(keep)
@@ -326,7 +335,8 @@ class PlanExecutor:
     def _projection_batch(self, plan: Projection) -> ColumnBatch:
         """``π`` with first-occurrence dedup — or none at all when a
         projected column proves its rows distinct
-        (:meth:`~repro.algebra.columnar._ColumnSource.distinct`): then the
+        (:meth:`~repro.algebra.columnar._ColumnSource.distinct`).  A dedup
+        that keeps every row is ``range(n)``, like an undeduplicated π: the
         child's sources are the result."""
         child = self.execute_batch(plan.child)
         names = list(plan.columns)
@@ -340,17 +350,17 @@ class PlanExecutor:
             ]
         sources = [child.source(index) for index in indexes]
 
-        def dedup() -> Optional[Sequence[int]]:
+        def dedup() -> Sequence[int]:
             if any(source.distinct() for source in sources):
-                return None
-            return kernels.distinct_indices(
-                [child.row_keys(index) for index in indexes], child.row_count
+                return range(child.row_count)
+            return in_place(
+                kernels.distinct_indices(
+                    [child.row_keys(index) for index in indexes], child.row_count
+                ),
+                child.row_count,
             )
 
-        keep = self._kept(plan, dedup)
-        if keep is None:
-            return ColumnBatch(columns, sources, child.row_count)
-        return projected_batch(child, indexes, columns, keep)
+        return projected_batch(child, indexes, columns, self._kept(plan, dedup))
 
     def _id_join_batch(self, plan: IdEqualityJoin) -> ColumnBatch:
         left = self.execute_batch(plan.left)
@@ -360,7 +370,8 @@ class PlanExecutor:
         def pair() -> tuple[Sequence[int], Sequence[int]]:
             left_keys = self._batch_keys(left, left.column_index(plan.left_column))
             right_keys = self._batch_keys(right, right.column_index(plan.right_column))
-            return kernels.hash_id_join_pairs(left_keys, right_keys)
+            left_out, right_out = kernels.hash_id_join_pairs(left_keys, right_keys)
+            return in_place(left_out, left.row_count), in_place(right_out, right.row_count)
 
         left_out, right_out = self._kept(plan, pair)
         return joined_batch(left, right, columns, left_out, right_out)
@@ -401,7 +412,8 @@ class PlanExecutor:
                 )
             else:
                 positions = range(right.row_count)
-            return links.pairs(descendant_rows, positions, ancestor_rows)
+            left_out, right_out = links.pairs(descendant_rows, positions, ancestor_rows)
+            return in_place(left_out, left.row_count), in_place(right_out, right.row_count)
 
         return (left, right, *self._kept(plan, pair))
 

@@ -14,6 +14,11 @@ are all :class:`Relation` instances: a schema (ordered list of
 Relations compare *as sets*: pattern semantics is set-based, and the paper's
 equivalence notion (``≡S``) ignores duplicates and row order.
 
+A query's answer is a relation *backed by* the executor's
+:class:`~repro.algebra.columnar.ColumnBatch`: the columns are the result,
+and rows are one way to look at them.  Its length and schema read no value;
+its rows are built once, on their first read, and the batch is dropped then.
+
 Row order is nevertheless physical: materialised view extents are stored
 in document order of their first ID column (Dewey order, which for
 :class:`~repro.xmltree.ids.DeweyID` is plain tuple order,
@@ -82,7 +87,18 @@ class Column:
 
 
 class Relation:
-    """An in-memory (possibly nested) relation."""
+    """An in-memory (possibly nested) relation.
+
+    A relation either holds its rows or is *backed by* a
+    :class:`~repro.algebra.columnar.ColumnBatch` (what
+    :meth:`ColumnBatch.to_relation` hands out): then ``len``, the schema
+    and ``repr`` answer from the batch without reading a value, and the
+    first read of :attr:`rows` builds the row list once, keeps it and
+    drops the batch.  The relation points at its batch; the batch never
+    points back.
+    """
+
+    __slots__ = ("columns", "_rows", "_batch", "__weakref__")
 
     def __init__(self, columns: Sequence[Column | str], rows: Optional[Iterable[Sequence]] = None):
         self.columns: list[Column] = [
@@ -91,10 +107,34 @@ class Relation:
         names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
             raise AlgebraError(f"duplicate column names: {names}")
-        self.rows: list[tuple] = []
+        self._rows: Optional[list[tuple]] = []
+        self._batch = None
         if rows is not None:
             for row in rows:
                 self.append(row)
+
+    @classmethod
+    def _backed_by(cls, batch) -> "Relation":
+        """A relation over ``batch``'s schema whose rows are built from its
+        columns on their first read (:meth:`ColumnBatch.row_tuples`)."""
+        relation = cls(batch.columns)
+        relation._rows = None
+        relation._batch = batch
+        return relation
+
+    @property
+    def rows(self) -> list[tuple]:
+        """The rows, built from the backing batch on the first read."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = self._batch.row_tuples()
+            self._batch = None
+        return rows
+
+    @rows.setter
+    def rows(self, rows: list[tuple]) -> None:
+        self._rows = rows
+        self._batch = None
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -110,7 +150,9 @@ class Relation:
         return len(self.columns)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        if self._rows is None:
+            return self._batch.row_count
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[tuple]:
         return iter(self.rows)
@@ -242,12 +284,12 @@ class Relation:
         ]
         for row in rendered_rows:
             lines.append(" | ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-        if len(self.rows) > max_rows:
-            lines.append(f"... ({len(self.rows) - max_rows} more rows)")
+        if len(self) > max_rows:
+            lines.append(f"... ({len(self) - max_rows} more rows)")
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        return f"<Relation {self.column_names} rows={len(self.rows)}>"
+        return f"<Relation {self.column_names} rows={len(self)}>"
 
 
 def _hashable(value):

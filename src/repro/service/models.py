@@ -347,7 +347,10 @@ def relation_to_payload(relation: Relation) -> dict:
     """A :class:`Relation` as a JSON-safe dict (stable under re-encoding).
 
     The rows are transposed into columns and handed to the same encoder
-    the service runs on the executor's batch (:func:`batch_to_payload`).
+    the service runs on the executor's batch (:func:`batch_to_payload`);
+    a relation still backed by its batch, rows unread
+    (:meth:`ColumnBatch.to_relation <repro.algebra.columnar.ColumnBatch.to_relation>`),
+    is that batch's payload, and no row is built.
 
     >>> payload = relation_to_payload(Relation(["ID", "V"], [[DeweyID((1, 2)), "pen"]]))
     >>> payload["kinds"], payload["rows"]
@@ -355,6 +358,10 @@ def relation_to_payload(relation: Relation) -> dict:
     >>> relation_from_payload(payload).rows
     [(DeweyID(1.2), 'pen')]
     """
+    batch = relation._batch
+    if batch is not None:
+        sources = [batch.source(index) for index in range(len(batch.columns))]
+        return _encode_columns(relation.column_names, sources, batch.row_count)
     rows = relation.rows
     if rows:
         columns = [_ColumnSource(values=list(values)) for values in zip(*rows)]

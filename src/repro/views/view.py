@@ -168,8 +168,9 @@ class MaterializedView:
 
     @property
     def relation(self) -> Relation:
-        """The extent's rows: a row view derived from :attr:`extent`, a
-        fresh transpose on every read (the extent keeps no rows)."""
+        """The extent's rows: a fresh row view backed by :attr:`extent` on
+        every read (the extent keeps no rows).  Its ``len`` reads no value;
+        its rows are transposed when first read."""
         return self.extent.to_relation()
 
     @property

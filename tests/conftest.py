@@ -19,6 +19,9 @@ from support.canonical_containment import canonical_only  # noqa: F401
 # value-index builds and probes, counted by wrapping the two index calls
 from support.index_counts import index_counts  # noqa: F401
 
+# column value reads, counted by wrapping _ColumnSource.values
+from support.value_reads import value_reads  # noqa: F401
+
 # --------------------------------------------------------------------------- #
 # hypothesis profiles
 #

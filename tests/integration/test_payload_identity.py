@@ -3,10 +3,12 @@
 The service encodes a query's answer straight from the executor's
 :class:`~repro.algebra.columnar.ColumnBatch` (:func:`batch_to_payload`);
 clients, the load driver and the benchmark compare it with
-``relation_to_payload(db.query(text))``.  For every rewriting the search
-finds on fig13 (XMark) and fig14 (DBLP), unions off and on, the two must
-agree dict for dict and ``json.dumps`` byte for byte, decode back to the
-executor's rows, and re-encode unchanged.
+``relation_to_payload(db.query(text))``, which encodes an answer whose rows
+were never read from its batch and one whose rows were read from those
+rows.  For every rewriting the search finds on fig13 (XMark) and fig14
+(DBLP), unions off and on, all three — and the payload of a relation built
+from the rows alone — must agree dict for dict and ``json.dumps`` byte for
+byte, decode back to the executor's rows, and re-encode unchanged.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 import pytest
 
 from repro.algebra.execution import PlanExecutor
-from repro.algebra.tuples import _hashable
+from repro.algebra.tuples import Relation, _hashable
 from repro.service.models import batch_to_payload, relation_from_payload, relation_to_payload
 
 from support.paper_workloads import HARNESS_CONFIGS
@@ -32,10 +34,16 @@ def _check_every_plan(workload, config_name) -> set:
         batch = PlanExecutor(workload.view_set).execute_batch(rewriting.plan)
         from_batch = batch_to_payload(batch)
         relation = PlanExecutor(workload.view_set).execute(rewriting.plan)
-        expected = relation_to_payload(relation)
-        assert from_batch == expected, f"payloads diverge on {label}"
-        text = json.dumps(from_batch)
-        assert text == json.dumps(expected), f"encodings diverge on {label}"
+        unread = relation_to_payload(relation)
+        assert relation._batch is not None, f"encoding read the rows on {label}"
+        rows = relation.rows  # read: from here on the rows are what is encoded
+        read = relation_to_payload(relation)
+        assert relation._batch is None, label
+        expected = relation_to_payload(Relation(relation.columns, rows))
+        for name, payload in (("batch", from_batch), ("unread", unread), ("read", read)):
+            assert payload == expected, f"the {name} payload diverges on {label}"
+            text = json.dumps(payload)
+            assert text == json.dumps(expected), f"the {name} encoding diverges on {label}"
 
         rebuilt = relation_from_payload(json.loads(text))
         assert rebuilt.column_names == relation.column_names, label

@@ -949,13 +949,21 @@ _CHAIN_SUBSETS = [
 
 def _projection_run(views, projection):
     """A run of ``projection``: its result, its memo entry after the run and
-    its answer (``None`` when it handed back the child's sources, else the
-    dedup vector it gathered through)."""
-    batch = PlanExecutor(views).execute_batch(projection)
+    its answer (``None`` when it kept every row in place, ``range(n)``, and
+    handed back the child's sources, else the dedup vector it gathered
+    through).  The head column is checked to be read the way the entry says:
+    the child's very source, or a gather over it through the kept vector."""
+    executor = PlanExecutor(views)
+    batch = executor.execute_batch(projection)
+    child = executor.execute_batch(projection.child)
+    below = child.source(child.column_index(projection.columns[0]))
     head = batch.source(0)
-    answer = None if head._parent is None or head._indices is None else head._indices
-    if projection._kept[1] is None:
+    answer = projection._kept[1]
+    if isinstance(answer, range):
+        assert answer == range(child.row_count) and head is below
         answer = None
+    else:
+        assert head._parent is below and head._indices is answer
     return batch, projection._kept, answer
 
 

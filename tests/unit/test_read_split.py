@@ -16,7 +16,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[2]
 
 WARM = ("parse", "key", "front", "lookup", "rerank", "execute_batch", "to_relation",
-        "query", "query_parsed")
+        "rows", "query", "query_parsed", "query_rows")
 
 
 def test_the_read_split_times_every_phase_of_both_kinds_of_read():
@@ -34,4 +34,6 @@ def test_the_read_split_times_every_phase_of_both_kinds_of_read():
         # every read after a write is timed: re-ranked, or re-planned
         assert medians["rerank"] is not None or medians["replanned"] == 2
         assert medians["execute_batch"] > 0
+        # the phased read follows one write of each round, query_rows the other
+        assert medians["rows"] is not None and medians["query_rows"] > 0
     assert "first read after a write" in run.stdout

@@ -21,19 +21,28 @@ milliseconds and with the cyclic collector off, of each phase of
   empties the plan cache, and the read is re-planned, untimed, and counted
   under ``replanned``);
 * ``execute_batch`` / ``to_relation`` — the executor's batch and the
-  result rows built from it.
+  relation backed by it, which reads no value;
+* ``rows`` — the first read of that relation's ``.rows``, which builds
+  them; checked, untimed, against the columns of a fresh execution of a
+  copy of the plan (a copy carries no memo), so a wrong row exits non-zero;
+* ``query_rows`` — the whole ``db.query(text).rows``: a read that reads
+  every row.
 
 Two tables: **warm** reads of an unchanged session, which also time the
 whole ``db.query(text)`` against ``db.query(parse_pattern(text))`` — the
 path without the front, so their difference is the front's saving — and
-the **first read after a write** (an insert or delete of the live
-workload's subtree, alternating), where ``rerank`` and the executor's memo
-do their real work.  The last line is the JSON of both tables.
+the **first read after a write**, where ``rerank`` and the executor's memo
+do their real work.  Each write round inserts the live workload's subtree
+and deletes it again; the phased read follows one of the two writes and
+``query_rows`` the other, swapping every round, so each is always the
+first read after its write and half of each follow an insert.  The last
+line is the JSON of both tables.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import gc
 import json
 import statistics
@@ -47,12 +56,14 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from repro import parse_pattern  # noqa: E402
 from repro.algebra.execution import PlanExecutor  # noqa: E402
+from repro.algebra.tuples import _hashable  # noqa: E402
 from repro.canonical import pattern_key  # noqa: E402
 from workloads import DATASETS, Session  # noqa: E402
 
 WARM = ("parse", "key", "front", "lookup", "rerank", "execute_batch", "to_relation",
-        "query", "query_parsed")
-AFTER_WRITE = ("parse", "key", "lookup", "rerank", "execute_batch", "to_relation")
+        "rows", "query", "query_parsed", "query_rows")
+AFTER_WRITE = ("parse", "key", "lookup", "rerank", "execute_batch", "to_relation", "rows",
+               "query_rows")
 
 
 def _timed(samples: dict, phase: str, call):
@@ -78,7 +89,18 @@ def _phases(db, name: str, text: str, samples: dict) -> None:
             cache.store(fingerprint, version, choice)
     plan = choice.best.plan_operator
     batch = _timed(samples, "execute_batch", lambda: PlanExecutor(db.views).execute_batch(plan))
-    _timed(samples, "to_relation", batch.to_relation)
+    relation = _timed(samples, "to_relation", batch.to_relation)
+    rows = _timed(samples, "rows", lambda: relation.rows)
+    fresh = PlanExecutor(db.views).execute_batch(copy.deepcopy(plan))
+    expected = list(zip(*(fresh.values(i) for i in range(len(fresh.columns)))))
+    if not fresh.columns:
+        expected = [()] * fresh.row_count
+    if list(map(_hashable, rows)) != list(map(_hashable, expected)):  # nested cells: by value
+        raise SystemExit(f"{name}: the rows read differ from a fresh execution's columns")
+
+
+def _query_rows(db, text: str, samples: dict) -> None:
+    _timed(samples, "query_rows", lambda: db.query(text).rows)
 
 
 def _medians(samples: dict, phases) -> dict:
@@ -107,17 +129,20 @@ def split(session, runs: int, writes: int) -> dict:
                 _timed(samples, "front", lambda: db.plan_cache.text_key(text))
                 _timed(samples, "query", lambda: db.query(text))
                 _timed(samples, "query_parsed", lambda: db.query(parse_pattern(text, name=name)))
-        node = None
-        for _ in range(writes):
-            if node is None:
-                node = db.insert_subtree(session.update_parent, session.update_subtree())
-            else:
-                db.delete_subtree(node)
-                node = None
+                _query_rows(db, text, samples)
+        for turn in range(writes):
+            readers = [
+                lambda name, text: _phases(db, name, text, after_write[name]),
+                lambda name, text: _query_rows(db, text, after_write[name]),
+            ]
+            if turn % 2:
+                readers.reverse()
+            node = db.insert_subtree(session.update_parent, session.update_subtree())
             for name, text in session.classes.items():
-                _phases(db, name, text, after_write[name])
-        if node is not None:
+                readers[0](name, text)
             db.delete_subtree(node)
+            for name, text in session.classes.items():
+                readers[1](name, text)
     finally:
         gc.enable()
     return {
@@ -147,7 +172,8 @@ def main(argv=None) -> dict:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--smoke", action="store_true", help="the dataset's small spec")
     parser.add_argument("--runs", type=int, default=300, help="warm reads per class")
-    parser.add_argument("--writes", type=int, default=30, help="writes, each followed by a read per class")
+    parser.add_argument("--writes", type=int, default=30,
+                        help="insert + delete rounds, each write followed by a read per class")
     args = parser.parse_args(argv)
     dataset = DATASETS[args.dataset]
     session = Session(dataset, args.seed if args.seed is not None else dataset.default_seed,
